@@ -75,7 +75,7 @@ func BenchmarkFig10Breakdown(b *testing.B) {
 }
 
 // BenchmarkFig11ThroughputAtScale measures per-rank receive throughput of
-// every algorithm at 64 nodes, 256 KiB (use cmd/agbench -fig 11 for the
+// every algorithm at 64 nodes, 256 KiB (use `repro ag -fig 11` for the
 // full 188-node sweep).
 func BenchmarkFig11ThroughputAtScale(b *testing.B) {
 	byAlgo := map[string]float64{}
@@ -158,10 +158,10 @@ func BenchmarkFig13ThreadScaling(b *testing.B) {
 func BenchmarkFig14LinkUtilization(b *testing.B) {
 	var ud, uc float64
 	for i := 0; i < b.N; i++ {
-		ud = harness.RunRxBench(harness.RxBenchConfig{
+		ud = harness.RunRxBench(harness.Env{}, harness.RxBenchConfig{
 			Transport: verbs.UD, Workers: 1, ChunkBytes: 4096, TotalBytes: 8 << 20,
 		}).LinkShare
-		uc = harness.RunRxBench(harness.RxBenchConfig{
+		uc = harness.RunRxBench(harness.Env{}, harness.RxBenchConfig{
 			Transport: verbs.UC, Workers: 1, ChunkBytes: 4096, TotalBytes: 8 << 20,
 		}).LinkShare
 	}
@@ -231,11 +231,11 @@ func BenchmarkAllreduce16(b *testing.B) {
 	b.ReportMetric(float64(executed)/float64(b.N), "events/op")
 }
 
-// BenchmarkChaosSweepWarm measures the warm-start speedup on an 8-point
+// BenchmarkChaosSweepWarm measures the warm_start speedup on an 8-point
 // chaosbench grid (mcast-allgather under all eight scenarios at 16 nodes /
-// 4 KiB): each iteration runs the sweep cold (a fresh model stack per
-// point) and warm (one built stack per partition class, forked per
-// scenario) and reports the wall-clock ratio. fork-speedup is a
+// 4 KiB): each iteration runs the sweep unshared (a fresh model stack per
+// point) and shared (one built stack for the seven perturbed points, forked
+// per scenario) and reports the wall-clock ratio. fork-speedup is a
 // same-machine ratio — like the sharded-engine speedup metric — and is
 // floor-gated in CI; sweep-wall-ms and snapshot-bytes are informational
 // trajectory metrics.
@@ -243,30 +243,30 @@ func BenchmarkChaosSweepWarm(b *testing.B) {
 	g := harness.ResilienceGrid([]string{"mcast-allgather"},
 		[]string{"quiet", "flap-spine", "straggler-1pct", "tenant-50load",
 			"tenant-20load", "degrade-leaf", "hotspot-drop", "incast-4to1"}, 16, 4096, 7)
-	if _, err := harness.WarmResilienceRecords(g, 1); err != nil { // warm caches and the event pool allocator
+	env := harness.Env{}
+	if _, err := harness.ResilienceRecords(env, g, 1, true); err != nil { // warm caches and the event pool allocator
 		b.Fatal(err)
 	}
-	var cold, warm time.Duration
+	var unshared, shared time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if _, err := harness.ResilienceRecords(g, 1); err != nil {
+		if _, err := harness.ResilienceRecords(env, g, 1, false); err != nil {
 			b.Fatal(err)
 		}
 		t1 := time.Now()
-		if _, err := harness.WarmResilienceRecords(g, 1); err != nil {
+		if _, err := harness.ResilienceRecords(env, g, 1, true); err != nil {
 			b.Fatal(err)
 		}
-		cold += t1.Sub(t0)
-		warm += time.Since(t1)
+		unshared += t1.Sub(t0)
+		shared += time.Since(t1)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(cold)/float64(warm), "fork-speedup")
-	b.ReportMetric(float64(warm)/float64(b.N)/1e6, "sweep-wall-ms")
-	if inst, err := (harness.WarmResilience{}).Build(g.Expand()[0]); err == nil {
-		if sz, ok := inst.(interface{ Bytes() int }); ok {
-			b.ReportMetric(float64(sz.Bytes()), "snapshot-bytes")
-		}
+	b.ReportMetric(float64(unshared)/float64(shared), "fork-speedup")
+	b.ReportMetric(float64(shared)/float64(b.N)/1e6, "sweep-wall-ms")
+	if st, err := harness.ResilienceKernel(env).Build(g.Expand()[0]); err == nil {
+		st.Capture()
+		b.ReportMetric(float64(st.(interface{ Bytes() int }).Bytes()), "snapshot-bytes")
 	}
 }
 

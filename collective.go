@@ -150,7 +150,7 @@ type SweepReport = sweep.Report
 // the worker count: kernels receive deterministic per-point seeds and
 // records are collected by grid index.
 func RunSweep(g SweepGrid, workers int, fn func(SweepSpec) (SweepRecord, error)) ([]SweepRecord, error) {
-	return sweep.RunGrid(g, workers, fn)
+	return sweep.RunGrid(g, workers, sweep.Func(fn))
 }
 
 // WriteSweepJSON serializes a report deterministically (same grid, same

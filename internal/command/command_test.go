@@ -86,6 +86,28 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// TestYAMLManifestRejected pins the one-format rule: JSON is the manifest
+// format, and a .yaml/.yml path is an invalid spec (exit 2) whose message
+// names the supported extension — on run, on validate, and when it is all
+// a directory holds.
+func TestYAMLManifestRejected(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"m.yaml", "m.yml"} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte("kind: osu\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, sub := range []string{"run", "validate"} {
+			if code, _, stderr := run(sub, path); code != 2 || !strings.Contains(stderr, "manifests are .json") {
+				t.Errorf("%s %s: exit %d, stderr %q; want 2 naming .json", sub, name, code, stderr)
+			}
+		}
+	}
+	if code, _, stderr := run("validate", dir); code != 2 || !strings.Contains(stderr, "no manifests (*.json)") {
+		t.Errorf("validate on a YAML-only directory: exit %d, stderr %q", code, stderr)
+	}
+}
+
 func TestListAndHelp(t *testing.T) {
 	code, out, _ := run("list")
 	if code != 0 {
@@ -191,13 +213,18 @@ func TestManifestShardMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, shards := range []string{"1", "2", "8"} {
-			code, stdout, stderr := run("run", "-shards", shards, "-o", t.TempDir(), src)
-			if code != 0 {
-				t.Fatalf("%s -shards %s: exit %d, stderr %s", name, shards, code, stderr)
-			}
-			if !strings.Contains(stdout, "digest matches expect.sha256") {
-				t.Fatalf("%s -shards %s: stdout does not confirm the digest:\n%s", name, shards, stdout)
-			}
+			// The shard count is part of each run's compiled plan, not
+			// process state, so the legs may overlap.
+			t.Run(name+"/shards="+shards, func(t *testing.T) {
+				t.Parallel()
+				code, stdout, stderr := run("run", "-shards", shards, "-o", t.TempDir(), src)
+				if code != 0 {
+					t.Fatalf("exit %d, stderr %s", code, stderr)
+				}
+				if !strings.Contains(stdout, "digest matches expect.sha256") {
+					t.Fatalf("stdout does not confirm the digest:\n%s", stdout)
+				}
+			})
 		}
 	}
 }

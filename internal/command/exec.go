@@ -10,9 +10,7 @@ import (
 	"os"
 
 	"repro/internal/cli"
-	"repro/internal/harness"
 	"repro/internal/manifest"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
@@ -114,9 +112,9 @@ type diagnostics struct {
 }
 
 // execute is the single run path behind `repro run` and all seven shims:
-// compile the manifest, configure the engine shard count, run the plan,
-// persist/compare/verify the report, and optionally write a protocol
-// trace. Exit codes follow the repository convention (2 invalid spec,
+// compile the manifest (shard count and telemetry included — the common
+// flags were folded into it), run the plan, persist/compare/verify the
+// report, and optionally write a protocol trace. Exit codes follow the repository convention (2 invalid spec,
 // 1 runtime failure).
 func execute(cmd string, m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) int {
 	plan, err := manifest.Compile(m)
@@ -132,20 +130,6 @@ func execute(cmd string, m manifest.Manifest, diag diagnostics, stdout, stderr i
 		return fail(stderr, 2, "%s: %v", cmd, err)
 	}
 	defer stop()
-	shards := m.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	harness.SetShards(shards)
-	var telCfg telemetry.Config
-	if m.Telemetry != nil {
-		telCfg = telemetry.Config{
-			Enabled:      true,
-			SamplePeriod: sim.Time(m.Telemetry.SamplePeriodUS) * sim.Microsecond,
-			Filters:      m.Telemetry.Filters,
-		}
-	}
-	harness.SetTelemetry(telCfg)
 	rep, err := plan.Execute(m.Workers, stdout)
 	if err != nil {
 		return fail(stderr, 1, "%s: %v", cmd, err)

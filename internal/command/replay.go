@@ -8,7 +8,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/manifest"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // runReplay implements `repro replay [-interval US] [-at US] [-steps N]
@@ -44,10 +43,8 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, 2, "replay: kind %s has no replayable point", m.Kind)
 	}
 	// The replay driver steps a single serial engine and rewinds model
-	// state in place, so the manifest's shard count and telemetry block do
+	// state in place; the manifest's shard count and telemetry block do
 	// not apply to this run.
-	harness.SetShards(1)
-	harness.SetTelemetry(telemetry.Config{})
 	cfg := harness.ReplayConfig{
 		Interval: sim.Time(*interval) * sim.Microsecond,
 		At:       sim.Time(*at) * sim.Microsecond,

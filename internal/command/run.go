@@ -117,11 +117,8 @@ func redirectOutputs(m *manifest.Manifest, dir string) {
 	}
 }
 
-// manifestExts are the filename extensions expandManifestDirs collects.
-var manifestExts = map[string]bool{".json": true, ".yaml": true, ".yml": true}
-
 // expandManifestDirs replaces each directory argument with the manifest
-// files directly inside it (*.json, *.yaml, *.yml; sorted, non-recursive),
+// files directly inside it (*.json; sorted, non-recursive),
 // so `repro validate manifests` covers the whole tree without the caller
 // hand-listing files — and without a stale shell glob silently skipping a
 // newly added manifest.
@@ -142,14 +139,14 @@ func expandManifestDirs(paths []string) ([]string, error) {
 		}
 		n := 0
 		for _, e := range entries {
-			if e.IsDir() || !manifestExts[filepath.Ext(e.Name())] {
+			if e.IsDir() || filepath.Ext(e.Name()) != ".json" {
 				continue
 			}
 			out = append(out, filepath.Join(p, e.Name()))
 			n++
 		}
 		if n == 0 {
-			return nil, fmt.Errorf("%s: directory holds no manifests (*.json, *.yaml, *.yml)", p)
+			return nil, fmt.Errorf("%s: directory holds no manifests (*.json)", p)
 		}
 	}
 	return out, nil

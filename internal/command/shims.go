@@ -8,11 +8,9 @@ import (
 	"repro/internal/manifest"
 )
 
-// This file holds the seven legacy shims: each parses the exact flag
-// surface of the historical cmd binary it replaced, folds the flags into
-// a manifest.Manifest, and executes it through the shared path. The
-// binaries under cmd/ forward here, so `go run ./cmd/osu -nodes 32` and
-// `repro osu -nodes 32` are the same program.
+// This file holds the seven flag-compatible shims: each parses the exact
+// flag surface of the historical binary it is named after, folds the flags
+// into a manifest.Manifest, and executes it through the shared path.
 
 // runOSU is the OSU-style microbenchmark shim (was cmd/osu).
 func runOSU(args []string, stdout, stderr io.Writer) int {

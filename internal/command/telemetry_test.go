@@ -76,6 +76,61 @@ func TestPerfettoDeterministic(t *testing.T) {
 	}
 }
 
+// TestTracedRunGoldens pins the traced run of each simulated kind against
+// checked-in goldens (generated at the parent of PR 13, when the trace
+// runs had builders of their own): the -trace text timeline, the -perfetto
+// document and the `repro trace` summary of the sweep's metrics.json must
+// reproduce those bytes — at -shards 1 and 4, since the traced run takes
+// the same Env as the sweep. The chaos point is perturbed hard enough to
+// show the slow path (recovery, fetch-serve); the train point is the quiet
+// anchor of a scenario sweep, so it runs under the guarded drive loop.
+func TestTracedRunGoldens(t *testing.T) {
+	kinds := map[string][]string{
+		"osu":   {"osu", "-nodes", "4", "-sizes", "16384", "-iters", "2"},
+		"chaos": {"chaos", "-algos", "mcast-allgather", "-scenarios", "hotspot-drop", "-nodes", "16", "-msg", "65536"},
+		"train": {"train", "-workloads", "fsdp-inc", "-nodes", "4", "-shard", "16384", "-layers", "1", "-scenarios", "flap-spine"},
+	}
+	for kind, args := range kinds {
+		for _, shards := range []string{"1", "4"} {
+			t.Run(kind+"/shards="+shards, func(t *testing.T) {
+				t.Parallel()
+				dir := t.TempDir()
+				trace, perfetto, metrics := filepath.Join(dir, "t.txt"), filepath.Join(dir, "p.json"), filepath.Join(dir, "m.json")
+				args := append(append([]string{}, args...),
+					"-shards", shards, "-trace", trace, "-perfetto", perfetto, "-metrics", metrics)
+				if code, _, errOut := run(args...); code != 0 {
+					t.Fatalf("exit %d: %s", code, errOut)
+				}
+				code, summary, errOut := run("trace", metrics)
+				if code != 0 {
+					t.Fatalf("trace: exit %d: %s", code, errOut)
+				}
+				summaryPath := filepath.Join(dir, "s.txt")
+				if err := os.WriteFile(summaryPath, []byte(summary), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				for golden, got := range map[string]string{
+					"trace_" + kind + ".golden.txt":     trace,
+					"perfetto_" + kind + ".golden.json": perfetto,
+					"summary_" + kind + ".golden.txt":   summaryPath,
+				} {
+					want, err := os.ReadFile(filepath.Join("testdata", golden))
+					if err != nil {
+						t.Fatal(err)
+					}
+					have, err := os.ReadFile(got)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if string(have) != string(want) {
+						t.Errorf("output differs from testdata/%s", golden)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestTraceSubcommand covers `repro trace`: summarizing a metrics.json
 // written by a run, plus its flag validation.
 func TestTraceSubcommand(t *testing.T) {

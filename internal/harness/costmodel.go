@@ -24,14 +24,14 @@ func Fig2Records() ([]sweep.Record, error) {
 		return nil, err
 	}
 	grid := sweep.Grid{MsgBytes: []int{64 << 10, 256 << 10, 1 << 20, 4 << 20}}
-	return sweep.RunGrid(grid, 0, func(s sweep.Spec) (sweep.Record, error) {
+	return sweep.RunGrid(grid, 0, sweep.Func(func(s sweep.Spec) (sweep.Record, error) {
 		return sweep.Record{Spec: s, Metrics: map[string]float64{
 			"ring_ag_bytes":   m.RingAllgatherBytes(s.MsgBytes),
 			"linear_ag_bytes": m.LinearAllgatherBytes(s.MsgBytes),
 			"mcast_ag_bytes":  m.McastAllgatherBytes(s.MsgBytes),
 			"savings":         m.Savings(s.MsgBytes),
 		}}, nil
-	})
+	}))
 }
 
 // Fig7Records renders the PSN-bits sizing model; psn_bits is the swept

@@ -3,11 +3,9 @@ package harness
 import (
 	"strings"
 
-	"repro/internal/fabric"
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/sweep"
-	"repro/internal/topology"
 )
 
 // The typed per-figure views below project the sweep Records (sweeps.go)
@@ -15,18 +13,8 @@ import (
 // declares a Grid and dispatches through the sweep engine's worker pool, so
 // independent simulations parallelize across OS threads.
 
-// testbedFabric builds the 188-node UCC-testbed model (or a prefix of it)
-// with the paper's 56 Gbit/s ConnectX-3 links.
-func testbedFabric(seed uint64, linkBw float64) (*sim.Engine, *fabric.Fabric) {
-	g := topology.Testbed188()
-	if linkBw == 0 {
-		linkBw = 7e9 // 56 Gbit/s
-	}
-	fcfg := fabric.Config{LinkBandwidth: linkBw}
-	eng := newEngine(seed, g, fcfg)
-	f := fabric.New(eng, g, fcfg)
-	return eng, f
-}
+// The views take no Env: they run on the zero Env (serial engine,
+// telemetry off), like every caller that only wants the numbers.
 
 // --- Figure 5: single CPU core vs single DPA core ------------------------------
 
@@ -40,7 +28,7 @@ type Fig5Point struct {
 
 // Fig5SingleCore sweeps message sizes on a 200 Gbit/s back-to-back link.
 func Fig5SingleCore(sizes []int) []Fig5Point {
-	recs, err := Fig5Records(sizes)
+	recs, err := sweep.Run(Fig5Specs(sizes), 0, RxKernel(Env{}), false)
 	if err != nil {
 		panic(err) // unreachable for positive sizes, as with RunRxBench
 	}
@@ -71,7 +59,7 @@ type Table1Row struct {
 // Table1SingleThread measures both datapaths with one DPA thread, 8 MiB
 // buffer, 4 KiB chunks.
 func Table1SingleThread() []Table1Row {
-	recs, err := Table1Records()
+	recs, err := sweep.RunGrid(Table1Grid(), 0, RxKernel(Env{}))
 	if err != nil {
 		panic(err) // fixed grid, cannot fail
 	}
@@ -117,7 +105,7 @@ func scalingPoint(r sweep.Record) ScalingPoint {
 // (8 MiB buffer, 4 KiB chunks) plus the single-thread CPU baseline, as in
 // Figure 13.
 func Fig13ThreadScaling(threadCounts []int) ([]ScalingPoint, ScalingPoint) {
-	recs, err := Fig13Records(threadCounts)
+	recs, err := sweep.Run(Fig13Specs(threadCounts), 0, RxKernel(Env{}), false)
 	if err != nil {
 		panic(err) // fixed axes, cannot fail
 	}
@@ -131,7 +119,7 @@ func Fig13ThreadScaling(threadCounts []int) ([]ScalingPoint, ScalingPoint) {
 // Fig15ChunkSize sweeps the UC chunk size for several thread counts (8 MiB
 // buffer).
 func Fig15ChunkSize(chunkSizes, threadCounts []int) []ScalingPoint {
-	recs, err := Fig15Records(chunkSizes, threadCounts)
+	recs, err := sweep.RunGrid(Fig15Grid(chunkSizes, threadCounts), 0, RxKernel(Env{}))
 	if err != nil {
 		panic(err)
 	}
@@ -150,7 +138,7 @@ const Tbit16Target = 1.6e12 / 8 / 4096 // chunks/second
 // arrival rate of a future 1.6 Tbit/s link (§VII). LinkShare is relative to
 // the Tbit16Target chunk rate.
 func Fig16TbitScaling(threadCounts []int) []ScalingPoint {
-	recs, err := Fig16Records(threadCounts)
+	recs, err := sweep.RunGrid(Fig16Grid(threadCounts), 0, Fig16Kernel(Env{}))
 	if err != nil {
 		panic(err)
 	}
@@ -178,7 +166,7 @@ type BreakdownPoint struct {
 // message sizes on the testbed model and reports median phase fractions,
 // read from the unified Result's per-rank extension.
 func Fig10Breakdown(nodeCounts, sizes []int) ([]BreakdownPoint, error) {
-	recs, err := Fig10Records(nodeCounts, sizes)
+	recs, err := sweep.RunGrid(Fig10Grid(nodeCounts, sizes), 0, CollKernel(Env{}))
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +199,7 @@ type Fig11Point struct {
 // dispatching every algorithm through the unified registry. The
 // independent simulations run in parallel across OS threads.
 func Fig11Throughput(nodes int, sizes []int) ([]Fig11Point, error) {
-	recs, err := Fig11Records(nodes, sizes)
+	recs, err := sweep.Run(Fig11Specs(nodes, sizes), 0, CollKernel(Env{}), false)
 	if err != nil {
 		return nil, err
 	}
@@ -244,10 +232,11 @@ type Fig12Row struct {
 // its own fresh fabric through the registry; the instance's persistent
 // transport state carries from warmup into the measured iterations.
 func Fig12Traffic(nodes, msgBytes, iters int) ([]Fig12Row, error) {
-	recs, err := Fig12Records(nodes, msgBytes, iters, 0)
+	recs, err := sweep.Run(Fig12Specs(nodes, msgBytes), 0, Fig12Kernel(Env{}, iters), false)
 	if err != nil {
 		return nil, err
 	}
+	AnnotateSavings(recs)
 	out := make([]Fig12Row, len(recs))
 	for i, r := range recs {
 		family, _, _ := strings.Cut(r.Spec.Algorithm, "-")
@@ -278,7 +267,7 @@ type AppBPoint struct {
 // concurrently through the registry's non-blocking Starter surface on a
 // shared cluster, contending for the same NICs.
 func AppBConcurrent(ps []int, n int) ([]AppBPoint, error) {
-	recs, err := AppBRecords(ps, n)
+	recs, err := sweep.Run(AppBSpecs(ps, n), 0, AppBKernel(Env{}), false)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRxBenchUDSingleThreadMatchesModel(t *testing.T) {
-	r := RunRxBench(RxBenchConfig{Transport: verbs.UD, Workers: 1, ChunkBytes: 4096, TotalBytes: 8 << 20})
+	r := RunRxBench(Env{}, RxBenchConfig{Transport: verbs.UD, Workers: 1, ChunkBytes: 4096, TotalBytes: 8 << 20})
 	// One DPA thread at 1084 cycles/CQE and 1.8 GHz: 1.66M chunks/s.
 	want := 1.8e9 / 1084
 	if math.Abs(r.ChunkRate-want)/want > 0.03 {
@@ -23,8 +23,8 @@ func TestRxBenchUDSingleThreadMatchesModel(t *testing.T) {
 }
 
 func TestRxBenchUCFasterThanUD(t *testing.T) {
-	ud := RunRxBench(RxBenchConfig{Transport: verbs.UD, Workers: 1, ChunkBytes: 4096, TotalBytes: 4 << 20})
-	uc := RunRxBench(RxBenchConfig{Transport: verbs.UC, Workers: 1, ChunkBytes: 4096, TotalBytes: 4 << 20})
+	ud := RunRxBench(Env{}, RxBenchConfig{Transport: verbs.UD, Workers: 1, ChunkBytes: 4096, TotalBytes: 4 << 20})
+	uc := RunRxBench(Env{}, RxBenchConfig{Transport: verbs.UC, Workers: 1, ChunkBytes: 4096, TotalBytes: 4 << 20})
 	if uc.GiBps <= ud.GiBps {
 		t.Fatalf("UC (%v) not faster than UD (%v) single-thread", uc.GiBps, ud.GiBps)
 	}
@@ -39,7 +39,7 @@ func TestRxBenchThreadScalingShape(t *testing.T) {
 	// The headline offloading result: UC saturates the link by 4 threads,
 	// UD between 8 and 16 (Figures 13/14).
 	at := func(tr verbs.Transport, w int) float64 {
-		return RunRxBench(RxBenchConfig{Transport: tr, Workers: w, ChunkBytes: 4096, TotalBytes: 8 << 20}).LinkShare
+		return RunRxBench(Env{}, RxBenchConfig{Transport: tr, Workers: w, ChunkBytes: 4096, TotalBytes: 8 << 20}).LinkShare
 	}
 	if s := at(verbs.UC, 4); s < 0.97 {
 		t.Errorf("UC at 4 threads reaches %.2f of link, want ~1.0", s)
@@ -62,7 +62,7 @@ func TestRxBenchThreadScalingShape(t *testing.T) {
 }
 
 func TestRxBenchCPUBaselineBelowLink(t *testing.T) {
-	r := RunRxBench(RxBenchConfig{Transport: verbs.UD, Workers: 1, ChunkBytes: 4096, TotalBytes: 8 << 20, OnCPU: true})
+	r := RunRxBench(Env{}, RxBenchConfig{Transport: verbs.UD, Workers: 1, ChunkBytes: 4096, TotalBytes: 8 << 20, OnCPU: true})
 	// Figure 5: a single CPU core sustains only ~1/2-2/3 of 200 Gbit/s.
 	if r.LinkShare < 0.40 || r.LinkShare > 0.75 {
 		t.Fatalf("CPU single-core link share %.2f, want within [0.40, 0.75]", r.LinkShare)
@@ -234,5 +234,5 @@ func TestRxBenchInvalidConfigPanics(t *testing.T) {
 			t.Error("invalid config did not panic")
 		}
 	}()
-	RunRxBench(RxBenchConfig{Transport: verbs.UD, Workers: 0, ChunkBytes: 4096, TotalBytes: 1})
+	RunRxBench(Env{}, RxBenchConfig{Transport: verbs.UD, Workers: 0, ChunkBytes: 4096, TotalBytes: 1})
 }

@@ -45,13 +45,11 @@ type waypoint struct {
 
 // Replay runs one quiet collective point under the replay debugger,
 // writing the waypoint table, the seek trace and the stepped events to w.
-// Replay is serial-only (configure -shards 1) and rejects perturbation
-// scenarios: scenario injectors hold closure state the snapshot layer
-// cannot rewind.
+// Replay steps a single serial engine and rewinds model state in place, so
+// it always builds under the zero Env — a run's shard count and telemetry
+// do not apply — and rejects perturbation scenarios: scenario injectors
+// hold closure state the snapshot layer cannot rewind.
 func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
-	if Shards() != 1 {
-		return fmt.Errorf("harness: replay needs a serial engine (configured shards=%d); run with -shards 1", Shards())
-	}
 	if s.Scenario != "" && s.Scenario != scenario.Quiet {
 		return fmt.Errorf("harness: replay supports only the quiet scenario, not %q", s.Scenario)
 	}
@@ -61,7 +59,7 @@ func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 20
 	}
-	pt, err := collPoint(s)
+	pt, err := Env{}.buildColl(s, 0, 0)
 	if err != nil {
 		return err
 	}
@@ -75,7 +73,7 @@ func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
 		esnap := eng.Snapshot()
 		// In-flight packets are reachable only through the event queue, so
 		// the pending payloads join the model roots.
-		roots := append([]any{pt.f, pt.cl, pt.alg, pt.reg, pt.sampler}, esnap.Payloads()...)
+		roots := append(pt.roots(), esnap.Payloads()...)
 		return waypoint{
 			at:       eng.Now(),
 			executed: eng.Executed,
@@ -85,8 +83,7 @@ func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
 	}
 
 	var res *collective.Result
-	err = starter.Start(collective.Op{Kind: collective.Kind(s.Op), Bytes: s.MsgBytes},
-		func(r *collective.Result) { res = r })
+	err = starter.Start(pt.op(s), func(r *collective.Result) { res = r })
 	if err != nil {
 		return err
 	}

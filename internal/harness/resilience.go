@@ -3,18 +3,12 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/cluster"
-	"repro/internal/coll"
 	"repro/internal/collective"
-	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/registry"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
-	"repro/internal/verbs"
 )
 
 // The resilience sweep measures collectives on a noisy fabric: every grid
@@ -37,7 +31,7 @@ const resilienceHorizon = 2 * sim.Second
 const resilienceEventBudget = 50_000_000
 
 // ResilienceGrid declares the algorithm × scenario product at one scale:
-// the grid chaosbench and the resilience experiments expand. Include
+// the grid the chaos kind and the resilience experiments expand. Include
 // "quiet" among the scenarios to anchor the slowdown metric.
 func ResilienceGrid(algos, scenarios []string, nodes, msgBytes int, seed uint64) sweep.Grid {
 	return sweep.Grid{
@@ -49,85 +43,121 @@ func ResilienceGrid(algos, scenarios []string, nodes, msgBytes int, seed uint64)
 	}
 }
 
-// ResilienceKernel is the sweep kernel for collectives under perturbation:
-// it arms the point's scenario on a fresh testbed fabric (with an RNG
-// stream derived from the point seed, preserving byte-identical JSON at any
-// worker count), starts the algorithm non-blocking, and stops the scenario
-// the moment the collective completes so the engine drains.
-func ResilienceKernel(s sweep.Spec) (sweep.Record, error) {
-	if _, err := scenario.New(s.Scenario); err != nil {
-		return sweep.Record{}, err
+// ResilienceKernel returns the sweep kernel for collectives under
+// perturbation: it arms the point's scenario on the testbed fabric (with
+// an RNG stream derived from the point seed, preserving byte-identical
+// JSON at any worker count), starts the algorithm non-blocking, and stops
+// the scenario the moment the collective completes so the engine drains.
+// Scenario is a continuation-only axis — what the build consumes is the
+// partition decision it implies — so a shared stack serves one algorithm's
+// whole scenario row per partition class, and a quiet point never shares a
+// stack with a perturbed one.
+func ResilienceKernel(env Env) sweep.Kernel {
+	return kernel{
+		key: func(s sweep.Spec) string {
+			s.Scenario = fmt.Sprint("partitioned=", env.partitions(s, 0))
+			return s.Key()
+		},
+		build: func(s sweep.Spec) (*point, error) { return env.buildColl(s, 0, 0) },
+		run:   resilienceRun,
 	}
-	pt, err := collPoint(s)
-	if err != nil {
-		return sweep.Record{}, err
-	}
-	return resilienceRun(pt, pt.spec)
 }
 
-// resilienceRun is the kernel's continuation: everything after the model
-// stack exists. The warm-start path forks a shared stack back to its
-// construction snapshot and enters here, so the continuation must read
-// the point's identity from s (seed, scenario), never from pt.spec.
-func resilienceRun(pt collPt, s sweep.Spec) (sweep.Record, error) {
-	sc, err := scenario.New(s.Scenario)
+// resilienceRun is the kernel's continuation: the collective under its
+// scenario, reduced to a Record.
+func resilienceRun(pt *point, s sweep.Spec) (sweep.Record, error) {
+	run, err := pt.perturbed(s)
 	if err != nil {
 		return sweep.Record{}, err
 	}
-	f := pt.f
-	eng := f.Engine()
+	return run.record(pt, s), nil
+}
+
+// chaosRun is one collective in flight under a scenario: the armed
+// injectors and, once the operation completes, its result.
+type chaosRun struct {
+	act *scenario.Active
+	res *collective.Result
+}
+
+// start installs the spec's scenario and starts the collective
+// non-blocking; completion records the result and stops the scenario.
+func (pt *point) start(s sweep.Spec) (*chaosRun, error) {
+	sc, err := scenario.New(s.Scenario)
+	if err != nil {
+		return nil, err
+	}
 	starter, ok := pt.alg.(collective.Starter)
 	if !ok {
-		return sweep.Record{}, fmt.Errorf("harness: %s cannot run non-blocking under a scenario", s.Algorithm)
+		return nil, fmt.Errorf("harness: %s cannot run non-blocking under a scenario", s.Algorithm)
 	}
+	pt.sampler.Arm()
 	// Scope the scenario to the participating hosts: on the 188-host
 	// testbed a fabric-wide random straggler or spine flap would usually
 	// land on idle hardware and measure nothing.
-	act := sc.InstallOn(f, f.Graph().Hosts()[:s.Nodes], s.Seed)
-	var res *collective.Result
-	err = starter.Start(collective.Op{Kind: collective.Kind(s.Op), Bytes: s.MsgBytes},
-		func(r *collective.Result) {
-			res = r
-			act.Stop()
-		})
+	run := &chaosRun{act: sc.InstallOn(pt.f, pt.f.Graph().Hosts()[:s.Nodes], s.Seed)}
+	err = starter.Start(pt.op(s), func(r *collective.Result) {
+		run.res = r
+		run.act.Stop()
+	})
+	return run, err
+}
+
+// perturbed runs the spec's collective to completion under its scenario,
+// within the runaway guards.
+func (pt *point) perturbed(s sweep.Spec) (*chaosRun, error) {
+	run, err := pt.start(s)
 	if err != nil {
-		return sweep.Record{}, err
+		return nil, err
 	}
-	// Drive the engine in slices so both bounds — virtual time and executed
-	// events — are enforced even against a scenario that keeps the queue
-	// full forever. Slicing never changes results: events fire at identical
-	// times, only the (RNG-free) bookkeeping between slices differs.
-	for res == nil && eng.Now() < resilienceHorizon && eng.Executed < resilienceEventBudget {
+	if !drive(pt.f, run.act, func() bool { return run.res != nil }) {
+		return nil, fmt.Errorf("harness: %s did not complete under scenario %q within %v / %d events",
+			s.Algorithm, s.Scenario, resilienceHorizon, resilienceEventBudget)
+	}
+	return run, nil
+}
+
+// drive runs the engine until done reports completion, in slices so both
+// bounds — virtual time and executed events — are enforced even against a
+// scenario that keeps the queue full forever. Slicing never changes
+// results: events fire at identical times, only the (RNG-free) bookkeeping
+// between slices differs. If the bounds trip first it freezes the
+// scenario, heals the fabric, and grants one grace period: a transport
+// stuck retransmitting into a dead link gets to finish on the restored
+// path instead of deadlocking the sweep. It reports whether done held.
+func drive(f *fabric.Fabric, act *scenario.Active, done func() bool) bool {
+	eng := f.Engine()
+	for !done() && eng.Now() < resilienceHorizon && eng.Executed < resilienceEventBudget {
 		eng.RunFor(sim.Millisecond)
 	}
-	if res == nil {
-		// Freeze the scenario, heal the fabric, and grant one grace period:
-		// a transport stuck retransmitting into a dead link gets to finish
-		// on the restored path instead of deadlocking the sweep.
+	if !done() {
 		act.Stop()
 		for id := 0; id < f.NumChannels(); id++ {
 			f.ClearOverrides(fabric.ChannelID(id))
 		}
-		for end := eng.Now() + resilienceHorizon/4; res == nil && eng.Now() < end &&
+		for end := eng.Now() + resilienceHorizon/4; !done() && eng.Now() < end &&
 			eng.Executed < 2*resilienceEventBudget; {
 			eng.RunFor(sim.Millisecond)
 		}
 	}
-	if res == nil {
-		return sweep.Record{}, fmt.Errorf("harness: %s did not complete under scenario %q within %v / %d events",
-			s.Algorithm, s.Scenario, resilienceHorizon, resilienceEventBudget)
-	}
+	return done()
+}
+
+// record assembles the completed run's Record: the cost of the
+// perturbations and the recovery work they forced.
+func (run *chaosRun) record(pt *point, s sweep.Spec) sweep.Record {
+	res := run.res
 	var recovered, retransmits, rnrDrops float64
 	for _, rs := range res.PerRank {
 		recovered += float64(rs.Recovered)
 		retransmits += float64(rs.Retransmits)
 		rnrDrops += float64(rs.RNRDrops)
 	}
-	st := act.Stats()
+	st := run.act.Stats()
 	rec := sweep.Record{Spec: s, Result: res, Metrics: map[string]float64{
 		"duration_us": res.Duration().Micros(),
 		"gibps":       res.AlgBandwidth() / (1 << 30),
-		"drops":       float64(f.TotalDropped),
+		"drops":       float64(pt.f.TotalDropped),
 		"recovered":   recovered,
 		"retransmits": retransmits,
 		"rnr_drops":   rnrDrops,
@@ -135,82 +165,25 @@ func resilienceRun(pt collPt, s sweep.Spec) (sweep.Record, error) {
 		"restores":    float64(st.Restores),
 		"bg_mbytes":   float64(st.BackgroundBytes) / 1e6,
 	}}
-	addEngineMetrics(&rec, eng)
-	pt.finish(&rec)
-	return rec, nil
+	addEngineMetrics(&rec, pt.f.Engine())
+	rec.Telemetry = pt.snapshot()
+	return rec
 }
 
-// ChaosTrace re-runs one resilience point with a trace recorder attached to
-// the protocol state machines and an always-on telemetry registry, driving
-// the engine under the same horizon/event-budget guards as the kernel, and
-// returns the bundle. On a perturbed fabric the timeline shows the slow
-// path at work — cutoff expiry, neighbor fetches, retransmissions — and the
-// metric snapshot carries the drop/retransmit counters the scenario forced.
-func ChaosTrace(s sweep.Spec) (*telemetry.Bundle, error) {
-	sc, err := scenario.New(s.Scenario)
+// ChaosTrace re-runs one resilience point — the same build under a tracing
+// Env, driven under the same guards as the kernel — and returns the
+// bundle. On a perturbed fabric the timeline shows the slow path at work —
+// cutoff expiry, neighbor fetches, retransmissions — and the metric
+// snapshot carries the drop/retransmit counters the scenario forced.
+func ChaosTrace(env Env, s sweep.Spec) (*telemetry.Bundle, error) {
+	pt, err := env.Traced().buildColl(s, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	if s.Op == "" {
-		kind, err := opForAlgo(s.Algorithm)
-		if err != nil {
-			return nil, err
-		}
-		s.Op = string(kind)
-	}
-	_, f := testbedFabric(s.Seed, 0)
-	hosts := f.Graph().Hosts()
-	if s.Nodes < 1 || s.Nodes > len(hosts) {
-		return nil, fmt.Errorf("harness: %d nodes exceed testbed (%d)", s.Nodes, len(hosts))
-	}
-	tr := &trace.Recorder{}
-	reg := traceRegistry()
-	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
-	alg, err := registry.New(cl, s.Algorithm, registry.Options{
-		Hosts: hosts[:s.Nodes],
-		Core:  core.Config{Transport: verbs.UD, Tracer: tr, Metrics: reg},
-		Coll:  coll.Config{ChunkBytes: s.ChunkSize, Metrics: reg},
-	})
-	if err != nil {
+	if _, err := pt.perturbed(s); err != nil {
 		return nil, err
 	}
-	armFabricTelemetry(reg, f)
-	starter, ok := alg.(collective.Starter)
-	if !ok {
-		return nil, fmt.Errorf("harness: %s cannot run non-blocking under a scenario", s.Algorithm)
-	}
-	eng := f.Engine()
-	act := sc.InstallOn(f, hosts[:s.Nodes], s.Seed)
-	var res *collective.Result
-	err = starter.Start(collective.Op{Kind: collective.Kind(s.Op), Bytes: s.MsgBytes},
-		func(r *collective.Result) {
-			res = r
-			act.Stop()
-		})
-	if err != nil {
-		return nil, err
-	}
-	for res == nil && eng.Now() < resilienceHorizon && eng.Executed < resilienceEventBudget {
-		eng.RunFor(sim.Millisecond)
-	}
-	if res == nil {
-		act.Stop()
-		for id := 0; id < f.NumChannels(); id++ {
-			f.ClearOverrides(fabric.ChannelID(id))
-		}
-		for end := eng.Now() + resilienceHorizon/4; res == nil && eng.Now() < end &&
-			eng.Executed < 2*resilienceEventBudget; {
-			eng.RunFor(sim.Millisecond)
-		}
-	}
-	if res == nil {
-		return nil, fmt.Errorf("harness: %s did not complete under scenario %q within %v / %d events",
-			s.Algorithm, s.Scenario, resilienceHorizon, resilienceEventBudget)
-	}
-	collectEngineTelemetry(reg, eng)
-	f.CollectTelemetry(reg)
-	cl.CollectTelemetry(reg)
-	return &telemetry.Bundle{Events: tr.Events, Snap: reg.Snapshot()}, nil
+	return pt.bundle(), nil
 }
 
 // AnnotateSlowdown adds the slowdown_vs_quiet metric to every record that
@@ -235,10 +208,11 @@ func AnnotateSlowdown(recs []sweep.Record) {
 	}
 }
 
-// ResilienceRecords expands and runs the resilience grid on the worker pool
-// and annotates slowdown-vs-quiet.
-func ResilienceRecords(g sweep.Grid, workers int) ([]sweep.Record, error) {
-	recs, err := sweep.RunGrid(g, workers, ResilienceKernel)
+// ResilienceRecords expands and runs the resilience grid on the worker
+// pool — sharing built stacks when share is set — and annotates
+// slowdown-vs-quiet.
+func ResilienceRecords(env Env, g sweep.Grid, workers int, share bool) ([]sweep.Record, error) {
+	recs, err := sweep.Run(g.Expand(), workers, ResilienceKernel(env), share)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ func TestResilienceSweepByteIdentical(t *testing.T) {
 		[]string{"quiet", "flap-spine", "tenant-50load"},
 		16, 64<<10, 42)
 	run := func(workers int) []byte {
-		recs, err := ResilienceRecords(g, workers)
+		recs, err := ResilienceRecords(Env{}, g, workers, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,15 +36,16 @@ func TestResilienceSweepByteIdentical(t *testing.T) {
 // the same spec and seed.
 func TestResilienceQuietMatchesCollKernel(t *testing.T) {
 	spec := sweep.Spec{Algorithm: "mcast-allgather", Nodes: 16, MsgBytes: 64 << 10, Seed: 1234}
-	base, err := CollKernel(spec)
+	bases, err := sweep.Run([]sweep.Spec{spec}, 1, CollKernel(Env{}), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.Scenario = "quiet"
-	quiet, err := ResilienceKernel(spec)
+	quiets, err := sweep.Run([]sweep.Spec{spec}, 1, ResilienceKernel(Env{}), false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	base, quiet := bases[0], quiets[0]
 	bj, _ := json.Marshal(base.Result)
 	qj, _ := json.Marshal(quiet.Result)
 	if !bytes.Equal(bj, qj) {

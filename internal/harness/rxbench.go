@@ -8,7 +8,7 @@
 // Every experiment is declared as a sweep (sweeps.go): a parameter grid
 // plus a kernel executed by internal/sweep's worker pool, producing
 // structured Records with deterministic per-point seeds. The typed
-// per-figure views (experiments.go) and the cmd/ binaries are thin
+// per-figure views (experiments.go) and the repro subcommands are thin
 // projections of those Records.
 package harness
 
@@ -65,8 +65,9 @@ type RxBenchResult struct {
 	EventsRecycled  uint64
 }
 
-// RunRxBench executes the microbenchmark and returns the measured result.
-func RunRxBench(cfg RxBenchConfig) RxBenchResult {
+// RunRxBench executes the microbenchmark under env and returns the
+// measured result.
+func RunRxBench(env Env, cfg RxBenchConfig) RxBenchResult {
 	if cfg.LinkBandwidth == 0 {
 		cfg.LinkBandwidth = 25e9
 	}
@@ -78,7 +79,7 @@ func RunRxBench(cfg RxBenchConfig) RxBenchResult {
 	}
 	g := topology.BackToBack()
 	fcfg := fabric.Config{LinkBandwidth: cfg.LinkBandwidth}
-	eng := newEngine(cfg.Seed, g, fcfg)
+	eng := env.newEngine(cfg.Seed, g, fcfg)
 	f := fabric.New(eng, g, fcfg)
 	hosts := g.Hosts()
 

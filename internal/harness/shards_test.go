@@ -2,18 +2,25 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/sweep"
 )
 
-// withShards runs fn under a temporary engine shard count, restoring the
-// serial default afterwards so other tests are unaffected.
-func withShards(t *testing.T, n int, fn func()) {
-	t.Helper()
-	SetShards(n)
-	defer SetShards(1)
-	fn()
+// acrossShards captures the same sweep under Env{Shards: 1}, 2 and 8 —
+// concurrently: the shard count is a value each capture carries, not
+// process state — and requires byte-identical JSON.
+func acrossShards(t *testing.T, name string, capture func(*testing.T, Env) []sweep.Record) {
+	base := encodeReport(t, capture(t, Env{Shards: 1}))
+	for _, n := range []int{2, 8} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			t.Parallel()
+			if got := encodeReport(t, capture(t, Env{Shards: n})); !bytes.Equal(base, got) {
+				t.Fatalf("%s sweep JSON at -shards %d differs from serial", name, n)
+			}
+		})
+	}
 }
 
 // TestSweepsByteIdenticalAcrossShards is the harness half of the golden
@@ -26,40 +33,23 @@ func TestSweepsByteIdenticalAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep matrix is not -short sized")
 	}
-	capture := func() []byte {
-		var all []sweep.Record
-		resil, err := ResilienceRecords(
-			ResilienceGrid([]string{"mcast-allgather"}, []string{"quiet", "tenant-50load"}, 16, 1<<20, 3), 1)
+	acrossShards(t, "matrix", func(t *testing.T, env Env) []sweep.Record {
+		resil, err := ResilienceRecords(env,
+			ResilienceGrid([]string{"mcast-allgather"}, []string{"quiet", "tenant-50load"}, 16, 1<<20, 3), 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, resil...)
-		train, err := TrainRecords(
+		train, err := TrainRecords(env,
 			TrainGrid([]string{"fsdp-ring"}, []int{8}, []int{64 << 10}, nil, 9), 1, TrainConfig{Layers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, train...)
-		appb, err := AppBRecords([]int{8}, 1<<20)
+		appb, err := sweep.Run(AppBSpecs([]int{8}, 1<<20), 0, AppBKernel(env), false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, appb...)
-		var buf bytes.Buffer
-		if err := sweep.WriteJSON(&buf, sweep.Report{Name: "matrix", Records: all}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	var base []byte
-	withShards(t, 1, func() { base = capture() })
-	for _, n := range []int{2, 8} {
-		var got []byte
-		withShards(t, n, func() { got = capture() })
-		if !bytes.Equal(base, got) {
-			t.Fatalf("sweep JSON at -shards %d differs from serial", n)
-		}
-	}
+		return append(append(resil, train...), appb...)
+	})
 }
 
 // TestScenarioInjectorsAcrossShards drives fault-injection scenarios
@@ -68,24 +58,11 @@ func TestSweepsByteIdenticalAcrossShards(t *testing.T) {
 // guard and delegation paths while injector timers rearm.
 func TestScenarioInjectorsAcrossShards(t *testing.T) {
 	grid := ResilienceGrid([]string{"ring-allgather"}, []string{"flap-spine", "straggler-1pct"}, 8, 64<<10, 5)
-	capture := func() []byte {
-		recs, err := ResilienceRecords(grid, 1)
+	acrossShards(t, "injector", func(t *testing.T, env Env) []sweep.Record {
+		recs, err := ResilienceRecords(env, grid, 1, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := sweep.WriteJSON(&buf, sweep.Report{Name: "inject", Records: recs}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	var base []byte
-	withShards(t, 1, func() { base = capture() })
-	for _, n := range []int{2, 8} {
-		var got []byte
-		withShards(t, n, func() { got = capture() })
-		if !bytes.Equal(base, got) {
-			t.Fatalf("injector sweep JSON at -shards %d differs from serial", n)
-		}
-	}
+		return recs
+	})
 }

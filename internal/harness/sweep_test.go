@@ -8,8 +8,7 @@ import (
 	"repro/internal/sweep"
 )
 
-// encodeReport serializes records the way the cmd binaries' -json flag
-// does.
+// encodeReport serializes records the way the -json flag does.
 func encodeReport(t *testing.T, recs []sweep.Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -24,11 +23,11 @@ func encodeReport(t *testing.T, recs []sweep.Record) []byte {
 // byte-identical JSON records — with real simulation kernels, not stubs.
 func TestSweepJSONByteIdentical(t *testing.T) {
 	specs := Fig13Specs([]int{1, 2})
-	serial, err := sweep.Run(specs, 1, RxKernel)
+	serial, err := sweep.Run(specs, 1, RxKernel(Env{}), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := sweep.Run(specs, 8, RxKernel)
+	parallel, err := sweep.Run(specs, 8, RxKernel(Env{}), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +44,7 @@ func TestCollectiveSweepDeterministic(t *testing.T) {
 		t.Skip("two at-scale collective sweeps")
 	}
 	run := func(workers int) []byte {
-		recs, err := sweep.Run(Fig11Specs(16, []int{64 << 10}), workers, CollKernel)
+		recs, err := sweep.Run(Fig11Specs(16, []int{64 << 10}), workers, CollKernel(Env{}), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +64,7 @@ func TestCollKernelRejectsBadPoints(t *testing.T) {
 		Nodes:      []int{4, 500}, // 500 exceeds the 188-node testbed
 		MsgBytes:   []int{4096},
 	}.Expand()
-	_, err := sweep.Run(specs, 2, CollKernel)
+	_, err := sweep.Run(specs, 2, CollKernel(Env{}), false)
 	if err == nil {
 		t.Fatal("oversized node count did not error")
 	}

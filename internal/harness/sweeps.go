@@ -3,20 +3,14 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/cluster"
-	"repro/internal/coll"
 	"repro/internal/collective"
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/model"
 	"repro/internal/registry"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
-	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 	"repro/internal/workload"
 )
@@ -24,8 +18,8 @@ import (
 // This file declares every experiment as a sweep: a Grid (or composed spec
 // list) naming the axes the paper varies, plus the kernel that executes one
 // grid point. The typed per-figure views in experiments.go are thin
-// projections of the Records these sweeps produce; the cmd binaries consume
-// the Records directly (tables, -json).
+// projections of the Records these sweeps produce; the repro subcommands
+// consume the Records directly (tables, -json).
 
 // --- receive-datapath kernel -----------------------------------------------------
 
@@ -79,143 +73,85 @@ func addEngineCounts(rec *sweep.Record, executed, scheduled uint64) {
 	rec.Metrics["sim_scheduled"] = float64(scheduled)
 }
 
-// RxKernel is the sweep kernel for the receive-datapath microbenchmark
-// (Figures 5, 13–16 and Table I).
-func RxKernel(s sweep.Spec) (sweep.Record, error) {
-	cfg, err := rxConfig(s)
-	if err != nil {
-		return sweep.Record{}, err
+// RxKernel returns the sweep kernel for the receive-datapath
+// microbenchmark (Figures 5, 13–16 and Table I).
+func RxKernel(env Env) sweep.Func {
+	return func(s sweep.Spec) (sweep.Record, error) {
+		cfg, err := rxConfig(s)
+		if err != nil {
+			return sweep.Record{}, err
+		}
+		r := RunRxBench(env, cfg)
+		rec := sweep.Record{Spec: s, Metrics: map[string]float64{
+			"gibps":      r.GiBps,
+			"gbps":       r.Gbps,
+			"chunk_rate": r.ChunkRate,
+			"link_share": r.LinkShare,
+			"link_gbps":  r.LinkGbps,
+			"ipc":        r.IPC,
+			"instr_cqe":  float64(r.Profile.IssueCycles),
+			"cycles_cqe": float64(r.Profile.LatencyCycles),
+		}}
+		addEngineCounts(&rec, r.Events, r.EventsScheduled)
+		if reg := env.newRegistry(); reg != nil {
+			// The microbenchmark's engine is out of scope here; export the
+			// counter snapshot its result carries. Recycled is Diagnostic:
+			// pool reuse depends on the shard layout, so it has no place in
+			// canonical metrics.
+			reg.Counter("sim", "events", "", telemetry.Stable).Add(r.Events)
+			reg.Counter("sim", "scheduled", "", telemetry.Stable).Add(r.EventsScheduled)
+			reg.Counter("sim", "recycled", "", telemetry.Diagnostic).Add(r.EventsRecycled)
+			rec.Telemetry = reg.Snapshot()
+		}
+		return rec, nil
 	}
-	r := RunRxBench(cfg)
-	rec := sweep.Record{Spec: s, Metrics: map[string]float64{
-		"gibps":      r.GiBps,
-		"gbps":       r.Gbps,
-		"chunk_rate": r.ChunkRate,
-		"link_share": r.LinkShare,
-		"link_gbps":  r.LinkGbps,
-		"ipc":        r.IPC,
-		"instr_cqe":  float64(r.Profile.IssueCycles),
-		"cycles_cqe": float64(r.Profile.LatencyCycles),
-	}}
-	addEngineCounts(&rec, r.Events, r.EventsScheduled)
-	if reg := newRegistry(); reg != nil {
-		// The microbenchmark's engine is out of scope here; export the
-		// counter snapshot its result carries. Recycled is Diagnostic:
-		// pool reuse depends on the shard layout, so it has no place in
-		// canonical metrics.
-		reg.Counter("sim", "events", "", telemetry.Stable).Add(r.Events)
-		reg.Counter("sim", "scheduled", "", telemetry.Stable).Add(r.EventsScheduled)
-		reg.Counter("sim", "recycled", "", telemetry.Diagnostic).Add(r.EventsRecycled)
-		rec.Telemetry = reg.Snapshot()
-	}
-	return rec, nil
 }
 
 // --- collective kernel -----------------------------------------------------------
 
-// opForAlgo derives the operation kind from a registry algorithm name.
-func opForAlgo(algo string) (collective.Kind, error) {
-	return collective.KindOfAlgorithm(algo)
-}
-
-// collPoint resolves one collective grid point on the testbed model: the
-// operation kind (derived from the algorithm name when the Op axis is
-// unused), a fresh fabric, and the point's algorithm over the first Nodes
-// hosts. Shared by CollKernel and ResilienceKernel so the quiet-scenario
-// anchor of slowdown_vs_quiet cannot drift from the plain collective
-// kernel.
-func collPoint(s sweep.Spec) (collPt, error) {
-	pt := collPt{spec: s}
-	if s.Op == "" {
-		kind, err := opForAlgo(s.Algorithm)
+// CollKernel returns the sweep kernel for at-scale collectives on the
+// 188-node testbed model (Figures 10 and 11): it instantiates the point's
+// algorithm through the registry, runs one operation, and reports the
+// unified Result (with the per-rank critical-path extension where the
+// protocol provides it). The optional ChunkSize axis tunes the P2P
+// baselines.
+func CollKernel(env Env) sweep.Func {
+	return func(s sweep.Spec) (sweep.Record, error) {
+		pt, err := env.buildColl(s, 0, 0)
 		if err != nil {
-			return pt, err
+			return sweep.Record{}, err
 		}
-		s.Op = string(kind)
-		pt.spec = s
-	}
-	_, f := testbedFabric(s.Seed, 0)
-	hosts := f.Graph().Hosts()
-	if s.Nodes < 1 || s.Nodes > len(hosts) {
-		return pt, fmt.Errorf("harness: %d nodes exceed testbed (%d)", s.Nodes, len(hosts))
-	}
-	reg := newRegistry()
-	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
-	// Partition the fabric across the engine shards when nothing pins the
-	// point to the primary: no perturbation scenario (the quiet anchor is
-	// injector-free), no telemetry registry (collectors read shared fabric
-	// state), and a partition-safe algorithm. The pipeline runs at every
-	// shard count including 1, so the Records are byte-identical at any
-	// -shards value — partitioning only changes which cores do the work.
-	if (s.Scenario == "" || s.Scenario == scenario.Quiet) && reg == nil &&
-		registry.PartitionSafe(s.Algorithm) {
-		f.EnablePartition()
-	}
-	alg, err := registry.New(cl, s.Algorithm, registry.Options{
-		Hosts: hosts[:s.Nodes],
-		Core:  core.Config{Transport: verbs.UD, Metrics: reg},
-		Coll:  coll.Config{ChunkBytes: s.ChunkSize, Metrics: reg},
-	})
-	pt.f, pt.cl, pt.alg, pt.reg = f, cl, alg, reg
-	pt.sampler = armFabricTelemetry(reg, f)
-	return pt, err
-}
-
-// collPt is one resolved collective grid point: the model stack plus the
-// point's telemetry registry (nil when disabled) and its fabric sampler.
-type collPt struct {
-	spec    sweep.Spec
-	f       *fabric.Fabric
-	cl      *cluster.Cluster
-	alg     collective.Algorithm
-	reg     *telemetry.Registry
-	sampler *telemetry.Sampler
-}
-
-// finish runs the end-of-point telemetry collection into rec.
-func (pt *collPt) finish(rec *sweep.Record) {
-	finishTelemetry(rec, pt.reg, pt.f.Engine(), pt.f, pt.cl)
-}
-
-// CollKernel is the sweep kernel for at-scale collectives on the 188-node
-// testbed model (Figures 10 and 11): it instantiates the point's algorithm
-// through the registry, runs one operation, and reports the unified Result
-// (with the per-rank critical-path extension where the protocol provides
-// it). The optional ChunkSize axis tunes the P2P baselines.
-func CollKernel(s sweep.Spec) (sweep.Record, error) {
-	pt, err := collPoint(s)
-	if err != nil {
-		return sweep.Record{}, err
-	}
-	s = pt.spec
-	res, err := pt.alg.Run(collective.Op{Kind: collective.Kind(s.Op), Bytes: s.MsgBytes})
-	if err != nil {
-		return sweep.Record{}, err
-	}
-	rec := sweep.Record{Spec: s, Result: res, Metrics: map[string]float64{
-		"gibps":       res.AlgBandwidth() / (1 << 30),
-		"duration_us": res.Duration().Micros(),
-	}}
-	addEngineMetrics(&rec, pt.f.Engine())
-	pt.finish(&rec)
-	if len(res.PerRank) > 0 {
-		var bar, mc, fin, tot []float64
-		for _, rs := range res.PerRank {
-			total := float64(rs.Total)
-			if total == 0 {
-				continue
+		s = pt.spec
+		pt.sampler.Arm()
+		res, err := pt.alg.Run(pt.op(s))
+		if err != nil {
+			return sweep.Record{}, err
+		}
+		rec := sweep.Record{Spec: s, Result: res, Metrics: map[string]float64{
+			"gibps":       res.AlgBandwidth() / (1 << 30),
+			"duration_us": res.Duration().Micros(),
+		}}
+		addEngineMetrics(&rec, pt.f.Engine())
+		rec.Telemetry = pt.snapshot()
+		if len(res.PerRank) > 0 {
+			var bar, mc, fin, tot []float64
+			for _, rs := range res.PerRank {
+				total := float64(rs.Total)
+				if total == 0 {
+					continue
+				}
+				bar = append(bar, float64(rs.BarrierTime)/total)
+				mc = append(mc, float64(rs.McastTime)/total)
+				fin = append(fin, float64(rs.FinalTime)/total)
+				tot = append(tot, total)
 			}
-			bar = append(bar, float64(rs.BarrierTime)/total)
-			mc = append(mc, float64(rs.McastTime)/total)
-			fin = append(fin, float64(rs.FinalTime)/total)
-			tot = append(tot, total)
+			rec.Metrics["barrier_frac"] = stats.Summarize(bar).Median
+			rec.Metrics["mcast_frac"] = stats.Summarize(mc).Median
+			rec.Metrics["final_frac"] = stats.Summarize(fin).Median
+			rec.Metrics["total_ns"] = stats.Summarize(tot).Median
 		}
-		rec.Metrics["barrier_frac"] = stats.Summarize(bar).Median
-		rec.Metrics["mcast_frac"] = stats.Summarize(mc).Median
-		rec.Metrics["final_frac"] = stats.Summarize(fin).Median
-		rec.Metrics["total_ns"] = stats.Summarize(tot).Median
+		return rec, nil
 	}
-	return rec, nil
 }
 
 // --- per-figure grids ------------------------------------------------------------
@@ -230,21 +166,11 @@ func Fig5Specs(sizes []int) []sweep.Spec {
 	return sweep.Concat(cpu.Expand(), dpa.Expand())
 }
 
-// Fig5Records runs the Figure 5 sweep.
-func Fig5Records(sizes []int) ([]sweep.Record, error) {
-	return sweep.Run(Fig5Specs(sizes), 0, RxKernel)
-}
-
 // Table1Grid measures both single-thread DPA datapaths (8 MiB buffer,
 // 4 KiB chunks).
 func Table1Grid() sweep.Grid {
 	return sweep.Grid{Transports: []string{"uc", "ud"}, Threads: []int{1},
 		ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 1}
-}
-
-// Table1Records runs the Table I sweep.
-func Table1Records() ([]sweep.Record, error) {
-	return sweep.RunGrid(Table1Grid(), 0, RxKernel)
 }
 
 // Fig13Specs sweeps DPA worker threads for the UD and UC datapaths (8 MiB
@@ -258,23 +184,12 @@ func Fig13Specs(threadCounts []int) []sweep.Spec {
 	return sweep.Concat(dpa.Expand(), cpu.Expand())
 }
 
-// Fig13Records runs the thread-scaling sweep; the last record is the CPU
-// baseline.
-func Fig13Records(threadCounts []int) ([]sweep.Record, error) {
-	return sweep.Run(Fig13Specs(threadCounts), 0, RxKernel)
-}
-
 // Fig15Grid sweeps the UC chunk size across thread counts (8 MiB buffer):
 // larger multi-packet chunks mean fewer CQEs, so fewer threads reach line
 // rate.
 func Fig15Grid(chunkSizes, threadCounts []int) sweep.Grid {
 	return sweep.Grid{Transports: []string{"uc"}, Threads: threadCounts,
 		ChunkSizes: chunkSizes, MsgBytes: []int{8 << 20}, Seed: 15}
-}
-
-// Fig15Records runs the chunk-size sweep.
-func Fig15Records(chunkSizes, threadCounts []int) ([]sweep.Record, error) {
-	return sweep.RunGrid(Fig15Grid(chunkSizes, threadCounts), 0, RxKernel)
 }
 
 // Fig16Grid sweeps thread counts with 64-byte chunks, matching the arrival
@@ -288,19 +203,17 @@ func Fig16Grid(threadCounts []int) sweep.Grid {
 // Fig16Kernel scales the receive volume with the thread count (keeping
 // per-thread work meaningful while bounding event counts) and rebases
 // link_share on the 1.6 Tbit/s chunk-rate target.
-func Fig16Kernel(s sweep.Spec) (sweep.Record, error) {
-	s.MsgBytes = 256 * 1024 * s.Threads
-	rec, err := RxKernel(s)
-	if err != nil {
-		return rec, err
+func Fig16Kernel(env Env) sweep.Func {
+	rx := RxKernel(env)
+	return func(s sweep.Spec) (sweep.Record, error) {
+		s.MsgBytes = 256 * 1024 * s.Threads
+		rec, err := rx(s)
+		if err != nil {
+			return rec, err
+		}
+		rec.Metrics["link_share"] = rec.Metrics["chunk_rate"] / Tbit16Target
+		return rec, nil
 	}
-	rec.Metrics["link_share"] = rec.Metrics["chunk_rate"] / Tbit16Target
-	return rec, nil
-}
-
-// Fig16Records runs the Tbit-scaling sweep.
-func Fig16Records(threadCounts []int) ([]sweep.Record, error) {
-	return sweep.RunGrid(Fig16Grid(threadCounts), 0, Fig16Kernel)
 }
 
 // Fig10Grid runs the multicast Allgather at several scales and message
@@ -308,11 +221,6 @@ func Fig16Records(threadCounts []int) ([]sweep.Record, error) {
 func Fig10Grid(nodeCounts, sizes []int) sweep.Grid {
 	return sweep.Grid{Algorithms: []string{"mcast-allgather"},
 		Nodes: nodeCounts, MsgBytes: sizes, Seed: 10}
-}
-
-// Fig10Records runs the critical-path-breakdown sweep.
-func Fig10Records(nodeCounts, sizes []int) ([]sweep.Record, error) {
-	return sweep.RunGrid(Fig10Grid(nodeCounts, sizes), 0, CollKernel)
 }
 
 // Fig11Specs measures the multicast collectives against their P2P
@@ -330,11 +238,6 @@ func Fig11Specs(nodes int, sizes []int) []sweep.Spec {
 	return sweep.Concat(plain.Expand(), chain.Expand())
 }
 
-// Fig11Records runs the at-scale throughput sweep.
-func Fig11Records(nodes int, sizes []int) ([]sweep.Record, error) {
-	return sweep.Run(Fig11Specs(nodes, sizes), 0, CollKernel)
-}
-
 // Fig12Specs names the four algorithm cells of the switch-traffic study.
 func Fig12Specs(nodes, msgBytes int) []sweep.Spec {
 	return sweep.Grid{
@@ -347,42 +250,30 @@ func Fig12Specs(nodes, msgBytes int) []sweep.Spec {
 // Fig12Kernel measures switch-port counter totals for one algorithm: one
 // warmup operation, counter reset, then iters measured iterations on the
 // same warm instance (the paper's counter methodology).
-func Fig12Kernel(iters int) sweep.Func {
+func Fig12Kernel(env Env, iters int) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
-		kind, err := opForAlgo(s.Algorithm)
+		pt, err := env.buildColl(s, 0, 0)
 		if err != nil {
 			return sweep.Record{}, err
 		}
-		s.Op = string(kind)
-		_, f := testbedFabric(s.Seed, 0)
-		reg := newRegistry()
-		cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
-		alg, err := registry.New(cl, s.Algorithm, registry.Options{
-			Hosts: f.Graph().Hosts()[:s.Nodes],
-			Core:  core.Config{Transport: verbs.UD, Metrics: reg},
-		})
-		if err != nil {
-			return sweep.Record{}, err
-		}
-		op := collective.Op{Kind: kind, Bytes: s.MsgBytes}
-		if _, err := alg.Run(op); err != nil {
+		s = pt.spec
+		if _, err := pt.alg.Run(pt.op(s)); err != nil {
 			return sweep.Record{}, fmt.Errorf("warmup: %w", err)
 		}
 		// Counters (including per-channel telemetry stats) reset after
 		// warmup, matching the paper's methodology: the exported fabric
 		// metrics cover only the measured iterations.
-		f.ResetCounters()
-		sampler := armFabricTelemetry(reg, f)
+		pt.f.ResetCounters()
 		for i := 0; i < iters; i++ {
-			sampler.Arm()
-			if _, err := alg.Run(op); err != nil {
+			pt.sampler.Arm()
+			if _, err := pt.alg.Run(pt.op(s)); err != nil {
 				return sweep.Record{}, fmt.Errorf("iter %d: %w", i, err)
 			}
 		}
 		rec := sweep.Record{Spec: s, Metrics: map[string]float64{
-			"switch_bytes": float64(f.SwitchPortBytes()),
+			"switch_bytes": float64(pt.f.SwitchPortBytes()),
 		}}
-		finishTelemetry(&rec, reg, f.Engine(), f, cl)
+		rec.Telemetry = pt.snapshot()
 		return rec, nil
 	}
 }
@@ -408,17 +299,6 @@ func AnnotateSavings(recs []sweep.Record) {
 	}
 }
 
-// Fig12Records runs the four cells on workers goroutines (0 = GOMAXPROCS)
-// and annotates the cross-cell savings metric.
-func Fig12Records(nodes, msgBytes, iters, workers int) ([]sweep.Record, error) {
-	recs, err := sweep.Run(Fig12Specs(nodes, msgBytes), workers, Fig12Kernel(iters))
-	if err != nil {
-		return nil, err
-	}
-	AnnotateSavings(recs)
-	return recs, nil
-}
-
 // AppBSpecs names the two concurrent-{Allgather, Reduce-Scatter}
 // configurations at each scale: "ring-pair" (ring AG + ring RS sharing
 // NICs) and "inc-pair" (multicast AG + in-network RS).
@@ -432,116 +312,75 @@ func AppBSpecs(ps []int, n int) []sweep.Spec {
 // workload DAG — two single-op streams with no dependency edge, so both
 // post at t=0 and contend for the shared NICs — and reports the span from
 // first start to last finish, read from the unified Results.
-func AppBKernel(s sweep.Spec) (sweep.Record, error) {
-	var ag, rs workload.Comm
-	switch s.Algorithm {
-	case "ring-pair":
-		ag = workload.Comm{Name: "ag", Algorithm: "ring-allgather"}
-		rs = workload.Comm{Name: "rs", Algorithm: "ring-reduce-scatter"}
-	case "inc-pair":
-		// All multicast chains run concurrently: with the send path
-		// otherwise consumed by the Reduce-Scatter stream, spreading each
-		// root's injection over the whole operation (multicast parallelism,
-		// §IV-A) is what lets the Allgather live on the receive path alone.
-		ag = workload.Comm{Name: "ag", Algorithm: "mcast-allgather", Options: registry.Options{
-			Core: core.Config{Transport: verbs.UD, Chains: s.Nodes, Subgroups: 4},
-		}}
-		rs = workload.Comm{Name: "rs", Algorithm: "inc-reduce-scatter"}
-	default:
-		return sweep.Record{}, fmt.Errorf("harness: unknown pair %q", s.Algorithm)
-	}
-	g := topology.Star(s.Nodes)
-	eng := newEngine(s.Seed, g, fabric.Config{})
-	f := fabric.New(eng, g, fabric.Config{})
-	reg := newRegistry()
-	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
-	armFabricTelemetry(reg, f)
-	rep, err := workload.Run(cl, workload.Workload{Name: s.Algorithm, Jobs: []workload.Job{{
-		Name:  "pair",
-		Comms: []workload.Comm{ag, rs},
-		Phases: []workload.Phase{
-			{Name: "ag", Comm: "ag", Bytes: s.MsgBytes},
-			{Name: "rs", Comm: "rs", Bytes: s.MsgBytes},
-		},
-	}}})
-	if err != nil {
-		return sweep.Record{}, fmt.Errorf("harness: {%s} at P=%d: %w", s.Algorithm, s.Nodes, err)
-	}
-	var agR, rsR *collective.Result
-	for _, span := range rep.Job("pair").Spans {
-		switch span.Phase {
-		case "ag":
-			agR = span.Result
-		case "rs":
-			rsR = span.Result
+func AppBKernel(env Env) sweep.Func {
+	return func(s sweep.Spec) (sweep.Record, error) {
+		var ag, rs workload.Comm
+		switch s.Algorithm {
+		case "ring-pair":
+			ag = workload.Comm{Name: "ag", Algorithm: "ring-allgather"}
+			rs = workload.Comm{Name: "rs", Algorithm: "ring-reduce-scatter"}
+		case "inc-pair":
+			// All multicast chains run concurrently: with the send path
+			// otherwise consumed by the Reduce-Scatter stream, spreading each
+			// root's injection over the whole operation (multicast parallelism,
+			// §IV-A) is what lets the Allgather live on the receive path alone.
+			ag = workload.Comm{Name: "ag", Algorithm: "mcast-allgather", Options: registry.Options{
+				Core: core.Config{Transport: verbs.UD, Chains: s.Nodes, Subgroups: 4},
+			}}
+			rs = workload.Comm{Name: "rs", Algorithm: "inc-reduce-scatter"}
+		default:
+			return sweep.Record{}, fmt.Errorf("harness: unknown pair %q", s.Algorithm)
 		}
-	}
-	span := maxTime(agR.End, rsR.End) - minTime(agR.Start, rsR.Start)
-	rec := sweep.Record{Spec: s, Metrics: map[string]float64{
-		"span_ns":       float64(span),
-		"model_speedup": model.SpeedupINC(s.Nodes),
-	}}
-	rep.ExportTelemetry(reg)
-	finishTelemetry(&rec, reg, eng, f, cl)
-	return rec, nil
-}
-
-// AppBRecords runs both configurations at every scale; ring-pair records
-// come first, then inc-pair, each in ps order.
-func AppBRecords(ps []int, n int) ([]sweep.Record, error) {
-	return sweep.Run(AppBSpecs(ps, n), 0, AppBKernel)
-}
-
-// CollTrace runs one collective point of the OSU sweep with a trace
-// recorder attached to the protocol state machines and an always-on
-// telemetry registry, and returns the bundle: the Figure-9 phase events
-// (task dispatch, RNR barrier, multicast start / finish per rank, recovery
-// actions, final handshake) plus the run's metric snapshot. The bundle
-// renders as the legacy text timeline (-trace) or as a Perfetto JSON
-// document (-perfetto). The traced run is separate from the sweep records,
-// so attaching it never perturbs their byte-identity; P2P baselines have no
-// tracer and yield "(no events)" — their telemetry still populates the
-// bundle.
-func CollTrace(s sweep.Spec, linkGbps float64) (*telemetry.Bundle, error) {
-	rec := &trace.Recorder{}
-	if s.Op == "" {
-		kind, err := opForAlgo(s.Algorithm)
+		pt := env.buildStar(s, s.Nodes, env.newRegistry())
+		pt.sampler.Arm()
+		rep, err := workload.Run(pt.cl, workload.Workload{Name: s.Algorithm, Jobs: []workload.Job{{
+			Name:  "pair",
+			Comms: []workload.Comm{ag, rs},
+			Phases: []workload.Phase{
+				{Name: "ag", Comm: "ag", Bytes: s.MsgBytes},
+				{Name: "rs", Comm: "rs", Bytes: s.MsgBytes},
+			},
+		}}})
 		if err != nil {
-			return nil, err
+			return sweep.Record{}, fmt.Errorf("harness: {%s} at P=%d: %w", s.Algorithm, s.Nodes, err)
 		}
-		s.Op = string(kind)
+		var agR, rsR *collective.Result
+		for _, span := range rep.Job("pair").Spans {
+			switch span.Phase {
+			case "ag":
+				agR = span.Result
+			case "rs":
+				rsR = span.Result
+			}
+		}
+		span := maxTime(agR.End, rsR.End) - minTime(agR.Start, rsR.Start)
+		rec := sweep.Record{Spec: s, Metrics: map[string]float64{
+			"span_ns":       float64(span),
+			"model_speedup": model.SpeedupINC(s.Nodes),
+		}}
+		rep.ExportTelemetry(pt.reg)
+		rec.Telemetry = pt.snapshot()
+		return rec, nil
 	}
-	linkBw := linkGbps * 1e9 / 8
-	g := topology.Testbed188()
-	if s.Nodes < 1 || s.Nodes > len(g.Hosts()) {
-		return nil, fmt.Errorf("harness: nodes must be in [1,%d]", len(g.Hosts()))
-	}
-	fcfg := fabric.Config{LinkBandwidth: linkBw}
-	eng := newEngine(s.Seed, g, fcfg)
-	f := fabric.New(eng, g, fcfg)
-	reg := traceRegistry()
-	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
-	alg, err := registry.New(cl, s.Algorithm, registry.Options{
-		Hosts: g.Hosts()[:s.Nodes],
-		Core:  core.Config{Tracer: rec, Metrics: reg},
-		Coll:  coll.Config{Metrics: reg},
-	})
+}
+
+// CollTrace runs one collective point of the OSU sweep — the same build,
+// under a tracing Env — for one operation and returns the bundle.
+func CollTrace(env Env, s sweep.Spec, linkGbps float64) (*telemetry.Bundle, error) {
+	pt, err := env.Traced().buildColl(s, linkGbps, 0)
 	if err != nil {
 		return nil, err
 	}
-	armFabricTelemetry(reg, f)
-	if _, err := alg.Run(collective.Op{Kind: collective.Kind(s.Op), Bytes: s.MsgBytes}); err != nil {
+	pt.sampler.Arm()
+	if _, err := pt.alg.Run(pt.op(s)); err != nil {
 		return nil, err
 	}
-	collectEngineTelemetry(reg, eng)
-	f.CollectTelemetry(reg)
-	cl.CollectTelemetry(reg)
-	return &telemetry.Bundle{Events: rec.Events, Snap: reg.Snapshot()}, nil
+	return pt.bundle(), nil
 }
 
 // --- OSU-style kernel ------------------------------------------------------------
 
-// OSUConfig parameterizes the OSU-style measurement loop shared by cmd/osu:
+// OSUConfig parameterizes the OSU-style measurement loop behind `repro osu`:
 // warm-up iterations excluded, per-size medians with nonparametric
 // confidence intervals (Hoefler–Belli guidelines).
 type OSUConfig struct {
@@ -553,63 +392,32 @@ type OSUConfig struct {
 	JitterUS int
 }
 
-// osuPoint builds one OSU grid point's model stack — everything the
-// measurement loop needs, stopped at construction quiescence. The message
-// size is deliberately NOT consumed here (it parameterizes the operation,
-// not the stack), which is what lets the warm-start path share one built
-// stack across a whole size sweep.
-func osuPoint(cfg OSUConfig, s sweep.Spec) (collPt, error) {
-	pt := collPt{spec: s}
-	if cfg.Iters <= 0 {
-		return pt, fmt.Errorf("harness: iters must be positive")
+// OSUKernel returns the sweep kernel that measures one (algorithm, nodes,
+// size) point on the testbed model: the communicator persists across the
+// point's iterations (warm queue pairs and buffers), and the Record carries
+// the last iteration's unified Result plus the latency distribution. The
+// build never consumes the message size, so a shared stack serves a whole
+// size sweep.
+func OSUKernel(env Env, cfg OSUConfig) sweep.Kernel {
+	return kernel{
+		key: func(s sweep.Spec) string {
+			s.MsgBytes = 0
+			return s.Key()
+		},
+		build: func(s sweep.Spec) (*point, error) {
+			if cfg.Iters <= 0 {
+				return nil, fmt.Errorf("harness: iters must be positive")
+			}
+			return env.buildColl(s, cfg.LinkGbps, cfg.JitterUS)
+		},
+		run: func(pt *point, s sweep.Spec) (sweep.Record, error) { return osuRun(cfg, pt, s) },
 	}
-	if s.Op == "" {
-		kind, err := opForAlgo(s.Algorithm)
-		if err != nil {
-			return pt, err
-		}
-		s.Op = string(kind)
-		pt.spec = s
-	}
-	g := topology.Testbed188()
-	if s.Nodes < 1 || s.Nodes > len(g.Hosts()) {
-		return pt, fmt.Errorf("harness: nodes must be in [1,%d]", len(g.Hosts()))
-	}
-	linkBw := cfg.LinkGbps * 1e9 / 8
-	if linkBw == 0 {
-		linkBw = 7e9
-	}
-	fcfg := fabric.Config{
-		LinkBandwidth: linkBw,
-		ReorderJitter: sim.Time(cfg.JitterUS) * sim.Microsecond,
-	}
-	eng := newEngine(s.Seed, g, fcfg)
-	f := fabric.New(eng, g, fcfg)
-	reg := newRegistry()
-	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
-	// Same partition gate as collPoint; delivery jitter additionally
-	// pins the point (the jitter RNG is fabric-global per-delivery
-	// state, which partitioned transmit does not replicate).
-	if reg == nil && cfg.JitterUS == 0 && registry.PartitionSafe(s.Algorithm) {
-		f.EnablePartition()
-	}
-	alg, err := registry.New(cl, s.Algorithm, registry.Options{
-		Hosts: g.Hosts()[:s.Nodes],
-		Core:  core.Config{Metrics: reg},
-		Coll:  coll.Config{Metrics: reg},
-	})
-	pt.f, pt.cl, pt.alg, pt.reg = f, cl, alg, reg
-	pt.sampler = armFabricTelemetry(reg, f)
-	return pt, err
 }
 
-// osuRun is the kernel's continuation: the warm-up/measure loop over an
-// already built stack. The warm-start path enters here after forking, so
-// the point's identity (size, seed) comes from s, never from pt.spec.
-func osuRun(cfg OSUConfig, pt collPt, s sweep.Spec) (sweep.Record, error) {
-	f := pt.f
-	eng := f.Engine()
-	op := collective.Op{Kind: collective.Kind(s.Op), Bytes: s.MsgBytes}
+// osuRun is the kernel's continuation: the warm-up/measure loop over a
+// built stack.
+func osuRun(cfg OSUConfig, pt *point, s sweep.Spec) (sweep.Record, error) {
+	op := pt.op(s)
 	if !pt.alg.Supports(op) {
 		return sweep.Record{}, fmt.Errorf("harness: %s does not support %s of %d bytes on %d nodes",
 			s.Algorithm, op.Kind, op.Bytes, s.Nodes)
@@ -640,21 +448,7 @@ func osuRun(cfg OSUConfig, pt collPt, s sweep.Spec) (sweep.Record, error) {
 		"max_us":       sum.Max,
 		"gibps":        last.RecvPerRank() / (sum.Median / 1e6) / (1 << 30),
 	}}
-	addEngineMetrics(&rec, eng)
-	finishTelemetry(&rec, pt.reg, eng, f, pt.cl)
+	addEngineMetrics(&rec, pt.f.Engine())
+	rec.Telemetry = pt.snapshot()
 	return rec, nil
-}
-
-// OSUKernel returns a sweep kernel that measures one (algorithm, nodes,
-// size) point on the testbed model: the communicator persists across the
-// point's iterations (warm queue pairs and buffers), and the Record carries
-// the last iteration's unified Result plus the latency distribution.
-func OSUKernel(cfg OSUConfig) sweep.Func {
-	return func(s sweep.Spec) (sweep.Record, error) {
-		pt, err := osuPoint(cfg, s)
-		if err != nil {
-			return sweep.Record{}, err
-		}
-		return osuRun(cfg, pt, pt.spec)
-	}
 }

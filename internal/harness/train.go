@@ -10,7 +10,6 @@ import (
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 	"repro/internal/workload"
 )
@@ -32,7 +31,7 @@ type TrainConfig struct {
 }
 
 // TrainGrid declares the workload × shard-size × scenario product at one
-// scale: the grid cmd/trainbench expands. Workload names come from the
+// scale: the grid the train kind expands. Workload names come from the
 // internal/workload preset registry; include "quiet" among the scenarios to
 // anchor the slowdown metric.
 func TrainGrid(workloads []string, nodes, shardBytes []int, scenarios []string, seed uint64) sweep.Grid {
@@ -45,109 +44,97 @@ func TrainGrid(workloads []string, nodes, shardBytes []int, scenarios []string, 
 	}
 }
 
-// trainPoint builds the point's fabric and workload: a star topology sized
-// by the workload's host demand (full-bandwidth, as the FSDP scenario of
-// Appendix B assumes).
-func trainPoint(s sweep.Spec, cfg TrainConfig, tr *trace.Recorder, reg *telemetry.Registry) (*cluster.Cluster, workload.Workload, *telemetry.Sampler, error) {
+// buildStar builds a full-bandwidth star fabric of the given host count
+// (as the FSDP scenario of Appendix B assumes) and its cluster, reporting
+// into reg.
+func (e Env) buildStar(s sweep.Spec, hosts int, reg *telemetry.Registry) *point {
+	g := topology.Star(hosts)
+	pt := &point{spec: s, tracer: e.Tracer, reg: reg}
+	pt.f = fabric.New(e.newEngine(s.Seed, g, fabric.Config{}), g, fabric.Config{})
+	pt.cl = cluster.New(pt.f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
+	pt.sampler = fabricSampler(reg, pt.f)
+	return pt
+}
+
+// buildTrain builds one training point: the workload preset and a star
+// fabric sized by its host demand. It consumes the workload, scale and
+// shard size; the scenario and seed belong to the continuation.
+func (e Env) buildTrain(s sweep.Spec, cfg TrainConfig) (*point, error) {
+	reg := e.newRegistry()
 	w, err := workload.New(s.Workload, workload.Config{
 		Nodes:      s.Nodes,
 		Layers:     cfg.Layers,
 		ShardBytes: s.MsgBytes,
 		Compute:    cfg.Compute,
 		Jobs:       cfg.Jobs,
-		Tracer:     tr,
+		Tracer:     e.Tracer,
 		Metrics:    reg,
 	})
 	if err != nil {
-		return nil, workload.Workload{}, nil, err
+		return nil, err
 	}
-	hosts := w.MinHosts()
-	if hosts < s.Nodes {
-		hosts = s.Nodes
-	}
+	hosts := max(w.MinHosts(), s.Nodes)
 	if hosts < 2 {
-		return nil, workload.Workload{}, nil, fmt.Errorf("harness: workload %q needs at least 2 hosts", s.Workload)
+		return nil, fmt.Errorf("harness: workload %q needs at least 2 hosts", s.Workload)
 	}
-	g := topology.Star(hosts)
-	eng := newEngine(s.Seed, g, fabric.Config{})
-	f := fabric.New(eng, g, fabric.Config{})
-	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
-	sampler := armFabricTelemetry(reg, f)
-	return cl, w, sampler, nil
-}
-
-// trainPt is one built training point: the model stack plus the workload
-// to start on it — the fork unit of the warm-start path.
-type trainPt struct {
-	cl      *cluster.Cluster
-	w       workload.Workload
-	reg     *telemetry.Registry
-	sampler *telemetry.Sampler
+	pt := e.buildStar(s, hosts, reg)
+	pt.w = &w
+	return pt, nil
 }
 
 // TrainKernel returns the sweep kernel for workload points: it executes the
-// point's preset on a fresh star fabric — under the point's scenario when
-// one is named, with the resilience sweep's virtual-time and event-budget
-// runaway guards — and reports step time, communication busy/exposed time,
-// and the achieved overlap. The Record carries the workload metadata fields
-// (workload, overlap_frac) alongside the metrics.
-func TrainKernel(cfg TrainConfig) sweep.Func {
-	return func(s sweep.Spec) (sweep.Record, error) {
-		reg := newRegistry()
-		cl, w, sampler, err := trainPoint(s, cfg, nil, reg)
-		if err != nil {
-			return sweep.Record{}, err
-		}
-		return trainRun(trainPt{cl: cl, w: w, reg: reg, sampler: sampler}, s)
+// point's preset — under the point's scenario when one is named, with the
+// resilience sweep's virtual-time and event-budget runaway guards — and
+// reports step time, communication busy/exposed time, and the achieved
+// overlap. The Record carries the workload metadata fields (workload,
+// overlap_frac) alongside the metrics. A shared stack serves every scenario
+// and seed of one (workload, nodes, shard size) cell.
+func TrainKernel(env Env, cfg TrainConfig) sweep.Kernel {
+	return kernel{
+		key: func(s sweep.Spec) string {
+			s.Scenario = ""
+			return s.Key()
+		},
+		build: func(s sweep.Spec) (*point, error) { return env.buildTrain(s, cfg) },
+		run:   trainRun,
 	}
 }
 
-// trainRun is the kernel's continuation: start the workload on the built
-// stack and drive it to completion. The warm-start path enters here after
-// forking a shared stack, so the point's identity (seed, scenario) comes
-// from s.
-func trainRun(pt trainPt, s sweep.Spec) (sweep.Record, error) {
-	cl, w, reg := pt.cl, pt.w, pt.reg
-	f := cl.Fabric()
-	eng := f.Engine()
-	p, err := workload.Start(cl, w)
+// step starts the point's workload and drives it to completion: freely on
+// the quiet fabric, under the resilience guards when the spec names a
+// scenario.
+func (pt *point) step(s sweep.Spec) (*workload.Report, error) {
+	f := pt.f
+	pt.sampler.Arm()
+	p, err := workload.Start(pt.cl, *pt.w)
 	if err != nil {
-		return sweep.Record{}, err
+		return nil, err
 	}
 	if s.Scenario == "" {
-		eng.Run()
-	} else {
-		sc, err := scenario.New(s.Scenario)
-		if err != nil {
-			return sweep.Record{}, err
-		}
-		// Scope the scenario to the hosts the workload runs on and
-		// drive the engine in bounded slices, exactly as the resilience
-		// kernel does: a persistent injector keeps the queue full
-		// forever, so completion must be cut off by work done.
-		act := sc.InstallOn(f, f.Graph().Hosts(), s.Seed)
-		for !p.Done() && p.Err() == nil &&
-			eng.Now() < resilienceHorizon && eng.Executed < resilienceEventBudget {
-			eng.RunFor(sim.Millisecond)
-		}
-		act.Stop()
-		if !p.Done() && p.Err() == nil {
-			// Heal the fabric and grant one grace period so transports
-			// stuck on a dead path finish instead of deadlocking.
-			for id := 0; id < f.NumChannels(); id++ {
-				f.ClearOverrides(fabric.ChannelID(id))
-			}
-			for end := eng.Now() + resilienceHorizon/4; !p.Done() && p.Err() == nil &&
-				eng.Now() < end && eng.Executed < 2*resilienceEventBudget; {
-				eng.RunFor(sim.Millisecond)
-			}
-		}
-		if !p.Done() && p.Err() == nil {
-			return sweep.Record{}, fmt.Errorf("harness: workload %s did not complete under scenario %q within %v / %d events",
-				s.Workload, s.Scenario, resilienceHorizon, resilienceEventBudget)
-		}
+		f.Engine().Run()
+		return p.Report()
 	}
-	rep, err := p.Report()
+	sc, err := scenario.New(s.Scenario)
+	if err != nil {
+		return nil, err
+	}
+	// Scope the scenario to the hosts the workload runs on and drive the
+	// engine exactly as the resilience kernel does: a persistent injector
+	// keeps the queue full forever, so completion must be cut off by work
+	// done.
+	act := sc.InstallOn(f, f.Graph().Hosts(), s.Seed)
+	done := drive(f, act, func() bool { return p.Done() || p.Err() != nil })
+	act.Stop()
+	if !done {
+		return nil, fmt.Errorf("harness: workload %s did not complete under scenario %q within %v / %d events",
+			s.Workload, s.Scenario, resilienceHorizon, resilienceEventBudget)
+	}
+	return p.Report()
+}
+
+// trainRun is the training continuation: one step, reduced to a Record.
+func trainRun(pt *point, s sweep.Spec) (sweep.Record, error) {
+	rep, err := pt.step(s)
 	if err != nil {
 		return sweep.Record{}, err
 	}
@@ -181,17 +168,17 @@ func trainRun(pt trainPt, s sweep.Spec) (sweep.Record, error) {
 			"overlap_frac": overlap,
 		},
 	}
-	addEngineMetrics(&rec, eng)
-	rep.ExportTelemetry(reg)
-	finishTelemetry(&rec, reg, eng, f, cl)
+	addEngineMetrics(&rec, pt.f.Engine())
+	rep.ExportTelemetry(pt.reg)
+	rec.Telemetry = pt.snapshot()
 	return rec, nil
 }
 
 // TrainRecords expands and runs the training grid on the worker pool and,
 // when the grid sweeps scenarios, annotates slowdown-vs-quiet (each point's
 // duration over its quiet sibling's).
-func TrainRecords(g sweep.Grid, workers int, cfg TrainConfig) ([]sweep.Record, error) {
-	recs, err := sweep.RunGrid(g, workers, TrainKernel(cfg))
+func TrainRecords(env Env, g sweep.Grid, workers int, cfg TrainConfig) ([]sweep.Record, error) {
+	recs, err := sweep.RunGrid(g, workers, TrainKernel(env, cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -201,28 +188,21 @@ func TrainRecords(g sweep.Grid, workers int, cfg TrainConfig) ([]sweep.Record, e
 	return recs, nil
 }
 
-// TrainTrace re-runs one workload point with a trace recorder attached to
-// its multicast communicators and an always-on telemetry registry, and
-// returns the bundle: protocol phase events plus per-job workload spans and
-// the metric snapshot. The traced run is separate from the sweep records,
-// so attaching it never perturbs their byte-identity. P2P-only workloads
-// produce an empty timeline (the baselines have no protocol tracer) but
-// still carry workload spans and fabric metrics in the bundle.
-func TrainTrace(s sweep.Spec, cfg TrainConfig) (*telemetry.Bundle, error) {
-	rec := &trace.Recorder{}
-	reg := traceRegistry()
-	cl, w, _, err := trainPoint(s, cfg, rec, reg)
+// TrainTrace re-runs one workload point — the same build under a tracing
+// Env, stepped the same way — and returns the bundle: protocol phase
+// events from its multicast communicators plus per-job workload spans and
+// the metric snapshot. P2P-only workloads produce an empty timeline (the
+// baselines have no protocol tracer) but still carry workload spans and
+// fabric metrics in the bundle.
+func TrainTrace(env Env, s sweep.Spec, cfg TrainConfig) (*telemetry.Bundle, error) {
+	pt, err := env.Traced().buildTrain(s, cfg)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := workload.Run(cl, w)
+	rep, err := pt.step(s)
 	if err != nil {
 		return nil, err
 	}
-	f := cl.Fabric()
-	rep.ExportTelemetry(reg)
-	collectEngineTelemetry(reg, f.Engine())
-	f.CollectTelemetry(reg)
-	cl.CollectTelemetry(reg)
-	return &telemetry.Bundle{Events: rec.Events, Snap: reg.Snapshot()}, nil
+	rep.ExportTelemetry(pt.reg)
+	return pt.bundle(), nil
 }

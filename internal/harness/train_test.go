@@ -18,7 +18,7 @@ func TestTrainGoldenStepTimes(t *testing.T) {
 		t.Skip("golden step times need the full-size FSDP step")
 	}
 	grid := TrainGrid([]string{"fsdp-ring", "fsdp-inc"}, []int{16}, []int{512 << 10}, nil, 21)
-	recs, err := TrainRecords(grid, 0, TrainConfig{})
+	recs, err := TrainRecords(Env{}, grid, 0, TrainConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestTrainSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	cfg := TrainConfig{Layers: 2}
 	var blobs [][]byte
 	for _, workers := range []int{1, 4} {
-		recs, err := TrainRecords(grid, workers, cfg)
+		recs, err := TrainRecords(Env{}, grid, workers, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestTrainSweepByteIdenticalAcrossWorkers(t *testing.T) {
 func TestTrainScenarioSlowdown(t *testing.T) {
 	grid := TrainGrid([]string{"fsdp-inc"}, []int{8}, []int{64 << 10},
 		[]string{"quiet", "flap-spine"}, 9)
-	recs, err := TrainRecords(grid, 0, TrainConfig{Layers: 2})
+	recs, err := TrainRecords(Env{}, grid, 0, TrainConfig{Layers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestTrainScenarioSlowdown(t *testing.T) {
 // sweep.
 func TestTrainTraceTimeline(t *testing.T) {
 	spec := TrainGrid([]string{"fsdp-inc"}, []int{4}, []int{16 << 10}, nil, 3).Expand()[0]
-	bundle, err := TrainTrace(spec, TrainConfig{Layers: 1})
+	bundle, err := TrainTrace(Env{}, spec, TrainConfig{Layers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTrainTraceTimeline(t *testing.T) {
 // multicast run and the (no events) P2P fallback.
 func TestCollTraceTimeline(t *testing.T) {
 	s := sweep.Spec{Algorithm: "mcast-allgather", Nodes: 4, MsgBytes: 16 << 10, Seed: 5}
-	bundle, err := CollTrace(s, 56)
+	bundle, err := CollTrace(Env{}, s, 56)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestCollTraceTimeline(t *testing.T) {
 		t.Fatalf("mcast timeline missing dispatch:\n%.200s", timeline)
 	}
 	s.Algorithm = "ring-allgather"
-	bundle, err = CollTrace(s, 56)
+	bundle, err = CollTrace(Env{}, s, 56)
 	if err != nil {
 		t.Fatal(err)
 	}

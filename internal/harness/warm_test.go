@@ -1,20 +1,25 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
-// The warm-start contract: a forked continuation produces the Record a
-// cold construction of the same point would — byte-identically, at every
-// shard count and worker count, with telemetry on or off. These tests are
-// the harness-level half of the fork property (the engine-level half
-// lives in internal/sim): they run real sweeps both ways and diff the
-// JSON-serialized records, which covers every metric, the embedded
-// Results, and the telemetry snapshots in one comparison.
+// The sharing contract: a point run on a shared, forked stack produces the
+// Record a fresh build of that point would — byte-identically, at every
+// shard count and worker count, with telemetry on or off. The reference is
+// not a second code path but the same executor on a one-spec sweep: a key
+// that occurs once is built, run, and never captured. These tests are the
+// harness-level half of the fork property (the engine-level half lives in
+// internal/sim): they run real sweeps both ways and diff the
+// JSON-serialized records, which covers every metric and the embedded
+// Results, plus the canonical metrics.json bytes of the telemetry
+// snapshots.
 
 // recordsJSON canonicalizes records for comparison.
 func recordsJSON(t *testing.T, recs []sweep.Record) string {
@@ -26,59 +31,89 @@ func recordsJSON(t *testing.T, recs []sweep.Record) string {
 	return string(b)
 }
 
-func diffWarmCold(t *testing.T, label string, cold, warm []sweep.Record) {
+// metricsDoc canonicalizes the records' telemetry into the metrics.json
+// byte form `repro run` writes.
+func metricsDoc(recs []sweep.Record) []byte {
+	doc := telemetry.Document{Name: "share-test"}
+	for i := range recs {
+		if recs[i].Telemetry == nil {
+			continue
+		}
+		doc.Points = append(doc.Points, telemetry.Point{
+			Key:     recs[i].Spec.Key(),
+			Metrics: recs[i].Telemetry.Metrics,
+		})
+	}
+	return doc.Encode()
+}
+
+func diffRecords(t *testing.T, label string, want, got []sweep.Record) {
 	t.Helper()
-	cj, wj := recordsJSON(t, cold), recordsJSON(t, warm)
-	if cj != wj {
-		t.Errorf("%s: warm-start records diverge from cold records\ncold: %.2000s\nwarm: %.2000s", label, cj, wj)
+	if wj, gj := recordsJSON(t, want), recordsJSON(t, got); wj != gj {
+		t.Errorf("%s: records diverge from the reference\nwant: %.2000s\ngot:  %.2000s", label, wj, gj)
+	}
+	if wm, gm := metricsDoc(want), metricsDoc(got); !bytes.Equal(wm, gm) {
+		t.Errorf("%s: metrics.json diverges from the reference\nwant: %.1500s\ngot:  %.1500s", label, wm, gm)
 	}
 }
 
-// TestWarmResilienceByteIdentical forks one shared testbed stack across a
-// quiet anchor and two perturbation scenarios and requires the records to
-// match a cold sweep at -shards 1, 2 and 8, and at several worker counts.
+// checkShared runs specs shared at -workers 1 and 3 and requires the
+// records of one-spec sweeps, across -shards 1/2/8 with telemetry off and
+// on. Registries and samplers are part of the forked state, so the
+// per-record metric snapshots must also rewind byte-identically.
+func checkShared(t *testing.T, specs []sweep.Spec, kernel func(Env) sweep.Kernel) {
+	for _, tel := range []bool{false, true} {
+		for _, shards := range []int{1, 2, 8} {
+			env := Env{Shards: shards, Telemetry: telemetry.Config{Enabled: tel}}
+			t.Run(fmt.Sprintf("telemetry=%v/shards=%d", tel, shards), func(t *testing.T) {
+				t.Parallel()
+				var want []sweep.Record
+				for _, s := range specs {
+					rec, err := sweep.Run([]sweep.Spec{s}, 1, kernel(env), true)
+					if err != nil {
+						t.Fatalf("reference: %v", err)
+					}
+					want = append(want, rec...)
+				}
+				for _, workers := range []int{1, 3} {
+					got, err := sweep.Run(specs, workers, kernel(env), true)
+					if err != nil {
+						t.Fatalf("workers=%d shared: %v", workers, err)
+					}
+					diffRecords(t, fmt.Sprintf("workers=%d", workers), want, got)
+				}
+			})
+		}
+	}
+}
+
+// TestWarmResilienceByteIdentical shares one testbed stack across two
+// perturbation scenarios next to the quiet anchor, whose partition class
+// occurs once and so runs unshared.
 func TestWarmResilienceByteIdentical(t *testing.T) {
 	grid := ResilienceGrid([]string{"mcast-allgather"},
 		[]string{"quiet", "flap-spine", "tenant-50load"}, 16, 4096, 7)
-	for _, shards := range []int{1, 2, 8} {
-		withShards(t, shards, func() {
-			cold, err := ResilienceRecords(grid, 1)
-			if err != nil {
-				t.Fatalf("shards=%d cold: %v", shards, err)
-			}
-			for _, workers := range []int{1, 3} {
-				warm, err := WarmResilienceRecords(grid, workers)
-				if err != nil {
-					t.Fatalf("shards=%d workers=%d warm: %v", shards, workers, err)
-				}
-				diffWarmCold(t, "chaos", cold, warm)
-			}
-		})
-	}
+	checkShared(t, grid.Expand(), ResilienceKernel)
 }
 
-// TestWarmResilienceTelemetry repeats the comparison with telemetry
-// enabled: registries and samplers are part of the forked state, so the
-// per-record metric snapshots must also rewind byte-identically.
+// TestWarmResilienceTelemetry pins the shape the telemetry gate gives the
+// chaos keys: with a registry attached nothing partitions, so the quiet
+// anchor shares the perturbed points' stack; without one it stands alone.
 func TestWarmResilienceTelemetry(t *testing.T) {
-	SetTelemetry(telemetry.Config{Enabled: true})
-	defer SetTelemetry(telemetry.Config{})
-	grid := ResilienceGrid([]string{"mcast-allgather"},
-		[]string{"quiet", "flap-spine"}, 16, 4096, 7)
-	cold, err := ResilienceRecords(grid, 1)
-	if err != nil {
-		t.Fatal(err)
+	specs := ResilienceGrid([]string{"mcast-allgather"},
+		[]string{"quiet", "flap-spine"}, 16, 4096, 7).Expand()
+	on := ResilienceKernel(Env{Telemetry: telemetry.Config{Enabled: true}})
+	if on.Key(specs[0]) != on.Key(specs[1]) {
+		t.Error("telemetry on: quiet and perturbed points build the same stack but key differently")
 	}
-	warm, err := WarmResilienceRecords(grid, 1)
-	if err != nil {
-		t.Fatal(err)
+	off := ResilienceKernel(Env{})
+	if off.Key(specs[0]) == off.Key(specs[1]) {
+		t.Error("telemetry off: the partitioned quiet anchor shares a key with a confined point")
 	}
-	diffWarmCold(t, "chaos+telemetry", cold, warm)
 }
 
 // TestWarmOSUByteIdentical shares one stack across a message-size sweep
-// (the OSU warm key drops the size axis) and checks cold equivalence at
-// serial and sharded engines.
+// (the OSU key drops the size axis).
 func TestWarmOSUByteIdentical(t *testing.T) {
 	cfg := OSUConfig{Iters: 3, Warmup: 1, LinkGbps: 56}
 	grid := sweep.Grid{
@@ -87,35 +122,44 @@ func TestWarmOSUByteIdentical(t *testing.T) {
 		MsgBytes:   []int{1024, 4096, 16384},
 		Seed:       3,
 	}
-	for _, shards := range []int{1, 2} {
-		withShards(t, shards, func() {
-			cold, err := sweep.RunGrid(grid, 1, OSUKernel(cfg))
-			if err != nil {
-				t.Fatalf("shards=%d cold: %v", shards, err)
-			}
-			warm, err := sweep.RunWarm(grid.Expand(), 2, WarmOSU(cfg))
-			if err != nil {
-				t.Fatalf("shards=%d warm: %v", shards, err)
-			}
-			diffWarmCold(t, "osu", cold, warm)
-		})
-	}
+	checkShared(t, grid.Expand(), func(env Env) sweep.Kernel { return OSUKernel(env, cfg) })
 }
 
 // TestWarmTrainByteIdentical forks one workload stack across scenarios.
 func TestWarmTrainByteIdentical(t *testing.T) {
-	cfg := TrainConfig{}
 	grid := TrainGrid([]string{"fsdp-inc"}, []int{4}, []int{64 << 10},
 		[]string{"quiet", "flap-spine"}, 21)
-	cold, err := sweep.RunGrid(grid, 1, TrainKernel(cfg))
-	if err != nil {
-		t.Fatal(err)
+	checkShared(t, grid.Expand(), func(env Env) sweep.Kernel { return TrainKernel(env, TrainConfig{}) })
+}
+
+// TestPartitionGate pins the one partition gate's decisions on the built
+// point: the quiet multicast Allgather runs the partitioned pipeline, a
+// perturbed or telemetry-observed or jittered point runs confined, and so
+// does an algorithm that is not partition-safe.
+func TestPartitionGate(t *testing.T) {
+	tel := Env{Telemetry: telemetry.Config{Enabled: true}}
+	cases := []struct {
+		name           string
+		env            Env
+		algo, scenario string
+		jitterUS       int
+		want           bool
+	}{
+		{"quiet mcast", Env{Shards: 2}, "mcast-allgather", "quiet", 0, true},
+		{"no scenario axis", Env{}, "mcast-allgather", "", 0, true},
+		{"tenant-50load", Env{Shards: 2}, "mcast-allgather", "tenant-50load", 0, false},
+		{"telemetry on", tel, "mcast-allgather", "quiet", 0, false},
+		{"jittered", Env{}, "mcast-allgather", "", 3, false},
+		{"not partition-safe", Env{}, "knomial-broadcast", "quiet", 0, false},
 	}
-	warm, err := sweep.RunWarm(grid.Expand(), 1, WarmTrain(cfg))
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range cases {
+		s := sweep.Spec{Algorithm: c.algo, Scenario: c.scenario, Nodes: 8, MsgBytes: 4096, Seed: 1}
+		pt, err := c.env.buildColl(s, 0, c.jitterUS)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if pt.partitioned != c.want || pt.f.Partitioned() != c.want {
+			t.Errorf("%s: partitioned = %v (fabric %v), want %v", c.name, pt.partitioned, pt.f.Partitioned(), c.want)
+		}
 	}
-	AnnotateSlowdown(cold)
-	AnnotateSlowdown(warm)
-	diffWarmCold(t, "train", cold, warm)
 }

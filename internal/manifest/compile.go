@@ -52,11 +52,7 @@ type Section struct {
 	Grid *sweep.Grid
 	// Specs are the expanded points; Kernel executes one of them.
 	Specs  []sweep.Spec
-	Kernel sweep.Func
-	// Warm, when non-nil, switches the section to the snapshot/fork path:
-	// Execute runs the specs through sweep.RunWarm instead of sweep.Run.
-	// Records stay byte-identical to the Kernel path.
-	Warm sweep.Warmable
+	Kernel sweep.Kernel
 	// Post annotates the section's records after the sweep (slowdowns,
 	// savings); optional.
 	Post func([]sweep.Record)
@@ -65,28 +61,39 @@ type Section struct {
 }
 
 // Compile validates the manifest and lowers it onto sweep grids and
-// harness kernels.
+// harness kernels. The kernels' execution environment — engine shard count
+// and telemetry configuration — is derived here from the manifest's own
+// shards and telemetry fields, so the Plan is self-contained: executing it
+// needs no setup beyond the manifest.
 func Compile(m Manifest) (*Plan, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Plan{Manifest: m}
+	env := harness.Env{Shards: m.Shards}
+	if t := m.Telemetry; t != nil {
+		env.Telemetry = telemetry.Config{
+			Enabled:      true,
+			SamplePeriod: sim.Time(t.SamplePeriodUS) * sim.Microsecond,
+			Filters:      t.Filters,
+		}
+	}
 	var err error
 	switch m.Kind {
 	case "osu":
-		err = p.compileOSU()
+		err = p.compileOSU(env)
 	case "chaos":
-		err = p.compileChaos()
+		err = p.compileChaos(env)
 	case "train":
-		err = p.compileTrain()
+		err = p.compileTrain(env)
 	case "traffic":
-		err = p.compileTraffic()
+		err = p.compileTraffic(env)
 	case "dpa":
-		err = p.compileDPA()
+		err = p.compileDPA(env)
 	case "cost":
-		err = p.compileCost()
+		err = p.compileCost(env)
 	case "ag":
-		err = p.compileAG()
+		err = p.compileAG(env)
 	}
 	if err != nil {
 		return nil, err
@@ -100,8 +107,8 @@ func Compile(m Manifest) (*Plan, error) {
 // Execute runs every section on the worker pool, streaming each section's
 // header, table and note to w, and returns the combined report. workers
 // <= -1 selects the manifest's Workers field; results are byte-identical
-// at any worker count. The engine shard count must already be configured
-// (harness.SetShards) — Execute does not touch process-global state.
+// at any worker count, and with the manifest's warm_start on or off — the
+// switch only lets same-stack points share one built stack.
 func (p *Plan) Execute(workers int, w io.Writer) (sweep.Report, error) {
 	if workers < 0 {
 		workers = p.Manifest.Workers
@@ -110,13 +117,10 @@ func (p *Plan) Execute(workers int, w io.Writer) (sweep.Report, error) {
 	for _, sec := range p.Sections {
 		var recs []sweep.Record
 		var err error
-		switch {
-		case sec.Run != nil:
+		if sec.Run != nil {
 			recs, err = sec.Run()
-		case sec.Warm != nil:
-			recs, err = sweep.RunWarm(sec.Specs, workers, sec.Warm)
-		default:
-			recs, err = sweep.Run(sec.Specs, workers, sec.Kernel)
+		} else {
+			recs, err = sweep.Run(sec.Specs, workers, sec.Kernel, p.Manifest.WarmStart)
 		}
 		if err != nil {
 			return sweep.Report{}, err
@@ -139,7 +143,7 @@ func (p *Plan) Execute(workers int, w io.Writer) (sweep.Report, error) {
 }
 
 // grid appends a single-grid section.
-func (p *Plan) grid(header, note string, g sweep.Grid, kernel sweep.Func, post func([]sweep.Record)) {
+func (p *Plan) grid(header, note string, g sweep.Grid, kernel sweep.Kernel, post func([]sweep.Record)) {
 	p.Sections = append(p.Sections, Section{
 		Header: header, Note: note,
 		Grid: &g, Specs: g.Expand(), Kernel: kernel, Post: post,
@@ -147,7 +151,7 @@ func (p *Plan) grid(header, note string, g sweep.Grid, kernel sweep.Func, post f
 }
 
 // specs appends a composed-spec section.
-func (p *Plan) specs(header, note string, specs []sweep.Spec, kernel sweep.Func) {
+func (p *Plan) specs(header, note string, specs []sweep.Spec, kernel sweep.Kernel) {
 	p.Sections = append(p.Sections, Section{
 		Header: header, Note: note, Specs: specs, Kernel: kernel,
 	})
@@ -171,7 +175,7 @@ func expandScenarios(scenarios []string, anchor bool) []string {
 	return scenarios
 }
 
-func (p *Plan) compileOSU() error {
+func (p *Plan) compileOSU(env harness.Env) error {
 	m := p.Manifest
 	cfg := harness.OSUConfig{Iters: 10, Warmup: 2, LinkGbps: 56}
 	if o := m.OSU; o != nil {
@@ -199,20 +203,17 @@ func (p *Plan) compileOSU() error {
 	}
 	header := fmt.Sprintf("# OSU-style sweep: %v, nodes %v, %.0f Gbit/s links, %d iters (+%d warmup)",
 		m.Grid.Algorithms, m.Grid.Nodes, cfg.LinkGbps, cfg.Iters, cfg.Warmup)
-	p.grid(header, "", g, harness.OSUKernel(cfg), nil)
-	if m.WarmStart {
-		p.Sections[0].Warm = harness.WarmOSU(cfg)
-	}
+	p.grid(header, "", g, harness.OSUKernel(env, cfg), nil)
 	specs := p.Sections[0].Specs
 	p.Trace = func() (*telemetry.Bundle, error) {
 		// The last (largest) size point is the representative run.
-		return harness.CollTrace(specs[len(specs)-1], cfg.LinkGbps)
+		return harness.CollTrace(env, specs[len(specs)-1], cfg.LinkGbps)
 	}
 	p.ReplaySpec = &specs[len(specs)-1]
 	return nil
 }
 
-func (p *Plan) compileChaos() error {
+func (p *Plan) compileChaos(env harness.Env) error {
 	m := p.Manifest
 	scenarios := expandScenarios(m.Grid.Scenarios, true)
 	g := harness.ResilienceGrid(m.Grid.Algorithms, scenarios,
@@ -221,16 +222,13 @@ func (p *Plan) compileChaos() error {
 	header := fmt.Sprintf("== chaosbench: %d algorithms x %d scenarios, %d nodes, %d B messages ==",
 		len(m.Grid.Algorithms), len(scenarios), m.Grid.Nodes[0], m.Grid.Sizes[0])
 	p.grid(header, "slowdown_vs_quiet is each point's duration over its quiet sibling's.",
-		g, harness.ResilienceKernel, harness.AnnotateSlowdown)
-	if m.WarmStart {
-		p.Sections[0].Warm = harness.WarmResilience{}
-	}
+		g, harness.ResilienceKernel(env), harness.AnnotateSlowdown)
 	specs := p.Sections[0].Specs
 	p.Trace = func() (*telemetry.Bundle, error) {
 		// The last point is the representative run: grids expand scenarios
 		// last, so it carries a real perturbation (not the quiet anchor)
 		// whenever the manifest names one.
-		return harness.ChaosTrace(specs[len(specs)-1])
+		return harness.ChaosTrace(env, specs[len(specs)-1])
 	}
 	// The first point is the quiet anchor (expandScenarios prepends it),
 	// the only scenario the replay debugger supports.
@@ -238,7 +236,7 @@ func (p *Plan) compileChaos() error {
 	return nil
 }
 
-func (p *Plan) compileTrain() error {
+func (p *Plan) compileTrain(env harness.Env) error {
 	m := p.Manifest
 	cfg := harness.TrainConfig{Layers: 6, Compute: 150 * sim.Microsecond, Jobs: 2}
 	if t := m.Train; t != nil {
@@ -266,18 +264,15 @@ func (p *Plan) compileTrain() error {
 		post = harness.AnnotateSlowdown
 	}
 	p.grid(header, "overlap_frac is the share of communication hidden behind compute or other communication.",
-		g, harness.TrainKernel(cfg), post)
-	if m.WarmStart {
-		p.Sections[0].Warm = harness.WarmTrain(cfg)
-	}
+		g, harness.TrainKernel(env, cfg), post)
 	specs := p.Sections[0].Specs
 	p.Trace = func() (*telemetry.Bundle, error) {
-		return harness.TrainTrace(specs[0], cfg)
+		return harness.TrainTrace(env, specs[0], cfg)
 	}
 	return nil
 }
 
-func (p *Plan) compileTraffic() error {
+func (p *Plan) compileTraffic(env harness.Env) error {
 	m := p.Manifest
 	iters := 10
 	if m.Traffic != nil && m.Traffic.Iters > 0 {
@@ -287,18 +282,18 @@ func (p *Plan) compileTraffic() error {
 	header := fmt.Sprintf("== Figure 12: switch-port traffic, %d nodes, %d B messages, %d iterations ==",
 		m.Grid.Nodes[0], m.Grid.Sizes[0], iters)
 	p.specs(header, "paper: multicast reduces data movement 1.5x (broadcast) to 2x (allgather).",
-		harness.Fig12Specs(m.Grid.Nodes[0], m.Grid.Sizes[0]), harness.Fig12Kernel(iters))
+		harness.Fig12Specs(m.Grid.Nodes[0], m.Grid.Sizes[0]), harness.Fig12Kernel(env, iters))
 	p.Sections[0].Post = harness.AnnotateSavings
 	specs := p.Sections[0].Specs
 	p.Trace = func() (*telemetry.Bundle, error) {
 		// The first cell is mcast-broadcast — the protocol under study.
-		return harness.CollTrace(specs[0], 56)
+		return harness.CollTrace(env, specs[0], 56)
 	}
 	p.ReplaySpec = &specs[0]
 	return nil
 }
 
-func (p *Plan) compileDPA() error {
+func (p *Plan) compileDPA(env harness.Env) error {
 	m := p.Manifest
 	p.Name = "dpabench"
 	has := func(fig int) bool { return m.All || slices.Contains(m.Figures, fig) }
@@ -306,34 +301,34 @@ func (p *Plan) compileDPA() error {
 		p.specs("== Figure 5: single-threaded CPU vs single-core DPA UD datapath (200 Gbit/s link) ==",
 			"paper: one CPU core sustains ~1/2-2/3 of 200 Gbit/s; one DPA core reaches peak.",
 			harness.Fig5Specs([]int{16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 8 << 20}),
-			harness.RxKernel)
+			harness.RxKernel(env))
 	}
 	if m.All || slices.Contains(m.Tables, 1) {
 		p.grid("== Table I: single DPA thread, 8 MiB buffer, 4 KiB chunks ==",
 			"paper: UC 11.9 GiB/s, 66 instr, 598 cycles, IPC 0.11; UD 5.2 GiB/s, 113 instr, 1084 cycles, IPC 0.10.",
-			harness.Table1Grid(), harness.RxKernel, nil)
+			harness.Table1Grid(), harness.RxKernel(env), nil)
 	}
 	if has(13) || has(14) {
 		p.specs("== Figures 13/14: DPA thread scaling, 8 MiB receive buffer, 4 KiB chunks (last row: CPU baseline) ==",
 			"paper: UC reaches full throughput with 4 threads; UD needs 8-16 (1/256 of DPA capacity: UC 1/2, UD 1/5 of peak).",
-			harness.Fig13Specs([]int{1, 2, 4, 8, 16}), harness.RxKernel)
+			harness.Fig13Specs([]int{1, 2, 4, 8, 16}), harness.RxKernel(env))
 	}
 	if has(15) {
 		p.grid("== Figure 15: UC throughput vs multi-packet chunk size (8 MiB buffer) ==",
 			"paper: with larger chunks DPA sustains line rate with fewer threads.",
 			harness.Fig15Grid([]int{4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10}, []int{1, 2, 4}),
-			harness.RxKernel, nil)
+			harness.RxKernel(env), nil)
 	}
 	if has(16) {
 		p.grid("== Figure 16: sustained 64 B chunk processing rate vs DPA threads (link_share: x 1.6 Tbit/s target) ==",
 			fmt.Sprintf("target: %.1f Mchunks/s (1.6 Tbit/s at 4 KiB MTU). paper: 128 threads sustain it.",
 				harness.Tbit16Target/1e6),
-			harness.Fig16Grid([]int{1, 2, 4, 8, 16, 32, 64, 128}), harness.Fig16Kernel, nil)
+			harness.Fig16Grid([]int{1, 2, 4, 8, 16, 32, 64, 128}), harness.Fig16Kernel(env), nil)
 	}
 	return nil
 }
 
-func (p *Plan) compileCost() error {
+func (p *Plan) compileCost(env harness.Env) error {
 	m := p.Manifest
 	p.Name = "costmodel"
 	if m.All || slices.Contains(m.Figures, 2) {
@@ -349,7 +344,7 @@ func (p *Plan) compileCost() error {
 	if m.All || m.Speedup {
 		p.specs("== Appendix B: concurrent {Allgather, Reduce-Scatter} span (model_speedup: 2 - 2/P) ==",
 			"paper: concurrent collectives speed up by up to 2x at scale (ring-pair span / inc-pair span).",
-			harness.AppBSpecs([]int{2, 4, 8, 16}, 1<<20), harness.AppBKernel)
+			harness.AppBSpecs([]int{2, 4, 8, 16}, 1<<20), harness.AppBKernel(env))
 	}
 	if m.All || m.Economics {
 		p.analytic("== §VII: economics of SmartNIC offloading (SuperPOD node) ==",
@@ -359,7 +354,7 @@ func (p *Plan) compileCost() error {
 	return nil
 }
 
-func (p *Plan) compileAG() error {
+func (p *Plan) compileAG(env harness.Env) error {
 	m := p.Manifest
 	fig := m.Figures[0]
 	p.Name = fmt.Sprintf("agbench-fig%d", fig)
@@ -374,7 +369,7 @@ func (p *Plan) compileAG() error {
 		}
 		p.grid("== Figure 10: Allgather critical-path breakdown (median across ranks) ==",
 			"paper: from 16 nodes on, 99% of progress-path time is the multicast datapath.",
-			harness.Fig10Grid(nodes, sizes), harness.CollKernel, nil)
+			harness.Fig10Grid(nodes, sizes), harness.CollKernel(env), nil)
 	case 11:
 		nodes, sizes := 188, []int(m.Grid.Sizes)
 		if len(m.Grid.Nodes) == 1 {
@@ -385,7 +380,7 @@ func (p *Plan) compileAG() error {
 		}
 		p.specs(fmt.Sprintf("== Figure 11: per-rank receive throughput at %d nodes (56 Gbit/s links) ==", nodes),
 			"paper: mcast broadcast beats k-nomial/binary tree; mcast allgather matches ring at 128-256 KiB.",
-			harness.Fig11Specs(nodes, sizes), harness.CollKernel)
+			harness.Fig11Specs(nodes, sizes), harness.CollKernel(env))
 	}
 	specs := p.Sections[0].Specs
 	var traced sweep.Spec
@@ -397,7 +392,7 @@ func (p *Plan) compileAG() error {
 		traced = specs[0]
 	}
 	p.Trace = func() (*telemetry.Bundle, error) {
-		return harness.CollTrace(traced, 56)
+		return harness.CollTrace(env, traced, 56)
 	}
 	p.ReplaySpec = &traced
 	return nil

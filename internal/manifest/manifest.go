@@ -1,11 +1,11 @@
-// Package manifest turns experiments into data: a manifest is a small
-// JSON (or YAML-subset) document declaring what to run — a kind naming the
-// experiment family (osu, chaos, train, traffic, dpa, cost, ag), the grid
-// axes it sweeps, and the run's bookkeeping (seed, workers, shards, output
-// paths, a baseline to diff against, an expected output digest) — which
-// compiles onto the existing sweep.Grid / harness kernels. The seven
-// historical cmd binaries are thin shims that build one of these in memory;
-// CI is a matrix over the checked-in specs in manifests/.
+// Package manifest turns experiments into data: a manifest is a small JSON
+// document declaring what to run — a kind naming the experiment family
+// (osu, chaos, train, traffic, dpa, cost, ag), the grid axes it sweeps, and
+// the run's bookkeeping (seed, workers, shards, output paths, a baseline to
+// diff against, an expected output digest) — which compiles onto the
+// existing sweep.Grid / harness kernels. The seven
+// flag-compatible repro subcommands build one of these in memory; CI is a
+// matrix over the checked-in specs in manifests/.
 //
 // The contract mirrors the sweep engine's: the same manifest always
 // produces byte-identical JSON output at any worker or shard count, so a
@@ -57,10 +57,10 @@ type Manifest struct {
 	// Shards is the conservative-parallel engine shard count; 0 and 1 both
 	// mean serial. Results are byte-identical at any value.
 	Shards int `json:"shards,omitempty"`
-	// WarmStart runs the sweep on the snapshot/fork path: grid points that
-	// share a construction prefix (everything but seed, message size or
-	// scenario, depending on kind) share one built stack per worker and fork
-	// it per point. Results are byte-identical to a cold run; only wall-clock
+	// WarmStart lets grid points that construct the same model stack
+	// (everything but seed, message size or scenario, depending on kind)
+	// share one built stack per worker and fork it per point, instead of
+	// rebuilding it. Results are byte-identical either way; only wall-clock
 	// changes. Consumed by the osu, chaos and train kinds.
 	WarmStart bool `json:"warm_start,omitempty"`
 	// Figures selects figures for the dpa (5, 13, 14, 15, 16), cost (2, 7)
@@ -263,34 +263,22 @@ func Parse(b []byte) (Manifest, error) {
 	return m, nil
 }
 
-// ParseFile loads a manifest from disk, selecting the decoder by
-// extension: .json is parsed directly, .yaml/.yml through the YAML-subset
-// reader.
+// ParseFile loads a manifest from disk. JSON is the one format: any other
+// extension is rejected by name, before the file is read, so a stray
+// .yaml fails with a message that says what is supported.
 func ParseFile(path string) (Manifest, error) {
+	if ext := strings.ToLower(filepath.Ext(path)); ext != ".json" {
+		return Manifest{}, fmt.Errorf("manifest: %s: unsupported extension %q (manifests are .json)", path, ext)
+	}
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return Manifest{}, fmt.Errorf("manifest: %w", err)
 	}
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".json":
-		m, err := Parse(b)
-		if err != nil {
-			return Manifest{}, fmt.Errorf("%s: %w", path, err)
-		}
-		return m, nil
-	case ".yaml", ".yml":
-		jb, err := yamlToJSON(b)
-		if err != nil {
-			return Manifest{}, fmt.Errorf("%s: %w", path, err)
-		}
-		m, err := Parse(jb)
-		if err != nil {
-			return Manifest{}, fmt.Errorf("%s: %w", path, err)
-		}
-		return m, nil
-	default:
-		return Manifest{}, fmt.Errorf("manifest: %s: unknown extension (want .json, .yaml or .yml)", path)
+	m, err := Parse(b)
+	if err != nil {
+		return Manifest{}, fmt.Errorf("%s: %w", path, err)
 	}
+	return m, nil
 }
 
 // Encode renders the manifest in its canonical form: 2-space-indented JSON

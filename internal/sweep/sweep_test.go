@@ -75,12 +75,12 @@ func TestGridSeedsDeterministicAndDistinct(t *testing.T) {
 }
 
 func TestRunByteIdenticalJSONAcrossWorkerCounts(t *testing.T) {
-	kernel := func(s Spec) (Record, error) {
+	kernel := Func(func(s Spec) (Record, error) {
 		return Record{Spec: s, Metrics: map[string]float64{
 			"gibps": float64(s.MsgBytes) / float64(s.Threads),
 			"seed":  float64(s.Seed % 1000),
 		}}, nil
-	}
+	})
 	var blobs [][]byte
 	for _, workers := range []int{1, 3, 16} {
 		recs, err := RunGrid(testGrid(), workers, kernel)
@@ -104,13 +104,13 @@ func TestRunErrorPropagation(t *testing.T) {
 	errBoom := errors.New("boom")
 	specs := testGrid().Expand()
 	var calls atomic.Int64
-	_, err := Run(specs, 4, func(s Spec) (Record, error) {
+	_, err := Run(specs, 4, Func(func(s Spec) (Record, error) {
 		calls.Add(1)
 		if s.Index == 5 || s.Index == 9 {
 			return Record{}, fmt.Errorf("%w at %d", errBoom, s.Index)
 		}
 		return Record{Spec: s}, nil
-	})
+	}), false)
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("error %v does not wrap the kernel error", err)
 	}
@@ -197,9 +197,9 @@ func TestCompareDuplicateKeysPairPositionally(t *testing.T) {
 }
 
 func TestCSVAndTableDeterministicColumns(t *testing.T) {
-	recs, err := RunGrid(testGrid(), 0, func(s Spec) (Record, error) {
+	recs, err := RunGrid(testGrid(), 0, Func(func(s Spec) (Record, error) {
 		return Record{Spec: s, Metrics: map[string]float64{"b_metric": 1, "a_metric": 2}}, nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,9 +224,9 @@ func TestCSVAndTableDeterministicColumns(t *testing.T) {
 }
 
 func TestLoadRoundTrip(t *testing.T) {
-	recs, err := RunGrid(testGrid(), 0, func(s Spec) (Record, error) {
+	recs, err := RunGrid(testGrid(), 0, Func(func(s Spec) (Record, error) {
 		return Record{Spec: s, Metrics: map[string]float64{"m": float64(s.Index)}}, nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ type Registry struct {
 }
 
 // New builds an enabled registry. Callers that want the disabled state use
-// a nil *Registry instead (see harness.SetTelemetry).
+// a nil *Registry instead (see harness.Env).
 func New(cfg Config) *Registry {
 	if cfg.SamplePeriod <= 0 {
 		cfg.SamplePeriod = DefaultSamplePeriod
