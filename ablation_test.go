@@ -30,7 +30,7 @@ func runAG(b *testing.B, fcfg fabric.Config, ccfg core.Config, n int) (*core.Res
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := comm.RunAllgather(n)
+	res, err := runAllgather(comm, n)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func BenchmarkParallelSimulations(b *testing.B) {
 						b.Error(err)
 						return
 					}
-					if _, err := comm.RunAllgather(256 << 10); err != nil {
+					if _, err := runAllgather(comm, 256<<10); err != nil {
 						b.Error(err)
 					}
 				}

@@ -6,9 +6,11 @@ package repro
 //
 //	go test -bench=. -benchmem
 //
-// regenerates every result series. The cmd/ binaries print the full tables
-// at paper scale; the benchmarks use bounded parameter sets so the whole
-// suite completes in minutes.
+// regenerates every result series. `repro` prints the full tables at paper
+// scale; the benchmarks run the same harness grids and kernels over bounded
+// parameter sets so the whole suite completes in minutes. These are
+// hand-run benches: the committed perf trajectory is the host-time ledger
+// (bench/, perf/*.json).
 
 import (
 	"testing"
@@ -16,8 +18,20 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/model"
+	"repro/internal/sweep"
 	"repro/internal/verbs"
 )
+
+// figure runs one figure's specs through its kernel, unshared, the way
+// manifest.Compile wires them behind `repro`.
+func figure(b *testing.B, specs []sweep.Spec, k sweep.Kernel) []sweep.Record {
+	b.Helper()
+	recs, err := sweep.Run(specs, 0, k, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return recs
+}
 
 // BenchmarkFig02TrafficModel evaluates the analytic traffic model on the
 // 1024-node radix-32 fat-tree and reports the ring/multicast savings.
@@ -42,8 +56,8 @@ func BenchmarkFig02TrafficModel(b *testing.B) {
 func BenchmarkFig05SingleCoreDatapath(b *testing.B) {
 	var cpu, dpa float64
 	for i := 0; i < b.N; i++ {
-		pts := harness.Fig5SingleCore([]int{1 << 20})
-		cpu, dpa = pts[0].CPUGbps, pts[0].DPAGbps
+		recs := figure(b, harness.Fig5Specs([]int{1 << 20}), harness.RxKernel(harness.Env{}))
+		cpu, dpa = recs[0].Metric("gbps"), recs[1].Metric("gbps")
 	}
 	b.ReportMetric(cpu, "cpu-Gbps")
 	b.ReportMetric(dpa, "dpa-Gbps")
@@ -65,11 +79,8 @@ func BenchmarkFig07BitmapModel(b *testing.B) {
 func BenchmarkFig10Breakdown(b *testing.B) {
 	var mcastFrac float64
 	for i := 0; i < b.N; i++ {
-		pts, err := harness.Fig10Breakdown([]int{64}, []int{256 << 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		mcastFrac = pts[0].McastFrac
+		recs := figure(b, harness.Fig10Grid([]int{64}, []int{256 << 10}).Expand(), harness.CollKernel(harness.Env{}))
+		mcastFrac = recs[0].Metric("mcast_frac")
 	}
 	b.ReportMetric(mcastFrac*100, "%mcast-phase")
 }
@@ -80,12 +91,8 @@ func BenchmarkFig10Breakdown(b *testing.B) {
 func BenchmarkFig11ThroughputAtScale(b *testing.B) {
 	byAlgo := map[string]float64{}
 	for i := 0; i < b.N; i++ {
-		pts, err := harness.Fig11Throughput(64, []int{256 << 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pts {
-			byAlgo[p.Algo] = p.GiBps
+		for _, r := range figure(b, harness.Fig11Specs(64, []int{256 << 10}), harness.CollKernel(harness.Env{})) {
+			byAlgo[r.Spec.Algorithm] = r.Metric("gibps")
 		}
 	}
 	b.ReportMetric(byAlgo["mcast-broadcast"], "mcastBcast-GiB/s")
@@ -98,40 +105,28 @@ func BenchmarkFig11ThroughputAtScale(b *testing.B) {
 // BenchmarkFig12TrafficSavings reads simulated switch-port counters while
 // running multicast and P2P collectives at 64 nodes.
 func BenchmarkFig12TrafficSavings(b *testing.B) {
-	var bcast, ag float64
+	savings := map[string]float64{}
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Fig12Traffic(64, 64<<10, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Algo == "mcast" {
-				if r.Op == "broadcast" {
-					bcast = r.Savings
-				} else {
-					ag = r.Savings
-				}
-			}
+		recs := figure(b, harness.Fig12Specs(64, 64<<10), harness.Fig12Kernel(harness.Env{}, 2))
+		harness.AnnotateSavings(recs)
+		for _, r := range recs {
+			savings[r.Spec.Algorithm] = r.Metric("savings_vs_p2p")
 		}
 	}
-	b.ReportMetric(bcast, "bcast-savings-x")
-	b.ReportMetric(ag, "allgather-savings-x")
+	b.ReportMetric(savings["mcast-broadcast"], "bcast-savings-x")
+	b.ReportMetric(savings["mcast-allgather"], "allgather-savings-x")
 }
 
 // BenchmarkTable1SingleThread measures both single-thread DPA datapaths.
 func BenchmarkTable1SingleThread(b *testing.B) {
-	var uc, ud float64
+	gibps := map[string]float64{}
 	for i := 0; i < b.N; i++ {
-		for _, r := range harness.Table1SingleThread() {
-			if r.Datapath == "UC" {
-				uc = r.ThroughputGiBps
-			} else {
-				ud = r.ThroughputGiBps
-			}
+		for _, r := range figure(b, harness.Table1Grid().Expand(), harness.RxKernel(harness.Env{})) {
+			gibps[r.Spec.Transport] = r.Metric("gibps")
 		}
 	}
-	b.ReportMetric(uc, "UC-GiB/s")
-	b.ReportMetric(ud, "UD-GiB/s")
+	b.ReportMetric(gibps["uc"], "UC-GiB/s")
+	b.ReportMetric(gibps["ud"], "UD-GiB/s")
 }
 
 // BenchmarkFig13ThreadScaling reports link saturation points of the DPA
@@ -139,13 +134,12 @@ func BenchmarkTable1SingleThread(b *testing.B) {
 func BenchmarkFig13ThreadScaling(b *testing.B) {
 	var ud8, uc4 float64
 	for i := 0; i < b.N; i++ {
-		pts, _ := harness.Fig13ThreadScaling([]int{4, 8})
-		for _, p := range pts {
-			if p.Transport == "UD" && p.Threads == 8 {
-				ud8 = p.GiBps
+		for _, r := range figure(b, harness.Fig13Specs([]int{4, 8}), harness.RxKernel(harness.Env{})) {
+			if r.Spec.Transport == "ud" && r.Spec.Threads == 8 {
+				ud8 = r.Metric("gibps")
 			}
-			if p.Transport == "UC" && p.Threads == 4 {
-				uc4 = p.GiBps
+			if r.Spec.Transport == "uc" && r.Spec.Threads == 4 {
+				uc4 = r.Metric("gibps")
 			}
 		}
 	}
@@ -174,8 +168,8 @@ func BenchmarkFig14LinkUtilization(b *testing.B) {
 func BenchmarkFig15ChunkSize(b *testing.B) {
 	var share float64
 	for i := 0; i < b.N; i++ {
-		pts := harness.Fig15ChunkSize([]int{64 << 10}, []int{1})
-		share = pts[0].LinkShare
+		recs := figure(b, harness.Fig15Grid([]int{64 << 10}, []int{1}).Expand(), harness.RxKernel(harness.Env{}))
+		share = recs[0].Metric("link_share")
 	}
 	b.ReportMetric(share*100, "UC-64KiB-1thr-%peak")
 }
@@ -183,18 +177,14 @@ func BenchmarkFig15ChunkSize(b *testing.B) {
 // BenchmarkFig16TbitScaling reports the 64 B chunk processing rate at 128
 // threads against the 1.6 Tbit/s requirement.
 func BenchmarkFig16TbitScaling(b *testing.B) {
-	var udRate, ucRate float64
+	rate := map[string]float64{}
 	for i := 0; i < b.N; i++ {
-		for _, p := range harness.Fig16TbitScaling([]int{128}) {
-			if p.Transport == "UD" {
-				udRate = p.ChunkRate
-			} else {
-				ucRate = p.ChunkRate
-			}
+		for _, r := range figure(b, harness.Fig16Grid([]int{128}).Expand(), harness.Fig16Kernel(harness.Env{})) {
+			rate[r.Spec.Transport] = r.Metric("chunk_rate")
 		}
 	}
-	b.ReportMetric(udRate/1e6, "UD-Mchunks/s")
-	b.ReportMetric(ucRate/1e6, "UC-Mchunks/s")
+	b.ReportMetric(rate["ud"]/1e6, "UD-Mchunks/s")
+	b.ReportMetric(rate["uc"]/1e6, "UC-Mchunks/s")
 	b.ReportMetric(harness.Tbit16Target/1e6, "target-Mchunks/s")
 }
 
@@ -203,7 +193,7 @@ func BenchmarkFig16TbitScaling(b *testing.B) {
 // communicator: the end-to-end event-engine workload the scheduler
 // overhaul targets. Reported events/sec is simulated events per wall
 // second across the whole stack (fabric, verbs, DPA, protocol); allocs/op
-// is the per-operation garbage the pooled engine is gated on in CI.
+// is the per-operation garbage of the pooled engine.
 func BenchmarkAllreduce16(b *testing.B) {
 	sys, err := NewSystem(SystemConfig{Hosts: 16, HostsPerLeaf: 4, Seed: 3})
 	if err != nil {
@@ -236,26 +226,26 @@ func BenchmarkAllreduce16(b *testing.B) {
 // 4 KiB): each iteration runs the sweep unshared (a fresh model stack per
 // point) and shared (one built stack for the seven perturbed points, forked
 // per scenario) and reports the wall-clock ratio. fork-speedup is a
-// same-machine ratio — like the sharded-engine speedup metric — and is
-// floor-gated in CI; sweep-wall-ms and snapshot-bytes are informational
-// trajectory metrics.
+// same-machine ratio, like the sharded-engine speedup metric; sweep-wall-ms
+// and snapshot-bytes are informational.
 func BenchmarkChaosSweepWarm(b *testing.B) {
 	g := harness.ResilienceGrid([]string{"mcast-allgather"},
 		[]string{"quiet", "flap-spine", "straggler-1pct", "tenant-50load",
 			"tenant-20load", "degrade-leaf", "hotspot-drop", "incast-4to1"}, 16, 4096, 7)
 	env := harness.Env{}
-	if _, err := harness.ResilienceRecords(env, g, 1, true); err != nil { // warm caches and the event pool allocator
+	specs, kernel := g.Expand(), harness.ResilienceKernel(env)
+	if _, err := sweep.Run(specs, 1, kernel, true); err != nil { // warm caches and the event pool allocator
 		b.Fatal(err)
 	}
 	var unshared, shared time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		if _, err := harness.ResilienceRecords(env, g, 1, false); err != nil {
+		if _, err := sweep.Run(specs, 1, kernel, false); err != nil {
 			b.Fatal(err)
 		}
 		t1 := time.Now()
-		if _, err := harness.ResilienceRecords(env, g, 1, true); err != nil {
+		if _, err := sweep.Run(specs, 1, kernel, true); err != nil {
 			b.Fatal(err)
 		}
 		unshared += t1.Sub(t0)
@@ -264,7 +254,7 @@ func BenchmarkChaosSweepWarm(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(unshared)/float64(shared), "fork-speedup")
 	b.ReportMetric(float64(shared)/float64(b.N)/1e6, "sweep-wall-ms")
-	if st, err := harness.ResilienceKernel(env).Build(g.Expand()[0]); err == nil {
+	if st, err := kernel.Build(specs[0]); err == nil {
 		st.Capture()
 		b.ReportMetric(float64(st.(interface{ Bytes() int }).Bytes()), "snapshot-bytes")
 	}
@@ -275,11 +265,8 @@ func BenchmarkChaosSweepWarm(b *testing.B) {
 func BenchmarkAppBSpeedup(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		pts, err := harness.AppBConcurrent([]int{16}, 1<<20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup = pts[0].Speedup
+		recs := figure(b, harness.AppBSpecs([]int{16}, 1<<20), harness.AppBKernel(harness.Env{}))
+		speedup = recs[0].Metric("span_ns") / recs[1].Metric("span_ns") // ring-pair over inc-pair
 	}
 	b.ReportMetric(speedup, "measured-x")
 	b.ReportMetric(model.SpeedupINC(16), "model-x")
@@ -289,8 +276,7 @@ func BenchmarkAppBSpeedup(b *testing.B) {
 // declarative workload DAG with prefetched multicast Allgathers, in-network
 // Reduce-Scatters and per-layer compute at 16 ranks / 512 KiB shards —
 // including system construction, as an application deploying the library
-// would run it. events/op is the deterministic per-step event count the CI
-// perf gate pins alongside allocs/op.
+// would run it. events/op is the deterministic per-step event count.
 func BenchmarkWorkloadStep(b *testing.B) {
 	var executed uint64
 	b.ReportAllocs()

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
-	"slices"
 	"strings"
 )
 
@@ -35,7 +34,6 @@ func SplitList(s string) []string {
 // error, so a subcommand's whole flag contract reads as one call:
 //
 //	err := cli.Validate("osu",
-//		cli.InRange("nodes", *nodes, 1, 188),
 //		cli.Positive("iters", *iters),
 //		cli.Writable("json", *jsonPath))
 func Validate(cmd string, checks ...error) error {
@@ -59,22 +57,6 @@ func Positive(name string, v int) error {
 func NonNegative(name string, v int) error {
 	if v < 0 {
 		return fmt.Errorf("-%s must be >= 0, got %d", name, v)
-	}
-	return nil
-}
-
-// InRange requires lo <= v <= hi.
-func InRange(name string, v, lo, hi int) error {
-	if v < lo || v > hi {
-		return fmt.Errorf("-%s must be in [%d,%d], got %d", name, lo, hi, v)
-	}
-	return nil
-}
-
-// OneOf requires v to be a member of have.
-func OneOf(name, v string, have []string) error {
-	if !slices.Contains(have, v) {
-		return fmt.Errorf("-%s: unknown value %q (have %v)", name, v, have)
 	}
 	return nil
 }

@@ -39,11 +39,6 @@ func TestValidate(t *testing.T) {
 		{"positive negative", Positive("iters", -3), "-iters must be positive"},
 		{"nonnegative ok", NonNegative("warmup", 0), ""},
 		{"nonnegative bad", NonNegative("warmup", -1), "-warmup must be >= 0"},
-		{"inrange ok", InRange("nodes", 188, 1, 188), ""},
-		{"inrange low", InRange("nodes", 0, 1, 188), "-nodes must be in [1,188]"},
-		{"inrange high", InRange("nodes", 189, 1, 188), "-nodes must be in [1,188]"},
-		{"oneof ok", OneOf("op", "allgather", []string{"allgather", "broadcast"}), ""},
-		{"oneof bad", OneOf("op", "gather", []string{"allgather", "broadcast"}), `-op: unknown value "gather"`},
 		{"writable empty", Writable("json", ""), ""},
 		{"writable ok", Writable("json", filepath.Join(tmp, "out.json")), ""},
 		{"writable missing dir", Writable("json", filepath.Join(tmp, "nope", "out.json")), "does not exist"},

@@ -53,19 +53,6 @@ func (t *Team) StartRingAllgather(n int, cb func(*Result)) error {
 	return nil
 }
 
-// RunRingAllgather drives the engine to completion.
-func (t *Team) RunRingAllgather(n int) (*Result, error) {
-	var res *Result
-	if err := t.StartRingAllgather(n, func(r *Result) { res = r }); err != nil {
-		return nil, err
-	}
-	t.eng.Run()
-	if res == nil {
-		return nil, fmt.Errorf("coll: ring allgather did not complete")
-	}
-	return res, nil
-}
-
 func (st *ringAGState) sendStep() {
 	t := st.p.team
 	size := t.Size()
@@ -152,19 +139,6 @@ func (t *Team) StartLinearAllgather(n int, cb func(*Result)) error {
 	}
 	t.assertSymmetricKeys()
 	return nil
-}
-
-// RunLinearAllgather drives the engine to completion.
-func (t *Team) RunLinearAllgather(n int) (*Result, error) {
-	var res *Result
-	if err := t.StartLinearAllgather(n, func(r *Result) { res = r }); err != nil {
-		return nil, err
-	}
-	t.eng.Run()
-	if res == nil {
-		return nil, fmt.Errorf("coll: linear allgather did not complete")
-	}
-	return res, nil
 }
 
 func (st *linearAGState) postAll() {
@@ -258,19 +232,6 @@ func (t *Team) StartRecursiveDoublingAllgather(n int, cb func(*Result)) error {
 	}
 	t.assertSymmetricKeys()
 	return nil
-}
-
-// RunRecursiveDoublingAllgather drives the engine to completion.
-func (t *Team) RunRecursiveDoublingAllgather(n int) (*Result, error) {
-	var res *Result
-	if err := t.StartRecursiveDoublingAllgather(n, func(r *Result) { res = r }); err != nil {
-		return nil, err
-	}
-	t.eng.Run()
-	if res == nil {
-		return nil, fmt.Errorf("coll: recursive doubling allgather did not complete")
-	}
-	return res, nil
 }
 
 // exchange sends the contiguous block range this rank currently owns to its
@@ -414,19 +375,6 @@ func (t *Team) StartBruckAllgather(n int, cb func(*Result)) error {
 	}
 	t.assertSymmetricKeys()
 	return nil
-}
-
-// RunBruckAllgather drives the engine to completion.
-func (t *Team) RunBruckAllgather(n int) (*Result, error) {
-	var res *Result
-	if err := t.StartBruckAllgather(n, func(r *Result) { res = r }); err != nil {
-		return nil, err
-	}
-	t.eng.Run()
-	if res == nil {
-		return nil, fmt.Errorf("coll: bruck allgather did not complete")
-	}
-	return res, nil
 }
 
 func (st *bruckAGState) exchange() {

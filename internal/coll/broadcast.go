@@ -93,11 +93,6 @@ func (t *Team) StartKnomialBroadcast(root, n int, cb func(*Result)) error {
 	})
 }
 
-// RunKnomialBroadcast drives the engine to completion.
-func (t *Team) RunKnomialBroadcast(root, n int) (*Result, error) {
-	return t.runBcast(n, func(cb func(*Result)) error { return t.StartKnomialBroadcast(root, n, cb) })
-}
-
 // StartBinaryTreeBroadcast begins a chunk-pipelined complete-binary-tree
 // broadcast (NCCL-style): every internal node forwards each chunk to its
 // two children, so the steady-state bottleneck is 2N on the send path and
@@ -106,11 +101,6 @@ func (t *Team) StartBinaryTreeBroadcast(root, n int, cb func(*Result)) error {
 	return t.startTreeBcast("binary-broadcast", root, n, t.cfg.ChunkBytes, cb, func(id int) []int {
 		return binaryChildren(id, root, t.Size())
 	})
-}
-
-// RunBinaryTreeBroadcast drives the engine to completion.
-func (t *Team) RunBinaryTreeBroadcast(root, n int) (*Result, error) {
-	return t.runBcast(n, func(cb func(*Result)) error { return t.StartBinaryTreeBroadcast(root, n, cb) })
 }
 
 // StartChainBroadcast begins a chunk-pipelined chain (each rank forwards to
@@ -124,23 +114,6 @@ func (t *Team) StartChainBroadcast(root, n int, cb func(*Result)) error {
 		}
 		return []int{(id + 1) % size}
 	})
-}
-
-// RunChainBroadcast drives the engine to completion.
-func (t *Team) RunChainBroadcast(root, n int) (*Result, error) {
-	return t.runBcast(n, func(cb func(*Result)) error { return t.StartChainBroadcast(root, n, cb) })
-}
-
-func (t *Team) runBcast(n int, start func(func(*Result)) error) (*Result, error) {
-	var res *Result
-	if err := start(func(r *Result) { res = r }); err != nil {
-		return nil, err
-	}
-	t.eng.Run()
-	if res == nil {
-		return nil, fmt.Errorf("coll: broadcast did not complete")
-	}
-	return res, nil
 }
 
 func (t *Team) startTreeBcast(kind string, root, n, chunk int, cb func(*Result), childrenOf func(int) []int) error {

@@ -4,10 +4,26 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/collective"
 	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
+
+// blocking drives one non-blocking Start* call to completion through the
+// shared collective.RunBlocking; runN and runRooted bind the two common
+// entry-point shapes.
+func blocking(t *Team, start func(cb func(*Result)) error) (*Result, error) {
+	return collective.RunBlocking("coll op", t.eng, start)
+}
+
+func runN(t *Team, start func(*Team, int, func(*Result)) error, n int) (*Result, error) {
+	return blocking(t, func(cb func(*Result)) error { return start(t, n, cb) })
+}
+
+func runRooted(t *Team, start func(*Team, int, int, func(*Result)) error, root, n int) (*Result, error) {
+	return blocking(t, func(cb func(*Result)) error { return start(t, root, n, cb) })
+}
 
 func buildTeam(t *testing.T, p int, cfg Config) (*sim.Engine, *fabric.Fabric, *Team) {
 	t.Helper()
@@ -32,7 +48,7 @@ func buildTeam(t *testing.T, p int, cfg Config) (*sim.Engine, *fabric.Fabric, *T
 
 func TestRingAllgatherVerified(t *testing.T) {
 	_, _, team := buildTeam(t, 4, Config{VerifyData: true})
-	res, err := team.RunRingAllgather(40000)
+	res, err := runN(team, (*Team).StartRingAllgather, 40000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +65,14 @@ func TestRingAllgatherVerified(t *testing.T) {
 
 func TestRingAllgatherSingleRank(t *testing.T) {
 	_, _, team := buildTeam(t, 1, Config{VerifyData: true})
-	if _, err := team.RunRingAllgather(1000); err != nil {
+	if _, err := runN(team, (*Team).StartRingAllgather, 1000); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestLinearAllgatherVerified(t *testing.T) {
 	_, _, team := buildTeam(t, 4, Config{VerifyData: true})
-	if _, err := team.RunLinearAllgather(20000); err != nil {
+	if _, err := runN(team, (*Team).StartLinearAllgather, 20000); err != nil {
 		t.Fatal(err)
 	}
 	if err := team.VerifyAllgather(20000); err != nil {
@@ -66,7 +82,7 @@ func TestLinearAllgatherVerified(t *testing.T) {
 
 func TestRecursiveDoublingAllgatherVerified(t *testing.T) {
 	_, _, team := buildTeam(t, 8, Config{VerifyData: true})
-	if _, err := team.RunRecursiveDoublingAllgather(16384); err != nil {
+	if _, err := runN(team, (*Team).StartRecursiveDoublingAllgather, 16384); err != nil {
 		t.Fatal(err)
 	}
 	if err := team.VerifyAllgather(16384); err != nil {
@@ -76,7 +92,7 @@ func TestRecursiveDoublingAllgatherVerified(t *testing.T) {
 
 func TestRecursiveDoublingRejectsNonPow2(t *testing.T) {
 	_, _, team := buildTeam(t, 3, Config{})
-	if _, err := team.RunRecursiveDoublingAllgather(1024); err == nil {
+	if _, err := runN(team, (*Team).StartRecursiveDoublingAllgather, 1024); err == nil {
 		t.Fatal("non-power-of-two accepted")
 	}
 }
@@ -84,7 +100,7 @@ func TestRecursiveDoublingRejectsNonPow2(t *testing.T) {
 func TestKnomialBroadcastVerified(t *testing.T) {
 	for _, p := range []int{2, 4, 8, 13} {
 		_, _, team := buildTeam(t, p, Config{VerifyData: true, KnomialRadix: 4})
-		if _, err := team.RunKnomialBroadcast(0, 30000); err != nil {
+		if _, err := runRooted(team, (*Team).StartKnomialBroadcast, 0, 30000); err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
 		if err := team.VerifyBroadcast(0, 30000); err != nil {
@@ -95,7 +111,7 @@ func TestKnomialBroadcastVerified(t *testing.T) {
 
 func TestKnomialNonZeroRoot(t *testing.T) {
 	_, _, team := buildTeam(t, 8, Config{VerifyData: true})
-	if _, err := team.RunKnomialBroadcast(3, 10000); err != nil {
+	if _, err := runRooted(team, (*Team).StartKnomialBroadcast, 3, 10000); err != nil {
 		t.Fatal(err)
 	}
 	if err := team.VerifyBroadcast(3, 10000); err != nil {
@@ -162,7 +178,7 @@ func TestKnomialTreeCoversAllRanks(t *testing.T) {
 
 func TestBinaryTreeBroadcastVerified(t *testing.T) {
 	_, _, team := buildTeam(t, 8, Config{VerifyData: true, ChunkBytes: 4096})
-	if _, err := team.RunBinaryTreeBroadcast(0, 100000); err != nil {
+	if _, err := runRooted(team, (*Team).StartBinaryTreeBroadcast, 0, 100000); err != nil {
 		t.Fatal(err)
 	}
 	if err := team.VerifyBroadcast(0, 100000); err != nil {
@@ -172,7 +188,7 @@ func TestBinaryTreeBroadcastVerified(t *testing.T) {
 
 func TestChainBroadcastVerified(t *testing.T) {
 	_, _, team := buildTeam(t, 8, Config{VerifyData: true, ChunkBytes: 8192})
-	if _, err := team.RunChainBroadcast(0, 65536); err != nil {
+	if _, err := runRooted(team, (*Team).StartChainBroadcast, 0, 65536); err != nil {
 		t.Fatal(err)
 	}
 	if err := team.VerifyBroadcast(0, 65536); err != nil {
@@ -185,12 +201,12 @@ func TestPipeliningBeatsStoreAndForwardAtLargeN(t *testing.T) {
 	// sizes on the same topology (the large-message regime of Fig. 11).
 	const n = 4 << 20
 	_, _, team1 := buildTeam(t, 8, Config{ChunkBytes: 64 * 1024})
-	bin, err := team1.RunBinaryTreeBroadcast(0, n)
+	bin, err := runRooted(team1, (*Team).StartBinaryTreeBroadcast, 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, _, team2 := buildTeam(t, 8, Config{})
-	kn, err := team2.RunKnomialBroadcast(0, n)
+	kn, err := runRooted(team2, (*Team).StartKnomialBroadcast, 0, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +218,7 @@ func TestPipeliningBeatsStoreAndForwardAtLargeN(t *testing.T) {
 
 func TestRingReduceScatter(t *testing.T) {
 	_, _, team := buildTeam(t, 4, Config{})
-	res, err := team.RunRingReduceScatter(32768)
+	res, err := runN(team, (*Team).StartRingReduceScatter, 32768)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +239,7 @@ func TestINCReduceScatter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := team.RunINCReduceScatter(rg, 65536)
+	res, err := blocking(team, func(cb func(*Result)) error { return team.StartINCReduceScatter(rg, 65536, cb) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +260,7 @@ func TestINCSendPathDominates(t *testing.T) {
 	f := fabric.New(eng, g, fabric.Config{})
 	team, _ := NewTeamOn(f, g.Hosts(), Config{})
 	rg, _ := f.CreateReduceGroup(g.Switches()[0], g.Hosts())
-	if _, err := team.RunINCReduceScatter(rg, 65536); err != nil {
+	if _, err := blocking(team, func(cb func(*Result)) error { return team.StartINCReduceScatter(rg, 65536, cb) }); err != nil {
 		t.Fatal(err)
 	}
 	h0 := g.Hosts()[0]
@@ -264,7 +280,7 @@ func TestRingVsLinearTraffic(t *testing.T) {
 	g := topology.Star(4)
 	f := fabric.New(eng, g, fabric.Config{})
 	team, _ := NewTeamOn(f, g.Hosts(), Config{})
-	if _, err := team.RunRingAllgather(n); err != nil {
+	if _, err := runN(team, (*Team).StartRingAllgather, n); err != nil {
 		t.Fatal(err)
 	}
 	got := float64(f.SwitchEgressBytes())
@@ -295,7 +311,7 @@ func TestConcurrentAllgatherAndReduceScatterShareNIC(t *testing.T) {
 	}
 	// Alone.
 	eng, _, agTeam, _ := mk()
-	agRes, err := agTeam.RunRingAllgather(n)
+	agRes, err := runN(agTeam, (*Team).StartRingAllgather, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +347,7 @@ func TestBusyTeamRejectsSecondOp(t *testing.T) {
 
 func TestInvalidInputs(t *testing.T) {
 	_, _, team := buildTeam(t, 4, Config{})
-	if _, err := team.RunRingAllgather(0); err == nil {
+	if _, err := runN(team, (*Team).StartRingAllgather, 0); err == nil {
 		t.Fatal("zero-byte allgather accepted")
 	}
 	if err := team.StartKnomialBroadcast(9, 100, nil); err == nil {
@@ -348,14 +364,14 @@ func TestInvalidInputs(t *testing.T) {
 func TestSequentialTeamOps(t *testing.T) {
 	_, _, team := buildTeam(t, 4, Config{VerifyData: true})
 	for i := 0; i < 3; i++ {
-		if _, err := team.RunRingAllgather(10000); err != nil {
+		if _, err := runN(team, (*Team).StartRingAllgather, 10000); err != nil {
 			t.Fatalf("iter %d: %v", i, err)
 		}
 		if err := team.VerifyAllgather(10000); err != nil {
 			t.Fatalf("iter %d: %v", i, err)
 		}
 	}
-	if _, err := team.RunKnomialBroadcast(1, 5000); err != nil {
+	if _, err := runRooted(team, (*Team).StartKnomialBroadcast, 1, 5000); err != nil {
 		t.Fatal(err)
 	}
 	if err := team.VerifyBroadcast(1, 5000); err != nil {
@@ -367,7 +383,7 @@ func TestRingAllgatherBandwidthApproachesLink(t *testing.T) {
 	// At large N the ring's per-rank receive throughput approaches the
 	// link bandwidth (Fig. 11's convergence of ring and multicast).
 	_, f, team := buildTeam(t, 8, Config{})
-	res, err := team.RunRingAllgather(4 << 20)
+	res, err := runN(team, (*Team).StartRingAllgather, 4<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +397,7 @@ func TestRingAllgatherBandwidthApproachesLink(t *testing.T) {
 func TestBruckAllgatherVerified(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 7, 8, 13} {
 		_, _, team := buildTeam(t, p, Config{VerifyData: true})
-		if _, err := team.RunBruckAllgather(12000); err != nil {
+		if _, err := runN(team, (*Team).StartBruckAllgather, 12000); err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
 		if err := team.VerifyAllgather(12000); err != nil {
@@ -394,12 +410,12 @@ func TestBruckFewerStepsThanRing(t *testing.T) {
 	// Bruck finishes in ceil(log2 P) rounds: at small messages (latency
 	// bound) it must beat the P-1-step ring.
 	_, _, team1 := buildTeam(t, 16, Config{})
-	bruck, err := team1.RunBruckAllgather(4096)
+	bruck, err := runN(team1, (*Team).StartBruckAllgather, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, _, team2 := buildTeam(t, 16, Config{})
-	ring, err := team2.RunRingAllgather(4096)
+	ring, err := runN(team2, (*Team).StartRingAllgather, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +426,7 @@ func TestBruckFewerStepsThanRing(t *testing.T) {
 
 func TestChainBroadcastNonZeroRoot(t *testing.T) {
 	_, _, team := buildTeam(t, 6, Config{VerifyData: true, ChunkBytes: 8192})
-	if _, err := team.RunChainBroadcast(2, 40000); err != nil {
+	if _, err := runRooted(team, (*Team).StartChainBroadcast, 2, 40000); err != nil {
 		t.Fatal(err)
 	}
 	if err := team.VerifyBroadcast(2, 40000); err != nil {
@@ -420,7 +436,7 @@ func TestChainBroadcastNonZeroRoot(t *testing.T) {
 
 func TestVerifyWithoutDataModeRejected(t *testing.T) {
 	_, _, team := buildTeam(t, 2, Config{})
-	if _, err := team.RunRingAllgather(1000); err != nil {
+	if _, err := runN(team, (*Team).StartRingAllgather, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if err := team.VerifyAllgather(1000); err == nil {

@@ -50,19 +50,6 @@ func (t *Team) StartRingReduceScatter(n int, cb func(*Result)) error {
 	return nil
 }
 
-// RunRingReduceScatter drives the engine to completion.
-func (t *Team) RunRingReduceScatter(n int) (*Result, error) {
-	var res *Result
-	if err := t.StartRingReduceScatter(n, func(r *Result) { res = r }); err != nil {
-		return nil, err
-	}
-	t.eng.Run()
-	if res == nil {
-		return nil, fmt.Errorf("coll: ring reduce-scatter did not complete")
-	}
-	return res, nil
-}
-
 func (st *ringRSState) sendStep() {
 	t := st.p.team
 	size := t.Size()
@@ -188,19 +175,6 @@ func (t *Team) StartINCReduceScatter(rg fabric.ReduceGroupID, n int, cb func(*Re
 		st.postContributions(rg)
 	}
 	return nil
-}
-
-// RunINCReduceScatter drives the engine to completion.
-func (t *Team) RunINCReduceScatter(rg fabric.ReduceGroupID, n int) (*Result, error) {
-	var res *Result
-	if err := t.StartINCReduceScatter(rg, n, func(r *Result) { res = r }); err != nil {
-		return nil, err
-	}
-	t.eng.Run()
-	if res == nil {
-		return nil, fmt.Errorf("coll: INC reduce-scatter did not complete")
-	}
-	return res, nil
 }
 
 // postContributions streams every chunk of every shard into the reduction

@@ -9,7 +9,7 @@ import "testing"
 func TestRingLargeTeamSmallMessage(t *testing.T) {
 	for _, n := range []int{4096, 65536} {
 		_, _, team := buildTeam(t, 16, Config{VerifyData: true})
-		if _, err := team.RunRingAllgather(n); err != nil {
+		if _, err := runN(team, (*Team).StartRingAllgather, n); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if err := team.VerifyAllgather(n); err != nil {
@@ -18,7 +18,7 @@ func TestRingLargeTeamSmallMessage(t *testing.T) {
 	}
 	// Reduce-scatter variant of the same hazard.
 	_, _, team := buildTeam(t, 16, Config{})
-	if _, err := team.RunRingReduceScatter(4096); err != nil {
+	if _, err := runN(team, (*Team).StartRingReduceScatter, 4096); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -76,6 +76,23 @@ type Starter interface {
 	Start(op Op, done func(*Result)) error
 }
 
+// RunBlocking is the one blocking driver: it starts an operation through
+// its non-blocking entry point, runs the engine until the queue drains, and
+// enforces completion — the shared tail of every Algorithm.Run, and what
+// tests of the protocol layers' Start* surfaces block through. name labels
+// the deadlock error.
+func RunBlocking(name string, eng *sim.Engine, start func(done func(*Result)) error) (*Result, error) {
+	var res *Result
+	if err := start(func(r *Result) { res = r }); err != nil {
+		return nil, err
+	}
+	eng.Run()
+	if res == nil {
+		return nil, fmt.Errorf("collective: %s did not complete (deadlock?)", name)
+	}
+	return res, nil
+}
+
 // RankStats is the optional per-rank extension of a Result: the
 // critical-path breakdown the multicast protocol reports (Figure 10).
 type RankStats struct {

@@ -25,6 +25,10 @@ func run(args ...string) (int, string, string) {
 // historically lacked.
 func TestExitCodes(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "nope", "out.json")
+	hugeSizes := filepath.Join(t.TempDir(), "huge.json")
+	if err := os.WriteFile(hugeSizes, []byte(`{"kind":"osu","grid":{"algorithms":["ring-allgather"],"nodes":[4],"sizes":"1:9223372036854775807"}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -40,6 +44,9 @@ func TestExitCodes(t *testing.T) {
 		{"osu bad iters", []string{"osu", "-iters", "0"}, 2, "-iters must be positive"},
 		{"osu bad sizes", []string{"osu", "-sizes", "banana"}, 2, "bad size"},
 		{"osu bad algo", []string{"osu", "-algo", "nope"}, 2, "unknown algorithm"},
+		{"osu overflowing sizes", []string{"osu", "-sizes", "4611686018427387904:9223372036854775807"}, 2, "bad size range"},
+		{"osu oversized size", []string{"osu", "-sizes", "9223372036854775807"}, 2, "grid.sizes must be in"},
+		{"validate overflowing sizes", []string{"validate", hugeSizes}, 2, "bad size range"},
 		{"osu unregistered combo", []string{"osu", "-algo", "bruck", "-op", "broadcast"}, 2, "unknown algorithm"},
 		{"osu bad json dir", []string{"osu", "-json", missing}, 2, "does not exist"},
 		{"osu bad workers", []string{"osu", "-workers", "-2"}, 2, "-workers must be >= 0"},

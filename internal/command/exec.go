@@ -28,7 +28,7 @@ type common struct {
 	perfettoPath string
 }
 
-// registerCommon adds the shared flags to a subcommand's FlagSet. The
+// register adds the shared flags to a subcommand's FlagSet. The
 // workers default differs per caller (-1 on `run` means "use the
 // manifest's value"; 0 on the shims is the historical GOMAXPROCS
 // default).

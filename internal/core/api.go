@@ -182,52 +182,12 @@ func (c *Communicator) StartBarrier(done func(*Result)) error {
 	return c.startOp(kindBarrier, -1, 1, done)
 }
 
-// RunBarrier runs a blocking barrier.
-func (c *Communicator) RunBarrier() (*Result, error) {
-	var res *Result
-	if err := c.StartBarrier(func(r *Result) { res = r }); err != nil {
-		return nil, err
-	}
-	c.eng.Run()
-	if res == nil {
-		return nil, fmt.Errorf("core: barrier did not complete (deadlock?)")
-	}
-	return res, nil
-}
-
 // StartBroadcast begins a non-blocking Broadcast of n bytes from root.
 func (c *Communicator) StartBroadcast(root, n int, done func(*Result)) error {
 	if root < 0 || root >= c.Size() {
 		return fmt.Errorf("core: root %d out of range", root)
 	}
 	return c.startOp(kindBroadcast, root, n, done)
-}
-
-// RunAllgather runs a blocking Allgather, driving the simulation engine
-// until every rank completes.
-func (c *Communicator) RunAllgather(n int) (*Result, error) {
-	var res *Result
-	if err := c.StartAllgather(n, func(r *Result) { res = r }); err != nil {
-		return nil, err
-	}
-	c.eng.Run()
-	if res == nil {
-		return nil, fmt.Errorf("core: allgather did not complete (deadlock?)")
-	}
-	return res, nil
-}
-
-// RunBroadcast runs a blocking Broadcast.
-func (c *Communicator) RunBroadcast(root, n int) (*Result, error) {
-	var res *Result
-	if err := c.StartBroadcast(root, n, func(r *Result) { res = r }); err != nil {
-		return nil, err
-	}
-	c.eng.Run()
-	if res == nil {
-		return nil, fmt.Errorf("core: broadcast did not complete (deadlock?)")
-	}
-	return res, nil
 }
 
 // VerifyLast checks (in VerifyData mode) that every rank's receive buffer

@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -19,7 +19,7 @@ func TestAppendixASchedule(t *testing.T) {
 	const p, m = 8, 2
 	r0 := p / m // ranks per chain
 	_, _, comm := buildComm(t, p, fabric.Config{}, Config{Transport: verbs.UD, Chains: m})
-	if _, err := comm.RunAllgather(1 << 20); err != nil {
+	if _, err := runAllgather(comm, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	start := make([]sim.Time, p)
@@ -63,7 +63,7 @@ func TestConstantSendBandwidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := comm.RunAllgather(1 << 18); err != nil {
+		if _, err := runAllgather(comm, 1<<18); err != nil {
 			t.Fatal(err)
 		}
 		h := g.Hosts()[0]
@@ -97,7 +97,7 @@ func TestConstantTimeBroadcast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := comm.RunBroadcast(0, 1<<20)
+		res, err := runBroadcast(comm, 0, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestRingSendBandwidthGrowsLinearly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := comm.RunAllgather(1 << 18); err != nil {
+		if _, err := runAllgather(comm, 1<<18); err != nil {
 			t.Fatal(err)
 		}
 		h := g.Hosts()[0]
@@ -142,10 +142,10 @@ func TestRingSendBandwidthGrowsLinearly(t *testing.T) {
 }
 
 // TestFig9ExecutionFlow validates the per-rank phase sequence of Figure 9
-// through the trace recorder: dispatch -> RNR sync -> (TX|RX phases) ->
+// through the recorded events: dispatch -> RNR sync -> (TX|RX phases) ->
 // final handshake -> done, with recovery absent on a lossless fabric.
 func TestFig9ExecutionFlow(t *testing.T) {
-	rec := &trace.Recorder{}
+	rec := &telemetry.Bundle{}
 	eng := sim.NewEngine(11)
 	g := topology.Star(4)
 	f := fabric.New(eng, g, fabric.Config{})
@@ -153,34 +153,34 @@ func TestFig9ExecutionFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := comm.RunAllgather(65536); err != nil {
+	if _, err := runAllgather(comm, 65536); err != nil {
 		t.Fatal(err)
 	}
 	for rk := 0; rk < 4; rk++ {
-		phases := rec.Phases(rk)
+		phases := rec.ByRank(rk)
 		idx := func(p string) int {
-			for i, q := range phases {
-				if q == p {
+			for i, e := range phases {
+				if e.Phase == p {
 					return i
 				}
 			}
 			return -1
 		}
-		for _, p := range []string{trace.PhaseDispatch, trace.PhaseBarrier,
-			trace.PhaseTxStart, trace.PhaseTxDone, trace.PhaseRxDone,
-			trace.PhaseFinal, trace.PhaseDone} {
+		for _, p := range []string{telemetry.PhaseDispatch, telemetry.PhaseBarrier,
+			telemetry.PhaseTxStart, telemetry.PhaseTxDone, telemetry.PhaseRxDone,
+			telemetry.PhaseFinal, telemetry.PhaseDone} {
 			if idx(p) < 0 {
 				t.Fatalf("rank %d missing phase %s: %v", rk, p, phases)
 			}
 		}
-		if !(idx(trace.PhaseDispatch) < idx(trace.PhaseBarrier) &&
-			idx(trace.PhaseBarrier) < idx(trace.PhaseTxStart) &&
-			idx(trace.PhaseTxStart) < idx(trace.PhaseTxDone) &&
-			idx(trace.PhaseRxDone) < idx(trace.PhaseDone) &&
-			idx(trace.PhaseFinal) < idx(trace.PhaseDone)) {
+		if !(idx(telemetry.PhaseDispatch) < idx(telemetry.PhaseBarrier) &&
+			idx(telemetry.PhaseBarrier) < idx(telemetry.PhaseTxStart) &&
+			idx(telemetry.PhaseTxStart) < idx(telemetry.PhaseTxDone) &&
+			idx(telemetry.PhaseRxDone) < idx(telemetry.PhaseDone) &&
+			idx(telemetry.PhaseFinal) < idx(telemetry.PhaseDone)) {
 			t.Fatalf("rank %d phases out of order: %v", rk, phases)
 		}
-		if idx(trace.PhaseRecovery) >= 0 {
+		if idx(telemetry.PhaseRecovery) >= 0 {
 			t.Fatalf("rank %d entered recovery on a lossless fabric", rk)
 		}
 	}
@@ -191,7 +191,7 @@ func TestFig9ExecutionFlow(t *testing.T) {
 
 // TestTraceRecordsRecovery checks the slow-path events appear under drops.
 func TestTraceRecordsRecovery(t *testing.T) {
-	rec := &trace.Recorder{}
+	rec := &telemetry.Bundle{}
 	eng := sim.NewEngine(21)
 	g := topology.Star(4)
 	f := fabric.New(eng, g, fabric.Config{DropRate: 0.05})
@@ -202,7 +202,7 @@ func TestTraceRecordsRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := comm.RunAllgather(150000); err != nil {
+	if _, err := runAllgather(comm, 150000); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -210,10 +210,10 @@ func TestTraceRecordsRecovery(t *testing.T) {
 	}
 	sawRecovery, sawServe := false, false
 	for _, e := range rec.Events {
-		if e.Phase == trace.PhaseRecovery {
+		if e.Phase == telemetry.PhaseRecovery {
 			sawRecovery = true
 		}
-		if e.Phase == trace.PhaseFetchServe {
+		if e.Phase == telemetry.PhaseFetchServe {
 			sawServe = true
 		}
 	}
@@ -224,7 +224,7 @@ func TestTraceRecordsRecovery(t *testing.T) {
 
 func TestBarrierCollective(t *testing.T) {
 	_, _, comm := buildComm(t, 8, fabric.Config{}, Config{Transport: verbs.UD})
-	res, err := comm.RunBarrier()
+	res, err := runBarrier(comm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +237,10 @@ func TestBarrierCollective(t *testing.T) {
 		}
 	}
 	// Barriers compose with data collectives on the same communicator.
-	if _, err := comm.RunAllgather(8192); err != nil {
+	if _, err := runAllgather(comm, 8192); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := comm.RunBarrier(); err != nil {
+	if _, err := runBarrier(comm); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -254,7 +254,7 @@ func TestBarrierScalesLogarithmically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := comm.RunBarrier()
+		res, err := runBarrier(comm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestSequencerLimitsIncast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := comm.RunAllgather(1 << 20); err != nil {
+		if _, err := runAllgather(comm, 1<<20); err != nil {
 			t.Fatal(err)
 		}
 		return f.MaxBacklog()
@@ -297,7 +297,7 @@ func TestSequencerLimitsIncast(t *testing.T) {
 func TestBroadcastUCTransport(t *testing.T) {
 	_, _, comm := buildComm(t, 4, fabric.Config{},
 		Config{Transport: verbs.UC, ChunkBytes: 32 << 10, VerifyData: true})
-	if _, err := comm.RunBroadcast(1, 200000); err != nil {
+	if _, err := runBroadcast(comm, 1, 200000); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -319,7 +319,7 @@ func TestSubgroupTreesSpreadAcrossSpines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := comm.RunAllgather(1 << 18); err != nil {
+	if _, err := runAllgather(comm, 1<<18); err != nil {
 		t.Fatal(err)
 	}
 	leaf := g.LeafOf(g.Hosts()[0])

@@ -40,7 +40,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -86,7 +85,7 @@ type Config struct {
 	VerifyData bool
 	// Tracer, when set, records protocol phase transitions (the Figure 9
 	// execution-flow view). Nil adds no cost.
-	Tracer *trace.Recorder
+	Tracer *telemetry.Bundle
 	// Metrics, when set, counts protocol phase transitions per phase name.
 	// Nil adds no cost.
 	Metrics *telemetry.Registry

@@ -4,11 +4,26 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/collective"
 	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/verbs"
 )
+
+// The blocking forms the tests use: one Start* call driven to completion
+// by the shared collective.RunBlocking.
+func runAllgather(c *Communicator, n int) (*Result, error) {
+	return collective.RunBlocking("allgather", c.eng, func(done func(*Result)) error { return c.StartAllgather(n, done) })
+}
+
+func runBroadcast(c *Communicator, root, n int) (*Result, error) {
+	return collective.RunBlocking("broadcast", c.eng, func(done func(*Result)) error { return c.StartBroadcast(root, n, done) })
+}
+
+func runBarrier(c *Communicator) (*Result, error) {
+	return collective.RunBlocking("barrier", c.eng, c.StartBarrier)
+}
 
 // buildComm assembles a fat-tree fabric with p ranks and a communicator.
 func buildComm(t *testing.T, p int, fcfg fabric.Config, ccfg Config) (*sim.Engine, *fabric.Fabric, *Communicator) {
@@ -36,7 +51,7 @@ func buildComm(t *testing.T, p int, fcfg fabric.Config, ccfg Config) (*sim.Engin
 
 func TestBroadcastUDVerified(t *testing.T) {
 	_, _, comm := buildComm(t, 4, fabric.Config{}, Config{Transport: verbs.UD, VerifyData: true})
-	res, err := comm.RunBroadcast(0, 50000) // 13 chunks, last short
+	res, err := runBroadcast(comm, 0, 50000) // 13 chunks, last short
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +71,7 @@ func TestBroadcastUDVerified(t *testing.T) {
 
 func TestBroadcastNonZeroRoot(t *testing.T) {
 	_, _, comm := buildComm(t, 4, fabric.Config{}, Config{Transport: verbs.UD, VerifyData: true})
-	if _, err := comm.RunBroadcast(2, 12345); err != nil {
+	if _, err := runBroadcast(comm, 2, 12345); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -76,7 +91,7 @@ func TestBroadcastRootOutOfRange(t *testing.T) {
 
 func TestAllgatherUDVerified(t *testing.T) {
 	_, _, comm := buildComm(t, 4, fabric.Config{}, Config{Transport: verbs.UD, VerifyData: true})
-	res, err := comm.RunAllgather(20000)
+	res, err := runAllgather(comm, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +111,7 @@ func TestAllgatherUDVerified(t *testing.T) {
 func TestAllgatherUCVerified(t *testing.T) {
 	_, _, comm := buildComm(t, 4, fabric.Config{},
 		Config{Transport: verbs.UC, ChunkBytes: 16384, VerifyData: true})
-	if _, err := comm.RunAllgather(100000); err != nil {
+	if _, err := runAllgather(comm, 100000); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -107,7 +122,7 @@ func TestAllgatherUCVerified(t *testing.T) {
 func TestAllgatherSubgroups(t *testing.T) {
 	_, _, comm := buildComm(t, 8, fabric.Config{},
 		Config{Transport: verbs.UD, Subgroups: 4, VerifyData: true})
-	if _, err := comm.RunAllgather(65536); err != nil {
+	if _, err := runAllgather(comm, 65536); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -126,7 +141,7 @@ func TestAllgatherSubgroups(t *testing.T) {
 func TestAllgatherParallelChains(t *testing.T) {
 	_, _, comm := buildComm(t, 8, fabric.Config{},
 		Config{Transport: verbs.UD, Chains: 2, VerifyData: true})
-	if _, err := comm.RunAllgather(16384); err != nil {
+	if _, err := runAllgather(comm, 16384); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -138,7 +153,7 @@ func TestChainsReduceScheduleTime(t *testing.T) {
 	run := func(chains int) sim.Time {
 		_, _, comm := buildComm(t, 8, fabric.Config{},
 			Config{Transport: verbs.UD, Chains: chains})
-		res, err := comm.RunAllgather(1 << 20)
+		res, err := runAllgather(comm, 1<<20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +167,7 @@ func TestChainsReduceScheduleTime(t *testing.T) {
 
 func TestAllgatherSingleRank(t *testing.T) {
 	_, _, comm := buildComm(t, 1, fabric.Config{}, Config{Transport: verbs.UD, VerifyData: true})
-	if _, err := comm.RunAllgather(10000); err != nil {
+	if _, err := runAllgather(comm, 10000); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -162,7 +177,7 @@ func TestAllgatherSingleRank(t *testing.T) {
 
 func TestAllgatherTwoRanks(t *testing.T) {
 	_, _, comm := buildComm(t, 2, fabric.Config{}, Config{Transport: verbs.UD, VerifyData: true})
-	if _, err := comm.RunAllgather(8192); err != nil {
+	if _, err := runAllgather(comm, 8192); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -173,7 +188,7 @@ func TestAllgatherTwoRanks(t *testing.T) {
 func TestAllgatherSubChunkMessage(t *testing.T) {
 	// A 100-byte allgather: single short chunk per rank.
 	_, _, comm := buildComm(t, 4, fabric.Config{}, Config{Transport: verbs.UD, VerifyData: true})
-	if _, err := comm.RunAllgather(100); err != nil {
+	if _, err := runAllgather(comm, 100); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -186,7 +201,7 @@ func TestRecoveryUnderFabricDrops(t *testing.T) {
 	// buffers must still verify.
 	_, _, comm := buildComm(t, 4, fabric.Config{DropRate: 0.02},
 		Config{Transport: verbs.UD, VerifyData: true, CutoffAlpha: 100 * sim.Microsecond})
-	res, err := comm.RunAllgather(200000)
+	res, err := runAllgather(comm, 200000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +216,7 @@ func TestRecoveryUnderFabricDrops(t *testing.T) {
 func TestRecoveryUnderHeavyDrops(t *testing.T) {
 	_, _, comm := buildComm(t, 4, fabric.Config{DropRate: 0.15},
 		Config{Transport: verbs.UD, VerifyData: true, CutoffAlpha: 50 * sim.Microsecond})
-	if _, err := comm.RunAllgather(50000); err != nil {
+	if _, err := runAllgather(comm, 50000); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -213,7 +228,7 @@ func TestRecoveryUCDrops(t *testing.T) {
 	_, _, comm := buildComm(t, 4, fabric.Config{DropRate: 0.05},
 		Config{Transport: verbs.UC, ChunkBytes: 8192, VerifyData: true,
 			CutoffAlpha: 50 * sim.Microsecond})
-	if _, err := comm.RunAllgather(100000); err != nil {
+	if _, err := runAllgather(comm, 100000); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -224,7 +239,7 @@ func TestRecoveryUCDrops(t *testing.T) {
 func TestBroadcastRecovery(t *testing.T) {
 	_, _, comm := buildComm(t, 4, fabric.Config{DropRate: 0.10},
 		Config{Transport: verbs.UD, VerifyData: true, CutoffAlpha: 50 * sim.Microsecond})
-	res, err := comm.RunBroadcast(1, 100000)
+	res, err := runBroadcast(comm, 1, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +254,7 @@ func TestBroadcastRecovery(t *testing.T) {
 func TestSequentialOperations(t *testing.T) {
 	_, _, comm := buildComm(t, 4, fabric.Config{}, Config{Transport: verbs.UD, VerifyData: true})
 	for i := 0; i < 3; i++ {
-		if _, err := comm.RunAllgather(30000); err != nil {
+		if _, err := runAllgather(comm, 30000); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 		if err := comm.VerifyLast(); err != nil {
@@ -247,7 +262,7 @@ func TestSequentialOperations(t *testing.T) {
 		}
 	}
 	// Mixed kinds on the same communicator.
-	if _, err := comm.RunBroadcast(3, 10000); err != nil {
+	if _, err := runBroadcast(comm, 3, 10000); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -289,7 +304,7 @@ func TestInvalidConfigs(t *testing.T) {
 
 func TestBreakdownTimesConsistent(t *testing.T) {
 	_, _, comm := buildComm(t, 8, fabric.Config{}, Config{Transport: verbs.UD})
-	res, err := comm.RunAllgather(262144)
+	res, err := runAllgather(comm, 262144)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +329,7 @@ func TestBreakdownTimesConsistent(t *testing.T) {
 
 func TestAlgBandwidthSaneAndBounded(t *testing.T) {
 	_, f, comm := buildComm(t, 8, fabric.Config{}, Config{Transport: verbs.UD})
-	res, err := comm.RunAllgather(1 << 20)
+	res, err := runAllgather(comm, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +355,7 @@ func TestTrafficOptimality(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.ResetCounters()
-	if _, err := comm.RunAllgather(n); err != nil {
+	if _, err := runAllgather(comm, n); err != nil {
 		t.Fatal(err)
 	}
 	got := float64(f.SwitchEgressBytes())
@@ -365,7 +380,7 @@ func TestTrafficOptimality(t *testing.T) {
 func TestRxOnDPA(t *testing.T) {
 	_, _, comm := buildComm(t, 4, fabric.Config{},
 		Config{Transport: verbs.UD, RxOnDPA: true, VerifyData: true})
-	if _, err := comm.RunAllgather(65536); err != nil {
+	if _, err := runAllgather(comm, 65536); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -401,7 +416,7 @@ func TestReorderJitterTolerated(t *testing.T) {
 	// reassembly thanks to PSN-addressed placement.
 	_, _, comm := buildComm(t, 4, fabric.Config{ReorderJitter: 20 * sim.Microsecond},
 		Config{Transport: verbs.UD, VerifyData: true})
-	if _, err := comm.RunAllgather(100000); err != nil {
+	if _, err := runAllgather(comm, 100000); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -415,7 +430,7 @@ func TestLargerScaleAllgather(t *testing.T) {
 	}
 	_, _, comm := buildComm(t, 16, fabric.Config{},
 		Config{Transport: verbs.UD, Subgroups: 2, Chains: 2, VerifyData: true})
-	if _, err := comm.RunAllgather(131072); err != nil {
+	if _, err := runAllgather(comm, 131072); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -443,7 +458,7 @@ func TestPropertyProtocolAlwaysCompletes(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if _, err := comm.RunAllgather(size); err != nil {
+		if _, err := runAllgather(comm, size); err != nil {
 			return false
 		}
 		return comm.VerifyLast() == nil

@@ -87,7 +87,7 @@ func TestArbitratedRxUnderDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := comm.RunAllgather(100000); err != nil {
+	if _, err := runAllgather(comm, 100000); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -124,7 +124,7 @@ func TestArbitratedOnDPA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := comm.RunAllgather(65536); err != nil {
+	if _, err := runAllgather(comm, 65536); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -176,7 +176,7 @@ func TestRNRPressureRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := comm.RunAllgather(400000) // ~98 chunks per rank >> RQ depth 8
+	res, err := runAllgather(comm, 400000) // ~98 chunks per rank >> RQ depth 8
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestDropsAndReorderCombined(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := comm.RunAllgather(120000); err != nil {
+		if _, err := runAllgather(comm, 120000); err != nil {
 			t.Fatal(err)
 		}
 		if err := comm.VerifyLast(); err != nil {
@@ -235,7 +235,7 @@ func TestMemoryFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := comm.RunAllgather(1 << 20); err != nil {
+	if _, err := runAllgather(comm, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 	fp := comm.Footprint(0)

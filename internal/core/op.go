@@ -7,7 +7,6 @@ import (
 	"repro/internal/dpa"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -167,7 +166,7 @@ func (op *opState) chainNext() int {
 func (op *opState) begin() {
 	r := op.r
 	op.tStart = r.eng.Now()
-	op.rec(trace.PhaseDispatch, op.kind.String())
+	op.rec(telemetry.PhaseDispatch, op.kind.String())
 
 	// Pre-post the receive queues (UD fast path) before synchronizing, so
 	// no multicast datagram can find an empty RQ (§III-C RNR avoidance).
@@ -289,7 +288,7 @@ func (op *opState) advanceBarrier() {
 // and start transmitting if this rank is an initial root.
 func (op *opState) barrierDone() {
 	op.tBarrier = op.r.eng.Now()
-	op.rec(trace.PhaseBarrier, "")
+	op.rec(telemetry.PhaseBarrier, "")
 	op.armCutoff()
 	if op.isRoot && (op.kind == kindBroadcast || op.chainHead() || op.pendAct) {
 		op.startTX()
@@ -310,7 +309,7 @@ func (op *opState) startTX() {
 	}
 	op.txStarted = true
 	op.tTxStart = op.r.eng.Now()
-	op.rec(trace.PhaseTxStart, fmt.Sprintf("%d chunks", op.cpr))
+	op.rec(telemetry.PhaseTxStart, fmt.Sprintf("%d chunks", op.cpr))
 	op.postBatch()
 }
 
@@ -397,9 +396,9 @@ func (op *opState) txComplete() {
 	}
 	op.txDone = true
 	op.tTxDone = op.r.eng.Now()
-	op.rec(trace.PhaseTxDone, "")
+	op.rec(telemetry.PhaseTxDone, "")
 	if next := op.chainNext(); next >= 0 {
-		op.rec(trace.PhaseActivate, fmt.Sprintf("-> rank %d", next))
+		op.rec(telemetry.PhaseActivate, fmt.Sprintf("-> rank %d", next))
 		op.r.sendCtrl(next, ctrlActivate, 0, nil)
 	}
 	op.checkDone()
@@ -488,11 +487,11 @@ func (op *opState) maybeRxDone() {
 	}
 	op.rxDone = true
 	op.tRxDone = op.r.eng.Now()
-	op.rec(trace.PhaseRxDone, "")
+	op.rec(telemetry.PhaseRxDone, "")
 	op.cutoff.Cancel()
 	// Final handshake: tell the left neighbor we have everything.
 	if op.r.comm.Size() > 1 {
-		op.rec(trace.PhaseFinal, fmt.Sprintf("-> rank %d", op.r.left()))
+		op.rec(telemetry.PhaseFinal, fmt.Sprintf("-> rank %d", op.r.left()))
 		op.r.sendCtrl(op.r.left(), ctrlFinal, 0, nil)
 	} else {
 		op.finalRecv = true
@@ -512,7 +511,7 @@ func (op *opState) checkDone() {
 	}
 	op.done = true
 	op.tDone = op.r.eng.Now()
-	op.rec(trace.PhaseDone, "")
+	op.rec(telemetry.PhaseDone, "")
 	r := op.r
 	for _, qp := range r.dataQPs {
 		qp.GCAssembly()

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/telemetry"
 	"repro/internal/verbs"
 )
 
@@ -46,7 +46,7 @@ func (op *opState) startRecovery() {
 	op.recovering = true
 	missing = capRanges(missing, (ctrlSlotBytes-4)/8)
 	op.fetchWait = true
-	op.rec(trace.PhaseRecovery, fmt.Sprintf("%d ranges missing", len(missing)))
+	op.rec(telemetry.PhaseRecovery, fmt.Sprintf("%d ranges missing", len(missing)))
 	op.r.sendCtrl(op.r.left(), ctrlFetchReq, 0, marshalRanges(missing))
 }
 
@@ -75,7 +75,7 @@ func (op *opState) onFetchReq(m ctrlMsg) {
 		op.deferredReq = append(op.deferredReq, m)
 		return
 	}
-	op.rec(trace.PhaseFetchServe, fmt.Sprintf("%d ranges -> rank %d", len(avail), m.from))
+	op.rec(telemetry.PhaseFetchServe, fmt.Sprintf("%d ranges -> rank %d", len(avail), m.from))
 	op.r.sendCtrl(m.from, ctrlFetchAck, 0, marshalRanges(capRanges(avail, (ctrlSlotBytes-4)/8)))
 }
 

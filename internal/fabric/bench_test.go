@@ -119,8 +119,8 @@ func shardedHopRun(b *testing.B, shards, hosts, packets int) (func(), func() uin
 // BenchmarkFabricHopSharded measures the partitioned pipeline's multi-core
 // throughput on the pure fabric hot path: 64 hosts streaming through a
 // 4-shard partition, against an untimed single-shard partitioned reference
-// of the same workload. events/sec/core and speedup are the CI-gated
-// scaling metrics; hops/sec is comparable with BenchmarkFabricHop.
+// of the same workload. events/sec/core and speedup are the scaling
+// metrics; hops/sec is comparable with BenchmarkFabricHop.
 func BenchmarkFabricHopSharded(b *testing.B) {
 	const (
 		shards  = 4

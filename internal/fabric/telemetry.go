@@ -14,11 +14,6 @@ import (
 // accumulation in transmit, a single integer add paid identically whether
 // telemetry is enabled or not.
 
-// PortStatsAt returns the counters of one directed channel by id.
-func (f *Fabric) PortStatsAt(id ChannelID) PortStats {
-	return f.chans[id].stats
-}
-
 // channelLabel renders the stable per-channel metric label:
 // "ch=<id>:<from>-><to>".
 func (f *Fabric) channelLabel(id int) string {

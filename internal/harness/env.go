@@ -8,7 +8,6 @@ import (
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 // Env is the execution environment of one run: the knobs that decide how
@@ -28,16 +27,16 @@ type Env struct {
 	Telemetry telemetry.Config
 	// Tracer, when set, is attached to the protocol state machines of
 	// every stack built under this Env (see Traced).
-	Tracer *trace.Recorder
+	Tracer *telemetry.Bundle
 }
 
 // Traced returns the environment of a representative traced run: a fresh
-// protocol recorder, and telemetry always on — the traced run exists to be
-// observed — while honoring the configured sample period and filters. The
-// traced run is separate from the sweep records, so attaching it never
-// perturbs their byte-identity.
+// bundle to record into, and telemetry always on — the traced run exists
+// to be observed — while honoring the configured sample period and
+// filters. The traced run is separate from the sweep records, so attaching
+// it never perturbs their byte-identity.
 func (e Env) Traced() Env {
-	e.Tracer = &trace.Recorder{}
+	e.Tracer = &telemetry.Bundle{}
 	e.Telemetry.Enabled = true
 	return e
 }

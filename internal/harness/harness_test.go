@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/sweep"
 	"repro/internal/verbs"
 )
 
@@ -69,162 +70,154 @@ func TestRxBenchCPUBaselineBelowLink(t *testing.T) {
 	}
 }
 
-func TestFig5DPAWinsAtLargeMessages(t *testing.T) {
-	pts := Fig5SingleCore([]int{1 << 20})
-	p := pts[0]
-	if p.DPAGbps <= p.CPUGbps {
-		t.Fatalf("DPA core (%.1f) not above CPU core (%.1f)", p.DPAGbps, p.CPUGbps)
-	}
-	if p.DPAGbps < 0.9*p.LinkGbps*4096/4160 {
-		t.Fatalf("DPA core does not reach peak: %.1f of %.1f", p.DPAGbps, p.LinkGbps)
-	}
+// bound is one asserted quantity of a paper claim: got must lie in
+// [min, max]. A strict "a > b" is spelled got: a - b, min: above(0).
+type bound struct {
+	what     string
+	got      float64
+	min, max float64
 }
 
-func TestTable1MatchesPaper(t *testing.T) {
-	rows := Table1SingleThread()
-	if len(rows) != 2 {
-		t.Fatal("want 2 rows")
+func above(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+
+var inf = math.Inf(1)
+
+// TestPaperClaims pins the paper's evaluation claims on the Records of the
+// same grids and kernels manifest/compile.go wires behind `repro`: each row
+// names the figure, its specs + kernel (+ post-annotation), and the bounds
+// on the metrics read off the records. at(metric, want) reads the metric
+// of the one record whose spec matches every non-zero axis of want.
+func TestPaperClaims(t *testing.T) {
+	type lookup func(metric string, want sweep.Spec) float64
+	claims := []struct {
+		name   string
+		long   string // reason to skip under -short
+		specs  []sweep.Spec
+		kernel sweep.Kernel
+		post   func([]sweep.Record)
+		bounds func(at lookup) []bound
+	}{
+		{name: "Fig5DPAWinsAtLargeMessages",
+			specs: Fig5Specs([]int{1 << 20}), kernel: RxKernel(Env{}),
+			bounds: func(at lookup) []bound {
+				cpu, dpa := sweep.Spec{Transport: "cpu-ud"}, sweep.Spec{Transport: "ud"}
+				return []bound{
+					{"DPA core Gbit/s above CPU core", at("gbps", dpa) - at("gbps", cpu), above(0), inf},
+					{"DPA core share of peak goodput", at("gbps", dpa) / (at("link_gbps", cpu) * 4096 / 4160), 0.9, inf},
+				}
+			}},
+		{name: "Table1MatchesPaper",
+			specs: Table1Grid().Expand(), kernel: RxKernel(Env{}),
+			bounds: func(at lookup) []bound {
+				uc, ud := sweep.Spec{Transport: "uc"}, sweep.Spec{Transport: "ud"}
+				return []bound{
+					{"UC instructions/CQE", at("instr_cqe", uc), 66, 66},
+					{"UC cycles/CQE", at("cycles_cqe", uc), 598, 598},
+					{"UC GiB/s (paper 11.9)", at("gibps", uc), 11.9 - 1.5, 11.9 + 1.5},
+					{"UD instructions/CQE", at("instr_cqe", ud), 113, 113},
+					{"UD cycles/CQE", at("cycles_cqe", ud), 1084, 1084},
+					{"UD GiB/s (paper 5.2)", at("gibps", ud), 5.2 - 1.5, 5.2 + 1.5},
+				}
+			}},
+		{name: "Fig15LargerChunksNeedFewerThreads",
+			specs: Fig15Grid([]int{4 << 10, 64 << 10}, []int{1}).Expand(), kernel: RxKernel(Env{}),
+			bounds: func(at lookup) []bound {
+				small, large := at("link_share", sweep.Spec{ChunkSize: 4 << 10}), at("link_share", sweep.Spec{ChunkSize: 64 << 10})
+				return []bound{
+					{"64 KiB over 4 KiB link share at 1 thread", large - small, above(0), inf},
+					{"64 KiB link share at 1 thread", large, 0.95, inf},
+				}
+			}},
+		{name: "Fig16Reaches16TbitWithin128Threads", long: "128-thread Tbit/s scaling sweep (several seconds)",
+			specs: Fig16Grid([]int{64, 128}).Expand(), kernel: Fig16Kernel(Env{}),
+			bounds: func(at lookup) []bound {
+				return []bound{
+					{"UD share of the 1.6 Tbit/s chunk rate at 128 threads", at("link_share", sweep.Spec{Transport: "ud", Threads: 128}), 1, inf},
+					{"UC share of the 1.6 Tbit/s chunk rate at 128 threads", at("link_share", sweep.Spec{Transport: "uc", Threads: 128}), 1, inf},
+				}
+			}},
+		{name: "Fig10McastDominatesAtScale",
+			specs: Fig10Grid([]int{16}, []int{256 << 10}).Expand(), kernel: CollKernel(Env{}),
+			bounds: func(at lookup) []bound {
+				pt := sweep.Spec{Nodes: 16}
+				return []bound{
+					{"multicast fraction at 16 nodes / 256 KiB (paper: 99%)", at("mcast_frac", pt), 0.90, inf},
+					{"sum of phase fractions", at("barrier_frac", pt) + at("mcast_frac", pt) + at("final_frac", pt), 0, 1.01},
+				}
+			}},
+		{name: "Fig10SyncMattersMoreAtSmallSizes",
+			// The synchronization share (RNR barrier + final handshake)
+			// shrinks as the message grows.
+			specs: Fig10Grid([]int{4}, []int{4096, 1 << 20}).Expand(), kernel: CollKernel(Env{}),
+			bounds: func(at lookup) []bound {
+				sync := func(size int) float64 {
+					pt := sweep.Spec{MsgBytes: size}
+					return at("barrier_frac", pt) + at("final_frac", pt)
+				}
+				return []bound{{"sync share at 4 KiB over share at 1 MiB", sync(4096) / sync(1<<20), 3, inf}}
+			}},
+		{name: "Fig11ShapesAtModestScale",
+			specs: Fig11Specs(16, []int{256 << 10}), kernel: CollKernel(Env{}),
+			bounds: func(at lookup) []bound {
+				gibps := func(algo string) float64 { return at("gibps", sweep.Spec{Algorithm: algo}) }
+				return []bound{
+					{"mcast broadcast GiB/s above k-nomial", gibps("mcast-broadcast") - gibps("knomial-broadcast"), above(0), inf},
+					{"mcast broadcast GiB/s above binary tree", gibps("mcast-broadcast") - gibps("binary-broadcast"), above(0), inf},
+					// The paper reports parity at FSDP sizes.
+					{"mcast/ring allgather ratio", gibps("mcast-allgather") / gibps("ring-allgather"), 0.5, 3.0},
+				}
+			}},
+		{name: "Fig12SavingsShape",
+			specs: Fig12Specs(32, 64<<10), kernel: Fig12Kernel(Env{}, 2), post: AnnotateSavings,
+			bounds: func(at lookup) []bound {
+				return []bound{
+					{"broadcast traffic savings (paper: 1.5x)", at("savings_vs_p2p", sweep.Spec{Algorithm: "mcast-broadcast"}), 1.3, inf},
+					{"allgather traffic savings (paper: 2x)", at("savings_vs_p2p", sweep.Spec{Algorithm: "mcast-allgather"}), 1.6, 2.4},
+				}
+			}},
+		{name: "AppBSpeedupIncreasesWithP",
+			specs: AppBSpecs([]int{2, 8}, 512<<10), kernel: AppBKernel(Env{}),
+			bounds: func(at lookup) []bound {
+				speedup := func(p int) float64 {
+					return at("span_ns", sweep.Spec{Algorithm: "ring-pair", Nodes: p}) / at("span_ns", sweep.Spec{Algorithm: "inc-pair", Nodes: p})
+				}
+				return []bound{
+					{"speedup at P=8 over P=2", speedup(8) - speedup(2), above(0), inf},
+					{"speedup at P=8 (model 2 - 2/P: 1.75)", speedup(8), 1.3, inf},
+				}
+			}},
 	}
-	for _, r := range rows {
-		switch r.Datapath {
-		case "UC":
-			if r.InstructionsCQE != 66 || r.CyclesCQE != 598 {
-				t.Fatalf("UC row: %+v", r)
+	for _, c := range claims {
+		t.Run(c.name, func(t *testing.T) {
+			if c.long != "" && testing.Short() {
+				t.Skip(c.long)
 			}
-			if math.Abs(r.ThroughputGiBps-11.9) > 1.5 {
-				t.Fatalf("UC throughput %.1f GiB/s, paper 11.9", r.ThroughputGiBps)
+			recs := runSweep(t, c.specs, 0, c.kernel, c.post)
+			at := func(metric string, want sweep.Spec) float64 {
+				t.Helper()
+				var hits []sweep.Record
+				for _, r := range recs {
+					s := r.Spec
+					if (want.Algorithm == "" || want.Algorithm == s.Algorithm) && (want.Transport == "" || want.Transport == s.Transport) &&
+						(want.Nodes == 0 || want.Nodes == s.Nodes) && (want.MsgBytes == 0 || want.MsgBytes == s.MsgBytes) &&
+						(want.Threads == 0 || want.Threads == s.Threads) && (want.ChunkSize == 0 || want.ChunkSize == s.ChunkSize) {
+						hits = append(hits, r)
+					}
+				}
+				if len(hits) != 1 {
+					t.Fatalf("%d records match %s, want exactly 1", len(hits), want)
+				}
+				if _, ok := hits[0].Metrics[metric]; !ok {
+					t.Fatalf("record %s has no metric %q", hits[0].Spec, metric)
+				}
+				return hits[0].Metric(metric)
 			}
-		case "UD":
-			if r.InstructionsCQE != 113 || r.CyclesCQE != 1084 {
-				t.Fatalf("UD row: %+v", r)
+			for _, b := range c.bounds(at) {
+				if !(b.got >= b.min && b.got <= b.max) {
+					t.Errorf("%s = %.4g, want within [%.4g, %.4g]", b.what, b.got, b.min, b.max)
+				}
 			}
-			if math.Abs(r.ThroughputGiBps-5.2) > 1.5 {
-				t.Fatalf("UD throughput %.1f GiB/s, paper 5.2", r.ThroughputGiBps)
-			}
-		}
-	}
-}
-
-func TestFig15LargerChunksNeedFewerThreads(t *testing.T) {
-	pts := Fig15ChunkSize([]int{4 << 10, 64 << 10}, []int{1})
-	var small, large float64
-	for _, p := range pts {
-		if p.ChunkBytes == 4<<10 {
-			small = p.LinkShare
-		} else {
-			large = p.LinkShare
-		}
-	}
-	if large <= small {
-		t.Fatalf("64 KiB chunks (%.2f) not better than 4 KiB (%.2f) at 1 thread", large, small)
-	}
-	if large < 0.95 {
-		t.Fatalf("64 KiB chunks at 1 thread reach %.2f of line rate, want ~1.0", large)
-	}
-}
-
-func TestFig16Reaches16TbitWithin128Threads(t *testing.T) {
-	if testing.Short() {
-		t.Skip("128-thread Tbit/s scaling sweep (several seconds)")
-	}
-	pts := Fig16TbitScaling([]int{64, 128})
-	reached := map[string]bool{}
-	for _, p := range pts {
-		if p.Threads == 128 && p.ChunkRate >= Tbit16Target {
-			reached[p.Transport] = true
-		}
-	}
-	if !reached["UD"] || !reached["UC"] {
-		t.Fatalf("1.6 Tbit/s target not reached with 128 threads: %v", reached)
-	}
-}
-
-func TestFig10McastDominatesAtScale(t *testing.T) {
-	pts, err := Fig10Breakdown([]int{16}, []int{256 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := pts[0]
-	if p.McastFrac < 0.90 {
-		t.Fatalf("multicast fraction %.2f at 16 nodes / 256 KiB, want > 0.90 (paper: 99%%)", p.McastFrac)
-	}
-	if p.BarrierFrac+p.McastFrac+p.FinalFrac > 1.01 {
-		t.Fatalf("fractions exceed 1: %+v", p)
-	}
-}
-
-func TestFig10SyncMattersMoreAtSmallSizes(t *testing.T) {
-	// The paper's Figure 10 point in relative form: the synchronization
-	// share (RNR barrier + final handshake) shrinks as the message grows.
-	pts, err := Fig10Breakdown([]int{4}, []int{4096, 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := pts[0].BarrierFrac + pts[0].FinalFrac
-	large := pts[1].BarrierFrac + pts[1].FinalFrac
-	if small < 3*large {
-		t.Fatalf("sync share at 4 KiB (%.3f) not >> share at 1 MiB (%.3f)", small, large)
-	}
-}
-
-func TestFig11ShapesAtModestScale(t *testing.T) {
-	pts, err := Fig11Throughput(16, []int{256 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byAlgo := map[string]float64{}
-	for _, p := range pts {
-		byAlgo[p.Algo] = p.GiBps
-	}
-	if byAlgo["mcast-broadcast"] <= byAlgo["knomial-broadcast"] {
-		t.Fatalf("mcast bcast (%.2f) not above knomial (%.2f)",
-			byAlgo["mcast-broadcast"], byAlgo["knomial-broadcast"])
-	}
-	if byAlgo["mcast-broadcast"] <= byAlgo["binary-broadcast"] {
-		t.Fatalf("mcast bcast (%.2f) not above binary tree (%.2f)",
-			byAlgo["mcast-broadcast"], byAlgo["binary-broadcast"])
-	}
-	// Allgather: multicast within 2x of ring either way (the paper reports
-	// parity at FSDP sizes).
-	ratio := byAlgo["mcast-allgather"] / byAlgo["ring-allgather"]
-	if ratio < 0.5 || ratio > 3.0 {
-		t.Fatalf("mcast/ring allgather ratio %.2f out of range", ratio)
-	}
-}
-
-func TestFig12SavingsShape(t *testing.T) {
-	rows, err := Fig12Traffic(32, 64<<10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bcast, ag float64
-	for _, r := range rows {
-		if r.Algo == "mcast" {
-			if r.Op == "broadcast" {
-				bcast = r.Savings
-			} else {
-				ag = r.Savings
-			}
-		}
-	}
-	if bcast < 1.3 {
-		t.Fatalf("broadcast traffic savings %.2f, want >= 1.3 (paper: 1.5x)", bcast)
-	}
-	if ag < 1.6 || ag > 2.4 {
-		t.Fatalf("allgather traffic savings %.2f, want ≈2x", ag)
-	}
-}
-
-func TestAppBSpeedupIncreasesWithP(t *testing.T) {
-	pts, err := AppBConcurrent([]int{2, 8}, 512<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pts[1].Speedup <= pts[0].Speedup {
-		t.Fatalf("speedup not increasing: P=2 %.2f vs P=8 %.2f", pts[0].Speedup, pts[1].Speedup)
-	}
-	if pts[1].Speedup < 1.3 {
-		t.Fatalf("P=8 speedup %.2f, want > 1.3 (model: 1.75)", pts[1].Speedup)
+		})
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 	"repro/internal/workload"
 )
@@ -40,7 +39,7 @@ type point struct {
 	w       *workload.Workload
 	reg     *telemetry.Registry
 	sampler *telemetry.Sampler
-	tracer  *trace.Recorder
+	tracer  *telemetry.Bundle
 	// partitioned reports whether the fabric runs the partitioned
 	// pipeline (the partition gate allowed it and the fabric agreed).
 	partitioned bool
@@ -122,10 +121,11 @@ func (pt *point) snapshot() *telemetry.Snapshot {
 // RNR barrier, multicast start / finish per rank, recovery actions, final
 // handshake) plus the run's metric snapshot. The bundle renders as the
 // text timeline (-trace) or as a Perfetto JSON document (-perfetto). P2P
-// baselines have no tracer and yield "(no events)" — their telemetry still
-// populates the bundle.
+// baselines record no events and yield "(no events)" — their telemetry
+// still populates the bundle.
 func (pt *point) bundle() *telemetry.Bundle {
-	return &telemetry.Bundle{Events: pt.tracer.Events, Snap: pt.snapshot()}
+	pt.tracer.Snap = pt.snapshot()
+	return pt.tracer
 }
 
 // kernel is a simulated experiment kind in the executor's (key, build,

@@ -207,15 +207,3 @@ func AnnotateSlowdown(recs []sweep.Record) {
 		}
 	}
 }
-
-// ResilienceRecords expands and runs the resilience grid on the worker
-// pool — sharing built stacks when share is set — and annotates
-// slowdown-vs-quiet.
-func ResilienceRecords(env Env, g sweep.Grid, workers int, share bool) ([]sweep.Record, error) {
-	recs, err := sweep.Run(g.Expand(), workers, ResilienceKernel(env), share)
-	if err != nil {
-		return nil, err
-	}
-	AnnotateSlowdown(recs)
-	return recs, nil
-}

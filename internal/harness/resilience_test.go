@@ -18,11 +18,7 @@ func TestResilienceSweepByteIdentical(t *testing.T) {
 		[]string{"quiet", "flap-spine", "tenant-50load"},
 		16, 64<<10, 42)
 	run := func(workers int) []byte {
-		recs, err := ResilienceRecords(Env{}, g, workers, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return encodeReport(t, recs)
+		return encodeReport(t, runSweep(t, g.Expand(), workers, ResilienceKernel(Env{}), AnnotateSlowdown))
 	}
 	a, b := run(1), run(6)
 	if !bytes.Equal(a, b) {

@@ -7,9 +7,8 @@
 //
 // Every experiment is declared as a sweep (sweeps.go): a parameter grid
 // plus a kernel executed by internal/sweep's worker pool, producing
-// structured Records with deterministic per-point seeds. The typed
-// per-figure views (experiments.go) and the repro subcommands are thin
-// projections of those Records.
+// structured Records with deterministic per-point seeds. The repro
+// subcommands, the tests and the Go benchmarks all read those Records.
 package harness
 
 import (

@@ -34,20 +34,12 @@ func TestSweepsByteIdenticalAcrossShards(t *testing.T) {
 		t.Skip("full sweep matrix is not -short sized")
 	}
 	acrossShards(t, "matrix", func(t *testing.T, env Env) []sweep.Record {
-		resil, err := ResilienceRecords(env,
-			ResilienceGrid([]string{"mcast-allgather"}, []string{"quiet", "tenant-50load"}, 16, 1<<20, 3), 1, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		train, err := TrainRecords(env,
-			TrainGrid([]string{"fsdp-ring"}, []int{8}, []int{64 << 10}, nil, 9), 1, TrainConfig{Layers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		appb, err := sweep.Run(AppBSpecs([]int{8}, 1<<20), 0, AppBKernel(env), false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		resil := runSweep(t,
+			ResilienceGrid([]string{"mcast-allgather"}, []string{"quiet", "tenant-50load"}, 16, 1<<20, 3).Expand(),
+			1, ResilienceKernel(env), AnnotateSlowdown)
+		train := runSweep(t, TrainGrid([]string{"fsdp-ring"}, []int{8}, []int{64 << 10}, nil, 9).Expand(),
+			1, TrainKernel(env, TrainConfig{Layers: 2}), nil)
+		appb := runSweep(t, AppBSpecs([]int{8}, 1<<20), 0, AppBKernel(env), nil)
 		return append(append(resil, train...), appb...)
 	})
 }
@@ -59,10 +51,6 @@ func TestSweepsByteIdenticalAcrossShards(t *testing.T) {
 func TestScenarioInjectorsAcrossShards(t *testing.T) {
 	grid := ResilienceGrid([]string{"ring-allgather"}, []string{"flap-spine", "straggler-1pct"}, 8, 64<<10, 5)
 	acrossShards(t, "injector", func(t *testing.T, env Env) []sweep.Record {
-		recs, err := ResilienceRecords(env, grid, 1, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return recs
+		return runSweep(t, grid.Expand(), 1, ResilienceKernel(env), AnnotateSlowdown)
 	})
 }

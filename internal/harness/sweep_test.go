@@ -18,6 +18,21 @@ func encodeReport(t *testing.T, recs []sweep.Record) []byte {
 	return buf.Bytes()
 }
 
+// runSweep is the call manifest.Plan.Execute makes for one section: the
+// specs through the kernel on the worker pool, then the section's
+// post-annotation (nil for none).
+func runSweep(t testing.TB, specs []sweep.Spec, workers int, k sweep.Kernel, post func([]sweep.Record)) []sweep.Record {
+	t.Helper()
+	recs, err := sweep.Run(specs, workers, k, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if post != nil {
+		post(recs)
+	}
+	return recs
+}
+
 // TestSweepJSONByteIdentical is the acceptance check for the sweep engine:
 // running the same grid twice, at different worker counts, produces
 // byte-identical JSON records — with real simulation kernels, not stubs.

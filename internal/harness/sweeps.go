@@ -17,9 +17,9 @@ import (
 
 // This file declares every experiment as a sweep: a Grid (or composed spec
 // list) naming the axes the paper varies, plus the kernel that executes one
-// grid point. The typed per-figure views in experiments.go are thin
-// projections of the Records these sweeps produce; the repro subcommands
-// consume the Records directly (tables, -json).
+// grid point. The repro subcommands, the tests and the hand-run Go
+// benchmarks all consume the Records these sweeps produce (tables, -json,
+// rec.Metric); there is no second projection.
 
 // --- receive-datapath kernel -----------------------------------------------------
 
@@ -51,8 +51,8 @@ func rxConfig(s sweep.Spec) (RxBenchConfig, error) {
 // addEngineMetrics surfaces the engine's throughput counters on a Record.
 // Both are deterministic event counts (never wall-clock rates), so the
 // byte-identical-JSON contract of the sweep engine is preserved; the
-// wall-clock events/sec trajectory lives in the Benchmark* suite and
-// BENCH_perf.json instead. On a sharded group the totals sum across
+// wall-clock events/sec trajectory lives in the host-time ledger
+// (bench/, perf/*.json) instead. On a sharded group the totals sum across
 // shards: every logical event is scheduled and fired exactly once on
 // exactly one shard, so the sums match the serial engine's counts at any
 // -shards value. (Pool recycling is not invariant — reuse depends on the
@@ -199,6 +199,10 @@ func Fig16Grid(threadCounts []int) sweep.Grid {
 	return sweep.Grid{Transports: []string{"ud", "uc"}, Threads: threadCounts,
 		ChunkSizes: []int{64}, Seed: 16}
 }
+
+// Tbit16Target is the chunk processing rate equivalent to a 1.6 Tbit/s
+// link with 4 KiB MTU packets: the horizontal target line of Figure 16.
+const Tbit16Target = 1.6e12 / 8 / 4096 // chunks/second
 
 // Fig16Kernel scales the receive volume with the thread count (keeping
 // per-thread work meaningful while bounding event counts) and rebases
@@ -353,7 +357,7 @@ func AppBKernel(env Env) sweep.Func {
 				rsR = span.Result
 			}
 		}
-		span := maxTime(agR.End, rsR.End) - minTime(agR.Start, rsR.Start)
+		span := max(agR.End, rsR.End) - min(agR.Start, rsR.Start)
 		rec := sweep.Record{Spec: s, Metrics: map[string]float64{
 			"span_ns":       float64(span),
 			"model_speedup": model.SpeedupINC(s.Nodes),

@@ -174,20 +174,6 @@ func trainRun(pt *point, s sweep.Spec) (sweep.Record, error) {
 	return rec, nil
 }
 
-// TrainRecords expands and runs the training grid on the worker pool and,
-// when the grid sweeps scenarios, annotates slowdown-vs-quiet (each point's
-// duration over its quiet sibling's).
-func TrainRecords(env Env, g sweep.Grid, workers int, cfg TrainConfig) ([]sweep.Record, error) {
-	recs, err := sweep.RunGrid(g, workers, TrainKernel(env, cfg))
-	if err != nil {
-		return nil, err
-	}
-	if len(g.Scenarios) > 0 {
-		AnnotateSlowdown(recs)
-	}
-	return recs, nil
-}
-
 // TrainTrace re-runs one workload point — the same build under a tracing
 // Env, stepped the same way — and returns the bundle: protocol phase
 // events from its multicast communicators plus per-job workload spans and

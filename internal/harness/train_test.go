@@ -18,10 +18,7 @@ func TestTrainGoldenStepTimes(t *testing.T) {
 		t.Skip("golden step times need the full-size FSDP step")
 	}
 	grid := TrainGrid([]string{"fsdp-ring", "fsdp-inc"}, []int{16}, []int{512 << 10}, nil, 21)
-	recs, err := TrainRecords(Env{}, grid, 0, TrainConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := runSweep(t, grid.Expand(), 0, TrainKernel(Env{}, TrainConfig{}), nil)
 	want := map[string]int64{ // ns
 		"fsdp-ring": 5449328,
 		"fsdp-inc":  2898262,
@@ -55,15 +52,7 @@ func TestTrainSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	cfg := TrainConfig{Layers: 2}
 	var blobs [][]byte
 	for _, workers := range []int{1, 4} {
-		recs, err := TrainRecords(Env{}, grid, workers, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := sweep.WriteJSON(&buf, sweep.Report{Name: "train", Records: recs}); err != nil {
-			t.Fatal(err)
-		}
-		blobs = append(blobs, buf.Bytes())
+		blobs = append(blobs, encodeReport(t, runSweep(t, grid.Expand(), workers, TrainKernel(Env{}, cfg), AnnotateSlowdown)))
 	}
 	if !bytes.Equal(blobs[0], blobs[1]) {
 		t.Fatal("train sweep JSON differs between -workers 1 and 4")
@@ -75,10 +64,7 @@ func TestTrainSweepByteIdenticalAcrossWorkers(t *testing.T) {
 func TestTrainScenarioSlowdown(t *testing.T) {
 	grid := TrainGrid([]string{"fsdp-inc"}, []int{8}, []int{64 << 10},
 		[]string{"quiet", "flap-spine"}, 9)
-	recs, err := TrainRecords(Env{}, grid, 0, TrainConfig{Layers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := runSweep(t, grid.Expand(), 0, TrainKernel(Env{}, TrainConfig{Layers: 2}), AnnotateSlowdown)
 	var quiet, flap float64
 	for _, r := range recs {
 		switch r.Spec.Scenario {

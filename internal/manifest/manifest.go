@@ -209,9 +209,14 @@ func (s *Sizes) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// maxSize bounds one entry of a size axis at 1 TiB: far beyond any buffer
+// the simulator can allocate, and low enough that a doubling range neither
+// overflows int nor expands past 41 points.
+const maxSize int64 = 1 << 40
+
 // ParseSizes parses the -sizes flag grammar shared by the osu subcommand
-// and string-form manifest axes: "min:max" doubles from min to max,
-// otherwise a comma-separated list.
+// and string-form manifest axes: "min:max" doubles from min to max (at
+// most maxSize), otherwise a comma-separated list.
 func ParseSizes(s string) ([]int, error) {
 	if strings.Contains(s, ":") {
 		lo, hi, _ := strings.Cut(s, ":")
@@ -223,8 +228,8 @@ func ParseSizes(s string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad size range %q: %w", s, err)
 		}
-		if loN <= 0 || hiN < loN {
-			return nil, fmt.Errorf("bad size range %q", s)
+		if loN <= 0 || hiN < loN || int64(hiN) > maxSize {
+			return nil, fmt.Errorf("bad size range %q: want 0 < min <= max <= %d", s, maxSize)
 		}
 		var out []int
 		for n := loN; n <= hiN; n *= 2 {
@@ -393,8 +398,8 @@ func (m Manifest) Validate() error {
 		}
 	}
 	for _, n := range m.Grid.Sizes {
-		if n <= 0 {
-			return fmt.Errorf("manifest: grid.sizes must be positive, got %d", n)
+		if n <= 0 || int64(n) > maxSize {
+			return fmt.Errorf("manifest: grid.sizes must be in [1,%d], got %d", maxSize, n)
 		}
 	}
 	switch m.Kind {

@@ -49,7 +49,9 @@ func TestParseSizes(t *testing.T) {
 			t.Fatalf("ParseSizes(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{"0:4096", "8:4", "a:b", "4096,x", ""} {
+	// The last two used to overflow the doubling loop into an endless append.
+	for _, bad := range []string{"0:4096", "8:4", "a:b", "4096,x", "",
+		"1:9223372036854775807", "4611686018427387904:9223372036854775807"} {
 		if _, err := ParseSizes(bad); err == nil {
 			t.Fatalf("ParseSizes(%q): expected error", bad)
 		}

@@ -45,7 +45,7 @@ func (a *mcastAlg) Start(op collective.Op, done func(*collective.Result)) error 
 }
 
 func (a *mcastAlg) Run(op collective.Op) (*collective.Result, error) {
-	return runBlocking(a.name, a.comm.Engine(), func(done func(*collective.Result)) error {
+	return collective.RunBlocking(a.name, a.comm.Engine(), func(done func(*collective.Result)) error {
 		return a.Start(op, done)
 	})
 }
@@ -120,7 +120,7 @@ func (a *teamAlg) Start(op collective.Op, done func(*collective.Result)) error {
 }
 
 func (a *teamAlg) Run(op collective.Op) (*collective.Result, error) {
-	return runBlocking(a.name, a.team.Engine(), func(done func(*collective.Result)) error {
+	return collective.RunBlocking(a.name, a.team.Engine(), func(done func(*collective.Result)) error {
 		return a.Start(op, done)
 	})
 }

@@ -61,7 +61,7 @@ func (a *incAlg) Start(op collective.Op, done func(*collective.Result)) error {
 }
 
 func (a *incAlg) Run(op collective.Op) (*collective.Result, error) {
-	return runBlocking(a.name, a.team.Engine(), func(done func(*collective.Result)) error {
+	return collective.RunBlocking(a.name, a.team.Engine(), func(done func(*collective.Result)) error {
 		return a.Start(op, done)
 	})
 }
@@ -161,16 +161,11 @@ func (a *allreduceAlg) Start(op collective.Op, done func(*collective.Result)) er
 func (a *allreduceAlg) Err() error { return a.chainErr }
 
 func (a *allreduceAlg) Run(op collective.Op) (*collective.Result, error) {
-	var res *collective.Result
-	if err := a.Start(op, func(r *collective.Result) { res = r }); err != nil {
-		return nil, err
-	}
-	a.eng.Run()
+	res, err := collective.RunBlocking(a.name, a.eng, func(done func(*collective.Result)) error {
+		return a.Start(op, done)
+	})
 	if a.chainErr != nil {
 		return nil, a.chainErr
 	}
-	if res == nil {
-		return nil, fmt.Errorf("registry: %s did not complete (deadlock?)", a.name)
-	}
-	return res, nil
+	return res, err
 }

@@ -21,7 +21,6 @@ import (
 	"repro/internal/coll"
 	"repro/internal/collective"
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -120,18 +119,4 @@ func New(cl *cluster.Cluster, name string, opts Options) (collective.Algorithm, 
 // of the most recent operation (requires VerifyData in the options).
 type Verifier interface {
 	VerifyLast(op collective.Op) error
-}
-
-// runBlocking drives the engine after a successful Start and enforces
-// completion, the shared tail of every blocking Run implementation.
-func runBlocking(name string, eng *sim.Engine, start func(done func(*collective.Result)) error) (*collective.Result, error) {
-	var res *collective.Result
-	if err := start(func(r *collective.Result) { res = r }); err != nil {
-		return nil, err
-	}
-	eng.Run()
-	if res == nil {
-		return nil, fmt.Errorf("registry: %s did not complete (deadlock?)", name)
-	}
-	return res, nil
 }

@@ -4,9 +4,9 @@ import "testing"
 
 // The engine benchmarks fix the work per benchmark iteration (one iteration
 // = churnEvents schedule/fire cycles on a prewarmed engine) so allocs/op is
-// a steady-state number the CI baseline can gate, independent of b.N, and
-// events/sec is reported as a custom metric for the BENCH_perf.json
-// trajectory.
+// a steady-state number independent of b.N, and events/sec is reported as
+// a custom metric. (The committed trajectory is the host-time ledger's
+// sim.* layer drivers: bench/, perf/*.json.)
 
 const churnEvents = 1 << 14
 

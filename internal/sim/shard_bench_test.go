@@ -9,9 +9,9 @@ import (
 
 // benchPhold runs the PHOLD model (shard_test.go) at a given shard count
 // for a fixed window of virtual time and reports aggregate events/sec plus
-// events/sec-per-core — the machine-portable scaling figure CI gates
-// against PERF_BASELINE.json. Hosts never exhaust inside the window, so
-// the event population (and available parallelism) stays constant.
+// events/sec-per-core, the machine-portable scaling figure. Hosts never
+// exhaust inside the window, so the event population (and available
+// parallelism) stays constant.
 func benchPhold(b *testing.B, shards int) {
 	const hosts = 256
 	const window = Millisecond
@@ -122,8 +122,7 @@ func runRingAllreduce(shards int) (events, epochs, stalls uint64) {
 // throughput ratio. On a multi-core runner it measures true concurrent
 // scaling; on a single-core runner (runtime.NumCPU()==1) only the
 // partitioning efficiency — smaller per-shard scheduler queues minus
-// barrier overhead — remains, so the pinned baseline is machine-specific
-// and gated as a floor relative to itself (-min-metric, tol 0.20).
+// barrier overhead — remains.
 func BenchmarkAllreduce16Shards(b *testing.B) {
 	const shards = 4
 	var events, epochs, stalls uint64

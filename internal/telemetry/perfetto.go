@@ -8,25 +8,7 @@ import (
 	"strconv"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
-
-// Bundle is everything one traced representative run produced: the
-// protocol phase events from internal/trace plus the run's metric
-// snapshot. It renders either as the legacy text timeline (-trace) or as a
-// Chrome-trace-event/Perfetto JSON document (-perfetto), so one traced run
-// feeds both surfaces.
-type Bundle struct {
-	Events []trace.Event
-	Snap   *Snapshot
-}
-
-// Timeline renders the protocol events as the Figure-9 text timeline,
-// byte-identical to the historical -trace output.
-func (b *Bundle) Timeline() string {
-	rec := &trace.Recorder{Events: b.Events}
-	return rec.Timeline()
-}
 
 // tev is one Chrome trace event. Field order and omitempty choices are
 // part of the canonical encoding; timestamps are virtual-time microseconds
@@ -87,11 +69,10 @@ func (b *Bundle) WritePerfetto(w io.Writer) error {
 			rankIDs = append(rankIDs, r)
 		}
 		sort.Ints(rankIDs)
-		rec := &trace.Recorder{Events: b.Events}
 		for _, r := range rankIDs {
 			add(tev{Name: "thread_name", Ph: "M", Pid: pidProtocol, Tid: r,
 				Args: nameArgs{Name: "rank " + strconv.Itoa(r)}})
-			byRank := rec.ByRank(r)
+			byRank := b.ByRank(r)
 			for i, e := range byRank {
 				if i+1 < len(byRank) {
 					add(tev{Name: e.Phase, Ph: "X", Ts: us(e.T), Dur: us(byRank[i+1].T - e.T),

@@ -1,7 +1,8 @@
 // Package telemetry is the unified observability layer: a deterministic
 // metrics registry (counters, gauges, fixed-bucket histograms and spans,
 // keyed by subsystem/name{labels}) sampled in *virtual* time, plus a
-// Chrome-trace-event/Perfetto exporter over internal/trace protocol events.
+// Chrome-trace-event/Perfetto exporter over the protocol phase events the
+// Bundle records.
 //
 // Two invariants define the design:
 //
@@ -19,7 +20,7 @@
 // make up the canonical metrics.json; Diagnostic metrics (per-shard event
 // counts, epoch-barrier stalls) legitimately vary with the execution
 // configuration and are excluded from the canonical encoding — they surface
-// through benchmarks and BENCH_perf.json instead.
+// through benchmarks and Registry.Diagnostics instead.
 package telemetry
 
 import (

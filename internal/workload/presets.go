@@ -12,7 +12,6 @@ import (
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -38,7 +37,7 @@ type Config struct {
 	VerifyData bool
 	// Tracer, when set, records protocol phase transitions of the
 	// multicast comms (the Figure 9 execution-flow view).
-	Tracer *trace.Recorder
+	Tracer *telemetry.Bundle
 	// Metrics, when set, is threaded into each comm's core config so the
 	// protocol's phase counters accumulate there. Nil adds no cost.
 	Metrics *telemetry.Registry

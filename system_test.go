@@ -4,10 +4,19 @@ import (
 	"testing"
 
 	"repro/internal/coll"
+	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/verbs"
 )
+
+// runAllgather blocks on the communicator's non-blocking Allgather through
+// the shared driver.
+func runAllgather(c *core.Communicator, n int) (*core.Result, error) {
+	return collective.RunBlocking("mcast-allgather", c.Engine(), func(done func(*core.Result)) error {
+		return c.StartAllgather(n, done)
+	})
+}
 
 func TestNewSystemDefaults(t *testing.T) {
 	sys, err := NewSystem(SystemConfig{})
@@ -55,7 +64,7 @@ func TestSystemEndToEndCollectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := comm.RunAllgather(100000); err != nil {
+	if _, err := runAllgather(comm, 100000); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -65,7 +74,8 @@ func TestSystemEndToEndCollectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := team.RunRingAllgather(50000); err != nil {
+	ring := func(done func(*coll.Result)) error { return team.StartRingAllgather(50000, done) }
+	if _, err := collective.RunBlocking("ring-allgather", team.Engine(), ring); err != nil {
 		t.Fatal(err)
 	}
 	if err := team.VerifyAllgather(50000); err != nil {
@@ -97,7 +107,7 @@ func TestSystemDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := comm.RunAllgather(1 << 18)
+		res, err := runAllgather(comm, 1<<18)
 		if err != nil {
 			t.Fatal(err)
 		}
