@@ -100,6 +100,10 @@ func (c *Communicator) startOp(kind opKind, root, n int, done func(*Result)) err
 			roots: roots,
 		}
 		op.isRoot = kind == kindAllgather || (kind == kindBroadcast && r.id == root)
+		op.dmaDone = func() {
+			op.dmaOut--
+			op.maybeRxDone()
+		}
 		if kind != kindBarrier {
 			recvBytes := n
 			if kind == kindAllgather {

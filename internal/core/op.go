@@ -48,6 +48,9 @@ type opState struct {
 	bm        *bitmap.Bitmap
 	remaining int
 	dmaOut    int
+	// dmaDone retires one staging copy. One closure per op, handed to every
+	// DMA enqueue, so a received chunk allocates nothing.
+	dmaDone func()
 
 	isRoot    bool
 	begun     bool
@@ -190,10 +193,7 @@ func (op *opState) begin() {
 		if op.sendMR.Data != nil && op.recvMR.Data != nil {
 			copy(op.recvMR.Data[r.id*op.n:r.id*op.n+op.n], op.sendMR.Data[:op.n])
 		}
-		r.ctx.DMA().Enqueue(op.n, func() {
-			op.dmaOut--
-			op.maybeRxDone()
-		})
+		r.ctx.DMA().Enqueue(op.n, op.dmaDone)
 	case op.isRoot:
 		for l := 0; l < op.cpr; l++ {
 			op.bm.Set(l)
@@ -454,10 +454,7 @@ func (op *opState) chunkArrivedUD(s, slot, psn, bytes int) {
 		copy(op.recvMR.Data[off:off+length], st.Data[slot*op.chunk:slot*op.chunk+length])
 	}
 	op.dmaOut++
-	op.r.ctx.DMA().Enqueue(length, func() {
-		op.dmaOut--
-		op.maybeRxDone()
-	})
+	op.r.ctx.DMA().Enqueue(length, op.dmaDone)
 	op.serveDeferred()
 	op.maybeRxDone()
 }

@@ -179,7 +179,7 @@ func newRank(c *Communicator, id int, host topology.NodeID) (*Rank, error) {
 	r.txWkr.Handle = func(e verbs.CQE) { r.handleTxComp(e) }
 	r.txWkr.Start()
 
-	r.sendSlot = r.ctx.RegisterMRData(make([]byte, ctrlSlots*ctrlSlotBytes))
+	r.sendSlot = r.ctx.RegisterMRLazy(ctrlSlots * ctrlSlotBytes)
 	return r, nil
 }
 
@@ -220,10 +220,11 @@ func (r *Rank) cachedMR(size int) *verbs.MR {
 }
 
 // prepostCtrl fills a control QP's receive queue with slot buffers.
-// Control buffers always carry real bytes: fetch-request payloads must be
-// parseable regardless of the data-verification mode.
+// Control buffers always carry real bytes — fetch-request payloads must be
+// parseable regardless of the data-verification mode — but lazily: only the
+// slow path ever sends a payload, and most control QPs never see one.
 func (r *Rank) prepostCtrl(qp *verbs.QP) {
-	mr := r.ctx.RegisterMRData(make([]byte, ctrlSlots*ctrlSlotBytes))
+	mr := r.ctx.RegisterMRLazy(ctrlSlots * ctrlSlotBytes)
 	r.slotMRs[qp.N] = mr
 	for i := 0; i < ctrlSlots; i++ {
 		if !qp.PostRecv(uint64(i), mr, i*ctrlSlotBytes, ctrlSlotBytes) {
@@ -248,8 +249,8 @@ func (r *Rank) sendCtrl(peer, typ, arg int, payload []byte) {
 	// not overwrite each other before delivery.
 	off := r.sendIdx * ctrlSlotBytes
 	r.sendIdx = (r.sendIdx + 1) % ctrlSlots
-	if n > 0 && r.sendSlot.Data != nil {
-		copy(r.sendSlot.Data[off:off+n], payload)
+	if n > 0 {
+		copy(r.sendSlot.Bytes()[off:off+n], payload)
 	}
 	qp.PostSendRC(0, r.sendSlot, off, n, encodeCtrl(typ, arg, r.opSeqFor(typ)), false)
 }

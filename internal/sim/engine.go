@@ -18,10 +18,11 @@
 // a hybrid: a bucketed near-future calendar ("ladder") covering a sliding
 // window ahead of the clock, backed by a binary heap for far-future events
 // (retransmission timers, cutoff timers, scenario schedules). Insertion
-// into the window is O(1); each bucket is sorted once when the clock
-// reaches it. The pop order is exactly the (at, seq) order a single binary
-// heap would produce — engine_test.go checks this against a reference heap
-// over randomized schedules.
+// into the window is an O(1) append; when the clock reaches a bucket its
+// ascending runs are merged once (a bucket that was appended in order, the
+// common case, costs one scan). The pop order is exactly the (at, seq)
+// order a single binary heap would produce — hybrid_test.go checks this
+// against a reference heap over randomized schedules.
 //
 // # Closure-free scheduling
 //
@@ -40,7 +41,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 )
 
@@ -266,6 +266,10 @@ type Engine struct {
 	buckets   [numBuckets][]*Event
 	cur       eventHeap
 	nearCount int // events physically held in buckets + cur (incl. cancelled)
+	// openBucket's working memory, kept between calls: the run offsets of
+	// the bucket being ordered and the merge scratch (nil-filled when idle).
+	runs    []int
+	scratch []*Event
 
 	// Far-future overflow: everything at or beyond base+windowSpan.
 	far eventHeap
@@ -412,8 +416,9 @@ func (e *Engine) AtHandler(t Time, h Handler, arg0 uint64, arg1 int, obj any) Ha
 // destination state lives on another shard and AtOrdered when it is local
 // (including the shards=1 case, where everything is), so the firing order
 // at equal times is identical at every shard count. Keys must be unique
-// per (engine, time): the calendar's bucket sort is unstable on equal
-// (time, seq), so a colliding key surrenders the determinism the band
+// per (engine, time): the calendar's run merge is stable, so colliding keys
+// fire in insertion order — but insertion order is what differs between
+// shard counts, so a colliding key surrenders the invariance the band
 // exists to provide.
 func (e *Engine) AtOrdered(t Time, order uint64, h Handler, arg0 uint64, arg1 int, obj any) Handle {
 	if t < e.now {
@@ -508,9 +513,9 @@ func (e *Engine) schedule(ev *Event) {
 	heap.Push(&e.far, ev)
 }
 
-// closeOpen folds an open bucket back into unsorted state: the unconsumed
-// sorted remainder and any open-bucket insertions are merged back into the
-// bucket slice so a later openBucket re-sorts the union.
+// closeOpen folds an open bucket back into closed state: the unconsumed
+// sorted remainder and any open-bucket insertions (in heap-pop order, so two
+// runs) go back into the bucket slice for a later openBucket to merge.
 func (e *Engine) closeOpen() {
 	if !e.opened {
 		return
@@ -560,24 +565,66 @@ func (e *Engine) refill() {
 	}
 }
 
-// openBucket sorts the cursor's bucket by (at, seq) and starts consuming it.
-// slices.SortFunc rather than sort.Slice: no reflection, no per-call
-// allocation, and (at, seq) keys are unique so instability cannot matter.
+// openBucket orders the cursor's bucket by (at, seq) and starts consuming
+// it. A bucket fills by appends from a handful of sources that each
+// schedule in ascending time — it is a few ascending runs laid end to end,
+// usually one — so this is a natural merge sort: find the runs, return if
+// there is one, otherwise merge adjacent runs pairwise until one remains.
+// Stable (equal keys keep insertion order) and allocation-free once the
+// engine-owned run list and scratch have grown to the bucket sizes in use.
 func (e *Engine) openBucket() {
-	slices.SortFunc(e.buckets[e.cursor], func(a, b *Event) int {
-		if a.at != b.at {
-			if a.at < b.at {
-				return -1
-			}
-			return 1
-		}
-		if a.seq < b.seq {
-			return -1
-		}
-		return 1
-	})
+	b := e.buckets[e.cursor]
 	e.pos = 0
 	e.opened = true
+	runs := e.runs[:0] // start offset of every run
+	for i := range b {
+		if i == 0 || before(b[i], b[i-1]) {
+			runs = append(runs, i)
+		}
+	}
+	e.runs = runs
+	if len(runs) <= 1 {
+		return
+	}
+	if len(e.scratch) < len(b) {
+		e.scratch = make([]*Event, len(b))
+	}
+	for len(runs) > 1 {
+		merged := runs[:0]
+		for i := 0; i < len(runs); i += 2 {
+			lo := runs[i]
+			merged = append(merged, lo)
+			if i+1 == len(runs) {
+				break // odd run out: already in place
+			}
+			hi := len(b)
+			if i+2 < len(runs) {
+				hi = runs[i+2]
+			}
+			mergeRuns(b[lo:hi], runs[i+1]-lo, e.scratch)
+		}
+		runs = merged
+	}
+	clear(e.scratch[:len(b)]) // pin no *Event past the sort
+}
+
+// mergeRuns merges the ascending runs b[:mid] and b[mid:] in place: the left
+// run moves to scratch and the output overwrites b from the front, which
+// never overtakes the unread part of the right run. Ties go to the left.
+func mergeRuns(b []*Event, mid int, scratch []*Event) {
+	left := scratch[:copy(scratch, b[:mid])]
+	i, j, k := 0, mid, 0
+	for i < len(left) && j < len(b) {
+		if before(b[j], left[i]) {
+			b[k] = b[j]
+			j++
+		} else {
+			b[k] = left[i]
+			i++
+		}
+		k++
+	}
+	copy(b[k:], left[i:]) // right-run leftovers are already in place
 }
 
 // advance moves the cursor to the next non-empty bucket, wrapping the

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
+	"slices"
 	"testing"
 )
 
@@ -143,23 +145,34 @@ func (p *propHarness) schedule(d Time) {
 	id := p.nextID
 	p.nextID++
 	at := p.eng.Now() + d
-	// Both sides must consume one sequence number per schedule, in the same
-	// order, for the (at, seq) tiebreak to be comparable.
-	it := &refItem{at: at, seq: p.refSeq, id: id}
-	p.refSeq++
+	it := &refItem{at: at, id: id}
+	switch id % 3 {
+	case 2:
+		// Keyed flavour, the way the fabric's book/dispatch pipeline feeds
+		// buckets: a unique low-band key that is not monotone in insertion
+		// order, so it fires ahead of every local event of the same instant.
+		it.seq = uint64(p.rng.Intn(1<<20))<<32 | uint64(id)
+		p.live[id] = p.eng.AtOrdered(at, it.seq, p, uint64(id), 0, nil)
+	default:
+		// Both sides must consume one sequence number per local schedule, in
+		// the same order, for the (at, seq) tiebreak to be comparable.
+		it.seq = localSeqBand + p.refSeq
+		p.refSeq++
+		if id%3 == 0 {
+			p.live[id] = p.eng.AfterHandler(d, p, uint64(id), 0, nil)
+		} else {
+			p.live[id] = p.eng.After(d, func() { p.onFire(id) })
+		}
+	}
 	heap.Push(&p.ref, it)
 	p.refByID[id] = it
-	if id%2 == 0 {
-		p.live[id] = p.eng.AfterHandler(d, p, uint64(id), 0, nil)
-	} else {
-		p.live[id] = p.eng.After(d, func() { p.onFire(id) })
-	}
 }
 
 // TestHybridMatchesReferenceHeapOrder schedules >10k events through the
-// ladder/heap hybrid — half closure events, half pooled handler events,
-// with random cancellations and re-arms along the way — and checks every
-// single pop against a reference binary heap's (at, seq) order.
+// ladder/heap hybrid — a third each closure events, pooled handler events
+// and keyed AtOrdered events, with random cancellations and re-arms along
+// the way — and checks every single pop against a reference binary heap's
+// (at, seq) order.
 func TestHybridMatchesReferenceHeapOrder(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 0xdeadbeef} {
 		p := &propHarness{
@@ -372,3 +385,208 @@ func TestTimerCancelRearmAllocFree(t *testing.T) {
 		t.Fatalf("timer cancel/re-arm allocates: %.2f allocs per 32 cycles, want 0", avg)
 	}
 }
+
+// --- bucket shapes ------------------------------------------------------------------
+//
+// openBucket is a natural merge sort over the ascending runs a bucket was
+// appended in. The property test above feeds it random shapes; the scripted
+// ones below are the adversarial ones — many runs, runs of one, cancelled
+// entries inside runs, a bucket re-closed after it was opened — each checked
+// against a plain sort of the live entries by (at, seq).
+
+type shapeEntry struct {
+	at       Time
+	seq      uint64
+	h        Handle
+	canceled bool
+}
+
+// shape scripts a schedule through AtHandler (key 0) and AtOrdered (any
+// other key) and records the firing order; arg0 is the entry's index.
+type shape struct {
+	eng   *Engine
+	ents  []shapeEntry
+	fired []int
+}
+
+func (s *shape) OnEvent(_ *Engine, _ Handle, arg0 uint64, _ int, _ any) {
+	s.fired = append(s.fired, int(arg0))
+}
+
+func (s *shape) add(at Time, key uint64) int {
+	id := len(s.ents)
+	if key == 0 {
+		s.ents = append(s.ents, shapeEntry{at: at, seq: s.eng.seq, h: s.eng.AtHandler(at, s, uint64(id), 0, nil)})
+	} else {
+		s.ents = append(s.ents, shapeEntry{at: at, seq: key, h: s.eng.AtOrdered(at, key, s, uint64(id), 0, nil)})
+	}
+	return id
+}
+
+func (s *shape) cancel(id int) {
+	s.ents[id].h.Cancel()
+	s.ents[id].canceled = true
+}
+
+// check compares everything fired so far with the reference order of the
+// entries that were never cancelled: (at, seq), insertion order at a tie.
+func (s *shape) check(t *testing.T) {
+	t.Helper()
+	var want []int
+	for id, e := range s.ents {
+		if !e.canceled {
+			want = append(want, id)
+		}
+	}
+	slices.SortStableFunc(want, func(a, b int) int {
+		ea, eb := s.ents[a], s.ents[b]
+		if ea.at != eb.at {
+			return cmp.Compare(ea.at, eb.at)
+		}
+		return cmp.Compare(ea.seq, eb.seq)
+	})
+	if !slices.Equal(s.fired, want) {
+		for i := range want {
+			if i >= len(s.fired) || s.fired[i] != want[i] {
+				t.Fatalf("firing %d of %d diverged from the (at, seq) order: fired %v..., want %v...",
+					i, len(want), s.fired[i:min(i+4, len(s.fired))], want[i:min(i+4, len(want))])
+			}
+		}
+		t.Fatalf("fired %d events, want %d", len(s.fired), len(want))
+	}
+}
+
+// addRuns appends n interleaved ascending runs of per entries each inside
+// the bucket starting at base: run r holds base+r, base+r+stride, ..., so
+// every run boundary is a descent. Odd runs are keyed.
+func (s *shape) addRuns(base Time, n, per int) {
+	stride := bucketWidth / Time(per)
+	if Time(n) >= stride {
+		panic("runs do not fit the bucket")
+	}
+	for r := 0; r < n; r++ {
+		for j := 0; j < per; j++ {
+			key := uint64(0)
+			if r%2 == 1 {
+				key = uint64(n-r)<<16 | uint64(j) + 1 // later runs sort first at a tie
+			}
+			s.add(base+Time(r)+Time(j)*stride, key)
+		}
+	}
+}
+
+func TestBucketShapes(t *testing.T) {
+	t.Run("descending", func(t *testing.T) {
+		s := &shape{eng: NewEngine(1)}
+		for at := bucketWidth - 1; at >= 0; at-- { // 512 runs of one
+			s.add(at, 0)
+		}
+		s.eng.Run()
+		s.check(t)
+	})
+	t.Run("interleaved runs", func(t *testing.T) {
+		s := &shape{eng: NewEngine(1)}
+		s.addRuns(3*bucketWidth, 40, 8)
+		s.addRuns(3*bucketWidth, 33, 4) // same instants again: ties across flavours
+		s.eng.Run()
+		s.check(t)
+	})
+	t.Run("colliding keys", func(t *testing.T) {
+		// Equal (at, key) pairs are a caller bug under sharding, but on one
+		// engine the merge is stable: they fire in insertion order.
+		s := &shape{eng: NewEngine(1)}
+		for r := 0; r < 6; r++ {
+			for j := 0; j < 8; j++ {
+				s.add(Time(10*j), uint64(1+j%2))
+			}
+		}
+		s.eng.Run()
+		s.check(t)
+	})
+	t.Run("cancelled inside runs", func(t *testing.T) {
+		s := &shape{eng: NewEngine(1)}
+		s.addRuns(0, 36, 8)
+		for id := range s.ents {
+			if id%3 == 0 {
+				s.cancel(id)
+			}
+		}
+		s.eng.Run()
+		s.check(t)
+		if s.eng.Pending() != 0 {
+			t.Fatalf("Pending() = %d after drain", s.eng.Pending())
+		}
+	})
+	t.Run("reclosed bucket", func(t *testing.T) {
+		// RunUntil peeks past its deadline and opens bucket 9; entries then
+		// scheduled into it go to the open-bucket heap; an earlier-in-window
+		// schedule steps the cursor back, which folds both into one closed
+		// bucket that later appends extend and the next open re-merges.
+		s := &shape{eng: NewEngine(1)}
+		s.addRuns(9*bucketWidth, 5, 8)
+		s.eng.RunUntil(3 * bucketWidth)
+		if !s.eng.opened || s.eng.cursor != 9 {
+			t.Fatalf("setup: cursor %d opened %v, want bucket 9 open", s.eng.cursor, s.eng.opened)
+		}
+		for at := 10*bucketWidth - 1; at > 10*bucketWidth-20; at-- {
+			s.add(at, 0)
+		}
+		s.cancel(s.add(9*bucketWidth+7, 5))
+		s.add(5*bucketWidth, 0)
+		if s.eng.opened || s.eng.cursor != 5 {
+			t.Fatalf("setup: cursor %d opened %v, want bucket 5 closed", s.eng.cursor, s.eng.opened)
+		}
+		s.addRuns(9*bucketWidth, 3, 4)
+		s.eng.Run()
+		s.check(t)
+	})
+	t.Run("snapshot mid-bucket", func(t *testing.T) {
+		s := &shape{eng: NewEngine(1)}
+		s.addRuns(2*bucketWidth, 34, 8)
+		s.eng.RunUntil(2*bucketWidth + 100) // bucket 2 open and partly consumed
+		for at := 3*bucketWidth - 1; at > 3*bucketWidth-30; at-- {
+			s.add(at, uint64(at)) // open-bucket heap, descending
+		}
+		s.cancel(len(s.ents) - 7)
+		snap := s.eng.Snapshot()
+		mark := len(s.fired)
+		s.eng.Run()
+		s.check(t)
+		first := slices.Clone(s.fired[mark:])
+		// Restore re-files the sorted remainder and the heap's array order
+		// into one closed bucket; the rerun must merge them to the same order.
+		s.eng.Restore(snap)
+		s.fired = s.fired[:mark]
+		s.eng.Run()
+		if !slices.Equal(s.fired[mark:], first) {
+			t.Fatalf("rerun after Restore fired a different order")
+		}
+	})
+}
+
+// TestOpenBucketAllocFree gates the merge's working memory: once the run
+// list and scratch have grown to the bucket sizes in use, opening buckets
+// made of several runs allocates nothing.
+func TestOpenBucketAllocFree(t *testing.T) {
+	s := &shape{eng: NewEngine(1)}
+	var noop recordNothing
+	round := func() {
+		base := (s.eng.Now()/bucketWidth + 2) * bucketWidth
+		for r := 0; r < 5; r++ {
+			for j := 0; j < 60; j++ {
+				s.eng.AtHandler(base+Time(r)+Time(8*j), noop, 0, 0, nil)
+			}
+		}
+		s.eng.Run()
+	}
+	for i := 0; i < numBuckets; i++ { // each round lands two buckets on: warm them all
+		round()
+	}
+	if avg := testing.AllocsPerRun(20, round); avg != 0 {
+		t.Fatalf("opening a warm 5-run bucket allocates: %.2f allocs per bucket, want 0", avg)
+	}
+}
+
+type recordNothing struct{}
+
+func (recordNothing) OnEvent(*Engine, Handle, uint64, int, any) {}

@@ -117,10 +117,11 @@ type CQE struct {
 	SrcQPN  QPN             // peer QP (receives)
 }
 
-// CQ is a completion queue. Entries are appended in completion order and
-// drained by the progress engine (host worker or DPA thread model).
+// CQ is a completion queue: a ring that receives entries in completion
+// order and is drained by the progress engine (host worker or DPA thread
+// model). The zero value is an empty queue.
 type CQ struct {
-	entries []CQE
+	entries ring[CQE]
 	// Armed, when set, fires once on the next completion and is then
 	// cleared — the event-driven activation model of DOCA FlexIO (§II-C).
 	Armed func()
@@ -130,7 +131,7 @@ type CQ struct {
 
 // Push appends a completion. Protocol code never calls this directly.
 func (cq *CQ) Push(e CQE) {
-	cq.entries = append(cq.entries, e)
+	cq.entries.push(e)
 	cq.Produced++
 	if cq.Armed != nil {
 		fn := cq.Armed
@@ -141,16 +142,14 @@ func (cq *CQ) Push(e CQE) {
 
 // Poll removes and returns the oldest completion.
 func (cq *CQ) Poll() (CQE, bool) {
-	if len(cq.entries) == 0 {
+	if cq.entries.len() == 0 {
 		return CQE{}, false
 	}
-	e := cq.entries[0]
-	cq.entries = cq.entries[1:]
-	return e, true
+	return cq.entries.pop(), true
 }
 
 // Len returns the number of completions waiting.
-func (cq *CQ) Len() int { return len(cq.entries) }
+func (cq *CQ) Len() int { return cq.entries.len() }
 
 // MR is a registered memory region. If Data is non-nil its length must be
 // Size and transfers copy real bytes; otherwise only sizes/offsets flow.
@@ -158,6 +157,19 @@ type MR struct {
 	Key  uint32
 	Size int
 	Data []byte
+	// lazy marks a region registered with RegisterMRLazy: it carries real
+	// bytes, but Data stays nil until Bytes or the first write with a
+	// payload needs them.
+	lazy bool
+}
+
+// Bytes returns Data, allocating it first if the region is lazy and still
+// unmaterialised. Nil for a metadata-only region.
+func (mr *MR) Bytes() []byte {
+	if mr.Data == nil && mr.lazy {
+		mr.Data = make([]byte, mr.Size)
+	}
+	return mr.Data
 }
 
 // write stores incoming bytes at off. Bounds are always enforced — a PSN
@@ -167,8 +179,11 @@ func (mr *MR) write(off int, data []byte, n int) {
 	if off < 0 || off+n > mr.Size {
 		panic(fmt.Sprintf("verbs: write [%d,%d) outside MR of size %d", off, off+n, mr.Size))
 	}
-	if mr.Data != nil && data != nil {
-		copy(mr.Data[off:off+n], data[:n])
+	if data == nil || n == 0 {
+		return
+	}
+	if dst := mr.Bytes(); dst != nil {
+		copy(dst[off:off+n], data[:n])
 	}
 }
 
@@ -302,6 +317,14 @@ func (ctx *Context) RegisterMRData(buf []byte) *MR {
 	return ctx.registerMR(&MR{Size: len(buf), Data: buf})
 }
 
+// RegisterMRLazy registers a region that carries real bytes but allocates
+// them on first use: for buffers most of which never see a payload (the
+// control-plane slots), where zeroing Size bytes per region up front is the
+// bulk of building a communicator.
+func (ctx *Context) RegisterMRLazy(size int) *MR {
+	return ctx.registerMR(&MR{Size: size, lazy: true})
+}
+
 func (ctx *Context) registerMR(mr *MR) *MR {
 	ctx.nextKey++
 	mr.Key = ctx.nextKey
@@ -323,7 +346,7 @@ type QP struct {
 	sendCQ    *CQ
 	recvCQ    *CQ
 
-	rq      []recvWQE
+	rq      ring[recvWQE]
 	rqDepth int
 
 	// UC/RC connection state.
@@ -401,23 +424,21 @@ func (qp *QP) AttachMcast(g fabric.GroupID) error {
 // PostRecv posts one receive WQE. For UD each WQE absorbs one datagram;
 // for RC sends it absorbs one message. Returns false when the RQ is full.
 func (qp *QP) PostRecv(wrID uint64, mr *MR, offset, length int) bool {
-	if len(qp.rq) >= qp.rqDepth {
+	if qp.rq.len() >= qp.rqDepth {
 		return false
 	}
-	qp.rq = append(qp.rq, recvWQE{wrID: wrID, mr: mr, offset: offset, length: length})
+	qp.rq.push(recvWQE{wrID: wrID, mr: mr, offset: offset, length: length})
 	return true
 }
 
 // RQLen returns the number of posted, unconsumed receives.
-func (qp *QP) RQLen() int { return len(qp.rq) }
+func (qp *QP) RQLen() int { return qp.rq.len() }
 
 func (qp *QP) popRecv() (recvWQE, bool) {
-	if len(qp.rq) == 0 {
+	if qp.rq.len() == 0 {
 		return recvWQE{}, false
 	}
-	w := qp.rq[0]
-	qp.rq = qp.rq[1:]
-	return w, true
+	return qp.rq.pop(), true
 }
 
 // --- wire format ------------------------------------------------------------
