@@ -50,6 +50,42 @@ type Packet struct {
 	// PayloadBytes is the user data size; WireBytes (payload + header) is
 	// what occupies link capacity and counters.
 	PayloadBytes int
+	// pooled marks a packet born in NIC.NewPacket or InjectBackground: the
+	// fabric takes it back once it has been delivered.
+	pooled bool
+}
+
+// packetPool is one shard's free list of unicast packets. The fabric owns
+// it: a pool-born packet belongs to whoever holds it from NewPacket until
+// Inject, then to the fabric, which lends it to NIC.Deliver for the length
+// of that call and files it — Payload still attached, every other field
+// zeroed — on the delivering shard's list. Multicast packets (one object on
+// every tree branch), packets the caller allocated itself and dropped
+// packets never enter a pool. The list never holds more packets than the
+// pool has itself handed out fresh, so one-way cross-shard traffic cannot
+// pile the sender's packets up at the receiver.
+type packetPool struct {
+	free []*Packet
+	made int
+}
+
+func (p *packetPool) get() *Packet {
+	if n := len(p.free); n > 0 {
+		pkt := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		return pkt
+	}
+	p.made++
+	return &Packet{Group: NoGroup, pooled: true}
+}
+
+func (p *packetPool) put(pkt *Packet) {
+	if !pkt.pooled || pkt.Group != NoGroup || len(p.free) >= p.made {
+		return
+	}
+	*pkt = Packet{Group: NoGroup, Payload: pkt.Payload, pooled: true}
+	p.free = append(p.free, pkt)
 }
 
 // Config parameterizes the fabric.
@@ -141,6 +177,7 @@ type channel struct {
 type NIC struct {
 	Host    topology.NodeID
 	f       *Fabric
+	pool    *packetPool // the pool of the shard owning this host
 	Deliver func(pkt *Packet)
 	// groups this NIC is attached to (receives multicast for them).
 	groups map[GroupID]bool
@@ -173,8 +210,12 @@ type Fabric struct {
 	part *partition
 
 	// chans[2*linkID+dir]: dir 0 = A->B, dir 1 = B->A.
-	chans        []channel
-	nics         map[topology.NodeID]*NIC
+	chans []channel
+	// nics[node] is the host's NIC, nil until attached.
+	nics []*NIC
+	// pools[shard]: one packet pool when confined, one per shard once
+	// partitioned.
+	pools        []packetPool
 	groups       []*topology.MulticastTree
 	reduceGroups []*reduceGroup
 
@@ -191,12 +232,13 @@ type Fabric struct {
 func New(eng *sim.Engine, g *topology.Graph, cfg Config) *Fabric {
 	cfg = cfg.withDefaults()
 	f := &Fabric{
-		eng:  eng,
-		g:    g,
-		rt:   g.BuildRouting(),
-		cfg:  cfg,
-		rng:  eng.SplitRNG(),
-		nics: make(map[topology.NodeID]*NIC),
+		eng:   eng,
+		g:     g,
+		rt:    g.BuildRouting(),
+		cfg:   cfg,
+		rng:   eng.SplitRNG(),
+		nics:  make([]*NIC, len(g.Nodes)),
+		pools: make([]packetPool, 1),
 	}
 	f.arriveH = (*arriveHandler)(f)
 	f.deliverH = (*deliverHandler)(f)
@@ -226,13 +268,22 @@ func (f *Fabric) AttachNIC(host topology.NodeID) *NIC {
 	if f.g.Nodes[host].Kind != topology.Host {
 		panic(fmt.Sprintf("fabric: AttachNIC(%d): not a host", host))
 	}
-	if nic, ok := f.nics[host]; ok {
+	if nic := f.nics[host]; nic != nil {
 		return nic
 	}
-	nic := &NIC{Host: host, f: f, groups: make(map[GroupID]bool)}
+	nic := &NIC{Host: host, f: f, pool: &f.pools[0], groups: make(map[GroupID]bool)}
+	if f.part != nil {
+		nic.pool = &f.pools[f.part.hosts.Owner(host)]
+	}
 	f.nics[host] = nic
 	return nic
 }
+
+// NewPacket returns a zeroed unicast packet (Group NoGroup) from the pool of
+// this NIC's shard for the caller to fill and Inject. Its Payload is
+// whatever the packet last carried, or nil: a transport keeps its header
+// object there and reuses it.
+func (n *NIC) NewPacket() *Packet { return n.pool.get() }
 
 // CreateGroup builds a multicast group over members, rooted at the given
 // switch. Use round-robin roots across spines to spread subgroup trees.
@@ -368,7 +419,7 @@ type deliverHandler Fabric
 
 func (h *deliverHandler) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, _ int, obj any) {
 	f := (*Fabric)(h)
-	if nic, ok := f.nics[topology.NodeID(arg0)]; ok {
+	if nic := f.nics[arg0]; nic != nil {
 		f.deliverNow(nic, obj.(*Packet))
 	}
 }
@@ -441,10 +492,11 @@ func (f *Fabric) forwardMulticast(pkt *Packet, sw topology.NodeID, ingress int) 
 func (f *Fabric) deliverToHost(pkt *Packet, host topology.NodeID) {
 	if pkt.Background {
 		f.BackgroundDelivered++
+		f.pools[0].put(pkt) // background traffic is confined-only
 		return
 	}
-	nic, ok := f.nics[host]
-	if !ok {
+	nic := f.nics[host]
+	if nic == nil {
 		return // host without a NIC silently drops (e.g. non-participants)
 	}
 	if pkt.Group != NoGroup && !nic.groups[pkt.Group] {
@@ -462,6 +514,7 @@ func (f *Fabric) deliverNow(nic *NIC, pkt *Packet) {
 	if nic.Deliver != nil {
 		nic.Deliver(pkt)
 	}
+	nic.pool.put(pkt)
 }
 
 // --- dynamic channel overrides (scenario extension layer) ------------------
@@ -607,13 +660,12 @@ func (f *Fabric) InjectBackground(src, dst topology.NodeID, payloadBytes int, fl
 	if payloadBytes < 0 {
 		panic("fabric: negative background payload size")
 	}
-	pkt := &Packet{
-		Src: src, Dst: dst, Group: NoGroup, Flow: flow,
-		PayloadBytes: payloadBytes, Background: true,
-	}
 	if f.part != nil {
 		panic("fabric: background traffic requires the confined fabric (EnablePartition refuses scenarios; this fabric was partitioned first)")
 	}
+	pkt := f.pools[0].get()
+	pkt.Src, pkt.Dst, pkt.Flow = src, dst, flow
+	pkt.PayloadBytes, pkt.Background = payloadBytes, true
 	pkt.ID = f.nextPktID
 	f.nextPktID++
 	f.BackgroundInjected++
@@ -739,6 +791,8 @@ func (f *Fabric) ResetCounters() {
 	f.TotalDropped = 0
 	f.BackgroundInjected, f.BackgroundDelivered, f.BackgroundBytes = 0, 0, 0
 	for _, nic := range f.nics {
-		nic.Injected, nic.Received = 0, 0
+		if nic != nil {
+			nic.Injected, nic.Received = 0, 0
+		}
 	}
 }

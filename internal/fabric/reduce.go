@@ -77,12 +77,11 @@ func (f *Fabric) routeReduce(pkt *Packet, node topology.NodeID) {
 		}
 		delete(rg.pending, pkt.ReduceChunk)
 		rg.reduced++
-		// Emit the single reduced result toward the destination host. The
-		// result reuses the final contribution's size (all contributions of
-		// a chunk are equally sized).
-		result := *pkt
-		result.Reduce = NoReduceGroup
-		f.forwardUnicast(&result, node, -1)
+		// Emit the single reduced result toward the destination host: the
+		// final contribution itself travels on (all contributions of a chunk
+		// are equally sized). A copy would share a pooled packet's header.
+		pkt.Reduce = NoReduceGroup
+		f.forwardUnicast(pkt, node, -1)
 		return
 	}
 	port, ok := rg.tree.ParentPort[node]

@@ -171,3 +171,54 @@ func TestReduceOffTreePanics(t *testing.T) {
 	}()
 	eng.Run()
 }
+
+// TestReducePooledResult drives the reduction with pool-born contributions:
+// the root forwards the last contribution itself as the result, so it is
+// delivered once per chunk with the result's header, recycled once, and no
+// packet still owned by the fabric (absorbed at the root, or in flight) ever
+// comes out of NewPacket again.
+func TestReducePooledResult(t *testing.T) {
+	g := topology.Star(4)
+	eng, f, rg, nics := reduceFixture(t, g)
+	owner := nics[1]
+	held := map[*Packet]bool{} // handed out and not delivered
+	delivered := map[uint64]int{}
+	owner.Deliver = func(p *Packet) {
+		if !held[p] {
+			t.Fatalf("chunk %d: delivered a packet that is not in flight", p.ReduceChunk)
+		}
+		delete(held, p)
+		if p.Reduce != NoReduceGroup || p.Dst != owner.Host || p.Group != NoGroup || p.PayloadBytes != 1024 {
+			t.Fatalf("chunk %d: bad result header %+v", p.ReduceChunk, *p)
+		}
+		delivered[p.ReduceChunk]++
+	}
+	const chunks = 200
+	for c := uint64(0); c < chunks; c++ {
+		for _, nic := range nics {
+			pkt := nic.NewPacket()
+			if held[pkt] {
+				t.Fatalf("chunk %d: NewPacket handed out a packet the fabric still holds", c)
+			}
+			held[pkt] = true
+			pkt.Dst, pkt.PayloadBytes = owner.Host, 1024
+			pkt.Reduce, pkt.ReduceChunk = rg, c
+			nic.Inject(pkt)
+		}
+		if c%5 == 4 {
+			eng.Run()
+		}
+	}
+	eng.Run()
+	for c := uint64(0); c < chunks; c++ {
+		if delivered[c] != 1 {
+			t.Fatalf("chunk %d delivered %d times, want once", c, delivered[c])
+		}
+	}
+	if f.ReducedChunks(rg) != chunks {
+		t.Fatalf("ReducedChunks = %d, want %d", f.ReducedChunks(rg), chunks)
+	}
+	if want := chunks * (len(nics) - 1); len(held) != want {
+		t.Fatalf("%d packets never delivered, want the %d absorbed contributions", len(held), want)
+	}
+}

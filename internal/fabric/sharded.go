@@ -113,8 +113,13 @@ func (f *Fabric) EnablePartition() bool {
 	if f.part != nil {
 		return true
 	}
-	if len(f.nics) != 0 || f.nextPktID != 0 || f.BackgroundInjected != 0 {
+	if f.nextPktID != 0 || f.BackgroundInjected != 0 {
 		return false
+	}
+	for _, nic := range f.nics {
+		if nic != nil {
+			return false
+		}
 	}
 	if f.cfg.DropRate > 0 || f.cfg.AdaptiveRouting || f.cfg.ReorderJitter != 0 {
 		return false
@@ -178,6 +183,7 @@ func (f *Fabric) EnablePartition() bool {
 		}
 	}
 	f.bookH = (*bookHandler)(f)
+	f.pools = make([]packetPool, shards)
 	f.part = p
 	return true
 }

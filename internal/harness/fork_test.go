@@ -68,19 +68,30 @@ func quietKernelRecord(t *testing.T, env Env, s sweep.Spec) sweep.Record {
 
 // TestMidRunForkByteIdentical forks after two different prefixes at
 // -shards 1, 2 and 8 and requires the replayed continuation's Record to
-// match a straight build → run byte for byte.
+// match a straight build → run byte for byte. The ring row forks between RC
+// rounds: the capture holds unicast packets in flight and, from the rounds
+// already acknowledged, on the fabric's free lists, and the original timeline
+// recycles both before the rewind.
 func TestMidRunForkByteIdentical(t *testing.T) {
-	s := sweep.Spec{Algorithm: "mcast-allgather", Scenario: "quiet",
-		Nodes: 16, MsgBytes: 4096, Seed: 7}
+	rows := []struct {
+		algorithm string
+		prefixes  []sim.Time // both quiet points last ~35µs of virtual time: fork early and late
+	}{
+		{"mcast-allgather", []sim.Time{5 * sim.Microsecond, 20 * sim.Microsecond}},
+		{"ring-allgather", []sim.Time{7 * sim.Microsecond, 33 * sim.Microsecond}},
+	}
 	for _, shards := range []int{1, 2, 8} {
 		env := Env{Shards: shards}
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			t.Parallel()
-			want := quietKernelRecord(t, env, s)
-			// The quiet point lasts ~35µs of virtual time; fork early and late.
-			for _, prefix := range []sim.Time{5 * sim.Microsecond, 20 * sim.Microsecond} {
-				forked := forkedResilienceRecord(t, env, s, prefix)
-				diffRecords(t, "mid-run fork", []sweep.Record{want}, []sweep.Record{forked})
+			for _, row := range rows {
+				s := sweep.Spec{Algorithm: row.algorithm, Scenario: "quiet",
+					Nodes: 16, MsgBytes: 4096, Seed: 7}
+				want := quietKernelRecord(t, env, s)
+				for _, prefix := range row.prefixes {
+					forked := forkedResilienceRecord(t, env, s, prefix)
+					diffRecords(t, row.algorithm+" mid-run fork", []sweep.Record{want}, []sweep.Record{forked})
+				}
 			}
 		})
 	}

@@ -15,14 +15,19 @@
 // Events are ordered by (time, insertion sequence): ties fire FIFO with
 // respect to scheduling order, and that order is the determinism contract
 // every golden value in this repository depends on. Internally the queue is
-// a hybrid: a bucketed near-future calendar ("ladder") covering a sliding
-// window ahead of the clock, backed by a binary heap for far-future events
-// (retransmission timers, cutoff timers, scenario schedules). Insertion
-// into the window is an O(1) append; when the clock reaches a bucket its
-// ascending runs are merged once (a bucket that was appended in order, the
-// common case, costs one scan). The pop order is exactly the (at, seq)
-// order a single binary heap would produce — hybrid_test.go checks this
-// against a reference heap over randomized schedules.
+// a hybrid: a ring of near-future calendar buckets ("ladder") indexed by
+// absolute bucket number, covering a window that slides with the clock one
+// bucket at a time, backed by a binary heap for far-future events
+// (retransmission timers, cutoff timers, scenario schedules). The invariant:
+// near events live in buckets [cursor, start+numBuckets), far events at or
+// beyond start+numBuckets, and start trails at the clock's bucket — so an
+// event less than a window (minus the clock's partial bucket) ahead of now
+// never touches the heap. Insertion into the window is an O(1) append; when
+// the clock reaches a bucket its ascending runs are merged once (a bucket
+// that was appended in order, the common case, costs one scan). The pop
+// order is exactly the (at, seq) order a single binary heap would produce —
+// hybrid_test.go checks this against a reference heap over randomized
+// schedules.
 //
 // # Closure-free scheduling
 //
@@ -71,16 +76,23 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
 func (t Time) String() string { return t.Duration().String() }
 
-// Calendar-queue geometry: 256 buckets of 512 ns cover a 128 µs window
-// ahead of the clock. Packet-scale events (serialization ~170 ns, hop
-// latency 250 ns) land a few buckets out; RC retransmission timeouts
-// (200 µs+) and scenario schedules overflow to the far-future heap.
+// Calendar-queue geometry: a ring of 512 buckets of 512 ns covers a 262 µs
+// window ahead of the clock; bucket number n (at >> bucketShift) lives in
+// slot n & bucketMask. Packet-scale events (serialization ~170 ns, hop
+// latency 250 ns) land a few buckets out, and the 256 segments of a 1 MiB
+// write booked on an uplink at one instant (152 µs) fit; RC retransmission
+// timeouts (200 µs past the last segment) and scenario schedules overflow
+// to the far-future heap.
 const (
 	bucketShift = 9 // log2(bucket width in ns)
 	bucketWidth = Time(1) << bucketShift
-	numBuckets  = 256
+	numBuckets  = 512 // a power of two
+	bucketMask  = numBuckets - 1
 	windowSpan  = Time(numBuckets) << bucketShift
 )
+
+// bucketOf returns the absolute number of the bucket holding time t.
+func bucketOf(t Time) int64 { return int64(t >> bucketShift) }
 
 // Event locations within the hybrid queue.
 const (
@@ -255,12 +267,15 @@ type Engine struct {
 	shard    int
 	sentFlag bool
 
-	// Near-future calendar: buckets of bucketWidth ns covering
-	// [base, base+windowSpan). cursor is the bucket being (or next to be)
-	// consumed; when opened, buckets[cursor][pos:] is the sorted remainder
-	// and cur holds events inserted into the open bucket after sorting.
-	base      Time
-	cursor    int
+	// Near-future calendar: a ring of buckets of bucketWidth ns covering
+	// bucket numbers [start, start+numBuckets). start trails at the clock's
+	// bucket and is moved up lazily, when a schedule would overflow (slide).
+	// cursor, start <= cursor < start+numBuckets, is the bucket being (or
+	// next to be) consumed and may run ahead of the clock (a peek, RunUntil);
+	// when opened, the cursor bucket's [pos:] is the sorted remainder and cur
+	// holds events inserted into the open bucket after sorting.
+	start     int64
+	cursor    int64
 	opened    bool
 	pos       int
 	buckets   [numBuckets][]*Event
@@ -271,7 +286,7 @@ type Engine struct {
 	runs    []int
 	scratch []*Event
 
-	// Far-future overflow: everything at or beyond base+windowSpan.
+	// Far-future overflow: everything at or beyond bucket start+numBuckets.
 	far eventHeap
 
 	live int // scheduled, not yet fired, not cancelled
@@ -478,39 +493,64 @@ func (e *Engine) release(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
+// bucket returns the ring slot of absolute bucket number n.
+func (e *Engine) bucket(n int64) *[]*Event { return &e.buckets[n&bucketMask] }
+
 // schedule files the event into the hybrid queue.
 func (e *Engine) schedule(ev *Event) {
 	e.Scheduled++
 	e.live++
-	delta := ev.at - e.base
-	if delta < 0 {
+	b := bucketOf(ev.at)
+	if b < e.start {
 		// The window was jumped ahead of the clock (RunUntil past a queue
-		// gap, then a schedule before the far-future frontier). Rebase the
-		// whole calendar onto this event's time; rare, O(near events).
-		e.rebase(ev.at)
-		delta = 0
+		// gap, then a schedule before the far-future frontier). Restart the
+		// whole calendar at the clock; rare, O(near events).
+		e.rebase()
+	} else if b >= e.start+numBuckets && bucketOf(e.now) > e.start {
+		e.slide() // the window trails the clock: catch up before overflowing
 	}
-	if delta < windowSpan {
-		idx := int(delta >> bucketShift)
-		if idx == e.cursor && e.opened {
-			ev.where = locCur
-			heap.Push(&e.cur, ev)
-			e.nearCount++
-			return
-		}
-		if idx < e.cursor {
-			// An earlier-in-window insertion (possible after RunUntil
-			// advanced the clock past empty buckets): step the cursor back.
-			e.closeOpen()
-			e.cursor = idx
-		}
-		ev.where = locBucket
-		e.buckets[idx] = append(e.buckets[idx], ev)
+	if b >= e.start+numBuckets {
+		ev.where = locFar
+		heap.Push(&e.far, ev)
+		return
+	}
+	if b == e.cursor && e.opened {
+		ev.where = locCur
+		heap.Push(&e.cur, ev)
 		e.nearCount++
 		return
 	}
-	ev.where = locFar
-	heap.Push(&e.far, ev)
+	if b < e.cursor {
+		// An earlier-in-window insertion (a peek or RunUntil ran the cursor
+		// ahead of the clock): step the cursor back.
+		e.closeOpen()
+		e.cursor = b
+	}
+	ev.where = locBucket
+	slot := e.bucket(b)
+	*slot = append(*slot, ev)
+	e.nearCount++
+}
+
+// slide moves the window start up to the clock's bucket and pulls in the far
+// events the window now covers. Buckets below the cursor are empty, so the
+// ring slots the move re-numbers are free — which is why the start never
+// passes the cursor while near events remain (cancelled entries the cursor
+// has not swept yet can hold it behind the clock).
+func (e *Engine) slide() {
+	s := bucketOf(e.now)
+	if e.nearCount > 0 && s > e.cursor {
+		s = e.cursor
+	}
+	if s <= e.start {
+		return
+	}
+	if e.nearCount == 0 {
+		e.closeOpen() // open but exhausted; the cursor re-anchors on the clock
+		e.cursor = s
+	}
+	e.start = s
+	e.refill()
 }
 
 // closeOpen folds an open bucket back into closed state: the unconsumed
@@ -520,7 +560,7 @@ func (e *Engine) closeOpen() {
 	if !e.opened {
 		return
 	}
-	b := e.buckets[e.cursor]
+	b := *e.bucket(e.cursor)
 	n := copy(b, b[e.pos:])
 	for i := n; i < len(b); i++ {
 		b[i] = nil
@@ -531,14 +571,15 @@ func (e *Engine) closeOpen() {
 		ev.where = locBucket
 		b = append(b, ev)
 	}
-	e.buckets[e.cursor] = b
+	*e.bucket(e.cursor) = b
 	e.pos = 0
 	e.opened = false
 }
 
 // rebase moves every near-future event to the far heap and restarts the
-// window at t. Only schedule() calls it, for times below the current base.
-func (e *Engine) rebase(t Time) {
+// window at the clock's bucket. Only schedule() calls it, for times below the
+// window start.
+func (e *Engine) rebase() {
 	e.closeOpen()
 	for i := range e.buckets {
 		for _, ev := range e.buckets[i] {
@@ -548,19 +589,19 @@ func (e *Engine) rebase(t Time) {
 		e.buckets[i] = e.buckets[i][:0]
 	}
 	e.nearCount = 0
-	e.base = t
-	e.cursor = 0
+	e.start = bucketOf(e.now)
+	e.cursor = e.start
 	e.refill()
 }
 
 // refill drains far-future events that now fall inside the window into
-// their buckets. Callers reset cursor before refilling.
+// their buckets, all of them at or beyond the cursor.
 func (e *Engine) refill() {
-	for len(e.far) > 0 && e.far[0].at-e.base < windowSpan {
+	for len(e.far) > 0 && bucketOf(e.far[0].at) < e.start+numBuckets {
 		ev := heap.Pop(&e.far).(*Event)
 		ev.where = locBucket
-		idx := int((ev.at - e.base) >> bucketShift)
-		e.buckets[idx] = append(e.buckets[idx], ev)
+		slot := e.bucket(bucketOf(ev.at))
+		*slot = append(*slot, ev)
 		e.nearCount++
 	}
 }
@@ -573,7 +614,7 @@ func (e *Engine) refill() {
 // Stable (equal keys keep insertion order) and allocation-free once the
 // engine-owned run list and scratch have grown to the bucket sizes in use.
 func (e *Engine) openBucket() {
-	b := e.buckets[e.cursor]
+	b := *e.bucket(e.cursor)
 	e.pos = 0
 	e.opened = true
 	runs := e.runs[:0] // start offset of every run
@@ -627,24 +668,20 @@ func mergeRuns(b []*Event, mid int, scratch []*Event) {
 	copy(b[k:], left[i:]) // right-run leftovers are already in place
 }
 
-// advance moves the cursor to the next non-empty bucket, wrapping the
-// window (and refilling from the far heap) as needed. Precondition: the
-// current bucket is closed and at least one event is queued somewhere.
+// advance moves the cursor to the next non-empty bucket and opens it. The
+// window start stays where it is: the cursor never leaves the window while a
+// near event remains. Precondition: the current bucket is closed and at least
+// one event is queued somewhere.
 func (e *Engine) advance() {
 	if e.nearCount == 0 {
 		// Nothing inside the window: jump it to the far-future frontier
-		// instead of sliding one span at a time toward a distant timer.
-		e.base = e.far[0].at
-		e.cursor = 0
+		// instead of walking empty buckets toward a distant timer.
+		e.start = bucketOf(e.far[0].at)
+		e.cursor = e.start
 		e.refill()
 	}
-	for len(e.buckets[e.cursor]) == 0 {
+	for len(*e.bucket(e.cursor)) == 0 {
 		e.cursor++
-		if e.cursor == numBuckets {
-			e.base += windowSpan
-			e.cursor = 0
-			e.refill()
-		}
 	}
 	e.openBucket()
 }
@@ -659,7 +696,7 @@ func (e *Engine) peekEvent() *Event {
 			}
 			e.advance()
 		}
-		b := e.buckets[e.cursor]
+		b := *e.bucket(e.cursor)
 		for e.pos < len(b) && b[e.pos].canceled {
 			ev := b[e.pos]
 			b[e.pos] = nil
@@ -682,7 +719,7 @@ func (e *Engine) peekEvent() *Event {
 		}
 		// Open bucket exhausted: recycle its slice; the next iteration's
 		// advance() finds the following non-empty bucket.
-		e.buckets[e.cursor] = b[:0]
+		*e.bucket(e.cursor) = b[:0]
 		e.pos = 0
 		e.opened = false
 	}
@@ -697,7 +734,7 @@ func (e *Engine) popEvent() *Event {
 	if ev.where == locCur {
 		heap.Pop(&e.cur)
 	} else {
-		e.buckets[e.cursor][e.pos] = nil
+		(*e.bucket(e.cursor))[e.pos] = nil
 		e.pos++
 	}
 	e.nearCount--
@@ -710,8 +747,9 @@ func (e *Engine) popEvent() *Event {
 func (e *Engine) Pending() int { return e.live }
 
 // PeekTime returns the firing time of the next live event. ok is false when
-// the queue is empty. Peeking may slide the calendar window but never
-// consumes or reorders events.
+// the queue is empty. Peeking may run the cursor ahead of the clock (and jump
+// an empty window to the far-future frontier) but never consumes or reorders
+// events; a later schedule below the cursor steps it back.
 func (e *Engine) PeekTime() (t Time, ok bool) {
 	ev := e.peekEvent()
 	if ev == nil {

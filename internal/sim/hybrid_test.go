@@ -3,6 +3,7 @@ package sim
 import (
 	"cmp"
 	"container/heap"
+	"fmt"
 	"slices"
 	"testing"
 )
@@ -61,6 +62,21 @@ type propHarness struct {
 	refByID map[int]*refItem
 	fired   []int
 	budget  int // schedules remaining
+	// scripted turns the randomized moves off: firings only check the order
+	// and run the hook registered for the fired id, if any.
+	scripted bool
+	hooks    map[int]func()
+}
+
+func newPropHarness(t *testing.T, seed uint64) *propHarness {
+	return &propHarness{
+		t:       t,
+		eng:     NewEngine(seed),
+		rng:     NewRNG(seed ^ 0x9E3779B97F4A7C15),
+		live:    map[int]canceler{},
+		refByID: map[int]*refItem{},
+		hooks:   map[int]func(){},
+	}
 }
 
 // OnEvent is the handler-path firing: arg0 carries the event id.
@@ -83,6 +99,12 @@ func (p *propHarness) onFire(id int) {
 	delete(p.live, id)
 	delete(p.refByID, id)
 	p.fired = append(p.fired, id)
+	if p.scripted {
+		if hook := p.hooks[id]; hook != nil {
+			hook()
+		}
+		return
+	}
 	p.act()
 }
 
@@ -117,13 +139,38 @@ func (p *propHarness) cancelOne() {
 			min = id
 		}
 	}
-	if min < 0 {
-		return
+	if min >= 0 {
+		p.cancel(min)
 	}
-	p.live[min].Cancel()
-	p.refByID[min].canceled = true
-	delete(p.live, min)
-	delete(p.refByID, min)
+}
+
+func (p *propHarness) cancel(id int) {
+	p.live[id].Cancel()
+	p.refByID[id].canceled = true
+	delete(p.live, id)
+	delete(p.refByID, id)
+}
+
+// where reports which region of the hybrid queue holds the live event id.
+func (p *propHarness) where(id int) int8 {
+	switch c := p.live[id].(type) {
+	case Handle:
+		return c.ev.where
+	case *Event:
+		return c.where
+	}
+	panic("unknown canceler")
+}
+
+// drain runs the engine dry and checks the reference agrees nothing is left.
+func (p *propHarness) drain() {
+	p.eng.Run()
+	if rest := p.ref.popLive(); rest != nil {
+		p.t.Fatalf("engine drained but reference still holds id %d (at %v)", rest.id, rest.at)
+	}
+	if p.eng.Pending() != 0 {
+		p.t.Fatalf("Pending() = %d after drain", p.eng.Pending())
+	}
 }
 
 // randomDelay mixes ties (0), in-bucket, in-window, and far-future delays
@@ -141,7 +188,7 @@ func (p *propHarness) randomDelay() Time {
 	}
 }
 
-func (p *propHarness) schedule(d Time) {
+func (p *propHarness) schedule(d Time) int {
 	id := p.nextID
 	p.nextID++
 	at := p.eng.Now() + d
@@ -166,6 +213,7 @@ func (p *propHarness) schedule(d Time) {
 	}
 	heap.Push(&p.ref, it)
 	p.refByID[id] = it
+	return id
 }
 
 // TestHybridMatchesReferenceHeapOrder schedules >10k events through the
@@ -175,29 +223,149 @@ func (p *propHarness) schedule(d Time) {
 // (at, seq) order.
 func TestHybridMatchesReferenceHeapOrder(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 0xdeadbeef} {
-		p := &propHarness{
-			t:       t,
-			eng:     NewEngine(seed),
-			rng:     NewRNG(seed ^ 0x9E3779B97F4A7C15),
-			live:    map[int]canceler{},
-			refByID: map[int]*refItem{},
-			budget:  12000,
-		}
+		p := newPropHarness(t, seed)
+		p.budget = 12000
 		for i := 0; i < 2000 && p.budget > 0; i++ {
 			p.budget--
 			p.schedule(p.randomDelay())
 		}
-		p.eng.Run()
-		if rest := p.ref.popLive(); rest != nil {
-			t.Fatalf("seed %d: engine drained but reference still holds id %d", seed, rest.id)
-		}
+		p.drain()
 		if len(p.fired) < 8000 {
 			t.Fatalf("seed %d: only %d events fired; cancellation ate the schedule", seed, len(p.fired))
 		}
-		if p.eng.Pending() != 0 {
-			t.Fatalf("seed %d: Pending() = %d after drain", seed, p.eng.Pending())
-		}
 	}
+}
+
+// trainGap is the spacing of a back-to-back train: one MTU packet's
+// serialization on a 200 Gbit/s uplink, the way a segmented RC write books it.
+const trainGap = 166 * Nanosecond
+
+// TestSlidingWindowShapes scripts the schedules the per-bucket slide
+// introduces — each through all three scheduling flavours, every pop checked
+// against the reference heap.
+func TestSlidingWindowShapes(t *testing.T) {
+	scripted := func(t *testing.T) *propHarness {
+		p := newPropHarness(t, 7)
+		p.scripted = true
+		return p
+	}
+	for _, frac := range []Time{9, 10, 15} { // tenths of a span
+		t.Run(fmt.Sprintf("train late in a span/%d tenths", frac), func(t *testing.T) {
+			// One instant, three quarters of the way through a span, books a
+			// train reaching 0.9, 1.0 and 1.5 spans ahead: the first overflow
+			// slides the window up to the clock, the rest file behind it.
+			p := scripted(t)
+			p.hooks[p.schedule(windowSpan*3/4+7)] = func() {
+				for d := Time(0); d < windowSpan*frac/10; d += trainGap {
+					p.schedule(d)
+				}
+			}
+			p.drain()
+			if p.eng.start == 0 {
+				t.Fatal("the train never slid the window")
+			}
+		})
+	}
+	t.Run("step back and slide under a cursor ahead of the clock", func(t *testing.T) {
+		for _, slideFirst := range []bool{true, false} {
+			p := scripted(t)
+			p.schedule(300 * bucketWidth)
+			p.eng.RunUntil(100*bucketWidth + 3) // the peek opens bucket 300
+			if !p.eng.opened || p.eng.cursor != 300 {
+				t.Fatalf("setup: cursor %d opened %v, want bucket 300 open", p.eng.cursor, p.eng.opened)
+			}
+			over := windowSpan + 50*bucketWidth - p.eng.Now() // beyond the window at start 0
+			if slideFirst {
+				p.schedule(over)
+			}
+			p.schedule(50 * bucketWidth) // bucket 150: between the clock and the cursor
+			p.schedule(0)                // the clock's own bucket
+			p.schedule(200*bucketWidth + 1)
+			if !slideFirst {
+				p.schedule(over)
+			}
+			if p.eng.start != 100 || p.eng.cursor != 100 || len(p.eng.far) != 0 {
+				t.Fatalf("slideFirst=%v: start %d cursor %d far %d, want the window slid to the clock's bucket 100 and nothing far",
+					slideFirst, p.eng.start, p.eng.cursor, len(p.eng.far))
+			}
+			p.drain()
+		}
+	})
+	t.Run("run dry past the window then schedule", func(t *testing.T) {
+		p := scripted(t)
+		p.schedule(10)
+		p.eng.RunUntil(3*windowSpan + 5*bucketWidth + 9)
+		p.schedule(2 * windowSpan) // overflows the stale window: the cursor re-anchors on the clock
+		at := bucketOf(p.eng.Now())
+		if p.eng.start != at || p.eng.cursor != at {
+			t.Fatalf("start %d cursor %d, want both at the clock's bucket %d", p.eng.start, p.eng.cursor, at)
+		}
+		p.schedule(5)
+		p.schedule(windowSpan / 2)
+		p.schedule(windowSpan - bucketWidth)
+		if len(p.eng.far) != 1 {
+			t.Fatalf("%d events on the far heap, want only the one two spans out", len(p.eng.far))
+		}
+		p.drain()
+	})
+	t.Run("schedule below a window jumped to the far frontier", func(t *testing.T) {
+		p := scripted(t)
+		p.schedule(5*windowSpan + 3)
+		p.schedule(5*windowSpan + 40*bucketWidth)
+		p.eng.RunUntil(windowSpan / 2) // nothing near: the peek jumps the window to far[0]
+		if p.eng.start != bucketOf(5*windowSpan) || len(p.eng.far) != 0 {
+			t.Fatalf("setup: start %d far %d, want the window at the frontier", p.eng.start, len(p.eng.far))
+		}
+		p.schedule(100) // below the window: rebase onto the clock
+		if at := bucketOf(p.eng.Now()); p.eng.start != at || p.eng.cursor != at || len(p.eng.far) != 2 {
+			t.Fatalf("start %d cursor %d far %d, want the window back at bucket %d and both timers far",
+				p.eng.start, p.eng.cursor, len(p.eng.far), at)
+		}
+		p.schedule(windowSpan / 3)
+		p.schedule(6 * windowSpan)
+		p.drain()
+	})
+	t.Run("cancel after refill", func(t *testing.T) {
+		p := scripted(t)
+		var ids []int
+		for i := 0; i < 6; i++ { // two of each flavour, one bucket apart
+			ids = append(ids, p.schedule(2*windowSpan+Time(i)*bucketWidth))
+		}
+		for _, id := range ids {
+			if p.where(id) != locFar {
+				t.Fatalf("setup: id %d not on the far heap", id)
+			}
+		}
+		p.eng.RunUntil(windowSpan) // the peek jumps the window and refills all six into buckets
+		for _, id := range ids[:3] {
+			if w := p.where(id); w != locBucket {
+				t.Fatalf("id %d at location %d after the refill, want a closed bucket", id, w)
+			}
+			p.cancel(id)
+		}
+		p.drain()
+		if len(p.fired) != 3 {
+			t.Fatalf("fired %v, want the three events not cancelled", p.fired)
+		}
+	})
+}
+
+// TestNearTrainNeverEntersFar is the point of sliding per bucket: an event
+// less than a window ahead of the clock is filed in a bucket however late in
+// a span the clock stands. (Less the clock's own partial bucket: the window
+// starts on the clock's bucket boundary.)
+func TestNearTrainNeverEntersFar(t *testing.T) {
+	e := NewEngine(1)
+	var noop recordNothing
+	e.At(windowSpan*3/4, func() {
+		for d := Time(0); d < windowSpan*9/10; d += trainGap {
+			e.AfterHandler(d, noop, 0, 0, nil)
+			if len(e.far) != 0 {
+				t.Fatalf("event %v ahead of the clock (window %v) went to the far heap", d, windowSpan)
+			}
+		}
+	})
+	e.Run()
 }
 
 // TestRunUntilThenEarlierSchedule covers the rebase path: RunUntil jumps
@@ -555,6 +723,35 @@ func TestBucketShapes(t *testing.T) {
 		first := slices.Clone(s.fired[mark:])
 		// Restore re-files the sorted remainder and the heap's array order
 		// into one closed bucket; the rerun must merge them to the same order.
+		s.eng.Restore(snap)
+		s.fired = s.fired[:mark]
+		s.eng.Run()
+		if !slices.Equal(s.fired[mark:], first) {
+			t.Fatalf("rerun after Restore fired a different order")
+		}
+	})
+	t.Run("snapshot with a ring offset", func(t *testing.T) {
+		// Slide the window to a start that is not a multiple of the ring
+		// size, with events in slots on both sides of the wrap, in the open
+		// bucket's heap and on the far heap; Restore re-anchors on the clock.
+		s := &shape{eng: NewEngine(1)}
+		at := windowSpan + 37*bucketWidth
+		s.add(at, 0)
+		s.add(at+5, 0)
+		s.eng.RunUntil(at)                            // fires the first; the peek leaves the bucket open
+		for i := Time(0); i < numBuckets+40; i += 3 { // the tail overflows: slide, then far
+			s.addRuns(at+i*bucketWidth, 2, 3)
+		}
+		if s.eng.start&bucketMask == 0 || len(s.eng.far) == 0 || len(s.eng.cur) == 0 {
+			t.Fatalf("setup: start %d far %d cur %d, want an offset window, far events and an open-bucket heap",
+				s.eng.start, len(s.eng.far), len(s.eng.cur))
+		}
+		s.cancel(len(s.ents) / 2)
+		snap := s.eng.Snapshot()
+		mark := len(s.fired)
+		s.eng.Run()
+		s.check(t)
+		first := slices.Clone(s.fired[mark:])
 		s.eng.Restore(snap)
 		s.fired = s.fired[:mark]
 		s.eng.Run()

@@ -194,7 +194,6 @@ func (e *Engine) purge() {
 	e.live = 0
 	e.opened = false
 	e.pos = 0
-	e.cursor = 0
 }
 
 // Restore rewinds the engine to the snapshot: the queue is purged and
@@ -213,7 +212,8 @@ func (e *Engine) Restore(s *Snapshot) {
 	e.now = s.now
 	e.lastFired = s.lastFired
 	e.stopped = false
-	e.base = s.now
+	e.start = bucketOf(s.now)
+	e.cursor = e.start
 	// Re-file every recorded event into the SAME *Event struct it occupied
 	// at capture, with its original generation. After purge every pooled
 	// event is on the free list, so the recorded structs are reclaimed from

@@ -361,27 +361,27 @@ func (g *Graph) hopsByBFS(src NodeID) []int {
 // to every destination host. The fabric picks among candidates either
 // deterministically (hash of the flow) or per-packet (adaptive routing).
 type RoutingTable struct {
-	// ports[switch][host] -> candidate egress port indices.
-	ports map[NodeID]map[NodeID][]int
+	// ports[switch][host] -> candidate egress port indices; the row of a
+	// node that is not a switch is nil.
+	ports [][][]int
 }
 
 // Candidates returns the egress ports of sw on shortest paths toward host
 // dst. The returned slice must not be modified.
 func (rt *RoutingTable) Candidates(sw, dst NodeID) []int {
-	m := rt.ports[sw]
-	if m == nil {
-		return nil
+	if row := rt.ports[sw]; row != nil {
+		return row[dst]
 	}
-	return m[dst]
+	return nil
 }
 
 // BuildRouting computes shortest-path multipath routing tables for every
 // switch toward every host using one BFS per host.
 func (g *Graph) BuildRouting() *RoutingTable {
-	rt := &RoutingTable{ports: make(map[NodeID]map[NodeID][]int)}
+	rt := &RoutingTable{ports: make([][][]int, len(g.Nodes))}
 	for _, n := range g.Nodes {
 		if n.Kind == Switch {
-			rt.ports[n.ID] = make(map[NodeID][]int)
+			rt.ports[n.ID] = make([][]int, len(g.Nodes))
 		}
 	}
 	for _, h := range g.Hosts() {

@@ -23,16 +23,11 @@ func (qp *QP) PostSendUD(wrID uint64, dst Addr, mr *MR, offset, length int, imm 
 	if length > qp.ctx.MTU() {
 		panic(fmt.Sprintf("verbs: UD datagram %d exceeds MTU %d", length, qp.ctx.MTU()))
 	}
-	m := &wireMsg{
-		op:      wireSendUD,
-		srcQPN:  qp.N,
-		dstQPN:  dst.QPN,
-		imm:     imm,
-		hasImm:  true,
-		data:    mr.read(offset, length),
-		dataLen: length,
-	}
-	wire := qp.ctx.inject(dst, m, length, uint64(qp.N))
+	pkt, m := qp.ctx.newPacket(dst, length, uint64(qp.N))
+	m.op, m.srcQPN, m.dstQPN = wireSendUD, qp.N, dst.QPN
+	m.imm, m.hasImm = imm, true
+	m.data, m.dataLen = mr.read(offset, length), length
+	wire := qp.ctx.nic.Inject(pkt)
 	if signaled {
 		// The send completion is reported once the datagram has left the
 		// NIC (wire serialization done) — this is what paces batched send
@@ -64,23 +59,10 @@ func (qp *QP) PostSendReduce(wrID uint64, dst Addr, rg fabric.ReduceGroupID, chu
 	if length > qp.ctx.MTU() {
 		panic(fmt.Sprintf("verbs: reduce datagram %d exceeds MTU %d", length, qp.ctx.MTU()))
 	}
-	m := &wireMsg{
-		op:      wireSendUD,
-		srcQPN:  qp.N,
-		dstQPN:  dst.QPN,
-		imm:     imm,
-		hasImm:  true,
-		dataLen: length,
-	}
-	pkt := &fabric.Packet{
-		Dst:          dst.Host,
-		Group:        fabric.NoGroup,
-		Flow:         uint64(qp.N),
-		Payload:      m,
-		PayloadBytes: length,
-		Reduce:       rg,
-		ReduceChunk:  chunkID,
-	}
+	pkt, m := qp.ctx.newPacket(Unicast(dst.Host, dst.QPN), length, uint64(qp.N))
+	pkt.Reduce, pkt.ReduceChunk = rg, chunkID
+	m.op, m.srcQPN, m.dstQPN = wireSendUD, qp.N, dst.QPN
+	m.imm, m.hasImm, m.dataLen = imm, true, length
 	wire := qp.ctx.nic.Inject(pkt)
 	if signaled {
 		qp.ctx.eng.AtHandler(wire, qp, wrID, length, nil)
@@ -165,23 +147,16 @@ func (qp *QP) segmentAndSendSignaled(msgID uint64, op wireOp, dst Addr, wrID uin
 		if segLen < 0 {
 			segLen = 0
 		}
-		m := &wireMsg{
-			op:      op,
-			srcQPN:  qp.N,
-			dstQPN:  dst.QPN,
-			msgID:   msgID,
-			seg:     s,
-			nsegs:   nsegs,
-			rkey:    rkey,
-			roffset: roffset + segOff,
-			imm:     imm,
-			hasImm:  s == nsegs-1, // immediate rides the last segment
-			dataLen: segLen,
-		}
+		pkt, m := ctx.newPacket(dst, segLen, uint64(qp.N))
+		m.op, m.srcQPN, m.dstQPN = op, qp.N, dst.QPN
+		m.msgID, m.seg, m.nsegs = msgID, s, nsegs
+		m.rkey, m.roffset = rkey, roffset+segOff
+		m.imm, m.hasImm = imm, s == nsegs-1 // immediate rides the last segment
+		m.dataLen = segLen
 		if mr != nil && segLen > 0 {
 			m.data = mr.read(offset+segOff, segLen)
 		}
-		wire := ctx.inject(dst, m, segLen, uint64(qp.N))
+		wire := ctx.nic.Inject(pkt)
 		if s == nsegs-1 {
 			lastWire = wire
 			if op == wireWrite && qp.Transport == UC && signaled {
@@ -208,39 +183,60 @@ type assemblyState struct {
 	data  []byte // two-sided RC payload staged until a receive WQE matches
 }
 
+// segment files one arriving segment of a UC/RC message and returns the
+// message's assembly state, complete when have == m.nsegs. It returns nil
+// for a segment that changes nothing: a duplicate, or (reliable only) part of
+// a message already delivered, whose retransmission raced our ack and is
+// re-acked. A message still in assembly is by construction not completed, so
+// a hit on the entry the previous segment used skips both lookups.
+func (qp *QP) segment(src Addr, m *wireMsg, reliable bool) *assemblyState {
+	key := assemblyKey{srcHost: src.Host, srcQPN: m.srcQPN, msgID: m.msgID}
+	st := qp.lastAsm
+	if st == nil || key != qp.lastKey {
+		if reliable && qp.completedRC[key] {
+			qp.sendAck(src, m.msgID, 0)
+			return nil
+		}
+		st = qp.assembly[key]
+		if st == nil {
+			st = &assemblyState{got: make([]bool, m.nsegs)}
+			qp.assembly[key] = st
+		}
+		qp.lastKey, qp.lastAsm = key, st
+	}
+	if st.got[m.seg] {
+		return nil // RC retransmission duplicate
+	}
+	st.got[m.seg] = true
+	st.have++
+	st.bytes += m.dataLen
+	if st.have == m.nsegs {
+		delete(qp.assembly, key)
+		qp.lastAsm = nil
+	}
+	return st
+}
+
 // receiveWrite handles one UC/RC write segment on the receiver.
 func (qp *QP) receiveWrite(src Addr, m *wireMsg, reliable bool) {
 	mr, ok := qp.ctx.LookupMR(m.rkey)
 	if !ok {
 		panic(fmt.Sprintf("verbs: write to unknown rkey %d on host %d", m.rkey, qp.ctx.Host))
 	}
-	key := assemblyKey{srcHost: src.Host, srcQPN: m.srcQPN, msgID: m.msgID}
-	if reliable && qp.completedRC[key] {
-		qp.sendAck(src, m.msgID, 0) // retransmission raced our ack: re-ack
+	st := qp.segment(src, m, reliable)
+	if st == nil {
 		return
 	}
-	st := qp.assembly[key]
-	if st == nil {
-		st = &assemblyState{got: make([]bool, m.nsegs)}
-		qp.assembly[key] = st
-	}
-	if st.got[m.seg] {
-		return // RC retransmission duplicate
-	}
-	st.got[m.seg] = true
-	st.have++
-	st.bytes += m.dataLen
 	mr.write(m.roffset, m.data, m.dataLen)
 
 	if st.have == m.nsegs {
-		delete(qp.assembly, key)
 		qp.recvCQ.Push(CQE{
 			Op: OpRecvWriteImm, QPN: qp.N,
 			Imm: m.imm, HasImm: m.hasImm, Bytes: st.bytes,
 			SrcHost: src.Host, SrcQPN: m.srcQPN,
 		})
 		if reliable {
-			qp.completedRC[key] = true
+			qp.completedRC[assemblyKey{srcHost: src.Host, srcQPN: m.srcQPN, msgID: m.msgID}] = true
 			qp.sendAck(src, m.msgID, st.bytes)
 		}
 	}
@@ -257,6 +253,7 @@ func (qp *QP) GCAssembly() {
 			delete(qp.assembly, k)
 		}
 	}
+	qp.lastAsm = nil
 }
 
 // --- RC ---------------------------------------------------------------------
@@ -343,13 +340,13 @@ func (qp *QP) startRC(p *rcPending) {
 // the moral equivalent of hardware go-back-N making forward progress.
 func (qp *QP) transmitRC(p *rcPending) sim.Time {
 	if p.op == wireReadReq {
-		m := &wireMsg{
-			op: wireReadReq, srcQPN: qp.N, dstQPN: p.dst.QPN, msgID: p.msgID,
-			rkey: p.rkey, roffset: p.roffset, readLen: p.length, nsegs: 1,
-		}
+		pkt, m := qp.ctx.newPacket(p.dst, 16, uint64(qp.N))
+		m.op, m.srcQPN, m.dstQPN = wireReadReq, qp.N, p.dst.QPN
+		m.msgID, m.nsegs = p.msgID, 1
+		m.rkey, m.roffset, m.readLen = p.rkey, p.roffset, p.length
 		// Reads wait for a response of p.length bytes; budget its wire time
 		// into the timeout below via p.length.
-		return qp.ctx.inject(p.dst, m, 16, uint64(qp.N))
+		return qp.ctx.nic.Inject(pkt)
 	}
 	return qp.segmentAndSendMsg(p.msgID, p.op, p.dst, p.mr, p.offset, p.length, p.rkey, p.roffset, p.imm)
 }
@@ -387,8 +384,10 @@ func (qp *QP) retransmit(p *rcPending) {
 }
 
 func (qp *QP) sendAck(dst Addr, msgID uint64, bytes int) {
-	m := &wireMsg{op: wireAck, srcQPN: qp.N, dstQPN: dst.QPN, msgID: msgID, ackBytes: bytes, nsegs: 1}
-	qp.ctx.inject(dst, m, 8, uint64(qp.N))
+	pkt, m := qp.ctx.newPacket(dst, 8, uint64(qp.N))
+	m.op, m.srcQPN, m.dstQPN = wireAck, qp.N, dst.QPN
+	m.msgID, m.nsegs, m.ackBytes = msgID, 1, bytes
+	qp.ctx.nic.Inject(pkt)
 }
 
 func (qp *QP) receiveAck(m *wireMsg) {
@@ -452,15 +451,14 @@ func (qp *QP) receiveReadReq(src Addr, m *wireMsg) {
 		if segLen < 0 {
 			segLen = 0
 		}
-		resp := &wireMsg{
-			op: wireReadResp, srcQPN: qp.N, dstQPN: m.srcQPN,
-			msgID: m.msgID, seg: s, nsegs: nsegs,
-			roffset: segOff, dataLen: segLen,
-		}
+		pkt, resp := qp.ctx.newPacket(src, segLen, uint64(qp.N))
+		resp.op, resp.srcQPN, resp.dstQPN = wireReadResp, qp.N, m.srcQPN
+		resp.msgID, resp.seg, resp.nsegs = m.msgID, s, nsegs
+		resp.roffset, resp.dataLen = segOff, segLen
 		if segLen > 0 {
 			resp.data = mr.read(m.roffset+segOff, segLen)
 		}
-		qp.ctx.inject(src, resp, segLen, uint64(qp.N))
+		qp.ctx.nic.Inject(pkt)
 	}
 }
 
@@ -508,22 +506,10 @@ func (qp *QP) receive(pkt *fabric.Packet, m *wireMsg) {
 
 // receiveSendSegment reassembles two-sided RC messages.
 func (qp *QP) receiveSendSegment(src Addr, m *wireMsg) {
-	key := assemblyKey{srcHost: src.Host, srcQPN: m.srcQPN, msgID: m.msgID}
-	if qp.completedRC[key] {
-		qp.sendAck(src, m.msgID, 0)
-		return
-	}
-	st := qp.assembly[key]
+	st := qp.segment(src, m, true)
 	if st == nil {
-		st = &assemblyState{got: make([]bool, m.nsegs)}
-		qp.assembly[key] = st
-	}
-	if st.got[m.seg] {
 		return
 	}
-	st.got[m.seg] = true
-	st.have++
-	st.bytes += m.dataLen
 	if m.data != nil {
 		mtu := qp.ctx.MTU()
 		if st.data == nil {
@@ -532,7 +518,6 @@ func (qp *QP) receiveSendSegment(src Addr, m *wireMsg) {
 		copy(st.data[m.seg*mtu:], m.data)
 	}
 	if st.have == m.nsegs {
-		delete(qp.assembly, key)
 		qp.receiveSendRC(src, m, st)
 	}
 }

@@ -3,9 +3,8 @@ package verbs
 import "repro/internal/telemetry"
 
 // CollectTelemetry exports the context's transport counters into reg.
-// Per-QP counters are summed context-wide — QP map iteration order is
-// nondeterministic, but summing into counters is commutative, so the
-// exported totals are stable. A nil registry is a no-op.
+// Per-QP counters are summed context-wide; summing is commutative, so the
+// exported totals do not depend on QP order. A nil registry is a no-op.
 func (ctx *Context) CollectTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return

@@ -253,10 +253,10 @@ type Context struct {
 	nic  *fabric.NIC
 	cfg  Config
 
-	qps     map[QPN]*QP
-	nextQPN QPN
-	mrs     map[uint32]*MR
-	nextKey uint32
+	// QPNs and MR keys are handed out densely from 1: qps[n-1] is QP n,
+	// mrs[k-1] the region registered under key k.
+	qps []*QP
+	mrs []*MR
 	// mcast[group] lists local QPs attached to the group.
 	mcast map[fabric.GroupID][]*QP
 	dma   *DMAEngine
@@ -282,8 +282,6 @@ func NewContext(f *fabric.Fabric, host topology.NodeID, cfg Config) *Context {
 		eng:   f.HostEngine(host),
 		nic:   f.AttachNIC(host),
 		cfg:   cfg,
-		qps:   make(map[QPN]*QP),
-		mrs:   make(map[uint32]*MR),
 		mcast: make(map[fabric.GroupID][]*QP),
 	}
 	ctx.dma = newDMAEngine(ctx.eng, cfg.DMABandwidth, cfg.DMALatency)
@@ -326,16 +324,17 @@ func (ctx *Context) RegisterMRLazy(size int) *MR {
 }
 
 func (ctx *Context) registerMR(mr *MR) *MR {
-	ctx.nextKey++
-	mr.Key = ctx.nextKey
-	ctx.mrs[mr.Key] = mr
+	ctx.mrs = append(ctx.mrs, mr)
+	mr.Key = uint32(len(ctx.mrs))
 	return mr
 }
 
 // LookupMR resolves a remote key on this (target) context.
 func (ctx *Context) LookupMR(key uint32) (*MR, bool) {
-	mr, ok := ctx.mrs[key]
-	return mr, ok
+	if key-1 >= uint32(len(ctx.mrs)) { // key 0 wraps to the maximum
+		return nil, false
+	}
+	return ctx.mrs[key-1], true
 }
 
 // QP is a queue pair bound to a context.
@@ -361,6 +360,11 @@ type QP struct {
 	// retransmission racing its own ack is re-acked, not re-delivered
 	// (the software analogue of the RC PSN window).
 	completedRC map[assemblyKey]bool
+	// lastAsm is the assembly entry the previous segment hit, under lastKey;
+	// nil when that entry has been deleted. The segments of a message arrive
+	// back to back, so all but the first skip both map lookups.
+	lastKey assemblyKey
+	lastAsm *assemblyState
 
 	// Stats
 	RNRDrops     uint64 // two-sided arrivals dropped for lack of a recv WQE
@@ -373,9 +377,8 @@ func (ctx *Context) NewQP(t Transport, sendCQ, recvCQ *CQ, rqDepth int) *QP {
 	if rqDepth <= 0 {
 		rqDepth = ctx.cfg.RQDepth
 	}
-	ctx.nextQPN++
 	qp := &QP{
-		N:           ctx.nextQPN,
+		N:           QPN(len(ctx.qps) + 1),
 		Transport:   t,
 		ctx:         ctx,
 		sendCQ:      sendCQ,
@@ -385,7 +388,7 @@ func (ctx *Context) NewQP(t Transport, sendCQ, recvCQ *CQ, rqDepth int) *QP {
 		assembly:    make(map[assemblyKey]*assemblyState),
 		completedRC: make(map[assemblyKey]bool),
 	}
-	ctx.qps[qp.N] = qp
+	ctx.qps = append(ctx.qps, qp)
 	return qp
 }
 
@@ -476,23 +479,31 @@ func (ctx *Context) allocMsgID() uint64 {
 	return ctx.nextMsgID
 }
 
-// inject wraps a wire message into a fabric packet and transmits it,
-// returning the wire-serialization completion time on the host uplink.
-func (ctx *Context) inject(dst Addr, m *wireMsg, payloadBytes int, flow uint64) sim.Time {
-	pkt := &fabric.Packet{
-		Dst:          dst.Host,
-		Group:        dst.Group,
-		Flow:         flow,
-		Payload:      m,
-		PayloadBytes: payloadBytes,
+// newPacket returns a packet addressed to dst together with its zeroed wire
+// header for the caller to fill in place and hand to nic.Inject. A unicast
+// packet comes from the fabric's pool with the header it last carried; a
+// multicast packet is shared by every tree branch and allocated fresh.
+func (ctx *Context) newPacket(dst Addr, payloadBytes int, flow uint64) (*fabric.Packet, *wireMsg) {
+	var pkt *fabric.Packet
+	if dst.IsMulticast() {
+		pkt = &fabric.Packet{Group: dst.Group}
+	} else {
+		pkt = ctx.nic.NewPacket()
 	}
-	if !dst.IsMulticast() {
-		pkt.Group = fabric.NoGroup
+	pkt.Dst, pkt.Flow, pkt.PayloadBytes = dst.Host, flow, payloadBytes
+	m, _ := pkt.Payload.(*wireMsg)
+	if m == nil {
+		m = &wireMsg{}
+		pkt.Payload = m
+	} else {
+		*m = wireMsg{}
 	}
-	return ctx.nic.Inject(pkt)
+	return pkt, m
 }
 
-// dispatch routes an arriving packet to the destination QP(s).
+// dispatch routes an arriving packet to the destination QP(s). A QPN this
+// context never handed out is a stale packet to a destroyed QP: silently
+// dropped, as in IB.
 func (ctx *Context) dispatch(pkt *fabric.Packet) {
 	m := pkt.Payload.(*wireMsg)
 	if pkt.Group != fabric.NoGroup {
@@ -501,9 +512,8 @@ func (ctx *Context) dispatch(pkt *fabric.Packet) {
 		}
 		return
 	}
-	qp, ok := ctx.qps[m.dstQPN]
-	if !ok {
-		return // stale packet to a destroyed QP: silently dropped, as in IB
+	if n := m.dstQPN - 1; n < QPN(len(ctx.qps)) { // QPN 0 wraps to the maximum
+		ctx.qps[n].receive(pkt, m)
 	}
-	qp.receive(pkt, m)
+	m.data = nil // the header goes back to the pool with its packet: pin no MR
 }
