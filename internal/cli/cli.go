@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 )
@@ -62,8 +63,9 @@ func NonNegative(name string, v int) error {
 }
 
 // Writable requires path (when set) to point into an existing directory,
-// so a typo'd -json/-csv/-trace/-cpuprofile destination fails before the
-// simulation runs instead of after it. The file itself need not exist.
+// so a typo'd -json/-csv/-trace/-cpuprofile/-memprofile destination fails
+// before the simulation runs instead of after it. The file itself need not
+// exist.
 func Writable(name, path string) error {
 	if path == "" {
 		return nil
@@ -101,4 +103,27 @@ func StartCPUProfile(path string) (func(), error) {
 		pprof.StopCPUProfile()
 		f.Close()
 	}, nil
+}
+
+// WriteAllocProfile writes the allocation profile — every sampled
+// allocation since process start, live or collected, as `go tool pprof
+// -sample_index=alloc_space` reads it — to path; an empty path is a no-op.
+// Call it after the run it should describe.
+func WriteAllocProfile(path string) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	runtime.GC() // the profile is complete only up to the last collection
+	err = pprof.Lookup("allocs").WriteTo(f, 0)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	return nil
 }

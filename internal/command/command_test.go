@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/manifest"
+	"repro/internal/topology"
 )
 
 // run invokes the dispatcher and returns (exit code, stdout, stderr).
@@ -77,6 +79,7 @@ func TestExitCodes(t *testing.T) {
 		{"cost bad json dir", []string{"cost", "-fig", "2", "-json", missing}, 2, "does not exist"},
 
 		{"run no manifest", []string{"run"}, 2, "usage"},
+		{"run bad memprofile dir", []string{"run", "-memprofile", missing, "absent.json"}, 2, "-memprofile: directory"},
 		{"run missing file", []string{"run", filepath.Join(t.TempDir(), "absent.json")}, 2, ""},
 		{"validate no args", []string{"validate"}, 2, "usage"},
 		{"list extra args", []string{"list", "x"}, 2, "usage"},
@@ -382,5 +385,43 @@ func TestGoldenPRManifest(t *testing.T) {
 	sum := sha256.Sum256(b)
 	if got := hex.EncodeToString(sum[:]); got != m.Expect.SHA256 {
 		t.Fatalf("BENCH_pr.json digest %s, manifest expects %s", got, m.Expect.SHA256)
+	}
+}
+
+// structureDigest hashes everything a fabric reads from the process-wide
+// testbed: every adjacency entry, every link and every routing-table row.
+func structureDigest() string {
+	g := topology.Testbed188()
+	rt := g.Routing()
+	h := sha256.New()
+	for n := range g.Nodes {
+		fmt.Fprintf(h, "node %+v adj %v\n", g.Nodes[n], g.Adj[n])
+		for dst := range g.Nodes {
+			fmt.Fprintf(h, "%v,", rt.Candidates(topology.NodeID(n), topology.NodeID(dst)))
+		}
+	}
+	fmt.Fprintf(h, "links %v", g.Links)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSharedStructureSurvivesChaosRun: the graph and routing table every
+// point shares are read-only. A full chaos grid — link flaps, lossy
+// channels, tenants, four workers building and running fabrics on them at
+// once — leaves both exactly as it found them, and still matches its digest.
+func TestSharedStructureSurvivesChaosRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole chaos manifest; skipped with -short")
+	}
+	src, err := filepath.Abs(filepath.Join("..", "..", "manifests", "chaos.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := structureDigest()
+	code, stdout, stderr := run("run", "-workers", "4", "-o", t.TempDir(), src)
+	if code != 0 || !strings.Contains(stdout, "digest matches expect.sha256") {
+		t.Fatalf("repro run: exit %d\nstdout %s\nstderr %s", code, stdout, stderr)
+	}
+	if after := structureDigest(); after != before {
+		t.Fatalf("shared graph + routing digest moved across the run: %s -> %s", before, after)
 	}
 }

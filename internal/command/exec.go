@@ -23,6 +23,7 @@ type common struct {
 	workers      int
 	shards       int
 	cpuprofile   string
+	memprofile   string
 	telemetry    bool
 	metricsPath  string
 	perfettoPath string
@@ -38,6 +39,7 @@ func (c *common) register(fs *flag.FlagSet, workersDefault int) {
 	fs.IntVar(&c.workers, "workers", workersDefault, "sweep worker goroutines (0 = GOMAXPROCS)")
 	fs.IntVar(&c.shards, "shards", 1, "engine shards for conservative parallel execution (1 = serial; results are identical at any value)")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&c.memprofile, "memprofile", "", "write an allocation profile of the run to this file")
 	fs.BoolVar(&c.telemetry, "telemetry", false, "collect the deterministic metrics registry during the sweep")
 	fs.StringVar(&c.metricsPath, "metrics", "", "write canonical telemetry metrics.json to this path (implies -telemetry)")
 	fs.StringVar(&c.perfettoPath, "perfetto", "", "write a Perfetto/Chrome trace of the representative run to this path (implies -telemetry)")
@@ -52,6 +54,7 @@ func (c *common) validate() []error {
 		cli.Writable("json", c.jsonPath),
 		cli.Writable("csv", c.csvPath),
 		cli.Writable("cpuprofile", c.cpuprofile),
+		cli.Writable("memprofile", c.memprofile),
 		cli.Writable("metrics", c.metricsPath),
 		cli.Writable("perfetto", c.perfettoPath),
 	}
@@ -105,10 +108,17 @@ func fail(stderr io.Writer, code int, format string, args ...interface{}) int {
 }
 
 // diagnostics carries the run-scoped paths that never belong in a
-// manifest document: the protocol-trace destination and the CPU profile.
+// manifest document: the protocol-trace destination and the CPU and
+// allocation profiles.
 type diagnostics struct {
 	trace      string
 	cpuprofile string
+	memprofile string
+}
+
+// diag pairs a subcommand's -trace path with the common profile flags.
+func (c *common) diag(trace string) diagnostics {
+	return diagnostics{trace: trace, cpuprofile: c.cpuprofile, memprofile: c.memprofile}
 }
 
 // execute is the single run path behind `repro run` and all seven shims:
@@ -132,6 +142,9 @@ func execute(cmd string, m manifest.Manifest, diag diagnostics, stdout, stderr i
 	defer stop()
 	rep, err := plan.Execute(m.Workers, stdout)
 	if err != nil {
+		return fail(stderr, 1, "%s: %v", cmd, err)
+	}
+	if err := cli.WriteAllocProfile(diag.memprofile); err != nil {
 		return fail(stderr, 1, "%s: %v", cmd, err)
 	}
 

@@ -93,7 +93,7 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 		if len(paths) > 1 {
 			fmt.Fprintf(stdout, "== %s\n", path)
 		}
-		if code := execute("run", m, diagnostics{trace: *tracePath, cpuprofile: c.cpuprofile}, stdout, stderr); code != 0 {
+		if code := execute("run", m, c.diag(*tracePath), stdout, stderr); code != 0 {
 			return code
 		}
 	}

@@ -59,7 +59,7 @@ func runOSU(args []string, stdout, stderr io.Writer) int {
 		m.Baseline = &manifest.Baseline{Path: *comparePath, Tolerance: *tol}
 	}
 	c.apply(&m)
-	return execute("osu", m, diagnostics{trace: *tracePath, cpuprofile: c.cpuprofile}, stdout, stderr)
+	return execute("osu", m, c.diag(*tracePath), stdout, stderr)
 }
 
 // runAG is the at-scale collective figures shim (was cmd/agbench).
@@ -98,7 +98,7 @@ func runAG(args []string, stdout, stderr io.Writer) int {
 		m.Grid.Sizes = sizes
 	}
 	c.apply(&m)
-	return execute("ag", m, diagnostics{trace: *tracePath, cpuprofile: c.cpuprofile}, stdout, stderr)
+	return execute("ag", m, c.diag(*tracePath), stdout, stderr)
 }
 
 // runTraffic is the Figure 12 switch-traffic shim (was cmd/trafficbench).
@@ -125,7 +125,7 @@ func runTraffic(args []string, stdout, stderr io.Writer) int {
 		Traffic: &manifest.TrafficSpec{Iters: *iters},
 	}
 	c.apply(&m)
-	return execute("traffic", m, diagnostics{trace: *tracePath, cpuprofile: c.cpuprofile}, stdout, stderr)
+	return execute("traffic", m, c.diag(*tracePath), stdout, stderr)
 }
 
 // runDPA is the SmartNIC-offloading experiments shim (was cmd/dpabench).
@@ -152,7 +152,7 @@ func runDPA(args []string, stdout, stderr io.Writer) int {
 		m.Tables = []int{*table}
 	}
 	c.apply(&m)
-	return execute("dpa", m, diagnostics{trace: *tracePath, cpuprofile: c.cpuprofile}, stdout, stderr)
+	return execute("dpa", m, c.diag(*tracePath), stdout, stderr)
 }
 
 // runCost is the analytic cost-model shim (was cmd/costmodel).
@@ -177,7 +177,7 @@ func runCost(args []string, stdout, stderr io.Writer) int {
 		m.Figures = []int{*fig}
 	}
 	c.apply(&m)
-	return execute("cost", m, diagnostics{trace: *tracePath, cpuprofile: c.cpuprofile}, stdout, stderr)
+	return execute("cost", m, c.diag(*tracePath), stdout, stderr)
 }
 
 // runChaos is the perturbation-scenario shim (was cmd/chaosbench).
@@ -213,7 +213,7 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 		Seed: seed,
 	}
 	c.apply(&m)
-	return execute("chaos", m, diagnostics{trace: *tracePath, cpuprofile: c.cpuprofile}, stdout, stderr)
+	return execute("chaos", m, c.diag(*tracePath), stdout, stderr)
 }
 
 // runTrain is the training-workload shim (was cmd/trainbench).
@@ -270,5 +270,5 @@ func runTrain(args []string, stdout, stderr io.Writer) int {
 		m.Baseline = &manifest.Baseline{Path: *comparePath, Tolerance: *tol}
 	}
 	c.apply(&m)
-	return execute("train", m, diagnostics{trace: *tracePath, cpuprofile: c.cpuprofile}, stdout, stderr)
+	return execute("train", m, c.diag(*tracePath), stdout, stderr)
 }

@@ -179,3 +179,48 @@ func TestFabricHopAllocGate(t *testing.T) {
 		t.Fatalf("fabric hop allocates %.2f objects per packet, want 0", avg)
 	}
 }
+
+// TestFabricOnWarmGraphAllocGate: the routing table belongs to the graph,
+// so the second fabric on a graph allocates its own channels, NIC table and
+// pool and nothing per (switch, host) — BuildRouting alone was 19 569
+// objects per fabric on the testbed.
+func TestFabricOnWarmGraphAllocGate(t *testing.T) {
+	g := topology.Testbed188()
+	if a, b := New(sim.NewEngine(1), g, Config{}), New(sim.NewEngine(2), g, Config{}); a.rt != b.rt || a.rt != g.Routing() {
+		t.Fatal("two fabrics on one graph hold different routing tables")
+	}
+	eng := sim.NewEngine(1)
+	if avg := testing.AllocsPerRun(20, func() { New(eng, g, Config{}) }); avg > 64 {
+		t.Fatalf("fabric.New on a warm Testbed188 allocates %.0f objects, want <= 64", avg)
+	}
+}
+
+// TestWarmReduceChunkAllocGate: a reduction chunk — one pool-born
+// contribution per member, all but the last absorbed at the root, the last
+// forwarded as the result — recycles every packet, so steady state it
+// allocates nothing.
+func TestWarmReduceChunkAllocGate(t *testing.T) {
+	eng, f, rg, nics := reduceFixture(t, topology.Star(4))
+	owner := nics[1]
+	owner.Deliver = func(*Packet) {}
+	chunk := uint64(0)
+	reduce := func() {
+		for _, nic := range nics {
+			pkt := nic.NewPacket()
+			pkt.Dst, pkt.PayloadBytes = owner.Host, 1024
+			pkt.Reduce, pkt.ReduceChunk = rg, chunk
+			nic.Inject(pkt)
+		}
+		chunk++
+		eng.Run()
+	}
+	for eng.Now() < 4*sim.Millisecond { // more than one lap of the calendar ring, see above
+		reduce()
+	}
+	if avg := testing.AllocsPerRun(200, reduce); avg != 0 {
+		t.Fatalf("warm reduction chunk allocates %.2f objects, want 0", avg)
+	}
+	if got := f.ReducedChunks(rg); got != chunk {
+		t.Fatalf("ReducedChunks = %d, want %d", got, chunk)
+	}
+}

@@ -59,11 +59,13 @@ type Packet struct {
 // it: a pool-born packet belongs to whoever holds it from NewPacket until
 // Inject, then to the fabric, which lends it to NIC.Deliver for the length
 // of that call and files it — Payload still attached, every other field
-// zeroed — on the delivering shard's list. Multicast packets (one object on
-// every tree branch), packets the caller allocated itself and dropped
-// packets never enter a pool. The list never holds more packets than the
-// pool has itself handed out fresh, so one-way cross-shard traffic cannot
-// pile the sender's packets up at the receiver.
+// zeroed — on the delivering shard's list. A contribution absorbed at an
+// in-network reduction's root is filed the same way (the aggregation state
+// keeps a count, not the packet). Multicast packets (one object on every
+// tree branch), packets the caller allocated itself and dropped packets
+// never enter a pool. The list never holds more packets than the pool has
+// itself handed out fresh, so one-way cross-shard traffic cannot pile the
+// sender's packets up at the receiver.
 type packetPool struct {
 	free []*Packet
 	made int
@@ -179,8 +181,9 @@ type NIC struct {
 	f       *Fabric
 	pool    *packetPool // the pool of the shard owning this host
 	Deliver func(pkt *Packet)
-	// groups this NIC is attached to (receives multicast for them).
-	groups map[GroupID]bool
+	// groups[gid] is set while this NIC is attached to the group (receives
+	// multicast for it); grown on attach.
+	groups []bool
 	// Injected/Received count packets through this NIC for diagnostics.
 	Injected uint64
 	Received uint64
@@ -228,13 +231,14 @@ type Fabric struct {
 	BackgroundBytes     uint64 // payload bytes injected
 }
 
-// New builds a fabric over graph g. Routing tables are computed eagerly.
+// New builds a fabric over graph g, routing on the table g memoizes: the
+// first fabric on a graph computes it, every later one shares it.
 func New(eng *sim.Engine, g *topology.Graph, cfg Config) *Fabric {
 	cfg = cfg.withDefaults()
 	f := &Fabric{
 		eng:   eng,
 		g:     g,
-		rt:    g.BuildRouting(),
+		rt:    g.Routing(),
 		cfg:   cfg,
 		rng:   eng.SplitRNG(),
 		nics:  make([]*NIC, len(g.Nodes)),
@@ -271,7 +275,7 @@ func (f *Fabric) AttachNIC(host topology.NodeID) *NIC {
 	if nic := f.nics[host]; nic != nil {
 		return nic
 	}
-	nic := &NIC{Host: host, f: f, pool: &f.pools[0], groups: make(map[GroupID]bool)}
+	nic := &NIC{Host: host, f: f, pool: &f.pools[0]}
 	if f.part != nil {
 		nic.pool = &f.pools[f.part.hosts.Owner(host)]
 	}
@@ -304,13 +308,23 @@ func (n *NIC) AttachGroup(gid GroupID) error {
 	if !mt.OnTree(n.Host) {
 		return fmt.Errorf("fabric: host %d is not a member of group %d", n.Host, gid)
 	}
+	for len(n.groups) <= int(gid) {
+		n.groups = append(n.groups, false)
+	}
 	n.groups[gid] = true
 	return nil
 }
 
+// attached reports whether the NIC is subscribed to gid.
+func (n *NIC) attached(gid GroupID) bool { return int(gid) < len(n.groups) && n.groups[gid] }
+
 // DetachGroup unsubscribes the NIC. Packets for the group still traverse
 // the tree but are not delivered locally.
-func (n *NIC) DetachGroup(gid GroupID) { delete(n.groups, gid) }
+func (n *NIC) DetachGroup(gid GroupID) {
+	if n.attached(gid) {
+		n.groups[gid] = false
+	}
+}
 
 // MaxPayload returns the fabric MTU (maximum packet payload bytes).
 func (f *Fabric) MaxPayload() int { return f.cfg.MTU }
@@ -499,7 +513,7 @@ func (f *Fabric) deliverToHost(pkt *Packet, host topology.NodeID) {
 	if nic == nil {
 		return // host without a NIC silently drops (e.g. non-participants)
 	}
-	if pkt.Group != NoGroup && !nic.groups[pkt.Group] {
+	if pkt.Group != NoGroup && !nic.attached(pkt.Group) {
 		return // on the tree for forwarding reasons but not attached
 	}
 	if j := f.cfg.ReorderJitter; j > 0 {

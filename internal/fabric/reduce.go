@@ -25,8 +25,8 @@ const NoReduceGroup ReduceGroupID = 0
 
 type reduceGroup struct {
 	tree    *topology.MulticastTree
-	need    int // contributions per chunk
-	members map[topology.NodeID]bool
+	need    int    // contributions per chunk
+	members []bool // by NodeID
 	// pending[chunk] counts contributions so far.
 	pending map[uint64]int
 	// Reduced counts completed chunk reductions.
@@ -43,7 +43,7 @@ func (f *Fabric) CreateReduceGroup(root topology.NodeID, members []topology.Node
 	if err != nil {
 		return NoReduceGroup, err
 	}
-	memberSet := make(map[topology.NodeID]bool, len(mt.Members))
+	memberSet := make([]bool, len(f.g.Nodes))
 	for _, m := range mt.Members {
 		memberSet[m] = true
 	}
@@ -73,7 +73,8 @@ func (f *Fabric) routeReduce(pkt *Packet, node topology.NodeID) {
 		cnt := rg.pending[pkt.ReduceChunk] + 1
 		if cnt < rg.need {
 			rg.pending[pkt.ReduceChunk] = cnt
-			return // absorbed into the aggregation state
+			f.pools[0].put(pkt) // absorbed into the aggregation state
+			return
 		}
 		delete(rg.pending, pkt.ReduceChunk)
 		rg.reduced++
@@ -84,8 +85,8 @@ func (f *Fabric) routeReduce(pkt *Packet, node topology.NodeID) {
 		f.forwardUnicast(pkt, node, -1)
 		return
 	}
-	port, ok := rg.tree.ParentPort[node]
-	if !ok {
+	port := rg.tree.ParentPort[node]
+	if port < 0 {
 		panic(fmt.Sprintf("fabric: reduce contribution at off-tree node %d", node))
 	}
 	f.transmit(pkt, node, port)

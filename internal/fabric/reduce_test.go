@@ -172,44 +172,54 @@ func TestReduceOffTreePanics(t *testing.T) {
 	eng.Run()
 }
 
-// TestReducePooledResult drives the reduction with pool-born contributions:
-// the root forwards the last contribution itself as the result, so it is
-// delivered once per chunk with the result's header, recycled once, and no
-// packet still owned by the fabric (absorbed at the root, or in flight) ever
-// comes out of NewPacket again.
+// TestReducePooledResult drives the reduction with pool-born contributions.
+// A contribution is the fabric's from Inject until the root absorbs it or —
+// the last one of its chunk, forwarded as the result — until it is
+// delivered; either way it then goes back to the pool. A result is
+// delivered once per chunk with the result's header, no packet the fabric
+// still owns ever comes out of NewPacket again, and the pool never grows
+// past the contributions one batch keeps in flight.
 func TestReducePooledResult(t *testing.T) {
 	g := topology.Star(4)
 	eng, f, rg, nics := reduceFixture(t, g)
 	owner := nics[1]
-	held := map[*Packet]bool{} // handed out and not delivered
+	held := map[*Packet]uint64{} // injected and neither absorbed nor delivered: packet -> chunk
 	delivered := map[uint64]int{}
 	owner.Deliver = func(p *Packet) {
-		if !held[p] {
-			t.Fatalf("chunk %d: delivered a packet that is not in flight", p.ReduceChunk)
+		if c, ok := held[p]; !ok || c != p.ReduceChunk {
+			t.Fatalf("chunk %d: delivered a packet that is not in flight for it", p.ReduceChunk)
 		}
-		delete(held, p)
 		if p.Reduce != NoReduceGroup || p.Dst != owner.Host || p.Group != NoGroup || p.PayloadBytes != 1024 {
 			t.Fatalf("chunk %d: bad result header %+v", p.ReduceChunk, *p)
 		}
 		delivered[p.ReduceChunk]++
+		// The result leaves the root only after every other contribution of
+		// its chunk was absorbed: the whole chunk is out of the fabric's hands.
+		for q, c := range held {
+			if c == p.ReduceChunk {
+				delete(held, q)
+			}
+		}
 	}
-	const chunks = 200
+	const chunks, batch = 200, 5
 	for c := uint64(0); c < chunks; c++ {
 		for _, nic := range nics {
 			pkt := nic.NewPacket()
-			if held[pkt] {
+			if _, ok := held[pkt]; ok {
 				t.Fatalf("chunk %d: NewPacket handed out a packet the fabric still holds", c)
 			}
-			held[pkt] = true
+			held[pkt] = c
 			pkt.Dst, pkt.PayloadBytes = owner.Host, 1024
 			pkt.Reduce, pkt.ReduceChunk = rg, c
 			nic.Inject(pkt)
 		}
-		if c%5 == 4 {
+		if c%batch == batch-1 {
 			eng.Run()
+			if len(held) != 0 {
+				t.Fatalf("after chunk %d: %d contributions neither absorbed nor delivered", c, len(held))
+			}
 		}
 	}
-	eng.Run()
 	for c := uint64(0); c < chunks; c++ {
 		if delivered[c] != 1 {
 			t.Fatalf("chunk %d delivered %d times, want once", c, delivered[c])
@@ -218,7 +228,11 @@ func TestReducePooledResult(t *testing.T) {
 	if f.ReducedChunks(rg) != chunks {
 		t.Fatalf("ReducedChunks = %d, want %d", f.ReducedChunks(rg), chunks)
 	}
-	if want := chunks * (len(nics) - 1); len(held) != want {
-		t.Fatalf("%d packets never delivered, want the %d absorbed contributions", len(held), want)
+	pool := &f.pools[0]
+	if want := batch * len(nics); pool.made > want {
+		t.Fatalf("pool made %d packets over %d chunks, want at most one batch (%d): absorbed contributions leak", pool.made, chunks, want)
+	}
+	if len(pool.free) != pool.made {
+		t.Fatalf("pool holds %d of the %d packets it made after the last delivery", len(pool.free), pool.made)
 	}
 }

@@ -8,6 +8,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // NodeID identifies a node (host or switch) in the graph.
@@ -57,12 +58,16 @@ type Neighbor struct {
 
 // Graph is an immutable topology. Build one with a constructor
 // (TwoLevelFatTree, ThreeLevelFatTree, Testbed188, BackToBack) and treat it
-// as read-only afterwards.
+// as read-only afterwards: fabrics on any number of goroutines share one
+// Graph and the routing table it memoizes. Handle it by pointer only.
 type Graph struct {
 	Nodes []Node
 	Links []Link
 	// Adj[n][p] is the neighbor reached through port p of node n.
 	Adj [][]Neighbor
+
+	routingOnce sync.Once
+	routing     *RoutingTable
 }
 
 func newGraph() *Graph { return &Graph{} }
@@ -223,8 +228,11 @@ func TwoLevelFatTree(spec FatTreeSpec) (*Graph, error) {
 
 // Testbed188 reproduces the shape of the paper's UCC testbed: 188 hosts on
 // a fat-tree of 18 radix-36 switches (12 leaves with 16 hosts each, 6
-// spines, 3-wide trunks: 16 down + 18 up = 34 <= 36 ports per leaf).
-func Testbed188() *Graph {
+// spines, 3-wide trunks: 16 down + 18 up = 34 <= 36 ports per leaf). The
+// graph is built once per process; every caller gets the same one.
+func Testbed188() *Graph { return testbed188() }
+
+var testbed188 = sync.OnceValue(func() *Graph {
 	g, err := TwoLevelFatTree(FatTreeSpec{
 		Hosts:        188,
 		HostsPerLeaf: 16,
@@ -235,7 +243,7 @@ func Testbed188() *Graph {
 		panic(err) // spec is a constant; failure is a programming error
 	}
 	return g
-}
+})
 
 // ThreeLevelFatTree builds a k-ary fat-tree (Al-Fares et al.): k pods, each
 // with k/2 edge and k/2 aggregation switches, (k/2)^2 core switches, and
@@ -339,14 +347,20 @@ func (g *Graph) HopsFrom(src NodeID) []int { return g.hopsByBFS(src) }
 // hopsByBFS returns, for every node, its hop distance from src.
 func (g *Graph) hopsByBFS(src NodeID) []int {
 	dist := make([]int, len(g.Nodes))
+	g.bfs(src, dist, make([]NodeID, 0, len(g.Nodes)))
+	return dist
+}
+
+// bfs fills dist (one entry per node, -1 for unreachable) with hop
+// distances from src, using queue's backing array as scratch.
+func (g *Graph) bfs(src NodeID, dist []int, queue []NodeID) {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
+	queue = append(queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
 		for _, nb := range g.Adj[n] {
 			if dist[nb.Peer] < 0 {
 				dist[nb.Peer] = dist[n] + 1
@@ -354,7 +368,6 @@ func (g *Graph) hopsByBFS(src NodeID) []int {
 			}
 		}
 	}
-	return dist
 }
 
 // RoutingTable holds, for every switch, the set of ports on shortest paths
@@ -375,26 +388,47 @@ func (rt *RoutingTable) Candidates(sw, dst NodeID) []int {
 	return nil
 }
 
+// Routing returns the graph's routing table, computed by BuildRouting on
+// first use and shared read-only by every fabric built on g afterwards.
+func (g *Graph) Routing() *RoutingTable {
+	g.routingOnce.Do(func() { g.routing = g.BuildRouting() })
+	return g.routing
+}
+
+// routingChunk is how many candidate ports one backing array of
+// BuildRouting holds: Testbed188's 40 796 fit in ten.
+const routingChunk = 4096
+
 // BuildRouting computes shortest-path multipath routing tables for every
-// switch toward every host using one BFS per host.
+// switch toward every host using one BFS per host. Candidate lists are
+// carved out of shared backing arrays (ports are visited in ascending
+// order, so each list is born sorted); a fresh table is built per call —
+// Routing is the memoized accessor.
 func (g *Graph) BuildRouting() *RoutingTable {
-	rt := &RoutingTable{ports: make([][][]int, len(g.Nodes))}
-	for _, n := range g.Nodes {
-		if n.Kind == Switch {
-			rt.ports[n.ID] = make([][]int, len(g.Nodes))
-		}
+	hosts, switches := g.Hosts(), g.Switches()
+	n := len(g.Nodes)
+	rt := &RoutingTable{ports: make([][][]int, n)}
+	rows := make([][]int, len(switches)*n)
+	for i, sw := range switches {
+		rt.ports[sw] = rows[i*n : (i+1)*n : (i+1)*n]
 	}
-	for _, h := range g.Hosts() {
-		dist := g.hopsByBFS(h)
-		for _, sw := range g.Switches() {
-			var cands []int
+	dist, queue := make([]int, n), make([]NodeID, 0, n)
+	var chunk []int
+	for _, h := range hosts {
+		g.bfs(h, dist, queue)
+		for _, sw := range switches {
+			if np := len(g.Adj[sw]); cap(chunk)-len(chunk) < np {
+				chunk = make([]int, 0, max(routingChunk, np))
+			}
+			start := len(chunk)
 			for p, nb := range g.Adj[sw] {
 				if dist[nb.Peer] == dist[sw]-1 {
-					cands = append(cands, p)
+					chunk = append(chunk, p)
 				}
 			}
-			sort.Ints(cands)
-			rt.ports[sw][h] = cands
+			if len(chunk) > start { // no candidate stays nil
+				rt.ports[sw][h] = chunk[start:len(chunk):len(chunk)]
+			}
 		}
 	}
 	return rt
@@ -405,21 +439,20 @@ func (g *Graph) BuildRouting() *RoutingTable {
 // arriving on one tree port is replicated to every other tree port.
 type MulticastTree struct {
 	Root NodeID
-	// TreePorts[node] lists the port indices of node that are tree edges.
-	TreePorts map[NodeID][]int
-	// ParentPort[node] is the tree port leading toward the root (absent for
-	// the root itself). In-network reduction routes contributions up along
-	// these ports.
-	ParentPort map[NodeID]int
+	// TreePorts[node] lists, in ascending order, the port indices of node
+	// that are tree edges; empty for a node off the tree. One entry per
+	// graph node.
+	TreePorts [][]int
+	// ParentPort[node] is the tree port leading toward the root, -1 for the
+	// root itself and for nodes off the tree. In-network reduction routes
+	// contributions up along these ports.
+	ParentPort []int
 	// Members records the attached hosts in ascending order.
 	Members []NodeID
 }
 
 // OnTree reports whether node n participates in the tree.
-func (mt *MulticastTree) OnTree(n NodeID) bool {
-	_, ok := mt.TreePorts[n]
-	return ok
-}
+func (mt *MulticastTree) OnTree(n NodeID) bool { return len(mt.TreePorts[n]) > 0 }
 
 // BuildMulticastTree computes the spanning tree for a group: shortest paths
 // from the chosen root switch to every member host, with shared prefixes
@@ -434,27 +467,13 @@ func (g *Graph) BuildMulticastTree(root NodeID, members []NodeID) (*MulticastTre
 		return nil, fmt.Errorf("topology: multicast group with no members")
 	}
 	dist := g.hopsByBFS(root)
-	// parentPort[n] = (port on n toward its BFS parent, parent id).
-	type parent struct {
-		port int
-		node NodeID
-	}
-	parents := make(map[NodeID]parent)
-	for _, n := range g.Nodes {
-		if n.ID == root || dist[n.ID] < 0 {
-			continue
-		}
-		for p, nb := range g.Adj[n.ID] {
-			if dist[nb.Peer] == dist[n.ID]-1 {
-				parents[n.ID] = parent{port: p, node: nb.Peer}
-				break // deterministic: lowest-numbered port wins
-			}
-		}
-	}
 	tree := &MulticastTree{
 		Root:       root,
-		TreePorts:  make(map[NodeID][]int),
-		ParentPort: make(map[NodeID]int),
+		TreePorts:  make([][]int, len(g.Nodes)),
+		ParentPort: make([]int, len(g.Nodes)),
+	}
+	for i := range tree.ParentPort {
+		tree.ParentPort[i] = -1
 	}
 	addPort := func(n NodeID, p int) {
 		for _, q := range tree.TreePorts[n] {
@@ -464,7 +483,7 @@ func (g *Graph) BuildMulticastTree(root NodeID, members []NodeID) (*MulticastTre
 		}
 		tree.TreePorts[n] = append(tree.TreePorts[n], p)
 	}
-	seen := make(map[NodeID]bool)
+	seen := make([]bool, len(g.Nodes))
 	for _, m := range members {
 		if g.Nodes[m].Kind != Host {
 			return nil, fmt.Errorf("topology: multicast member %d is not a host", m)
@@ -476,21 +495,29 @@ func (g *Graph) BuildMulticastTree(root NodeID, members []NodeID) (*MulticastTre
 		tree.Members = append(tree.Members, m)
 		// Walk up from the member to the root, adding both endpoints of each
 		// traversed link as tree ports.
-		n := m
-		for n != root {
-			par, ok := parents[n]
-			if !ok {
+		for n := m; n != root; {
+			// The BFS parent is behind the lowest-numbered port that leads
+			// one hop closer to the root (deterministic).
+			port := -1
+			for p, nb := range g.Adj[n] {
+				if dist[nb.Peer] == dist[n]-1 {
+					port = p
+					break
+				}
+			}
+			if port < 0 {
 				return nil, fmt.Errorf("topology: member %d unreachable from root %d", m, root)
 			}
-			addPort(n, par.port)
-			addPort(par.node, reversePort(g, n, par.port))
-			tree.ParentPort[n] = par.port
-			n = par.node
+			up := g.Adj[n][port].Peer
+			addPort(n, port)
+			addPort(up, reversePort(g, n, port))
+			tree.ParentPort[n] = port
+			n = up
 		}
 	}
 	sort.Slice(tree.Members, func(i, j int) bool { return tree.Members[i] < tree.Members[j] })
-	for n := range tree.TreePorts {
-		sort.Ints(tree.TreePorts[n])
+	for _, ports := range tree.TreePorts {
+		sort.Ints(ports)
 	}
 	return tree, nil
 }

@@ -1,6 +1,10 @@
 package topology
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -350,5 +354,259 @@ func TestValidateDetectsDisconnected(t *testing.T) {
 	g.addNode(Switch, 1, "b") // never linked
 	if err := g.Validate(); err == nil {
 		t.Error("disconnected graph passed validation")
+	}
+}
+
+// --- reference implementations ---------------------------------------------
+//
+// The map-and-sort bodies BuildRouting and BuildMulticastTree had before they
+// went dense and allocation-lean, kept verbatim as the oracle.
+
+func refHops(g *Graph, src NodeID) []int {
+	dist := make([]int, len(g.Nodes))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := []NodeID{src}
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		for _, nb := range g.Adj[n] {
+			if dist[nb.Peer] < 0 {
+				dist[nb.Peer] = dist[n] + 1
+				queue = append(queue, nb.Peer)
+			}
+		}
+	}
+	return dist
+}
+
+func refBuildRouting(g *Graph) [][][]int {
+	ports := make([][][]int, len(g.Nodes))
+	for _, n := range g.Nodes {
+		if n.Kind == Switch {
+			ports[n.ID] = make([][]int, len(g.Nodes))
+		}
+	}
+	for _, h := range g.Hosts() {
+		dist := refHops(g, h)
+		for _, sw := range g.Switches() {
+			var cands []int
+			for p, nb := range g.Adj[sw] {
+				if dist[nb.Peer] == dist[sw]-1 {
+					cands = append(cands, p)
+				}
+			}
+			sort.Ints(cands)
+			ports[sw][h] = cands
+		}
+	}
+	return ports
+}
+
+type refTree struct {
+	Root       NodeID
+	TreePorts  map[NodeID][]int
+	ParentPort map[NodeID]int
+	Members    []NodeID
+}
+
+func refBuildMulticastTree(g *Graph, root NodeID, members []NodeID) (*refTree, error) {
+	if g.Nodes[root].Kind != Switch {
+		return nil, fmt.Errorf("topology: multicast root %d is not a switch", root)
+	}
+	if len(members) == 0 {
+		return nil, fmt.Errorf("topology: multicast group with no members")
+	}
+	dist := refHops(g, root)
+	type parent struct {
+		port int
+		node NodeID
+	}
+	parents := make(map[NodeID]parent)
+	for _, n := range g.Nodes {
+		if n.ID == root || dist[n.ID] < 0 {
+			continue
+		}
+		for p, nb := range g.Adj[n.ID] {
+			if dist[nb.Peer] == dist[n.ID]-1 {
+				parents[n.ID] = parent{port: p, node: nb.Peer}
+				break // deterministic: lowest-numbered port wins
+			}
+		}
+	}
+	tree := &refTree{
+		Root:       root,
+		TreePorts:  make(map[NodeID][]int),
+		ParentPort: make(map[NodeID]int),
+	}
+	addPort := func(n NodeID, p int) {
+		for _, q := range tree.TreePorts[n] {
+			if q == p {
+				return
+			}
+		}
+		tree.TreePorts[n] = append(tree.TreePorts[n], p)
+	}
+	seen := make(map[NodeID]bool)
+	for _, m := range members {
+		if g.Nodes[m].Kind != Host {
+			return nil, fmt.Errorf("topology: multicast member %d is not a host", m)
+		}
+		if seen[m] {
+			continue
+		}
+		seen[m] = true
+		tree.Members = append(tree.Members, m)
+		n := m
+		for n != root {
+			par, ok := parents[n]
+			if !ok {
+				return nil, fmt.Errorf("topology: member %d unreachable from root %d", m, root)
+			}
+			addPort(n, par.port)
+			addPort(par.node, reversePort(g, n, par.port))
+			tree.ParentPort[n] = par.port
+			n = par.node
+		}
+	}
+	sort.Slice(tree.Members, func(i, j int) bool { return tree.Members[i] < tree.Members[j] })
+	for n := range tree.TreePorts {
+		sort.Ints(tree.TreePorts[n])
+	}
+	return tree, nil
+}
+
+// equivalenceGraphs is the grid both equivalence tests run over: every
+// preset shape, a seeded random grid of two-level fat-trees, and one
+// disconnected graph no constructor would return (an island pair the main
+// star cannot reach: nil candidates, unreachable members).
+type namedGraph struct {
+	name string
+	g    *Graph
+}
+
+func equivalenceGraphs(t *testing.T) []namedGraph {
+	t.Helper()
+	gs := []namedGraph{
+		{"testbed188", Testbed188()},
+		{"star1", Star(1)},
+		{"star2", Star(2)},
+		{"star16", Star(16)},
+		{"backtoback", BackToBack()},
+	}
+	for _, c := range []struct{ k, hosts int }{{4, 1}, {4, 5}, {4, 16}, {8, 17}, {8, 128}} {
+		g, err := ThreeLevelFatTree(c.k, c.hosts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs = append(gs, namedGraph{fmt.Sprintf("fattree3-k%d-h%d", c.k, c.hosts), g})
+	}
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 24; i++ {
+		spec := FatTreeSpec{
+			Hosts:        1 + rng.Intn(60),
+			HostsPerLeaf: 1 + rng.Intn(9),
+			Spines:       1 + rng.Intn(5),
+			TrunkLinks:   rng.Intn(4), // 0 defaults to 1
+		}
+		g, err := TwoLevelFatTree(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs = append(gs, namedGraph{fmt.Sprintf("fattree2-%d-%+v", i, spec), g})
+	}
+	island := newGraph()
+	sw := island.addNode(Switch, 1, "sw")
+	for i := 0; i < 3; i++ {
+		island.addLink(island.addNode(Host, 0, "h"), sw)
+	}
+	far := island.addNode(Switch, 1, "far")
+	island.addLink(island.addNode(Host, 0, "stranded"), far)
+	return append(gs, namedGraph{"disconnected", island})
+}
+
+func TestRoutingMatchesReference(t *testing.T) {
+	for _, ng := range equivalenceGraphs(t) {
+		name, g := ng.name, ng.g
+		want := refBuildRouting(g)
+		for pass, rt := range []*RoutingTable{g.BuildRouting(), g.Routing(), g.Routing()} {
+			for _, n := range g.Nodes {
+				for _, h := range g.Hosts() {
+					got := rt.Candidates(n.ID, h)
+					var ref []int
+					if want[n.ID] != nil {
+						ref = want[n.ID][h]
+					}
+					if (got == nil) != (ref == nil) || !slices.Equal(got, ref) {
+						t.Fatalf("%s pass %d: Candidates(%d, %d) = %v, reference %v", name, pass, n.ID, h, got, ref)
+					}
+					if cap(got) != len(got) {
+						t.Fatalf("%s: Candidates(%d, %d) has spare capacity %d: an append would write into its neighbour", name, n.ID, h, cap(got)-len(got))
+					}
+				}
+			}
+		}
+		if g.Routing() != g.Routing() {
+			t.Fatalf("%s: Routing() is not memoized", name)
+		}
+		if g.BuildRouting() == g.Routing() {
+			t.Fatalf("%s: BuildRouting returned the memoized table, want a fresh one", name)
+		}
+	}
+}
+
+func TestMulticastTreeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, ng := range equivalenceGraphs(t) {
+		name, g := ng.name, ng.g
+		hosts, switches := g.Hosts(), g.Switches()
+		for trial := 0; trial < 12; trial++ {
+			// Roots are mostly switches, members mostly hosts; the odd host
+			// root, switch member and empty member list take the error paths.
+			root := switches[rng.Intn(len(switches))]
+			if trial == 10 {
+				root = hosts[rng.Intn(len(hosts))]
+			}
+			var members []NodeID
+			for i, n := 0, rng.Intn(2*len(hosts)+1); i < n; i++ {
+				members = append(members, hosts[rng.Intn(len(hosts))]) // duplicates included
+			}
+			if trial == 11 && len(members) > 0 {
+				members[rng.Intn(len(members))] = switches[0]
+			}
+			got, gotErr := g.BuildMulticastTree(root, members)
+			want, wantErr := refBuildMulticastTree(g, root, members)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Fatalf("%s root %d members %v: error %v, reference %v", name, root, members, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				if got != nil {
+					t.Fatalf("%s: tree returned alongside error %v", name, gotErr)
+				}
+				continue
+			}
+			if got.Root != want.Root || !slices.Equal(got.Members, want.Members) {
+				t.Fatalf("%s root %d: Root/Members = %d/%v, reference %d/%v", name, root, got.Root, got.Members, want.Root, want.Members)
+			}
+			if len(got.TreePorts) != len(g.Nodes) || len(got.ParentPort) != len(g.Nodes) {
+				t.Fatalf("%s: dense tables have %d/%d rows, want one per node (%d)", name, len(got.TreePorts), len(got.ParentPort), len(g.Nodes))
+			}
+			for _, n := range g.Nodes {
+				refPorts, onRef := want.TreePorts[n.ID]
+				if got.OnTree(n.ID) != onRef || !slices.Equal(got.TreePorts[n.ID], refPorts) {
+					t.Fatalf("%s root %d node %d: OnTree/TreePorts = %v/%v, reference %v/%v",
+						name, root, n.ID, got.OnTree(n.ID), got.TreePorts[n.ID], onRef, refPorts)
+				}
+				refParent, hasParent := want.ParentPort[n.ID]
+				if !hasParent {
+					refParent = -1
+				}
+				if got.ParentPort[n.ID] != refParent {
+					t.Fatalf("%s root %d node %d: ParentPort = %d, reference %d", name, root, n.ID, got.ParentPort[n.ID], refParent)
+				}
+			}
+		}
 	}
 }

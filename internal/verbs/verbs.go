@@ -257,8 +257,8 @@ type Context struct {
 	// mrs[k-1] the region registered under key k.
 	qps []*QP
 	mrs []*MR
-	// mcast[group] lists local QPs attached to the group.
-	mcast map[fabric.GroupID][]*QP
+	// mcast[group] lists local QPs attached to the group; grown on attach.
+	mcast [][]*QP
 	dma   *DMAEngine
 
 	nextMsgID uint64
@@ -279,10 +279,9 @@ func NewContext(f *fabric.Fabric, host topology.NodeID, cfg Config) *Context {
 		f:    f,
 		// On a partitioned fabric the host's shard owns this context: every
 		// timer, DMA completion and injection it schedules stays owner-local.
-		eng:   f.HostEngine(host),
-		nic:   f.AttachNIC(host),
-		cfg:   cfg,
-		mcast: make(map[fabric.GroupID][]*QP),
+		eng: f.HostEngine(host),
+		nic: f.AttachNIC(host),
+		cfg: cfg,
 	}
 	ctx.dma = newDMAEngine(ctx.eng, cfg.DMABandwidth, cfg.DMALatency)
 	ctx.nic.Deliver = ctx.dispatch
@@ -415,6 +414,9 @@ func (qp *QP) AttachMcast(g fabric.GroupID) error {
 		return err
 	}
 	ctx := qp.ctx
+	for len(ctx.mcast) <= int(g) {
+		ctx.mcast = append(ctx.mcast, nil)
+	}
 	for _, q := range ctx.mcast[g] {
 		if q == qp {
 			return nil
@@ -507,8 +509,10 @@ func (ctx *Context) newPacket(dst Addr, payloadBytes int, flow uint64) (*fabric.
 func (ctx *Context) dispatch(pkt *fabric.Packet) {
 	m := pkt.Payload.(*wireMsg)
 	if pkt.Group != fabric.NoGroup {
-		for _, qp := range ctx.mcast[pkt.Group] {
-			qp.receive(pkt, m)
+		if int(pkt.Group) < len(ctx.mcast) { // attached at the NIC only: no QP
+			for _, qp := range ctx.mcast[pkt.Group] {
+				qp.receive(pkt, m)
+			}
 		}
 		return
 	}

@@ -1,12 +1,16 @@
 package repro
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/verbs"
 )
 
@@ -115,5 +119,67 @@ func TestSystemDeterminism(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same-seed runs diverged: %d vs %d ns", a, b)
+	}
+}
+
+// TestSharedGraphConcurrentBuilds: topology and routing are built once and
+// shared read-only, so sweep workers build fabrics on one graph at the same
+// time. Four goroutines each build a stack and run a 32-host Allgather — on
+// the process-wide testbed through NewSystem, and on a fresh copy of it
+// whose first Routing() call the goroutines race for. Run under -race; the
+// results must also agree, since sharing may not leak state between runs.
+func TestSharedGraphConcurrentBuilds(t *testing.T) {
+	fresh, err := topology.TwoLevelFatTree(topology.FatTreeSpec{Hosts: 188, HostsPerLeaf: 16, Spines: 6, TrunkLinks: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	builders := map[string]func() (*System, error){
+		"process-wide testbed": func() (*System, error) {
+			return NewSystem(SystemConfig{Topology: "testbed188", Seed: 7})
+		},
+		"fresh graph, first Routing call included": func() (*System, error) {
+			eng := sim.NewEngine(7)
+			f := fabric.New(eng, fresh, fabric.Config{})
+			return &System{Engine: eng, Graph: fresh, Fabric: f, Cluster: cluster.New(f, cluster.Config{})}, nil
+		},
+	}
+	for name, build := range builders {
+		t.Run(name, func(t *testing.T) {
+			const workers = 4
+			var wg sync.WaitGroup
+			graphs := make([]*topology.Graph, workers)
+			durations := make([]sim.Time, workers)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					sys, err := build()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					comm, err := sys.NewCommunicator(sys.Hosts()[:32], core.Config{Transport: verbs.UD})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					res, err := runAllgather(comm, 64<<10)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					graphs[w], durations[w] = sys.Graph, res.Duration()
+				}(w)
+			}
+			wg.Wait()
+			for w := 1; w < workers; w++ {
+				if graphs[w] != graphs[0] {
+					t.Fatalf("worker %d built its own graph", w)
+				}
+				if durations[w] != durations[0] {
+					t.Fatalf("worker %d: allgather took %v, worker 0 %v", w, durations[w], durations[0])
+				}
+			}
+		})
 	}
 }
