@@ -249,9 +249,7 @@ func (r *Rank) sendCtrl(peer, typ, arg int, payload []byte) {
 	// not overwrite each other before delivery.
 	off := r.sendIdx * ctrlSlotBytes
 	r.sendIdx = (r.sendIdx + 1) % ctrlSlots
-	if n > 0 {
-		copy(r.sendSlot.Bytes()[off:off+n], payload)
-	}
+	copy(r.sendSlot.Slice(off, n), payload)
 	qp.PostSendRC(0, r.sendSlot, off, n, encodeCtrl(typ, arg, r.opSeqFor(typ)), false)
 }
 
@@ -278,17 +276,13 @@ func (r *Rank) handleCtrl(e verbs.CQE) {
 		panic("core: ctrl completion on unknown QP")
 	}
 	typ, arg, seq := decodeCtrl(e.Imm)
+	mr, off := r.slotMRs[e.QPN], int(e.WrID)*ctrlSlotBytes
 	var payload []byte
 	if e.Bytes > 0 {
-		mr := r.slotMRs[e.QPN]
-		if mr.Data != nil {
-			slot := int(e.WrID)
-			payload = append([]byte(nil), mr.Data[slot*ctrlSlotBytes:slot*ctrlSlotBytes+e.Bytes]...)
-		}
+		payload = append([]byte(nil), mr.Slice(off, e.Bytes)...)
 	}
 	// Re-post the consumed slot immediately.
-	mr := r.slotMRs[e.QPN]
-	r.ctrlQPByN(e.QPN).PostRecv(e.WrID, mr, int(e.WrID)*ctrlSlotBytes, ctrlSlotBytes)
+	r.ctrlQPByN(e.QPN).PostRecv(e.WrID, mr, off, ctrlSlotBytes)
 
 	msg := ctrlMsg{typ: typ, arg: arg, seq: seq, from: peer, payload: payload}
 	r.deliverCtrl(msg)

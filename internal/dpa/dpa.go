@@ -80,7 +80,7 @@ type Chip struct {
 	// bandwidth. The value 0.10 makes the UD datapath reach line rate
 	// between 8 and 16 threads and UC at 4, as in Figures 13/14.
 	Contention float64
-	cores      []*core
+	cores      []core // Thread.core points into it
 	name       string
 }
 
@@ -109,9 +109,9 @@ func NewChip(eng *sim.Engine, name string, cores, threadsPerCore int, freq, cont
 	if cores <= 0 || threadsPerCore <= 0 || freq <= 0 {
 		panic("dpa: invalid chip geometry")
 	}
-	c := &Chip{eng: eng, Freq: freq, Contention: contention, name: name}
-	for i := 0; i < cores; i++ {
-		c.cores = append(c.cores, &core{threads: threadsPerCore})
+	c := &Chip{eng: eng, Freq: freq, Contention: contention, name: name, cores: make([]core, cores)}
+	for i := range c.cores {
+		c.cores[i].threads = threadsPerCore
 	}
 	return c
 }
@@ -153,7 +153,8 @@ func (c *Chip) AllocThreads(n int) []*Thread {
 		panic("dpa: AllocThreads with n <= 0")
 	}
 	out := make([]*Thread, 0, n)
-	for _, co := range c.cores {
+	for i := range c.cores {
+		co := &c.cores[i]
 		for co.allocated < co.threads && len(out) < n {
 			co.allocated++
 			out = append(out, &Thread{chip: c, core: co})

@@ -34,11 +34,17 @@ type world struct {
 	order []*node
 	seq   uint64
 	note  string
+	// lazy is nil until first written (as verbs.QP's maps are); cur points
+	// into cells (as dpa.Thread.core points into its chip's cores).
+	lazy  map[int]int
+	cells []leaf
+	cur   *leaf
 }
 
 func buildWorld() (*world, *immutable) {
 	topo := &immutable{table: [4]int{1, 2, 3, 4}}
-	w := &world{nodes: map[int]*node{}, note: "t0"}
+	w := &world{nodes: map[int]*node{}, note: "t0", cells: make([]leaf, 2)}
+	w.cur = &w.cells[1]
 	shared := &leaf{n: 7, label: "shared", history: []int{1, 2}}
 	for i := 0; i < 3; i++ {
 		n := &node{
@@ -76,6 +82,8 @@ func scramble(w *world) {
 	w.order[0].peers = w.order[0].peers[:1]
 	delete(w.nodes, 2) // map identity must survive entry deletion
 	w.nodes[9] = &node{id: 9}
+	w.lazy = map[int]int{1: 1}
+	w.cur.n = 3
 }
 
 func TestCaptureRestoreRoundTrip(t *testing.T) {
@@ -120,6 +128,12 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 	}
 	if len(w.order[0].peers) != 2 {
 		t.Fatalf("peers slice header not rewound: %d", len(w.order[0].peers))
+	}
+	if w.lazy != nil {
+		t.Fatalf("map that was nil at capture survived restore: %v", w.lazy)
+	}
+	if w.cur != &w.cells[1] || w.cells[1].n != 0 {
+		t.Fatalf("pointer into a value slice not rewound: n=%d", w.cells[1].n)
 	}
 	if w.nodes[0].onDone == nil || w.nodes[0].onDone() != 1 {
 		t.Fatal("func field lost")

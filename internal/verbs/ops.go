@@ -26,7 +26,7 @@ func (qp *QP) PostSendUD(wrID uint64, dst Addr, mr *MR, offset, length int, imm 
 	pkt, m := qp.ctx.newPacket(dst, length, uint64(qp.N))
 	m.op, m.srcQPN, m.dstQPN = wireSendUD, qp.N, dst.QPN
 	m.imm, m.hasImm = imm, true
-	m.data, m.dataLen = mr.read(offset, length), length
+	m.data, m.dataLen = mr.Slice(offset, length), length
 	wire := qp.ctx.nic.Inject(pkt)
 	if signaled {
 		// The send completion is reported once the datagram has left the
@@ -154,7 +154,7 @@ func (qp *QP) segmentAndSendSignaled(msgID uint64, op wireOp, dst Addr, wrID uin
 		m.imm, m.hasImm = imm, s == nsegs-1 // immediate rides the last segment
 		m.dataLen = segLen
 		if mr != nil && segLen > 0 {
-			m.data = mr.read(offset+segOff, segLen)
+			m.data = mr.Slice(offset+segOff, segLen)
 		}
 		wire := ctx.nic.Inject(pkt)
 		if s == nsegs-1 {
@@ -200,6 +200,9 @@ func (qp *QP) segment(src Addr, m *wireMsg, reliable bool) *assemblyState {
 		st = qp.assembly[key]
 		if st == nil {
 			st = &assemblyState{got: make([]bool, m.nsegs)}
+			if qp.assembly == nil {
+				qp.assembly = make(map[assemblyKey]*assemblyState)
+			}
 			qp.assembly[key] = st
 		}
 		qp.lastKey, qp.lastAsm = key, st
@@ -236,10 +239,18 @@ func (qp *QP) receiveWrite(src Addr, m *wireMsg, reliable bool) {
 			SrcHost: src.Host, SrcQPN: m.srcQPN,
 		})
 		if reliable {
-			qp.completedRC[assemblyKey{srcHost: src.Host, srcQPN: m.srcQPN, msgID: m.msgID}] = true
+			qp.completeRC(src, m)
 			qp.sendAck(src, m.msgID, st.bytes)
 		}
 	}
+}
+
+// completeRC records a delivered reliable message in completedRC.
+func (qp *QP) completeRC(src Addr, m *wireMsg) {
+	if qp.completedRC == nil {
+		qp.completedRC = make(map[assemblyKey]bool)
+	}
+	qp.completedRC[assemblyKey{srcHost: src.Host, srcQPN: m.srcQPN, msgID: m.msgID}] = true
 }
 
 // GCAssembly drops incomplete UC assembly state older than the current
@@ -329,6 +340,9 @@ func (qp *QP) mustRC() {
 func (qp *QP) startRC(p *rcPending) {
 	p.posted = qp.ctx.eng.Now()
 	p.msgID = qp.ctx.allocMsgID()
+	if qp.pending == nil {
+		qp.pending = make(map[uint64]*rcPending)
+	}
 	qp.pending[p.msgID] = p
 	wire := qp.transmitRC(p)
 	qp.armRetransmit(p, wire)
@@ -413,7 +427,7 @@ func (qp *QP) receiveSendRC(src Addr, m *wireMsg, st *assemblyState) {
 		qp.ctx.RNRDrops++
 		return // no ack: sender retries until a receive is posted
 	}
-	qp.completedRC[assemblyKey{srcHost: src.Host, srcQPN: m.srcQPN, msgID: m.msgID}] = true
+	qp.completeRC(src, m)
 	n := st.bytes
 	if n > w.length {
 		n = w.length
@@ -456,7 +470,7 @@ func (qp *QP) receiveReadReq(src Addr, m *wireMsg) {
 		resp.msgID, resp.seg, resp.nsegs = m.msgID, s, nsegs
 		resp.roffset, resp.dataLen = segOff, segLen
 		if segLen > 0 {
-			resp.data = mr.read(m.roffset+segOff, segLen)
+			resp.data = mr.Slice(m.roffset+segOff, segLen)
 		}
 		qp.ctx.nic.Inject(pkt)
 	}

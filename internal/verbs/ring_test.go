@@ -125,6 +125,109 @@ func TestRQAndCQSemanticsOverRing(t *testing.T) {
 	}
 }
 
+// TestRunEncodedRQMatchesSliceModel drives a receive queue and a plain
+// []recvWQE through the same random mix of posts — back-to-back staging
+// slots whose index wraps, identical re-posts, gaps, another MR, another
+// length, an offset off the step — interleaved with receives. Every receive must hand out the WQE
+// the model pops (and be an RNR drop when the model is empty), RQLen must
+// track the model, and a post must be refused exactly at the depth.
+func TestRunEncodedRQMatchesSliceModel(t *testing.T) {
+	const slots, chunk = 37, 512
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := sim.NewRNG(seed)
+		_, _, a, _ := pair(t, fabric.Config{}, Config{})
+		depth := 2 + rng.Intn(200)
+		cq := &CQ{}
+		qp := a.NewQP(UD, cq, cq, depth)
+		mrs := []*MR{a.RegisterMR((slots + 1) * chunk), a.RegisterMR((slots + 1) * chunk)}
+		var model []recvWQE
+		var drops uint64
+		next, merged := 0, false
+		for step := 0; step < 5000; step++ {
+			// Alternate post-heavy and receive-heavy phases so the queue both
+			// fills to its depth and drains to empty.
+			recvBias := 3
+			if step/500%2 == 1 {
+				recvBias = 7
+			}
+			k := rng.Intn(10)
+			if k < recvBias && len(model) == 0 {
+				qp.receiveUD(Addr{}, &wireMsg{})
+				if drops++; qp.RNRDrops != drops || cq.Len() != 0 {
+					t.Fatalf("seed %d step %d: RNR drops %d CQ %d, want %d and empty", seed, step, qp.RNRDrops, cq.Len(), drops)
+				}
+			} else if k < recvBias {
+				if w, ok := qp.popRecv(); !ok || w != model[0] {
+					t.Fatalf("seed %d step %d: popped %+v ok=%v, model says %+v", seed, step, w, ok, model[0])
+				}
+				model = model[1:]
+			} else {
+				if k == 7 { // a gap: skip a slot
+					next = (next + 1) % slots
+				}
+				w := recvWQE{wrID: uint64(next), mr: mrs[0], offset: next * chunk, length: chunk}
+				switch k {
+				case 8: // an identical re-post
+					w.wrID, w.offset = 0, 0
+				case 9: // another MR, another length, or the offset off the step
+					w.mr, w.length = mrs[rng.Intn(2)], chunk/(1+rng.Intn(2))
+					w.offset += chunk / 2 * rng.Intn(2)
+				}
+				if k != 8 { // the slot index wraps
+					next = (next + 1) % slots
+				}
+				ok := qp.PostRecv(w.wrID, w.mr, w.offset, w.length)
+				if ok != (len(model) < depth) {
+					t.Fatalf("seed %d step %d: PostRecv = %v at RQLen %d, depth %d", seed, step, ok, len(model), depth)
+				}
+				if ok {
+					model = append(model, w)
+				}
+			}
+			if qp.RQLen() != len(model) {
+				t.Fatalf("seed %d step %d: RQLen %d, model %d", seed, step, qp.RQLen(), len(model))
+			}
+			merged = merged || qp.rq.len() < qp.RQLen()
+		}
+		for len(model) > 0 {
+			w, ok := qp.popRecv()
+			if !ok || w != model[0] {
+				t.Fatalf("seed %d drain: popped %+v ok=%v, model says %+v", seed, w, ok, model[0])
+			}
+			model = model[1:]
+		}
+		if qp.rq.len() != 0 || qp.RQLen() != 0 {
+			t.Fatalf("seed %d: drained queue holds %d runs, RQLen %d", seed, qp.rq.len(), qp.RQLen())
+		}
+		if !merged {
+			t.Fatalf("seed %d: no run ever held two WQEs; the schedule lost its teeth", seed)
+		}
+	}
+}
+
+// TestStagingRQStaysTwoRuns gates the representation: an RQ primed with
+// 8192 back-to-back staging slots and cycled 10 000 times — consume the
+// oldest, re-post its slot — never holds more than two runs.
+func TestStagingRQStaysTwoRuns(t *testing.T) {
+	const depth, chunk = 8192, 4096
+	_, _, a, _ := pair(t, fabric.Config{}, Config{})
+	cq := &CQ{}
+	qp := a.NewQP(UD, cq, cq, depth)
+	staging := a.RegisterMR(depth * chunk)
+	for slot := 0; qp.PostRecv(uint64(slot), staging, slot*chunk, chunk); slot++ {
+	}
+	for i := 0; i < 10000; i++ {
+		w, ok := qp.popRecv()
+		if !ok || w.wrID != uint64(i%depth) || w.offset != int(w.wrID)*chunk {
+			t.Fatalf("cycle %d: popped %+v ok=%v", i, w, ok)
+		}
+		qp.PostRecv(w.wrID, staging, w.offset, chunk)
+		if qp.rq.len() > 2 || qp.RQLen() != depth {
+			t.Fatalf("cycle %d: %d runs for %d posted receives, want <= 2 runs at depth %d", i, qp.rq.len(), qp.RQLen(), depth)
+		}
+	}
+}
+
 // TestRecvCycleAllocFree gates the receive path's steady state: consuming a
 // posted receive, completing it, polling the completion and re-posting the
 // slot allocates nothing once the rings have reached their depth.

@@ -152,58 +152,90 @@ func (cq *CQ) Poll() (CQE, bool) {
 func (cq *CQ) Len() int { return cq.entries.len() }
 
 // MR is a registered memory region. If Data is non-nil its length must be
-// Size and transfers copy real bytes; otherwise only sizes/offsets flow.
+// Size and transfers copy real bytes; otherwise only sizes/offsets flow,
+// unless the region is lazy.
 type MR struct {
 	Key  uint32
 	Size int
 	Data []byte
 	// lazy marks a region registered with RegisterMRLazy: it carries real
-	// bytes, but Data stays nil until Bytes or the first write with a
-	// payload needs them.
-	lazy bool
+	// bytes, but Data stays nil and they live in pages, each allocated on
+	// the first Slice that touches it.
+	lazy  bool
+	pages [][]byte
 }
 
-// Bytes returns Data, allocating it first if the region is lazy and still
-// unmaterialised. Nil for a metadata-only region.
-func (mr *MR) Bytes() []byte {
-	if mr.Data == nil && mr.lazy {
-		mr.Data = make([]byte, mr.Size)
+// lazyPage is the unit in which a lazy region materialises.
+const lazyPage = 4096
+
+// Slice returns the n bytes at off, nil for a metadata-only region. Bounds
+// are always enforced — a PSN pointing outside the buffer must fail loudly,
+// that is the corruption the paper's staging design exists to prevent. A
+// lazy region allocates the page holding the bytes on first touch; an
+// access that straddles two of its pages is a bug and panics.
+func (mr *MR) Slice(off, n int) []byte {
+	if off < 0 || n < 0 || off+n > mr.Size {
+		panic(fmt.Sprintf("verbs: access [%d,%d) outside MR of size %d", off, off+n, mr.Size))
 	}
-	return mr.Data
+	if !mr.lazy || n == 0 {
+		if mr.Data == nil {
+			return nil
+		}
+		return mr.Data[off : off+n]
+	}
+	p, o := off/lazyPage, off%lazyPage
+	if o+n > lazyPage {
+		panic(fmt.Sprintf("verbs: access [%d,%d) straddles a %d-byte page of a lazy MR", off, off+n, lazyPage))
+	}
+	if mr.pages == nil {
+		mr.pages = make([][]byte, (mr.Size+lazyPage-1)/lazyPage)
+	}
+	if mr.pages[p] == nil {
+		mr.pages[p] = make([]byte, lazyPage)
+	}
+	return mr.pages[p][o : o+n]
 }
 
-// write stores incoming bytes at off. Bounds are always enforced — a PSN
-// pointing outside the buffer must fail loudly, that is the corruption the
-// paper's staging design exists to prevent.
+// Pages returns how many pages of a lazy region have been materialised.
+func (mr *MR) Pages() int {
+	n := 0
+	for _, p := range mr.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// write stores incoming bytes at off, bounds-checked even when they carry no
+// payload.
 func (mr *MR) write(off int, data []byte, n int) {
 	if off < 0 || off+n > mr.Size {
 		panic(fmt.Sprintf("verbs: write [%d,%d) outside MR of size %d", off, off+n, mr.Size))
 	}
-	if data == nil || n == 0 {
-		return
-	}
-	if dst := mr.Bytes(); dst != nil {
-		copy(dst[off:off+n], data[:n])
+	if data != nil && n > 0 {
+		copy(mr.Slice(off, n), data[:n])
 	}
 }
 
-// read returns n bytes at off (nil in metadata-only mode).
-func (mr *MR) read(off, n int) []byte {
-	if off < 0 || off+n > mr.Size {
-		panic(fmt.Sprintf("verbs: read [%d,%d) outside MR of size %d", off, off+n, mr.Size))
-	}
-	if mr.Data == nil {
-		return nil
-	}
-	return mr.Data[off : off+n]
-}
-
-// recvWQE is one posted receive.
+// recvWQE is one posted receive, as popRecv hands it out; QP.rq stores
+// WQEs as runs.
 type recvWQE struct {
 	wrID   uint64
 	mr     *MR
 	offset int
 	length int
+}
+
+// rqRun is a run of count posted receives into the same MR with the same
+// length, the k-th of which is first advanced k times by (dWr, dOff): a
+// staging ring pre-posted slot by slot, a re-posted slot continuing it, or
+// one WQE re-posted over and over (step zero).
+type rqRun struct {
+	first recvWQE
+	count int
+	dWr   uint64
+	dOff  int
 }
 
 // Config tunes transport-level behaviour.
@@ -315,9 +347,10 @@ func (ctx *Context) RegisterMRData(buf []byte) *MR {
 }
 
 // RegisterMRLazy registers a region that carries real bytes but allocates
-// them on first use: for buffers most of which never see a payload (the
-// control-plane slots), where zeroing Size bytes per region up front is the
-// bulk of building a communicator.
+// them one 4 KiB page at a time, when MR.Slice first touches the page: for
+// buffers most of which never see a payload (the control-plane slots),
+// where zeroing Size bytes per region up front is the bulk of building a
+// communicator. No access may straddle two pages.
 func (ctx *Context) RegisterMRLazy(size int) *MR {
 	return ctx.registerMR(&MR{Size: size, lazy: true})
 }
@@ -344,13 +377,20 @@ type QP struct {
 	sendCQ    *CQ
 	recvCQ    *CQ
 
-	rq      ring[recvWQE]
+	// rq holds the posted receives in FIFO order as runs (see rqRun), rqLen
+	// of them in all: a staging ring thousands of WQEs deep is one or two
+	// runs, not one record per WQE.
+	rq      ring[rqRun]
+	rqLen   int
 	rqDepth int
 
 	// UC/RC connection state.
 	peer      Addr
 	connected bool
 
+	// The three maps below are created on first write: a UD QP never needs
+	// them, and reading a nil map is safe.
+	//
 	// RC sender-side reliability state.
 	pending map[uint64]*rcPending
 	// Receiver-side reassembly for multi-packet messages (UC and RC).
@@ -377,15 +417,12 @@ func (ctx *Context) NewQP(t Transport, sendCQ, recvCQ *CQ, rqDepth int) *QP {
 		rqDepth = ctx.cfg.RQDepth
 	}
 	qp := &QP{
-		N:           QPN(len(ctx.qps) + 1),
-		Transport:   t,
-		ctx:         ctx,
-		sendCQ:      sendCQ,
-		recvCQ:      recvCQ,
-		rqDepth:     rqDepth,
-		pending:     make(map[uint64]*rcPending),
-		assembly:    make(map[assemblyKey]*assemblyState),
-		completedRC: make(map[assemblyKey]bool),
+		N:         QPN(len(ctx.qps) + 1),
+		Transport: t,
+		ctx:       ctx,
+		sendCQ:    sendCQ,
+		recvCQ:    recvCQ,
+		rqDepth:   rqDepth,
 	}
 	ctx.qps = append(ctx.qps, qp)
 	return qp
@@ -429,21 +466,45 @@ func (qp *QP) AttachMcast(g fabric.GroupID) error {
 // PostRecv posts one receive WQE. For UD each WQE absorbs one datagram;
 // for RC sends it absorbs one message. Returns false when the RQ is full.
 func (qp *QP) PostRecv(wrID uint64, mr *MR, offset, length int) bool {
-	if qp.rq.len() >= qp.rqDepth {
+	if qp.rqLen >= qp.rqDepth {
 		return false
 	}
-	qp.rq.push(recvWQE{wrID: wrID, mr: mr, offset: offset, length: length})
+	qp.rqLen++
+	if qp.rq.len() > 0 {
+		// Extend the tail run if the WQE continues it; a run of one takes
+		// its step from this WQE.
+		t := qp.rq.back()
+		if t.first.mr == mr && t.first.length == length {
+			if t.count == 1 {
+				t.dWr, t.dOff = wrID-t.first.wrID, offset-t.first.offset
+			}
+			if wrID == t.first.wrID+uint64(t.count)*t.dWr && offset == t.first.offset+t.count*t.dOff {
+				t.count++
+				return true
+			}
+		}
+	}
+	qp.rq.push(rqRun{first: recvWQE{wrID: wrID, mr: mr, offset: offset, length: length}, count: 1})
 	return true
 }
 
 // RQLen returns the number of posted, unconsumed receives.
-func (qp *QP) RQLen() int { return qp.rq.len() }
+func (qp *QP) RQLen() int { return qp.rqLen }
 
 func (qp *QP) popRecv() (recvWQE, bool) {
-	if qp.rq.len() == 0 {
+	if qp.rqLen == 0 {
 		return recvWQE{}, false
 	}
-	return qp.rq.pop(), true
+	qp.rqLen--
+	r := qp.rq.front()
+	w := r.first
+	if r.count--; r.count == 0 {
+		qp.rq.pop()
+	} else {
+		r.first.wrID += r.dWr
+		r.first.offset += r.dOff
+	}
+	return w, true
 }
 
 // --- wire format ------------------------------------------------------------
