@@ -226,8 +226,7 @@ func BenchmarkAllreduce16(b *testing.B) {
 // 4 KiB): each iteration runs the sweep unshared (a fresh model stack per
 // point) and shared (one built stack for the seven perturbed points, forked
 // per scenario) and reports the wall-clock ratio. fork-speedup is a
-// same-machine ratio, like the sharded-engine speedup metric; sweep-wall-ms
-// and snapshot-bytes are informational.
+// same-machine ratio; sweep-wall-ms and snapshot-bytes are informational.
 func BenchmarkChaosSweepWarm(b *testing.B) {
 	g := harness.ResilienceGrid([]string{"mcast-allgather"},
 		[]string{"quiet", "flap-spine", "straggler-1pct", "tenant-50load",

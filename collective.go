@@ -215,11 +215,11 @@ func Algorithms() []string { return registry.Names() }
 //
 // When the algorithm is partition-safe and the system's fabric is still
 // pristine (no scenario applied, no NICs attached, no telemetry sinks
-// wired into the options), the fabric is switched to partitioned execution
-// first: per-shard channel ownership with keyed (time, order) event
-// tie-breaks, making `Shards` a pure execution knob — byte-identical
-// results, true multi-core scaling. A fabric that was already touched, or an
-// algorithm that is not partition-safe, runs confined exactly as before.
+// wired into the options), the fabric is switched to its keyed pipeline
+// first: every hop scheduled under a (time, order) key. A fabric that was
+// already touched, or an algorithm that is not partition-safe, runs
+// confined. The two pipelines agree on every arrival time but schedule
+// different events, so the choice shows in event counts.
 func NewAlgorithm(sys *System, name string, opts AlgorithmOptions) (Algorithm, error) {
 	if registry.PartitionSafe(name) &&
 		opts.Core.Metrics == nil && opts.Core.Tracer == nil && opts.Coll.Metrics == nil {
@@ -247,10 +247,6 @@ type SystemConfig struct {
 	Cluster cluster.Config
 	// Seed fixes the simulation's random stream (default 1).
 	Seed uint64
-	// Shards selects conservative-parallel engine execution (sim.Sharded).
-	// 0 or 1 is the plain serial engine; any value yields byte-identical
-	// results — it is purely an execution knob.
-	Shards int
 }
 
 // System bundles one simulation: engine, topology, fabric and the shared
@@ -301,12 +297,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	var eng *sim.Engine
-	if cfg.Shards > 1 {
-		_, eng = fabric.NewShardedEngine(cfg.Seed, g, cfg.Fabric, cfg.Shards)
-	} else {
-		eng = sim.NewEngine(cfg.Seed)
-	}
+	eng := sim.NewEngine(cfg.Seed)
 	f := fabric.New(eng, g, cfg.Fabric)
 	return &System{
 		Engine:  eng,

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/dpa"
 	"repro/internal/fabric"
-	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/verbs"
 )
@@ -49,7 +48,7 @@ type Node struct {
 // use (hosts that never offload never pay for one).
 func (n *Node) DPA() *dpa.Chip {
 	if n.dpa == nil {
-		n.dpa = dpa.NewDPA(n.f.HostEngine(n.Host))
+		n.dpa = dpa.NewDPA(n.f.Engine())
 	}
 	return n.dpa
 }
@@ -71,7 +70,7 @@ func (n *Node) RxArbiters(count int, onDPA bool, p dpa.Profile) ([]*dpa.Arbiter,
 		chip = n.DPA()
 	}
 	for _, th := range chip.AllocThreads(count) {
-		n.arbiters = append(n.arbiters, dpa.NewArbiter(n.f.HostEngine(n.Host), th, p))
+		n.arbiters = append(n.arbiters, dpa.NewArbiter(n.f.Engine(), th, p))
 	}
 	n.arbProfile = p
 	n.arbOnDPA = onDPA
@@ -87,13 +86,6 @@ type Cluster struct {
 
 // New builds an empty cluster over the fabric.
 func New(f *fabric.Fabric, cfg Config) *Cluster {
-	if !f.Partitioned() {
-		// On a confined fabric the whole per-host runtime schedules on the
-		// fabric's engine, which must then be the primary shard. A
-		// partitioned fabric instead hands each host its owning shard's
-		// engine via HostEngine, so the confinement requirement vanishes.
-		sim.AssertShardable(f.Engine(), "cluster")
-	}
 	return &Cluster{f: f, cfg: cfg.withDefaults(), nodes: make(map[topology.NodeID]*Node)}
 }
 
@@ -108,7 +100,7 @@ func (cl *Cluster) Node(h topology.NodeID) *Node {
 	n := &Node{
 		Host: h,
 		Ctx:  verbs.NewContext(cl.f, h, cl.cfg.Verbs),
-		CPU:  dpa.NewCPU(cl.f.HostEngine(h), cl.cfg.CPUCores),
+		CPU:  dpa.NewCPU(cl.f.Engine(), cl.cfg.CPUCores),
 		f:    cl.f,
 	}
 	cl.nodes[h] = n

@@ -14,7 +14,6 @@ package coll
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
@@ -73,9 +72,8 @@ type peer struct {
 	team *Team
 	id   int
 	node *cluster.Node
-	// eng is the engine owning this rank's host: the primary on a confined
-	// fabric, the host's shard on a partitioned one. Every event the rank
-	// schedules for itself (send steps, completion marks) goes here.
+	// eng is the fabric's engine: every event the rank schedules for
+	// itself (send steps, completion marks) goes here.
 	eng    *sim.Engine
 	cq     *verbs.CQ
 	wkr    *dpa.Worker
@@ -171,16 +169,11 @@ func (p *peer) buf(size int) *verbs.MR {
 // collective.Result, with the per-rank RecvBytes aggregate filled in.
 type Result = collective.Result
 
-// opDriver tracks completion across ranks and finalizes the Result. On a
-// partitioned fabric ranks complete on their own shards, possibly within
-// the same epoch, so the countdown is mutex-guarded and End accumulates as
-// the max of each completing rank's clock — a value independent of which
-// shard happens to decrement last (on a confined fabric it degenerates to
-// the old "clock at the final completion").
+// opDriver tracks completion across ranks and finalizes the Result: End is
+// the clock at the final completion.
 type opDriver struct {
 	t         *Team
 	res       *Result
-	mu        sync.Mutex
 	remaining int
 	cb        func(*Result)
 }
@@ -203,13 +196,9 @@ func (t *Team) newDriver(kind string, sendBytes, recvBytes int, cb func(*Result)
 
 func (d *opDriver) rankDone(p *peer) {
 	p.op = nil
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if t := p.eng.Now(); t > d.res.End {
-		d.res.End = t
-	}
 	d.remaining--
 	if d.remaining == 0 {
+		d.res.End = p.eng.Now()
 		if m := d.t.cfg.Metrics; m != nil {
 			m.Span("coll", d.res.Kind, d.res.Start, d.res.End)
 			m.Counter("coll", "ops_total", "kind="+d.res.Kind, telemetry.Stable).Add(1)

@@ -24,7 +24,7 @@ type subcommand struct {
 }
 
 var subcommands = []subcommand{
-	{"run", "execute manifests: repro run <manifest...> [-workers N] [-shards N] [-o DIR] [-compare BASE]", runManifest},
+	{"run", "execute manifests: repro run <manifest...> [-workers N] [-o DIR] [-compare BASE]", runManifest},
 	{"validate", "check manifests without running: repro validate <manifest...>", runValidate},
 	{"list", "print registered kinds, algorithms, scenarios, workloads and presets", runList},
 	{"trace", "summarize a telemetry metrics.json: repro trace [-top N] <metrics.json>", runTraceCmd},
@@ -68,5 +68,6 @@ func usage(w io.Writer) {
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Every subcommand is deterministic: the same arguments produce")
-	fmt.Fprintln(w, "byte-identical -json output at any -workers or -shards count.")
+	fmt.Fprintln(w, "byte-identical -json output at any -workers count. The engine is")
+	fmt.Fprintln(w, "serial; -shards is accepted for compatibility and ignored.")
 }

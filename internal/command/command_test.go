@@ -153,7 +153,7 @@ func TestValidateSubcommand(t *testing.T) {
 // TestValidateDirectories covers the directory form of `repro validate`:
 // a directory argument expands to the manifests inside it, an empty
 // directory is an error, and the whole shipping tree — including the
-// determinism twins that share report names by design — validates clean.
+// warm-start twin that shares its report name by design — validates clean.
 func TestValidateDirectories(t *testing.T) {
 	tree := filepath.Join("..", "..", "manifests")
 	code, out, stderr := run("validate", tree)
@@ -163,7 +163,7 @@ func TestValidateDirectories(t *testing.T) {
 	for _, want := range []string{
 		"ok " + filepath.Join(tree, "pr.json"),
 		"ok " + filepath.Join(tree, "chaos-warm.json"),
-		"ok " + filepath.Join(tree, "telemetry-w1.json"),
+		"ok " + filepath.Join(tree, "telemetry.json"),
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("directory expansion missing %q in:\n%s", want, out)
@@ -207,12 +207,13 @@ func TestValidateDuplicates(t *testing.T) {
 }
 
 // TestManifestShardMatrix runs the three shipping manifest families that
-// exercise distinct stacks — pr (OSU collectives, partitioned), chaos
-// (scenario kernel with the partitioned quiet anchor), train (workload
-// DAGs, confined) — at every shard count in the acceptance matrix. Each
-// manifest declares its expect.sha256, so a zero exit IS the byte-identity
-// assertion; the digest-confirmation line is checked anyway so a manifest
-// that silently loses its expect block fails loudly.
+// exercise distinct stacks — pr (OSU collectives, keyed fabric), chaos
+// (scenario kernel with the keyed quiet anchor), train (workload DAGs,
+// confined) — under the -shards values existing scripts pass. The flag is
+// ignored: each leg must still match the manifest's expect.sha256 (a
+// zero exit IS the byte-identity assertion; the digest-confirmation line is
+// checked anyway so a manifest that silently loses its expect block fails
+// loudly) and a leg asking for shards must print the notice exactly once.
 func TestManifestShardMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("nine multi-second sweeps; skipped with -short")
@@ -223,8 +224,6 @@ func TestManifestShardMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, shards := range []string{"1", "2", "8"} {
-			// The shard count is part of each run's compiled plan, not
-			// process state, so the legs may overlap.
 			t.Run(name+"/shards="+shards, func(t *testing.T) {
 				t.Parallel()
 				code, stdout, stderr := run("run", "-shards", shards, "-o", t.TempDir(), src)
@@ -233,6 +232,13 @@ func TestManifestShardMatrix(t *testing.T) {
 				}
 				if !strings.Contains(stdout, "digest matches expect.sha256") {
 					t.Fatalf("stdout does not confirm the digest:\n%s", stdout)
+				}
+				want := 0
+				if shards != "1" {
+					want = 1
+				}
+				if got := strings.Count(stderr, shardsNotice); got != want {
+					t.Fatalf("stderr carries %d shards notices, want %d:\n%s", got, want, stderr)
 				}
 			})
 		}
@@ -352,9 +358,7 @@ func TestDigestMismatchExitsOne(t *testing.T) {
 
 // TestGoldenPRManifest pins the CI pr leg end to end: `repro run
 // manifests/pr.json` must reproduce the historical cmd/osu BENCH_pr.json
-// bytes, whose digest is declared in the manifest itself. The twin
-// manifests carry the same digest, so worker- and shard-count determinism
-// ride on the same pin.
+// bytes, whose digest is declared in the manifest itself.
 func TestGoldenPRManifest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep; skipped with -short")
@@ -423,5 +427,74 @@ func TestSharedStructureSurvivesChaosRun(t *testing.T) {
 	}
 	if after := structureDigest(); after != before {
 		t.Fatalf("shared graph + routing digest moved across the run: %s -> %s", before, after)
+	}
+}
+
+// TestShardsIgnored pins the compatibility contract of -shards: the flag
+// and a manifest's "shards" are still accepted, change no
+// output byte, and a request for more than one shard prints shardsNotice
+// exactly once per invocation, however many manifests ask. Invalid counts
+// still exit 2, and validate notes a manifest that sets the field.
+func TestShardsIgnored(t *testing.T) {
+	dir := t.TempDir()
+	outputs := func(name string, extra ...string) (string, string) {
+		t.Helper()
+		records, metrics := filepath.Join(dir, name+".json"), filepath.Join(dir, name+".metrics.json")
+		args := append([]string{"osu", "-nodes", "8", "-sizes", "65536", "-iters", "2",
+			"-json", records, "-metrics", metrics}, extra...)
+		code, stdout, stderr := run(args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", extra, code, stderr)
+		}
+		var b []byte
+		for _, p := range []string{records, metrics} {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = append(b, data...)
+		}
+		return string(b) + stdout, stderr
+	}
+	plain, plainErr := outputs("plain")
+	sharded, shardedErr := outputs("sharded", "-shards", "4")
+	if plain != sharded {
+		t.Error("-shards 4 changed the records, metrics or stdout")
+	}
+	if plainErr != "" || shardedErr != shardsNotice+"\n" {
+		t.Errorf("stderr without -shards %q, with -shards 4 %q; want nothing and exactly the notice", plainErr, shardedErr)
+	}
+
+	withShards := func(name string, shards int) string {
+		m := manifest.Manifest{
+			Kind:   "osu",
+			Grid:   manifest.Grid{Algorithms: []string{"mcast-allgather"}, Nodes: []int{4}, Sizes: manifest.Sizes{4096}},
+			OSU:    &manifest.OSUSpec{Iters: 1},
+			Output: manifest.Output{JSON: name + ".out.json"},
+			Shards: shards,
+		}
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, m.Encode(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	a, b := withShards("a", 4), withShards("b", 2)
+	code, _, stderr := run("run", "-shards", "4", "-o", filepath.Join(dir, "batch"), a, b)
+	if code != 0 || strings.Count(stderr, shardsNotice) != 1 || strings.Count(stderr, "\n") != 1 {
+		t.Errorf("batch asking for shards three times: exit %d, stderr %q; want one notice line", code, stderr)
+	}
+	if code, _, stderr := run("validate", a); code != 0 || !strings.Contains(stderr, "shards is ignored") {
+		t.Errorf("validate of a manifest setting shards: exit %d, stderr %q; want 0 and a note", code, stderr)
+	}
+	negative := withShards("negative", -1)
+	for _, args := range [][]string{
+		{"run", "-shards", "0", a},
+		{"run", "-o", filepath.Join(dir, "neg"), negative},
+		{"validate", negative},
+	} {
+		if code, _, _ := run(args...); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
 	}
 }

@@ -15,13 +15,19 @@ import (
 	"repro/internal/telemetry"
 )
 
+// shardsNotice is printed, once per invocation, when -shards or a
+// manifest's "shards" asks for more than one engine shard. Both are still
+// accepted so existing scripts and manifests keep working.
+const shardsNotice = "repro: -shards is ignored; the engine is serial, use -workers"
+
 // common is the flag surface shared by every subcommand that executes a
-// plan: output targets, pool/engine sizing, telemetry, and diagnostics.
+// plan: output targets, pool sizing, telemetry, and diagnostics.
 type common struct {
 	jsonPath     string
 	csvPath      string
 	workers      int
 	shards       int
+	shardsNoted  bool // shardsNotice already printed
 	cpuprofile   string
 	memprofile   string
 	telemetry    bool
@@ -37,7 +43,7 @@ func (c *common) register(fs *flag.FlagSet, workersDefault int) {
 	fs.StringVar(&c.jsonPath, "json", "", "write sweep records as JSON to this path")
 	fs.StringVar(&c.csvPath, "csv", "", "write sweep records as CSV to this path")
 	fs.IntVar(&c.workers, "workers", workersDefault, "sweep worker goroutines (0 = GOMAXPROCS)")
-	fs.IntVar(&c.shards, "shards", 1, "engine shards for conservative parallel execution (1 = serial; results are identical at any value)")
+	fs.IntVar(&c.shards, "shards", 1, "ignored: the engine is serial (accepted for compatibility; use -workers)")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&c.memprofile, "memprofile", "", "write an allocation profile of the run to this file")
 	fs.BoolVar(&c.telemetry, "telemetry", false, "collect the deterministic metrics registry during the sweep")
@@ -64,8 +70,9 @@ func (c *common) validate() []error {
 	return checks
 }
 
-// apply folds the common flags into the manifest.
-func (c *common) apply(m *manifest.Manifest) {
+// apply folds the common flags into the manifest, printing shardsNotice
+// to stderr the first time the flag or a manifest asks for shards.
+func (c *common) apply(m *manifest.Manifest, stderr io.Writer) {
 	if c.jsonPath != "" {
 		m.Output.JSON = c.jsonPath
 	}
@@ -75,8 +82,9 @@ func (c *common) apply(m *manifest.Manifest) {
 	if c.workers >= 0 {
 		m.Workers = c.workers
 	}
-	if c.shards > 1 || m.Shards == 0 {
-		m.Shards = c.shards
+	if (c.shards > 1 || m.Shards > 1) && !c.shardsNoted {
+		fmt.Fprintln(stderr, shardsNotice)
+		c.shardsNoted = true
 	}
 	if c.telemetry || c.metricsPath != "" || c.perfettoPath != "" {
 		if m.Telemetry == nil {
@@ -122,10 +130,10 @@ func (c *common) diag(trace string) diagnostics {
 }
 
 // execute is the single run path behind `repro run` and all seven shims:
-// compile the manifest (shard count and telemetry included — the common
-// flags were folded into it), run the plan, persist/compare/verify the
-// report, and optionally write a protocol trace. Exit codes follow the repository convention (2 invalid spec,
-// 1 runtime failure).
+// compile the manifest (telemetry included — the common flags were folded
+// into it), run the plan, persist/compare/verify the report, and
+// optionally write a protocol trace. Exit codes follow the repository
+// convention (2 invalid spec, 1 runtime failure).
 func execute(cmd string, m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) int {
 	plan, err := manifest.Compile(m)
 	if err != nil {

@@ -42,9 +42,8 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 	if plan.ReplaySpec == nil {
 		return fail(stderr, 2, "replay: kind %s has no replayable point", m.Kind)
 	}
-	// The replay driver steps a single serial engine and rewinds model
-	// state in place; the manifest's shard count and telemetry block do
-	// not apply to this run.
+	// The replay driver rewinds model state in place; the manifest's
+	// telemetry block does not apply to this run.
 	cfg := harness.ReplayConfig{
 		Interval: sim.Time(*interval) * sim.Microsecond,
 		At:       sim.Time(*at) * sim.Microsecond,

@@ -86,7 +86,7 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 			}
 			m.Baseline.Tolerance = *tol
 		}
-		c.apply(&m)
+		c.apply(&m, stderr)
 		if *outDir != "" {
 			redirectOutputs(&m, *outDir)
 		}
@@ -175,11 +175,10 @@ func artifactBasenames(m *manifest.Manifest) []string {
 // compile every named manifest without executing anything, reporting all
 // failures before exiting. Directory arguments expand to the manifests
 // inside them. Duplicates across the set are rejected: two manifests may
-// share a report name only if they write disjoint artifacts (the
-// determinism-twin pattern — the same experiment at different -workers or
-// -shards, byte-compared by CI), and no two manifests may declare the same
-// output basename, which would silently overwrite when a batch runs them
-// into one -o directory.
+// share a report name only if they write disjoint artifacts, and no two
+// manifests may declare the same output basename, which would silently
+// overwrite when a batch runs them into one -o directory. A manifest that
+// sets the ignored shards field gets a note on stderr.
 func runValidate(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro validate", flag.ContinueOnError)
 	if code := parseFlags(fs, args, stderr); code >= 0 {
@@ -237,6 +236,9 @@ func runValidate(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "ok %s: kind=%s name=%s sections=%d points=%d\n",
 			path, m.Kind, plan.Name, len(plan.Sections), points)
+		if m.Shards != 0 {
+			fmt.Fprintf(stderr, "%s: note: shards is ignored; the engine is serial, use workers\n", path)
+		}
 	}
 	if bad > 0 {
 		return fail(stderr, 2, "validate: %d of %d manifests invalid", bad, len(paths))

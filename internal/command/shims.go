@@ -58,7 +58,7 @@ func runOSU(args []string, stdout, stderr io.Writer) int {
 	if *comparePath != "" {
 		m.Baseline = &manifest.Baseline{Path: *comparePath, Tolerance: *tol}
 	}
-	c.apply(&m)
+	c.apply(&m, stderr)
 	return execute("osu", m, c.diag(*tracePath), stdout, stderr)
 }
 
@@ -97,7 +97,7 @@ func runAG(args []string, stdout, stderr io.Writer) int {
 		}
 		m.Grid.Sizes = sizes
 	}
-	c.apply(&m)
+	c.apply(&m, stderr)
 	return execute("ag", m, c.diag(*tracePath), stdout, stderr)
 }
 
@@ -124,7 +124,7 @@ func runTraffic(args []string, stdout, stderr io.Writer) int {
 		Grid:    manifest.Grid{Nodes: []int{*nodes}, Sizes: manifest.Sizes{*msg}},
 		Traffic: &manifest.TrafficSpec{Iters: *iters},
 	}
-	c.apply(&m)
+	c.apply(&m, stderr)
 	return execute("traffic", m, c.diag(*tracePath), stdout, stderr)
 }
 
@@ -151,7 +151,7 @@ func runDPA(args []string, stdout, stderr io.Writer) int {
 	if *table != 0 {
 		m.Tables = []int{*table}
 	}
-	c.apply(&m)
+	c.apply(&m, stderr)
 	return execute("dpa", m, c.diag(*tracePath), stdout, stderr)
 }
 
@@ -176,7 +176,7 @@ func runCost(args []string, stdout, stderr io.Writer) int {
 	if *fig != 0 {
 		m.Figures = []int{*fig}
 	}
-	c.apply(&m)
+	c.apply(&m, stderr)
 	return execute("cost", m, c.diag(*tracePath), stdout, stderr)
 }
 
@@ -212,7 +212,7 @@ func runChaos(args []string, stdout, stderr io.Writer) int {
 		},
 		Seed: seed,
 	}
-	c.apply(&m)
+	c.apply(&m, stderr)
 	return execute("chaos", m, c.diag(*tracePath), stdout, stderr)
 }
 
@@ -269,6 +269,6 @@ func runTrain(args []string, stdout, stderr io.Writer) int {
 	if *comparePath != "" {
 		m.Baseline = &manifest.Baseline{Path: *comparePath, Tolerance: *tol}
 	}
-	c.apply(&m)
+	c.apply(&m, stderr)
 	return execute("train", m, c.diag(*tracePath), stdout, stderr)
 }

@@ -16,7 +16,7 @@ func osuMetricsArgs(path string, extra ...string) []string {
 
 // TestMetricsByteIdentity is the telemetry half of the determinism
 // contract: the canonical metrics.json must be byte-identical at every
-// -workers and -shards value, and must match the checked-in golden — so
+// -workers value, and must match the checked-in golden — so
 // any drift in an instrumented counter is a reviewed diff, not silent
 // noise.
 func TestMetricsByteIdentity(t *testing.T) {
@@ -29,8 +29,6 @@ func TestMetricsByteIdentity(t *testing.T) {
 		"default": nil,
 		"w1":      {"-workers", "1"},
 		"w4":      {"-workers", "4"},
-		"shards1": {"-shards", "1"},
-		"shards4": {"-shards", "4"},
 	}
 	for name, extra := range configs {
 		path := filepath.Join(dir, name+".json")
@@ -80,8 +78,8 @@ func TestPerfettoDeterministic(t *testing.T) {
 // checked-in goldens (generated at the parent of PR 13, when the trace
 // runs had builders of their own): the -trace text timeline, the -perfetto
 // document and the `repro trace` summary of the sweep's metrics.json must
-// reproduce those bytes — at -shards 1 and 4, since the traced run takes
-// the same Env as the sweep. The chaos point is perturbed hard enough to
+// reproduce those bytes — with and without the ignored -shards 4, which
+// must change none of them. The chaos point is perturbed hard enough to
 // show the slow path (recovery, fetch-serve); the train point is the quiet
 // anchor of a scenario sweep, so it runs under the guarded drive loop.
 func TestTracedRunGoldens(t *testing.T) {

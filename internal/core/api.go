@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/bitmap"
 	"repro/internal/collective"
@@ -23,12 +22,8 @@ type Result = collective.Result
 // so a model-state capture (internal/snap) reaches it: a mid-run fork that
 // rewinds an in-flight operation must rewind the countdown too, or the
 // replayed ranks would decrement an exhausted counter and done would never
-// re-fire. Ranks complete on their own shards, possibly inside one epoch:
-// the countdown is mutex-guarded and End accumulates as the max of each
-// completing rank's clock (equal to the old last-completion reading on a
-// confined fabric, where the clock is shared and monotonic).
+// re-fire. End is the clock at the last rank's completion.
 type completion struct {
-	mu        sync.Mutex
 	remaining int
 	res       *Result
 	done      func(*Result)
@@ -39,14 +34,12 @@ func (c *Communicator) rankDone(rk *Rank) {
 	cp := c.compl
 	cp.res.PerRank[rk.id] = rk.op.stats()
 	rk.TotalRNRDrops = rk.ctx.RNRDrops
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if t := rk.eng.Now(); t > cp.res.End {
-		cp.res.End = t
-	}
 	cp.remaining--
-	if cp.remaining == 0 && cp.done != nil {
-		cp.done(cp.res)
+	if cp.remaining == 0 {
+		cp.res.End = rk.eng.Now()
+		if cp.done != nil {
+			cp.done(cp.res)
+		}
 	}
 }
 
@@ -120,9 +113,7 @@ func (c *Communicator) startOp(kind opKind, root, n int, done func(*Result)) err
 		op.bm = bitmap.New(total)
 		op.cb = c.rankDone
 		r.op = op
-		// Dispatch on the app thread (task-queue handoff cost, §IV-B). Start
-		// runs between engine runs with aligned clocks, so reading c.eng here
-		// and scheduling on the rank's own shard is exact at any -shards.
+		// Dispatch on the app thread (task-queue handoff cost, §IV-B).
 		t := r.appThread.Run(dpa.TaskDispatch, c.eng.Now())
 		r.eng.AtHandler(t, r, 0, 0, nil)
 	}

@@ -44,9 +44,8 @@ type Rank struct {
 	id   int
 	host topology.NodeID
 	ctx  *verbs.Context
-	// eng is the engine owning this rank's host — the primary shard on a
-	// confined fabric, the host's own shard on a partitioned one. All of
-	// the rank's protocol events (dispatch, timers, batch posts) run here.
+	// eng is the fabric's engine: all of the rank's protocol events
+	// (dispatch, timers, batch posts) run here.
 	eng *sim.Engine
 
 	cpu *dpa.Chip

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -47,111 +46,6 @@ func BenchmarkFabricHop(b *testing.B) {
 	hops := float64(b.N) * benchPackets * 2
 	b.ReportMetric(hops/b.Elapsed().Seconds(), "hops/sec")
 	b.ReportMetric(float64(eng.Executed-start)/b.Elapsed().Seconds(), "events/sec")
-}
-
-// hopInjector is the closure-free injection handler for the sharded hop
-// bench: obj is the preallocated *Packet to hand to the NIC.
-type hopInjector struct{ nic *NIC }
-
-func (h *hopInjector) OnEvent(_ *sim.Engine, _ sim.Handle, _ uint64, _ int, obj any) {
-	h.nic.Inject(obj.(*Packet))
-}
-
-// shardedHopRun is one BenchmarkFabricHopSharded workload: a star fabric
-// partitioned at the given shard count, every host streaming MTU packets
-// to a fixed offset peer through its own NIC (InjectBackground is refused
-// on a partitioned fabric — the global packet counter is exactly the kind
-// of shared state partitioning removes). Packets are preallocated and
-// reused across iterations so the measurement is the event pipeline, not
-// the garbage collector. Returns the injector and the executed-event
-// reader.
-func shardedHopRun(b *testing.B, shards, hosts, packets int) (func(), func() uint64) {
-	b.Helper()
-	g := topology.Star(hosts)
-	var eng *sim.Engine
-	if shards == 1 {
-		eng = sim.NewEngine(1)
-	} else {
-		_, eng = NewShardedEngine(1, g, Config{}, shards)
-	}
-	f := New(eng, g, Config{})
-	if !f.EnablePartition() {
-		b.Fatalf("shards=%d: EnablePartition refused a pristine fabric", shards)
-	}
-	ids := g.Hosts()
-	nics := make([]*NIC, len(ids))
-	injs := make([]*hopInjector, len(ids))
-	for i, h := range ids {
-		nics[i] = f.AttachNIC(h)
-		nics[i].Deliver = func(*Packet) {}
-		injs[i] = &hopInjector{nic: nics[i]}
-	}
-	perHost := packets / len(ids)
-	mtu := f.MaxPayload()
-	pkts := make([]Packet, len(ids)*perHost)
-	inject := func() {
-		// Injections land on each host's own shard at the aligned clock;
-		// serialization on the per-host uplinks spreads the hops across
-		// the epoch windows. Every iteration drains completely, so the
-		// packet structs are free to reuse (reset — the fabric stamps
-		// Src/ID and hop state in place).
-		for i := range nics {
-			hostEng := f.HostEngine(ids[i])
-			now := hostEng.Now()
-			dst := ids[(i+3)%len(ids)]
-			for k := 0; k < perHost; k++ {
-				p := &pkts[i*perHost+k]
-				*p = Packet{Dst: dst, Group: NoGroup, Flow: uint64(k & 7), PayloadBytes: mtu}
-				hostEng.AtHandler(now, injs[i], 0, 0, p)
-			}
-		}
-		eng.Run()
-	}
-	executed := func() uint64 {
-		if g := eng.Group(); g != nil {
-			return g.ExecutedTotal()
-		}
-		return eng.Executed
-	}
-	return inject, executed
-}
-
-// BenchmarkFabricHopSharded measures the partitioned pipeline's multi-core
-// throughput on the pure fabric hot path: 64 hosts streaming through a
-// 4-shard partition, against an untimed single-shard partitioned reference
-// of the same workload. events/sec/core and speedup are the scaling
-// metrics; hops/sec is comparable with BenchmarkFabricHop.
-func BenchmarkFabricHopSharded(b *testing.B) {
-	const (
-		shards  = 4
-		hosts   = 256
-		packets = 16384
-	)
-	inject, executed := shardedHopRun(b, shards, hosts, packets)
-	inject() // warm event pools, mailboxes and channel bucket slices
-	start := executed()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inject()
-	}
-	b.StopTimer()
-	parRate := float64(executed()-start) / b.Elapsed().Seconds()
-
-	serialInject, serialExecuted := shardedHopRun(b, 1, hosts, packets)
-	serialInject()
-	serialStart := serialExecuted()
-	wall := time.Now()
-	for i := 0; i < b.N; i++ {
-		serialInject()
-	}
-	serialRate := float64(serialExecuted()-serialStart) / time.Since(wall).Seconds()
-
-	hops := float64(b.N) * packets * 2
-	b.ReportMetric(hops/b.Elapsed().Seconds(), "hops/sec")
-	b.ReportMetric(parRate, "events/sec")
-	b.ReportMetric(parRate/shards, "events/sec/core")
-	b.ReportMetric(parRate/serialRate, "speedup")
 }
 
 // TestFabricHopAllocGate is the satellite AllocsPerRun gate on the

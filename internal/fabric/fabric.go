@@ -55,17 +55,15 @@ type Packet struct {
 	pooled bool
 }
 
-// packetPool is one shard's free list of unicast packets. The fabric owns
-// it: a pool-born packet belongs to whoever holds it from NewPacket until
-// Inject, then to the fabric, which lends it to NIC.Deliver for the length
-// of that call and files it — Payload still attached, every other field
-// zeroed — on the delivering shard's list. A contribution absorbed at an
-// in-network reduction's root is filed the same way (the aggregation state
-// keeps a count, not the packet). Multicast packets (one object on every
-// tree branch), packets the caller allocated itself and dropped packets
-// never enter a pool. The list never holds more packets than the pool has
-// itself handed out fresh, so one-way cross-shard traffic cannot pile the
-// sender's packets up at the receiver.
+// packetPool is the fabric's free list of unicast packets. A pool-born
+// packet belongs to whoever holds it from NewPacket until Inject, then to
+// the fabric, which lends it to NIC.Deliver for the length of that call and
+// files it back — Payload still attached, every other field zeroed. A
+// contribution absorbed at an in-network reduction's root is filed the same
+// way (the aggregation state keeps a count, not the packet). Multicast
+// packets (one object on every tree branch), packets the caller allocated
+// itself and dropped packets never enter the pool. made counts the packets
+// the pool has allocated.
 type packetPool struct {
 	free []*Packet
 	made int
@@ -83,7 +81,7 @@ func (p *packetPool) get() *Packet {
 }
 
 func (p *packetPool) put(pkt *Packet) {
-	if !pkt.pooled || pkt.Group != NoGroup || len(p.free) >= p.made {
+	if !pkt.pooled || pkt.Group != NoGroup {
 		return
 	}
 	*pkt = Packet{Group: NoGroup, Payload: pkt.Payload, pooled: true}
@@ -179,7 +177,6 @@ type channel struct {
 type NIC struct {
 	Host    topology.NodeID
 	f       *Fabric
-	pool    *packetPool // the pool of the shard owning this host
 	Deliver func(pkt *Packet)
 	// groups[gid] is set while this NIC is attached to the group (receives
 	// multicast for it); grown on attach.
@@ -187,9 +184,8 @@ type NIC struct {
 	// Injected/Received count packets through this NIC for diagnostics.
 	Injected uint64
 	Received uint64
-	// pktSeq numbers injections on a partitioned fabric, where a global
-	// packet counter would be shared across shards. The ID becomes
-	// host<<32|seq — still unique, still deterministic, owner-local.
+	// pktSeq numbers injections on a keyed fabric, whose packet IDs are
+	// host<<32|seq.
 	pktSeq uint64
 }
 
@@ -203,22 +199,20 @@ type Fabric struct {
 
 	// Pre-built sim.Handler instances for the fabric event kinds, so the
 	// per-hop scheduling path is closure-free and allocation-free. bookH
-	// exists only on a partitioned fabric (see sharded.go).
+	// exists only on a keyed fabric (see keyed.go).
 	arriveH  sim.Handler
 	deliverH sim.Handler
 	bookH    sim.Handler
 
-	// part holds per-shard ownership state when the fabric is partitioned
-	// via EnablePartition; nil means confined to the primary shard.
+	// part holds the dispatch-keying state once EnablePartition switched
+	// the fabric to the keyed pipeline; nil means confined.
 	part *partition
 
 	// chans[2*linkID+dir]: dir 0 = A->B, dir 1 = B->A.
 	chans []channel
 	// nics[node] is the host's NIC, nil until attached.
-	nics []*NIC
-	// pools[shard]: one packet pool when confined, one per shard once
-	// partitioned.
-	pools        []packetPool
+	nics         []*NIC
+	pool         packetPool
 	groups       []*topology.MulticastTree
 	reduceGroups []*reduceGroup
 
@@ -236,13 +230,12 @@ type Fabric struct {
 func New(eng *sim.Engine, g *topology.Graph, cfg Config) *Fabric {
 	cfg = cfg.withDefaults()
 	f := &Fabric{
-		eng:   eng,
-		g:     g,
-		rt:    g.Routing(),
-		cfg:   cfg,
-		rng:   eng.SplitRNG(),
-		nics:  make([]*NIC, len(g.Nodes)),
-		pools: make([]packetPool, 1),
+		eng:  eng,
+		g:    g,
+		rt:   g.Routing(),
+		cfg:  cfg,
+		rng:  eng.SplitRNG(),
+		nics: make([]*NIC, len(g.Nodes)),
 	}
 	f.arriveH = (*arriveHandler)(f)
 	f.deliverH = (*deliverHandler)(f)
@@ -275,19 +268,16 @@ func (f *Fabric) AttachNIC(host topology.NodeID) *NIC {
 	if nic := f.nics[host]; nic != nil {
 		return nic
 	}
-	nic := &NIC{Host: host, f: f, pool: &f.pools[0]}
-	if f.part != nil {
-		nic.pool = &f.pools[f.part.hosts.Owner(host)]
-	}
+	nic := &NIC{Host: host, f: f}
 	f.nics[host] = nic
 	return nic
 }
 
-// NewPacket returns a zeroed unicast packet (Group NoGroup) from the pool of
-// this NIC's shard for the caller to fill and Inject. Its Payload is
-// whatever the packet last carried, or nil: a transport keeps its header
-// object there and reuses it.
-func (n *NIC) NewPacket() *Packet { return n.pool.get() }
+// NewPacket returns a zeroed unicast packet (Group NoGroup) from the
+// fabric's pool for the caller to fill and Inject. Its Payload is whatever
+// the packet last carried, or nil: a transport keeps its header object
+// there and reuses it.
+func (n *NIC) NewPacket() *Packet { return n.f.pool.get() }
 
 // CreateGroup builds a multicast group over members, rooted at the given
 // switch. Use round-robin roots across spines to spread subgroup trees.
@@ -381,10 +371,9 @@ func (ch *channel) serialization(size int) sim.Time {
 // completion time on that channel.
 func (f *Fabric) transmit(pkt *Packet, node topology.NodeID, port int) sim.Time {
 	if f.part != nil {
-		// Partitioned hops go through book/dispatch on the owning shard;
-		// reaching the confined path means a switch arrival slipped past
-		// the pipeline and would mutate channel state off its owner.
-		panic(fmt.Sprintf("fabric: confined transmit at node %d port %d on a partitioned fabric", node, port))
+		// Keyed hops go through book/dispatch; reaching the confined path
+		// means a switch arrival slipped past the keyed pipeline.
+		panic(fmt.Sprintf("fabric: confined transmit at node %d port %d on a keyed fabric", node, port))
 	}
 	nb := f.g.Adj[node][port]
 	ch := f.channelFor(node, nb.Link)
@@ -506,7 +495,7 @@ func (f *Fabric) forwardMulticast(pkt *Packet, sw topology.NodeID, ingress int) 
 func (f *Fabric) deliverToHost(pkt *Packet, host topology.NodeID) {
 	if pkt.Background {
 		f.BackgroundDelivered++
-		f.pools[0].put(pkt) // background traffic is confined-only
+		f.pool.put(pkt)
 		return
 	}
 	nic := f.nics[host]
@@ -528,7 +517,7 @@ func (f *Fabric) deliverNow(nic *NIC, pkt *Packet) {
 	if nic.Deliver != nil {
 		nic.Deliver(pkt)
 	}
-	nic.pool.put(pkt)
+	f.pool.put(pkt)
 }
 
 // --- dynamic channel overrides (scenario extension layer) ------------------
@@ -675,9 +664,9 @@ func (f *Fabric) InjectBackground(src, dst topology.NodeID, payloadBytes int, fl
 		panic("fabric: negative background payload size")
 	}
 	if f.part != nil {
-		panic("fabric: background traffic requires the confined fabric (EnablePartition refuses scenarios; this fabric was partitioned first)")
+		panic("fabric: background traffic requires the confined fabric (EnablePartition refuses scenarios; this fabric was keyed first)")
 	}
-	pkt := f.pools[0].get()
+	pkt := f.pool.get()
 	pkt.Src, pkt.Dst, pkt.Flow = src, dst, flow
 	pkt.PayloadBytes, pkt.Background = payloadBytes, true
 	pkt.ID = f.nextPktID
@@ -687,20 +676,18 @@ func (f *Fabric) InjectBackground(src, dst topology.NodeID, payloadBytes int, fl
 	return f.transmit(pkt, src, 0)
 }
 
-// assertConfined rejects a live per-channel override on a partitioned
-// fabric: the channel's serializer state belongs to its owner shard, and a
-// mid-run mutation from outside would race it (and shift results with
-// shard count). EnablePartition refuses fabrics that already carry
-// overrides, so the two features are mutually exclusive by construction;
-// ClearOverrides stays allowed since it restores the exact baseline the
-// partitioned channels are known to hold.
+// assertConfined rejects a live per-channel override on a keyed fabric.
+// EnablePartition refuses fabrics that already carry overrides, so the two
+// features are mutually exclusive by construction; ClearOverrides stays
+// allowed since it restores the exact baseline the keyed channels are known
+// to hold.
 func (f *Fabric) assertConfined(id ChannelID, op string) {
 	if f.part == nil {
 		return
 	}
 	ch := &f.chans[id]
-	panic(fmt.Sprintf("fabric: %s on channel %d (%d->%d) owned by shard %d: live overrides require the confined fabric",
-		op, id, ch.from, ch.to, f.part.chanOwner[id]))
+	panic(fmt.Sprintf("fabric: %s on channel %d (%d->%d): live overrides require the confined fabric",
+		op, id, ch.from, ch.to))
 }
 
 // --- counters -------------------------------------------------------------

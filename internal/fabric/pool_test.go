@@ -3,12 +3,13 @@ package fabric
 import (
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
-// TestPoolSerialRingReusesEveryPacket: on a confined fabric there is one
-// list, so a two-way flow has no imbalance — after the first round the pool
-// never makes another packet and holds them all at quiescence.
+// TestPoolSerialRingReusesEveryPacket: a two-way flow has no imbalance —
+// after the first round the pool never makes another packet and holds them
+// all at quiescence.
 func TestPoolSerialRingReusesEveryPacket(t *testing.T) {
 	eng, f, nics := testFabric(t, 4, Config{})
 	const burst = 8
@@ -23,7 +24,7 @@ func TestPoolSerialRingReusesEveryPacket(t *testing.T) {
 		eng.Run()
 	}
 	round()
-	pool := &f.pools[0]
+	pool := &f.pool
 	if want := burst * len(nics); pool.made != want || len(pool.free) != want {
 		t.Fatalf("after one round: made %d free %d, want %d and %d", pool.made, len(pool.free), want, want)
 	}
@@ -35,41 +36,30 @@ func TestPoolSerialRingReusesEveryPacket(t *testing.T) {
 	}
 }
 
-// TestPoolCapBoundsOneWayFlow: across shards a one-way flow carries the
-// sender's packets to the receiver's list and nothing back. The receiving
-// list keeps no more than its own shard has made; the rest go to the
-// collector instead of piling up.
+// TestPoolCapBoundsOneWayFlow: a one-way flow on a keyed fabric carries the
+// sender's packets to the receiver and nothing back, yet the one pool takes
+// every delivered packet back, so the flow never makes more packets than
+// one burst holds in flight.
 func TestPoolCapBoundsOneWayFlow(t *testing.T) {
 	g := topology.Star(4)
-	grp, eng := NewShardedEngine(1, g, Config{}, 2)
+	eng := sim.NewEngine(1)
 	f := New(eng, g, Config{})
 	if !f.EnablePartition() {
 		t.Fatal("EnablePartition refused a pristine fabric")
 	}
 	hosts := g.Hosts()
 	src, dst := f.AttachNIC(hosts[0]), f.AttachNIC(hosts[3])
-	if src.pool == dst.pool {
-		t.Fatal("setup: both hosts on one shard")
-	}
-	send := func(from, to *NIC, n int) {
-		for k := 0; k < n; k++ {
-			pkt := from.NewPacket()
-			pkt.Dst, pkt.PayloadBytes = to.Host, 4096
-			from.Inject(pkt)
-		}
-		grp.Run()
-	}
-	const reverse = 3
-	send(dst, src, reverse) // the receiving shard's own demand
+	const burst = 16
 	for i := 0; i < 100; i++ {
-		send(src, dst, 16)
+		for k := 0; k < burst; k++ {
+			pkt := src.NewPacket()
+			pkt.Dst, pkt.PayloadBytes = dst.Host, 4096
+			src.Inject(pkt)
+		}
+		eng.Run()
 	}
-	if dst.pool.made != reverse || len(dst.pool.free) != reverse {
-		t.Fatalf("receiving shard: made %d free %d, want the list capped at its own %d packets",
-			dst.pool.made, len(dst.pool.free), reverse)
-	}
-	if len(src.pool.free) > src.pool.made {
-		t.Fatalf("sending shard: free %d exceeds made %d", len(src.pool.free), src.pool.made)
+	if f.pool.made != burst || len(f.pool.free) != burst {
+		t.Fatalf("made %d free %d, want one burst (%d) made and every packet back", f.pool.made, len(f.pool.free), burst)
 	}
 }
 

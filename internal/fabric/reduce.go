@@ -37,7 +37,7 @@ type reduceGroup struct {
 // member hosts. Every member is expected to contribute once per chunk.
 func (f *Fabric) CreateReduceGroup(root topology.NodeID, members []topology.NodeID) (ReduceGroupID, error) {
 	if f.part != nil {
-		return NoReduceGroup, fmt.Errorf("fabric: in-network reduction holds aggregation state at switch %d that no single shard owns; it requires the confined fabric", root)
+		return NoReduceGroup, fmt.Errorf("fabric: in-network reduction at switch %d requires the confined fabric, not the keyed pipeline", root)
 	}
 	mt, err := f.g.BuildMulticastTree(root, members)
 	if err != nil {
@@ -73,7 +73,7 @@ func (f *Fabric) routeReduce(pkt *Packet, node topology.NodeID) {
 		cnt := rg.pending[pkt.ReduceChunk] + 1
 		if cnt < rg.need {
 			rg.pending[pkt.ReduceChunk] = cnt
-			f.pools[0].put(pkt) // absorbed into the aggregation state
+			f.pool.put(pkt) // absorbed into the aggregation state
 			return
 		}
 		delete(rg.pending, pkt.ReduceChunk)

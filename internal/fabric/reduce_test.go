@@ -228,7 +228,7 @@ func TestReducePooledResult(t *testing.T) {
 	if f.ReducedChunks(rg) != chunks {
 		t.Fatalf("ReducedChunks = %d, want %d", f.ReducedChunks(rg), chunks)
 	}
-	pool := &f.pools[0]
+	pool := &f.pool
 	if want := batch * len(nics); pool.made > want {
 		t.Fatalf("pool made %d packets over %d chunks, want at most one batch (%d): absorbed contributions leak", pool.made, chunks, want)
 	}

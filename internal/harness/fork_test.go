@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -13,8 +12,8 @@ import (
 // prefix of the run, let the original timeline run to completion (dirtying
 // the event pool and every model object far past the fork point), then
 // rewind and re-drive the continuation — the replayed run must produce the
-// Record a straight-through run produces, byte-identically, at every
-// shard count and at multiple fork points. This is what makes `repro
+// Record a straight-through run produces, byte-identically, at multiple
+// fork points. This is what makes `repro
 // replay` an exact debugger rather than an approximation.
 
 // forkedResilienceRecord runs one quiet resilience point with a mid-run
@@ -66,8 +65,13 @@ func quietKernelRecord(t *testing.T, env Env, s sweep.Spec) sweep.Record {
 	return recs[0]
 }
 
-// TestMidRunForkByteIdentical forks after two different prefixes at
-// -shards 1, 2 and 8 and requires the replayed continuation's Record to
+// serialLeg names the single-engine subtest. The name dates from when the
+// fork tests also ran on a multi-shard engine group; it is kept so the
+// subtest's ID stays stable.
+const serialLeg = "shards=1"
+
+// TestMidRunForkByteIdentical forks after two different prefixes and
+// requires the replayed continuation's Record to
 // match a straight build → run byte for byte. The ring row forks between RC
 // rounds: the capture holds unicast packets in flight and, from the rounds
 // already acknowledged, on the fabric's free lists, and the original timeline
@@ -80,21 +84,17 @@ func TestMidRunForkByteIdentical(t *testing.T) {
 		{"mcast-allgather", []sim.Time{5 * sim.Microsecond, 20 * sim.Microsecond}},
 		{"ring-allgather", []sim.Time{7 * sim.Microsecond, 33 * sim.Microsecond}},
 	}
-	for _, shards := range []int{1, 2, 8} {
-		env := Env{Shards: shards}
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			t.Parallel()
-			for _, row := range rows {
-				s := sweep.Spec{Algorithm: row.algorithm, Scenario: "quiet",
-					Nodes: 16, MsgBytes: 4096, Seed: 7}
-				want := quietKernelRecord(t, env, s)
-				for _, prefix := range row.prefixes {
-					forked := forkedResilienceRecord(t, env, s, prefix)
-					diffRecords(t, row.algorithm+" mid-run fork", []sweep.Record{want}, []sweep.Record{forked})
-				}
+	t.Run(serialLeg, func(t *testing.T) {
+		for _, row := range rows {
+			s := sweep.Spec{Algorithm: row.algorithm, Scenario: "quiet",
+				Nodes: 16, MsgBytes: 4096, Seed: 7}
+			want := quietKernelRecord(t, Env{}, s)
+			for _, prefix := range row.prefixes {
+				forked := forkedResilienceRecord(t, Env{}, s, prefix)
+				diffRecords(t, row.algorithm+" mid-run fork", []sweep.Record{want}, []sweep.Record{forked})
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestMidRunForkTelemetry repeats the property with the telemetry registry
@@ -104,13 +104,10 @@ func TestMidRunForkByteIdentical(t *testing.T) {
 func TestMidRunForkTelemetry(t *testing.T) {
 	s := sweep.Spec{Algorithm: "mcast-allgather", Scenario: "quiet",
 		Nodes: 16, MsgBytes: 4096, Seed: 7}
-	for _, shards := range []int{1, 2} {
-		env := Env{Shards: shards, Telemetry: telemetry.Config{Enabled: true}}
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			t.Parallel()
-			want := quietKernelRecord(t, env, s)
-			forked := forkedResilienceRecord(t, env, s, 10*sim.Microsecond)
-			diffRecords(t, "mid-run fork + telemetry", []sweep.Record{want}, []sweep.Record{forked})
-		})
-	}
+	env := Env{Telemetry: telemetry.Config{Enabled: true}}
+	t.Run(serialLeg, func(t *testing.T) {
+		want := quietKernelRecord(t, env, s)
+		forked := forkedResilienceRecord(t, env, s, 10*sim.Microsecond)
+		diffRecords(t, "mid-run fork + telemetry", []sweep.Record{want}, []sweep.Record{forked})
+	})
 }

@@ -40,8 +40,8 @@ type point struct {
 	reg     *telemetry.Registry
 	sampler *telemetry.Sampler
 	tracer  *telemetry.Bundle
-	// partitioned reports whether the fabric runs the partitioned
-	// pipeline (the partition gate allowed it and the fabric agreed).
+	// partitioned reports whether the fabric runs the keyed pipeline (the
+	// partition gate allowed it and the fabric agreed).
 	partitioned bool
 }
 
@@ -76,7 +76,7 @@ func (e Env) buildColl(s sweep.Spec, linkGbps float64, jitterUS int) (*point, er
 	if fcfg.LinkBandwidth == 0 {
 		fcfg.LinkBandwidth = 7e9
 	}
-	pt.f = fabric.New(e.newEngine(s.Seed, g, fcfg), g, fcfg)
+	pt.f = fabric.New(sim.NewEngine(s.Seed), g, fcfg)
 	pt.reg = e.newRegistry()
 	pt.cl = cluster.New(pt.f, cluster.Config{Verbs: verbs.Config{Metrics: pt.reg}})
 	pt.partitioned = e.partitions(s, jitterUS) && pt.f.EnablePartition()
@@ -199,13 +199,11 @@ func modelSnapConfig() snap.Config {
 	}
 }
 
-// warmFork couples the engine snapshot (serial or sharded group) with the
-// reflective model-state capture: the complete fork point of one built
-// stack.
+// warmFork couples the engine snapshot with the reflective model-state
+// capture: the complete fork point of one built stack.
 type warmFork struct {
 	eng   *sim.Engine
 	snap  *sim.Snapshot
-	gsnap *sim.GroupSnapshot
 	state *snap.State
 }
 
@@ -213,14 +211,8 @@ type warmFork struct {
 // payloads join the capture roots: an in-flight payload is reachable only
 // from the event queue, yet the continuation will mutate it.
 func captureFork(eng *sim.Engine, roots ...any) *warmFork {
-	w := &warmFork{eng: eng}
-	if g := eng.Group(); g != nil {
-		w.gsnap = g.Snapshot()
-		roots = append(roots, w.gsnap.Payloads()...)
-	} else {
-		w.snap = eng.Snapshot()
-		roots = append(roots, w.snap.Payloads()...)
-	}
+	w := &warmFork{eng: eng, snap: eng.Snapshot()}
+	roots = append(roots, w.snap.Payloads()...)
 	w.state = snap.Capture(modelSnapConfig(), roots...)
 	return w
 }
@@ -229,11 +221,7 @@ func captureFork(eng *sim.Engine, roots ...any) *warmFork {
 // timeline: the RNG tree rewinds to its captured state, so re-running the
 // continuation replays the original execution exactly.
 func (w *warmFork) rewind() {
-	if g := w.eng.Group(); g != nil {
-		g.Restore(w.gsnap)
-	} else {
-		w.eng.Restore(w.snap)
-	}
+	w.eng.Restore(w.snap)
 	w.state.Restore()
 }
 
@@ -244,20 +232,8 @@ func (w *warmFork) rewind() {
 // exact).
 func (w *warmFork) fork(seed uint64) {
 	w.rewind()
-	if g := w.eng.Group(); g != nil {
-		g.Reseed(seed)
-	} else {
-		w.eng.Reseed(seed)
-	}
+	w.eng.Reseed(seed)
 }
 
 // bytes reports the fork point's size (informational perf metric).
-func (w *warmFork) bytes() int {
-	n := w.state.Bytes()
-	if w.gsnap != nil {
-		n += w.gsnap.Bytes()
-	} else {
-		n += w.snap.Bytes()
-	}
-	return n
-}
+func (w *warmFork) bytes() int { return w.state.Bytes() + w.snap.Bytes() }

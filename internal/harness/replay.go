@@ -45,9 +45,8 @@ type waypoint struct {
 
 // Replay runs one quiet collective point under the replay debugger,
 // writing the waypoint table, the seek trace and the stepped events to w.
-// Replay steps a single serial engine and rewinds model state in place, so
-// it always builds under the zero Env — a run's shard count and telemetry
-// do not apply — and rejects perturbation scenarios: scenario injectors
+// Replay rewinds model state in place, so it always builds under the zero
+// Env — a run's telemetry does not apply — and rejects perturbation scenarios: scenario injectors
 // hold closure state the snapshot layer cannot rewind.
 func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
 	if s.Scenario != "" && s.Scenario != scenario.Quiet {

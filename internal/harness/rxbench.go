@@ -78,7 +78,7 @@ func RunRxBench(env Env, cfg RxBenchConfig) RxBenchResult {
 	}
 	g := topology.BackToBack()
 	fcfg := fabric.Config{LinkBandwidth: cfg.LinkBandwidth}
-	eng := env.newEngine(cfg.Seed, g, fcfg)
+	eng := sim.NewEngine(cfg.Seed)
 	f := fabric.New(eng, g, fcfg)
 	hosts := g.Hosts()
 

@@ -52,17 +52,9 @@ func rxConfig(s sweep.Spec) (RxBenchConfig, error) {
 // Both are deterministic event counts (never wall-clock rates), so the
 // byte-identical-JSON contract of the sweep engine is preserved; the
 // wall-clock events/sec trajectory lives in the host-time ledger
-// (bench/, perf/*.json) instead. On a sharded group the totals sum across
-// shards: every logical event is scheduled and fired exactly once on
-// exactly one shard, so the sums match the serial engine's counts at any
-// -shards value. (Pool recycling is not invariant — reuse depends on the
-// per-shard free-list interleave — so recycled counts stay out of
-// Records; they remain visible as Diagnostic telemetry.)
+// (bench/, perf/*.json) instead. Recycled counts stay out of Records; they
+// remain visible as Diagnostic telemetry.
 func addEngineMetrics(rec *sweep.Record, eng *sim.Engine) {
-	if g := eng.Group(); g != nil {
-		addEngineCounts(rec, g.ExecutedTotal(), g.ScheduledTotal())
-		return
-	}
 	addEngineCounts(rec, eng.Executed, eng.Scheduled)
 }
 
@@ -95,9 +87,8 @@ func RxKernel(env Env) sweep.Func {
 		addEngineCounts(&rec, r.Events, r.EventsScheduled)
 		if reg := env.newRegistry(); reg != nil {
 			// The microbenchmark's engine is out of scope here; export the
-			// counter snapshot its result carries. Recycled is Diagnostic:
-			// pool reuse depends on the shard layout, so it has no place in
-			// canonical metrics.
+			// counter snapshot its result carries. Recycled is Diagnostic,
+			// as in collectEngineTelemetry.
 			reg.Counter("sim", "events", "", telemetry.Stable).Add(r.Events)
 			reg.Counter("sim", "scheduled", "", telemetry.Stable).Add(r.EventsScheduled)
 			reg.Counter("sim", "recycled", "", telemetry.Diagnostic).Add(r.EventsRecycled)

@@ -50,7 +50,7 @@ func TrainGrid(workloads []string, nodes, shardBytes []int, scenarios []string, 
 func (e Env) buildStar(s sweep.Spec, hosts int, reg *telemetry.Registry) *point {
 	g := topology.Star(hosts)
 	pt := &point{spec: s, tracer: e.Tracer, reg: reg}
-	pt.f = fabric.New(e.newEngine(s.Seed, g, fabric.Config{}), g, fabric.Config{})
+	pt.f = fabric.New(sim.NewEngine(s.Seed), g, fabric.Config{})
 	pt.cl = cluster.New(pt.f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
 	pt.sampler = fabricSampler(reg, pt.f)
 	return pt

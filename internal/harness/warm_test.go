@@ -12,7 +12,7 @@ import (
 
 // The sharing contract: a point run on a shared, forked stack produces the
 // Record a fresh build of that point would — byte-identically, at every
-// shard count and worker count, with telemetry on or off. The reference is
+// worker count, with telemetry on or off. The reference is
 // not a second code path but the same executor on a one-spec sweep: a key
 // that occurs once is built, run, and never captured. These tests are the
 // harness-level half of the fork property (the engine-level half lives in
@@ -58,32 +58,30 @@ func diffRecords(t *testing.T, label string, want, got []sweep.Record) {
 }
 
 // checkShared runs specs shared at -workers 1 and 3 and requires the
-// records of one-spec sweeps, across -shards 1/2/8 with telemetry off and
-// on. Registries and samplers are part of the forked state, so the
-// per-record metric snapshots must also rewind byte-identically.
+// records of one-spec sweeps, with telemetry off and on. Registries and
+// samplers are part of the forked state, so the per-record metric
+// snapshots must also rewind byte-identically.
 func checkShared(t *testing.T, specs []sweep.Spec, kernel func(Env) sweep.Kernel) {
 	for _, tel := range []bool{false, true} {
-		for _, shards := range []int{1, 2, 8} {
-			env := Env{Shards: shards, Telemetry: telemetry.Config{Enabled: tel}}
-			t.Run(fmt.Sprintf("telemetry=%v/shards=%d", tel, shards), func(t *testing.T) {
-				t.Parallel()
-				var want []sweep.Record
-				for _, s := range specs {
-					rec, err := sweep.Run([]sweep.Spec{s}, 1, kernel(env), true)
-					if err != nil {
-						t.Fatalf("reference: %v", err)
-					}
-					want = append(want, rec...)
+		env := Env{Telemetry: telemetry.Config{Enabled: tel}}
+		t.Run(fmt.Sprintf("telemetry=%v", tel), func(t *testing.T) {
+			t.Parallel()
+			var want []sweep.Record
+			for _, s := range specs {
+				rec, err := sweep.Run([]sweep.Spec{s}, 1, kernel(env), true)
+				if err != nil {
+					t.Fatalf("reference: %v", err)
 				}
-				for _, workers := range []int{1, 3} {
-					got, err := sweep.Run(specs, workers, kernel(env), true)
-					if err != nil {
-						t.Fatalf("workers=%d shared: %v", workers, err)
-					}
-					diffRecords(t, fmt.Sprintf("workers=%d", workers), want, got)
+				want = append(want, rec...)
+			}
+			for _, workers := range []int{1, 3} {
+				got, err := sweep.Run(specs, workers, kernel(env), true)
+				if err != nil {
+					t.Fatalf("workers=%d shared: %v", workers, err)
 				}
-			})
-		}
+				diffRecords(t, fmt.Sprintf("workers=%d", workers), want, got)
+			}
+		})
 	}
 }
 
@@ -133,7 +131,7 @@ func TestWarmTrainByteIdentical(t *testing.T) {
 }
 
 // TestPartitionGate pins the one partition gate's decisions on the built
-// point: the quiet multicast Allgather runs the partitioned pipeline, a
+// point: the quiet multicast Allgather runs the keyed pipeline, a
 // perturbed or telemetry-observed or jittered point runs confined, and so
 // does an algorithm that is not partition-safe.
 func TestPartitionGate(t *testing.T) {
@@ -145,9 +143,9 @@ func TestPartitionGate(t *testing.T) {
 		jitterUS       int
 		want           bool
 	}{
-		{"quiet mcast", Env{Shards: 2}, "mcast-allgather", "quiet", 0, true},
+		{"quiet mcast", Env{}, "mcast-allgather", "quiet", 0, true},
 		{"no scenario axis", Env{}, "mcast-allgather", "", 0, true},
-		{"tenant-50load", Env{Shards: 2}, "mcast-allgather", "tenant-50load", 0, false},
+		{"tenant-50load", Env{}, "mcast-allgather", "tenant-50load", 0, false},
 		{"telemetry on", tel, "mcast-allgather", "quiet", 0, false},
 		{"jittered", Env{}, "mcast-allgather", "", 3, false},
 		{"not partition-safe", Env{}, "knomial-broadcast", "quiet", 0, false},

@@ -61,16 +61,16 @@ type Section struct {
 }
 
 // Compile validates the manifest and lowers it onto sweep grids and
-// harness kernels. The kernels' execution environment — engine shard count
-// and telemetry configuration — is derived here from the manifest's own
-// shards and telemetry fields, so the Plan is self-contained: executing it
-// needs no setup beyond the manifest.
+// harness kernels. The kernels' execution environment (the telemetry
+// configuration) is derived here from the manifest's own telemetry field,
+// so the Plan is self-contained: executing it needs no setup beyond the
+// manifest.
 func Compile(m Manifest) (*Plan, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Plan{Manifest: m}
-	env := harness.Env{Shards: m.Shards}
+	var env harness.Env
 	if t := m.Telemetry; t != nil {
 		env.Telemetry = telemetry.Config{
 			Enabled:      true,

@@ -1,14 +1,14 @@
 // Package manifest turns experiments into data: a manifest is a small JSON
 // document declaring what to run — a kind naming the experiment family
 // (osu, chaos, train, traffic, dpa, cost, ag), the grid axes it sweeps, and
-// the run's bookkeeping (seed, workers, shards, output paths, a baseline to
+// the run's bookkeeping (seed, workers, output paths, a baseline to
 // diff against, an expected output digest) — which compiles onto the
 // existing sweep.Grid / harness kernels. The seven
 // flag-compatible repro subcommands build one of these in memory; CI is a
 // matrix over the checked-in specs in manifests/.
 //
 // The contract mirrors the sweep engine's: the same manifest always
-// produces byte-identical JSON output at any worker or shard count, so a
+// produces byte-identical JSON output at any worker count, so a
 // manifest plus its committed BENCH_*.json is a reproducible experiment.
 package manifest
 
@@ -54,8 +54,9 @@ type Manifest struct {
 	// Workers is the sweep worker pool size; 0 means GOMAXPROCS. Results
 	// are byte-identical at any value.
 	Workers int `json:"workers,omitempty"`
-	// Shards is the conservative-parallel engine shard count; 0 and 1 both
-	// mean serial. Results are byte-identical at any value.
+	// Shards is accepted so existing manifests keep parsing, and ignored:
+	// the engine is serial, Workers is the parallelism. Negative values are
+	// still invalid.
 	Shards int `json:"shards,omitempty"`
 	// WarmStart lets grid points that construct the same model stack
 	// (everything but seed, message size or scenario, depending on kind)
@@ -149,8 +150,7 @@ type TelemetrySpec struct {
 	// prefixes (e.g. "fabric/", "core/phase_total"). Empty exports all.
 	Filters []string `json:"filters,omitempty"`
 	// Metrics is where the canonical metrics.json document is written.
-	// Like the report itself it is byte-identical at any -workers and
-	// -shards value.
+	// Like the report itself it is byte-identical at any -workers value.
 	Metrics string `json:"metrics,omitempty"`
 	// Perfetto is where the representative run's Chrome-trace-event JSON is
 	// written (open at ui.perfetto.dev). Only kinds with a traceable point

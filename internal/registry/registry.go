@@ -61,19 +61,15 @@ var algorithms = map[string]builder{
 	"mcast-allreduce":     newAllreduce(true),
 }
 
-// partitionSafe lists the algorithms whose event flow is compatible with a
-// partitioned fabric (fabric.EnablePartition): every mid-run event they
-// schedule stays on the acting rank's own shard, all queue pairs exist
-// before the first Start, and they never touch in-network reduction.
-// Excluded and why:
-//   - ring-/mcast-allreduce chain the Allgather's Start inside the
-//     Reduce-Scatter's completion callback, which fires on whichever shard
-//     finishes last — Start must run between engine runs;
-//   - rd-/bruck-allgather and the tree broadcasts create RC queue pairs
-//     lazily from mid-run events (qpTo on first use), mutating two ranks'
-//     contexts from one shard;
-//   - inc-reduce-scatter aggregates at switches via fabric reduce groups,
-//     state no single shard owns.
+// partitionSafe lists the algorithms whose quiet points run on the keyed
+// fabric pipeline (fabric.EnablePartition). The set is frozen: it decides
+// which points' event counts, and so which digests, come from the keyed
+// pipeline. Its criteria were that every mid-run event stays on the acting
+// rank's host and all queue pairs exist before the first Start, which
+// leaves out the composed allreduces (Start chained inside a completion
+// callback), rd-/bruck-allgather and the tree broadcasts (RC queue pairs
+// created lazily mid-run). inc-reduce-scatter stays out in any case: the
+// keyed pipeline carries no in-network reduction.
 var partitionSafe = map[string]bool{
 	"mcast-broadcast":     true,
 	"mcast-allgather":     true,

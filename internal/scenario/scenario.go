@@ -159,9 +159,6 @@ func (sc Scenario) Install(f *fabric.Fabric, seed uint64) *Active {
 // every host. Use it when the measured workload runs on a subset of a
 // larger topology, or the perturbations mostly land on idle hardware.
 func (sc Scenario) InstallOn(f *fabric.Fabric, hosts []topology.NodeID, seed uint64) *Active {
-	// Injector timers fire on the fabric's engine and mutate shared fabric
-	// state, so scenarios must run on the primary shard of a sharded group.
-	sim.AssertShardable(f.Engine(), "scenario")
 	act := &Active{f: f, pending: make(map[sim.Handle]struct{})}
 	for i, inj := range sc.Injectors {
 		rng := sim.NewRNG(sim.Splitmix64(seed ^ sim.Splitmix64(uint64(i)+0x5ce7a110)))

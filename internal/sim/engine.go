@@ -258,15 +258,6 @@ type Engine struct {
 	rng     *RNG
 	stopped bool
 
-	// Sharded-group membership (nil/0 for a standalone serial engine).
-	// group links the engine to its conservative-parallel group, shard is
-	// its index there, and sentFlag records that the current run slice
-	// performed a cross-shard Send (the group's degenerate single-shard
-	// fast path must yield back to the epoch loop at that point).
-	group    *Sharded
-	shard    int
-	sentFlag bool
-
 	// Near-future calendar: a ring of buckets of bucketWidth ns covering
 	// bucket numbers [start, start+numBuckets). start trails at the clock's
 	// bucket and is moved up lazily, when a schedule would overflow (slide).
@@ -304,18 +295,6 @@ type Engine struct {
 	Scheduled uint64
 	Recycled  uint64
 
-	// MailSent counts cross-shard Send calls issued by this engine. Like
-	// the counters above it is a deterministic count, never a rate.
-	MailSent uint64
-
-	// lastFired is the firing time of the most recent executed event. The
-	// clock itself can overshoot it — RunUntil (and the sharded epoch
-	// slices built on it) advance now to the slice deadline when the queue
-	// runs dry — so the group's Run uses lastFired to settle every shard
-	// on the time of the globally last event, the value the serial engine
-	// would have ended at regardless of shard count.
-	lastFired Time
-
 	// splits records the child generators handed out by SplitRNG, in
 	// creation order, so Reseed can replay the derivations and leave every
 	// child in exactly the state a cold construction with the new seed
@@ -329,16 +308,12 @@ type Engine struct {
 	EventHook func(at Time, seq uint64, h Handler)
 }
 
-// localSeqBand is the first sequence number handed to locally-scheduled
-// events. Sequence numbers below the band are reserved for cross-shard
-// mailbox deliveries, whose seq is the sender-supplied order key: at equal
-// firing times, every cross-shard event fires before every locally
-// scheduled one, and cross-shard events fire in ascending order-key order.
-// That rule is a pure function of (time, order) — independent of shard
-// count and of epoch-barrier placement — and is what makes sharded
-// execution reproduce the same bytes at any shard count. For a standalone
-// serial engine the band is invisible: all events live in the local band
-// and the (at, seq) order is exactly the pre-band order.
+// localSeqBand is the first sequence number the engine's own counter hands
+// out. Sequence numbers below the band are reserved for AtOrdered, whose
+// seq is a caller-supplied order key: at equal firing times every ordered
+// event fires before every counter-sequenced one, and ordered events fire
+// in ascending key order. An engine that never sees AtOrdered has all its
+// events in the upper band, where (at, seq) is plain scheduling order.
 const localSeqBand = uint64(1) << 63
 
 // NewEngine returns an engine with virtual time 0 and a deterministic RNG
@@ -426,15 +401,10 @@ func (e *Engine) AtHandler(t Time, h Handler, arg0 uint64, arg1 int, obj any) Ha
 
 // AtOrdered schedules h.OnEvent like AtHandler but with a caller-chosen
 // sequence key from the reserved low band instead of the engine's own
-// counter — the local twin of Engine.Send. A subsystem whose same-time
-// event order must be a pure function of (time, order) uses Send when the
-// destination state lives on another shard and AtOrdered when it is local
-// (including the shards=1 case, where everything is), so the firing order
-// at equal times is identical at every shard count. Keys must be unique
-// per (engine, time): the calendar's run merge is stable, so colliding keys
-// fire in insertion order — but insertion order is what differs between
-// shard counts, so a colliding key surrenders the invariance the band
-// exists to provide.
+// counter, for a subsystem whose same-time event order must be a pure
+// function of (time, order) rather than of scheduling order (the fabric's
+// keyed pipeline). Keys should be unique per (engine, time): the calendar's
+// run merge is stable, so colliding keys fire in insertion order.
 func (e *Engine) AtOrdered(t Time, order uint64, h Handler, arg0 uint64, arg1 int, obj any) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling ordered event at %v before now %v", t, e.now))
@@ -776,7 +746,6 @@ func (e *Engine) step() bool {
 		panic("sim: event queue time went backwards")
 	}
 	e.now = ev.at
-	e.lastFired = ev.at
 	e.Executed++
 	e.live--
 	ev.fired = true
@@ -800,64 +769,25 @@ func (e *Engine) step() bool {
 	return true
 }
 
-// Step fires exactly one event on a standalone serial engine and reports
-// whether one was pending. It is the replay debugger's single-step
-// primitive; driving a sharded group one event at a time is not meaningful
-// (epoch windows batch events), so Step panics on a group member.
-func (e *Engine) Step() bool {
-	if e.group != nil {
-		panic("sim: Step on a Sharded group member; single-stepping is serial-only")
-	}
-	return e.step()
-}
+// Step fires exactly one event and reports whether one was pending. It is
+// the replay debugger's single-step primitive.
+func (e *Engine) Step() bool { return e.step() }
 
 // Run executes events until the queue is empty or Stop is called. It returns
 // the final virtual time.
-//
-// On the primary shard of a Sharded group, Run drives the whole group's
-// conservative epoch loop (all shards, all mailboxes); on a standalone
-// engine it is the plain serial loop. Calling Run on a non-primary shard
-// panics: only the group may advance member shards.
 func (e *Engine) Run() Time {
-	if g := e.group; g != nil {
-		e.assertPrimary("Run")
-		return g.Run()
-	}
 	e.stopped = false
-	e.runLocal()
+	for !e.stopped && e.step() {
+	}
 	return e.now
 }
 
 // RunUntil executes events with firing time <= deadline. Events scheduled
 // beyond the deadline remain queued. The clock is advanced to the deadline
 // if the simulation ran dry before reaching it, which keeps successive
-// RunUntil calls monotonic. Like Run, it drives the whole group when called
-// on the primary shard of a Sharded group.
+// RunUntil calls monotonic.
 func (e *Engine) RunUntil(deadline Time) Time {
-	if g := e.group; g != nil {
-		e.assertPrimary("RunUntil")
-		return g.RunUntil(deadline)
-	}
 	e.stopped = false
-	e.runLocalUntil(deadline)
-	return e.now
-}
-
-// RunFor advances the simulation by d nanoseconds of virtual time.
-func (e *Engine) RunFor(d Time) Time { return e.RunUntil(e.now + d) }
-
-// runLocal is the serial event loop over this engine's own queue, without
-// group delegation or stop-flag reset; Run and the sharded epoch machinery
-// share it.
-func (e *Engine) runLocal() {
-	for !e.stopped && e.step() {
-	}
-}
-
-// runLocalUntil executes local events with firing time <= deadline and
-// advances the clock to the deadline if the queue ran dry first. It is the
-// body of RunUntil and the per-shard epoch slice of the sharded loop.
-func (e *Engine) runLocalUntil(deadline Time) {
 	for !e.stopped {
 		next := e.peekEvent()
 		if next == nil || next.at > deadline {
@@ -868,29 +798,8 @@ func (e *Engine) runLocalUntil(deadline Time) {
 	if e.now < deadline {
 		e.now = deadline
 	}
+	return e.now
 }
 
-// runLocalUntilSend executes local events with firing time <= deadline,
-// yielding as soon as one of them performs a cross-shard Send. It backs the
-// sharded group's degenerate fast path: while only one shard holds events
-// and every mailbox is empty, that shard may run at full serial speed — no
-// epoch windows, no barriers — because nothing outside it can schedule
-// into it. The first Send re-creates cross-shard causality, so the loop
-// stops there (events after the sending one stay queued) and hands control
-// back to the conservative epoch loop. The clock is deliberately NOT
-// advanced to the deadline on a send-yield.
-func (e *Engine) runLocalUntilSend(deadline Time) {
-	e.sentFlag = false
-	for !e.stopped && !e.sentFlag {
-		next := e.peekEvent()
-		if next == nil || next.at > deadline {
-			// MaxTime means "no deadline" (a group Run): leave the clock
-			// at the last fired event, exactly like serial Run.
-			if deadline < MaxTime && e.now < deadline {
-				e.now = deadline
-			}
-			return
-		}
-		e.step()
-	}
-}
+// RunFor advances the simulation by d nanoseconds of virtual time.
+func (e *Engine) RunFor(d Time) Time { return e.RunUntil(e.now + d) }

@@ -660,8 +660,8 @@ func TestBucketShapes(t *testing.T) {
 		s.check(t)
 	})
 	t.Run("colliding keys", func(t *testing.T) {
-		// Equal (at, key) pairs are a caller bug under sharding, but on one
-		// engine the merge is stable: they fire in insertion order.
+		// Equal (at, key) pairs are a caller bug, but the merge is stable:
+		// they fire in insertion order.
 		s := &shape{eng: NewEngine(1)}
 		for r := 0; r < 6; r++ {
 			for j := 0; j < 8; j++ {

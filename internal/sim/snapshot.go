@@ -54,12 +54,10 @@ type eventRecord struct {
 // the file comment. Construct with Engine.Snapshot, consume with Restore.
 type Snapshot struct {
 	now       Time
-	lastFired Time
 	seq       uint64
 	executed  uint64
 	scheduled uint64
 	recycled  uint64
-	mailSent  uint64
 	rootRNG   uint64
 	splitRNG  []uint64
 	events    []eventRecord
@@ -115,12 +113,10 @@ func (s *Snapshot) Bytes() int {
 func (e *Engine) Snapshot() *Snapshot {
 	s := &Snapshot{
 		now:       e.now,
-		lastFired: e.lastFired,
 		seq:       e.seq,
 		executed:  e.Executed,
 		scheduled: e.Scheduled,
 		recycled:  e.Recycled,
-		mailSent:  e.MailSent,
 		rootRNG:   e.rng.State(),
 		events:    make([]eventRecord, 0, e.live),
 	}
@@ -210,7 +206,6 @@ func (e *Engine) Restore(s *Snapshot) {
 	}
 	e.purge()
 	e.now = s.now
-	e.lastFired = s.lastFired
 	e.stopped = false
 	e.start = bucketOf(s.now)
 	e.cursor = e.start
@@ -262,94 +257,8 @@ func (e *Engine) Restore(s *Snapshot) {
 	e.Executed = s.executed
 	e.Scheduled = s.scheduled
 	e.Recycled = s.recycled
-	e.MailSent = s.mailSent
 	e.rng.SetState(s.rootRNG)
 	for i, st := range s.splitRNG {
 		e.splits[i].SetState(st)
-	}
-}
-
-// GroupSnapshot is the Sharded counterpart of Snapshot: one engine
-// snapshot per shard plus the group's epoch counters. It can only be taken
-// (and restored) at a quiescent barrier — every mailbox empty — which is
-// always true before the first Run and after any Run returns.
-type GroupSnapshot struct {
-	shards []*Snapshot
-	epochs uint64
-	stalls uint64
-}
-
-// Bytes estimates the group snapshot's in-memory size.
-func (s *GroupSnapshot) Bytes() int {
-	n := int(unsafe.Sizeof(*s))
-	for _, sh := range s.shards {
-		n += sh.Bytes()
-	}
-	return n
-}
-
-// Payloads returns the distinct pointer-shaped payloads across every
-// shard's live events; see Snapshot.Payloads.
-func (s *GroupSnapshot) Payloads() []any {
-	var out []any
-	for _, sh := range s.shards {
-		out = append(out, sh.Payloads()...)
-	}
-	return out
-}
-
-// Snapshot captures every shard's engine state. It panics if any mailbox
-// holds an undelivered message: mid-epoch state is not a consistent cut.
-func (g *Sharded) Snapshot() *GroupSnapshot {
-	for i := range g.mail {
-		if len(g.mail[i].msgs) != 0 {
-			panic(fmt.Sprintf("sim: Sharded.Snapshot with %d undelivered messages in mailbox %d->%d; snapshots require a quiescent group",
-				len(g.mail[i].msgs), i/len(g.shards), i%len(g.shards)))
-		}
-	}
-	s := &GroupSnapshot{
-		shards: make([]*Snapshot, len(g.shards)),
-		epochs: g.Epochs,
-		stalls: g.Stalls,
-	}
-	for i, e := range g.shards {
-		s.shards[i] = e.Snapshot()
-	}
-	return s
-}
-
-// Restore rewinds every shard to the group snapshot. Shard counts must
-// match (snapshots only restore onto their own group).
-func (g *Sharded) Restore(s *GroupSnapshot) {
-	if len(s.shards) != len(g.shards) {
-		panic(fmt.Sprintf("sim: Restore of a %d-shard snapshot onto a %d-shard group", len(s.shards), len(g.shards)))
-	}
-	for i := range g.mail {
-		if len(g.mail[i].msgs) != 0 {
-			panic("sim: Sharded.Restore with undelivered mailbox messages; restore requires a quiescent group")
-		}
-	}
-	for i, e := range g.shards {
-		e.Restore(s.shards[i])
-	}
-	g.Epochs = s.epochs
-	g.Stalls = s.stalls
-}
-
-// Reseed rewinds the whole group's RNG trees to the states a cold
-// NewSharded(seed, ...) construction would have produced: the primary is
-// reseeded with seed itself and shard i>0 with the same splitmix64
-// derivation NewSharded uses; see Engine.Reseed for the soundness
-// condition.
-func (g *Sharded) Reseed(seed uint64) {
-	for i, e := range g.shards {
-		s := seed
-		if i > 0 {
-			s = Splitmix64(seed ^ uint64(i)*0x9E3779B97F4A7C15)
-			if s == 0 {
-				s = 1
-			}
-		}
-		e.Reseed(s)
 	}
 }

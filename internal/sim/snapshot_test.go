@@ -205,88 +205,3 @@ func TestSnapshotStaleHandles(t *testing.T) {
 	}
 	e.Run()
 }
-
-// TestGroupSnapshotFork: the sharded counterpart — snapshot a quiescent
-// 3-shard group with pending cross-shard work at t0, run, restore, run
-// again, and require identical executed totals and final time.
-func TestGroupSnapshotFork(t *testing.T) {
-	g := NewSharded(11, 3, 100)
-	r := make([]*snapRecorder, 3)
-	for i := 0; i < 3; i++ {
-		e := g.Shard(i)
-		r[i] = &snapRecorder{e: e, budget: 40}
-		e.AtHandler(Time(i+1), r[i], uint64(i+1), 0, nil)
-	}
-	snap := g.Snapshot()
-	saved := make([][]string, 3)
-	budgets := make([]int, 3)
-	for i := range r {
-		saved[i] = append([]string(nil), r[i].log...)
-		budgets[i] = r[i].budget
-	}
-	end1 := g.Run()
-	logs1 := fmt.Sprint(r[0].log, r[1].log, r[2].log)
-	exec1 := g.ExecutedTotal()
-
-	g.Restore(snap)
-	for i := range r {
-		r[i].log = saved[i]
-		r[i].budget = budgets[i]
-	}
-	end2 := g.Run()
-	if end1 != end2 || exec1 != g.ExecutedTotal() {
-		t.Fatalf("group fork diverged: end %v vs %v, executed %d vs %d", end1, end2, exec1, g.ExecutedTotal())
-	}
-	if logs2 := fmt.Sprint(r[0].log, r[1].log, r[2].log); logs2 != logs1 {
-		t.Fatalf("group fork logs diverged:\n%s\n%s", logs1, logs2)
-	}
-}
-
-// TestShardedReRun pins the group's re-run contract: Run may be called
-// again after completion (with or without new events), the epoch and stall
-// counters accumulate monotonically across calls — they are never reset,
-// so telemetry that samples them after a second Run sees the cumulative
-// count, not a rewound one — and the second Run's results match a serial
-// engine executing the same schedule.
-func TestShardedReRun(t *testing.T) {
-	g := NewSharded(5, 2, 50)
-	serial := NewEngine(5)
-
-	// Per-shard logs: a shared log would race across worker goroutines
-	// and impose a cross-shard order no contract promises.
-	var fired [2][]Time
-	var sfired [2][]Time
-	for run := 0; run < 2; run++ {
-		base := g.Now()
-		for i := 0; i < 4; i++ {
-			at := base + Time(10*(i+1))
-			shard := i % 2
-			g.Shard(shard).AtHandler(at, &timeLogger{out: &fired[shard]}, 0, 0, nil)
-			serial.AtHandler(at, &timeLogger{out: &sfired[shard]}, 0, 0, nil)
-		}
-		epochsBefore, stallsBefore := g.Epochs, g.Stalls
-		g.Run()
-		serial.Run()
-		if g.Epochs < epochsBefore || g.Stalls < stallsBefore {
-			t.Fatalf("run %d: counters went backwards: epochs %d->%d stalls %d->%d",
-				run, epochsBefore, g.Epochs, stallsBefore, g.Stalls)
-		}
-	}
-	if fmt.Sprint(fired) != fmt.Sprint(sfired) {
-		t.Fatalf("re-run diverged from serial: %v vs %v", fired, sfired)
-	}
-	// A third Run with nothing queued is a no-op that must not disturb
-	// clocks or counters.
-	now, epochs, stalls := g.Now(), g.Epochs, g.Stalls
-	g.Run()
-	if g.Now() != now || g.Epochs != epochs || g.Stalls != stalls {
-		t.Fatalf("idle re-run disturbed state: now %v->%v epochs %d->%d stalls %d->%d",
-			now, g.Now(), epochs, g.Epochs, stalls, g.Stalls)
-	}
-}
-
-type timeLogger struct{ out *[]Time }
-
-func (l *timeLogger) OnEvent(e *Engine, _ Handle, _ uint64, _ int, _ any) {
-	*l.out = append(*l.out, e.Now())
-}

@@ -11,7 +11,7 @@ import (
 // carried a snapshot, in record order. The encoding is canonical —
 // 2-space-indented JSON, metrics sorted by key within each point, nothing
 // wall-clock or host-dependent — so the same run produces byte-identical
-// bytes at any -workers or -shards count and CI can pin a digest on it.
+// bytes at any -workers count and CI can pin a digest on it.
 type Document struct {
 	Name   string  `json:"name"`
 	Points []Point `json:"points"`

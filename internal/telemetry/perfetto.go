@@ -50,7 +50,7 @@ func us(t sim.Time) float64 { return float64(t) / 1e3 }
 // protocol rank carrying its phase slices, one per registry span track
 // (collective operations, workload phases), and one counter track per
 // gauge series. The output is a pure function of the bundle — deterministic
-// across -workers and -shards like everything else telemetry emits.
+// across -workers like everything else telemetry emits.
 func (b *Bundle) WritePerfetto(w io.Writer) error {
 	var evs []tev
 	add := func(e tev) { evs = append(evs, e) }

@@ -10,7 +10,7 @@ import "repro/internal/sim"
 //
 // Sampling is part of the simulated event stream, so an enabled sampler
 // changes engine event counts — deterministically, identically at every
-// -workers and -shards value. The disabled path never creates one.
+// -workers value. The disabled path never creates one.
 type Sampler struct {
 	eng    *sim.Engine
 	period sim.Time

@@ -13,14 +13,14 @@
 //   - Determinism when enabled. Metrics are pure functions of the simulated
 //     run — counters count virtual events, gauges sample at virtual times,
 //     histograms bucket virtual durations — so enabled output is
-//     byte-identical at any -workers or -shards count. Telemetry is part of
-//     the determinism contract, not an exception to it.
+//     byte-identical at any -workers count. Telemetry is part of the
+//     determinism contract, not an exception to it.
 //
-// Metrics carry a Class: Stable metrics are shard- and worker-invariant and
-// make up the canonical metrics.json; Diagnostic metrics (per-shard event
-// counts, epoch-barrier stalls) legitimately vary with the execution
-// configuration and are excluded from the canonical encoding — they surface
-// through benchmarks and Registry.Diagnostics instead.
+// Metrics carry a Class: Stable metrics are worker-invariant and make up
+// the canonical metrics.json; Diagnostic metrics (the engine's event-pool
+// recycle count) describe the simulator rather than the model and are
+// excluded from the canonical encoding — they surface through benchmarks
+// and Registry.Diagnostics instead.
 package telemetry
 
 import (
@@ -33,12 +33,12 @@ import (
 type Class uint8
 
 const (
-	// Stable metrics are invariant across -workers and -shards and are
-	// included in the canonical metrics.json encoding.
+	// Stable metrics are invariant across -workers and are included in the
+	// canonical metrics.json encoding.
 	Stable Class = iota
-	// Diagnostic metrics describe the execution configuration itself
-	// (per-shard counts, barrier stalls) and are excluded from the
-	// canonical encoding.
+	// Diagnostic metrics describe the simulator rather than the model (the
+	// event-pool recycle count) and are excluded from the canonical
+	// encoding.
 	Diagnostic
 )
 
@@ -281,9 +281,8 @@ func (r *Registry) matchFilters(key string) bool {
 }
 
 // Snapshot serializes the registry. Nil registries snapshot to nil.
-// Diagnostic-class metrics are excluded: they describe the execution
-// configuration (shard counts, barrier stalls) and would break the
-// byte-identity of metrics.json across -shards.
+// Diagnostic-class metrics are excluded: they describe the simulator, not
+// the model, and have no place in the pinned metrics.json bytes.
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
@@ -329,9 +328,9 @@ func (r *Registry) Snapshot() *Snapshot {
 	return s
 }
 
-// Diagnostics returns the Diagnostic-class counters by key — the per-shard
-// and barrier statistics excluded from the canonical snapshot — for tests
-// and benchmark reporting.
+// Diagnostics returns the Diagnostic-class counters by key — the simulator
+// statistics excluded from the canonical snapshot — for tests and
+// benchmark reporting.
 func (r *Registry) Diagnostics() map[string]uint64 {
 	if r == nil {
 		return nil

@@ -309,11 +309,9 @@ func NewContext(f *fabric.Fabric, host topology.NodeID, cfg Config) *Context {
 	ctx := &Context{
 		Host: host,
 		f:    f,
-		// On a partitioned fabric the host's shard owns this context: every
-		// timer, DMA completion and injection it schedules stays owner-local.
-		eng: f.HostEngine(host),
-		nic: f.AttachNIC(host),
-		cfg: cfg,
+		eng:  f.Engine(),
+		nic:  f.AttachNIC(host),
+		cfg:  cfg,
 	}
 	ctx.dma = newDMAEngine(ctx.eng, cfg.DMABandwidth, cfg.DMALatency)
 	ctx.nic.Deliver = ctx.dispatch

@@ -265,9 +265,6 @@ func Start(cl *cluster.Cluster, w Workload) (*Pending, error) {
 	if len(w.Jobs) == 0 {
 		return nil, fmt.Errorf("workload: %q has no jobs", w.Name)
 	}
-	// Workload step/dependency dispatch shares the cluster's engine, so it
-	// inherits the same primary-shard requirement.
-	sim.AssertShardable(cl.Fabric().Engine(), "workload")
 	p := &Pending{cl: cl, eng: cl.Fabric().Engine(), w: w}
 	all := cl.Fabric().Graph().Hosts()
 	seenJobs := map[string]bool{}
