@@ -96,6 +96,19 @@ func (op *opState) rec(phase, detail string) {
 	}
 }
 
+// recf is rec with a formatted detail, built only when a tracer keeps it.
+func (op *opState) recf(phase, format string, args ...int) {
+	detail := ""
+	if op.r.comm.cfg.Tracer != nil {
+		a := make([]any, len(args))
+		for i, v := range args {
+			a[i] = v
+		}
+		detail = fmt.Sprintf(format, a...)
+	}
+	op.rec(phase, detail)
+}
+
 // psn/immediate encoding: [31:24] low bits of the operation sequence (the
 // "collective ID" of the paper's footnote 3), [23:0] the chunk PSN.
 const maxPSNChunks = 1 << 24
@@ -309,7 +322,7 @@ func (op *opState) startTX() {
 	}
 	op.txStarted = true
 	op.tTxStart = op.r.eng.Now()
-	op.rec(telemetry.PhaseTxStart, fmt.Sprintf("%d chunks", op.cpr))
+	op.recf(telemetry.PhaseTxStart, "%d chunks", op.cpr)
 	op.postBatch()
 }
 
@@ -398,7 +411,7 @@ func (op *opState) txComplete() {
 	op.tTxDone = op.r.eng.Now()
 	op.rec(telemetry.PhaseTxDone, "")
 	if next := op.chainNext(); next >= 0 {
-		op.rec(telemetry.PhaseActivate, fmt.Sprintf("-> rank %d", next))
+		op.recf(telemetry.PhaseActivate, "-> rank %d", next)
 		op.r.sendCtrl(next, ctrlActivate, 0, nil)
 	}
 	op.checkDone()
@@ -488,7 +501,7 @@ func (op *opState) maybeRxDone() {
 	op.cutoff.Cancel()
 	// Final handshake: tell the left neighbor we have everything.
 	if op.r.comm.Size() > 1 {
-		op.rec(telemetry.PhaseFinal, fmt.Sprintf("-> rank %d", op.r.left()))
+		op.recf(telemetry.PhaseFinal, "-> rank %d", op.r.left())
 		op.r.sendCtrl(op.r.left(), ctrlFinal, 0, nil)
 	} else {
 		op.finalRecv = true

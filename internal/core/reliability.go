@@ -46,7 +46,7 @@ func (op *opState) startRecovery() {
 	op.recovering = true
 	missing = capRanges(missing, (ctrlSlotBytes-4)/8)
 	op.fetchWait = true
-	op.rec(telemetry.PhaseRecovery, fmt.Sprintf("%d ranges missing", len(missing)))
+	op.recf(telemetry.PhaseRecovery, "%d ranges missing", len(missing))
 	op.r.sendCtrl(op.r.left(), ctrlFetchReq, 0, marshalRanges(missing))
 }
 
@@ -75,7 +75,7 @@ func (op *opState) onFetchReq(m ctrlMsg) {
 		op.deferredReq = append(op.deferredReq, m)
 		return
 	}
-	op.rec(telemetry.PhaseFetchServe, fmt.Sprintf("%d ranges -> rank %d", len(avail), m.from))
+	op.recf(telemetry.PhaseFetchServe, "%d ranges -> rank %d", len(avail), m.from)
 	op.r.sendCtrl(m.from, ctrlFetchAck, 0, marshalRanges(capRanges(avail, (ctrlSlotBytes-4)/8)))
 }
 

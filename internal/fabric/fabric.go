@@ -51,19 +51,24 @@ type Packet struct {
 	// what occupies link capacity and counters.
 	PayloadBytes int
 	// pooled marks a packet born in NIC.NewPacket or InjectBackground: the
-	// fabric takes it back once it has been delivered.
+	// fabric takes it back once nothing carries it any more.
 	pooled bool
+	// refs counts the scheduled hops carrying the packet: arrivals, keyed
+	// bookings and jittered deliveries. A multicast packet is one object on
+	// every branch of its tree, so it has one ref per branch in flight.
+	refs int32
 }
 
-// packetPool is the fabric's free list of unicast packets. A pool-born
-// packet belongs to whoever holds it from NewPacket until Inject, then to
-// the fabric, which lends it to NIC.Deliver for the length of that call and
-// files it back — Payload still attached, every other field zeroed. A
-// contribution absorbed at an in-network reduction's root is filed the same
-// way (the aggregation state keeps a count, not the packet). Multicast
-// packets (one object on every tree branch), packets the caller allocated
-// itself and dropped packets never enter the pool. made counts the packets
-// the pool has allocated.
+// packetPool is the fabric's free list of packets. A pool-born packet,
+// unicast or multicast, belongs to whoever holds it from NewPacket until
+// Inject, then to the fabric. Every handler that a scheduled hop fires
+// (arrival, keyed booking, jittered delivery) ends in landed, and the hop
+// that drops refs to zero files the packet back — Payload still attached,
+// every other field zeroed. That hop is the last tree branch to land, the
+// host delivery (NIC.Deliver has returned), the root absorbing a reduce
+// contribution, or a drop; Inject files back a packet dropped on the uplink.
+// A packet the caller allocated itself never enters the pool. made counts
+// the packets the pool has allocated.
 type packetPool struct {
 	free []*Packet
 	made int
@@ -81,11 +86,19 @@ func (p *packetPool) get() *Packet {
 }
 
 func (p *packetPool) put(pkt *Packet) {
-	if !pkt.pooled || pkt.Group != NoGroup {
+	if !pkt.pooled {
 		return
 	}
 	*pkt = Packet{Group: NoGroup, Payload: pkt.Payload, pooled: true}
 	p.free = append(p.free, pkt)
+}
+
+// landed retires one scheduled hop of pkt, after its handler's work; the
+// last one files the packet back.
+func (f *Fabric) landed(pkt *Packet) {
+	if pkt.refs--; pkt.refs == 0 {
+		f.pool.put(pkt)
+	}
 }
 
 // Config parameterizes the fabric.
@@ -273,10 +286,10 @@ func (f *Fabric) AttachNIC(host topology.NodeID) *NIC {
 	return nic
 }
 
-// NewPacket returns a zeroed unicast packet (Group NoGroup) from the
-// fabric's pool for the caller to fill and Inject. Its Payload is whatever
-// the packet last carried, or nil: a transport keeps its header object
-// there and reuses it.
+// NewPacket returns a zeroed packet (Group NoGroup) from the fabric's pool
+// for the caller to fill — unicast or multicast — and Inject. Its Payload
+// is whatever the packet last carried, or nil: a transport keeps its header
+// object there and reuses it.
 func (n *NIC) NewPacket() *Packet { return n.f.pool.get() }
 
 // CreateGroup builds a multicast group over members, rooted at the given
@@ -339,13 +352,19 @@ func (n *NIC) Inject(pkt *Packet) sim.Time {
 		}
 	}
 	n.Injected++
+	var wire sim.Time
 	if n.f.part != nil {
-		return n.injectPartitioned(pkt)
+		wire = n.injectPartitioned(pkt)
+	} else {
+		pkt.ID = n.f.nextPktID
+		n.f.nextPktID++
+		// The host's single port is port 0; transmit up the host link.
+		wire = n.f.transmit(pkt, n.Host, 0)
 	}
-	pkt.ID = n.f.nextPktID
-	n.f.nextPktID++
-	// The host's single port is port 0; transmit up the host link.
-	return n.f.transmit(pkt, n.Host, 0)
+	if pkt.refs == 0 { // dropped on the uplink: no hop carries it
+		n.f.pool.put(pkt)
+	}
+	return wire
 }
 
 // wireBytes is the link occupancy of the packet.
@@ -404,6 +423,7 @@ func (f *Fabric) transmit(pkt *Packet, node topology.NodeID, port int) sim.Time 
 	}
 
 	arrival := ch.nextFree + f.cfg.LinkLatency + ch.extraLat
+	pkt.refs++
 	f.eng.AtHandler(arrival, f.arriveH, uint64(nb.Peer), nb.Link, pkt)
 	return ch.nextFree
 }
@@ -413,7 +433,9 @@ func (f *Fabric) transmit(pkt *Packet, node topology.NodeID, port int) sim.Time 
 type arriveHandler Fabric
 
 func (h *arriveHandler) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, arg1 int, obj any) {
-	(*Fabric)(h).arrive(obj.(*Packet), topology.NodeID(arg0), arg1)
+	f, pkt := (*Fabric)(h), obj.(*Packet)
+	f.arrive(pkt, topology.NodeID(arg0), arg1)
+	f.landed(pkt)
 }
 
 // deliverHandler completes a jittered final-hop delivery; arg0 is the host,
@@ -421,10 +443,11 @@ func (h *arriveHandler) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, arg1 i
 type deliverHandler Fabric
 
 func (h *deliverHandler) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, _ int, obj any) {
-	f := (*Fabric)(h)
+	f, pkt := (*Fabric)(h), obj.(*Packet)
 	if nic := f.nics[arg0]; nic != nil {
-		f.deliverNow(nic, obj.(*Packet))
+		f.deliverNow(nic, pkt)
 	}
+	f.landed(pkt)
 }
 
 // channelFor returns the directed channel leaving `from` over link `link`.
@@ -495,7 +518,6 @@ func (f *Fabric) forwardMulticast(pkt *Packet, sw topology.NodeID, ingress int) 
 func (f *Fabric) deliverToHost(pkt *Packet, host topology.NodeID) {
 	if pkt.Background {
 		f.BackgroundDelivered++
-		f.pool.put(pkt)
 		return
 	}
 	nic := f.nics[host]
@@ -506,6 +528,7 @@ func (f *Fabric) deliverToHost(pkt *Packet, host topology.NodeID) {
 		return // on the tree for forwarding reasons but not attached
 	}
 	if j := f.cfg.ReorderJitter; j > 0 {
+		pkt.refs++
 		f.eng.AfterHandler(sim.Time(f.rng.Intn(int(j))), f.deliverH, uint64(host), 0, pkt)
 		return
 	}
@@ -517,7 +540,6 @@ func (f *Fabric) deliverNow(nic *NIC, pkt *Packet) {
 	if nic.Deliver != nil {
 		nic.Deliver(pkt)
 	}
-	f.pool.put(pkt)
 }
 
 // --- dynamic channel overrides (scenario extension layer) ------------------
@@ -673,7 +695,11 @@ func (f *Fabric) InjectBackground(src, dst topology.NodeID, payloadBytes int, fl
 	f.nextPktID++
 	f.BackgroundInjected++
 	f.BackgroundBytes += uint64(payloadBytes)
-	return f.transmit(pkt, src, 0)
+	wire := f.transmit(pkt, src, 0)
+	if pkt.refs == 0 { // dropped on the uplink
+		f.pool.put(pkt)
+	}
+	return wire
 }
 
 // assertConfined rejects a live per-channel override on a keyed fabric.

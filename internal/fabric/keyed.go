@@ -164,6 +164,7 @@ func (h *bookHandler) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, arg1 int
 	pkt := obj.(*Packet)
 	_, arrival := f.book(id, pkt)
 	f.dispatch(pkt, id, nb.Peer, nb.Link, arrival)
+	f.landed(pkt)
 }
 
 // book runs the confined transmit()'s serializer math: same start =
@@ -196,6 +197,7 @@ func (f *Fabric) book(id ChannelID, pkt *Packet) (nextFree, arrival sim.Time) {
 func (f *Fabric) dispatch(pkt *Packet, from ChannelID, node topology.NodeID, link int, at sim.Time) {
 	key := f.dispatchKey(from, at)
 	if f.g.Nodes[node].Kind == topology.Host {
+		pkt.refs++
 		f.eng.AtOrdered(at, key, f.arriveH, uint64(node), link, pkt)
 		return
 	}
@@ -218,6 +220,7 @@ func (f *Fabric) dispatch(pkt *Packet, from ChannelID, node topology.NodeID, lin
 			if idx >= 1<<keyIdxBits {
 				panic(fmt.Sprintf("fabric: multicast fan-out at switch %d overflows the %d-bit order-key egress field", node, keyIdxBits))
 			}
+			pkt.refs++
 			f.eng.AtOrdered(at, key|idx, f.bookH, uint64(node), p, pkt)
 			idx++
 		}
@@ -233,6 +236,7 @@ func (f *Fabric) dispatch(pkt *Packet, from ChannelID, node topology.NodeID, lin
 		// is a pure function of the packet, safe to evaluate here.
 		port = cands[ecmpHash(pkt.Flow, pkt.Src, pkt.Dst)%uint64(len(cands))]
 	}
+	pkt.refs++
 	f.eng.AtOrdered(at, key, f.bookH, uint64(node), port, pkt)
 }
 

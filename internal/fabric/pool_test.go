@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -63,46 +64,220 @@ func TestPoolCapBoundsOneWayFlow(t *testing.T) {
 	}
 }
 
-// TestPoolNeverRecyclesSharedOrForeignPackets: a multicast packet is one
-// object on every branch of its tree, and a packet the caller built for the
-// pinned NIC.Inject API is the caller's — neither may come back out of
-// NewPacket.
-func TestPoolNeverRecyclesSharedOrForeignPackets(t *testing.T) {
-	eng, f, nics := testFabric(t, 4, Config{})
-	hosts := f.Graph().Hosts()
-	gid, err := f.CreateGroup(f.Graph().Switches()[0], hosts)
+// lifetimeLeg is one fabric configuration of TestPacketLifetimeProperty.
+type lifetimeLeg struct {
+	name  string
+	keyed bool
+	// drop is a random per-hop drop rate on top of the outages; with it a
+	// tag owes each host at most one delivery instead of exactly one.
+	drop float64
+}
+
+// TestPacketLifetimeProperty pins the pool's one ownership rule under
+// randomized traffic. Every send carries a unique tag in Flow, and the test
+// knows which hosts it owes a delivery: unicast and multicast pool-born
+// packets, caller-built packets of both kinds, in-network reduce
+// contributions (owed as one result per chunk) and background packets (owed
+// to nobody). Over rounds of randomly timed sends, each run to quiescence:
+//
+//   - every Deliver sees a tag it is still owed, and every owed delivery
+//     happens exactly once;
+//   - NewPacket never hands out a caller-built packet, or a dirty one;
+//   - the pool never makes more packets than one round puts in flight;
+//   - at quiescence every pool-born packet — multicast, reduced, background
+//     and dropped ones included — is back on the free list, once.
+//
+// The confined legs run with ReorderJitter, a reduce group, background
+// traffic and three special hosts: one whose uplink is down (its sends drop
+// at Inject), one whose downlink is down (tree branches toward it drop one
+// hop short) and one on the tree but detached from the group. The keyed leg
+// carries what the keyed pipeline supports.
+func TestPacketLifetimeProperty(t *testing.T) {
+	legs := []lifetimeLeg{{name: "confined"}, {name: "lossy", drop: 0.05}, {name: "keyed", keyed: true}}
+	for _, leg := range legs {
+		for _, seed := range []uint64{1, 7, 42} {
+			t.Run(fmt.Sprintf("%s/seed=%d", leg.name, seed), func(t *testing.T) { runLifetime(t, leg, seed) })
+		}
+	}
+}
+
+func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
+	g := propTopology(t)
+	eng := sim.NewEngine(seed)
+	confined := !leg.keyed
+	cfg := Config{DropRate: leg.drop}
+	if confined {
+		cfg.ReorderJitter = 300 * sim.Nanosecond
+	}
+	f := New(eng, g, cfg)
+	if leg.keyed && !f.EnablePartition() {
+		t.Fatal("EnablePartition refused a pristine fabric")
+	}
+	hosts := g.Hosts()
+	gid, err := f.CreateGroup(g.TopSwitches()[0], hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, nic := range nics {
-		if err := nic.AttachGroup(gid); err != nil {
+	down, deaf, detached := -1, -1, -1
+	reducers, owner := []int{1, 2, 3, 4}, 6
+	var rg ReduceGroupID
+	if confined {
+		down, deaf, detached = 0, 5, 9
+		f.SetDropRate(uplinkOf(t, f, hosts[down]), 1)
+		f.SetDropRate(uplinkOf(t, f, hosts[deaf])^1, 1) // the reverse channel
+		var members []topology.NodeID
+		for _, i := range reducers {
+			members = append(members, hosts[i])
+		}
+		if rg, err = f.CreateReduceGroup(g.TopSwitches()[1], members); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mcast := &Packet{Group: gid, PayloadBytes: 4096}
-	foreign := &Packet{Dst: hosts[1], Group: NoGroup, PayloadBytes: 4096}
-	turned := nics[0].NewPacket() // pool-born, then addressed to the group
-	turned.Group, turned.PayloadBytes = gid, 4096
-	nics[0].Inject(mcast)
-	nics[0].Inject(foreign)
-	nics[0].Inject(turned)
-	eng.Run()
-	if nics[1].Received != 3 || nics[2].Received != 2 {
-		t.Fatalf("setup: received %d and %d packets, want 3 and 2", nics[1].Received, nics[2].Received)
+
+	owed := map[uint64]uint32{}    // tag -> bitmask of hosts still owed a delivery
+	chunkOf := map[uint64]uint64{} // reduce contribution tag -> chunk
+	results := map[uint64]int{}    // chunk -> results delivered
+	foreign := map[*Packet]bool{}
+	delivered := 0
+	nics := make([]*NIC, len(hosts))
+	for i, h := range hosts {
+		nics[i] = f.AttachNIC(h)
+		if i != detached {
+			if err := nics[i].AttachGroup(gid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nics[i].Deliver = func(p *Packet) {
+			delivered++
+			tag := p.Flow
+			if c, ok := chunkOf[tag]; ok {
+				if i != owner || p.ReduceChunk != c || results[c] != 0 {
+					t.Fatalf("host %d: reduce result for chunk %d (tag %d of chunk %d, %d results so far)", i, p.ReduceChunk, tag, c, results[c])
+				}
+				results[c]++
+				for k, kc := range chunkOf {
+					if kc == c {
+						delete(chunkOf, k)
+					}
+				}
+				return
+			}
+			if owed[tag]&(1<<i) == 0 {
+				t.Fatalf("host %d: delivery of tag %d, which it is not owed", i, tag)
+			}
+			if owed[tag] &^= 1 << i; owed[tag] == 0 {
+				delete(owed, tag)
+			}
+		}
 	}
-	for i := 0; i < 1000; i++ {
-		pkt := nics[i%len(nics)].NewPacket()
-		if pkt == mcast || pkt == foreign || pkt == turned {
-			t.Fatalf("send %d: NewPacket handed out a packet the pool does not own", i)
+	// owe records the hosts that tag tg, sent from s, must reach: the
+	// unicast destination d, or every attached group member but s when d < 0.
+	owe := func(tg uint64, s, d int) {
+		var mask uint32
+		for i := range hosts {
+			if s != down && i != deaf && (i == d || d < 0 && i != s && i != detached) {
+				mask |= 1 << i
+			}
 		}
-		if *pkt != (Packet{Group: NoGroup, Payload: pkt.Payload, pooled: true}) {
-			t.Fatalf("send %d: NewPacket returned a dirty header %+v", i, *pkt)
-		}
-		pkt.Dst, pkt.PayloadBytes, pkt.Flow = hosts[(i+1)%len(hosts)], 512, uint64(i)
-		nics[i%len(nics)].Inject(pkt)
-		if i%7 == 0 {
-			eng.Run()
+		if mask != 0 {
+			owed[tg] = mask
 		}
 	}
-	eng.Run()
+
+	pooled, maxPooled := 0, 0 // pool-born packets handed out this round, and the most in any round
+	newPacket := func(s int) *Packet {
+		p := nics[s].NewPacket()
+		if foreign[p] {
+			t.Fatal("NewPacket handed out a caller-built packet")
+		}
+		if *p != (Packet{Group: NoGroup, Payload: p.Payload, pooled: true}) {
+			t.Fatalf("NewPacket returned a dirty header %+v", *p)
+		}
+		pooled++
+		return p
+	}
+
+	rng := sim.NewRNG(seed)
+	var tag uint64
+	const rounds, perHost = 20, 6
+	for r := 0; r < rounds; r++ {
+		pooled = 0
+		base := eng.Now()
+		at := func() sim.Time { return base + sim.Time(rng.Uint64()%20_000) }
+		for s := range hosts {
+			for k := 0; k < perHost; k++ {
+				tag++
+				tg, size := tag, 64+int(rng.Uint64()%4033)
+				d := (s + 1 + int(rng.Uint64()%uint64(len(hosts)-1))) % len(hosts)
+				switch kind := rng.Uint64() % 8; {
+				case kind == 7 && confined:
+					eng.At(at(), func() {
+						pooled++
+						f.InjectBackground(hosts[s], hosts[d], size, tg)
+					})
+				case kind == 6:
+					p := &Packet{Dst: hosts[d], Group: NoGroup, Flow: tg, PayloadBytes: size}
+					if rng.Uint64()%2 == 0 {
+						p.Group, d = gid, -1
+					}
+					foreign[p] = true
+					owe(tg, s, d)
+					eng.At(at(), func() { nics[s].Inject(p) })
+				default:
+					if kind >= 4 {
+						d = -1
+					}
+					owe(tg, s, d)
+					eng.At(at(), func() {
+						p := newPacket(s)
+						p.Flow, p.PayloadBytes = tg, size
+						if d < 0 {
+							p.Group = gid
+						} else {
+							p.Dst = hosts[d]
+						}
+						nics[s].Inject(p)
+					})
+				}
+			}
+		}
+		if confined {
+			chunk := uint64(r)
+			for _, s := range reducers {
+				tag++
+				tg := tag
+				chunkOf[tg] = chunk
+				eng.At(at(), func() {
+					p := newPacket(s)
+					p.Dst, p.Flow, p.PayloadBytes = hosts[owner], tg, 1024
+					p.Reduce, p.ReduceChunk = rg, chunk
+					nics[s].Inject(p)
+				})
+			}
+		}
+		eng.Run()
+
+		maxPooled = max(maxPooled, pooled)
+		if f.pool.made > maxPooled {
+			t.Fatalf("round %d: pool made %d packets, but no round put more than %d in flight", r, f.pool.made, maxPooled)
+		}
+		back := map[*Packet]bool{}
+		for _, p := range f.pool.free {
+			back[p] = true
+		}
+		if len(f.pool.free) != f.pool.made || len(back) != f.pool.made {
+			t.Fatalf("round %d: at quiescence the pool holds %d packets (%d distinct) of the %d it made", r, len(f.pool.free), len(back), f.pool.made)
+		}
+		if leg.drop == 0 {
+			if len(owed) != 0 {
+				t.Fatalf("round %d: %d tags still owed deliveries at quiescence", r, len(owed))
+			}
+			if confined && results[uint64(r)] != 1 {
+				t.Fatalf("round %d: chunk delivered %d results, want 1", r, results[uint64(r)])
+			}
+		}
+	}
+	if delivered == 0 || confined && (f.TotalDropped == 0 || f.BackgroundInjected == 0) {
+		t.Fatalf("void run: %d deliveries, %d drops, %d background packets", delivered, f.TotalDropped, f.BackgroundInjected)
+	}
 }

@@ -72,8 +72,9 @@ func (f *Fabric) routeReduce(pkt *Packet, node topology.NodeID) {
 	if node == rg.tree.Root {
 		cnt := rg.pending[pkt.ReduceChunk] + 1
 		if cnt < rg.need {
+			// Absorbed into the aggregation state: no hop carries it on, so
+			// its arrival files it back.
 			rg.pending[pkt.ReduceChunk] = cnt
-			f.pool.put(pkt) // absorbed into the aggregation state
 			return
 		}
 		delete(rg.pending, pkt.ReduceChunk)

@@ -36,10 +36,11 @@
 // signaled send, every per-round collective timer — instead use AtHandler/
 // AfterHandler: a typed Handler interface plus packed arguments (a uint64,
 // an int, and one pointer-shaped payload), no closure. Handler events are
-// recycled through a free list once fired or cancelled, so steady-state
-// hot-path scheduling does not allocate at all. Cancellation of handler
-// events goes through the value-type Handle, which carries a generation
-// number so a stale handle held across the event's recycling is a no-op.
+// carved from engine-owned slabs and recycled through a free list once fired
+// or cancelled, so steady-state hot-path scheduling does not allocate at
+// all. Cancellation of handler events goes through the value-type Handle,
+// which carries a generation number so a stale handle held across the
+// event's recycling is a no-op.
 package sim
 
 import (
@@ -283,6 +284,7 @@ type Engine struct {
 	live int // scheduled, not yet fired, not cancelled
 
 	free []*Event // recycled handler events
+	slab []Event  // fresh handler events not handed out yet (see carve)
 
 	// Throughput counters, exported so harnesses can surface engine
 	// throughput in their Records (all three are deterministic counts).
@@ -290,7 +292,7 @@ type Engine struct {
 	// Executed counts events that have fired, for diagnostics and for
 	// guarding against runaway simulations in tests. Scheduled counts every
 	// At/After/AtHandler/AfterHandler call. Recycled counts handler events
-	// served from the free list instead of the heap allocator.
+	// served from the free list instead of fresh from a slab.
 	Executed  uint64
 	Scheduled uint64
 	Recycled  uint64
@@ -388,6 +390,9 @@ func (e *Engine) AtHandler(t Time, h Handler, arg0 uint64, arg1 int, obj any) Ha
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	ev := e.get()
+	if ev == nil {
+		ev = e.carve()
+	}
 	ev.at = t
 	ev.seq = e.seq
 	e.seq++
@@ -413,6 +418,9 @@ func (e *Engine) AtOrdered(t Time, order uint64, h Handler, arg0 uint64, arg1 in
 		panic(fmt.Sprintf("sim: AtOrdered key %#x intrudes on the local sequence band", order))
 	}
 	ev := e.get()
+	if ev == nil {
+		ev = e.carve()
+	}
 	ev.at = t
 	ev.seq = order
 	ev.h = h
@@ -431,16 +439,35 @@ func (e *Engine) AfterHandler(d Time, h Handler, arg0 uint64, arg1 int, obj any)
 	return e.AtHandler(e.now+d, h, arg0, arg1, obj)
 }
 
-// get pops a recycled event or allocates a fresh pooled one.
+// eventSlab is how many fresh handler events one allocation carves.
+const eventSlab = 256
+
+// get pops a recycled event, or returns nil when the free list is empty
+// and the caller must carve one. The carving stays out of get so that get
+// inlines into the scheduling calls.
 func (e *Engine) get() *Event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		e.Recycled++
-		return ev
+	n := len(e.free)
+	if n == 0 {
+		return nil
 	}
-	return &Event{eng: e, pooled: true, index: -1}
+	ev := e.free[n-1]
+	e.free[n-1] = nil
+	e.free = e.free[:n-1]
+	e.Recycled++
+	return ev
+}
+
+// carve hands out a fresh pooled event from the slab: an engine grows its
+// pool to the peak number of pending handler events, one allocation per
+// eventSlab of them.
+func (e *Engine) carve() *Event {
+	if len(e.slab) == 0 {
+		e.slab = make([]Event, eventSlab)
+	}
+	ev := &e.slab[0]
+	e.slab = e.slab[1:]
+	ev.eng, ev.pooled, ev.index = e, true, -1
+	return ev
 }
 
 // release returns a pooled event to the free list, bumping its generation

@@ -183,6 +183,33 @@ type assemblyState struct {
 	data  []byte // two-sided RC payload staged until a receive WQE matches
 }
 
+// newAssembly returns empty assembly state for a message of nsegs segments,
+// recycled when the context has one: its got bitmap keeps its capacity.
+func (ctx *Context) newAssembly(nsegs int) *assemblyState {
+	var st *assemblyState
+	if n := len(ctx.freeAsm); n > 0 {
+		st = ctx.freeAsm[n-1]
+		ctx.freeAsm[n-1] = nil
+		ctx.freeAsm = ctx.freeAsm[:n-1]
+	} else {
+		st = &assemblyState{}
+	}
+	if cap(st.got) < nsegs {
+		st.got = make([]bool, nsegs)
+	} else {
+		st.got = st.got[:nsegs]
+		clear(st.got)
+	}
+	return st
+}
+
+// putAssembly recycles the state of a completed message once it has been
+// consumed; nothing may hold st afterwards.
+func (ctx *Context) putAssembly(st *assemblyState) {
+	*st = assemblyState{got: st.got[:0]}
+	ctx.freeAsm = append(ctx.freeAsm, st)
+}
+
 // segment files one arriving segment of a UC/RC message and returns the
 // message's assembly state, complete when have == m.nsegs. It returns nil
 // for a segment that changes nothing: a duplicate, or (reliable only) part of
@@ -199,7 +226,7 @@ func (qp *QP) segment(src Addr, m *wireMsg, reliable bool) *assemblyState {
 		}
 		st = qp.assembly[key]
 		if st == nil {
-			st = &assemblyState{got: make([]bool, m.nsegs)}
+			st = qp.ctx.newAssembly(m.nsegs)
 			if qp.assembly == nil {
 				qp.assembly = make(map[assemblyKey]*assemblyState)
 			}
@@ -242,6 +269,7 @@ func (qp *QP) receiveWrite(src Addr, m *wireMsg, reliable bool) {
 			qp.completeRC(src, m)
 			qp.sendAck(src, m.msgID, st.bytes)
 		}
+		qp.ctx.putAssembly(st)
 	}
 }
 
@@ -299,21 +327,42 @@ type rcPending struct {
 	readRecv int
 }
 
+// newPending returns a recycled (or new) rcPending set to v.
+func (ctx *Context) newPending(v rcPending) *rcPending {
+	var p *rcPending
+	if n := len(ctx.freePending); n > 0 {
+		p = ctx.freePending[n-1]
+		ctx.freePending[n-1] = nil
+		ctx.freePending = ctx.freePending[:n-1]
+	} else {
+		p = new(rcPending)
+	}
+	*p = v
+	return p
+}
+
+// putPending recycles a retired request: acked, its read complete, or
+// failed with OpErr. It has left qp.pending and its timer is cancelled or
+// has fired; a stale retransmit event that still names it is a no-op,
+// because retransmit checks identity, not just the message id.
+func (ctx *Context) putPending(p *rcPending) {
+	*p = rcPending{}
+	ctx.freePending = append(ctx.freePending, p)
+}
+
 // PostSendRC sends a two-sided reliable message; the receiver must have a
 // posted receive WQE large enough for it.
 func (qp *QP) PostSendRC(wrID uint64, mr *MR, offset, length int, imm uint32, signaled bool) {
 	qp.mustRC()
-	p := &rcPending{wrID: wrID, dst: qp.peer, op: wireSendRC, mr: mr, offset: offset,
-		length: length, imm: imm, signaled: signaled}
-	qp.startRC(p)
+	qp.startRC(qp.ctx.newPending(rcPending{wrID: wrID, dst: qp.peer, op: wireSendRC, mr: mr, offset: offset,
+		length: length, imm: imm, signaled: signaled}))
 }
 
 // PostWriteRC performs a reliable RDMA Write with immediate.
 func (qp *QP) PostWriteRC(wrID uint64, mr *MR, offset, length int, rkey uint32, roffset int, imm uint32, signaled bool) {
 	qp.mustRC()
-	p := &rcPending{wrID: wrID, dst: qp.peer, op: wireWrite, mr: mr, offset: offset,
-		length: length, rkey: rkey, roffset: roffset, imm: imm, signaled: signaled}
-	qp.startRC(p)
+	qp.startRC(qp.ctx.newPending(rcPending{wrID: wrID, dst: qp.peer, op: wireWrite, mr: mr, offset: offset,
+		length: length, rkey: rkey, roffset: roffset, imm: imm, signaled: signaled}))
 }
 
 // PostReadRC fetches length bytes from the peer's rkey[roffset] into
@@ -321,11 +370,10 @@ func (qp *QP) PostWriteRC(wrID uint64, mr *MR, offset, length int, rkey uint32, 
 // primitive the slow-path fetch layer uses to repair dropped chunks.
 func (qp *QP) PostReadRC(wrID uint64, local *MR, localOff int, rkey uint32, roffset, length int) {
 	qp.mustRC()
-	p := &rcPending{wrID: wrID, dst: qp.peer, op: wireReadReq,
+	qp.startRC(qp.ctx.newPending(rcPending{wrID: wrID, dst: qp.peer, op: wireReadReq,
 		rkey: rkey, roffset: roffset, length: length,
 		isRead: true, readDst: local, readOff: localOff, readLen: length,
-		readGot: make(map[int]bool), signaled: true}
-	qp.startRC(p)
+		readGot: make(map[int]bool), signaled: true}))
 }
 
 func (qp *QP) mustRC() {
@@ -383,13 +431,14 @@ func (qp *QP) armRetransmit(p *rcPending, wire sim.Time) {
 }
 
 func (qp *QP) retransmit(p *rcPending) {
-	if _, live := qp.pending[p.msgID]; !live {
-		return // acked while the timer was in flight
+	if qp.pending[p.msgID] != p {
+		return // retired (and maybe recycled) while the timer was in flight
 	}
 	p.retries++
 	if p.retries > qp.ctx.cfg.MaxRetries {
 		delete(qp.pending, p.msgID)
 		qp.sendCQ.Push(CQE{Op: OpErr, QPN: qp.N, WrID: p.wrID})
+		qp.ctx.putPending(p)
 		return
 	}
 	qp.Retransmits++
@@ -415,6 +464,7 @@ func (qp *QP) receiveAck(m *wireMsg) {
 	if p.signaled && !p.isRead {
 		qp.sendCQ.Push(CQE{Op: OpSend, QPN: qp.N, WrID: p.wrID, Bytes: p.length})
 	}
+	qp.ctx.putPending(p)
 }
 
 // receiveSendRC delivers a fully reassembled two-sided RC message into a
@@ -494,6 +544,7 @@ func (qp *QP) receiveReadResp(m *wireMsg) {
 		delete(qp.pending, m.msgID)
 		p.timer.Cancel()
 		qp.sendCQ.Push(CQE{Op: OpRead, QPN: qp.N, WrID: p.wrID, Bytes: p.readRecv})
+		qp.ctx.putPending(p)
 	}
 }
 
@@ -533,5 +584,6 @@ func (qp *QP) receiveSendSegment(src Addr, m *wireMsg) {
 	}
 	if st.have == m.nsegs {
 		qp.receiveSendRC(src, m, st)
+		qp.ctx.putAssembly(st)
 	}
 }

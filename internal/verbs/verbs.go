@@ -295,6 +295,11 @@ type Context struct {
 
 	nextMsgID uint64
 
+	// Recycled per-message RC state, shared by this context's QPs (see
+	// newPending and newAssembly).
+	freePending []*rcPending
+	freeAsm     []*assemblyState
+
 	// Stats
 	RNRDrops uint64 // datagrams dropped because no receive was posted
 
@@ -541,17 +546,12 @@ func (ctx *Context) allocMsgID() uint64 {
 }
 
 // newPacket returns a packet addressed to dst together with its zeroed wire
-// header for the caller to fill in place and hand to nic.Inject. A unicast
-// packet comes from the fabric's pool with the header it last carried; a
-// multicast packet is shared by every tree branch and allocated fresh.
+// header for the caller to fill in place and hand to nic.Inject. The packet,
+// unicast or multicast, comes from the fabric's pool with the header it last
+// carried.
 func (ctx *Context) newPacket(dst Addr, payloadBytes int, flow uint64) (*fabric.Packet, *wireMsg) {
-	var pkt *fabric.Packet
-	if dst.IsMulticast() {
-		pkt = &fabric.Packet{Group: dst.Group}
-	} else {
-		pkt = ctx.nic.NewPacket()
-	}
-	pkt.Dst, pkt.Flow, pkt.PayloadBytes = dst.Host, flow, payloadBytes
+	pkt := ctx.nic.NewPacket()
+	pkt.Dst, pkt.Group, pkt.Flow, pkt.PayloadBytes = dst.Host, dst.Group, flow, payloadBytes
 	m, _ := pkt.Payload.(*wireMsg)
 	if m == nil {
 		m = &wireMsg{}
@@ -573,7 +573,7 @@ func (ctx *Context) dispatch(pkt *fabric.Packet) {
 				qp.receive(pkt, m)
 			}
 		}
-		return
+		return // other branches may still read the header: keep its data
 	}
 	if n := m.dstQPN - 1; n < QPN(len(ctx.qps)) { // QPN 0 wraps to the maximum
 		ctx.qps[n].receive(pkt, m)
