@@ -42,7 +42,7 @@ func BenchmarkEngineHandlerChurn(b *testing.B) {
 	e := NewEngine(1)
 	h := &benchChurn{state: 1, remaining: churnEvents}
 	e.AfterHandler(1, h, 0, 0, nil)
-	e.Run() // warm the pool and bucket slices
+	e.Run() // warm the pool and the bucket store
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -15,19 +15,29 @@
 // Events are ordered by (time, insertion sequence): ties fire FIFO with
 // respect to scheduling order, and that order is the determinism contract
 // every golden value in this repository depends on. Internally the queue is
-// a hybrid: a ring of near-future calendar buckets ("ladder") indexed by
-// absolute bucket number, covering a window that slides with the clock one
-// bucket at a time, backed by a binary heap for far-future events
-// (retransmission timers, cutoff timers, scenario schedules). The invariant:
-// near events live in buckets [cursor, start+numBuckets), far events at or
-// beyond start+numBuckets, and start trails at the clock's bucket — so an
-// event less than a window (minus the clock's partial bucket) ahead of now
-// never touches the heap. Insertion into the window is an O(1) append; when
-// the clock reaches a bucket its ascending runs are merged once (a bucket
-// that was appended in order, the common case, costs one scan). The pop
-// order is exactly the (at, seq) order a single binary heap would produce —
-// hybrid_test.go checks this against a reference heap over randomized
-// schedules.
+// a hybrid: a calendar queue (Brown, CACM 1988) of 2048 near-future buckets
+// of 128 ns, indexed by absolute bucket number, covering a 262 µs window that
+// slides with the clock one bucket at a time, backed by a binary heap for
+// far-future events (retransmission timers, cutoff timers, scenario
+// schedules). The invariant: near events live in buckets
+// [cursor, start+numBuckets), far events at or beyond start+numBuckets, and
+// start trails at the clock's bucket — so an event less than a window (minus
+// the clock's partial bucket) ahead of now never touches the heap. Insertion
+// into the window is an O(1) append; when the clock reaches a bucket its
+// ascending runs are merged once (a bucket that was appended in order, the
+// common case, costs one scan). The pop order is exactly the (at, seq) order
+// a single binary heap would produce — hybrid_test.go checks this against a
+// reference heap over randomized schedules.
+//
+// Buckets own no memory. A bucket is a chain of 16-slot chunks in one
+// engine-owned store, linked by chunk index; opening a bucket drains its
+// chain, in insertion order, into one reused slice and puts the chunks back
+// on a free list. The store therefore grows with the events queued in the
+// window (plus one partial chunk per non-empty bucket), not with the ring
+// size times the largest burst a slot ever held. An empty bucket costs its
+// 12-byte header and one bit of an occupancy bitmap, through which the
+// cursor skips empty buckets 64 at a time; that is what lets the buckets be
+// this narrow.
 //
 // # Closure-free scheduling
 //
@@ -47,6 +57,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -77,23 +88,35 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
 func (t Time) String() string { return t.Duration().String() }
 
-// Calendar-queue geometry: a ring of 512 buckets of 512 ns covers a 262 µs
+// Calendar-queue geometry: a ring of 2048 buckets of 128 ns covers a 262 µs
 // window ahead of the clock; bucket number n (at >> bucketShift) lives in
-// slot n & bucketMask. Packet-scale events (serialization ~170 ns, hop
-// latency 250 ns) land a few buckets out, and the 256 segments of a 1 MiB
-// write booked on an uplink at one instant (152 µs) fit; RC retransmission
-// timeouts (200 µs past the last segment) and scenario schedules overflow
-// to the far-future heap.
+// slot n & bucketMask. A bucket is narrower than one MTU's serialization
+// (~170 ns) and a hop latency (250 ns), so the next packet of a train and a
+// packet's next hop land in a later bucket, not in the open one (whose late
+// insertions go through a heap). The window still holds the 256 segments of
+// a 1 MiB write booked on an uplink at one instant (152 µs); RC
+// retransmission timeouts (200 µs past the last segment) and scenario
+// schedules overflow to the far-future heap.
 const (
-	bucketShift = 9 // log2(bucket width in ns)
+	bucketShift = 7 // log2(bucket width in ns)
 	bucketWidth = Time(1) << bucketShift
-	numBuckets  = 512 // a power of two
+	numBuckets  = 2048 // a power of two
 	bucketMask  = numBuckets - 1
 	windowSpan  = Time(numBuckets) << bucketShift
 )
 
 // bucketOf returns the absolute number of the bucket holding time t.
 func bucketOf(t Time) int64 { return int64(t >> bucketShift) }
+
+// chunkLen is the number of event slots in one chunk of bucket storage.
+const chunkLen = 16
+
+// bucketList is one calendar bucket: n events in a chain of chunks of
+// Engine.store, from chunk head to chunk tail, linked through Engine.link.
+// Every chunk but the tail is full, so the bucket's i-th event sits in slot
+// i%chunkLen of its (i/chunkLen)-th chunk. head and tail mean nothing while
+// n is 0.
+type bucketList struct{ head, tail, n int32 }
 
 // Event locations within the hybrid queue.
 const (
@@ -264,15 +287,25 @@ type Engine struct {
 	// bucket and is moved up lazily, when a schedule would overflow (slide).
 	// cursor, start <= cursor < start+numBuckets, is the bucket being (or
 	// next to be) consumed and may run ahead of the clock (a peek, RunUntil);
-	// when opened, the cursor bucket's [pos:] is the sorted remainder and cur
-	// holds events inserted into the open bucket after sorting.
+	// when opened, the cursor bucket's events have moved to open, open[pos:]
+	// is the sorted remainder, and cur holds events inserted into the open
+	// bucket after sorting.
 	start     int64
 	cursor    int64
 	opened    bool
 	pos       int
-	buckets   [numBuckets][]*Event
+	buckets   [numBuckets]bucketList
+	occupied  [numBuckets / 64]uint64 // bit i: ring slot i's bucket is non-empty
+	open      []*Event                // consumed slots are nil
 	cur       eventHeap
-	nearCount int // events physically held in buckets + cur (incl. cancelled)
+	nearCount int // events physically held in buckets + open + cur (incl. cancelled)
+	// Bucket storage: chunk c is store[c*chunkLen:][:chunkLen], link[c] is
+	// the chunk after c in its bucket's chain or on the free list, and
+	// freeChunk heads the free list (-1 when empty). Slots outside a bucket's
+	// n events are nil.
+	store     []*Event
+	link      []int32
+	freeChunk int32
 	// openBucket's working memory, kept between calls: the run offsets of
 	// the bucket being ordered and the merge scratch (nil-filled when idle).
 	runs    []int
@@ -321,7 +354,7 @@ const localSeqBand = uint64(1) << 63
 // NewEngine returns an engine with virtual time 0 and a deterministic RNG
 // seeded with seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRNG(seed), seq: localSeqBand}
+	return &Engine{rng: NewRNG(seed), seq: localSeqBand, freeChunk: -1}
 }
 
 // Now returns the current virtual time.
@@ -490,8 +523,76 @@ func (e *Engine) release(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
-// bucket returns the ring slot of absolute bucket number n.
-func (e *Engine) bucket(n int64) *[]*Event { return &e.buckets[n&bucketMask] }
+// push appends ev to the chain of absolute bucket number n.
+func (e *Engine) push(n int64, ev *Event) {
+	l := &e.buckets[n&bucketMask]
+	i := l.n % chunkLen
+	if i == 0 {
+		c := e.newChunk()
+		if l.n == 0 {
+			l.head = c
+			e.occupied[n&bucketMask>>6] |= 1 << (n & 63)
+		} else {
+			e.link[l.tail] = c
+		}
+		l.tail = c
+	}
+	e.store[int(l.tail)*chunkLen+int(i)] = ev
+	l.n++
+}
+
+// newChunk takes a chunk off the free list, growing the store by one chunk
+// when the list is empty.
+func (e *Engine) newChunk() int32 {
+	c := e.freeChunk
+	if c < 0 {
+		c = int32(len(e.link))
+		e.link = append(e.link, -1)
+		e.store = append(e.store, make([]*Event, chunkLen)...)
+		return c
+	}
+	e.freeChunk = e.link[c]
+	return c
+}
+
+// drain appends the events of absolute bucket number n to dst in insertion
+// order, empties the bucket and puts its chunks on the free list, clearing
+// the slots it vacates. (An element loop: most buckets hold a few events,
+// too few to pay for a bulk copy and clear.)
+func (e *Engine) drain(n int64, dst []*Event) []*Event {
+	l := &e.buckets[n&bucketMask]
+	c := l.head
+	for left := int(l.n); left > 0; left -= chunkLen {
+		chunk := e.store[int(c)*chunkLen:][:min(left, chunkLen)]
+		for i, ev := range chunk {
+			dst = append(dst, ev)
+			chunk[i] = nil
+		}
+		next := e.link[c]
+		e.link[c], e.freeChunk = e.freeChunk, c
+		c = next
+	}
+	*l = bucketList{}
+	e.occupied[n&bucketMask>>6] &^= 1 << (n & 63)
+	return dst
+}
+
+// drainAll empties every bucket, handing each event to f, bucket by bucket
+// in ring-slot order and insertion order within a bucket. The open bucket
+// must be closed.
+func (e *Engine) drainAll(f func(*Event)) {
+	for i := range e.buckets {
+		if e.buckets[i].n == 0 {
+			continue
+		}
+		e.open = e.drain(int64(i), e.open[:0])
+		for _, ev := range e.open {
+			f(ev)
+		}
+		clear(e.open)
+	}
+	e.open = e.open[:0]
+}
 
 // schedule files the event into the hybrid queue.
 func (e *Engine) schedule(ev *Event) {
@@ -524,8 +625,7 @@ func (e *Engine) schedule(ev *Event) {
 		e.cursor = b
 	}
 	ev.where = locBucket
-	slot := e.bucket(b)
-	*slot = append(*slot, ev)
+	e.push(b, ev)
 	e.nearCount++
 }
 
@@ -552,23 +652,22 @@ func (e *Engine) slide() {
 
 // closeOpen folds an open bucket back into closed state: the unconsumed
 // sorted remainder and any open-bucket insertions (in heap-pop order, so two
-// runs) go back into the bucket slice for a later openBucket to merge.
+// runs) go back into the bucket's chain for a later openBucket to merge.
 func (e *Engine) closeOpen() {
 	if !e.opened {
 		return
 	}
-	b := *e.bucket(e.cursor)
-	n := copy(b, b[e.pos:])
-	for i := n; i < len(b); i++ {
-		b[i] = nil
+	rest := e.open[e.pos:]
+	for _, ev := range rest {
+		e.push(e.cursor, ev)
 	}
-	b = b[:n]
+	clear(rest)
+	e.open = e.open[:0]
 	for len(e.cur) > 0 {
 		ev := heap.Pop(&e.cur).(*Event)
 		ev.where = locBucket
-		b = append(b, ev)
+		e.push(e.cursor, ev)
 	}
-	*e.bucket(e.cursor) = b
 	e.pos = 0
 	e.opened = false
 }
@@ -578,13 +677,10 @@ func (e *Engine) closeOpen() {
 // window start.
 func (e *Engine) rebase() {
 	e.closeOpen()
-	for i := range e.buckets {
-		for _, ev := range e.buckets[i] {
-			ev.where = locFar
-			heap.Push(&e.far, ev)
-		}
-		e.buckets[i] = e.buckets[i][:0]
-	}
+	e.drainAll(func(ev *Event) {
+		ev.where = locFar
+		heap.Push(&e.far, ev)
+	})
 	e.nearCount = 0
 	e.start = bucketOf(e.now)
 	e.cursor = e.start
@@ -597,21 +693,22 @@ func (e *Engine) refill() {
 	for len(e.far) > 0 && bucketOf(e.far[0].at) < e.start+numBuckets {
 		ev := heap.Pop(&e.far).(*Event)
 		ev.where = locBucket
-		slot := e.bucket(bucketOf(ev.at))
-		*slot = append(*slot, ev)
+		e.push(bucketOf(ev.at), ev)
 		e.nearCount++
 	}
 }
 
-// openBucket orders the cursor's bucket by (at, seq) and starts consuming
-// it. A bucket fills by appends from a handful of sources that each
-// schedule in ascending time — it is a few ascending runs laid end to end,
-// usually one — so this is a natural merge sort: find the runs, return if
-// there is one, otherwise merge adjacent runs pairwise until one remains.
-// Stable (equal keys keep insertion order) and allocation-free once the
-// engine-owned run list and scratch have grown to the bucket sizes in use.
+// openBucket drains the cursor's bucket into open, orders it by (at, seq)
+// and starts consuming it. A bucket fills by appends from a handful of
+// sources that each schedule in ascending time — it is a few ascending runs
+// laid end to end, usually one — so this is a natural merge sort: find the
+// runs, return if there is one, otherwise merge adjacent runs pairwise until
+// one remains. Stable (equal keys keep insertion order) and allocation-free
+// once open, the run list and the scratch have grown to the bucket sizes in
+// use.
 func (e *Engine) openBucket() {
-	b := *e.bucket(e.cursor)
+	b := e.drain(e.cursor, e.open[:0])
+	e.open = b
 	e.pos = 0
 	e.opened = true
 	runs := e.runs[:0] // start offset of every run
@@ -677,8 +774,14 @@ func (e *Engine) advance() {
 		e.cursor = e.start
 		e.refill()
 	}
-	for len(*e.bucket(e.cursor)) == 0 {
-		e.cursor++
+	// Skip empty buckets 64 at a time through the occupancy bitmap.
+	for {
+		i := e.cursor & bucketMask
+		if w := e.occupied[i>>6] >> (i & 63); w != 0 {
+			e.cursor += int64(bits.TrailingZeros64(w))
+			break
+		}
+		e.cursor += 64 - i&63
 	}
 	e.openBucket()
 }
@@ -693,7 +796,7 @@ func (e *Engine) peekEvent() *Event {
 			}
 			e.advance()
 		}
-		b := *e.bucket(e.cursor)
+		b := e.open
 		for e.pos < len(b) && b[e.pos].canceled {
 			ev := b[e.pos]
 			b[e.pos] = nil
@@ -714,9 +817,9 @@ func (e *Engine) peekEvent() *Event {
 		if next != nil {
 			return next
 		}
-		// Open bucket exhausted: recycle its slice; the next iteration's
-		// advance() finds the following non-empty bucket.
-		*e.bucket(e.cursor) = b[:0]
+		// Open bucket exhausted (every slot already nil); the next
+		// iteration's advance() finds the following non-empty bucket.
+		e.open = b[:0]
 		e.pos = 0
 		e.opened = false
 	}
@@ -731,7 +834,7 @@ func (e *Engine) popEvent() *Event {
 	if ev.where == locCur {
 		heap.Pop(&e.cur)
 	} else {
-		(*e.bucket(e.cursor))[e.pos] = nil
+		e.open[e.pos] = nil
 		e.pos++
 	}
 	e.nearCount--

@@ -61,7 +61,8 @@ type propHarness struct {
 	live    map[int]canceler // engine-side cancel handles by id
 	refByID map[int]*refItem
 	fired   []int
-	budget  int // schedules remaining
+	firedAt []Time // firing time of each fired[i]
+	budget  int    // schedules remaining
 	// scripted turns the randomized moves off: firings only check the order
 	// and run the hook registered for the fired id, if any.
 	scripted bool
@@ -99,6 +100,10 @@ func (p *propHarness) onFire(id int) {
 	delete(p.live, id)
 	delete(p.refByID, id)
 	p.fired = append(p.fired, id)
+	p.firedAt = append(p.firedAt, p.eng.Now())
+	if len(p.fired)%1000 == 0 {
+		checkStore(p.t, p.eng)
+	}
 	if p.scripted {
 		if hook := p.hooks[id]; hook != nil {
 			hook()
@@ -171,6 +176,63 @@ func (p *propHarness) drain() {
 	if p.eng.Pending() != 0 {
 		p.t.Fatalf("Pending() = %d after drain", p.eng.Pending())
 	}
+	checkStore(p.t, p.eng)
+}
+
+// checkStore checks the bucket storage invariants: every chunk is on
+// exactly one bucket chain or the free list, a chain ends at its tail, and
+// the only non-nil store slots are the n live slots of some chain — no slot
+// pins an event its bucket no longer holds.
+func checkStore(t *testing.T, e *Engine) {
+	t.Helper()
+	if len(e.store) != len(e.link)*chunkLen {
+		t.Fatalf("store holds %d slots for %d chunks", len(e.store), len(e.link))
+	}
+	claimed := make([]bool, len(e.link))
+	claim := func(c int32) {
+		if claimed[c] {
+			t.Fatalf("chunk %d is on two lists", c)
+		}
+		claimed[c] = true
+	}
+	live := make([]bool, len(e.store))
+	for i, l := range e.buckets {
+		if bit := e.occupied[i>>6]>>(i&63)&1 == 1; bit != (l.n > 0) {
+			t.Fatalf("bucket slot %d holds %d events, occupancy bit %v", i, l.n, bit)
+		}
+		c := l.head
+		for left := int(l.n); left > 0; left -= chunkLen {
+			claim(c)
+			for k := range min(left, chunkLen) {
+				live[int(c)*chunkLen+k] = true
+			}
+			if left <= chunkLen && c != l.tail {
+				t.Fatalf("bucket slot %d ends at chunk %d, its tail is %d", i, c, l.tail)
+			}
+			c = e.link[c]
+		}
+	}
+	for c := e.freeChunk; c >= 0; c = e.link[c] {
+		claim(c)
+	}
+	for c, ok := range claimed {
+		if !ok {
+			t.Fatalf("chunk %d is on no bucket chain and not on the free list", c)
+		}
+	}
+	for i, ev := range e.store {
+		if live[i] != (ev != nil) {
+			t.Fatalf("store slot %d (chunk %d): live %v, holds an event %v", i, i/chunkLen, live[i], ev != nil)
+		}
+	}
+}
+
+// scriptedHarness returns a harness whose firings only check the order and
+// run the hooks a test registers.
+func scriptedHarness(t *testing.T) *propHarness {
+	p := newPropHarness(t, 7)
+	p.scripted = true
+	return p
 }
 
 // randomDelay mixes ties (0), in-bucket, in-window, and far-future delays
@@ -244,17 +306,12 @@ const trainGap = 166 * Nanosecond
 // introduces — each through all three scheduling flavours, every pop checked
 // against the reference heap.
 func TestSlidingWindowShapes(t *testing.T) {
-	scripted := func(t *testing.T) *propHarness {
-		p := newPropHarness(t, 7)
-		p.scripted = true
-		return p
-	}
 	for _, frac := range []Time{9, 10, 15} { // tenths of a span
 		t.Run(fmt.Sprintf("train late in a span/%d tenths", frac), func(t *testing.T) {
 			// One instant, three quarters of the way through a span, books a
 			// train reaching 0.9, 1.0 and 1.5 spans ahead: the first overflow
 			// slides the window up to the clock, the rest file behind it.
-			p := scripted(t)
+			p := scriptedHarness(t)
 			p.hooks[p.schedule(windowSpan*3/4+7)] = func() {
 				for d := Time(0); d < windowSpan*frac/10; d += trainGap {
 					p.schedule(d)
@@ -268,7 +325,7 @@ func TestSlidingWindowShapes(t *testing.T) {
 	}
 	t.Run("step back and slide under a cursor ahead of the clock", func(t *testing.T) {
 		for _, slideFirst := range []bool{true, false} {
-			p := scripted(t)
+			p := scriptedHarness(t)
 			p.schedule(300 * bucketWidth)
 			p.eng.RunUntil(100*bucketWidth + 3) // the peek opens bucket 300
 			if !p.eng.opened || p.eng.cursor != 300 {
@@ -292,7 +349,7 @@ func TestSlidingWindowShapes(t *testing.T) {
 		}
 	})
 	t.Run("run dry past the window then schedule", func(t *testing.T) {
-		p := scripted(t)
+		p := scriptedHarness(t)
 		p.schedule(10)
 		p.eng.RunUntil(3*windowSpan + 5*bucketWidth + 9)
 		p.schedule(2 * windowSpan) // overflows the stale window: the cursor re-anchors on the clock
@@ -309,7 +366,7 @@ func TestSlidingWindowShapes(t *testing.T) {
 		p.drain()
 	})
 	t.Run("schedule below a window jumped to the far frontier", func(t *testing.T) {
-		p := scripted(t)
+		p := scriptedHarness(t)
 		p.schedule(5*windowSpan + 3)
 		p.schedule(5*windowSpan + 40*bucketWidth)
 		p.eng.RunUntil(windowSpan / 2) // nothing near: the peek jumps the window to far[0]
@@ -326,7 +383,7 @@ func TestSlidingWindowShapes(t *testing.T) {
 		p.drain()
 	})
 	t.Run("cancel after refill", func(t *testing.T) {
-		p := scripted(t)
+		p := scriptedHarness(t)
 		var ids []int
 		for i := 0; i < 6; i++ { // two of each flavour, one bucket apart
 			ids = append(ids, p.schedule(2*windowSpan+Time(i)*bucketWidth))
@@ -381,6 +438,140 @@ func TestRunUntilThenEarlierSchedule(t *testing.T) {
 	e.Run()
 	if len(order) != 3 || order[0] != "nearer" || order[1] != "near" || order[2] != "far" {
 		t.Fatalf("order = %v, want [nearer near far]", order)
+	}
+}
+
+// TestChunkBoundaries scripts buckets at and around the chunk size, and the
+// moves that re-chunk or free whole chains (rebase, closing an open bucket,
+// Snapshot/Restore), through all three scheduling flavours with every pop
+// checked against the reference heap and the storage invariants checked
+// after each move.
+func TestChunkBoundaries(t *testing.T) {
+	for _, n := range []int{chunkLen - 1, chunkLen, chunkLen + 1, 2 * chunkLen, 2*chunkLen + 1} {
+		t.Run(fmt.Sprintf("bucket of %d", n), func(t *testing.T) {
+			p := scriptedHarness(t)
+			for i := 0; i < n; i++ { // descending instants: n runs of one
+				p.schedule(5*bucketWidth + Time(n-i))
+			}
+			chunks := (n + chunkLen - 1) / chunkLen
+			if got := p.eng.buckets[5].n; got != int32(n) || len(p.eng.link) != chunks {
+				t.Fatalf("setup: bucket 5 holds %d events in %d chunks, want %d in %d", got, len(p.eng.link), n, chunks)
+			}
+			checkStore(t, p.eng)
+			p.cancel(n / 2) // a cancelled entry mid-chain
+			p.drain()
+			// The freed chunks serve the next bucket: the store does not grow.
+			for i := 0; i < n; i++ {
+				p.schedule(bucketWidth + Time(i))
+			}
+			if len(p.eng.link) != chunks {
+				t.Fatalf("a second bucket of %d grew the store to %d chunks, want %d", n, len(p.eng.link), chunks)
+			}
+			p.drain()
+		})
+	}
+	t.Run("rebase of multi-chunk buckets", func(t *testing.T) {
+		p := scriptedHarness(t)
+		far := 5 * windowSpan
+		for i := 0; i < 2*chunkLen+3; i++ {
+			p.schedule(far + 3 + Time(i%7))
+		}
+		for i := 0; i < chunkLen+1; i++ {
+			p.schedule(far + 40*bucketWidth + Time(i))
+		}
+		p.eng.RunUntil(windowSpan / 2) // the peek jumps the window to the frontier, refills both, opens the first
+		if !p.eng.opened || p.eng.buckets[bucketOf(far+40*bucketWidth)&bucketMask].n != chunkLen+1 {
+			t.Fatalf("setup: opened %v, want the first bucket open and the second a closed 2-chunk chain", p.eng.opened)
+		}
+		p.schedule(100) // below the window: every near event goes back to the far heap
+		if len(p.eng.far) != 3*chunkLen+4 || p.eng.nearCount != 1 {
+			t.Fatalf("far %d near %d after the rebase, want %d and the one new event", len(p.eng.far), p.eng.nearCount, 3*chunkLen+4)
+		}
+		checkStore(t, p.eng)
+		p.drain()
+	})
+	t.Run("close a multi-chunk remainder and the open heap", func(t *testing.T) {
+		p := scriptedHarness(t)
+		base := 9 * bucketWidth
+		var ids []int
+		for i := 0; i < 2*chunkLen+5; i++ {
+			ids = append(ids, p.schedule(base+Time(i)))
+		}
+		for _, id := range ids[:3] {
+			p.cancel(id) // the peek prunes these, leaving a remainder at pos 3
+		}
+		p.eng.RunUntil(3 * bucketWidth) // the peek opens bucket 9 ahead of the clock
+		if !p.eng.opened || p.eng.cursor != 9 || p.eng.pos != 3 {
+			t.Fatalf("setup: cursor %d opened %v pos %d, want bucket 9 open at 3", p.eng.cursor, p.eng.opened, p.eng.pos)
+		}
+		for i := 0; i < chunkLen+2; i++ { // into the open bucket's heap, descending
+			p.schedule(base + bucketWidth - 1 - Time(i) - p.eng.Now())
+		}
+		p.schedule(5*bucketWidth - p.eng.Now()) // below the cursor: bucket 9 closes
+		want := int32(2*chunkLen + 2 + chunkLen + 2)
+		if p.eng.opened || p.eng.cursor != 5 || p.eng.buckets[9].n != want {
+			t.Fatalf("cursor %d opened %v, bucket 9 holds %d; want bucket 9 closed with %d", p.eng.cursor, p.eng.opened, p.eng.buckets[9].n, want)
+		}
+		checkStore(t, p.eng)
+		p.drain()
+	})
+	t.Run("snapshot and restore mid-chain", func(t *testing.T) {
+		s := &shape{eng: NewEngine(1)}
+		s.addRuns(2*bucketWidth, 2*chunkLen+1, 2) // 66 entries: five chunks
+		s.addRuns(4*bucketWidth, chunkLen+1, 2)
+		s.add(3*windowSpan, 0)
+		for id := chunkLen - 1; id < len(s.ents); id += chunkLen {
+			s.cancel(id) // on chunk boundaries
+		}
+		s.eng.RunUntil(2*bucketWidth + bucketWidth/4) // bucket 2 open and partly consumed
+		snap := s.eng.Snapshot()
+		mark := len(s.fired)
+		s.eng.Run()
+		s.check(t)
+		first := slices.Clone(s.fired[mark:])
+		s.eng.Restore(snap)
+		checkStore(t, s.eng)
+		s.fired = s.fired[:mark]
+		s.eng.RunUntil(4*bucketWidth + bucketWidth/4) // bucket 4 open, partly consumed
+		s.eng.Restore(snap)                           // purges an open bucket, a chain and the far heap
+		checkStore(t, s.eng)
+		s.fired = s.fired[:mark]
+		s.eng.Run()
+		if !slices.Equal(s.fired[mark:], first) {
+			t.Fatalf("rerun after Restore fired a different order")
+		}
+		checkStore(t, s.eng)
+	})
+}
+
+// TestTimeShiftInvariance is the time-shift metamorphic relation at the
+// engine level: the same randomized schedule/cancel script started Δ later
+// fires the same ids in the same order, each exactly Δ later. Every Δ lays
+// the script across bucket, chunk and window boundaries differently, so the
+// relation needs no expected value.
+func TestTimeShiftInvariance(t *testing.T) {
+	run := func(delta Time) *propHarness {
+		p := newPropHarness(t, 5)
+		p.eng.RunUntil(delta)
+		p.budget = 6000
+		for i := 0; i < 1000; i++ {
+			p.budget--
+			p.schedule(p.randomDelay())
+		}
+		p.drain()
+		return p
+	}
+	base := run(0)
+	for _, delta := range []Time{1, bucketWidth - 1, windowSpan + 3, 7 * windowSpan / 3} {
+		p := run(delta)
+		if !slices.Equal(p.fired, base.fired) {
+			t.Fatalf("Δ=%v: fired a different id sequence (%d vs %d events)", delta, len(p.fired), len(base.fired))
+		}
+		for i, at := range p.firedAt {
+			if at-delta != base.firedAt[i] {
+				t.Fatalf("Δ=%v: id %d fired at %v, want %v + Δ", delta, p.fired[i], at, base.firedAt[i])
+			}
+		}
 	}
 }
 
@@ -521,7 +712,7 @@ func (h *rearmHandler) OnEvent(e *Engine, _ Handle, _ uint64, _ int, _ any) {
 func TestHandlerPathAllocFree(t *testing.T) {
 	e := NewEngine(1)
 	h := &rearmHandler{}
-	// Warm the pool and the bucket slices.
+	// Warm the pool and the bucket store.
 	h.remaining = 2048
 	e.AfterHandler(1, h, 0, 0, nil)
 	e.Run()
@@ -624,6 +815,15 @@ func (s *shape) check(t *testing.T) {
 	}
 }
 
+// runsFit is the most runs of per entries addRuns interleaves in one bucket.
+func runsFit(t *testing.T, per int) int {
+	n := int(bucketWidth/Time(per)) - 1
+	if n < 30 {
+		t.Fatalf("only %d runs of %d fit a %v bucket; the shapes want at least 30", n, per, bucketWidth)
+	}
+	return n
+}
+
 // addRuns appends n interleaved ascending runs of per entries each inside
 // the bucket starting at base: run r holds base+r, base+r+stride, ..., so
 // every run boundary is a descent. Odd runs are keyed.
@@ -646,7 +846,7 @@ func (s *shape) addRuns(base Time, n, per int) {
 func TestBucketShapes(t *testing.T) {
 	t.Run("descending", func(t *testing.T) {
 		s := &shape{eng: NewEngine(1)}
-		for at := bucketWidth - 1; at >= 0; at-- { // 512 runs of one
+		for at := bucketWidth - 1; at >= 0; at-- { // bucketWidth runs of one
 			s.add(at, 0)
 		}
 		s.eng.Run()
@@ -654,8 +854,9 @@ func TestBucketShapes(t *testing.T) {
 	})
 	t.Run("interleaved runs", func(t *testing.T) {
 		s := &shape{eng: NewEngine(1)}
-		s.addRuns(3*bucketWidth, 40, 8)
-		s.addRuns(3*bucketWidth, 33, 4) // same instants again: ties across flavours
+		n := runsFit(t, 4)
+		s.addRuns(3*bucketWidth, n, 4)
+		s.addRuns(3*bucketWidth, n-7, 2) // same instants again: ties across flavours
 		s.eng.Run()
 		s.check(t)
 	})
@@ -673,7 +874,7 @@ func TestBucketShapes(t *testing.T) {
 	})
 	t.Run("cancelled inside runs", func(t *testing.T) {
 		s := &shape{eng: NewEngine(1)}
-		s.addRuns(0, 36, 8)
+		s.addRuns(0, runsFit(t, 4), 4)
 		for id := range s.ents {
 			if id%3 == 0 {
 				s.cancel(id)
@@ -710,8 +911,8 @@ func TestBucketShapes(t *testing.T) {
 	})
 	t.Run("snapshot mid-bucket", func(t *testing.T) {
 		s := &shape{eng: NewEngine(1)}
-		s.addRuns(2*bucketWidth, 34, 8)
-		s.eng.RunUntil(2*bucketWidth + 100) // bucket 2 open and partly consumed
+		s.addRuns(2*bucketWidth, runsFit(t, 4), 4)
+		s.eng.RunUntil(2*bucketWidth + bucketWidth/5) // bucket 2 open and partly consumed
 		for at := 3*bucketWidth - 1; at > 3*bucketWidth-30; at-- {
 			s.add(at, uint64(at)) // open-bucket heap, descending
 		}
@@ -761,27 +962,53 @@ func TestBucketShapes(t *testing.T) {
 	})
 }
 
-// TestOpenBucketAllocFree gates the merge's working memory: once the run
-// list and scratch have grown to the bucket sizes in use, opening buckets
-// made of several runs allocates nothing.
+// TestOpenBucketAllocFree gates the bucket storage and the merge's working
+// memory: once the chunks, the open slice, the run list and the scratch have
+// grown to the bucket sizes in use, filling and opening buckets made of
+// several runs allocates nothing — in ring slots never used before, since
+// every bucket draws on the same chunks.
 func TestOpenBucketAllocFree(t *testing.T) {
-	s := &shape{eng: NewEngine(1)}
+	e := NewEngine(1)
 	var noop recordNothing
+	stride := bucketWidth / 64
 	round := func() {
-		base := (s.eng.Now()/bucketWidth + 2) * bucketWidth
+		base := (e.Now()/bucketWidth + 2) * bucketWidth
 		for r := 0; r < 5; r++ {
 			for j := 0; j < 60; j++ {
-				s.eng.AtHandler(base+Time(r)+Time(8*j), noop, 0, 0, nil)
+				e.AtHandler(base+Time(r)+Time(j)*stride, noop, 0, 0, nil)
 			}
 		}
-		s.eng.Run()
+		e.Run()
 	}
-	for i := 0; i < numBuckets; i++ { // each round lands two buckets on: warm them all
-		round()
-	}
+	round()
+	round()
 	if avg := testing.AllocsPerRun(20, round); avg != 0 {
-		t.Fatalf("opening a warm 5-run bucket allocates: %.2f allocs per bucket, want 0", avg)
+		t.Fatalf("filling and opening a 5-run bucket allocates: %.2f allocs per bucket, want 0", avg)
 	}
+}
+
+// TestBucketStorageFollowsQueue: a burst moved one bucket on per round for
+// three laps of the ring keeps reusing one burst's chunks. Slot-owned bucket
+// storage would instead grow every slot to the burst, about numBuckets times
+// as much.
+func TestBucketStorageFollowsQueue(t *testing.T) {
+	const burst = 100
+	e := NewEngine(1)
+	var noop recordNothing
+	for round := 0; round < 3*numBuckets; round++ {
+		at := (e.Now()/bucketWidth + 1) * bucketWidth
+		for i := 0; i < burst; i++ {
+			e.AtHandler(at, noop, 0, 0, nil) // one instant: a multicast fan-out
+		}
+		e.Run()
+	}
+	if bucketOf(e.Now()) != 3*numBuckets {
+		t.Fatalf("the burst reached bucket %d, want three laps (%d)", bucketOf(e.Now()), 3*numBuckets)
+	}
+	if bound := ((burst+chunkLen-1)/chunkLen + 2) * chunkLen; len(e.store) > bound {
+		t.Fatalf("store grew to %d slots for a %d-event burst, want at most %d", len(e.store), burst, bound)
+	}
+	checkStore(t, e)
 }
 
 type recordNothing struct{}

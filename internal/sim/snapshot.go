@@ -127,7 +127,7 @@ func (e *Engine) Snapshot() *Snapshot {
 		}
 	}
 	record := func(ev *Event) {
-		if ev == nil || ev.canceled {
+		if ev.canceled {
 			return
 		}
 		s.events = append(s.events, eventRecord{
@@ -138,12 +138,22 @@ func (e *Engine) Snapshot() *Snapshot {
 			ev:     ev, gen: ev.gen,
 		})
 	}
-	// Consumed open-bucket slots are nil and cancelled entries are
-	// flagged; record() skips both, so a plain walk sees exactly the live
-	// set.
+	// Cancelled entries are flagged and record() skips them, so a plain walk
+	// sees exactly the live set. The open bucket's chain is empty: its
+	// unconsumed events are open[pos:], walked in its ring slot's place.
 	for i := range e.buckets {
-		for _, ev := range e.buckets[i] {
-			record(ev)
+		if e.opened && int64(i) == e.cursor&bucketMask {
+			for _, ev := range e.open[e.pos:] {
+				record(ev)
+			}
+		}
+		l := e.buckets[i]
+		c := l.head
+		for left := int(l.n); left > 0; left -= chunkLen {
+			for _, ev := range e.store[int(c)*chunkLen:][:min(left, chunkLen)] {
+				record(ev)
+			}
+			c = e.link[c]
 		}
 	}
 	for _, ev := range e.cur {
@@ -160,24 +170,7 @@ func (e *Engine) Snapshot() *Snapshot {
 // orphaned (their caller-held *Event becomes an inert no-op for Cancel).
 func (e *Engine) purge() {
 	e.closeOpen()
-	for i := range e.buckets {
-		b := e.buckets[i]
-		for j, ev := range b {
-			b[j] = nil
-			if ev == nil {
-				continue
-			}
-			ev.where = locNone
-			if ev.pooled {
-				e.release(ev)
-			} else {
-				ev.fn = nil
-			}
-		}
-		e.buckets[i] = b[:0]
-	}
-	for i, ev := range e.far {
-		e.far[i] = nil
+	drop := func(ev *Event) {
 		ev.where = locNone
 		if ev.pooled {
 			e.release(ev)
@@ -185,11 +178,14 @@ func (e *Engine) purge() {
 			ev.fn = nil
 		}
 	}
+	e.drainAll(drop)
+	for i, ev := range e.far {
+		e.far[i] = nil
+		drop(ev)
+	}
 	e.far = e.far[:0]
 	e.nearCount = 0
 	e.live = 0
-	e.opened = false
-	e.pos = 0
 }
 
 // Restore rewinds the engine to the snapshot: the queue is purged and
