@@ -14,7 +14,6 @@ package repro
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/harness"
 	"repro/internal/model"
@@ -22,11 +21,11 @@ import (
 	"repro/internal/verbs"
 )
 
-// figure runs one figure's specs through its kernel, unshared, the way
+// figure runs one figure's specs through its kernel, the way
 // manifest.Compile wires them behind `repro`.
-func figure(b *testing.B, specs []sweep.Spec, k sweep.Kernel) []sweep.Record {
+func figure(b *testing.B, specs []sweep.Spec, k sweep.Func) []sweep.Record {
 	b.Helper()
-	recs, err := sweep.Run(specs, 0, k, false)
+	recs, err := sweep.Run(specs, 0, k)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -219,44 +218,6 @@ func BenchmarkAllreduce16(b *testing.B) {
 	executed := sys.Engine.Executed - start
 	b.ReportMetric(float64(executed)/b.Elapsed().Seconds(), "events/sec")
 	b.ReportMetric(float64(executed)/float64(b.N), "events/op")
-}
-
-// BenchmarkChaosSweepWarm measures the warm_start speedup on an 8-point
-// chaosbench grid (mcast-allgather under all eight scenarios at 16 nodes /
-// 4 KiB): each iteration runs the sweep unshared (a fresh model stack per
-// point) and shared (one built stack for the seven perturbed points, forked
-// per scenario) and reports the wall-clock ratio. fork-speedup is a
-// same-machine ratio; sweep-wall-ms and snapshot-bytes are informational.
-func BenchmarkChaosSweepWarm(b *testing.B) {
-	g := harness.ResilienceGrid([]string{"mcast-allgather"},
-		[]string{"quiet", "flap-spine", "straggler-1pct", "tenant-50load",
-			"tenant-20load", "degrade-leaf", "hotspot-drop", "incast-4to1"}, 16, 4096, 7)
-	env := harness.Env{}
-	specs, kernel := g.Expand(), harness.ResilienceKernel(env)
-	if _, err := sweep.Run(specs, 1, kernel, true); err != nil { // warm caches and the event pool allocator
-		b.Fatal(err)
-	}
-	var unshared, shared time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if _, err := sweep.Run(specs, 1, kernel, false); err != nil {
-			b.Fatal(err)
-		}
-		t1 := time.Now()
-		if _, err := sweep.Run(specs, 1, kernel, true); err != nil {
-			b.Fatal(err)
-		}
-		unshared += t1.Sub(t0)
-		shared += time.Since(t1)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(unshared)/float64(shared), "fork-speedup")
-	b.ReportMetric(float64(shared)/float64(b.N)/1e6, "sweep-wall-ms")
-	if st, err := kernel.Build(specs[0]); err == nil {
-		st.Capture()
-		b.ReportMetric(float64(st.(interface{ Bytes() int }).Bytes()), "snapshot-bytes")
-	}
 }
 
 // BenchmarkAppBSpeedup measures the concurrent {AG, RS} speedup at P=16

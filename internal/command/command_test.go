@@ -152,8 +152,7 @@ func TestValidateSubcommand(t *testing.T) {
 
 // TestValidateDirectories covers the directory form of `repro validate`:
 // a directory argument expands to the manifests inside it, an empty
-// directory is an error, and the whole shipping tree — including the
-// warm-start twin that shares its report name by design — validates clean.
+// directory is an error, and the whole shipping tree validates clean.
 func TestValidateDirectories(t *testing.T) {
 	tree := filepath.Join("..", "..", "manifests")
 	code, out, stderr := run("validate", tree)
@@ -162,7 +161,7 @@ func TestValidateDirectories(t *testing.T) {
 	}
 	for _, want := range []string{
 		"ok " + filepath.Join(tree, "pr.json"),
-		"ok " + filepath.Join(tree, "chaos-warm.json"),
+		"ok " + filepath.Join(tree, "chaos.json"),
 		"ok " + filepath.Join(tree, "telemetry.json"),
 	} {
 		if !strings.Contains(out, want) {
@@ -496,5 +495,58 @@ func TestShardsIgnored(t *testing.T) {
 		if code, _, _ := run(args...); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}
+	}
+}
+
+// TestWarmStartIgnored pins the compatibility contract of warm_start: a
+// manifest that sets it still parses and runs, writes the same bytes as
+// the manifest without it, and validates with a note on stderr. The
+// kind-consumption table is unchanged, so a kind that never consumed the
+// field still rejects it.
+func TestWarmStartIgnored(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, m manifest.Manifest) string {
+		t.Helper()
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, m.Encode(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	chaos := func(name string, warm bool) string {
+		return write(name, manifest.Manifest{
+			Kind: "chaos",
+			Grid: manifest.Grid{Algorithms: []string{"mcast-allgather"}, Nodes: []int{8},
+				Sizes: manifest.Sizes{4096}, Scenarios: []string{"quiet", "flap-spine"}},
+			WarmStart: warm,
+			Output:    manifest.Output{JSON: "out.json"},
+		})
+	}
+	outputs := func(path string) string {
+		t.Helper()
+		out := filepath.Join(dir, filepath.Base(path)+".out")
+		code, stdout, stderr := run("run", "-o", out, path)
+		if code != 0 {
+			t.Fatalf("run %s: exit %d: %s", path, code, stderr)
+		}
+		data, err := os.ReadFile(filepath.Join(out, "out.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data) + stdout
+	}
+	cold, warm := chaos("cold", false), chaos("warm", true)
+	if outputs(cold) != outputs(warm) {
+		t.Error("warm_start changed the records or stdout")
+	}
+	if code, _, stderr := run("validate", warm); code != 0 || !strings.Contains(stderr, "note: warm_start is ignored") {
+		t.Errorf("validate of a manifest setting warm_start: exit %d, stderr %q; want 0 and a note", code, stderr)
+	}
+	if code, _, stderr := run("validate", cold); code != 0 || stderr != "" {
+		t.Errorf("validate without warm_start: exit %d, stderr %q; want 0 and no note", code, stderr)
+	}
+	dpa := write("dpa", manifest.Manifest{Kind: "dpa", All: true, WarmStart: true})
+	if code, _, stderr := run("validate", dpa); code != 2 || !strings.Contains(stderr, "does not consume warm_start") {
+		t.Errorf("dpa manifest setting warm_start: exit %d, stderr %q; want 2", code, stderr)
 	}
 }

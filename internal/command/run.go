@@ -178,7 +178,7 @@ func artifactBasenames(m *manifest.Manifest) []string {
 // share a report name only if they write disjoint artifacts, and no two
 // manifests may declare the same output basename, which would silently
 // overwrite when a batch runs them into one -o directory. A manifest that
-// sets the ignored shards field gets a note on stderr.
+// sets the ignored shards or warm_start field gets a note on stderr.
 func runValidate(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro validate", flag.ContinueOnError)
 	if code := parseFlags(fs, args, stderr); code >= 0 {
@@ -238,6 +238,9 @@ func runValidate(args []string, stdout, stderr io.Writer) int {
 			path, m.Kind, plan.Name, len(plan.Sections), points)
 		if m.Shards != 0 {
 			fmt.Fprintf(stderr, "%s: note: shards is ignored; the engine is serial, use workers\n", path)
+		}
+		if m.WarmStart {
+			fmt.Fprintf(stderr, "%s: note: warm_start is ignored; every point builds its own stack\n", path)
 		}
 	}
 	if bad > 0 {

@@ -19,9 +19,9 @@ type Result = collective.Result
 
 // completion tracks the all-rank countdown of one in-flight operation. It
 // hangs off the Communicator rather than living in closure-captured locals
-// so a model-state capture (internal/snap) reaches it: a mid-run fork that
+// so a model-state capture (internal/snap) reaches it: a restore that
 // rewinds an in-flight operation must rewind the countdown too, or the
-// replayed ranks would decrement an exhausted counter and done would never
+// re-run ranks would decrement an exhausted counter and done would never
 // re-fire. End is the clock at the last rank's completion.
 type completion struct {
 	remaining int

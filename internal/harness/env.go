@@ -49,8 +49,7 @@ func (e Env) newRegistry() *telemetry.Registry {
 // it does when nothing needs the confined path — no perturbation scenario
 // (the quiet anchor is injector-free), no telemetry registry, no delivery
 // jitter (the keyed path carries no jitter RNG), and a partition-safe
-// algorithm. The decision changes the constructed event keying, so
-// shared-stack keys include it.
+// algorithm.
 func (e Env) partitions(s sweep.Spec, jitterUS int) bool {
 	return (s.Scenario == "" || s.Scenario == scenario.Quiet) && !e.Telemetry.Enabled &&
 		jitterUS == 0 && registry.PartitionSafe(s.Algorithm)

@@ -93,7 +93,7 @@ func TestPaperClaims(t *testing.T) {
 		name   string
 		long   string // reason to skip under -short
 		specs  []sweep.Spec
-		kernel sweep.Kernel
+		kernel sweep.Func
 		post   func([]sweep.Record)
 		bounds func(at lookup) []bound
 	}{

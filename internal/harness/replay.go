@@ -7,25 +7,22 @@ import (
 	"repro/internal/collective"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/snap"
 	"repro/internal/sweep"
 )
 
 // Replay: seek-and-step debugging of one collective point. A forward pass
-// drives the point event by event, snapshotting the full simulation state
-// — engine (clock, counters, queue, RNG tree) plus every reachable model
-// object including in-flight event payloads — every Interval of virtual
-// time. Seeking restores the nearest waypoint at or before the target and
-// steps silently up to it; from there, step mode prints the next Steps
-// events (firing time, sequence key, handler type) through the engine's
-// EventHook. Restoring a waypoint rewinds the same object graph the run
-// mutates, so a seek replays exactly the original execution: the printed
-// events are the events the run fired the first time.
+// drives the point event by event and records a waypoint — the virtual time
+// and the executed-event count — every Interval of virtual time. Seeking
+// re-executes the run: it rebuilds the point, starts it, steps to the
+// nearest waypoint at or before the target by event count, then steps
+// silently up to the target. Runs are deterministic for a fixed seed, so
+// the re-executed prefix is the original execution; from there, step mode
+// prints the next Steps events (firing time, sequence key, handler type)
+// through the engine's EventHook — the events the run fired the first time.
 
 // ReplayConfig parameterizes one replay session.
 type ReplayConfig struct {
 	// Interval is the waypoint spacing in virtual time (default 100 µs).
-	// Denser waypoints seek faster and cost proportionally more memory.
 	Interval sim.Time
 	// At is the virtual-time seek target. Targets beyond the end of the
 	// run clamp to the last waypoint.
@@ -35,19 +32,17 @@ type ReplayConfig struct {
 	Steps int
 }
 
-// waypoint is one restorable position on the replay timeline.
+// waypoint is one position on the replay timeline a seek can re-execute to.
 type waypoint struct {
 	at       sim.Time
 	executed uint64
-	esnap    *sim.Snapshot
-	state    *snap.State
 }
 
 // Replay runs one quiet collective point under the replay debugger,
 // writing the waypoint table, the seek trace and the stepped events to w.
-// Replay rewinds model state in place, so it always builds under the zero
-// Env — a run's telemetry does not apply — and rejects perturbation scenarios: scenario injectors
-// hold closure state the snapshot layer cannot rewind.
+// It builds under the zero Env — a run's telemetry does not apply — and
+// supports only the quiet scenario: it starts the bare collective and
+// installs no injectors.
 func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
 	if s.Scenario != "" && s.Scenario != scenario.Quiet {
 		return fmt.Errorf("harness: replay supports only the quiet scenario, not %q", s.Scenario)
@@ -58,31 +53,7 @@ func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 20
 	}
-	pt, err := Env{}.buildColl(s, 0, 0)
-	if err != nil {
-		return err
-	}
-	s = pt.spec
-	starter, ok := pt.alg.(collective.Starter)
-	if !ok {
-		return fmt.Errorf("harness: %s cannot run non-blocking under the replay driver", s.Algorithm)
-	}
-	eng := pt.f.Engine()
-	capture := func() waypoint {
-		esnap := eng.Snapshot()
-		// In-flight packets are reachable only through the event queue, so
-		// the pending payloads join the model roots.
-		roots := append(pt.roots(), esnap.Payloads()...)
-		return waypoint{
-			at:       eng.Now(),
-			executed: eng.Executed,
-			esnap:    esnap,
-			state:    snap.Capture(modelSnapConfig(), roots...),
-		}
-	}
-
-	var res *collective.Result
-	err = starter.Start(pt.op(s), func(r *collective.Result) { res = r })
+	eng, done, err := startReplay(s)
 	if err != nil {
 		return err
 	}
@@ -90,32 +61,32 @@ func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
 
 	// Forward pass: record a waypoint at t=0 and then at the first event
 	// boundary past each Interval mark.
-	wps := []waypoint{capture()}
+	wps := []waypoint{{eng.Now(), eng.Executed}}
 	next := cfg.Interval
-	for res == nil && eng.Now() < resilienceHorizon && eng.Executed < resilienceEventBudget {
+	for !done() && eng.Now() < resilienceHorizon && eng.Executed < resilienceEventBudget {
 		if !eng.Step() {
 			break
 		}
 		if eng.Now() >= next {
-			wps = append(wps, capture())
+			wps = append(wps, waypoint{eng.Now(), eng.Executed})
 			for next <= eng.Now() {
 				next += cfg.Interval
 			}
 		}
 	}
-	if res == nil {
+	if !done() {
 		return fmt.Errorf("harness: %s did not complete within %v / %d events",
 			s.Algorithm, resilienceHorizon, resilienceEventBudget)
 	}
 	fmt.Fprintf(w, "# run: %d events to t=%d ns; %d waypoints every %d ns\n",
 		eng.Executed, eng.Now(), len(wps), cfg.Interval)
 	for i, wp := range wps {
-		fmt.Fprintf(w, "# waypoint %d: t=%d ns, %d events executed, %d B state\n",
-			i, wp.at, wp.executed, wp.state.Bytes()+wp.esnap.Bytes())
+		fmt.Fprintf(w, "# waypoint %d: t=%d ns, %d events executed\n", i, wp.at, wp.executed)
 	}
 
-	// Seek: restore the nearest waypoint at or before the target, then
-	// step silently until the next pending event would fire at or past it.
+	// Seek: re-execute the run to the nearest waypoint at or before the
+	// target, then step silently until the next pending event would fire
+	// at or past it.
 	target := cfg.At
 	idx := 0
 	for i, wp := range wps {
@@ -124,8 +95,11 @@ func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
 		}
 	}
 	wp := wps[idx]
-	eng.Restore(wp.esnap)
-	wp.state.Restore()
+	if eng, _, err = startReplay(s); err != nil {
+		return err
+	}
+	for eng.Executed < wp.executed && eng.Step() {
+	}
 	skipped := 0
 	for {
 		t, ok := eng.PeekTime()
@@ -140,13 +114,7 @@ func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
 
 	// Step mode: print the next Steps events as they fire.
 	printed := 0
-	eng.EventHook = func(at sim.Time, seq uint64, h sim.Handler) {
-		if h == nil {
-			fmt.Fprintf(w, "%12d ns  seq=%-20d closure\n", at, seq)
-			return
-		}
-		fmt.Fprintf(w, "%12d ns  seq=%-20d %T\n", at, seq, h)
-	}
+	eng.EventHook = func(at sim.Time, seq uint64, h sim.Handler) { fmt.Fprintln(w, eventLine(at, seq, h)) }
 	for printed < cfg.Steps && eng.Step() {
 		printed++
 	}
@@ -155,4 +123,33 @@ func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
 		fmt.Fprintf(w, "# queue drained after %d events\n", printed)
 	}
 	return nil
+}
+
+// startReplay builds the point fresh under the zero Env and starts its
+// collective non-blocking, returning the engine positioned at the start of
+// the run and a report of whether the collective has completed. Every call
+// begins the same execution.
+func startReplay(s sweep.Spec) (*sim.Engine, func() bool, error) {
+	pt, err := Env{}.buildColl(s, 0, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	starter, ok := pt.alg.(collective.Starter)
+	if !ok {
+		return nil, nil, fmt.Errorf("harness: %s cannot run non-blocking under the replay driver", s.Algorithm)
+	}
+	var res *collective.Result
+	if err := starter.Start(pt.op(pt.spec), func(r *collective.Result) { res = r }); err != nil {
+		return nil, nil, err
+	}
+	return pt.f.Engine(), func() bool { return res != nil }, nil
+}
+
+// eventLine renders one fired event the way step mode prints it: firing
+// time, sequence key and handler type.
+func eventLine(at sim.Time, seq uint64, h sim.Handler) string {
+	if h == nil {
+		return fmt.Sprintf("%12d ns  seq=%-20d closure", at, seq)
+	}
+	return fmt.Sprintf("%12d ns  seq=%-20d %T", at, seq, h)
 }

@@ -48,18 +48,13 @@ func ResilienceGrid(algos, scenarios []string, nodes, msgBytes int, seed uint64)
 // an RNG stream derived from the point seed, preserving byte-identical
 // JSON at any worker count), starts the algorithm non-blocking, and stops
 // the scenario the moment the collective completes so the engine drains.
-// Scenario is a continuation-only axis — what the build consumes is the
-// partition decision it implies — so a shared stack serves one algorithm's
-// whole scenario row per partition class, and a quiet point never shares a
-// stack with a perturbed one.
-func ResilienceKernel(env Env) sweep.Kernel {
-	return kernel{
-		key: func(s sweep.Spec) string {
-			s.Scenario = fmt.Sprint("partitioned=", env.partitions(s, 0))
-			return s.Key()
-		},
-		build: func(s sweep.Spec) (*point, error) { return env.buildColl(s, 0, 0) },
-		run:   resilienceRun,
+func ResilienceKernel(env Env) sweep.Func {
+	return func(s sweep.Spec) (sweep.Record, error) {
+		pt, err := env.buildColl(s, 0, 0)
+		if err != nil {
+			return sweep.Record{}, err
+		}
+		return resilienceRun(pt, pt.spec)
 	}
 }
 

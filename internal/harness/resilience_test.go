@@ -32,12 +32,12 @@ func TestResilienceSweepByteIdentical(t *testing.T) {
 // the same spec and seed.
 func TestResilienceQuietMatchesCollKernel(t *testing.T) {
 	spec := sweep.Spec{Algorithm: "mcast-allgather", Nodes: 16, MsgBytes: 64 << 10, Seed: 1234}
-	bases, err := sweep.Run([]sweep.Spec{spec}, 1, CollKernel(Env{}), false)
+	bases, err := sweep.Run([]sweep.Spec{spec}, 1, CollKernel(Env{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.Scenario = "quiet"
-	quiets, err := sweep.Run([]sweep.Spec{spec}, 1, ResilienceKernel(Env{}), false)
+	quiets, err := sweep.Run([]sweep.Spec{spec}, 1, ResilienceKernel(Env{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,9 @@ func encodeReport(t *testing.T, recs []sweep.Record) []byte {
 // runSweep is the call manifest.Plan.Execute makes for one section: the
 // specs through the kernel on the worker pool, then the section's
 // post-annotation (nil for none).
-func runSweep(t testing.TB, specs []sweep.Spec, workers int, k sweep.Kernel, post func([]sweep.Record)) []sweep.Record {
+func runSweep(t testing.TB, specs []sweep.Spec, workers int, k sweep.Func, post func([]sweep.Record)) []sweep.Record {
 	t.Helper()
-	recs, err := sweep.Run(specs, workers, k, false)
+	recs, err := sweep.Run(specs, workers, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +38,11 @@ func runSweep(t testing.TB, specs []sweep.Spec, workers int, k sweep.Kernel, pos
 // byte-identical JSON records — with real simulation kernels, not stubs.
 func TestSweepJSONByteIdentical(t *testing.T) {
 	specs := Fig13Specs([]int{1, 2})
-	serial, err := sweep.Run(specs, 1, RxKernel(Env{}), false)
+	serial, err := sweep.Run(specs, 1, RxKernel(Env{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := sweep.Run(specs, 8, RxKernel(Env{}), false)
+	parallel, err := sweep.Run(specs, 8, RxKernel(Env{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestCollectiveSweepDeterministic(t *testing.T) {
 		t.Skip("two at-scale collective sweeps")
 	}
 	run := func(workers int) []byte {
-		recs, err := sweep.Run(Fig11Specs(16, []int{64 << 10}), workers, CollKernel(Env{}), false)
+		recs, err := sweep.Run(Fig11Specs(16, []int{64 << 10}), workers, CollKernel(Env{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestCollKernelRejectsBadPoints(t *testing.T) {
 		Nodes:      []int{4, 500}, // 500 exceeds the 188-node testbed
 		MsgBytes:   []int{4096},
 	}.Expand()
-	_, err := sweep.Run(specs, 2, CollKernel(Env{}), false)
+	_, err := sweep.Run(specs, 2, CollKernel(Env{}))
 	if err == nil {
 		t.Fatal("oversized node count did not error")
 	}

@@ -390,27 +390,22 @@ type OSUConfig struct {
 // OSUKernel returns the sweep kernel that measures one (algorithm, nodes,
 // size) point on the testbed model: the communicator persists across the
 // point's iterations (warm queue pairs and buffers), and the Record carries
-// the last iteration's unified Result plus the latency distribution. The
-// build never consumes the message size, so a shared stack serves a whole
-// size sweep.
-func OSUKernel(env Env, cfg OSUConfig) sweep.Kernel {
-	return kernel{
-		key: func(s sweep.Spec) string {
-			s.MsgBytes = 0
-			return s.Key()
-		},
-		build: func(s sweep.Spec) (*point, error) {
-			if cfg.Iters <= 0 {
-				return nil, fmt.Errorf("harness: iters must be positive")
-			}
-			return env.buildColl(s, cfg.LinkGbps, cfg.JitterUS)
-		},
-		run: func(pt *point, s sweep.Spec) (sweep.Record, error) { return osuRun(cfg, pt, s) },
+// the last iteration's unified Result plus the latency distribution.
+func OSUKernel(env Env, cfg OSUConfig) sweep.Func {
+	return func(s sweep.Spec) (sweep.Record, error) {
+		if cfg.Iters <= 0 {
+			return sweep.Record{}, fmt.Errorf("harness: iters must be positive")
+		}
+		pt, err := env.buildColl(s, cfg.LinkGbps, cfg.JitterUS)
+		if err != nil {
+			return sweep.Record{}, err
+		}
+		return osuRun(cfg, pt, pt.spec)
 	}
 }
 
-// osuRun is the kernel's continuation: the warm-up/measure loop over a
-// built stack.
+// osuRun is the kernel's continuation: the warm-up/measure loop over the
+// built point.
 func osuRun(cfg OSUConfig, pt *point, s sweep.Spec) (sweep.Record, error) {
 	op := pt.op(s)
 	if !pt.alg.Supports(op) {

@@ -57,8 +57,8 @@ func (e Env) buildStar(s sweep.Spec, hosts int, reg *telemetry.Registry) *point 
 }
 
 // buildTrain builds one training point: the workload preset and a star
-// fabric sized by its host demand. It consumes the workload, scale and
-// shard size; the scenario and seed belong to the continuation.
+// fabric sized by its host demand. It consumes the workload, scale, shard
+// size and seed; the scenario belongs to the continuation.
 func (e Env) buildTrain(s sweep.Spec, cfg TrainConfig) (*point, error) {
 	reg := e.newRegistry()
 	w, err := workload.New(s.Workload, workload.Config{
@@ -87,16 +87,14 @@ func (e Env) buildTrain(s sweep.Spec, cfg TrainConfig) (*point, error) {
 // resilience sweep's virtual-time and event-budget runaway guards — and
 // reports step time, communication busy/exposed time, and the achieved
 // overlap. The Record carries the workload metadata fields (workload,
-// overlap_frac) alongside the metrics. A shared stack serves every scenario
-// and seed of one (workload, nodes, shard size) cell.
-func TrainKernel(env Env, cfg TrainConfig) sweep.Kernel {
-	return kernel{
-		key: func(s sweep.Spec) string {
-			s.Scenario = ""
-			return s.Key()
-		},
-		build: func(s sweep.Spec) (*point, error) { return env.buildTrain(s, cfg) },
-		run:   trainRun,
+// overlap_frac) alongside the metrics.
+func TrainKernel(env Env, cfg TrainConfig) sweep.Func {
+	return func(s sweep.Spec) (sweep.Record, error) {
+		pt, err := env.buildTrain(s, cfg)
+		if err != nil {
+			return sweep.Record{}, err
+		}
+		return trainRun(pt, pt.spec)
 	}
 }
 

@@ -34,9 +34,8 @@ type Plan struct {
 	// sweep, so records stay byte-identical.
 	Trace func() (*telemetry.Bundle, error)
 	// ReplaySpec names the point `repro replay` seeks and steps through: a
-	// quiet collective cell of the plan (the replay debugger rewinds model
-	// state, which scenario injectors' closures opt out of). Nil when the
-	// kind has no replayable point.
+	// quiet collective cell of the plan (the replay debugger installs no
+	// scenario injectors). Nil when the kind has no replayable point.
 	ReplaySpec *sweep.Spec
 }
 
@@ -52,7 +51,7 @@ type Section struct {
 	Grid *sweep.Grid
 	// Specs are the expanded points; Kernel executes one of them.
 	Specs  []sweep.Spec
-	Kernel sweep.Kernel
+	Kernel sweep.Func
 	// Post annotates the section's records after the sweep (slowdowns,
 	// savings); optional.
 	Post func([]sweep.Record)
@@ -107,8 +106,7 @@ func Compile(m Manifest) (*Plan, error) {
 // Execute runs every section on the worker pool, streaming each section's
 // header, table and note to w, and returns the combined report. workers
 // <= -1 selects the manifest's Workers field; results are byte-identical
-// at any worker count, and with the manifest's warm_start on or off — the
-// switch only lets same-stack points share one built stack.
+// at any worker count.
 func (p *Plan) Execute(workers int, w io.Writer) (sweep.Report, error) {
 	if workers < 0 {
 		workers = p.Manifest.Workers
@@ -120,7 +118,7 @@ func (p *Plan) Execute(workers int, w io.Writer) (sweep.Report, error) {
 		if sec.Run != nil {
 			recs, err = sec.Run()
 		} else {
-			recs, err = sweep.Run(sec.Specs, workers, sec.Kernel, p.Manifest.WarmStart)
+			recs, err = sweep.Run(sec.Specs, workers, sec.Kernel)
 		}
 		if err != nil {
 			return sweep.Report{}, err
@@ -143,7 +141,7 @@ func (p *Plan) Execute(workers int, w io.Writer) (sweep.Report, error) {
 }
 
 // grid appends a single-grid section.
-func (p *Plan) grid(header, note string, g sweep.Grid, kernel sweep.Kernel, post func([]sweep.Record)) {
+func (p *Plan) grid(header, note string, g sweep.Grid, kernel sweep.Func, post func([]sweep.Record)) {
 	p.Sections = append(p.Sections, Section{
 		Header: header, Note: note,
 		Grid: &g, Specs: g.Expand(), Kernel: kernel, Post: post,
@@ -151,7 +149,7 @@ func (p *Plan) grid(header, note string, g sweep.Grid, kernel sweep.Kernel, post
 }
 
 // specs appends a composed-spec section.
-func (p *Plan) specs(header, note string, specs []sweep.Spec, kernel sweep.Kernel) {
+func (p *Plan) specs(header, note string, specs []sweep.Spec, kernel sweep.Func) {
 	p.Sections = append(p.Sections, Section{
 		Header: header, Note: note, Specs: specs, Kernel: kernel,
 	})

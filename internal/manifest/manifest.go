@@ -58,11 +58,9 @@ type Manifest struct {
 	// the engine is serial, Workers is the parallelism. Negative values are
 	// still invalid.
 	Shards int `json:"shards,omitempty"`
-	// WarmStart lets grid points that construct the same model stack
-	// (everything but seed, message size or scenario, depending on kind)
-	// share one built stack per worker and fork it per point, instead of
-	// rebuilding it. Results are byte-identical either way; only wall-clock
-	// changes. Consumed by the osu, chaos and train kinds.
+	// WarmStart is accepted on the osu, chaos and train kinds so existing
+	// manifests keep parsing, and ignored: every grid point builds its own
+	// model stack and runs it.
 	WarmStart bool `json:"warm_start,omitempty"`
 	// Figures selects figures for the dpa (5, 13, 14, 15, 16), cost (2, 7)
 	// and ag (10 or 11, exactly one) kinds.

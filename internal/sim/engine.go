@@ -331,9 +331,8 @@ type Engine struct {
 	Recycled  uint64
 
 	// splits records the child generators handed out by SplitRNG, in
-	// creation order, so Reseed can replay the derivations and leave every
-	// child in exactly the state a cold construction with the new seed
-	// would have produced.
+	// creation order, so Snapshot and Restore can capture and rewind every
+	// child's state.
 	splits []*RNG
 
 	// EventHook, when non-nil, observes every fired event just before its
@@ -364,28 +363,13 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) RNG() *RNG { return e.rng }
 
 // SplitRNG derives a child generator from the engine's root RNG and records
-// it, so Snapshot captures its state and Reseed can re-derive it. Model
-// layers that seed themselves from the engine at construction (the fabric's
-// drop/jitter stream) must use this instead of RNG().Split() to stay
-// snapshot- and reseed-coherent.
+// it, so Snapshot captures its state. Model layers that seed themselves from
+// the engine at construction (the fabric's drop/jitter stream) must use this
+// instead of RNG().Split() to stay snapshot-coherent.
 func (e *Engine) SplitRNG() *RNG {
 	r := e.rng.Split()
 	e.splits = append(e.splits, r)
 	return r
-}
-
-// Reseed rewinds the engine's RNG tree to the state a cold NewEngine(seed)
-// construction would have: the root is reseeded and every SplitRNG child is
-// re-derived in its original creation order. It is only sound while the
-// root stream has been consumed exclusively by SplitRNG since construction
-// — true for every model layer in this repository, where runtime draws come
-// from the children — and exists so a warm-forked instance can adopt a new
-// sweep point's seed exactly as if it had been built cold with it.
-func (e *Engine) Reseed(seed uint64) {
-	e.rng.SetState(NewRNG(seed).State())
-	for _, child := range e.splits {
-		child.SetState(e.rng.Split().State())
-	}
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past

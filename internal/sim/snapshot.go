@@ -1,4 +1,4 @@
-// Engine snapshot and fork support.
+// Engine snapshot and restore.
 //
 // A Snapshot is a compact immutable record of an engine's execution state:
 // the clock, the sequence counter, the throughput counters, the RNG tree
@@ -6,7 +6,7 @@
 // event. Taking one is O(live events); it does not copy history, the event
 // pool, or the calendar geometry.
 //
-// Forking is restore-in-place: Restore rewinds the SAME engine (and, via
+// Restore works in place: it rewinds the SAME engine (and, via
 // the snap package, the same model object graph) back to the snapshot,
 // rather than building a parallel copy. That choice is forced by the event
 // representation — pending events hold Handler and payload pointers into
@@ -18,18 +18,16 @@
 //
 // What a Snapshot does NOT capture is the deep state of the model objects
 // its events point into (fabric channels, verbs queue pairs, telemetry
-// counters). Callers that need full-model forking pair an engine Snapshot
-// with a state capture of those roots (internal/snap); the warm-start sweep
-// layer does exactly that.
+// counters). A caller that needs to rewind the whole model pairs an engine
+// Snapshot with a state capture of those roots (internal/snap).
 package sim
 
 import (
 	"fmt"
-	"reflect"
 	"unsafe"
 )
 
-// eventRecord is one live event inside a Snapshot. Payloads (h, fn, obj)
+// eventRecord is one live event inside a Snapshot. Its payloads (h, fn, obj)
 // are captured by reference: re-filing them under the original key is what
 // keeps restore O(live events), and deep payload state is the caller's to
 // capture alongside the snapshot. The record also pins the *Event struct
@@ -68,35 +66,6 @@ func (s *Snapshot) Events() int { return len(s.events) }
 
 // Now returns the virtual time the snapshot was taken at.
 func (s *Snapshot) Now() Time { return s.now }
-
-// Payloads returns the distinct pointer-shaped payload objects referenced
-// by the snapshot's live events. A mid-run model fork must capture these
-// alongside the model roots: an in-flight payload (a packet crossing the
-// fabric) is reachable only from the event queue, yet the timeline that
-// keeps running after the snapshot will mutate it. Non-pointer payloads
-// are omitted — a value boxed in an interface is immutable, and funcs and
-// channels are opaque to the state-capture layer.
-func (s *Snapshot) Payloads() []any {
-	seen := make(map[unsafe.Pointer]bool, len(s.events))
-	var out []any
-	for i := range s.events {
-		obj := s.events[i].obj
-		if obj == nil {
-			continue
-		}
-		v := reflect.ValueOf(obj)
-		switch v.Kind() {
-		case reflect.Pointer, reflect.Map, reflect.Slice:
-			p := v.UnsafePointer()
-			if p == nil || seen[p] {
-				continue
-			}
-			seen[p] = true
-			out = append(out, obj)
-		}
-	}
-	return out
-}
 
 // Bytes estimates the snapshot's in-memory size — the informational
 // "snapshot bytes" perf metric. It is exact for the record itself; payloads

@@ -1,7 +1,7 @@
 // Package snap captures and restores the mutable state of a model object
 // graph — the fabric's channels and NICs, verbs contexts and queue pairs,
-// DPA threads, telemetry registries, collective instances — so a warm-start
-// fork can rewind the SAME objects to a snapshot instead of rebuilding them.
+// DPA threads, telemetry registries, collective instances — so a caller
+// can rewind the SAME objects to a snapshot instead of rebuilding them.
 //
 // Capture walks the graph reflectively from a set of roots, taking a typed
 // shallow copy of every reachable struct region (including unexported

@@ -110,7 +110,7 @@ func TestRunErrorPropagation(t *testing.T) {
 			return Record{}, fmt.Errorf("%w at %d", errBoom, s.Index)
 		}
 		return Record{Spec: s}, nil
-	}), false)
+	}))
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("error %v does not wrap the kernel error", err)
 	}
