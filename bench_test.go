@@ -85,8 +85,8 @@ func BenchmarkFig10Breakdown(b *testing.B) {
 }
 
 // BenchmarkFig11ThroughputAtScale measures per-rank receive throughput of
-// every algorithm at 64 nodes, 256 KiB (use `repro ag -fig 11` for the
-// full 188-node sweep).
+// every algorithm at 64 nodes, 256 KiB (use `repro run
+// manifests/fig11.json` for the full 188-node sweep).
 func BenchmarkFig11ThroughputAtScale(b *testing.B) {
 	byAlgo := map[string]float64{}
 	for i := 0; i < b.N; i++ {

@@ -1,8 +1,8 @@
 // repro is the single entry point for every experiment in this
-// repository: manifest-driven runs (`repro run manifests/pr.json`),
-// manifest linting (`repro validate`), and flag-compatible shims for the
-// seven historical benchmark binaries (`repro osu`, `repro chaos`, ...).
-// Run `repro help` for the full subcommand list.
+// repository. Every experiment is a manifest: `repro run
+// manifests/pr.json` executes one, `repro validate` lints them without
+// running, and `repro list` names what a manifest can reference. Run
+// `repro help` for the full subcommand list.
 package main
 
 import (

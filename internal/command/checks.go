@@ -1,11 +1,4 @@
-// Package cli holds the flag-parsing, validation and profiling helpers
-// shared by every repro subcommand.
-//
-// The exit-code convention across the tool: 2 for invalid flags or
-// parameters (anything Validate or flag parsing rejects, before the
-// simulation starts), 1 for runtime failures (simulation errors, baseline
-// regressions, unwritable output at write time).
-package cli
+package command
 
 import (
 	"fmt"
@@ -13,30 +6,16 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 )
-
-// SplitList parses a comma-separated flag value, trimming whitespace and
-// dropping empty elements — the shared parser behind -algos, -scenarios
-// and -workloads.
-func SplitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 // Validate is the single exit-code-2 gate every subcommand funnels its
 // parsed flags through: it returns the first failing check, prefixed with
 // the subcommand name. Each check below returns nil or a descriptive
 // error, so a subcommand's whole flag contract reads as one call:
 //
-//	err := cli.Validate("osu",
-//		cli.Positive("iters", *iters),
-//		cli.Writable("json", *jsonPath))
+//	err := Validate("trace",
+//		Positive("top", *top),
+//		Writable("json", *jsonPath))
 func Validate(cmd string, checks ...error) error {
 	for _, err := range checks {
 		if err != nil {
@@ -84,7 +63,7 @@ func Writable(name, path string) error {
 // StartCPUProfile begins CPU profiling to path and returns the stop
 // function; an empty path is a no-op. Callers defer the stop:
 //
-//	stop, err := cli.StartCPUProfile(*cpuprofile)
+//	stop, err := StartCPUProfile(*cpuprofile)
 //	...
 //	defer stop()
 func StartCPUProfile(path string) (func(), error) {

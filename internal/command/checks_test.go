@@ -1,29 +1,11 @@
-package cli
+package command
 
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
-
-func TestSplitList(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []string
-	}{
-		{"a,b", []string{"a", "b"}},
-		{" a , b ", []string{"a", "b"}},
-		{"a,,b,", []string{"a", "b"}},
-		{"", nil},
-	}
-	for _, c := range cases {
-		if got := SplitList(c.in); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("SplitList(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
 
 // TestValidate is the table test for the unified exit-code-2 flag gate:
 // every check type, passing and failing, and the subcommand-name prefix.

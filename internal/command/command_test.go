@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/manifest"
+	"repro/internal/sweep"
 	"repro/internal/topology"
 )
 
@@ -22,15 +23,18 @@ func run(args ...string) (int, string, string) {
 }
 
 // TestExitCodes is the table test over the unified flag-validation
-// convention: exit 2 for anything rejected before the simulation starts,
-// on every subcommand — including the output-path checks trafficbench
-// historically lacked.
+// convention: exit 2 for anything rejected before the simulation starts.
+// The manifest's own checks are table-tested in package manifest; the rows
+// here pin that they surface as exit 2 through validate and run.
 func TestExitCodes(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "nope", "out.json")
-	hugeSizes := filepath.Join(t.TempDir(), "huge.json")
-	if err := os.WriteFile(hugeSizes, []byte(`{"kind":"osu","grid":{"algorithms":["ring-allgather"],"nodes":[4],"sizes":"1:9223372036854775807"}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "nope", "out.json")
+	m := smallOSUManifest(t, dir, "m.json", "", "")
+	base := filepath.Join(dir, "base.json") // never read: a bad -tol is rejected first
+	stringSizes := writeManifest(t, dir, "string-sizes.json",
+		`{"kind":"osu","grid":{"algorithms":["ring-allgather"],"nodes":[4],"sizes":"4096:65536"}}`)
+	badAlgo := writeManifest(t, dir, "bad-algo.json",
+		`{"kind":"osu","grid":{"algorithms":["nope-allgather"],"nodes":[4],"sizes":[4096]}}`)
 	cases := []struct {
 		name string
 		args []string
@@ -39,44 +43,20 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"no args", nil, 2, "usage"},
 		{"unknown subcommand", []string{"frobnicate"}, 2, "unknown subcommand"},
+		{"retired shim", []string{"osu", "-nodes", "8"}, 2, "unknown subcommand"},
 		{"help", []string{"help"}, 0, ""},
-		{"bad flag", []string{"osu", "-no-such-flag"}, 2, ""},
+		{"bad flag", []string{"run", "-no-such-flag", m}, 2, ""},
 
-		{"osu bad nodes", []string{"osu", "-nodes", "0"}, 2, "[1,188]"},
-		{"osu bad iters", []string{"osu", "-iters", "0"}, 2, "-iters must be positive"},
-		{"osu bad sizes", []string{"osu", "-sizes", "banana"}, 2, "bad size"},
-		{"osu bad algo", []string{"osu", "-algo", "nope"}, 2, "unknown algorithm"},
-		{"osu overflowing sizes", []string{"osu", "-sizes", "4611686018427387904:9223372036854775807"}, 2, "bad size range"},
-		{"osu oversized size", []string{"osu", "-sizes", "9223372036854775807"}, 2, "grid.sizes must be in"},
-		{"validate overflowing sizes", []string{"validate", hugeSizes}, 2, "bad size range"},
-		{"osu unregistered combo", []string{"osu", "-algo", "bruck", "-op", "broadcast"}, 2, "unknown algorithm"},
-		{"osu bad json dir", []string{"osu", "-json", missing}, 2, "does not exist"},
-		{"osu bad workers", []string{"osu", "-workers", "-2"}, 2, "-workers must be >= 0"},
-		{"osu bad shards", []string{"osu", "-shards", "0"}, 2, "-shards must be positive"},
-
-		{"chaos bad scenario", []string{"chaos", "-scenarios", "hurricane"}, 2, "hurricane"},
-		{"chaos bad json dir", []string{"chaos", "-json", missing}, 2, "does not exist"},
-
-		{"train bad layers", []string{"train", "-layers", "0"}, 2, "-layers must be positive"},
-		{"train bad workload", []string{"train", "-workloads", "nope"}, 2, "unknown workload"},
-		{"train bad json dir", []string{"train", "-json", missing}, 2, "does not exist"},
-
-		{"traffic bad nodes", []string{"traffic", "-nodes", "1"}, 2, "[2,188]"},
-		{"traffic bad iters", []string{"traffic", "-iters", "0"}, 2, "-iters must be positive"},
-		{"traffic bad json dir", []string{"traffic", "-json", missing}, 2, "does not exist"},
-		{"traffic bad csv dir", []string{"traffic", "-csv", missing}, 2, "does not exist"},
-
-		{"ag no fig", []string{"ag"}, 2, "exactly one figure"},
-		{"ag bad fig", []string{"ag", "-fig", "12"}, 2, "exactly one figure"},
-		{"ag bad json dir", []string{"ag", "-fig", "10", "-json", missing}, 2, "does not exist"},
-
-		{"dpa nothing selected", []string{"dpa"}, 2, "figures, tables or all"},
-		{"dpa bad fig", []string{"dpa", "-fig", "6"}, 2, "no figure 6"},
-		{"dpa bad json dir", []string{"dpa", "-fig", "5", "-json", missing}, 2, "does not exist"},
-
-		{"cost nothing selected", []string{"cost"}, 2, "figures, speedup, economics or all"},
-		{"cost bad fig", []string{"cost", "-fig", "3"}, 2, "no figure 3"},
-		{"cost bad json dir", []string{"cost", "-fig", "2", "-json", missing}, 2, "does not exist"},
+		{"run bad json dir", []string{"run", "-json", missing, m}, 2, "does not exist"},
+		{"run bad csv dir", []string{"run", "-csv", missing, m}, 2, "does not exist"},
+		{"run bad workers", []string{"run", "-workers", "-2", m}, 2, "-workers must be >= 0"},
+		{"run bad shards", []string{"run", "-shards", "0", m}, 2, "-shards must be positive"},
+		{"run zero tol", []string{"run", "-compare", base, "-tol", "0", m}, 2, "expect.sha256"},
+		{"run negative tol", []string{"run", "-compare", base, "-tol", "-0.5", m}, 2, "-tol must be > 0"},
+		{"run tol without baseline", []string{"run", "-tol", "0.1", m}, 2, "no baseline"},
+		{"run string sizes", []string{"run", stringSizes}, 2, "cannot unmarshal string"},
+		{"validate string sizes", []string{"validate", stringSizes}, 2, "cannot unmarshal string"},
+		{"validate bad algo", []string{"validate", badAlgo}, 2, "mcast-allgather"},
 
 		{"run no manifest", []string{"run"}, 2, "usage"},
 		{"run bad memprofile dir", []string{"run", "-memprofile", missing, "absent.json"}, 2, "-memprofile: directory"},
@@ -92,6 +72,52 @@ func TestExitCodes(t *testing.T) {
 		}
 		if c.err != "" && !strings.Contains(stderr, c.err) {
 			t.Errorf("%s: stderr %q does not contain %q", c.name, stderr, c.err)
+		}
+	}
+}
+
+// TestCompareTolerance pins -tol: the given tolerance is the one applied
+// (a 1% move fails at 0.1% and passes at 5%) and the one printed.
+func TestCompareTolerance(t *testing.T) {
+	dir := t.TempDir()
+	m := smallOSUManifest(t, dir, "m.json", "", "")
+	base := filepath.Join(dir, "base.json")
+	if code, _, stderr := run("run", "-json", base, m); code != 0 {
+		t.Fatalf("writing the baseline: exit %d: %s", code, stderr)
+	}
+	rep, err := sweep.LoadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := false
+	for i := range rep.Records {
+		for k, v := range rep.Records[i].Metrics {
+			if v != 0 {
+				rep.Records[i].Metrics[k] = v * 1.01
+				moved = true
+			}
+		}
+	}
+	if !moved {
+		t.Fatal("baseline has no nonzero metric to move")
+	}
+	var buf bytes.Buffer
+	if err := sweep.WriteJSON(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(base, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tol, printed string
+		want         int
+	}{
+		{"0.001", "(tol 0.1%)", 1},
+		{"0.05", "(tol 5%)", 0},
+	} {
+		code, stdout, stderr := run("run", "-compare", base, "-tol", c.tol, m)
+		if code != c.want || !strings.Contains(stdout, c.printed) {
+			t.Errorf("-tol %s on a 1%% move: exit %d, want %d; stdout %q, stderr %q", c.tol, code, c.want, stdout, stderr)
 		}
 	}
 }
@@ -255,7 +281,7 @@ func smallOSUManifest(t *testing.T, dir, name, json, digest string) string {
 		Grid: manifest.Grid{
 			Algorithms: []string{"mcast-allgather"},
 			Nodes:      []int{4},
-			Sizes:      manifest.Sizes{4096},
+			Sizes:      []int{4096},
 		},
 		OSU:    &manifest.OSUSpec{Iters: 1},
 		Output: manifest.Output{JSON: json},
@@ -340,7 +366,7 @@ func TestDigestMismatchExitsOne(t *testing.T) {
 		Grid: manifest.Grid{
 			Algorithms: []string{"mcast-allgather"},
 			Nodes:      []int{4},
-			Sizes:      manifest.Sizes{4096},
+			Sizes:      []int{4096},
 		},
 		OSU:    &manifest.OSUSpec{Iters: 1},
 		Expect: &manifest.Expect{SHA256: strings.Repeat("0", 64)},
@@ -439,8 +465,8 @@ func TestShardsIgnored(t *testing.T) {
 	outputs := func(name string, extra ...string) (string, string) {
 		t.Helper()
 		records, metrics := filepath.Join(dir, name+".json"), filepath.Join(dir, name+".metrics.json")
-		args := append([]string{"osu", "-nodes", "8", "-sizes", "65536", "-iters", "2",
-			"-json", records, "-metrics", metrics}, extra...)
+		args := append([]string{"run", "-json", records, "-metrics", metrics}, extra...)
+		args = append(args, osu8)
 		code, stdout, stderr := run(args...)
 		if code != 0 {
 			t.Fatalf("%v: exit %d: %s", extra, code, stderr)
@@ -467,7 +493,7 @@ func TestShardsIgnored(t *testing.T) {
 	withShards := func(name string, shards int) string {
 		m := manifest.Manifest{
 			Kind:   "osu",
-			Grid:   manifest.Grid{Algorithms: []string{"mcast-allgather"}, Nodes: []int{4}, Sizes: manifest.Sizes{4096}},
+			Grid:   manifest.Grid{Algorithms: []string{"mcast-allgather"}, Nodes: []int{4}, Sizes: []int{4096}},
 			OSU:    &manifest.OSUSpec{Iters: 1},
 			Output: manifest.Output{JSON: name + ".out.json"},
 			Shards: shards,
@@ -517,7 +543,7 @@ func TestWarmStartIgnored(t *testing.T) {
 		return write(name, manifest.Manifest{
 			Kind: "chaos",
 			Grid: manifest.Grid{Algorithms: []string{"mcast-allgather"}, Nodes: []int{8},
-				Sizes: manifest.Sizes{4096}, Scenarios: []string{"quiet", "flap-spine"}},
+				Sizes: []int{4096}, Scenarios: []string{"quiet", "flap-spine"}},
 			WarmStart: warm,
 			Output:    manifest.Output{JSON: "out.json"},
 		})

@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/cli"
 	"repro/internal/manifest"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
@@ -20,8 +19,8 @@ import (
 // accepted so existing scripts and manifests keep working.
 const shardsNotice = "repro: -shards is ignored; the engine is serial, use -workers"
 
-// common is the flag surface shared by every subcommand that executes a
-// plan: output targets, pool sizing, telemetry, and diagnostics.
+// common is the flag surface `repro run` folds into every manifest it
+// executes: output targets, pool sizing, telemetry, and diagnostics.
 type common struct {
 	jsonPath     string
 	csvPath      string
@@ -35,14 +34,12 @@ type common struct {
 	perfettoPath string
 }
 
-// register adds the shared flags to a subcommand's FlagSet. The
-// workers default differs per caller (-1 on `run` means "use the
-// manifest's value"; 0 on the shims is the historical GOMAXPROCS
-// default).
-func (c *common) register(fs *flag.FlagSet, workersDefault int) {
+// register adds the flags to fs. The workers default -1 means "use the
+// manifest's value".
+func (c *common) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.jsonPath, "json", "", "write sweep records as JSON to this path")
 	fs.StringVar(&c.csvPath, "csv", "", "write sweep records as CSV to this path")
-	fs.IntVar(&c.workers, "workers", workersDefault, "sweep worker goroutines (0 = GOMAXPROCS)")
+	fs.IntVar(&c.workers, "workers", -1, "sweep worker goroutines (0 = GOMAXPROCS; default: the manifest's workers)")
 	fs.IntVar(&c.shards, "shards", 1, "ignored: the engine is serial (accepted for compatibility; use -workers)")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&c.memprofile, "memprofile", "", "write an allocation profile of the run to this file")
@@ -51,21 +48,20 @@ func (c *common) register(fs *flag.FlagSet, workersDefault int) {
 	fs.StringVar(&c.perfettoPath, "perfetto", "", "write a Perfetto/Chrome trace of the representative run to this path (implies -telemetry)")
 }
 
-// validate is the shared exit-code-2 gate for the common flags. A
-// workers value of -1 is the `run` sentinel for "defer to the manifest"
-// and passes.
+// validate is the exit-code-2 gate for the common flags. A workers value
+// of -1 is the sentinel for "defer to the manifest" and passes.
 func (c *common) validate() []error {
 	checks := []error{
-		cli.Positive("shards", c.shards),
-		cli.Writable("json", c.jsonPath),
-		cli.Writable("csv", c.csvPath),
-		cli.Writable("cpuprofile", c.cpuprofile),
-		cli.Writable("memprofile", c.memprofile),
-		cli.Writable("metrics", c.metricsPath),
-		cli.Writable("perfetto", c.perfettoPath),
+		Positive("shards", c.shards),
+		Writable("json", c.jsonPath),
+		Writable("csv", c.csvPath),
+		Writable("cpuprofile", c.cpuprofile),
+		Writable("memprofile", c.memprofile),
+		Writable("metrics", c.metricsPath),
+		Writable("perfetto", c.perfettoPath),
 	}
 	if c.workers != -1 {
-		checks = append(checks, cli.NonNegative("workers", c.workers))
+		checks = append(checks, NonNegative("workers", c.workers))
 	}
 	return checks
 }
@@ -129,55 +125,55 @@ func (c *common) diag(trace string) diagnostics {
 	return diagnostics{trace: trace, cpuprofile: c.cpuprofile, memprofile: c.memprofile}
 }
 
-// execute is the single run path behind `repro run` and all seven shims:
-// compile the manifest (telemetry included — the common flags were folded
-// into it), run the plan, persist/compare/verify the report, and
-// optionally write a protocol trace. Exit codes follow the repository
-// convention (2 invalid spec, 1 runtime failure).
-func execute(cmd string, m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) int {
+// execute is the run path behind `repro run`, once per manifest: compile
+// the manifest (telemetry included — the common flags were folded into
+// it), run the plan, persist/compare/verify the report, and optionally
+// write a protocol trace. Exit codes follow the repository convention (2
+// invalid spec, 1 runtime failure).
+func execute(m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) int {
 	plan, err := manifest.Compile(m)
 	if err != nil {
-		return fail(stderr, 2, "%s: %v", cmd, err)
+		return fail(stderr, 2, "run: %v", err)
 	}
 	needTrace := diag.trace != "" || (m.Telemetry != nil && m.Telemetry.Perfetto != "")
 	if needTrace && plan.Trace == nil {
-		return fail(stderr, 2, "%s: kind %s has no traceable point", cmd, m.Kind)
+		return fail(stderr, 2, "run: kind %s has no traceable point", m.Kind)
 	}
-	stop, err := cli.StartCPUProfile(diag.cpuprofile)
+	stop, err := StartCPUProfile(diag.cpuprofile)
 	if err != nil {
-		return fail(stderr, 2, "%s: %v", cmd, err)
+		return fail(stderr, 2, "run: %v", err)
 	}
 	defer stop()
 	rep, err := plan.Execute(m.Workers, stdout)
 	if err != nil {
-		return fail(stderr, 1, "%s: %v", cmd, err)
+		return fail(stderr, 1, "run: %v", err)
 	}
-	if err := cli.WriteAllocProfile(diag.memprofile); err != nil {
-		return fail(stderr, 1, "%s: %v", cmd, err)
+	if err := WriteAllocProfile(diag.memprofile); err != nil {
+		return fail(stderr, 1, "run: %v", err)
 	}
 
 	// One canonical encoding feeds the file, the digest check and the
 	// baseline diff, so they can never disagree about the bytes.
 	var buf bytes.Buffer
 	if err := sweep.WriteJSON(&buf, rep); err != nil {
-		return fail(stderr, 1, "%s: %v", cmd, err)
+		return fail(stderr, 1, "run: %v", err)
 	}
 	if m.Output.JSON != "" {
 		if err := os.WriteFile(m.Output.JSON, buf.Bytes(), 0o644); err != nil {
-			return fail(stderr, 1, "%s: %v", cmd, err)
+			return fail(stderr, 1, "run: %v", err)
 		}
 	}
 	if m.Output.CSV != "" {
 		f, err := os.Create(m.Output.CSV)
 		if err != nil {
-			return fail(stderr, 1, "%s: %v", cmd, err)
+			return fail(stderr, 1, "run: %v", err)
 		}
 		if err := sweep.WriteCSV(f, rep.Records); err != nil {
 			f.Close()
-			return fail(stderr, 1, "%s: %v", cmd, err)
+			return fail(stderr, 1, "run: %v", err)
 		}
 		if err := f.Close(); err != nil {
-			return fail(stderr, 1, "%s: %v", cmd, err)
+			return fail(stderr, 1, "run: %v", err)
 		}
 	}
 
@@ -186,24 +182,24 @@ func execute(cmd string, m manifest.Manifest, diag diagnostics, stdout, stderr i
 	if needTrace {
 		bundle, err := plan.Trace()
 		if err != nil {
-			return fail(stderr, 1, "%s: trace: %v", cmd, err)
+			return fail(stderr, 1, "run: trace: %v", err)
 		}
 		if diag.trace != "" {
 			if err := os.WriteFile(diag.trace, []byte(bundle.Timeline()), 0o644); err != nil {
-				return fail(stderr, 1, "%s: trace: %v", cmd, err)
+				return fail(stderr, 1, "run: trace: %v", err)
 			}
 		}
 		if m.Telemetry != nil && m.Telemetry.Perfetto != "" {
 			f, err := os.Create(m.Telemetry.Perfetto)
 			if err != nil {
-				return fail(stderr, 1, "%s: perfetto: %v", cmd, err)
+				return fail(stderr, 1, "run: perfetto: %v", err)
 			}
 			if err := bundle.WritePerfetto(f); err != nil {
 				f.Close()
-				return fail(stderr, 1, "%s: perfetto: %v", cmd, err)
+				return fail(stderr, 1, "run: perfetto: %v", err)
 			}
 			if err := f.Close(); err != nil {
-				return fail(stderr, 1, "%s: perfetto: %v", cmd, err)
+				return fail(stderr, 1, "run: perfetto: %v", err)
 			}
 		}
 	}
@@ -222,13 +218,13 @@ func execute(cmd string, m manifest.Manifest, diag diagnostics, stdout, stderr i
 		}
 		enc := doc.Encode()
 		if err := os.WriteFile(m.Telemetry.Metrics, enc, 0o644); err != nil {
-			return fail(stderr, 1, "%s: metrics: %v", cmd, err)
+			return fail(stderr, 1, "run: metrics: %v", err)
 		}
 		if m.Telemetry.Expect != "" {
 			sum := sha256.Sum256(enc)
 			got := hex.EncodeToString(sum[:])
 			if got != m.Telemetry.Expect {
-				return fail(stderr, 1, "%s: metrics digest %s does not match telemetry.expect_sha256 %s", cmd, got, m.Telemetry.Expect)
+				return fail(stderr, 1, "run: metrics digest %s does not match telemetry.expect_sha256 %s", got, m.Telemetry.Expect)
 			}
 			fmt.Fprintf(stdout, "# metrics digest matches telemetry.expect_sha256\n")
 		}
@@ -238,7 +234,7 @@ func execute(cmd string, m manifest.Manifest, diag diagnostics, stdout, stderr i
 		sum := sha256.Sum256(buf.Bytes())
 		got := hex.EncodeToString(sum[:])
 		if got != m.Expect.SHA256 {
-			return fail(stderr, 1, "%s: output digest %s does not match expect.sha256 %s", cmd, got, m.Expect.SHA256)
+			return fail(stderr, 1, "run: output digest %s does not match expect.sha256 %s", got, m.Expect.SHA256)
 		}
 		fmt.Fprintf(stdout, "# output digest matches expect.sha256\n")
 	}
@@ -246,16 +242,18 @@ func execute(cmd string, m manifest.Manifest, diag diagnostics, stdout, stderr i
 	if m.Baseline != nil {
 		base, err := sweep.LoadFile(m.Baseline.Path)
 		if err != nil {
-			return fail(stderr, 1, "%s: %v", cmd, err)
+			return fail(stderr, 1, "run: %v", err)
 		}
+		// A manifest without baseline.tolerance compares at 5%; -tol has
+		// already been checked to be > 0 before it replaced the field.
 		tol := m.Baseline.Tolerance
 		if tol == 0 {
 			tol = 0.05
 		}
 		deltas := sweep.Compare(base, rep, tol)
-		fmt.Fprintf(stdout, "# vs %s (tol %.0f%%):\n", m.Baseline.Path, tol*100)
+		fmt.Fprintf(stdout, "# vs %s (tol %g%%):\n", m.Baseline.Path, tol*100)
 		if err := sweep.WriteDeltas(stdout, deltas); err != nil {
-			return fail(stderr, 1, "%s: %v", cmd, err)
+			return fail(stderr, 1, "run: %v", err)
 		}
 		if len(deltas) > 0 {
 			return 1

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/cli"
 	"repro/internal/manifest"
 	"repro/internal/registry"
 	"repro/internal/scenario"
@@ -25,11 +24,11 @@ import (
 func runManifest(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro run", flag.ContinueOnError)
 	comparePath := fs.String("compare", "", "override the manifest baseline path")
-	tol := fs.Float64("tol", -1, "override the manifest baseline tolerance (>= 0)")
+	tol := fs.Float64("tol", -1, "override the manifest baseline tolerance (> 0; pin expect.sha256 for an exact gate)")
 	tracePath := fs.String("trace", "", "write the Figure-9 protocol phase timeline of one representative run to this file")
 	outDir := fs.String("o", "", "redirect every output file the manifests declare into this directory (created if missing)")
 	var c common
-	c.register(fs, -1)
+	c.register(fs)
 	// Stdlib flag parsing stops at the first positional argument; re-parse
 	// the remainder so `repro run manifests/pr.json -json out.json` works
 	// as naturally as flags-first order.
@@ -60,9 +59,14 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	checks := append(c.validate(), cli.Writable("trace", *tracePath))
-	if err := cli.Validate("run", checks...); err != nil {
+	checks := append(c.validate(), Writable("trace", *tracePath))
+	if err := Validate("run", checks...); err != nil {
 		return fail(stderr, 2, "%v", err)
+	}
+	// -1 is the unset default. Any other value is a relative tolerance,
+	// and zero or less would silently compare at some other tolerance.
+	if *tol != -1 && *tol <= 0 {
+		return fail(stderr, 2, "run: -tol must be > 0, got %g; pin expect.sha256 in the manifest for an exact gate", *tol)
 	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -80,7 +84,7 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 			}
 			m.Baseline.Path = *comparePath
 		}
-		if *tol >= 0 {
+		if *tol != -1 {
 			if m.Baseline == nil {
 				return fail(stderr, 2, "run: -tol set but no baseline declared or passed via -compare")
 			}
@@ -93,7 +97,7 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 		if len(paths) > 1 {
 			fmt.Fprintf(stdout, "== %s\n", path)
 		}
-		if code := execute("run", m, c.diag(*tracePath), stdout, stderr); code != 0 {
+		if code := execute(m, c.diag(*tracePath), stdout, stderr); code != 0 {
 			return code
 		}
 	}

@@ -7,11 +7,15 @@ import (
 	"testing"
 )
 
-// osuMetricsArgs builds the fixed small OSU invocation the telemetry
-// determinism tests share, writing metrics.json to path.
+// osu8 is the fixed small OSU manifest (mcast-allgather, 8 nodes, 64 KiB,
+// 2 iterations) the telemetry determinism tests share.
+var osu8 = filepath.Join("testdata", "osu8.json")
+
+// osuMetricsArgs runs osu8 with any extra flags, writing metrics.json to
+// path.
 func osuMetricsArgs(path string, extra ...string) []string {
-	args := []string{"osu", "-nodes", "8", "-sizes", "65536", "-iters", "2", "-metrics", path}
-	return append(args, extra...)
+	args := append([]string{"run", "-metrics", path}, extra...)
+	return append(args, osu8)
 }
 
 // TestMetricsByteIdentity is the telemetry half of the determinism
@@ -53,7 +57,7 @@ func TestPerfettoDeterministic(t *testing.T) {
 	var traces [2][]byte
 	for i := range traces {
 		path := filepath.Join(dir, "trace"+string(rune('0'+i))+".json")
-		args := []string{"osu", "-nodes", "8", "-sizes", "65536", "-iters", "2", "-perfetto", path}
+		args := []string{"run", "-perfetto", path, osu8}
 		if code, _, errOut := run(args...); code != 0 {
 			t.Fatalf("run %d: exit %d: %s", i, code, errOut)
 		}
@@ -75,27 +79,23 @@ func TestPerfettoDeterministic(t *testing.T) {
 }
 
 // TestTracedRunGoldens pins the traced run of each simulated kind against
-// checked-in goldens (generated at the parent of PR 13, when the trace
-// runs had builders of their own): the -trace text timeline, the -perfetto
-// document and the `repro trace` summary of the sweep's metrics.json must
-// reproduce those bytes — with and without the ignored -shards 4, which
-// must change none of them. The chaos point is perturbed hard enough to
-// show the slow path (recovery, fetch-serve); the train point is the quiet
-// anchor of a scenario sweep, so it runs under the guarded drive loop.
+// checked-in goldens (generated when the trace runs had builders of their
+// own): running testdata/traced_<kind>.json, the -trace text timeline, the
+// -perfetto document and the `repro trace` summary of the sweep's
+// metrics.json must reproduce those bytes — with and without the ignored
+// -shards 4, which must change none of them. The chaos point is perturbed
+// hard enough to show the slow path (recovery, fetch-serve); the train
+// point is the quiet anchor of a scenario sweep, so it runs under the
+// guarded drive loop.
 func TestTracedRunGoldens(t *testing.T) {
-	kinds := map[string][]string{
-		"osu":   {"osu", "-nodes", "4", "-sizes", "16384", "-iters", "2"},
-		"chaos": {"chaos", "-algos", "mcast-allgather", "-scenarios", "hotspot-drop", "-nodes", "16", "-msg", "65536"},
-		"train": {"train", "-workloads", "fsdp-inc", "-nodes", "4", "-shard", "16384", "-layers", "1", "-scenarios", "flap-spine"},
-	}
-	for kind, args := range kinds {
+	for _, kind := range []string{"osu", "chaos", "train"} {
 		for _, shards := range []string{"1", "4"} {
 			t.Run(kind+"/shards="+shards, func(t *testing.T) {
 				t.Parallel()
 				dir := t.TempDir()
 				trace, perfetto, metrics := filepath.Join(dir, "t.txt"), filepath.Join(dir, "p.json"), filepath.Join(dir, "m.json")
-				args := append(append([]string{}, args...),
-					"-shards", shards, "-trace", trace, "-perfetto", perfetto, "-metrics", metrics)
+				args := []string{"run", "-shards", shards, "-trace", trace, "-perfetto", perfetto, "-metrics", metrics,
+					filepath.Join("testdata", "traced_"+kind+".json")}
 				if code, _, errOut := run(args...); code != 0 {
 					t.Fatalf("exit %d: %s", code, errOut)
 				}
@@ -134,7 +134,7 @@ func TestTracedRunGoldens(t *testing.T) {
 func TestTraceSubcommand(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
 	if code, _, errOut := run(osuMetricsArgs(path)...); code != 0 {
-		t.Fatalf("osu: %s", errOut)
+		t.Fatalf("run: %s", errOut)
 	}
 	code, out, errOut := run("trace", "-top", "3", path)
 	if code != 0 {

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cli"
 	"repro/internal/telemetry"
 )
 
@@ -25,7 +24,7 @@ func runTraceCmd(args []string, stdout, stderr io.Writer) int {
 	if fs.NArg() != 1 {
 		return fail(stderr, 2, "usage: repro trace [-top N] <metrics.json>")
 	}
-	if err := cli.Validate("trace", cli.Positive("top", *top)); err != nil {
+	if err := Validate("trace", Positive("top", *top)); err != nil {
 		return fail(stderr, 2, "%v", err)
 	}
 	doc, err := telemetry.LoadDocument(fs.Arg(0))

@@ -375,9 +375,9 @@ func CollTrace(env Env, s sweep.Spec, linkGbps float64) (*telemetry.Bundle, erro
 
 // --- OSU-style kernel ------------------------------------------------------------
 
-// OSUConfig parameterizes the OSU-style measurement loop behind `repro osu`:
-// warm-up iterations excluded, per-size medians with nonparametric
-// confidence intervals (Hoefler–Belli guidelines).
+// OSUConfig parameterizes the OSU-style measurement loop behind the osu
+// manifest kind: warm-up iterations excluded, per-size medians with
+// nonparametric confidence intervals (Hoefler–Belli guidelines).
 type OSUConfig struct {
 	Iters    int
 	Warmup   int

@@ -253,7 +253,7 @@ func (p *Plan) compileTrain(env harness.Env) error {
 		workloads = workload.Names()
 	}
 	scenarios := expandScenarios(m.Grid.Scenarios, true)
-	g := harness.TrainGrid(workloads, m.Grid.Nodes, []int(m.Grid.Sizes), scenarios, m.SeedOr(21))
+	g := harness.TrainGrid(workloads, m.Grid.Nodes, m.Grid.Sizes, scenarios, m.SeedOr(21))
 	p.Name = "trainbench"
 	header := fmt.Sprintf("== trainbench: %d workloads x %d scenarios, %d nodes, %d KiB shards, %d layers ==",
 		len(workloads), max(1, len(scenarios)), m.Grid.Nodes[0], m.Grid.Sizes[0]>>10, cfg.Layers)
@@ -358,7 +358,7 @@ func (p *Plan) compileAG(env harness.Env) error {
 	p.Name = fmt.Sprintf("agbench-fig%d", fig)
 	switch fig {
 	case 10:
-		nodes, sizes := m.Grid.Nodes, []int(m.Grid.Sizes)
+		nodes, sizes := m.Grid.Nodes, m.Grid.Sizes
 		if len(nodes) == 0 {
 			nodes = []int{4, 16, 64, 188}
 		}
@@ -369,7 +369,7 @@ func (p *Plan) compileAG(env harness.Env) error {
 			"paper: from 16 nodes on, 99% of progress-path time is the multicast datapath.",
 			harness.Fig10Grid(nodes, sizes), harness.CollKernel(env), nil)
 	case 11:
-		nodes, sizes := 188, []int(m.Grid.Sizes)
+		nodes, sizes := 188, m.Grid.Sizes
 		if len(m.Grid.Nodes) == 1 {
 			nodes = m.Grid.Nodes[0]
 		}

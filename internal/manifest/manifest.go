@@ -3,9 +3,9 @@
 // (osu, chaos, train, traffic, dpa, cost, ag), the grid axes it sweeps, and
 // the run's bookkeeping (seed, workers, output paths, a baseline to
 // diff against, an expected output digest) — which compiles onto the
-// existing sweep.Grid / harness kernels. The seven
-// flag-compatible repro subcommands build one of these in memory; CI is a
-// matrix over the checked-in specs in manifests/.
+// existing sweep.Grid / harness kernels. A manifest is the only way to
+// describe an experiment to `repro run`; CI is a matrix over the
+// checked-in specs in manifests/.
 //
 // The contract mirrors the sweep engine's: the same manifest always
 // produces byte-identical JSON output at any worker count, so a
@@ -19,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 
 	"repro/internal/collective"
@@ -29,7 +28,7 @@ import (
 )
 
 // Kinds enumerates the experiment families a manifest can declare, each
-// mapping onto one historical cmd binary's wiring.
+// compiling onto its own harness kernels.
 var Kinds = []string{"osu", "chaos", "train", "traffic", "dpa", "cost", "ag"}
 
 // Manifest is one declarative experiment spec. Field presence is
@@ -102,7 +101,7 @@ type Grid struct {
 	Workloads  []string `json:"workloads,omitempty"`
 	Ops        []string `json:"ops,omitempty"`
 	Nodes      []int    `json:"nodes,omitempty"`
-	Sizes      Sizes    `json:"sizes,omitempty"`
+	Sizes      []int    `json:"sizes,omitempty"`
 	Scenarios  []string `json:"scenarios,omitempty"`
 }
 
@@ -179,72 +178,9 @@ type Expect struct {
 	SHA256 string `json:"sha256"`
 }
 
-// Sizes is a []int axis that additionally unmarshals from the historical
-// -sizes string forms: a doubling range "4096:1048576" or a comma list
-// "4096,65536". It always marshals as a plain JSON array — the canonical
-// form checked-in manifests use.
-type Sizes []int
-
-// UnmarshalJSON accepts an int array or a range/comma string.
-func (s *Sizes) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var str string
-		if err := json.Unmarshal(b, &str); err != nil {
-			return err
-		}
-		sizes, err := ParseSizes(str)
-		if err != nil {
-			return err
-		}
-		*s = sizes
-		return nil
-	}
-	var ints []int
-	if err := json.Unmarshal(b, &ints); err != nil {
-		return err
-	}
-	*s = ints
-	return nil
-}
-
 // maxSize bounds one entry of a size axis at 1 TiB: far beyond any buffer
-// the simulator can allocate, and low enough that a doubling range neither
-// overflows int nor expands past 41 points.
+// the simulator can allocate.
 const maxSize int64 = 1 << 40
-
-// ParseSizes parses the -sizes flag grammar shared by the osu subcommand
-// and string-form manifest axes: "min:max" doubles from min to max (at
-// most maxSize), otherwise a comma-separated list.
-func ParseSizes(s string) ([]int, error) {
-	if strings.Contains(s, ":") {
-		lo, hi, _ := strings.Cut(s, ":")
-		loN, err := strconv.Atoi(strings.TrimSpace(lo))
-		if err != nil {
-			return nil, fmt.Errorf("bad size range %q: %w", s, err)
-		}
-		hiN, err := strconv.Atoi(strings.TrimSpace(hi))
-		if err != nil {
-			return nil, fmt.Errorf("bad size range %q: %w", s, err)
-		}
-		if loN <= 0 || hiN < loN || int64(hiN) > maxSize {
-			return nil, fmt.Errorf("bad size range %q: want 0 < min <= max <= %d", s, maxSize)
-		}
-		var out []int
-		for n := loN; n <= hiN; n *= 2 {
-			out = append(out, n)
-		}
-		return out, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad size list %q: %w", s, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
 
 // Parse decodes a manifest from JSON bytes, rejecting unknown fields at
 // every nesting level so a typo'd or drifting axis fails instead of being

@@ -30,50 +30,14 @@ func parseErr(t *testing.T, src, want string) {
 	}
 }
 
-func TestParseSizes(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []int
-	}{
-		{"4096:16384", []int{4096, 8192, 16384}},
-		{"4096:4096", []int{4096}},
-		{"1024, 4096", []int{1024, 4096}},
-		{"65536", []int{65536}},
-	}
-	for _, c := range cases {
-		got, err := ParseSizes(c.in)
-		if err != nil {
-			t.Fatalf("ParseSizes(%q): %v", c.in, err)
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("ParseSizes(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	// The last two used to overflow the doubling loop into an endless append.
-	for _, bad := range []string{"0:4096", "8:4", "a:b", "4096,x", "",
-		"1:9223372036854775807", "4611686018427387904:9223372036854775807"} {
-		if _, err := ParseSizes(bad); err == nil {
-			t.Fatalf("ParseSizes(%q): expected error", bad)
-		}
-	}
-}
-
-func TestSizesStringForms(t *testing.T) {
-	// All three spellings of the sizes axis decode to the same ints.
-	array := parseOK(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096,8192,16384]}}`)
-	rng := parseOK(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":"4096:16384"}}`)
-	list := parseOK(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":"4096,8192,16384"}}`)
-	if !reflect.DeepEqual(array.Grid.Sizes, rng.Grid.Sizes) || !reflect.DeepEqual(array.Grid.Sizes, list.Grid.Sizes) {
-		t.Fatalf("sizes forms disagree: %v / %v / %v", array.Grid.Sizes, rng.Grid.Sizes, list.Grid.Sizes)
-	}
-}
-
 func TestParseRejectsUnknownFields(t *testing.T) {
 	// Top level, nested object, and the grid all reject unknown keys.
 	parseErr(t, `{"kind":"osu","bogus":1}`, "bogus")
 	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096],"sizzes":[1]}}`, "sizzes")
 	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]},"osu":{"itters":5}}`, "itters")
 	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]}} {"kind":"osu"}`, "trailing data")
+	// sizes is an array of ints; a string is a type error, not a grammar.
+	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":"4096:65536"}}`, "cannot unmarshal string")
 }
 
 func TestValidateKindConsumption(t *testing.T) {
@@ -88,11 +52,16 @@ func TestValidateCrossChecks(t *testing.T) {
 	parseErr(t, `{"kind":"osu","grid":{"algorithms":["nope-allgather"],"nodes":[8],"sizes":[4096]}}`, "unknown algorithm")
 	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"ops":["broadcast"],"nodes":[8],"sizes":[4096]}}`, "does not match algorithm")
 	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[500],"sizes":[4096]}}`, "[1,188]")
+	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[9223372036854775807]}}`, "grid.sizes must be in")
+	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[0]}}`, "grid.sizes must be in")
+	parseErr(t, `{"kind":"traffic","grid":{"nodes":[1],"sizes":[4096]}}`, "[2,188]")
 	parseErr(t, `{"kind":"chaos","grid":{"algorithms":["mcast-allgather"],"scenarios":["hurricane"],"nodes":[8],"sizes":[4096]}}`, "hurricane")
 	parseErr(t, `{"kind":"train","grid":{"workloads":["nope"],"nodes":[8],"sizes":[4096]}}`, "unknown workload")
 	parseErr(t, `{"kind":"ag","figures":[12]}`, "exactly one figure")
 	parseErr(t, `{"kind":"dpa","figures":[6]}`, "no figure 6")
+	parseErr(t, `{"kind":"dpa"}`, "figures, tables or all")
 	parseErr(t, `{"kind":"cost","figures":[3]}`, "no figure 3")
+	parseErr(t, `{"kind":"cost"}`, "figures, speedup, economics or all")
 	parseErr(t, `{"kind":"zebra"}`, "unknown kind")
 }
 

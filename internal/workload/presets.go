@@ -1,5 +1,5 @@
 // Preset workloads: the named DAG declarations behind repro.Workloads(),
-// the harness training kernel, and `repro train`. Each preset is a pure
+// the harness training kernel, and train manifests. Each preset is a pure
 // function of Config — expanding one never touches an engine — so the same
 // name and config always declare the identical DAG.
 package workload
