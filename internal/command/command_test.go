@@ -63,6 +63,8 @@ func TestExitCodes(t *testing.T) {
 		{"run missing file", []string{"run", filepath.Join(t.TempDir(), "absent.json")}, 2, ""},
 		{"validate no args", []string{"validate"}, 2, "usage"},
 		{"list extra args", []string{"list", "x"}, 2, "usage"},
+		{"replay at overflows ns", []string{"replay", "-at", "9300000000000000", m}, 2, "-at must be <="},
+		{"replay interval overflows ns", []string{"replay", "-interval", "9300000000000000", m}, 2, "-interval and -at must be <="},
 	}
 	for _, c := range cases {
 		code, _, stderr := run(c.args...)

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/harness"
 	"repro/internal/manifest"
@@ -13,10 +14,11 @@ import (
 // runReplay implements `repro replay [-interval US] [-at US] [-steps N]
 // <manifest>`: compile the manifest, pick its replayable point (the quiet
 // collective cell the plan designates), run it once under the replay
-// debugger — snapshotting the full simulation state every -interval of
-// virtual time — then seek to -at and print the next -steps events. The
-// output is deterministic: the stepped events are exactly the events the
-// original run fired at that position.
+// debugger — recording a waypoint (virtual time, executed-event count) every
+// -interval of virtual time — then seek to -at by re-executing the run to
+// the nearest waypoint and print the next -steps events. The output is
+// deterministic: the stepped events are exactly the events the original run
+// fired at that position.
 func runReplay(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro replay", flag.ContinueOnError)
 	interval := fs.Int("interval", 100, "waypoint spacing in virtual microseconds (> 0)")
@@ -31,6 +33,10 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 	if *interval <= 0 || *at < 0 || *steps <= 0 {
 		return fail(stderr, 2, "replay: -interval and -steps must be > 0, -at >= 0")
 	}
+	const maxUS = math.MaxInt64 / int64(sim.Microsecond) // the most µs whose ns fit an int64
+	if int64(*interval) > maxUS || int64(*at) > maxUS {
+		return fail(stderr, 2, "replay: -interval and -at must be <= %d µs", maxUS)
+	}
 	m, err := manifest.ParseFile(fs.Arg(0))
 	if err != nil {
 		return fail(stderr, 2, "replay: %v", err)
@@ -42,8 +48,8 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 	if plan.ReplaySpec == nil {
 		return fail(stderr, 2, "replay: kind %s has no replayable point", m.Kind)
 	}
-	// The replay driver rewinds model state in place; the manifest's
-	// telemetry block does not apply to this run.
+	// The replay driver builds the point under the zero harness.Env; the
+	// manifest's telemetry block does not apply to this run.
 	cfg := harness.ReplayConfig{
 		Interval: sim.Time(*interval) * sim.Microsecond,
 		At:       sim.Time(*at) * sim.Microsecond,

@@ -70,16 +70,22 @@ func TestArbiterWakesOnLateTraffic(t *testing.T) {
 	a.Subscribe(cqA, func(verbs.CQE) { served++ })
 	a.Subscribe(cqB, func(verbs.CQE) { served++ })
 	// Nothing yet; traffic arrives later on the second queue only.
-	eng.After(10*sim.Microsecond, func() {
+	eng.AfterHandler(10*sim.Microsecond, call(func() {
 		for i := 0; i < 5; i++ {
 			cqB.Push(verbs.CQE{})
 		}
-	})
+	}), 0, 0, nil)
 	eng.Run()
 	if served != 5 {
 		t.Fatalf("served %d of 5 late completions", served)
 	}
 }
+
+// call adapts a func() to sim.Handler, for tests that schedule a one-off
+// action.
+type call func()
+
+func (f call) OnEvent(*sim.Engine, sim.Handle, uint64, int, any) { f() }
 
 func TestArbiterThroughputMatchesDedicated(t *testing.T) {
 	// One thread serving k queues processes at the same aggregate rate as

@@ -206,7 +206,7 @@ func TestWorkerWakesOnArm(t *testing.T) {
 		t.Fatalf("worker did not idle on empty CQ")
 	}
 	// A push at t=5µs must wake it.
-	eng.After(5*sim.Microsecond, func() { cq.Push(verbs.CQE{}) })
+	eng.AfterHandler(5*sim.Microsecond, call(func() { cq.Push(verbs.CQE{}) }), 0, 0, nil)
 	eng.Run()
 	if w.Processed != 1 {
 		t.Fatalf("worker did not wake on push")

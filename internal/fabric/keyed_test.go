@@ -46,7 +46,7 @@ func propInjections(f *Fabric, nics []*NIC, gid GroupID, seed uint64) {
 				dst := hosts[(i+1+int(rng.Uint64()%uint64(len(hosts)-1)))%len(hosts)]
 				pkt = Packet{Dst: dst, Group: NoGroup, Flow: flow, PayloadBytes: size}
 			}
-			f.Engine().At(at, func() { nic.Inject(&pkt) })
+			f.Engine().AtHandler(at, call(func() { nic.Inject(&pkt) }), 0, 0, nil)
 		}
 	}
 }

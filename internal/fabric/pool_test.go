@@ -211,10 +211,10 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 				d := (s + 1 + int(rng.Uint64()%uint64(len(hosts)-1))) % len(hosts)
 				switch kind := rng.Uint64() % 8; {
 				case kind == 7 && confined:
-					eng.At(at(), func() {
+					eng.AtHandler(at(), call(func() {
 						pooled++
 						f.InjectBackground(hosts[s], hosts[d], size, tg)
-					})
+					}), 0, 0, nil)
 				case kind == 6:
 					p := &Packet{Dst: hosts[d], Group: NoGroup, Flow: tg, PayloadBytes: size}
 					if rng.Uint64()%2 == 0 {
@@ -222,13 +222,13 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 					}
 					foreign[p] = true
 					owe(tg, s, d)
-					eng.At(at(), func() { nics[s].Inject(p) })
+					eng.AtHandler(at(), call(func() { nics[s].Inject(p) }), 0, 0, nil)
 				default:
 					if kind >= 4 {
 						d = -1
 					}
 					owe(tg, s, d)
-					eng.At(at(), func() {
+					eng.AtHandler(at(), call(func() {
 						p := newPacket(s)
 						p.Flow, p.PayloadBytes = tg, size
 						if d < 0 {
@@ -237,7 +237,7 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 							p.Dst = hosts[d]
 						}
 						nics[s].Inject(p)
-					})
+					}), 0, 0, nil)
 				}
 			}
 		}
@@ -247,12 +247,12 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 				tag++
 				tg := tag
 				chunkOf[tg] = chunk
-				eng.At(at(), func() {
+				eng.AtHandler(at(), call(func() {
 					p := newPacket(s)
 					p.Dst, p.Flow, p.PayloadBytes = hosts[owner], tg, 1024
 					p.Reduce, p.ReduceChunk = rg, chunk
 					nics[s].Inject(p)
-				})
+				}), 0, 0, nil)
 			}
 		}
 		eng.Run()
@@ -281,3 +281,9 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 		t.Fatalf("void run: %d deliveries, %d drops, %d background packets", delivered, f.TotalDropped, f.BackgroundInjected)
 	}
 }
+
+// call adapts a func() to sim.Handler, for tests that schedule a one-off
+// action.
+type call func()
+
+func (f call) OnEvent(*sim.Engine, sim.Handle, uint64, int, any) { f() }

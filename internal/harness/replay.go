@@ -148,8 +148,5 @@ func startReplay(s sweep.Spec) (*sim.Engine, func() bool, error) {
 // eventLine renders one fired event the way step mode prints it: firing
 // time, sequence key and handler type.
 func eventLine(at sim.Time, seq uint64, h sim.Handler) string {
-	if h == nil {
-		return fmt.Sprintf("%12d ns  seq=%-20d closure", at, seq)
-	}
 	return fmt.Sprintf("%12d ns  seq=%-20d %T", at, seq, h)
 }

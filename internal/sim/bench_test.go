@@ -29,15 +29,8 @@ func (h *benchChurn) OnEvent(e *Engine, _ Handle, _ uint64, _ int, _ any) {
 	}
 }
 
-func (h *benchChurn) run(e *Engine) {
-	if h.remaining > 0 {
-		h.remaining--
-		e.After(h.delay(), func() { h.run(e) })
-	}
-}
-
-// BenchmarkEngineHandlerChurn measures the pooled, closure-free hot path:
-// the scheduling shape of fabric hops and send completions.
+// BenchmarkEngineHandlerChurn measures the pooled hot path: the scheduling
+// shape of fabric hops and send completions.
 func BenchmarkEngineHandlerChurn(b *testing.B) {
 	e := NewEngine(1)
 	h := &benchChurn{state: 1, remaining: churnEvents}
@@ -48,25 +41,6 @@ func BenchmarkEngineHandlerChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.remaining = churnEvents
 		e.AfterHandler(1, h, 0, 0, nil)
-		e.Run()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)*float64(churnEvents+1)/b.Elapsed().Seconds(), "events/sec")
-}
-
-// BenchmarkEngineClosureChurn measures the same schedule through the
-// closure API — the pre-overhaul shape, kept as the comparison point for
-// the pooled path.
-func BenchmarkEngineClosureChurn(b *testing.B) {
-	e := NewEngine(1)
-	h := &benchChurn{state: 1, remaining: churnEvents}
-	h.run(e)
-	e.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.remaining = churnEvents
-		h.run(e)
 		e.Run()
 	}
 	b.StopTimer()

@@ -39,18 +39,15 @@
 // cursor skips empty buckets 64 at a time; that is what lets the buckets be
 // this narrow.
 //
-// # Closure-free scheduling
+// # Events
 //
-// At/After take a func() and allocate one Event plus (at most call sites)
-// one capturing closure per event. The hot paths — every packet hop, every
-// signaled send, every per-round collective timer — instead use AtHandler/
-// AfterHandler: a typed Handler interface plus packed arguments (a uint64,
-// an int, and one pointer-shaped payload), no closure. Handler events are
-// carved from engine-owned slabs and recycled through a free list once fired
-// or cancelled, so steady-state hot-path scheduling does not allocate at
-// all. Cancellation of handler events goes through the value-type Handle,
-// which carries a generation number so a stale handle held across the
-// event's recycling is a no-op.
+// Every event is a typed Handler plus packed arguments (a uint64, an int,
+// and one pointer-shaped payload), scheduled with AtHandler, AfterHandler
+// or AtOrdered. Events are carved from engine-owned slabs and recycled
+// through a free list once fired or cancelled, so steady-state scheduling
+// does not allocate at all. The value-type Handle is the only reference to
+// a scheduled event; it carries a generation number, so a stale handle held
+// across the event's recycling is a no-op.
 package sim
 
 import (
@@ -126,90 +123,72 @@ const (
 	locFar                // in the far-future binary heap
 )
 
-// Handler is the closure-free event callback: one OnEvent call per fired
-// event, with the arguments packed at scheduling time. ev identifies the
-// firing event (it equals the Handle returned by AtHandler, letting a
-// handler that tracks its pending events find the entry without a wrapper
-// closure); obj carries one pointer-shaped payload (a *Packet, a *QP — a
-// pointer, so boxing it does not allocate) and may be nil.
+// Handler is the event callback: one OnEvent call per fired event, with the
+// arguments packed at scheduling time. ev identifies the firing event (it
+// equals the Handle returned by AtHandler, letting a handler that tracks its
+// pending events find the entry without a wrapper closure); obj carries one
+// pointer-shaped payload (a *Packet, a *QP — a pointer, so boxing it does
+// not allocate) and may be nil.
 //
-// Handler events are pooled: the engine recycles the Event before OnEvent
-// runs, so implementations must not retain ev past the call.
+// Events are pooled: the engine recycles the event before OnEvent runs, so
+// implementations must not retain ev past the call.
 type Handler interface {
 	OnEvent(e *Engine, ev Handle, arg0 uint64, arg1 int, obj any)
 }
 
-// Event is a scheduled callback. Events are ordered by time; ties are broken
-// by insertion sequence so the execution order of simultaneous events is
+// event is a scheduled Handler call. Events are ordered by time; ties are
+// broken by sequence key so the execution order of simultaneous events is
 // deterministic and FIFO with respect to scheduling order.
-type Event struct {
-	at    Time
-	seq   uint64
-	gen   uint64 // bumped each time a pooled event is recycled
-	index int    // heap index while in far/cur heaps; -1 otherwise
-	where int8
-	// pooled marks events born on the handler path: no *Event pointer ever
-	// escapes for them, so they are safe to recycle. Closure events hand
-	// their pointer to the caller (for Cancel/Canceled/Fired) and are never
-	// reused.
-	pooled   bool
+type event struct {
+	at       Time
+	seq      uint64
+	gen      uint64 // bumped each time the event is recycled
+	index    int    // heap index while in far/cur heaps; -1 otherwise
+	where    int8
 	canceled bool
-	fired    bool
 	eng      *Engine
-	fn       func()
 	h        Handler
 	arg0     uint64
 	arg1     int
 	obj      any
 }
 
-// Time returns the virtual time at which the event fires.
-func (e *Event) Time() Time { return e.at }
-
-// Cancel prevents a pending event from firing. The event leaves the live
-// count immediately and its callback is released at once (so a cancelled
-// long-lived timer does not pin its closure); far-future events are also
-// removed from the heap immediately, while near-future bucket entries are
-// reclaimed when the clock reaches their bucket. Cancelling an event that
-// has already fired (or was already cancelled) is a no-op.
-func (e *Event) Cancel() {
-	if e == nil || e.canceled || e.fired || e.where == locNone {
+// cancel prevents a pending event from firing. The event leaves the live
+// count immediately and drops its handler and payload at once (so a
+// cancelled long-lived timer pins nothing); far-future and open-bucket
+// events are also removed and recycled immediately, while closed-bucket
+// entries are recycled when the clock reaches their bucket.
+func (ev *event) cancel() {
+	if ev.canceled || ev.where == locNone {
 		return
 	}
-	e.canceled = true
-	e.fn = nil
-	e.h = nil
-	e.obj = nil
-	eng := e.eng
-	eng.live--
-	switch e.where {
+	ev.canceled = true
+	ev.h = nil
+	ev.obj = nil
+	e := ev.eng
+	e.live--
+	switch ev.where {
 	case locFar:
-		heap.Remove(&eng.far, e.index)
-		e.where = locNone
-		eng.release(e)
+		heap.Remove(&e.far, ev.index)
+		ev.where = locNone
+		e.release(ev)
 	case locCur:
-		heap.Remove(&eng.cur, e.index)
-		eng.nearCount--
-		e.where = locNone
-		eng.release(e)
+		heap.Remove(&e.cur, ev.index)
+		e.nearCount--
+		ev.where = locNone
+		e.release(ev)
 	case locBucket:
 		// Left in place; the bucket sweep recycles it.
 	}
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// Fired reports whether the event's callback has run.
-func (e *Event) Fired() bool { return e.fired }
-
-// Handle is a value-type reference to a scheduled handler event. The zero
-// Handle is inert. Because handler events are recycled, the handle carries
-// the generation it was issued under: cancelling a handle whose event has
-// since fired and been reused is a safe no-op, which is exactly the
-// semantics a retransmission timer racing its own ack needs.
+// Handle is a value-type reference to a scheduled event. The zero Handle is
+// inert. Because events are recycled, the handle carries the generation it
+// was issued under: cancelling a handle whose event has since fired and
+// been reused is a safe no-op, which is exactly the semantics a
+// retransmission timer racing its own ack needs.
 type Handle struct {
-	ev  *Event
+	ev  *event
 	gen uint64
 }
 
@@ -217,13 +196,14 @@ type Handle struct {
 // and still pending; otherwise it does nothing.
 func (h Handle) Cancel() {
 	if h.ev != nil && h.ev.gen == h.gen {
-		h.ev.Cancel()
+		h.ev.cancel()
 	}
 }
 
-// Active reports whether the referenced event is still pending.
+// Active reports whether the referenced event is still pending. A fired
+// event is recycled (its generation bumped) before its handler runs.
 func (h Handle) Active() bool {
-	return h.ev != nil && h.ev.gen == h.gen && !h.ev.canceled && !h.ev.fired
+	return h.ev != nil && h.ev.gen == h.gen && !h.ev.canceled
 }
 
 // Time returns the firing time of the referenced event, or -1 if the handle
@@ -237,7 +217,7 @@ func (h Handle) Time() Time {
 
 // eventHeap orders events by (at, seq); used for the far-future overflow
 // and for insertions into the already-open bucket.
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -252,7 +232,7 @@ func (h eventHeap) Swap(i, j int) {
 	h[j].index = j
 }
 func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
+	e := x.(*event)
 	e.index = len(*h)
 	*h = append(*h, e)
 }
@@ -267,7 +247,7 @@ func (h *eventHeap) Pop() any {
 }
 
 // before reports whether a fires before b under the engine's total order.
-func before(a, b *Event) bool {
+func before(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -296,36 +276,36 @@ type Engine struct {
 	pos       int
 	buckets   [numBuckets]bucketList
 	occupied  [numBuckets / 64]uint64 // bit i: ring slot i's bucket is non-empty
-	open      []*Event                // consumed slots are nil
+	open      []*event                // consumed slots are nil
 	cur       eventHeap
 	nearCount int // events physically held in buckets + open + cur (incl. cancelled)
 	// Bucket storage: chunk c is store[c*chunkLen:][:chunkLen], link[c] is
 	// the chunk after c in its bucket's chain or on the free list, and
 	// freeChunk heads the free list (-1 when empty). Slots outside a bucket's
 	// n events are nil.
-	store     []*Event
+	store     []*event
 	link      []int32
 	freeChunk int32
 	// openBucket's working memory, kept between calls: the run offsets of
 	// the bucket being ordered and the merge scratch (nil-filled when idle).
 	runs    []int
-	scratch []*Event
+	scratch []*event
 
 	// Far-future overflow: everything at or beyond bucket start+numBuckets.
 	far eventHeap
 
 	live int // scheduled, not yet fired, not cancelled
 
-	free []*Event // recycled handler events
-	slab []Event  // fresh handler events not handed out yet (see carve)
+	free []*event // recycled events
+	slab []event  // fresh events not handed out yet (see carve)
 
 	// Throughput counters, exported so harnesses can surface engine
 	// throughput in their Records (all three are deterministic counts).
 	//
 	// Executed counts events that have fired, for diagnostics and for
 	// guarding against runaway simulations in tests. Scheduled counts every
-	// At/After/AtHandler/AfterHandler call. Recycled counts handler events
-	// served from the free list instead of fresh from a slab.
+	// AtHandler/AfterHandler/AtOrdered call. Recycled counts events served
+	// from the free list instead of fresh from a slab.
 	Executed  uint64
 	Scheduled uint64
 	Recycled  uint64
@@ -336,9 +316,9 @@ type Engine struct {
 	splits []*RNG
 
 	// EventHook, when non-nil, observes every fired event just before its
-	// callback runs: the firing time, its (possibly banded) sequence key,
-	// and the handler (nil for closure events). It exists for the replay
-	// debugger's step mode; the nil check is the only cost on the hot path.
+	// handler runs: the firing time, its (possibly banded) sequence key,
+	// and the handler. It exists for the replay debugger's step mode; the
+	// nil check is the only cost on the hot path.
 	EventHook func(at Time, seq uint64, h Handler)
 }
 
@@ -372,36 +352,11 @@ func (e *Engine) SplitRNG() *RNG {
 	return r
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: that is always a protocol-logic bug, and silently clamping would
-// mask it.
-//
-// The returned *Event stays valid for Cancel/Canceled/Fired indefinitely
-// (closure events are never recycled); hot paths that do not need to hold
-// the event should prefer AtHandler, which pools.
-func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	ev := &Event{at: t, seq: e.seq, eng: e, fn: fn, index: -1}
-	e.seq++
-	e.schedule(ev)
-	return ev
-}
-
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.At(e.now+d, fn)
-}
-
 // AtHandler schedules h.OnEvent(e, handle, arg0, arg1, obj) at absolute
 // virtual time t. The event is drawn from the engine's free list and
-// recycled after firing or cancellation, and no closure is involved: the
-// closure-free hot path. obj must be pointer-shaped (or nil) to stay
-// allocation-free.
+// recycled after firing or cancellation. obj must be pointer-shaped (or nil)
+// to stay allocation-free. Scheduling in the past panics: that is always a
+// protocol-logic bug, and silently clamping would mask it.
 func (e *Engine) AtHandler(t Time, h Handler, arg0 uint64, arg1 int, obj any) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -456,13 +411,13 @@ func (e *Engine) AfterHandler(d Time, h Handler, arg0 uint64, arg1 int, obj any)
 	return e.AtHandler(e.now+d, h, arg0, arg1, obj)
 }
 
-// eventSlab is how many fresh handler events one allocation carves.
+// eventSlab is how many fresh events one allocation carves.
 const eventSlab = 256
 
 // get pops a recycled event, or returns nil when the free list is empty
 // and the caller must carve one. The carving stays out of get so that get
 // inlines into the scheduling calls.
-func (e *Engine) get() *Event {
+func (e *Engine) get() *event {
 	n := len(e.free)
 	if n == 0 {
 		return nil
@@ -474,41 +429,33 @@ func (e *Engine) get() *Event {
 	return ev
 }
 
-// carve hands out a fresh pooled event from the slab: an engine grows its
-// pool to the peak number of pending handler events, one allocation per
-// eventSlab of them.
-func (e *Engine) carve() *Event {
+// carve hands out a fresh event from the slab: an engine grows its pool to
+// the peak number of pending events, one allocation per eventSlab of them.
+func (e *Engine) carve() *event {
 	if len(e.slab) == 0 {
-		e.slab = make([]Event, eventSlab)
+		e.slab = make([]event, eventSlab)
 	}
 	ev := &e.slab[0]
 	e.slab = e.slab[1:]
-	ev.eng, ev.pooled, ev.index = e, true, -1
+	ev.eng, ev.index = e, -1
 	return ev
 }
 
-// release returns a pooled event to the free list, bumping its generation
-// so outstanding Handles go stale. Closure events only drop their callback:
-// their *Event may still be held by the caller, so flags (and the pointer
-// identity) must survive.
-func (e *Engine) release(ev *Event) {
-	if !ev.pooled {
-		ev.fn = nil
-		return
-	}
+// release returns an event to the free list, bumping its generation so
+// outstanding Handles go stale.
+func (e *Engine) release(ev *event) {
 	ev.gen++
-	ev.fn = nil
 	ev.h = nil
 	ev.obj = nil
 	ev.arg0, ev.arg1 = 0, 0
-	ev.canceled, ev.fired = false, false
+	ev.canceled = false
 	ev.where = locNone
 	ev.index = -1
 	e.free = append(e.free, ev)
 }
 
 // push appends ev to the chain of absolute bucket number n.
-func (e *Engine) push(n int64, ev *Event) {
+func (e *Engine) push(n int64, ev *event) {
 	l := &e.buckets[n&bucketMask]
 	i := l.n % chunkLen
 	if i == 0 {
@@ -532,7 +479,7 @@ func (e *Engine) newChunk() int32 {
 	if c < 0 {
 		c = int32(len(e.link))
 		e.link = append(e.link, -1)
-		e.store = append(e.store, make([]*Event, chunkLen)...)
+		e.store = append(e.store, make([]*event, chunkLen)...)
 		return c
 	}
 	e.freeChunk = e.link[c]
@@ -543,7 +490,7 @@ func (e *Engine) newChunk() int32 {
 // order, empties the bucket and puts its chunks on the free list, clearing
 // the slots it vacates. (An element loop: most buckets hold a few events,
 // too few to pay for a bulk copy and clear.)
-func (e *Engine) drain(n int64, dst []*Event) []*Event {
+func (e *Engine) drain(n int64, dst []*event) []*event {
 	l := &e.buckets[n&bucketMask]
 	c := l.head
 	for left := int(l.n); left > 0; left -= chunkLen {
@@ -564,7 +511,7 @@ func (e *Engine) drain(n int64, dst []*Event) []*Event {
 // drainAll empties every bucket, handing each event to f, bucket by bucket
 // in ring-slot order and insertion order within a bucket. The open bucket
 // must be closed.
-func (e *Engine) drainAll(f func(*Event)) {
+func (e *Engine) drainAll(f func(*event)) {
 	for i := range e.buckets {
 		if e.buckets[i].n == 0 {
 			continue
@@ -579,7 +526,7 @@ func (e *Engine) drainAll(f func(*Event)) {
 }
 
 // schedule files the event into the hybrid queue.
-func (e *Engine) schedule(ev *Event) {
+func (e *Engine) schedule(ev *event) {
 	e.Scheduled++
 	e.live++
 	b := bucketOf(ev.at)
@@ -648,7 +595,7 @@ func (e *Engine) closeOpen() {
 	clear(rest)
 	e.open = e.open[:0]
 	for len(e.cur) > 0 {
-		ev := heap.Pop(&e.cur).(*Event)
+		ev := heap.Pop(&e.cur).(*event)
 		ev.where = locBucket
 		e.push(e.cursor, ev)
 	}
@@ -661,7 +608,7 @@ func (e *Engine) closeOpen() {
 // window start.
 func (e *Engine) rebase() {
 	e.closeOpen()
-	e.drainAll(func(ev *Event) {
+	e.drainAll(func(ev *event) {
 		ev.where = locFar
 		heap.Push(&e.far, ev)
 	})
@@ -675,7 +622,7 @@ func (e *Engine) rebase() {
 // their buckets, all of them at or beyond the cursor.
 func (e *Engine) refill() {
 	for len(e.far) > 0 && bucketOf(e.far[0].at) < e.start+numBuckets {
-		ev := heap.Pop(&e.far).(*Event)
+		ev := heap.Pop(&e.far).(*event)
 		ev.where = locBucket
 		e.push(bucketOf(ev.at), ev)
 		e.nearCount++
@@ -706,7 +653,7 @@ func (e *Engine) openBucket() {
 		return
 	}
 	if len(e.scratch) < len(b) {
-		e.scratch = make([]*Event, len(b))
+		e.scratch = make([]*event, len(b))
 	}
 	for len(runs) > 1 {
 		merged := runs[:0]
@@ -724,13 +671,13 @@ func (e *Engine) openBucket() {
 		}
 		runs = merged
 	}
-	clear(e.scratch[:len(b)]) // pin no *Event past the sort
+	clear(e.scratch[:len(b)]) // pin no *event past the sort
 }
 
 // mergeRuns merges the ascending runs b[:mid] and b[mid:] in place: the left
 // run moves to scratch and the output overwrites b from the front, which
 // never overtakes the unread part of the right run. Ties go to the left.
-func mergeRuns(b []*Event, mid int, scratch []*Event) {
+func mergeRuns(b []*event, mid int, scratch []*event) {
 	left := scratch[:copy(scratch, b[:mid])]
 	i, j, k := 0, mid, 0
 	for i < len(left) && j < len(b) {
@@ -772,7 +719,7 @@ func (e *Engine) advance() {
 
 // peekEvent returns the next live event without consuming it (nil when the
 // queue is empty), pruning cancelled bucket entries as it goes.
-func (e *Engine) peekEvent() *Event {
+func (e *Engine) peekEvent() *event {
 	for {
 		if !e.opened {
 			if e.nearCount == 0 && len(e.far) == 0 {
@@ -791,7 +738,7 @@ func (e *Engine) peekEvent() *Event {
 		}
 		// No cancelled-entry sweep for e.cur: Cancel heap.Removes open-bucket
 		// entries eagerly, so its root is always live.
-		var next *Event
+		var next *event
 		if e.pos < len(b) {
 			next = b[e.pos]
 		}
@@ -810,7 +757,7 @@ func (e *Engine) peekEvent() *Event {
 }
 
 // popEvent consumes and returns the next live event, or nil.
-func (e *Engine) popEvent() *Event {
+func (e *Engine) popEvent() *event {
 	ev := e.peekEvent()
 	if ev == nil {
 		return nil
@@ -862,17 +809,8 @@ func (e *Engine) step() bool {
 	e.now = ev.at
 	e.Executed++
 	e.live--
-	ev.fired = true
 	if e.EventHook != nil {
 		e.EventHook(ev.at, ev.seq, ev.h)
-	}
-	if ev.fn != nil {
-		fn := ev.fn
-		// Release the closure before running it: a caller holding the
-		// *Event for Cancel must not pin the capture past the firing.
-		ev.fn = nil
-		fn()
-		return true
 	}
 	h, a0, a1, obj := ev.h, ev.arg0, ev.arg1, ev.obj
 	hd := Handle{ev: ev, gen: ev.gen}

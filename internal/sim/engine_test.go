@@ -3,7 +3,13 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// call adapts a func() to Handler, for tests that schedule a one-off action.
+type call func()
+
+func (f call) OnEvent(*Engine, Handle, uint64, int, any) { f() }
 
 func TestEngineStartsAtZero(t *testing.T) {
 	e := NewEngine(1)
@@ -15,9 +21,9 @@ func TestEngineStartsAtZero(t *testing.T) {
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := NewEngine(1)
 	var order []int
-	e.At(30, func() { order = append(order, 3) })
-	e.At(10, func() { order = append(order, 1) })
-	e.At(20, func() { order = append(order, 2) })
+	e.AtHandler(30, call(func() { order = append(order, 3) }), 0, 0, nil)
+	e.AtHandler(10, call(func() { order = append(order, 1) }), 0, 0, nil)
+	e.AtHandler(20, call(func() { order = append(order, 2) }), 0, 0, nil)
 	e.Run()
 	want := []int{1, 2, 3}
 	for i, v := range want {
@@ -32,7 +38,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.At(42, func() { order = append(order, i) })
+		e.AtHandler(42, call(func() { order = append(order, i) }), 0, 0, nil)
 	}
 	e.Run()
 	for i, v := range order {
@@ -45,7 +51,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 func TestAfterAdvancesClock(t *testing.T) {
 	e := NewEngine(1)
 	var at Time
-	e.After(5*Microsecond, func() { at = e.Now() })
+	e.AfterHandler(5*Microsecond, call(func() { at = e.Now() }), 0, 0, nil)
 	e.Run()
 	if at != 5*Microsecond {
 		t.Fatalf("event fired at %v, want 5µs", at)
@@ -58,10 +64,10 @@ func TestAfterAdvancesClock(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine(1)
 	var times []Time
-	e.At(10, func() {
+	e.AtHandler(10, call(func() {
 		times = append(times, e.Now())
-		e.After(15, func() { times = append(times, e.Now()) })
-	})
+		e.AfterHandler(15, call(func() { times = append(times, e.Now()) }), 0, 0, nil)
+	}), 0, 0, nil)
 	e.Run()
 	if len(times) != 2 || times[0] != 10 || times[1] != 25 {
 		t.Fatalf("times = %v, want [10 25]", times)
@@ -71,14 +77,14 @@ func TestNestedScheduling(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	ev := e.At(10, func() { fired = true })
+	ev := e.AtHandler(10, call(func() { fired = true }), 0, 0, nil)
 	ev.Cancel()
 	e.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if ev.Active() {
+		t.Fatal("Active() = true after Cancel")
 	}
 }
 
@@ -86,13 +92,13 @@ func TestCancelRemovesFromQueue(t *testing.T) {
 	e := NewEngine(1)
 	// Interleave keepers and victims so removal has to fix up the heap
 	// interior, not just the root or tail.
-	var victims []*Event
+	var victims []Handle
 	for i := 0; i < 10; i++ {
 		at := Time(10 + 10*i)
 		if i%2 == 0 {
-			victims = append(victims, e.At(at, func() { t.Errorf("cancelled event at %v fired", at) }))
+			victims = append(victims, e.AtHandler(at, call(func() { t.Errorf("cancelled event at %v fired", at) }), 0, 0, nil))
 		} else {
-			e.At(at, func() {})
+			e.AtHandler(at, call(func() {}), 0, 0, nil)
 		}
 	}
 	if got := e.Pending(); got != 10 {
@@ -119,8 +125,8 @@ func TestCancelRemovesFromQueue(t *testing.T) {
 func TestCancelFromEarlierEvent(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	ev := e.At(20, func() { fired = true })
-	e.At(10, func() { ev.Cancel() })
+	ev := e.AtHandler(20, call(func() { fired = true }), 0, 0, nil)
+	e.AtHandler(10, call(func() { ev.Cancel() }), 0, 0, nil)
 	e.Run()
 	if fired {
 		t.Fatal("event cancelled at t=10 still fired at t=20")
@@ -129,14 +135,14 @@ func TestCancelFromEarlierEvent(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.At(10, func() {
+	e.AtHandler(10, call(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
-	})
+		e.AtHandler(5, call(func() {}), 0, 0, nil)
+	}), 0, 0, nil)
 	e.Run()
 }
 
@@ -145,7 +151,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{10, 20, 30, 40} {
 		at := at
-		e.At(at, func() { fired = append(fired, at) })
+		e.AtHandler(at, call(func() { fired = append(fired, at) }), 0, 0, nil)
 	}
 	e.RunUntil(25)
 	if len(fired) != 2 {
@@ -176,8 +182,8 @@ func TestRunUntilAdvancesClockWhenIdle(t *testing.T) {
 func TestStop(t *testing.T) {
 	e := NewEngine(1)
 	count := 0
-	e.At(10, func() { count++; e.Stop() })
-	e.At(20, func() { count++ })
+	e.AtHandler(10, call(func() { count++; e.Stop() }), 0, 0, nil)
+	e.AtHandler(20, call(func() { count++ }), 0, 0, nil)
 	e.Run()
 	if count != 1 {
 		t.Fatalf("Stop did not halt the run: count = %d", count)
@@ -191,7 +197,7 @@ func TestStop(t *testing.T) {
 func TestExecutedCounter(t *testing.T) {
 	e := NewEngine(1)
 	for i := 0; i < 7; i++ {
-		e.At(Time(i), func() {})
+		e.AtHandler(Time(i), call(func() {}), 0, 0, nil)
 	}
 	e.Run()
 	if e.Executed != 7 {
@@ -211,10 +217,10 @@ func TestDeterministicReplay(t *testing.T) {
 			}
 			n++
 			d := Time(e.RNG().Intn(1000) + 1)
-			e.After(d, func() {
+			e.AfterHandler(d, call(func() {
 				fired = append(fired, e.Now())
 				schedule()
-			})
+			}), 0, 0, nil)
 		}
 		schedule()
 		e.Run()
@@ -228,6 +234,18 @@ func TestDeterministicReplay(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("replay diverged at %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestEventLayout pins the event struct at 96 bytes on 64-bit platforms:
+// every pending event costs one, carved eventSlab at a time, so a field
+// added here grows every slab.
+func TestEventLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout budget is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(event{}); got != 96 {
+		t.Fatalf("event is %d bytes, want 96", got)
 	}
 }
 
@@ -250,7 +268,7 @@ func TestPropertyMonotonicFiring(t *testing.T) {
 		e := NewEngine(seed)
 		var fired []Time
 		for _, d := range delays {
-			e.After(Time(d), func() { fired = append(fired, e.Now()) })
+			e.AfterHandler(Time(d), call(func() { fired = append(fired, e.Now()) }), 0, 0, nil)
 		}
 		e.Run()
 		for i := 1; i < len(fired); i++ {

@@ -44,10 +44,6 @@ func (q *refQueue) popLive() *refItem {
 	return nil
 }
 
-// canceler abstracts *Event (closure path) and Handle (handler path) so the
-// property test cancels through both APIs.
-type canceler interface{ Cancel() }
-
 // propHarness drives the engine and the reference queue through the same
 // randomized schedule/cancel/re-arm decisions; every firing asserts the two
 // agree on which event is next.
@@ -58,7 +54,7 @@ type propHarness struct {
 	rng     *RNG
 	nextID  int
 	refSeq  uint64
-	live    map[int]canceler // engine-side cancel handles by id
+	live    map[int]Handle // engine-side handles by id
 	refByID map[int]*refItem
 	fired   []int
 	firedAt []Time // firing time of each fired[i]
@@ -74,18 +70,15 @@ func newPropHarness(t *testing.T, seed uint64) *propHarness {
 		t:       t,
 		eng:     NewEngine(seed),
 		rng:     NewRNG(seed ^ 0x9E3779B97F4A7C15),
-		live:    map[int]canceler{},
+		live:    map[int]Handle{},
 		refByID: map[int]*refItem{},
 		hooks:   map[int]func(){},
 	}
 }
 
-// OnEvent is the handler-path firing: arg0 carries the event id.
+// OnEvent fires one event: arg0 carries the event id.
 func (p *propHarness) OnEvent(_ *Engine, _ Handle, arg0 uint64, _ int, _ any) {
-	p.onFire(int(arg0))
-}
-
-func (p *propHarness) onFire(id int) {
+	id := int(arg0)
 	want := p.ref.popLive()
 	if want == nil {
 		p.t.Fatalf("engine fired id %d but reference queue is empty", id)
@@ -157,15 +150,7 @@ func (p *propHarness) cancel(id int) {
 }
 
 // where reports which region of the hybrid queue holds the live event id.
-func (p *propHarness) where(id int) int8 {
-	switch c := p.live[id].(type) {
-	case Handle:
-		return c.ev.where
-	case *Event:
-		return c.where
-	}
-	panic("unknown canceler")
-}
+func (p *propHarness) where(id int) int8 { return p.live[id].ev.where }
 
 // drain runs the engine dry and checks the reference agrees nothing is left.
 func (p *propHarness) drain() {
@@ -270,7 +255,7 @@ func (p *propHarness) schedule(d Time) int {
 		if id%3 == 0 {
 			p.live[id] = p.eng.AfterHandler(d, p, uint64(id), 0, nil)
 		} else {
-			p.live[id] = p.eng.After(d, func() { p.onFire(id) })
+			p.live[id] = p.eng.AtHandler(at, p, uint64(id), 0, nil)
 		}
 	}
 	heap.Push(&p.ref, it)
@@ -279,10 +264,10 @@ func (p *propHarness) schedule(d Time) int {
 }
 
 // TestHybridMatchesReferenceHeapOrder schedules >10k events through the
-// ladder/heap hybrid — a third each closure events, pooled handler events
-// and keyed AtOrdered events, with random cancellations and re-arms along
-// the way — and checks every single pop against a reference binary heap's
-// (at, seq) order.
+// ladder/heap hybrid — a third each through AfterHandler, AtHandler and
+// keyed AtOrdered, with random cancellations (through the Handles) and
+// re-arms along the way — and checks every single pop against a reference
+// binary heap's (at, seq) order.
 func TestHybridMatchesReferenceHeapOrder(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 0xdeadbeef} {
 		p := newPropHarness(t, seed)
@@ -414,14 +399,14 @@ func TestSlidingWindowShapes(t *testing.T) {
 func TestNearTrainNeverEntersFar(t *testing.T) {
 	e := NewEngine(1)
 	var noop recordNothing
-	e.At(windowSpan*3/4, func() {
+	e.AtHandler(windowSpan*3/4, call(func() {
 		for d := Time(0); d < windowSpan*9/10; d += trainGap {
 			e.AfterHandler(d, noop, 0, 0, nil)
 			if len(e.far) != 0 {
 				t.Fatalf("event %v ahead of the clock (window %v) went to the far heap", d, windowSpan)
 			}
 		}
-	})
+	}), 0, 0, nil)
 	e.Run()
 }
 
@@ -431,10 +416,10 @@ func TestNearTrainNeverEntersFar(t *testing.T) {
 func TestRunUntilThenEarlierSchedule(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
-	e.At(2*Second, func() { order = append(order, "far") })
+	e.AtHandler(2*Second, call(func() { order = append(order, "far") }), 0, 0, nil)
 	e.RunUntil(100) // window may jump toward the 2 s timer
-	e.At(200, func() { order = append(order, "near") })
-	e.At(150, func() { order = append(order, "nearer") })
+	e.AtHandler(200, call(func() { order = append(order, "near") }), 0, 0, nil)
+	e.AtHandler(150, call(func() { order = append(order, "nearer") }), 0, 0, nil)
 	e.Run()
 	if len(order) != 3 || order[0] != "nearer" || order[1] != "near" || order[2] != "far" {
 		t.Fatalf("order = %v, want [nearer near far]", order)
@@ -655,23 +640,29 @@ func TestStaleHandleIsNoOp(t *testing.T) {
 	}
 }
 
-func TestEventFiredAccessor(t *testing.T) {
+// TestHandleActiveLifecycle: a handle is active until its event fires or is
+// cancelled, and stays inactive after the run recycles both events.
+func TestHandleActiveLifecycle(t *testing.T) {
 	e := NewEngine(1)
-	ev := e.At(10, func() {})
-	cancelled := e.At(20, func() {})
+	h := &recordHandler{}
+	ev := e.AtHandler(10, h, 1, 0, nil)
+	cancelled := e.AtHandler(20, h, 2, 0, nil)
 	cancelled.Cancel()
-	if ev.Fired() {
-		t.Fatal("Fired() before Run")
+	if !ev.Active() {
+		t.Fatal("pending handle not active before Run")
+	}
+	if cancelled.Active() {
+		t.Fatal("cancelled handle active before Run")
 	}
 	e.Run()
-	if !ev.Fired() {
-		t.Fatal("Fired() false after the event ran")
+	if ev.Active() {
+		t.Fatal("handle still active after its event fired")
 	}
-	if cancelled.Fired() {
-		t.Fatal("cancelled event reports Fired")
+	if cancelled.Active() {
+		t.Fatal("cancelled handle active after the run")
 	}
-	if !cancelled.Canceled() {
-		t.Fatal("cancelled event lost its Canceled flag after the run")
+	if len(h.calls) != 1 || h.calls[0] != 1 {
+		t.Fatalf("calls = %v, want only the uncancelled event", h.calls)
 	}
 }
 
@@ -706,9 +697,8 @@ func (h *rearmHandler) OnEvent(e *Engine, _ Handle, _ uint64, _ int, _ any) {
 	}
 }
 
-// TestHandlerPathAllocFree is the satellite gate: the closure-free
-// schedule/fire/recycle cycle must not allocate at all once the pool is
-// warm.
+// TestHandlerPathAllocFree is the allocation gate: the schedule/fire/recycle
+// cycle must not allocate at all once the pool is warm.
 func TestHandlerPathAllocFree(t *testing.T) {
 	e := NewEngine(1)
 	h := &rearmHandler{}

@@ -27,25 +27,23 @@ import (
 	"unsafe"
 )
 
-// eventRecord is one live event inside a Snapshot. Its payloads (h, fn, obj)
+// eventRecord is one live event inside a Snapshot. Its payloads (h, obj)
 // are captured by reference: re-filing them under the original key is what
 // keeps restore O(live events), and deep payload state is the caller's to
-// capture alongside the snapshot. The record also pins the *Event struct
+// capture alongside the snapshot. The record also pins the *event struct
 // and the generation it occupied at capture, so Restore can re-file into
 // the identical incarnation: model state captured alongside the snapshot
 // holds Handles to these events, and a mid-run rewind must leave those
 // handles valid.
 type eventRecord struct {
-	at     Time
-	seq    uint64
-	fn     func()
-	h      Handler
-	arg0   uint64
-	arg1   int
-	obj    any
-	pooled bool
-	ev     *Event
-	gen    uint64
+	at   Time
+	seq  uint64
+	h    Handler
+	arg0 uint64
+	arg1 int
+	obj  any
+	ev   *event
+	gen  uint64
 }
 
 // Snapshot is an immutable record of an engine's state at one instant; see
@@ -95,16 +93,14 @@ func (e *Engine) Snapshot() *Snapshot {
 			s.splitRNG[i] = child.State()
 		}
 	}
-	record := func(ev *Event) {
+	record := func(ev *event) {
 		if ev.canceled {
 			return
 		}
 		s.events = append(s.events, eventRecord{
-			at: ev.at, seq: ev.seq,
-			fn: ev.fn, h: ev.h,
+			at: ev.at, seq: ev.seq, h: ev.h,
 			arg0: ev.arg0, arg1: ev.arg1, obj: ev.obj,
-			pooled: ev.pooled,
-			ev:     ev, gen: ev.gen,
+			ev: ev, gen: ev.gen,
 		})
 	}
 	// Cancelled entries are flagged and record() skips them, so a plain walk
@@ -134,23 +130,14 @@ func (e *Engine) Snapshot() *Snapshot {
 	return s
 }
 
-// purge empties the queue: pooled events return to the free list (their
-// generations bump, so outstanding Handles go stale), closure events are
-// orphaned (their caller-held *Event becomes an inert no-op for Cancel).
+// purge empties the queue: every event returns to the free list (its
+// generation bumps, so outstanding Handles go stale).
 func (e *Engine) purge() {
 	e.closeOpen()
-	drop := func(ev *Event) {
-		ev.where = locNone
-		if ev.pooled {
-			e.release(ev)
-		} else {
-			ev.fn = nil
-		}
-	}
-	e.drainAll(drop)
+	e.drainAll(e.release)
 	for i, ev := range e.far {
 		e.far[i] = nil
-		drop(ev)
+		e.release(ev)
 	}
 	e.far = e.far[:0]
 	e.nearCount = 0
@@ -174,19 +161,16 @@ func (e *Engine) Restore(s *Snapshot) {
 	e.stopped = false
 	e.start = bucketOf(s.now)
 	e.cursor = e.start
-	// Re-file every recorded event into the SAME *Event struct it occupied
-	// at capture, with its original generation. After purge every pooled
-	// event is on the free list, so the recorded structs are reclaimed from
-	// it first; closure events keep their caller-visible identity. Identity
-	// matters because model state captured alongside the snapshot holds
-	// Handles {ev, gen} to these events — a rewind that re-filed into fresh
-	// pool slots would leave every such handle stale.
+	// Re-file every recorded event into the SAME *event struct it occupied
+	// at capture, with its original generation. After purge every event is
+	// on the free list, so the recorded structs are reclaimed from it first.
+	// Identity matters because model state captured alongside the snapshot
+	// holds Handles {ev, gen} to these events — a rewind that re-filed into
+	// fresh pool slots would leave every such handle stale.
 	if len(s.events) > 0 {
-		refiled := make(map[*Event]bool, len(s.events))
+		refiled := make(map[*event]bool, len(s.events))
 		for i := range s.events {
-			if s.events[i].pooled {
-				refiled[s.events[i].ev] = true
-			}
+			refiled[s.events[i].ev] = true
 		}
 		kept := e.free[:0]
 		for _, fe := range e.free {
@@ -205,14 +189,11 @@ func (e *Engine) Restore(s *Snapshot) {
 		ev.at = r.at
 		ev.seq = r.seq
 		ev.gen = r.gen
-		ev.fn = r.fn
 		ev.h = r.h
 		ev.arg0 = r.arg0
 		ev.arg1 = r.arg1
 		ev.obj = r.obj
-		ev.pooled = r.pooled
 		ev.canceled = false
-		ev.fired = false
 		ev.index = -1
 		e.schedule(ev)
 	}

@@ -46,7 +46,7 @@ func coldRecorderLog(seed uint64) []string {
 	for i := uint64(1); i <= 4; i++ {
 		e.AtHandler(Time(i), r, i, 0, nil)
 	}
-	e.At(5, func() { r.log = append(r.log, fmt.Sprintf("closure@%d", e.Now())) })
+	e.AtHandler(5, call(func() { r.log = append(r.log, fmt.Sprintf("call@%d", e.Now())) }), 0, 0, nil)
 	e.Run()
 	return r.log
 }
@@ -63,7 +63,7 @@ func TestSnapshotForkByteIdentical(t *testing.T) {
 		for i := uint64(1); i <= 4; i++ {
 			e.AtHandler(Time(i), r, i, 0, nil)
 		}
-		e.At(5, func() { r.log = append(r.log, fmt.Sprintf("closure@%d", e.Now())) })
+		e.AtHandler(5, call(func() { r.log = append(r.log, fmt.Sprintf("call@%d", e.Now())) }), 0, 0, nil)
 		for i := 0; i < forkAt; i++ {
 			if !e.Step() {
 				t.Fatalf("fork point %d beyond queue exhaustion", forkAt)

@@ -36,7 +36,7 @@ func (qp *QP) PostSendUD(wrID uint64, dst Addr, mr *MR, offset, length int, imm 
 	}
 }
 
-// OnEvent is the QP's closure-free event dispatch: with a *rcPending
+// OnEvent is the QP's event dispatch: with a *rcPending
 // payload it is the retransmission timer firing; otherwise it is a signaled
 // send completing its wire serialization (arg0 = WrID, arg1 = bytes).
 func (qp *QP) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, arg1 int, obj any) {
@@ -313,10 +313,10 @@ type rcPending struct {
 	// posted is when the WR entered the send queue; the ack that retires it
 	// closes the completion-latency observation.
 	posted sim.Time
-	// timer is the armed retransmission timeout. A Handle (not a *Event):
-	// timer events are pooled, and the generation check makes cancelling a
-	// timer that already fired — an ack racing its own retransmission — a
-	// guaranteed no-op even after the event's recycling.
+	// timer is the armed retransmission timeout. Engine events are pooled,
+	// and the Handle's generation check makes cancelling a timer that
+	// already fired — an ack racing its own retransmission — a guaranteed
+	// no-op even after the event's recycling.
 	timer sim.Handle
 	// read bookkeeping (requester side)
 	isRead   bool

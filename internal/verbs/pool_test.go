@@ -149,14 +149,14 @@ func TestRCRecycledStateUnderLoss(t *testing.T) {
 		switch rng.Uint64() % 3 {
 		case 0:
 			kind[i] = OpRecvWriteImm
-			eng.At(at, func() { qpA.PostWriteRC(uint64(i), src, off, n, written.Key, off, uint32(i), true) })
+			eng.AtHandler(at, call(func() { qpA.PostWriteRC(uint64(i), src, off, n, written.Key, off, uint32(i), true) }), 0, 0, nil)
 		case 1:
 			kind[i] = OpRecv
 			qpB.PostRecv(uint64(i), received, off, slot)
-			eng.At(at, func() { qpA.PostSendRC(uint64(i), src, off, n, uint32(i), true) })
+			eng.AtHandler(at, call(func() { qpA.PostSendRC(uint64(i), src, off, n, uint32(i), true) }), 0, 0, nil)
 		default:
 			kind[i] = OpRead
-			eng.At(at, func() { qpA.PostReadRC(uint64(i), local, off, remote.Key, off, n) })
+			eng.AtHandler(at, call(func() { qpA.PostReadRC(uint64(i), local, off, remote.Key, off, n) }), 0, 0, nil)
 		}
 	}
 	eng.Run()
@@ -255,3 +255,9 @@ func TestDenseTableBounds(t *testing.T) {
 	}()
 	eng.Run()
 }
+
+// call adapts a func() to sim.Handler, for tests that schedule a one-off
+// action.
+type call func()
+
+func (f call) OnEvent(*sim.Engine, sim.Handle, uint64, int, any) { f() }

@@ -414,7 +414,7 @@ func TestRCSendRetriesUntilReceivePosted(t *testing.T) {
 	dst := b.RegisterMR(100)
 	qpA.PostSendRC(0, src, 0, 100, 0, true)
 	// Post the receive only after 300 µs of virtual time.
-	eng.After(300*sim.Microsecond, func() { qpB.PostRecv(0, dst, 0, 100) })
+	eng.AfterHandler(300*sim.Microsecond, call(func() { qpB.PostRecv(0, dst, 0, 100) }), 0, 0, nil)
 	eng.Run()
 	if cqB.Len() != 1 {
 		t.Fatalf("late-posted receive never matched (RNR on B: %d)", qpB.RNRDrops)

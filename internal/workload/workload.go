@@ -445,7 +445,12 @@ func (p *Pending) startCompute(ps *phaseState) {
 	ps.span = Span{Job: js.def.Name, Phase: ps.def.Name, Start: now}
 	cycles := float64(ps.def.Compute) * js.thread.Chip().Freq / 1e9
 	done := js.thread.RunCycles(cycles, cycles, now)
-	p.eng.At(done, func() { p.phaseDone(ps, nil) })
+	p.eng.AtHandler(done, p, 0, 0, ps)
+}
+
+// OnEvent completes a compute phase (obj) when its cycles have run.
+func (p *Pending) OnEvent(_ *sim.Engine, _ sim.Handle, _ uint64, _ int, obj any) {
+	p.phaseDone(obj.(*phaseState), nil)
 }
 
 // kick issues the next queued collective on an idle stream.

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -48,6 +50,42 @@ func TestComputeChainSerializes(t *testing.T) {
 	}
 	if j.CommBusy != 0 || j.OverlapFrac() != 0 {
 		t.Fatalf("pure-compute job reported comm: busy=%v overlap=%v", j.CommBusy, j.OverlapFrac())
+	}
+}
+
+// TestComputePhasesAllocFree: a compute phase's completion is a pooled
+// engine event carrying the phase, so once the engine's pool is warm a long
+// compute chain allocates only its amortized span bookkeeping, nothing per
+// phase.
+func TestComputePhasesAllocFree(t *testing.T) {
+	const n = 1000
+	phases := make([]Phase, n)
+	for i := range phases {
+		phases[i] = Phase{Name: fmt.Sprintf("c%d", i), Compute: sim.Microsecond}
+		if i > 0 {
+			phases[i].After = []string{phases[i-1].Name}
+		}
+	}
+	w := Workload{Name: "compute", Jobs: []Job{{Name: "j", Phases: phases}}}
+	cl := testCluster(t, 2, 1)
+	mustRun(t, cl, w) // warms the engine's event pool
+	p, err := Start(cl, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cl.Fabric().Engine().Run()
+	runtime.ReadMemStats(&after)
+	rep, err := p.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(rep.Job("j").Spans); got != n {
+		t.Fatalf("%d spans, want %d", got, n)
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / n; per > 0.05 {
+		t.Fatalf("%.3f allocations per compute phase, want <= 0.05", per)
 	}
 }
 
