@@ -212,19 +212,7 @@ func Algorithms() []string { return registry.Names() }
 
 // NewAlgorithm instantiates a registered algorithm on the system's shared
 // per-host runtime. opts.Hosts nil means every host.
-//
-// When the algorithm is partition-safe and the system's fabric is still
-// pristine (no scenario applied, no NICs attached, no telemetry sinks
-// wired into the options), the fabric is switched to its keyed pipeline
-// first: every hop scheduled under a (time, order) key. A fabric that was
-// already touched, or an algorithm that is not partition-safe, runs
-// confined. The two pipelines agree on every arrival time but schedule
-// different events, so the choice shows in event counts.
 func NewAlgorithm(sys *System, name string, opts AlgorithmOptions) (Algorithm, error) {
-	if registry.PartitionSafe(name) &&
-		opts.Core.Metrics == nil && opts.Core.Tracer == nil && opts.Coll.Metrics == nil {
-		sys.Fabric.EnablePartition()
-	}
 	return registry.New(sys.Cluster, name, opts)
 }
 

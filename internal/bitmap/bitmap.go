@@ -72,13 +72,18 @@ func (b *Bitmap) Get(i int) bool {
 	return b.words[i/wordBits]&(uint64(1)<<(i%wordBits)) != 0
 }
 
-// Clear resets every bit. The backing storage is reused, matching the
-// per-iteration reset a real progress engine performs between collectives.
-func (b *Bitmap) Clear() {
-	for i := range b.words {
-		b.words[i] = 0
+// Reset resizes the bitmap to track n chunks, all unset. The backing
+// storage is reused when it is large enough, matching the per-iteration
+// reset a real progress engine performs between collectives.
+func (b *Bitmap) Reset(n int) {
+	w := (n + wordBits - 1) / wordBits
+	if cap(b.words) < w {
+		b.words = make([]uint64, w)
+	} else {
+		b.words = b.words[:w]
+		clear(b.words)
 	}
-	b.set = 0
+	b.n, b.set = n, 0
 }
 
 // Missing appends the indices of all unset bits to dst and returns the

@@ -86,19 +86,48 @@ func TestFull(t *testing.T) {
 	}
 }
 
+// TestClear resets a partly set bitmap to the same size, smaller and larger:
+// every bit reads unset at the new length, Missing lists exactly [0, n),
+// and storage that still fits is reused.
 func TestClear(t *testing.T) {
-	b := New(100)
-	for i := 0; i < 100; i += 3 {
-		b.Set(i)
-	}
-	b.Clear()
-	if b.Count() != 0 || b.Full() {
-		t.Fatalf("Clear left state: count=%d", b.Count())
-	}
-	for i := 0; i < 100; i++ {
-		if b.Get(i) {
-			t.Fatalf("bit %d survived Clear", i)
-		}
+	for _, c := range []struct {
+		name     string
+		from, to int
+		reused   bool
+	}{
+		{"same size", 100, 100, true},
+		{"shrink", 200, 70, true},
+		{"shrink to a partial word", 130, 65, true},
+		{"shrink to zero", 100, 0, true},
+		{"grow within the last word", 65, 128, true},
+		{"grow past capacity", 100, 300, false},
+		{"grow from zero", 0, 64, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b := New(c.from)
+			for i := 0; i < c.from; i += 3 {
+				b.Set(i)
+			}
+			storage := b.words[:cap(b.words)]
+			b.Reset(c.to)
+			if b.Len() != c.to || b.Count() != 0 || b.Remaining() != c.to || b.Full() != (c.to == 0) {
+				t.Fatalf("Reset(%d) left state %v", c.to, b)
+			}
+			for i := 0; i < c.to; i++ {
+				if b.Get(i) {
+					t.Fatalf("bit %d survived Reset", i)
+				}
+			}
+			if miss := b.Missing(nil); len(miss) != c.to || c.to > 0 && miss[c.to-1] != c.to-1 {
+				t.Fatalf("Missing after Reset(%d) = %d indices", c.to, len(miss))
+			}
+			if got := len(storage) > 0 && cap(b.words) > 0 && &b.words[:1][0] == &storage[0]; got != c.reused {
+				t.Fatalf("storage reused = %v, want %v", got, c.reused)
+			}
+			if c.to > 0 && (!b.Set(c.to-1) || b.Count() != 1) {
+				t.Fatalf("Set(%d) after Reset: count %d", c.to-1, b.Count())
+			}
+		})
 	}
 }
 
@@ -270,7 +299,7 @@ func BenchmarkSet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bm.Set(i & (1<<20 - 1))
 		if bm.Full() {
-			bm.Clear()
+			bm.Reset(1 << 20)
 		}
 	}
 }

@@ -234,9 +234,8 @@ func TestValidateDuplicates(t *testing.T) {
 }
 
 // TestManifestShardMatrix runs the three shipping manifest families that
-// exercise distinct stacks — pr (OSU collectives, keyed fabric), chaos
-// (scenario kernel with the keyed quiet anchor), train (workload DAGs,
-// confined) — under the -shards values existing scripts pass. The flag is
+// exercise distinct stacks — pr (OSU collectives), chaos (scenario kernel
+// and its quiet anchor), train (workload DAGs) — under the -shards values existing scripts pass. The flag is
 // ignored: each leg must still match the manifest's expect.sha256 (a
 // zero exit IS the byte-identity assertion; the digest-confirmation line is
 // checked anyway so a manifest that silently loses its expect block fails

@@ -13,10 +13,12 @@ import (
 
 // TestWarmAllgatherAllocsPerEvent gates the steady state of a warm 16-rank
 // multicast Allgather: datagrams come from the fabric's packet pool and RC
-// control messages recycle their per-message state, so what still allocates
-// is per operation, not per datagram — under one object per 500 fired
-// events. With slice-backed RQ/CQs and a closure per received chunk this
-// shape read 0.34; with a fresh packet per multicast send, 0.041.
+// control messages recycle their per-message state, and each rank resets
+// one op state in place, so what still allocates is a few objects per
+// operation — under one object per 4 000 fired events. With slice-backed
+// RQ/CQs and a closure per received chunk this shape read 0.34; with a
+// fresh packet per multicast send, 0.041; with a fresh op state, closure
+// and bitmap per rank and operation, 0.0005.
 func TestWarmAllgatherAllocsPerEvent(t *testing.T) {
 	eng, _, comm := buildComm(t, 16, fabric.Config{}, Config{Transport: verbs.UD})
 	const n = 1 << 20
@@ -32,9 +34,9 @@ func TestWarmAllgatherAllocsPerEvent(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	fired = eng.Executed - fired
 	perEvent := float64(after.Mallocs-before.Mallocs) / float64(fired)
-	t.Logf("%d objects over %d events = %.4f per event", after.Mallocs-before.Mallocs, fired, perEvent)
-	if perEvent > 0.002 {
-		t.Fatalf("warm allgather allocates %.4f objects per fired event, want <= 0.002", perEvent)
+	t.Logf("%d objects over %d events = %.5f per event", after.Mallocs-before.Mallocs, fired, perEvent)
+	if perEvent > 0.00025 {
+		t.Fatalf("warm allgather allocates %.5f objects per fired event, want <= 0.00025", perEvent)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bitmap"
 	"repro/internal/collective"
 	"repro/internal/dpa"
 )
@@ -43,8 +42,8 @@ func (c *Communicator) rankDone(rk *Rank) {
 	}
 }
 
-// startOp builds the per-rank op states and dispatches them onto the app
-// threads. done runs once every rank has completed.
+// startOp resets every rank's op state for a new operation and dispatches
+// it onto the app threads. done runs once every rank has completed.
 func (c *Communicator) startOp(kind opKind, root, n int, done func(*Result)) error {
 	if n <= 0 {
 		return fmt.Errorf("core: non-positive send size %d", n)
@@ -81,22 +80,29 @@ func (c *Communicator) startOp(kind opKind, root, n int, done func(*Result)) err
 	}
 	c.compl = &completion{remaining: p, res: res, done: done}
 	for _, r := range c.ranks {
-		op := &opState{
-			r:     r,
-			seq:   seq,
-			kind:  kind,
-			root:  root,
-			n:     n,
-			chunk: chunk,
-			cpr:   cpr,
-			total: total,
-			roots: roots,
+		op := r.op
+		if op == nil {
+			op = newOpState(r)
+			r.op = op
 		}
-		op.isRoot = kind == kindAllgather || (kind == kindBroadcast && r.id == root)
-		op.dmaDone = func() {
-			op.dmaOut--
-			op.maybeRxDone()
+		// The previous operation is done on every rank, so nothing still
+		// scheduled refers to its state: keep only the storage.
+		*op = opState{
+			r:       r,
+			seq:     seq,
+			kind:    kind,
+			root:    root,
+			n:       n,
+			chunk:   chunk,
+			cpr:     cpr,
+			total:   total,
+			roots:   roots,
+			isRoot:  kind == kindAllgather || (kind == kindBroadcast && r.id == root),
+			bm:      op.bm,
+			dmaDone: op.dmaDone,
+			barGot:  op.barGot[:0],
 		}
+		op.bm.Reset(total)
 		if kind != kindBarrier {
 			recvBytes := n
 			if kind == kindAllgather {
@@ -110,9 +116,6 @@ func (c *Communicator) startOp(kind opKind, root, n int, done func(*Result)) err
 				}
 			}
 		}
-		op.bm = bitmap.New(total)
-		op.cb = c.rankDone
-		r.op = op
 		// Dispatch on the app thread (task-queue handoff cost, §IV-B).
 		t := r.appThread.Run(dpa.TaskDispatch, c.eng.Now())
 		r.eng.AtHandler(t, r, 0, 0, nil)

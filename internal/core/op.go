@@ -29,7 +29,8 @@ func (k opKind) String() string {
 	}
 }
 
-// opState is the per-rank state of one in-flight collective.
+// opState is the per-rank state of the current collective. Each rank has
+// one, reset in place by startOp, so an operation allocates no op state.
 type opState struct {
 	r    *Rank
 	seq  int
@@ -48,8 +49,8 @@ type opState struct {
 	bm        *bitmap.Bitmap
 	remaining int
 	dmaOut    int
-	// dmaDone retires one staging copy. One closure per op, handed to every
-	// DMA enqueue, so a received chunk allocates nothing.
+	// dmaDone retires one staging copy. One closure per rank, handed to
+	// every DMA enqueue, so a received chunk allocates nothing.
 	dmaDone func()
 
 	isRoot    bool
@@ -84,8 +85,17 @@ type opState struct {
 	tTxDone  sim.Time
 	tRxDone  sim.Time
 	tDone    sim.Time
+}
 
-	cb func(*Rank)
+// newOpState returns a rank's op state with the storage that outlives one
+// operation: the bitmap and the DMA completion closure.
+func newOpState(r *Rank) *opState {
+	op := &opState{r: r, bm: &bitmap.Bitmap{}}
+	op.dmaDone = func() {
+		op.dmaOut--
+		op.maybeRxDone()
+	}
+	return op
 }
 
 // rec traces a phase transition (no-op when tracing is off).
@@ -265,7 +275,12 @@ func (op *opState) startBarrier() {
 	for d := 1; d < p; d *= 2 {
 		rounds++
 	}
-	op.barGot = make([]bool, rounds)
+	if cap(op.barGot) < rounds {
+		op.barGot = make([]bool, rounds)
+	} else {
+		op.barGot = op.barGot[:rounds]
+		clear(op.barGot)
+	}
 	op.barRound = 0
 	op.begun = true
 	if rounds == 0 {
@@ -527,9 +542,7 @@ func (op *opState) checkDone() {
 		qp.GCAssembly()
 	}
 	r.TotalRecovered += op.recovered
-	if op.cb != nil {
-		op.cb(r)
-	}
+	r.comm.rankDone(r)
 }
 
 // handleCtrl dispatches control-plane messages for this operation.

@@ -53,22 +53,22 @@ type Packet struct {
 	// pooled marks a packet born in NIC.NewPacket or InjectBackground: the
 	// fabric takes it back once nothing carries it any more.
 	pooled bool
-	// refs counts the scheduled hops carrying the packet: arrivals, keyed
-	// bookings and jittered deliveries. A multicast packet is one object on
-	// every branch of its tree, so it has one ref per branch in flight.
+	// refs counts the scheduled hops carrying the packet: arrivals and
+	// jittered deliveries. A multicast packet is one object on every branch
+	// of its tree, so it has one ref per branch in flight.
 	refs int32
 }
 
 // packetPool is the fabric's free list of packets. A pool-born packet,
 // unicast or multicast, belongs to whoever holds it from NewPacket until
 // Inject, then to the fabric. Every handler that a scheduled hop fires
-// (arrival, keyed booking, jittered delivery) ends in landed, and the hop
-// that drops refs to zero files the packet back — Payload still attached,
-// every other field zeroed. That hop is the last tree branch to land, the
-// host delivery (NIC.Deliver has returned), the root absorbing a reduce
-// contribution, or a drop; Inject files back a packet dropped on the uplink.
-// A packet the caller allocated itself never enters the pool. made counts
-// the packets the pool has allocated.
+// (arrival, jittered delivery) ends in landed, and the hop that drops refs
+// to zero files the packet back — Payload still attached, every other
+// field zeroed. That hop is the last tree branch to land, the host
+// delivery (NIC.Deliver has returned), the root absorbing a reduce
+// contribution, or a drop; Inject files back a packet dropped on the
+// uplink. A packet the caller allocated itself never enters the pool. made
+// counts the packets the pool has allocated.
 type packetPool struct {
 	free []*Packet
 	made int
@@ -197,9 +197,6 @@ type NIC struct {
 	// Injected/Received count packets through this NIC for diagnostics.
 	Injected uint64
 	Received uint64
-	// pktSeq numbers injections on a keyed fabric, whose packet IDs are
-	// host<<32|seq.
-	pktSeq uint64
 }
 
 // Fabric is a live simulated network bound to an engine and a topology.
@@ -211,15 +208,9 @@ type Fabric struct {
 	rng *sim.RNG
 
 	// Pre-built sim.Handler instances for the fabric event kinds, so the
-	// per-hop scheduling path is closure-free and allocation-free. bookH
-	// exists only on a keyed fabric (see keyed.go).
+	// per-hop scheduling path is closure-free and allocation-free.
 	arriveH  sim.Handler
 	deliverH sim.Handler
-	bookH    sim.Handler
-
-	// part holds the dispatch-keying state once EnablePartition switched
-	// the fabric to the keyed pipeline; nil means confined.
-	part *partition
 
 	// chans[2*linkID+dir]: dir 0 = A->B, dir 1 = B->A.
 	chans []channel
@@ -352,15 +343,10 @@ func (n *NIC) Inject(pkt *Packet) sim.Time {
 		}
 	}
 	n.Injected++
-	var wire sim.Time
-	if n.f.part != nil {
-		wire = n.injectPartitioned(pkt)
-	} else {
-		pkt.ID = n.f.nextPktID
-		n.f.nextPktID++
-		// The host's single port is port 0; transmit up the host link.
-		wire = n.f.transmit(pkt, n.Host, 0)
-	}
+	pkt.ID = n.f.nextPktID
+	n.f.nextPktID++
+	// The host's single port is port 0; transmit up the host link.
+	wire := n.f.transmit(pkt, n.Host, 0)
 	if pkt.refs == 0 { // dropped on the uplink: no hop carries it
 		n.f.pool.put(pkt)
 	}
@@ -389,11 +375,6 @@ func (ch *channel) serialization(size int) sim.Time {
 // schedules arrival processing at the peer. It returns the serialization
 // completion time on that channel.
 func (f *Fabric) transmit(pkt *Packet, node topology.NodeID, port int) sim.Time {
-	if f.part != nil {
-		// Keyed hops go through book/dispatch; reaching the confined path
-		// means a switch arrival slipped past the keyed pipeline.
-		panic(fmt.Sprintf("fabric: confined transmit at node %d port %d on a keyed fabric", node, port))
-	}
 	nb := f.g.Adj[node][port]
 	ch := f.channelFor(node, nb.Link)
 	size := f.wireBytes(pkt)
@@ -581,7 +562,6 @@ func (f *Fabric) SetBandwidthScale(id ChannelID, scale float64) {
 	if scale <= 0 {
 		panic(fmt.Sprintf("fabric: bandwidth scale %v must be positive (use SetDropRate(id, 1) for an outage)", scale))
 	}
-	f.assertConfined(id, "SetBandwidthScale")
 	ch := &f.chans[id]
 	ch.serSize = -1 // invalidate the memoized serialization time
 	if scale == 1 {
@@ -597,7 +577,6 @@ func (f *Fabric) SetExtraLatency(id ChannelID, d sim.Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("fabric: negative extra latency %v", d))
 	}
-	f.assertConfined(id, "SetExtraLatency")
 	f.chans[id].extraLat = d
 }
 
@@ -613,7 +592,6 @@ func (f *Fabric) DropRateOverride(id ChannelID) float64 {
 // lossless, 1 takes it down entirely (every traversal drops), and a
 // negative rate clears the override, restoring the global configuration.
 func (f *Fabric) SetDropRate(id ChannelID, rate float64) {
-	f.assertConfined(id, "SetDropRate")
 	if rate > 1 {
 		rate = 1
 	}
@@ -685,9 +663,6 @@ func (f *Fabric) InjectBackground(src, dst topology.NodeID, payloadBytes int, fl
 	if payloadBytes < 0 {
 		panic("fabric: negative background payload size")
 	}
-	if f.part != nil {
-		panic("fabric: background traffic requires the confined fabric (EnablePartition refuses scenarios; this fabric was keyed first)")
-	}
 	pkt := f.pool.get()
 	pkt.Src, pkt.Dst, pkt.Flow = src, dst, flow
 	pkt.PayloadBytes, pkt.Background = payloadBytes, true
@@ -700,20 +675,6 @@ func (f *Fabric) InjectBackground(src, dst topology.NodeID, payloadBytes int, fl
 		f.pool.put(pkt)
 	}
 	return wire
-}
-
-// assertConfined rejects a live per-channel override on a keyed fabric.
-// EnablePartition refuses fabrics that already carry overrides, so the two
-// features are mutually exclusive by construction; ClearOverrides stays
-// allowed since it restores the exact baseline the keyed channels are known
-// to hold.
-func (f *Fabric) assertConfined(id ChannelID, op string) {
-	if f.part == nil {
-		return
-	}
-	ch := &f.chans[id]
-	panic(fmt.Sprintf("fabric: %s on channel %d (%d->%d): live overrides require the confined fabric",
-		op, id, ch.from, ch.to))
 }
 
 // --- counters -------------------------------------------------------------

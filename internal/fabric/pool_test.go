@@ -37,17 +37,14 @@ func TestPoolSerialRingReusesEveryPacket(t *testing.T) {
 	}
 }
 
-// TestPoolCapBoundsOneWayFlow: a one-way flow on a keyed fabric carries the
-// sender's packets to the receiver and nothing back, yet the one pool takes
-// every delivered packet back, so the flow never makes more packets than
-// one burst holds in flight.
+// TestPoolCapBoundsOneWayFlow: a one-way flow carries the sender's packets
+// to the receiver and nothing back, yet the one pool takes every delivered
+// packet back, so the flow never makes more packets than one burst holds in
+// flight.
 func TestPoolCapBoundsOneWayFlow(t *testing.T) {
 	g := topology.Star(4)
 	eng := sim.NewEngine(1)
 	f := New(eng, g, Config{})
-	if !f.EnablePartition() {
-		t.Fatal("EnablePartition refused a pristine fabric")
-	}
 	hosts := g.Hosts()
 	src, dst := f.AttachNIC(hosts[0]), f.AttachNIC(hosts[3])
 	const burst = 16
@@ -66,8 +63,7 @@ func TestPoolCapBoundsOneWayFlow(t *testing.T) {
 
 // lifetimeLeg is one fabric configuration of TestPacketLifetimeProperty.
 type lifetimeLeg struct {
-	name  string
-	keyed bool
+	name string
 	// drop is a random per-hop drop rate on top of the outages; with it a
 	// tag owes each host at most one delivery instead of exactly one.
 	drop float64
@@ -87,13 +83,12 @@ type lifetimeLeg struct {
 //   - at quiescence every pool-born packet — multicast, reduced, background
 //     and dropped ones included — is back on the free list, once.
 //
-// The confined legs run with ReorderJitter, a reduce group, background
-// traffic and three special hosts: one whose uplink is down (its sends drop
-// at Inject), one whose downlink is down (tree branches toward it drop one
-// hop short) and one on the tree but detached from the group. The keyed leg
-// carries what the keyed pipeline supports.
+// Both legs run with ReorderJitter, a reduce group, background traffic and
+// three special hosts: one whose uplink is down (its sends drop at Inject),
+// one whose downlink is down (tree branches toward it drop one hop short)
+// and one on the tree but detached from the group.
 func TestPacketLifetimeProperty(t *testing.T) {
-	legs := []lifetimeLeg{{name: "confined"}, {name: "lossy", drop: 0.05}, {name: "keyed", keyed: true}}
+	legs := []lifetimeLeg{{name: "confined"}, {name: "lossy", drop: 0.05}}
 	for _, leg := range legs {
 		for _, seed := range []uint64{1, 7, 42} {
 			t.Run(fmt.Sprintf("%s/seed=%d", leg.name, seed), func(t *testing.T) { runLifetime(t, leg, seed) })
@@ -101,37 +96,40 @@ func TestPacketLifetimeProperty(t *testing.T) {
 	}
 }
 
+// propTopology is a two-level fat tree: big enough that packets cross
+// host->leaf, leaf->spine, spine->leaf and leaf->host channels, small
+// enough that the property runs in milliseconds.
+func propTopology(t *testing.T) *topology.Graph {
+	t.Helper()
+	g, err := topology.TwoLevelFatTree(topology.FatTreeSpec{
+		Hosts: 12, HostsPerLeaf: 4, Spines: 2, TrunkLinks: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 	g := propTopology(t)
 	eng := sim.NewEngine(seed)
-	confined := !leg.keyed
-	cfg := Config{DropRate: leg.drop}
-	if confined {
-		cfg.ReorderJitter = 300 * sim.Nanosecond
-	}
-	f := New(eng, g, cfg)
-	if leg.keyed && !f.EnablePartition() {
-		t.Fatal("EnablePartition refused a pristine fabric")
-	}
+	f := New(eng, g, Config{DropRate: leg.drop, ReorderJitter: 300 * sim.Nanosecond})
 	hosts := g.Hosts()
 	gid, err := f.CreateGroup(g.TopSwitches()[0], hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	down, deaf, detached := -1, -1, -1
+	down, deaf, detached := 0, 5, 9
 	reducers, owner := []int{1, 2, 3, 4}, 6
-	var rg ReduceGroupID
-	if confined {
-		down, deaf, detached = 0, 5, 9
-		f.SetDropRate(uplinkOf(t, f, hosts[down]), 1)
-		f.SetDropRate(uplinkOf(t, f, hosts[deaf])^1, 1) // the reverse channel
-		var members []topology.NodeID
-		for _, i := range reducers {
-			members = append(members, hosts[i])
-		}
-		if rg, err = f.CreateReduceGroup(g.TopSwitches()[1], members); err != nil {
-			t.Fatal(err)
-		}
+	f.SetDropRate(uplinkOf(t, f, hosts[down]), 1)
+	f.SetDropRate(uplinkOf(t, f, hosts[deaf])^1, 1) // the reverse channel
+	var members []topology.NodeID
+	for _, i := range reducers {
+		members = append(members, hosts[i])
+	}
+	rg, err := f.CreateReduceGroup(g.TopSwitches()[1], members)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	owed := map[uint64]uint32{}    // tag -> bitmask of hosts still owed a delivery
@@ -210,7 +208,7 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 				tg, size := tag, 64+int(rng.Uint64()%4033)
 				d := (s + 1 + int(rng.Uint64()%uint64(len(hosts)-1))) % len(hosts)
 				switch kind := rng.Uint64() % 8; {
-				case kind == 7 && confined:
+				case kind == 7:
 					eng.AtHandler(at(), call(func() {
 						pooled++
 						f.InjectBackground(hosts[s], hosts[d], size, tg)
@@ -241,19 +239,17 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 				}
 			}
 		}
-		if confined {
-			chunk := uint64(r)
-			for _, s := range reducers {
-				tag++
-				tg := tag
-				chunkOf[tg] = chunk
-				eng.AtHandler(at(), call(func() {
-					p := newPacket(s)
-					p.Dst, p.Flow, p.PayloadBytes = hosts[owner], tg, 1024
-					p.Reduce, p.ReduceChunk = rg, chunk
-					nics[s].Inject(p)
-				}), 0, 0, nil)
-			}
+		chunk := uint64(r)
+		for _, s := range reducers {
+			tag++
+			tg := tag
+			chunkOf[tg] = chunk
+			eng.AtHandler(at(), call(func() {
+				p := newPacket(s)
+				p.Dst, p.Flow, p.PayloadBytes = hosts[owner], tg, 1024
+				p.Reduce, p.ReduceChunk = rg, chunk
+				nics[s].Inject(p)
+			}), 0, 0, nil)
 		}
 		eng.Run()
 
@@ -272,12 +268,12 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 			if len(owed) != 0 {
 				t.Fatalf("round %d: %d tags still owed deliveries at quiescence", r, len(owed))
 			}
-			if confined && results[uint64(r)] != 1 {
+			if results[uint64(r)] != 1 {
 				t.Fatalf("round %d: chunk delivered %d results, want 1", r, results[uint64(r)])
 			}
 		}
 	}
-	if delivered == 0 || confined && (f.TotalDropped == 0 || f.BackgroundInjected == 0) {
+	if delivered == 0 || f.TotalDropped == 0 || f.BackgroundInjected == 0 {
 		t.Fatalf("void run: %d deliveries, %d drops, %d background packets", delivered, f.TotalDropped, f.BackgroundInjected)
 	}
 }

@@ -36,9 +36,6 @@ type reduceGroup struct {
 // CreateReduceGroup builds a reduction tree rooted at a switch over the
 // member hosts. Every member is expected to contribute once per chunk.
 func (f *Fabric) CreateReduceGroup(root topology.NodeID, members []topology.NodeID) (ReduceGroupID, error) {
-	if f.part != nil {
-		return NoReduceGroup, fmt.Errorf("fabric: in-network reduction at switch %d requires the confined fabric, not the keyed pipeline", root)
-	}
 	mt, err := f.g.BuildMulticastTree(root, members)
 	if err != nil {
 		return NoReduceGroup, err

@@ -1,9 +1,6 @@
 package harness
 
 import (
-	"repro/internal/registry"
-	"repro/internal/scenario"
-	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
@@ -42,15 +39,4 @@ func (e Env) newRegistry() *telemetry.Registry {
 		return nil
 	}
 	return telemetry.New(e.Telemetry)
-}
-
-// partitions is the one partition gate: it decides whether a collective
-// point's fabric runs the keyed pipeline (fabric.EnablePartition), which
-// it does when nothing needs the confined path — no perturbation scenario
-// (the quiet anchor is injector-free), no telemetry registry, no delivery
-// jitter (the keyed path carries no jitter RNG), and a partition-safe
-// algorithm.
-func (e Env) partitions(s sweep.Spec, jitterUS int) bool {
-	return (s.Scenario == "" || s.Scenario == scenario.Quiet) && !e.Telemetry.Enabled &&
-		jitterUS == 0 && registry.PartitionSafe(s.Algorithm)
 }

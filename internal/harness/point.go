@@ -37,9 +37,6 @@ type point struct {
 	reg     *telemetry.Registry
 	sampler *telemetry.Sampler
 	tracer  *telemetry.Bundle
-	// partitioned reports whether the fabric runs the keyed pipeline (the
-	// partition gate allowed it and the fabric agreed).
-	partitioned bool
 }
 
 // buildColl builds one collective point on the 188-node testbed model: the
@@ -75,7 +72,6 @@ func (e Env) buildColl(s sweep.Spec, linkGbps float64, jitterUS int) (*point, er
 	pt.f = fabric.New(sim.NewEngine(s.Seed), g, fcfg)
 	pt.reg = e.newRegistry()
 	pt.cl = cluster.New(pt.f, cluster.Config{Verbs: verbs.Config{Metrics: pt.reg}})
-	pt.partitioned = e.partitions(s, jitterUS) && pt.f.EnablePartition()
 	var err error
 	pt.alg, err = registry.New(pt.cl, s.Algorithm, registry.Options{
 		Hosts: hosts[:s.Nodes],

@@ -61,28 +61,6 @@ var algorithms = map[string]builder{
 	"mcast-allreduce":     newAllreduce(true),
 }
 
-// partitionSafe lists the algorithms whose quiet points run on the keyed
-// fabric pipeline (fabric.EnablePartition). The set is frozen: it decides
-// which points' event counts, and so which digests, come from the keyed
-// pipeline. Its criteria were that every mid-run event stays on the acting
-// rank's host and all queue pairs exist before the first Start, which
-// leaves out the composed allreduces (Start chained inside a completion
-// callback), rd-/bruck-allgather and the tree broadcasts (RC queue pairs
-// created lazily mid-run). inc-reduce-scatter stays out in any case: the
-// keyed pipeline carries no in-network reduction.
-var partitionSafe = map[string]bool{
-	"mcast-broadcast":     true,
-	"mcast-allgather":     true,
-	"ring-allgather":      true,
-	"linear-allgather":    true,
-	"ring-reduce-scatter": true,
-}
-
-// PartitionSafe reports whether the named algorithm may run on a
-// partitioned fabric. Callers that own a fabric outright use it to decide
-// whether to EnablePartition before building the algorithm.
-func PartitionSafe(name string) bool { return partitionSafe[name] }
-
 // Names returns every registered algorithm name, sorted.
 func Names() []string {
 	names := make([]string, 0, len(algorithms))
@@ -100,9 +78,6 @@ func New(cl *cluster.Cluster, name string, opts Options) (collective.Algorithm, 
 	b, ok := algorithms[name]
 	if !ok {
 		return nil, fmt.Errorf("registry: unknown algorithm %q (have %v)", name, Names())
-	}
-	if cl.Fabric().Partitioned() && !PartitionSafe(name) {
-		return nil, fmt.Errorf("registry: %s is not partition-safe; build it on a confined fabric (the fabric was partitioned for an earlier algorithm)", name)
 	}
 	hosts := opts.Hosts
 	if hosts == nil {

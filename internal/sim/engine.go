@@ -42,8 +42,8 @@
 // # Events
 //
 // Every event is a typed Handler plus packed arguments (a uint64, an int,
-// and one pointer-shaped payload), scheduled with AtHandler, AfterHandler
-// or AtOrdered. Events are carved from engine-owned slabs and recycled
+// and one pointer-shaped payload), scheduled with AtHandler or
+// AfterHandler. Events are carved from engine-owned slabs and recycled
 // through a free list once fired or cancelled, so steady-state scheduling
 // does not allocate at all. The value-type Handle is the only reference to
 // a scheduled event; it carries a generation number, so a stale handle held
@@ -137,7 +137,7 @@ type Handler interface {
 }
 
 // event is a scheduled Handler call. Events are ordered by time; ties are
-// broken by sequence key so the execution order of simultaneous events is
+// broken by sequence number so the execution order of simultaneous events is
 // deterministic and FIFO with respect to scheduling order.
 type event struct {
 	at       Time
@@ -304,8 +304,8 @@ type Engine struct {
 	//
 	// Executed counts events that have fired, for diagnostics and for
 	// guarding against runaway simulations in tests. Scheduled counts every
-	// AtHandler/AfterHandler/AtOrdered call. Recycled counts events served
-	// from the free list instead of fresh from a slab.
+	// AtHandler/AfterHandler call. Recycled counts events served from the
+	// free list instead of fresh from a slab.
 	Executed  uint64
 	Scheduled uint64
 	Recycled  uint64
@@ -316,24 +316,16 @@ type Engine struct {
 	splits []*RNG
 
 	// EventHook, when non-nil, observes every fired event just before its
-	// handler runs: the firing time, its (possibly banded) sequence key,
-	// and the handler. It exists for the replay debugger's step mode; the
-	// nil check is the only cost on the hot path.
+	// handler runs: the firing time, its sequence number and the handler.
+	// It exists for the replay debugger's step mode; the nil check is the
+	// only cost on the hot path.
 	EventHook func(at Time, seq uint64, h Handler)
 }
-
-// localSeqBand is the first sequence number the engine's own counter hands
-// out. Sequence numbers below the band are reserved for AtOrdered, whose
-// seq is a caller-supplied order key: at equal firing times every ordered
-// event fires before every counter-sequenced one, and ordered events fire
-// in ascending key order. An engine that never sees AtOrdered has all its
-// events in the upper band, where (at, seq) is plain scheduling order.
-const localSeqBand = uint64(1) << 63
 
 // NewEngine returns an engine with virtual time 0 and a deterministic RNG
 // seeded with seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRNG(seed), seq: localSeqBand, freeChunk: -1}
+	return &Engine{rng: NewRNG(seed), freeChunk: -1}
 }
 
 // Now returns the current virtual time.
@@ -368,33 +360,6 @@ func (e *Engine) AtHandler(t Time, h Handler, arg0 uint64, arg1 int, obj any) Ha
 	ev.at = t
 	ev.seq = e.seq
 	e.seq++
-	ev.h = h
-	ev.arg0 = arg0
-	ev.arg1 = arg1
-	ev.obj = obj
-	e.schedule(ev)
-	return Handle{ev: ev, gen: ev.gen}
-}
-
-// AtOrdered schedules h.OnEvent like AtHandler but with a caller-chosen
-// sequence key from the reserved low band instead of the engine's own
-// counter, for a subsystem whose same-time event order must be a pure
-// function of (time, order) rather than of scheduling order (the fabric's
-// keyed pipeline). Keys should be unique per (engine, time): the calendar's
-// run merge is stable, so colliding keys fire in insertion order.
-func (e *Engine) AtOrdered(t Time, order uint64, h Handler, arg0 uint64, arg1 int, obj any) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling ordered event at %v before now %v", t, e.now))
-	}
-	if order >= localSeqBand {
-		panic(fmt.Sprintf("sim: AtOrdered key %#x intrudes on the local sequence band", order))
-	}
-	ev := e.get()
-	if ev == nil {
-		ev = e.carve()
-	}
-	ev.at = t
-	ev.seq = order
 	ev.h = h
 	ev.arg0 = arg0
 	ev.arg1 = arg1

@@ -239,24 +239,14 @@ func (p *propHarness) schedule(d Time) int {
 	id := p.nextID
 	p.nextID++
 	at := p.eng.Now() + d
-	it := &refItem{at: at, id: id}
-	switch id % 3 {
-	case 2:
-		// Keyed flavour, the way the fabric's book/dispatch pipeline feeds
-		// buckets: a unique low-band key that is not monotone in insertion
-		// order, so it fires ahead of every local event of the same instant.
-		it.seq = uint64(p.rng.Intn(1<<20))<<32 | uint64(id)
-		p.live[id] = p.eng.AtOrdered(at, it.seq, p, uint64(id), 0, nil)
-	default:
-		// Both sides must consume one sequence number per local schedule, in
-		// the same order, for the (at, seq) tiebreak to be comparable.
-		it.seq = localSeqBand + p.refSeq
-		p.refSeq++
-		if id%3 == 0 {
-			p.live[id] = p.eng.AfterHandler(d, p, uint64(id), 0, nil)
-		} else {
-			p.live[id] = p.eng.AtHandler(at, p, uint64(id), 0, nil)
-		}
+	// Both sides must consume one sequence number per schedule, in the same
+	// order, for the (at, seq) tiebreak to be comparable.
+	it := &refItem{at: at, seq: p.refSeq, id: id}
+	p.refSeq++
+	if id%2 == 0 {
+		p.live[id] = p.eng.AfterHandler(d, p, uint64(id), 0, nil)
+	} else {
+		p.live[id] = p.eng.AtHandler(at, p, uint64(id), 0, nil)
 	}
 	heap.Push(&p.ref, it)
 	p.refByID[id] = it
@@ -264,10 +254,10 @@ func (p *propHarness) schedule(d Time) int {
 }
 
 // TestHybridMatchesReferenceHeapOrder schedules >10k events through the
-// ladder/heap hybrid — a third each through AfterHandler, AtHandler and
-// keyed AtOrdered, with random cancellations (through the Handles) and
-// re-arms along the way — and checks every single pop against a reference
-// binary heap's (at, seq) order.
+// ladder/heap hybrid — half each through AfterHandler and AtHandler, with
+// random cancellations (through the Handles) and re-arms along the way —
+// and checks every single pop against a reference binary heap's (at, seq)
+// order.
 func TestHybridMatchesReferenceHeapOrder(t *testing.T) {
 	for _, seed := range []uint64{1, 42, 0xdeadbeef} {
 		p := newPropHarness(t, seed)
@@ -288,7 +278,7 @@ func TestHybridMatchesReferenceHeapOrder(t *testing.T) {
 const trainGap = 166 * Nanosecond
 
 // TestSlidingWindowShapes scripts the schedules the per-bucket slide
-// introduces — each through all three scheduling flavours, every pop checked
+// introduces — each through both scheduling flavours, every pop checked
 // against the reference heap.
 func TestSlidingWindowShapes(t *testing.T) {
 	for _, frac := range []Time{9, 10, 15} { // tenths of a span
@@ -370,7 +360,7 @@ func TestSlidingWindowShapes(t *testing.T) {
 	t.Run("cancel after refill", func(t *testing.T) {
 		p := scriptedHarness(t)
 		var ids []int
-		for i := 0; i < 6; i++ { // two of each flavour, one bucket apart
+		for i := 0; i < 6; i++ { // three of each flavour, one bucket apart
 			ids = append(ids, p.schedule(2*windowSpan+Time(i)*bucketWidth))
 		}
 		for _, id := range ids {
@@ -428,7 +418,7 @@ func TestRunUntilThenEarlierSchedule(t *testing.T) {
 
 // TestChunkBoundaries scripts buckets at and around the chunk size, and the
 // moves that re-chunk or free whole chains (rebase, closing an open bucket,
-// Snapshot/Restore), through all three scheduling flavours with every pop
+// Snapshot/Restore), through both scheduling flavours with every pop
 // checked against the reference heap and the storage invariants checked
 // after each move.
 func TestChunkBoundaries(t *testing.T) {
@@ -504,7 +494,7 @@ func TestChunkBoundaries(t *testing.T) {
 		s := &shape{eng: NewEngine(1)}
 		s.addRuns(2*bucketWidth, 2*chunkLen+1, 2) // 66 entries: five chunks
 		s.addRuns(4*bucketWidth, chunkLen+1, 2)
-		s.add(3*windowSpan, 0)
+		s.add(3 * windowSpan)
 		for id := chunkLen - 1; id < len(s.ents); id += chunkLen {
 			s.cancel(id) // on chunk boundaries
 		}
@@ -750,8 +740,8 @@ type shapeEntry struct {
 	canceled bool
 }
 
-// shape scripts a schedule through AtHandler (key 0) and AtOrdered (any
-// other key) and records the firing order; arg0 is the entry's index.
+// shape scripts a schedule through AtHandler and records the firing order;
+// arg0 is the entry's index.
 type shape struct {
 	eng   *Engine
 	ents  []shapeEntry
@@ -762,13 +752,9 @@ func (s *shape) OnEvent(_ *Engine, _ Handle, arg0 uint64, _ int, _ any) {
 	s.fired = append(s.fired, int(arg0))
 }
 
-func (s *shape) add(at Time, key uint64) int {
+func (s *shape) add(at Time) int {
 	id := len(s.ents)
-	if key == 0 {
-		s.ents = append(s.ents, shapeEntry{at: at, seq: s.eng.seq, h: s.eng.AtHandler(at, s, uint64(id), 0, nil)})
-	} else {
-		s.ents = append(s.ents, shapeEntry{at: at, seq: key, h: s.eng.AtOrdered(at, key, s, uint64(id), 0, nil)})
-	}
+	s.ents = append(s.ents, shapeEntry{at: at, seq: s.eng.seq, h: s.eng.AtHandler(at, s, uint64(id), 0, nil)})
 	return id
 }
 
@@ -816,7 +802,7 @@ func runsFit(t *testing.T, per int) int {
 
 // addRuns appends n interleaved ascending runs of per entries each inside
 // the bucket starting at base: run r holds base+r, base+r+stride, ..., so
-// every run boundary is a descent. Odd runs are keyed.
+// every run boundary is a descent.
 func (s *shape) addRuns(base Time, n, per int) {
 	stride := bucketWidth / Time(per)
 	if Time(n) >= stride {
@@ -824,11 +810,7 @@ func (s *shape) addRuns(base Time, n, per int) {
 	}
 	for r := 0; r < n; r++ {
 		for j := 0; j < per; j++ {
-			key := uint64(0)
-			if r%2 == 1 {
-				key = uint64(n-r)<<16 | uint64(j) + 1 // later runs sort first at a tie
-			}
-			s.add(base+Time(r)+Time(j)*stride, key)
+			s.add(base + Time(r) + Time(j)*stride)
 		}
 	}
 }
@@ -837,7 +819,7 @@ func TestBucketShapes(t *testing.T) {
 	t.Run("descending", func(t *testing.T) {
 		s := &shape{eng: NewEngine(1)}
 		for at := bucketWidth - 1; at >= 0; at-- { // bucketWidth runs of one
-			s.add(at, 0)
+			s.add(at)
 		}
 		s.eng.Run()
 		s.check(t)
@@ -846,17 +828,17 @@ func TestBucketShapes(t *testing.T) {
 		s := &shape{eng: NewEngine(1)}
 		n := runsFit(t, 4)
 		s.addRuns(3*bucketWidth, n, 4)
-		s.addRuns(3*bucketWidth, n-7, 2) // same instants again: ties across flavours
+		s.addRuns(3*bucketWidth, n-7, 2) // same instants again: ties across runs
 		s.eng.Run()
 		s.check(t)
 	})
-	t.Run("colliding keys", func(t *testing.T) {
-		// Equal (at, key) pairs are a caller bug, but the merge is stable:
-		// they fire in insertion order.
+	t.Run("equal instants", func(t *testing.T) {
+		// Six runs over the same eight instants: the merge meets a tie at
+		// every run boundary, and each fires in insertion order.
 		s := &shape{eng: NewEngine(1)}
 		for r := 0; r < 6; r++ {
 			for j := 0; j < 8; j++ {
-				s.add(Time(10*j), uint64(1+j%2))
+				s.add(Time(10 * j))
 			}
 		}
 		s.eng.Run()
@@ -888,10 +870,10 @@ func TestBucketShapes(t *testing.T) {
 			t.Fatalf("setup: cursor %d opened %v, want bucket 9 open", s.eng.cursor, s.eng.opened)
 		}
 		for at := 10*bucketWidth - 1; at > 10*bucketWidth-20; at-- {
-			s.add(at, 0)
+			s.add(at)
 		}
-		s.cancel(s.add(9*bucketWidth+7, 5))
-		s.add(5*bucketWidth, 0)
+		s.cancel(s.add(9*bucketWidth + 7))
+		s.add(5 * bucketWidth)
 		if s.eng.opened || s.eng.cursor != 5 {
 			t.Fatalf("setup: cursor %d opened %v, want bucket 5 closed", s.eng.cursor, s.eng.opened)
 		}
@@ -904,7 +886,7 @@ func TestBucketShapes(t *testing.T) {
 		s.addRuns(2*bucketWidth, runsFit(t, 4), 4)
 		s.eng.RunUntil(2*bucketWidth + bucketWidth/5) // bucket 2 open and partly consumed
 		for at := 3*bucketWidth - 1; at > 3*bucketWidth-30; at-- {
-			s.add(at, uint64(at)) // open-bucket heap, descending
+			s.add(at) // open-bucket heap, descending
 		}
 		s.cancel(len(s.ents) - 7)
 		snap := s.eng.Snapshot()
@@ -927,8 +909,8 @@ func TestBucketShapes(t *testing.T) {
 		// bucket's heap and on the far heap; Restore re-anchors on the clock.
 		s := &shape{eng: NewEngine(1)}
 		at := windowSpan + 37*bucketWidth
-		s.add(at, 0)
-		s.add(at+5, 0)
+		s.add(at)
+		s.add(at + 5)
 		s.eng.RunUntil(at)                            // fires the first; the peek leaves the bucket open
 		for i := Time(0); i < numBuckets+40; i += 3 { // the tail overflows: slide, then far
 			s.addRuns(at+i*bucketWidth, 2, 3)

@@ -30,9 +30,11 @@ type Record struct {
 	Workload    string  `json:"workload,omitempty"`
 	OverlapFrac float64 `json:"overlap_frac,omitempty"`
 	// Telemetry is the point's metric snapshot when telemetry is enabled.
-	// It is excluded from the BENCH_*.json encoding — those documents are
-	// digest-gated byte-identical with telemetry on or off — and surfaces
-	// through the separately written canonical metrics.json instead.
+	// It is excluded from the BENCH_*.json encoding and surfaces through
+	// the separately written canonical metrics.json instead. Turning
+	// telemetry on leaves every result and duration unchanged, but not the
+	// bytes: the sampler's events count in sim_events, and an OSU record's
+	// Start/End shift to the sampler's ticks.
 	Telemetry *telemetry.Snapshot `json:"-"`
 }
 

@@ -183,6 +183,9 @@ type assemblyState struct {
 	data  []byte // two-sided RC payload staged until a receive WQE matches
 }
 
+// rcDelivered is the assembly entry of a delivered reliable message.
+var rcDelivered = &assemblyState{}
+
 // newAssembly returns empty assembly state for a message of nsegs segments,
 // recycled when the context has one: its got bitmap keeps its capacity.
 func (ctx *Context) newAssembly(nsegs int) *assemblyState {
@@ -214,17 +217,17 @@ func (ctx *Context) putAssembly(st *assemblyState) {
 // message's assembly state, complete when have == m.nsegs. It returns nil
 // for a segment that changes nothing: a duplicate, or (reliable only) part of
 // a message already delivered, whose retransmission raced our ack and is
-// re-acked. A message still in assembly is by construction not completed, so
-// a hit on the entry the previous segment used skips both lookups.
-func (qp *QP) segment(src Addr, m *wireMsg, reliable bool) *assemblyState {
+// re-acked. A message still in assembly is by construction not delivered, so
+// a hit on the entry the previous segment used skips the lookup.
+func (qp *QP) segment(src Addr, m *wireMsg) *assemblyState {
 	key := assemblyKey{srcHost: src.Host, srcQPN: m.srcQPN, msgID: m.msgID}
 	st := qp.lastAsm
 	if st == nil || key != qp.lastKey {
-		if reliable && qp.completedRC[key] {
+		st = qp.assembly[key]
+		if st == rcDelivered {
 			qp.sendAck(src, m.msgID, 0)
 			return nil
 		}
-		st = qp.assembly[key]
 		if st == nil {
 			st = qp.ctx.newAssembly(m.nsegs)
 			if qp.assembly == nil {
@@ -253,7 +256,7 @@ func (qp *QP) receiveWrite(src Addr, m *wireMsg, reliable bool) {
 	if !ok {
 		panic(fmt.Sprintf("verbs: write to unknown rkey %d on host %d", m.rkey, qp.ctx.Host))
 	}
-	st := qp.segment(src, m, reliable)
+	st := qp.segment(src, m)
 	if st == nil {
 		return
 	}
@@ -273,12 +276,10 @@ func (qp *QP) receiveWrite(src Addr, m *wireMsg, reliable bool) {
 	}
 }
 
-// completeRC records a delivered reliable message in completedRC.
+// completeRC records a delivered reliable message as rcDelivered. Its
+// segments made the assembly entry, so the map exists.
 func (qp *QP) completeRC(src Addr, m *wireMsg) {
-	if qp.completedRC == nil {
-		qp.completedRC = make(map[assemblyKey]bool)
-	}
-	qp.completedRC[assemblyKey{srcHost: src.Host, srcQPN: m.srcQPN, msgID: m.msgID}] = true
+	qp.assembly[assemblyKey{srcHost: src.Host, srcQPN: m.srcQPN, msgID: m.msgID}] = rcDelivered
 }
 
 // GCAssembly drops incomplete UC assembly state older than the current
@@ -287,7 +288,7 @@ func (qp *QP) completeRC(src Addr, m *wireMsg) {
 // incomplete messages simply never complete.
 func (qp *QP) GCAssembly() {
 	for k, st := range qp.assembly {
-		if st.have < len(st.got) {
+		if st != rcDelivered && st.have < len(st.got) {
 			qp.UCMsgDropped++
 			delete(qp.assembly, k)
 		}
@@ -342,7 +343,7 @@ func (ctx *Context) newPending(v rcPending) *rcPending {
 }
 
 // putPending recycles a retired request: acked, its read complete, or
-// failed with OpErr. It has left qp.pending and its timer is cancelled or
+// failed with OpErr. It has left ctx.pending and its timer is cancelled or
 // has fired; a stale retransmit event that still names it is a no-op,
 // because retransmit checks identity, not just the message id.
 func (ctx *Context) putPending(p *rcPending) {
@@ -386,12 +387,13 @@ func (qp *QP) mustRC() {
 }
 
 func (qp *QP) startRC(p *rcPending) {
-	p.posted = qp.ctx.eng.Now()
-	p.msgID = qp.ctx.allocMsgID()
-	if qp.pending == nil {
-		qp.pending = make(map[uint64]*rcPending)
+	ctx := qp.ctx
+	p.posted = ctx.eng.Now()
+	p.msgID = ctx.allocMsgID()
+	if ctx.pending == nil {
+		ctx.pending = make(map[uint64]*rcPending)
 	}
-	qp.pending[p.msgID] = p
+	ctx.pending[p.msgID] = p
 	wire := qp.transmitRC(p)
 	qp.armRetransmit(p, wire)
 }
@@ -431,12 +433,12 @@ func (qp *QP) armRetransmit(p *rcPending, wire sim.Time) {
 }
 
 func (qp *QP) retransmit(p *rcPending) {
-	if qp.pending[p.msgID] != p {
+	if qp.ctx.pending[p.msgID] != p {
 		return // retired (and maybe recycled) while the timer was in flight
 	}
 	p.retries++
 	if p.retries > qp.ctx.cfg.MaxRetries {
-		delete(qp.pending, p.msgID)
+		delete(qp.ctx.pending, p.msgID)
 		qp.sendCQ.Push(CQE{Op: OpErr, QPN: qp.N, WrID: p.wrID})
 		qp.ctx.putPending(p)
 		return
@@ -454,11 +456,11 @@ func (qp *QP) sendAck(dst Addr, msgID uint64, bytes int) {
 }
 
 func (qp *QP) receiveAck(m *wireMsg) {
-	p, ok := qp.pending[m.msgID]
+	p, ok := qp.ctx.pending[m.msgID]
 	if !ok {
 		return // duplicate ack after retransmission
 	}
-	delete(qp.pending, m.msgID)
+	delete(qp.ctx.pending, m.msgID)
 	p.timer.Cancel()
 	qp.ctx.complLat.Observe(qp.ctx.eng.Now() - p.posted)
 	if p.signaled && !p.isRead {
@@ -529,7 +531,7 @@ func (qp *QP) receiveReadReq(src Addr, m *wireMsg) {
 // receiveReadResp accumulates read-response segments on the requester.
 func (qp *QP) receiveReadResp(m *wireMsg) {
 	var p *rcPending
-	if q, ok := qp.pending[m.msgID]; ok && q.isRead {
+	if q, ok := qp.ctx.pending[m.msgID]; ok && q.isRead {
 		p = q
 	} else {
 		return // response to a superseded (retransmitted) read
@@ -541,7 +543,7 @@ func (qp *QP) receiveReadResp(m *wireMsg) {
 	p.readRecv += m.dataLen
 	p.readDst.write(p.readOff+m.roffset, m.data, m.dataLen)
 	if len(p.readGot) == m.nsegs {
-		delete(qp.pending, m.msgID)
+		delete(qp.ctx.pending, m.msgID)
 		p.timer.Cancel()
 		qp.sendCQ.Push(CQE{Op: OpRead, QPN: qp.N, WrID: p.wrID, Bytes: p.readRecv})
 		qp.ctx.putPending(p)
@@ -571,7 +573,7 @@ func (qp *QP) receive(pkt *fabric.Packet, m *wireMsg) {
 
 // receiveSendSegment reassembles two-sided RC messages.
 func (qp *QP) receiveSendSegment(src Addr, m *wireMsg) {
-	st := qp.segment(src, m, true)
+	st := qp.segment(src, m)
 	if st == nil {
 		return
 	}

@@ -4,8 +4,9 @@ package verbs
 // store of completion queues, which push and pop once per datagram, and of
 // receive queues, whose elements are runs of WQEs. It grows by doubling when
 // full and never shrinks, so a queue cycling at a steady depth touches the
-// same memory over and over and allocates nothing. The zero value is an
-// empty ring.
+// same memory over and over and allocates nothing. The first growth makes
+// two slots: most receive queues (the control plane's) only ever hold one
+// run. The zero value is an empty ring.
 type ring[T any] struct {
 	buf  []T // len(buf) is zero or a power of two
 	head int // index of the oldest element
@@ -17,7 +18,7 @@ func (r *ring[T]) len() int { return r.n }
 func (r *ring[T]) push(v T) {
 	if r.n == len(r.buf) {
 		// Unroll into a buffer twice the size, oldest element at index 0.
-		buf := make([]T, max(8, 2*len(r.buf)))
+		buf := make([]T, max(2, 2*len(r.buf)))
 		k := copy(buf, r.buf[r.head:])
 		copy(buf[k:], r.buf[:r.head])
 		r.buf, r.head = buf, 0

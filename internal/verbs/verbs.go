@@ -294,6 +294,10 @@ type Context struct {
 	dma   *DMAEngine
 
 	nextMsgID uint64
+	// pending is the RC sender-side reliability state of every QP of this
+	// context, by message id (ids are unique per context); created on the
+	// first RC post.
+	pending map[uint64]*rcPending
 
 	// Recycled per-message RC state, shared by this context's QPs (see
 	// newPending and newAssembly).
@@ -391,17 +395,12 @@ type QP struct {
 	peer      Addr
 	connected bool
 
-	// The three maps below are created on first write: a UD QP never needs
-	// them, and reading a nil map is safe.
-	//
-	// RC sender-side reliability state.
-	pending map[uint64]*rcPending
-	// Receiver-side reassembly for multi-packet messages (UC and RC).
+	// assembly holds receiver-side reassembly for multi-packet messages
+	// (UC and RC). A delivered reliable message stays as rcDelivered, so
+	// that a retransmission racing its own ack is re-acked, not
+	// re-delivered (the software analogue of the RC PSN window). Created on
+	// first write: a UD QP never needs it, and reading a nil map is safe.
 	assembly map[assemblyKey]*assemblyState
-	// completedRC remembers delivered reliable messages so that a
-	// retransmission racing its own ack is re-acked, not re-delivered
-	// (the software analogue of the RC PSN window).
-	completedRC map[assemblyKey]bool
 	// lastAsm is the assembly entry the previous segment hit, under lastKey;
 	// nil when that entry has been deleted. The segments of a message arrive
 	// back to back, so all but the first skip both map lookups.
