@@ -2,6 +2,7 @@ package command
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -60,6 +61,68 @@ func Writable(name, path string) error {
 	return nil
 }
 
+// createOutput opens every file `repro run` writes without truncating it:
+// the new bytes overwrite the old ones in place, and Close cuts a regular
+// file to exactly the bytes written. Truncating, deleting or renaming over
+// a file frees its blocks, which on a filesystem mounted with online
+// discard (ext4 -o discard) stalls the caller for tens of milliseconds
+// whatever the file's size. The rewrite is not atomic: a crash mid-write
+// leaves old bytes after the new ones. Devices such as /dev/null are
+// written but never cut. New files are 0o644.
+func createOutput(path string) (*outputFile, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &outputFile{f}, nil
+}
+
+// outputFile is a file opened by createOutput. Writes run from offset 0,
+// so at Close the offset is the byte count and anything past it is the
+// previous output's tail.
+type outputFile struct{ *os.File }
+
+func (o *outputFile) Close() error {
+	err := o.cut()
+	if cerr := o.File.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func (o *outputFile) cut() error {
+	info, err := o.Stat()
+	if err != nil || !info.Mode().IsRegular() {
+		return err
+	}
+	n, err := o.Seek(0, io.SeekCurrent)
+	if err != nil || info.Size() <= n {
+		return err
+	}
+	return o.Truncate(n)
+}
+
+// writeOutput creates path with createOutput and streams write into it.
+func writeOutput(path string, write func(io.Writer) error) error {
+	f, err := createOutput(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeFile writes data to path through createOutput.
+func writeFile(path string, data []byte) error {
+	return writeOutput(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
 // StartCPUProfile begins CPU profiling to path and returns the stop
 // function; an empty path is a no-op. Callers defer the stop:
 //
@@ -70,7 +133,7 @@ func StartCPUProfile(path string) (func(), error) {
 	if path == "" {
 		return func() {}, nil
 	}
-	f, err := os.Create(path)
+	f, err := createOutput(path)
 	if err != nil {
 		return nil, fmt.Errorf("cpuprofile: %w", err)
 	}
@@ -92,16 +155,8 @@ func WriteAllocProfile(path string) error {
 	if path == "" {
 		return nil
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("memprofile: %w", err)
-	}
 	runtime.GC() // the profile is complete only up to the last collection
-	err = pprof.Lookup("allocs").WriteTo(f, 0)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := writeOutput(path, func(w io.Writer) error { return pprof.Lookup("allocs").WriteTo(w, 0) }); err != nil {
 		return fmt.Errorf("memprofile: %w", err)
 	}
 	return nil

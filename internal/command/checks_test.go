@@ -1,6 +1,7 @@
 package command
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,5 +63,43 @@ func TestWritableNonDirParent(t *testing.T) {
 	err := Writable("csv", filepath.Join(file, "out.csv"))
 	if err == nil || !strings.Contains(err.Error(), "not a directory") {
 		t.Fatalf("expected not-a-directory error, got %v", err)
+	}
+}
+
+// TestOutputsRewrittenInPlace pins the output writer: a run into paths
+// that already hold longer files leaves every output byte-identical to the
+// same run into an empty directory, so nothing of the old tail survives.
+func TestOutputsRewrittenInPlace(t *testing.T) {
+	names := []string{"r.json", "r.csv", "t.txt", "m.json", "p.json"}
+	runInto := func(dir string) {
+		t.Helper()
+		p := func(i int) string { return filepath.Join(dir, names[i]) }
+		code, _, stderr := run("run", "-json", p(0), "-csv", p(1), "-trace", p(2),
+			"-metrics", p(3), "-perfetto", p(4), filepath.Join("testdata", "traced_osu.json"))
+		if code != 0 {
+			t.Fatalf("run into %s: exit %d: %s", dir, code, stderr)
+		}
+	}
+	fresh, stale := t.TempDir(), t.TempDir()
+	runInto(fresh)
+	junk := bytes.Repeat([]byte("x"), 1<<20)
+	for _, n := range names {
+		if err := os.WriteFile(filepath.Join(stale, n), junk, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runInto(stale)
+	for _, n := range names {
+		want, err := os.ReadFile(filepath.Join(fresh, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(stale, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !bytes.Equal(got, want) {
+			t.Errorf("%s: %d bytes after rewriting a 1 MiB file, want the fresh run's %d", n, len(got), len(want))
+		}
 	}
 }

@@ -25,7 +25,9 @@ func run(args ...string) (int, string, string) {
 // TestExitCodes is the table test over the unified flag-validation
 // convention: exit 2 for anything rejected before the simulation starts.
 // The manifest's own checks are table-tested in package manifest; the rows
-// here pin that they surface as exit 2 through validate and run.
+// here pin that they surface as exit 2 through validate and run. The
+// output-destination rows pin the writer: a device is written and never
+// cut, and a directory fails when the report is written (exit 1).
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "nope", "out.json")
@@ -48,6 +50,8 @@ func TestExitCodes(t *testing.T) {
 		{"bad flag", []string{"run", "-no-such-flag", m}, 2, ""},
 
 		{"run bad json dir", []string{"run", "-json", missing, m}, 2, "does not exist"},
+		{"run json to a device", []string{"run", "-json", os.DevNull, m}, 0, ""},
+		{"run json to a directory", []string{"run", "-json", dir, m}, 1, "is a directory"},
 		{"run bad csv dir", []string{"run", "-csv", missing, m}, 2, "does not exist"},
 		{"run bad workers", []string{"run", "-workers", "-2", m}, 2, "-workers must be >= 0"},
 		{"run bad shards", []string{"run", "-shards", "0", m}, 2, "-shards must be positive"},
@@ -79,11 +83,17 @@ func TestExitCodes(t *testing.T) {
 }
 
 // TestCompareTolerance pins -tol: the given tolerance is the one applied
-// (a 1% move fails at 0.1% and passes at 5%) and the one printed.
+// (a 1% move fails at 0.1% and passes at 5%) and the one printed. The
+// baseline is read before the run writes anything, so -compare may name
+// the run's own -json output and still diff against the previous bytes,
+// and a missing baseline fails before anything is simulated.
 func TestCompareTolerance(t *testing.T) {
 	dir := t.TempDir()
 	m := smallOSUManifest(t, dir, "m.json", "", "")
 	base := filepath.Join(dir, "base.json")
+	if code, stdout, stderr := run("run", "-compare", base, m); code != 1 || stdout != "" || !strings.Contains(stderr, base) {
+		t.Fatalf("missing baseline: exit %d, stdout %q, stderr %q; want exit 1 naming it before any run", code, stdout, stderr)
+	}
 	if code, _, stderr := run("run", "-json", base, m); code != 0 {
 		t.Fatalf("writing the baseline: exit %d: %s", code, stderr)
 	}
@@ -107,19 +117,23 @@ func TestCompareTolerance(t *testing.T) {
 	if err := sweep.WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(base, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range []struct {
-		tol, printed string
-		want         int
+		extra   []string
+		tol     string
+		printed string
+		want    int
 	}{
-		{"0.001", "(tol 0.1%)", 1},
-		{"0.05", "(tol 5%)", 0},
+		{nil, "0.001", "(tol 0.1%)", 1},
+		{nil, "0.05", "(tol 5%)", 0},
+		{[]string{"-json", base}, "0.001", "(tol 0.1%)", 1},
 	} {
-		code, stdout, stderr := run("run", "-compare", base, "-tol", c.tol, m)
+		if err := os.WriteFile(base, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args := append(append([]string{"run"}, c.extra...), "-compare", base, "-tol", c.tol, m)
+		code, stdout, stderr := run(args...)
 		if code != c.want || !strings.Contains(stdout, c.printed) {
-			t.Errorf("-tol %s on a 1%% move: exit %d, want %d; stdout %q, stderr %q", c.tol, code, c.want, stdout, stderr)
+			t.Errorf("%v on a 1%% move: exit %d, want %d; stdout %q, stderr %q", args[1:len(args)-1], code, c.want, stdout, stderr)
 		}
 	}
 }

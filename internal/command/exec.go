@@ -7,7 +7,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/manifest"
 	"repro/internal/sweep"
@@ -139,6 +138,14 @@ func execute(m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) in
 	if needTrace && plan.Trace == nil {
 		return fail(stderr, 2, "run: kind %s has no traceable point", m.Kind)
 	}
+	// Load the baseline before the run writes anything: -compare may name
+	// the run's own -json output, which is about to be rewritten.
+	var base sweep.Report
+	if m.Baseline != nil {
+		if base, err = sweep.LoadFile(m.Baseline.Path); err != nil {
+			return fail(stderr, 1, "run: %v", err)
+		}
+	}
 	stop, err := StartCPUProfile(diag.cpuprofile)
 	if err != nil {
 		return fail(stderr, 2, "run: %v", err)
@@ -159,20 +166,13 @@ func execute(m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) in
 		return fail(stderr, 1, "run: %v", err)
 	}
 	if m.Output.JSON != "" {
-		if err := os.WriteFile(m.Output.JSON, buf.Bytes(), 0o644); err != nil {
+		if err := writeFile(m.Output.JSON, buf.Bytes()); err != nil {
 			return fail(stderr, 1, "run: %v", err)
 		}
 	}
 	if m.Output.CSV != "" {
-		f, err := os.Create(m.Output.CSV)
+		err := writeOutput(m.Output.CSV, func(w io.Writer) error { return sweep.WriteCSV(w, rep.Records) })
 		if err != nil {
-			return fail(stderr, 1, "run: %v", err)
-		}
-		if err := sweep.WriteCSV(f, rep.Records); err != nil {
-			f.Close()
-			return fail(stderr, 1, "run: %v", err)
-		}
-		if err := f.Close(); err != nil {
 			return fail(stderr, 1, "run: %v", err)
 		}
 	}
@@ -185,20 +185,12 @@ func execute(m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) in
 			return fail(stderr, 1, "run: trace: %v", err)
 		}
 		if diag.trace != "" {
-			if err := os.WriteFile(diag.trace, []byte(bundle.Timeline()), 0o644); err != nil {
+			if err := writeFile(diag.trace, []byte(bundle.Timeline())); err != nil {
 				return fail(stderr, 1, "run: trace: %v", err)
 			}
 		}
 		if m.Telemetry != nil && m.Telemetry.Perfetto != "" {
-			f, err := os.Create(m.Telemetry.Perfetto)
-			if err != nil {
-				return fail(stderr, 1, "run: perfetto: %v", err)
-			}
-			if err := bundle.WritePerfetto(f); err != nil {
-				f.Close()
-				return fail(stderr, 1, "run: perfetto: %v", err)
-			}
-			if err := f.Close(); err != nil {
+			if err := writeOutput(m.Telemetry.Perfetto, bundle.WritePerfetto); err != nil {
 				return fail(stderr, 1, "run: perfetto: %v", err)
 			}
 		}
@@ -217,7 +209,7 @@ func execute(m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) in
 			})
 		}
 		enc := doc.Encode()
-		if err := os.WriteFile(m.Telemetry.Metrics, enc, 0o644); err != nil {
+		if err := writeFile(m.Telemetry.Metrics, enc); err != nil {
 			return fail(stderr, 1, "run: metrics: %v", err)
 		}
 		if m.Telemetry.Expect != "" {
@@ -240,10 +232,6 @@ func execute(m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) in
 	}
 
 	if m.Baseline != nil {
-		base, err := sweep.LoadFile(m.Baseline.Path)
-		if err != nil {
-			return fail(stderr, 1, "run: %v", err)
-		}
 		// A manifest without baseline.tolerance compares at 5%; -tol has
 		// already been checked to be > 0 before it replaced the field.
 		tol := m.Baseline.Tolerance

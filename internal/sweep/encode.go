@@ -18,42 +18,6 @@ func WriteJSON(w io.Writer, rep Report) error {
 	return enc.Encode(rep)
 }
 
-// WriteJSONFile writes the report to path (creating or truncating it).
-func WriteJSONFile(path string, rep Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("sweep: %w", err)
-	}
-	if err := WriteJSON(f, rep); err != nil {
-		f.Close()
-		return fmt.Errorf("sweep: encode %s: %w", path, err)
-	}
-	return f.Close()
-}
-
-// WriteFiles persists the report to the requested paths — JSON and/or CSV;
-// empty paths are skipped. It is the output tail shared by every cmd
-// binary's -json/-csv flags.
-func WriteFiles(rep Report, jsonPath, csvPath string) error {
-	if jsonPath != "" {
-		if err := WriteJSONFile(jsonPath, rep); err != nil {
-			return err
-		}
-	}
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		if err != nil {
-			return fmt.Errorf("sweep: %w", err)
-		}
-		if err := WriteCSV(f, rep.Records); err != nil {
-			f.Close()
-			return fmt.Errorf("sweep: encode %s: %w", csvPath, err)
-		}
-		return f.Close()
-	}
-	return nil
-}
-
 // Load decodes a report written by WriteJSON.
 func Load(r io.Reader) (Report, error) {
 	var rep Report

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -231,7 +232,14 @@ func TestLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/bench.json"
-	if err := WriteJSONFile(path, Report{Name: "rt", Records: recs}); err != nil {
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteJSON(f, Report{Name: "rt", Records: recs}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := LoadFile(path)
