@@ -6,9 +6,10 @@ package repro
 //
 //	go test -bench=. -benchmem
 //
-// regenerates every result series. `repro` prints the full tables at paper
-// scale; the benchmarks run the same harness grids and kernels over bounded
-// parameter sets so the whole suite completes in minutes. These are
+// regenerates every result series. `repro run manifests/fig10.json` (and
+// fig11, fig12, dpa-figures, cost) prints the full tables at paper scale;
+// the benchmarks run the same harness kernels over bounded grids so the
+// whole suite completes in minutes. These are
 // hand-run benches: the committed perf trajectory is the host-time ledger
 // (bench/, perf/*.json).
 
@@ -55,7 +56,10 @@ func BenchmarkFig02TrafficModel(b *testing.B) {
 func BenchmarkFig05SingleCoreDatapath(b *testing.B) {
 	var cpu, dpa float64
 	for i := 0; i < b.N; i++ {
-		recs := figure(b, harness.Fig5Specs([]int{1 << 20}), harness.RxKernel(harness.Env{}))
+		specs := sweep.Concat(
+			sweep.Grid{Transports: []string{"cpu-ud"}, Threads: []int{1}, ChunkSizes: []int{4096}, MsgBytes: []int{1 << 20}, Seed: 5}.Expand(),
+			sweep.Grid{Transports: []string{"ud"}, Threads: []int{16}, ChunkSizes: []int{4096}, MsgBytes: []int{1 << 20}, Seed: 55}.Expand())
+		recs := figure(b, specs, harness.RxKernel(harness.Env{}))
 		cpu, dpa = recs[0].Metric("gbps"), recs[1].Metric("gbps")
 	}
 	b.ReportMetric(cpu, "cpu-Gbps")
@@ -78,7 +82,8 @@ func BenchmarkFig07BitmapModel(b *testing.B) {
 func BenchmarkFig10Breakdown(b *testing.B) {
 	var mcastFrac float64
 	for i := 0; i < b.N; i++ {
-		recs := figure(b, harness.Fig10Grid([]int{64}, []int{256 << 10}).Expand(), harness.CollKernel(harness.Env{}))
+		g := sweep.Grid{Algorithms: []string{"mcast-allgather"}, Nodes: []int{64}, MsgBytes: []int{256 << 10}, Seed: 10}
+		recs := figure(b, g.Expand(), harness.CollKernel(harness.Env{}))
 		mcastFrac = recs[0].Metric("mcast_frac")
 	}
 	b.ReportMetric(mcastFrac*100, "%mcast-phase")
@@ -90,7 +95,12 @@ func BenchmarkFig10Breakdown(b *testing.B) {
 func BenchmarkFig11ThroughputAtScale(b *testing.B) {
 	byAlgo := map[string]float64{}
 	for i := 0; i < b.N; i++ {
-		for _, r := range figure(b, harness.Fig11Specs(64, []int{256 << 10}), harness.CollKernel(harness.Env{})) {
+		specs := sweep.Concat(
+			sweep.Grid{Algorithms: []string{"mcast-broadcast", "knomial-broadcast", "binary-broadcast", "mcast-allgather", "ring-allgather"},
+				Nodes: []int{64}, MsgBytes: []int{256 << 10}, Seed: 11}.Expand(),
+			sweep.Grid{Algorithms: []string{"chain-broadcast"},
+				Nodes: []int{64}, MsgBytes: []int{256 << 10}, ChunkSizes: []int{16 << 10}, Seed: 112}.Expand())
+		for _, r := range figure(b, specs, harness.CollKernel(harness.Env{})) {
 			byAlgo[r.Spec.Algorithm] = r.Metric("gibps")
 		}
 	}
@@ -106,7 +116,9 @@ func BenchmarkFig11ThroughputAtScale(b *testing.B) {
 func BenchmarkFig12TrafficSavings(b *testing.B) {
 	savings := map[string]float64{}
 	for i := 0; i < b.N; i++ {
-		recs := figure(b, harness.Fig12Specs(64, 64<<10), harness.Fig12Kernel(harness.Env{}, 2))
+		g := sweep.Grid{Algorithms: []string{"mcast-broadcast", "knomial-broadcast", "mcast-allgather", "ring-allgather"},
+			Nodes: []int{64}, MsgBytes: []int{64 << 10}, Seed: 12}
+		recs := figure(b, g.Expand(), harness.TrafficKernel(harness.Env{}))
 		harness.AnnotateSavings(recs)
 		for _, r := range recs {
 			savings[r.Spec.Algorithm] = r.Metric("savings_vs_p2p")
@@ -120,7 +132,8 @@ func BenchmarkFig12TrafficSavings(b *testing.B) {
 func BenchmarkTable1SingleThread(b *testing.B) {
 	gibps := map[string]float64{}
 	for i := 0; i < b.N; i++ {
-		for _, r := range figure(b, harness.Table1Grid().Expand(), harness.RxKernel(harness.Env{})) {
+		g := sweep.Grid{Transports: []string{"uc", "ud"}, Threads: []int{1}, ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 1}
+		for _, r := range figure(b, g.Expand(), harness.RxKernel(harness.Env{})) {
 			gibps[r.Spec.Transport] = r.Metric("gibps")
 		}
 	}
@@ -133,7 +146,10 @@ func BenchmarkTable1SingleThread(b *testing.B) {
 func BenchmarkFig13ThreadScaling(b *testing.B) {
 	var ud8, uc4 float64
 	for i := 0; i < b.N; i++ {
-		for _, r := range figure(b, harness.Fig13Specs([]int{4, 8}), harness.RxKernel(harness.Env{})) {
+		specs := sweep.Concat(
+			sweep.Grid{Transports: []string{"ud", "uc"}, Threads: []int{4, 8}, ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 13}.Expand(),
+			sweep.Grid{Transports: []string{"cpu-ud"}, Threads: []int{1}, ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 14}.Expand())
+		for _, r := range figure(b, specs, harness.RxKernel(harness.Env{})) {
 			if r.Spec.Transport == "ud" && r.Spec.Threads == 8 {
 				ud8 = r.Metric("gibps")
 			}
@@ -167,7 +183,8 @@ func BenchmarkFig14LinkUtilization(b *testing.B) {
 func BenchmarkFig15ChunkSize(b *testing.B) {
 	var share float64
 	for i := 0; i < b.N; i++ {
-		recs := figure(b, harness.Fig15Grid([]int{64 << 10}, []int{1}).Expand(), harness.RxKernel(harness.Env{}))
+		g := sweep.Grid{Transports: []string{"uc"}, Threads: []int{1}, ChunkSizes: []int{64 << 10}, MsgBytes: []int{8 << 20}, Seed: 15}
+		recs := figure(b, g.Expand(), harness.RxKernel(harness.Env{}))
 		share = recs[0].Metric("link_share")
 	}
 	b.ReportMetric(share*100, "UC-64KiB-1thr-%peak")
@@ -178,7 +195,8 @@ func BenchmarkFig15ChunkSize(b *testing.B) {
 func BenchmarkFig16TbitScaling(b *testing.B) {
 	rate := map[string]float64{}
 	for i := 0; i < b.N; i++ {
-		for _, r := range figure(b, harness.Fig16Grid([]int{128}).Expand(), harness.Fig16Kernel(harness.Env{})) {
+		g := sweep.Grid{Transports: []string{"ud", "uc"}, Threads: []int{128}, ChunkSizes: []int{64}, Seed: 16}
+		for _, r := range figure(b, g.Expand(), harness.ChunkRateKernel(harness.Env{})) {
 			rate[r.Spec.Transport] = r.Metric("chunk_rate")
 		}
 	}

@@ -47,16 +47,24 @@ func NonNegative(name string, v int) error {
 // before the simulation runs instead of after it. The file itself need not
 // exist.
 func Writable(name, path string) error {
+	if err := writableDir(path); err != nil {
+		return fmt.Errorf("-%s: %w", name, err)
+	}
+	return nil
+}
+
+// writableDir is Writable's check without the flag name.
+func writableDir(path string) error {
 	if path == "" {
 		return nil
 	}
 	dir := filepath.Dir(path)
 	info, err := os.Stat(dir)
 	if err != nil {
-		return fmt.Errorf("-%s: directory %s does not exist", name, dir)
+		return fmt.Errorf("directory %s does not exist", dir)
 	}
 	if !info.IsDir() {
-		return fmt.Errorf("-%s: %s is not a directory", name, dir)
+		return fmt.Errorf("%s is not a directory", dir)
 	}
 	return nil
 }

@@ -37,6 +37,20 @@ func TestExitCodes(t *testing.T) {
 		`{"kind":"osu","grid":{"algorithms":["ring-allgather"],"nodes":[4],"sizes":"4096:65536"}}`)
 	badAlgo := writeManifest(t, dir, "bad-algo.json",
 		`{"kind":"osu","grid":{"algorithms":["nope-allgather"],"nodes":[4],"sizes":[4096]}}`)
+	// One rank receives nothing in no time: bandwidth is 0, not NaN or +Inf.
+	oneRank := func(algo string) string {
+		return writeManifest(t, dir, algo+"-1.json",
+			`{"kind":"osu","grid":{"algorithms":["`+algo+`"],"nodes":[1],"sizes":[4096]},"osu":{"iters":1}}`)
+	}
+	// Outputs a manifest declares are checked before the run, like the flags.
+	declared := func(name, outputs string) string {
+		return writeManifest(t, dir, name+".json", `{"kind":"cost","figures":[7],`+outputs+`}`)
+	}
+	missingJSON := declared("missing-json", `"output":{"json":"`+missing+`"}`)
+	missingCSV := declared("missing-csv", `"output":{"csv":"`+missing+`"}`)
+	missingMetrics := declared("missing-metrics", `"telemetry":{"metrics":"`+missing+`"}`)
+	missingPerfetto := writeManifest(t, dir, "missing-perfetto.json",
+		`{"kind":"osu","grid":{"algorithms":["ring-allgather"],"nodes":[2],"sizes":[4096]},"telemetry":{"perfetto":"`+missing+`"}}`)
 	cases := []struct {
 		name string
 		args []string
@@ -61,6 +75,13 @@ func TestExitCodes(t *testing.T) {
 		{"run string sizes", []string{"run", stringSizes}, 2, "cannot unmarshal string"},
 		{"validate string sizes", []string{"validate", stringSizes}, 2, "cannot unmarshal string"},
 		{"validate bad algo", []string{"validate", badAlgo}, 2, "mcast-allgather"},
+		{"run ring allgather on one rank", []string{"run", "-json", filepath.Join(dir, "ring-1.out.json"), oneRank("ring-allgather")}, 0, ""},
+		{"run knomial broadcast on one rank", []string{"run", "-json", filepath.Join(dir, "knomial-1.out.json"), oneRank("knomial-broadcast")}, 0, ""},
+		{"run declared json dir missing", []string{"run", missingJSON}, 2, "output.json: directory"},
+		{"run declared csv dir missing", []string{"run", missingCSV}, 2, "output.csv: directory"},
+		{"run declared metrics dir missing", []string{"run", missingMetrics}, 2, "telemetry.metrics: directory"},
+		{"run declared perfetto dir missing", []string{"run", missingPerfetto}, 2, "telemetry.perfetto: directory"},
+		{"run declared output under -o", []string{"run", "-o", dir, missingJSON}, 0, ""},
 
 		{"run no manifest", []string{"run"}, 2, "usage"},
 		{"run bad memprofile dir", []string{"run", "-memprofile", missing, "absent.json"}, 2, "-memprofile: directory"},
@@ -79,6 +100,18 @@ func TestExitCodes(t *testing.T) {
 		if c.err != "" && !strings.Contains(stderr, c.err) {
 			t.Errorf("%s: stderr %q does not contain %q", c.name, stderr, c.err)
 		}
+	}
+	for _, algo := range []string{"ring", "knomial"} {
+		rep, err := sweep.LoadFile(filepath.Join(dir, algo+"-1.out.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Records[0].Metric("gibps"); got != 0 {
+			t.Errorf("%s on one rank: gibps %v, want 0", algo, got)
+		}
+	}
+	if _, stdout, _ := run("run", missingJSON); stdout != "" {
+		t.Errorf("a run with a missing output directory printed %q; want nothing run", stdout)
 	}
 }
 
@@ -165,7 +198,7 @@ func TestListAndHelp(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("list: exit %d", code)
 	}
-	for _, want := range []string{"kinds:", "mcast-allgather", "quiet", "fsdp-ring"} {
+	for _, want := range []string{"kinds:", "mcast-allgather", "quiet", "fsdp-ring", "kernels:", "rx-rate"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("list output missing %q:\n%s", want, out)
 		}
@@ -183,7 +216,7 @@ func TestValidateSubcommand(t *testing.T) {
 		t.Fatalf("validate %s: exit %d, out %q", good, code, out)
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"kind":"dpa","all":true,"seed":1}`), 0o644); err != nil {
+	if err := os.WriteFile(bad, []byte(`{"kind":"cost","all":true,"seed":1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	code, _, stderr := run("validate", good, bad)
@@ -586,8 +619,8 @@ func TestWarmStartIgnored(t *testing.T) {
 	if code, _, stderr := run("validate", cold); code != 0 || stderr != "" {
 		t.Errorf("validate without warm_start: exit %d, stderr %q; want 0 and no note", code, stderr)
 	}
-	dpa := write("dpa", manifest.Manifest{Kind: "dpa", All: true, WarmStart: true})
-	if code, _, stderr := run("validate", dpa); code != 2 || !strings.Contains(stderr, "does not consume warm_start") {
-		t.Errorf("dpa manifest setting warm_start: exit %d, stderr %q; want 2", code, stderr)
+	cost := write("cost", manifest.Manifest{Kind: "cost", All: true, WarmStart: true})
+	if code, _, stderr := run("validate", cost); code != 2 || !strings.Contains(stderr, "does not consume warm_start") {
+		t.Errorf("cost manifest setting warm_start: exit %d, stderr %q; want 2", code, stderr)
 	}
 }

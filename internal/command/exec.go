@@ -134,6 +134,13 @@ func execute(m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) in
 	if err != nil {
 		return fail(stderr, 2, "run: %v", err)
 	}
+	// The outputs the manifest declares, as -o and the output flags left
+	// them, must land in existing directories before anything is simulated.
+	for _, o := range outputPaths(&m) {
+		if err := writableDir(*o.path); err != nil {
+			return fail(stderr, 2, "run: %s: %v", o.field, err)
+		}
+	}
 	needTrace := diag.trace != "" || (m.Telemetry != nil && m.Telemetry.Perfetto != "")
 	if needTrace && plan.Trace == nil {
 		return fail(stderr, 2, "run: kind %s has no traceable point", m.Kind)

@@ -49,7 +49,7 @@ func TestReplaySubcommand(t *testing.T) {
 func TestReplayFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	m := smallOSUManifest(t, dir, "m.json", "", "")
-	dpa := writeManifest(t, dir, "dpa.json", `{"kind":"dpa","all":true}`)
+	cost := writeManifest(t, dir, "cost.json", `{"kind":"cost","all":true}`)
 
 	cases := []struct {
 		name string
@@ -61,7 +61,7 @@ func TestReplayFlagValidation(t *testing.T) {
 		{"bad interval", []string{"replay", "-interval", "0", m}, "-interval"},
 		{"bad steps", []string{"replay", "-steps", "0", m}, "-steps"},
 		{"negative at", []string{"replay", "-at", "-1", m}, "-at"},
-		{"no replayable point", []string{"replay", dpa}, "no replayable point"},
+		{"no replayable point", []string{"replay", cost}, "no replayable point"},
 	}
 	for _, c := range cases {
 		code, _, stderr := run(c.args...)

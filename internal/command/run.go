@@ -104,20 +104,30 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// outputPath is one output file a manifest declares: the manifest field
+// and a pointer to its path.
+type outputPath struct {
+	field string
+	path  *string
+}
+
+// outputPaths lists every output file field of the manifest, set or not.
+func outputPaths(m *manifest.Manifest) []outputPath {
+	out := []outputPath{{"output.json", &m.Output.JSON}, {"output.csv", &m.Output.CSV}}
+	if t := m.Telemetry; t != nil {
+		out = append(out, outputPath{"telemetry.metrics", &t.Metrics}, outputPath{"telemetry.perfetto", &t.Perfetto})
+	}
+	return out
+}
+
 // redirectOutputs rebases every output file the manifest declares into
 // dir, keeping the basename. Digest expectations are untouched: the bytes
 // do not depend on where they land.
 func redirectOutputs(m *manifest.Manifest, dir string) {
-	rebase := func(p *string) {
-		if *p != "" {
-			*p = filepath.Join(dir, filepath.Base(*p))
+	for _, o := range outputPaths(m) {
+		if *o.path != "" {
+			*o.path = filepath.Join(dir, filepath.Base(*o.path))
 		}
-	}
-	rebase(&m.Output.JSON)
-	rebase(&m.Output.CSV)
-	if m.Telemetry != nil {
-		rebase(&m.Telemetry.Metrics)
-		rebase(&m.Telemetry.Perfetto)
 	}
 }
 
@@ -161,16 +171,10 @@ func expandManifestDirs(paths []string) ([]string, error) {
 // that is the granularity at which a batch can collide.
 func artifactBasenames(m *manifest.Manifest) []string {
 	var out []string
-	add := func(p string) {
-		if p != "" {
-			out = append(out, filepath.Base(p))
+	for _, o := range outputPaths(m) {
+		if *o.path != "" {
+			out = append(out, filepath.Base(*o.path))
 		}
-	}
-	add(m.Output.JSON)
-	add(m.Output.CSV)
-	if m.Telemetry != nil {
-		add(m.Telemetry.Metrics)
-		add(m.Telemetry.Perfetto)
 	}
 	return out
 }
@@ -255,7 +259,7 @@ func runValidate(args []string, stdout, stderr io.Writer) int {
 
 // runList implements `repro list`: print everything a manifest author can
 // reference — kinds, registry algorithms, scenario and workload presets,
-// and the analytic figure/table selectors.
+// the sweep kind's section kernels, and the cost kind's selectors.
 func runList(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro list", flag.ContinueOnError)
 	if code := parseFlags(fs, args, stderr); code >= 0 {
@@ -268,8 +272,7 @@ func runList(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "algorithms:  %s\n", strings.Join(registry.Names(), " "))
 	fmt.Fprintf(stdout, "scenarios:   %s\n", strings.Join(scenario.Names(), " "))
 	fmt.Fprintf(stdout, "workloads:   %s\n", strings.Join(workload.Names(), " "))
-	fmt.Fprintf(stdout, "dpa:         figures 5 13 14 15 16, tables 1\n")
+	fmt.Fprintf(stdout, "kernels:     %s\n", strings.Join(manifest.Kernels, " "))
 	fmt.Fprintf(stdout, "cost:        figures 2 7, studies speedup economics\n")
-	fmt.Fprintf(stdout, "ag:          figures 10 11\n")
 	return 0
 }

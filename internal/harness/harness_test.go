@@ -98,7 +98,10 @@ func TestPaperClaims(t *testing.T) {
 		bounds func(at lookup) []bound
 	}{
 		{name: "Fig5DPAWinsAtLargeMessages",
-			specs: Fig5Specs([]int{1 << 20}), kernel: RxKernel(Env{}),
+			specs: sweep.Concat(
+				sweep.Grid{Transports: []string{"cpu-ud"}, Threads: []int{1}, ChunkSizes: []int{4096}, MsgBytes: []int{1 << 20}, Seed: 5}.Expand(),
+				sweep.Grid{Transports: []string{"ud"}, Threads: []int{16}, ChunkSizes: []int{4096}, MsgBytes: []int{1 << 20}, Seed: 55}.Expand()),
+			kernel: RxKernel(Env{}),
 			bounds: func(at lookup) []bound {
 				cpu, dpa := sweep.Spec{Transport: "cpu-ud"}, sweep.Spec{Transport: "ud"}
 				return []bound{
@@ -107,7 +110,9 @@ func TestPaperClaims(t *testing.T) {
 				}
 			}},
 		{name: "Table1MatchesPaper",
-			specs: Table1Grid().Expand(), kernel: RxKernel(Env{}),
+			specs: sweep.Grid{Transports: []string{"uc", "ud"}, Threads: []int{1},
+				ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 1}.Expand(),
+			kernel: RxKernel(Env{}),
 			bounds: func(at lookup) []bound {
 				uc, ud := sweep.Spec{Transport: "uc"}, sweep.Spec{Transport: "ud"}
 				return []bound{
@@ -120,7 +125,9 @@ func TestPaperClaims(t *testing.T) {
 				}
 			}},
 		{name: "Fig15LargerChunksNeedFewerThreads",
-			specs: Fig15Grid([]int{4 << 10, 64 << 10}, []int{1}).Expand(), kernel: RxKernel(Env{}),
+			specs: sweep.Grid{Transports: []string{"uc"}, Threads: []int{1},
+				ChunkSizes: []int{4 << 10, 64 << 10}, MsgBytes: []int{8 << 20}, Seed: 15}.Expand(),
+			kernel: RxKernel(Env{}),
 			bounds: func(at lookup) []bound {
 				small, large := at("link_share", sweep.Spec{ChunkSize: 4 << 10}), at("link_share", sweep.Spec{ChunkSize: 64 << 10})
 				return []bound{
@@ -129,7 +136,9 @@ func TestPaperClaims(t *testing.T) {
 				}
 			}},
 		{name: "Fig16Reaches16TbitWithin128Threads", long: "128-thread Tbit/s scaling sweep (several seconds)",
-			specs: Fig16Grid([]int{64, 128}).Expand(), kernel: Fig16Kernel(Env{}),
+			specs: sweep.Grid{Transports: []string{"ud", "uc"}, Threads: []int{64, 128},
+				ChunkSizes: []int{64}, Seed: 16}.Expand(),
+			kernel: ChunkRateKernel(Env{}),
 			bounds: func(at lookup) []bound {
 				return []bound{
 					{"UD share of the 1.6 Tbit/s chunk rate at 128 threads", at("link_share", sweep.Spec{Transport: "ud", Threads: 128}), 1, inf},
@@ -137,7 +146,9 @@ func TestPaperClaims(t *testing.T) {
 				}
 			}},
 		{name: "Fig10McastDominatesAtScale",
-			specs: Fig10Grid([]int{16}, []int{256 << 10}).Expand(), kernel: CollKernel(Env{}),
+			specs: sweep.Grid{Algorithms: []string{"mcast-allgather"},
+				Nodes: []int{16}, MsgBytes: []int{256 << 10}, Seed: 10}.Expand(),
+			kernel: CollKernel(Env{}),
 			bounds: func(at lookup) []bound {
 				pt := sweep.Spec{Nodes: 16}
 				return []bound{
@@ -148,7 +159,9 @@ func TestPaperClaims(t *testing.T) {
 		{name: "Fig10SyncMattersMoreAtSmallSizes",
 			// The synchronization share (RNR barrier + final handshake)
 			// shrinks as the message grows.
-			specs: Fig10Grid([]int{4}, []int{4096, 1 << 20}).Expand(), kernel: CollKernel(Env{}),
+			specs: sweep.Grid{Algorithms: []string{"mcast-allgather"},
+				Nodes: []int{4}, MsgBytes: []int{4096, 1 << 20}, Seed: 10}.Expand(),
+			kernel: CollKernel(Env{}),
 			bounds: func(at lookup) []bound {
 				sync := func(size int) float64 {
 					pt := sweep.Spec{MsgBytes: size}
@@ -157,7 +170,7 @@ func TestPaperClaims(t *testing.T) {
 				return []bound{{"sync share at 4 KiB over share at 1 MiB", sync(4096) / sync(1<<20), 3, inf}}
 			}},
 		{name: "Fig11ShapesAtModestScale",
-			specs: Fig11Specs(16, []int{256 << 10}), kernel: CollKernel(Env{}),
+			specs: fig11Specs(16, 256<<10), kernel: CollKernel(Env{}),
 			bounds: func(at lookup) []bound {
 				gibps := func(algo string) float64 { return at("gibps", sweep.Spec{Algorithm: algo}) }
 				return []bound{
@@ -168,7 +181,9 @@ func TestPaperClaims(t *testing.T) {
 				}
 			}},
 		{name: "Fig12SavingsShape",
-			specs: Fig12Specs(32, 64<<10), kernel: Fig12Kernel(Env{}, 2), post: AnnotateSavings,
+			specs: sweep.Grid{Algorithms: []string{"mcast-broadcast", "knomial-broadcast", "mcast-allgather", "ring-allgather"},
+				Nodes: []int{32}, MsgBytes: []int{64 << 10}, Seed: 12}.Expand(),
+			kernel: TrafficKernel(Env{}), post: AnnotateSavings,
 			bounds: func(at lookup) []bound {
 				return []bound{
 					{"broadcast traffic savings (paper: 1.5x)", at("savings_vs_p2p", sweep.Spec{Algorithm: "mcast-broadcast"}), 1.3, inf},
@@ -219,6 +234,17 @@ func TestPaperClaims(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fig11Specs is the point list of manifests/fig11.json at one node count
+// and message size: the multicast collectives and their P2P baselines,
+// then the chain broadcast with 16 KiB chunks under its own seed.
+func fig11Specs(nodes, size int) []sweep.Spec {
+	return sweep.Concat(
+		sweep.Grid{Algorithms: []string{"mcast-broadcast", "knomial-broadcast", "binary-broadcast", "mcast-allgather", "ring-allgather"},
+			Nodes: []int{nodes}, MsgBytes: []int{size}, Seed: 11}.Expand(),
+		sweep.Grid{Algorithms: []string{"chain-broadcast"},
+			Nodes: []int{nodes}, MsgBytes: []int{size}, ChunkSizes: []int{16 << 10}, Seed: 112}.Expand())
 }
 
 func TestRxBenchInvalidConfigPanics(t *testing.T) {

@@ -5,10 +5,11 @@
 // 11, 12), the analytic models (Figures 2, 7), and the Appendix B
 // concurrent {Allgather, Reduce-Scatter} study.
 //
-// Every experiment is declared as a sweep (sweeps.go): a parameter grid
-// plus a kernel executed by internal/sweep's worker pool, producing
-// structured Records with deterministic per-point seeds. The repro
-// subcommands, the tests and the Go benchmarks all read those Records.
+// Every experiment is a sweep: a parameter grid — data in a manifest's
+// sections or a sweep.Grid literal — plus a kernel (sweeps.go) executed by
+// internal/sweep's worker pool, producing structured Records with
+// deterministic per-point seeds. The repro subcommands, the tests and the
+// Go benchmarks all read those Records.
 package harness
 
 import (

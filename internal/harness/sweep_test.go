@@ -37,7 +37,11 @@ func runSweep(t testing.TB, specs []sweep.Spec, workers int, k sweep.Func, post 
 // running the same grid twice, at different worker counts, produces
 // byte-identical JSON records — with real simulation kernels, not stubs.
 func TestSweepJSONByteIdentical(t *testing.T) {
-	specs := Fig13Specs([]int{1, 2})
+	specs := sweep.Concat(
+		sweep.Grid{Transports: []string{"ud", "uc"}, Threads: []int{1, 2},
+			ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 13}.Expand(),
+		sweep.Grid{Transports: []string{"cpu-ud"}, Threads: []int{1},
+			ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 14}.Expand())
 	serial, err := sweep.Run(specs, 1, RxKernel(Env{}))
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +63,7 @@ func TestCollectiveSweepDeterministic(t *testing.T) {
 		t.Skip("two at-scale collective sweeps")
 	}
 	run := func(workers int) []byte {
-		recs, err := sweep.Run(Fig11Specs(16, []int{64 << 10}), workers, CollKernel(Env{}))
+		recs, err := sweep.Run(fig11Specs(16, 64<<10), workers, CollKernel(Env{}))
 		if err != nil {
 			t.Fatal(err)
 		}

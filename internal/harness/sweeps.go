@@ -15,17 +15,18 @@ import (
 	"repro/internal/workload"
 )
 
-// This file declares every experiment as a sweep: a Grid (or composed spec
-// list) naming the axes the paper varies, plus the kernel that executes one
-// grid point. The repro subcommands, the tests and the hand-run Go
-// benchmarks all consume the Records these sweeps produce (tables, -json,
+// This file holds the sweep kernels: each executes one grid point and
+// returns its Record. The grids themselves are data — a manifest's sweep
+// sections (manifests/*.json), or a sweep.Grid literal in a test or
+// benchmark. The repro subcommands, the tests and the hand-run Go
+// benchmarks all consume the Records these kernels produce (tables, -json,
 // rec.Metric); there is no second projection.
 
 // --- receive-datapath kernel -----------------------------------------------------
 
 // rxConfig maps a sweep point onto the microbenchmark configuration. The
-// Transport axis selects both the verbs transport and the processor:
-// "ud"/"uc" run on the DPA, "cpu-ud"/"cpu-rc" on the host-CPU model.
+// Transport axis (one of RxTransports) selects both the verbs transport
+// and the processor.
 func rxConfig(s sweep.Spec) (RxBenchConfig, error) {
 	cfg := RxBenchConfig{
 		Workers: s.Threads, ChunkBytes: s.ChunkSize, TotalBytes: s.MsgBytes, Seed: s.Seed,
@@ -66,7 +67,7 @@ func addEngineCounts(rec *sweep.Record, executed, scheduled uint64) {
 }
 
 // RxKernel returns the sweep kernel for the receive-datapath
-// microbenchmark (Figures 5, 13–16 and Table I).
+// microbenchmark (Figures 5, 13–15 and Table I).
 func RxKernel(env Env) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
 		cfg, err := rxConfig(s)
@@ -145,60 +146,19 @@ func CollKernel(env Env) sweep.Func {
 	}
 }
 
-// --- per-figure grids ------------------------------------------------------------
-
-// Fig5Specs pairs one host-CPU thread against one DPA core (16 threads) on
-// the UD datapath over a message-size sweep (200 Gbit/s link).
-func Fig5Specs(sizes []int) []sweep.Spec {
-	cpu := sweep.Grid{Transports: []string{"cpu-ud"}, Threads: []int{1},
-		ChunkSizes: []int{4096}, MsgBytes: sizes, Seed: 5}
-	dpa := sweep.Grid{Transports: []string{"ud"}, Threads: []int{16},
-		ChunkSizes: []int{4096}, MsgBytes: sizes, Seed: 55}
-	return sweep.Concat(cpu.Expand(), dpa.Expand())
-}
-
-// Table1Grid measures both single-thread DPA datapaths (8 MiB buffer,
-// 4 KiB chunks).
-func Table1Grid() sweep.Grid {
-	return sweep.Grid{Transports: []string{"uc", "ud"}, Threads: []int{1},
-		ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 1}
-}
-
-// Fig13Specs sweeps DPA worker threads for the UD and UC datapaths (8 MiB
-// buffer, 4 KiB chunks) plus the single-thread CPU baseline as the final
-// point, as in Figures 13/14.
-func Fig13Specs(threadCounts []int) []sweep.Spec {
-	dpa := sweep.Grid{Transports: []string{"ud", "uc"}, Threads: threadCounts,
-		ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 13}
-	cpu := sweep.Grid{Transports: []string{"cpu-ud"}, Threads: []int{1},
-		ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 14}
-	return sweep.Concat(dpa.Expand(), cpu.Expand())
-}
-
-// Fig15Grid sweeps the UC chunk size across thread counts (8 MiB buffer):
-// larger multi-packet chunks mean fewer CQEs, so fewer threads reach line
-// rate.
-func Fig15Grid(chunkSizes, threadCounts []int) sweep.Grid {
-	return sweep.Grid{Transports: []string{"uc"}, Threads: threadCounts,
-		ChunkSizes: chunkSizes, MsgBytes: []int{8 << 20}, Seed: 15}
-}
-
-// Fig16Grid sweeps thread counts with 64-byte chunks, matching the arrival
-// rate of a future 1.6 Tbit/s link (§VII). MsgBytes is derived per point
-// (256 KiB per thread) by the kernel.
-func Fig16Grid(threadCounts []int) sweep.Grid {
-	return sweep.Grid{Transports: []string{"ud", "uc"}, Threads: threadCounts,
-		ChunkSizes: []int{64}, Seed: 16}
-}
+// RxTransports names the datapaths of the receive-datapath kernels:
+// "ud"/"uc" run on the DPA, "cpu-ud"/"cpu-rc" on the host-CPU model.
+var RxTransports = []string{"ud", "uc", "cpu-ud", "cpu-rc"}
 
 // Tbit16Target is the chunk processing rate equivalent to a 1.6 Tbit/s
-// link with 4 KiB MTU packets: the horizontal target line of Figure 16.
+// link with 4 KiB MTU packets (§VII).
 const Tbit16Target = 1.6e12 / 8 / 4096 // chunks/second
 
-// Fig16Kernel scales the receive volume with the thread count (keeping
-// per-thread work meaningful while bounding event counts) and rebases
-// link_share on the 1.6 Tbit/s chunk-rate target.
-func Fig16Kernel(env Env) sweep.Func {
+// ChunkRateKernel scales the receive volume with the thread count (256 KiB
+// per thread, keeping per-thread work meaningful while bounding event
+// counts) and rebases link_share on the 1.6 Tbit/s chunk-rate target. It
+// reads no MsgBytes axis.
+func ChunkRateKernel(env Env) sweep.Func {
 	rx := RxKernel(env)
 	return func(s sweep.Spec) (sweep.Record, error) {
 		s.MsgBytes = 256 * 1024 * s.Threads
@@ -211,41 +171,11 @@ func Fig16Kernel(env Env) sweep.Func {
 	}
 }
 
-// Fig10Grid runs the multicast Allgather at several scales and message
-// sizes; the kernel reports the median per-rank phase fractions.
-func Fig10Grid(nodeCounts, sizes []int) sweep.Grid {
-	return sweep.Grid{Algorithms: []string{"mcast-allgather"},
-		Nodes: nodeCounts, MsgBytes: sizes, Seed: 10}
-}
-
-// Fig11Specs measures the multicast collectives against their P2P
-// baselines over a size sweep. The chain broadcast gets its own grid
-// because it pipelines best with 16 KiB chunks on the testbed — a linked
-// axis, not a product.
-func Fig11Specs(nodes int, sizes []int) []sweep.Spec {
-	plain := sweep.Grid{
-		Algorithms: []string{"mcast-broadcast", "knomial-broadcast", "binary-broadcast",
-			"mcast-allgather", "ring-allgather"},
-		Nodes: []int{nodes}, MsgBytes: sizes, Seed: 11,
-	}
-	chain := sweep.Grid{Algorithms: []string{"chain-broadcast"},
-		Nodes: []int{nodes}, MsgBytes: sizes, ChunkSizes: []int{16 << 10}, Seed: 112}
-	return sweep.Concat(plain.Expand(), chain.Expand())
-}
-
-// Fig12Specs names the four algorithm cells of the switch-traffic study.
-func Fig12Specs(nodes, msgBytes int) []sweep.Spec {
-	return sweep.Grid{
-		Algorithms: []string{"mcast-broadcast", "knomial-broadcast",
-			"mcast-allgather", "ring-allgather"},
-		Nodes: []int{nodes}, MsgBytes: []int{msgBytes}, Seed: 12,
-	}.Expand()
-}
-
-// Fig12Kernel measures switch-port counter totals for one algorithm: one
-// warmup operation, counter reset, then iters measured iterations on the
-// same warm instance (the paper's counter methodology).
-func Fig12Kernel(env Env, iters int) sweep.Func {
+// TrafficKernel measures switch-port counter totals for one algorithm: one
+// warmup operation, counter reset, then 10 measured iterations on the same
+// warm instance (the paper's counter methodology). AnnotateSavings relates
+// the section's records afterwards.
+func TrafficKernel(env Env) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
 		pt, err := env.buildColl(s, 0, 0)
 		if err != nil {
@@ -259,7 +189,7 @@ func Fig12Kernel(env Env, iters int) sweep.Func {
 		// warmup, matching the paper's methodology: the exported fabric
 		// metrics cover only the measured iterations.
 		pt.f.ResetCounters()
-		for i := 0; i < iters; i++ {
+		for i := 0; i < 10; i++ {
 			pt.sampler.Arm()
 			if _, err := pt.alg.Run(pt.op(s)); err != nil {
 				return sweep.Record{}, fmt.Errorf("iter %d: %w", i, err)
@@ -274,12 +204,15 @@ func Fig12Kernel(env Env, iters int) sweep.Func {
 }
 
 // AnnotateSavings adds the cross-cell "savings_vs_p2p" metric (P2P switch
-// bytes / multicast switch bytes for the same operation) onto every Figure
-// 12 record.
+// bytes / multicast switch bytes for the same operation at the same node
+// count and message size) onto every TrafficKernel record.
 func AnnotateSavings(recs []sweep.Record) {
-	byAlgo := map[string]float64{}
+	at := func(s sweep.Spec, algo string) sweep.Spec {
+		return sweep.Spec{Algorithm: algo, Nodes: s.Nodes, MsgBytes: s.MsgBytes}
+	}
+	switchBytes := map[sweep.Spec]float64{}
 	for _, r := range recs {
-		byAlgo[r.Spec.Algorithm] = r.Metric("switch_bytes")
+		switchBytes[at(r.Spec, r.Spec.Algorithm)] = r.Metric("switch_bytes")
 	}
 	p2pFor := map[string]string{
 		"mcast-broadcast": "knomial-broadcast",
@@ -287,7 +220,7 @@ func AnnotateSavings(recs []sweep.Record) {
 	}
 	for i := range recs {
 		if p2p, ok := p2pFor[recs[i].Spec.Algorithm]; ok {
-			recs[i].Metrics["savings_vs_p2p"] = byAlgo[p2p] / recs[i].Metric("switch_bytes")
+			recs[i].Metrics["savings_vs_p2p"] = switchBytes[at(recs[i].Spec, p2p)] / recs[i].Metric("switch_bytes")
 		} else {
 			recs[i].Metrics["savings_vs_p2p"] = 1
 		}
@@ -429,14 +362,19 @@ func osuRun(cfg OSUConfig, pt *point, s sweep.Spec) (sweep.Record, error) {
 	}
 	sum := stats.Summarize(lat)
 	// Bandwidth numerator is the per-rank network receive payload, the
-	// same semantic AlgBandwidth and Figure 11 use.
+	// same semantic AlgBandwidth and Figure 11 use; a zero-time operation
+	// (one rank has nothing to receive) reports 0, as AlgBandwidth does.
+	var gibps float64
+	if sum.Median > 0 {
+		gibps = last.RecvPerRank() / (sum.Median / 1e6) / (1 << 30)
+	}
 	rec := sweep.Record{Spec: s, Result: last, Metrics: map[string]float64{
 		"median_us":    sum.Median,
 		"ci95_low_us":  sum.CILow,
 		"ci95_high_us": sum.CIHigh,
 		"min_us":       sum.Min,
 		"max_us":       sum.Max,
-		"gibps":        last.RecvPerRank() / (sum.Median / 1e6) / (1 << 30),
+		"gibps":        gibps,
 	}}
 	addEngineMetrics(&rec, pt.f.Engine())
 	rec.Telemetry = pt.snapshot()

@@ -15,12 +15,12 @@ import (
 // start receiving multicast at the same instants, so a changed event order
 // shifts time between BarrierTime and McastTime.
 func TestTelemetryLeavesResultsUnchanged(t *testing.T) {
-	specs := Fig11Specs(188, []int{16384})
+	specs := fig11Specs(188, 16384)
 	observed := Env{Telemetry: telemetry.Config{Enabled: true}}
 	for _, i := range []int{0, 3} { // mcast-broadcast, mcast-allgather
 		s := specs[i]
 		if !strings.HasPrefix(s.Algorithm, "mcast-") {
-			t.Fatalf("Fig11Specs[%d] is %s, want a multicast point", i, s.Algorithm)
+			t.Fatalf("fig11Specs[%d] is %s, want a multicast point", i, s.Algorithm)
 		}
 		plain, err := CollKernel(Env{})(s)
 		if err != nil {

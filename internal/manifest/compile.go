@@ -45,10 +45,6 @@ type Section struct {
 	// Header and Note frame the section's table on stdout.
 	Header string
 	Note   string
-	// Grid is the declarative form behind Specs when the section is a
-	// single grid (nil for composed spec lists), kept for introspection
-	// and round-trip tests.
-	Grid *sweep.Grid
 	// Specs are the expanded points; Kernel executes one of them.
 	Specs  []sweep.Spec
 	Kernel sweep.Func
@@ -77,25 +73,17 @@ func Compile(m Manifest) (*Plan, error) {
 			Filters:      t.Filters,
 		}
 	}
-	var err error
 	switch m.Kind {
 	case "osu":
-		err = p.compileOSU(env)
+		p.compileOSU(env)
 	case "chaos":
-		err = p.compileChaos(env)
+		p.compileChaos(env)
 	case "train":
-		err = p.compileTrain(env)
-	case "traffic":
-		err = p.compileTraffic(env)
-	case "dpa":
-		err = p.compileDPA(env)
+		p.compileTrain(env)
 	case "cost":
-		err = p.compileCost(env)
-	case "ag":
-		err = p.compileAG(env)
-	}
-	if err != nil {
-		return nil, err
+		p.compileCost(env)
+	case "sweep":
+		p.compileSweep(env)
 	}
 	if m.Name != "" {
 		p.Name = m.Name
@@ -140,19 +128,9 @@ func (p *Plan) Execute(workers int, w io.Writer) (sweep.Report, error) {
 	return sweep.Report{Name: p.Name, Records: all}, nil
 }
 
-// grid appends a single-grid section.
+// grid appends a section running kernel over the points of g.
 func (p *Plan) grid(header, note string, g sweep.Grid, kernel sweep.Func, post func([]sweep.Record)) {
-	p.Sections = append(p.Sections, Section{
-		Header: header, Note: note,
-		Grid: &g, Specs: g.Expand(), Kernel: kernel, Post: post,
-	})
-}
-
-// specs appends a composed-spec section.
-func (p *Plan) specs(header, note string, specs []sweep.Spec, kernel sweep.Func) {
-	p.Sections = append(p.Sections, Section{
-		Header: header, Note: note, Specs: specs, Kernel: kernel,
-	})
+	p.Sections = append(p.Sections, Section{Header: header, Note: note, Specs: g.Expand(), Kernel: kernel, Post: post})
 }
 
 // analytic appends a self-contained section.
@@ -173,7 +151,7 @@ func expandScenarios(scenarios []string, anchor bool) []string {
 	return scenarios
 }
 
-func (p *Plan) compileOSU(env harness.Env) error {
+func (p *Plan) compileOSU(env harness.Env) {
 	m := p.Manifest
 	cfg := harness.OSUConfig{Iters: 10, Warmup: 2, LinkGbps: 56}
 	if o := m.OSU; o != nil {
@@ -208,10 +186,9 @@ func (p *Plan) compileOSU(env harness.Env) error {
 		return harness.CollTrace(env, specs[len(specs)-1], cfg.LinkGbps)
 	}
 	p.ReplaySpec = &specs[len(specs)-1]
-	return nil
 }
 
-func (p *Plan) compileChaos(env harness.Env) error {
+func (p *Plan) compileChaos(env harness.Env) {
 	m := p.Manifest
 	scenarios := expandScenarios(m.Grid.Scenarios, true)
 	g := harness.ResilienceGrid(m.Grid.Algorithms, scenarios,
@@ -231,10 +208,9 @@ func (p *Plan) compileChaos(env harness.Env) error {
 	// The first point is the quiet anchor (expandScenarios prepends it),
 	// the only scenario the replay debugger supports.
 	p.ReplaySpec = &specs[0]
-	return nil
 }
 
-func (p *Plan) compileTrain(env harness.Env) error {
+func (p *Plan) compileTrain(env harness.Env) {
 	m := p.Manifest
 	cfg := harness.TrainConfig{Layers: 6, Compute: 150 * sim.Microsecond, Jobs: 2}
 	if t := m.Train; t != nil {
@@ -267,66 +243,9 @@ func (p *Plan) compileTrain(env harness.Env) error {
 	p.Trace = func() (*telemetry.Bundle, error) {
 		return harness.TrainTrace(env, specs[0], cfg)
 	}
-	return nil
 }
 
-func (p *Plan) compileTraffic(env harness.Env) error {
-	m := p.Manifest
-	iters := 10
-	if m.Traffic != nil && m.Traffic.Iters > 0 {
-		iters = m.Traffic.Iters
-	}
-	p.Name = "trafficbench-fig12"
-	header := fmt.Sprintf("== Figure 12: switch-port traffic, %d nodes, %d B messages, %d iterations ==",
-		m.Grid.Nodes[0], m.Grid.Sizes[0], iters)
-	p.specs(header, "paper: multicast reduces data movement 1.5x (broadcast) to 2x (allgather).",
-		harness.Fig12Specs(m.Grid.Nodes[0], m.Grid.Sizes[0]), harness.Fig12Kernel(env, iters))
-	p.Sections[0].Post = harness.AnnotateSavings
-	specs := p.Sections[0].Specs
-	p.Trace = func() (*telemetry.Bundle, error) {
-		// The first cell is mcast-broadcast — the protocol under study.
-		return harness.CollTrace(env, specs[0], 56)
-	}
-	p.ReplaySpec = &specs[0]
-	return nil
-}
-
-func (p *Plan) compileDPA(env harness.Env) error {
-	m := p.Manifest
-	p.Name = "dpabench"
-	has := func(fig int) bool { return m.All || slices.Contains(m.Figures, fig) }
-	if has(5) {
-		p.specs("== Figure 5: single-threaded CPU vs single-core DPA UD datapath (200 Gbit/s link) ==",
-			"paper: one CPU core sustains ~1/2-2/3 of 200 Gbit/s; one DPA core reaches peak.",
-			harness.Fig5Specs([]int{16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 8 << 20}),
-			harness.RxKernel(env))
-	}
-	if m.All || slices.Contains(m.Tables, 1) {
-		p.grid("== Table I: single DPA thread, 8 MiB buffer, 4 KiB chunks ==",
-			"paper: UC 11.9 GiB/s, 66 instr, 598 cycles, IPC 0.11; UD 5.2 GiB/s, 113 instr, 1084 cycles, IPC 0.10.",
-			harness.Table1Grid(), harness.RxKernel(env), nil)
-	}
-	if has(13) || has(14) {
-		p.specs("== Figures 13/14: DPA thread scaling, 8 MiB receive buffer, 4 KiB chunks (last row: CPU baseline) ==",
-			"paper: UC reaches full throughput with 4 threads; UD needs 8-16 (1/256 of DPA capacity: UC 1/2, UD 1/5 of peak).",
-			harness.Fig13Specs([]int{1, 2, 4, 8, 16}), harness.RxKernel(env))
-	}
-	if has(15) {
-		p.grid("== Figure 15: UC throughput vs multi-packet chunk size (8 MiB buffer) ==",
-			"paper: with larger chunks DPA sustains line rate with fewer threads.",
-			harness.Fig15Grid([]int{4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10}, []int{1, 2, 4}),
-			harness.RxKernel(env), nil)
-	}
-	if has(16) {
-		p.grid("== Figure 16: sustained 64 B chunk processing rate vs DPA threads (link_share: x 1.6 Tbit/s target) ==",
-			fmt.Sprintf("target: %.1f Mchunks/s (1.6 Tbit/s at 4 KiB MTU). paper: 128 threads sustain it.",
-				harness.Tbit16Target/1e6),
-			harness.Fig16Grid([]int{1, 2, 4, 8, 16, 32, 64, 128}), harness.Fig16Kernel(env), nil)
-	}
-	return nil
-}
-
-func (p *Plan) compileCost(env harness.Env) error {
+func (p *Plan) compileCost(env harness.Env) {
 	m := p.Manifest
 	p.Name = "costmodel"
 	if m.All || slices.Contains(m.Figures, 2) {
@@ -340,58 +259,41 @@ func (p *Plan) compileCost(env harness.Env) error {
 			func() ([]sweep.Record, error) { return harness.Fig7Records(), nil })
 	}
 	if m.All || m.Speedup {
-		p.specs("== Appendix B: concurrent {Allgather, Reduce-Scatter} span (model_speedup: 2 - 2/P) ==",
-			"paper: concurrent collectives speed up by up to 2x at scale (ring-pair span / inc-pair span).",
-			harness.AppBSpecs([]int{2, 4, 8, 16}, 1<<20), harness.AppBKernel(env))
+		p.Sections = append(p.Sections, Section{
+			Header: "== Appendix B: concurrent {Allgather, Reduce-Scatter} span (model_speedup: 2 - 2/P) ==",
+			Note:   "paper: concurrent collectives speed up by up to 2x at scale (ring-pair span / inc-pair span).",
+			Specs:  harness.AppBSpecs([]int{2, 4, 8, 16}, 1<<20), Kernel: harness.AppBKernel(env),
+		})
 	}
 	if m.All || m.Economics {
 		p.analytic("== §VII: economics of SmartNIC offloading (SuperPOD node) ==",
 			"paper: NICs ~2.5x lower cost and ~7x lower energy than the CPUs.",
 			func() ([]sweep.Record, error) { return harness.EconRecords(), nil })
 	}
-	return nil
 }
 
-func (p *Plan) compileAG(env harness.Env) error {
-	m := p.Manifest
-	fig := m.Figures[0]
-	p.Name = fmt.Sprintf("agbench-fig%d", fig)
-	switch fig {
-	case 10:
-		nodes, sizes := m.Grid.Nodes, m.Grid.Sizes
-		if len(nodes) == 0 {
-			nodes = []int{4, 16, 64, 188}
+// compileSweep lowers each section onto its grids' joined specs and its
+// kernel. The first point of the first op or traffic section is the
+// traced and replayed point.
+func (p *Plan) compileSweep(env harness.Env) {
+	p.Name = "sweep"
+	for _, ss := range p.Manifest.Sections {
+		lists := make([][]sweep.Spec, len(ss.Grids))
+		for i, g := range ss.Grids {
+			lists[i] = g.Expand()
 		}
-		if len(sizes) == 0 {
-			sizes = []int{4096, 65536, 1 << 20}
+		sec := Section{Header: ss.Title, Note: ss.Note, Specs: sweep.Concat(lists...),
+			Kernel: sweepKernels[ss.Kernel].kernel(env)}
+		if ss.Kernel == "traffic" {
+			sec.Post = harness.AnnotateSavings
 		}
-		p.grid("== Figure 10: Allgather critical-path breakdown (median across ranks) ==",
-			"paper: from 16 nodes on, 99% of progress-path time is the multicast datapath.",
-			harness.Fig10Grid(nodes, sizes), harness.CollKernel(env), nil)
-	case 11:
-		nodes, sizes := 188, m.Grid.Sizes
-		if len(m.Grid.Nodes) == 1 {
-			nodes = m.Grid.Nodes[0]
+		if p.ReplaySpec == nil && (ss.Kernel == "op" || ss.Kernel == "traffic") {
+			traced := sec.Specs[0]
+			p.Trace = func() (*telemetry.Bundle, error) {
+				return harness.CollTrace(env, traced, 56)
+			}
+			p.ReplaySpec = &traced
 		}
-		if len(sizes) == 0 {
-			sizes = []int{16 << 10, 64 << 10, 256 << 10, 1 << 20}
-		}
-		p.specs(fmt.Sprintf("== Figure 11: per-rank receive throughput at %d nodes (56 Gbit/s links) ==", nodes),
-			"paper: mcast broadcast beats k-nomial/binary tree; mcast allgather matches ring at 128-256 KiB.",
-			harness.Fig11Specs(nodes, sizes), harness.CollKernel(env))
+		p.Sections = append(p.Sections, sec)
 	}
-	specs := p.Sections[0].Specs
-	var traced sweep.Spec
-	if fig == 10 {
-		// The last point is the largest (nodes, size) cell.
-		traced = specs[len(specs)-1]
-	} else {
-		// The first figure-11 point is mcast-broadcast at the smallest size.
-		traced = specs[0]
-	}
-	p.Trace = func() (*telemetry.Bundle, error) {
-		return harness.CollTrace(env, traced, 56)
-	}
-	p.ReplaySpec = &traced
-	return nil
 }

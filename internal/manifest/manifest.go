@@ -1,11 +1,12 @@
 // Package manifest turns experiments into data: a manifest is a small JSON
 // document declaring what to run — a kind naming the experiment family
-// (osu, chaos, train, traffic, dpa, cost, ag), the grid axes it sweeps, and
-// the run's bookkeeping (seed, workers, output paths, a baseline to
-// diff against, an expected output digest) — which compiles onto the
-// existing sweep.Grid / harness kernels. A manifest is the only way to
-// describe an experiment to `repro run`; CI is a matrix over the
-// checked-in specs in manifests/.
+// (osu, chaos, train, cost, sweep), the grid axes it sweeps, and the run's
+// bookkeeping (seed, workers, output paths, a baseline to diff against, an
+// expected output digest) — which compiles onto sweep.Grid and the harness
+// kernels. A sweep manifest carries its grids outright: each section names
+// a kernel and lists sweep.Grid values with their own seeds. A manifest is
+// the only way to describe an experiment to `repro run`; CI is a matrix
+// over the checked-in specs in manifests/.
 //
 // The contract mirrors the sweep engine's: the same manifest always
 // produces byte-identical JSON output at any worker count, so a
@@ -15,6 +16,7 @@ package manifest
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -22,21 +24,23 @@ import (
 	"strings"
 
 	"repro/internal/collective"
+	"repro/internal/harness"
 	"repro/internal/registry"
 	"repro/internal/scenario"
+	"repro/internal/sweep"
 	"repro/internal/workload"
 )
 
 // Kinds enumerates the experiment families a manifest can declare, each
 // compiling onto its own harness kernels.
-var Kinds = []string{"osu", "chaos", "train", "traffic", "dpa", "cost", "ag"}
+var Kinds = []string{"osu", "chaos", "train", "cost", "sweep"}
 
 // Manifest is one declarative experiment spec. Field presence is
 // kind-checked by Validate: axes a kind does not consume are rejected so a
 // drifting manifest fails fast instead of being silently ignored.
 type Manifest struct {
-	// Kind selects the experiment family: "osu", "chaos", "train",
-	// "traffic", "dpa", "cost" or "ag".
+	// Kind selects the experiment family: "osu", "chaos", "train", "cost"
+	// or "sweep".
 	Kind string `json:"kind"`
 	// Name overrides the report name embedded in the JSON output. Empty
 	// derives the historical name for the kind (e.g. "osu-mcast-allgather",
@@ -46,9 +50,9 @@ type Manifest struct {
 	// required) depends on Kind.
 	Grid Grid `json:"grid,omitempty"`
 	// Seed is the base sweep seed for kinds that accept one (osu, chaos,
-	// train). Nil selects the kind's historical default (1, 7, 21); the
-	// fixed-seed kinds (traffic, dpa, cost, ag) reject the field, since
-	// their figure definitions pin their own seeds.
+	// train). Nil selects the kind's historical default (1, 7, 21); cost
+	// pins its own seeds and sweep gives each grid its own, so both reject
+	// the field.
 	Seed *uint64 `json:"seed,omitempty"`
 	// Workers is the sweep worker pool size; 0 means GOMAXPROCS. Results
 	// are byte-identical at any value.
@@ -61,23 +65,20 @@ type Manifest struct {
 	// manifests keep parsing, and ignored: every grid point builds its own
 	// model stack and runs it.
 	WarmStart bool `json:"warm_start,omitempty"`
-	// Figures selects figures for the dpa (5, 13, 14, 15, 16), cost (2, 7)
-	// and ag (10 or 11, exactly one) kinds.
+	// Figures selects figures of the cost kind (2, 7).
 	Figures []int `json:"figures,omitempty"`
-	// Tables selects tables for the dpa kind (1).
-	Tables []int `json:"tables,omitempty"`
 	// Speedup and Economics enable the Appendix-B and §VII studies of the
 	// cost kind.
 	Speedup   bool `json:"speedup,omitempty"`
 	Economics bool `json:"economics,omitempty"`
-	// All enables every experiment of the dpa or cost kind.
+	// All enables every experiment of the cost kind.
 	All bool `json:"all,omitempty"`
 	// OSU carries the measurement-loop knobs of the osu kind.
 	OSU *OSUSpec `json:"osu,omitempty"`
 	// Train carries the workload knobs of the train kind.
 	Train *TrainSpec `json:"train,omitempty"`
-	// Traffic carries the counter-methodology knobs of the traffic kind.
-	Traffic *TrafficSpec `json:"traffic,omitempty"`
+	// Sections lists the experiments of the sweep kind, run in order.
+	Sections []SectionSpec `json:"sections,omitempty"`
 	// Telemetry enables the deterministic metrics registry for the run and
 	// names its outputs. Available for every kind; absent means disabled,
 	// and the disabled run's report bytes are identical to a build without
@@ -129,11 +130,17 @@ type TrainSpec struct {
 	Jobs int `json:"jobs,omitempty"`
 }
 
-// TrafficSpec parameterizes the switch-counter methodology.
-type TrafficSpec struct {
-	// Iters is the measured iteration count after the warm-up operation
-	// (default 10).
-	Iters int `json:"iters,omitempty"`
+// SectionSpec is one experiment of a sweep manifest: a kernel run over
+// the points of its grids. The grids expand in order and join through
+// sweep.Concat, so point indices count across the section's grids while
+// each grid derives its points' seeds from its own base seed. The section
+// prints Title, its table, then Note.
+type SectionSpec struct {
+	Title string `json:"title"`
+	Note  string `json:"note,omitempty"`
+	// Kernel names the harness kernel, one of Kernels (see sweepKernels).
+	Kernel string       `json:"kernel"`
+	Grids  []sweep.Grid `json:"grids"`
 }
 
 // TelemetrySpec configures the telemetry layer of a run: the virtual-time
@@ -265,13 +272,12 @@ func (m Manifest) fields() []field {
 		{"seed", m.Seed != nil},
 		{"warm_start", m.WarmStart},
 		{"figures", len(m.Figures) > 0},
-		{"tables", len(m.Tables) > 0},
 		{"speedup", m.Speedup},
 		{"economics", m.Economics},
 		{"all", m.All},
 		{"osu", m.OSU != nil},
 		{"train", m.Train != nil},
-		{"traffic", m.Traffic != nil},
+		{"sections", len(m.Sections) > 0},
 		{"telemetry", m.Telemetry != nil},
 	}
 }
@@ -280,13 +286,31 @@ func (m Manifest) fields() []field {
 // fields (name, workers, shards, output, baseline, expect) are always
 // legal and not listed.
 var consumes = map[string][]string{
-	"osu":     {"grid.algorithms", "grid.ops", "grid.nodes", "grid.sizes", "seed", "warm_start", "osu", "telemetry"},
-	"chaos":   {"grid.algorithms", "grid.scenarios", "grid.nodes", "grid.sizes", "seed", "warm_start", "telemetry"},
-	"train":   {"grid.workloads", "grid.scenarios", "grid.nodes", "grid.sizes", "seed", "warm_start", "train", "telemetry"},
-	"traffic": {"grid.nodes", "grid.sizes", "traffic", "telemetry"},
-	"dpa":     {"figures", "tables", "all", "telemetry"},
-	"cost":    {"figures", "speedup", "economics", "all", "telemetry"},
-	"ag":      {"figures", "grid.nodes", "grid.sizes", "telemetry"},
+	"osu":   {"grid.algorithms", "grid.ops", "grid.nodes", "grid.sizes", "seed", "warm_start", "osu", "telemetry"},
+	"chaos": {"grid.algorithms", "grid.scenarios", "grid.nodes", "grid.sizes", "seed", "warm_start", "telemetry"},
+	"train": {"grid.workloads", "grid.scenarios", "grid.nodes", "grid.sizes", "seed", "warm_start", "train", "telemetry"},
+	"cost":  {"figures", "speedup", "economics", "all", "telemetry"},
+	"sweep": {"sections", "telemetry"},
+}
+
+// Kernels names the harness kernels a sweep section can run: "op" runs
+// one collective operation, "traffic" reads switch-port counters over 10
+// iterations (then savings_vs_p2p), "rx" is the receive-datapath
+// microbenchmark, and "rx-rate" is rx at 256 KiB per thread with
+// link_share against the 1.6 Tbit/s chunk rate.
+var Kernels = []string{"op", "traffic", "rx", "rx-rate"}
+
+// sweepKernels maps each of Kernels onto its harness kernel and the
+// sweep.Grid axes it reads: need must be non-empty, may is optional, and
+// any other axis is rejected.
+var sweepKernels = map[string]struct {
+	need, may []string
+	kernel    func(harness.Env) sweep.Func
+}{
+	"op":      {[]string{"algorithms", "nodes", "msg_bytes"}, []string{"chunk_sizes"}, harness.CollKernel},
+	"traffic": {[]string{"algorithms", "nodes", "msg_bytes"}, []string{"chunk_sizes"}, harness.TrafficKernel},
+	"rx":      {[]string{"transports", "threads", "chunk_sizes", "msg_bytes"}, nil, harness.RxKernel},
+	"rx-rate": {[]string{"transports", "threads", "chunk_sizes"}, nil, harness.ChunkRateKernel},
 }
 
 // Validate checks the manifest without running anything: kind membership,
@@ -331,10 +355,8 @@ func (m Manifest) Validate() error {
 			return fmt.Errorf("manifest: telemetry.expect_sha256 needs telemetry.metrics")
 		}
 	}
-	for _, n := range m.Grid.Sizes {
-		if n <= 0 || int64(n) > maxSize {
-			return fmt.Errorf("manifest: grid.sizes must be in [1,%d], got %d", maxSize, n)
-		}
+	if err := checkRange("grid.sizes", m.Grid.Sizes, 1, maxSize); err != nil {
+		return fmt.Errorf("manifest: %w", err)
 	}
 	switch m.Kind {
 	case "osu":
@@ -343,14 +365,10 @@ func (m Manifest) Validate() error {
 		return m.validateChaos()
 	case "train":
 		return m.validateTrain()
-	case "traffic":
-		return m.validateTraffic()
-	case "dpa":
-		return m.validateDPA()
 	case "cost":
 		return m.validateCost()
-	case "ag":
-		return m.validateAG()
+	case "sweep":
+		return m.validateSweep()
 	}
 	return nil
 }
@@ -359,7 +377,17 @@ func (m Manifest) Validate() error {
 func checkAlgorithms(algos []string) error {
 	for _, a := range algos {
 		if !slices.Contains(registry.Names(), a) {
-			return fmt.Errorf("manifest: unknown algorithm %q (have %v)", a, registry.Names())
+			return fmt.Errorf("unknown algorithm %q (have %v)", a, registry.Names())
+		}
+	}
+	return nil
+}
+
+// checkRange bounds every entry of an integer axis to [lo,hi].
+func checkRange(axis string, vals []int, lo, hi int64) error {
+	for _, v := range vals {
+		if int64(v) < lo || int64(v) > hi {
+			return fmt.Errorf("%s must be in [%d,%d], got %d", axis, lo, hi, v)
 		}
 	}
 	return nil
@@ -380,11 +408,9 @@ func checkScenarios(scenarios []string) error {
 }
 
 // checkNodes bounds a node axis to the 188-host testbed.
-func checkNodes(nodes []int, lo int) error {
-	for _, n := range nodes {
-		if n < lo || n > 188 {
-			return fmt.Errorf("manifest: grid.nodes must be in [%d,188], got %d", lo, n)
-		}
+func checkNodes(nodes []int, lo int64) error {
+	if err := checkRange("grid.nodes", nodes, lo, testbedHosts); err != nil {
+		return fmt.Errorf("manifest: %w", err)
 	}
 	return nil
 }
@@ -394,7 +420,7 @@ func (m Manifest) validateOSU() error {
 		return fmt.Errorf("manifest: osu needs grid.algorithms")
 	}
 	if err := checkAlgorithms(m.Grid.Algorithms); err != nil {
-		return err
+		return fmt.Errorf("manifest: %w", err)
 	}
 	if len(m.Grid.Nodes) == 0 || len(m.Grid.Sizes) == 0 {
 		return fmt.Errorf("manifest: osu needs grid.nodes and grid.sizes")
@@ -434,7 +460,7 @@ func (m Manifest) validateChaos() error {
 		return fmt.Errorf("manifest: chaos needs grid.algorithms")
 	}
 	if err := checkAlgorithms(m.Grid.Algorithms); err != nil {
-		return err
+		return fmt.Errorf("manifest: %w", err)
 	}
 	if len(m.Grid.Scenarios) == 0 {
 		return fmt.Errorf("manifest: chaos needs grid.scenarios")
@@ -465,42 +491,12 @@ func (m Manifest) validateTrain() error {
 	if len(m.Grid.Nodes) != 1 || len(m.Grid.Sizes) != 1 {
 		return fmt.Errorf("manifest: train needs exactly one grid.nodes and grid.sizes entry")
 	}
-	if m.Grid.Nodes[0] < 2 {
-		return fmt.Errorf("manifest: grid.nodes must be >= 2, got %d", m.Grid.Nodes[0])
+	if err := checkNodes(m.Grid.Nodes, 2); err != nil {
+		return err
 	}
 	if m.Train != nil {
 		if m.Train.Layers < 0 || m.Train.Jobs < 0 || m.Train.ComputeUS < 0 {
 			return fmt.Errorf("manifest: train.layers, train.compute_us and train.jobs must be >= 0")
-		}
-	}
-	return nil
-}
-
-func (m Manifest) validateTraffic() error {
-	if len(m.Grid.Nodes) != 1 || len(m.Grid.Sizes) != 1 {
-		return fmt.Errorf("manifest: traffic needs exactly one grid.nodes and grid.sizes entry")
-	}
-	if err := checkNodes(m.Grid.Nodes, 2); err != nil {
-		return err
-	}
-	if m.Traffic != nil && m.Traffic.Iters < 0 {
-		return fmt.Errorf("manifest: traffic.iters must be >= 0")
-	}
-	return nil
-}
-
-func (m Manifest) validateDPA() error {
-	if !m.All && len(m.Figures) == 0 && len(m.Tables) == 0 {
-		return fmt.Errorf("manifest: dpa needs figures, tables or all")
-	}
-	for _, f := range m.Figures {
-		if !slices.Contains([]int{5, 13, 14, 15, 16}, f) {
-			return fmt.Errorf("manifest: dpa has no figure %d (have 5, 13, 14, 15, 16)", f)
-		}
-	}
-	for _, t := range m.Tables {
-		if t != 1 {
-			return fmt.Errorf("manifest: dpa has no table %d (have 1)", t)
 		}
 	}
 	return nil
@@ -518,15 +514,74 @@ func (m Manifest) validateCost() error {
 	return nil
 }
 
-func (m Manifest) validateAG() error {
-	if len(m.Figures) != 1 || (m.Figures[0] != 10 && m.Figures[0] != 11) {
-		return fmt.Errorf("manifest: ag needs exactly one figure, 10 or 11")
+func (m Manifest) validateSweep() error {
+	if len(m.Sections) == 0 {
+		return fmt.Errorf("manifest: sweep needs sections")
 	}
-	if err := checkNodes(m.Grid.Nodes, 1); err != nil {
-		return err
-	}
-	if m.Figures[0] == 11 && len(m.Grid.Nodes) > 1 {
-		return fmt.Errorf("manifest: ag figure 11 takes a single grid.nodes entry")
+	for i, sec := range m.Sections {
+		if !slices.Contains(Kernels, sec.Kernel) {
+			return fmt.Errorf("manifest: sections[%d]: unknown kernel %q (have %s)", i, sec.Kernel, strings.Join(Kernels, ", "))
+		}
+		if len(sec.Grids) == 0 {
+			return fmt.Errorf("manifest: sections[%d] needs grids", i)
+		}
+		for j, g := range sec.Grids {
+			if err := checkGrid(sec.Kernel, g); err != nil {
+				return fmt.Errorf("manifest: sections[%d].grids[%d]: %w", i, j, err)
+			}
+		}
 	}
 	return nil
+}
+
+const (
+	// testbedHosts is the host count of the collective kernels' testbed.
+	testbedHosts = 188
+	// maxThreads is the DPA's thread capacity: 16 cores of 16 threads.
+	maxThreads = 256
+)
+
+// checkGrid checks one sweep grid against its kernel: the axes it reads
+// and nothing else, transport names, then algorithm names and value
+// ranges, reporting every failing one of those.
+func checkGrid(kernel string, g sweep.Grid) error {
+	axes := sweepKernels[kernel]
+	for _, f := range []field{
+		{"algorithms", len(g.Algorithms) > 0},
+		{"workloads", len(g.Workloads) > 0},
+		{"ops", len(g.Ops) > 0},
+		{"nodes", len(g.Nodes) > 0},
+		{"msg_bytes", len(g.MsgBytes) > 0},
+		{"transports", len(g.Transports) > 0},
+		{"threads", len(g.Threads) > 0},
+		{"chunk_sizes", len(g.ChunkSizes) > 0},
+		{"scenarios", len(g.Scenarios) > 0},
+	} {
+		switch need := slices.Contains(axes.need, f.name); {
+		case f.set && !need && !slices.Contains(axes.may, f.name):
+			return fmt.Errorf("kernel %s does not consume %s", kernel, f.name)
+		case !f.set && need:
+			return fmt.Errorf("kernel %s needs %s", kernel, f.name)
+		}
+	}
+	for _, tr := range g.Transports {
+		if !slices.Contains(harness.RxTransports, tr) {
+			return fmt.Errorf("unknown transport %q (have %s)", tr, strings.Join(harness.RxTransports, ", "))
+		}
+	}
+	lo := int64(1)
+	if kernel == "traffic" {
+		lo = 2 // a single host sends nothing through a switch
+	}
+	// A UD chunk is one packet, so it is bounded by the 4 KiB MTU.
+	maxChunk := maxSize
+	if slices.Contains(g.Transports, "ud") || slices.Contains(g.Transports, "cpu-ud") {
+		maxChunk = 4096
+	}
+	return errors.Join(
+		checkAlgorithms(g.Algorithms),
+		checkRange("nodes", g.Nodes, lo, testbedHosts),
+		checkRange("msg_bytes", g.MsgBytes, 1, maxSize),
+		checkRange("threads", g.Threads, 1, maxThreads),
+		checkRange("chunk_sizes", g.ChunkSizes, 1, maxChunk))
 }

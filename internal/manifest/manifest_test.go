@@ -40,12 +40,43 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":"4096:65536"}}`, "cannot unmarshal string")
 }
 
+// sweepDoc is a one-section sweep manifest running kernel over grids (a
+// comma-separated list of sweep.Grid objects).
+func sweepDoc(kernel, grids string) string {
+	return `{"kind":"sweep","sections":[{"title":"t","kernel":"` + kernel + `","grids":[` + grids + `]}]}`
+}
+
+const (
+	opGrid = `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096]}`
+	rxGrid = `{"transports":["uc"],"threads":[1],"chunk_sizes":[4096],"msg_bytes":[8192]}`
+)
+
 func TestValidateKindConsumption(t *testing.T) {
 	// A field a kind does not consume is an error, not silence.
-	parseErr(t, `{"kind":"dpa","all":true,"grid":{"nodes":[8]}}`, "does not consume grid.nodes")
-	parseErr(t, `{"kind":"traffic","grid":{"nodes":[8],"sizes":[4096]},"seed":3}`, "does not consume seed")
+	sweepWith := func(top string) string {
+		return `{"kind":"sweep",` + top + `,"sections":[{"title":"t","kernel":"op","grids":[` + opGrid + `]}]}`
+	}
+	parseErr(t, sweepWith(`"grid":{"nodes":[8]}`), "does not consume grid.nodes")
+	parseErr(t, sweepWith(`"seed":3`), "does not consume seed")
 	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]},"train":{"layers":2}}`, "does not consume train")
-	parseErr(t, `{"kind":"cost","all":true,"tables":[1]}`, "does not consume tables")
+	parseErr(t, `{"kind":"cost","all":true,"sections":[{"title":"t","kernel":"op","grids":[`+opGrid+`]}]}`, "does not consume sections")
+	parseErr(t, `{"kind":"cost","all":true,"tables":[1]}`, `unknown field "tables"`)
+	parseErr(t, sweepWith(`"traffic":{"iters":2}`), `unknown field "traffic"`)
+
+	// Each sweep kernel reads its own grid axes; any other is rejected.
+	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"transports":["ud"]}`), "kernel op does not consume transports")
+	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"ops":["allgather"],"nodes":[8],"msg_bytes":[4096]}`), "kernel op does not consume ops")
+	parseErr(t, sweepDoc("traffic", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"threads":[1]}`), "kernel traffic does not consume threads")
+	parseErr(t, sweepDoc("traffic", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"scenarios":["quiet"]}`), "kernel traffic does not consume scenarios")
+	parseErr(t, sweepDoc("rx", `{"algorithms":["mcast-allgather"],"transports":["uc"],"threads":[1],"chunk_sizes":[4096],"msg_bytes":[8192]}`), "kernel rx does not consume algorithms")
+	parseErr(t, sweepDoc("rx", `{"workloads":["fsdp-inc"],"transports":["uc"],"threads":[1],"chunk_sizes":[4096],"msg_bytes":[8192]}`), "kernel rx does not consume workloads")
+	parseErr(t, sweepDoc("rx-rate", rxGrid), "kernel rx-rate does not consume msg_bytes")
+	parseErr(t, sweepDoc("rx-rate", `{"transports":["uc"],"threads":[1],"chunk_sizes":[64],"nodes":[2]}`), "kernel rx-rate does not consume nodes")
+	// ...and the axes it needs must be there.
+	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[8]}`), "kernel op needs msg_bytes")
+	parseErr(t, sweepDoc("rx", `{"transports":["uc"],"threads":[1],"msg_bytes":[8192]}`), "kernel rx needs chunk_sizes")
+	parseOK(t, sweepDoc("op", `{"algorithms":["chain-broadcast"],"nodes":[8],"msg_bytes":[4096],"chunk_sizes":[16384]}`))
+	parseOK(t, sweepDoc("rx-rate", `{"transports":["ud"],"threads":[1],"chunk_sizes":[64]}`))
 }
 
 func TestValidateCrossChecks(t *testing.T) {
@@ -54,20 +85,82 @@ func TestValidateCrossChecks(t *testing.T) {
 	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[500],"sizes":[4096]}}`, "[1,188]")
 	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[9223372036854775807]}}`, "grid.sizes must be in")
 	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[0]}}`, "grid.sizes must be in")
-	parseErr(t, `{"kind":"traffic","grid":{"nodes":[1],"sizes":[4096]}}`, "[2,188]")
+	parseErr(t, `{"kind":"train","grid":{"workloads":["fsdp-inc"],"nodes":[100000],"sizes":[4096]},"train":{"layers":1}}`, "grid.nodes must be in [2,188]")
 	parseErr(t, `{"kind":"chaos","grid":{"algorithms":["mcast-allgather"],"scenarios":["hurricane"],"nodes":[8],"sizes":[4096]}}`, "hurricane")
 	parseErr(t, `{"kind":"train","grid":{"workloads":["nope"],"nodes":[8],"sizes":[4096]}}`, "unknown workload")
-	parseErr(t, `{"kind":"ag","figures":[12]}`, "exactly one figure")
-	parseErr(t, `{"kind":"dpa","figures":[6]}`, "no figure 6")
-	parseErr(t, `{"kind":"dpa"}`, "figures, tables or all")
+	for _, retired := range []string{"ag", "traffic", "dpa"} {
+		parseErr(t, `{"kind":"`+retired+`"}`, "unknown kind")
+	}
 	parseErr(t, `{"kind":"cost","figures":[3]}`, "no figure 3")
 	parseErr(t, `{"kind":"cost"}`, "figures, speedup, economics or all")
 	parseErr(t, `{"kind":"zebra"}`, "unknown kind")
+
+	// The sweep kind: sections, grids, kernel names, registry and
+	// transport names, and axis ranges.
+	parseErr(t, `{"kind":"sweep"}`, "sweep needs sections")
+	parseErr(t, `{"kind":"sweep","sections":[]}`, "sweep needs sections")
+	parseErr(t, `{"kind":"sweep","sections":[{"title":"t","kernel":"op","grids":[]}]}`, "sections[0] needs grids")
+	parseErr(t, `{"kind":"sweep","sections":[{"title":"t","kernel":"op"}]}`, "sections[0] needs grids")
+	parseErr(t, sweepDoc("fig11", opGrid), `unknown kernel "fig11"`)
+	parseErr(t, sweepDoc("op", opGrid+`,{"algorithms":["nope-allgather"],"nodes":[8],"msg_bytes":[4096]}`), "sections[0].grids[1]: unknown algorithm")
+	parseErr(t, sweepDoc("rx", `{"transports":["rc"],"threads":[1],"chunk_sizes":[4096],"msg_bytes":[8192]}`), `unknown transport "rc"`)
+	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[0],"msg_bytes":[4096]}`), "nodes must be in [1,188]")
+	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[189],"msg_bytes":[4096]}`), "nodes must be in [1,188]")
+	parseErr(t, sweepDoc("traffic", `{"algorithms":["mcast-allgather"],"nodes":[1],"msg_bytes":[4096]}`), "nodes must be in [2,188]")
+	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[0]}`), "msg_bytes must be in")
+	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[9223372036854775807]}`), "msg_bytes must be in")
+	parseErr(t, sweepDoc("op", `{"algorithms":["chain-broadcast"],"nodes":[8],"msg_bytes":[4096],"chunk_sizes":[-1]}`), "chunk_sizes must be in")
+	parseErr(t, sweepDoc("rx", `{"transports":["uc"],"threads":[0],"chunk_sizes":[4096],"msg_bytes":[8192]}`), "threads must be in [1,256]")
+	parseErr(t, sweepDoc("rx-rate", `{"transports":["uc"],"threads":[512],"chunk_sizes":[64]}`), "threads must be in [1,256]")
+	parseErr(t, sweepDoc("rx", `{"transports":["uc","ud"],"threads":[1],"chunk_sizes":[8192],"msg_bytes":[8192]}`), "chunk_sizes must be in [1,4096]")
+	parseErr(t, sweepDoc("rx", `{"transports":["cpu-ud"],"threads":[1],"chunk_sizes":[8192],"msg_bytes":[8192]}`), "chunk_sizes must be in [1,4096]")
+	parseOK(t, sweepDoc("rx", `{"transports":["uc","cpu-rc"],"threads":[256],"chunk_sizes":[65536],"msg_bytes":[8388608]}`))
+}
+
+// TestFig11Sections pins how manifests/fig11.json lowers: one section of
+// 24 points indexed 0..23 across its two grids, the 20 multicast and P2P
+// points seeded from base 11 and the 4 chain-broadcast points carrying
+// 16 KiB chunks and seeds from base 112.
+func TestFig11Sections(t *testing.T) {
+	m, err := ParseFile(filepath.Join("..", "..", "manifests", "fig11.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Name != "agbench-fig11" || len(p.Sections) != 1 {
+		t.Fatalf("name %q with %d sections, want agbench-fig11 with 1", p.Name, len(p.Sections))
+	}
+	specs := p.Sections[0].Specs
+	if len(specs) != 24 {
+		t.Fatalf("%d specs, want 24", len(specs))
+	}
+	for i, s := range specs {
+		if s.Index != i {
+			t.Errorf("specs[%d].Index = %d", i, s.Index)
+		}
+		base, chunk, idx := uint64(11), 0, i
+		if i >= 20 {
+			base, chunk, idx = 112, 16384, i-20
+			if s.Algorithm != "chain-broadcast" {
+				t.Errorf("specs[%d] is %s, want chain-broadcast", i, s.Algorithm)
+			}
+		}
+		if s.ChunkSize != chunk || s.Seed != sweep.PointSeed(base, idx) || s.Nodes != 188 {
+			t.Errorf("specs[%d] = %+v, want chunk %d, seed PointSeed(%d, %d), 188 nodes", i, s, chunk, base, idx)
+		}
+	}
+	if p.ReplaySpec == nil || *p.ReplaySpec != specs[0] || p.Trace == nil {
+		t.Errorf("replayed point %v, want the first point %v", p.ReplaySpec, specs[0])
+	}
 }
 
 // TestCheckedInManifestsCanonical pins the canonical form of everything
 // under manifests/: each JSON document must re-encode to its own bytes
-// (Parse∘Encode is the identity), and every manifest must compile.
+// (Parse∘Encode is the identity), and every manifest must compile. The
+// sweep manifests that carry the paper's figures must be among them.
 func TestCheckedInManifestsCanonical(t *testing.T) {
 	dir := filepath.Join("..", "..", "manifests")
 	entries, err := os.ReadDir(dir)
@@ -75,7 +168,9 @@ func TestCheckedInManifestsCanonical(t *testing.T) {
 		t.Fatalf("reading %s: %v", dir, err)
 	}
 	seen := 0
+	names := map[string]bool{}
 	for _, e := range entries {
+		names[e.Name()] = true
 		path := filepath.Join(dir, e.Name())
 		m, err := ParseFile(path)
 		if err != nil {
@@ -97,10 +192,15 @@ func TestCheckedInManifestsCanonical(t *testing.T) {
 	if seen == 0 {
 		t.Fatalf("no JSON manifests found in %s", dir)
 	}
+	for _, want := range []string{"ag.json", "fig10.json", "fig11.json", "fig12.json", "dpa.json", "dpa-figures.json"} {
+		if !names[want] {
+			t.Errorf("%s is missing from %s", want, dir)
+		}
+	}
 }
 
-// TestRoundTripThroughGrid walks a manifest to its compiled sweep.Grid and
-// back: the grid the PR manifest compiles to must be exactly the legacy
+// TestRoundTripThroughGrid walks a manifest to its compiled points and
+// back: the PR manifest must compile to exactly the points of the legacy
 // osu CI grid, and re-encoding the parsed manifest must be stable.
 func TestRoundTripThroughGrid(t *testing.T) {
 	m, err := ParseFile(filepath.Join("..", "..", "manifests", "pr.json"))
@@ -114,8 +214,8 @@ func TestRoundTripThroughGrid(t *testing.T) {
 	if p.Name != "osu-mcast-allgather" {
 		t.Fatalf("report name = %q, want osu-mcast-allgather", p.Name)
 	}
-	if len(p.Sections) != 1 || p.Sections[0].Grid == nil {
-		t.Fatalf("expected one grid section, got %+v", p.Sections)
+	if len(p.Sections) != 1 {
+		t.Fatalf("expected one section, got %+v", p.Sections)
 	}
 	want := sweep.Grid{
 		Algorithms: []string{"mcast-allgather"},
@@ -124,8 +224,8 @@ func TestRoundTripThroughGrid(t *testing.T) {
 		MsgBytes:   []int{4096, 8192, 16384, 32768, 65536, 131072, 262144, 524288, 1048576},
 		Seed:       1,
 	}
-	if !reflect.DeepEqual(*p.Sections[0].Grid, want) {
-		t.Fatalf("compiled grid = %+v, want %+v", *p.Sections[0].Grid, want)
+	if !reflect.DeepEqual(p.Sections[0].Specs, want.Expand()) {
+		t.Fatalf("compiled specs = %+v, want the expansion of %+v", p.Sections[0].Specs, want)
 	}
 	// Encode twice through a parse: canonical form is a fixed point.
 	once := m.Encode()
