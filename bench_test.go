@@ -19,6 +19,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/sweep"
+	"repro/internal/topology"
 	"repro/internal/verbs"
 )
 
@@ -38,7 +39,7 @@ func figure(b *testing.B, specs []sweep.Spec, k sweep.Func) []sweep.Record {
 func BenchmarkFig02TrafficModel(b *testing.B) {
 	var savings float64
 	for i := 0; i < b.N; i++ {
-		g, err := model.Fig2Cluster()
+		g, err := topology.ThreeLevelFatTree(32, 1024)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -243,7 +244,8 @@ func BenchmarkAllreduce16(b *testing.B) {
 func BenchmarkAppBSpeedup(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		recs := figure(b, harness.AppBSpecs([]int{16}, 1<<20), harness.AppBKernel(harness.Env{}))
+		specs := sweep.Grid{Algorithms: harness.PairAlgorithms, Nodes: []int{16}, MsgBytes: []int{1 << 20}, Seed: 21}.Expand()
+		recs := figure(b, specs, harness.PairKernel(harness.Env{}))
 		speedup = recs[0].Metric("span_ns") / recs[1].Metric("span_ns") // ring-pair over inc-pair
 	}
 	b.ReportMetric(speedup, "measured-x")

@@ -28,15 +28,14 @@
 // topology, fabric, verbs, dpa, core (the paper's contribution), coll
 // (baselines), collective (shared Op/Result types), registry (the
 // algorithm table), model (analytic cost models), sweep (the declarative
-// parameter-grid engine behind every benchmark surface, re-exported here as
-// SweepGrid/RunSweep), scenario (deterministic fault/straggler/multi-tenant
-// perturbations, re-exported as Scenarios/NewScenario) and harness
-// (per-figure experiment drivers).
+// parameter-grid engine behind every benchmark surface), scenario
+// (deterministic fault/straggler/multi-tenant perturbations, re-exported
+// as Scenarios/NewScenario), harness (the sweep kernels behind every
+// figure) and manifest (experiments as JSON documents, run by cmd/repro).
 package repro
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/cluster"
 	"repro/internal/coll"
@@ -46,7 +45,6 @@ import (
 	"repro/internal/registry"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -124,48 +122,6 @@ func NewScenario(name string) (Scenario, error) { return scenario.New(name) }
 // observationally identical to not applying anything.
 func (s *System) ApplyScenario(sc Scenario, seed uint64) *ActiveScenario {
 	return sc.Install(s.Fabric, seed)
-}
-
-// SweepGrid declares a parameter sweep: the cartesian product of every
-// non-empty axis (algorithms × nodes × message sizes × transports ×
-// threads × chunk sizes), expanded in deterministic row-major order with a
-// decorrelated per-point seed derived from the grid index.
-type SweepGrid = sweep.Grid
-
-// SweepSpec is one fully-resolved point of a sweep.
-type SweepSpec = sweep.Spec
-
-// SweepRecord is the structured result of one sweep point: the spec, the
-// driver's scalar metrics, and — for collective runs — the unified Result
-// with its per-rank extension.
-type SweepRecord = sweep.Record
-
-// SweepReport is a named list of records: the JSON document the cmd
-// binaries write with -json and CI uploads as BENCH_*.json.
-type SweepReport = sweep.Report
-
-// RunSweep expands the grid and executes fn over every point on a worker
-// pool (workers <= 0 selects GOMAXPROCS), returning the records in grid
-// order. The output — bytes included, once serialized — is independent of
-// the worker count: kernels receive deterministic per-point seeds and
-// records are collected by grid index.
-func RunSweep(g SweepGrid, workers int, fn func(SweepSpec) (SweepRecord, error)) ([]SweepRecord, error) {
-	return sweep.RunGrid(g, workers, sweep.Func(fn))
-}
-
-// WriteSweepJSON serializes a report deterministically (same grid, same
-// bytes — at any worker count).
-func WriteSweepJSON(w io.Writer, rep SweepReport) error { return sweep.WriteJSON(w, rep) }
-
-// LoadSweep reads a report previously written by WriteSweepJSON or a
-// binary's -json flag.
-func LoadSweep(path string) (SweepReport, error) { return sweep.LoadFile(path) }
-
-// CompareSweeps diffs two reports point by point and returns every metric
-// whose relative change exceeds tol — the baseline check behind the
-// BENCH_*.json perf trajectory.
-func CompareSweeps(base, cur SweepReport, tol float64) []sweep.Delta {
-	return sweep.Compare(base, cur, tol)
 }
 
 // Op describes one collective operation: see collective.Op.

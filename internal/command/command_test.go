@@ -44,11 +44,14 @@ func TestExitCodes(t *testing.T) {
 	}
 	// Outputs a manifest declares are checked before the run, like the flags.
 	declared := func(name, outputs string) string {
-		return writeManifest(t, dir, name+".json", `{"kind":"cost","figures":[7],`+outputs+`}`)
+		return writeManifest(t, dir, name+".json", `{"kind":"sweep","sections":[{"title":"t","kernel":"psn-sizing"}],`+outputs+`}`)
 	}
 	missingJSON := declared("missing-json", `"output":{"json":"`+missing+`"}`)
 	missingCSV := declared("missing-csv", `"output":{"csv":"`+missing+`"}`)
 	missingMetrics := declared("missing-metrics", `"telemetry":{"metrics":"`+missing+`"}`)
+	// Two manifests that write one file are rejected before either runs.
+	sameA := declared("same-a", `"output":{"json":"same.json"}`)
+	sameB := declared("same-b", `"output":{"json":"same.json"}`)
 	missingPerfetto := writeManifest(t, dir, "missing-perfetto.json",
 		`{"kind":"osu","grid":{"algorithms":["ring-allgather"],"nodes":[2],"sizes":[4096]},"telemetry":{"perfetto":"`+missing+`"}}`)
 	cases := []struct {
@@ -82,6 +85,7 @@ func TestExitCodes(t *testing.T) {
 		{"run declared metrics dir missing", []string{"run", missingMetrics}, 2, "telemetry.metrics: directory"},
 		{"run declared perfetto dir missing", []string{"run", missingPerfetto}, 2, "telemetry.perfetto: directory"},
 		{"run declared output under -o", []string{"run", "-o", dir, missingJSON}, 0, ""},
+		{"run two manifests writing one file", []string{"run", "-o", filepath.Join(dir, "same"), sameA, sameB}, 2, "written by " + sameA + " and by " + sameB},
 
 		{"run no manifest", []string{"run"}, 2, "usage"},
 		{"run bad memprofile dir", []string{"run", "-memprofile", missing, "absent.json"}, 2, "-memprofile: directory"},
@@ -112,6 +116,9 @@ func TestExitCodes(t *testing.T) {
 	}
 	if _, stdout, _ := run("run", missingJSON); stdout != "" {
 		t.Errorf("a run with a missing output directory printed %q; want nothing run", stdout)
+	}
+	if _, stdout, _ := run("run", "-o", filepath.Join(dir, "same2"), sameA, sameB); stdout != "" {
+		t.Errorf("a batch writing one file twice printed %q; want nothing run", stdout)
 	}
 }
 
@@ -198,10 +205,13 @@ func TestListAndHelp(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("list: exit %d", code)
 	}
-	for _, want := range []string{"kinds:", "mcast-allgather", "quiet", "fsdp-ring", "kernels:", "rx-rate"} {
+	for _, want := range []string{"kinds:", "mcast-allgather", "quiet", "fsdp-ring", "kernels:", "rx-rate", "traffic-model", "pair", "psn-sizing", "economics"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("list output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "cost") {
+		t.Errorf("list output still names the retired cost kind:\n%s", out)
 	}
 	code, out, _ = run("help")
 	if code != 0 || !strings.Contains(out, "byte-identical") {
@@ -216,7 +226,7 @@ func TestValidateSubcommand(t *testing.T) {
 		t.Fatalf("validate %s: exit %d, out %q", good, code, out)
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"kind":"cost","all":true,"seed":1}`), 0o644); err != nil {
+	if err := os.WriteFile(bad, []byte(`{"kind":"sweep","sections":[{"title":"t","kernel":"economics"}],"seed":1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	code, _, stderr := run("validate", good, bad)
@@ -465,6 +475,31 @@ func TestGoldenPRManifest(t *testing.T) {
 	}
 }
 
+// TestGoldenCostManifest pins manifests/cost.json end to end: the report
+// must match the manifest's expect.sha256, and stdout — every section's
+// title, table and note — must match testdata/stdout_cost.golden.txt byte
+// for byte.
+func TestGoldenCostManifest(t *testing.T) {
+	src, err := filepath.Abs(filepath.Join("..", "..", "manifests", "cost.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := run("run", "-o", t.TempDir(), src)
+	if code != 0 {
+		t.Fatalf("repro run: exit %d, stderr %s", code, stderr)
+	}
+	if !strings.Contains(stdout, "# output digest matches expect.sha256\n") {
+		t.Fatalf("stdout does not confirm the digest:\n%s", stdout)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "stdout_cost.golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout != string(golden) {
+		t.Errorf("stdout differs from testdata/stdout_cost.golden.txt:\n%s", stdout)
+	}
+}
+
 // structureDigest hashes everything a fabric reads from the process-wide
 // testbed: every adjacency entry, every link and every routing-table row.
 func structureDigest() string {
@@ -619,8 +654,9 @@ func TestWarmStartIgnored(t *testing.T) {
 	if code, _, stderr := run("validate", cold); code != 0 || stderr != "" {
 		t.Errorf("validate without warm_start: exit %d, stderr %q; want 0 and no note", code, stderr)
 	}
-	cost := write("cost", manifest.Manifest{Kind: "cost", All: true, WarmStart: true})
-	if code, _, stderr := run("validate", cost); code != 2 || !strings.Contains(stderr, "does not consume warm_start") {
-		t.Errorf("cost manifest setting warm_start: exit %d, stderr %q; want 2", code, stderr)
+	tables := write("tables", manifest.Manifest{Kind: "sweep", WarmStart: true,
+		Sections: []manifest.SectionSpec{{Title: "t", Kernel: "economics"}}})
+	if code, _, stderr := run("validate", tables); code != 2 || !strings.Contains(stderr, "does not consume warm_start") {
+		t.Errorf("sweep manifest setting warm_start: exit %d, stderr %q; want 2", code, stderr)
 	}
 }

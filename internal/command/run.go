@@ -20,7 +20,9 @@ import (
 // (-json, -csv, -metrics, -perfetto, -trace) would silently overwrite one
 // another, so they are rejected; -o DIR redirects every file a manifest
 // declares into DIR instead, preserving basenames, which is how a batch
-// (e.g. the CI matrix) lands its artifacts side by side.
+// (e.g. the CI matrix) lands its artifacts side by side. Every manifest is
+// parsed and its outputs resolved before anything runs, so two that would
+// write the same file fail the batch up front.
 func runManifest(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro run", flag.ContinueOnError)
 	comparePath := fs.String("compare", "", "override the manifest baseline path")
@@ -73,7 +75,9 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, 2, "run: -o %s: %v", *outDir, err)
 		}
 	}
-	for _, path := range paths {
+	ms := make([]manifest.Manifest, len(paths))
+	writer := map[string]string{} // resolved output path -> manifest
+	for i, path := range paths {
 		m, err := manifest.ParseFile(path)
 		if err != nil {
 			return fail(stderr, 2, "run: %v", err)
@@ -94,6 +98,20 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 		if *outDir != "" {
 			redirectOutputs(&m, *outDir)
 		}
+		for _, o := range outputPaths(&m) {
+			if *o.path == "" {
+				continue
+			}
+			out := filepath.Clean(*o.path)
+			if first, ok := writer[out]; ok {
+				return fail(stderr, 2, "run: duplicate output %s: written by %s and by %s (%s)", out, first, path, o.field)
+			}
+			writer[out] = path
+		}
+		ms[i] = m
+	}
+	for i, m := range ms {
+		path := paths[i]
 		if len(paths) > 1 {
 			fmt.Fprintf(stdout, "== %s\n", path)
 		}
@@ -259,7 +277,7 @@ func runValidate(args []string, stdout, stderr io.Writer) int {
 
 // runList implements `repro list`: print everything a manifest author can
 // reference — kinds, registry algorithms, scenario and workload presets,
-// the sweep kind's section kernels, and the cost kind's selectors.
+// and the sweep kind's section kernels.
 func runList(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro list", flag.ContinueOnError)
 	if code := parseFlags(fs, args, stderr); code >= 0 {
@@ -273,6 +291,5 @@ func runList(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "scenarios:   %s\n", strings.Join(scenario.Names(), " "))
 	fmt.Fprintf(stdout, "workloads:   %s\n", strings.Join(workload.Names(), " "))
 	fmt.Fprintf(stdout, "kernels:     %s\n", strings.Join(manifest.Kernels, " "))
-	fmt.Fprintf(stdout, "cost:        figures 2 7, studies speedup economics\n")
 	return 0
 }

@@ -1,42 +1,48 @@
 package harness
 
 import (
-	"fmt"
+	"sync"
 
 	"repro/internal/model"
 	"repro/internal/sweep"
+	"repro/internal/topology"
 )
 
-// The analytic record builders behind the cost kind: the closed-form
-// figures of the paper's model (traffic savings, PSN sizing) and the §VII
-// economics comparison, rendered as sweep Records so they serialize, table
-// and diff exactly like the simulated experiments.
+// The analytic kernels: the closed-form results of the paper's model
+// (traffic savings, PSN sizing) and the §VII economics comparison,
+// rendered as sweep Records so they serialize, table and diff exactly like
+// the simulated experiments.
 
-// Fig2Records evaluates the closed-form traffic model over a send-buffer
-// grid — an analytic sweep, no simulation engine involved.
-func Fig2Records() ([]sweep.Record, error) {
-	g, err := model.Fig2Cluster()
-	if err != nil {
-		return nil, err
-	}
-	m, err := model.NewTrafficModel(g)
-	if err != nil {
-		return nil, err
-	}
-	grid := sweep.Grid{MsgBytes: []int{64 << 10, 256 << 10, 1 << 20, 4 << 20}}
-	return sweep.RunGrid(grid, 0, sweep.Func(func(s sweep.Spec) (sweep.Record, error) {
+// TrafficModelKernel evaluates the closed-form Allgather traffic model of
+// Figure 2 at the point's MsgBytes on the paper's 1024-node cluster, a
+// three-level radix-32 fat-tree — an analytic sweep, no simulation engine
+// involved. The model is built once, on the first point, and shared
+// read-only by every point after it.
+func TrafficModelKernel(Env) sweep.Func {
+	build := sync.OnceValues(func() (*model.TrafficModel, error) {
+		g, err := topology.ThreeLevelFatTree(32, 1024)
+		if err != nil {
+			return nil, err
+		}
+		return model.NewTrafficModel(g)
+	})
+	return func(s sweep.Spec) (sweep.Record, error) {
+		m, err := build()
+		if err != nil {
+			return sweep.Record{}, err
+		}
 		return sweep.Record{Spec: s, Metrics: map[string]float64{
 			"ring_ag_bytes":   m.RingAllgatherBytes(s.MsgBytes),
 			"linear_ag_bytes": m.LinearAllgatherBytes(s.MsgBytes),
 			"mcast_ag_bytes":  m.McastAllgatherBytes(s.MsgBytes),
 			"savings":         m.Savings(s.MsgBytes),
 		}}, nil
-	}))
+	}
 }
 
-// Fig7Records renders the PSN-bits sizing model; psn_bits is the swept
-// quantity, carried as a metric column.
-func Fig7Records() []sweep.Record {
+// PSNSizingRecords renders the PSN-bits sizing model of Figure 7 at 4 KiB
+// chunks; psn_bits is the swept quantity, carried as a metric column.
+func PSNSizingRecords() []sweep.Record {
 	var recs []sweep.Record
 	for i, p := range model.BitmapModel(16, 28, 4096) {
 		fits := 0.0
@@ -56,16 +62,8 @@ func Fig7Records() []sweep.Record {
 	return recs
 }
 
-// Fig7Note renders the Figure 7 footnote: the LLC-limited receive-buffer
-// and communicator-count headlines of the sizing model.
-func Fig7Note() string {
-	return fmt.Sprintf("LLC-limited receive buffer: %.1f GB (paper: ~50 GB); communicators fitting the LLC: %d (paper: >16).",
-		model.MaxBufferFittingLLC(4096)/1e9,
-		model.CommunicatorsFittingLLC(64<<10, 16<<10))
-}
-
-// EconRecords reports the §VII cost/power comparison as one record.
-func EconRecords() []sweep.Record {
+// EconomicsRecords reports the §VII cost/power comparison as one record.
+func EconomicsRecords() []sweep.Record {
 	in := model.SuperPODNode()
 	r := in.Economics()
 	return []sweep.Record{{

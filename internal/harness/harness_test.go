@@ -191,7 +191,8 @@ func TestPaperClaims(t *testing.T) {
 				}
 			}},
 		{name: "AppBSpeedupIncreasesWithP",
-			specs: AppBSpecs([]int{2, 8}, 512<<10), kernel: AppBKernel(Env{}),
+			specs:  sweep.Grid{Algorithms: PairAlgorithms, Nodes: []int{2, 8}, MsgBytes: []int{512 << 10}, Seed: 21}.Expand(),
+			kernel: PairKernel(Env{}),
 			bounds: func(at lookup) []bound {
 				speedup := func(p int) float64 {
 					return at("span_ns", sweep.Spec{Algorithm: "ring-pair", Nodes: p}) / at("span_ns", sweep.Spec{Algorithm: "inc-pair", Nodes: p})

@@ -30,19 +30,6 @@ const resilienceHorizon = 2 * sim.Second
 // of tenant packets on the way to the horizon.
 const resilienceEventBudget = 50_000_000
 
-// ResilienceGrid declares the algorithm × scenario product at one scale:
-// the grid the chaos kind and the resilience experiments expand. Include
-// "quiet" among the scenarios to anchor the slowdown metric.
-func ResilienceGrid(algos, scenarios []string, nodes, msgBytes int, seed uint64) sweep.Grid {
-	return sweep.Grid{
-		Algorithms: algos,
-		Scenarios:  scenarios,
-		Nodes:      []int{nodes},
-		MsgBytes:   []int{msgBytes},
-		Seed:       seed,
-	}
-}
-
 // ResilienceKernel returns the sweep kernel for collectives under
 // perturbation: it arms the point's scenario on the testbed fabric (with
 // an RNG stream derived from the point seed, preserving byte-identical

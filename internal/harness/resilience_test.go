@@ -13,10 +13,13 @@ import (
 // JSON at any worker count. It stays in the short suite so CI's -race step
 // exercises the scenario injectors on the worker pool.
 func TestResilienceSweepByteIdentical(t *testing.T) {
-	g := ResilienceGrid(
-		[]string{"mcast-allgather", "ring-allgather"},
-		[]string{"quiet", "flap-spine", "tenant-50load"},
-		16, 64<<10, 42)
+	g := sweep.Grid{
+		Algorithms: []string{"mcast-allgather", "ring-allgather"},
+		Scenarios:  []string{"quiet", "flap-spine", "tenant-50load"},
+		Nodes:      []int{16},
+		MsgBytes:   []int{64 << 10},
+		Seed:       42,
+	}
 	run := func(workers int) []byte {
 		return encodeReport(t, runSweep(t, g.Expand(), workers, ResilienceKernel(Env{}), AnnotateSlowdown))
 	}

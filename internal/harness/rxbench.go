@@ -1,15 +1,16 @@
-// Package harness contains the experiment drivers that regenerate every
-// table and figure of the paper's evaluation (§VI): the back-to-back
-// receive-datapath microbenchmarks (Figures 5, 13, 14, 15, 16 and Table I),
-// the at-scale collective runs on the 188-node testbed model (Figures 10,
-// 11, 12), the analytic models (Figures 2, 7), and the Appendix B
-// concurrent {Allgather, Reduce-Scatter} study.
+// Package harness contains the kernels behind every table and figure of
+// the paper's evaluation (§VI): the back-to-back receive-datapath
+// microbenchmarks (Figures 5, 13, 14, 15, 16 and Table I), the at-scale
+// collective runs on the 188-node testbed model (Figures 10, 11, 12), the
+// analytic models (Figures 2, 7, §VII), and the Appendix B concurrent
+// {Allgather, Reduce-Scatter} pairs.
 //
-// Every experiment is a sweep: a parameter grid — data in a manifest's
-// sections or a sweep.Grid literal — plus a kernel (sweeps.go) executed by
-// internal/sweep's worker pool, producing structured Records with
-// deterministic per-point seeds. The repro subcommands, the tests and the
-// Go benchmarks all read those Records.
+// The experiments themselves are data: a manifest's sections name a
+// kernel and list its sweep.Grid values, or a test or benchmark writes a
+// sweep.Grid literal. A kernel (sweeps.go, costmodel.go) executes one grid
+// point on internal/sweep's worker pool and returns a structured Record
+// with its deterministic per-point seed. The repro subcommands, the tests
+// and the Go benchmarks all read those Records.
 package harness
 
 import (

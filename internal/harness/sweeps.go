@@ -227,20 +227,17 @@ func AnnotateSavings(recs []sweep.Record) {
 	}
 }
 
-// AppBSpecs names the two concurrent-{Allgather, Reduce-Scatter}
-// configurations at each scale: "ring-pair" (ring AG + ring RS sharing
-// NICs) and "inc-pair" (multicast AG + in-network RS).
-func AppBSpecs(ps []int, n int) []sweep.Spec {
-	return sweep.Grid{Algorithms: []string{"ring-pair", "inc-pair"},
-		Nodes: ps, MsgBytes: []int{n}, Seed: 21}.Expand()
-}
+// PairAlgorithms names the two concurrent-{Allgather, Reduce-Scatter}
+// configurations PairKernel runs at each scale: "ring-pair" (ring AG +
+// ring RS sharing NICs) and "inc-pair" (multicast AG + in-network RS).
+var PairAlgorithms = []string{"ring-pair", "inc-pair"}
 
-// AppBKernel runs an Allgather and a Reduce-Scatter concurrently on one
+// PairKernel runs an Allgather and a Reduce-Scatter concurrently on one
 // fresh star system (full-bandwidth, as Appendix B assumes) as a two-phase
 // workload DAG — two single-op streams with no dependency edge, so both
 // post at t=0 and contend for the shared NICs — and reports the span from
 // first start to last finish, read from the unified Results.
-func AppBKernel(env Env) sweep.Func {
+func PairKernel(env Env) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
 		var ag, rs workload.Comm
 		switch s.Algorithm {

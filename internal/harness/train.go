@@ -30,20 +30,6 @@ type TrainConfig struct {
 	Jobs int
 }
 
-// TrainGrid declares the workload × shard-size × scenario product at one
-// scale: the grid the train kind expands. Workload names come from the
-// internal/workload preset registry; include "quiet" among the scenarios to
-// anchor the slowdown metric.
-func TrainGrid(workloads []string, nodes, shardBytes []int, scenarios []string, seed uint64) sweep.Grid {
-	return sweep.Grid{
-		Workloads: workloads,
-		Nodes:     nodes,
-		MsgBytes:  shardBytes,
-		Scenarios: scenarios,
-		Seed:      seed,
-	}
-}
-
 // buildStar builds a full-bandwidth star fabric of the given host count
 // (as the FSDP scenario of Appendix B assumes) and its cluster, reporting
 // into reg.

@@ -17,7 +17,7 @@ func TestTrainGoldenStepTimes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden step times need the full-size FSDP step")
 	}
-	grid := TrainGrid([]string{"fsdp-ring", "fsdp-inc"}, []int{16}, []int{512 << 10}, nil, 21)
+	grid := sweep.Grid{Workloads: []string{"fsdp-ring", "fsdp-inc"}, Nodes: []int{16}, MsgBytes: []int{512 << 10}, Seed: 21}
 	recs := runSweep(t, grid.Expand(), 0, TrainKernel(Env{}, TrainConfig{}), nil)
 	want := map[string]int64{ // ns
 		"fsdp-ring": 5449328,
@@ -47,8 +47,8 @@ func TestTrainGoldenStepTimes(t *testing.T) {
 // TestTrainSweepByteIdenticalAcrossWorkers checks the workload sweep keeps
 // the engine's determinism contract, scenario composition included.
 func TestTrainSweepByteIdenticalAcrossWorkers(t *testing.T) {
-	grid := TrainGrid([]string{"fsdp-inc", "dfs-replica"}, []int{8}, []int{64 << 10},
-		[]string{"quiet", "tenant-50load"}, 9)
+	grid := sweep.Grid{Workloads: []string{"fsdp-inc", "dfs-replica"}, Nodes: []int{8}, MsgBytes: []int{64 << 10},
+		Scenarios: []string{"quiet", "tenant-50load"}, Seed: 9}
 	cfg := TrainConfig{Layers: 2}
 	var blobs [][]byte
 	for _, workers := range []int{1, 4} {
@@ -62,8 +62,8 @@ func TestTrainSweepByteIdenticalAcrossWorkers(t *testing.T) {
 // TestTrainScenarioSlowdown checks a perturbation scenario composed onto
 // the live training step costs time relative to the quiet sibling.
 func TestTrainScenarioSlowdown(t *testing.T) {
-	grid := TrainGrid([]string{"fsdp-inc"}, []int{8}, []int{64 << 10},
-		[]string{"quiet", "flap-spine"}, 9)
+	grid := sweep.Grid{Workloads: []string{"fsdp-inc"}, Nodes: []int{8}, MsgBytes: []int{64 << 10},
+		Scenarios: []string{"quiet", "flap-spine"}, Seed: 9}
 	recs := runSweep(t, grid.Expand(), 0, TrainKernel(Env{}, TrainConfig{Layers: 2}), AnnotateSlowdown)
 	var quiet, flap float64
 	for _, r := range recs {
@@ -86,7 +86,7 @@ func TestTrainScenarioSlowdown(t *testing.T) {
 // workload records protocol phases; the traced run is independent of the
 // sweep.
 func TestTrainTraceTimeline(t *testing.T) {
-	spec := TrainGrid([]string{"fsdp-inc"}, []int{4}, []int{16 << 10}, nil, 3).Expand()[0]
+	spec := sweep.Grid{Workloads: []string{"fsdp-inc"}, Nodes: []int{4}, MsgBytes: []int{16 << 10}, Seed: 3}.Expand()[0]
 	bundle, err := TrainTrace(Env{}, spec, TrainConfig{Layers: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ type Plan struct {
 }
 
 // Section is one experiment of a plan: either a sweep (Specs through
-// Kernel on the worker pool, then Post) or a self-contained analytic Run.
+// Kernel on the worker pool, then Post) or a gridless analytic Run.
 type Section struct {
 	// Header and Note frame the section's table on stdout.
 	Header string
@@ -51,8 +51,8 @@ type Section struct {
 	// Post annotates the section's records after the sweep (slowdowns,
 	// savings); optional.
 	Post func([]sweep.Record)
-	// Run replaces the sweep entirely for analytic sections; optional.
-	Run func() ([]sweep.Record, error)
+	// Run replaces the sweep entirely for gridless sections; optional.
+	Run func() []sweep.Record
 }
 
 // Compile validates the manifest and lowers it onto sweep grids and
@@ -80,8 +80,6 @@ func Compile(m Manifest) (*Plan, error) {
 		p.compileChaos(env)
 	case "train":
 		p.compileTrain(env)
-	case "cost":
-		p.compileCost(env)
 	case "sweep":
 		p.compileSweep(env)
 	}
@@ -102,14 +100,13 @@ func (p *Plan) Execute(workers int, w io.Writer) (sweep.Report, error) {
 	var all []sweep.Record
 	for _, sec := range p.Sections {
 		var recs []sweep.Record
-		var err error
 		if sec.Run != nil {
-			recs, err = sec.Run()
+			recs = sec.Run()
 		} else {
-			recs, err = sweep.Run(sec.Specs, workers, sec.Kernel)
-		}
-		if err != nil {
-			return sweep.Report{}, err
+			var err error
+			if recs, err = sweep.Run(sec.Specs, workers, sec.Kernel); err != nil {
+				return sweep.Report{}, err
+			}
 		}
 		if sec.Post != nil {
 			sec.Post(recs)
@@ -131,11 +128,6 @@ func (p *Plan) Execute(workers int, w io.Writer) (sweep.Report, error) {
 // grid appends a section running kernel over the points of g.
 func (p *Plan) grid(header, note string, g sweep.Grid, kernel sweep.Func, post func([]sweep.Record)) {
 	p.Sections = append(p.Sections, Section{Header: header, Note: note, Specs: g.Expand(), Kernel: kernel, Post: post})
-}
-
-// analytic appends a self-contained section.
-func (p *Plan) analytic(header, note string, run func() ([]sweep.Record, error)) {
-	p.Sections = append(p.Sections, Section{Header: header, Note: note, Run: run})
 }
 
 // expandScenarios resolves the scenario axis: "all" expands to every
@@ -191,8 +183,8 @@ func (p *Plan) compileOSU(env harness.Env) {
 func (p *Plan) compileChaos(env harness.Env) {
 	m := p.Manifest
 	scenarios := expandScenarios(m.Grid.Scenarios, true)
-	g := harness.ResilienceGrid(m.Grid.Algorithms, scenarios,
-		m.Grid.Nodes[0], m.Grid.Sizes[0], m.SeedOr(7))
+	g := sweep.Grid{Algorithms: m.Grid.Algorithms, Scenarios: scenarios,
+		Nodes: m.Grid.Nodes, MsgBytes: m.Grid.Sizes, Seed: m.SeedOr(7)}
 	p.Name = "chaosbench"
 	header := fmt.Sprintf("== chaosbench: %d algorithms x %d scenarios, %d nodes, %d B messages ==",
 		len(m.Grid.Algorithms), len(scenarios), m.Grid.Nodes[0], m.Grid.Sizes[0])
@@ -229,7 +221,8 @@ func (p *Plan) compileTrain(env harness.Env) {
 		workloads = workload.Names()
 	}
 	scenarios := expandScenarios(m.Grid.Scenarios, true)
-	g := harness.TrainGrid(workloads, m.Grid.Nodes, m.Grid.Sizes, scenarios, m.SeedOr(21))
+	g := sweep.Grid{Workloads: workloads, Nodes: m.Grid.Nodes, MsgBytes: m.Grid.Sizes,
+		Scenarios: scenarios, Seed: m.SeedOr(21)}
 	p.Name = "trainbench"
 	header := fmt.Sprintf("== trainbench: %d workloads x %d scenarios, %d nodes, %d KiB shards, %d layers ==",
 		len(workloads), max(1, len(scenarios)), m.Grid.Nodes[0], m.Grid.Sizes[0]>>10, cfg.Layers)
@@ -245,45 +238,22 @@ func (p *Plan) compileTrain(env harness.Env) {
 	}
 }
 
-func (p *Plan) compileCost(env harness.Env) {
-	m := p.Manifest
-	p.Name = "costmodel"
-	if m.All || slices.Contains(m.Figures, 2) {
-		p.analytic("== Figure 2: theoretical Allgather traffic, 1024 nodes, radix-32 fat-tree ==",
-			"paper: multicast-based Allgather halves total network traffic at scale.",
-			harness.Fig2Records)
-	}
-	if m.All || slices.Contains(m.Figures, 7) {
-		p.analytic("== Figure 7: bitmap and receive-buffer sizes vs PSN bits (4 KiB chunks) ==",
-			harness.Fig7Note(),
-			func() ([]sweep.Record, error) { return harness.Fig7Records(), nil })
-	}
-	if m.All || m.Speedup {
-		p.Sections = append(p.Sections, Section{
-			Header: "== Appendix B: concurrent {Allgather, Reduce-Scatter} span (model_speedup: 2 - 2/P) ==",
-			Note:   "paper: concurrent collectives speed up by up to 2x at scale (ring-pair span / inc-pair span).",
-			Specs:  harness.AppBSpecs([]int{2, 4, 8, 16}, 1<<20), Kernel: harness.AppBKernel(env),
-		})
-	}
-	if m.All || m.Economics {
-		p.analytic("== §VII: economics of SmartNIC offloading (SuperPOD node) ==",
-			"paper: NICs ~2.5x lower cost and ~7x lower energy than the CPUs.",
-			func() ([]sweep.Record, error) { return harness.EconRecords(), nil })
-	}
-}
-
 // compileSweep lowers each section onto its grids' joined specs and its
-// kernel. The first point of the first op or traffic section is the
-// traced and replayed point.
+// kernel, or onto its table for a gridless kernel. The first point of the
+// first op or traffic section is the traced and replayed point.
 func (p *Plan) compileSweep(env harness.Env) {
 	p.Name = "sweep"
 	for _, ss := range p.Manifest.Sections {
+		k := sweepKernels[ss.Kernel]
+		if k.table != nil {
+			p.Sections = append(p.Sections, Section{Header: ss.Title, Note: ss.Note, Run: k.table})
+			continue
+		}
 		lists := make([][]sweep.Spec, len(ss.Grids))
 		for i, g := range ss.Grids {
 			lists[i] = g.Expand()
 		}
-		sec := Section{Header: ss.Title, Note: ss.Note, Specs: sweep.Concat(lists...),
-			Kernel: sweepKernels[ss.Kernel].kernel(env)}
+		sec := Section{Header: ss.Title, Note: ss.Note, Specs: sweep.Concat(lists...), Kernel: k.kernel(env)}
 		if ss.Kernel == "traffic" {
 			sec.Post = harness.AnnotateSavings
 		}

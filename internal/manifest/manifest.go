@@ -1,12 +1,13 @@
 // Package manifest turns experiments into data: a manifest is a small JSON
 // document declaring what to run — a kind naming the experiment family
-// (osu, chaos, train, cost, sweep), the grid axes it sweeps, and the run's
+// (osu, chaos, train, sweep), the grid axes it sweeps, and the run's
 // bookkeeping (seed, workers, output paths, a baseline to diff against, an
 // expected output digest) — which compiles onto sweep.Grid and the harness
 // kernels. A sweep manifest carries its grids outright: each section names
-// a kernel and lists sweep.Grid values with their own seeds. A manifest is
-// the only way to describe an experiment to `repro run`; CI is a matrix
-// over the checked-in specs in manifests/.
+// a kernel and lists sweep.Grid values with their own seeds (or, for a
+// gridless analytic kernel, none). A manifest is the only way to describe
+// an experiment to `repro run`; CI is a matrix over the checked-in specs
+// in manifests/.
 //
 // The contract mirrors the sweep engine's: the same manifest always
 // produces byte-identical JSON output at any worker count, so a
@@ -33,14 +34,14 @@ import (
 
 // Kinds enumerates the experiment families a manifest can declare, each
 // compiling onto its own harness kernels.
-var Kinds = []string{"osu", "chaos", "train", "cost", "sweep"}
+var Kinds = []string{"osu", "chaos", "train", "sweep"}
 
 // Manifest is one declarative experiment spec. Field presence is
 // kind-checked by Validate: axes a kind does not consume are rejected so a
 // drifting manifest fails fast instead of being silently ignored.
 type Manifest struct {
-	// Kind selects the experiment family: "osu", "chaos", "train", "cost"
-	// or "sweep".
+	// Kind selects the experiment family: "osu", "chaos", "train" or
+	// "sweep".
 	Kind string `json:"kind"`
 	// Name overrides the report name embedded in the JSON output. Empty
 	// derives the historical name for the kind (e.g. "osu-mcast-allgather",
@@ -50,9 +51,8 @@ type Manifest struct {
 	// required) depends on Kind.
 	Grid Grid `json:"grid,omitempty"`
 	// Seed is the base sweep seed for kinds that accept one (osu, chaos,
-	// train). Nil selects the kind's historical default (1, 7, 21); cost
-	// pins its own seeds and sweep gives each grid its own, so both reject
-	// the field.
+	// train). Nil selects the kind's historical default (1, 7, 21); sweep
+	// gives each grid its own, so it rejects the field.
 	Seed *uint64 `json:"seed,omitempty"`
 	// Workers is the sweep worker pool size; 0 means GOMAXPROCS. Results
 	// are byte-identical at any value.
@@ -65,14 +65,6 @@ type Manifest struct {
 	// manifests keep parsing, and ignored: every grid point builds its own
 	// model stack and runs it.
 	WarmStart bool `json:"warm_start,omitempty"`
-	// Figures selects figures of the cost kind (2, 7).
-	Figures []int `json:"figures,omitempty"`
-	// Speedup and Economics enable the Appendix-B and §VII studies of the
-	// cost kind.
-	Speedup   bool `json:"speedup,omitempty"`
-	Economics bool `json:"economics,omitempty"`
-	// All enables every experiment of the cost kind.
-	All bool `json:"all,omitempty"`
 	// OSU carries the measurement-loop knobs of the osu kind.
 	OSU *OSUSpec `json:"osu,omitempty"`
 	// Train carries the workload knobs of the train kind.
@@ -133,14 +125,15 @@ type TrainSpec struct {
 // SectionSpec is one experiment of a sweep manifest: a kernel run over
 // the points of its grids. The grids expand in order and join through
 // sweep.Concat, so point indices count across the section's grids while
-// each grid derives its points' seeds from its own base seed. The section
+// each grid derives its points' seeds from its own base seed. A gridless
+// kernel computes its table outright and takes no grids. The section
 // prints Title, its table, then Note.
 type SectionSpec struct {
 	Title string `json:"title"`
 	Note  string `json:"note,omitempty"`
 	// Kernel names the harness kernel, one of Kernels (see sweepKernels).
 	Kernel string       `json:"kernel"`
-	Grids  []sweep.Grid `json:"grids"`
+	Grids  []sweep.Grid `json:"grids,omitempty"`
 }
 
 // TelemetrySpec configures the telemetry layer of a run: the virtual-time
@@ -228,13 +221,14 @@ func ParseFile(path string) (Manifest, error) {
 }
 
 // Encode renders the manifest in its canonical form: 2-space-indented JSON
-// with struct field order and a trailing newline. Checked-in manifests are
-// kept in this form (enforced by test), so Parse∘Encode is the identity on
-// them byte for byte.
+// with struct field order, no HTML escaping (a note may say "> 16") and a
+// trailing newline. Checked-in manifests are kept in this form (enforced
+// by test), so Parse∘Encode is the identity on them byte for byte.
 func (m Manifest) Encode() []byte {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
+	enc.SetEscapeHTML(false)
 	if err := enc.Encode(m); err != nil {
 		// Manifest has no unmarshalable fields; a failure here is a
 		// programming error.
@@ -271,10 +265,6 @@ func (m Manifest) fields() []field {
 		{"grid.scenarios", len(m.Grid.Scenarios) > 0},
 		{"seed", m.Seed != nil},
 		{"warm_start", m.WarmStart},
-		{"figures", len(m.Figures) > 0},
-		{"speedup", m.Speedup},
-		{"economics", m.Economics},
-		{"all", m.All},
 		{"osu", m.OSU != nil},
 		{"train", m.Train != nil},
 		{"sections", len(m.Sections) > 0},
@@ -289,28 +279,36 @@ var consumes = map[string][]string{
 	"osu":   {"grid.algorithms", "grid.ops", "grid.nodes", "grid.sizes", "seed", "warm_start", "osu", "telemetry"},
 	"chaos": {"grid.algorithms", "grid.scenarios", "grid.nodes", "grid.sizes", "seed", "warm_start", "telemetry"},
 	"train": {"grid.workloads", "grid.scenarios", "grid.nodes", "grid.sizes", "seed", "warm_start", "train", "telemetry"},
-	"cost":  {"figures", "speedup", "economics", "all", "telemetry"},
 	"sweep": {"sections", "telemetry"},
 }
 
 // Kernels names the harness kernels a sweep section can run: "op" runs
 // one collective operation, "traffic" reads switch-port counters over 10
 // iterations (then savings_vs_p2p), "rx" is the receive-datapath
-// microbenchmark, and "rx-rate" is rx at 256 KiB per thread with
-// link_share against the 1.6 Tbit/s chunk rate.
-var Kernels = []string{"op", "traffic", "rx", "rx-rate"}
+// microbenchmark, "rx-rate" is rx at 256 KiB per thread with link_share
+// against the 1.6 Tbit/s chunk rate, "traffic-model" evaluates the
+// closed-form Allgather traffic model, and "pair" runs an Allgather and a
+// Reduce-Scatter concurrently. "psn-sizing" and "economics" are gridless
+// analytic tables.
+var Kernels = []string{"op", "traffic", "rx", "rx-rate", "traffic-model", "pair", "psn-sizing", "economics"}
 
 // sweepKernels maps each of Kernels onto its harness kernel and the
 // sweep.Grid axes it reads: need must be non-empty, may is optional, and
-// any other axis is rejected.
+// any other axis is rejected. A gridless kernel has a table instead: its
+// records carry seed 0, which no grid point gets, so it takes no grids.
 var sweepKernels = map[string]struct {
 	need, may []string
 	kernel    func(harness.Env) sweep.Func
+	table     func() []sweep.Record
 }{
-	"op":      {[]string{"algorithms", "nodes", "msg_bytes"}, []string{"chunk_sizes"}, harness.CollKernel},
-	"traffic": {[]string{"algorithms", "nodes", "msg_bytes"}, []string{"chunk_sizes"}, harness.TrafficKernel},
-	"rx":      {[]string{"transports", "threads", "chunk_sizes", "msg_bytes"}, nil, harness.RxKernel},
-	"rx-rate": {[]string{"transports", "threads", "chunk_sizes"}, nil, harness.ChunkRateKernel},
+	"op":            {need: []string{"algorithms", "nodes", "msg_bytes"}, may: []string{"chunk_sizes"}, kernel: harness.CollKernel},
+	"traffic":       {need: []string{"algorithms", "nodes", "msg_bytes"}, may: []string{"chunk_sizes"}, kernel: harness.TrafficKernel},
+	"rx":            {need: []string{"transports", "threads", "chunk_sizes", "msg_bytes"}, kernel: harness.RxKernel},
+	"rx-rate":       {need: []string{"transports", "threads", "chunk_sizes"}, kernel: harness.ChunkRateKernel},
+	"traffic-model": {need: []string{"msg_bytes"}, kernel: harness.TrafficModelKernel},
+	"pair":          {need: []string{"algorithms", "nodes", "msg_bytes"}, kernel: harness.PairKernel},
+	"psn-sizing":    {table: harness.PSNSizingRecords},
+	"economics":     {table: harness.EconomicsRecords},
 }
 
 // Validate checks the manifest without running anything: kind membership,
@@ -365,8 +363,6 @@ func (m Manifest) Validate() error {
 		return m.validateChaos()
 	case "train":
 		return m.validateTrain()
-	case "cost":
-		return m.validateCost()
 	case "sweep":
 		return m.validateSweep()
 	}
@@ -378,6 +374,16 @@ func checkAlgorithms(algos []string) error {
 	for _, a := range algos {
 		if !slices.Contains(registry.Names(), a) {
 			return fmt.Errorf("unknown algorithm %q (have %v)", a, registry.Names())
+		}
+	}
+	return nil
+}
+
+// oneOf checks every entry of a named axis against the names it may take.
+func oneOf(what string, vals, have []string) error {
+	for _, v := range vals {
+		if !slices.Contains(have, v) {
+			return fmt.Errorf("unknown %s %q (have %s)", what, v, strings.Join(have, ", "))
 		}
 	}
 	return nil
@@ -502,18 +508,6 @@ func (m Manifest) validateTrain() error {
 	return nil
 }
 
-func (m Manifest) validateCost() error {
-	if !m.All && len(m.Figures) == 0 && !m.Speedup && !m.Economics {
-		return fmt.Errorf("manifest: cost needs figures, speedup, economics or all")
-	}
-	for _, f := range m.Figures {
-		if f != 2 && f != 7 {
-			return fmt.Errorf("manifest: cost has no figure %d (have 2 and 7)", f)
-		}
-	}
-	return nil
-}
-
 func (m Manifest) validateSweep() error {
 	if len(m.Sections) == 0 {
 		return fmt.Errorf("manifest: sweep needs sections")
@@ -521,6 +515,12 @@ func (m Manifest) validateSweep() error {
 	for i, sec := range m.Sections {
 		if !slices.Contains(Kernels, sec.Kernel) {
 			return fmt.Errorf("manifest: sections[%d]: unknown kernel %q (have %s)", i, sec.Kernel, strings.Join(Kernels, ", "))
+		}
+		if sweepKernels[sec.Kernel].table != nil {
+			if len(sec.Grids) > 0 {
+				return fmt.Errorf("manifest: sections[%d]: kernel %s takes no grids", i, sec.Kernel)
+			}
+			continue
 		}
 		if len(sec.Grids) == 0 {
 			return fmt.Errorf("manifest: sections[%d] needs grids", i)
@@ -564,14 +564,19 @@ func checkGrid(kernel string, g sweep.Grid) error {
 			return fmt.Errorf("kernel %s needs %s", kernel, f.name)
 		}
 	}
-	for _, tr := range g.Transports {
-		if !slices.Contains(harness.RxTransports, tr) {
-			return fmt.Errorf("unknown transport %q (have %s)", tr, strings.Join(harness.RxTransports, ", "))
-		}
+	if err := oneOf("transport", g.Transports, harness.RxTransports); err != nil {
+		return err
 	}
+	algos := checkAlgorithms(g.Algorithms)
 	lo := int64(1)
-	if kernel == "traffic" {
+	switch kernel {
+	case "traffic":
 		lo = 2 // a single host sends nothing through a switch
+	case "pair":
+		// A pair's labels are not registry names, and it needs two ranks
+		// for either collective to move data.
+		algos = oneOf("pair", g.Algorithms, harness.PairAlgorithms)
+		lo = 2
 	}
 	// A UD chunk is one packet, so it is bounded by the 4 KiB MTU.
 	maxChunk := maxSize
@@ -579,7 +584,7 @@ func checkGrid(kernel string, g sweep.Grid) error {
 		maxChunk = 4096
 	}
 	return errors.Join(
-		checkAlgorithms(g.Algorithms),
+		algos,
 		checkRange("nodes", g.Nodes, lo, testbedHosts),
 		checkRange("msg_bytes", g.MsgBytes, 1, maxSize),
 		checkRange("threads", g.Threads, 1, maxThreads),

@@ -1,12 +1,14 @@
 package manifest
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/sweep"
 )
 
@@ -59,8 +61,12 @@ func TestValidateKindConsumption(t *testing.T) {
 	parseErr(t, sweepWith(`"grid":{"nodes":[8]}`), "does not consume grid.nodes")
 	parseErr(t, sweepWith(`"seed":3`), "does not consume seed")
 	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]},"train":{"layers":2}}`, "does not consume train")
-	parseErr(t, `{"kind":"cost","all":true,"sections":[{"title":"t","kernel":"op","grids":[`+opGrid+`]}]}`, "does not consume sections")
-	parseErr(t, `{"kind":"cost","all":true,"tables":[1]}`, `unknown field "tables"`)
+	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]},"sections":[{"title":"t","kernel":"op","grids":[`+opGrid+`]}]}`, "does not consume sections")
+	parseErr(t, sweepWith(`"tables":[1]`), `unknown field "tables"`)
+	// The retired experiment selectors are no manifest fields at all.
+	for _, retired := range []string{`"figures":[2]`, `"speedup":true`, `"economics":true`, `"all":true`} {
+		parseErr(t, sweepWith(retired), "unknown field")
+	}
 	parseErr(t, sweepWith(`"traffic":{"iters":2}`), `unknown field "traffic"`)
 
 	// Each sweep kernel reads its own grid axes; any other is rejected.
@@ -72,11 +78,15 @@ func TestValidateKindConsumption(t *testing.T) {
 	parseErr(t, sweepDoc("rx", `{"workloads":["fsdp-inc"],"transports":["uc"],"threads":[1],"chunk_sizes":[4096],"msg_bytes":[8192]}`), "kernel rx does not consume workloads")
 	parseErr(t, sweepDoc("rx-rate", rxGrid), "kernel rx-rate does not consume msg_bytes")
 	parseErr(t, sweepDoc("rx-rate", `{"transports":["uc"],"threads":[1],"chunk_sizes":[64],"nodes":[2]}`), "kernel rx-rate does not consume nodes")
+	parseErr(t, sweepDoc("traffic-model", `{"msg_bytes":[65536],"nodes":[8]}`), "kernel traffic-model does not consume nodes")
+	parseErr(t, sweepDoc("pair", `{"algorithms":["ring-pair"],"nodes":[4],"msg_bytes":[4096],"chunk_sizes":[4096]}`), "kernel pair does not consume chunk_sizes")
 	// ...and the axes it needs must be there.
 	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[8]}`), "kernel op needs msg_bytes")
 	parseErr(t, sweepDoc("rx", `{"transports":["uc"],"threads":[1],"msg_bytes":[8192]}`), "kernel rx needs chunk_sizes")
 	parseOK(t, sweepDoc("op", `{"algorithms":["chain-broadcast"],"nodes":[8],"msg_bytes":[4096],"chunk_sizes":[16384]}`))
 	parseOK(t, sweepDoc("rx-rate", `{"transports":["ud"],"threads":[1],"chunk_sizes":[64]}`))
+	parseOK(t, sweepDoc("traffic-model", `{"msg_bytes":[65536]}`))
+	parseOK(t, `{"kind":"sweep","sections":[{"title":"t","kernel":"psn-sizing"},{"title":"u","kernel":"economics"}]}`)
 }
 
 func TestValidateCrossChecks(t *testing.T) {
@@ -88,11 +98,10 @@ func TestValidateCrossChecks(t *testing.T) {
 	parseErr(t, `{"kind":"train","grid":{"workloads":["fsdp-inc"],"nodes":[100000],"sizes":[4096]},"train":{"layers":1}}`, "grid.nodes must be in [2,188]")
 	parseErr(t, `{"kind":"chaos","grid":{"algorithms":["mcast-allgather"],"scenarios":["hurricane"],"nodes":[8],"sizes":[4096]}}`, "hurricane")
 	parseErr(t, `{"kind":"train","grid":{"workloads":["nope"],"nodes":[8],"sizes":[4096]}}`, "unknown workload")
-	for _, retired := range []string{"ag", "traffic", "dpa"} {
+	for _, retired := range []string{"ag", "traffic", "dpa", "cost"} {
 		parseErr(t, `{"kind":"`+retired+`"}`, "unknown kind")
 	}
-	parseErr(t, `{"kind":"cost","figures":[3]}`, "no figure 3")
-	parseErr(t, `{"kind":"cost"}`, "figures, speedup, economics or all")
+	parseErr(t, `{"kind":"sweep","figures":[3],"sections":[{"title":"t","kernel":"psn-sizing"}]}`, `unknown field "figures"`)
 	parseErr(t, `{"kind":"zebra"}`, "unknown kind")
 
 	// The sweep kind: sections, grids, kernel names, registry and
@@ -115,6 +124,15 @@ func TestValidateCrossChecks(t *testing.T) {
 	parseErr(t, sweepDoc("rx", `{"transports":["uc","ud"],"threads":[1],"chunk_sizes":[8192],"msg_bytes":[8192]}`), "chunk_sizes must be in [1,4096]")
 	parseErr(t, sweepDoc("rx", `{"transports":["cpu-ud"],"threads":[1],"chunk_sizes":[8192],"msg_bytes":[8192]}`), "chunk_sizes must be in [1,4096]")
 	parseOK(t, sweepDoc("rx", `{"transports":["uc","cpu-rc"],"threads":[256],"chunk_sizes":[65536],"msg_bytes":[8388608]}`))
+
+	// A pair names its configuration, not a registry algorithm, and needs
+	// two ranks; a gridless kernel takes no grids.
+	parseErr(t, sweepDoc("pair", `{"algorithms":["ring-allgather"],"nodes":[4],"msg_bytes":[4096]}`), `unknown pair "ring-allgather"`)
+	parseErr(t, sweepDoc("pair", `{"algorithms":["inc-pair"],"nodes":[1],"msg_bytes":[4096]}`), "nodes must be in [2,188]")
+	parseOK(t, sweepDoc("pair", `{"algorithms":["ring-pair","inc-pair"],"nodes":[2,16],"msg_bytes":[4096]}`))
+	parseErr(t, sweepDoc("psn-sizing", `{"msg_bytes":[4096]}`), "sections[0]: kernel psn-sizing takes no grids")
+	parseErr(t, sweepDoc("economics", `{"algorithms":["superpod-node"]}`), "sections[0]: kernel economics takes no grids")
+	parseErr(t, sweepDoc("traffic-model", `{"msg_bytes":[0]}`), "msg_bytes must be in")
 }
 
 // TestFig11Sections pins how manifests/fig11.json lowers: one section of
@@ -157,6 +175,29 @@ func TestFig11Sections(t *testing.T) {
 	}
 }
 
+// TestCostSections pins what the report digest of manifests/cost.json
+// cannot: the PSN-sizing note is literal text in the file, so its numbers
+// are checked here against the model that computes them, and the manifest
+// has no traced or replayed point (it has no op or traffic section).
+func TestCostSections(t *testing.T) {
+	m, err := ParseFile(filepath.Join("..", "..", "manifests", "cost.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	note := fmt.Sprintf("LLC-limited receive buffer: %.1f GB (paper: ~50 GB); communicators fitting the LLC: %d (paper: >16).",
+		model.MaxBufferFittingLLC(4096)/1e9, model.CommunicatorsFittingLLC(64<<10, 16<<10))
+	if len(m.Sections) != 4 || m.Sections[1].Kernel != "psn-sizing" || m.Sections[1].Note != note {
+		t.Errorf("sections %+v; want four, the second a psn-sizing section noting %q", m.Sections, note)
+	}
+	if p.ReplaySpec != nil || p.Trace != nil {
+		t.Error("cost.json has a traced or replayed point")
+	}
+}
+
 // TestCheckedInManifestsCanonical pins the canonical form of everything
 // under manifests/: each JSON document must re-encode to its own bytes
 // (Parse∘Encode is the identity), and every manifest must compile. The
@@ -192,7 +233,7 @@ func TestCheckedInManifestsCanonical(t *testing.T) {
 	if seen == 0 {
 		t.Fatalf("no JSON manifests found in %s", dir)
 	}
-	for _, want := range []string{"ag.json", "fig10.json", "fig11.json", "fig12.json", "dpa.json", "dpa-figures.json"} {
+	for _, want := range []string{"ag.json", "fig10.json", "fig11.json", "fig12.json", "dpa.json", "dpa-figures.json", "cost.json"} {
 		if !names[want] {
 			t.Errorf("%s is missing from %s", want, dir)
 		}

@@ -155,12 +155,6 @@ func (m *TrafficModel) Savings(n int) float64 {
 	return m.RingAllgatherBytes(n) / mc
 }
 
-// Fig2Cluster builds the topology of the paper's Figure 2 model: a
-// 1024-node cluster on a three-level radix-32 fat-tree.
-func Fig2Cluster() (*topology.Graph, error) {
-	return topology.ThreeLevelFatTree(32, 1024)
-}
-
 // --- Figure 7: bitmap and receive-buffer sizing -------------------------------
 
 // Device memory capacities referenced by Figure 7.

@@ -32,7 +32,7 @@ func TestPairTimesRatioMatchesSpeedup(t *testing.T) {
 
 func TestTrafficSavingsApproach2x(t *testing.T) {
 	// Figure 2's system: 1024 nodes, radix-32 three-level fat-tree.
-	g, err := Fig2Cluster()
+	g, err := topology.ThreeLevelFatTree(32, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}

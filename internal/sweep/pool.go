@@ -59,11 +59,6 @@ func Run(specs []Spec, workers int, k Func) ([]Record, error) {
 	return out, nil
 }
 
-// RunGrid expands the grid and runs it: the one-call form drivers use.
-func RunGrid(g Grid, workers int, k Func) ([]Record, error) {
-	return Run(g.Expand(), workers, k)
-}
-
 // PointError attributes a kernel failure to its grid point.
 type PointError struct {
 	Spec Spec

@@ -84,7 +84,7 @@ func TestRunByteIdenticalJSONAcrossWorkerCounts(t *testing.T) {
 	})
 	var blobs [][]byte
 	for _, workers := range []int{1, 3, 16} {
-		recs, err := RunGrid(testGrid(), workers, kernel)
+		recs, err := Run(testGrid().Expand(), workers, kernel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestCompareDuplicateKeysPairPositionally(t *testing.T) {
 }
 
 func TestCSVAndTableDeterministicColumns(t *testing.T) {
-	recs, err := RunGrid(testGrid(), 0, Func(func(s Spec) (Record, error) {
+	recs, err := Run(testGrid().Expand(), 0, Func(func(s Spec) (Record, error) {
 		return Record{Spec: s, Metrics: map[string]float64{"b_metric": 1, "a_metric": 2}}, nil
 	}))
 	if err != nil {
@@ -225,7 +225,7 @@ func TestCSVAndTableDeterministicColumns(t *testing.T) {
 }
 
 func TestLoadRoundTrip(t *testing.T) {
-	recs, err := RunGrid(testGrid(), 0, Func(func(s Spec) (Record, error) {
+	recs, err := Run(testGrid().Expand(), 0, Func(func(s Spec) (Record, error) {
 		return Record{Spec: s, Metrics: map[string]float64{"m": float64(s.Index)}}, nil
 	}))
 	if err != nil {
