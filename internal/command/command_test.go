@@ -52,6 +52,19 @@ func TestExitCodes(t *testing.T) {
 	// Two manifests that write one file are rejected before either runs.
 	sameA := declared("same-a", `"output":{"json":"same.json"}`)
 	sameB := declared("same-b", `"output":{"json":"same.json"}`)
+	// One file spelled relative to the working directory and absolute is
+	// still one file.
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spelled := filepath.Join(dir, "spelled.json")
+	rel, err := filepath.Rel(wd, spelled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spelledRel := declared("spelled-rel", `"output":{"json":"`+rel+`"}`)
+	spelledAbs := declared("spelled-abs", `"output":{"json":"`+spelled+`"}`)
 	missingPerfetto := writeManifest(t, dir, "missing-perfetto.json",
 		`{"kind":"osu","grid":{"algorithms":["ring-allgather"],"nodes":[2],"sizes":[4096]},"telemetry":{"perfetto":"`+missing+`"}}`)
 	cases := []struct {
@@ -85,7 +98,8 @@ func TestExitCodes(t *testing.T) {
 		{"run declared metrics dir missing", []string{"run", missingMetrics}, 2, "telemetry.metrics: directory"},
 		{"run declared perfetto dir missing", []string{"run", missingPerfetto}, 2, "telemetry.perfetto: directory"},
 		{"run declared output under -o", []string{"run", "-o", dir, missingJSON}, 0, ""},
-		{"run two manifests writing one file", []string{"run", "-o", filepath.Join(dir, "same"), sameA, sameB}, 2, "written by " + sameA + " and by " + sameB},
+		{"run two manifests writing one file", []string{"run", "-o", filepath.Join(dir, "same"), sameA, sameB}, 2, sameB + `: duplicate output artifact "` + filepath.Join(dir, "same", "same.json") + `" (also declared by ` + sameA + ")"},
+		{"run one file spelled two ways", []string{"run", spelledRel, spelledAbs}, 2, `duplicate output artifact "` + spelled + `"`},
 
 		{"run no manifest", []string{"run"}, 2, "usage"},
 		{"run bad memprofile dir", []string{"run", "-memprofile", missing, "absent.json"}, 2, "-memprofile: directory"},
@@ -119,6 +133,9 @@ func TestExitCodes(t *testing.T) {
 	}
 	if _, stdout, _ := run("run", "-o", filepath.Join(dir, "same2"), sameA, sameB); stdout != "" {
 		t.Errorf("a batch writing one file twice printed %q; want nothing run", stdout)
+	}
+	if _, err := os.Stat(spelled); !os.IsNotExist(err) {
+		t.Errorf("a batch writing one file under two spellings wrote it: %v", err)
 	}
 }
 

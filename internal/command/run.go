@@ -76,7 +76,7 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	ms := make([]manifest.Manifest, len(paths))
-	writer := map[string]string{} // resolved output path -> manifest
+	writers := map[string]string{} // absolute output path -> first manifest
 	for i, path := range paths {
 		m, err := manifest.ParseFile(path)
 		if err != nil {
@@ -98,15 +98,8 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 		if *outDir != "" {
 			redirectOutputs(&m, *outDir)
 		}
-		for _, o := range outputPaths(&m) {
-			if *o.path == "" {
-				continue
-			}
-			out := filepath.Clean(*o.path)
-			if first, ok := writer[out]; ok {
-				return fail(stderr, 2, "run: duplicate output %s: written by %s and by %s (%s)", out, first, path, o.field)
-			}
-			writer[out] = path
+		if _, dups := claimOutputs(writers, path, &m, absPath); len(dups) > 0 {
+			return fail(stderr, 2, "run: %v", dups[0])
 		}
 		ms[i] = m
 	}
@@ -184,17 +177,36 @@ func expandManifestDirs(paths []string) ([]string, error) {
 	return out, nil
 }
 
-// artifactBasenames lists the basenames of every output file a manifest
-// declares. Basenames, not paths: -o DIR rebases outputs by basename, so
-// that is the granularity at which a batch can collide.
-func artifactBasenames(m *manifest.Manifest) []string {
-	var out []string
+// claimOutputs records manifest path in owners as the writer of every
+// output file m declares, keyed by key(file). It returns how many files m
+// declares and one error per file an earlier manifest already claimed.
+// validate keys by basename: -o DIR rebases outputs by basename, so that
+// is the granularity at which a batch can collide. run keys by absolute
+// path once the flags and -o are applied, so two spellings of one file
+// are one file.
+func claimOutputs(owners map[string]string, path string, m *manifest.Manifest, key func(string) string) (n int, dups []error) {
 	for _, o := range outputPaths(m) {
-		if *o.path != "" {
-			out = append(out, filepath.Base(*o.path))
+		if *o.path == "" {
+			continue
 		}
+		n++
+		k := key(*o.path)
+		if first, ok := owners[k]; ok {
+			dups = append(dups, fmt.Errorf("%s: duplicate output artifact %q (also declared by %s)", path, k, first))
+			continue
+		}
+		owners[k] = path
 	}
-	return out
+	return n, dups
+}
+
+// absPath is the absolute form of an output path, or its cleaned form
+// when the working directory is unknown.
+func absPath(p string) string {
+	if a, err := filepath.Abs(p); err == nil {
+		return a
+	}
+	return filepath.Clean(p)
 }
 
 // runValidate implements `repro validate <manifest-or-dir...>`: parse and
@@ -233,9 +245,9 @@ func runValidate(args []string, stdout, stderr io.Writer) int {
 			bad++
 			continue
 		}
-		outs := artifactBasenames(&m)
-		dup := false
-		if len(outs) == 0 {
+		outs, dups := claimOutputs(artifacts, path, &m, filepath.Base)
+		dup := len(dups) > 0
+		if outs == 0 {
 			if first, ok := bareNames[plan.Name]; ok {
 				fmt.Fprintf(stderr, "%s: duplicate manifest name %q (also %s); manifests without outputs must have distinct names\n",
 					path, plan.Name, first)
@@ -244,13 +256,8 @@ func runValidate(args []string, stdout, stderr io.Writer) int {
 				bareNames[plan.Name] = path
 			}
 		}
-		for _, o := range outs {
-			if first, ok := artifacts[o]; ok {
-				fmt.Fprintf(stderr, "%s: duplicate output artifact %q (also declared by %s)\n", path, o, first)
-				dup = true
-			} else {
-				artifacts[o] = path
-			}
+		for _, err := range dups {
+			fmt.Fprintln(stderr, err)
 		}
 		if dup {
 			bad++
