@@ -33,7 +33,6 @@ const NoGroup GroupID = -1
 // Packet is one datagram on the wire. Payload is opaque to the fabric; the
 // verbs layer stores its own header structure there.
 type Packet struct {
-	ID      uint64
 	Src     topology.NodeID
 	Dst     topology.NodeID // destination host (unicast only)
 	Group   GroupID         // multicast group, or NoGroup
@@ -67,8 +66,11 @@ type Packet struct {
 // field zeroed. That hop is the last tree branch to land, the host
 // delivery (NIC.Deliver has returned), the root absorbing a reduce
 // contribution, or a drop; Inject files back a packet dropped on the
-// uplink. A packet the caller allocated itself never enters the pool. made
-// counts the packets the pool has allocated.
+// uplink. A train segment's packet is born later than NewPacket's: when the
+// segment reaches the end of the host uplink (see Train), so a message
+// keeps about one packet per hop in flight, not one per segment. A packet
+// the caller allocated itself never enters the pool. made counts the
+// packets the pool has allocated.
 type packetPool struct {
 	free []*Packet
 	made int
@@ -172,8 +174,10 @@ type PortStats struct {
 // serialization time by wire size, dropping the FP division from the
 // common same-size-packet case without changing a single bit of the result
 // (a reciprocal would round differently in the last ulp and move goldens).
+// The endpoints are int32 NodeIDs: a fabric holds two channels per link,
+// and the narrower struct is the fabric's largest allocation made smaller.
 type channel struct {
-	from, to topology.NodeID
+	from, to int32   // topology.NodeIDs
 	bw       float64 // effective bytes/sec
 	baseBw   float64 // configured bytes/sec
 	serSize  int     // wire size the cached serialization time is for
@@ -214,13 +218,17 @@ type Fabric struct {
 
 	// chans[2*linkID+dir]: dir 0 = A->B, dir 1 = B->A.
 	chans []channel
+	// portChan[portBase[node]+port] is the index in chans of the channel
+	// leaving node through port (see egress).
+	portBase []int32
+	portChan []int32
 	// nics[node] is the host's NIC, nil until attached.
 	nics         []*NIC
 	pool         packetPool
+	trains       []*Train // free list of NewTrain
 	groups       []*topology.MulticastTree
 	reduceGroups []*reduceGroup
 
-	nextPktID uint64
 	// TotalDropped counts fabric drops across all channels.
 	TotalDropped uint64
 	// Background-traffic counters (packets injected via InjectBackground).
@@ -249,10 +257,29 @@ func New(eng *sim.Engine, g *topology.Graph, cfg Config) *Fabric {
 		if g.Nodes[l.A].Kind == topology.Host || g.Nodes[l.B].Kind == topology.Host {
 			bwAB, bwBA = cfg.HostLinkBandwidth, cfg.HostLinkBandwidth
 		}
-		f.chans[2*l.ID] = channel{from: l.A, to: l.B, bw: bwAB, baseBw: bwAB, serSize: -1, dropOverride: -1}
-		f.chans[2*l.ID+1] = channel{from: l.B, to: l.A, bw: bwBA, baseBw: bwBA, serSize: -1, dropOverride: -1}
+		a, b := int32(l.A), int32(l.B)
+		f.chans[2*l.ID] = channel{from: a, to: b, bw: bwAB, baseBw: bwAB, serSize: -1, dropOverride: -1}
+		f.chans[2*l.ID+1] = channel{from: b, to: a, bw: bwBA, baseBw: bwBA, serSize: -1, dropOverride: -1}
+	}
+	f.portBase = make([]int32, len(g.Nodes))
+	f.portChan = make([]int32, 0, 2*len(g.Links))
+	for node, adj := range g.Adj {
+		f.portBase[node] = int32(len(f.portChan))
+		for _, nb := range adj {
+			c := 2 * nb.Link
+			if g.Links[nb.Link].A != topology.NodeID(node) {
+				c++
+			}
+			f.portChan = append(f.portChan, int32(c))
+		}
 	}
 	return f
+}
+
+// egress returns the index in chans of the channel leaving node through
+// port; the channel's link is the index halved.
+func (f *Fabric) egress(node topology.NodeID, port int) int {
+	return int(f.portChan[int(f.portBase[node])+port])
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -343,8 +370,6 @@ func (n *NIC) Inject(pkt *Packet) sim.Time {
 		}
 	}
 	n.Injected++
-	pkt.ID = n.f.nextPktID
-	n.f.nextPktID++
 	// The host's single port is port 0; transmit up the host link.
 	wire := n.f.transmit(pkt, n.Host, 0)
 	if pkt.refs == 0 { // dropped on the uplink: no hop carries it
@@ -375,9 +400,22 @@ func (ch *channel) serialization(size int) sim.Time {
 // schedules arrival processing at the peer. It returns the serialization
 // completion time on that channel.
 func (f *Fabric) transmit(pkt *Packet, node topology.NodeID, port int) sim.Time {
-	nb := f.g.Adj[node][port]
-	ch := f.channelFor(node, nb.Link)
-	size := f.wireBytes(pkt)
+	c := f.egress(node, port)
+	ch := &f.chans[c]
+	if !f.book(ch, f.wireBytes(pkt)) {
+		return ch.nextFree
+	}
+	arrival := ch.nextFree + f.cfg.LinkLatency + ch.extraLat
+	pkt.refs++
+	f.eng.AtHandler(arrival, f.arriveH, uint64(ch.to), c>>1, pkt)
+	return ch.nextFree
+}
+
+// book serializes size wire bytes onto ch after everything already booked
+// there, counts them, and draws the channel's fabric drop: it reports
+// whether the packet survives the crossing. A dropped packet still occupied
+// the channel. A scenario override replaces the global drop rate.
+func (f *Fabric) book(ch *channel, size int) bool {
 	serialize := ch.serialization(size)
 	start := ch.nextFree
 	now := f.eng.Now()
@@ -391,8 +429,6 @@ func (f *Fabric) transmit(pkt *Packet, node topology.NodeID, port int) sim.Time 
 	ch.stats.Bytes += uint64(size)
 	ch.stats.Busy += serialize
 
-	// Fabric drop: the packet occupies the channel but never arrives. A
-	// scenario override replaces the global rate on this channel.
 	rate := f.cfg.DropRate
 	if ch.dropOverride >= 0 {
 		rate = ch.dropOverride
@@ -400,21 +436,22 @@ func (f *Fabric) transmit(pkt *Packet, node topology.NodeID, port int) sim.Time 
 	if rate > 0 && f.rng.Bernoulli(rate) {
 		ch.stats.Drops++
 		f.TotalDropped++
-		return ch.nextFree
+		return false
 	}
-
-	arrival := ch.nextFree + f.cfg.LinkLatency + ch.extraLat
-	pkt.refs++
-	f.eng.AtHandler(arrival, f.arriveH, uint64(nb.Peer), nb.Link, pkt)
-	return ch.nextFree
+	return true
 }
 
 // arriveHandler dispatches a packet's landing at a node; arg0 is the node,
-// arg1 the link it crossed, obj the *Packet.
+// arg1 the link it crossed, obj the *Packet — or the *Train whose next
+// segment has just crossed the host uplink, and becomes a packet here.
 type arriveHandler Fabric
 
 func (h *arriveHandler) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, arg1 int, obj any) {
-	f, pkt := (*Fabric)(h), obj.(*Packet)
+	f := (*Fabric)(h)
+	pkt, ok := obj.(*Packet)
+	if !ok {
+		pkt = f.alight(obj.(*Train))
+	}
 	f.arrive(pkt, topology.NodeID(arg0), arg1)
 	f.landed(pkt)
 }
@@ -429,15 +466,6 @@ func (h *deliverHandler) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, _ int
 		f.deliverNow(nic, pkt)
 	}
 	f.landed(pkt)
-}
-
-// channelFor returns the directed channel leaving `from` over link `link`.
-func (f *Fabric) channelFor(from topology.NodeID, link int) *channel {
-	l := f.g.Links[link]
-	if l.A == from {
-		return &f.chans[2*link]
-	}
-	return &f.chans[2*link+1]
 }
 
 // arrive processes a packet landing at node after crossing link.
@@ -489,7 +517,7 @@ func (f *Fabric) forwardMulticast(pkt *Packet, sw topology.NodeID, ingress int) 
 		panic(fmt.Sprintf("fabric: multicast packet for group %d at off-tree switch %d", pkt.Group, sw))
 	}
 	for _, p := range ports {
-		if f.g.Adj[sw][p].Link == ingress {
+		if f.egress(sw, p)>>1 == ingress {
 			continue // never reflect back toward the sender
 		}
 		f.transmit(pkt, sw, p)
@@ -543,7 +571,7 @@ func (f *Fabric) NumChannels() int { return len(f.chans) }
 // first.
 func (f *Fabric) ChannelEnds(id ChannelID) (from, to topology.NodeID) {
 	ch := &f.chans[id]
-	return ch.from, ch.to
+	return topology.NodeID(ch.from), topology.NodeID(ch.to)
 }
 
 // ChannelBacklog returns the current queueing delay on the channel: how far
@@ -636,13 +664,9 @@ func (f *Fabric) UnicastPath(src, dst topology.NodeID, flow uint64) []ChannelID 
 				port = cands[ecmpHash(flow, src, dst)%uint64(len(cands))]
 			}
 		}
-		nb := f.g.Adj[node][port]
-		if f.g.Links[nb.Link].A == node {
-			path = append(path, ChannelID(2*nb.Link))
-		} else {
-			path = append(path, ChannelID(2*nb.Link+1))
-		}
-		node = nb.Peer
+		c := f.egress(node, port)
+		path = append(path, ChannelID(c))
+		node = topology.NodeID(f.chans[c].to)
 	}
 	return path
 }
@@ -666,8 +690,6 @@ func (f *Fabric) InjectBackground(src, dst topology.NodeID, payloadBytes int, fl
 	pkt := f.pool.get()
 	pkt.Src, pkt.Dst, pkt.Flow = src, dst, flow
 	pkt.PayloadBytes, pkt.Background = payloadBytes, true
-	pkt.ID = f.nextPktID
-	f.nextPktID++
 	f.BackgroundInjected++
 	f.BackgroundBytes += uint64(payloadBytes)
 	wire := f.transmit(pkt, src, 0)

@@ -292,9 +292,9 @@ func TestDeterministicECMPPinsFlow(t *testing.T) {
 func TestReorderJitterReorders(t *testing.T) {
 	eng, _, nics := testFabric(t, 2, Config{ReorderJitter: 10 * sim.Microsecond})
 	var order []uint64
-	nics[1].Deliver = func(p *Packet) { order = append(order, p.ID) }
+	nics[1].Deliver = func(p *Packet) { order = append(order, p.Flow) } // Flow tags the send
 	for i := 0; i < 100; i++ {
-		nics[0].Inject(&Packet{Dst: nics[1].Host, Group: NoGroup, PayloadBytes: 64})
+		nics[0].Inject(&Packet{Dst: nics[1].Host, Group: NoGroup, Flow: uint64(i), PayloadBytes: 64})
 	}
 	eng.Run()
 	if len(order) != 100 {
@@ -315,9 +315,9 @@ func TestReorderJitterReorders(t *testing.T) {
 func TestInOrderWithoutJitter(t *testing.T) {
 	eng, _, nics := testFabric(t, 2, Config{})
 	var order []uint64
-	nics[1].Deliver = func(p *Packet) { order = append(order, p.ID) }
+	nics[1].Deliver = func(p *Packet) { order = append(order, p.Flow) } // Flow tags the send
 	for i := 0; i < 100; i++ {
-		nics[0].Inject(&Packet{Dst: nics[1].Host, Group: NoGroup, PayloadBytes: 64})
+		nics[0].Inject(&Packet{Dst: nics[1].Host, Group: NoGroup, Flow: uint64(i), PayloadBytes: 64})
 	}
 	eng.Run()
 	for i := 1; i < len(order); i++ {

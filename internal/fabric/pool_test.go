@@ -72,16 +72,17 @@ type lifetimeLeg struct {
 // TestPacketLifetimeProperty pins the pool's one ownership rule under
 // randomized traffic. Every send carries a unique tag in Flow, and the test
 // knows which hosts it owes a delivery: unicast and multicast pool-born
-// packets, caller-built packets of both kinds, in-network reduce
-// contributions (owed as one result per chunk) and background packets (owed
-// to nobody). Over rounds of randomly timed sends, each run to quiescence:
+// packets, the segments of unicast and multicast trains (a tag each),
+// caller-built packets of both kinds, in-network reduce contributions (owed
+// as one result per chunk) and background packets (owed to nobody). Over rounds of randomly timed sends, each run to quiescence:
 //
 //   - every Deliver sees a tag it is still owed, and every owed delivery
 //     happens exactly once;
 //   - NewPacket never hands out a caller-built packet, or a dirty one;
 //   - the pool never makes more packets than one round puts in flight;
 //   - at quiescence every pool-born packet — multicast, reduced, background
-//     and dropped ones included — is back on the free list, once.
+//     and dropped ones included — is back on the free list, once, and so
+//     is every train.
 //
 // Both legs run with ReorderJitter, a reduce group, background traffic and
 // three special hosts: one whose uplink is down (its sends drop at Inject),
@@ -183,6 +184,7 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 	}
 
 	pooled, maxPooled := 0, 0 // pool-born packets handed out this round, and the most in any round
+	trains := map[*Train]bool{}
 	newPacket := func(s int) *Packet {
 		p := nics[s].NewPacket()
 		if foreign[p] {
@@ -238,6 +240,30 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 					}), 0, 0, nil)
 				}
 			}
+			// One train per host and round, of one to four segments.
+			size := 1 + int(rng.Uint64()%(4*4096))
+			nsegs := (size + 4095) / 4096
+			d := (s + 1 + int(rng.Uint64()%uint64(len(hosts)-1))) % len(hosts)
+			if rng.Uint64()%2 == 0 {
+				d = -1
+			}
+			base := tag + 1
+			for k := 0; k < nsegs; k++ {
+				tag++
+				owe(tag, s, d)
+			}
+			eng.AtHandler(at(), call(func() {
+				pooled += nsegs
+				tr := nics[s].NewTrain()
+				trains[tr] = true
+				tr.Flow, tr.Bytes, tr.Header = base, size, flowTag{}
+				if d < 0 {
+					tr.Group = gid
+				} else {
+					tr.Dst = hosts[d]
+				}
+				nics[s].InjectTrain(tr)
+			}), 0, 0, nil)
 		}
 		chunk := uint64(r)
 		for _, s := range reducers {
@@ -263,6 +289,13 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 		}
 		if len(f.pool.free) != f.pool.made || len(back) != f.pool.made {
 			t.Fatalf("round %d: at quiescence the pool holds %d packets (%d distinct) of the %d it made", r, len(f.pool.free), len(back), f.pool.made)
+		}
+		backTrains := map[*Train]bool{}
+		for _, tr := range f.trains {
+			backTrains[tr] = true
+		}
+		if len(f.trains) != len(trains) || len(backTrains) != len(trains) {
+			t.Fatalf("round %d: at quiescence %d trains (%d distinct) are back of the %d handed out", r, len(f.trains), len(backTrains), len(trains))
 		}
 		if leg.drop == 0 {
 			if len(owed) != 0 {

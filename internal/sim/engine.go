@@ -43,7 +43,11 @@
 //
 // Every event is a typed Handler plus packed arguments (a uint64, an int,
 // and one pointer-shaped payload), scheduled with AtHandler or
-// AfterHandler. Events are carved from engine-owned slabs and recycled
+// AfterHandler. A producer that knows now how many events it will schedule
+// one at a time later (a message train: each segment's arrival queues the
+// next) takes their sequence numbers up front with Reserve and queues each
+// with AtReserved: the events then fire exactly where scheduling them all
+// at once would have put them, while only one of them is ever queued. Events are carved from engine-owned slabs and recycled
 // through a free list once fired or cancelled, so steady-state scheduling
 // does not allocate at all. The value-type Handle is the only reference to
 // a scheduled event; it carries a generation number, so a stale handle held
@@ -90,10 +94,8 @@ func (t Time) String() string { return t.Duration().String() }
 // slot n & bucketMask. A bucket is narrower than one MTU's serialization
 // (~170 ns) and a hop latency (250 ns), so the next packet of a train and a
 // packet's next hop land in a later bucket, not in the open one (whose late
-// insertions go through a heap). The window still holds the 256 segments of
-// a 1 MiB write booked on an uplink at one instant (152 µs); RC
-// retransmission timeouts (200 µs past the last segment) and scenario
-// schedules overflow to the far-future heap.
+// insertions go through a heap). RC retransmission timeouts (200 µs past
+// the last segment) and scenario schedules overflow to the far-future heap.
 const (
 	bucketShift = 7 // log2(bucket width in ns)
 	bucketWidth = Time(1) << bucketShift
@@ -304,8 +306,9 @@ type Engine struct {
 	//
 	// Executed counts events that have fired, for diagnostics and for
 	// guarding against runaway simulations in tests. Scheduled counts every
-	// AtHandler/AfterHandler call. Recycled counts events served from the
-	// free list instead of fresh from a slab.
+	// AtHandler/AfterHandler call and every number Reserve hands out.
+	// Recycled counts events served from the free list instead of fresh
+	// from a slab.
 	Executed  uint64
 	Scheduled uint64
 	Recycled  uint64
@@ -353,13 +356,51 @@ func (e *Engine) AtHandler(t Time, h Handler, arg0 uint64, arg1 int, obj any) Ha
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
+	seq := e.seq
+	e.seq++
+	e.Scheduled++
+	e.live++
+	return e.queue(t, seq, h, arg0, arg1, obj)
+}
+
+// Reserve takes the next n sequence numbers for events the caller will
+// queue later, one by one, with AtReserved, and returns the first. The n
+// events count in Scheduled and Pending from now on, exactly as if they had
+// all been scheduled here: every one of them must be queued eventually, each
+// before the clock passes its firing time.
+func (e *Engine) Reserve(n int) uint64 {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: Reserve(%d)", n))
+	}
+	seq := e.seq
+	e.seq += uint64(n)
+	e.Scheduled += uint64(n)
+	e.live += n
+	return seq
+}
+
+// AtReserved queues h.OnEvent(e, handle, arg0, arg1, obj) at time t under
+// seq, a number Reserve handed out and not yet used: it fires where an
+// AtHandler call at reservation time would have put it in the (at, seq)
+// order, whatever was scheduled in between. See AtHandler for the rest.
+func (e *Engine) AtReserved(t Time, seq uint64, h Handler, arg0 uint64, arg1 int, obj any) Handle {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	if seq >= e.seq {
+		panic(fmt.Sprintf("sim: AtReserved with sequence number %d, never reserved", seq))
+	}
+	return e.queue(t, seq, h, arg0, arg1, obj)
+}
+
+// queue files a fresh event under (t, seq); the caller has counted it.
+func (e *Engine) queue(t Time, seq uint64, h Handler, arg0 uint64, arg1 int, obj any) Handle {
 	ev := e.get()
 	if ev == nil {
 		ev = e.carve()
 	}
 	ev.at = t
-	ev.seq = e.seq
-	e.seq++
+	ev.seq = seq
 	ev.h = h
 	ev.arg0 = arg0
 	ev.arg1 = arg1
@@ -490,10 +531,9 @@ func (e *Engine) drainAll(f func(*event)) {
 	e.open = e.open[:0]
 }
 
-// schedule files the event into the hybrid queue.
+// schedule files the event into the hybrid queue. It counts nothing: the
+// event is already in Scheduled and Pending.
 func (e *Engine) schedule(ev *event) {
-	e.Scheduled++
-	e.live++
 	b := bucketOf(ev.at)
 	if b < e.start {
 		// The window was jumped ahead of the clock (RunUntil past a queue

@@ -63,6 +63,12 @@ type propHarness struct {
 	// and run the hook registered for the fired id, if any.
 	scripted bool
 	hooks    map[int]func()
+	// reserve adds a fourth randomized move: Reserve a block of sequence
+	// numbers whose events wait in deferred and are queued with AtReserved
+	// later, in random order; late counts the regions they land in.
+	reserve  bool
+	deferred []*refItem
+	late     map[int8]int
 }
 
 func newPropHarness(t *testing.T, seed uint64) *propHarness {
@@ -73,6 +79,7 @@ func newPropHarness(t *testing.T, seed uint64) *propHarness {
 		live:    map[int]Handle{},
 		refByID: map[int]*refItem{},
 		hooks:   map[int]func(){},
+		late:    map[int8]int{},
 	}
 }
 
@@ -104,6 +111,15 @@ func (p *propHarness) OnEvent(_ *Engine, _ Handle, arg0 uint64, _ int, _ any) {
 		return
 	}
 	p.act()
+	if p.reserve {
+		p.queueDeferred()
+		// Reserved events count as scheduled from the moment they are
+		// reserved, queued or not: the counts match scheduling up front.
+		if p.eng.Pending() != len(p.refByID) || p.eng.Scheduled != p.refSeq {
+			p.t.Fatalf("Pending %d Scheduled %d, want %d and %d as if every event were queued",
+				p.eng.Pending(), p.eng.Scheduled, len(p.refByID), p.refSeq)
+		}
+	}
 }
 
 // act re-arms one replacement event (keeping the population steady until
@@ -115,7 +131,11 @@ func (p *propHarness) act() {
 		p.budget--
 		p.schedule(p.randomDelay())
 	}
-	switch p.rng.Intn(3) {
+	moves := 3
+	if p.reserve {
+		moves = 4
+	}
+	switch p.rng.Intn(moves) {
 	case 0: // schedule an extra event
 		if p.budget > 0 {
 			p.budget--
@@ -123,7 +143,60 @@ func (p *propHarness) act() {
 		}
 	case 1: // cancel a live event (and never fire it)
 		p.cancelOne()
+	case 3: // reserve a block for events queued later
+		if k := min(p.budget, 1+p.rng.Intn(6)); k > 0 {
+			p.budget -= k
+			p.reserveBlock(k)
+		}
 	}
+}
+
+// reserveBlock reserves k sequence numbers and gives each a random firing
+// time, in no particular order; the reference queue holds them at once.
+func (p *propHarness) reserveBlock(k int) {
+	seq := p.eng.Reserve(k)
+	if seq != p.refSeq {
+		p.t.Fatalf("Reserve returned %d, want the next sequence number %d", seq, p.refSeq)
+	}
+	for i := 0; i < k; i++ {
+		it := &refItem{at: p.eng.Now() + p.randomDelay(), seq: p.refSeq, id: p.nextID}
+		p.nextID++
+		p.refSeq++
+		heap.Push(&p.ref, it)
+		p.refByID[it.id] = it
+		p.deferred = append(p.deferred, it)
+	}
+}
+
+// queueDeferred queues a random third of the deferred events, picked out
+// of order, and then every one the clock could otherwise reach before it
+// is queued: those due no later than the next queued event.
+func (p *propHarness) queueDeferred() {
+	for i := 0; i < len(p.deferred); {
+		if p.rng.Intn(3) == 0 {
+			p.queueReserved(i)
+		} else {
+			i++
+		}
+	}
+	next, ok := p.eng.PeekTime()
+	for i := 0; i < len(p.deferred); {
+		if !ok || p.deferred[i].at <= next {
+			p.queueReserved(i)
+		} else {
+			i++
+		}
+	}
+}
+
+// queueReserved queues deferred[i] under its reserved number.
+func (p *propHarness) queueReserved(i int) {
+	it := p.deferred[i]
+	p.deferred[i] = p.deferred[len(p.deferred)-1]
+	p.deferred = p.deferred[:len(p.deferred)-1]
+	h := p.eng.AtReserved(it.at, it.seq, p, uint64(it.id), 0, nil)
+	p.live[it.id] = h
+	p.late[h.ev.where]++
 }
 
 // cancelOne cancels the smallest live id: a deterministic pick (map
@@ -269,6 +342,35 @@ func TestHybridMatchesReferenceHeapOrder(t *testing.T) {
 		p.drain()
 		if len(p.fired) < 8000 {
 			t.Fatalf("seed %d: only %d events fired; cancellation ate the schedule", seed, len(p.fired))
+		}
+	}
+}
+
+// TestReservedMatchesReferenceHeapOrder adds reserved blocks to the
+// randomized schedule: their events are queued late, out of order, under
+// numbers taken before the events scheduled in between, and must still pop
+// in the reference heap's (at, seq) order, with Pending and Scheduled
+// counting them from the reservation on.
+func TestReservedMatchesReferenceHeapOrder(t *testing.T) {
+	for _, seed := range []uint64{3, 99, 0xfeedface} {
+		p := newPropHarness(t, seed)
+		p.reserve = true
+		p.budget = 12000
+		for i := 0; i < 2000 && p.budget > 0; i++ {
+			p.budget--
+			p.schedule(p.randomDelay())
+		}
+		p.drain()
+		if len(p.deferred) != 0 {
+			t.Fatalf("seed %d: %d reserved events never queued", seed, len(p.deferred))
+		}
+		for _, w := range []int8{locBucket, locCur, locFar} {
+			if p.late[w] == 0 {
+				t.Fatalf("seed %d: no late insertion landed in queue region %d (%v)", seed, w, p.late)
+			}
+		}
+		if p.eng.Scheduled != p.refSeq {
+			t.Fatalf("seed %d: Scheduled %d, want %d", seed, p.eng.Scheduled, p.refSeq)
 		}
 	}
 }

@@ -127,6 +127,11 @@ func (e *Engine) Snapshot() *Snapshot {
 	for _, ev := range e.far {
 		record(ev)
 	}
+	if len(s.events) != e.live {
+		// The rest are reserved numbers not yet queued (a train in flight):
+		// their events exist only in the producer's state.
+		panic(fmt.Sprintf("sim: Snapshot with %d reserved events not yet queued", e.live-len(s.events)))
+	}
 	return s
 }
 
@@ -197,8 +202,7 @@ func (e *Engine) Restore(s *Snapshot) {
 		ev.index = -1
 		e.schedule(ev)
 	}
-	// schedule() ticked these; overwrite with the recorded values so the
-	// continuation's counters match a cold run exactly.
+	e.live = len(s.events)
 	e.seq = s.seq
 	e.Executed = s.executed
 	e.Scheduled = s.scheduled

@@ -110,61 +110,73 @@ func (qp *QP) PostWriteUC(wrID uint64, mr *MR, offset, length int, rkey uint32, 
 	if !qp.connected {
 		panic("verbs: UC QP not connected")
 	}
-	qp.segmentAndSend(wireWrite, qp.peer, wrID, mr, offset, length, rkey, roffset, imm, signaled)
+	hdr := wireMsg{op: wireWrite, msgID: qp.ctx.allocMsgID(), rkey: rkey, roffset: roffset, imm: imm, hasImm: true}
+	wire := qp.sendMessage(qp.peer, hdr, mr, offset, length)
+	if signaled {
+		qp.ctx.eng.AtHandler(wire, qp, wrID, length, nil)
+	}
 }
 
-// segmentAndSend chops [offset, offset+length) into MTU packets and injects
-// them under a fresh message id.
-func (qp *QP) segmentAndSend(op wireOp, dst Addr, wrID uint64, mr *MR, offset, length int, rkey uint32, roffset int, imm uint32, signaled bool) uint64 {
-	msgID := qp.ctx.allocMsgID()
-	qp.segmentAndSendSignaled(msgID, op, dst, wrID, mr, offset, length, rkey, roffset, imm, signaled)
-	return msgID
+// message is what every segment of a UC/RC write, an RC send or an RC read
+// response repeats: the header of segment 0 and where the bytes live. Filled
+// into each segment's header by fill; a message of more than one segment
+// rides its fabric.Train as the train's Header, so it fills each segment
+// when the segment reaches the first switch.
+type message struct {
+	hdr    wireMsg // seg, dataLen and data are per segment; roffset is segment 0's
+	mr     *MR     // nil: no bytes, only sizes
+	offset int
+	mtu    int
 }
 
-// segmentAndSendMsg resends under an existing message id (RC retransmit)
-// and reports when the last segment leaves the NIC.
-func (qp *QP) segmentAndSendMsg(msgID uint64, op wireOp, dst Addr, mr *MR, offset, length int, rkey uint32, roffset int, imm uint32) sim.Time {
-	return qp.segmentAndSendSignaled(msgID, op, dst, 0, mr, offset, length, rkey, roffset, imm, false)
+// fill writes segment s, of segLen bytes, into m. The immediate, if the
+// message carries one, is flagged on the last segment only.
+func (ms *message) fill(m *wireMsg, s, segLen int) {
+	*m = ms.hdr
+	segOff := s * ms.mtu
+	m.seg = s
+	m.roffset += segOff
+	m.hasImm = ms.hdr.hasImm && s == ms.hdr.nsegs-1
+	m.dataLen = segLen
+	if ms.mr != nil && segLen > 0 {
+		m.data = ms.mr.Slice(ms.offset+segOff, segLen)
+	}
 }
 
-func (qp *QP) segmentAndSendSignaled(msgID uint64, op wireOp, dst Addr, wrID uint64, mr *MR, offset, length int, rkey uint32, roffset int, imm uint32, signaled bool) sim.Time {
+// Segment implements fabric.Segmenter.
+func (ms *message) Segment(pkt *fabric.Packet, s int) { ms.fill(header(pkt), s, pkt.PayloadBytes) }
+
+// sendMessage sends [offset, offset+length) of mr to dst under hdr, in MTU
+// segments numbered from 0, and reports when the last one leaves the NIC. A
+// message that fits one packet is injected as that packet; a longer one
+// leaves as a fabric.Train. The whole range is bounds-checked now, since a
+// train reads its segments' bytes only as they reach the first switch.
+func (qp *QP) sendMessage(dst Addr, hdr wireMsg, mr *MR, offset, length int) sim.Time {
 	if length < 0 {
 		panic(fmt.Sprintf("verbs: negative message length %d", length))
 	}
+	if mr != nil && length > 0 {
+		mr.check(offset, length)
+	}
 	ctx := qp.ctx
 	mtu := ctx.MTU()
-	nsegs := (length + mtu - 1) / mtu
-	if nsegs == 0 {
-		nsegs = 1 // zero-length message still carries its immediate
+	hdr.srcQPN, hdr.dstQPN = qp.N, dst.QPN
+	hdr.nsegs = max(1, (length+mtu-1)/mtu) // an empty message still carries its immediate
+	ms := message{hdr: hdr, mr: mr, offset: offset, mtu: mtu}
+	if hdr.nsegs == 1 {
+		pkt, m := ctx.newPacket(dst, length, uint64(qp.N))
+		ms.fill(m, 0, length)
+		return ctx.nic.Inject(pkt)
 	}
-	var lastWire sim.Time
-	for s := 0; s < nsegs; s++ {
-		segOff := s * mtu
-		segLen := length - segOff
-		if segLen > mtu {
-			segLen = mtu
-		}
-		if segLen < 0 {
-			segLen = 0
-		}
-		pkt, m := ctx.newPacket(dst, segLen, uint64(qp.N))
-		m.op, m.srcQPN, m.dstQPN = op, qp.N, dst.QPN
-		m.msgID, m.seg, m.nsegs = msgID, s, nsegs
-		m.rkey, m.roffset = rkey, roffset+segOff
-		m.imm, m.hasImm = imm, s == nsegs-1 // immediate rides the last segment
-		m.dataLen = segLen
-		if mr != nil && segLen > 0 {
-			m.data = mr.Slice(offset+segOff, segLen)
-		}
-		wire := ctx.nic.Inject(pkt)
-		if s == nsegs-1 {
-			lastWire = wire
-			if op == wireWrite && qp.Transport == UC && signaled {
-				ctx.eng.AtHandler(wire, qp, wrID, length, nil)
-			}
-		}
+	tr := ctx.nic.NewTrain()
+	tr.Dst, tr.Group, tr.Flow, tr.Bytes = dst.Host, dst.Group, uint64(qp.N), length
+	h, ok := tr.Header.(*message)
+	if !ok {
+		h = new(message)
+		tr.Header = h
 	}
-	return lastWire
+	*h = ms
+	return ctx.nic.InjectTrain(tr)
 }
 
 // assemblyKey identifies one in-flight message. QPNs are only unique per
@@ -412,7 +424,8 @@ func (qp *QP) transmitRC(p *rcPending) sim.Time {
 		// into the timeout below via p.length.
 		return qp.ctx.nic.Inject(pkt)
 	}
-	return qp.segmentAndSendMsg(p.msgID, p.op, p.dst, p.mr, p.offset, p.length, p.rkey, p.roffset, p.imm)
+	hdr := wireMsg{op: p.op, msgID: p.msgID, rkey: p.rkey, roffset: p.roffset, imm: p.imm, hasImm: true}
+	return qp.sendMessage(p.dst, hdr, p.mr, p.offset, p.length)
 }
 
 // armRetransmit schedules the retransmission timer. The clock starts when
@@ -503,29 +516,8 @@ func (qp *QP) receiveReadReq(src Addr, m *wireMsg) {
 	if !ok {
 		panic(fmt.Sprintf("verbs: read of unknown rkey %d on host %d", m.rkey, qp.ctx.Host))
 	}
-	mtu := qp.ctx.MTU()
-	nsegs := (m.readLen + mtu - 1) / mtu
-	if nsegs == 0 {
-		nsegs = 1
-	}
-	for s := 0; s < nsegs; s++ {
-		segOff := s * mtu
-		segLen := m.readLen - segOff
-		if segLen > mtu {
-			segLen = mtu
-		}
-		if segLen < 0 {
-			segLen = 0
-		}
-		pkt, resp := qp.ctx.newPacket(src, segLen, uint64(qp.N))
-		resp.op, resp.srcQPN, resp.dstQPN = wireReadResp, qp.N, m.srcQPN
-		resp.msgID, resp.seg, resp.nsegs = m.msgID, s, nsegs
-		resp.roffset, resp.dataLen = segOff, segLen
-		if segLen > 0 {
-			resp.data = mr.Slice(m.roffset+segOff, segLen)
-		}
-		qp.ctx.nic.Inject(pkt)
-	}
+	// Segment s answers at roffset s*MTU of the requester's buffer.
+	qp.sendMessage(src, wireMsg{op: wireReadResp, msgID: m.msgID}, mr, m.roffset, m.readLen)
 }
 
 // receiveReadResp accumulates read-response segments on the requester.

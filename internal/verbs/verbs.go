@@ -174,9 +174,7 @@ const lazyPage = 4096
 // lazy region allocates the page holding the bytes on first touch; an
 // access that straddles two of its pages is a bug and panics.
 func (mr *MR) Slice(off, n int) []byte {
-	if off < 0 || n < 0 || off+n > mr.Size {
-		panic(fmt.Sprintf("verbs: access [%d,%d) outside MR of size %d", off, off+n, mr.Size))
-	}
+	mr.check(off, n)
 	if !mr.lazy || n == 0 {
 		if mr.Data == nil {
 			return nil
@@ -194,6 +192,14 @@ func (mr *MR) Slice(off, n int) []byte {
 		mr.pages[p] = make([]byte, lazyPage)
 	}
 	return mr.pages[p][o : o+n]
+}
+
+// check panics unless [off, off+n) lies inside the region; it touches no
+// lazy page.
+func (mr *MR) check(off, n int) {
+	if off < 0 || n < 0 || off+n > mr.Size {
+		panic(fmt.Sprintf("verbs: access [%d,%d) outside MR of size %d", off, off+n, mr.Size))
+	}
 }
 
 // Pages returns how many pages of a lazy region have been materialised.
@@ -551,14 +557,20 @@ func (ctx *Context) allocMsgID() uint64 {
 func (ctx *Context) newPacket(dst Addr, payloadBytes int, flow uint64) (*fabric.Packet, *wireMsg) {
 	pkt := ctx.nic.NewPacket()
 	pkt.Dst, pkt.Group, pkt.Flow, pkt.PayloadBytes = dst.Host, dst.Group, flow, payloadBytes
+	m := header(pkt)
+	*m = wireMsg{}
+	return pkt, m
+}
+
+// header returns the wire header a pooled packet carries, attaching a new
+// one to a packet that has none. Its contents are stale.
+func header(pkt *fabric.Packet) *wireMsg {
 	m, _ := pkt.Payload.(*wireMsg)
 	if m == nil {
 		m = &wireMsg{}
 		pkt.Payload = m
-	} else {
-		*m = wireMsg{}
 	}
-	return pkt, m
+	return m
 }
 
 // dispatch routes an arriving packet to the destination QP(s). A QPN this

@@ -475,6 +475,54 @@ func TestMRBoundsEnforced(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeWritePanicsAtPost: a write whose source range leaves its
+// MR panics when it is posted, before any event is scheduled — also for a
+// multi-segment message, whose segments read their bytes only on reaching
+// the first switch — and the check materialises no page of a lazy region.
+func TestOutOfRangeWritePanicsAtPost(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		transport      Transport
+		lazy           bool
+		offset, length int
+	}{
+		{"UC one segment past the end", UC, false, 1, 1 << 20},
+		{"UC ragged tail", UC, false, 1<<20 - 100, 101},
+		{"RC one segment past the end", RC, false, 1, 1 << 20},
+		{"RC negative offset", RC, false, -1, 8192},
+		{"UC lazy", UC, true, 4096, 1 << 20},
+		{"RC lazy", RC, true, 0, 1<<20 + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, _, a, b := pair(t, fabric.Config{}, Config{})
+			cq := &CQ{}
+			qpA, qpB := a.NewQP(tc.transport, cq, cq, 0), b.NewQP(tc.transport, cq, cq, 0)
+			qpA.Connect(Unicast(b.Host, qpB.N))
+			src := a.RegisterMR(1 << 20)
+			if tc.lazy {
+				src = a.RegisterMRLazy(1 << 20)
+			}
+			dst := b.RegisterMR(2 << 20)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("out-of-range post did not panic")
+				}
+				if eng.Scheduled != 0 || eng.Pending() != 0 {
+					t.Fatalf("the post scheduled %d events before panicking", eng.Scheduled)
+				}
+				if src.Pages() != 0 {
+					t.Fatalf("the bounds check materialised %d lazy pages", src.Pages())
+				}
+			}()
+			if tc.transport == UC {
+				qpA.PostWriteUC(1, src, tc.offset, tc.length, dst.Key, 0, 0, true)
+			} else {
+				qpA.PostWriteRC(1, src, tc.offset, tc.length, dst.Key, 0, 0, true)
+			}
+		})
+	}
+}
+
 func TestConnectValidation(t *testing.T) {
 	_, _, a, b := pair(t, fabric.Config{}, Config{})
 	cq := &CQ{}
