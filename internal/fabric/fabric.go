@@ -174,8 +174,8 @@ type PortStats struct {
 // serialization time by wire size, dropping the FP division from the
 // common same-size-packet case without changing a single bit of the result
 // (a reciprocal would round differently in the last ulp and move goldens).
-// The endpoints are int32 NodeIDs: a fabric holds two channels per link,
-// and the narrower struct is the fabric's largest allocation made smaller.
+// The endpoints are NodeIDs stored as int32: the channels, two per link,
+// are the bulk of a fabric's memory, and the narrow fields keep them small.
 type channel struct {
 	from, to int32   // topology.NodeIDs
 	bw       float64 // effective bytes/sec

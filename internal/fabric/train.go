@@ -15,15 +15,15 @@ type Segmenter interface {
 	Segment(pkt *Packet, s int)
 }
 
-// Train is one message of more than one MTU, injected as a whole. A NIC
-// streams a message's segments back to back without host help, and so does
-// InjectTrain: it books every segment on the host uplink at once, exactly as
-// one Inject per segment would, but the segments exist only as the train's
-// arithmetic until each one lands at the first hop. There it becomes a
-// pooled packet and travels on as any other; the train then queues the
-// arrival of the segment after it. In flight, a message therefore holds
-// about one packet per hop instead of one per segment, and one engine event
-// instead of one per segment.
+// Train is one message, usually longer than one MTU, injected as a whole. A
+// NIC streams a message's segments back to back without host help, and so
+// does InjectTrain: it books every segment on the host uplink at once,
+// exactly as one Inject per segment would, but the segments exist only as
+// the train's arithmetic until each one lands at the first hop. There it
+// becomes a pooled packet and travels on as any other; the train then
+// queues the arrival of the segment after it. In flight, a message
+// therefore holds about one packet per hop instead of one per segment, and
+// one queued engine event instead of one per segment.
 //
 // Trains come from NIC.NewTrain and go back to the fabric when their last
 // surviving segment has landed; nothing may hold one after InjectTrain.

@@ -47,9 +47,10 @@
 // one at a time later (a message train: each segment's arrival queues the
 // next) takes their sequence numbers up front with Reserve and queues each
 // with AtReserved: the events then fire exactly where scheduling them all
-// at once would have put them, while only one of them is ever queued. Events are carved from engine-owned slabs and recycled
-// through a free list once fired or cancelled, so steady-state scheduling
-// does not allocate at all. The value-type Handle is the only reference to
+// at once would have put them, while only one of them is ever queued.
+// Events are carved from engine-owned slabs and recycled through a free
+// list once fired or cancelled, so steady-state scheduling does not
+// allocate at all. The value-type Handle is the only reference to
 // a scheduled event; it carries a generation number, so a stale handle held
 // across the event's recycling is a no-op.
 package sim
@@ -354,13 +355,23 @@ func (e *Engine) SplitRNG() *RNG {
 // protocol-logic bug, and silently clamping would mask it.
 func (e *Engine) AtHandler(t Time, h Handler, arg0 uint64, arg1 int, obj any) Handle {
 	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+		e.past(t)
 	}
-	seq := e.seq
+	ev := e.get()
+	if ev == nil {
+		ev = e.carve()
+	}
+	ev.at = t
+	ev.seq = e.seq
 	e.seq++
+	ev.h = h
+	ev.arg0 = arg0
+	ev.arg1 = arg1
+	ev.obj = obj
 	e.Scheduled++
 	e.live++
-	return e.queue(t, seq, h, arg0, arg1, obj)
+	e.schedule(ev)
+	return Handle{ev: ev, gen: ev.gen}
 }
 
 // Reserve takes the next n sequence numbers for events the caller will
@@ -369,9 +380,6 @@ func (e *Engine) AtHandler(t Time, h Handler, arg0 uint64, arg1 int, obj any) Ha
 // all been scheduled here: every one of them must be queued eventually, each
 // before the clock passes its firing time.
 func (e *Engine) Reserve(n int) uint64 {
-	if n < 0 {
-		panic(fmt.Sprintf("sim: Reserve(%d)", n))
-	}
 	seq := e.seq
 	e.seq += uint64(n)
 	e.Scheduled += uint64(n)
@@ -385,28 +393,25 @@ func (e *Engine) Reserve(n int) uint64 {
 // order, whatever was scheduled in between. See AtHandler for the rest.
 func (e *Engine) AtReserved(t Time, seq uint64, h Handler, arg0 uint64, arg1 int, obj any) Handle {
 	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+		e.past(t)
 	}
 	if seq >= e.seq {
 		panic(fmt.Sprintf("sim: AtReserved with sequence number %d, never reserved", seq))
 	}
-	return e.queue(t, seq, h, arg0, arg1, obj)
-}
-
-// queue files a fresh event under (t, seq); the caller has counted it.
-func (e *Engine) queue(t Time, seq uint64, h Handler, arg0 uint64, arg1 int, obj any) Handle {
 	ev := e.get()
 	if ev == nil {
 		ev = e.carve()
 	}
-	ev.at = t
-	ev.seq = seq
-	ev.h = h
-	ev.arg0 = arg0
-	ev.arg1 = arg1
-	ev.obj = obj
+	ev.at, ev.seq = t, seq
+	ev.h, ev.arg0, ev.arg1, ev.obj = h, arg0, arg1, obj
 	e.schedule(ev)
 	return Handle{ev: ev, gen: ev.gen}
+}
+
+// past panics on an event scheduled before now: that is always a
+// protocol-logic bug, and silently clamping would mask it.
+func (e *Engine) past(t Time) {
+	panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 }
 
 // AfterHandler schedules h.OnEvent d nanoseconds from now; see AtHandler.

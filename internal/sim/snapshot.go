@@ -202,6 +202,7 @@ func (e *Engine) Restore(s *Snapshot) {
 		ev.index = -1
 		e.schedule(ev)
 	}
+	// Rewind the counters; the queue now holds exactly the recorded events.
 	e.live = len(s.events)
 	e.seq = s.seq
 	e.Executed = s.executed
