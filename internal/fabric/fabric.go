@@ -353,8 +353,8 @@ func (f *Fabric) MaxPayload() int { return f.cfg.MTU }
 // Inject sends a packet from this NIC and returns the virtual time at which
 // the packet finishes serializing onto the host uplink (the wire time a
 // send completion would be reported by real hardware). The packet's Src is
-// overwritten with the NIC's host. Payload size must not exceed the MTU:
-// segmentation is the transport layer's job, exactly as with real verbs.
+// overwritten with the NIC's host. Payload size must not exceed the MTU: a
+// longer message goes out as a Train (InjectTrain).
 func (n *NIC) Inject(pkt *Packet) sim.Time {
 	if pkt.PayloadBytes > n.f.cfg.MTU {
 		panic(fmt.Sprintf("fabric: payload %d exceeds MTU %d", pkt.PayloadBytes, n.f.cfg.MTU))
