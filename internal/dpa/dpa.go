@@ -194,7 +194,7 @@ func (t *Thread) RunCycles(issueCycles, latencyCycles float64, ready sim.Time) s
 		issueStart = t.core.issueFree
 	}
 	t.core.issueFree = issueStart + t.chip.cyclesToTime(issueCycles)
-	lat := latencyCycles * (1 + t.chip.Contention*float64(t.core.allocated-1))
+	lat := float64(latencyCycles * (1 + float64(t.chip.Contention*float64(t.core.allocated-1))))
 	t.nextFree = issueStart + t.chip.cyclesToTime(lat)
 	t.Handled++
 	t.BusyCycles += lat
@@ -205,7 +205,7 @@ func (t *Thread) RunCycles(issueCycles, latencyCycles float64, ready sim.Time) s
 // EffectiveLatencyCycles reports the contention-inflated latency this
 // thread pays per handler, for Table I style reporting.
 func (t *Thread) EffectiveLatencyCycles(p Profile) float64 {
-	return float64(p.LatencyCycles) * (1 + t.chip.Contention*float64(t.core.allocated-1))
+	return float64(p.LatencyCycles) * (1 + float64(t.chip.Contention*float64(t.core.allocated-1)))
 }
 
 // Worker pumps a completion queue through a hardware thread: each CQE costs

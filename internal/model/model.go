@@ -74,7 +74,7 @@ func (m *TrafficModel) RingAllgatherBytes(n int) float64 {
 	// steps each ring edge carries (P-1) blocks.
 	total := 0.0
 	for r := 0; r < p; r++ {
-		total += float64(m.hops[r][(r+1)%p]) * float64(n) * float64(p-1)
+		total += float64(float64(m.hops[r][(r+1)%p]) * float64(n) * float64(p-1))
 	}
 	return total
 }
@@ -87,7 +87,7 @@ func (m *TrafficModel) LinearAllgatherBytes(n int) float64 {
 	for r := 0; r < p; r++ {
 		for q := 0; q < p; q++ {
 			if q != r {
-				total += float64(m.hops[r][q]) * float64(n)
+				total += float64(float64(m.hops[r][q]) * float64(n))
 			}
 		}
 	}
@@ -294,9 +294,9 @@ type EconomicsResult struct {
 
 // Economics evaluates the node-level comparison.
 func (in EconomicsInput) Economics() EconomicsResult {
-	cores := in.LinkGbps / 100 * in.CPUCoresPer100Gbps * 2 * float64(in.Links)
+	// float64(...) keeps the doubling, an add, out of a fused multiply-add.
 	r := EconomicsResult{
-		CoresNeeded: cores,
+		CoresNeeded: float64(in.LinkGbps/100*in.CPUCoresPer100Gbps) * 2 * float64(in.Links),
 		CPUCost:     float64(in.Sockets) * in.CPUCost,
 		CPUWatts:    float64(in.Sockets) * in.CPUWatts,
 		NICCost:     float64(in.Links) * in.NICCost,

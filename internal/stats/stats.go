@@ -45,7 +45,7 @@ func Summarize(xs []float64) Summary {
 	mean := sum / float64(n)
 	varsum := 0.0
 	for _, v := range s {
-		varsum += (v - mean) * (v - mean)
+		varsum += float64((v - mean) * (v - mean))
 	}
 	std := 0.0
 	if n > 1 {
@@ -80,14 +80,14 @@ func Percentile(sorted []float64, p float64) float64 {
 	if p >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := float64(p / 100 * float64(len(sorted)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // medianCI returns index bounds of the ~95% binomial confidence interval
@@ -98,8 +98,8 @@ func medianCI(n int) (lo, hi int) {
 	}
 	// Normal approximation to Binomial(n, 0.5): ranks at n/2 ± 1.96·√n/2.
 	d := 1.96 * math.Sqrt(float64(n)) / 2
-	lo = int(math.Floor(float64(n)/2 - d))
-	hi = int(math.Ceil(float64(n)/2 + d))
+	lo = int(math.Floor(float64(float64(n)/2) - float64(d)))
+	hi = int(math.Ceil(float64(float64(n)/2) + float64(d)))
 	if lo < 0 {
 		lo = 0
 	}
