@@ -89,21 +89,20 @@ func TestFabricOnWarmGraphAllocGate(t *testing.T) {
 	}
 }
 
-// TestWarmReduceChunkAllocGate: a reduction chunk — one pool-born
-// contribution per member, all but the last absorbed at the root, the last
-// forwarded as the result — recycles every packet, so steady state it
-// allocates nothing.
+// TestWarmReduceChunkAllocGate: a reduction chunk — one contribution per
+// member, all but the last absorbed at the root, the last forwarded as the
+// result — recycles every train and packet, so steady state it allocates
+// nothing.
 func TestWarmReduceChunkAllocGate(t *testing.T) {
 	eng, f, rg, nics := reduceFixture(t, topology.Star(4))
 	owner := nics[1]
 	owner.Deliver = func(*Packet) {}
 	chunk := uint64(0)
+	pkts := make([]Packet, len(nics))
 	reduce := func() {
-		for _, nic := range nics {
-			pkt := nic.NewPacket()
-			pkt.Dst, pkt.PayloadBytes = owner.Host, 1024
-			pkt.Reduce, pkt.ReduceChunk = rg, chunk
-			nic.Inject(pkt)
+		for i, nic := range nics {
+			pkts[i] = Packet{Dst: owner.Host, Group: NoGroup, PayloadBytes: 1024, Reduce: rg, ReduceChunk: chunk}
+			nic.Inject(&pkts[i])
 		}
 		chunk++
 		eng.Run()

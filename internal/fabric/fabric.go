@@ -49,28 +49,20 @@ type Packet struct {
 	// PayloadBytes is the user data size; WireBytes (payload + header) is
 	// what occupies link capacity and counters.
 	PayloadBytes int
-	// pooled marks a packet born in NIC.NewPacket or InjectBackground: the
-	// fabric takes it back once nothing carries it any more.
-	pooled bool
 	// refs counts the scheduled hops carrying the packet: arrivals and
 	// jittered deliveries. A multicast packet is one object on every branch
 	// of its tree, so it has one ref per branch in flight.
 	refs int32
 }
 
-// packetPool is the fabric's free list of packets. A pool-born packet,
-// unicast or multicast, belongs to whoever holds it from NewPacket until
-// Inject, then to the fabric. Every handler that a scheduled hop fires
-// (arrival, jittered delivery) ends in landed, and the hop that drops refs
-// to zero files the packet back — Payload still attached, every other
-// field zeroed. That hop is the last tree branch to land, the host
-// delivery (NIC.Deliver has returned), the root absorbing a reduce
-// contribution, or a drop; Inject files back a packet dropped on the
-// uplink. A train segment's packet is born later than NewPacket's: when the
-// segment reaches the end of the host uplink (see Train), so a message
-// keeps about one packet per hop in flight, not one per segment. A packet
-// the caller allocated itself never enters the pool. made counts the
-// packets the pool has allocated.
+// packetPool is the fabric's free list of packets, and the only place a
+// packet comes from: a train makes one per segment (see Train), and
+// InjectBackground its own. A packet is the fabric's alone. Every handler
+// that a scheduled hop fires ends in landed, and the hop that drops refs to
+// zero files the packet back, Payload still attached and every other field
+// zeroed: the last tree branch to land, the host delivery (NIC.Deliver has
+// returned), the root absorbing a reduce contribution, or a drop. made
+// counts the packets the pool has allocated.
 type packetPool struct {
 	free []*Packet
 	made int
@@ -84,14 +76,11 @@ func (p *packetPool) get() *Packet {
 		return pkt
 	}
 	p.made++
-	return &Packet{Group: NoGroup, pooled: true}
+	return &Packet{Group: NoGroup}
 }
 
 func (p *packetPool) put(pkt *Packet) {
-	if !pkt.pooled {
-		return
-	}
-	*pkt = Packet{Group: NoGroup, Payload: pkt.Payload, pooled: true}
+	*pkt = Packet{Group: NoGroup, Payload: pkt.Payload}
 	p.free = append(p.free, pkt)
 }
 
@@ -214,6 +203,7 @@ type Fabric struct {
 	// Pre-built sim.Handler instances for the fabric event kinds, so the
 	// per-hop scheduling path is closure-free and allocation-free.
 	arriveH  sim.Handler
+	alightH  sim.Handler
 	deliverH sim.Handler
 
 	// chans[2*linkID+dir]: dir 0 = A->B, dir 1 = B->A.
@@ -226,6 +216,7 @@ type Fabric struct {
 	nics         []*NIC
 	pool         packetPool
 	trains       []*Train // free list of NewTrain
+	trainsMade   int      // trains NewTrain has allocated
 	groups       []*topology.MulticastTree
 	reduceGroups []*reduceGroup
 
@@ -250,6 +241,7 @@ func New(eng *sim.Engine, g *topology.Graph, cfg Config) *Fabric {
 		nics: make([]*NIC, len(g.Nodes)),
 	}
 	f.arriveH = (*arriveHandler)(f)
+	f.alightH = (*alightHandler)(f)
 	f.deliverH = (*deliverHandler)(f)
 	f.chans = make([]channel, 2*len(g.Links))
 	for _, l := range g.Links {
@@ -304,12 +296,6 @@ func (f *Fabric) AttachNIC(host topology.NodeID) *NIC {
 	return nic
 }
 
-// NewPacket returns a zeroed packet (Group NoGroup) from the fabric's pool
-// for the caller to fill — unicast or multicast — and Inject. Its Payload
-// is whatever the packet last carried, or nil: a transport keeps its header
-// object there and reuses it.
-func (n *NIC) NewPacket() *Packet { return n.f.pool.get() }
-
 // CreateGroup builds a multicast group over members, rooted at the given
 // switch. Use round-robin roots across spines to spread subgroup trees.
 func (f *Fabric) CreateGroup(root topology.NodeID, members []topology.NodeID) (GroupID, error) {
@@ -339,44 +325,27 @@ func (n *NIC) AttachGroup(gid GroupID) error {
 // attached reports whether the NIC is subscribed to gid.
 func (n *NIC) attached(gid GroupID) bool { return int(gid) < len(n.groups) && n.groups[gid] }
 
-// DetachGroup unsubscribes the NIC. Packets for the group still traverse
-// the tree but are not delivered locally.
-func (n *NIC) DetachGroup(gid GroupID) {
-	if n.attached(gid) {
-		n.groups[gid] = false
-	}
-}
-
 // MaxPayload returns the fabric MTU (maximum packet payload bytes).
 func (f *Fabric) MaxPayload() int { return f.cfg.MTU }
 
-// Inject sends a packet from this NIC and returns the virtual time at which
-// the packet finishes serializing onto the host uplink (the wire time a
-// send completion would be reported by real hardware). The packet's Src is
-// overwritten with the NIC's host. Payload size must not exceed the MTU: a
-// longer message goes out as a Train (InjectTrain).
+// Inject sends one packet of at most one MTU from this NIC as a one-segment
+// Train, and returns when it finishes serializing onto the host uplink.
+// The packet the fabric carries is its own, a copy of pkt's addressing and
+// Payload: pkt never enters the fabric.
 func (n *NIC) Inject(pkt *Packet) sim.Time {
 	if pkt.PayloadBytes > n.f.cfg.MTU {
 		panic(fmt.Sprintf("fabric: payload %d exceeds MTU %d", pkt.PayloadBytes, n.f.cfg.MTU))
 	}
-	if pkt.PayloadBytes < 0 {
-		panic("fabric: negative payload size")
-	}
-	pkt.Src = n.Host
-	if pkt.Group != NoGroup {
-		mt := n.f.groups[pkt.Group]
-		if !mt.OnTree(n.Host) {
-			panic(fmt.Sprintf("fabric: host %d multicasting to group %d it is not attached to", n.Host, pkt.Group))
-		}
-	}
-	n.Injected++
-	// The host's single port is port 0; transmit up the host link.
-	wire := n.f.transmit(pkt, n.Host, 0)
-	if pkt.refs == 0 { // dropped on the uplink: no hop carries it
-		n.f.pool.put(pkt)
-	}
-	return wire
+	tr := n.NewTrain()
+	tr.Dst, tr.Group, tr.Flow, tr.Bytes = pkt.Dst, pkt.Group, pkt.Flow, pkt.PayloadBytes
+	tr.Reduce, tr.ReduceChunk, tr.Header = pkt.Reduce, pkt.ReduceChunk, (*packetHeader)(pkt)
+	return n.InjectTrain(tr)
 }
+
+// packetHeader is the Segmenter of a packet sent with Inject.
+type packetHeader Packet
+
+func (h *packetHeader) Segment(pkt *Packet, _ int) { pkt.Payload = h.Payload }
 
 // wireBytes is the link occupancy of the packet.
 func (f *Fabric) wireBytes(pkt *Packet) int { return pkt.PayloadBytes + f.cfg.HeaderBytes }
@@ -442,16 +411,11 @@ func (f *Fabric) book(ch *channel, size int) bool {
 }
 
 // arriveHandler dispatches a packet's landing at a node; arg0 is the node,
-// arg1 the link it crossed, obj the *Packet — or the *Train whose next
-// segment has just crossed the host uplink, and becomes a packet here.
+// arg1 the link it crossed, obj the *Packet.
 type arriveHandler Fabric
 
 func (h *arriveHandler) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, arg1 int, obj any) {
-	f := (*Fabric)(h)
-	pkt, ok := obj.(*Packet)
-	if !ok {
-		pkt = f.alight(obj.(*Train))
-	}
+	f, pkt := (*Fabric)(h), obj.(*Packet)
 	f.arrive(pkt, topology.NodeID(arg0), arg1)
 	f.landed(pkt)
 }

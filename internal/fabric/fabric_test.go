@@ -25,7 +25,7 @@ func testFabric(t *testing.T, n int, cfg Config) (*sim.Engine, *Fabric, []*NIC) 
 func TestUnicastDelivery(t *testing.T) {
 	eng, _, nics := testFabric(t, 2, Config{})
 	var got *Packet
-	nics[1].Deliver = func(p *Packet) { got = p }
+	nics[1].Deliver = func(p *Packet) { got = new(Packet); *got = *p } // p goes back to the pool
 	nics[0].Inject(&Packet{Dst: nics[1].Host, Group: NoGroup, PayloadBytes: 1024, Payload: "hello"})
 	eng.Run()
 	if got == nil {

@@ -8,37 +8,44 @@ import (
 	"repro/internal/topology"
 )
 
+// madeBack checks that at quiescence the fabric has made packets packets
+// and one train, and holds every one of them on its free lists. A message
+// of one segment keeps one packet in flight and hands its train straight
+// back, so one train serves every Inject.
+func madeBack(t *testing.T, f *Fabric, packets int) {
+	t.Helper()
+	if f.pool.made != packets || f.trainsMade != 1 {
+		t.Fatalf("made %d packets and %d trains, want %d (one per message in flight) and 1", f.pool.made, f.trainsMade, packets)
+	}
+	if p, tr := f.Outstanding(); p != 0 || tr != 0 {
+		t.Fatalf("at quiescence %d packets and %d trains are not back", p, tr)
+	}
+}
+
 // TestPoolSerialRingReusesEveryPacket: a two-way flow has no imbalance —
-// after the first round the pool never makes another packet and holds them
-// all at quiescence.
+// after the first round the fabric never makes another packet or train and
+// holds them all at quiescence.
 func TestPoolSerialRingReusesEveryPacket(t *testing.T) {
 	eng, f, nics := testFabric(t, 4, Config{})
 	const burst = 8
 	round := func() {
 		for i, nic := range nics {
 			for k := 0; k < burst; k++ {
-				pkt := nic.NewPacket()
-				pkt.Dst, pkt.PayloadBytes = nics[(i+1)%len(nics)].Host, 4096
-				nic.Inject(pkt)
+				nic.Inject(&Packet{Dst: nics[(i+1)%len(nics)].Host, Group: NoGroup, PayloadBytes: 4096})
 			}
 		}
 		eng.Run()
 	}
 	round()
-	pool := &f.pool
-	if want := burst * len(nics); pool.made != want || len(pool.free) != want {
-		t.Fatalf("after one round: made %d free %d, want %d and %d", pool.made, len(pool.free), want, want)
-	}
+	madeBack(t, f, burst*len(nics))
 	for i := 0; i < 1000; i++ {
 		round()
 	}
-	if want := burst * len(nics); pool.made != want || len(pool.free) != want {
-		t.Fatalf("after 1000 more rounds: made %d free %d, want every packet reused (%d)", pool.made, len(pool.free), want)
-	}
+	madeBack(t, f, burst*len(nics))
 }
 
 // TestPoolCapBoundsOneWayFlow: a one-way flow carries the sender's packets
-// to the receiver and nothing back, yet the one pool takes every delivered
+// to the receiver and nothing back, yet the fabric takes every delivered
 // packet back, so the flow never makes more packets than one burst holds in
 // flight.
 func TestPoolCapBoundsOneWayFlow(t *testing.T) {
@@ -50,15 +57,11 @@ func TestPoolCapBoundsOneWayFlow(t *testing.T) {
 	const burst = 16
 	for i := 0; i < 100; i++ {
 		for k := 0; k < burst; k++ {
-			pkt := src.NewPacket()
-			pkt.Dst, pkt.PayloadBytes = dst.Host, 4096
-			src.Inject(pkt)
+			src.Inject(&Packet{Dst: dst.Host, Group: NoGroup, PayloadBytes: 4096})
 		}
 		eng.Run()
 	}
-	if f.pool.made != burst || len(f.pool.free) != burst {
-		t.Fatalf("made %d free %d, want one burst (%d) made and every packet back", f.pool.made, len(f.pool.free), burst)
-	}
+	madeBack(t, f, burst)
 }
 
 // lifetimeLeg is one fabric configuration of TestPacketLifetimeProperty.
@@ -71,18 +74,20 @@ type lifetimeLeg struct {
 
 // TestPacketLifetimeProperty pins the pool's one ownership rule under
 // randomized traffic. Every send carries a unique tag in Flow, and the test
-// knows which hosts it owes a delivery: unicast and multicast pool-born
-// packets, the segments of unicast and multicast trains (a tag each),
-// caller-built packets of both kinds, in-network reduce contributions (owed
-// as one result per chunk) and background packets (owed to nobody). Over rounds of randomly timed sends, each run to quiescence:
+// knows which hosts it owes a delivery: unicast and multicast packets sent
+// with Inject, the segments of unicast and multicast trains (a tag each),
+// in-network reduce contributions (owed as one result per chunk) and
+// background packets (owed to nobody). Over rounds of randomly timed sends,
+// each run to quiescence:
 //
-//   - every Deliver sees a tag it is still owed, and every owed delivery
-//     happens exactly once;
-//   - NewPacket never hands out a caller-built packet, or a dirty one;
-//   - the pool never makes more packets than one round puts in flight;
-//   - at quiescence every pool-born packet — multicast, reduced, background
-//     and dropped ones included — is back on the free list, once, and so
-//     is every train.
+//   - every Deliver sees a tag it is still owed, from the host that sent
+//     it, in a packet of the fabric's (never the caller's) with no stale
+//     field, and every owed delivery happens exactly once;
+//   - the fabric never makes more packets than one round sends segments,
+//     nor more trains than one round sends messages;
+//   - at quiescence every packet — multicast, reduced, background and
+//     dropped ones included — is back on the free list, once, and so is
+//     every train.
 //
 // Both legs run with ReorderJitter, a reduce group, background traffic and
 // three special hosts: one whose uplink is down (its sends drop at Inject),
@@ -134,9 +139,10 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 	}
 
 	owed := map[uint64]uint32{}    // tag -> bitmask of hosts still owed a delivery
+	srcOf := map[uint64]int{}      // tag -> sending host
 	chunkOf := map[uint64]uint64{} // reduce contribution tag -> chunk
 	results := map[uint64]int{}    // chunk -> results delivered
-	foreign := map[*Packet]bool{}
+	caller := map[*Packet]bool{}   // the packets handed to Inject
 	delivered := 0
 	nics := make([]*NIC, len(hosts))
 	for i, h := range hosts {
@@ -149,6 +155,9 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 		nics[i].Deliver = func(p *Packet) {
 			delivered++
 			tag := p.Flow
+			if caller[p] || p.Background || p.Reduce != NoReduceGroup || p.Src != hosts[srcOf[tag]] {
+				t.Fatalf("host %d: tag %d delivered in a caller's or stale packet %+v", i, tag, *p)
+			}
 			if c, ok := chunkOf[tag]; ok {
 				if i != owner || p.ReduceChunk != c || results[c] != 0 {
 					t.Fatalf("host %d: reduce result for chunk %d (tag %d of chunk %d, %d results so far)", i, p.ReduceChunk, tag, c, results[c])
@@ -172,6 +181,7 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 	// owe records the hosts that tag tg, sent from s, must reach: the
 	// unicast destination d, or every attached group member but s when d < 0.
 	owe := func(tg uint64, s, d int) {
+		srcOf[tg] = s
 		var mask uint32
 		for i := range hosts {
 			if s != down && i != deaf && (i == d || d < 0 && i != s && i != detached) {
@@ -183,25 +193,19 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 		}
 	}
 
-	pooled, maxPooled := 0, 0 // pool-born packets handed out this round, and the most in any round
-	trains := map[*Train]bool{}
-	newPacket := func(s int) *Packet {
-		p := nics[s].NewPacket()
-		if foreign[p] {
-			t.Fatal("NewPacket handed out a caller-built packet")
-		}
-		if *p != (Packet{Group: NoGroup, Payload: p.Payload, pooled: true}) {
-			t.Fatalf("NewPacket returned a dirty header %+v", *p)
-		}
-		pooled++
-		return p
+	// Segments and messages sent this round, and the most in any round.
+	segs, msgs, maxSegs, maxMsgs := 0, 0, 0, 0
+	inject := func(s int, p *Packet) {
+		segs++
+		msgs++
+		caller[p] = true
+		nics[s].Inject(p)
 	}
 
 	rng := sim.NewRNG(seed)
 	var tag uint64
 	const rounds, perHost = 20, 6
 	for r := 0; r < rounds; r++ {
-		pooled = 0
 		base := eng.Now()
 		at := func() sim.Time { return base + sim.Time(rng.Uint64()%20_000) }
 		for s := range hosts {
@@ -209,36 +213,19 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 				tag++
 				tg, size := tag, 64+int(rng.Uint64()%4033)
 				d := (s + 1 + int(rng.Uint64()%uint64(len(hosts)-1))) % len(hosts)
-				switch kind := rng.Uint64() % 8; {
-				case kind == 7:
+				if rng.Uint64()%8 == 7 {
 					eng.AtHandler(at(), call(func() {
-						pooled++
+						segs++
 						f.InjectBackground(hosts[s], hosts[d], size, tg)
 					}), 0, 0, nil)
-				case kind == 6:
-					p := &Packet{Dst: hosts[d], Group: NoGroup, Flow: tg, PayloadBytes: size}
-					if rng.Uint64()%2 == 0 {
-						p.Group, d = gid, -1
-					}
-					foreign[p] = true
-					owe(tg, s, d)
-					eng.AtHandler(at(), call(func() { nics[s].Inject(p) }), 0, 0, nil)
-				default:
-					if kind >= 4 {
-						d = -1
-					}
-					owe(tg, s, d)
-					eng.AtHandler(at(), call(func() {
-						p := newPacket(s)
-						p.Flow, p.PayloadBytes = tg, size
-						if d < 0 {
-							p.Group = gid
-						} else {
-							p.Dst = hosts[d]
-						}
-						nics[s].Inject(p)
-					}), 0, 0, nil)
+					continue
 				}
+				p := &Packet{Dst: hosts[d], Group: NoGroup, Flow: tg, PayloadBytes: size}
+				if rng.Uint64()%2 == 0 {
+					p.Group, d = gid, -1
+				}
+				owe(tg, s, d)
+				eng.AtHandler(at(), call(func() { inject(s, p) }), 0, 0, nil)
 			}
 			// One train per host and round, of one to four segments.
 			size := 1 + int(rng.Uint64()%(4*4096))
@@ -253,9 +240,9 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 				owe(tag, s, d)
 			}
 			eng.AtHandler(at(), call(func() {
-				pooled += nsegs
+				segs += nsegs
+				msgs++
 				tr := nics[s].NewTrain()
-				trains[tr] = true
 				tr.Flow, tr.Bytes, tr.Header = base, size, flowTag{}
 				if d < 0 {
 					tr.Group = gid
@@ -269,19 +256,17 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 		for _, s := range reducers {
 			tag++
 			tg := tag
-			chunkOf[tg] = chunk
-			eng.AtHandler(at(), call(func() {
-				p := newPacket(s)
-				p.Dst, p.Flow, p.PayloadBytes = hosts[owner], tg, 1024
-				p.Reduce, p.ReduceChunk = rg, chunk
-				nics[s].Inject(p)
-			}), 0, 0, nil)
+			chunkOf[tg], srcOf[tg] = chunk, s
+			p := &Packet{Dst: hosts[owner], Group: NoGroup, Flow: tg, PayloadBytes: 1024, Reduce: rg, ReduceChunk: chunk}
+			eng.AtHandler(at(), call(func() { inject(s, p) }), 0, 0, nil)
 		}
+		segs, msgs = 0, 0
 		eng.Run()
 
-		maxPooled = max(maxPooled, pooled)
-		if f.pool.made > maxPooled {
-			t.Fatalf("round %d: pool made %d packets, but no round put more than %d in flight", r, f.pool.made, maxPooled)
+		maxSegs, maxMsgs = max(maxSegs, segs), max(maxMsgs, msgs)
+		if f.pool.made > maxSegs || f.trainsMade > maxMsgs {
+			t.Fatalf("round %d: made %d packets and %d trains, but no round sent more than %d segments in %d messages",
+				r, f.pool.made, f.trainsMade, maxSegs, maxMsgs)
 		}
 		back := map[*Packet]bool{}
 		for _, p := range f.pool.free {
@@ -294,8 +279,8 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 		for _, tr := range f.trains {
 			backTrains[tr] = true
 		}
-		if len(f.trains) != len(trains) || len(backTrains) != len(trains) {
-			t.Fatalf("round %d: at quiescence %d trains (%d distinct) are back of the %d handed out", r, len(f.trains), len(backTrains), len(trains))
+		if len(f.trains) != f.trainsMade || len(backTrains) != f.trainsMade {
+			t.Fatalf("round %d: at quiescence %d trains (%d distinct) are back of the %d made", r, len(f.trains), len(backTrains), f.trainsMade)
 		}
 		if leg.drop == 0 {
 			if len(owed) != 0 {

@@ -172,21 +172,20 @@ func TestReduceOffTreePanics(t *testing.T) {
 	eng.Run()
 }
 
-// TestReducePooledResult drives the reduction with pool-born contributions.
-// A contribution is the fabric's from Inject until the root absorbs it or —
-// the last one of its chunk, forwarded as the result — until it is
+// TestReducePooledResult drives the reduction with pooled contributions. A
+// contribution's packet is the fabric's from Inject until the root absorbs
+// it or — the last one of its chunk, forwarded as the result — until it is
 // delivered; either way it then goes back to the pool. A result is
-// delivered once per chunk with the result's header, no packet the fabric
-// still owns ever comes out of NewPacket again, and the pool never grows
-// past the contributions one batch keeps in flight.
+// delivered once per chunk with the result's header, and the fabric never
+// makes more packets or trains than one batch keeps in flight.
 func TestReducePooledResult(t *testing.T) {
 	g := topology.Star(4)
 	eng, f, rg, nics := reduceFixture(t, g)
 	owner := nics[1]
-	held := map[*Packet]uint64{} // injected and neither absorbed nor delivered: packet -> chunk
+	held := map[uint64]uint64{} // injected and neither absorbed nor delivered: tag -> chunk
 	delivered := map[uint64]int{}
 	owner.Deliver = func(p *Packet) {
-		if c, ok := held[p]; !ok || c != p.ReduceChunk {
+		if c, ok := held[p.Flow]; !ok || c != p.ReduceChunk {
 			t.Fatalf("chunk %d: delivered a packet that is not in flight for it", p.ReduceChunk)
 		}
 		if p.Reduce != NoReduceGroup || p.Dst != owner.Host || p.Group != NoGroup || p.PayloadBytes != 1024 {
@@ -202,16 +201,12 @@ func TestReducePooledResult(t *testing.T) {
 		}
 	}
 	const chunks, batch = 200, 5
+	var tag uint64
 	for c := uint64(0); c < chunks; c++ {
 		for _, nic := range nics {
-			pkt := nic.NewPacket()
-			if _, ok := held[pkt]; ok {
-				t.Fatalf("chunk %d: NewPacket handed out a packet the fabric still holds", c)
-			}
-			held[pkt] = c
-			pkt.Dst, pkt.PayloadBytes = owner.Host, 1024
-			pkt.Reduce, pkt.ReduceChunk = rg, c
-			nic.Inject(pkt)
+			tag++
+			held[tag] = c
+			nic.Inject(&Packet{Dst: owner.Host, Group: NoGroup, Flow: tag, PayloadBytes: 1024, Reduce: rg, ReduceChunk: c})
 		}
 		if c%batch == batch-1 {
 			eng.Run()
@@ -228,11 +223,11 @@ func TestReducePooledResult(t *testing.T) {
 	if f.ReducedChunks(rg) != chunks {
 		t.Fatalf("ReducedChunks = %d, want %d", f.ReducedChunks(rg), chunks)
 	}
-	pool := &f.pool
-	if want := batch * len(nics); pool.made > want {
-		t.Fatalf("pool made %d packets over %d chunks, want at most one batch (%d): absorbed contributions leak", pool.made, chunks, want)
+	if want := batch * len(nics); f.pool.made > want || f.trainsMade > want {
+		t.Fatalf("made %d packets and %d trains over %d chunks, want at most one batch (%d) of each: absorbed contributions leak",
+			f.pool.made, f.trainsMade, chunks, want)
 	}
-	if len(pool.free) != pool.made {
-		t.Fatalf("pool holds %d of the %d packets it made after the last delivery", len(pool.free), pool.made)
+	if p, tr := f.Outstanding(); p != 0 || tr != 0 {
+		t.Fatalf("after the last delivery %d packets and %d trains are not back", p, tr)
 	}
 }

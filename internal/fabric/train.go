@@ -8,29 +8,36 @@ import (
 )
 
 // A Segmenter writes the transport header of a train's segments. Segment
-// fills pkt, fresh from the pool with Src, Dst, Group, Flow and
-// PayloadBytes set, as segment s of the message; the fabric calls it when
-// the segment reaches the far end of the host uplink, not at injection.
+// fills pkt, fresh from the pool with the train's addressing and its
+// PayloadBytes set, as segment s of the message, when the fabric makes the
+// segment's packet (see Train).
 type Segmenter interface {
 	Segment(pkt *Packet, s int)
 }
 
-// Train is one message, usually longer than one MTU, injected as a whole. A
-// NIC streams a message's segments back to back without host help, and so
-// does InjectTrain: it books every segment on the host uplink at once,
-// exactly as one Inject per segment would, but the segments exist only as
-// the train's arithmetic until each one lands at the first hop. There it
-// becomes a pooled packet and travels on as any other; the train then
-// queues the arrival of the segment after it. In flight, a message
-// therefore holds about one packet per hop instead of one per segment, and
-// one queued engine event instead of one per segment.
+// Train is one message of one or more MTU segments, injected as a whole:
+// every message leaves a NIC this way. A NIC streams a message's segments
+// back to back without host help, and so does InjectTrain: it books every
+// segment on the host uplink at once, exactly as sending them one by one
+// would. A one-segment message becomes its pooled packet there and then,
+// and the train goes straight back. A longer one exists only as the train's
+// arithmetic until each segment lands at the first hop; there the segment
+// becomes a pooled packet and travels on as any other, and the train queues
+// the arrival of the segment after it. In flight, a message therefore holds
+// about one packet per hop instead of one per segment, one queued engine
+// event instead of one per segment, and a train only while it has segments
+// on the uplink.
 //
 // Trains come from NIC.NewTrain and go back to the fabric when their last
-// surviving segment has landed; nothing may hold one after InjectTrain.
+// surviving segment has a packet; nothing may hold one after InjectTrain.
 type Train struct {
 	Dst   topology.NodeID // destination host (unicast only)
 	Group GroupID         // multicast group, or NoGroup
 	Flow  uint64          // flow label for deterministic ECMP hashing
+	// Reduce and ReduceChunk route each segment up an in-network reduction
+	// tree, as the Packet fields of the same name do.
+	Reduce      ReduceGroupID
+	ReduceChunk uint64
 	// Bytes is the message size: segment s carries the MTU's worth at
 	// s*MTU, the last one the rest. An empty message is one empty segment.
 	Bytes int
@@ -68,13 +75,17 @@ func (n *NIC) NewTrain() *Train {
 		f.trains = f.trains[:k-1]
 		return tr
 	}
+	f.trainsMade++
 	return &Train{Group: NoGroup}
 }
 
-// putTrain files a train whose segments have all landed or dropped back on
-// the free list, keeping its Header and the dropped list's capacity.
+// putTrain files a train whose segments all have packets or dropped back on
+// the free list, empty for NewTrain but for its Header and the dropped
+// list's capacity. InjectTrain sets every other field before reading it.
 func (f *Fabric) putTrain(tr *Train) {
-	*tr = Train{Group: NoGroup, Header: tr.Header, dropped: tr.dropped[:0]}
+	tr.Dst, tr.Group, tr.Flow, tr.Bytes = 0, NoGroup, 0, 0
+	tr.Reduce, tr.ReduceChunk = NoReduceGroup, 0
+	tr.dropped, tr.skipped = tr.dropped[:0], 0
 	f.trains = append(f.trains, tr)
 }
 
@@ -101,11 +112,12 @@ func (tr *Train) survivor(s int) int {
 }
 
 // InjectTrain sends tr's message from this NIC and returns the virtual time
-// at which its last segment finishes serializing onto the host uplink. Every
-// segment is booked on the uplink now, in order, with what Inject does for
-// one packet: the channel's serializer, counters, latency and drop draw.
-// Each surviving segment gets its engine sequence number now, too, so the
-// events it causes fire exactly where per-packet injection puts them.
+// at which its last segment finishes serializing onto the host uplink (the
+// wire time real hardware reports a send completion at). Every segment is
+// booked on the uplink now, in order, as every later hop books a packet:
+// the channel's serializer, counters, latency and drop draw. Each surviving
+// segment gets its engine sequence number now, too, so the events it causes
+// fire exactly where sending the segments one by one would put them.
 func (n *NIC) InjectTrain(tr *Train) sim.Time {
 	f := n.f
 	if tr.Bytes < 0 {
@@ -116,7 +128,10 @@ func (n *NIC) InjectTrain(tr *Train) sim.Time {
 	}
 	mtu := f.cfg.MTU
 	tr.src = n.Host
-	tr.nsegs = max(1, (tr.Bytes+mtu-1)/mtu)
+	tr.nsegs = 1
+	if tr.Bytes > mtu { // most messages fit one segment: skip the division
+		tr.nsegs = (tr.Bytes + mtu - 1) / mtu
+	}
 	c := f.egress(n.Host, 0) // the host's single uplink
 	ch := &f.chans[c]
 	tr.start = max(ch.nextFree, f.eng.Now())
@@ -133,32 +148,52 @@ func (n *NIC) InjectTrain(tr *Train) sim.Time {
 	tr.lat = f.cfg.LinkLatency + ch.extraLat
 	tr.peer, tr.link = topology.NodeID(ch.to), c>>1
 	wire := tr.wire
-	if survivors := tr.nsegs - len(tr.dropped); survivors == 0 {
+	switch survivors := tr.nsegs - len(tr.dropped); {
+	case survivors == 0:
 		f.putTrain(tr)
-	} else {
+	case tr.nsegs == 1:
+		// Holding a train until the first hop would keep a train and a
+		// packet per datagram instead of one packet: it has no later
+		// segment to queue.
+		f.eng.AtHandler(tr.arrival(0), f.arriveH, uint64(tr.peer), tr.link, f.packet(tr, 0))
+		f.putTrain(tr)
+	default:
 		tr.seq = f.eng.Reserve(survivors)
 		tr.next = tr.survivor(0)
-		f.eng.AtReserved(tr.arrival(tr.next), tr.seq, f.arriveH, uint64(tr.peer), tr.link, tr)
+		f.eng.AtReserved(tr.arrival(tr.next), tr.seq, f.alightH, uint64(tr.peer), tr.link, tr)
 	}
 	return wire
 }
 
-// alight turns the train's next segment, which has just landed at the far
-// end of the uplink, into a packet carried by that landing hop, and queues
-// the arrival of the segment after it — or, after the last one, files the
-// train back.
-func (f *Fabric) alight(tr *Train) *Packet {
-	s := tr.next
+// packet makes segment s's packet, carried by the hop that lands it at the
+// first switch.
+func (f *Fabric) packet(tr *Train, s int) *Packet {
 	pkt := f.pool.get()
 	pkt.Src, pkt.Dst, pkt.Group, pkt.Flow = tr.src, tr.Dst, tr.Group, tr.Flow
+	pkt.Reduce, pkt.ReduceChunk = tr.Reduce, tr.ReduceChunk
 	pkt.PayloadBytes = tr.segBytes(s, f.cfg.MTU)
 	pkt.refs = 1
 	tr.Header.Segment(pkt, s)
+	return pkt
+}
+
+// alightHandler lands a longer train's next segment at the far end of the
+// host uplink: the segment becomes a packet carried by that landing hop and
+// arrives as any other, and the train queues the arrival of the segment
+// after it — or, after the last one, goes back. arg0 is the node, arg1 the
+// link, obj the *Train.
+type alightHandler Fabric
+
+func (h *alightHandler) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, arg1 int, obj any) {
+	f, tr := (*Fabric)(h), obj.(*Train)
+	s := tr.next
+	pkt := f.packet(tr, s)
 	if tr.next = tr.survivor(s + 1); tr.next < tr.nsegs {
 		tr.seq++
-		f.eng.AtReserved(tr.arrival(tr.next), tr.seq, f.arriveH, uint64(tr.peer), tr.link, tr)
+		f.eng.AtReserved(tr.arrival(tr.next), tr.seq, f.alightH, uint64(tr.peer), tr.link, tr)
 	} else {
 		f.putTrain(tr)
 	}
-	return pkt
+	f.arrive(pkt, topology.NodeID(arg0), arg1)
+	f.landed(pkt)
 }

@@ -32,7 +32,7 @@ type twinMessage struct {
 // twinRun is everything a twin run must reproduce of the other.
 type twinRun struct {
 	events    [][2]int64 // (at, seq) of every fired event
-	wires     []sim.Time // InjectTrain / last Inject return values
+	wires     []sim.Time // InjectTrain / last injectPacket return values
 	delivered []string   // "host seg flow @at", in delivery order
 	stats     []PortStats
 	dropped   uint64
@@ -51,7 +51,8 @@ type twinCase struct {
 	bgAt      []sim.Time // background packets on the first sender's uplink
 }
 
-// runTwin sends c's messages, as trains or as one Inject per segment.
+// runTwin sends c's messages, as trains or as one reference injectPacket per
+// segment.
 func runTwin(t *testing.T, g *topology.Graph, c twinCase, train bool) (twinRun, *Fabric) {
 	t.Helper()
 	eng := sim.NewEngine(c.seed)
@@ -94,10 +95,7 @@ func runTwin(t *testing.T, g *topology.Graph, c twinCase, train bool) (twinRun, 
 			}
 			var wire sim.Time
 			for s := 0; s == 0 || s*mtu < m.bytes; s++ {
-				pkt := nic.NewPacket()
-				pkt.Dst, pkt.Group, pkt.Flow = dst, group, flow
-				pkt.PayloadBytes, pkt.Payload = min(mtu, m.bytes-s*mtu), s
-				wire = nic.Inject(pkt)
+				wire = nic.injectPacket(&Packet{Dst: dst, Group: group, Flow: flow, PayloadBytes: min(mtu, m.bytes-s*mtu), Payload: s})
 			}
 			run.wires = append(run.wires, wire)
 		}), 0, 0, nil)
@@ -129,7 +127,8 @@ func runTwin(t *testing.T, g *topology.Graph, c twinCase, train bool) (twinRun, 
 }
 
 // TestTrainMatchesPerPacket sends the same messages through twin fabrics,
-// once as one Inject per segment and once as one InjectTrain per message,
+// once as one packet per segment (the reference injector, which books and
+// schedules each packet at once) and once as one InjectTrain per message,
 // over randomized sizes (empty, under one MTU, ragged, whole MTUs), MTUs,
 // unicast and multicast, drop rates, reorder jitter, adaptive routing, a
 // bandwidth, latency or drop override landing mid-train and background
@@ -212,7 +211,7 @@ func TestTrainMatchesPerPacket(t *testing.T) {
 		if len(f.pool.free) != f.pool.made {
 			t.Fatalf("%s: %d of %d packets back in the pool at quiescence", name, len(f.pool.free), f.pool.made)
 		}
-		if got := len(f.trains); got == 0 || got > len(c.msgs) {
+		if got := len(f.trains); got == 0 || got > len(c.msgs) || got != f.trainsMade {
 			t.Fatalf("%s: %d trains on the free list after %d messages", name, got, len(c.msgs))
 		}
 		events += len(trains.events)

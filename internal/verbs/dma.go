@@ -50,13 +50,3 @@ func (d *DMAEngine) OnEvent(_ *sim.Engine, _ sim.Handle, _ uint64, arg1 int, obj
 		done()
 	}
 }
-
-// Quiesced returns the earliest time at which all currently queued copies
-// will have completed.
-func (d *DMAEngine) Quiesced() sim.Time {
-	now := d.eng.Now()
-	if d.nextFree <= now {
-		return now // engine idle: nothing outstanding
-	}
-	return d.nextFree + d.latency
-}

@@ -23,11 +23,8 @@ func (qp *QP) PostSendUD(wrID uint64, dst Addr, mr *MR, offset, length int, imm 
 	if length > qp.ctx.MTU() {
 		panic(fmt.Sprintf("verbs: UD datagram %d exceeds MTU %d", length, qp.ctx.MTU()))
 	}
-	pkt, m := qp.ctx.newPacket(dst, length, uint64(qp.N))
-	m.op, m.srcQPN, m.dstQPN = wireSendUD, qp.N, dst.QPN
-	m.imm, m.hasImm = imm, true
-	m.data, m.dataLen = mr.Slice(offset, length), length
-	wire := qp.ctx.nic.Inject(pkt)
+	ms := &message{hdr: wireMsg{op: wireSendUD, imm: imm, hasImm: true}, mr: mr, offset: offset}
+	wire := qp.sendMessage(dst, ms, length)
 	if signaled {
 		// The send completion is reported once the datagram has left the
 		// NIC (wire serialization done) — this is what paces batched send
@@ -59,11 +56,8 @@ func (qp *QP) PostSendReduce(wrID uint64, dst Addr, rg fabric.ReduceGroupID, chu
 	if length > qp.ctx.MTU() {
 		panic(fmt.Sprintf("verbs: reduce datagram %d exceeds MTU %d", length, qp.ctx.MTU()))
 	}
-	pkt, m := qp.ctx.newPacket(Unicast(dst.Host, dst.QPN), length, uint64(qp.N))
-	pkt.Reduce, pkt.ReduceChunk = rg, chunkID
-	m.op, m.srcQPN, m.dstQPN = wireSendUD, qp.N, dst.QPN
-	m.imm, m.hasImm, m.dataLen = imm, true, length
-	wire := qp.ctx.nic.Inject(pkt)
+	ms := &message{hdr: wireMsg{op: wireSendUD, imm: imm, hasImm: true}, reduce: rg, chunk: chunkID}
+	wire := qp.sendMessage(Unicast(dst.Host, dst.QPN), ms, length)
 	if signaled {
 		qp.ctx.eng.AtHandler(wire, qp, wrID, length, nil)
 	}
@@ -111,71 +105,78 @@ func (qp *QP) PostWriteUC(wrID uint64, mr *MR, offset, length int, rkey uint32, 
 		panic("verbs: UC QP not connected")
 	}
 	hdr := wireMsg{op: wireWrite, msgID: qp.ctx.allocMsgID(), rkey: rkey, roffset: roffset, imm: imm, hasImm: true}
-	wire := qp.sendMessage(qp.peer, hdr, mr, offset, length)
+	wire := qp.sendMessage(qp.peer, &message{hdr: hdr, mr: mr, offset: offset}, length)
 	if signaled {
 		qp.ctx.eng.AtHandler(wire, qp, wrID, length, nil)
 	}
 }
 
-// message is what every segment of a UC/RC write, an RC send or an RC read
-// response repeats: the header of segment 0 and where the bytes live. Filled
-// into each segment's header by fill; a message of more than one segment
-// rides its fabric.Train as the train's Header, so it fills each segment
-// when the segment reaches the first switch.
+// message is what every segment of a message repeats: the header of
+// segment 0 and where the bytes live. It rides the message's fabric.Train
+// as the train's Header and fills each segment's header when the fabric
+// makes the segment's packet.
 type message struct {
 	hdr    wireMsg // seg, dataLen and data are per segment; roffset is segment 0's
 	mr     *MR     // nil: no bytes, only sizes
 	offset int
 	mtu    int
+	// A reduce contribution's reduction group and chunk, which route its
+	// train up the group's tree.
+	reduce fabric.ReduceGroupID
+	chunk  uint64
 }
 
-// fill writes segment s, of segLen bytes, into m. The immediate, if the
-// message carries one, is flagged on the last segment only.
-func (ms *message) fill(m *wireMsg, s, segLen int) {
+// Segment implements fabric.Segmenter: it writes segment s into the wire
+// header pkt carries, attaching one to a packet that has none. The
+// immediate, if the message carries one, is flagged on the last segment
+// only.
+func (ms *message) Segment(pkt *fabric.Packet, s int) {
+	m, _ := pkt.Payload.(*wireMsg)
+	if m == nil {
+		m = new(wireMsg)
+		pkt.Payload = m
+	}
 	*m = ms.hdr
 	segOff := s * ms.mtu
 	m.seg = s
 	m.roffset += segOff
 	m.hasImm = ms.hdr.hasImm && s == ms.hdr.nsegs-1
-	m.dataLen = segLen
-	if ms.mr != nil && segLen > 0 {
-		m.data = ms.mr.Slice(ms.offset+segOff, segLen)
+	m.dataLen = pkt.PayloadBytes
+	if ms.mr != nil && m.dataLen > 0 {
+		m.data = ms.mr.Slice(ms.offset+segOff, m.dataLen)
 	}
 }
 
-// Segment implements fabric.Segmenter.
-func (ms *message) Segment(pkt *fabric.Packet, s int) { ms.fill(header(pkt), s, pkt.PayloadBytes) }
-
-// sendMessage sends [offset, offset+length) of mr to dst under hdr, in MTU
-// segments numbered from 0, and reports when the last one leaves the NIC. A
-// message that fits one packet is injected as that packet; a longer one
-// leaves as a fabric.Train. The whole range is bounds-checked now, since a
-// train reads its segments' bytes only as they reach the first switch.
-func (qp *QP) sendMessage(dst Addr, hdr wireMsg, mr *MR, offset, length int) sim.Time {
+// sendMessage sends ms, length bytes at ms.offset of ms.mr, to dst as one
+// fabric.Train of MTU segments numbered from 0, and reports when the last
+// one leaves the NIC. Every message a QP sends leaves here. The whole range
+// is bounds-checked now, since a train of several segments reads their
+// bytes only as they reach the first switch.
+func (qp *QP) sendMessage(dst Addr, ms *message, length int) sim.Time {
 	if length < 0 {
 		panic(fmt.Sprintf("verbs: negative message length %d", length))
 	}
-	if mr != nil && length > 0 {
-		mr.check(offset, length)
+	if ms.mr != nil && length > 0 {
+		ms.mr.check(ms.offset, length)
 	}
 	ctx := qp.ctx
-	mtu := ctx.MTU()
-	hdr.srcQPN, hdr.dstQPN = qp.N, dst.QPN
-	hdr.nsegs = max(1, (length+mtu-1)/mtu) // an empty message still carries its immediate
-	ms := message{hdr: hdr, mr: mr, offset: offset, mtu: mtu}
-	if hdr.nsegs == 1 {
-		pkt, m := ctx.newPacket(dst, length, uint64(qp.N))
-		ms.fill(m, 0, length)
-		return ctx.nic.Inject(pkt)
-	}
 	tr := ctx.nic.NewTrain()
 	tr.Dst, tr.Group, tr.Flow, tr.Bytes = dst.Host, dst.Group, uint64(qp.N), length
+	tr.Reduce, tr.ReduceChunk = ms.reduce, ms.chunk
 	h, ok := tr.Header.(*message)
 	if !ok {
 		h = new(message)
 		tr.Header = h
 	}
-	*h = ms
+	*h = *ms
+	h.mtu = ctx.MTU()
+	h.hdr.srcQPN, h.hdr.dstQPN = qp.N, dst.QPN
+	// An empty message is one segment and still carries its immediate. Most
+	// messages fit one segment, so they skip the division.
+	h.hdr.nsegs = 1
+	if length > h.mtu {
+		h.hdr.nsegs = (length + h.mtu - 1) / h.mtu
+	}
 	return ctx.nic.InjectTrain(tr)
 }
 
@@ -416,16 +417,13 @@ func (qp *QP) startRC(p *rcPending) {
 // the moral equivalent of hardware go-back-N making forward progress.
 func (qp *QP) transmitRC(p *rcPending) sim.Time {
 	if p.op == wireReadReq {
-		pkt, m := qp.ctx.newPacket(p.dst, 16, uint64(qp.N))
-		m.op, m.srcQPN, m.dstQPN = wireReadReq, qp.N, p.dst.QPN
-		m.msgID, m.nsegs = p.msgID, 1
-		m.rkey, m.roffset, m.readLen = p.rkey, p.roffset, p.length
-		// Reads wait for a response of p.length bytes; budget its wire time
-		// into the timeout below via p.length.
-		return qp.ctx.nic.Inject(pkt)
+		// A 16-byte request; the p.length bytes it asks for ride in its
+		// header, and armRetransmit budgets their wire time.
+		hdr := wireMsg{op: wireReadReq, msgID: p.msgID, rkey: p.rkey, roffset: p.roffset, readLen: p.length}
+		return qp.sendMessage(p.dst, &message{hdr: hdr}, 16)
 	}
 	hdr := wireMsg{op: p.op, msgID: p.msgID, rkey: p.rkey, roffset: p.roffset, imm: p.imm, hasImm: true}
-	return qp.sendMessage(p.dst, hdr, p.mr, p.offset, p.length)
+	return qp.sendMessage(p.dst, &message{hdr: hdr, mr: p.mr, offset: p.offset}, p.length)
 }
 
 // armRetransmit schedules the retransmission timer. The clock starts when
@@ -462,10 +460,7 @@ func (qp *QP) retransmit(p *rcPending) {
 }
 
 func (qp *QP) sendAck(dst Addr, msgID uint64, bytes int) {
-	pkt, m := qp.ctx.newPacket(dst, 8, uint64(qp.N))
-	m.op, m.srcQPN, m.dstQPN = wireAck, qp.N, dst.QPN
-	m.msgID, m.nsegs, m.ackBytes = msgID, 1, bytes
-	qp.ctx.nic.Inject(pkt)
+	qp.sendMessage(dst, &message{hdr: wireMsg{op: wireAck, msgID: msgID, ackBytes: bytes}}, 8)
 }
 
 func (qp *QP) receiveAck(m *wireMsg) {
@@ -517,7 +512,7 @@ func (qp *QP) receiveReadReq(src Addr, m *wireMsg) {
 		panic(fmt.Sprintf("verbs: read of unknown rkey %d on host %d", m.rkey, qp.ctx.Host))
 	}
 	// Segment s answers at roffset s*MTU of the requester's buffer.
-	qp.sendMessage(src, wireMsg{op: wireReadResp, msgID: m.msgID}, mr, m.roffset, m.readLen)
+	qp.sendMessage(src, &message{hdr: wireMsg{op: wireReadResp, msgID: m.msgID}, mr: mr, offset: m.roffset}, m.readLen)
 }
 
 // receiveReadResp accumulates read-response segments on the requester.

@@ -550,29 +550,6 @@ func (ctx *Context) allocMsgID() uint64 {
 	return ctx.nextMsgID
 }
 
-// newPacket returns a packet addressed to dst together with its zeroed wire
-// header for the caller to fill in place and hand to nic.Inject. The packet,
-// unicast or multicast, comes from the fabric's pool with the header it last
-// carried.
-func (ctx *Context) newPacket(dst Addr, payloadBytes int, flow uint64) (*fabric.Packet, *wireMsg) {
-	pkt := ctx.nic.NewPacket()
-	pkt.Dst, pkt.Group, pkt.Flow, pkt.PayloadBytes = dst.Host, dst.Group, flow, payloadBytes
-	m := header(pkt)
-	*m = wireMsg{}
-	return pkt, m
-}
-
-// header returns the wire header a pooled packet carries, attaching a new
-// one to a packet that has none. Its contents are stale.
-func header(pkt *fabric.Packet) *wireMsg {
-	m, _ := pkt.Payload.(*wireMsg)
-	if m == nil {
-		m = &wireMsg{}
-		pkt.Payload = m
-	}
-	return m
-}
-
 // dispatch routes an arriving packet to the destination QP(s). A QPN this
 // context never handed out is a stale packet to a destroyed QP: silently
 // dropped, as in IB.
