@@ -1,31 +1,6 @@
 package coll
 
-import (
-	"fmt"
-
-	"repro/internal/dpa"
-	"repro/internal/sim"
-	"repro/internal/verbs"
-)
-
-// treeBcastState drives a rank through a tree broadcast: receive chunks
-// from the parent (the root already has them), forward each chunk to every
-// child. With ChunkBytes >= n this degenerates to store-and-forward; with
-// small chunks it pipelines.
-type treeBcastState struct {
-	p        *peer
-	d        *opDriver
-	n        int
-	chunk    int
-	chunks   int
-	children []int
-	buf      *verbs.MR
-	have     int // chunks present locally
-	sent     int // chunk forwards completed (send CQEs)
-	fwd      int // chunk forwards posted
-	isRoot   bool
-	fin      bool
-}
+import "fmt"
 
 // knomialChildren returns the children of rank id in a k-nomial tree
 // rooted at root (classic binomial generalization: virtual rank v's
@@ -84,13 +59,61 @@ func binaryChildren(id, root, size int) []int {
 	return children
 }
 
+// chainChildren returns the next rank of a chain rooted at root, if any.
+func chainChildren(id, root, size int) []int {
+	if (id-root+size)%size == size-1 {
+		return nil
+	}
+	return []int{(id + 1) % size}
+}
+
+// tree sets up a rank of a tree broadcast with the given children: step k
+// forwards chunk k to each of them.
+func (op *stepOp) tree(children []int) {
+	op.dst, op.fanout = children, len(children)
+	op.mr = op.p.buf(op.d.n)
+	if op.p.id == op.d.root {
+		op.have = op.d.want
+		if op.p.team.cfg.VerifyData {
+			fillPattern(op.mr.Data, op.d.root, op.p.team.seq)
+		}
+	}
+}
+
+func toChild(op *stepOp, _, j int) int { return op.dst[j] }
+
+// chunkBlock is chunk k of the broadcast, in place.
+func chunkBlock(op *stepOp, k int) (off, length, roff, tag int) {
+	off = k * op.d.chunk
+	return off, min(op.d.chunk, op.d.n-off), off, k
+}
+
+// The tree broadcasts: every rank forwards each chunk, once it has it, to
+// every child. With one chunk (k-nomial) this is store-and-forward; with
+// small chunks it pipelines.
+var (
+	knomialBroadcast = &schedule{
+		kind: "knomial-broadcast", rule: forwardTags, to: toChild, block: chunkBlock,
+		init: func(op *stepOp) {
+			t := op.p.team
+			op.tree(knomialChildren(op.p.id, op.d.root, t.Size(), t.cfg.KnomialRadix))
+		},
+	}
+	binaryBroadcast = &schedule{
+		kind: "binary-broadcast", rule: forwardTags, to: toChild, block: chunkBlock,
+		init: func(op *stepOp) { op.tree(binaryChildren(op.p.id, op.d.root, op.p.team.Size())) },
+	}
+	chainBroadcast = &schedule{
+		kind: "chain-broadcast", rule: forwardTags, to: toChild, block: chunkBlock,
+		init: func(op *stepOp) { op.tree(chainChildren(op.p.id, op.d.root, op.p.team.Size())) },
+	}
+)
+
 // StartKnomialBroadcast begins a k-nomial tree broadcast: whole-message
 // store-and-forward down a radix-k tree, the classic UCC/MPI algorithm
 // whose depth is ceil(log_k P).
 func (t *Team) StartKnomialBroadcast(root, n int, cb func(*Result)) error {
-	return t.startTreeBcast("knomial-broadcast", root, n, n, cb, func(id int) []int {
-		return knomialChildren(id, root, t.Size(), t.cfg.KnomialRadix)
-	})
+	return t.startTree(knomialBroadcast, root, n, n, cb)
 }
 
 // StartBinaryTreeBroadcast begins a chunk-pipelined complete-binary-tree
@@ -98,136 +121,23 @@ func (t *Team) StartKnomialBroadcast(root, n int, cb func(*Result)) error {
 // two children, so the steady-state bottleneck is 2N on the send path and
 // the startup latency is one chunk per level.
 func (t *Team) StartBinaryTreeBroadcast(root, n int, cb func(*Result)) error {
-	return t.startTreeBcast("binary-broadcast", root, n, t.cfg.ChunkBytes, cb, func(id int) []int {
-		return binaryChildren(id, root, t.Size())
-	})
+	return t.startTree(binaryBroadcast, root, n, t.cfg.ChunkBytes, cb)
 }
 
 // StartChainBroadcast begins a chunk-pipelined chain (each rank forwards to
 // the next): send-path optimal among P2P schemes but with P-deep startup.
 func (t *Team) StartChainBroadcast(root, n int, cb func(*Result)) error {
-	size := t.Size()
-	return t.startTreeBcast("chain-broadcast", root, n, t.cfg.ChunkBytes, cb, func(id int) []int {
-		v := (id - root + size) % size
-		if v == size-1 {
-			return nil
-		}
-		return []int{(id + 1) % size}
-	})
+	return t.startTree(chainBroadcast, root, n, t.cfg.ChunkBytes, cb)
 }
 
-func (t *Team) startTreeBcast(kind string, root, n, chunk int, cb func(*Result), childrenOf func(int) []int) error {
+func (t *Team) startTree(s *schedule, root, n, chunk int, cb func(*Result)) error {
 	if root < 0 || root >= t.Size() {
 		return fmt.Errorf("coll: root %d out of range", root)
 	}
-	if err := t.checkIdle(n); err != nil {
-		return err
-	}
-	if chunk > n {
-		chunk = n
-	}
-	d := t.newDriver(kind, n, n, cb)
+	// At least one byte, so that a non-positive n reaches start's check.
+	chunk = max(min(chunk, n), 1)
 	chunks := (n + chunk - 1) / chunk
-	for _, p := range t.peers {
-		st := &treeBcastState{
-			p: p, d: d, n: n, chunk: chunk, chunks: chunks,
-			children: childrenOf(p.id),
-			buf:      p.buf(n),
-			isRoot:   p.id == root,
-		}
-		p.op = st
-		if st.isRoot {
-			st.have = chunks
-			if t.cfg.VerifyData {
-				fillPattern(st.buf.Data, root, t.seq)
-			}
-			// Root pushes every chunk to every child, interleaved so the
-			// children's pipelines fill evenly.
-			st.forwardReady()
-			if len(st.children) == 0 {
-				st.fin = true
-				p.eng.AfterHandler(0, d, 0, 0, p)
-			}
-		}
-	}
-	t.assertBcastKeys()
-	return nil
-}
-
-// forwardReady posts forwards for every chunk that is present locally and
-// not yet forwarded (fwd counts chunk·child pairs).
-func (st *treeBcastState) forwardReady() {
-	if len(st.children) == 0 {
-		return
-	}
-	t := st.p.team
-	post := st.p.eng.Now()
-	for c := st.fwd / len(st.children); c < st.have; c++ {
-		off := c * st.chunk
-		length := st.n - off
-		if length > st.chunk {
-			length = st.chunk
-		}
-		for _, child := range st.children {
-			qp := t.qpTo(st.p.id, child)
-			post = st.p.thread.Run(dpa.SendPost, post)
-			st.p.eng.AtHandler(post, st, uint64(c), length, qp)
-			st.fwd++
-		}
-	}
-}
-
-// OnEvent posts one scheduled chunk forward: arg0 is the chunk index, arg1
-// its length, obj the child's QP.
-func (st *treeBcastState) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, arg1 int, obj any) {
-	t := st.p.team
-	off := int(arg0) * st.chunk
-	obj.(*verbs.QP).PostWriteRC(arg0, st.buf, off, arg1, st.buf.Key, off, t.encImm(int(arg0)), true)
-}
-
-func (st *treeBcastState) handle(e verbs.CQE) {
-	t := st.p.team
-	switch e.Op {
-	case verbs.OpRecvWriteImm:
-		if _, ok := t.checkSeq(e.Imm); !ok {
-			return
-		}
-		// In-order arrival from the single parent: chunk st.have landed.
-		st.have++
-		st.forwardReady()
-	case verbs.OpSend:
-		st.sent++
-	case verbs.OpErr:
-		panic("coll: tree broadcast transport error")
-	default:
-		return
-	}
-	if st.fin {
-		return
-	}
-	recvDone := st.isRoot || st.have == st.chunks
-	sendDone := st.sent == st.chunks*len(st.children)
-	if recvDone && sendDone {
-		st.fin = true
-		st.d.rankDone(st.p)
-	}
-}
-
-func (st *treeBcastState) done() bool { return st.fin }
-
-func (t *Team) assertBcastKeys() {
-	base := -1
-	for _, p := range t.peers {
-		st, ok := p.op.(*treeBcastState)
-		if !ok {
-			return
-		}
-		if base < 0 {
-			base = int(st.buf.Key)
-		} else if int(st.buf.Key) != base {
-			panic("coll: asymmetric broadcast buffer rkeys")
-		}
-	}
+	return t.start(s, stepShape{n: n, chunk: chunk, root: root, steps: chunks, want: chunks, send: n, recv: n}, cb)
 }
 
 // VerifyBroadcast checks every rank's buffer against the root's pattern
@@ -243,27 +153,6 @@ func (t *Team) VerifyBroadcast(root, n int) error {
 		}
 		if err := checkPattern(mr.Data[:n], root, t.seq); err != nil {
 			return fmt.Errorf("rank %d: %w", p.id, err)
-		}
-	}
-	return nil
-}
-
-// VerifyAllgather checks every rank's receive buffer for the most recent
-// allgather (VerifyData mode only).
-func (t *Team) VerifyAllgather(n int) error {
-	if !t.cfg.VerifyData {
-		return fmt.Errorf("coll: VerifyAllgather requires Config.VerifyData")
-	}
-	size := t.Size()
-	for _, p := range t.peers {
-		mr := p.mrCache[n*size]
-		if mr == nil {
-			return fmt.Errorf("coll: rank %d has no allgather buffer", p.id)
-		}
-		for src := 0; src < size; src++ {
-			if err := checkPattern(mr.Data[src*n:(src+1)*n], src, t.seq); err != nil {
-				return fmt.Errorf("rank %d shard %d: %w", p.id, src, err)
-			}
 		}
 	}
 	return nil

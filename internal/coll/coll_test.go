@@ -1,6 +1,9 @@
 package coll
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -27,7 +30,14 @@ func runRooted(t *Team, start func(*Team, int, int, func(*Result)) error, root, 
 
 func buildTeam(t *testing.T, p int, cfg Config) (*sim.Engine, *fabric.Fabric, *Team) {
 	t.Helper()
-	eng := sim.NewEngine(17)
+	return buildNoisyTeam(t, 17, p, fabric.Config{}, cfg)
+}
+
+// buildNoisyTeam is buildTeam on a fabric with its own engine seed and
+// configuration (reordering, loss).
+func buildNoisyTeam(t *testing.T, seed uint64, p int, fcfg fabric.Config, cfg Config) (*sim.Engine, *fabric.Fabric, *Team) {
+	t.Helper()
+	eng := sim.NewEngine(seed)
 	var g *topology.Graph
 	if p <= 4 {
 		g = topology.Star(p)
@@ -38,30 +48,109 @@ func buildTeam(t *testing.T, p int, cfg Config) (*sim.Engine, *fabric.Fabric, *T
 			t.Fatal(err)
 		}
 	}
-	f := fabric.New(eng, g, fabric.Config{})
-	team, err := NewTeamOn(f, g.Hosts()[:p], cfg)
+	f := fabric.New(eng, g, fcfg)
+	team, err := newTeam(f, g.Hosts()[:p], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return eng, f, team
 }
 
-func TestRingAllgatherVerified(t *testing.T) {
-	_, _, team := buildTeam(t, 4, Config{VerifyData: true})
-	res, err := runN(team, (*Team).StartRingAllgather, 40000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := team.VerifyAllgather(40000); err != nil {
-		t.Fatal(err)
-	}
-	if res.Kind != "ring-allgather" || res.RecvBytes != 3*40000 {
-		t.Fatalf("result meta: %+v", res)
-	}
-	if res.Duration() <= 0 {
-		t.Fatal("non-positive duration")
+// newTeam builds a team on a private cluster over f.
+func newTeam(f *fabric.Fabric, hosts []topology.NodeID, cfg Config) (*Team, error) {
+	return NewTeam(cluster.New(f, cluster.Config{}), hosts, cfg)
+}
+
+// rcWriteStarts maps every RC-write baseline, by registry name, to its
+// entry point; the allgathers ignore root.
+var rcWriteStarts = map[string]func(t *Team, root, n int, cb func(*Result)) error{
+	"ring-allgather":    func(t *Team, _, n int, cb func(*Result)) error { return t.StartRingAllgather(n, cb) },
+	"linear-allgather":  func(t *Team, _, n int, cb func(*Result)) error { return t.StartLinearAllgather(n, cb) },
+	"rd-allgather":      func(t *Team, _, n int, cb func(*Result)) error { return t.StartRecursiveDoublingAllgather(n, cb) },
+	"bruck-allgather":   func(t *Team, _, n int, cb func(*Result)) error { return t.StartBruckAllgather(n, cb) },
+	"knomial-broadcast": (*Team).StartKnomialBroadcast,
+	"binary-broadcast":  (*Team).StartBinaryTreeBroadcast,
+	"chain-broadcast":   (*Team).StartChainBroadcast,
+}
+
+// verifiedCase is one data-checked run of RC-write baselines.
+type verifiedCase struct {
+	algs  []string // nil: every baseline in rcWriteStarts
+	ranks []int
+	n     int
+	chunk int // Config.ChunkBytes (0: the default)
+	root  int
+	// seeds > 0 runs engine seeds 1..seeds on a fabric with jitter and
+	// drop; seeds == 0 runs the quiet fabric once.
+	seeds  int
+	jitter sim.Time
+	drop   float64
+	// slow, when set, adds that latency to every channel of the last rank.
+	slow sim.Time
+}
+
+// verifiedCases is every data-checked run of the RC-write baselines. The
+// noisy rows reorder and drop writes, so a later step's or chunk's write
+// can land before an earlier one; the slow rows let one rank's partners
+// run a round ahead of it.
+var verifiedCases = []verifiedCase{
+	{algs: []string{"ring-allgather"}, ranks: []int{4}, n: 40000},
+	{algs: []string{"linear-allgather"}, ranks: []int{4}, n: 20000},
+	{algs: []string{"rd-allgather"}, ranks: []int{8}, n: 16384},
+	{algs: []string{"bruck-allgather"}, ranks: []int{2, 3, 4, 7, 8, 13}, n: 12000},
+	{algs: []string{"knomial-broadcast"}, ranks: []int{2, 4, 8, 13}, n: 30000},
+	{algs: []string{"binary-broadcast"}, ranks: []int{8}, n: 100000, chunk: 4096},
+	{algs: []string{"chain-broadcast"}, ranks: []int{8}, n: 65536, chunk: 8192},
+	{ranks: []int{8}, n: 32768, chunk: 4096, seeds: 20, jitter: 5 * sim.Microsecond, drop: 0.01},
+	{algs: []string{"ring-allgather", "linear-allgather", "bruck-allgather",
+		"knomial-broadcast", "binary-broadcast", "chain-broadcast"},
+		ranks: []int{6}, n: 24000, chunk: 4096, root: 2, seeds: 20, jitter: 5 * sim.Microsecond, drop: 0.01},
+	{algs: []string{"rd-allgather", "bruck-allgather"}, ranks: []int{8, 16}, n: 4096, slow: 5 * sim.Microsecond},
+}
+
+// checkVerified runs every verifiedCases row that names alg and checks the
+// result and every rank's bytes.
+func checkVerified(t *testing.T, alg string) {
+	start := rcWriteStarts[alg]
+	for _, c := range verifiedCases {
+		if c.algs != nil && !slices.Contains(c.algs, alg) {
+			continue
+		}
+		for _, p := range c.ranks {
+			for seed := min(c.seeds, 1); seed <= c.seeds; seed++ {
+				fcfg := fabric.Config{ReorderJitter: c.jitter, DropRate: c.drop}
+				_, f, team := buildNoisyTeam(t, uint64(17+seed), p, fcfg, Config{VerifyData: true, ChunkBytes: c.chunk})
+				if c.slow > 0 {
+					slowHost := team.peers[p-1].node.Host
+					for id := 0; id < f.NumChannels(); id++ {
+						if from, to := f.ChannelEnds(fabric.ChannelID(id)); from == slowHost || to == slowHost {
+							f.SetExtraLatency(fabric.ChannelID(id), c.slow)
+						}
+					}
+				}
+				name := fmt.Sprintf("P=%d n=%d seed=%d jitter=%v drop=%g slow=%v", p, c.n, seed, c.jitter, c.drop, c.slow)
+				res, err := blocking(team, func(cb func(*Result)) error { return start(team, c.root, c.n, cb) })
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				recv := (p - 1) * c.n
+				if strings.HasSuffix(alg, "broadcast") {
+					err, recv = team.VerifyBroadcast(c.root, c.n), c.n
+				} else {
+					err = team.VerifyAllgather(c.n)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if res.Kind != alg || res.RecvBytes != recv || res.Duration() <= 0 {
+					t.Fatalf("%s: result meta: %+v", name, res)
+				}
+			}
+		}
 	}
 }
+
+func TestRingAllgatherVerified(t *testing.T) { checkVerified(t, "ring-allgather") }
 
 func TestRingAllgatherSingleRank(t *testing.T) {
 	_, _, team := buildTeam(t, 1, Config{VerifyData: true})
@@ -70,25 +159,9 @@ func TestRingAllgatherSingleRank(t *testing.T) {
 	}
 }
 
-func TestLinearAllgatherVerified(t *testing.T) {
-	_, _, team := buildTeam(t, 4, Config{VerifyData: true})
-	if _, err := runN(team, (*Team).StartLinearAllgather, 20000); err != nil {
-		t.Fatal(err)
-	}
-	if err := team.VerifyAllgather(20000); err != nil {
-		t.Fatal(err)
-	}
-}
+func TestLinearAllgatherVerified(t *testing.T) { checkVerified(t, "linear-allgather") }
 
-func TestRecursiveDoublingAllgatherVerified(t *testing.T) {
-	_, _, team := buildTeam(t, 8, Config{VerifyData: true})
-	if _, err := runN(team, (*Team).StartRecursiveDoublingAllgather, 16384); err != nil {
-		t.Fatal(err)
-	}
-	if err := team.VerifyAllgather(16384); err != nil {
-		t.Fatal(err)
-	}
-}
+func TestRecursiveDoublingAllgatherVerified(t *testing.T) { checkVerified(t, "rd-allgather") }
 
 func TestRecursiveDoublingRejectsNonPow2(t *testing.T) {
 	_, _, team := buildTeam(t, 3, Config{})
@@ -97,17 +170,7 @@ func TestRecursiveDoublingRejectsNonPow2(t *testing.T) {
 	}
 }
 
-func TestKnomialBroadcastVerified(t *testing.T) {
-	for _, p := range []int{2, 4, 8, 13} {
-		_, _, team := buildTeam(t, p, Config{VerifyData: true, KnomialRadix: 4})
-		if _, err := runRooted(team, (*Team).StartKnomialBroadcast, 0, 30000); err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		if err := team.VerifyBroadcast(0, 30000); err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-	}
-}
+func TestKnomialBroadcastVerified(t *testing.T) { checkVerified(t, "knomial-broadcast") }
 
 func TestKnomialNonZeroRoot(t *testing.T) {
 	_, _, team := buildTeam(t, 8, Config{VerifyData: true})
@@ -176,25 +239,9 @@ func TestKnomialTreeCoversAllRanks(t *testing.T) {
 	}
 }
 
-func TestBinaryTreeBroadcastVerified(t *testing.T) {
-	_, _, team := buildTeam(t, 8, Config{VerifyData: true, ChunkBytes: 4096})
-	if _, err := runRooted(team, (*Team).StartBinaryTreeBroadcast, 0, 100000); err != nil {
-		t.Fatal(err)
-	}
-	if err := team.VerifyBroadcast(0, 100000); err != nil {
-		t.Fatal(err)
-	}
-}
+func TestBinaryTreeBroadcastVerified(t *testing.T) { checkVerified(t, "binary-broadcast") }
 
-func TestChainBroadcastVerified(t *testing.T) {
-	_, _, team := buildTeam(t, 8, Config{VerifyData: true, ChunkBytes: 8192})
-	if _, err := runRooted(team, (*Team).StartChainBroadcast, 0, 65536); err != nil {
-		t.Fatal(err)
-	}
-	if err := team.VerifyBroadcast(0, 65536); err != nil {
-		t.Fatal(err)
-	}
-}
+func TestChainBroadcastVerified(t *testing.T) { checkVerified(t, "chain-broadcast") }
 
 func TestPipeliningBeatsStoreAndForwardAtLargeN(t *testing.T) {
 	// Chunked binary tree must beat whole-message k-nomial at multi-MiB
@@ -231,7 +278,7 @@ func TestINCReduceScatter(t *testing.T) {
 	eng := sim.NewEngine(3)
 	g := topology.Star(4)
 	f := fabric.New(eng, g, fabric.Config{})
-	team, err := NewTeamOn(f, g.Hosts(), Config{})
+	team, err := newTeam(f, g.Hosts(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +305,7 @@ func TestINCSendPathDominates(t *testing.T) {
 	eng := sim.NewEngine(3)
 	g := topology.Star(4)
 	f := fabric.New(eng, g, fabric.Config{})
-	team, _ := NewTeamOn(f, g.Hosts(), Config{})
+	team, _ := newTeam(f, g.Hosts(), Config{})
 	rg, _ := f.CreateReduceGroup(g.Switches()[0], g.Hosts())
 	if _, err := blocking(team, func(cb func(*Result)) error { return team.StartINCReduceScatter(rg, 65536, cb) }); err != nil {
 		t.Fatal(err)
@@ -279,7 +326,7 @@ func TestRingVsLinearTraffic(t *testing.T) {
 	eng := sim.NewEngine(5)
 	g := topology.Star(4)
 	f := fabric.New(eng, g, fabric.Config{})
-	team, _ := NewTeamOn(f, g.Hosts(), Config{})
+	team, _ := newTeam(f, g.Hosts(), Config{})
 	if _, err := runN(team, (*Team).StartRingAllgather, n); err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +387,12 @@ func TestBusyTeamRejectsSecondOp(t *testing.T) {
 	if err := team.StartRingAllgather(1000, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := team.StartRingAllgather(1000, nil); err == nil {
+	err := team.StartBruckAllgather(1000, nil)
+	if err == nil {
 		t.Fatal("second op accepted while busy")
+	}
+	if !strings.Contains(err.Error(), "ring-allgather running") {
+		t.Fatalf("busy error %q does not name the running op", err)
 	}
 }
 
@@ -356,7 +407,7 @@ func TestInvalidInputs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	g := topology.Star(2)
 	f := fabric.New(eng, g, fabric.Config{})
-	if _, err := NewTeamOn(f, nil, Config{}); err == nil {
+	if _, err := newTeam(f, nil, Config{}); err == nil {
 		t.Fatal("empty team accepted")
 	}
 }
@@ -394,17 +445,7 @@ func TestRingAllgatherBandwidthApproachesLink(t *testing.T) {
 	}
 }
 
-func TestBruckAllgatherVerified(t *testing.T) {
-	for _, p := range []int{2, 3, 4, 7, 8, 13} {
-		_, _, team := buildTeam(t, p, Config{VerifyData: true})
-		if _, err := runN(team, (*Team).StartBruckAllgather, 12000); err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-		if err := team.VerifyAllgather(12000); err != nil {
-			t.Fatalf("P=%d: %v", p, err)
-		}
-	}
-}
+func TestBruckAllgatherVerified(t *testing.T) { checkVerified(t, "bruck-allgather") }
 
 func TestBruckFewerStepsThanRing(t *testing.T) {
 	// Bruck finishes in ceil(log2 P) rounds: at small messages (latency

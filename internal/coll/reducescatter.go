@@ -9,109 +9,23 @@ import (
 	"repro/internal/verbs"
 )
 
-// --- ring reduce-scatter -------------------------------------------------------
-
-// ringRSState is the classic ring Reduce-Scatter over a P·n working buffer:
-// P-1 steps; at step k the rank sends shard (id-k) mod P (partially
-// reduced) to its right neighbor and accumulates shard (id-k-1) mod P
-// arriving from its left neighbor. Reduction compute is charged to the
-// rank's progress thread at the memory-bound vector rate.
-type ringRSState struct {
-	p      *peer
-	d      *opDriver
-	n      int // shard bytes
-	workMR *verbs.MR
-	step   int
-	// Counters rather than booleans: the left neighbor can run a step
-	// ahead (the ring is not pairwise-symmetric).
-	reduced int
-	sent    int
-	fin     bool
+// ringReduceScatter is the classic ring Reduce-Scatter over a P·n working
+// buffer: P-1 steps; at step k the rank writes shard (id-k) mod P
+// (partially reduced) to its right neighbour and accumulates shard
+// (id-k-1) mod P arriving from its left. The reduction is charged to the
+// rank's progress thread at the memory-bound vector rate, and an arrival
+// counts once it is reduced.
+var ringReduceScatter = &schedule{
+	kind: "ring-reduce-scatter", to: toRight, block: ringBlock, reduce: true,
+	init: func(op *stepOp) { op.mr = op.p.buf(op.d.n * op.p.team.Size()) },
 }
 
 // StartRingReduceScatter begins a non-blocking ring Reduce-Scatter: each
 // rank contributes P·n bytes and receives its n-byte reduced shard.
 func (t *Team) StartRingReduceScatter(n int, cb func(*Result)) error {
-	if err := t.checkIdle(n); err != nil {
-		return err
-	}
-	d := t.newDriver("ring-reduce-scatter", (t.Size()-1)*n, (t.Size()-1)*n, cb)
-	size := t.Size()
-	for _, p := range t.peers {
-		st := &ringRSState{p: p, d: d, n: n, workMR: p.buf(n * size)}
-		p.op = st
-		if size == 1 {
-			st.fin = true
-			p.eng.AfterHandler(0, d, 0, 0, p)
-			continue
-		}
-		st.sendStep()
-	}
-	return nil
+	steps := t.Size() - 1
+	return t.start(ringReduceScatter, stepShape{n: n, steps: steps, want: steps, send: steps * n, recv: steps * n}, cb)
 }
-
-func (st *ringRSState) sendStep() {
-	t := st.p.team
-	size := t.Size()
-	shard := (st.p.id - st.step + size) % size
-	right := (st.p.id + 1) % size
-	qp := t.qpTo(st.p.id, right)
-	post := st.p.thread.Run(dpa.SendPost, st.p.eng.Now())
-	st.p.eng.AtHandler(post, st, uint64(shard), 0, qp)
-}
-
-// OnEvent dispatches the state's two timer kinds: with a QP payload it
-// posts the scheduled shard write (arg0 = shard); with no payload it is a
-// vector-reduction completing on the progress thread.
-func (st *ringRSState) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, _ int, obj any) {
-	if qp, ok := obj.(*verbs.QP); ok {
-		t := st.p.team
-		shard := int(arg0)
-		qp.PostWriteRC(arg0, st.workMR, shard*st.n, st.n,
-			st.workMR.Key, shard*st.n, t.encImm(shard), true)
-		return
-	}
-	st.reduced++
-	st.advance()
-}
-
-func (st *ringRSState) handle(e verbs.CQE) {
-	t := st.p.team
-	switch e.Op {
-	case verbs.OpRecvWriteImm:
-		if _, ok := t.checkSeq(e.Imm); !ok {
-			return
-		}
-		// Accumulate the incoming partial shard: memory-bound vector add on
-		// the progress thread. (Sequential RunCycles calls serialize on the
-		// thread, so back-to-back arrivals reduce one after another.)
-		cycles := float64(st.n) * st.p.node.CPU.Freq / reduceBandwidth
-		done := st.p.thread.RunCycles(cycles, cycles, st.p.eng.Now())
-		st.p.eng.AtHandler(done, st, 0, 0, nil)
-		return
-	case verbs.OpSend:
-		st.sent++
-	case verbs.OpErr:
-		panic("coll: ring reduce-scatter transport error")
-	default:
-		return
-	}
-	st.advance()
-}
-
-func (st *ringRSState) advance() {
-	for !st.fin && st.reduced > st.step && st.sent > st.step {
-		st.step++
-		if st.step == st.p.team.Size()-1 {
-			st.fin = true
-			st.d.rankDone(st.p)
-			return
-		}
-		st.sendStep()
-	}
-}
-
-func (st *ringRSState) done() bool { return st.fin }
 
 // --- in-network-compute reduce-scatter -------------------------------------------
 
@@ -240,4 +154,4 @@ func (st *incRSState) handle(e verbs.CQE) {
 	}
 }
 
-func (st *incRSState) done() bool { return st.fin }
+func (st *incRSState) kind() string { return st.d.res.Kind }

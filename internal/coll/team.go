@@ -1,20 +1,39 @@
 // Package coll implements the point-to-point baseline collectives the paper
-// compares against (§VI-B): ring / linear / recursive-doubling Allgather,
-// k-nomial and pipelined binary-tree Broadcast (the bandwidth-optimized
-// UCC/UCX P2P algorithms), ring Reduce-Scatter, and a SHARP-style
-// in-network-compute Reduce-Scatter over the fabric's reduction trees
-// (used by the Appendix B concurrent {Allgather, Reduce-Scatter} study).
+// compares against (§VI-B): ring, linear, recursive-doubling and Bruck
+// Allgather, k-nomial and chunk-pipelined binary-tree and chain Broadcast
+// (the bandwidth-optimized UCC/UCX P2P algorithms), ring Reduce-Scatter,
+// and a SHARP-style in-network-compute Reduce-Scatter over the fabric's
+// reduction trees (used by the Appendix B concurrent {Allgather,
+// Reduce-Scatter} study).
 //
-// All baselines run over RC queue pairs (the zero-copy rendezvous path of
-// production stacks): block transfers are RDMA Writes with immediate, and
-// progression is completion-driven with per-CQE costs charged to each
-// rank's progress thread, so baselines and the multicast protocol pay
-// comparable software overheads.
+// Every baseline but the in-network one is an RC-write baseline: blocks
+// move as RDMA Writes with immediate over RC queue pairs (the zero-copy
+// rendezvous path of production stacks), and progression is
+// completion-driven with per-CQE costs charged to each rank's progress
+// thread, so baselines and the multicast protocol pay comparable software
+// overheads. They all run on one step driver (stepOp). An algorithm is a
+// schedule: for step k, the ranks a rank writes to and the block it
+// writes. The driver posts, counts completions, and decides by one of two
+// progress rules when step k may be posted and when the rank is done:
+//
+//   - Counting. The ring Allgather, the ring Reduce-Scatter and the linear
+//     Allgather count arrivals (the Reduce-Scatter once each shard's
+//     reduction has run). For the ring the count is exact: the left
+//     neighbour posts step k only after its step k-1 write was acked, so
+//     step k's block never lands before step k-1's.
+//   - Tags. Recursive doubling and Bruck wait at step k for the write
+//     tagged k-1, and the tree broadcasts forward chunk k once the write
+//     tagged k has landed. Their writes come from different partners per
+//     round, or are chunks that may overtake one another, so a count would
+//     mistake an early later write for the one awaited.
+//
+// The in-network Reduce-Scatter is a UD datagram stream with its own state.
 package coll
 
 import (
 	"fmt"
 
+	"repro/internal/bitmap"
 	"repro/internal/cluster"
 	"repro/internal/collective"
 	"repro/internal/dpa"
@@ -82,15 +101,18 @@ type peer struct {
 	// udQP receives in-network reduction results.
 	udQP    *verbs.QP
 	mrCache map[int]*verbs.MR
-	op      p2pOp
+	// tags records the arrived step tags of a schedule that waits on
+	// them; it is reset per op and keeps its storage.
+	tags bitmap.Bitmap
+	op   p2pOp // nil when the rank is idle
 }
 
-// p2pOp is the per-rank state machine of one in-flight baseline collective.
+// p2pOp is one rank's part of an in-flight baseline collective.
 type p2pOp interface {
 	// handle processes one completion belonging to this op.
 	handle(e verbs.CQE)
-	// done reports completion.
-	done() bool
+	// kind names the collective ("ring-allgather", ...).
+	kind() string
 }
 
 // NewTeam builds a team over hosts using the shared cluster runtime.
@@ -122,11 +144,6 @@ func NewTeam(cl *cluster.Cluster, hosts []topology.NodeID, cfg Config) (*Team, e
 		t.peers = append(t.peers, p)
 	}
 	return t, nil
-}
-
-// NewTeamOn builds a team with a private cluster (convenience).
-func NewTeamOn(f *fabric.Fabric, hosts []topology.NodeID, cfg Config) (*Team, error) {
-	return NewTeam(cluster.New(f, cluster.Config{}), hosts, cfg)
 }
 
 // Size returns the number of ranks.
@@ -170,12 +187,15 @@ func (p *peer) buf(size int) *verbs.MR {
 type Result = collective.Result
 
 // opDriver tracks completion across ranks and finalizes the Result: End is
-// the clock at the final completion.
+// the clock at the final completion. An RC-write op also keeps its
+// schedule and shape here, shared by every rank.
 type opDriver struct {
 	t         *Team
 	res       *Result
 	remaining int
 	cb        func(*Result)
+	s         *schedule
+	stepShape
 }
 
 func (t *Team) newDriver(kind string, sendBytes, recvBytes int, cb func(*Result)) *opDriver {
@@ -226,6 +246,19 @@ func (t *Team) encImm(tag int) uint32 {
 
 func decImm(imm uint32) (seqLow, tag int) {
 	return int(imm >> 24), int(imm & 0xFFFFFF)
+}
+
+// checkIdle validates team state before starting an operation.
+func (t *Team) checkIdle(n int) error {
+	if n <= 0 {
+		return fmt.Errorf("coll: non-positive size %d", n)
+	}
+	for _, p := range t.peers {
+		if p.op != nil {
+			return fmt.Errorf("coll: rank %d busy (%s running)", p.id, p.op.kind())
+		}
+	}
+	return nil
 }
 
 // checkSeq filters completions from stale operations.

@@ -59,7 +59,7 @@ func TestConstantSendBandwidth(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := fabric.New(eng, g, fabric.Config{})
-		comm, err := NewCommunicator(f, g.Hosts(), Config{Transport: verbs.UD})
+		comm, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestConstantTimeBroadcast(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := fabric.New(eng, g, fabric.Config{})
-		comm, err := NewCommunicator(f, g.Hosts(), Config{Transport: verbs.UD})
+		comm, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestRingSendBandwidthGrowsLinearly(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := fabric.New(eng, g, fabric.Config{})
-		comm, err := NewCommunicator(f, g.Hosts(), Config{Transport: verbs.UD})
+		comm, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestFig9ExecutionFlow(t *testing.T) {
 	eng := sim.NewEngine(11)
 	g := topology.Star(4)
 	f := fabric.New(eng, g, fabric.Config{})
-	comm, err := NewCommunicator(f, g.Hosts(), Config{Transport: verbs.UD, Tracer: rec})
+	comm, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD, Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestTraceRecordsRecovery(t *testing.T) {
 	eng := sim.NewEngine(21)
 	g := topology.Star(4)
 	f := fabric.New(eng, g, fabric.Config{DropRate: 0.05})
-	comm, err := NewCommunicator(f, g.Hosts(), Config{
+	comm, err := newComm(f, g.Hosts(), Config{
 		Transport: verbs.UD, Tracer: rec, VerifyData: true,
 		CutoffAlpha: 50 * sim.Microsecond,
 	})
@@ -250,7 +250,7 @@ func TestBarrierScalesLogarithmically(t *testing.T) {
 		eng := sim.NewEngine(2)
 		g := topology.Star(p)
 		f := fabric.New(eng, g, fabric.Config{})
-		comm, err := NewCommunicator(f, g.Hosts(), Config{Transport: verbs.UD})
+		comm, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +277,7 @@ func TestSequencerLimitsIncast(t *testing.T) {
 		eng := sim.NewEngine(4)
 		g := topology.Star(16)
 		f := fabric.New(eng, g, fabric.Config{})
-		comm, err := NewCommunicator(f, g.Hosts(), Config{
+		comm, err := newComm(f, g.Hosts(), Config{
 			Transport: verbs.UD, Chains: chains, Subgroups: 4,
 		})
 		if err != nil {
@@ -315,7 +315,7 @@ func TestSubgroupTreesSpreadAcrossSpines(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := fabric.New(eng, g, fabric.Config{})
-	comm, err := NewCommunicator(f, g.Hosts(), Config{Transport: verbs.UD, Subgroups: 2})
+	comm, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD, Subgroups: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,8 +78,6 @@ type Config struct {
 	// proposes for many-communicator deployments (§V-C). All communicators
 	// sharing a host must use the same Subgroups count and transport.
 	ArbitratedRx bool
-	// CPUCores sizes each rank's host CPU model. Zero defaults to 24.
-	CPUCores int
 	// VerifyData allocates real backing memory for all buffers so tests
 	// can check payload integrity end to end.
 	VerifyData bool
@@ -109,9 +107,6 @@ func (c Config) withDefaults(mtu int) Config {
 	}
 	if c.CutoffAlpha == 0 {
 		c.CutoffAlpha = 500 * sim.Microsecond
-	}
-	if c.CPUCores == 0 {
-		c.CPUCores = 24
 	}
 	return c
 }
@@ -149,17 +144,6 @@ type Communicator struct {
 
 	opSeq int
 	compl *completion // countdown of the in-flight op, nil when idle
-}
-
-// NewCommunicator builds a communicator over the given hosts with a
-// private per-host runtime. Use NewCommunicatorOn to share host resources
-// (NIC context, CPU cores) with other communicators or collective teams.
-func NewCommunicator(f *fabric.Fabric, hosts []topology.NodeID, cfg Config) (*Communicator, error) {
-	cl := cluster.New(f, cluster.Config{
-		CPUCores: cfg.CPUCores,
-		Verbs:    verbs.Config{RQDepth: cfg.RQDepth},
-	})
-	return NewCommunicatorOn(cl, hosts, cfg)
 }
 
 // NewCommunicatorOn builds a communicator whose ranks run on the shared

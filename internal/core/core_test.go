@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cluster"
 	"repro/internal/collective"
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -25,6 +26,11 @@ func runBarrier(c *Communicator) (*Result, error) {
 	return collective.RunBlocking("barrier", c.eng, c.StartBarrier)
 }
 
+// newComm builds a communicator on a cluster of its own over f.
+func newComm(f *fabric.Fabric, hosts []topology.NodeID, cfg Config) (*Communicator, error) {
+	return NewCommunicatorOn(cluster.New(f, cluster.Config{}), hosts, cfg)
+}
+
 // buildComm assembles a fat-tree fabric with p ranks and a communicator.
 func buildComm(t *testing.T, p int, fcfg fabric.Config, ccfg Config) (*sim.Engine, *fabric.Fabric, *Communicator) {
 	t.Helper()
@@ -42,7 +48,7 @@ func buildComm(t *testing.T, p int, fcfg fabric.Config, ccfg Config) (*sim.Engin
 		}
 	}
 	f := fabric.New(eng, g, fcfg)
-	comm, err := NewCommunicator(f, g.Hosts()[:p], ccfg)
+	comm, err := newComm(f, g.Hosts()[:p], ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,16 +290,16 @@ func TestInvalidConfigs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	g := topology.Star(2)
 	f := fabric.New(eng, g, fabric.Config{})
-	if _, err := NewCommunicator(f, g.Hosts(), Config{Transport: verbs.RC}); err == nil {
+	if _, err := newComm(f, g.Hosts(), Config{Transport: verbs.RC}); err == nil {
 		t.Fatal("RC fast path accepted")
 	}
-	if _, err := NewCommunicator(f, g.Hosts(), Config{Transport: verbs.UD, ChunkBytes: 8192}); err == nil {
+	if _, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD, ChunkBytes: 8192}); err == nil {
 		t.Fatal("UD chunk above MTU accepted")
 	}
-	if _, err := NewCommunicator(f, nil, Config{Transport: verbs.UD}); err == nil {
+	if _, err := newComm(f, nil, Config{Transport: verbs.UD}); err == nil {
 		t.Fatal("empty communicator accepted")
 	}
-	comm, err := NewCommunicator(f, g.Hosts(), Config{Transport: verbs.UD})
+	comm, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +356,7 @@ func TestTrafficOptimality(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := fabric.New(eng, g, fabric.Config{})
-	comm, err := NewCommunicator(f, g.Hosts(), Config{Transport: verbs.UD})
+	comm, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +455,7 @@ func TestPropertyProtocolAlwaysCompletes(t *testing.T) {
 		eng := sim.NewEngine(uint64(pRaw)<<24 | uint64(sizeRaw)<<16 | uint64(dropRaw))
 		g := topology.Star(p)
 		fb := fabric.New(eng, g, fabric.Config{DropRate: drop})
-		comm, err := NewCommunicator(fb, g.Hosts(), Config{
+		comm, err := newComm(fb, g.Hosts(), Config{
 			Transport:   verbs.UD,
 			Subgroups:   subgroups,
 			VerifyData:  true,

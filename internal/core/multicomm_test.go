@@ -229,7 +229,7 @@ func TestMemoryFootprint(t *testing.T) {
 	eng := sim.NewEngine(3)
 	g := topology.Star(8)
 	f := fabric.New(eng, g, fabric.Config{})
-	comm, err := NewCommunicator(f, g.Hosts(), Config{
+	comm, err := newComm(f, g.Hosts(), Config{
 		Transport: verbs.UD, Subgroups: 4, RQDepth: 1024,
 	})
 	if err != nil {

@@ -31,9 +31,10 @@ type Options struct {
 	Hosts []topology.NodeID
 	// Core tunes the multicast protocol (mcast-* algorithms and the gather
 	// half of mcast-allreduce). The zero value selects the UD fast path
-	// with the paper's defaults. Host-level knobs (CPUCores, RQDepth) are
-	// properties of the shared cluster the algorithm is built on — set
-	// them when constructing the System/cluster; they have no effect here.
+	// with the paper's defaults. Its RQDepth sizes every subgroup's data QP
+	// receive queue and, over UD, its staging ring. The host CPU model is
+	// a property of the shared cluster the algorithm is built on
+	// (cluster.Config.CPUCores).
 	Core core.Config
 	// Coll tunes the P2P baselines (chunk size, k-nomial radix, data
 	// verification).
