@@ -1,6 +1,10 @@
 package fabric
 
-import "repro/internal/sim"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // DetachGroup unsubscribes the NIC. Packets for the group still traverse
 // the tree but are not delivered locally.
@@ -30,4 +34,52 @@ func (n *NIC) injectPacket(pkt *Packet) sim.Time {
 		n.f.pool.put(p)
 	}
 	return wire
+}
+
+// Held reports how many hops wait in port FIFOs: zero at quiescence.
+func (f *Fabric) Held() int {
+	n := 0
+	for c := range f.fifos {
+		n += f.heldAt(c)
+	}
+	return n
+}
+
+// heldAt reports how many hops wait in channel c's FIFO.
+func (f *Fabric) heldAt(c int) int {
+	n := 0
+	if q := f.fifos[c]; q != nil {
+		for k, h := q.head, q.h; k != nil; k, h = k.next, 0 {
+			if k == q.tail {
+				n += q.t - h
+				break
+			}
+			n += heldChunkLen - h
+		}
+	}
+	return n
+}
+
+// PerLinkBytes returns the wire bytes per directed channel, keyed by
+// "<from>-><to>#<link>" strings, for tests of the traffic distribution.
+func (f *Fabric) PerLinkBytes() map[string]uint64 {
+	m := make(map[string]uint64, len(f.chans))
+	for i := range f.chans {
+		ch := &f.chans[i]
+		key := fmt.Sprintf("%d->%d#%d", ch.from, ch.to, i/2)
+		m[key] = ch.stats.Bytes
+	}
+	return m
+}
+
+// MaxChannelBytes returns the hottest channel's byte count; the ratio of
+// max to mean indicates load balance across trees/paths.
+func (f *Fabric) MaxChannelBytes() uint64 {
+	var max uint64
+	for i := range f.chans {
+		if b := f.chans[i].stats.Bytes; b > max {
+			max = b
+		}
+	}
+	return max
 }

@@ -15,6 +15,11 @@
 //     reliability slow path has something to recover from;
 //   - per-port byte/packet counters, mirroring the switch counters the
 //     paper reads for the Figure 12 traffic-reduction experiment.
+//
+// A hop's landing fires at the (time, sequence number) its booking gives it.
+// At a congested switch port the hop waits in the port's FIFO rather than
+// in the engine until a hop ahead of it lands (hold.go); a held hop counts
+// as scheduled in Packet.refs and the engine's Scheduled and Pending.
 package fabric
 
 import (
@@ -49,9 +54,9 @@ type Packet struct {
 	// PayloadBytes is the user data size; WireBytes (payload + header) is
 	// what occupies link capacity and counters.
 	PayloadBytes int
-	// refs counts the scheduled hops carrying the packet: arrivals and
-	// jittered deliveries. A multicast packet is one object on every branch
-	// of its tree, so it has one ref per branch in flight.
+	// refs counts the scheduled hops carrying the packet: arrivals, held
+	// hops and jittered deliveries. A multicast packet is one object on
+	// every branch of its tree, so it has one ref per branch in flight.
 	refs int32
 }
 
@@ -167,9 +172,10 @@ type PortStats struct {
 // are the bulk of a fabric's memory, and the narrow fields keep them small.
 type channel struct {
 	from, to int32   // topology.NodeIDs
+	serSize  int32   // wire size the cached serialization time is for
+	hops     int32   // the channel's hop landings queued in the engine
 	bw       float64 // effective bytes/sec
 	baseBw   float64 // configured bytes/sec
-	serSize  int     // wire size the cached serialization time is for
 	serTime  sim.Time
 	extraLat sim.Time
 	// dropOverride replaces Config.DropRate on this channel when >= 0.
@@ -219,6 +225,13 @@ type Fabric struct {
 	trainsMade   int      // trains NewTrain has allocated
 	groups       []*topology.MulticastTree
 	reduceGroups []*reduceGroup
+	// fifos[c] is switch port c's FIFO of held hops, made when the port
+	// first needs one; their hops wait in chunks carved from heldSlab,
+	// heldChunks of them so far, and recycled through freeHeld.
+	fifos      []*portFIFO
+	heldSlab   []heldChunk
+	heldChunks int
+	freeHeld   *heldChunk
 
 	// TotalDropped counts fabric drops across all channels.
 	TotalDropped uint64
@@ -357,17 +370,17 @@ func (f *Fabric) wireBytes(pkt *Packet) int { return pkt.PayloadBytes + f.cfg.He
 // where a precomputed 1e9/bw reciprocal would round differently in the
 // last ulp and shift event times.
 func (ch *channel) serialization(size int) sim.Time {
-	if size == ch.serSize {
+	if size == int(ch.serSize) {
 		return ch.serTime
 	}
 	t := sim.Time(float64(size) / ch.bw * 1e9)
-	ch.serSize, ch.serTime = size, t
+	ch.serSize, ch.serTime = int32(size), t
 	return t
 }
 
 // transmit serializes pkt onto the channel leaving node via port, then
-// schedules arrival processing at the peer. It returns the serialization
-// completion time on that channel.
+// schedules arrival processing at the peer or holds it (see hold). It
+// returns the serialization completion time on that channel.
 func (f *Fabric) transmit(pkt *Packet, node topology.NodeID, port int) sim.Time {
 	c := f.egress(node, port)
 	ch := &f.chans[c]
@@ -376,7 +389,10 @@ func (f *Fabric) transmit(pkt *Packet, node topology.NodeID, port int) sim.Time 
 	}
 	arrival := ch.nextFree + f.cfg.LinkLatency + ch.extraLat
 	pkt.refs++
-	f.eng.AtHandler(arrival, f.arriveH, uint64(ch.to), c>>1, pkt)
+	if ch.hops < holdDepth || !f.hold(c, arrival, pkt) {
+		ch.hops++
+		f.eng.AtHandler(arrival, f.arriveH, uint64(ch.to), c, pkt)
+	}
 	return ch.nextFree
 }
 
@@ -410,13 +426,17 @@ func (f *Fabric) book(ch *channel, size int) bool {
 	return true
 }
 
-// arriveHandler dispatches a packet's landing at a node; arg0 is the node,
-// arg1 the link it crossed, obj the *Packet.
+// arriveHandler dispatches a packet's landing at a node, which queues the
+// next hop held at the channel it crossed; arg0 is the node, arg1 the
+// channel, obj the *Packet.
 type arriveHandler Fabric
 
 func (h *arriveHandler) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, arg1 int, obj any) {
 	f, pkt := (*Fabric)(h), obj.(*Packet)
-	f.arrive(pkt, topology.NodeID(arg0), arg1)
+	if f.chans[arg1].hops--; f.fifos != nil && f.fifos[arg1] != nil {
+		f.release(arg1)
+	}
+	f.arrive(pkt, topology.NodeID(arg0), arg1>>1)
 	f.landed(pkt)
 }
 
@@ -569,7 +589,7 @@ func (f *Fabric) SetExtraLatency(id ChannelID, d sim.Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("fabric: negative extra latency %v", d))
 	}
-	f.chans[id].extraLat = d
+	f.setExtraLat(int(id), d)
 }
 
 // DropRateOverride returns the channel's current drop-rate override, or a
@@ -599,8 +619,8 @@ func (f *Fabric) ClearOverrides(id ChannelID) {
 	ch := &f.chans[id]
 	ch.bw = ch.baseBw
 	ch.serSize = -1
-	ch.extraLat = 0
 	ch.dropOverride = -1
+	f.setExtraLat(int(id), 0)
 }
 
 // UnicastPath returns the directed channels a unicast flow traverses from
@@ -718,30 +738,6 @@ func (f *Fabric) TotalWireBytes() uint64 {
 		total += f.chans[i].stats.Bytes
 	}
 	return total
-}
-
-// PerLinkBytes returns the wire bytes per directed channel, keyed by
-// "<from>-><to>#<link>" strings; used by traffic-distribution reports.
-func (f *Fabric) PerLinkBytes() map[string]uint64 {
-	m := make(map[string]uint64, len(f.chans))
-	for i := range f.chans {
-		ch := &f.chans[i]
-		key := fmt.Sprintf("%d->%d#%d", ch.from, ch.to, i/2)
-		m[key] = ch.stats.Bytes
-	}
-	return m
-}
-
-// MaxChannelBytes returns the hottest channel's byte count; the ratio of
-// max to mean indicates load balance across trees/paths.
-func (f *Fabric) MaxChannelBytes() uint64 {
-	var max uint64
-	for i := range f.chans {
-		if b := f.chans[i].stats.Bytes; b > max {
-			max = b
-		}
-	}
-	return max
 }
 
 // MaxBacklog returns the worst egress queueing delay observed on any

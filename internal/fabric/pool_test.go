@@ -70,6 +70,10 @@ type lifetimeLeg struct {
 	// drop is a random per-hop drop rate on top of the outages; with it a
 	// tag owes each host at most one delivery instead of exactly one.
 	drop float64
+	// congest slows every switch port to a twentieth of its bandwidth, so
+	// that ports hold hops in their FIFOs, and cuts their extra latency
+	// from 2 µs to 0 at a random time in every round.
+	congest bool
 }
 
 // TestPacketLifetimeProperty pins the pool's one ownership rule under
@@ -87,14 +91,14 @@ type lifetimeLeg struct {
 //     nor more trains than one round sends messages;
 //   - at quiescence every packet — multicast, reduced, background and
 //     dropped ones included — is back on the free list, once, and so is
-//     every train.
+//     every train, and no hop is left in a port's FIFO.
 //
-// Both legs run with ReorderJitter, a reduce group, background traffic and
+// Every leg runs with ReorderJitter, a reduce group, background traffic and
 // three special hosts: one whose uplink is down (its sends drop at Inject),
 // one whose downlink is down (tree branches toward it drop one hop short)
 // and one on the tree but detached from the group.
 func TestPacketLifetimeProperty(t *testing.T) {
-	legs := []lifetimeLeg{{name: "confined"}, {name: "lossy", drop: 0.05}}
+	legs := []lifetimeLeg{{name: "confined"}, {name: "lossy", drop: 0.05}, {name: "congested", congest: true}}
 	for _, leg := range legs {
 		for _, seed := range []uint64{1, 7, 42} {
 			t.Run(fmt.Sprintf("%s/seed=%d", leg.name, seed), func(t *testing.T) { runLifetime(t, leg, seed) })
@@ -136,6 +140,13 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 	rg, err := f.CreateReduceGroup(g.TopSwitches()[1], members)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var switchPorts []ChannelID
+	for c := 0; c < f.NumChannels(); c++ {
+		if from, _ := f.ChannelEnds(ChannelID(c)); leg.congest && g.Nodes[from].Kind == topology.Switch {
+			switchPorts = append(switchPorts, ChannelID(c))
+			f.SetBandwidthScale(ChannelID(c), 0.05)
+		}
 	}
 
 	owed := map[uint64]uint32{}    // tag -> bitmask of hosts still owed a delivery
@@ -252,6 +263,10 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 				nics[s].InjectTrain(tr)
 			}), 0, 0, nil)
 		}
+		for _, c := range switchPorts {
+			f.SetExtraLatency(c, 2*sim.Microsecond)
+			eng.AtHandler(at(), call(func() { f.SetExtraLatency(c, 0) }), 0, 0, nil)
+		}
 		chunk := uint64(r)
 		for _, s := range reducers {
 			tag++
@@ -282,6 +297,9 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 		if len(f.trains) != f.trainsMade || len(backTrains) != f.trainsMade {
 			t.Fatalf("round %d: at quiescence %d trains (%d distinct) are back of the %d made", r, len(f.trains), len(backTrains), f.trainsMade)
 		}
+		if n := f.Held(); n != 0 {
+			t.Fatalf("round %d: at quiescence %d hops are still held in port FIFOs", r, n)
+		}
 		if leg.drop == 0 {
 			if len(owed) != 0 {
 				t.Fatalf("round %d: %d tags still owed deliveries at quiescence", r, len(owed))
@@ -293,6 +311,9 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 	}
 	if delivered == 0 || f.TotalDropped == 0 || f.BackgroundInjected == 0 {
 		t.Fatalf("void run: %d deliveries, %d drops, %d background packets", delivered, f.TotalDropped, f.BackgroundInjected)
+	}
+	if leg.congest && f.heldChunks == 0 {
+		t.Fatal("void run: no switch port held a hop")
 	}
 }
 

@@ -155,7 +155,8 @@ func (n *NIC) InjectTrain(tr *Train) sim.Time {
 		// Holding a train until the first hop would keep a train and a
 		// packet per datagram instead of one packet: it has no later
 		// segment to queue.
-		f.eng.AtHandler(tr.arrival(0), f.arriveH, uint64(tr.peer), tr.link, f.packet(tr, 0))
+		ch.hops++
+		f.eng.AtHandler(tr.arrival(0), f.arriveH, uint64(tr.peer), c, f.packet(tr, 0))
 		f.putTrain(tr)
 	default:
 		tr.seq = f.eng.Reserve(survivors)

@@ -43,11 +43,15 @@
 //
 // Every event is a typed Handler plus packed arguments (a uint64, an int,
 // and one pointer-shaped payload), scheduled with AtHandler or
-// AfterHandler. A producer that knows now how many events it will schedule
-// one at a time later (a message train: each segment's arrival queues the
-// next) takes their sequence numbers up front with Reserve and queues each
-// with AtReserved: the events then fire exactly where scheduling them all
-// at once would have put them, while only one of them is ever queued.
+// AfterHandler. A producer that knows now which events it will schedule
+// one at a time later takes their sequence numbers up front with Reserve
+// and queues each with AtReserved: the events then fire exactly where
+// scheduling them at once would have put them, while only a few of them
+// are ever queued. There are two producers: a message train (each
+// segment's arrival queues the next) and a congested switch port (each
+// landing of one of its hops queues the next hop waiting at the port).
+// Every reserved number must be queued: a queue that runs dry while
+// Pending counts one is a producer bug, and Run and Step panic on it.
 // Events are carved from engine-owned slabs and recycled through a free
 // list once fired or cancelled, so steady-state scheduling does not
 // allocate at all. The value-type Handle is the only reference to
@@ -807,10 +811,14 @@ func (e *Engine) PoolSize() int { return len(e.free) }
 // completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// step fires the next event. It returns false when the queue is empty.
+// step fires the next event. It returns false when the queue is empty, and
+// panics if reserved numbers are then still pending: nothing can queue them.
 func (e *Engine) step() bool {
 	ev := e.popEvent()
 	if ev == nil {
+		if e.live != 0 {
+			panic(fmt.Sprintf("sim: queue ran dry with %d reserved events never queued", e.live))
+		}
 		return false
 	}
 	if ev.at < e.now {

@@ -146,6 +146,26 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	e.Run()
 }
 
+// TestRunPanicsOnUnqueuedReservation: a reserved number that is never
+// queued would otherwise end Run early and silently, with Pending still
+// counting it. The producer queues one of two reserved events, from an
+// event that fires first; Run must fire it and then name the one left.
+func TestRunPanicsOnUnqueuedReservation(t *testing.T) {
+	e := NewEngine(1)
+	seq := e.Reserve(2)
+	fired := 0
+	e.AtHandler(5, call(func() {
+		e.AtReserved(10, seq, call(func() { fired++ }), 0, 0, nil)
+	}), 0, 0, nil)
+	defer func() {
+		msg, _ := recover().(string)
+		if want := "sim: queue ran dry with 1 reserved events never queued"; msg != want || fired != 1 {
+			t.Fatalf("Run panicked with %q after %d reserved events fired, want %q after 1", msg, fired, want)
+		}
+	}()
+	e.Run()
+}
+
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	e := NewEngine(1)
 	var fired []Time

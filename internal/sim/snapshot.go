@@ -128,8 +128,9 @@ func (e *Engine) Snapshot() *Snapshot {
 		record(ev)
 	}
 	if len(s.events) != e.live {
-		// The rest are reserved numbers not yet queued (a train in flight):
-		// their events exist only in the producer's state.
+		// The rest are reserved numbers not yet queued (a train in flight,
+		// or hops held at a congested switch port): their events exist only
+		// in the producer's state.
 		panic(fmt.Sprintf("sim: Snapshot with %d reserved events not yet queued", e.live-len(s.events)))
 	}
 	return s
