@@ -433,7 +433,8 @@ type arriveHandler Fabric
 
 func (h *arriveHandler) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, arg1 int, obj any) {
 	f, pkt := (*Fabric)(h), obj.(*Packet)
-	if f.chans[arg1].hops--; f.fifos != nil && f.fifos[arg1] != nil {
+	f.chans[arg1].hops--
+	if f.fifos != nil && f.fifos[arg1] != nil {
 		f.release(arg1)
 	}
 	f.arrive(pkt, topology.NodeID(arg0), arg1>>1)

@@ -24,11 +24,12 @@ type heldHop struct {
 	pkt *Packet
 }
 
-// heldChunk is a fixed run of FIFO slots; next is the chunk after it in its
-// FIFO or on the free list. One allocation carves as many chunks as were
-// made before it, at most heldSlabLen.
+// heldChunkLen is the slots in a chunk, and heldSlabLen the most chunks one
+// allocation carves: a slab carves as many as were made before it.
 const heldChunkLen, heldSlabLen = 64, 16
 
+// heldChunk is a fixed run of FIFO slots; next is the chunk after it in its
+// FIFO or on the free list.
 type heldChunk struct {
 	hops [heldChunkLen]heldHop
 	next *heldChunk

@@ -123,8 +123,8 @@ func runVerbsLifetime(t *testing.T, seed uint64) {
 		}
 		eng.Run()
 
-		if p, tr := f.Outstanding(); p != 0 || tr != 0 {
-			t.Fatalf("round %d: at quiescence %d packets and %d trains are not back on their free lists", r, p, tr)
+		if p, tr := f.Outstanding(); p != 0 || tr != 0 || f.Held() != 0 {
+			t.Fatalf("round %d: at quiescence %d packets and %d trains are not back on their free lists, %d hops held", r, p, tr, f.Held())
 		}
 		for _, h := range hs {
 			for e, ok := h.cq.Poll(); ok; e, ok = h.cq.Poll() {
