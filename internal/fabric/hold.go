@@ -6,15 +6,16 @@ import (
 )
 
 // A congested switch port keeps its waiting hops out of the engine. Once
-// holdDepth hops of a port are queued in the engine, the port's next hop
-// takes its sequence number (Engine.Reserve) and waits in the port's FIFO,
-// and each landing of one of the port's hops queues the FIFO's head
-// (Engine.AtReserved). A port books hops in ascending landing time, so the
-// head is never due before the landing that queues it: every hop fires at
-// the (time, seq) it was booked at. The port counts hops in the engine, not
-// hops booked, as a dropped hop lands nowhere. After a latency cut a hop
-// may land before those ahead of it, so the port holds nothing more until
-// it drains; uplinks never hold, as trains book them outside transmit.
+// holdDepth hops of a port are queued in the engine (a port only briefly
+// busy never gets that deep), its next hop takes its sequence number
+// (Engine.Reserve) and waits in the port's FIFO; each landing of one of the
+// port's hops queues the FIFO's head (Engine.AtReserved). A port books hops
+// in ascending landing time, so the head is never due before the landing
+// that queues it: every hop fires at the (time, seq) it was booked at. The
+// port counts hops in the engine, not hops booked: a dropped hop lands
+// nowhere. After a latency cut a hop may land before those ahead of it, so
+// the port holds nothing more until it drains. Uplinks never hold: trains
+// book them outside transmit.
 const holdDepth = 8
 
 // heldHop is a hop waiting in its port's FIFO: the landing it will queue.
