@@ -39,7 +39,7 @@ type Node struct {
 	dpa  *dpa.Chip
 	f    *fabric.Fabric
 
-	arbiters   []*dpa.Arbiter
+	arbiters   []*dpa.Worker
 	arbProfile dpa.Profile
 	arbOnDPA   bool
 }
@@ -53,12 +53,13 @@ func (n *Node) DPA() *dpa.Chip {
 	return n.dpa
 }
 
-// RxArbiters returns the node's shared receive arbiters, creating them on
-// first use: n hardware threads (from the DPA when onDPA, else the CPU)
-// each serving completion queues from every communicator on this host
-// round-robin per datagram — the software traffic arbitration of §V-C.
-// Later callers must request the same geometry.
-func (n *Node) RxArbiters(count int, onDPA bool, p dpa.Profile) ([]*dpa.Arbiter, error) {
+// RxArbiters returns the node's shared receive workers, creating them on
+// first use: count hardware threads (from the DPA when onDPA, else the
+// CPU), each a dpa.Worker that serves the completion queues every
+// communicator on this host hands it round-robin per datagram — the
+// software traffic arbitration of §V-C. Later callers must request the
+// same geometry.
+func (n *Node) RxArbiters(count int, onDPA bool, p dpa.Profile) ([]*dpa.Worker, error) {
 	if n.arbiters != nil {
 		if len(n.arbiters) != count || n.arbProfile != p || n.arbOnDPA != onDPA {
 			return nil, fmt.Errorf("cluster: host %d arbiters already created with different geometry", n.Host)
@@ -70,7 +71,7 @@ func (n *Node) RxArbiters(count int, onDPA bool, p dpa.Profile) ([]*dpa.Arbiter,
 		chip = n.DPA()
 	}
 	for _, th := range chip.AllocThreads(count) {
-		n.arbiters = append(n.arbiters, dpa.NewArbiter(n.f.Engine(), th, p))
+		n.arbiters = append(n.arbiters, dpa.NewWorker(n.f.Engine(), th, p))
 	}
 	n.arbProfile = p
 	n.arbOnDPA = onDPA

@@ -95,7 +95,6 @@ type peer struct {
 	// itself (send steps, completion marks) goes here.
 	eng    *sim.Engine
 	cq     *verbs.CQ
-	wkr    *dpa.Worker
 	thread *dpa.Thread
 	qps    map[int]*verbs.QP // peer rank -> RC QP
 	// udQP receives in-network reduction results.
@@ -134,13 +133,11 @@ func NewTeam(cl *cluster.Cluster, hosts []topology.NodeID, cfg Config) (*Team, e
 			mrCache: make(map[int]*verbs.MR),
 		}
 		p.udQP = node.Ctx.NewQP(verbs.UD, p.cq, p.cq, 0)
-		p.wkr = dpa.NewWorker(p.eng, p.thread, p.cq, p2pProgress)
-		p.wkr.Handle = func(e verbs.CQE) {
+		dpa.NewWorker(p.eng, p.thread, p2pProgress).Serve(p.cq, func(e verbs.CQE) {
 			if p.op != nil {
 				p.op.handle(e)
 			}
-		}
-		p.wkr.Start()
+		})
 		t.peers = append(t.peers, p)
 	}
 	return t, nil

@@ -72,11 +72,11 @@ type Config struct {
 	// host CPU cores (§V-B offloading). TX and the app thread stay on the
 	// CPU either way.
 	RxOnDPA bool
-	// ArbitratedRx subscribes the receive completion queues to the host's
-	// shared arbiters instead of dedicating one worker thread per subgroup
-	// per communicator — the software traffic arbitration the paper
-	// proposes for many-communicator deployments (§V-C). All communicators
-	// sharing a host must use the same Subgroups count and transport.
+	// ArbitratedRx serves subgroup s's receive CQ of every communicator on
+	// a host from that host's shared worker s (cluster.Node.RxArbiters),
+	// round-robin, instead of one dedicated worker thread per subgroup per
+	// communicator — the software traffic arbitration of §V-C. Communicators
+	// sharing a host must agree on Subgroups, transport and RxOnDPA.
 	ArbitratedRx bool
 	// VerifyData allocates real backing memory for all buffers so tests
 	// can check payload integrity end to end.

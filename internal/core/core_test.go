@@ -392,8 +392,8 @@ func TestRxOnDPA(t *testing.T) {
 	if err := comm.VerifyLast(); err != nil {
 		t.Fatal(err)
 	}
-	if comm.Rank(0).dpa == nil {
-		t.Fatal("DPA chip not instantiated")
+	if chip := comm.Rank(0).rxWkrs[0].Thread.Chip().Name(); chip != "dpa" {
+		t.Fatalf("receive worker runs on %q, want dpa", chip)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -130,8 +131,43 @@ func TestArbitratedOnDPA(t *testing.T) {
 	if err := comm.VerifyLast(); err != nil {
 		t.Fatal(err)
 	}
-	if comm.Rank(0).dpa == nil {
-		t.Fatal("DPA not instantiated for arbitrated offload")
+	if chip := comm.Rank(0).rxWkrs[0].Thread.Chip().Name(); chip != "dpa" {
+		t.Fatalf("arbitrated receive worker runs on %q, want dpa", chip)
+	}
+}
+
+// TestArbitratedMatchesDedicatedAlone checks that with one communicator
+// the host's shared receive workers are indistinguishable from dedicated
+// ones: each serves a single queue on a thread allocated in the same
+// order, so every result and event count must match exactly.
+func TestArbitratedMatchesDedicatedAlone(t *testing.T) {
+	run := func(rxOnDPA, arbitrated bool, drop float64) ([]*Result, uint64, uint64) {
+		eng, _, comm := buildComm(t, 8, fabric.Config{DropRate: drop}, Config{
+			Transport: verbs.UD, Subgroups: 2, RxOnDPA: rxOnDPA, ArbitratedRx: arbitrated,
+		})
+		var out []*Result
+		for i := 0; i < 3; i++ {
+			res, err := runAllgather(comm, 64<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, res)
+		}
+		return out, eng.Executed, eng.Scheduled
+	}
+	for _, rxOnDPA := range []bool{false, true} {
+		for _, drop := range []float64{0, 0.01} {
+			ded, dedExec, dedSched := run(rxOnDPA, false, drop)
+			arb, arbExec, arbSched := run(rxOnDPA, true, drop)
+			if !reflect.DeepEqual(ded, arb) {
+				t.Errorf("rxOnDPA=%v drop=%v: arbitrated results differ from dedicated", rxOnDPA, drop)
+			}
+			if dedExec != arbExec || dedSched != arbSched {
+				t.Errorf("rxOnDPA=%v drop=%v: events executed/scheduled %d/%d arbitrated, %d/%d dedicated",
+					rxOnDPA, drop, arbExec, arbSched, dedExec, dedSched)
+			}
+			t.Logf("rxOnDPA=%v drop=%v: %d events", rxOnDPA, drop, dedExec)
+		}
 	}
 }
 

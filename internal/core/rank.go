@@ -48,26 +48,20 @@ type Rank struct {
 	// (dispatch, timers, batch posts) run here.
 	eng *sim.Engine
 
-	cpu *dpa.Chip
-	dpa *dpa.Chip // nil unless RxOnDPA
-
 	appThread *dpa.Thread
 	txThread  *dpa.Thread
-	rxThreads []*dpa.Thread
 
 	// Fast path, one entry per subgroup.
 	dataQPs []*verbs.QP
 	dataCQs []*verbs.CQ
-	rxWkrs  []*dpa.Worker
-	staging []*verbs.MR // UD only
+	rxWkrs  []*dpa.Worker // rxWkrs[s] serves dataCQs[s]
+	staging []*verbs.MR   // UD only
 
 	// Control plane.
 	ctrlCQ   *verbs.CQ
 	ctrl     map[int]*verbs.QP // peer rank -> RC QP
 	qpPeer   map[verbs.QPN]int // local ctrl QPN -> peer rank
-	appWkr   *dpa.Worker
 	txCQ     *verbs.CQ
-	txWkr    *dpa.Worker
 	sendSlot *verbs.MR // ring of marshaling slots for outgoing ctrl payloads
 	sendIdx  int
 	slotMRs  map[verbs.QPN]*verbs.MR
@@ -112,28 +106,26 @@ func newRank(c *Communicator, id int, host topology.NodeID) (*Rank, error) {
 		ctrlCQ:  &verbs.CQ{},
 		txCQ:    &verbs.CQ{},
 	}
-	r.cpu = node.CPU
-	r.appThread = r.cpu.AllocThreads(1)[0]
-	r.txThread = r.cpu.AllocThreads(1)[0]
+	r.appThread = node.CPU.AllocThreads(1)[0]
+	r.txThread = node.CPU.AllocThreads(1)[0]
 
+	// Receive workers: the host's shared ones, or one per subgroup on its
+	// own thread. Allocating their threads after app and tx keeps each
+	// thread's place on its core, and so its DPA contention.
 	rxProfile := r.rxProfile()
-	var arbiters []*dpa.Arbiter
 	if cfg.ArbitratedRx {
 		var err error
-		arbiters, err = node.RxArbiters(cfg.Subgroups, cfg.RxOnDPA, rxProfile)
-		if err != nil {
+		if r.rxWkrs, err = node.RxArbiters(cfg.Subgroups, cfg.RxOnDPA, rxProfile); err != nil {
 			return nil, err
 		}
-		if cfg.RxOnDPA {
-			r.dpa = node.DPA()
-		}
 	} else {
-		rxChip := r.cpu
+		rxChip := node.CPU
 		if cfg.RxOnDPA {
-			r.dpa = node.DPA()
-			rxChip = r.dpa
+			rxChip = node.DPA()
 		}
-		r.rxThreads = rxChip.AllocThreads(cfg.Subgroups)
+		for _, th := range rxChip.AllocThreads(cfg.Subgroups) {
+			r.rxWkrs = append(r.rxWkrs, dpa.NewWorker(r.eng, th, rxProfile))
+		}
 	}
 
 	// Fast-path QPs: one per subgroup, each with its own CQ, served either
@@ -155,14 +147,7 @@ func newRank(c *Communicator, id int, host topology.NodeID) (*Rank, error) {
 		r.dataQPs = append(r.dataQPs, qp)
 		r.dataCQs = append(r.dataCQs, cq)
 		s := s
-		if cfg.ArbitratedRx {
-			arbiters[s].Subscribe(cq, func(e verbs.CQE) { r.handleData(s, e) })
-		} else {
-			w := dpa.NewWorker(r.eng, r.rxThreads[s], cq, rxProfile)
-			w.Handle = func(e verbs.CQE) { r.handleData(s, e) }
-			r.rxWkrs = append(r.rxWkrs, w)
-			w.Start()
-		}
+		r.rxWkrs[s].Serve(cq, func(e verbs.CQE) { r.handleData(s, e) })
 
 		if cfg.Transport == verbs.UD {
 			st := r.registerBuf(cfg.RQDepth * cfg.ChunkBytes)
@@ -171,12 +156,8 @@ func newRank(c *Communicator, id int, host topology.NodeID) (*Rank, error) {
 	}
 
 	// Control workers.
-	r.appWkr = dpa.NewWorker(r.eng, r.appThread, r.ctrlCQ, dpa.TaskDispatch)
-	r.appWkr.Handle = func(e verbs.CQE) { r.handleCtrl(e) }
-	r.appWkr.Start()
-	r.txWkr = dpa.NewWorker(r.eng, r.txThread, r.txCQ, dpa.SendPost)
-	r.txWkr.Handle = func(e verbs.CQE) { r.handleTxComp(e) }
-	r.txWkr.Start()
+	dpa.NewWorker(r.eng, r.appThread, dpa.TaskDispatch).Serve(r.ctrlCQ, r.handleCtrl)
+	dpa.NewWorker(r.eng, r.txThread, dpa.SendPost).Serve(r.txCQ, r.handleTxComp)
 
 	r.sendSlot = r.ctx.RegisterMRLazy(ctrlSlots * ctrlSlotBytes)
 	return r, nil

@@ -208,75 +208,93 @@ func (t *Thread) EffectiveLatencyCycles(p Profile) float64 {
 	return float64(p.LatencyCycles) * (1 + float64(t.chip.Contention*float64(t.core.allocated-1)))
 }
 
-// Worker pumps a completion queue through a hardware thread: each CQE costs
-// one Profile execution, after which Handle runs with the entry (protocol
-// actions: bitmap update, re-post, DMA copy, completion checks). This is
-// the simulated equivalent of the DOCA FlexIO event-handler kernel in
-// Appendix C of the paper.
+// Worker pumps completion queues through a hardware thread: each CQE costs
+// one Profile execution, after which the queue's handler runs with the
+// entry (protocol actions: bitmap update, re-post, DMA copy, completion
+// checks). With one queue this is the simulated equivalent of the DOCA
+// FlexIO event-handler kernel in Appendix C of the paper. With several it
+// is the software traffic arbitration of §V-C: one thread serves the
+// queues round-robin per entry, so a busy queue cannot starve one that
+// becomes active.
 type Worker struct {
 	Thread  *Thread
-	CQ      *verbs.CQ
 	Profile Profile
-	// Handle runs at service-completion time for each entry. Optional.
-	Handle func(e verbs.CQE)
-	// Idle, when set, runs each time the worker drains the CQ and arms it.
-	Idle func()
 
-	eng      *sim.Engine
+	eng    *sim.Engine
+	queues []queue
+	first  [1]queue // backs queues until a second one is served
+	// next is the queue polled first on the next round; int32 packs it
+	// with inflight, keeping a worker in the allocator's 160-byte class.
+	next     int32
 	inflight bool
-	stopped  bool
 	// pending is the entry being serviced; only one is in flight at a time,
-	// so the completion event carries no payload (closure-free pump).
+	// so the completion event carries just its queue index.
 	pending verbs.CQE
-	// armFn re-arms the CQ; built once so draining does not allocate.
+	// armFn re-arms the queues; built once so draining does not allocate.
 	armFn func()
-	// Processed counts entries fully handled.
+	// Processed counts entries fully handled across all queues.
 	Processed uint64
-	// LastDone is the service completion time of the most recent entry.
-	LastDone sim.Time
 }
 
-// NewWorker binds a thread to a CQ with a kernel profile.
-func NewWorker(eng *sim.Engine, th *Thread, cq *verbs.CQ, p Profile) *Worker {
-	w := &Worker{Thread: th, CQ: cq, Profile: p, eng: eng}
+type queue struct {
+	cq     *verbs.CQ
+	handle func(e verbs.CQE)
+}
+
+// NewWorker binds a thread to a kernel profile; Serve gives it queues.
+func NewWorker(eng *sim.Engine, th *Thread, p Profile) *Worker {
+	w := &Worker{Thread: th, Profile: p, eng: eng}
+	w.queues = w.first[:0]
 	w.armFn = w.pump
 	return w
 }
 
-// Start begins event-driven processing: the worker drains available
-// completions, then arms the CQ and sleeps until the next one arrives.
-func (w *Worker) Start() { w.pump() }
-
-// Stop halts processing after the in-flight handler finishes.
-func (w *Worker) Stop() { w.stopped = true }
-
-func (w *Worker) pump() {
-	if w.inflight || w.stopped {
-		return
-	}
-	e, ok := w.CQ.Poll()
-	if !ok {
-		w.CQ.Armed = w.armFn
-		if w.Idle != nil {
-			w.Idle()
-		}
-		return
-	}
-	w.inflight = true
-	w.pending = e
-	done := w.Thread.Run(w.Profile, w.eng.Now())
-	w.LastDone = done
-	w.eng.AtHandler(done, w, 0, 0, nil)
+// Serve adds a completion queue whose entries run handle (nil consumes
+// them without a handler) and starts draining it. Queues are meant to be
+// added at setup; adding one mid-flight is safe.
+func (w *Worker) Serve(cq *verbs.CQ, handle func(e verbs.CQE)) {
+	w.queues = append(w.queues, queue{cq: cq, handle: handle})
+	w.pump()
 }
 
-// OnEvent completes the in-flight entry's service time and continues the
-// pump.
-func (w *Worker) OnEvent(_ *sim.Engine, _ sim.Handle, _ uint64, _ int, _ any) {
+// pump serves the next non-empty queue in round-robin order, or arms every
+// queue and sleeps until one of them completes an entry.
+func (w *Worker) pump() {
+	if w.inflight {
+		return
+	}
+	n := len(w.queues)
+	for i := 0; i < n; i++ {
+		k := int(w.next) + i
+		if k >= n {
+			k -= n
+		}
+		e, ok := w.queues[k].cq.Poll()
+		if !ok {
+			continue
+		}
+		w.next = int32(k + 1)
+		if k+1 == n {
+			w.next = 0
+		}
+		w.inflight = true
+		w.pending = e
+		done := w.Thread.Run(w.Profile, w.eng.Now())
+		w.eng.AtHandler(done, w, uint64(k), 0, nil)
+		return
+	}
+	for _, q := range w.queues {
+		q.cq.Armed = w.armFn
+	}
+}
+
+// OnEvent completes the in-flight entry's service time on queue arg0 and
+// continues the pump.
+func (w *Worker) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, _ int, _ any) {
 	w.inflight = false
 	w.Processed++
-	e := w.pending
-	if w.Handle != nil {
-		w.Handle(e)
+	if h := w.queues[arg0].handle; h != nil {
+		h(w.pending)
 	}
 	w.pump()
 }

@@ -173,9 +173,8 @@ func TestWorkerPumpsCQ(t *testing.T) {
 	th := d.AllocThreads(1)[0]
 	cq := &verbs.CQ{}
 	var handled []uint32
-	w := NewWorker(eng, th, cq, DPAUCRecv)
-	w.Handle = func(e verbs.CQE) { handled = append(handled, e.Imm) }
-	w.Start()
+	w := NewWorker(eng, th, DPAUCRecv)
+	w.Serve(cq, func(e verbs.CQE) { handled = append(handled, e.Imm) })
 	for i := uint32(0); i < 10; i++ {
 		cq.Push(verbs.CQE{Imm: i})
 	}
@@ -198,12 +197,10 @@ func TestWorkerWakesOnArm(t *testing.T) {
 	d := NewDPA(eng)
 	th := d.AllocThreads(1)[0]
 	cq := &verbs.CQ{}
-	w := NewWorker(eng, th, cq, DPAUCRecv)
-	idles := 0
-	w.Idle = func() { idles++ }
-	w.Start() // CQ empty: arms and idles
-	if idles != 1 {
-		t.Fatalf("worker did not idle on empty CQ")
+	w := NewWorker(eng, th, DPAUCRecv)
+	w.Serve(cq, nil) // CQ empty: arms and sleeps
+	if cq.Armed == nil {
+		t.Fatalf("worker did not arm the empty CQ")
 	}
 	// A push at t=5µs must wake it.
 	eng.AfterHandler(5*sim.Microsecond, call(func() { cq.Push(verbs.CQE{}) }), 0, 0, nil)
@@ -213,34 +210,18 @@ func TestWorkerWakesOnArm(t *testing.T) {
 	}
 }
 
-func TestWorkerStop(t *testing.T) {
-	eng := sim.NewEngine(1)
-	d := NewDPA(eng)
-	th := d.AllocThreads(1)[0]
-	cq := &verbs.CQ{}
-	w := NewWorker(eng, th, cq, DPAUCRecv)
-	w.Start()
-	cq.Push(verbs.CQE{})
-	cq.Push(verbs.CQE{})
-	w.Stop()
-	eng.Run()
-	if w.Processed > 1 {
-		t.Fatalf("worker processed %d entries after Stop", w.Processed)
-	}
-}
-
 func TestWorkerServiceRate(t *testing.T) {
 	// A worker saturated with completions must process at freq/latency.
 	eng := sim.NewEngine(1)
 	d := NewDPA(eng)
 	th := d.AllocThreads(1)[0]
 	cq := &verbs.CQ{}
-	w := NewWorker(eng, th, cq, DPAUDRecv)
+	w := NewWorker(eng, th, DPAUDRecv)
 	const n = 2000
 	for i := 0; i < n; i++ {
 		cq.Push(verbs.CQE{})
 	}
-	w.Start()
+	w.Serve(cq, nil)
 	end := eng.Run()
 	rate := float64(n) / end.Seconds()
 	want := 1.8e9 / 1084
@@ -248,6 +229,115 @@ func TestWorkerServiceRate(t *testing.T) {
 		t.Fatalf("saturated worker rate %.3g, want %.3g", rate, want)
 	}
 }
+
+// The tests below cover a worker serving several queues: the software
+// traffic arbitration of §V-C.
+
+func TestArbiterServesAllQueues(t *testing.T) {
+	eng := sim.NewEngine(1)
+	d := NewDPA(eng)
+	w := NewWorker(eng, d.AllocThreads(1)[0], DPAUCRecv)
+	cqs := []*verbs.CQ{{}, {}, {}}
+	got := make([]int, 3)
+	for i, cq := range cqs {
+		i := i
+		w.Serve(cq, func(e verbs.CQE) { got[i]++ })
+	}
+	for i, cq := range cqs {
+		for k := 0; k < (i+1)*10; k++ {
+			cq.Push(verbs.CQE{})
+		}
+	}
+	eng.Run()
+	for i, want := range []int{10, 20, 30} {
+		if got[i] != want {
+			t.Fatalf("queue %d served %d, want %d", i, got[i], want)
+		}
+	}
+	if w.Processed != 60 {
+		t.Fatalf("Processed = %d", w.Processed)
+	}
+}
+
+func TestArbiterRoundRobinFairness(t *testing.T) {
+	// Two always-full queues must be served in strict alternation: a busy
+	// communicator cannot starve another (§V-C).
+	eng := sim.NewEngine(1)
+	d := NewDPA(eng)
+	w := NewWorker(eng, d.AllocThreads(1)[0], DPAUCRecv)
+	cqA, cqB := &verbs.CQ{}, &verbs.CQ{}
+	var order []string
+	served := make([]int, 2)
+	w.Serve(cqA, func(verbs.CQE) { order = append(order, "A"); served[0]++ })
+	w.Serve(cqB, func(verbs.CQE) { order = append(order, "B"); served[1]++ })
+	for i := 0; i < 50; i++ {
+		cqA.Push(verbs.CQE{})
+		cqB.Push(verbs.CQE{})
+	}
+	eng.Run()
+	if len(order) != 100 {
+		t.Fatalf("served %d", len(order))
+	}
+	for i := 1; i < len(order); i++ {
+		if order[i] == order[i-1] {
+			t.Fatalf("round robin violated at %d: %v...", i, order[max(0, i-3):i+1])
+		}
+	}
+	if served[0] != 50 || served[1] != 50 {
+		t.Fatalf("uneven service: %d/%d", served[0], served[1])
+	}
+}
+
+func TestArbiterWakesOnLateTraffic(t *testing.T) {
+	eng := sim.NewEngine(1)
+	d := NewDPA(eng)
+	w := NewWorker(eng, d.AllocThreads(1)[0], DPAUCRecv)
+	cqA, cqB := &verbs.CQ{}, &verbs.CQ{}
+	served := 0
+	w.Serve(cqA, func(verbs.CQE) { served++ })
+	w.Serve(cqB, func(verbs.CQE) { served++ })
+	// Nothing yet; traffic arrives later on the second queue only.
+	eng.AfterHandler(10*sim.Microsecond, call(func() {
+		for i := 0; i < 5; i++ {
+			cqB.Push(verbs.CQE{})
+		}
+	}), 0, 0, nil)
+	eng.Run()
+	if served != 5 {
+		t.Fatalf("served %d of 5 late completions", served)
+	}
+}
+
+func TestArbiterThroughputMatchesDedicated(t *testing.T) {
+	// One thread serving k queues processes at the same aggregate rate as
+	// one thread on one queue: arbitration adds no modeled overhead beyond
+	// the per-CQE kernel cost.
+	run := func(k int) float64 {
+		eng := sim.NewEngine(1)
+		d := NewDPA(eng)
+		w := NewWorker(eng, d.AllocThreads(1)[0], DPAUDRecv)
+		const per = 500
+		for i := 0; i < k; i++ {
+			cq := &verbs.CQ{}
+			w.Serve(cq, nil)
+			for j := 0; j < per; j++ {
+				cq.Push(verbs.CQE{})
+			}
+		}
+		end := eng.Run()
+		return float64(per*k) / end.Seconds()
+	}
+	r1, r4 := run(1), run(4)
+	if r4 < r1*0.99 || r4 > r1*1.01 {
+		t.Fatalf("arbitrated rate %.3g differs from dedicated %.3g", r4, r1)
+	}
+}
+
+// call adapts a func() to sim.Handler, for tests that schedule a one-off
+// action.
+type call func()
+
+func (f call) OnEvent(*sim.Engine, sim.Handle, uint64, int, any) { f() }
 
 func TestInvalidGeometryPanics(t *testing.T) {
 	eng := sim.NewEngine(1)

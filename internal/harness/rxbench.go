@@ -119,7 +119,6 @@ func RunRxBench(env Env, cfg RxBenchConfig) RxBenchResult {
 		cliQP, srvQP *verbs.QP
 		srvCQ        *verbs.CQ
 		staging      *verbs.MR
-		wkr          *dpa.Worker
 	}
 	conns := make([]*conn, cfg.Workers)
 	mtu := f.MaxPayload()
@@ -141,9 +140,8 @@ func RunRxBench(env Env, cfg RxBenchConfig) RxBenchResult {
 			c.srvQP = server.NewQP(verbs.UC, c.srvCQ, c.srvCQ, 0)
 			c.cliQP.Connect(verbs.Unicast(server.Host, c.srvQP.N))
 		}
-		c.wkr = dpa.NewWorker(eng, threads[w], c.srvCQ, profile)
 		w := w
-		c.wkr.Handle = func(e verbs.CQE) {
+		dpa.NewWorker(eng, threads[w], profile).Serve(c.srvCQ, func(e verbs.CQE) {
 			processed++
 			lastDone = eng.Now()
 			if cfg.Transport == verbs.UD {
@@ -152,8 +150,7 @@ func RunRxBench(env Env, cfg RxBenchConfig) RxBenchResult {
 				conns[w].srvQP.PostRecv(e.WrID, conns[w].staging, slot*cfg.ChunkBytes, cfg.ChunkBytes)
 				server.DMA().Enqueue(e.Bytes, nil)
 			}
-		}
-		c.wkr.Start()
+		})
 		conns[w] = c
 	}
 	dstMR := server.RegisterMR(cfg.TotalBytes)
