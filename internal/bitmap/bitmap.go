@@ -14,25 +14,16 @@ package bitmap
 
 import (
 	"fmt"
-	"math/bits"
 )
 
 const wordBits = 64
 
 // Bitmap tracks received chunks. The zero value is an empty bitmap of zero
-// length; construct sized bitmaps with New.
+// length; Reset sizes it.
 type Bitmap struct {
 	words []uint64
 	n     int // number of valid bits
 	set   int // population count, maintained incrementally
-}
-
-// New returns a bitmap tracking n chunks, all initially unset.
-func New(n int) *Bitmap {
-	if n < 0 {
-		panic("bitmap: negative size")
-	}
-	return &Bitmap{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
 // Len returns the number of tracked chunks.
@@ -40,12 +31,6 @@ func (b *Bitmap) Len() int { return b.n }
 
 // Count returns the number of set bits.
 func (b *Bitmap) Count() int { return b.set }
-
-// Remaining returns the number of unset bits.
-func (b *Bitmap) Remaining() int { return b.n - b.set }
-
-// Full reports whether every bit is set.
-func (b *Bitmap) Full() bool { return b.set == b.n }
 
 // Set marks chunk i as received and reports whether the bit was newly set
 // (false means a duplicate delivery). It panics on out-of-range PSNs:
@@ -84,30 +69,6 @@ func (b *Bitmap) Reset(n int) {
 		clear(b.words)
 	}
 	b.n, b.set = n, 0
-}
-
-// Missing appends the indices of all unset bits to dst and returns the
-// extended slice. It scans word-at-a-time, skipping full words, which is
-// how the recovery phase scans the bitmap cheaply after the cutoff timer
-// fires (§III-C "Fetch layer").
-func (b *Bitmap) Missing(dst []int) []int {
-	for wi, w := range b.words {
-		if w == ^uint64(0) {
-			continue
-		}
-		base := wi * wordBits
-		miss := ^w
-		// Mask out bits beyond n in the last word.
-		if base+wordBits > b.n {
-			miss &= (uint64(1) << (b.n - base)) - 1
-		}
-		for miss != 0 {
-			i := bits.TrailingZeros64(miss)
-			dst = append(dst, base+i)
-			miss &= miss - 1
-		}
-	}
-	return dst
 }
 
 // MissingRanges appends [start, end) ranges of consecutive unset bits to

@@ -5,34 +5,33 @@ import (
 	"testing/quick"
 )
 
+// newBitmap sizes a zero bitmap to n chunks, as the protocol's per-op
+// Reset does.
+func newBitmap(n int) *Bitmap {
+	b := &Bitmap{}
+	b.Reset(n)
+	return b
+}
+
 func TestNewEmpty(t *testing.T) {
-	b := New(100)
-	if b.Len() != 100 || b.Count() != 0 || b.Remaining() != 100 || b.Full() {
+	b := newBitmap(100)
+	if b.Len() != 100 || b.Count() != 0 {
 		t.Fatalf("fresh bitmap state wrong: %v", b)
 	}
 }
 
 func TestNewZeroLength(t *testing.T) {
-	b := New(0)
-	if !b.Full() {
-		t.Fatal("zero-length bitmap should report Full")
+	b := newBitmap(0)
+	if b.Count() != b.Len() {
+		t.Fatal("zero-length bitmap should be complete")
 	}
-	if got := b.Missing(nil); len(got) != 0 {
-		t.Fatalf("Missing on empty bitmap = %v", got)
+	if got := b.MissingRanges(nil); len(got) != 0 {
+		t.Fatalf("MissingRanges on empty bitmap = %v", got)
 	}
-}
-
-func TestNewNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New(-1) did not panic")
-		}
-	}()
-	New(-1)
 }
 
 func TestSetAndGet(t *testing.T) {
-	b := New(130) // spans three words
+	b := newBitmap(130) // spans three words
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
 		if b.Get(i) {
 			t.Fatalf("bit %d set before Set", i)
@@ -50,7 +49,7 @@ func TestSetAndGet(t *testing.T) {
 }
 
 func TestDuplicateSet(t *testing.T) {
-	b := New(10)
+	b := newBitmap(10)
 	b.Set(3)
 	if b.Set(3) {
 		t.Fatal("second Set(3) reported newly-set")
@@ -68,26 +67,26 @@ func TestOutOfRangePanics(t *testing.T) {
 					t.Errorf("Set(%d) on len-10 bitmap did not panic", i)
 				}
 			}()
-			New(10).Set(i)
+			newBitmap(10).Set(i)
 		}()
 	}
 }
 
 func TestFull(t *testing.T) {
-	b := New(65)
+	b := newBitmap(65)
 	for i := 0; i < 65; i++ {
-		if b.Full() {
-			t.Fatalf("Full before all bits set (at %d)", i)
+		if b.Count() == b.Len() {
+			t.Fatalf("complete before all bits set (at %d)", i)
 		}
 		b.Set(i)
 	}
-	if !b.Full() {
-		t.Fatal("not Full after all bits set")
+	if b.Count() != b.Len() {
+		t.Fatal("not complete after all bits set")
 	}
 }
 
 // TestClear resets a partly set bitmap to the same size, smaller and larger:
-// every bit reads unset at the new length, Missing lists exactly [0, n),
+// every bit reads unset at the new length, MissingRanges is exactly [0, n),
 // and storage that still fits is reused.
 func TestClear(t *testing.T) {
 	for _, c := range []struct {
@@ -104,13 +103,13 @@ func TestClear(t *testing.T) {
 		{"grow from zero", 0, 64, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			b := New(c.from)
+			b := newBitmap(c.from)
 			for i := 0; i < c.from; i += 3 {
 				b.Set(i)
 			}
 			storage := b.words[:cap(b.words)]
 			b.Reset(c.to)
-			if b.Len() != c.to || b.Count() != 0 || b.Remaining() != c.to || b.Full() != (c.to == 0) {
+			if b.Len() != c.to || b.Count() != 0 {
 				t.Fatalf("Reset(%d) left state %v", c.to, b)
 			}
 			for i := 0; i < c.to; i++ {
@@ -118,8 +117,8 @@ func TestClear(t *testing.T) {
 					t.Fatalf("bit %d survived Reset", i)
 				}
 			}
-			if miss := b.Missing(nil); len(miss) != c.to || c.to > 0 && miss[c.to-1] != c.to-1 {
-				t.Fatalf("Missing after Reset(%d) = %d indices", c.to, len(miss))
+			if miss := b.MissingRanges(nil); c.to == 0 && len(miss) != 0 || c.to > 0 && (len(miss) != 1 || miss[0] != [2]int{0, c.to}) {
+				t.Fatalf("MissingRanges after Reset(%d) = %v", c.to, miss)
 			}
 			if got := len(storage) > 0 && cap(b.words) > 0 && &b.words[:1][0] == &storage[0]; got != c.reused {
 				t.Fatalf("storage reused = %v, want %v", got, c.reused)
@@ -131,46 +130,47 @@ func TestClear(t *testing.T) {
 	}
 }
 
+// TestMissing: isolated unset bits are ranges of one chunk.
 func TestMissing(t *testing.T) {
-	b := New(10)
+	b := newBitmap(10)
 	for _, i := range []int{0, 1, 3, 4, 5, 7, 8, 9} {
 		b.Set(i)
 	}
-	got := b.Missing(nil)
-	if len(got) != 2 || got[0] != 2 || got[1] != 6 {
-		t.Fatalf("Missing = %v, want [2 6]", got)
+	got := b.MissingRanges(nil)
+	if len(got) != 2 || got[0] != [2]int{2, 3} || got[1] != [2]int{6, 7} {
+		t.Fatalf("MissingRanges = %v, want [[2 3] [6 7]]", got)
 	}
 }
 
 func TestMissingLastPartialWord(t *testing.T) {
 	// n not a multiple of 64: bits beyond n must never be reported.
-	b := New(70)
+	b := newBitmap(70)
 	for i := 0; i < 70; i++ {
 		b.Set(i)
 	}
-	if got := b.Missing(nil); len(got) != 0 {
+	if got := b.MissingRanges(nil); len(got) != 0 {
 		t.Fatalf("full bitmap reported missing %v", got)
 	}
 }
 
 func TestMissingAppends(t *testing.T) {
-	b := New(4)
+	b := newBitmap(4)
 	b.Set(1)
-	dst := []int{99}
-	got := b.Missing(dst)
-	want := []int{99, 0, 2, 3}
+	dst := [][2]int{{99, 100}}
+	got := b.MissingRanges(dst)
+	want := [][2]int{{99, 100}, {0, 1}, {2, 4}}
 	if len(got) != len(want) {
-		t.Fatalf("Missing = %v, want %v", got, want)
+		t.Fatalf("MissingRanges = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Missing = %v, want %v", got, want)
+			t.Fatalf("MissingRanges = %v, want %v", got, want)
 		}
 	}
 }
 
 func TestMissingRanges(t *testing.T) {
-	b := New(12)
+	b := newBitmap(12)
 	for _, i := range []int{0, 1, 5, 6, 7, 11} {
 		b.Set(i)
 	}
@@ -187,7 +187,7 @@ func TestMissingRanges(t *testing.T) {
 }
 
 func TestMissingRangesTrailingGap(t *testing.T) {
-	b := New(8)
+	b := newBitmap(8)
 	for i := 0; i < 5; i++ {
 		b.Set(i)
 	}
@@ -198,7 +198,7 @@ func TestMissingRangesTrailingGap(t *testing.T) {
 }
 
 func TestMissingRangesAllMissing(t *testing.T) {
-	b := New(5)
+	b := newBitmap(5)
 	got := b.MissingRanges(nil)
 	if len(got) != 1 || got[0] != [2]int{0, 5} {
 		t.Fatalf("MissingRanges = %v, want [[0 5]]", got)
@@ -210,14 +210,14 @@ func TestSizeBytes(t *testing.T) {
 		{0, 0}, {1, 8}, {64, 8}, {65, 16}, {4096, 512},
 	}
 	for _, c := range cases {
-		if got := New(c.n).SizeBytes(); got != c.want {
-			t.Errorf("SizeBytes(New(%d)) = %d, want %d", c.n, got, c.want)
+		if got := newBitmap(c.n).SizeBytes(); got != c.want {
+			t.Errorf("SizeBytes(%d chunks) = %d, want %d", c.n, got, c.want)
 		}
 	}
 }
 
 func TestString(t *testing.T) {
-	b := New(8)
+	b := newBitmap(8)
 	b.Set(0)
 	if s := b.String(); s != "bitmap{1/8}" {
 		t.Fatalf("String = %q", s)
@@ -225,11 +225,11 @@ func TestString(t *testing.T) {
 }
 
 // Property: Count always equals the number of distinct indices set, and
-// Missing returns exactly the complement.
+// Get reads exactly those indices as set.
 func TestPropertySetMissingComplement(t *testing.T) {
 	f := func(idx []uint16, nRaw uint16) bool {
 		n := int(nRaw%500) + 1
-		b := New(n)
+		b := newBitmap(n)
 		distinct := make(map[int]bool)
 		for _, v := range idx {
 			i := int(v) % n
@@ -242,12 +242,8 @@ func TestPropertySetMissingComplement(t *testing.T) {
 		if b.Count() != len(distinct) {
 			return false
 		}
-		miss := b.Missing(nil)
-		if len(miss)+b.Count() != n {
-			return false
-		}
-		for _, m := range miss {
-			if distinct[m] {
+		for i := 0; i < n; i++ {
+			if b.Get(i) != distinct[i] {
 				return false
 			}
 		}
@@ -258,11 +254,11 @@ func TestPropertySetMissingComplement(t *testing.T) {
 	}
 }
 
-// Property: MissingRanges covers exactly the Missing set, with no overlaps.
+// Property: MissingRanges covers exactly the unset bits, with no overlaps.
 func TestPropertyMissingRangesConsistent(t *testing.T) {
 	f := func(idx []uint16, nRaw uint16) bool {
 		n := int(nRaw%300) + 1
-		b := New(n)
+		b := newBitmap(n)
 		for _, v := range idx {
 			b.Set(int(v) % n)
 		}
@@ -277,7 +273,12 @@ func TestPropertyMissingRangesConsistent(t *testing.T) {
 				fromRanges = append(fromRanges, i)
 			}
 		}
-		miss := b.Missing(nil)
+		var miss []int
+		for i := 0; i < n; i++ {
+			if !b.Get(i) {
+				miss = append(miss, i)
+			}
+		}
 		if len(miss) != len(fromRanges) {
 			return false
 		}
@@ -294,27 +295,27 @@ func TestPropertyMissingRangesConsistent(t *testing.T) {
 }
 
 func BenchmarkSet(b *testing.B) {
-	bm := New(1 << 20)
+	bm := newBitmap(1 << 20)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bm.Set(i & (1<<20 - 1))
-		if bm.Full() {
+		if bm.Count() == bm.Len() {
 			bm.Reset(1 << 20)
 		}
 	}
 }
 
 func BenchmarkMissingSparse(b *testing.B) {
-	bm := New(1 << 16)
+	bm := newBitmap(1 << 16)
 	for i := 0; i < 1<<16; i++ {
 		if i%1000 != 0 {
 			bm.Set(i)
 		}
 	}
-	buf := make([]int, 0, 128)
+	buf := make([][2]int, 0, 128)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = bm.Missing(buf[:0])
+		buf = bm.MissingRanges(buf[:0])
 	}
 }

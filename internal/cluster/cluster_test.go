@@ -58,8 +58,9 @@ func TestDPALazyInstantiation(t *testing.T) {
 func TestDefaultCPUCores(t *testing.T) {
 	cl := testCluster(t)
 	n := cl.Node(cl.Fabric().Graph().Hosts()[0])
-	if n.CPU.Cores() != 24 {
-		t.Fatalf("default CPU cores = %d, want 24", n.CPU.Cores())
+	// A CPU core runs one hardware thread, so capacity counts cores.
+	if n.CPU.Capacity() != 24 {
+		t.Fatalf("default CPU cores = %d, want 24", n.CPU.Capacity())
 	}
 }
 

@@ -3,6 +3,8 @@ package coll
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/collective"
 )
 
 // gather gives a rank the P-block Allgather buffer, with its own block's
@@ -11,7 +13,7 @@ func (op *stepOp) gather(slot int) {
 	n, t := op.d.n, op.p.team
 	op.mr = op.p.buf(n * t.Size())
 	if t.cfg.VerifyData {
-		fillPattern(op.mr.Data[slot*n:(slot+1)*n], op.p.id, t.seq)
+		collective.FillPattern(op.mr.Data[slot*n:(slot+1)*n], op.p.id, t.seq)
 	}
 }
 
@@ -135,8 +137,8 @@ func (t *Team) VerifyAllgather(n int) error {
 			return fmt.Errorf("coll: rank %d has no allgather buffer", p.id)
 		}
 		for src := 0; src < size; src++ {
-			if err := checkPattern(mr.Data[src*n:(src+1)*n], src, t.seq); err != nil {
-				return fmt.Errorf("rank %d shard %d: %w", p.id, src, err)
+			if err := collective.CheckPattern(mr.Data[src*n:(src+1)*n], src, t.seq); err != nil {
+				return fmt.Errorf("coll: rank %d shard %d: %w", p.id, src, err)
 			}
 		}
 	}

@@ -1,6 +1,10 @@
 package coll
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/collective"
+)
 
 // knomialChildren returns the children of rank id in a k-nomial tree
 // rooted at root (classic binomial generalization: virtual rank v's
@@ -75,7 +79,7 @@ func (op *stepOp) tree(children []int) {
 	if op.p.id == op.d.root {
 		op.have = op.d.want
 		if op.p.team.cfg.VerifyData {
-			fillPattern(op.mr.Data, op.d.root, op.p.team.seq)
+			collective.FillPattern(op.mr.Data, op.d.root, op.p.team.seq)
 		}
 	}
 }
@@ -151,8 +155,8 @@ func (t *Team) VerifyBroadcast(root, n int) error {
 		if mr == nil {
 			return fmt.Errorf("coll: rank %d has no broadcast buffer", p.id)
 		}
-		if err := checkPattern(mr.Data[:n], root, t.seq); err != nil {
-			return fmt.Errorf("rank %d: %w", p.id, err)
+		if err := collective.CheckPattern(mr.Data[:n], root, t.seq); err != nil {
+			return fmt.Errorf("coll: rank %d: %w", p.id, err)
 		}
 	}
 	return nil

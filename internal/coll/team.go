@@ -218,7 +218,7 @@ func (d *opDriver) rankDone(p *peer) {
 		d.res.End = p.eng.Now()
 		if m := d.t.cfg.Metrics; m != nil {
 			m.Span("coll", d.res.Kind, d.res.Start, d.res.End)
-			m.Counter("coll", "ops_total", "kind="+d.res.Kind, telemetry.Stable).Add(1)
+			m.Counter("coll", "ops_total", "kind="+d.res.Kind).Add(1)
 		}
 		if d.cb != nil {
 			d.cb(d.res)
@@ -262,21 +262,4 @@ func (t *Team) checkIdle(n int) error {
 func (t *Team) checkSeq(imm uint32) (int, bool) {
 	seqLow, tag := decImm(imm)
 	return tag, seqLow == t.seq&0xFF
-}
-
-// fillPattern / checkPattern give baselines the same end-to-end data
-// verification the core protocol has.
-func fillPattern(b []byte, rank, seq int) {
-	for i := range b {
-		b[i] = byte(rank*131 + seq*29 + i*7)
-	}
-}
-
-func checkPattern(b []byte, rank, seq int) error {
-	for i := range b {
-		if want := byte(rank*131 + seq*29 + i*7); b[i] != want {
-			return fmt.Errorf("coll: byte %d = %#x, want %#x", i, b[i], want)
-		}
-	}
-	return nil
 }

@@ -1,9 +1,10 @@
 // Package collective defines the shared vocabulary of every collective
 // implementation in this repository: the operation descriptor (Op), the
 // unified cross-rank outcome (Result, with the optional per-rank
-// critical-path extension RankStats), and the Algorithm interface that the
+// critical-path extension RankStats), the Algorithm interface that the
 // multicast protocol (internal/core) and the P2P baselines (internal/coll)
-// both satisfy through thin adapters (internal/registry).
+// both satisfy through thin adapters (internal/registry), and the byte
+// pattern both verify received data against.
 //
 // The package is a leaf: it depends only on the simulation clock, so both
 // protocol layers can share its types without an import cycle.
@@ -25,7 +26,6 @@ const (
 	Broadcast     Kind = "broadcast"
 	ReduceScatter Kind = "reduce-scatter"
 	Allreduce     Kind = "allreduce"
-	Barrier       Kind = "barrier"
 )
 
 // KindOfAlgorithm derives the operation kind from a registry algorithm
@@ -48,7 +48,7 @@ type Op struct {
 	Kind Kind
 	// Bytes is the per-rank payload: the contribution size for Allgather
 	// and Allreduce, the message size for Broadcast, and the per-rank
-	// reduced-shard size for ReduceScatter. Ignored for Barrier.
+	// reduced-shard size for ReduceScatter.
 	Bytes int
 	// Root is the broadcasting rank (Broadcast only).
 	Root int
@@ -172,4 +172,27 @@ func (res *Result) MaxRecovered() int {
 		}
 	}
 	return max
+}
+
+// FillPattern writes the data-verification pattern of (rank, seq) into b:
+// what a rank's send buffer holds when a stack verifies data end to end.
+func FillPattern(b []byte, rank, seq int) {
+	for i := range b {
+		b[i] = patternByte(rank, seq, i)
+	}
+}
+
+// CheckPattern reports the first byte of b that differs from the pattern
+// of (rank, seq).
+func CheckPattern(b []byte, rank, seq int) error {
+	for i := range b {
+		if b[i] != patternByte(rank, seq, i) {
+			return fmt.Errorf("byte %d = %#x, want %#x", i, b[i], patternByte(rank, seq, i))
+		}
+	}
+	return nil
+}
+
+func patternByte(rank, seq, i int) byte {
+	return byte(rank*131 + seq*29 + i*7 + i>>9)
 }

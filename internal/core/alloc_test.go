@@ -72,8 +72,8 @@ func materialised(c *Communicator) (send, recv int) {
 
 // TestLazyCtrlSlotsCarryPayloads checks the lazily registered control slots
 // from both ends under a lossy fabric. A fetch request injected during a
-// barrier (which defers it, payload attached, because a barrier owns no
-// chunk) must arrive byte-exact through a sender page and a receiver page
+// one-chunk broadcast, for chunks beyond the operation (which defers it,
+// payload attached, because the receiver can never serve them), must arrive byte-exact through a sender page and a receiver page
 // that did not exist until it was sent — exactly one 4 KiB page each; a
 // slot access that straddles two pages is a bug and panics; and a real
 // recovery — requests and acks both ways, repaired buffers verified — must
@@ -87,14 +87,14 @@ func TestLazyCtrlSlotsCarryPayloads(t *testing.T) {
 		t.Fatalf("fresh communicator has %d send / %d receive slot pages materialised, want none", s, r)
 	}
 	done := false
-	if err := comm.StartBarrier(func(*Result) { done = true }); err != nil {
+	if err := comm.StartBroadcast(0, 1, func(*Result) { done = true }); err != nil {
 		t.Fatal(err)
 	}
 	want := marshalRanges([][2]int{{3, 9}, {70000, 70001}, {1 << 20, 1<<20 + 17}})
 	comm.Rank(0).sendCtrl(1, ctrlFetchReq, 0, want)
-	eng.Run()
-	if !done {
-		t.Fatal("barrier did not complete")
+	// Stop at the deferral: the broadcast's own recovery under loss
+	// materialises further slots later.
+	for len(comm.Rank(1).op.deferredReq) == 0 && eng.Step() {
 	}
 	got := comm.Rank(1).op.deferredReq
 	if len(got) != 1 || got[0].from != 0 || !bytes.Equal(got[0].payload, want) {
@@ -102,6 +102,10 @@ func TestLazyCtrlSlotsCarryPayloads(t *testing.T) {
 	}
 	if s, r := materialised(comm); s != 1 || r != 1 {
 		t.Fatalf("one payload materialised %d send / %d receive slot pages, want 1 / 1", s, r)
+	}
+	eng.Run()
+	if !done || len(comm.Rank(1).op.deferredReq) != 1 {
+		t.Fatal("broadcast did not complete with the request still deferred")
 	}
 	func() {
 		defer func() {

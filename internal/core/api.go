@@ -63,8 +63,6 @@ func (c *Communicator) startOp(kind opKind, root, n int, done func(*Result)) err
 	case kindAllgather:
 		total = cpr * p
 		roots = p
-	case kindBarrier:
-		cpr, total, roots = 0, 0, 0
 	}
 	if total >= maxPSNChunks {
 		return fmt.Errorf("core: %d chunks exceed the 24-bit PSN space", total)
@@ -103,25 +101,20 @@ func (c *Communicator) startOp(kind opKind, root, n int, done func(*Result)) err
 			barGot:  op.barGot[:0],
 		}
 		op.bm.Reset(total)
-		if kind != kindBarrier {
-			recvBytes := n
-			if kind == kindAllgather {
-				recvBytes = n * p
-			}
-			op.recvMR = r.cachedMR(recvBytes)
-			if op.isRoot {
-				op.sendMR = r.cachedMR(n)
-				if c.cfg.VerifyData {
-					fillPattern(op.sendMR.Data, r.id, seq)
-				}
+		recvBytes := n
+		if kind == kindAllgather {
+			recvBytes = n * p
+		}
+		op.recvMR = r.cachedMR(recvBytes)
+		if op.isRoot {
+			op.sendMR = r.cachedMR(n)
+			if c.cfg.VerifyData {
+				collective.FillPattern(op.sendMR.Data, r.id, seq)
 			}
 		}
 		// Dispatch on the app thread (task-queue handoff cost, §IV-B).
 		t := r.appThread.Run(dpa.TaskDispatch, c.eng.Now())
 		r.eng.AtHandler(t, r, 0, 0, nil)
-	}
-	if kind == kindBarrier {
-		return nil
 	}
 	// Both the UC fast path and the recovery fetch ring rely on symmetric
 	// rkeys for the receive buffers (registration order is identical on
@@ -174,12 +167,6 @@ func (c *Communicator) StartAllgather(n int, done func(*Result)) error {
 	return c.startOp(kindAllgather, -1, n, done)
 }
 
-// StartBarrier begins a non-blocking barrier: the RNR dissemination
-// synchronization plus the final-handshake ring, with no data movement.
-func (c *Communicator) StartBarrier(done func(*Result)) error {
-	return c.startOp(kindBarrier, -1, 1, done)
-}
-
 // StartBroadcast begins a non-blocking Broadcast of n bytes from root.
 func (c *Communicator) StartBroadcast(root, n int, done func(*Result)) error {
 	if root < 0 || root >= c.Size() {
@@ -201,73 +188,17 @@ func (c *Communicator) VerifyLast() error {
 			return fmt.Errorf("core: rank %d has no completed operation", r.id)
 		}
 		switch op.kind {
-		case kindBarrier:
-			// nothing to verify
 		case kindAllgather:
 			for src := 0; src < c.Size(); src++ {
-				if err := checkPattern(op.recvMR.Data[src*op.n:(src+1)*op.n], src, op.seq); err != nil {
+				if err := collective.CheckPattern(op.recvMR.Data[src*op.n:(src+1)*op.n], src, op.seq); err != nil {
 					return fmt.Errorf("core: rank %d, shard %d: %w", r.id, src, err)
 				}
 			}
 		case kindBroadcast:
-			if err := checkPattern(op.recvMR.Data[:op.n], op.root, op.seq); err != nil {
+			if err := collective.CheckPattern(op.recvMR.Data[:op.n], op.root, op.seq); err != nil {
 				return fmt.Errorf("core: rank %d: %w", r.id, err)
 			}
 		}
 	}
 	return nil
-}
-
-// fillPattern writes the deterministic verification pattern for (rank, seq).
-func fillPattern(b []byte, rank, seq int) {
-	for i := range b {
-		b[i] = patternByte(rank, seq, i)
-	}
-}
-
-func checkPattern(b []byte, rank, seq int) error {
-	for i := range b {
-		if b[i] != patternByte(rank, seq, i) {
-			return fmt.Errorf("byte %d = %#x, want %#x", i, b[i], patternByte(rank, seq, i))
-		}
-	}
-	return nil
-}
-
-func patternByte(rank, seq, i int) byte {
-	return byte(rank*131 + seq*29 + i*7 + i>>9)
-}
-
-// MemoryFootprint describes the per-rank protocol state of §III-D: the
-// connection contexts, the staging area and the bitmap.
-type MemoryFootprint struct {
-	// DataQPs is the number of multicast (fast-path) queue pairs: one per
-	// subgroup, each sending and receiving from all remote peers.
-	DataQPs int
-	// CtrlQPs is the number of reliable connections for the slow path and
-	// synchronization (ring neighbors plus dissemination-barrier peers;
-	// the paper's minimal ring needs 2).
-	CtrlQPs int
-	// StagingBytes is the UD staging-ring capacity (§III-D: bounded by the
-	// receive-queue depth; 32 MiB max on BlueField-3, 4 MiB practical).
-	StagingBytes int
-	// BitmapBytes is the reliability bitmap for the last operation — the
-	// only state that grows with the receive buffer.
-	BitmapBytes int
-}
-
-// Footprint reports rank r's current protocol memory footprint.
-func (c *Communicator) Footprint(rank int) MemoryFootprint {
-	r := c.ranks[rank]
-	fp := MemoryFootprint{
-		DataQPs: len(r.dataQPs),
-		CtrlQPs: len(r.ctrl),
-	}
-	for _, st := range r.staging {
-		fp.StagingBytes += st.Size
-	}
-	if r.op != nil {
-		fp.BitmapBytes = r.op.bm.SizeBytes()
-	}
-	return fp
 }

@@ -222,29 +222,9 @@ func TestTraceRecordsRecovery(t *testing.T) {
 	}
 }
 
-func TestBarrierCollective(t *testing.T) {
-	_, _, comm := buildComm(t, 8, fabric.Config{}, Config{Transport: verbs.UD})
-	res, err := runBarrier(comm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Kind != "barrier" || res.Duration() <= 0 {
-		t.Fatalf("barrier result: %+v", res)
-	}
-	for _, s := range res.PerRank {
-		if s.BytesReceived != 0 {
-			t.Fatalf("barrier moved %d payload bytes", s.BytesReceived)
-		}
-	}
-	// Barriers compose with data collectives on the same communicator.
-	if _, err := runAllgather(comm, 8192); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runBarrier(comm); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestBarrierScalesLogarithmically times the dissemination barrier every
+// operation opens with (RNR synchronization, §III-C): the slowest rank's
+// barrier phase of a one-byte broadcast.
 func TestBarrierScalesLogarithmically(t *testing.T) {
 	dur := func(p int) sim.Time {
 		eng := sim.NewEngine(2)
@@ -254,11 +234,15 @@ func TestBarrierScalesLogarithmically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := runBarrier(comm)
+		res, err := runBroadcast(comm, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Duration()
+		var slowest sim.Time
+		for _, s := range res.PerRank {
+			slowest = max(slowest, s.BarrierTime)
+		}
+		return slowest
 	}
 	d4, d32 := dur(4), dur(32)
 	// 8x the ranks: dissemination adds ceil(log2 32)-ceil(log2 4) = 3

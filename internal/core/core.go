@@ -238,8 +238,8 @@ func (c *Communicator) connectControlPlane() error {
 			b := peer.ctx.NewQP(verbs.RC, peer.ctrlCQ, peer.ctrlCQ, 256)
 			a.Connect(verbs.Unicast(peer.host, b.N))
 			b.Connect(verbs.Unicast(r.host, a.N))
-			r.ctrl[q] = a
-			peer.ctrl[r.id] = b
+			r.ctrl[q], r.qpPeer[a.N] = a, q
+			peer.ctrl[r.id], peer.qpPeer[b.N] = b, r.id
 			r.prepostCtrl(a)
 			peer.prepostCtrl(b)
 		}

@@ -22,10 +22,6 @@ func runBroadcast(c *Communicator, root, n int) (*Result, error) {
 	return collective.RunBlocking("broadcast", c.eng, func(done func(*Result)) error { return c.StartBroadcast(root, n, done) })
 }
 
-func runBarrier(c *Communicator) (*Result, error) {
-	return collective.RunBlocking("barrier", c.eng, c.StartBarrier)
-}
-
 // newComm builds a communicator on a cluster of its own over f.
 func newComm(f *fabric.Fabric, hosts []topology.NodeID, cfg Config) (*Communicator, error) {
 	return NewCommunicatorOn(cluster.New(f, cluster.Config{}), hosts, cfg)

@@ -274,20 +274,24 @@ func TestMemoryFootprint(t *testing.T) {
 	if _, err := runAllgather(comm, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	fp := comm.Footprint(0)
-	if fp.DataQPs != 4 {
-		t.Fatalf("data QPs = %d, want one per subgroup", fp.DataQPs)
+	r := comm.ranks[0]
+	if len(r.dataQPs) != 4 {
+		t.Fatalf("data QPs = %d, want one per subgroup", len(r.dataQPs))
 	}
 	// Dissemination peers at P=8: ±1, ±2, ±4 -> {1,2,4,6,7} plus ring
 	// neighbors already included: 5 connections.
-	if fp.CtrlQPs < 2 || fp.CtrlQPs > 2*4 {
-		t.Fatalf("ctrl QPs = %d, want within [2, 2 log P]", fp.CtrlQPs)
+	if len(r.ctrl) < 2 || len(r.ctrl) > 2*4 {
+		t.Fatalf("ctrl QPs = %d, want within [2, 2 log P]", len(r.ctrl))
 	}
-	if fp.StagingBytes != 4*1024*4096 {
-		t.Fatalf("staging bytes = %d, want RQDepth x chunk per subgroup", fp.StagingBytes)
+	staging := 0
+	for _, st := range r.staging {
+		staging += st.Size
+	}
+	if staging != 4*1024*4096 {
+		t.Fatalf("staging bytes = %d, want RQDepth x chunk per subgroup", staging)
 	}
 	// 8 MiB receive buffer / 4 KiB chunks = 2048 bits = 256 bytes.
-	if fp.BitmapBytes != 256 {
-		t.Fatalf("bitmap bytes = %d, want 256", fp.BitmapBytes)
+	if b := r.op.bm.SizeBytes(); b != 256 {
+		t.Fatalf("bitmap bytes = %d, want 256", b)
 	}
 }

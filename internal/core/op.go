@@ -15,18 +15,13 @@ type opKind uint8
 const (
 	kindBroadcast opKind = iota
 	kindAllgather
-	kindBarrier
 )
 
 func (k opKind) String() string {
-	switch k {
-	case kindBroadcast:
+	if k == kindBroadcast {
 		return "broadcast"
-	case kindAllgather:
-		return "allgather"
-	default:
-		return "barrier"
 	}
+	return "allgather"
 }
 
 // opState is the per-rank state of the current collective. Each rank has
@@ -67,7 +62,6 @@ type opState struct {
 
 	// Slow path.
 	cutoff      sim.Handle
-	recovering  bool
 	fetchWait   bool // request sent to the left neighbor, ack pending
 	fetchReads  [][2]int
 	fetchOut    int
@@ -102,7 +96,7 @@ func newOpState(r *Rank) *opState {
 func (op *opState) rec(phase, detail string) {
 	op.r.comm.cfg.Tracer.Record(op.r.eng.Now(), op.r.id, op.seq, phase, detail)
 	if m := op.r.comm.cfg.Metrics; m != nil {
-		m.Counter("core", "phase_total", "phase="+phase, telemetry.Stable).Add(1)
+		m.Counter("core", "phase_total", "phase="+phase).Add(1)
 	}
 }
 
@@ -196,7 +190,7 @@ func (op *opState) begin() {
 
 	// Pre-post the receive queues (UD fast path) before synchronizing, so
 	// no multicast datagram can find an empty RQ (§III-C RNR avoidance).
-	if op.kind != kindBarrier && r.comm.cfg.Transport == verbs.UD {
+	if r.comm.cfg.Transport == verbs.UD {
 		op.prepostData()
 	}
 
@@ -204,8 +198,6 @@ func (op *opState) begin() {
 	// slot of the receive buffer without touching the network; a broadcast
 	// root owns every chunk from the start.
 	switch {
-	case op.kind == kindBarrier:
-		op.remaining = 0
 	case op.kind == kindAllgather:
 		base := r.id * op.cpr
 		for l := 0; l < op.cpr; l++ {
@@ -541,7 +533,6 @@ func (op *opState) checkDone() {
 	for _, qp := range r.dataQPs {
 		qp.GCAssembly()
 	}
-	r.TotalRecovered += op.recovered
 	r.comm.rankDone(r)
 }
 

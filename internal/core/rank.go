@@ -79,9 +79,7 @@ type Rank struct {
 	mrCache map[int]*verbs.MR
 
 	// Stats aggregated across operations.
-	TotalRecovered   int
-	TotalRNRDrops    uint64
-	TotalRetransmits uint64
+	TotalRNRDrops uint64
 }
 
 type ctrlMsg struct {
@@ -230,12 +228,12 @@ func (r *Rank) sendCtrl(peer, typ, arg int, payload []byte) {
 	off := r.sendIdx * ctrlSlotBytes
 	r.sendIdx = (r.sendIdx + 1) % ctrlSlots
 	copy(r.sendSlot.Slice(off, n), payload)
-	qp.PostSendRC(0, r.sendSlot, off, n, encodeCtrl(typ, arg, r.opSeqFor(typ)), false)
+	qp.PostSendRC(0, r.sendSlot, off, n, encodeCtrl(typ, arg, r.opSeqFor()), false)
 }
 
 // opSeqFor returns the sequence number stamped on outgoing messages: the
 // current operation's.
-func (r *Rank) opSeqFor(int) int {
+func (r *Rank) opSeqFor() int {
 	if r.op == nil {
 		panic("core: control send with no active operation")
 	}
@@ -251,7 +249,7 @@ func (r *Rank) handleCtrl(e verbs.CQE) {
 	if e.Op != verbs.OpRecv {
 		return // stray send completion; ctrl sends are unsignaled
 	}
-	peer, ok := r.qpPeerOf(e.QPN)
+	peer, ok := r.qpPeer[e.QPN]
 	if !ok {
 		panic("core: ctrl completion on unknown QP")
 	}
@@ -262,7 +260,7 @@ func (r *Rank) handleCtrl(e verbs.CQE) {
 		payload = append([]byte(nil), mr.Slice(off, e.Bytes)...)
 	}
 	// Re-post the consumed slot immediately.
-	r.ctrlQPByN(e.QPN).PostRecv(e.WrID, mr, off, ctrlSlotBytes)
+	r.ctrl[peer].PostRecv(e.WrID, mr, off, ctrlSlotBytes)
 
 	msg := ctrlMsg{typ: typ, arg: arg, seq: seq, from: peer, payload: payload}
 	r.deliverCtrl(msg)
@@ -301,27 +299,6 @@ func (r *Rank) drainPendingCtrl() {
 		}
 	}
 	r.pendingCtrl = rest
-}
-
-func (r *Rank) qpPeerOf(n verbs.QPN) (int, bool) {
-	if p, ok := r.qpPeer[n]; ok {
-		return p, true
-	}
-	// Lazy index build: ctrl map is small.
-	for peer, qp := range r.ctrl {
-		r.qpPeer[qp.N] = peer
-	}
-	p, ok := r.qpPeer[n]
-	return p, ok
-}
-
-func (r *Rank) ctrlQPByN(n verbs.QPN) *verbs.QP {
-	for _, qp := range r.ctrl {
-		if qp.N == n {
-			return qp
-		}
-	}
-	panic("core: unknown ctrl QPN")
 }
 
 // ID returns the rank index within the communicator.

@@ -43,7 +43,6 @@ func (op *opState) startRecovery() {
 		op.maybeRxDone()
 		return
 	}
-	op.recovering = true
 	missing = capRanges(missing, (ctrlSlotBytes-4)/8)
 	op.fetchWait = true
 	op.recf(telemetry.PhaseRecovery, "%d ranges missing", len(missing))

@@ -119,12 +119,6 @@ func NewChip(eng *sim.Engine, name string, cores, threadsPerCore int, freq, cont
 // Name returns the chip's name ("dpa", "cpu", ...).
 func (c *Chip) Name() string { return c.name }
 
-// Cores returns the number of cores.
-func (c *Chip) Cores() int { return len(c.cores) }
-
-// ThreadsPerCore returns the hardware thread capacity of each core.
-func (c *Chip) ThreadsPerCore() int { return c.cores[0].threads }
-
 // Capacity returns the total number of hardware threads.
 func (c *Chip) Capacity() int { return len(c.cores) * c.cores[0].threads }
 
@@ -200,12 +194,6 @@ func (t *Thread) RunCycles(issueCycles, latencyCycles float64, ready sim.Time) s
 	t.BusyCycles += lat
 	t.IssueCyclesRetired += issueCycles
 	return t.nextFree
-}
-
-// EffectiveLatencyCycles reports the contention-inflated latency this
-// thread pays per handler, for Table I style reporting.
-func (t *Thread) EffectiveLatencyCycles(p Profile) float64 {
-	return float64(p.LatencyCycles) * (1 + float64(t.chip.Contention*float64(t.core.allocated-1)))
 }
 
 // Worker pumps completion queues through a hardware thread: each CQE costs

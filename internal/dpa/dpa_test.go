@@ -11,11 +11,11 @@ import (
 func TestChipGeometry(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := NewDPA(eng)
-	if d.Cores() != 16 || d.ThreadsPerCore() != 16 || d.Capacity() != 256 {
-		t.Fatalf("DPA geometry wrong: %d cores x %d threads", d.Cores(), d.ThreadsPerCore())
+	if len(d.cores) != 16 || d.cores[0].threads != 16 || d.Capacity() != 256 {
+		t.Fatalf("DPA geometry wrong: %d cores x %d threads", len(d.cores), d.cores[0].threads)
 	}
 	c := NewCPU(eng, 24)
-	if c.Cores() != 24 || c.ThreadsPerCore() != 1 {
+	if len(c.cores) != 24 || c.cores[0].threads != 1 {
 		t.Fatalf("CPU geometry wrong")
 	}
 }
@@ -113,7 +113,8 @@ func TestContentionInflatesLatency(t *testing.T) {
 	d := NewDPA(eng)
 	ths := d.AllocThreads(16)
 	want := 1084 * (1 + 0.10*15)
-	if got := ths[0].EffectiveLatencyCycles(DPAUDRecv); math.Abs(got-want) > 0.5 {
+	ths[0].Run(DPAUDRecv, 0)
+	if got := ths[0].BusyCycles; math.Abs(got-want) > 0.5 {
 		t.Fatalf("effective latency %.1f, want %.1f", got, want)
 	}
 }
@@ -122,15 +123,15 @@ func TestCPUCoreNoContention(t *testing.T) {
 	eng := sim.NewEngine(1)
 	c := NewCPU(eng, 2)
 	ths := c.AllocThreads(2)
-	if got := ths[0].EffectiveLatencyCycles(CPUUDRecv); got != 800 {
-		t.Fatalf("CPU effective latency %.1f, want 800", got)
-	}
 	// Single CPU core UD rate: 2.6e9/800 = 3.25M CQE/s. With 4 KiB chunks
 	// that is 13.3 GB/s ~= 106 Gbit/s — about half of a 200 Gbit/s link,
 	// matching Figure 5's observation.
 	var done sim.Time
 	for i := 0; i < 1000; i++ {
 		done = ths[0].Run(CPUUDRecv, 0)
+	}
+	if got := ths[0].BusyCycles / 1000; got != 800 {
+		t.Fatalf("CPU effective latency %.1f, want 800", got)
 	}
 	gbits := 1000.0 * 4096 * 8 / done.Seconds() / 1e9
 	if gbits < 95 || gbits > 115 {

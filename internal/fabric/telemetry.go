@@ -36,17 +36,17 @@ func (f *Fabric) CollectTelemetry(reg *telemetry.Registry) {
 			continue
 		}
 		lbl := f.channelLabel(i)
-		reg.Counter("fabric", "channel_bytes", lbl, telemetry.Stable).Add(st.Bytes)
-		reg.Counter("fabric", "channel_packets", lbl, telemetry.Stable).Add(st.Packets)
-		reg.Counter("fabric", "channel_busy_ns", lbl, telemetry.Stable).Add(uint64(st.Busy))
-		reg.Counter("fabric", "channel_max_backlog_ns", lbl, telemetry.Stable).Add(uint64(st.MaxBacklog))
+		reg.Counter("fabric", "channel_bytes", lbl).Add(st.Bytes)
+		reg.Counter("fabric", "channel_packets", lbl).Add(st.Packets)
+		reg.Counter("fabric", "channel_busy_ns", lbl).Add(uint64(st.Busy))
+		reg.Counter("fabric", "channel_max_backlog_ns", lbl).Add(uint64(st.MaxBacklog))
 		if st.Drops > 0 {
-			reg.Counter("fabric", "channel_drops", lbl, telemetry.Stable).Add(st.Drops)
+			reg.Counter("fabric", "channel_drops", lbl).Add(st.Drops)
 		}
 	}
-	reg.Counter("fabric", "wire_bytes_total", "", telemetry.Stable).Add(f.TotalWireBytes())
-	reg.Counter("fabric", "drops_total", "", telemetry.Stable).Add(f.TotalDropped)
-	reg.Counter("fabric", "bg_bytes_total", "", telemetry.Stable).Add(f.BackgroundBytes)
+	reg.Counter("fabric", "wire_bytes_total", "").Add(f.TotalWireBytes())
+	reg.Counter("fabric", "drops_total", "").Add(f.TotalDropped)
+	reg.Counter("fabric", "bg_bytes_total", "").Add(f.BackgroundBytes)
 }
 
 // CurrentMaxBacklog reports the worst backlog across all channels right

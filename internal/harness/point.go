@@ -20,13 +20,13 @@ import (
 // Every simulated grid point has one shape: an Env-parameterized build
 // constructs the model stack and stops at construction quiescence, and a
 // run continuation executes the point on it. A kernel is the build followed
-// by the run, on a fresh stack per point; the traced runs are the same
-// build under a tracing Env, and the replay debugger re-executes the same
-// build to seek.
+// by the run, on a fresh stack per point; a traced run is a kernel's run
+// under a tracing Env, and the replay debugger re-executes the same build
+// to seek.
 
 // point is one built grid point: the model stack plus the point's
-// telemetry registry (nil when disabled), its fabric sampler and protocol
-// tracer. Collective points carry an algorithm, training points a workload.
+// telemetry registry (nil when disabled) and its fabric sampler.
+// Collective points carry an algorithm, training points a workload.
 type point struct {
 	// spec is the build spec with the operation kind resolved.
 	spec    sweep.Spec
@@ -36,7 +36,6 @@ type point struct {
 	w       *workload.Workload
 	reg     *telemetry.Registry
 	sampler *telemetry.Sampler
-	tracer  *telemetry.Bundle
 }
 
 // buildColl builds one collective point on the 188-node testbed model: the
@@ -45,11 +44,11 @@ type point struct {
 // Gbit/s ConnectX-3) and jitterUS of seeded per-delivery noise, and the
 // point's algorithm over the first Nodes hosts. The message size and the
 // scenario's injectors are not consumed here — they parameterize the
-// continuation, not the stack. Every collective kernel and trace builds
-// through here, so the quiet anchor of slowdown_vs_quiet cannot drift from
+// continuation, not the stack. Every collective kernel builds through
+// here, so the quiet anchor of slowdown_vs_quiet cannot drift from
 // the plain collective kernel.
 func (e Env) buildColl(s sweep.Spec, linkGbps float64, jitterUS int) (*point, error) {
-	pt := &point{spec: s, tracer: e.Tracer}
+	pt := &point{spec: s}
 	if s.Op == "" {
 		kind, err := collective.KindOfAlgorithm(s.Algorithm)
 		if err != nil {
@@ -101,15 +100,4 @@ func (pt *point) snapshot() *telemetry.Snapshot {
 	pt.f.CollectTelemetry(pt.reg)
 	pt.cl.CollectTelemetry(pt.reg)
 	return pt.reg.Snapshot()
-}
-
-// bundle closes a traced run: the Figure-9 phase events (task dispatch,
-// RNR barrier, multicast start / finish per rank, recovery actions, final
-// handshake) plus the run's metric snapshot. The bundle renders as the
-// text timeline (-trace) or as a Perfetto JSON document (-perfetto). P2P
-// baselines record no events and yield "(no events)" — their telemetry
-// still populates the bundle.
-func (pt *point) bundle() *telemetry.Bundle {
-	pt.tracer.Snap = pt.snapshot()
-	return pt.tracer
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sweep"
-	"repro/internal/telemetry"
 )
 
 // The resilience sweep measures collectives on a noisy fabric: every grid
@@ -150,22 +149,6 @@ func (run *chaosRun) record(pt *point, s sweep.Spec) sweep.Record {
 	addEngineMetrics(&rec, pt.f.Engine())
 	rec.Telemetry = pt.snapshot()
 	return rec
-}
-
-// ChaosTrace re-runs one resilience point — the same build under a tracing
-// Env, driven under the same guards as the kernel — and returns the
-// bundle. On a perturbed fabric the timeline shows the slow path at work —
-// cutoff expiry, neighbor fetches, retransmissions — and the metric
-// snapshot carries the drop/retransmit counters the scenario forced.
-func ChaosTrace(env Env, s sweep.Spec) (*telemetry.Bundle, error) {
-	pt, err := env.Traced().buildColl(s, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := pt.perturbed(s); err != nil {
-		return nil, err
-	}
-	return pt.bundle(), nil
 }
 
 // AnnotateSlowdown adds the slowdown_vs_quiet metric to every record that

@@ -55,7 +55,6 @@ type RxBenchResult struct {
 	ChunkRate float64 // chunks/second processed
 	Chunks    int
 	Profile   dpa.Profile
-	EffCycles float64 // contention-inflated cycles per CQE
 	IPC       float64
 	LinkGbps  float64
 	LinkShare float64 // fraction of the link's payload rate sustained
@@ -63,7 +62,6 @@ type RxBenchResult struct {
 	// Engine throughput counters for the run (deterministic counts).
 	Events          uint64
 	EventsScheduled uint64
-	EventsRecycled  uint64
 }
 
 // RunRxBench executes the microbenchmark under env and returns the
@@ -179,12 +177,10 @@ func RunRxBench(env Env, cfg RxBenchConfig) RxBenchResult {
 		Elapsed:         lastDone,
 		Chunks:          processed,
 		Profile:         profile,
-		EffCycles:       threads[0].EffectiveLatencyCycles(profile),
 		IPC:             profile.IPC(),
 		RNRDrops:        server.RNRDrops,
 		Events:          eng.Executed,
 		EventsScheduled: eng.Scheduled,
-		EventsRecycled:  eng.Recycled,
 	}
 	if processed != chunks {
 		panic(fmt.Sprintf("harness: processed %d of %d chunks (RNR drops: %d)", processed, chunks, server.RNRDrops))

@@ -10,7 +10,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
-	"repro/internal/telemetry"
 	"repro/internal/verbs"
 	"repro/internal/workload"
 )
@@ -53,8 +52,7 @@ func rxConfig(s sweep.Spec) (RxBenchConfig, error) {
 // Both are deterministic event counts (never wall-clock rates), so the
 // byte-identical-JSON contract of the sweep engine is preserved; the
 // wall-clock events/sec trajectory lives in the host-time ledger
-// (bench/, perf/*.json) instead. Recycled counts stay out of Records; they
-// remain visible as Diagnostic telemetry.
+// (bench/, perf/*.json) instead.
 func addEngineMetrics(rec *sweep.Record, eng *sim.Engine) {
 	addEngineCounts(rec, eng.Executed, eng.Scheduled)
 }
@@ -88,11 +86,9 @@ func RxKernel(env Env) sweep.Func {
 		addEngineCounts(&rec, r.Events, r.EventsScheduled)
 		if reg := env.newRegistry(); reg != nil {
 			// The microbenchmark's engine is out of scope here; export the
-			// counter snapshot its result carries. Recycled is Diagnostic,
-			// as in collectEngineTelemetry.
-			reg.Counter("sim", "events", "", telemetry.Stable).Add(r.Events)
-			reg.Counter("sim", "scheduled", "", telemetry.Stable).Add(r.EventsScheduled)
-			reg.Counter("sim", "recycled", "", telemetry.Diagnostic).Add(r.EventsRecycled)
+			// counter snapshot its result carries.
+			reg.Counter("sim", "events", "").Add(r.Events)
+			reg.Counter("sim", "scheduled", "").Add(r.EventsScheduled)
 			rec.Telemetry = reg.Snapshot()
 		}
 		return rec, nil
@@ -102,14 +98,14 @@ func RxKernel(env Env) sweep.Func {
 // --- collective kernel -----------------------------------------------------------
 
 // CollKernel returns the sweep kernel for at-scale collectives on the
-// 188-node testbed model (Figures 10 and 11): it instantiates the point's
-// algorithm through the registry, runs one operation, and reports the
-// unified Result (with the per-rank critical-path extension where the
-// protocol provides it). The optional ChunkSize axis tunes the P2P
-// baselines.
-func CollKernel(env Env) sweep.Func {
+// 188-node testbed model (Figures 10 and 11) with linkGbps links (zero:
+// the testbed's 56 Gbit/s): it instantiates the point's algorithm through
+// the registry, runs one operation, and reports the unified Result (with
+// the per-rank critical-path extension where the protocol provides it).
+// The optional ChunkSize axis tunes the P2P baselines.
+func CollKernel(env Env, linkGbps float64) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
-		pt, err := env.buildColl(s, 0, 0)
+		pt, err := env.buildColl(s, linkGbps, 0)
 		if err != nil {
 			return sweep.Record{}, err
 		}
@@ -287,20 +283,6 @@ func PairKernel(env Env) sweep.Func {
 		rec.Telemetry = pt.snapshot()
 		return rec, nil
 	}
-}
-
-// CollTrace runs one collective point of the OSU sweep — the same build,
-// under a tracing Env — for one operation and returns the bundle.
-func CollTrace(env Env, s sweep.Spec, linkGbps float64) (*telemetry.Bundle, error) {
-	pt, err := env.Traced().buildColl(s, linkGbps, 0)
-	if err != nil {
-		return nil, err
-	}
-	pt.sampler.Arm()
-	if _, err := pt.alg.Run(pt.op(s)); err != nil {
-		return nil, err
-	}
-	return pt.bundle(), nil
 }
 
 // --- OSU-style kernel ------------------------------------------------------------

@@ -17,22 +17,18 @@ func fabricSampler(reg *telemetry.Registry, f *fabric.Fabric) *telemetry.Sampler
 	if s == nil {
 		return nil
 	}
-	gauge := reg.Gauge("fabric", "backlog_ns", "", telemetry.Stable)
+	gauge := reg.Gauge("fabric", "backlog_ns", "")
 	s.Add(func(t sim.Time) { gauge.Sample(t, float64(f.CurrentMaxBacklog())) })
 	return s
 }
 
-// collectEngineTelemetry exports the engine's event counters. Events and
-// scheduled totals are Stable (the same counts the sim_events and
-// sim_scheduled record metrics carry). Recycled is Diagnostic — event-pool
-// reuse is an implementation detail of the engine, not of the model — so
-// it is visible to benchmarks and `repro trace` but excluded from
-// canonical metrics.json.
+// collectEngineTelemetry exports the engine's event counters: the fired
+// and scheduled totals, the same counts the sim_events and sim_scheduled
+// record metrics carry.
 func collectEngineTelemetry(reg *telemetry.Registry, eng *sim.Engine) {
 	if reg == nil {
 		return
 	}
-	reg.Counter("sim", "events", "", telemetry.Stable).Add(eng.Executed)
-	reg.Counter("sim", "scheduled", "", telemetry.Stable).Add(eng.Scheduled)
-	reg.Counter("sim", "recycled", "", telemetry.Diagnostic).Add(eng.Recycled)
+	reg.Counter("sim", "events", "").Add(eng.Executed)
+	reg.Counter("sim", "scheduled", "").Add(eng.Scheduled)
 }

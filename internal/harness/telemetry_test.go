@@ -22,11 +22,11 @@ func TestTelemetryLeavesResultsUnchanged(t *testing.T) {
 		if !strings.HasPrefix(s.Algorithm, "mcast-") {
 			t.Fatalf("fig11Specs[%d] is %s, want a multicast point", i, s.Algorithm)
 		}
-		plain, err := CollKernel(Env{})(s)
+		plain, err := CollKernel(Env{}, 0)(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen, err := CollKernel(observed)(s)
+		seen, err := CollKernel(observed, 0)(s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ type TrainConfig struct {
 // into reg.
 func (e Env) buildStar(s sweep.Spec, hosts int, reg *telemetry.Registry) *point {
 	g := topology.Star(hosts)
-	pt := &point{spec: s, tracer: e.Tracer, reg: reg}
+	pt := &point{spec: s, reg: reg}
 	pt.f = fabric.New(sim.NewEngine(s.Seed), g, fabric.Config{})
 	pt.cl = cluster.New(pt.f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
 	pt.sampler = fabricSampler(reg, pt.f)
@@ -156,23 +156,4 @@ func trainRun(pt *point, s sweep.Spec) (sweep.Record, error) {
 	rep.ExportTelemetry(pt.reg)
 	rec.Telemetry = pt.snapshot()
 	return rec, nil
-}
-
-// TrainTrace re-runs one workload point — the same build under a tracing
-// Env, stepped the same way — and returns the bundle: protocol phase
-// events from its multicast communicators plus per-job workload spans and
-// the metric snapshot. P2P-only workloads produce an empty timeline (the
-// baselines have no protocol tracer) but still carry workload spans and
-// fabric metrics in the bundle.
-func TrainTrace(env Env, s sweep.Spec, cfg TrainConfig) (*telemetry.Bundle, error) {
-	pt, err := env.Traced().buildTrain(s, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := pt.step(s)
-	if err != nil {
-		return nil, err
-	}
-	rep.ExportTelemetry(pt.reg)
-	return pt.bundle(), nil
 }

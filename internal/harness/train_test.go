@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 )
 
 // TestTrainGoldenStepTimes pins the FSDP step time of both collective
@@ -82,15 +83,25 @@ func TestTrainScenarioSlowdown(t *testing.T) {
 	}
 }
 
+// traced runs s through kernel under a tracing Env, as a manifest's
+// traced run does, and returns the bundle with the record's snapshot.
+func traced(t *testing.T, kernel sweep.Func, env Env, s sweep.Spec) *telemetry.Bundle {
+	t.Helper()
+	rec, err := kernel(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Tracer.Snap = rec.Telemetry
+	return env.Tracer
+}
+
 // TestTrainTraceTimeline checks the Figure-9 trace surface: a multicast
 // workload records protocol phases; the traced run is independent of the
 // sweep.
 func TestTrainTraceTimeline(t *testing.T) {
 	spec := sweep.Grid{Workloads: []string{"fsdp-inc"}, Nodes: []int{4}, MsgBytes: []int{16 << 10}, Seed: 3}.Expand()[0]
-	bundle, err := TrainTrace(Env{}, spec, TrainConfig{Layers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := Env{}.Traced()
+	bundle := traced(t, TrainKernel(env, TrainConfig{Layers: 1}), env, spec)
 	timeline := bundle.Timeline()
 	for _, phase := range []string{"dispatch", "barrier", "done"} {
 		if !strings.Contains(timeline, phase) {
@@ -102,22 +113,18 @@ func TestTrainTraceTimeline(t *testing.T) {
 	}
 }
 
-// TestCollTraceTimeline checks the OSU-side trace helper for both a traced
-// multicast run and the (no events) P2P fallback.
+// TestCollTraceTimeline checks the collective kernel's traced run for both
+// a multicast algorithm and the (no events) P2P fallback.
 func TestCollTraceTimeline(t *testing.T) {
 	s := sweep.Spec{Algorithm: "mcast-allgather", Nodes: 4, MsgBytes: 16 << 10, Seed: 5}
-	bundle, err := CollTrace(Env{}, s, 56)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := Env{}.Traced()
+	bundle := traced(t, CollKernel(env, 56), env, s)
 	if timeline := bundle.Timeline(); !strings.Contains(timeline, "dispatch") {
 		t.Fatalf("mcast timeline missing dispatch:\n%.200s", timeline)
 	}
 	s.Algorithm = "ring-allgather"
-	bundle, err = CollTrace(Env{}, s, 56)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env = Env{}.Traced()
+	bundle = traced(t, CollKernel(env, 56), env, s)
 	if timeline := bundle.Timeline(); !strings.Contains(timeline, "no events") {
 		t.Fatalf("ring timeline = %q, want (no events)", timeline)
 	}

@@ -26,12 +26,14 @@ type Plan struct {
 	// Sections are executed in order; their records concatenate into the
 	// report.
 	Sections []Section
-	// Trace re-runs one representative point with a protocol tracer and an
-	// always-on telemetry registry attached, and returns the bundle — the
-	// Figure-9 phase events plus the traced run's metric snapshot, which
-	// renders as a text timeline or a Perfetto JSON document. Nil when the
-	// kind has no traceable point. The traced run is separate from the
-	// sweep, so records stay byte-identical.
+	// Trace re-runs one representative point through its kernel under
+	// Env.Traced (a protocol tracer and an always-on telemetry registry),
+	// and returns the bundle — the Figure-9 phase events plus, as its
+	// Snap, the record's metric snapshot — which renders as a text
+	// timeline or a Perfetto JSON document; P2P baselines record no
+	// events, so their timeline reads "(no events)". Nil when the kind has
+	// no traceable point. The traced run is separate from the sweep, so
+	// records stay byte-identical.
 	Trace func() (*telemetry.Bundle, error)
 	// ReplaySpec names the point `repro replay` seeks and steps through: a
 	// quiet collective cell of the plan (the replay debugger installs no
@@ -130,6 +132,19 @@ func (p *Plan) grid(header, note string, g sweep.Grid, kernel sweep.Func, post f
 	p.Sections = append(p.Sections, Section{Header: header, Note: note, Specs: g.Expand(), Kernel: kernel, Post: post})
 }
 
+// trace sets Trace to run s through kernel under env.Traced().
+func (p *Plan) trace(env harness.Env, s sweep.Spec, kernel func(harness.Env) sweep.Func) {
+	p.Trace = func() (*telemetry.Bundle, error) {
+		env := env.Traced()
+		rec, err := kernel(env)(s)
+		if err != nil {
+			return nil, err
+		}
+		env.Tracer.Snap = rec.Telemetry
+		return env.Tracer, nil
+	}
+}
+
 // expandScenarios resolves the scenario axis: "all" expands to every
 // preset, and — when anchor is true — "quiet" is prepended when missing so
 // slowdown_vs_quiet always has its anchor point.
@@ -173,10 +188,9 @@ func (p *Plan) compileOSU(env harness.Env) {
 		m.Grid.Algorithms, m.Grid.Nodes, cfg.LinkGbps, cfg.Iters, cfg.Warmup)
 	p.grid(header, "", g, harness.OSUKernel(env, cfg), nil)
 	specs := p.Sections[0].Specs
-	p.Trace = func() (*telemetry.Bundle, error) {
-		// The last (largest) size point is the representative run.
-		return harness.CollTrace(env, specs[len(specs)-1], cfg.LinkGbps)
-	}
+	// The last (largest) size point is the representative run: one
+	// operation at the sweep's link rate.
+	p.trace(env, specs[len(specs)-1], func(env harness.Env) sweep.Func { return harness.CollKernel(env, cfg.LinkGbps) })
 	p.ReplaySpec = &specs[len(specs)-1]
 }
 
@@ -191,12 +205,10 @@ func (p *Plan) compileChaos(env harness.Env) {
 	p.grid(header, "slowdown_vs_quiet is each point's duration over its quiet sibling's.",
 		g, harness.ResilienceKernel(env), harness.AnnotateSlowdown)
 	specs := p.Sections[0].Specs
-	p.Trace = func() (*telemetry.Bundle, error) {
-		// The last point is the representative run: grids expand scenarios
-		// last, so it carries a real perturbation (not the quiet anchor)
-		// whenever the manifest names one.
-		return harness.ChaosTrace(env, specs[len(specs)-1])
-	}
+	// The last point is the representative run: grids expand scenarios
+	// last, so it carries a real perturbation (not the quiet anchor)
+	// whenever the manifest names one.
+	p.trace(env, specs[len(specs)-1], harness.ResilienceKernel)
 	// The first point is the quiet anchor (expandScenarios prepends it),
 	// the only scenario the replay debugger supports.
 	p.ReplaySpec = &specs[0]
@@ -233,9 +245,7 @@ func (p *Plan) compileTrain(env harness.Env) {
 	p.grid(header, "overlap_frac is the share of communication hidden behind compute or other communication.",
 		g, harness.TrainKernel(env, cfg), post)
 	specs := p.Sections[0].Specs
-	p.Trace = func() (*telemetry.Bundle, error) {
-		return harness.TrainTrace(env, specs[0], cfg)
-	}
+	p.trace(env, specs[0], func(env harness.Env) sweep.Func { return harness.TrainKernel(env, cfg) })
 }
 
 // compileSweep lowers each section onto its grids' joined specs and its
@@ -259,9 +269,7 @@ func (p *Plan) compileSweep(env harness.Env) {
 		}
 		if p.ReplaySpec == nil && (ss.Kernel == "op" || ss.Kernel == "traffic") {
 			traced := sec.Specs[0]
-			p.Trace = func() (*telemetry.Bundle, error) {
-				return harness.CollTrace(env, traced, 56)
-			}
+			p.trace(env, traced, sweepKernels["op"].kernel)
 			p.ReplaySpec = &traced
 		}
 		p.Sections = append(p.Sections, sec)

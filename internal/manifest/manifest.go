@@ -301,7 +301,7 @@ var sweepKernels = map[string]struct {
 	kernel    func(harness.Env) sweep.Func
 	table     func() []sweep.Record
 }{
-	"op":            {need: []string{"algorithms", "nodes", "msg_bytes"}, may: []string{"chunk_sizes"}, kernel: harness.CollKernel},
+	"op":            {need: []string{"algorithms", "nodes", "msg_bytes"}, may: []string{"chunk_sizes"}, kernel: opKernel},
 	"traffic":       {need: []string{"algorithms", "nodes", "msg_bytes"}, may: []string{"chunk_sizes"}, kernel: harness.TrafficKernel},
 	"rx":            {need: []string{"transports", "threads", "chunk_sizes", "msg_bytes"}, kernel: harness.RxKernel},
 	"rx-rate":       {need: []string{"transports", "threads", "chunk_sizes"}, kernel: harness.ChunkRateKernel},
@@ -310,6 +310,9 @@ var sweepKernels = map[string]struct {
 	"psn-sizing":    {table: harness.PSNSizingRecords},
 	"economics":     {table: harness.EconomicsRecords},
 }
+
+// opKernel is the "op" kernel: one operation at the testbed's link rate.
+func opKernel(env harness.Env) sweep.Func { return harness.CollKernel(env, 0) }
 
 // Validate checks the manifest without running anything: kind membership,
 // kind/field consumption, axis bounds, and registry cross-checks (algorithm,

@@ -59,9 +59,6 @@ func NewTrafficModel(g *topology.Graph) (*TrafficModel, error) {
 // Hosts returns the number of endpoints in the model.
 func (m *TrafficModel) Hosts() int { return len(m.hosts) }
 
-// McastTreeEdges returns the number of links in the multicast spanning tree.
-func (m *TrafficModel) McastTreeEdges() int { return m.mcastEdges }
-
 // RingAllgatherBytes returns the total bytes crossing all links for a ring
 // Allgather with per-rank buffer n: every rank's buffer travels P-1 hops
 // around the ring, each hop crossing hops(r, r+1) links.
@@ -102,14 +99,14 @@ func (m *TrafficModel) McastAllgatherBytes(n int) float64 {
 	return float64(p) * float64(n) * float64(m.mcastEdges-1)
 }
 
-// McastBroadcastBytes returns total link bytes for one multicast broadcast.
-func (m *TrafficModel) McastBroadcastBytes(n int) float64 {
+// mcastBroadcastBytes returns total link bytes for one multicast broadcast.
+func (m *TrafficModel) mcastBroadcastBytes(n int) float64 {
 	return float64(n) * float64(m.mcastEdges-1)
 }
 
-// KnomialBroadcastBytes returns total link bytes for a k-nomial tree
+// knomialBroadcastBytes returns total link bytes for a k-nomial tree
 // broadcast from root 0.
-func (m *TrafficModel) KnomialBroadcastBytes(n, radix int) float64 {
+func (m *TrafficModel) knomialBroadcastBytes(n, radix int) float64 {
 	p := len(m.hosts)
 	total := 0.0
 	var walk func(v int)
@@ -157,12 +154,9 @@ func (m *TrafficModel) Savings(n int) float64 {
 
 // --- Figure 7: bitmap and receive-buffer sizing -------------------------------
 
-// Device memory capacities referenced by Figure 7.
-const (
-	DPALLCBytes  = 3 << 19  // 1.5 MB: BlueField-3 DPA last-level cache
-	DPADRAMBytes = 16 << 30 // BlueField-3 DDR5 attached to the DPA
-	GPUHBMBytes  = 80 << 30 // current-generation GPU HBM (A100/H100)
-)
+// DPALLCBytes is the 1.5 MB BlueField-3 DPA last-level cache Figure 7
+// sizes the bitmap against.
+const DPALLCBytes = 3 << 19
 
 // BitmapPoint is one x-position of Figure 7.
 type BitmapPoint struct {
@@ -220,20 +214,20 @@ func SpeedupINC(p int) float64 {
 	return 2 - 2/float64(p)
 }
 
-// RingPairTime returns the ideal completion time (seconds) of concurrent
+// ringPairTime returns the ideal completion time (seconds) of concurrent
 // ring AG and ring RS, each moving N(P-1) bytes with the NIC bandwidth
 // split evenly between them (Appendix B, configuration 1).
-func RingPairTime(p int, n float64, bnic float64) float64 {
+func ringPairTime(p int, n float64, bnic float64) float64 {
 	if p < 2 {
 		return 0
 	}
 	return n * float64(p-1) / (bnic / 2)
 }
 
-// INCPairTime returns the ideal completion time of concurrent multicast AG
+// incPairTime returns the ideal completion time of concurrent multicast AG
 // and INC RS: the AG receive path and RS send path each carry N(P-1)
 // bytes on their own NIC direction at (1-1/P)·B (Appendix B, config 2).
-func INCPairTime(p int, n float64, bnic float64) float64 {
+func incPairTime(p int, n float64, bnic float64) float64 {
 	if p < 2 {
 		return 0
 	}

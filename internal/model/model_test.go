@@ -22,8 +22,8 @@ func TestSpeedupINCFormula(t *testing.T) {
 func TestPairTimesRatioMatchesSpeedup(t *testing.T) {
 	// T_ring / T_inc must equal S = 2 - 2/P for any P, N, B.
 	for _, p := range []int{2, 4, 16, 188, 1024} {
-		ring := RingPairTime(p, 1<<20, 25e9)
-		inc := INCPairTime(p, 1<<20, 25e9)
+		ring := ringPairTime(p, 1<<20, 25e9)
+		inc := incPairTime(p, 1<<20, 25e9)
 		if math.Abs(ring/inc-SpeedupINC(p)) > 1e-9 {
 			t.Errorf("P=%d: ratio %v, want %v", p, ring/inc, SpeedupINC(p))
 		}
@@ -78,8 +78,8 @@ func TestMcastBroadcastVsKnomial(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 64 << 10
-	mc := m.McastBroadcastBytes(n)
-	kn := m.KnomialBroadcastBytes(n, 4)
+	mc := m.mcastBroadcastBytes(n)
+	kn := m.knomialBroadcastBytes(n, 4)
 	if mc >= kn {
 		t.Fatalf("mcast broadcast traffic (%.3g) not below knomial (%.3g)", mc, kn)
 	}
@@ -97,8 +97,8 @@ func TestMcastTreeEdgesTestbed(t *testing.T) {
 	}
 	// Tree: 188 host links + 12 leaf uplinks toward the root spine... at
 	// minimum hosts + leaves edges; at most hosts + leaves + spines.
-	if m.McastTreeEdges() < 188+12 || m.McastTreeEdges() > 188+12+6 {
-		t.Fatalf("tree edges = %d", m.McastTreeEdges())
+	if m.mcastEdges < 188+12 || m.mcastEdges > 188+12+6 {
+		t.Fatalf("tree edges = %d", m.mcastEdges)
 	}
 }
 

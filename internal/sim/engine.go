@@ -62,7 +62,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"math"
 	"math/bits"
 	"time"
 )
@@ -79,9 +78,6 @@ const (
 	Millisecond Time = 1000 * Microsecond
 	Second      Time = 1000 * Millisecond
 )
-
-// MaxTime is the latest representable virtual time.
-const MaxTime Time = math.MaxInt64
 
 // Duration converts a virtual time span to a time.Duration for reporting.
 func (t Time) Duration() time.Duration { return time.Duration(int64(t)) }
@@ -307,16 +303,13 @@ type Engine struct {
 	slab []event  // fresh events not handed out yet (see carve)
 
 	// Throughput counters, exported so harnesses can surface engine
-	// throughput in their Records (all three are deterministic counts).
+	// throughput in their Records (both are deterministic counts).
 	//
 	// Executed counts events that have fired, for diagnostics and for
 	// guarding against runaway simulations in tests. Scheduled counts every
 	// AtHandler/AfterHandler call and every number Reserve hands out.
-	// Recycled counts events served from the free list instead of fresh
-	// from a slab.
 	Executed  uint64
 	Scheduled uint64
-	Recycled  uint64
 
 	// splits records the child generators handed out by SplitRNG, in
 	// creation order, so Snapshot and Restore can capture and rewind every
@@ -440,7 +433,6 @@ func (e *Engine) get() *event {
 	ev := e.free[n-1]
 	e.free[n-1] = nil
 	e.free = e.free[:n-1]
-	e.Recycled++
 	return ev
 }
 
@@ -802,10 +794,6 @@ func (e *Engine) PeekTime() (t Time, ok bool) {
 	}
 	return ev.at, true
 }
-
-// PoolSize returns the number of events currently parked on the free list
-// (diagnostics for allocation tests).
-func (e *Engine) PoolSize() int { return len(e.free) }
 
 // Stop makes the current Run/RunUntil call return after the in-flight event
 // completes.

@@ -767,11 +767,8 @@ func TestEventPoolRecycles(t *testing.T) {
 		e.AfterHandler(Time(i), h, uint64(i), 0, nil)
 		e.Run()
 	}
-	if e.PoolSize() != 1 {
-		t.Fatalf("PoolSize = %d, want 1 (one event recycled %d times)", e.PoolSize(), n)
-	}
-	if e.Recycled < n-1 {
-		t.Fatalf("Recycled = %d, want >= %d", e.Recycled, n-1)
+	if len(e.free) != 1 {
+		t.Fatalf("free list holds %d events, want 1 (one event recycled %d times)", len(e.free), n)
 	}
 	if e.Scheduled != n || e.Executed != n {
 		t.Fatalf("Scheduled/Executed = %d/%d, want %d/%d", e.Scheduled, e.Executed, n, n)

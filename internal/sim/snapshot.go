@@ -53,7 +53,6 @@ type Snapshot struct {
 	seq       uint64
 	executed  uint64
 	scheduled uint64
-	recycled  uint64
 	rootRNG   uint64
 	splitRNG  []uint64
 	events    []eventRecord
@@ -83,7 +82,6 @@ func (e *Engine) Snapshot() *Snapshot {
 		seq:       e.seq,
 		executed:  e.Executed,
 		scheduled: e.Scheduled,
-		recycled:  e.Recycled,
 		rootRNG:   e.rng.State(),
 		events:    make([]eventRecord, 0, e.live),
 	}
@@ -208,7 +206,6 @@ func (e *Engine) Restore(s *Snapshot) {
 	e.seq = s.seq
 	e.Executed = s.executed
 	e.Scheduled = s.scheduled
-	e.Recycled = s.recycled
 	e.rng.SetState(s.rootRNG)
 	for i, st := range s.splitRNG {
 		e.splits[i].SetState(st)

@@ -17,9 +17,6 @@ type Summary struct {
 	Max    float64
 	Mean   float64
 	Median float64
-	P25    float64
-	P75    float64
-	P99    float64
 	// CILow/CIHigh bound the median's 95% nonparametric confidence
 	// interval (binomial order-statistic method). For N < 6 the interval
 	// degenerates to [Min, Max].
@@ -58,9 +55,6 @@ func Summarize(xs []float64) Summary {
 		Max:    s[n-1],
 		Mean:   mean,
 		Median: Percentile(s, 50),
-		P25:    Percentile(s, 25),
-		P75:    Percentile(s, 75),
-		P99:    Percentile(s, 99),
 		Stddev: std,
 	}
 	lo, hi := medianCI(n)
@@ -113,12 +107,4 @@ func medianCI(n int) (lo, hi int) {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d median=%.4g [%.4g, %.4g] mean=%.4g min=%.4g max=%.4g",
 		s.N, s.Median, s.CILow, s.CIHigh, s.Mean, s.Min, s.Max)
-}
-
-// Speedup returns a/b, guarding against division by zero.
-func Speedup(a, b float64) float64 {
-	if b == 0 {
-		return math.Inf(1)
-	}
-	return a / b
 }

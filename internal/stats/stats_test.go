@@ -93,15 +93,6 @@ func TestPropertyOrderInvariance(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	if Speedup(4, 2) != 2 {
-		t.Fatal("speedup wrong")
-	}
-	if !math.IsInf(Speedup(1, 0), 1) {
-		t.Fatal("division by zero not guarded")
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	if s := Summarize([]float64{1, 2, 3}).String(); s == "" {
 		t.Fatal("empty String()")

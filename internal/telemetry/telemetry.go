@@ -15,31 +15,12 @@
 //     histograms bucket virtual durations — so enabled output is
 //     byte-identical at any -workers count. Telemetry is part of the
 //     determinism contract, not an exception to it.
-//
-// Metrics carry a Class: Stable metrics are worker-invariant and make up
-// the canonical metrics.json; Diagnostic metrics (the engine's event-pool
-// recycle count) describe the simulator rather than the model and are
-// excluded from the canonical encoding — they surface through benchmarks
-// and Registry.Diagnostics instead.
 package telemetry
 
 import (
 	"sort"
 
 	"repro/internal/sim"
-)
-
-// Class separates metrics by their determinism scope.
-type Class uint8
-
-const (
-	// Stable metrics are invariant across -workers and are included in the
-	// canonical metrics.json encoding.
-	Stable Class = iota
-	// Diagnostic metrics describe the simulator rather than the model (the
-	// event-pool recycle count) and are excluded from the canonical
-	// encoding.
-	Diagnostic
 )
 
 // DefaultSamplePeriod is the gauge sampling cadence when the config leaves
@@ -62,7 +43,6 @@ type Config struct {
 // metric is the registry's internal storage for one key.
 type metric struct {
 	key     string
-	class   Class
 	kind    string // "counter", "gauge" or "histogram"
 	counter Counter
 	gauge   Gauge
@@ -101,7 +81,7 @@ func Key(subsystem, name, labels string) string {
 // lookup returns (creating on first use) the storage for a key, panicking
 // on a kind mismatch — two subsystems disagreeing about a key's type is a
 // programming error, not a runtime condition.
-func (r *Registry) lookup(subsystem, name, labels string, class Class, kind string) *metric {
+func (r *Registry) lookup(subsystem, name, labels, kind string) *metric {
 	k := Key(subsystem, name, labels)
 	if m, ok := r.metrics[k]; ok {
 		if m.kind != kind {
@@ -109,7 +89,7 @@ func (r *Registry) lookup(subsystem, name, labels string, class Class, kind stri
 		}
 		return m
 	}
-	m := &metric{key: k, class: class, kind: kind}
+	m := &metric{key: k, kind: kind}
 	r.metrics[k] = m
 	return m
 }
@@ -122,11 +102,11 @@ type Counter struct {
 }
 
 // Counter returns the named counter handle, nil on a nil registry.
-func (r *Registry) Counter(subsystem, name, labels string, class Class) *Counter {
+func (r *Registry) Counter(subsystem, name, labels string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return &r.lookup(subsystem, name, labels, class, "counter").counter
+	return &r.lookup(subsystem, name, labels, "counter").counter
 }
 
 // Add increments the counter; a no-op on a nil handle.
@@ -158,11 +138,11 @@ type Gauge struct {
 }
 
 // Gauge returns the named gauge handle, nil on a nil registry.
-func (r *Registry) Gauge(subsystem, name, labels string, class Class) *Gauge {
+func (r *Registry) Gauge(subsystem, name, labels string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return &r.lookup(subsystem, name, labels, class, "gauge").gauge
+	return &r.lookup(subsystem, name, labels, "gauge").gauge
 }
 
 // Sample appends one observation at virtual time t; a no-op on nil.
@@ -201,11 +181,11 @@ var LatencyBounds = func() []sim.Time {
 
 // Histogram returns the named histogram handle (with the given bucket
 // bounds on first registration), nil on a nil registry.
-func (r *Registry) Histogram(subsystem, name, labels string, class Class, bounds []sim.Time) *Histogram {
+func (r *Registry) Histogram(subsystem, name, labels string, bounds []sim.Time) *Histogram {
 	if r == nil {
 		return nil
 	}
-	m := r.lookup(subsystem, name, labels, class, "histogram")
+	m := r.lookup(subsystem, name, labels, "histogram")
 	if m.hist.counts == nil {
 		m.hist.bounds = bounds
 		m.hist.counts = make([]uint64, len(bounds)+1)
@@ -259,7 +239,7 @@ type Metric struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// Snapshot is the end-of-run state of a registry: the Stable metrics that
+// Snapshot is the end-of-run state of a registry: the metrics that
 // survived the config filters, sorted by key, plus the recorded spans (the
 // Perfetto payload; spans are not part of the canonical metrics document).
 type Snapshot struct {
@@ -281,18 +261,15 @@ func (r *Registry) matchFilters(key string) bool {
 }
 
 // Snapshot serializes the registry. Nil registries snapshot to nil.
-// Diagnostic-class metrics are excluded: they describe the simulator, not
-// the model, and have no place in the pinned metrics.json bytes.
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
 	}
 	keys := make([]string, 0, len(r.metrics))
-	for k, m := range r.metrics {
-		if m.class != Stable || !r.matchFilters(k) {
-			continue
+	for k := range r.metrics {
+		if r.matchFilters(k) {
+			keys = append(keys, k)
 		}
-		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	s := &Snapshot{Metrics: make([]Metric, 0, len(keys))}
@@ -326,20 +303,4 @@ func (r *Registry) Snapshot() *Snapshot {
 		return a.Start < b.Start
 	})
 	return s
-}
-
-// Diagnostics returns the Diagnostic-class counters by key — the simulator
-// statistics excluded from the canonical snapshot — for tests and
-// benchmark reporting.
-func (r *Registry) Diagnostics() map[string]uint64 {
-	if r == nil {
-		return nil
-	}
-	out := make(map[string]uint64)
-	for k, m := range r.metrics {
-		if m.class == Diagnostic && m.kind == "counter" {
-			out[k] = m.counter.v
-		}
-	}
-	return out
 }

@@ -15,19 +15,19 @@ import (
 // pinned 0-alloc hot-path baselines intact.
 func TestNilRegistryIsFree(t *testing.T) {
 	var r *Registry
-	c := r.Counter("sim", "events", "", Stable)
-	g := r.Gauge("fabric", "backlog_ns", "", Stable)
-	h := r.Histogram("verbs", "rc_completion_ns", "", Stable, LatencyBounds)
+	c := r.Counter("sim", "events", "")
+	g := r.Gauge("fabric", "backlog_ns", "")
+	h := r.Histogram("verbs", "rc_completion_ns", "", LatencyBounds)
 	s := r.NewSampler(nil)
 	if c != nil || g != nil || h != nil || s != nil {
 		t.Fatal("nil registry must hand out nil handles")
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		c := r.Counter("sim", "events", "", Stable)
+		c := r.Counter("sim", "events", "")
 		c.Add(1)
 		_ = c.Value()
-		r.Gauge("fabric", "backlog_ns", "", Stable).Sample(sim.Microsecond, 3)
-		r.Histogram("verbs", "rc_completion_ns", "", Stable, LatencyBounds).Observe(sim.Millisecond)
+		r.Gauge("fabric", "backlog_ns", "").Sample(sim.Microsecond, 3)
+		r.Histogram("verbs", "rc_completion_ns", "", LatencyBounds).Observe(sim.Millisecond)
 		r.Span("coll", "allgather", 0, sim.Microsecond)
 		sp := r.NewSampler(nil)
 		sp.Add(func(sim.Time) {})
@@ -38,20 +38,16 @@ func TestNilRegistryIsFree(t *testing.T) {
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry must snapshot to nil")
 	}
-	if r.Diagnostics() != nil {
-		t.Fatal("nil registry must have nil diagnostics")
-	}
 }
 
 // TestSnapshotCanonical covers the canonical serialization rules: sorted
-// keys, Stable-only, filter prefixes, sparse histogram buckets with the
+// keys, filter prefixes, sparse histogram buckets with the
 // overflow rendered as Le=-1, and spans sorted by (track, start).
 func TestSnapshotCanonical(t *testing.T) {
 	r := New(Config{})
-	r.Counter("sim", "events", "", Stable).Add(7)
-	r.Counter("sim", "epoch_stalls", "", Diagnostic).Add(3)
-	r.Counter("fabric", "drops", "ch=0", Stable).Add(1)
-	h := r.Histogram("verbs", "rc_completion_ns", "", Stable, []sim.Time{sim.Microsecond, sim.Millisecond})
+	r.Counter("sim", "events", "").Add(7)
+	r.Counter("fabric", "drops", "ch=0").Add(1)
+	h := r.Histogram("verbs", "rc_completion_ns", "", []sim.Time{sim.Microsecond, sim.Millisecond})
 	h.Observe(500 * sim.Nanosecond) // <= 1µs
 	h.Observe(2 * sim.Millisecond)  // overflow
 	r.Span("coll", "allgather", 10, 20)
@@ -64,7 +60,7 @@ func TestSnapshotCanonical(t *testing.T) {
 	}
 	want := []string{"fabric/drops{ch=0}", "sim/events", "verbs/rc_completion_ns"}
 	if strings.Join(keys, ",") != strings.Join(want, ",") {
-		t.Fatalf("snapshot keys %v, want %v (sorted, Stable only)", keys, want)
+		t.Fatalf("snapshot keys %v, want %v (sorted)", keys, want)
 	}
 	var hist Metric
 	for _, m := range s.Metrics {
@@ -84,13 +80,10 @@ func TestSnapshotCanonical(t *testing.T) {
 	if len(s.Spans) != 2 || s.Spans[0].Start != 0 {
 		t.Fatalf("spans %+v, want sorted by start within track", s.Spans)
 	}
-	if d := r.Diagnostics(); d["sim/epoch_stalls"] != 3 {
-		t.Fatalf("diagnostics %v, want sim/epoch_stalls=3", d)
-	}
 
 	f := New(Config{Filters: []string{"fabric/"}})
-	f.Counter("sim", "events", "", Stable).Add(1)
-	f.Counter("fabric", "drops", "", Stable).Add(1)
+	f.Counter("sim", "events", "").Add(1)
+	f.Counter("fabric", "drops", "").Add(1)
 	fs := f.Snapshot()
 	if len(fs.Metrics) != 1 || fs.Metrics[0].Key != "fabric/drops" {
 		t.Fatalf("filtered snapshot %+v, want fabric/drops only", fs.Metrics)
@@ -106,8 +99,8 @@ func TestKindMismatchPanics(t *testing.T) {
 		}
 	}()
 	r := New(Config{})
-	r.Counter("sim", "events", "", Stable)
-	r.Gauge("sim", "events", "", Stable)
+	r.Counter("sim", "events", "")
+	r.Gauge("sim", "events", "")
 }
 
 // drainHost keeps an engine busy for a fixed number of self-events so the
@@ -129,7 +122,7 @@ func (h *drainHost) OnEvent(e *sim.Engine, _ sim.Handle, _ uint64, _ int, _ any)
 func TestSamplerDrains(t *testing.T) {
 	eng := sim.NewEngine(1)
 	r := New(Config{SamplePeriod: 10 * sim.Microsecond})
-	g := r.Gauge("fabric", "backlog_ns", "", Stable)
+	g := r.Gauge("fabric", "backlog_ns", "")
 	s := r.NewSampler(eng)
 	s.Add(func(ts sim.Time) { g.Sample(ts, float64(ts)) })
 	s.Arm()

@@ -129,20 +129,6 @@ func (g *Graph) Switches() []NodeID {
 	return ss
 }
 
-// NumPorts returns the number of ports on node n.
-func (g *Graph) NumPorts(n NodeID) int { return len(g.Adj[n]) }
-
-// PortToward returns the port index on node n whose link leads to neighbor
-// peer, or -1 if they are not adjacent.
-func (g *Graph) PortToward(n, peer NodeID) int {
-	for p, nb := range g.Adj[n] {
-		if nb.Peer == peer {
-			return p
-		}
-	}
-	return -1
-}
-
 // Validate performs structural sanity checks and returns the first problem
 // found, if any. Constructors call it; tests call it on every preset.
 func (g *Graph) Validate() error {

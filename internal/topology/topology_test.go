@@ -51,7 +51,7 @@ func TestTestbed188(t *testing.T) {
 	}
 	// Radix check: no switch may exceed 36 ports (SX6036).
 	for _, sw := range g.Switches() {
-		if p := g.NumPorts(sw); p > 36 {
+		if p := len(g.Adj[sw]); p > 36 {
 			t.Errorf("switch %d has %d ports, exceeds radix 36", sw, p)
 		}
 	}
@@ -121,23 +121,6 @@ func TestLeafOfPanicsOnSwitch(t *testing.T) {
 	g.LeafOf(0) // node 0 is the switch
 }
 
-func TestPortToward(t *testing.T) {
-	g := Star(3)
-	sw := g.Switches()[0]
-	for _, h := range g.Hosts() {
-		p := g.PortToward(sw, h)
-		if p < 0 || g.Adj[sw][p].Peer != h {
-			t.Fatalf("PortToward(%d,%d) = %d", sw, h, p)
-		}
-		if g.PortToward(h, sw) != 0 {
-			t.Fatalf("host uplink port != 0")
-		}
-	}
-	if g.PortToward(1, 2) != -1 {
-		t.Fatal("non-adjacent nodes reported a port")
-	}
-}
-
 func TestRoutingReachesEveryHost(t *testing.T) {
 	g := Testbed188()
 	rt := g.BuildRouting()
@@ -149,7 +132,7 @@ func TestRoutingReachesEveryHost(t *testing.T) {
 				t.Fatalf("switch %d has no route to host %d", sw, dst)
 			}
 			for _, p := range cands {
-				if p < 0 || p >= g.NumPorts(sw) {
+				if p < 0 || p >= len(g.Adj[sw]) {
 					t.Fatalf("switch %d candidate port %d out of range", sw, p)
 				}
 			}

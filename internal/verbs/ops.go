@@ -238,7 +238,7 @@ func (qp *QP) segment(src Addr, m *wireMsg) *assemblyState {
 	if st == nil || key != qp.lastKey {
 		st = qp.assembly[key]
 		if st == rcDelivered {
-			qp.sendAck(src, m.msgID, 0)
+			qp.sendAck(src, m.msgID)
 			return nil
 		}
 		if st == nil {
@@ -283,7 +283,7 @@ func (qp *QP) receiveWrite(src Addr, m *wireMsg, reliable bool) {
 		})
 		if reliable {
 			qp.completeRC(src, m)
-			qp.sendAck(src, m.msgID, st.bytes)
+			qp.sendAck(src, m.msgID)
 		}
 		qp.ctx.putAssembly(st)
 	}
@@ -459,8 +459,8 @@ func (qp *QP) retransmit(p *rcPending) {
 	qp.armRetransmit(p, wire)
 }
 
-func (qp *QP) sendAck(dst Addr, msgID uint64, bytes int) {
-	qp.sendMessage(dst, &message{hdr: wireMsg{op: wireAck, msgID: msgID, ackBytes: bytes}}, 8)
+func (qp *QP) sendAck(dst Addr, msgID uint64) {
+	qp.sendMessage(dst, &message{hdr: wireMsg{op: wireAck, msgID: msgID}}, 8)
 }
 
 func (qp *QP) receiveAck(m *wireMsg) {
@@ -500,7 +500,7 @@ func (qp *QP) receiveSendRC(src Addr, m *wireMsg, st *assemblyState) {
 		Imm: m.imm, HasImm: m.hasImm, Bytes: n,
 		SrcHost: src.Host, SrcQPN: m.srcQPN,
 	})
-	qp.sendAck(src, m.msgID, n)
+	qp.sendAck(src, m.msgID)
 }
 
 // receiveReadReq serves an incoming RDMA Read on the responder: stream the

@@ -83,13 +83,13 @@ func TestRQAndCQSemanticsOverRing(t *testing.T) {
 
 		fillTo := func(when string) {
 			t.Helper()
-			for qpB.RQLen() < depth {
-				if !qpB.PostRecv(uint64(qpB.RQLen()), dst, 0, 64) {
-					t.Fatalf("depth %d %s: PostRecv refused at RQLen %d", depth, when, qpB.RQLen())
+			for qpB.rqLen < depth {
+				if !qpB.PostRecv(uint64(qpB.rqLen), dst, 0, 64) {
+					t.Fatalf("depth %d %s: PostRecv refused at rqLen %d", depth, when, qpB.rqLen)
 				}
 			}
-			if qpB.PostRecv(0, dst, 0, 64) || qpB.RQLen() != depth {
-				t.Fatalf("depth %d %s: post beyond the depth accepted (RQLen %d)", depth, when, qpB.RQLen())
+			if qpB.PostRecv(0, dst, 0, 64) || qpB.rqLen != depth {
+				t.Fatalf("depth %d %s: post beyond the depth accepted (rqLen %d)", depth, when, qpB.rqLen)
 			}
 		}
 		fillTo("fresh")
@@ -99,8 +99,8 @@ func TestRQAndCQSemanticsOverRing(t *testing.T) {
 			qpA.PostSendUD(0, Unicast(b.Host, qpB.N), src, 0, 64, uint32(i), false)
 		}
 		eng.Run()
-		if qpB.RQLen() != depth-half || cqB.Len() != half {
-			t.Fatalf("depth %d: RQLen %d CQ %d after %d datagrams", depth, qpB.RQLen(), cqB.Len(), half)
+		if qpB.rqLen != depth-half || cqB.Len() != half {
+			t.Fatalf("depth %d: rqLen %d CQ %d after %d datagrams", depth, qpB.rqLen, cqB.Len(), half)
 		}
 		fillTo("wrapped")
 		// Drain everything plus one: FIFO completions, then an RNR drop.
@@ -108,8 +108,8 @@ func TestRQAndCQSemanticsOverRing(t *testing.T) {
 			qpA.PostSendUD(0, Unicast(b.Host, qpB.N), src, 0, 64, uint32(half+i), false)
 		}
 		eng.Run()
-		if qpB.RNRDrops != 1 || b.RNRDrops != 1 || qpB.RQLen() != 0 {
-			t.Fatalf("depth %d: RNR drops %d/%d RQLen %d, want 1/1 and empty", depth, qpB.RNRDrops, b.RNRDrops, qpB.RQLen())
+		if qpB.RNRDrops != 1 || b.RNRDrops != 1 || qpB.rqLen != 0 {
+			t.Fatalf("depth %d: RNR drops %d/%d rqLen %d, want 1/1 and empty", depth, qpB.RNRDrops, b.RNRDrops, qpB.rqLen)
 		}
 		for i := 0; i < half+depth; i++ {
 			if e, ok := cqB.Poll(); !ok || e.Imm != uint32(i) {
@@ -129,7 +129,7 @@ func TestRQAndCQSemanticsOverRing(t *testing.T) {
 // []recvWQE through the same random mix of posts — back-to-back staging
 // slots whose index wraps, identical re-posts, gaps, another MR, another
 // length, an offset off the step — interleaved with receives. Every receive must hand out the WQE
-// the model pops (and be an RNR drop when the model is empty), RQLen must
+// the model pops (and be an RNR drop when the model is empty), rqLen must
 // track the model, and a post must be refused exactly at the depth.
 func TestRunEncodedRQMatchesSliceModel(t *testing.T) {
 	const slots, chunk = 37, 512
@@ -178,16 +178,16 @@ func TestRunEncodedRQMatchesSliceModel(t *testing.T) {
 				}
 				ok := qp.PostRecv(w.wrID, w.mr, w.offset, w.length)
 				if ok != (len(model) < depth) {
-					t.Fatalf("seed %d step %d: PostRecv = %v at RQLen %d, depth %d", seed, step, ok, len(model), depth)
+					t.Fatalf("seed %d step %d: PostRecv = %v at rqLen %d, depth %d", seed, step, ok, len(model), depth)
 				}
 				if ok {
 					model = append(model, w)
 				}
 			}
-			if qp.RQLen() != len(model) {
-				t.Fatalf("seed %d step %d: RQLen %d, model %d", seed, step, qp.RQLen(), len(model))
+			if qp.rqLen != len(model) {
+				t.Fatalf("seed %d step %d: rqLen %d, model %d", seed, step, qp.rqLen, len(model))
 			}
-			merged = merged || qp.rq.len() < qp.RQLen()
+			merged = merged || qp.rq.len() < qp.rqLen
 		}
 		for len(model) > 0 {
 			w, ok := qp.popRecv()
@@ -196,8 +196,8 @@ func TestRunEncodedRQMatchesSliceModel(t *testing.T) {
 			}
 			model = model[1:]
 		}
-		if qp.rq.len() != 0 || qp.RQLen() != 0 {
-			t.Fatalf("seed %d: drained queue holds %d runs, RQLen %d", seed, qp.rq.len(), qp.RQLen())
+		if qp.rq.len() != 0 || qp.rqLen != 0 {
+			t.Fatalf("seed %d: drained queue holds %d runs, rqLen %d", seed, qp.rq.len(), qp.rqLen)
 		}
 		if !merged {
 			t.Fatalf("seed %d: no run ever held two WQEs; the schedule lost its teeth", seed)
@@ -222,8 +222,8 @@ func TestStagingRQStaysTwoRuns(t *testing.T) {
 			t.Fatalf("cycle %d: popped %+v ok=%v", i, w, ok)
 		}
 		qp.PostRecv(w.wrID, staging, w.offset, chunk)
-		if qp.rq.len() > 2 || qp.RQLen() != depth {
-			t.Fatalf("cycle %d: %d runs for %d posted receives, want <= 2 runs at depth %d", i, qp.rq.len(), qp.RQLen(), depth)
+		if qp.rq.len() > 2 || qp.rqLen != depth {
+			t.Fatalf("cycle %d: %d runs for %d posted receives, want <= 2 runs at depth %d", i, qp.rq.len(), qp.rqLen, depth)
 		}
 	}
 }

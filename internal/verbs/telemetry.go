@@ -16,7 +16,7 @@ func (ctx *Context) CollectTelemetry(reg *telemetry.Registry) {
 		retx += qp.Retransmits
 		ucDrop += qp.UCMsgDropped
 	}
-	reg.Counter("verbs", "rnr_drops", "", telemetry.Stable).Add(rnr)
-	reg.Counter("verbs", "retransmits", "", telemetry.Stable).Add(retx)
-	reg.Counter("verbs", "uc_msg_dropped", "", telemetry.Stable).Add(ucDrop)
+	reg.Counter("verbs", "rnr_drops", "").Add(rnr)
+	reg.Counter("verbs", "retransmits", "").Add(retx)
+	reg.Counter("verbs", "uc_msg_dropped", "").Add(ucDrop)
 }

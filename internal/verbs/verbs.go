@@ -332,8 +332,7 @@ func NewContext(f *fabric.Fabric, host topology.NodeID, cfg Config) *Context {
 	ctx.nic.Deliver = ctx.dispatch
 	// All contexts of a cluster share one registry, so every host's RC
 	// completions land in the same histogram (the registry dedupes by key).
-	ctx.complLat = cfg.Metrics.Histogram("verbs", "rc_completion_ns", "",
-		telemetry.Stable, telemetry.LatencyBounds)
+	ctx.complLat = cfg.Metrics.Histogram("verbs", "rc_completion_ns", "", telemetry.LatencyBounds)
 	return ctx
 }
 
@@ -496,9 +495,6 @@ func (qp *QP) PostRecv(wrID uint64, mr *MR, offset, length int) bool {
 	return true
 }
 
-// RQLen returns the number of posted, unconsumed receives.
-func (qp *QP) RQLen() int { return qp.rqLen }
-
 func (qp *QP) popRecv() (recvWQE, bool) {
 	if qp.rqLen == 0 {
 		return recvWQE{}, false
@@ -529,20 +525,19 @@ const (
 )
 
 type wireMsg struct {
-	op       wireOp
-	srcQPN   QPN
-	dstQPN   QPN
-	msgID    uint64
-	seg      int // segment index within the message
-	nsegs    int
-	rkey     uint32 // target MR for writes / read source
-	roffset  int    // target offset for writes / read source offset
-	imm      uint32
-	hasImm   bool
-	data     []byte // nil in metadata-only mode
-	dataLen  int
-	readLen  int // read request: bytes wanted
-	ackBytes int
+	op      wireOp
+	srcQPN  QPN
+	dstQPN  QPN
+	msgID   uint64
+	seg     int // segment index within the message
+	nsegs   int
+	rkey    uint32 // target MR for writes / read source
+	roffset int    // target offset for writes / read source offset
+	imm     uint32
+	hasImm  bool
+	data    []byte // nil in metadata-only mode
+	dataLen int
+	readLen int // read request: bytes wanted
 }
 
 func (ctx *Context) allocMsgID() uint64 {

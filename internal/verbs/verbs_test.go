@@ -135,8 +135,8 @@ func TestRQDepthEnforced(t *testing.T) {
 	if qp.PostRecv(2, mr, 0, 64) {
 		t.Fatal("post over RQ depth succeeded")
 	}
-	if qp.RQLen() != 2 {
-		t.Fatalf("RQLen = %d", qp.RQLen())
+	if qp.rqLen != 2 {
+		t.Fatalf("rqLen = %d", qp.rqLen)
 	}
 }
 

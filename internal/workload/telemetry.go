@@ -23,7 +23,7 @@ func (r *Report) ExportTelemetry(reg *telemetry.Registry) {
 			}
 			reg.Span("workload/"+j.Name, name, sp.Start, sp.End)
 		}
-		reg.Counter("workload", "phases_total", lbl, telemetry.Stable).Add(uint64(len(j.Spans)))
-		reg.Gauge("workload", "overlap_frac", lbl, telemetry.Stable).Sample(j.End, j.OverlapFrac())
+		reg.Counter("workload", "phases_total", lbl).Add(uint64(len(j.Spans)))
+		reg.Gauge("workload", "overlap_frac", lbl).Sample(j.End, j.OverlapFrac())
 	}
 }
