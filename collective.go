@@ -180,14 +180,12 @@ type SystemConfig struct {
 	// "testbed188" (the paper's 18-switch UCC testbed; forces Hosts=188),
 	// or "star".
 	Topology string
-	// FatTree parameters for "fattree2" (defaults: 16 hosts/leaf, enough
-	// spines for 2:1 oversubscription) and "fattree3" (radix).
+	// HostsPerLeaf shapes "fattree2" (default 16); it gets enough spines
+	// for 2:1 oversubscription. "fattree3" is built from radix-8 switches.
 	HostsPerLeaf int
-	Spines       int
-	Radix        int
 	// Fabric tunes link bandwidth, latency, MTU, drops.
 	Fabric fabric.Config
-	// Cluster tunes per-host CPU and transport parameters.
+	// Cluster tunes per-host transport parameters.
 	Cluster cluster.Config
 	// Seed fixes the simulation's random stream (default 1).
 	Seed uint64
@@ -218,19 +216,11 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		if hpl == 0 {
 			hpl = 16
 		}
-		spines := cfg.Spines
-		if spines == 0 {
-			spines = (hpl + 1) / 2
-		}
 		g, err = topology.TwoLevelFatTree(topology.FatTreeSpec{
-			Hosts: cfg.Hosts, HostsPerLeaf: hpl, Spines: spines,
+			Hosts: cfg.Hosts, HostsPerLeaf: hpl, Spines: (hpl + 1) / 2,
 		})
 	case "fattree3":
-		radix := cfg.Radix
-		if radix == 0 {
-			radix = 8
-		}
-		g, err = topology.ThreeLevelFatTree(radix, cfg.Hosts)
+		g, err = topology.ThreeLevelFatTree(8, cfg.Hosts)
 	case "testbed188":
 		g = topology.Testbed188()
 	case "star":

@@ -14,6 +14,7 @@ package bitmap
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 const wordBits = 64
@@ -73,25 +74,35 @@ func (b *Bitmap) Reset(n int) {
 
 // MissingRanges appends [start, end) ranges of consecutive unset bits to
 // dst. The fetch layer coalesces adjacent missing chunks into a single
-// RDMA Read per range.
+// RDMA Read per range. The scan goes a word at a time, skipping full
+// words while it looks for a gap and empty ones while it looks for the
+// gap's end.
 func (b *Bitmap) MissingRanges(dst [][2]int) [][2]int {
-	start := -1
-	for i := 0; i < b.n; i++ {
-		if !b.Get(i) {
-			if start < 0 {
-				start = i
-			}
-			continue
+	for i := 0; i < b.n; {
+		start := b.next(i, ^uint64(0))
+		if start >= b.n {
+			break
 		}
-		if start >= 0 {
-			dst = append(dst, [2]int{start, i})
-			start = -1
-		}
-	}
-	if start >= 0 {
-		dst = append(dst, [2]int{start, b.n})
+		end := min(b.next(start, 0), b.n)
+		dst = append(dst, [2]int{start, end})
+		i = end
 	}
 	return dst
+}
+
+// next returns the first index at or after i < n whose bit is set (flip 0)
+// or unset (flip all ones), or len(words)*wordBits when there is none. The
+// bits past n in the last word are unset.
+func (b *Bitmap) next(i int, flip uint64) int {
+	w := i / wordBits
+	word := (b.words[w] ^ flip) &^ (uint64(1)<<(i%wordBits) - 1)
+	for word == 0 {
+		if w++; w == len(b.words) {
+			return w * wordBits
+		}
+		word = b.words[w] ^ flip
+	}
+	return w*wordBits + bits.TrailingZeros64(word)
 }
 
 // SizeBytes returns the storage footprint of the bitmap in bytes. Figure 7

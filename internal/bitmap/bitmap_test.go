@@ -1,6 +1,8 @@
 package bitmap
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -291,6 +293,61 @@ func TestPropertyMissingRangesConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMissingRangesMatchesBitByBit compares the word-at-a-time scan with a
+// bit-by-bit reference over random bitmaps: lengths on and off word
+// boundaries, densities from empty to full, bits set in runs that straddle
+// words, and storage reused from a longer bitmap.
+func TestMissingRangesMatchesBitByBit(t *testing.T) {
+	reference := func(b *Bitmap) [][2]int {
+		var out [][2]int
+		for i := 0; i < b.Len(); i++ {
+			if b.Get(i) {
+				continue
+			}
+			if k := len(out) - 1; k >= 0 && out[k][1] == i {
+				out[k][1]++
+			} else {
+				out = append(out, [2]int{i, i + 1})
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(1))
+	lengths := []int{1, 63, 64, 65, 127, 128, 129, 191, 192, 1000, 4096, 4097}
+	for trial := 0; trial < 2000; trial++ {
+		n := lengths[trial%len(lengths)]
+		if trial >= 2*len(lengths) {
+			n = 1 + rng.Intn(700)
+		}
+		b := newBitmap(n)
+		if trial%2 == 1 { // storage reused from a longer, full bitmap
+			b = newBitmap(n + 1 + rng.Intn(128))
+			for i := 0; i < b.Len(); i++ {
+				b.Set(i)
+			}
+			b.Reset(n)
+		}
+		density := []float64{0, 0.01, 0.5, 0.97, 1}[rng.Intn(5)]
+		for i := 0; i < n; i++ {
+			if rng.Float64() < density {
+				b.Set(i)
+			}
+		}
+		// Runs of set bits across word boundaries.
+		for k := rng.Intn(4); k > 0; k-- {
+			lo := rng.Intn(n)
+			for i := lo; i < min(n, lo+rng.Intn(200)); i++ {
+				b.Set(i)
+			}
+		}
+		prefix := [][2]int{{-1, -1}}
+		want := append(slices.Clone(prefix), reference(b)...)
+		if got := b.MissingRanges(slices.Clone(prefix)); !slices.Equal(got, want) {
+			t.Fatalf("n=%d density=%v: MissingRanges = %v, want %v", n, density, got, want)
+		}
 	}
 }
 

@@ -15,20 +15,14 @@ import (
 	"repro/internal/verbs"
 )
 
+// cpuCores sizes the host CPU model: the EPYC 7413 of the paper's DPA
+// testbed.
+const cpuCores = 24
+
 // Config shapes the per-host resources.
 type Config struct {
-	// CPUCores sizes the host CPU model (default 24, the EPYC 7413 of the
-	// paper's DPA testbed).
-	CPUCores int
-	// Verbs configures the transport layer (RQ depth, RC timeouts, DMA).
+	// Verbs configures the transport layer (RQ depth, RC timeouts).
 	Verbs verbs.Config
-}
-
-func (c Config) withDefaults() Config {
-	if c.CPUCores == 0 {
-		c.CPUCores = 24
-	}
-	return c
 }
 
 // Node is the runtime of one host.
@@ -87,7 +81,7 @@ type Cluster struct {
 
 // New builds an empty cluster over the fabric.
 func New(f *fabric.Fabric, cfg Config) *Cluster {
-	return &Cluster{f: f, cfg: cfg.withDefaults(), nodes: make(map[topology.NodeID]*Node)}
+	return &Cluster{f: f, cfg: cfg, nodes: make(map[topology.NodeID]*Node)}
 }
 
 // Fabric returns the underlying fabric.
@@ -101,7 +95,7 @@ func (cl *Cluster) Node(h topology.NodeID) *Node {
 	n := &Node{
 		Host: h,
 		Ctx:  verbs.NewContext(cl.f, h, cl.cfg.Verbs),
-		CPU:  dpa.NewCPU(cl.f.Engine(), cl.cfg.CPUCores),
+		CPU:  dpa.NewCPU(cl.f.Engine(), cpuCores),
 		f:    cl.f,
 	}
 	cl.nodes[h] = n

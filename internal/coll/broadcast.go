@@ -99,8 +99,7 @@ var (
 	knomialBroadcast = &schedule{
 		kind: "knomial-broadcast", rule: forwardTags, to: toChild, block: chunkBlock,
 		init: func(op *stepOp) {
-			t := op.p.team
-			op.tree(knomialChildren(op.p.id, op.d.root, t.Size(), t.cfg.KnomialRadix))
+			op.tree(knomialChildren(op.p.id, op.d.root, op.p.team.Size(), knomialRadix))
 		},
 	}
 	binaryBroadcast = &schedule{

@@ -52,14 +52,15 @@ var p2pProgress = dpa.Profile{Name: "p2p-progress", IssueCycles: 250, LatencyCyc
 // by the ring Reduce-Scatter (memory-bound AVX accumulate), bytes/second.
 const reduceBandwidth = 20e9
 
+// knomialRadix is the tree radix of the k-nomial broadcast (the UCC
+// default).
+const knomialRadix = 4
+
 // Config tunes a baseline team.
 type Config struct {
 	// ChunkBytes is the pipelining granularity of chunked algorithms
 	// (binary tree, chain). Zero defaults to 64 KiB.
 	ChunkBytes int
-	// KnomialRadix is the tree radix for the k-nomial broadcast. Zero
-	// defaults to 4 (the UCC default).
-	KnomialRadix int
 	// VerifyData backs all buffers with real bytes.
 	VerifyData bool
 	// Metrics, when set, records one span and one counter increment per
@@ -70,9 +71,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.ChunkBytes == 0 {
 		c.ChunkBytes = 64 * 1024
-	}
-	if c.KnomialRadix == 0 {
-		c.KnomialRadix = 4
 	}
 	return c
 }

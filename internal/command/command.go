@@ -60,5 +60,4 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Every experiment is a manifest (see manifests/). A run is deterministic:")
 	fmt.Fprintln(w, "the same manifest produces byte-identical output at any -workers count.")
-	fmt.Fprintln(w, "The engine is serial; -shards is accepted for compatibility and ignored.")
 }

@@ -84,7 +84,7 @@ func TestExitCodes(t *testing.T) {
 		{"run json to a directory", []string{"run", "-json", dir, m}, 1, "is a directory"},
 		{"run bad csv dir", []string{"run", "-csv", missing, m}, 2, "does not exist"},
 		{"run bad workers", []string{"run", "-workers", "-2", m}, 2, "-workers must be >= 0"},
-		{"run bad shards", []string{"run", "-shards", "0", m}, 2, "-shards must be positive"},
+		{"run removed shards flag", []string{"run", "-shards", "2", m}, 2, shardsHint},
 		{"run zero tol", []string{"run", "-compare", base, "-tol", "0", m}, 2, "expect.sha256"},
 		{"run negative tol", []string{"run", "-compare", base, "-tol", "-0.5", m}, 2, "-tol must be > 0"},
 		{"run tol without baseline", []string{"run", "-tol", "0.1", m}, 2, "no baseline"},
@@ -309,14 +309,16 @@ func TestValidateDuplicates(t *testing.T) {
 
 // TestManifestShardMatrix runs the three shipping manifest families that
 // exercise distinct stacks — pr (OSU collectives), chaos (scenario kernel
-// and its quiet anchor), train (workload DAGs) — under the -shards values existing scripts pass. The flag is
-// ignored: each leg must still match the manifest's expect.sha256 (a
-// zero exit IS the byte-identity assertion; the digest-confirmation line is
-// checked anyway so a manifest that silently loses its expect block fails
-// loudly) and a leg asking for shards must print the notice exactly once.
+// and its quiet anchor), train (workload DAGs) — across the shard counts
+// scripts used to pass. The engine is serial, so the one-shard leg is the
+// plain run at -workers 1: it must match the manifest's expect.sha256 (a
+// zero exit IS the byte-identity assertion; the digest-confirmation line
+// is checked anyway so a manifest that silently loses its expect block
+// fails loudly). A leg asking for more shards through the removed -shards
+// flag exits 2 with the hint before it writes anything.
 func TestManifestShardMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("nine multi-second sweeps; skipped with -short")
+		t.Skip("three multi-second sweeps; skipped with -short")
 	}
 	for _, name := range []string{"pr.json", "chaos.json", "train.json"} {
 		src, err := filepath.Abs(filepath.Join("..", "..", "manifests", name))
@@ -326,19 +328,23 @@ func TestManifestShardMatrix(t *testing.T) {
 		for _, shards := range []string{"1", "2", "8"} {
 			t.Run(name+"/shards="+shards, func(t *testing.T) {
 				t.Parallel()
-				code, stdout, stderr := run("run", "-shards", shards, "-o", t.TempDir(), src)
-				if code != 0 {
+				out := filepath.Join(t.TempDir(), "out")
+				if shards != "1" {
+					code, stdout, stderr := run("run", "-shards", shards, "-o", out, src)
+					if code != 2 || stdout != "" || !strings.HasSuffix(stderr, shardsHint+"\n") {
+						t.Fatalf("exit %d, stdout %q, stderr %q; want 2 and the hint", code, stdout, stderr)
+					}
+					if _, err := os.Stat(out); !os.IsNotExist(err) {
+						t.Fatalf("the refused run created its -o directory (stat: %v)", err)
+					}
+					return
+				}
+				code, stdout, stderr := run("run", "-workers", "1", "-o", out, src)
+				if code != 0 || stderr != "" {
 					t.Fatalf("exit %d, stderr %s", code, stderr)
 				}
 				if !strings.Contains(stdout, "digest matches expect.sha256") {
 					t.Fatalf("stdout does not confirm the digest:\n%s", stdout)
-				}
-				want := 0
-				if shards != "1" {
-					want = 1
-				}
-				if got := strings.Count(stderr, shardsNotice); got != want {
-					t.Fatalf("stderr carries %d shards notices, want %d:\n%s", got, want, stderr)
 				}
 			})
 		}
@@ -555,81 +561,46 @@ func TestSharedStructureSurvivesChaosRun(t *testing.T) {
 	}
 }
 
-// TestShardsIgnored pins the compatibility contract of -shards: the flag
-// and a manifest's "shards" are still accepted, change no
-// output byte, and a request for more than one shard prints shardsNotice
-// exactly once per invocation, however many manifests ask. Invalid counts
-// still exit 2, and validate notes a manifest that sets the field.
-func TestShardsIgnored(t *testing.T) {
+// TestShardsRejected: the engine is serial, so the -shards flag and a
+// manifest's "shards" are refused with exit 2 and a one-line hint, by run
+// and by validate, before anything runs.
+func TestShardsRejected(t *testing.T) {
 	dir := t.TempDir()
-	outputs := func(name string, extra ...string) (string, string) {
-		t.Helper()
-		records, metrics := filepath.Join(dir, name+".json"), filepath.Join(dir, name+".metrics.json")
-		args := append([]string{"run", "-json", records, "-metrics", metrics}, extra...)
-		args = append(args, osu8)
-		code, stdout, stderr := run(args...)
-		if code != 0 {
-			t.Fatalf("%v: exit %d: %s", extra, code, stderr)
+	out := filepath.Join(dir, "out")
+	for _, n := range []string{"1", "2"} {
+		code, stdout, stderr := run("run", "-shards", n, "-o", out, osu8)
+		if code != 2 || stdout != "" || !strings.HasSuffix(stderr, "\n"+shardsHint+"\n") {
+			t.Errorf("-shards %s: exit %d, stdout %q, stderr %q; want 2 ending in the hint", n, code, stdout, stderr)
 		}
-		var b []byte
-		for _, p := range []string{records, metrics} {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b = append(b, data...)
-		}
-		return string(b) + stdout, stderr
-	}
-	plain, plainErr := outputs("plain")
-	sharded, shardedErr := outputs("sharded", "-shards", "4")
-	if plain != sharded {
-		t.Error("-shards 4 changed the records, metrics or stdout")
-	}
-	if plainErr != "" || shardedErr != shardsNotice+"\n" {
-		t.Errorf("stderr without -shards %q, with -shards 4 %q; want nothing and exactly the notice", plainErr, shardedErr)
 	}
 
-	withShards := func(name string, shards int) string {
+	const hint = "manifest: shards is not supported: the engine is serial; remove it and use workers"
+	for _, shards := range []int{2, 1, -1} {
 		m := manifest.Manifest{
 			Kind:   "osu",
 			Grid:   manifest.Grid{Algorithms: []string{"mcast-allgather"}, Nodes: []int{4}, Sizes: []int{4096}},
 			OSU:    &manifest.OSUSpec{Iters: 1},
-			Output: manifest.Output{JSON: name + ".out.json"},
+			Output: manifest.Output{JSON: "out.json"},
 			Shards: shards,
 		}
-		path := filepath.Join(dir, name+".json")
+		path := filepath.Join(dir, fmt.Sprintf("shards%d.json", shards))
 		if err := os.WriteFile(path, m.Encode(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return path
-	}
-	a, b := withShards("a", 4), withShards("b", 2)
-	code, _, stderr := run("run", "-shards", "4", "-o", filepath.Join(dir, "batch"), a, b)
-	if code != 0 || strings.Count(stderr, shardsNotice) != 1 || strings.Count(stderr, "\n") != 1 {
-		t.Errorf("batch asking for shards three times: exit %d, stderr %q; want one notice line", code, stderr)
-	}
-	if code, _, stderr := run("validate", a); code != 0 || !strings.Contains(stderr, "shards is ignored") {
-		t.Errorf("validate of a manifest setting shards: exit %d, stderr %q; want 0 and a note", code, stderr)
-	}
-	negative := withShards("negative", -1)
-	for _, args := range [][]string{
-		{"run", "-shards", "0", a},
-		{"run", "-o", filepath.Join(dir, "neg"), negative},
-		{"validate", negative},
-	} {
-		if code, _, _ := run(args...); code != 2 {
-			t.Errorf("%v: exit %d, want 2", args, code)
+		if code, _, stderr := run("run", "-o", out, path); code != 2 || stderr != "run: "+path+": "+hint+"\n" {
+			t.Errorf("run of a manifest with shards %d: exit %d, stderr %q; want 2 and one hint line", shards, code, stderr)
+		}
+		if code, _, stderr := run("validate", path); code != 2 || !strings.Contains(stderr, path+": "+hint+"\n") {
+			t.Errorf("validate of a manifest with shards %d: exit %d, stderr %q; want 2 and the hint", shards, code, stderr)
 		}
 	}
 }
 
-// TestWarmStartIgnored pins the compatibility contract of warm_start: a
-// manifest that sets it still parses and runs, writes the same bytes as
-// the manifest without it, and validates with a note on stderr. The
-// kind-consumption table is unchanged, so a kind that never consumed the
-// field still rejects it.
-func TestWarmStartIgnored(t *testing.T) {
+// TestWarmStartRejected: every point builds its own stack, so a manifest
+// setting warm_start is refused with exit 2 and a one-line hint, by run
+// and by validate, whatever its kind. The same manifest without it
+// validates cleanly.
+func TestWarmStartRejected(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, m manifest.Manifest) string {
 		t.Helper()
@@ -648,32 +619,19 @@ func TestWarmStartIgnored(t *testing.T) {
 			Output:    manifest.Output{JSON: "out.json"},
 		})
 	}
-	outputs := func(path string) string {
-		t.Helper()
-		out := filepath.Join(dir, filepath.Base(path)+".out")
-		code, stdout, stderr := run("run", "-o", out, path)
-		if code != 0 {
-			t.Fatalf("run %s: exit %d: %s", path, code, stderr)
-		}
-		data, err := os.ReadFile(filepath.Join(out, "out.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data) + stdout
-	}
 	cold, warm := chaos("cold", false), chaos("warm", true)
-	if outputs(cold) != outputs(warm) {
-		t.Error("warm_start changed the records or stdout")
-	}
-	if code, _, stderr := run("validate", warm); code != 0 || !strings.Contains(stderr, "note: warm_start is ignored") {
-		t.Errorf("validate of a manifest setting warm_start: exit %d, stderr %q; want 0 and a note", code, stderr)
-	}
 	if code, _, stderr := run("validate", cold); code != 0 || stderr != "" {
-		t.Errorf("validate without warm_start: exit %d, stderr %q; want 0 and no note", code, stderr)
+		t.Errorf("validate without warm_start: exit %d, stderr %q; want 0 and nothing on stderr", code, stderr)
 	}
 	tables := write("tables", manifest.Manifest{Kind: "sweep", WarmStart: true,
 		Sections: []manifest.SectionSpec{{Title: "t", Kernel: "economics"}}})
-	if code, _, stderr := run("validate", tables); code != 2 || !strings.Contains(stderr, "does not consume warm_start") {
-		t.Errorf("sweep manifest setting warm_start: exit %d, stderr %q; want 2", code, stderr)
+	const hint = "manifest: warm_start is not supported: every point builds its own stack; remove it"
+	for _, path := range []string{warm, tables} {
+		if code, _, stderr := run("run", "-o", filepath.Join(dir, "out"), path); code != 2 || stderr != "run: "+path+": "+hint+"\n" {
+			t.Errorf("run %s: exit %d, stderr %q; want 2 and one hint line", path, code, stderr)
+		}
+		if code, _, stderr := run("validate", path); code != 2 || !strings.Contains(stderr, path+": "+hint+"\n") {
+			t.Errorf("validate %s: exit %d, stderr %q; want 2 and the hint", path, code, stderr)
+		}
 	}
 }

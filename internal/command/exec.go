@@ -7,16 +7,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/manifest"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
-
-// shardsNotice is printed, once per invocation, when -shards or a
-// manifest's "shards" asks for more than one engine shard. Both are still
-// accepted so existing scripts and manifests keep working.
-const shardsNotice = "repro: -shards is ignored; the engine is serial, use -workers"
 
 // common is the flag surface `repro run` folds into every manifest it
 // executes: output targets, pool sizing, telemetry, and diagnostics.
@@ -24,8 +20,6 @@ type common struct {
 	jsonPath     string
 	csvPath      string
 	workers      int
-	shards       int
-	shardsNoted  bool // shardsNotice already printed
 	cpuprofile   string
 	memprofile   string
 	telemetry    bool
@@ -39,7 +33,6 @@ func (c *common) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.jsonPath, "json", "", "write sweep records as JSON to this path")
 	fs.StringVar(&c.csvPath, "csv", "", "write sweep records as CSV to this path")
 	fs.IntVar(&c.workers, "workers", -1, "sweep worker goroutines (0 = GOMAXPROCS; default: the manifest's workers)")
-	fs.IntVar(&c.shards, "shards", 1, "ignored: the engine is serial (accepted for compatibility; use -workers)")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&c.memprofile, "memprofile", "", "write an allocation profile of the run to this file")
 	fs.BoolVar(&c.telemetry, "telemetry", false, "collect the deterministic metrics registry during the sweep")
@@ -51,7 +44,6 @@ func (c *common) register(fs *flag.FlagSet) {
 // of -1 is the sentinel for "defer to the manifest" and passes.
 func (c *common) validate() []error {
 	checks := []error{
-		Positive("shards", c.shards),
 		Writable("json", c.jsonPath),
 		Writable("csv", c.csvPath),
 		Writable("cpuprofile", c.cpuprofile),
@@ -65,9 +57,8 @@ func (c *common) validate() []error {
 	return checks
 }
 
-// apply folds the common flags into the manifest, printing shardsNotice
-// to stderr the first time the flag or a manifest asks for shards.
-func (c *common) apply(m *manifest.Manifest, stderr io.Writer) {
+// apply folds the common flags into the manifest.
+func (c *common) apply(m *manifest.Manifest) {
 	if c.jsonPath != "" {
 		m.Output.JSON = c.jsonPath
 	}
@@ -76,10 +67,6 @@ func (c *common) apply(m *manifest.Manifest, stderr io.Writer) {
 	}
 	if c.workers >= 0 {
 		m.Workers = c.workers
-	}
-	if (c.shards > 1 || m.Shards > 1) && !c.shardsNoted {
-		fmt.Fprintln(stderr, shardsNotice)
-		c.shardsNoted = true
 	}
 	if c.telemetry || c.metricsPath != "" || c.perfettoPath != "" {
 		if m.Telemetry == nil {
@@ -94,11 +81,18 @@ func (c *common) apply(m *manifest.Manifest, stderr io.Writer) {
 	}
 }
 
+// shardsHint follows the flag package's error when a script still passes
+// the removed -shards flag.
+const shardsHint = "repro: -shards was removed: the engine is serial; use -workers"
+
 // parseFlags runs fs over args, mapping a parse failure to exit code 2.
 // The -1 return means "continue".
 func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
+		if strings.HasSuffix(err.Error(), "not defined: -shards") {
+			fmt.Fprintln(stderr, shardsHint)
+		}
 		return 2
 	}
 	return -1

@@ -34,12 +34,11 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 	// Stdlib flag parsing stops at the first positional argument; re-parse
 	// the remainder so `repro run manifests/pr.json -json out.json` works
 	// as naturally as flags-first order.
-	fs.SetOutput(stderr)
 	var paths []string
 	rest := args
 	for {
-		if err := fs.Parse(rest); err != nil {
-			return 2
+		if code := parseFlags(fs, rest, stderr); code >= 0 {
+			return code
 		}
 		if fs.NArg() == 0 {
 			break
@@ -94,7 +93,7 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 			}
 			m.Baseline.Tolerance = *tol
 		}
-		c.apply(&m, stderr)
+		c.apply(&m)
 		if *outDir != "" {
 			redirectOutputs(&m, *outDir)
 		}
@@ -215,8 +214,7 @@ func absPath(p string) string {
 // inside them. Duplicates across the set are rejected: two manifests may
 // share a report name only if they write disjoint artifacts, and no two
 // manifests may declare the same output basename, which would silently
-// overwrite when a batch runs them into one -o directory. A manifest that
-// sets the ignored shards or warm_start field gets a note on stderr.
+// overwrite when a batch runs them into one -o directory.
 func runValidate(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro validate", flag.ContinueOnError)
 	if code := parseFlags(fs, args, stderr); code >= 0 {
@@ -269,12 +267,6 @@ func runValidate(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "ok %s: kind=%s name=%s sections=%d points=%d\n",
 			path, m.Kind, plan.Name, len(plan.Sections), points)
-		if m.Shards != 0 {
-			fmt.Fprintf(stderr, "%s: note: shards is ignored; the engine is serial, use workers\n", path)
-		}
-		if m.WarmStart {
-			fmt.Fprintf(stderr, "%s: note: warm_start is ignored; every point builds its own stack\n", path)
-		}
 	}
 	if bad > 0 {
 		return fail(stderr, 2, "validate: %d of %d manifests invalid", bad, len(paths))

@@ -82,8 +82,9 @@ func TestPerfettoDeterministic(t *testing.T) {
 // checked-in goldens (generated when the trace runs had builders of their
 // own): running testdata/traced_<kind>.json, the -trace text timeline, the
 // -perfetto document and the `repro trace` summary of the sweep's
-// metrics.json must reproduce those bytes — with and without the ignored
-// -shards 4, which must change none of them. The chaos point is perturbed
+// metrics.json must reproduce those bytes on the serial engine (the
+// shards=1 leg); the shards=4 leg passes the removed -shards flag, which
+// exits 2 with the hint and writes none of them. The chaos point is perturbed
 // hard enough to show the slow path (recovery, fetch-serve); the train
 // point is the quiet anchor of a scenario sweep, so it runs under the
 // guarded drive loop.
@@ -94,8 +95,20 @@ func TestTracedRunGoldens(t *testing.T) {
 				t.Parallel()
 				dir := t.TempDir()
 				trace, perfetto, metrics := filepath.Join(dir, "t.txt"), filepath.Join(dir, "p.json"), filepath.Join(dir, "m.json")
-				args := []string{"run", "-shards", shards, "-trace", trace, "-perfetto", perfetto, "-metrics", metrics,
+				args := []string{"run", "-trace", trace, "-perfetto", perfetto, "-metrics", metrics,
 					filepath.Join("testdata", "traced_"+kind+".json")}
+				if shards != "1" {
+					code, _, errOut := run(append([]string{"run", "-shards", shards}, args[1:]...)...)
+					if code != 2 || !strings.HasSuffix(errOut, shardsHint+"\n") {
+						t.Fatalf("-shards %s: exit %d, stderr %q; want 2 and the hint", shards, code, errOut)
+					}
+					for _, p := range []string{trace, perfetto, metrics} {
+						if _, err := os.Stat(p); !os.IsNotExist(err) {
+							t.Fatalf("the refused run wrote %s (stat: %v)", p, err)
+						}
+					}
+					return
+				}
 				if code, _, errOut := run(args...); code != 0 {
 					t.Fatalf("exit %d: %s", code, errOut)
 				}

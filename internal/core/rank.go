@@ -110,7 +110,7 @@ func newRank(c *Communicator, id int, host topology.NodeID) (*Rank, error) {
 	// Receive workers: the host's shared ones, or one per subgroup on its
 	// own thread. Allocating their threads after app and tx keeps each
 	// thread's place on its core, and so its DPA contention.
-	rxProfile := r.rxProfile()
+	rxProfile := dpa.RecvProfile(cfg.RxOnDPA, cfg.Transport)
 	if cfg.ArbitratedRx {
 		var err error
 		if r.rxWkrs, err = node.RxArbiters(cfg.Subgroups, cfg.RxOnDPA, rxProfile); err != nil {
@@ -159,21 +159,6 @@ func newRank(c *Communicator, id int, host topology.NodeID) (*Rank, error) {
 
 	r.sendSlot = r.ctx.RegisterMRLazy(ctrlSlots * ctrlSlotBytes)
 	return r, nil
-}
-
-// rxProfile selects the receive-kernel cost model for this rank's
-// transport and execution substrate.
-func (r *Rank) rxProfile() dpa.Profile {
-	switch {
-	case r.comm.cfg.RxOnDPA && r.comm.cfg.Transport == verbs.UD:
-		return dpa.DPAUDRecv
-	case r.comm.cfg.RxOnDPA:
-		return dpa.DPAUCRecv
-	case r.comm.cfg.Transport == verbs.UD:
-		return dpa.CPUUDRecv
-	default:
-		return dpa.CPURCRecv
-	}
 }
 
 // registerBuf registers a buffer of the given size, with real bytes when

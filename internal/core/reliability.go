@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/fabric"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/verbs"
@@ -17,14 +18,13 @@ func (op *opState) armCutoff() {
 	if op.remaining == 0 {
 		return
 	}
-	cfg := r.comm.f.Config()
 	// Ideal transfer time of the whole operation: every root's buffer
 	// (with header overhead) through one link. The chain schedule
 	// serializes roots but does not add bytes, so this already covers the
 	// full multicast phase; 2x margin plus alpha absorbs scheduling gaps,
 	// synchronization and network noise (§III-C).
-	wire := float64(op.roots) * float64(op.n) * (1 + float64(cfg.HeaderBytes)/float64(op.chunk))
-	ideal := sim.Time(wire / cfg.LinkBandwidth * 1e9)
+	wire := float64(op.roots) * float64(op.n) * (1 + float64(fabric.HeaderBytes)/float64(op.chunk))
+	ideal := sim.Time(wire / r.comm.f.Config().LinkBandwidth * 1e9)
 	d := 2*ideal + r.comm.cfg.CutoffAlpha
 	op.cutoff = r.eng.AfterHandler(d, op, 0, opEvCutoff, nil)
 }

@@ -70,6 +70,21 @@ var (
 	TaskDispatch = Profile{Name: "task-dispatch", IssueCycles: 120, LatencyCycles: 180}
 )
 
+// RecvProfile is the receive kernel for transport t on the DPA (onDPA) or
+// a host CPU core: UD runs the staging datapath, UC and RC land zero-copy.
+func RecvProfile(onDPA bool, t verbs.Transport) Profile {
+	switch {
+	case onDPA && t == verbs.UD:
+		return DPAUDRecv
+	case onDPA:
+		return DPAUCRecv
+	case t == verbs.UD:
+		return CPUUDRecv
+	default:
+		return CPURCRecv
+	}
+}
+
 // Chip is a processing element: a DPA complex or a CPU socket.
 type Chip struct {
 	eng *sim.Engine

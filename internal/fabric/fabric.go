@@ -61,13 +61,13 @@ type Packet struct {
 }
 
 // packetPool is the fabric's free list of packets, and the only place a
-// packet comes from: a train makes one per segment (see Train), and
-// InjectBackground its own. A packet is the fabric's alone. Every handler
-// that a scheduled hop fires ends in landed, and the hop that drops refs to
-// zero files the packet back, Payload still attached and every other field
-// zeroed: the last tree branch to land, the host delivery (NIC.Deliver has
-// returned), the root absorbing a reduce contribution, or a drop. made
-// counts the packets the pool has allocated.
+// packet comes from: a train makes one per segment (see Train). A packet
+// is the fabric's alone. Every handler that a scheduled hop fires ends in
+// landed, and the hop that drops refs to zero files the packet back,
+// Payload still attached and every other field zeroed: the last tree
+// branch to land, the host delivery (NIC.Deliver has returned), the root
+// absorbing a reduce contribution, or a drop. made counts the packets the
+// pool has allocated.
 type packetPool struct {
 	free []*Packet
 	made int
@@ -97,6 +97,9 @@ func (f *Fabric) landed(pkt *Packet) {
 	}
 }
 
+// HeaderBytes is the per-packet wire overhead (LRH+BTH+GRH+ICRC...).
+const HeaderBytes = 64
+
 // Config parameterizes the fabric.
 type Config struct {
 	// LinkBandwidth is the capacity of every channel in bytes/second.
@@ -108,9 +111,6 @@ type Config struct {
 	// HostLinkBandwidth optionally overrides bandwidth on host-switch
 	// channels (NIC injection/reception rate). Zero means LinkBandwidth.
 	HostLinkBandwidth float64
-	// HeaderBytes is per-packet wire overhead (LRH+BTH+GRH+ICRC...).
-	// Zero defaults to 64.
-	HeaderBytes int
 	// MTU is the maximum payload per packet. Zero defaults to 4096.
 	MTU int
 	// DropRate is the independent probability that any single channel
@@ -135,9 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LinkLatency == 0 {
 		c.LinkLatency = 250 * sim.Nanosecond
-	}
-	if c.HeaderBytes == 0 {
-		c.HeaderBytes = 64
 	}
 	if c.MTU == 0 {
 		c.MTU = 4096
@@ -361,7 +358,7 @@ type packetHeader Packet
 func (h *packetHeader) Segment(pkt *Packet, _ int) { pkt.Payload = h.Payload }
 
 // wireBytes is the link occupancy of the packet.
-func (f *Fabric) wireBytes(pkt *Packet) int { return pkt.PayloadBytes + f.cfg.HeaderBytes }
+func (f *Fabric) wireBytes(pkt *Packet) int { return pkt.PayloadBytes + HeaderBytes }
 
 // serialization returns the wire time of size bytes on the channel,
 // memoizing the last (size, time) pair: back-to-back traffic on a channel
@@ -378,9 +375,10 @@ func (ch *channel) serialization(size int) sim.Time {
 	return t
 }
 
-// transmit serializes pkt onto the channel leaving node via port, then
-// schedules arrival processing at the peer or holds it (see hold). It
-// returns the serialization completion time on that channel.
+// transmit serializes pkt onto the channel leaving switch node via port,
+// then schedules arrival processing at the peer or holds it (see hold). It
+// returns the serialization completion time on that channel. A host's
+// uplink is booked by its trains instead (see Train).
 func (f *Fabric) transmit(pkt *Packet, node topology.NodeID, port int) sim.Time {
 	c := f.egress(node, port)
 	ch := &f.chans[c]
@@ -659,9 +657,10 @@ func (f *Fabric) UnicastPath(src, dst topology.NodeID, flow uint64) []ChannelID 
 // InjectBackground sends one non-collective packet from src toward dst,
 // occupying the same channels (and the same serialization slots) as
 // collective traffic — the packet-injection hook the multi-tenant scenarios
-// stand on. Both endpoints must be hosts; dst needs no NIC, the packet is
-// only counted on delivery. Returns the time the packet finishes
-// serializing onto src's uplink.
+// stand on. It leaves src as a one-segment background Train. Both
+// endpoints must be hosts, and neither needs a NIC: the packet is only
+// counted, on injection and on delivery. Returns the time the packet
+// finishes serializing onto src's uplink.
 func (f *Fabric) InjectBackground(src, dst topology.NodeID, payloadBytes int, flow uint64) sim.Time {
 	if f.g.Nodes[src].Kind != topology.Host || f.g.Nodes[dst].Kind != topology.Host {
 		panic(fmt.Sprintf("fabric: background flow %d->%d endpoints must be hosts", src, dst))
@@ -669,18 +668,10 @@ func (f *Fabric) InjectBackground(src, dst topology.NodeID, payloadBytes int, fl
 	if payloadBytes > f.cfg.MTU {
 		panic(fmt.Sprintf("fabric: background payload %d exceeds MTU %d", payloadBytes, f.cfg.MTU))
 	}
-	if payloadBytes < 0 {
-		panic("fabric: negative background payload size")
-	}
-	pkt := f.pool.get()
-	pkt.Src, pkt.Dst, pkt.Flow = src, dst, flow
-	pkt.PayloadBytes, pkt.Background = payloadBytes, true
-	f.BackgroundInjected++
+	tr := f.newTrain()
+	tr.Dst, tr.Flow, tr.Bytes, tr.Background = dst, flow, payloadBytes, true
+	wire := f.inject(src, tr, &f.BackgroundInjected)
 	f.BackgroundBytes += uint64(payloadBytes)
-	wire := f.transmit(pkt, src, 0)
-	if pkt.refs == 0 { // dropped on the uplink
-		f.pool.put(pkt)
-	}
 	return wire
 }
 

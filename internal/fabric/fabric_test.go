@@ -54,7 +54,7 @@ func TestSerializationThroughput(t *testing.T) {
 	// Back-to-back streaming: k packets of the MTU must take ≈ k*(wire/bw)
 	// on the bottleneck (host uplink), i.e. the receive rate equals link
 	// bandwidth, not infinity.
-	eng, f, nics := testFabric(t, 2, Config{})
+	eng, _, nics := testFabric(t, 2, Config{})
 	const k = 1000
 	var lastArrival sim.Time
 	count := 0
@@ -66,7 +66,7 @@ func TestSerializationThroughput(t *testing.T) {
 	if count != k {
 		t.Fatalf("delivered %d, want %d", count, k)
 	}
-	wire := float64(4096 + f.Config().HeaderBytes)
+	wire := float64(4096 + HeaderBytes)
 	wantNs := float64(k) * wire / 25e9 * 1e9
 	got := float64(lastArrival)
 	if got < wantNs*0.99 || got > wantNs*1.05 {
@@ -182,7 +182,7 @@ func TestMulticastLinkOptimality(t *testing.T) {
 	// but the sender's host link is crossed once upward and the other 7
 	// downward, and leaf0<->spine, spine->leaf1: with root on the spine the
 	// tree has 8 host edges + 2 leaf-spine edges. Each edge used once.
-	wire := uint64(4096 + f.Config().HeaderBytes)
+	wire := uint64(4096 + HeaderBytes)
 	want := 10 * wire
 	if got := f.TotalWireBytes(); got != want {
 		t.Fatalf("total wire bytes = %d, want %d (each tree link exactly once)", got, want)
@@ -332,7 +332,7 @@ func TestCountersAndReset(t *testing.T) {
 	nics[1].Deliver = func(p *Packet) {}
 	nics[0].Inject(&Packet{Dst: nics[1].Host, Group: NoGroup, PayloadBytes: 1000})
 	eng.Run()
-	wire := uint64(1000 + f.Config().HeaderBytes)
+	wire := uint64(1000 + HeaderBytes)
 	if got := f.TotalWireBytes(); got != 2*wire {
 		t.Fatalf("TotalWireBytes = %d, want %d", got, 2*wire)
 	}
@@ -361,7 +361,7 @@ func TestHostLinkBandwidthOverride(t *testing.T) {
 	nics[1].Deliver = func(p *Packet) { at = eng.Now() }
 	nics[0].Inject(&Packet{Dst: nics[1].Host, Group: NoGroup, PayloadBytes: 4096})
 	eng.Run()
-	wire := float64(4096 + f.Config().HeaderBytes)
+	wire := float64(4096 + HeaderBytes)
 	want := sim.Time(2*wire/12.5e9*1e9) + 2*250
 	if at < want-4 || at > want+4 {
 		t.Fatalf("delivery at %v, want ≈%v", at, want)

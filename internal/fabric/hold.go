@@ -1,9 +1,6 @@
 package fabric
 
-import (
-	"repro/internal/sim"
-	"repro/internal/topology"
-)
+import "repro/internal/sim"
 
 // A congested switch port keeps its waiting hops out of the engine. Once
 // holdDepth hops of a port are queued in the engine (a port only briefly
@@ -15,7 +12,7 @@ import (
 // port counts hops in the engine, not hops booked: a dropped hop lands
 // nowhere. After a latency cut a hop may land before those ahead of it, so
 // the port holds nothing more until it drains. Uplinks never hold: trains
-// book them outside transmit.
+// book them outside transmit, which only switches call.
 const holdDepth = 8
 
 // heldHop is a hop waiting in its port's FIFO: the landing it will queue.
@@ -60,9 +57,6 @@ func (f *Fabric) fifo(c int) *portFIFO {
 // hold files the hop landing pkt at at in switch port c's FIFO, behind the
 // port's hops queued in the engine, and reports whether it did.
 func (f *Fabric) hold(c int, at sim.Time, pkt *Packet) bool {
-	if f.g.Nodes[f.chans[c].from].Kind == topology.Host {
-		return false
-	}
 	q := f.fifo(c)
 	if q.direct {
 		return false

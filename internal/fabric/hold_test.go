@@ -82,7 +82,7 @@ func TestCongestedPortMatchesPerHopModel(t *testing.T) {
 		}
 	}
 	const probeAt = 29_999 // deep backlog, before the latency cut
-	wire := cfg.MTU + cfg.HeaderBytes
+	wire := cfg.MTU + HeaderBytes
 	serUp := sim.Time(float64(wire) / cfg.LinkBandwidth * 1e9)
 	delivered := make([][]uint64, len(dsts))
 	landed := map[uint64]sim.Time{}

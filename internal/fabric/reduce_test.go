@@ -116,7 +116,7 @@ func TestReduceRoutesUpFatTree(t *testing.T) {
 	// aggregated per switch? no — reduction happens at the ROOT only, so
 	// every contribution crosses its leaf's uplink too: 8 more), and one
 	// result descends spine->leaf->host (2). Total = 8 + 8 + 2 = 18 units.
-	wire := uint64(4096 + f.Config().HeaderBytes)
+	wire := uint64(4096 + HeaderBytes)
 	if got := f.TotalWireBytes(); got != 18*wire {
 		t.Fatalf("total wire bytes = %d, want %d", got, 18*wire)
 	}

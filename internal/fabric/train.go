@@ -45,6 +45,9 @@ type Train struct {
 	// stays with the train across reuse: a transport keeps its per-message
 	// state there and overwrites it for the next message.
 	Header Segmenter
+	// Background marks tenant traffic (see Fabric.InjectBackground): its
+	// segments carry no transport header, and Header is not called.
+	Background bool
 
 	src   topology.NodeID
 	nsegs int
@@ -67,8 +70,10 @@ type Train struct {
 // NewTrain returns an empty train (Group NoGroup) from the fabric's free
 // list for the caller to fill and InjectTrain. Its Header is whatever the
 // train last carried, or nil.
-func (n *NIC) NewTrain() *Train {
-	f := n.f
+func (n *NIC) NewTrain() *Train { return n.f.newTrain() }
+
+// newTrain is NewTrain for a sender that needs no NIC.
+func (f *Fabric) newTrain() *Train {
 	if k := len(f.trains); k > 0 {
 		tr := f.trains[k-1]
 		f.trains[k-1] = nil
@@ -84,7 +89,7 @@ func (n *NIC) NewTrain() *Train {
 // list's capacity. InjectTrain sets every other field before reading it.
 func (f *Fabric) putTrain(tr *Train) {
 	tr.Dst, tr.Group, tr.Flow, tr.Bytes = 0, NoGroup, 0, 0
-	tr.Reduce, tr.ReduceChunk = NoReduceGroup, 0
+	tr.Reduce, tr.ReduceChunk, tr.Background = NoReduceGroup, 0, false
 	tr.dropped, tr.skipped = tr.dropped[:0], 0
 	f.trains = append(f.trains, tr)
 }
@@ -118,26 +123,29 @@ func (tr *Train) survivor(s int) int {
 // the channel's serializer, counters, latency and drop draw. Each surviving
 // segment gets its engine sequence number now, too, so the events it causes
 // fire exactly where sending the segments one by one would put them.
-func (n *NIC) InjectTrain(tr *Train) sim.Time {
-	f := n.f
+func (n *NIC) InjectTrain(tr *Train) sim.Time { return n.f.inject(n.Host, tr, &n.Injected) }
+
+// inject is InjectTrain from host src, which needs no NIC, counting each
+// segment in *injected.
+func (f *Fabric) inject(src topology.NodeID, tr *Train, injected *uint64) sim.Time {
 	if tr.Bytes < 0 {
 		panic("fabric: negative train size")
 	}
-	if tr.Group != NoGroup && !f.groups[tr.Group].OnTree(n.Host) {
-		panic(fmt.Sprintf("fabric: host %d multicasting to group %d it is not attached to", n.Host, tr.Group))
+	if tr.Group != NoGroup && !f.groups[tr.Group].OnTree(src) {
+		panic(fmt.Sprintf("fabric: host %d multicasting to group %d it is not attached to", src, tr.Group))
 	}
 	mtu := f.cfg.MTU
-	tr.src = n.Host
+	tr.src = src
 	tr.nsegs = 1
 	if tr.Bytes > mtu { // most messages fit one segment: skip the division
 		tr.nsegs = (tr.Bytes + mtu - 1) / mtu
 	}
-	c := f.egress(n.Host, 0) // the host's single uplink
+	c := f.egress(src, 0) // the host's single uplink
 	ch := &f.chans[c]
 	tr.start = max(ch.nextFree, f.eng.Now())
 	for s := 0; s < tr.nsegs; s++ {
-		n.Injected++
-		if !f.book(ch, tr.segBytes(s, mtu)+f.cfg.HeaderBytes) {
+		*injected++
+		if !f.book(ch, tr.segBytes(s, mtu)+HeaderBytes) {
 			tr.dropped = append(tr.dropped, s)
 		}
 		if s == 0 {
@@ -172,9 +180,11 @@ func (f *Fabric) packet(tr *Train, s int) *Packet {
 	pkt := f.pool.get()
 	pkt.Src, pkt.Dst, pkt.Group, pkt.Flow = tr.src, tr.Dst, tr.Group, tr.Flow
 	pkt.Reduce, pkt.ReduceChunk = tr.Reduce, tr.ReduceChunk
-	pkt.PayloadBytes = tr.segBytes(s, f.cfg.MTU)
+	pkt.PayloadBytes, pkt.Background = tr.segBytes(s, f.cfg.MTU), tr.Background
 	pkt.refs = 1
-	tr.Header.Segment(pkt, s)
+	if !tr.Background {
+		tr.Header.Segment(pkt, s)
+	}
 	return pkt
 }
 

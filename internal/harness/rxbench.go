@@ -23,6 +23,10 @@ import (
 	"repro/internal/verbs"
 )
 
+// rxLinkBandwidth is the back-to-back link of the microbenchmark in
+// bytes/s (200 Gbit/s).
+const rxLinkBandwidth = 25e9
+
 // RxBenchConfig parameterizes the receive-datapath microbenchmark: the
 // paper's DPA-testbed setup where an x86 client saturates the link with
 // chunks across several connections (standing in for multicast trees) and
@@ -39,8 +43,6 @@ type RxBenchConfig struct {
 	TotalBytes int
 	// OnCPU runs workers on a host CPU model instead of the DPA.
 	OnCPU bool
-	// LinkBandwidth in bytes/s; zero defaults to 25e9 (200 Gbit/s).
-	LinkBandwidth float64
 	// Seed for the simulation engine (defaults to 1).
 	Seed uint64
 }
@@ -67,9 +69,6 @@ type RxBenchResult struct {
 // RunRxBench executes the microbenchmark under env and returns the
 // measured result.
 func RunRxBench(env Env, cfg RxBenchConfig) RxBenchResult {
-	if cfg.LinkBandwidth == 0 {
-		cfg.LinkBandwidth = 25e9
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -77,9 +76,8 @@ func RunRxBench(env Env, cfg RxBenchConfig) RxBenchResult {
 		panic("harness: invalid rxbench config")
 	}
 	g := topology.BackToBack()
-	fcfg := fabric.Config{LinkBandwidth: cfg.LinkBandwidth}
 	eng := sim.NewEngine(cfg.Seed)
-	f := fabric.New(eng, g, fcfg)
+	f := fabric.New(eng, g, fabric.Config{LinkBandwidth: rxLinkBandwidth})
 	hosts := g.Hosts()
 
 	chunks := (cfg.TotalBytes + cfg.ChunkBytes - 1) / cfg.ChunkBytes
@@ -96,17 +94,12 @@ func RunRxBench(env Env, cfg RxBenchConfig) RxBenchResult {
 	server := verbs.NewContext(f, hosts[1], vcfg)
 
 	var chip *dpa.Chip
-	var profile dpa.Profile
-	switch {
-	case cfg.OnCPU && cfg.Transport == verbs.UD:
-		chip, profile = dpa.NewCPU(eng, cfg.Workers), dpa.CPUUDRecv
-	case cfg.OnCPU:
-		chip, profile = dpa.NewCPU(eng, cfg.Workers), dpa.CPURCRecv
-	case cfg.Transport == verbs.UD:
-		chip, profile = dpa.NewDPA(eng), dpa.DPAUDRecv
-	default:
-		chip, profile = dpa.NewDPA(eng), dpa.DPAUCRecv
+	if cfg.OnCPU {
+		chip = dpa.NewCPU(eng, cfg.Workers)
+	} else {
+		chip = dpa.NewDPA(eng)
 	}
+	profile := dpa.RecvProfile(!cfg.OnCPU, cfg.Transport)
 	threads := chip.AllocThreads(cfg.Workers)
 
 	processed := 0
@@ -192,8 +185,8 @@ func RunRxBench(env Env, cfg RxBenchConfig) RxBenchResult {
 		res.Gbps = res.Bps * 8 / 1e9
 		res.ChunkRate = float64(chunks) / secs
 	}
-	res.LinkGbps = cfg.LinkBandwidth * 8 / 1e9
-	payloadRate := cfg.LinkBandwidth * float64(cfg.ChunkBytes) / float64(cfg.ChunkBytes+f.Config().HeaderBytes)
+	res.LinkGbps = rxLinkBandwidth * 8 / 1e9
+	payloadRate := rxLinkBandwidth * float64(cfg.ChunkBytes) / float64(cfg.ChunkBytes+fabric.HeaderBytes)
 	res.LinkShare = res.Bps / payloadRate
 	return res
 }

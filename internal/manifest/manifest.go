@@ -57,13 +57,10 @@ type Manifest struct {
 	// Workers is the sweep worker pool size; 0 means GOMAXPROCS. Results
 	// are byte-identical at any value.
 	Workers int `json:"workers,omitempty"`
-	// Shards is accepted so existing manifests keep parsing, and ignored:
-	// the engine is serial, Workers is the parallelism. Negative values are
-	// still invalid.
-	Shards int `json:"shards,omitempty"`
-	// WarmStart is accepted on the osu, chaos and train kinds so existing
-	// manifests keep parsing, and ignored: every grid point builds its own
-	// model stack and runs it.
+	// Shards and WarmStart are parsed only so Validate can reject them
+	// with a hint: the engine is serial (Workers is the parallelism), and
+	// every grid point builds its own model stack.
+	Shards    int  `json:"shards,omitempty"`
 	WarmStart bool `json:"warm_start,omitempty"`
 	// OSU carries the measurement-loop knobs of the osu kind.
 	OSU *OSUSpec `json:"osu,omitempty"`
@@ -264,7 +261,6 @@ func (m Manifest) fields() []field {
 		{"grid.sizes", len(m.Grid.Sizes) > 0},
 		{"grid.scenarios", len(m.Grid.Scenarios) > 0},
 		{"seed", m.Seed != nil},
-		{"warm_start", m.WarmStart},
 		{"osu", m.OSU != nil},
 		{"train", m.Train != nil},
 		{"sections", len(m.Sections) > 0},
@@ -273,12 +269,12 @@ func (m Manifest) fields() []field {
 }
 
 // consumes names the kind-specific fields each kind reads. Universal
-// fields (name, workers, shards, output, baseline, expect) are always
+// fields (name, workers, output, baseline, expect) are always
 // legal and not listed.
 var consumes = map[string][]string{
-	"osu":   {"grid.algorithms", "grid.ops", "grid.nodes", "grid.sizes", "seed", "warm_start", "osu", "telemetry"},
-	"chaos": {"grid.algorithms", "grid.scenarios", "grid.nodes", "grid.sizes", "seed", "warm_start", "telemetry"},
-	"train": {"grid.workloads", "grid.scenarios", "grid.nodes", "grid.sizes", "seed", "warm_start", "train", "telemetry"},
+	"osu":   {"grid.algorithms", "grid.ops", "grid.nodes", "grid.sizes", "seed", "osu", "telemetry"},
+	"chaos": {"grid.algorithms", "grid.scenarios", "grid.nodes", "grid.sizes", "seed", "telemetry"},
+	"train": {"grid.workloads", "grid.scenarios", "grid.nodes", "grid.sizes", "seed", "train", "telemetry"},
 	"sweep": {"sections", "telemetry"},
 }
 
@@ -322,6 +318,12 @@ func (m Manifest) Validate() error {
 	if !slices.Contains(Kinds, m.Kind) {
 		return fmt.Errorf("manifest: unknown kind %q (have %s)", m.Kind, strings.Join(Kinds, ", "))
 	}
+	if m.Shards != 0 {
+		return fmt.Errorf("manifest: shards is not supported: the engine is serial; remove it and use workers")
+	}
+	if m.WarmStart {
+		return fmt.Errorf("manifest: warm_start is not supported: every point builds its own stack; remove it")
+	}
 	allowed := consumes[m.Kind]
 	for _, f := range m.fields() {
 		if f.set && !slices.Contains(allowed, f.name) {
@@ -330,9 +332,6 @@ func (m Manifest) Validate() error {
 	}
 	if m.Workers < 0 {
 		return fmt.Errorf("manifest: workers must be >= 0, got %d", m.Workers)
-	}
-	if m.Shards < 0 {
-		return fmt.Errorf("manifest: shards must be >= 0, got %d", m.Shards)
 	}
 	if m.Baseline != nil {
 		if m.Baseline.Path == "" {

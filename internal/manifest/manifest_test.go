@@ -68,6 +68,13 @@ func TestValidateKindConsumption(t *testing.T) {
 		parseErr(t, sweepWith(retired), "unknown field")
 	}
 	parseErr(t, sweepWith(`"traffic":{"iters":2}`), `unknown field "traffic"`)
+	// shards and warm_start parse only to be refused, on every kind.
+	osuDoc := `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]}`
+	parseErr(t, osuDoc+`,"shards":2}`, "shards is not supported: the engine is serial; remove it and use workers")
+	parseErr(t, osuDoc+`,"shards":-1}`, "shards is not supported")
+	parseErr(t, osuDoc+`,"warm_start":true}`, "warm_start is not supported: every point builds its own stack; remove it")
+	parseErr(t, sweepWith(`"warm_start":true`), "warm_start is not supported")
+	parseErr(t, sweepWith(`"shards":4`), "shards is not supported")
 
 	// Each sweep kernel reads its own grid axes; any other is rejected.
 	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"transports":["ud"]}`), "kernel op does not consume transports")

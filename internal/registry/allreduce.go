@@ -68,11 +68,6 @@ func (a *incAlg) Run(op collective.Op) (*collective.Result, error) {
 
 // --- composed allreduce ----------------------------------------------------------
 
-// starter is the non-blocking surface the allreduce composition chains.
-type starter interface {
-	Start(op collective.Op, done func(*collective.Result)) error
-}
-
 // allreduceAlg is the composed Allreduce of the AI-training workload: a
 // ring Reduce-Scatter over the P·shard working buffer, then an Allgather
 // of the reduced shards — on the P2P ring ("ring-allreduce") or on the
@@ -80,8 +75,8 @@ type starter interface {
 // path for the next layer's gradients (§II-A).
 type allreduceAlg struct {
 	name string
-	team *coll.Team // reduce-scatter half (and gather half when P2P)
-	ag   starter    // gather half
+	team *coll.Team         // reduce-scatter half (and gather half when P2P)
+	ag   collective.Starter // gather half
 	eng  *sim.Engine
 	// chainErr records a failure to launch the gather half from inside the
 	// reduce-scatter completion callback (no error path crosses the event

@@ -33,11 +33,9 @@ type Options struct {
 	// half of mcast-allreduce). The zero value selects the UD fast path
 	// with the paper's defaults. Its RQDepth sizes every subgroup's data QP
 	// receive queue and, over UD, its staging ring. The host CPU model is
-	// a property of the shared cluster the algorithm is built on
-	// (cluster.Config.CPUCores).
+	// a property of the shared cluster the algorithm is built on.
 	Core core.Config
-	// Coll tunes the P2P baselines (chunk size, k-nomial radix, data
-	// verification).
+	// Coll tunes the P2P baselines (chunk size, data verification).
 	Coll coll.Config
 }
 

@@ -319,9 +319,8 @@ func (b BackgroundTraffic) Install(ctx *Context) {
 	if size <= 0 || size > ctx.F.MaxPayload() {
 		size = ctx.F.MaxPayload()
 	}
-	cfg := ctx.F.Config()
-	wire := float64(size + cfg.HeaderBytes)
-	interval := sim.Time(wire / (cfg.HostLinkBandwidth * b.Load) * 1e9)
+	wire := float64(size + fabric.HeaderBytes)
+	interval := sim.Time(wire / (ctx.F.Config().HostLinkBandwidth * b.Load) * 1e9)
 	if interval < 1 {
 		interval = 1
 	}

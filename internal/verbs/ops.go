@@ -337,7 +337,6 @@ type rcPending struct {
 	readDst  *MR
 	readOff  int
 	readGot  map[int]bool
-	readLen  int
 	readRecv int
 }
 
@@ -386,7 +385,7 @@ func (qp *QP) PostReadRC(wrID uint64, local *MR, localOff int, rkey uint32, roff
 	qp.mustRC()
 	qp.startRC(qp.ctx.newPending(rcPending{wrID: wrID, dst: qp.peer, op: wireReadReq,
 		rkey: rkey, roffset: roffset, length: length,
-		isRead: true, readDst: local, readOff: localOff, readLen: length,
+		isRead: true, readDst: local, readOff: localOff,
 		readGot: make(map[int]bool), signaled: true}))
 }
 

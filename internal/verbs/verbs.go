@@ -252,11 +252,6 @@ type Config struct {
 	RetransmitTimeout sim.Time
 	// MaxRetries bounds RC retransmission attempts before an OpErr CQE.
 	MaxRetries int
-	// DMABandwidth is the staging-copy engine bandwidth in bytes/s
-	// (PCIe 4.0 x16 ≈ 32e9). Zero defaults to 32e9.
-	DMABandwidth float64
-	// DMALatency is the per-copy completion latency (paper: 1–3 µs).
-	DMALatency sim.Time
 	// Metrics, when set, receives transport telemetry: RC completion
 	// latency histograms live, drop/retransmit counters at collection
 	// time. Nil (the default) adds no cost anywhere.
@@ -273,14 +268,16 @@ func (c Config) withDefaults() Config {
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 16
 	}
-	if c.DMABandwidth == 0 {
-		c.DMABandwidth = 32e9
-	}
-	if c.DMALatency == 0 {
-		c.DMALatency = 1500 * sim.Nanosecond
-	}
 	return c
 }
+
+const (
+	// dmaBandwidth is the staging-copy engine bandwidth in bytes/s
+	// (PCIe 4.0 x16 ≈ 32e9).
+	dmaBandwidth = 32e9
+	// dmaLatency is the per-copy completion latency (paper: 1–3 µs).
+	dmaLatency = 1500 * sim.Nanosecond
+)
 
 // Context owns the verbs resources of one host: QPs, MRs, and the DMA
 // engine. It is the software-visible face of the NIC.
@@ -328,7 +325,7 @@ func NewContext(f *fabric.Fabric, host topology.NodeID, cfg Config) *Context {
 		nic:  f.AttachNIC(host),
 		cfg:  cfg,
 	}
-	ctx.dma = newDMAEngine(ctx.eng, cfg.DMABandwidth, cfg.DMALatency)
+	ctx.dma = newDMAEngine(ctx.eng, dmaBandwidth, dmaLatency)
 	ctx.nic.Deliver = ctx.dispatch
 	// All contexts of a cluster share one registry, so every host's RC
 	// completions land in the same histogram (the registry dedupes by key).
