@@ -19,6 +19,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/model"
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/verbs"
 )
@@ -60,7 +61,7 @@ func BenchmarkFig05SingleCoreDatapath(b *testing.B) {
 		specs := sweep.Concat(
 			sweep.Grid{Transports: []string{"cpu-ud"}, Threads: []int{1}, ChunkSizes: []int{4096}, MsgBytes: []int{1 << 20}, Seed: 5}.Expand(),
 			sweep.Grid{Transports: []string{"ud"}, Threads: []int{16}, ChunkSizes: []int{4096}, MsgBytes: []int{1 << 20}, Seed: 55}.Expand())
-		recs := figure(b, specs, harness.RxKernel(harness.Env{}))
+		recs := figure(b, specs, harness.RxKernel(telemetry.Config{}))
 		cpu, dpa = recs[0].Metric("gbps"), recs[1].Metric("gbps")
 	}
 	b.ReportMetric(cpu, "cpu-Gbps")
@@ -84,7 +85,7 @@ func BenchmarkFig10Breakdown(b *testing.B) {
 	var mcastFrac float64
 	for i := 0; i < b.N; i++ {
 		g := sweep.Grid{Algorithms: []string{"mcast-allgather"}, Nodes: []int{64}, MsgBytes: []int{256 << 10}, Seed: 10}
-		recs := figure(b, g.Expand(), harness.CollKernel(harness.Env{}, 0))
+		recs := figure(b, g.Expand(), harness.CollKernel(telemetry.Config{}, 0))
 		mcastFrac = recs[0].Metric("mcast_frac")
 	}
 	b.ReportMetric(mcastFrac*100, "%mcast-phase")
@@ -101,7 +102,7 @@ func BenchmarkFig11ThroughputAtScale(b *testing.B) {
 				Nodes: []int{64}, MsgBytes: []int{256 << 10}, Seed: 11}.Expand(),
 			sweep.Grid{Algorithms: []string{"chain-broadcast"},
 				Nodes: []int{64}, MsgBytes: []int{256 << 10}, ChunkSizes: []int{16 << 10}, Seed: 112}.Expand())
-		for _, r := range figure(b, specs, harness.CollKernel(harness.Env{}, 0)) {
+		for _, r := range figure(b, specs, harness.CollKernel(telemetry.Config{}, 0)) {
 			byAlgo[r.Spec.Algorithm] = r.Metric("gibps")
 		}
 	}
@@ -119,7 +120,7 @@ func BenchmarkFig12TrafficSavings(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := sweep.Grid{Algorithms: []string{"mcast-broadcast", "knomial-broadcast", "mcast-allgather", "ring-allgather"},
 			Nodes: []int{64}, MsgBytes: []int{64 << 10}, Seed: 12}
-		recs := figure(b, g.Expand(), harness.TrafficKernel(harness.Env{}))
+		recs := figure(b, g.Expand(), harness.TrafficKernel(telemetry.Config{}))
 		harness.AnnotateSavings(recs)
 		for _, r := range recs {
 			savings[r.Spec.Algorithm] = r.Metric("savings_vs_p2p")
@@ -134,7 +135,7 @@ func BenchmarkTable1SingleThread(b *testing.B) {
 	gibps := map[string]float64{}
 	for i := 0; i < b.N; i++ {
 		g := sweep.Grid{Transports: []string{"uc", "ud"}, Threads: []int{1}, ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 1}
-		for _, r := range figure(b, g.Expand(), harness.RxKernel(harness.Env{})) {
+		for _, r := range figure(b, g.Expand(), harness.RxKernel(telemetry.Config{})) {
 			gibps[r.Spec.Transport] = r.Metric("gibps")
 		}
 	}
@@ -150,7 +151,7 @@ func BenchmarkFig13ThreadScaling(b *testing.B) {
 		specs := sweep.Concat(
 			sweep.Grid{Transports: []string{"ud", "uc"}, Threads: []int{4, 8}, ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 13}.Expand(),
 			sweep.Grid{Transports: []string{"cpu-ud"}, Threads: []int{1}, ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 14}.Expand())
-		for _, r := range figure(b, specs, harness.RxKernel(harness.Env{})) {
+		for _, r := range figure(b, specs, harness.RxKernel(telemetry.Config{})) {
 			if r.Spec.Transport == "ud" && r.Spec.Threads == 8 {
 				ud8 = r.Metric("gibps")
 			}
@@ -168,10 +169,10 @@ func BenchmarkFig13ThreadScaling(b *testing.B) {
 func BenchmarkFig14LinkUtilization(b *testing.B) {
 	var ud, uc float64
 	for i := 0; i < b.N; i++ {
-		ud = harness.RunRxBench(harness.Env{}, harness.RxBenchConfig{
+		ud = harness.RunRxBench(harness.RxBenchConfig{
 			Transport: verbs.UD, Workers: 1, ChunkBytes: 4096, TotalBytes: 8 << 20,
 		}).LinkShare
-		uc = harness.RunRxBench(harness.Env{}, harness.RxBenchConfig{
+		uc = harness.RunRxBench(harness.RxBenchConfig{
 			Transport: verbs.UC, Workers: 1, ChunkBytes: 4096, TotalBytes: 8 << 20,
 		}).LinkShare
 	}
@@ -185,7 +186,7 @@ func BenchmarkFig15ChunkSize(b *testing.B) {
 	var share float64
 	for i := 0; i < b.N; i++ {
 		g := sweep.Grid{Transports: []string{"uc"}, Threads: []int{1}, ChunkSizes: []int{64 << 10}, MsgBytes: []int{8 << 20}, Seed: 15}
-		recs := figure(b, g.Expand(), harness.RxKernel(harness.Env{}))
+		recs := figure(b, g.Expand(), harness.RxKernel(telemetry.Config{}))
 		share = recs[0].Metric("link_share")
 	}
 	b.ReportMetric(share*100, "UC-64KiB-1thr-%peak")
@@ -197,7 +198,7 @@ func BenchmarkFig16TbitScaling(b *testing.B) {
 	rate := map[string]float64{}
 	for i := 0; i < b.N; i++ {
 		g := sweep.Grid{Transports: []string{"ud", "uc"}, Threads: []int{128}, ChunkSizes: []int{64}, Seed: 16}
-		for _, r := range figure(b, g.Expand(), harness.ChunkRateKernel(harness.Env{})) {
+		for _, r := range figure(b, g.Expand(), harness.ChunkRateKernel(telemetry.Config{})) {
 			rate[r.Spec.Transport] = r.Metric("chunk_rate")
 		}
 	}
@@ -245,7 +246,7 @@ func BenchmarkAppBSpeedup(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
 		specs := sweep.Grid{Algorithms: harness.PairAlgorithms, Nodes: []int{16}, MsgBytes: []int{1 << 20}, Seed: 21}.Expand()
-		recs := figure(b, specs, harness.PairKernel(harness.Env{}))
+		recs := figure(b, specs, harness.PairKernel(telemetry.Config{}))
 		speedup = recs[0].Metric("span_ns") / recs[1].Metric("span_ns") // ring-pair over inc-pair
 	}
 	b.ReportMetric(speedup, "measured-x")

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dpa"
 	"repro/internal/fabric"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/verbs"
 )
@@ -21,7 +22,9 @@ const cpuCores = 24
 
 // Config shapes the per-host resources.
 type Config struct {
-	// Verbs configures the transport layer (RQ depth, RC timeouts).
+	// Verbs configures the transport layer (RQ depth, RC timeouts). Its
+	// Metrics registry is the run's one telemetry recorder: every verbs
+	// context, communicator and team built on the cluster reports there.
 	Verbs verbs.Config
 }
 
@@ -86,6 +89,23 @@ func New(f *fabric.Fabric, cfg Config) *Cluster {
 
 // Fabric returns the underlying fabric.
 func (cl *Cluster) Fabric() *fabric.Fabric { return cl.f }
+
+// Metrics returns the cluster's telemetry registry, nil when telemetry is
+// off.
+func (cl *Cluster) Metrics() *telemetry.Registry { return cl.cfg.Verbs.Metrics }
+
+// CollectTelemetry exports the transport counters of every node's verbs
+// context into the cluster's registry. Node map iteration order is
+// nondeterministic, but the per-context export only sums into counters,
+// which commutes. Without a registry it is a no-op.
+func (cl *Cluster) CollectTelemetry() {
+	if cl.Metrics() == nil {
+		return
+	}
+	for _, n := range cl.nodes {
+		n.Ctx.CollectTelemetry(cl.Metrics())
+	}
+}
 
 // Node returns (creating on first use) the runtime for a host.
 func (cl *Cluster) Node(h topology.NodeID) *Node {

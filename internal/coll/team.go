@@ -63,9 +63,6 @@ type Config struct {
 	ChunkBytes int
 	// VerifyData backs all buffers with real bytes.
 	VerifyData bool
-	// Metrics, when set, records one span and one counter increment per
-	// completed collective. Nil adds no cost.
-	Metrics *telemetry.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -83,6 +80,9 @@ type Team struct {
 	eng   *sim.Engine
 	peers []*peer
 	seq   int
+	// reg is the cluster's telemetry registry: one span and one counter
+	// increment per completed collective. Nil adds no cost.
+	reg *telemetry.Registry
 }
 
 type peer struct {
@@ -117,7 +117,7 @@ func NewTeam(cl *cluster.Cluster, hosts []topology.NodeID, cfg Config) (*Team, e
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("coll: team needs at least one rank")
 	}
-	t := &Team{cfg: cfg.withDefaults(), cl: cl, f: cl.Fabric(), eng: cl.Fabric().Engine()}
+	t := &Team{cfg: cfg.withDefaults(), cl: cl, f: cl.Fabric(), eng: cl.Fabric().Engine(), reg: cl.Metrics()}
 	for i, h := range hosts {
 		node := cl.Node(h)
 		p := &peer{
@@ -214,7 +214,7 @@ func (d *opDriver) rankDone(p *peer) {
 	d.remaining--
 	if d.remaining == 0 {
 		d.res.End = p.eng.Now()
-		if m := d.t.cfg.Metrics; m != nil {
+		if m := d.t.reg; m != nil {
 			m.Span("coll", d.res.Kind, d.res.Start, d.res.End)
 			m.Counter("coll", "ops_total", "kind="+d.res.Kind).Add(1)
 		}

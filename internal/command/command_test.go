@@ -626,12 +626,60 @@ func TestWarmStartRejected(t *testing.T) {
 	tables := write("tables", manifest.Manifest{Kind: "sweep", WarmStart: true,
 		Sections: []manifest.SectionSpec{{Title: "t", Kernel: "economics"}}})
 	const hint = "manifest: warm_start is not supported: every point builds its own stack; remove it"
+	out := filepath.Join(dir, "out")
 	for _, path := range []string{warm, tables} {
-		if code, _, stderr := run("run", "-o", filepath.Join(dir, "out"), path); code != 2 || stderr != "run: "+path+": "+hint+"\n" {
+		if code, _, stderr := run("run", "-o", out, path); code != 2 || stderr != "run: "+path+": "+hint+"\n" {
 			t.Errorf("run %s: exit %d, stderr %q; want 2 and one hint line", path, code, stderr)
 		}
 		if code, _, stderr := run("validate", path); code != 2 || !strings.Contains(stderr, path+": "+hint+"\n") {
 			t.Errorf("validate %s: exit %d, stderr %q; want 2 and the hint", path, code, stderr)
 		}
+	}
+	// A refused batch leaves no -o directory behind, even when the refused
+	// manifest follows a valid one.
+	if code, _, _ := run("run", "-o", out, cold, warm); code != 2 {
+		t.Errorf("run of a batch ending in warm_start: exit %d, want 2", code)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a run refused with exit 2 left -o %s behind (stat: %v)", out, err)
+	}
+}
+
+// TestPerfettoNeedsTraceablePoint: a manifest whose telemetry.perfetto asks
+// for a trace its plan cannot produce (manifests/dpa.json, whose sections
+// are all receive-datapath kernels) is invalid to validate and to run
+// alike, and the refused run creates no -o directory. The -trace flag is a
+// run-time request, checked when the run starts.
+func TestPerfettoNeedsTraceablePoint(t *testing.T) {
+	m, err := manifest.ParseFile(filepath.Join("..", "..", "manifests", "dpa.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	plain := filepath.Join(dir, "plain.json")
+	if err := os.WriteFile(plain, m.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m.Telemetry = &manifest.TelemetrySpec{Perfetto: "T.json"}
+	traced := filepath.Join(dir, "traced.json")
+	if err := os.WriteFile(traced, m.Encode(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const msg = "manifest: telemetry.perfetto set, but kind sweep has no traceable point"
+	if code, stdout, stderr := run("validate", traced); code != 2 || !strings.Contains(stderr, traced+": "+msg+"\n") || stdout != "" {
+		t.Errorf("validate: exit %d, stdout %q, stderr %q; want 2 and %q", code, stdout, stderr, msg)
+	}
+	out := filepath.Join(dir, "out")
+	if code, _, stderr := run("run", "-o", out, traced); code != 2 || stderr != "run: "+msg+"\n" {
+		t.Errorf("run: exit %d, stderr %q; want 2 and %q", code, stderr, msg)
+	}
+	if code, _, stderr := run("run", "-perfetto", filepath.Join(dir, "p.json"), plain); code != 2 || stderr != "run: "+msg+"\n" {
+		t.Errorf("run -perfetto: exit %d, stderr %q; want 2 and %q", code, stderr, msg)
+	}
+	if code, _, stderr := run("run", "-trace", filepath.Join(dir, "t.txt"), "-o", out, plain); code != 2 || stderr != "run: kind sweep has no traceable point\n" {
+		t.Errorf("run -trace: exit %d, stderr %q; want 2 and the run-time refusal", code, stderr)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a refused run left -o %s behind (stat: %v)", out, err)
 	}
 }

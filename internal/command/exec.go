@@ -118,16 +118,13 @@ func (c *common) diag(trace string) diagnostics {
 	return diagnostics{trace: trace, cpuprofile: c.cpuprofile, memprofile: c.memprofile}
 }
 
-// execute is the run path behind `repro run`, once per manifest: compile
-// the manifest (telemetry included — the common flags were folded into
-// it), run the plan, persist/compare/verify the report, and optionally
-// write a protocol trace. Exit codes follow the repository convention (2
-// invalid spec, 1 runtime failure).
-func execute(m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) int {
-	plan, err := manifest.Compile(m)
-	if err != nil {
-		return fail(stderr, 2, "run: %v", err)
-	}
+// execute is the run path behind `repro run`, once per compiled manifest
+// (telemetry included — the common flags were folded into it before
+// compiling): run the plan, persist/compare/verify the report, and
+// optionally write a protocol trace. Exit codes follow the repository
+// convention (2 invalid spec, 1 runtime failure).
+func execute(plan *manifest.Plan, diag diagnostics, stdout, stderr io.Writer) int {
+	m := plan.Manifest
 	// The outputs the manifest declares, as -o and the output flags left
 	// them, must land in existing directories before anything is simulated.
 	for _, o := range outputPaths(&m) {
@@ -135,14 +132,11 @@ func execute(m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) in
 			return fail(stderr, 2, "run: %s: %v", o.field, err)
 		}
 	}
-	needTrace := diag.trace != "" || (m.Telemetry != nil && m.Telemetry.Perfetto != "")
-	if needTrace && plan.Trace == nil {
-		return fail(stderr, 2, "run: kind %s has no traceable point", m.Kind)
-	}
 	// Load the baseline before the run writes anything: -compare may name
 	// the run's own -json output, which is about to be rewritten.
 	var base sweep.Report
 	if m.Baseline != nil {
+		var err error
 		if base, err = sweep.LoadFile(m.Baseline.Path); err != nil {
 			return fail(stderr, 1, "run: %v", err)
 		}
@@ -180,18 +174,18 @@ func execute(m manifest.Manifest, diag diagnostics, stdout, stderr io.Writer) in
 
 	// The text timeline and the Perfetto export come from one traced run, so
 	// the two renderings can never describe different executions.
-	if needTrace {
-		bundle, err := plan.Trace()
+	if perfetto := m.Telemetry != nil && m.Telemetry.Perfetto != ""; diag.trace != "" || perfetto {
+		snap, err := plan.Trace()
 		if err != nil {
 			return fail(stderr, 1, "run: trace: %v", err)
 		}
 		if diag.trace != "" {
-			if err := writeFile(diag.trace, []byte(bundle.Timeline())); err != nil {
+			if err := writeFile(diag.trace, []byte(snap.Timeline())); err != nil {
 				return fail(stderr, 1, "run: trace: %v", err)
 			}
 		}
-		if m.Telemetry != nil && m.Telemetry.Perfetto != "" {
-			if err := writeOutput(m.Telemetry.Perfetto, bundle.WritePerfetto); err != nil {
+		if perfetto {
+			if err := writeOutput(m.Telemetry.Perfetto, snap.WritePerfetto); err != nil {
 				return fail(stderr, 1, "run: perfetto: %v", err)
 			}
 		}

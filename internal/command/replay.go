@@ -48,7 +48,7 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 	if plan.ReplaySpec == nil {
 		return fail(stderr, 2, "replay: kind %s has no replayable point", m.Kind)
 	}
-	// The replay driver builds the point under the zero harness.Env; the
+	// The replay driver builds the point with telemetry off; the
 	// manifest's telemetry block does not apply to this run.
 	cfg := harness.ReplayConfig{
 		Interval: sim.Time(*interval) * sim.Microsecond,

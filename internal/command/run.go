@@ -21,8 +21,9 @@ import (
 // another, so they are rejected; -o DIR redirects every file a manifest
 // declares into DIR instead, preserving basenames, which is how a batch
 // (e.g. the CI matrix) lands its artifacts side by side. Every manifest is
-// parsed and its outputs resolved before anything runs, so two that would
-// write the same file fail the batch up front.
+// parsed, compiled and its outputs resolved before anything runs or DIR is
+// created, so an invalid manifest or two that would write the same file
+// fail the batch up front and leave nothing behind.
 func runManifest(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro run", flag.ContinueOnError)
 	comparePath := fs.String("compare", "", "override the manifest baseline path")
@@ -69,12 +70,7 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 	if *tol != -1 && *tol <= 0 {
 		return fail(stderr, 2, "run: -tol must be > 0, got %g; pin expect.sha256 in the manifest for an exact gate", *tol)
 	}
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			return fail(stderr, 2, "run: -o %s: %v", *outDir, err)
-		}
-	}
-	ms := make([]manifest.Manifest, len(paths))
+	plans := make([]*manifest.Plan, len(paths))
 	writers := map[string]string{} // absolute output path -> first manifest
 	for i, path := range paths {
 		m, err := manifest.ParseFile(path)
@@ -100,14 +96,25 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 		if _, dups := claimOutputs(writers, path, &m, absPath); len(dups) > 0 {
 			return fail(stderr, 2, "run: %v", dups[0])
 		}
-		ms[i] = m
-	}
-	for i, m := range ms {
-		path := paths[i]
-		if len(paths) > 1 {
-			fmt.Fprintf(stdout, "== %s\n", path)
+		if plans[i], err = manifest.Compile(m); err != nil {
+			return fail(stderr, 2, "run: %v", err)
 		}
-		if code := execute(m, c.diag(*tracePath), stdout, stderr); code != 0 {
+		// Compile refuses a telemetry.perfetto the plan cannot trace; the
+		// -trace flag is a run-time request, checked here.
+		if *tracePath != "" && plans[i].Trace == nil {
+			return fail(stderr, 2, "run: kind %s has no traceable point", m.Kind)
+		}
+	}
+	if *outDir != "" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			return fail(stderr, 2, "run: -o %s: %v", *outDir, err)
+		}
+	}
+	for i, plan := range plans {
+		if len(paths) > 1 {
+			fmt.Fprintf(stdout, "== %s\n", paths[i])
+		}
+		if code := execute(plan, c.diag(*tracePath), stdout, stderr); code != 0 {
 			return code
 		}
 	}

@@ -145,17 +145,18 @@ func TestRingSendBandwidthGrowsLinearly(t *testing.T) {
 // through the recorded events: dispatch -> RNR sync -> (TX|RX phases) ->
 // final handshake -> done, with recovery absent on a lossless fabric.
 func TestFig9ExecutionFlow(t *testing.T) {
-	rec := &telemetry.Bundle{}
+	reg := telemetry.New(telemetry.Config{})
 	eng := sim.NewEngine(11)
 	g := topology.Star(4)
 	f := fabric.New(eng, g, fabric.Config{})
-	comm, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD, Tracer: rec})
+	comm, err := tracedComm(f, g.Hosts(), Config{Transport: verbs.UD}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := runAllgather(comm, 65536); err != nil {
 		t.Fatal(err)
 	}
+	rec := reg.Snapshot()
 	for rk := 0; rk < 4; rk++ {
 		phases := rec.ByRank(rk)
 		idx := func(p string) int {
@@ -191,14 +192,14 @@ func TestFig9ExecutionFlow(t *testing.T) {
 
 // TestTraceRecordsRecovery checks the slow-path events appear under drops.
 func TestTraceRecordsRecovery(t *testing.T) {
-	rec := &telemetry.Bundle{}
+	reg := telemetry.New(telemetry.Config{})
 	eng := sim.NewEngine(21)
 	g := topology.Star(4)
 	f := fabric.New(eng, g, fabric.Config{DropRate: 0.05})
-	comm, err := newComm(f, g.Hosts(), Config{
-		Transport: verbs.UD, Tracer: rec, VerifyData: true,
+	comm, err := tracedComm(f, g.Hosts(), Config{
+		Transport: verbs.UD, VerifyData: true,
 		CutoffAlpha: 50 * sim.Microsecond,
-	})
+	}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestTraceRecordsRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	sawRecovery, sawServe := false, false
-	for _, e := range rec.Events {
+	for _, e := range reg.Snapshot().Events {
 		if e.Phase == telemetry.PhaseRecovery {
 			sawRecovery = true
 		}

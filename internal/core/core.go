@@ -81,12 +81,6 @@ type Config struct {
 	// VerifyData allocates real backing memory for all buffers so tests
 	// can check payload integrity end to end.
 	VerifyData bool
-	// Tracer, when set, records protocol phase transitions (the Figure 9
-	// execution-flow view). Nil adds no cost.
-	Tracer *telemetry.Bundle
-	// Metrics, when set, counts protocol phase transitions per phase name.
-	// Nil adds no cost.
-	Metrics *telemetry.Registry
 }
 
 func (c Config) withDefaults(mtu int) Config {
@@ -142,6 +136,11 @@ type Communicator struct {
 	ranks  []*Rank
 	groups []fabric.GroupID // one per subgroup
 
+	// reg is the cluster's telemetry registry: it records every protocol
+	// phase transition (the Figure 9 execution-flow view) and counts them
+	// per phase name. Nil adds no cost.
+	reg *telemetry.Registry
+
 	opSeq int
 	compl *completion // countdown of the in-flight op, nil when idle
 }
@@ -159,7 +158,7 @@ func NewCommunicatorOn(cl *cluster.Cluster, hosts []topology.NodeID, cfg Config)
 	if len(hosts) < 1 {
 		return nil, fmt.Errorf("core: communicator needs at least one rank")
 	}
-	c := &Communicator{cfg: cfg, f: f, cl: cl, eng: f.Engine()}
+	c := &Communicator{cfg: cfg, f: f, cl: cl, eng: f.Engine(), reg: cl.Metrics()}
 
 	// Pick multicast roots among the highest-level switches, round-robin.
 	g := f.Graph()

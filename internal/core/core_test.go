@@ -8,6 +8,7 @@ import (
 	"repro/internal/collective"
 	"repro/internal/fabric"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/verbs"
 )
@@ -24,7 +25,12 @@ func runBroadcast(c *Communicator, root, n int) (*Result, error) {
 
 // newComm builds a communicator on a cluster of its own over f.
 func newComm(f *fabric.Fabric, hosts []topology.NodeID, cfg Config) (*Communicator, error) {
-	return NewCommunicatorOn(cluster.New(f, cluster.Config{}), hosts, cfg)
+	return tracedComm(f, hosts, cfg, nil)
+}
+
+// tracedComm is newComm on a cluster that records into reg.
+func tracedComm(f *fabric.Fabric, hosts []topology.NodeID, cfg Config, reg *telemetry.Registry) (*Communicator, error) {
+	return NewCommunicatorOn(cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}}), hosts, cfg)
 }
 
 // buildComm assembles a fat-tree fabric with p ranks and a communicator.

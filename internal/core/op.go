@@ -92,25 +92,24 @@ func newOpState(r *Rank) *opState {
 	return op
 }
 
-// rec traces a phase transition (no-op when tracing is off).
+// rec records a phase transition (no-op when telemetry is off).
 func (op *opState) rec(phase, detail string) {
-	op.r.comm.cfg.Tracer.Record(op.r.eng.Now(), op.r.id, op.seq, phase, detail)
-	if m := op.r.comm.cfg.Metrics; m != nil {
-		m.Counter("core", "phase_total", "phase="+phase).Add(1)
+	if reg := op.r.comm.reg; reg != nil {
+		reg.Record(op.r.eng.Now(), op.r.id, op.seq, phase, detail)
+		reg.Counter("core", "phase_total", "phase="+phase).Add(1)
 	}
 }
 
-// recf is rec with a formatted detail, built only when a tracer keeps it.
+// recf is rec with a formatted detail, built only when a registry keeps it.
 func (op *opState) recf(phase, format string, args ...int) {
-	detail := ""
-	if op.r.comm.cfg.Tracer != nil {
-		a := make([]any, len(args))
-		for i, v := range args {
-			a[i] = v
-		}
-		detail = fmt.Sprintf(format, a...)
+	if op.r.comm.reg == nil {
+		return
 	}
-	op.rec(phase, detail)
+	a := make([]any, len(args))
+	for i, v := range args {
+		a[i] = v
+	}
+	op.rec(phase, fmt.Sprintf(format, a...))
 }
 
 // psn/immediate encoding: [31:24] low bits of the operation sequence (the

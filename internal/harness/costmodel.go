@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -18,7 +19,7 @@ import (
 // three-level radix-32 fat-tree — an analytic sweep, no simulation engine
 // involved. The model is built once, on the first point, and shared
 // read-only by every point after it.
-func TrafficModelKernel(Env) sweep.Func {
+func TrafficModelKernel(telemetry.Config) sweep.Func {
 	build := sync.OnceValues(func() (*model.TrafficModel, error) {
 		g, err := topology.ThreeLevelFatTree(32, 1024)
 		if err != nil {

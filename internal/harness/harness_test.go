@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 	"repro/internal/verbs"
 )
 
 func TestRxBenchUDSingleThreadMatchesModel(t *testing.T) {
-	r := RunRxBench(Env{}, RxBenchConfig{Transport: verbs.UD, Workers: 1, ChunkBytes: 4096, TotalBytes: 8 << 20})
+	r := RunRxBench(RxBenchConfig{Transport: verbs.UD, Workers: 1, ChunkBytes: 4096, TotalBytes: 8 << 20})
 	// One DPA thread at 1084 cycles/CQE and 1.8 GHz: 1.66M chunks/s.
 	want := 1.8e9 / 1084
 	if math.Abs(r.ChunkRate-want)/want > 0.03 {
@@ -24,8 +25,8 @@ func TestRxBenchUDSingleThreadMatchesModel(t *testing.T) {
 }
 
 func TestRxBenchUCFasterThanUD(t *testing.T) {
-	ud := RunRxBench(Env{}, RxBenchConfig{Transport: verbs.UD, Workers: 1, ChunkBytes: 4096, TotalBytes: 4 << 20})
-	uc := RunRxBench(Env{}, RxBenchConfig{Transport: verbs.UC, Workers: 1, ChunkBytes: 4096, TotalBytes: 4 << 20})
+	ud := RunRxBench(RxBenchConfig{Transport: verbs.UD, Workers: 1, ChunkBytes: 4096, TotalBytes: 4 << 20})
+	uc := RunRxBench(RxBenchConfig{Transport: verbs.UC, Workers: 1, ChunkBytes: 4096, TotalBytes: 4 << 20})
 	if uc.GiBps <= ud.GiBps {
 		t.Fatalf("UC (%v) not faster than UD (%v) single-thread", uc.GiBps, ud.GiBps)
 	}
@@ -40,7 +41,7 @@ func TestRxBenchThreadScalingShape(t *testing.T) {
 	// The headline offloading result: UC saturates the link by 4 threads,
 	// UD between 8 and 16 (Figures 13/14).
 	at := func(tr verbs.Transport, w int) float64 {
-		return RunRxBench(Env{}, RxBenchConfig{Transport: tr, Workers: w, ChunkBytes: 4096, TotalBytes: 8 << 20}).LinkShare
+		return RunRxBench(RxBenchConfig{Transport: tr, Workers: w, ChunkBytes: 4096, TotalBytes: 8 << 20}).LinkShare
 	}
 	if s := at(verbs.UC, 4); s < 0.97 {
 		t.Errorf("UC at 4 threads reaches %.2f of link, want ~1.0", s)
@@ -63,7 +64,7 @@ func TestRxBenchThreadScalingShape(t *testing.T) {
 }
 
 func TestRxBenchCPUBaselineBelowLink(t *testing.T) {
-	r := RunRxBench(Env{}, RxBenchConfig{Transport: verbs.UD, Workers: 1, ChunkBytes: 4096, TotalBytes: 8 << 20, OnCPU: true})
+	r := RunRxBench(RxBenchConfig{Transport: verbs.UD, Workers: 1, ChunkBytes: 4096, TotalBytes: 8 << 20, OnCPU: true})
 	// Figure 5: a single CPU core sustains only ~1/2-2/3 of 200 Gbit/s.
 	if r.LinkShare < 0.40 || r.LinkShare > 0.75 {
 		t.Fatalf("CPU single-core link share %.2f, want within [0.40, 0.75]", r.LinkShare)
@@ -101,7 +102,7 @@ func TestPaperClaims(t *testing.T) {
 			specs: sweep.Concat(
 				sweep.Grid{Transports: []string{"cpu-ud"}, Threads: []int{1}, ChunkSizes: []int{4096}, MsgBytes: []int{1 << 20}, Seed: 5}.Expand(),
 				sweep.Grid{Transports: []string{"ud"}, Threads: []int{16}, ChunkSizes: []int{4096}, MsgBytes: []int{1 << 20}, Seed: 55}.Expand()),
-			kernel: RxKernel(Env{}),
+			kernel: RxKernel(telemetry.Config{}),
 			bounds: func(at lookup) []bound {
 				cpu, dpa := sweep.Spec{Transport: "cpu-ud"}, sweep.Spec{Transport: "ud"}
 				return []bound{
@@ -112,7 +113,7 @@ func TestPaperClaims(t *testing.T) {
 		{name: "Table1MatchesPaper",
 			specs: sweep.Grid{Transports: []string{"uc", "ud"}, Threads: []int{1},
 				ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 1}.Expand(),
-			kernel: RxKernel(Env{}),
+			kernel: RxKernel(telemetry.Config{}),
 			bounds: func(at lookup) []bound {
 				uc, ud := sweep.Spec{Transport: "uc"}, sweep.Spec{Transport: "ud"}
 				return []bound{
@@ -127,7 +128,7 @@ func TestPaperClaims(t *testing.T) {
 		{name: "Fig15LargerChunksNeedFewerThreads",
 			specs: sweep.Grid{Transports: []string{"uc"}, Threads: []int{1},
 				ChunkSizes: []int{4 << 10, 64 << 10}, MsgBytes: []int{8 << 20}, Seed: 15}.Expand(),
-			kernel: RxKernel(Env{}),
+			kernel: RxKernel(telemetry.Config{}),
 			bounds: func(at lookup) []bound {
 				small, large := at("link_share", sweep.Spec{ChunkSize: 4 << 10}), at("link_share", sweep.Spec{ChunkSize: 64 << 10})
 				return []bound{
@@ -138,7 +139,7 @@ func TestPaperClaims(t *testing.T) {
 		{name: "Fig16Reaches16TbitWithin128Threads", long: "128-thread Tbit/s scaling sweep (several seconds)",
 			specs: sweep.Grid{Transports: []string{"ud", "uc"}, Threads: []int{64, 128},
 				ChunkSizes: []int{64}, Seed: 16}.Expand(),
-			kernel: ChunkRateKernel(Env{}),
+			kernel: ChunkRateKernel(telemetry.Config{}),
 			bounds: func(at lookup) []bound {
 				return []bound{
 					{"UD share of the 1.6 Tbit/s chunk rate at 128 threads", at("link_share", sweep.Spec{Transport: "ud", Threads: 128}), 1, inf},
@@ -148,7 +149,7 @@ func TestPaperClaims(t *testing.T) {
 		{name: "Fig10McastDominatesAtScale",
 			specs: sweep.Grid{Algorithms: []string{"mcast-allgather"},
 				Nodes: []int{16}, MsgBytes: []int{256 << 10}, Seed: 10}.Expand(),
-			kernel: CollKernel(Env{}, 0),
+			kernel: CollKernel(telemetry.Config{}, 0),
 			bounds: func(at lookup) []bound {
 				pt := sweep.Spec{Nodes: 16}
 				return []bound{
@@ -161,7 +162,7 @@ func TestPaperClaims(t *testing.T) {
 			// shrinks as the message grows.
 			specs: sweep.Grid{Algorithms: []string{"mcast-allgather"},
 				Nodes: []int{4}, MsgBytes: []int{4096, 1 << 20}, Seed: 10}.Expand(),
-			kernel: CollKernel(Env{}, 0),
+			kernel: CollKernel(telemetry.Config{}, 0),
 			bounds: func(at lookup) []bound {
 				sync := func(size int) float64 {
 					pt := sweep.Spec{MsgBytes: size}
@@ -170,7 +171,7 @@ func TestPaperClaims(t *testing.T) {
 				return []bound{{"sync share at 4 KiB over share at 1 MiB", sync(4096) / sync(1<<20), 3, inf}}
 			}},
 		{name: "Fig11ShapesAtModestScale",
-			specs: fig11Specs(16, 256<<10), kernel: CollKernel(Env{}, 0),
+			specs: fig11Specs(16, 256<<10), kernel: CollKernel(telemetry.Config{}, 0),
 			bounds: func(at lookup) []bound {
 				gibps := func(algo string) float64 { return at("gibps", sweep.Spec{Algorithm: algo}) }
 				return []bound{
@@ -183,7 +184,7 @@ func TestPaperClaims(t *testing.T) {
 		{name: "Fig12SavingsShape",
 			specs: sweep.Grid{Algorithms: []string{"mcast-broadcast", "knomial-broadcast", "mcast-allgather", "ring-allgather"},
 				Nodes: []int{32}, MsgBytes: []int{64 << 10}, Seed: 12}.Expand(),
-			kernel: TrafficKernel(Env{}), post: AnnotateSavings,
+			kernel: TrafficKernel(telemetry.Config{}), post: AnnotateSavings,
 			bounds: func(at lookup) []bound {
 				return []bound{
 					{"broadcast traffic savings (paper: 1.5x)", at("savings_vs_p2p", sweep.Spec{Algorithm: "mcast-broadcast"}), 1.3, inf},
@@ -192,7 +193,7 @@ func TestPaperClaims(t *testing.T) {
 			}},
 		{name: "AppBSpeedupIncreasesWithP",
 			specs:  sweep.Grid{Algorithms: PairAlgorithms, Nodes: []int{2, 8}, MsgBytes: []int{512 << 10}, Seed: 21}.Expand(),
-			kernel: PairKernel(Env{}),
+			kernel: PairKernel(telemetry.Config{}),
 			bounds: func(at lookup) []bound {
 				speedup := func(p int) float64 {
 					return at("span_ns", sweep.Spec{Algorithm: "ring-pair", Nodes: p}) / at("span_ns", sweep.Spec{Algorithm: "inc-pair", Nodes: p})
@@ -254,5 +255,5 @@ func TestRxBenchInvalidConfigPanics(t *testing.T) {
 			t.Error("invalid config did not panic")
 		}
 	}()
-	RunRxBench(Env{}, RxBenchConfig{Transport: verbs.UD, Workers: 0, ChunkBytes: 4096, TotalBytes: 1})
+	RunRxBench(RxBenchConfig{Transport: verbs.UD, Workers: 0, ChunkBytes: 4096, TotalBytes: 1})
 }

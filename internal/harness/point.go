@@ -17,16 +17,17 @@ import (
 	"repro/internal/workload"
 )
 
-// Every simulated grid point has one shape: an Env-parameterized build
-// constructs the model stack and stops at construction quiescence, and a
-// run continuation executes the point on it. A kernel is the build followed
-// by the run, on a fresh stack per point; a traced run is a kernel's run
-// under a tracing Env, and the replay debugger re-executes the same build
-// to seek.
+// Every simulated grid point has one shape: a build under a telemetry
+// configuration constructs the model stack and stops at construction
+// quiescence, and a run continuation executes the point on it. A kernel is
+// the build followed by the run, on a fresh stack per point; a traced run
+// is a kernel's run with telemetry on, and the replay debugger re-executes
+// the same build to seek.
 
-// point is one built grid point: the model stack plus the point's
-// telemetry registry (nil when disabled) and its fabric sampler.
-// Collective points carry an algorithm, training points a workload.
+// point is one built grid point: the model stack (whose cluster carries
+// the point's telemetry registry, nil when disabled) and its fabric
+// sampler. Collective points carry an algorithm, training points a
+// workload.
 type point struct {
 	// spec is the build spec with the operation kind resolved.
 	spec    sweep.Spec
@@ -34,8 +35,20 @@ type point struct {
 	cl      *cluster.Cluster
 	alg     collective.Algorithm
 	w       *workload.Workload
-	reg     *telemetry.Registry
 	sampler *telemetry.Sampler
+}
+
+// newPoint builds the point's cluster over f. The registry is attached
+// here, once: every verbs context, communicator, team and workload built
+// on the cluster reads it from there.
+func newPoint(s sweep.Spec, f *fabric.Fabric, tc telemetry.Config) *point {
+	reg := newRegistry(tc)
+	return &point{
+		spec:    s,
+		f:       f,
+		cl:      cluster.New(f, cluster.Config{Verbs: verbs.Config{Metrics: reg}}),
+		sampler: fabricSampler(reg, f),
+	}
 }
 
 // buildColl builds one collective point on the 188-node testbed model: the
@@ -47,14 +60,13 @@ type point struct {
 // continuation, not the stack. Every collective kernel builds through
 // here, so the quiet anchor of slowdown_vs_quiet cannot drift from
 // the plain collective kernel.
-func (e Env) buildColl(s sweep.Spec, linkGbps float64, jitterUS int) (*point, error) {
-	pt := &point{spec: s}
+func buildColl(tc telemetry.Config, s sweep.Spec, linkGbps float64, jitterUS int) (*point, error) {
 	if s.Op == "" {
 		kind, err := collective.KindOfAlgorithm(s.Algorithm)
 		if err != nil {
 			return nil, err
 		}
-		pt.spec.Op = string(kind)
+		s.Op = string(kind)
 	}
 	g := topology.Testbed188()
 	hosts := g.Hosts()
@@ -68,19 +80,16 @@ func (e Env) buildColl(s sweep.Spec, linkGbps float64, jitterUS int) (*point, er
 	if fcfg.LinkBandwidth == 0 {
 		fcfg.LinkBandwidth = 7e9
 	}
-	pt.f = fabric.New(sim.NewEngine(s.Seed), g, fcfg)
-	pt.reg = e.newRegistry()
-	pt.cl = cluster.New(pt.f, cluster.Config{Verbs: verbs.Config{Metrics: pt.reg}})
+	pt := newPoint(s, fabric.New(sim.NewEngine(s.Seed), g, fcfg), tc)
 	var err error
 	pt.alg, err = registry.New(pt.cl, s.Algorithm, registry.Options{
 		Hosts: hosts[:s.Nodes],
-		Core:  core.Config{Transport: verbs.UD, Tracer: e.Tracer, Metrics: pt.reg},
-		Coll:  coll.Config{ChunkBytes: s.ChunkSize, Metrics: pt.reg},
+		Core:  core.Config{Transport: verbs.UD},
+		Coll:  coll.Config{ChunkBytes: s.ChunkSize},
 	})
 	if err != nil {
 		return nil, err
 	}
-	pt.sampler = fabricSampler(pt.reg, pt.f)
 	return pt, nil
 }
 
@@ -91,13 +100,14 @@ func (pt *point) op(s sweep.Spec) collective.Op {
 
 // snapshot runs the end-of-point collection pass — engine counters, fabric
 // channel counters, transport counters — and returns the metric snapshot.
-// A nil registry yields nil.
+// Without a registry it yields nil.
 func (pt *point) snapshot() *telemetry.Snapshot {
-	if pt.reg == nil {
+	reg := pt.cl.Metrics()
+	if reg == nil {
 		return nil
 	}
-	collectEngineTelemetry(pt.reg, pt.f.Engine())
-	pt.f.CollectTelemetry(pt.reg)
-	pt.cl.CollectTelemetry(pt.reg)
-	return pt.reg.Snapshot()
+	collectEngineTelemetry(reg, pt.f.Engine())
+	pt.f.CollectTelemetry(reg)
+	pt.cl.CollectTelemetry()
+	return reg.Snapshot()
 }

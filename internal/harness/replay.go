@@ -8,6 +8,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 )
 
 // Replay: seek-and-step debugging of one collective point. A forward pass
@@ -40,7 +41,7 @@ type waypoint struct {
 
 // Replay runs one quiet collective point under the replay debugger,
 // writing the waypoint table, the seek trace and the stepped events to w.
-// It builds under the zero Env — a run's telemetry does not apply — and
+// It builds with telemetry off — a run's telemetry does not apply — and
 // supports only the quiet scenario: it starts the bare collective and
 // installs no injectors.
 func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
@@ -125,12 +126,12 @@ func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
 	return nil
 }
 
-// startReplay builds the point fresh under the zero Env and starts its
+// startReplay builds the point fresh with telemetry off and starts its
 // collective non-blocking, returning the engine positioned at the start of
 // the run and a report of whether the collective has completed. Every call
 // begins the same execution.
 func startReplay(s sweep.Spec) (*sim.Engine, func() bool, error) {
-	pt, err := Env{}.buildColl(s, 0, 0)
+	pt, err := buildColl(telemetry.Config{}, s, 0, 0)
 	if err != nil {
 		return nil, nil, err
 	}

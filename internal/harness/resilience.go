@@ -8,6 +8,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 )
 
 // The resilience sweep measures collectives on a noisy fabric: every grid
@@ -34,9 +35,9 @@ const resilienceEventBudget = 50_000_000
 // an RNG stream derived from the point seed, preserving byte-identical
 // JSON at any worker count), starts the algorithm non-blocking, and stops
 // the scenario the moment the collective completes so the engine drains.
-func ResilienceKernel(env Env) sweep.Func {
+func ResilienceKernel(tc telemetry.Config) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
-		pt, err := env.buildColl(s, 0, 0)
+		pt, err := buildColl(tc, s, 0, 0)
 		if err != nil {
 			return sweep.Record{}, err
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 )
 
 // TestResilienceSweepByteIdentical is the acceptance check for the
@@ -21,7 +22,7 @@ func TestResilienceSweepByteIdentical(t *testing.T) {
 		Seed:       42,
 	}
 	run := func(workers int) []byte {
-		return encodeReport(t, runSweep(t, g.Expand(), workers, ResilienceKernel(Env{}), AnnotateSlowdown))
+		return encodeReport(t, runSweep(t, g.Expand(), workers, ResilienceKernel(telemetry.Config{}), AnnotateSlowdown))
 	}
 	a, b := run(1), run(6)
 	if !bytes.Equal(a, b) {
@@ -35,12 +36,12 @@ func TestResilienceSweepByteIdentical(t *testing.T) {
 // the same spec and seed.
 func TestResilienceQuietMatchesCollKernel(t *testing.T) {
 	spec := sweep.Spec{Algorithm: "mcast-allgather", Nodes: 16, MsgBytes: 64 << 10, Seed: 1234}
-	bases, err := sweep.Run([]sweep.Spec{spec}, 1, CollKernel(Env{}, 0))
+	bases, err := sweep.Run([]sweep.Spec{spec}, 1, CollKernel(telemetry.Config{}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.Scenario = "quiet"
-	quiets, err := sweep.Run([]sweep.Spec{spec}, 1, ResilienceKernel(Env{}))
+	quiets, err := sweep.Run([]sweep.Spec{spec}, 1, ResilienceKernel(telemetry.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}

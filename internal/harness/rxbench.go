@@ -66,9 +66,8 @@ type RxBenchResult struct {
 	EventsScheduled uint64
 }
 
-// RunRxBench executes the microbenchmark under env and returns the
-// measured result.
-func RunRxBench(env Env, cfg RxBenchConfig) RxBenchResult {
+// RunRxBench executes the microbenchmark and returns the measured result.
+func RunRxBench(cfg RxBenchConfig) RxBenchResult {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 )
 
 // encodeReport serializes records the way the -json flag does.
@@ -42,11 +43,11 @@ func TestSweepJSONByteIdentical(t *testing.T) {
 			ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 13}.Expand(),
 		sweep.Grid{Transports: []string{"cpu-ud"}, Threads: []int{1},
 			ChunkSizes: []int{4096}, MsgBytes: []int{8 << 20}, Seed: 14}.Expand())
-	serial, err := sweep.Run(specs, 1, RxKernel(Env{}))
+	serial, err := sweep.Run(specs, 1, RxKernel(telemetry.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := sweep.Run(specs, 8, RxKernel(Env{}))
+	parallel, err := sweep.Run(specs, 8, RxKernel(telemetry.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestCollectiveSweepDeterministic(t *testing.T) {
 		t.Skip("two at-scale collective sweeps")
 	}
 	run := func(workers int) []byte {
-		recs, err := sweep.Run(fig11Specs(16, 64<<10), workers, CollKernel(Env{}, 0))
+		recs, err := sweep.Run(fig11Specs(16, 64<<10), workers, CollKernel(telemetry.Config{}, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func TestCollKernelRejectsBadPoints(t *testing.T) {
 		Nodes:      []int{4, 500}, // 500 exceeds the 188-node testbed
 		MsgBytes:   []int{4096},
 	}.Expand()
-	_, err := sweep.Run(specs, 2, CollKernel(Env{}, 0))
+	_, err := sweep.Run(specs, 2, CollKernel(telemetry.Config{}, 0))
 	if err == nil {
 		t.Fatal("oversized node count did not error")
 	}

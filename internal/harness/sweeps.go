@@ -10,6 +10,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 	"repro/internal/verbs"
 	"repro/internal/workload"
 )
@@ -66,13 +67,13 @@ func addEngineCounts(rec *sweep.Record, executed, scheduled uint64) {
 
 // RxKernel returns the sweep kernel for the receive-datapath
 // microbenchmark (Figures 5, 13–15 and Table I).
-func RxKernel(env Env) sweep.Func {
+func RxKernel(tc telemetry.Config) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
 		cfg, err := rxConfig(s)
 		if err != nil {
 			return sweep.Record{}, err
 		}
-		r := RunRxBench(env, cfg)
+		r := RunRxBench(cfg)
 		rec := sweep.Record{Spec: s, Metrics: map[string]float64{
 			"gibps":      r.GiBps,
 			"gbps":       r.Gbps,
@@ -84,7 +85,7 @@ func RxKernel(env Env) sweep.Func {
 			"cycles_cqe": float64(r.Profile.LatencyCycles),
 		}}
 		addEngineCounts(&rec, r.Events, r.EventsScheduled)
-		if reg := env.newRegistry(); reg != nil {
+		if reg := newRegistry(tc); reg != nil {
 			// The microbenchmark's engine is out of scope here; export the
 			// counter snapshot its result carries.
 			reg.Counter("sim", "events", "").Add(r.Events)
@@ -103,9 +104,9 @@ func RxKernel(env Env) sweep.Func {
 // the registry, runs one operation, and reports the unified Result (with
 // the per-rank critical-path extension where the protocol provides it).
 // The optional ChunkSize axis tunes the P2P baselines.
-func CollKernel(env Env, linkGbps float64) sweep.Func {
+func CollKernel(tc telemetry.Config, linkGbps float64) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
-		pt, err := env.buildColl(s, linkGbps, 0)
+		pt, err := buildColl(tc, s, linkGbps, 0)
 		if err != nil {
 			return sweep.Record{}, err
 		}
@@ -154,8 +155,8 @@ const Tbit16Target = 1.6e12 / 8 / 4096 // chunks/second
 // per thread, keeping per-thread work meaningful while bounding event
 // counts) and rebases link_share on the 1.6 Tbit/s chunk-rate target. It
 // reads no MsgBytes axis.
-func ChunkRateKernel(env Env) sweep.Func {
-	rx := RxKernel(env)
+func ChunkRateKernel(tc telemetry.Config) sweep.Func {
+	rx := RxKernel(tc)
 	return func(s sweep.Spec) (sweep.Record, error) {
 		s.MsgBytes = 256 * 1024 * s.Threads
 		rec, err := rx(s)
@@ -171,9 +172,9 @@ func ChunkRateKernel(env Env) sweep.Func {
 // warmup operation, counter reset, then 10 measured iterations on the same
 // warm instance (the paper's counter methodology). AnnotateSavings relates
 // the section's records afterwards.
-func TrafficKernel(env Env) sweep.Func {
+func TrafficKernel(tc telemetry.Config) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
-		pt, err := env.buildColl(s, 0, 0)
+		pt, err := buildColl(tc, s, 0, 0)
 		if err != nil {
 			return sweep.Record{}, err
 		}
@@ -233,7 +234,7 @@ var PairAlgorithms = []string{"ring-pair", "inc-pair"}
 // workload DAG — two single-op streams with no dependency edge, so both
 // post at t=0 and contend for the shared NICs — and reports the span from
 // first start to last finish, read from the unified Results.
-func PairKernel(env Env) sweep.Func {
+func PairKernel(tc telemetry.Config) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
 		var ag, rs workload.Comm
 		switch s.Algorithm {
@@ -252,7 +253,7 @@ func PairKernel(env Env) sweep.Func {
 		default:
 			return sweep.Record{}, fmt.Errorf("harness: unknown pair %q", s.Algorithm)
 		}
-		pt := env.buildStar(s, s.Nodes, env.newRegistry())
+		pt := buildStar(tc, s, s.Nodes)
 		pt.sampler.Arm()
 		rep, err := workload.Run(pt.cl, workload.Workload{Name: s.Algorithm, Jobs: []workload.Job{{
 			Name:  "pair",
@@ -279,7 +280,6 @@ func PairKernel(env Env) sweep.Func {
 			"span_ns":       float64(span),
 			"model_speedup": model.SpeedupINC(s.Nodes),
 		}}
-		rep.ExportTelemetry(pt.reg)
 		rec.Telemetry = pt.snapshot()
 		return rec, nil
 	}
@@ -303,12 +303,12 @@ type OSUConfig struct {
 // size) point on the testbed model: the communicator persists across the
 // point's iterations (warm queue pairs and buffers), and the Record carries
 // the last iteration's unified Result plus the latency distribution.
-func OSUKernel(env Env, cfg OSUConfig) sweep.Func {
+func OSUKernel(tc telemetry.Config, cfg OSUConfig) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
 		if cfg.Iters <= 0 {
 			return sweep.Record{}, fmt.Errorf("harness: iters must be positive")
 		}
-		pt, err := env.buildColl(s, cfg.LinkGbps, cfg.JitterUS)
+		pt, err := buildColl(tc, s, cfg.LinkGbps, cfg.JitterUS)
 		if err != nil {
 			return sweep.Record{}, err
 		}

@@ -6,6 +6,16 @@ import (
 	"repro/internal/telemetry"
 )
 
+// newRegistry returns a fresh per-point registry, or nil when tc leaves
+// telemetry off. Each grid point gets its own registry (sweep workers run
+// points concurrently; registries are not goroutine-safe).
+func newRegistry(tc telemetry.Config) *telemetry.Registry {
+	if !tc.Enabled {
+		return nil
+	}
+	return telemetry.New(tc)
+}
+
 // fabricSampler attaches the virtual-time sampler that tracks the fabric's
 // worst serializer backlog as a gauge. The sampler is returned unarmed: a
 // continuation arms it right before it drives the engine (and re-arms it

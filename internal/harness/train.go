@@ -3,14 +3,12 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/verbs"
 	"repro/internal/workload"
 )
 
@@ -31,30 +29,21 @@ type TrainConfig struct {
 }
 
 // buildStar builds a full-bandwidth star fabric of the given host count
-// (as the FSDP scenario of Appendix B assumes) and its cluster, reporting
-// into reg.
-func (e Env) buildStar(s sweep.Spec, hosts int, reg *telemetry.Registry) *point {
-	g := topology.Star(hosts)
-	pt := &point{spec: s, reg: reg}
-	pt.f = fabric.New(sim.NewEngine(s.Seed), g, fabric.Config{})
-	pt.cl = cluster.New(pt.f, cluster.Config{Verbs: verbs.Config{Metrics: reg}})
-	pt.sampler = fabricSampler(reg, pt.f)
-	return pt
+// (as the FSDP scenario of Appendix B assumes) and its cluster.
+func buildStar(tc telemetry.Config, s sweep.Spec, hosts int) *point {
+	return newPoint(s, fabric.New(sim.NewEngine(s.Seed), topology.Star(hosts), fabric.Config{}), tc)
 }
 
 // buildTrain builds one training point: the workload preset and a star
 // fabric sized by its host demand. It consumes the workload, scale, shard
 // size and seed; the scenario belongs to the continuation.
-func (e Env) buildTrain(s sweep.Spec, cfg TrainConfig) (*point, error) {
-	reg := e.newRegistry()
+func buildTrain(tc telemetry.Config, s sweep.Spec, cfg TrainConfig) (*point, error) {
 	w, err := workload.New(s.Workload, workload.Config{
 		Nodes:      s.Nodes,
 		Layers:     cfg.Layers,
 		ShardBytes: s.MsgBytes,
 		Compute:    cfg.Compute,
 		Jobs:       cfg.Jobs,
-		Tracer:     e.Tracer,
-		Metrics:    reg,
 	})
 	if err != nil {
 		return nil, err
@@ -63,7 +52,7 @@ func (e Env) buildTrain(s sweep.Spec, cfg TrainConfig) (*point, error) {
 	if hosts < 2 {
 		return nil, fmt.Errorf("harness: workload %q needs at least 2 hosts", s.Workload)
 	}
-	pt := e.buildStar(s, hosts, reg)
+	pt := buildStar(tc, s, hosts)
 	pt.w = &w
 	return pt, nil
 }
@@ -74,9 +63,9 @@ func (e Env) buildTrain(s sweep.Spec, cfg TrainConfig) (*point, error) {
 // reports step time, communication busy/exposed time, and the achieved
 // overlap. The Record carries the workload metadata fields (workload,
 // overlap_frac) alongside the metrics.
-func TrainKernel(env Env, cfg TrainConfig) sweep.Func {
+func TrainKernel(tc telemetry.Config, cfg TrainConfig) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
-		pt, err := env.buildTrain(s, cfg)
+		pt, err := buildTrain(tc, s, cfg)
 		if err != nil {
 			return sweep.Record{}, err
 		}
@@ -153,7 +142,6 @@ func trainRun(pt *point, s sweep.Spec) (sweep.Record, error) {
 		},
 	}
 	addEngineMetrics(&rec, pt.f.Engine())
-	rep.ExportTelemetry(pt.reg)
 	rec.Telemetry = pt.snapshot()
 	return rec, nil
 }

@@ -19,7 +19,7 @@ func TestTrainGoldenStepTimes(t *testing.T) {
 		t.Skip("golden step times need the full-size FSDP step")
 	}
 	grid := sweep.Grid{Workloads: []string{"fsdp-ring", "fsdp-inc"}, Nodes: []int{16}, MsgBytes: []int{512 << 10}, Seed: 21}
-	recs := runSweep(t, grid.Expand(), 0, TrainKernel(Env{}, TrainConfig{}), nil)
+	recs := runSweep(t, grid.Expand(), 0, TrainKernel(telemetry.Config{}, TrainConfig{}), nil)
 	want := map[string]int64{ // ns
 		"fsdp-ring": 5449328,
 		"fsdp-inc":  2898262,
@@ -53,7 +53,7 @@ func TestTrainSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	cfg := TrainConfig{Layers: 2}
 	var blobs [][]byte
 	for _, workers := range []int{1, 4} {
-		blobs = append(blobs, encodeReport(t, runSweep(t, grid.Expand(), workers, TrainKernel(Env{}, cfg), AnnotateSlowdown)))
+		blobs = append(blobs, encodeReport(t, runSweep(t, grid.Expand(), workers, TrainKernel(telemetry.Config{}, cfg), AnnotateSlowdown)))
 	}
 	if !bytes.Equal(blobs[0], blobs[1]) {
 		t.Fatal("train sweep JSON differs between -workers 1 and 4")
@@ -65,7 +65,7 @@ func TestTrainSweepByteIdenticalAcrossWorkers(t *testing.T) {
 func TestTrainScenarioSlowdown(t *testing.T) {
 	grid := sweep.Grid{Workloads: []string{"fsdp-inc"}, Nodes: []int{8}, MsgBytes: []int{64 << 10},
 		Scenarios: []string{"quiet", "flap-spine"}, Seed: 9}
-	recs := runSweep(t, grid.Expand(), 0, TrainKernel(Env{}, TrainConfig{Layers: 2}), AnnotateSlowdown)
+	recs := runSweep(t, grid.Expand(), 0, TrainKernel(telemetry.Config{}, TrainConfig{Layers: 2}), AnnotateSlowdown)
 	var quiet, flap float64
 	for _, r := range recs {
 		switch r.Spec.Scenario {
@@ -83,16 +83,18 @@ func TestTrainScenarioSlowdown(t *testing.T) {
 	}
 }
 
-// traced runs s through kernel under a tracing Env, as a manifest's
-// traced run does, and returns the bundle with the record's snapshot.
-func traced(t *testing.T, kernel sweep.Func, env Env, s sweep.Spec) *telemetry.Bundle {
+// on is the telemetry configuration of a traced run.
+var on = telemetry.Config{Enabled: true}
+
+// traced runs s through kernel with telemetry on, as a manifest's traced
+// run does, and returns the record's snapshot.
+func traced(t *testing.T, kernel sweep.Func, s sweep.Spec) *telemetry.Snapshot {
 	t.Helper()
 	rec, err := kernel(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.Tracer.Snap = rec.Telemetry
-	return env.Tracer
+	return rec.Telemetry
 }
 
 // TestTrainTraceTimeline checks the Figure-9 trace surface: a multicast
@@ -100,16 +102,15 @@ func traced(t *testing.T, kernel sweep.Func, env Env, s sweep.Spec) *telemetry.B
 // sweep.
 func TestTrainTraceTimeline(t *testing.T) {
 	spec := sweep.Grid{Workloads: []string{"fsdp-inc"}, Nodes: []int{4}, MsgBytes: []int{16 << 10}, Seed: 3}.Expand()[0]
-	env := Env{}.Traced()
-	bundle := traced(t, TrainKernel(env, TrainConfig{Layers: 1}), env, spec)
-	timeline := bundle.Timeline()
+	snap := traced(t, TrainKernel(on, TrainConfig{Layers: 1}), spec)
+	timeline := snap.Timeline()
 	for _, phase := range []string{"dispatch", "barrier", "done"} {
 		if !strings.Contains(timeline, phase) {
 			t.Fatalf("timeline missing %q:\n%.400s", phase, timeline)
 		}
 	}
-	if bundle.Snap == nil || len(bundle.Snap.Spans) == 0 {
-		t.Fatal("traced bundle carries no workload spans")
+	if len(snap.Spans) == 0 {
+		t.Fatal("traced snapshot carries no workload spans")
 	}
 }
 
@@ -117,15 +118,11 @@ func TestTrainTraceTimeline(t *testing.T) {
 // a multicast algorithm and the (no events) P2P fallback.
 func TestCollTraceTimeline(t *testing.T) {
 	s := sweep.Spec{Algorithm: "mcast-allgather", Nodes: 4, MsgBytes: 16 << 10, Seed: 5}
-	env := Env{}.Traced()
-	bundle := traced(t, CollKernel(env, 56), env, s)
-	if timeline := bundle.Timeline(); !strings.Contains(timeline, "dispatch") {
+	if timeline := traced(t, CollKernel(on, 56), s).Timeline(); !strings.Contains(timeline, "dispatch") {
 		t.Fatalf("mcast timeline missing dispatch:\n%.200s", timeline)
 	}
 	s.Algorithm = "ring-allgather"
-	env = Env{}.Traced()
-	bundle = traced(t, CollKernel(env, 56), env, s)
-	if timeline := bundle.Timeline(); !strings.Contains(timeline, "no events") {
+	if timeline := traced(t, CollKernel(on, 56), s).Timeline(); !strings.Contains(timeline, "no events") {
 		t.Fatalf("ring timeline = %q, want (no events)", timeline)
 	}
 }

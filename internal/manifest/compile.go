@@ -26,15 +26,14 @@ type Plan struct {
 	// Sections are executed in order; their records concatenate into the
 	// report.
 	Sections []Section
-	// Trace re-runs one representative point through its kernel under
-	// Env.Traced (a protocol tracer and an always-on telemetry registry),
-	// and returns the bundle — the Figure-9 phase events plus, as its
-	// Snap, the record's metric snapshot — which renders as a text
-	// timeline or a Perfetto JSON document; P2P baselines record no
-	// events, so their timeline reads "(no events)". Nil when the kind has
-	// no traceable point. The traced run is separate from the sweep, so
+	// Trace re-runs one representative point through its kernel with
+	// telemetry always on, and returns the point's snapshot — its metrics,
+	// spans and Figure-9 phase events — which renders as a text timeline
+	// or a Perfetto JSON document; P2P baselines record no events, so
+	// their timeline reads "(no events)". Nil when the kind has no
+	// traceable point. The traced run is separate from the sweep, so
 	// records stay byte-identical.
-	Trace func() (*telemetry.Bundle, error)
+	Trace func() (*telemetry.Snapshot, error)
 	// ReplaySpec names the point `repro replay` seeks and steps through: a
 	// quiet collective cell of the plan (the replay debugger installs no
 	// scenario injectors). Nil when the kind has no replayable point.
@@ -58,18 +57,19 @@ type Section struct {
 }
 
 // Compile validates the manifest and lowers it onto sweep grids and
-// harness kernels. The kernels' execution environment (the telemetry
-// configuration) is derived here from the manifest's own telemetry field,
-// so the Plan is self-contained: executing it needs no setup beyond the
-// manifest.
+// harness kernels. The kernels' telemetry configuration is derived here
+// from the manifest's own telemetry field, so the Plan is self-contained:
+// executing it needs no setup beyond the manifest. A manifest that asks
+// for a Perfetto trace its plan has no point to produce is an error here,
+// so `repro validate` and `repro run` agree on it.
 func Compile(m Manifest) (*Plan, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Plan{Manifest: m}
-	var env harness.Env
+	var tc telemetry.Config
 	if t := m.Telemetry; t != nil {
-		env.Telemetry = telemetry.Config{
+		tc = telemetry.Config{
 			Enabled:      true,
 			SamplePeriod: sim.Time(t.SamplePeriodUS) * sim.Microsecond,
 			Filters:      t.Filters,
@@ -77,16 +77,19 @@ func Compile(m Manifest) (*Plan, error) {
 	}
 	switch m.Kind {
 	case "osu":
-		p.compileOSU(env)
+		p.compileOSU(tc)
 	case "chaos":
-		p.compileChaos(env)
+		p.compileChaos(tc)
 	case "train":
-		p.compileTrain(env)
+		p.compileTrain(tc)
 	case "sweep":
-		p.compileSweep(env)
+		p.compileSweep(tc)
 	}
 	if m.Name != "" {
 		p.Name = m.Name
+	}
+	if m.Telemetry != nil && m.Telemetry.Perfetto != "" && p.Trace == nil {
+		return nil, fmt.Errorf("manifest: telemetry.perfetto set, but kind %s has no traceable point", m.Kind)
 	}
 	return p, nil
 }
@@ -132,16 +135,16 @@ func (p *Plan) grid(header, note string, g sweep.Grid, kernel sweep.Func, post f
 	p.Sections = append(p.Sections, Section{Header: header, Note: note, Specs: g.Expand(), Kernel: kernel, Post: post})
 }
 
-// trace sets Trace to run s through kernel under env.Traced().
-func (p *Plan) trace(env harness.Env, s sweep.Spec, kernel func(harness.Env) sweep.Func) {
-	p.Trace = func() (*telemetry.Bundle, error) {
-		env := env.Traced()
-		rec, err := kernel(env)(s)
+// trace sets Trace to run s through kernel with telemetry on, honoring the
+// configured sample period and filters.
+func (p *Plan) trace(tc telemetry.Config, s sweep.Spec, kernel func(telemetry.Config) sweep.Func) {
+	tc.Enabled = true
+	p.Trace = func() (*telemetry.Snapshot, error) {
+		rec, err := kernel(tc)(s)
 		if err != nil {
 			return nil, err
 		}
-		env.Tracer.Snap = rec.Telemetry
-		return env.Tracer, nil
+		return rec.Telemetry, nil
 	}
 }
 
@@ -158,7 +161,7 @@ func expandScenarios(scenarios []string, anchor bool) []string {
 	return scenarios
 }
 
-func (p *Plan) compileOSU(env harness.Env) {
+func (p *Plan) compileOSU(tc telemetry.Config) {
 	m := p.Manifest
 	cfg := harness.OSUConfig{Iters: 10, Warmup: 2, LinkGbps: 56}
 	if o := m.OSU; o != nil {
@@ -186,15 +189,15 @@ func (p *Plan) compileOSU(env harness.Env) {
 	}
 	header := fmt.Sprintf("# OSU-style sweep: %v, nodes %v, %.0f Gbit/s links, %d iters (+%d warmup)",
 		m.Grid.Algorithms, m.Grid.Nodes, cfg.LinkGbps, cfg.Iters, cfg.Warmup)
-	p.grid(header, "", g, harness.OSUKernel(env, cfg), nil)
+	p.grid(header, "", g, harness.OSUKernel(tc, cfg), nil)
 	specs := p.Sections[0].Specs
 	// The last (largest) size point is the representative run: one
 	// operation at the sweep's link rate.
-	p.trace(env, specs[len(specs)-1], func(env harness.Env) sweep.Func { return harness.CollKernel(env, cfg.LinkGbps) })
+	p.trace(tc, specs[len(specs)-1], func(tc telemetry.Config) sweep.Func { return harness.CollKernel(tc, cfg.LinkGbps) })
 	p.ReplaySpec = &specs[len(specs)-1]
 }
 
-func (p *Plan) compileChaos(env harness.Env) {
+func (p *Plan) compileChaos(tc telemetry.Config) {
 	m := p.Manifest
 	scenarios := expandScenarios(m.Grid.Scenarios, true)
 	g := sweep.Grid{Algorithms: m.Grid.Algorithms, Scenarios: scenarios,
@@ -203,18 +206,18 @@ func (p *Plan) compileChaos(env harness.Env) {
 	header := fmt.Sprintf("== chaosbench: %d algorithms x %d scenarios, %d nodes, %d B messages ==",
 		len(m.Grid.Algorithms), len(scenarios), m.Grid.Nodes[0], m.Grid.Sizes[0])
 	p.grid(header, "slowdown_vs_quiet is each point's duration over its quiet sibling's.",
-		g, harness.ResilienceKernel(env), harness.AnnotateSlowdown)
+		g, harness.ResilienceKernel(tc), harness.AnnotateSlowdown)
 	specs := p.Sections[0].Specs
 	// The last point is the representative run: grids expand scenarios
 	// last, so it carries a real perturbation (not the quiet anchor)
 	// whenever the manifest names one.
-	p.trace(env, specs[len(specs)-1], harness.ResilienceKernel)
+	p.trace(tc, specs[len(specs)-1], harness.ResilienceKernel)
 	// The first point is the quiet anchor (expandScenarios prepends it),
 	// the only scenario the replay debugger supports.
 	p.ReplaySpec = &specs[0]
 }
 
-func (p *Plan) compileTrain(env harness.Env) {
+func (p *Plan) compileTrain(tc telemetry.Config) {
 	m := p.Manifest
 	cfg := harness.TrainConfig{Layers: 6, Compute: 150 * sim.Microsecond, Jobs: 2}
 	if t := m.Train; t != nil {
@@ -243,15 +246,15 @@ func (p *Plan) compileTrain(env harness.Env) {
 		post = harness.AnnotateSlowdown
 	}
 	p.grid(header, "overlap_frac is the share of communication hidden behind compute or other communication.",
-		g, harness.TrainKernel(env, cfg), post)
+		g, harness.TrainKernel(tc, cfg), post)
 	specs := p.Sections[0].Specs
-	p.trace(env, specs[0], func(env harness.Env) sweep.Func { return harness.TrainKernel(env, cfg) })
+	p.trace(tc, specs[0], func(tc telemetry.Config) sweep.Func { return harness.TrainKernel(tc, cfg) })
 }
 
 // compileSweep lowers each section onto its grids' joined specs and its
 // kernel, or onto its table for a gridless kernel. The first point of the
 // first op or traffic section is the traced and replayed point.
-func (p *Plan) compileSweep(env harness.Env) {
+func (p *Plan) compileSweep(tc telemetry.Config) {
 	p.Name = "sweep"
 	for _, ss := range p.Manifest.Sections {
 		k := sweepKernels[ss.Kernel]
@@ -263,13 +266,13 @@ func (p *Plan) compileSweep(env harness.Env) {
 		for i, g := range ss.Grids {
 			lists[i] = g.Expand()
 		}
-		sec := Section{Header: ss.Title, Note: ss.Note, Specs: sweep.Concat(lists...), Kernel: k.kernel(env)}
+		sec := Section{Header: ss.Title, Note: ss.Note, Specs: sweep.Concat(lists...), Kernel: k.kernel(tc)}
 		if ss.Kernel == "traffic" {
 			sec.Post = harness.AnnotateSavings
 		}
 		if p.ReplaySpec == nil && (ss.Kernel == "op" || ss.Kernel == "traffic") {
 			traced := sec.Specs[0]
-			p.trace(env, traced, sweepKernels["op"].kernel)
+			p.trace(tc, traced, sweepKernels["op"].kernel)
 			p.ReplaySpec = &traced
 		}
 		p.Sections = append(p.Sections, sec)

@@ -29,6 +29,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -147,8 +148,8 @@ type TelemetrySpec struct {
 	// Like the report itself it is byte-identical at any -workers value.
 	Metrics string `json:"metrics,omitempty"`
 	// Perfetto is where the representative run's Chrome-trace-event JSON is
-	// written (open at ui.perfetto.dev). Only kinds with a traceable point
-	// support it.
+	// written (open at ui.perfetto.dev). Only a plan with a traceable point
+	// supports it; Compile rejects it on any other.
 	Perfetto string `json:"perfetto,omitempty"`
 	// Expect pins the expected metrics document: a hex SHA-256 over its
 	// canonical bytes. The run fails (exit 1) on mismatch.
@@ -294,7 +295,7 @@ var Kernels = []string{"op", "traffic", "rx", "rx-rate", "traffic-model", "pair"
 // records carry seed 0, which no grid point gets, so it takes no grids.
 var sweepKernels = map[string]struct {
 	need, may []string
-	kernel    func(harness.Env) sweep.Func
+	kernel    func(telemetry.Config) sweep.Func
 	table     func() []sweep.Record
 }{
 	"op":            {need: []string{"algorithms", "nodes", "msg_bytes"}, may: []string{"chunk_sizes"}, kernel: opKernel},
@@ -308,7 +309,7 @@ var sweepKernels = map[string]struct {
 }
 
 // opKernel is the "op" kernel: one operation at the testbed's link rate.
-func opKernel(env harness.Env) sweep.Func { return harness.CollKernel(env, 0) }
+func opKernel(tc telemetry.Config) sweep.Func { return harness.CollKernel(tc, 0) }
 
 // Validate checks the manifest without running anything: kind membership,
 // kind/field consumption, axis bounds, and registry cross-checks (algorithm,

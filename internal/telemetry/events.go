@@ -32,31 +32,19 @@ type Event struct {
 	Detail string
 }
 
-// Bundle is the one event recorder, and everything a traced run produced:
-// the protocol phase events its state machines recorded (it is attached
-// through core.Config.Tracer and adds no cost to the simulated timing)
-// plus, once the run closes, the metric snapshot. It renders either as the
-// text timeline (-trace) or as a Chrome-trace-event/Perfetto JSON document
-// (-perfetto), so one traced run feeds both surfaces. The zero value is
-// ready to use.
-type Bundle struct {
-	Events []Event
-	Snap   *Snapshot
-}
-
-// Record appends an event. A nil *Bundle is valid and records nothing, so
-// call sites need no guards.
-func (b *Bundle) Record(t sim.Time, rank, seq int, phase, detail string) {
-	if b == nil {
+// Record appends a protocol phase event; a no-op on a nil registry.
+// Events are not metrics, so the config's filters never drop them.
+func (r *Registry) Record(t sim.Time, rank, seq int, phase, detail string) {
+	if r == nil {
 		return
 	}
-	b.Events = append(b.Events, Event{T: t, Rank: rank, Seq: seq, Phase: phase, Detail: detail})
+	r.events = append(r.events, Event{T: t, Rank: rank, Seq: seq, Phase: phase, Detail: detail})
 }
 
 // ByRank returns one rank's events in time order.
-func (b *Bundle) ByRank(rank int) []Event {
+func (s *Snapshot) ByRank(rank int) []Event {
 	var out []Event
-	for _, e := range b.Events {
+	for _, e := range s.Events {
 		if e.Rank == rank {
 			out = append(out, e)
 		}
@@ -67,11 +55,11 @@ func (b *Bundle) ByRank(rank int) []Event {
 
 // Timeline renders every event in time order, one line each — the textual
 // equivalent of Figure 9.
-func (b *Bundle) Timeline() string {
-	if b == nil || len(b.Events) == 0 {
+func (s *Snapshot) Timeline() string {
+	if s == nil || len(s.Events) == 0 {
 		return "(no events)\n"
 	}
-	evs := append([]Event(nil), b.Events...)
+	evs := append([]Event(nil), s.Events...)
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].T < evs[j].T })
 	var sb strings.Builder
 	for _, e := range evs {

@@ -45,13 +45,13 @@ const (
 
 func us(t sim.Time) float64 { return float64(t) / 1e3 }
 
-// WritePerfetto renders the bundle as a Chrome trace-event JSON document
+// WritePerfetto renders the snapshot as a Chrome trace-event JSON document
 // (open at ui.perfetto.dev or chrome://tracing): one named thread per
 // protocol rank carrying its phase slices, one per registry span track
 // (collective operations, workload phases), and one counter track per
-// gauge series. The output is a pure function of the bundle — deterministic
+// gauge series. The output is a pure function of the snapshot — deterministic
 // across -workers like everything else telemetry emits.
-func (b *Bundle) WritePerfetto(w io.Writer) error {
+func (s *Snapshot) WritePerfetto(w io.Writer) error {
 	var evs []tev
 	add := func(e tev) { evs = append(evs, e) }
 
@@ -59,7 +59,7 @@ func (b *Bundle) WritePerfetto(w io.Writer) error {
 	// bound the phase slices: entering phase P at t1 and the next phase at
 	// t2 renders P as [t1, t2); the final event becomes an instant.
 	ranks := map[int]bool{}
-	for _, e := range b.Events {
+	for _, e := range s.Events {
 		ranks[e.Rank] = true
 	}
 	if len(ranks) > 0 {
@@ -72,7 +72,7 @@ func (b *Bundle) WritePerfetto(w io.Writer) error {
 		for _, r := range rankIDs {
 			add(tev{Name: "thread_name", Ph: "M", Pid: pidProtocol, Tid: r,
 				Args: nameArgs{Name: "rank " + strconv.Itoa(r)}})
-			byRank := b.ByRank(r)
+			byRank := s.ByRank(r)
 			for i, e := range byRank {
 				if i+1 < len(byRank) {
 					add(tev{Name: e.Phase, Ph: "X", Ts: us(e.T), Dur: us(byRank[i+1].T - e.T),
@@ -86,10 +86,10 @@ func (b *Bundle) WritePerfetto(w io.Writer) error {
 	}
 
 	// Registry spans: pid 2, one thread per track name (sorted).
-	if b.Snap != nil && len(b.Snap.Spans) > 0 {
+	if len(s.Spans) > 0 {
 		add(tev{Name: "process_name", Ph: "M", Pid: pidSpans, Args: nameArgs{Name: "spans"}})
 		tracks := map[string]bool{}
-		for _, sp := range b.Snap.Spans {
+		for _, sp := range s.Spans {
 			tracks[sp.Track] = true
 		}
 		names := make([]string, 0, len(tracks))
@@ -102,7 +102,7 @@ func (b *Bundle) WritePerfetto(w io.Writer) error {
 			tid[n] = i
 			add(tev{Name: "thread_name", Ph: "M", Pid: pidSpans, Tid: i, Args: nameArgs{Name: n}})
 		}
-		for _, sp := range b.Snap.Spans {
+		for _, sp := range s.Spans {
 			add(tev{Name: sp.Name, Ph: "X", Ts: us(sp.Start), Dur: us(sp.End - sp.Start),
 				Pid: pidSpans, Tid: tid[sp.Track]})
 		}
@@ -110,19 +110,17 @@ func (b *Bundle) WritePerfetto(w io.Writer) error {
 
 	// Gauge series: pid 3 counter tracks, one per metric key, in snapshot
 	// (sorted-key) order.
-	if b.Snap != nil {
-		named := false
-		for _, m := range b.Snap.Metrics {
-			if m.Type != "gauge" || len(m.Samples) == 0 {
-				continue
-			}
-			if !named {
-				add(tev{Name: "process_name", Ph: "M", Pid: pidMetrics, Args: nameArgs{Name: "metrics"}})
-				named = true
-			}
-			for _, s := range m.Samples {
-				add(tev{Name: m.Key, Ph: "C", Ts: us(s.T), Pid: pidMetrics, Args: valueArgs{Value: s.V}})
-			}
+	named := false
+	for _, m := range s.Metrics {
+		if m.Type != "gauge" || len(m.Samples) == 0 {
+			continue
+		}
+		if !named {
+			add(tev{Name: "process_name", Ph: "M", Pid: pidMetrics, Args: nameArgs{Name: "metrics"}})
+			named = true
+		}
+		for _, smp := range m.Samples {
+			add(tev{Name: m.Key, Ph: "C", Ts: us(smp.T), Pid: pidMetrics, Args: valueArgs{Value: smp.V}})
 		}
 	}
 

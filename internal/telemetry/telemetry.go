@@ -1,8 +1,9 @@
-// Package telemetry is the unified observability layer: a deterministic
-// metrics registry (counters, gauges, fixed-bucket histograms and spans,
-// keyed by subsystem/name{labels}) sampled in *virtual* time, plus a
-// Chrome-trace-event/Perfetto exporter over the protocol phase events the
-// Bundle records.
+// Package telemetry is the unified observability layer: one deterministic
+// recorder, the Registry, holding metrics (counters, gauges, fixed-bucket
+// histograms, keyed by subsystem/name{labels}) sampled in *virtual* time,
+// spans, and the protocol phase events of the paper's Figure 9. Its
+// Snapshot renders as the canonical metrics document, a text timeline, or
+// a Chrome-trace-event/Perfetto document.
 //
 // Two invariants define the design:
 //
@@ -49,18 +50,21 @@ type metric struct {
 	hist    Histogram
 }
 
-// Registry holds a run's metrics. A nil *Registry is the disabled state:
-// every method is a nil-safe no-op, so instrumentation points need no
-// guards and cost nothing when telemetry is off. Registries are not
-// goroutine-safe; the sweep engine gives each point its own.
+// Registry holds a run's metrics, spans and protocol phase events. A nil
+// *Registry is the disabled state: every method is a nil-safe no-op, so
+// instrumentation points need no guards and cost nothing when telemetry is
+// off. A run attaches it once, where its cluster is built, and every layer
+// reads it from there. Registries are not goroutine-safe; the sweep engine
+// gives each point its own.
 type Registry struct {
 	cfg     Config
 	metrics map[string]*metric
 	spans   []SpanRec
+	events  []Event
 }
 
 // New builds an enabled registry. Callers that want the disabled state use
-// a nil *Registry instead (see harness.Env).
+// a nil *Registry instead.
 func New(cfg Config) *Registry {
 	if cfg.SamplePeriod <= 0 {
 		cfg.SamplePeriod = DefaultSamplePeriod
@@ -240,11 +244,13 @@ type Metric struct {
 }
 
 // Snapshot is the end-of-run state of a registry: the metrics that
-// survived the config filters, sorted by key, plus the recorded spans (the
-// Perfetto payload; spans are not part of the canonical metrics document).
+// survived the config filters, sorted by key, plus the recorded spans and
+// protocol phase events in record order (the timeline and Perfetto
+// payload; neither is part of the canonical metrics document).
 type Snapshot struct {
 	Metrics []Metric  `json:"metrics"`
 	Spans   []SpanRec `json:"-"`
+	Events  []Event   `json:"-"`
 }
 
 // matchFilters reports whether a key passes the config's prefix filters.
@@ -302,5 +308,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 		return a.Start < b.Start
 	})
+	s.Events = append(s.Events, r.events...)
 	return s
 }

@@ -29,6 +29,7 @@ func TestNilRegistryIsFree(t *testing.T) {
 		r.Gauge("fabric", "backlog_ns", "").Sample(sim.Microsecond, 3)
 		r.Histogram("verbs", "rc_completion_ns", "", LatencyBounds).Observe(sim.Millisecond)
 		r.Span("coll", "allgather", 0, sim.Microsecond)
+		r.Record(sim.Microsecond, 0, 1, PhaseDispatch, "")
 		sp := r.NewSampler(nil)
 		sp.Add(func(sim.Time) {})
 		sp.Arm()

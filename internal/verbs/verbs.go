@@ -254,7 +254,9 @@ type Config struct {
 	MaxRetries int
 	// Metrics, when set, receives transport telemetry: RC completion
 	// latency histograms live, drop/retransmit counters at collection
-	// time. Nil (the default) adds no cost anywhere.
+	// time. Set on a cluster's config, it is the run's one recorder, read
+	// by every layer built on that cluster. Nil (the default) adds no cost
+	// anywhere.
 	Metrics *telemetry.Registry
 }
 

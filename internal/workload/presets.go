@@ -1,7 +1,8 @@
 // Preset workloads: the named DAG declarations behind repro.Workloads(),
 // the harness training kernel, and train manifests. Each preset is a pure
-// function of Config — expanding one never touches an engine — so the same
-// name and config always declare the identical DAG.
+// function of Config — expanding one never touches an engine, and it holds
+// no run-time handle (telemetry comes from the cluster it runs on) — so
+// the same name and config always declare the identical DAG.
 package workload
 
 import (
@@ -11,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/verbs"
 )
 
@@ -35,12 +35,6 @@ type Config struct {
 	// VerifyData backs collective buffers with real bytes so the result
 	// can be verified (replication preset).
 	VerifyData bool
-	// Tracer, when set, records protocol phase transitions of the
-	// multicast comms (the Figure 9 execution-flow view).
-	Tracer *telemetry.Bundle
-	// Metrics, when set, is threaded into each comm's core config so the
-	// protocol's phase counters accumulate there. Nil adds no cost.
-	Metrics *telemetry.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -117,7 +111,7 @@ func FSDPJob(name, pair string, cfg Config, hostOffset int) Job {
 		// (the send path belongs to the Reduce-Scatter stream), in-network
 		// Reduce-Scatter on the send path.
 		ag = Comm{Name: "ag", Algorithm: "mcast-allgather", Options: registry.Options{
-			Core: core.Config{Transport: verbs.UD, Subgroups: 4, Chains: cfg.Nodes, Tracer: cfg.Tracer, Metrics: cfg.Metrics},
+			Core: core.Config{Transport: verbs.UD, Subgroups: 4, Chains: cfg.Nodes},
 		}}
 		rs = Comm{Name: "rs", Algorithm: "inc-reduce-scatter"}
 	default:
@@ -166,8 +160,6 @@ func dfsReplica(c Config) Workload {
 				Subgroups:   2,
 				VerifyData:  c.VerifyData,
 				CutoffAlpha: 200 * sim.Microsecond,
-				Tracer:      c.Tracer,
-				Metrics:     c.Metrics,
 			},
 		}}},
 	}

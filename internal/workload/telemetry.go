@@ -4,12 +4,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ExportTelemetry renders the report into reg: one span per recorded phase
+// export renders the report into reg: one span per recorded phase
 // execution on a per-job track, a phase counter per job, and the job's
 // overlap fraction as a gauge point at its end time. Jobs are walked in
 // declaration order and spans in completion order, so the export is
 // deterministic. A nil registry is a no-op.
-func (r *Report) ExportTelemetry(reg *telemetry.Registry) {
+func (r *Report) export(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}

@@ -522,8 +522,9 @@ func (p *Pending) Done() bool { return p.left == 0 }
 // Err returns the first issue error, if any.
 func (p *Pending) Err() error { return p.err }
 
-// Report finalizes the run. It errors when phases never completed (a
-// deadlocked or cut-short run) or when issuing failed.
+// Report finalizes the run and exports it into the cluster's telemetry
+// registry, if any; call it once. It errors when phases never completed
+// (a deadlocked or cut-short run) or when issuing failed.
 func (p *Pending) Report() (*Report, error) {
 	if p.err != nil {
 		return nil, p.err
@@ -547,6 +548,7 @@ func (p *Pending) Report() (*Report, error) {
 		}
 		first = false
 	}
+	rep.export(p.cl.Metrics())
 	return rep, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 	"repro/internal/verbs"
 )
@@ -84,6 +85,54 @@ func TestSystemEndToEndCollectives(t *testing.T) {
 	}
 	if err := team.VerifyAllgather(50000); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSystemTelemetry: a registry set once in SystemConfig.Cluster records
+// every layer of the system — the multicast protocol's phase events and
+// counters, the baselines' op spans, the workload's phase spans and the
+// transport's histograms — with no per-algorithm option.
+func TestSystemTelemetry(t *testing.T) {
+	reg := telemetry.New(telemetry.Config{})
+	sys, err := NewSystem(SystemConfig{Hosts: 4, Topology: "star",
+		Cluster: cluster.Config{Verbs: verbs.Config{Metrics: reg}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorkload("fsdp-inc", WorkloadConfig{Nodes: 4, Layers: 1, ShardBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RunWorkload(w); err != nil {
+		t.Fatal(err)
+	}
+	alg, err := NewAlgorithm(sys, "ring-allgather", AlgorithmOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alg.Run(Op{Kind: Allgather, Bytes: 16 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	got := map[string]bool{}
+	for _, m := range snap.Metrics {
+		got[m.Key] = true
+	}
+	for _, key := range []string{"core/phase_total{phase=done}", "coll/ops_total{kind=inc-reduce-scatter}",
+		"coll/ops_total{kind=ring-allgather}", "workload/phases_total{job=fsdp}"} {
+		if !got[key] {
+			t.Errorf("no %s recorded", key)
+		}
+	}
+	tracks := map[string]bool{}
+	for _, sp := range snap.Spans {
+		tracks[sp.Track] = true
+	}
+	if !tracks["coll"] || !tracks["workload/fsdp"] {
+		t.Errorf("span tracks %v, want coll and workload/fsdp", tracks)
+	}
+	if snap.Timeline() == "(no events)\n" {
+		t.Error("the multicast Allgather recorded no phase events")
 	}
 }
 
