@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -681,5 +682,21 @@ func TestPerfettoNeedsTraceablePoint(t *testing.T) {
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Errorf("a refused run left -o %s behind (stat: %v)", out, err)
+	}
+}
+
+// TestRunEndsWithCollection pins the collection every `repro run` ends
+// with: a caller timing runs in one process reads the runtime's CPU-class
+// counters, which only a collection advances, and a small run may not
+// allocate enough to start one by itself.
+func TestRunEndsWithCollection(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if code, _, errOut := run("run", "-json", filepath.Join(t.TempDir(), "osu8.json"), osu8); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	runtime.ReadMemStats(&after)
+	if after.NumGC == before.NumGC {
+		t.Fatal("repro run returned without a collection")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 
 	"repro/internal/manifest"
@@ -118,6 +119,13 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 			return code
 		}
 	}
+	// End every run with a collection. A caller that runs manifests back
+	// to back in one process, as the host-time ledger (bench/) does, reads
+	// the runtime's CPU-class counters around each run, and those advance
+	// only at a collection: a run that fits in the runtime's minimum heap
+	// would read 0 of 0 CPU seconds, and the ledger's runtime.gc_cpu_frac
+	// would be NaN.
+	runtime.GC()
 	return 0
 }
 

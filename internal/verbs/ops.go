@@ -180,7 +180,7 @@ func (qp *QP) sendMessage(dst Addr, ms *message, length int) sim.Time {
 	return ctx.nic.InjectTrain(tr)
 }
 
-// assemblyKey identifies one in-flight message. QPNs are only unique per
+// assemblyKey identifies one in-flight UC message. QPNs are only unique per
 // context, so the source host must be part of the key: multicast delivers
 // messages from many senders to the same receiving QP.
 type assemblyKey struct {
@@ -196,9 +196,6 @@ type assemblyState struct {
 	data  []byte // two-sided RC payload staged until a receive WQE matches
 }
 
-// rcDelivered is the assembly entry of a delivered reliable message.
-var rcDelivered = &assemblyState{}
-
 // newAssembly returns empty assembly state for a message of nsegs segments,
 // recycled when the context has one: its got bitmap keeps its capacity.
 func (ctx *Context) newAssembly(nsegs int) *assemblyState {
@@ -210,13 +207,18 @@ func (ctx *Context) newAssembly(nsegs int) *assemblyState {
 	} else {
 		st = &assemblyState{}
 	}
-	if cap(st.got) < nsegs {
-		st.got = make([]bool, nsegs)
-	} else {
-		st.got = st.got[:nsegs]
-		clear(st.got)
-	}
+	st.got = cleared(st.got, nsegs)
 	return st
+}
+
+// cleared returns n false flags, in b's backing array when it is big enough.
+func cleared(b []bool, n int) []bool {
+	if cap(b) < n {
+		return make([]bool, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // putAssembly recycles the state of a completed message once it has been
@@ -226,21 +228,15 @@ func (ctx *Context) putAssembly(st *assemblyState) {
 	ctx.freeAsm = append(ctx.freeAsm, st)
 }
 
-// segment files one arriving segment of a UC/RC message and returns the
-// message's assembly state, complete when have == m.nsegs. It returns nil
-// for a segment that changes nothing: a duplicate, or (reliable only) part of
-// a message already delivered, whose retransmission raced our ack and is
-// re-acked. A message still in assembly is by construction not delivered, so
-// a hit on the entry the previous segment used skips the lookup.
+// segment files one arriving segment of a UC message and returns the
+// message's assembly state, complete when have == m.nsegs, or nil for a
+// duplicate. A message still in assembly is by construction not complete,
+// so a hit on the entry the previous segment used skips the lookup.
 func (qp *QP) segment(src Addr, m *wireMsg) *assemblyState {
 	key := assemblyKey{srcHost: src.Host, srcQPN: m.srcQPN, msgID: m.msgID}
 	st := qp.lastAsm
 	if st == nil || key != qp.lastKey {
 		st = qp.assembly[key]
-		if st == rcDelivered {
-			qp.sendAck(src, m.msgID)
-			return nil
-		}
 		if st == nil {
 			st = qp.ctx.newAssembly(m.nsegs)
 			if qp.assembly == nil {
@@ -251,7 +247,7 @@ func (qp *QP) segment(src Addr, m *wireMsg) *assemblyState {
 		qp.lastKey, qp.lastAsm = key, st
 	}
 	if st.got[m.seg] {
-		return nil // RC retransmission duplicate
+		return nil
 	}
 	st.got[m.seg] = true
 	st.have++
@@ -264,48 +260,52 @@ func (qp *QP) segment(src Addr, m *wireMsg) *assemblyState {
 }
 
 // receiveWrite handles one UC/RC write segment on the receiver.
-func (qp *QP) receiveWrite(src Addr, m *wireMsg, reliable bool) {
+func (qp *QP) receiveWrite(src Addr, m *wireMsg) {
 	mr, ok := qp.ctx.LookupMR(m.rkey)
 	if !ok {
 		panic(fmt.Sprintf("verbs: write to unknown rkey %d on host %d", m.rkey, qp.ctx.Host))
 	}
-	st := qp.segment(src, m)
-	if st == nil {
+	var st *assemblyState
+	if qp.Transport == RC {
+		if st, ok = qp.rcSegment(src, m); !ok {
+			return
+		}
+	} else if st = qp.segment(src, m); st == nil {
 		return
 	}
 	mr.write(m.roffset, m.data, m.dataLen)
-
-	if st.have == m.nsegs {
-		qp.recvCQ.Push(CQE{
-			Op: OpRecvWriteImm, QPN: qp.N,
-			Imm: m.imm, HasImm: m.hasImm, Bytes: st.bytes,
-			SrcHost: src.Host, SrcQPN: m.srcQPN,
-		})
-		if reliable {
-			qp.completeRC(src, m)
-			qp.sendAck(src, m.msgID)
-		}
+	if st != nil && st.have < m.nsegs {
+		return
+	}
+	qp.recvCQ.Push(CQE{
+		Op: OpRecvWriteImm, QPN: qp.N,
+		Imm: m.imm, HasImm: m.hasImm, Bytes: msgBytes(st, m),
+		SrcHost: src.Host, SrcQPN: m.srcQPN,
+	})
+	if qp.Transport == RC {
+		qp.deliverRC(src, m, st)
+	} else {
 		qp.ctx.putAssembly(st)
 	}
 }
 
-// completeRC records a delivered reliable message as rcDelivered. Its
-// segments made the assembly entry, so the map exists.
-func (qp *QP) completeRC(src Addr, m *wireMsg) {
-	qp.assembly[assemblyKey{srcHost: src.Host, srcQPN: m.srcQPN, msgID: m.msgID}] = rcDelivered
+// msgBytes is the size of a complete message: its assembled bytes, or the
+// one segment's when it took no assembly state.
+func msgBytes(st *assemblyState, m *wireMsg) int {
+	if st == nil {
+		return m.dataLen
+	}
+	return st.bytes
 }
 
 // GCAssembly drops incomplete UC assembly state older than the current
 // collective iteration. The protocol calls this between operations; a real
 // NIC has no such state for UC because it tracks only the in-order PSN —
-// incomplete messages simply never complete.
+// incomplete messages simply never complete. RC QPs keep no such state
+// (see rcWindow), so for them this is a no-op.
 func (qp *QP) GCAssembly() {
-	for k, st := range qp.assembly {
-		if st != rcDelivered && st.have < len(st.got) {
-			qp.UCMsgDropped++
-			delete(qp.assembly, k)
-		}
-	}
+	qp.UCMsgDropped += uint64(len(qp.assembly))
+	clear(qp.assembly)
 	qp.lastAsm = nil
 }
 
@@ -314,6 +314,7 @@ func (qp *QP) GCAssembly() {
 type rcPending struct {
 	wrID     uint64
 	msgID    uint64
+	seq      uint32 // writes and sends only
 	dst      Addr
 	op       wireOp
 	mr       *MR
@@ -332,15 +333,18 @@ type rcPending struct {
 	// already fired — an ack racing its own retransmission — a guaranteed
 	// no-op even after the event's recycling.
 	timer sim.Handle
-	// read bookkeeping (requester side)
+	// read bookkeeping (requester side): readGot flags the response
+	// segments landed, sized by the first of them, and readSegs counts them
 	isRead   bool
 	readDst  *MR
 	readOff  int
-	readGot  map[int]bool
+	readGot  []bool
+	readSegs int
 	readRecv int
 }
 
-// newPending returns a recycled (or new) rcPending set to v.
+// newPending returns a recycled (or new) rcPending set to v, which has no
+// readGot: a recycled one keeps its read bitmap's capacity.
 func (ctx *Context) newPending(v rcPending) *rcPending {
 	var p *rcPending
 	if n := len(ctx.freePending); n > 0 {
@@ -350,7 +354,9 @@ func (ctx *Context) newPending(v rcPending) *rcPending {
 	} else {
 		p = new(rcPending)
 	}
+	got := p.readGot
 	*p = v
+	p.readGot = got
 	return p
 }
 
@@ -359,7 +365,7 @@ func (ctx *Context) newPending(v rcPending) *rcPending {
 // has fired; a stale retransmit event that still names it is a no-op,
 // because retransmit checks identity, not just the message id.
 func (ctx *Context) putPending(p *rcPending) {
-	*p = rcPending{}
+	*p = rcPending{readGot: p.readGot[:0]}
 	ctx.freePending = append(ctx.freePending, p)
 }
 
@@ -385,8 +391,7 @@ func (qp *QP) PostReadRC(wrID uint64, local *MR, localOff int, rkey uint32, roff
 	qp.mustRC()
 	qp.startRC(qp.ctx.newPending(rcPending{wrID: wrID, dst: qp.peer, op: wireReadReq,
 		rkey: rkey, roffset: roffset, length: length,
-		isRead: true, readDst: local, readOff: localOff,
-		readGot: make(map[int]bool), signaled: true}))
+		isRead: true, readDst: local, readOff: localOff, signaled: true}))
 }
 
 func (qp *QP) mustRC() {
@@ -402,6 +407,10 @@ func (qp *QP) startRC(p *rcPending) {
 	ctx := qp.ctx
 	p.posted = ctx.eng.Now()
 	p.msgID = ctx.allocMsgID()
+	if p.op != wireReadReq { // the responder tracks no reads
+		p.seq = qp.sendSeq
+		qp.sendSeq++
+	}
 	if ctx.pending == nil {
 		ctx.pending = make(map[uint64]*rcPending)
 	}
@@ -410,10 +419,11 @@ func (qp *QP) startRC(p *rcPending) {
 	qp.armRetransmit(p, wire)
 }
 
-// transmitRC sends (or resends) the message's segments. The message id is
-// stable across retransmissions so that receiver-side duplicate filtering
-// (and requester-side read reassembly) accumulate progress across retries —
-// the moral equivalent of hardware go-back-N making forward progress.
+// transmitRC sends (or resends) the message's segments. The sequence number
+// and message id are stable across retransmissions so that the receiver's
+// window (and requester-side read reassembly) accumulate progress across
+// retries — the moral equivalent of hardware go-back-N making forward
+// progress.
 func (qp *QP) transmitRC(p *rcPending) sim.Time {
 	if p.op == wireReadReq {
 		// A 16-byte request; the p.length bytes it asks for ride in its
@@ -421,7 +431,7 @@ func (qp *QP) transmitRC(p *rcPending) sim.Time {
 		hdr := wireMsg{op: wireReadReq, msgID: p.msgID, rkey: p.rkey, roffset: p.roffset, readLen: p.length}
 		return qp.sendMessage(p.dst, &message{hdr: hdr}, 16)
 	}
-	hdr := wireMsg{op: p.op, msgID: p.msgID, rkey: p.rkey, roffset: p.roffset, imm: p.imm, hasImm: true}
+	hdr := wireMsg{op: p.op, seq: p.seq, msgID: p.msgID, rkey: p.rkey, roffset: p.roffset, imm: p.imm, hasImm: true}
 	return qp.sendMessage(p.dst, &message{hdr: hdr, mr: p.mr, offset: p.offset}, p.length)
 }
 
@@ -476,32 +486,6 @@ func (qp *QP) receiveAck(m *wireMsg) {
 	qp.ctx.putPending(p)
 }
 
-// receiveSendRC delivers a fully reassembled two-sided RC message into a
-// posted receive. RC with an empty RQ would RNR-NAK; the retransmission
-// timer covers that case, so we simply drop (no ack) here.
-func (qp *QP) receiveSendRC(src Addr, m *wireMsg, st *assemblyState) {
-	w, ok := qp.popRecv()
-	if !ok {
-		qp.RNRDrops++
-		qp.ctx.RNRDrops++
-		return // no ack: sender retries until a receive is posted
-	}
-	qp.completeRC(src, m)
-	n := st.bytes
-	if n > w.length {
-		n = w.length
-	}
-	if st.data != nil {
-		w.mr.write(w.offset, st.data, n)
-	}
-	qp.recvCQ.Push(CQE{
-		Op: OpRecv, QPN: qp.N, WrID: w.wrID,
-		Imm: m.imm, HasImm: m.hasImm, Bytes: n,
-		SrcHost: src.Host, SrcQPN: m.srcQPN,
-	})
-	qp.sendAck(src, m.msgID)
-}
-
 // receiveReadReq serves an incoming RDMA Read on the responder: stream the
 // requested range back as read-response segments. The NIC serves reads
 // without software involvement — no CQE on the responder.
@@ -522,13 +506,17 @@ func (qp *QP) receiveReadResp(m *wireMsg) {
 	} else {
 		return // response to a superseded (retransmitted) read
 	}
+	if len(p.readGot) == 0 {
+		p.readGot = cleared(p.readGot, m.nsegs)
+	}
 	if p.readGot[m.seg] {
 		return
 	}
 	p.readGot[m.seg] = true
+	p.readSegs++
 	p.readRecv += m.dataLen
 	p.readDst.write(p.readOff+m.roffset, m.data, m.dataLen)
-	if len(p.readGot) == m.nsegs {
+	if p.readSegs == m.nsegs {
 		delete(qp.ctx.pending, m.msgID)
 		p.timer.Cancel()
 		qp.sendCQ.Push(CQE{Op: OpRead, QPN: qp.N, WrID: p.wrID, Bytes: p.readRecv})
@@ -543,7 +531,7 @@ func (qp *QP) receive(pkt *fabric.Packet, m *wireMsg) {
 	case wireSendUD:
 		qp.receiveUD(src, m)
 	case wireWrite:
-		qp.receiveWrite(src, m, qp.Transport == RC)
+		qp.receiveWrite(src, m)
 	case wireSendRC:
 		qp.receiveSendSegment(src, m)
 	case wireAck:
@@ -557,21 +545,47 @@ func (qp *QP) receive(pkt *fabric.Packet, m *wireMsg) {
 	}
 }
 
-// receiveSendSegment reassembles two-sided RC messages.
+// receiveSendSegment reassembles two-sided RC messages and delivers each
+// into a posted receive. RC with an empty RQ would RNR-NAK; the
+// retransmission timer covers that case, so the message is dropped, unacked
+// and forgotten, and the sender retries until a receive is posted.
 func (qp *QP) receiveSendSegment(src Addr, m *wireMsg) {
-	st := qp.segment(src, m)
-	if st == nil {
+	st, ok := qp.rcSegment(src, m)
+	if !ok {
 		return
 	}
-	if m.data != nil {
-		mtu := qp.ctx.MTU()
-		if st.data == nil {
-			st.data = make([]byte, m.nsegs*mtu)
+	data := m.data // a one-segment message is delivered straight from its packet
+	if st != nil {
+		if m.data != nil {
+			mtu := qp.ctx.MTU()
+			if st.data == nil {
+				st.data = make([]byte, m.nsegs*mtu)
+			}
+			copy(st.data[m.seg*mtu:], m.data)
 		}
-		copy(st.data[m.seg*mtu:], m.data)
+		if st.have < m.nsegs {
+			return
+		}
+		data = st.data
 	}
-	if st.have == m.nsegs {
-		qp.receiveSendRC(src, m, st)
-		qp.ctx.putAssembly(st)
+	w, ok := qp.popRecv()
+	if !ok {
+		qp.RNRDrops++
+		qp.ctx.RNRDrops++
+		if st != nil {
+			qp.window.forget(m.seq)
+			qp.ctx.putAssembly(st)
+		}
+		return
 	}
+	n := min(msgBytes(st, m), w.length)
+	if data != nil {
+		w.mr.write(w.offset, data, n)
+	}
+	qp.recvCQ.Push(CQE{
+		Op: OpRecv, QPN: qp.N, WrID: w.wrID,
+		Imm: m.imm, HasImm: m.hasImm, Bytes: n,
+		SrcHost: src.Host, SrcQPN: m.srcQPN,
+	})
+	qp.deliverRC(src, m, st)
 }

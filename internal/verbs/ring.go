@@ -1,8 +1,9 @@
 package verbs
 
 // ring is a FIFO queue over a power-of-two circular buffer: the backing
-// store of completion queues, which push and pop once per datagram, and of
-// receive queues, whose elements are runs of WQEs. It grows by doubling when
+// store of completion queues, which push and pop once per datagram, of
+// receive queues, whose elements are runs of WQEs, and of RC receive
+// windows, whose elements are per-message slots. It grows by doubling when
 // full and never shrinks, so a queue cycling at a steady depth touches the
 // same memory over and over and allocates nothing. The first growth makes
 // two slots: most receive queues (the control plane's) only ever hold one
@@ -30,7 +31,11 @@ func (r *ring[T]) push(v T) {
 // front and back return the oldest and the newest element in place; the
 // ring must not be empty.
 func (r *ring[T]) front() *T { return &r.buf[r.head] }
-func (r *ring[T]) back() *T  { return &r.buf[(r.head+r.n-1)&(len(r.buf)-1)] }
+func (r *ring[T]) back() *T  { return r.at(r.n - 1) }
+
+// at returns the element i places behind the oldest, in place; i must be
+// below len().
+func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
 
 // pop removes and returns the oldest element; the ring must not be empty.
 // The vacated slot is zeroed so the ring does not retain what it handed out.

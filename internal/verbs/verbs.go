@@ -399,17 +399,22 @@ type QP struct {
 	peer      Addr
 	connected bool
 
-	// assembly holds receiver-side reassembly for multi-packet messages
-	// (UC and RC). A delivered reliable message stays as rcDelivered, so
-	// that a retransmission racing its own ack is re-acked, not
-	// re-delivered (the software analogue of the RC PSN window). Created on
-	// first write: a UD QP never needs it, and reading a nil map is safe.
+	// assembly holds a UC QP's receiver-side reassembly, by message: UC is
+	// message-granular, and a UC multicast QP hears many senders. Created
+	// on first write: other QPs never need it, and reading a nil map is
+	// safe.
 	assembly map[assemblyKey]*assemblyState
-	// lastAsm is the assembly entry the previous segment hit, under lastKey;
-	// nil when that entry has been deleted. The segments of a message arrive
-	// back to back, so all but the first skip both map lookups.
+	// lastAsm is the assembly entry the previous UC segment hit, under
+	// lastKey; nil when that entry has been deleted. The segments of a
+	// message arrive back to back, so all but the first skip both map
+	// lookups.
 	lastKey assemblyKey
 	lastAsm *assemblyState
+
+	// RC only: sendSeq numbers the writes and sends this QP posts, and
+	// window is what the QP has delivered of its peer's.
+	sendSeq uint32
+	window  rcWindow
 
 	// Stats
 	RNRDrops     uint64 // two-sided arrivals dropped for lack of a recv WQE
@@ -527,6 +532,7 @@ type wireMsg struct {
 	op      wireOp
 	srcQPN  QPN
 	dstQPN  QPN
+	seq     uint32 // RC write or send: the sending QP's sequence number
 	msgID   uint64
 	seg     int // segment index within the message
 	nsegs   int

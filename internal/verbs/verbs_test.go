@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -715,5 +716,17 @@ func TestPostSendReduceAggregates(t *testing.T) {
 	e, _ := cqs[0].Poll()
 	if e.Op != OpRecv || e.Imm != 7 {
 		t.Fatalf("bad reduced CQE: %+v", e)
+	}
+}
+
+// TestWireMsgLayout pins the wire header's size on 64-bit hosts: every
+// pooled packet carries one, and the RC sequence number rides in what was
+// padding after the QPNs.
+func TestWireMsgLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(wireMsg{}); got != 104 {
+		t.Fatalf("wireMsg is %d bytes, want 104", got)
 	}
 }
