@@ -85,7 +85,7 @@ func BenchmarkFig10Breakdown(b *testing.B) {
 	var mcastFrac float64
 	for i := 0; i < b.N; i++ {
 		g := sweep.Grid{Algorithms: []string{"mcast-allgather"}, Nodes: []int{64}, MsgBytes: []int{256 << 10}, Seed: 10}
-		recs := figure(b, g.Expand(), harness.CollKernel(telemetry.Config{}, 0))
+		recs := figure(b, g.Expand(), harness.CollKernel(telemetry.Config{}))
 		mcastFrac = recs[0].Metric("mcast_frac")
 	}
 	b.ReportMetric(mcastFrac*100, "%mcast-phase")
@@ -102,7 +102,7 @@ func BenchmarkFig11ThroughputAtScale(b *testing.B) {
 				Nodes: []int{64}, MsgBytes: []int{256 << 10}, Seed: 11}.Expand(),
 			sweep.Grid{Algorithms: []string{"chain-broadcast"},
 				Nodes: []int{64}, MsgBytes: []int{256 << 10}, ChunkSizes: []int{16 << 10}, Seed: 112}.Expand())
-		for _, r := range figure(b, specs, harness.CollKernel(telemetry.Config{}, 0)) {
+		for _, r := range figure(b, specs, harness.CollKernel(telemetry.Config{})) {
 			byAlgo[r.Spec.Algorithm] = r.Metric("gibps")
 		}
 	}

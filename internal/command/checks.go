@@ -43,7 +43,7 @@ func NonNegative(name string, v int) error {
 }
 
 // Writable requires path (when set) to point into an existing directory,
-// so a typo'd -json/-csv/-trace/-cpuprofile/-memprofile destination fails
+// so a typo'd -json/-trace/-cpuprofile/-memprofile destination fails
 // before the simulation runs instead of after it. The file itself need not
 // exist.
 func Writable(name, path string) error {

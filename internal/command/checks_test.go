@@ -60,7 +60,7 @@ func TestWritableNonDirParent(t *testing.T) {
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := Writable("csv", filepath.Join(file, "out.csv"))
+	err := Writable("json", filepath.Join(file, "out.json"))
 	if err == nil || !strings.Contains(err.Error(), "not a directory") {
 		t.Fatalf("expected not-a-directory error, got %v", err)
 	}
@@ -70,12 +70,12 @@ func TestWritableNonDirParent(t *testing.T) {
 // that already hold longer files leaves every output byte-identical to the
 // same run into an empty directory, so nothing of the old tail survives.
 func TestOutputsRewrittenInPlace(t *testing.T) {
-	names := []string{"r.json", "r.csv", "t.txt", "m.json", "p.json"}
+	names := []string{"r.json", "t.txt", "m.json", "p.json"}
 	runInto := func(dir string) {
 		t.Helper()
 		p := func(i int) string { return filepath.Join(dir, names[i]) }
-		code, _, stderr := run("run", "-json", p(0), "-csv", p(1), "-trace", p(2),
-			"-metrics", p(3), "-perfetto", p(4), filepath.Join("testdata", "traced_osu.json"))
+		code, _, stderr := run("run", "-json", p(0), "-trace", p(1),
+			"-metrics", p(2), "-perfetto", p(3), filepath.Join("testdata", "traced_osu.json"))
 		if code != 0 {
 			t.Fatalf("run into %s: exit %d: %s", dir, code, stderr)
 		}

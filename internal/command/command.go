@@ -6,7 +6,7 @@
 //
 // Subcommands return exit codes instead of exiting, so the whole surface
 // is table-testable: 0 success, 1 runtime failure (simulation errors,
-// baseline regressions, digest mismatches), 2 invalid flags or manifests.
+// digest mismatches), 2 invalid flags or manifests.
 package command
 
 import (
@@ -22,7 +22,7 @@ type subcommand struct {
 }
 
 var subcommands = []subcommand{
-	{"run", "execute manifests: repro run <manifest...> [-workers N] [-o DIR] [-compare BASE]", runManifest},
+	{"run", "execute manifests: repro run <manifest...> [-workers N] [-o DIR] [-json PATH]", runManifest},
 	{"validate", "check manifests without running: repro validate <manifest...>", runValidate},
 	{"list", "print registered kinds, algorithms, scenarios, workloads and presets", runList},
 	{"trace", "summarize a telemetry metrics.json: repro trace [-top N] <metrics.json>", runTraceCmd},

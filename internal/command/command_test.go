@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -33,7 +34,6 @@ func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "nope", "out.json")
 	m := smallOSUManifest(t, dir, "m.json", "", "")
-	base := filepath.Join(dir, "base.json") // never read: a bad -tol is rejected first
 	stringSizes := writeManifest(t, dir, "string-sizes.json",
 		`{"kind":"osu","grid":{"algorithms":["ring-allgather"],"nodes":[4],"sizes":"4096:65536"}}`)
 	badAlgo := writeManifest(t, dir, "bad-algo.json",
@@ -48,7 +48,6 @@ func TestExitCodes(t *testing.T) {
 		return writeManifest(t, dir, name+".json", `{"kind":"sweep","sections":[{"title":"t","kernel":"psn-sizing"}],`+outputs+`}`)
 	}
 	missingJSON := declared("missing-json", `"output":{"json":"`+missing+`"}`)
-	missingCSV := declared("missing-csv", `"output":{"csv":"`+missing+`"}`)
 	missingMetrics := declared("missing-metrics", `"telemetry":{"metrics":"`+missing+`"}`)
 	// Two manifests that write one file are rejected before either runs.
 	sameA := declared("same-a", `"output":{"json":"same.json"}`)
@@ -68,12 +67,13 @@ func TestExitCodes(t *testing.T) {
 	spelledAbs := declared("spelled-abs", `"output":{"json":"`+spelled+`"}`)
 	missingPerfetto := writeManifest(t, dir, "missing-perfetto.json",
 		`{"kind":"osu","grid":{"algorithms":["ring-allgather"],"nodes":[2],"sizes":[4096]},"telemetry":{"perfetto":"`+missing+`"}}`)
-	cases := []struct {
+	type exitCase struct {
 		name string
 		args []string
 		want int
 		err  string // substring expected on stderr ("" = don't check)
-	}{
+	}
+	cases := []exitCase{
 		{"no args", nil, 2, "usage"},
 		{"unknown subcommand", []string{"frobnicate"}, 2, "unknown subcommand"},
 		{"retired shim", []string{"osu", "-nodes", "8"}, 2, "unknown subcommand"},
@@ -83,19 +83,14 @@ func TestExitCodes(t *testing.T) {
 		{"run bad json dir", []string{"run", "-json", missing, m}, 2, "does not exist"},
 		{"run json to a device", []string{"run", "-json", os.DevNull, m}, 0, ""},
 		{"run json to a directory", []string{"run", "-json", dir, m}, 1, "is a directory"},
-		{"run bad csv dir", []string{"run", "-csv", missing, m}, 2, "does not exist"},
 		{"run bad workers", []string{"run", "-workers", "-2", m}, 2, "-workers must be >= 0"},
 		{"run removed shards flag", []string{"run", "-shards", "2", m}, 2, shardsHint},
-		{"run zero tol", []string{"run", "-compare", base, "-tol", "0", m}, 2, "expect.sha256"},
-		{"run negative tol", []string{"run", "-compare", base, "-tol", "-0.5", m}, 2, "-tol must be > 0"},
-		{"run tol without baseline", []string{"run", "-tol", "0.1", m}, 2, "no baseline"},
 		{"run string sizes", []string{"run", stringSizes}, 2, "cannot unmarshal string"},
 		{"validate string sizes", []string{"validate", stringSizes}, 2, "cannot unmarshal string"},
 		{"validate bad algo", []string{"validate", badAlgo}, 2, "mcast-allgather"},
 		{"run ring allgather on one rank", []string{"run", "-json", filepath.Join(dir, "ring-1.out.json"), oneRank("ring-allgather")}, 0, ""},
 		{"run knomial broadcast on one rank", []string{"run", "-json", filepath.Join(dir, "knomial-1.out.json"), oneRank("knomial-broadcast")}, 0, ""},
 		{"run declared json dir missing", []string{"run", missingJSON}, 2, "output.json: directory"},
-		{"run declared csv dir missing", []string{"run", missingCSV}, 2, "output.csv: directory"},
 		{"run declared metrics dir missing", []string{"run", missingMetrics}, 2, "telemetry.metrics: directory"},
 		{"run declared perfetto dir missing", []string{"run", missingPerfetto}, 2, "telemetry.perfetto: directory"},
 		{"run declared output under -o", []string{"run", "-o", dir, missingJSON}, 0, ""},
@@ -110,6 +105,37 @@ func TestExitCodes(t *testing.T) {
 		{"replay at overflows ns", []string{"replay", "-at", "9300000000000000", m}, 2, "-at must be <="},
 		{"replay interval overflows ns", []string{"replay", "-interval", "9300000000000000", m}, 2, "-interval and -at must be <="},
 	}
+	// The retired tolerance compare and CSV output: their flags fail in
+	// the flag package, and a manifest setting a retired field (or a
+	// one-value knob that is now a constant) fails to parse, from run and
+	// from validate alike, and a refused run creates no -o directory.
+	var refusedDirs []string
+	refuse := func(name, err string, args ...string) {
+		out := filepath.Join(dir, "refused-"+name)
+		refusedDirs = append(refusedDirs, out)
+		cases = append(cases,
+			exitCase{"run " + name, append([]string{"run", "-o", out}, args...), 2, err},
+			exitCase{"validate " + name, append([]string{"validate"}, args...), 2, err})
+	}
+	for _, flag := range [][]string{{"-compare", filepath.Join(dir, "base.json")}, {"-tol", "0.05"}, {"-csv", filepath.Join(dir, "out.csv")}} {
+		refuse("flag "+flag[0], "flag provided but not defined: "+flag[0], append(flag, m)...)
+	}
+	osuGrid := `"grid":{"algorithms":["ring-allgather"],"nodes":[2],"sizes":[4096]}`
+	trainGrid := `"grid":{"workloads":["fsdp-inc"],"nodes":[2],"sizes":[4096]}`
+	for _, f := range []struct{ name, doc, field string }{
+		{"baseline.path", `{"kind":"osu",` + osuGrid + `,"baseline":{"path":"base.json"}}`, "baseline"},
+		{"baseline.tolerance", `{"kind":"osu",` + osuGrid + `,"baseline":{"path":"base.json","tolerance":0.05}}`, "baseline"},
+		{"output.csv", `{"kind":"osu",` + osuGrid + `,"output":{"csv":"out.csv"}}`, "csv"},
+		{"osu.warmup", `{"kind":"osu",` + osuGrid + `,"osu":{"warmup":2}}`, "warmup"},
+		{"osu.link_gbps", `{"kind":"osu",` + osuGrid + `,"osu":{"link_gbps":56}}`, "link_gbps"},
+		{"train.compute_us", `{"kind":"train",` + trainGrid + `,"train":{"compute_us":150}}`, "compute_us"},
+		{"train.jobs", `{"kind":"train",` + trainGrid + `,"train":{"jobs":2}}`, "jobs"},
+		{"telemetry.filters", `{"kind":"osu",` + osuGrid + `,"telemetry":{"filters":["fabric/"]}}`, "filters"},
+		{"telemetry.sample_period_us", `{"kind":"osu",` + osuGrid + `,"telemetry":{"sample_period_us":100}}`, "sample_period_us"},
+	} {
+		path := writeManifest(t, dir, "retired-"+f.name+".json", f.doc)
+		refuse("field "+f.name, `unknown field "`+f.field+`"`, path)
+	}
 	for _, c := range cases {
 		code, _, stderr := run(c.args...)
 		if code != c.want {
@@ -120,9 +146,18 @@ func TestExitCodes(t *testing.T) {
 			t.Errorf("%s: stderr %q does not contain %q", c.name, stderr, c.err)
 		}
 	}
+	for _, out := range refusedDirs {
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("a run refused with exit 2 left -o %s behind (stat: %v)", out, err)
+		}
+	}
 	for _, algo := range []string{"ring", "knomial"} {
-		rep, err := sweep.LoadFile(filepath.Join(dir, algo+"-1.out.json"))
+		b, err := os.ReadFile(filepath.Join(dir, algo+"-1.out.json"))
 		if err != nil {
+			t.Fatal(err)
+		}
+		var rep sweep.Report
+		if err := json.Unmarshal(b, &rep); err != nil {
 			t.Fatal(err)
 		}
 		if got := rep.Records[0].Metric("gibps"); got != 0 {
@@ -137,62 +172,6 @@ func TestExitCodes(t *testing.T) {
 	}
 	if _, err := os.Stat(spelled); !os.IsNotExist(err) {
 		t.Errorf("a batch writing one file under two spellings wrote it: %v", err)
-	}
-}
-
-// TestCompareTolerance pins -tol: the given tolerance is the one applied
-// (a 1% move fails at 0.1% and passes at 5%) and the one printed. The
-// baseline is read before the run writes anything, so -compare may name
-// the run's own -json output and still diff against the previous bytes,
-// and a missing baseline fails before anything is simulated.
-func TestCompareTolerance(t *testing.T) {
-	dir := t.TempDir()
-	m := smallOSUManifest(t, dir, "m.json", "", "")
-	base := filepath.Join(dir, "base.json")
-	if code, stdout, stderr := run("run", "-compare", base, m); code != 1 || stdout != "" || !strings.Contains(stderr, base) {
-		t.Fatalf("missing baseline: exit %d, stdout %q, stderr %q; want exit 1 naming it before any run", code, stdout, stderr)
-	}
-	if code, _, stderr := run("run", "-json", base, m); code != 0 {
-		t.Fatalf("writing the baseline: exit %d: %s", code, stderr)
-	}
-	rep, err := sweep.LoadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := false
-	for i := range rep.Records {
-		for k, v := range rep.Records[i].Metrics {
-			if v != 0 {
-				rep.Records[i].Metrics[k] = v * 1.01
-				moved = true
-			}
-		}
-	}
-	if !moved {
-		t.Fatal("baseline has no nonzero metric to move")
-	}
-	var buf bytes.Buffer
-	if err := sweep.WriteJSON(&buf, rep); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		extra   []string
-		tol     string
-		printed string
-		want    int
-	}{
-		{nil, "0.001", "(tol 0.1%)", 1},
-		{nil, "0.05", "(tol 5%)", 0},
-		{[]string{"-json", base}, "0.001", "(tol 0.1%)", 1},
-	} {
-		if err := os.WriteFile(base, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		args := append(append([]string{"run"}, c.extra...), "-compare", base, "-tol", c.tol, m)
-		code, stdout, stderr := run(args...)
-		if code != c.want || !strings.Contains(stdout, c.printed) {
-			t.Errorf("%v on a 1%% move: exit %d, want %d; stdout %q, stderr %q", args[1:len(args)-1], code, c.want, stdout, stderr)
-		}
 	}
 }
 
@@ -402,8 +381,6 @@ func TestRunMultiManifest(t *testing.T) {
 			nil, nil},
 		{"json flag ambiguous", []string{"run", "-json", filepath.Join(dir, "x.json"), a, b}, 2,
 			"-json names one output file", nil, nil},
-		{"csv flag ambiguous", []string{"run", "-csv", filepath.Join(dir, "x.csv"), a, b}, 2,
-			"-csv names one output file", nil, nil},
 		{"trace flag ambiguous", []string{"run", "-trace", filepath.Join(dir, "x.txt"), a, b}, 2,
 			"-trace names one output file", nil, nil},
 		{"stops at first failure", []string{"run", "-o", filepath.Join(dir, "stop"), bad, b}, 1,

@@ -18,7 +18,6 @@ import (
 // executes: output targets, pool sizing, telemetry, and diagnostics.
 type common struct {
 	jsonPath     string
-	csvPath      string
 	workers      int
 	cpuprofile   string
 	memprofile   string
@@ -31,7 +30,6 @@ type common struct {
 // manifest's value".
 func (c *common) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.jsonPath, "json", "", "write sweep records as JSON to this path")
-	fs.StringVar(&c.csvPath, "csv", "", "write sweep records as CSV to this path")
 	fs.IntVar(&c.workers, "workers", -1, "sweep worker goroutines (0 = GOMAXPROCS; default: the manifest's workers)")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&c.memprofile, "memprofile", "", "write an allocation profile of the run to this file")
@@ -45,7 +43,6 @@ func (c *common) register(fs *flag.FlagSet) {
 func (c *common) validate() []error {
 	checks := []error{
 		Writable("json", c.jsonPath),
-		Writable("csv", c.csvPath),
 		Writable("cpuprofile", c.cpuprofile),
 		Writable("memprofile", c.memprofile),
 		Writable("metrics", c.metricsPath),
@@ -61,9 +58,6 @@ func (c *common) validate() []error {
 func (c *common) apply(m *manifest.Manifest) {
 	if c.jsonPath != "" {
 		m.Output.JSON = c.jsonPath
-	}
-	if c.csvPath != "" {
-		m.Output.CSV = c.csvPath
 	}
 	if c.workers >= 0 {
 		m.Workers = c.workers
@@ -120,7 +114,7 @@ func (c *common) diag(trace string) diagnostics {
 
 // execute is the run path behind `repro run`, once per compiled manifest
 // (telemetry included — the common flags were folded into it before
-// compiling): run the plan, persist/compare/verify the report, and
+// compiling): run the plan, persist and verify the report, and
 // optionally write a protocol trace. Exit codes follow the repository
 // convention (2 invalid spec, 1 runtime failure).
 func execute(plan *manifest.Plan, diag diagnostics, stdout, stderr io.Writer) int {
@@ -130,15 +124,6 @@ func execute(plan *manifest.Plan, diag diagnostics, stdout, stderr io.Writer) in
 	for _, o := range outputPaths(&m) {
 		if err := writableDir(*o.path); err != nil {
 			return fail(stderr, 2, "run: %s: %v", o.field, err)
-		}
-	}
-	// Load the baseline before the run writes anything: -compare may name
-	// the run's own -json output, which is about to be rewritten.
-	var base sweep.Report
-	if m.Baseline != nil {
-		var err error
-		if base, err = sweep.LoadFile(m.Baseline.Path); err != nil {
-			return fail(stderr, 1, "run: %v", err)
 		}
 	}
 	stop, err := StartCPUProfile(diag.cpuprofile)
@@ -154,20 +139,14 @@ func execute(plan *manifest.Plan, diag diagnostics, stdout, stderr io.Writer) in
 		return fail(stderr, 1, "run: %v", err)
 	}
 
-	// One canonical encoding feeds the file, the digest check and the
-	// baseline diff, so they can never disagree about the bytes.
+	// One canonical encoding feeds the file and the digest check, so they
+	// can never disagree about the bytes.
 	var buf bytes.Buffer
 	if err := sweep.WriteJSON(&buf, rep); err != nil {
 		return fail(stderr, 1, "run: %v", err)
 	}
 	if m.Output.JSON != "" {
 		if err := writeFile(m.Output.JSON, buf.Bytes()); err != nil {
-			return fail(stderr, 1, "run: %v", err)
-		}
-	}
-	if m.Output.CSV != "" {
-		err := writeOutput(m.Output.CSV, func(w io.Writer) error { return sweep.WriteCSV(w, rep.Records) })
-		if err != nil {
 			return fail(stderr, 1, "run: %v", err)
 		}
 	}
@@ -224,23 +203,6 @@ func execute(plan *manifest.Plan, diag diagnostics, stdout, stderr io.Writer) in
 			return fail(stderr, 1, "run: output digest %s does not match expect.sha256 %s", got, m.Expect.SHA256)
 		}
 		fmt.Fprintf(stdout, "# output digest matches expect.sha256\n")
-	}
-
-	if m.Baseline != nil {
-		// A manifest without baseline.tolerance compares at 5%; -tol has
-		// already been checked to be > 0 before it replaced the field.
-		tol := m.Baseline.Tolerance
-		if tol == 0 {
-			tol = 0.05
-		}
-		deltas := sweep.Compare(base, rep, tol)
-		fmt.Fprintf(stdout, "# vs %s (tol %g%%):\n", m.Baseline.Path, tol*100)
-		if err := sweep.WriteDeltas(stdout, deltas); err != nil {
-			return fail(stderr, 1, "run: %v", err)
-		}
-		if len(deltas) > 0 {
-			return 1
-		}
 	}
 	return 0
 }

@@ -18,7 +18,7 @@ import (
 // runManifest implements `repro run <manifest...>`: parse each document,
 // fold in any command-line overrides, and execute them in order, stopping
 // at the first failure. With several manifests the per-file output flags
-// (-json, -csv, -metrics, -perfetto, -trace) would silently overwrite one
+// (-json, -metrics, -perfetto, -trace) would silently overwrite one
 // another, so they are rejected; -o DIR redirects every file a manifest
 // declares into DIR instead, preserving basenames, which is how a batch
 // (e.g. the CI matrix) lands its artifacts side by side. Every manifest is
@@ -27,8 +27,6 @@ import (
 // fail the batch up front and leave nothing behind.
 func runManifest(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro run", flag.ContinueOnError)
-	comparePath := fs.String("compare", "", "override the manifest baseline path")
-	tol := fs.Float64("tol", -1, "override the manifest baseline tolerance (> 0; pin expect.sha256 for an exact gate)")
 	tracePath := fs.String("trace", "", "write the Figure-9 protocol phase timeline of one representative run to this file")
 	outDir := fs.String("o", "", "redirect every output file the manifests declare into this directory (created if missing)")
 	var c common
@@ -53,9 +51,8 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 	}
 	if len(paths) > 1 {
 		for _, f := range []struct{ name, val string }{
-			{"json", c.jsonPath}, {"csv", c.csvPath},
-			{"metrics", c.metricsPath}, {"perfetto", c.perfettoPath},
-			{"trace", *tracePath}, {"compare", *comparePath},
+			{"json", c.jsonPath}, {"metrics", c.metricsPath},
+			{"perfetto", c.perfettoPath}, {"trace", *tracePath},
 		} {
 			if f.val != "" {
 				return fail(stderr, 2, "run: -%s names one output file but %d manifests were given; use -o DIR to redirect per-manifest outputs", f.name, len(paths))
@@ -66,29 +63,12 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 	if err := Validate("run", checks...); err != nil {
 		return fail(stderr, 2, "%v", err)
 	}
-	// -1 is the unset default. Any other value is a relative tolerance,
-	// and zero or less would silently compare at some other tolerance.
-	if *tol != -1 && *tol <= 0 {
-		return fail(stderr, 2, "run: -tol must be > 0, got %g; pin expect.sha256 in the manifest for an exact gate", *tol)
-	}
 	plans := make([]*manifest.Plan, len(paths))
 	writers := map[string]string{} // absolute output path -> first manifest
 	for i, path := range paths {
 		m, err := manifest.ParseFile(path)
 		if err != nil {
 			return fail(stderr, 2, "run: %v", err)
-		}
-		if *comparePath != "" {
-			if m.Baseline == nil {
-				m.Baseline = &manifest.Baseline{}
-			}
-			m.Baseline.Path = *comparePath
-		}
-		if *tol != -1 {
-			if m.Baseline == nil {
-				return fail(stderr, 2, "run: -tol set but no baseline declared or passed via -compare")
-			}
-			m.Baseline.Tolerance = *tol
 		}
 		c.apply(&m)
 		if *outDir != "" {
@@ -138,7 +118,7 @@ type outputPath struct {
 
 // outputPaths lists every output file field of the manifest, set or not.
 func outputPaths(m *manifest.Manifest) []outputPath {
-	out := []outputPath{{"output.json", &m.Output.JSON}, {"output.csv", &m.Output.CSV}}
+	out := []outputPath{{"output.json", &m.Output.JSON}}
 	if t := m.Telemetry; t != nil {
 		out = append(out, outputPath{"telemetry.metrics", &t.Metrics}, outputPath{"telemetry.perfetto", &t.Perfetto})
 	}

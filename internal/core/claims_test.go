@@ -145,7 +145,7 @@ func TestRingSendBandwidthGrowsLinearly(t *testing.T) {
 // through the recorded events: dispatch -> RNR sync -> (TX|RX phases) ->
 // final handshake -> done, with recovery absent on a lossless fabric.
 func TestFig9ExecutionFlow(t *testing.T) {
-	reg := telemetry.New(telemetry.Config{})
+	reg := telemetry.New()
 	eng := sim.NewEngine(11)
 	g := topology.Star(4)
 	f := fabric.New(eng, g, fabric.Config{})
@@ -192,7 +192,7 @@ func TestFig9ExecutionFlow(t *testing.T) {
 
 // TestTraceRecordsRecovery checks the slow-path events appear under drops.
 func TestTraceRecordsRecovery(t *testing.T) {
-	reg := telemetry.New(telemetry.Config{})
+	reg := telemetry.New()
 	eng := sim.NewEngine(21)
 	g := topology.Star(4)
 	f := fabric.New(eng, g, fabric.Config{DropRate: 0.05})

@@ -149,7 +149,7 @@ func TestPaperClaims(t *testing.T) {
 		{name: "Fig10McastDominatesAtScale",
 			specs: sweep.Grid{Algorithms: []string{"mcast-allgather"},
 				Nodes: []int{16}, MsgBytes: []int{256 << 10}, Seed: 10}.Expand(),
-			kernel: CollKernel(telemetry.Config{}, 0),
+			kernel: CollKernel(telemetry.Config{}),
 			bounds: func(at lookup) []bound {
 				pt := sweep.Spec{Nodes: 16}
 				return []bound{
@@ -162,7 +162,7 @@ func TestPaperClaims(t *testing.T) {
 			// shrinks as the message grows.
 			specs: sweep.Grid{Algorithms: []string{"mcast-allgather"},
 				Nodes: []int{4}, MsgBytes: []int{4096, 1 << 20}, Seed: 10}.Expand(),
-			kernel: CollKernel(telemetry.Config{}, 0),
+			kernel: CollKernel(telemetry.Config{}),
 			bounds: func(at lookup) []bound {
 				sync := func(size int) float64 {
 					pt := sweep.Spec{MsgBytes: size}
@@ -171,7 +171,7 @@ func TestPaperClaims(t *testing.T) {
 				return []bound{{"sync share at 4 KiB over share at 1 MiB", sync(4096) / sync(1<<20), 3, inf}}
 			}},
 		{name: "Fig11ShapesAtModestScale",
-			specs: fig11Specs(16, 256<<10), kernel: CollKernel(telemetry.Config{}, 0),
+			specs: fig11Specs(16, 256<<10), kernel: CollKernel(telemetry.Config{}),
 			bounds: func(at lookup) []bound {
 				gibps := func(algo string) float64 { return at("gibps", sweep.Spec{Algorithm: algo}) }
 				return []bound{

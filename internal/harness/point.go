@@ -51,16 +51,19 @@ func newPoint(s sweep.Spec, f *fabric.Fabric, tc telemetry.Config) *point {
 	}
 }
 
+// TestbedLinkGbps is the link rate of the 188-node testbed model: every
+// collective point runs on 56 Gbit/s ConnectX-3 links.
+const TestbedLinkGbps = 56
+
 // buildColl builds one collective point on the 188-node testbed model: the
 // operation kind (derived from the algorithm name when the Op axis is
-// unused), a fresh fabric with linkGbps links (zero: the testbed's 56
-// Gbit/s ConnectX-3) and jitterUS of seeded per-delivery noise, and the
-// point's algorithm over the first Nodes hosts. The message size and the
-// scenario's injectors are not consumed here — they parameterize the
-// continuation, not the stack. Every collective kernel builds through
-// here, so the quiet anchor of slowdown_vs_quiet cannot drift from
-// the plain collective kernel.
-func buildColl(tc telemetry.Config, s sweep.Spec, linkGbps float64, jitterUS int) (*point, error) {
+// unused), a fresh fabric with TestbedLinkGbps links and jitterUS of
+// seeded per-delivery noise, and the point's algorithm over the first
+// Nodes hosts. The message size and the scenario's injectors are not
+// consumed here — they parameterize the continuation, not the stack.
+// Every collective kernel builds through here, so the quiet anchor of
+// slowdown_vs_quiet cannot drift from the plain collective kernel.
+func buildColl(tc telemetry.Config, s sweep.Spec, jitterUS int) (*point, error) {
 	if s.Op == "" {
 		kind, err := collective.KindOfAlgorithm(s.Algorithm)
 		if err != nil {
@@ -74,11 +77,8 @@ func buildColl(tc telemetry.Config, s sweep.Spec, linkGbps float64, jitterUS int
 		return nil, fmt.Errorf("harness: nodes must be in [1,%d]", len(hosts))
 	}
 	fcfg := fabric.Config{
-		LinkBandwidth: linkGbps * 1e9 / 8,
+		LinkBandwidth: TestbedLinkGbps * 1e9 / 8,
 		ReorderJitter: sim.Time(jitterUS) * sim.Microsecond,
-	}
-	if fcfg.LinkBandwidth == 0 {
-		fcfg.LinkBandwidth = 7e9
 	}
 	pt := newPoint(s, fabric.New(sim.NewEngine(s.Seed), g, fcfg), tc)
 	var err error
@@ -98,15 +98,17 @@ func (pt *point) op(s sweep.Spec) collective.Op {
 	return collective.Op{Kind: collective.Kind(pt.spec.Op), Bytes: s.MsgBytes}
 }
 
-// snapshot runs the end-of-point collection pass — engine counters, fabric
-// channel counters, transport counters — and returns the metric snapshot.
-// Without a registry it yields nil.
-func (pt *point) snapshot() *telemetry.Snapshot {
+// snapshot closes the point: it carries the engine's event counts onto rec
+// as metrics when rec is not nil, then runs the end-of-point collection
+// pass — engine counters, fabric channel counters, transport counters —
+// and returns the metric snapshot. Without a registry it yields nil.
+func (pt *point) snapshot(rec *sweep.Record) *telemetry.Snapshot {
+	eng := pt.f.Engine()
 	reg := pt.cl.Metrics()
+	engineCounts(rec, reg, eng.Executed, eng.Scheduled)
 	if reg == nil {
 		return nil
 	}
-	collectEngineTelemetry(reg, pt.f.Engine())
 	pt.f.CollectTelemetry(reg)
 	pt.cl.CollectTelemetry()
 	return reg.Snapshot()

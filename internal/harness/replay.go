@@ -131,7 +131,7 @@ func Replay(s sweep.Spec, cfg ReplayConfig, w io.Writer) error {
 // the run and a report of whether the collective has completed. Every call
 // begins the same execution.
 func startReplay(s sweep.Spec) (*sim.Engine, func() bool, error) {
-	pt, err := buildColl(telemetry.Config{}, s, 0, 0)
+	pt, err := buildColl(telemetry.Config{}, s, 0)
 	if err != nil {
 		return nil, nil, err
 	}

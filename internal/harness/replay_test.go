@@ -22,7 +22,7 @@ type firedEvent struct {
 // returns the events, the clock and the executed-event count at the start.
 func straightThrough(t *testing.T, s sweep.Spec) ([]firedEvent, sim.Time, uint64) {
 	t.Helper()
-	pt, err := buildColl(telemetry.Config{}, s, 0, 0)
+	pt, err := buildColl(telemetry.Config{}, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ const resilienceEventBudget = 50_000_000
 // the scenario the moment the collective completes so the engine drains.
 func ResilienceKernel(tc telemetry.Config) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
-		pt, err := buildColl(tc, s, 0, 0)
+		pt, err := buildColl(tc, s, 0)
 		if err != nil {
 			return sweep.Record{}, err
 		}
@@ -147,8 +147,7 @@ func (run *chaosRun) record(pt *point, s sweep.Spec) sweep.Record {
 		"restores":    float64(st.Restores),
 		"bg_mbytes":   float64(st.BackgroundBytes) / 1e6,
 	}}
-	addEngineMetrics(&rec, pt.f.Engine())
-	rec.Telemetry = pt.snapshot()
+	rec.Telemetry = pt.snapshot(&rec)
 	return rec
 }
 

@@ -36,7 +36,7 @@ func TestResilienceSweepByteIdentical(t *testing.T) {
 // the same spec and seed.
 func TestResilienceQuietMatchesCollKernel(t *testing.T) {
 	spec := sweep.Spec{Algorithm: "mcast-allgather", Nodes: 16, MsgBytes: 64 << 10, Seed: 1234}
-	bases, err := sweep.Run([]sweep.Spec{spec}, 1, CollKernel(telemetry.Config{}, 0))
+	bases, err := sweep.Run([]sweep.Spec{spec}, 1, CollKernel(telemetry.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}

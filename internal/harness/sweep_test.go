@@ -64,7 +64,7 @@ func TestCollectiveSweepDeterministic(t *testing.T) {
 		t.Skip("two at-scale collective sweeps")
 	}
 	run := func(workers int) []byte {
-		recs, err := sweep.Run(fig11Specs(16, 64<<10), workers, CollKernel(telemetry.Config{}, 0))
+		recs, err := sweep.Run(fig11Specs(16, 64<<10), workers, CollKernel(telemetry.Config{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestCollKernelRejectsBadPoints(t *testing.T) {
 		Nodes:      []int{4, 500}, // 500 exceeds the 188-node testbed
 		MsgBytes:   []int{4096},
 	}.Expand()
-	_, err := sweep.Run(specs, 2, CollKernel(telemetry.Config{}, 0))
+	_, err := sweep.Run(specs, 2, CollKernel(telemetry.Config{}))
 	if err == nil {
 		t.Fatal("oversized node count did not error")
 	}

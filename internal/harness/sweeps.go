@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/registry"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
@@ -49,22 +48,6 @@ func rxConfig(s sweep.Spec) (RxBenchConfig, error) {
 	return cfg, nil
 }
 
-// addEngineMetrics surfaces the engine's throughput counters on a Record.
-// Both are deterministic event counts (never wall-clock rates), so the
-// byte-identical-JSON contract of the sweep engine is preserved; the
-// wall-clock events/sec trajectory lives in the host-time ledger
-// (bench/, perf/*.json) instead.
-func addEngineMetrics(rec *sweep.Record, eng *sim.Engine) {
-	addEngineCounts(rec, eng.Executed, eng.Scheduled)
-}
-
-// addEngineCounts is the counter-carrying variant for kernels whose engine
-// is not in scope (rxbench snapshots the counters into its result).
-func addEngineCounts(rec *sweep.Record, executed, scheduled uint64) {
-	rec.Metrics["sim_events"] = float64(executed)
-	rec.Metrics["sim_scheduled"] = float64(scheduled)
-}
-
 // RxKernel returns the sweep kernel for the receive-datapath
 // microbenchmark (Figures 5, 13–15 and Table I).
 func RxKernel(tc telemetry.Config) sweep.Func {
@@ -84,14 +67,11 @@ func RxKernel(tc telemetry.Config) sweep.Func {
 			"instr_cqe":  float64(r.Profile.IssueCycles),
 			"cycles_cqe": float64(r.Profile.LatencyCycles),
 		}}
-		addEngineCounts(&rec, r.Events, r.EventsScheduled)
-		if reg := newRegistry(tc); reg != nil {
-			// The microbenchmark's engine is out of scope here; export the
-			// counter snapshot its result carries.
-			reg.Counter("sim", "events", "").Add(r.Events)
-			reg.Counter("sim", "scheduled", "").Add(r.EventsScheduled)
-			rec.Telemetry = reg.Snapshot()
-		}
+		// The microbenchmark's engine is out of scope here; export the
+		// counter snapshot its result carries.
+		reg := newRegistry(tc)
+		engineCounts(&rec, reg, r.Events, r.EventsScheduled)
+		rec.Telemetry = reg.Snapshot()
 		return rec, nil
 	}
 }
@@ -99,14 +79,14 @@ func RxKernel(tc telemetry.Config) sweep.Func {
 // --- collective kernel -----------------------------------------------------------
 
 // CollKernel returns the sweep kernel for at-scale collectives on the
-// 188-node testbed model (Figures 10 and 11) with linkGbps links (zero:
-// the testbed's 56 Gbit/s): it instantiates the point's algorithm through
-// the registry, runs one operation, and reports the unified Result (with
-// the per-rank critical-path extension where the protocol provides it).
-// The optional ChunkSize axis tunes the P2P baselines.
-func CollKernel(tc telemetry.Config, linkGbps float64) sweep.Func {
+// 188-node testbed model (Figures 10 and 11): it instantiates the point's
+// algorithm through the registry, runs one operation, and reports the
+// unified Result (with the per-rank critical-path extension where the
+// protocol provides it). The optional ChunkSize axis tunes the P2P
+// baselines.
+func CollKernel(tc telemetry.Config) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
-		pt, err := buildColl(tc, s, linkGbps, 0)
+		pt, err := buildColl(tc, s, 0)
 		if err != nil {
 			return sweep.Record{}, err
 		}
@@ -120,8 +100,7 @@ func CollKernel(tc telemetry.Config, linkGbps float64) sweep.Func {
 			"gibps":       res.AlgBandwidth() / (1 << 30),
 			"duration_us": res.Duration().Micros(),
 		}}
-		addEngineMetrics(&rec, pt.f.Engine())
-		rec.Telemetry = pt.snapshot()
+		rec.Telemetry = pt.snapshot(&rec)
 		if len(res.PerRank) > 0 {
 			var bar, mc, fin, tot []float64
 			for _, rs := range res.PerRank {
@@ -174,7 +153,7 @@ func ChunkRateKernel(tc telemetry.Config) sweep.Func {
 // the section's records afterwards.
 func TrafficKernel(tc telemetry.Config) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
-		pt, err := buildColl(tc, s, 0, 0)
+		pt, err := buildColl(tc, s, 0)
 		if err != nil {
 			return sweep.Record{}, err
 		}
@@ -195,7 +174,7 @@ func TrafficKernel(tc telemetry.Config) sweep.Func {
 		rec := sweep.Record{Spec: s, Metrics: map[string]float64{
 			"switch_bytes": float64(pt.f.SwitchPortBytes()),
 		}}
-		rec.Telemetry = pt.snapshot()
+		rec.Telemetry = pt.snapshot(nil)
 		return rec, nil
 	}
 }
@@ -280,20 +259,22 @@ func PairKernel(tc telemetry.Config) sweep.Func {
 			"span_ns":       float64(span),
 			"model_speedup": model.SpeedupINC(s.Nodes),
 		}}
-		rec.Telemetry = pt.snapshot()
+		rec.Telemetry = pt.snapshot(nil)
 		return rec, nil
 	}
 }
 
 // --- OSU-style kernel ------------------------------------------------------------
 
+// OSUWarmup is the OSU-style loop's warm-up iteration count, run before
+// the measured iterations and excluded from the latency distribution.
+const OSUWarmup = 2
+
 // OSUConfig parameterizes the OSU-style measurement loop behind the osu
-// manifest kind: warm-up iterations excluded, per-size medians with
+// manifest kind: OSUWarmup iterations excluded, per-size medians with
 // nonparametric confidence intervals (Hoefler–Belli guidelines).
 type OSUConfig struct {
-	Iters    int
-	Warmup   int
-	LinkGbps float64
+	Iters int
 	// JitterUS adds seeded per-delivery network noise in microseconds,
 	// enabling run-to-run variability within a point.
 	JitterUS int
@@ -308,7 +289,7 @@ func OSUKernel(tc telemetry.Config, cfg OSUConfig) sweep.Func {
 		if cfg.Iters <= 0 {
 			return sweep.Record{}, fmt.Errorf("harness: iters must be positive")
 		}
-		pt, err := buildColl(tc, s, cfg.LinkGbps, cfg.JitterUS)
+		pt, err := buildColl(tc, s, cfg.JitterUS)
 		if err != nil {
 			return sweep.Record{}, err
 		}
@@ -326,7 +307,7 @@ func osuRun(cfg OSUConfig, pt *point, s sweep.Spec) (sweep.Record, error) {
 	}
 	var lat []float64
 	var last *collective.Result
-	for i := 0; i < cfg.Warmup+cfg.Iters; i++ {
+	for i := 0; i < OSUWarmup+cfg.Iters; i++ {
 		// The sampler self-terminates when the queue drains between
 		// iterations; re-arm it so each iteration is sampled.
 		pt.sampler.Arm()
@@ -334,7 +315,7 @@ func osuRun(cfg OSUConfig, pt *point, s sweep.Spec) (sweep.Record, error) {
 		if err != nil {
 			return sweep.Record{}, fmt.Errorf("iter %d: %w", i, err)
 		}
-		if i >= cfg.Warmup {
+		if i >= OSUWarmup {
 			lat = append(lat, res.Duration().Micros())
 			last = res
 		}
@@ -355,7 +336,6 @@ func osuRun(cfg OSUConfig, pt *point, s sweep.Spec) (sweep.Record, error) {
 		"max_us":       sum.Max,
 		"gibps":        gibps,
 	}}
-	addEngineMetrics(&rec, pt.f.Engine())
-	rec.Telemetry = pt.snapshot()
+	rec.Telemetry = pt.snapshot(&rec)
 	return rec, nil
 }

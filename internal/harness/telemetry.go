@@ -3,6 +3,7 @@ package harness
 import (
 	"repro/internal/fabric"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
@@ -13,7 +14,7 @@ func newRegistry(tc telemetry.Config) *telemetry.Registry {
 	if !tc.Enabled {
 		return nil
 	}
-	return telemetry.New(tc)
+	return telemetry.New()
 }
 
 // fabricSampler attaches the virtual-time sampler that tracks the fabric's
@@ -32,13 +33,17 @@ func fabricSampler(reg *telemetry.Registry, f *fabric.Fabric) *telemetry.Sampler
 	return s
 }
 
-// collectEngineTelemetry exports the engine's event counters: the fired
-// and scheduled totals, the same counts the sim_events and sim_scheduled
-// record metrics carry.
-func collectEngineTelemetry(reg *telemetry.Registry, eng *sim.Engine) {
-	if reg == nil {
-		return
+// engineCounts exports an engine's fired and scheduled event totals: as the
+// sim_events and sim_scheduled metrics of rec when rec is not nil, and as
+// the sim/events and sim/scheduled counters of reg (a no-op on nil). Both
+// are deterministic event counts, never wall-clock rates, so the
+// byte-identical-JSON contract of the sweep engine holds; the wall-clock
+// events/sec trajectory lives in the host-time ledger (bench/, perf/*.json).
+func engineCounts(rec *sweep.Record, reg *telemetry.Registry, executed, scheduled uint64) {
+	if rec != nil {
+		rec.Metrics["sim_events"] = float64(executed)
+		rec.Metrics["sim_scheduled"] = float64(scheduled)
 	}
-	reg.Counter("sim", "events", "").Add(eng.Executed)
-	reg.Counter("sim", "scheduled", "").Add(eng.Scheduled)
+	reg.Counter("sim", "events", "").Add(executed)
+	reg.Counter("sim", "scheduled", "").Add(scheduled)
 }

@@ -23,11 +23,11 @@ func TestTelemetryLeavesResultsUnchanged(t *testing.T) {
 		if !strings.HasPrefix(s.Algorithm, "mcast-") {
 			t.Fatalf("fig11Specs[%d] is %s, want a multicast point", i, s.Algorithm)
 		}
-		plain, err := CollKernel(telemetry.Config{}, 0)(s)
+		plain, err := CollKernel(telemetry.Config{})(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen, err := CollKernel(observed, 0)(s)
+		seen, err := CollKernel(observed)(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestEveryCommIsInstrumented(t *testing.T) {
 		}
 		return keys
 	}
-	op, train, pair := CollKernel(on, 0), TrainKernel(on, TrainConfig{Layers: 1}), PairKernel(on)
+	op, train, pair := CollKernel(on), TrainKernel(on, 1), PairKernel(on)
 	for _, tc := range []struct {
 		kernel sweep.Func
 		spec   sweep.Spec

@@ -17,33 +17,21 @@ import (
 // step of §II-A — on a full-bandwidth star fabric, optionally under a named
 // perturbation scenario, so a chaos preset can hit a live training step.
 
-// TrainConfig carries the workload knobs the sweep grid does not vary.
-type TrainConfig struct {
-	// Layers is the FSDP model depth. Zero defaults to 6.
-	Layers int
-	// Compute is the forward+backward time per layer. Zero defaults to
-	// 150 µs.
-	Compute sim.Time
-	// Jobs is the tenant count of multi-job presets. Zero defaults to 2.
-	Jobs int
-}
-
 // buildStar builds a full-bandwidth star fabric of the given host count
 // (as the FSDP scenario of Appendix B assumes) and its cluster.
 func buildStar(tc telemetry.Config, s sweep.Spec, hosts int) *point {
 	return newPoint(s, fabric.New(sim.NewEngine(s.Seed), topology.Star(hosts), fabric.Config{}), tc)
 }
 
-// buildTrain builds one training point: the workload preset and a star
-// fabric sized by its host demand. It consumes the workload, scale, shard
-// size and seed; the scenario belongs to the continuation.
-func buildTrain(tc telemetry.Config, s sweep.Spec, cfg TrainConfig) (*point, error) {
+// buildTrain builds one training point: the workload preset at the given
+// FSDP depth (zero: the preset's 6 layers) and a star fabric sized by its
+// host demand. It consumes the workload, scale, shard size and seed; the
+// scenario belongs to the continuation.
+func buildTrain(tc telemetry.Config, s sweep.Spec, layers int) (*point, error) {
 	w, err := workload.New(s.Workload, workload.Config{
 		Nodes:      s.Nodes,
-		Layers:     cfg.Layers,
+		Layers:     layers,
 		ShardBytes: s.MsgBytes,
-		Compute:    cfg.Compute,
-		Jobs:       cfg.Jobs,
 	})
 	if err != nil {
 		return nil, err
@@ -63,9 +51,9 @@ func buildTrain(tc telemetry.Config, s sweep.Spec, cfg TrainConfig) (*point, err
 // reports step time, communication busy/exposed time, and the achieved
 // overlap. The Record carries the workload metadata fields (workload,
 // overlap_frac) alongside the metrics.
-func TrainKernel(tc telemetry.Config, cfg TrainConfig) sweep.Func {
+func TrainKernel(tc telemetry.Config, layers int) sweep.Func {
 	return func(s sweep.Spec) (sweep.Record, error) {
-		pt, err := buildTrain(tc, s, cfg)
+		pt, err := buildTrain(tc, s, layers)
 		if err != nil {
 			return sweep.Record{}, err
 		}
@@ -141,7 +129,6 @@ func trainRun(pt *point, s sweep.Spec) (sweep.Record, error) {
 			"overlap_frac": overlap,
 		},
 	}
-	addEngineMetrics(&rec, pt.f.Engine())
-	rec.Telemetry = pt.snapshot()
+	rec.Telemetry = pt.snapshot(&rec)
 	return rec, nil
 }

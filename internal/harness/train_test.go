@@ -19,7 +19,7 @@ func TestTrainGoldenStepTimes(t *testing.T) {
 		t.Skip("golden step times need the full-size FSDP step")
 	}
 	grid := sweep.Grid{Workloads: []string{"fsdp-ring", "fsdp-inc"}, Nodes: []int{16}, MsgBytes: []int{512 << 10}, Seed: 21}
-	recs := runSweep(t, grid.Expand(), 0, TrainKernel(telemetry.Config{}, TrainConfig{}), nil)
+	recs := runSweep(t, grid.Expand(), 0, TrainKernel(telemetry.Config{}, 0), nil)
 	want := map[string]int64{ // ns
 		"fsdp-ring": 5449328,
 		"fsdp-inc":  2898262,
@@ -50,10 +50,9 @@ func TestTrainGoldenStepTimes(t *testing.T) {
 func TestTrainSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	grid := sweep.Grid{Workloads: []string{"fsdp-inc", "dfs-replica"}, Nodes: []int{8}, MsgBytes: []int{64 << 10},
 		Scenarios: []string{"quiet", "tenant-50load"}, Seed: 9}
-	cfg := TrainConfig{Layers: 2}
 	var blobs [][]byte
 	for _, workers := range []int{1, 4} {
-		blobs = append(blobs, encodeReport(t, runSweep(t, grid.Expand(), workers, TrainKernel(telemetry.Config{}, cfg), AnnotateSlowdown)))
+		blobs = append(blobs, encodeReport(t, runSweep(t, grid.Expand(), workers, TrainKernel(telemetry.Config{}, 2), AnnotateSlowdown)))
 	}
 	if !bytes.Equal(blobs[0], blobs[1]) {
 		t.Fatal("train sweep JSON differs between -workers 1 and 4")
@@ -65,7 +64,7 @@ func TestTrainSweepByteIdenticalAcrossWorkers(t *testing.T) {
 func TestTrainScenarioSlowdown(t *testing.T) {
 	grid := sweep.Grid{Workloads: []string{"fsdp-inc"}, Nodes: []int{8}, MsgBytes: []int{64 << 10},
 		Scenarios: []string{"quiet", "flap-spine"}, Seed: 9}
-	recs := runSweep(t, grid.Expand(), 0, TrainKernel(telemetry.Config{}, TrainConfig{Layers: 2}), AnnotateSlowdown)
+	recs := runSweep(t, grid.Expand(), 0, TrainKernel(telemetry.Config{}, 2), AnnotateSlowdown)
 	var quiet, flap float64
 	for _, r := range recs {
 		switch r.Spec.Scenario {
@@ -102,7 +101,7 @@ func traced(t *testing.T, kernel sweep.Func, s sweep.Spec) *telemetry.Snapshot {
 // sweep.
 func TestTrainTraceTimeline(t *testing.T) {
 	spec := sweep.Grid{Workloads: []string{"fsdp-inc"}, Nodes: []int{4}, MsgBytes: []int{16 << 10}, Seed: 3}.Expand()[0]
-	snap := traced(t, TrainKernel(on, TrainConfig{Layers: 1}), spec)
+	snap := traced(t, TrainKernel(on, 1), spec)
 	timeline := snap.Timeline()
 	for _, phase := range []string{"dispatch", "barrier", "done"} {
 		if !strings.Contains(timeline, phase) {
@@ -118,11 +117,11 @@ func TestTrainTraceTimeline(t *testing.T) {
 // a multicast algorithm and the (no events) P2P fallback.
 func TestCollTraceTimeline(t *testing.T) {
 	s := sweep.Spec{Algorithm: "mcast-allgather", Nodes: 4, MsgBytes: 16 << 10, Seed: 5}
-	if timeline := traced(t, CollKernel(on, 56), s).Timeline(); !strings.Contains(timeline, "dispatch") {
+	if timeline := traced(t, CollKernel(on), s).Timeline(); !strings.Contains(timeline, "dispatch") {
 		t.Fatalf("mcast timeline missing dispatch:\n%.200s", timeline)
 	}
 	s.Algorithm = "ring-allgather"
-	if timeline := traced(t, CollKernel(on, 56), s).Timeline(); !strings.Contains(timeline, "no events") {
+	if timeline := traced(t, CollKernel(on), s).Timeline(); !strings.Contains(timeline, "no events") {
 		t.Fatalf("ring timeline = %q, want (no events)", timeline)
 	}
 }

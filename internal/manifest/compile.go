@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -67,14 +66,7 @@ func Compile(m Manifest) (*Plan, error) {
 		return nil, err
 	}
 	p := &Plan{Manifest: m}
-	var tc telemetry.Config
-	if t := m.Telemetry; t != nil {
-		tc = telemetry.Config{
-			Enabled:      true,
-			SamplePeriod: sim.Time(t.SamplePeriodUS) * sim.Microsecond,
-			Filters:      t.Filters,
-		}
-	}
+	tc := telemetry.Config{Enabled: m.Telemetry != nil}
 	switch m.Kind {
 	case "osu":
 		p.compileOSU(tc)
@@ -135,8 +127,7 @@ func (p *Plan) grid(header, note string, g sweep.Grid, kernel sweep.Func, post f
 	p.Sections = append(p.Sections, Section{Header: header, Note: note, Specs: g.Expand(), Kernel: kernel, Post: post})
 }
 
-// trace sets Trace to run s through kernel with telemetry on, honoring the
-// configured sample period and filters.
+// trace sets Trace to run s through kernel with telemetry on.
 func (p *Plan) trace(tc telemetry.Config, s sweep.Spec, kernel func(telemetry.Config) sweep.Func) {
 	tc.Enabled = true
 	p.Trace = func() (*telemetry.Snapshot, error) {
@@ -163,16 +154,10 @@ func expandScenarios(scenarios []string, anchor bool) []string {
 
 func (p *Plan) compileOSU(tc telemetry.Config) {
 	m := p.Manifest
-	cfg := harness.OSUConfig{Iters: 10, Warmup: 2, LinkGbps: 56}
+	cfg := harness.OSUConfig{Iters: 10}
 	if o := m.OSU; o != nil {
 		if o.Iters > 0 {
 			cfg.Iters = o.Iters
-		}
-		if o.Warmup != nil {
-			cfg.Warmup = *o.Warmup
-		}
-		if o.LinkGbps > 0 {
-			cfg.LinkGbps = o.LinkGbps
 		}
 		cfg.JitterUS = o.JitterUS
 	}
@@ -187,13 +172,13 @@ func (p *Plan) compileOSU(tc telemetry.Config) {
 	if len(m.Grid.Algorithms) == 1 {
 		p.Name = "osu-" + m.Grid.Algorithms[0]
 	}
-	header := fmt.Sprintf("# OSU-style sweep: %v, nodes %v, %.0f Gbit/s links, %d iters (+%d warmup)",
-		m.Grid.Algorithms, m.Grid.Nodes, cfg.LinkGbps, cfg.Iters, cfg.Warmup)
+	header := fmt.Sprintf("# OSU-style sweep: %v, nodes %v, %d Gbit/s links, %d iters (+%d warmup)",
+		m.Grid.Algorithms, m.Grid.Nodes, harness.TestbedLinkGbps, cfg.Iters, harness.OSUWarmup)
 	p.grid(header, "", g, harness.OSUKernel(tc, cfg), nil)
 	specs := p.Sections[0].Specs
 	// The last (largest) size point is the representative run: one
-	// operation at the sweep's link rate.
-	p.trace(tc, specs[len(specs)-1], func(tc telemetry.Config) sweep.Func { return harness.CollKernel(tc, cfg.LinkGbps) })
+	// operation.
+	p.trace(tc, specs[len(specs)-1], harness.CollKernel)
 	p.ReplaySpec = &specs[len(specs)-1]
 }
 
@@ -219,17 +204,9 @@ func (p *Plan) compileChaos(tc telemetry.Config) {
 
 func (p *Plan) compileTrain(tc telemetry.Config) {
 	m := p.Manifest
-	cfg := harness.TrainConfig{Layers: 6, Compute: 150 * sim.Microsecond, Jobs: 2}
-	if t := m.Train; t != nil {
-		if t.Layers > 0 {
-			cfg.Layers = t.Layers
-		}
-		if t.ComputeUS > 0 {
-			cfg.Compute = sim.Time(t.ComputeUS) * sim.Microsecond
-		}
-		if t.Jobs > 0 {
-			cfg.Jobs = t.Jobs
-		}
+	layers := 6
+	if t := m.Train; t != nil && t.Layers > 0 {
+		layers = t.Layers
 	}
 	workloads := m.Grid.Workloads
 	if len(workloads) == 1 && workloads[0] == "all" {
@@ -240,15 +217,15 @@ func (p *Plan) compileTrain(tc telemetry.Config) {
 		Scenarios: scenarios, Seed: m.SeedOr(21)}
 	p.Name = "trainbench"
 	header := fmt.Sprintf("== trainbench: %d workloads x %d scenarios, %d nodes, %d KiB shards, %d layers ==",
-		len(workloads), max(1, len(scenarios)), m.Grid.Nodes[0], m.Grid.Sizes[0]>>10, cfg.Layers)
+		len(workloads), max(1, len(scenarios)), m.Grid.Nodes[0], m.Grid.Sizes[0]>>10, layers)
 	var post func([]sweep.Record)
 	if len(scenarios) > 0 {
 		post = harness.AnnotateSlowdown
 	}
 	p.grid(header, "overlap_frac is the share of communication hidden behind compute or other communication.",
-		g, harness.TrainKernel(tc, cfg), post)
+		g, harness.TrainKernel(tc, layers), post)
 	specs := p.Sections[0].Specs
-	p.trace(tc, specs[0], func(tc telemetry.Config) sweep.Func { return harness.TrainKernel(tc, cfg) })
+	p.trace(tc, specs[0], func(tc telemetry.Config) sweep.Func { return harness.TrainKernel(tc, layers) })
 }
 
 // compileSweep lowers each section onto its grids' joined specs and its

@@ -1,13 +1,12 @@
 // Package manifest turns experiments into data: a manifest is a small JSON
 // document declaring what to run — a kind naming the experiment family
 // (osu, chaos, train, sweep), the grid axes it sweeps, and the run's
-// bookkeeping (seed, workers, output paths, a baseline to diff against, an
-// expected output digest) — which compiles onto sweep.Grid and the harness
-// kernels. A sweep manifest carries its grids outright: each section names
-// a kernel and lists sweep.Grid values with their own seeds (or, for a
-// gridless analytic kernel, none). A manifest is the only way to describe
-// an experiment to `repro run`; CI is a matrix over the checked-in specs
-// in manifests/.
+// bookkeeping (seed, workers, output paths, an expected output digest) —
+// which compiles onto sweep.Grid and the harness kernels. A sweep manifest
+// carries its grids outright: each section names a kernel and lists
+// sweep.Grid values with their own seeds (or, for a gridless analytic
+// kernel, none). A manifest is the only way to describe an experiment to
+// `repro run`; CI is a matrix over the checked-in specs in manifests/.
 //
 // The contract mirrors the sweep engine's: the same manifest always
 // produces byte-identical JSON output at any worker count, so a
@@ -74,11 +73,8 @@ type Manifest struct {
 	// and the disabled run's report bytes are identical to a build without
 	// the telemetry layer at all.
 	Telemetry *TelemetrySpec `json:"telemetry,omitempty"`
-	// Output names where to persist the report; both paths optional.
+	// Output names where to persist the report.
 	Output Output `json:"output,omitempty"`
-	// Baseline declares the report to diff against after the run: the run
-	// fails (exit 1) when any shared metric moves more than Tolerance.
-	Baseline *Baseline `json:"baseline,omitempty"`
 	// Expect pins the expected output: a hex SHA-256 over the report's
 	// canonical JSON bytes. The run fails (exit 1) on mismatch.
 	Expect *Expect `json:"expect,omitempty"`
@@ -96,28 +92,21 @@ type Grid struct {
 	Scenarios  []string `json:"scenarios,omitempty"`
 }
 
-// OSUSpec parameterizes the OSU-style measurement loop.
+// OSUSpec parameterizes the OSU-style measurement loop. Every point runs
+// on the testbed's 56 Gbit/s links with 2 excluded warm-up iterations.
 type OSUSpec struct {
 	// Iters is the measured iteration count per point (default 10).
 	Iters int `json:"iters,omitempty"`
-	// Warmup is the excluded warm-up iteration count. Nil defaults to 2;
-	// an explicit 0 disables warm-up (distinct from absent, hence pointer).
-	Warmup *int `json:"warmup,omitempty"`
-	// LinkGbps is the link bandwidth in Gbit/s (default 56, the testbed).
-	LinkGbps float64 `json:"link_gbps,omitempty"`
 	// JitterUS adds seeded per-delivery network noise in microseconds.
 	JitterUS int `json:"jitter_us,omitempty"`
 }
 
-// TrainSpec parameterizes the training-workload kernel.
+// TrainSpec parameterizes the training-workload kernel. The per-layer
+// compute (150 µs) and the tenant count of multi-job presets (2) are the
+// workload presets' own.
 type TrainSpec struct {
 	// Layers is the FSDP model depth (default 6).
 	Layers int `json:"layers,omitempty"`
-	// ComputeUS is the forward+backward compute per layer in microseconds
-	// (default 150, matching the workload presets).
-	ComputeUS int `json:"compute_us,omitempty"`
-	// Jobs is the tenant count of multi-job presets (default 2).
-	Jobs int `json:"jobs,omitempty"`
 }
 
 // SectionSpec is one experiment of a sweep manifest: a kernel run over
@@ -134,16 +123,10 @@ type SectionSpec struct {
 	Grids  []sweep.Grid `json:"grids,omitempty"`
 }
 
-// TelemetrySpec configures the telemetry layer of a run: the virtual-time
-// sample period, key filters, and where the canonical metrics document and
-// the Perfetto trace of the representative run land.
+// TelemetrySpec configures the telemetry layer of a run: where the
+// canonical metrics document and the Perfetto trace of the representative
+// run land. Gauges sample every 100 µs of virtual time.
 type TelemetrySpec struct {
-	// SamplePeriodUS is the gauge sample period in virtual microseconds
-	// (default 100).
-	SamplePeriodUS int `json:"sample_period_us,omitempty"`
-	// Filters restricts the exported metrics to keys with one of these
-	// prefixes (e.g. "fabric/", "core/phase_total"). Empty exports all.
-	Filters []string `json:"filters,omitempty"`
 	// Metrics is where the canonical metrics.json document is written.
 	// Like the report itself it is byte-identical at any -workers value.
 	Metrics string `json:"metrics,omitempty"`
@@ -156,18 +139,9 @@ type TelemetrySpec struct {
 	Expect string `json:"expect_sha256,omitempty"`
 }
 
-// Output names the report's persistence targets.
+// Output names the report's persistence target.
 type Output struct {
 	JSON string `json:"json,omitempty"`
-	CSV  string `json:"csv,omitempty"`
-}
-
-// Baseline declares the -compare behaviour of a run.
-type Baseline struct {
-	// Path is the baseline BENCH_*.json.
-	Path string `json:"path"`
-	// Tolerance is the relative tolerance; 0 defaults to 0.05.
-	Tolerance float64 `json:"tolerance,omitempty"`
 }
 
 // Expect pins expected run output.
@@ -270,8 +244,7 @@ func (m Manifest) fields() []field {
 }
 
 // consumes names the kind-specific fields each kind reads. Universal
-// fields (name, workers, output, baseline, expect) are always
-// legal and not listed.
+// fields (name, workers, output, expect) are always legal and not listed.
 var consumes = map[string][]string{
 	"osu":   {"grid.algorithms", "grid.ops", "grid.nodes", "grid.sizes", "seed", "osu", "telemetry"},
 	"chaos": {"grid.algorithms", "grid.scenarios", "grid.nodes", "grid.sizes", "seed", "telemetry"},
@@ -298,7 +271,7 @@ var sweepKernels = map[string]struct {
 	kernel    func(telemetry.Config) sweep.Func
 	table     func() []sweep.Record
 }{
-	"op":            {need: []string{"algorithms", "nodes", "msg_bytes"}, may: []string{"chunk_sizes"}, kernel: opKernel},
+	"op":            {need: []string{"algorithms", "nodes", "msg_bytes"}, may: []string{"chunk_sizes"}, kernel: harness.CollKernel},
 	"traffic":       {need: []string{"algorithms", "nodes", "msg_bytes"}, may: []string{"chunk_sizes"}, kernel: harness.TrafficKernel},
 	"rx":            {need: []string{"transports", "threads", "chunk_sizes", "msg_bytes"}, kernel: harness.RxKernel},
 	"rx-rate":       {need: []string{"transports", "threads", "chunk_sizes"}, kernel: harness.ChunkRateKernel},
@@ -307,9 +280,6 @@ var sweepKernels = map[string]struct {
 	"psn-sizing":    {table: harness.PSNSizingRecords},
 	"economics":     {table: harness.EconomicsRecords},
 }
-
-// opKernel is the "op" kernel: one operation at the testbed's link rate.
-func opKernel(tc telemetry.Config) sweep.Func { return harness.CollKernel(tc, 0) }
 
 // Validate checks the manifest without running anything: kind membership,
 // kind/field consumption, axis bounds, and registry cross-checks (algorithm,
@@ -334,21 +304,10 @@ func (m Manifest) Validate() error {
 	if m.Workers < 0 {
 		return fmt.Errorf("manifest: workers must be >= 0, got %d", m.Workers)
 	}
-	if m.Baseline != nil {
-		if m.Baseline.Path == "" {
-			return fmt.Errorf("manifest: baseline.path must be set")
-		}
-		if m.Baseline.Tolerance < 0 {
-			return fmt.Errorf("manifest: baseline.tolerance must be >= 0")
-		}
-	}
 	if m.Expect != nil && len(m.Expect.SHA256) != 64 {
 		return fmt.Errorf("manifest: expect.sha256 must be 64 hex characters")
 	}
 	if t := m.Telemetry; t != nil {
-		if t.SamplePeriodUS < 0 {
-			return fmt.Errorf("manifest: telemetry.sample_period_us must be >= 0")
-		}
 		if t.Expect != "" && len(t.Expect) != 64 {
 			return fmt.Errorf("manifest: telemetry.expect_sha256 must be 64 hex characters")
 		}
@@ -450,16 +409,8 @@ func (m Manifest) validateOSU() error {
 			}
 		}
 	}
-	if m.OSU != nil {
-		if m.OSU.Iters < 0 {
-			return fmt.Errorf("manifest: osu.iters must be >= 0")
-		}
-		if m.OSU.Warmup != nil && *m.OSU.Warmup < 0 {
-			return fmt.Errorf("manifest: osu.warmup must be >= 0")
-		}
-		if m.OSU.LinkGbps < 0 || m.OSU.JitterUS < 0 {
-			return fmt.Errorf("manifest: osu.link_gbps and osu.jitter_us must be >= 0")
-		}
+	if m.OSU != nil && (m.OSU.Iters < 0 || m.OSU.JitterUS < 0) {
+		return fmt.Errorf("manifest: osu.iters and osu.jitter_us must be >= 0")
 	}
 	return nil
 }
@@ -503,10 +454,8 @@ func (m Manifest) validateTrain() error {
 	if err := checkNodes(m.Grid.Nodes, 2); err != nil {
 		return err
 	}
-	if m.Train != nil {
-		if m.Train.Layers < 0 || m.Train.Jobs < 0 || m.Train.ComputeUS < 0 {
-			return fmt.Errorf("manifest: train.layers, train.compute_us and train.jobs must be >= 0")
-		}
+	if m.Train != nil && m.Train.Layers < 0 {
+		return fmt.Errorf("manifest: train.layers must be >= 0")
 	}
 	return nil
 }

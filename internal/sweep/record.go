@@ -42,7 +42,7 @@ type Record struct {
 func (r Record) Metric(name string) float64 { return r.Metrics[name] }
 
 // Report is the on-disk document: a named list of records, the unit CI
-// uploads as BENCH_*.json and Compare diffs against a baseline.
+// uploads as BENCH_*.json.
 type Report struct {
 	Name    string   `json:"name"`
 	Records []Record `json:"records"`

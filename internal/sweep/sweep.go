@@ -5,8 +5,7 @@
 // data instead of code: a Grid declares the axes, Expand produces one Spec
 // per grid point (with a deterministic per-point seed derived from the grid
 // index), Run executes a kernel over the points on a worker pool, and the
-// resulting Records serialize to JSON and CSV for CI artifacts and
-// baseline diffing (Load/Compare).
+// resulting Records serialize to JSON for CI artifacts.
 //
 // Determinism is the contract: expanding the same Grid always yields the
 // same Specs in the same row-major order with the same seeds, and Run

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -142,117 +141,23 @@ func TestConcatReindexes(t *testing.T) {
 	}
 }
 
-func TestCompareFindsMovedMetrics(t *testing.T) {
-	recs := func(v float64) []Record {
-		var out []Record
-		for _, s := range testGrid().Expand() {
-			out = append(out, Record{Spec: s, Metrics: map[string]float64{"gibps": v, "stable": 1}})
-		}
-		return out
-	}
-	base := Report{Name: "base", Records: recs(10)}
-	cur := Report{Name: "cur", Records: recs(12)}
-	deltas := Compare(base, cur, 0.05)
-	if len(deltas) != len(base.Records) {
-		t.Fatalf("got %d deltas, want one per point (%d)", len(deltas), len(base.Records))
-	}
-	for _, d := range deltas {
-		if d.Metric != "gibps" {
-			t.Fatalf("unexpected delta on metric %q", d.Metric)
-		}
-		if d.Rel < 0.19 || d.Rel > 0.21 {
-			t.Fatalf("rel = %v, want 0.2", d.Rel)
-		}
-	}
-	if got := Compare(base, cur, 0.5); len(got) != 0 {
-		t.Fatalf("tolerance 0.5 still reports %d deltas", len(got))
-	}
-}
-
-func TestCompareDuplicateKeysPairPositionally(t *testing.T) {
-	// Records whose specs differ only by Index share a Key (costmodel's
-	// Figure 7 carries its swept axis as a metric); a self-compare must
-	// still be clean, and per-position changes must be attributed.
-	recs := func(bump int) []Record {
-		var out []Record
-		for i := 0; i < 5; i++ {
-			v := float64(i)
-			if i == bump {
-				v *= 10
-			}
-			out = append(out, Record{
-				Spec:    Spec{ChunkSize: 4096, Index: i},
-				Metrics: map[string]float64{"m": v},
-			})
-		}
-		return out
-	}
-	same := Report{Records: recs(-1)}
-	if d := Compare(same, same, 0); len(d) != 0 {
-		t.Fatalf("self-compare of same-key records reports %d deltas: %v", len(d), d)
-	}
-	deltas := Compare(same, Report{Records: recs(3)}, 0.01)
-	if len(deltas) != 1 || deltas[0].Spec.Index != 3 {
-		t.Fatalf("want exactly the index-3 delta, got %v", deltas)
-	}
-}
-
-func TestCSVAndTableDeterministicColumns(t *testing.T) {
+func TestTableDeterministicColumns(t *testing.T) {
 	recs, err := Run(testGrid().Expand(), 0, Func(func(s Spec) (Record, error) {
 		return Record{Spec: s, Metrics: map[string]float64{"b_metric": 1, "a_metric": 2}}, nil
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var csv bytes.Buffer
-	if err := WriteCSV(&csv, recs); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(csv.String(), "\n")
-	if lines[0] != "algorithm,msg_bytes,threads,a_metric,b_metric" {
-		t.Fatalf("CSV header = %q", lines[0])
-	}
-	if len(lines) != len(recs)+2 { // header + rows + trailing newline
-		t.Fatalf("CSV has %d lines, want %d", len(lines), len(recs)+2)
-	}
 	var tbl bytes.Buffer
 	if err := WriteTable(&tbl, recs); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(tbl.String(), "a_metric") || !strings.Contains(tbl.String(), "algorithm") {
-		t.Fatalf("table missing columns:\n%s", tbl.String())
+	lines := strings.Split(tbl.String(), "\n")
+	if got := strings.Fields(lines[0]); strings.Join(got, ",") != "algorithm,msg_bytes,threads,a_metric,b_metric" {
+		t.Fatalf("table header = %q", lines[0])
 	}
-}
-
-func TestLoadRoundTrip(t *testing.T) {
-	recs, err := Run(testGrid().Expand(), 0, Func(func(s Spec) (Record, error) {
-		return Record{Spec: s, Metrics: map[string]float64{"m": float64(s.Index)}}, nil
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/bench.json"
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSON(f, Report{Name: "rt", Records: recs}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Name != "rt" || len(rep.Records) != len(recs) {
-		t.Fatalf("round trip lost data: %+v", rep.Name)
-	}
-	for i, r := range rep.Records {
-		if r.Spec != recs[i].Spec || r.Metrics["m"] != float64(i) {
-			t.Fatalf("record %d mismatch: %+v", i, r)
-		}
+	if len(lines) != len(recs)+2 { // header + rows + trailing newline
+		t.Fatalf("table has %d lines, want %d", len(lines), len(recs)+2)
 	}
 }
 

@@ -33,7 +33,6 @@ type Event struct {
 }
 
 // Record appends a protocol phase event; a no-op on a nil registry.
-// Events are not metrics, so the config's filters never drop them.
 func (r *Registry) Record(t sim.Time, rank, seq int, phase, detail string) {
 	if r == nil {
 		return

@@ -16,8 +16,7 @@ func TestNilRecorderSafe(t *testing.T) {
 }
 
 func TestRecordAndQuery(t *testing.T) {
-	// Filters select metrics only: every event reaches the snapshot.
-	r := New(Config{Filters: []string{"fabric/"}})
+	r := New()
 	r.Record(30, 1, 1, PhaseBarrier, "")
 	r.Record(10, 0, 1, PhaseDispatch, "allgather")
 	r.Record(20, 1, 1, PhaseDispatch, "allgather")
@@ -35,7 +34,7 @@ func TestRecordAndQuery(t *testing.T) {
 }
 
 func TestTimelineOrdered(t *testing.T) {
-	r := New(Config{})
+	r := New()
 	r.Record(sim.Time(300), 2, 1, PhaseDone, "")
 	r.Record(sim.Time(100), 0, 1, PhaseDispatch, "")
 	r.Record(sim.Time(200), 1, 1, PhaseBarrier, "")

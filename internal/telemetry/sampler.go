@@ -2,8 +2,11 @@ package telemetry
 
 import "repro/internal/sim"
 
+// samplePeriod is the gauge sampling cadence: 100 µs of virtual time.
+const samplePeriod = 100 * sim.Microsecond
+
 // Sampler drives virtual-time gauge sampling on an engine: once armed it
-// fires every SamplePeriod, invokes its sample functions at the current
+// fires every samplePeriod, invokes its sample functions at the current
 // virtual time, and re-arms only while the engine still holds other
 // pending events — so a run's natural drain (Engine.Run returning when the
 // queue empties) is never kept alive by its own telemetry.
@@ -12,19 +15,17 @@ import "repro/internal/sim"
 // changes engine event counts — deterministically, identically at every
 // -workers value. The disabled path never creates one.
 type Sampler struct {
-	eng    *sim.Engine
-	period sim.Time
-	fns    []func(t sim.Time)
-	armed  bool
+	eng   *sim.Engine
+	fns   []func(t sim.Time)
+	armed bool
 }
 
-// NewSampler builds a sampler on eng with the registry's period; nil on a
-// nil registry.
+// NewSampler builds a sampler on eng; nil on a nil registry.
 func (r *Registry) NewSampler(eng *sim.Engine) *Sampler {
 	if r == nil {
 		return nil
 	}
-	return &Sampler{eng: eng, period: r.cfg.SamplePeriod}
+	return &Sampler{eng: eng}
 }
 
 // Add registers a sample function; a no-op on nil.
@@ -42,7 +43,7 @@ func (s *Sampler) Arm() {
 		return
 	}
 	s.armed = true
-	s.eng.AfterHandler(s.period, s, 0, 0, nil)
+	s.eng.AfterHandler(samplePeriod, s, 0, 0, nil)
 }
 
 // OnEvent fires one sampling tick and conditionally re-arms.

@@ -24,21 +24,11 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultSamplePeriod is the gauge sampling cadence when the config leaves
-// it zero: 100 µs of virtual time.
-const DefaultSamplePeriod = 100 * sim.Microsecond
-
-// Config parameterizes a registry.
+// Config is a run's telemetry setting, handed to every kernel.
 type Config struct {
 	// Enabled gates the whole subsystem; harness helpers return a nil
 	// *Registry when false.
 	Enabled bool
-	// SamplePeriod is the virtual-time gauge sampling cadence. Zero
-	// defaults to DefaultSamplePeriod.
-	SamplePeriod sim.Time
-	// Filters, when non-empty, restricts the canonical Snapshot to metrics
-	// whose key has one of these prefixes ("fabric/", "sim/events", ...).
-	Filters []string
 }
 
 // metric is the registry's internal storage for one key.
@@ -57,7 +47,6 @@ type metric struct {
 // reads it from there. Registries are not goroutine-safe; the sweep engine
 // gives each point its own.
 type Registry struct {
-	cfg     Config
 	metrics map[string]*metric
 	spans   []SpanRec
 	events  []Event
@@ -65,12 +54,8 @@ type Registry struct {
 
 // New builds an enabled registry. Callers that want the disabled state use
 // a nil *Registry instead.
-func New(cfg Config) *Registry {
-	if cfg.SamplePeriod <= 0 {
-		cfg.SamplePeriod = DefaultSamplePeriod
-	}
-	cfg.Enabled = true
-	return &Registry{cfg: cfg, metrics: make(map[string]*metric)}
+func New() *Registry {
+	return &Registry{metrics: make(map[string]*metric)}
 }
 
 // Key renders the canonical metric key: subsystem/name{labels}, with the
@@ -243,27 +228,14 @@ type Metric struct {
 	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
-// Snapshot is the end-of-run state of a registry: the metrics that
-// survived the config filters, sorted by key, plus the recorded spans and
-// protocol phase events in record order (the timeline and Perfetto
-// payload; neither is part of the canonical metrics document).
+// Snapshot is the end-of-run state of a registry: its metrics, sorted by
+// key, plus the recorded spans and protocol phase events in record order
+// (the timeline and Perfetto payload; neither is part of the canonical
+// metrics document).
 type Snapshot struct {
 	Metrics []Metric  `json:"metrics"`
 	Spans   []SpanRec `json:"-"`
 	Events  []Event   `json:"-"`
-}
-
-// matchFilters reports whether a key passes the config's prefix filters.
-func (r *Registry) matchFilters(key string) bool {
-	if len(r.cfg.Filters) == 0 {
-		return true
-	}
-	for _, p := range r.cfg.Filters {
-		if len(key) >= len(p) && key[:len(p)] == p {
-			return true
-		}
-	}
-	return false
 }
 
 // Snapshot serializes the registry. Nil registries snapshot to nil.
@@ -273,9 +245,7 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	keys := make([]string, 0, len(r.metrics))
 	for k := range r.metrics {
-		if r.matchFilters(k) {
-			keys = append(keys, k)
-		}
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	s := &Snapshot{Metrics: make([]Metric, 0, len(keys))}

@@ -42,10 +42,10 @@ func TestNilRegistryIsFree(t *testing.T) {
 }
 
 // TestSnapshotCanonical covers the canonical serialization rules: sorted
-// keys, filter prefixes, sparse histogram buckets with the
+// keys, sparse histogram buckets with the
 // overflow rendered as Le=-1, and spans sorted by (track, start).
 func TestSnapshotCanonical(t *testing.T) {
-	r := New(Config{})
+	r := New()
 	r.Counter("sim", "events", "").Add(7)
 	r.Counter("fabric", "drops", "ch=0").Add(1)
 	h := r.Histogram("verbs", "rc_completion_ns", "", []sim.Time{sim.Microsecond, sim.Millisecond})
@@ -81,14 +81,6 @@ func TestSnapshotCanonical(t *testing.T) {
 	if len(s.Spans) != 2 || s.Spans[0].Start != 0 {
 		t.Fatalf("spans %+v, want sorted by start within track", s.Spans)
 	}
-
-	f := New(Config{Filters: []string{"fabric/"}})
-	f.Counter("sim", "events", "").Add(1)
-	f.Counter("fabric", "drops", "").Add(1)
-	fs := f.Snapshot()
-	if len(fs.Metrics) != 1 || fs.Metrics[0].Key != "fabric/drops" {
-		t.Fatalf("filtered snapshot %+v, want fabric/drops only", fs.Metrics)
-	}
 }
 
 // TestKindMismatchPanics pins the registration discipline: one key, one
@@ -99,7 +91,7 @@ func TestKindMismatchPanics(t *testing.T) {
 			t.Fatal("re-registering a counter key as a gauge must panic")
 		}
 	}()
-	r := New(Config{})
+	r := New()
 	r.Counter("sim", "events", "")
 	r.Gauge("sim", "events", "")
 }
@@ -117,17 +109,17 @@ func (h *drainHost) OnEvent(e *sim.Engine, _ sim.Handle, _ uint64, _ int, _ any)
 	}
 }
 
-// TestSamplerDrains checks the termination contract: the sampler ticks at
-// its period while the model runs and stops re-arming when the queue
+// TestSamplerDrains checks the termination contract: the sampler ticks
+// every 100 µs while the model runs and stops re-arming when the queue
 // empties, so Run() returns on its own.
 func TestSamplerDrains(t *testing.T) {
 	eng := sim.NewEngine(1)
-	r := New(Config{SamplePeriod: 10 * sim.Microsecond})
+	r := New()
 	g := r.Gauge("fabric", "backlog_ns", "")
 	s := r.NewSampler(eng)
 	s.Add(func(ts sim.Time) { g.Sample(ts, float64(ts)) })
 	s.Arm()
-	host := &drainHost{left: 20, gap: 25 * sim.Microsecond}
+	host := &drainHost{left: 20, gap: 250 * sim.Microsecond}
 	eng.AfterHandler(host.gap, host, 0, 0, nil)
 	eng.Run()
 
@@ -137,17 +129,17 @@ func TestSamplerDrains(t *testing.T) {
 	}
 	samples := snap.Metrics[0].Samples
 	if len(samples) < 10 {
-		t.Fatalf("sampler fired %d times over a ~500µs run at a 10µs period, want >= 10", len(samples))
+		t.Fatalf("sampler fired %d times over a ~5ms run at a 100µs period, want >= 10", len(samples))
 	}
 	for i, sm := range samples {
-		if want := sim.Time(i+1) * 10 * sim.Microsecond; sm.T != want {
+		if want := sim.Time(i+1) * samplePeriod; sm.T != want {
 			t.Fatalf("sample %d at t=%v, want %v", i, sm.T, want)
 		}
 	}
 	last := samples[len(samples)-1].T
-	// 20 hops x 25µs = 500µs of model time; sampling must not outlive it
+	// 20 hops x 250µs = 5ms of model time; sampling must not outlive it
 	// by more than one period (the tick in flight when the queue drained).
-	if limit := 500*sim.Microsecond + 10*sim.Microsecond; last > limit {
+	if limit := 5000*sim.Microsecond + samplePeriod; last > limit {
 		t.Fatalf("sampler kept the engine alive until %v, limit %v", last, limit)
 	}
 	// Re-arming while armed must not double-schedule.

@@ -27,9 +27,6 @@ type Config struct {
 	// Compute is the forward+backward time per layer. Zero defaults to
 	// 150 µs.
 	Compute sim.Time
-	// Jobs is the concurrent-job count of the multi-job presets. Zero
-	// defaults to 2.
-	Jobs int
 	// Segments is the replication-stream length. Zero defaults to 8.
 	Segments int
 	// VerifyData backs collective buffers with real bytes so the result
@@ -49,9 +46,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Compute == 0 {
 		c.Compute = 150 * sim.Microsecond
-	}
-	if c.Jobs == 0 {
-		c.Jobs = 2
 	}
 	if c.Segments == 0 {
 		c.Segments = 8
@@ -136,11 +130,15 @@ func FSDPJob(name, pair string, cfg Config, hostOffset int) Job {
 	return j
 }
 
-// multiTenant declares Jobs concurrent inc-pair FSDP trainers on disjoint
-// host slices of one fabric — the multi-job tenancy axis of the roadmap.
+// tenants is the concurrent-job count of the multi-job preset.
+const tenants = 2
+
+// multiTenant declares tenants concurrent inc-pair FSDP trainers on
+// disjoint host slices of one fabric — the multi-job tenancy axis of the
+// roadmap.
 func multiTenant(c Config) Workload {
 	w := Workload{Name: "fsdp-tenants"}
-	for i := 0; i < c.Jobs; i++ {
+	for i := 0; i < tenants; i++ {
 		w.Jobs = append(w.Jobs, FSDPJob(fmt.Sprintf("tenant%d", i), "inc", c, i*c.Nodes))
 	}
 	return w

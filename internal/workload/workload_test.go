@@ -219,7 +219,7 @@ func TestFSDPIncBeatsRing(t *testing.T) {
 // TestMultiTenantHostSlices checks the tenant preset lands jobs on
 // disjoint host slices and MinHosts sizes the fabric.
 func TestMultiTenantHostSlices(t *testing.T) {
-	w, err := New("fsdp-tenants", Config{Nodes: 4, Jobs: 2, Layers: 2, ShardBytes: 64 << 10})
+	w, err := New("fsdp-tenants", Config{Nodes: 4, Layers: 2, ShardBytes: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestSystemEndToEndCollectives(t *testing.T) {
 // counters, the baselines' op spans, the workload's phase spans and the
 // transport's histograms — with no per-algorithm option.
 func TestSystemTelemetry(t *testing.T) {
-	reg := telemetry.New(telemetry.Config{})
+	reg := telemetry.New()
 	sys, err := NewSystem(SystemConfig{Hosts: 4, Topology: "star",
 		Cluster: cluster.Config{Verbs: verbs.Config{Metrics: reg}}})
 	if err != nil {
