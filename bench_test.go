@@ -207,22 +207,20 @@ func BenchmarkFig16TbitScaling(b *testing.B) {
 	b.ReportMetric(harness.Tbit16Target/1e6, "target-Mchunks/s")
 }
 
-// BenchmarkAllreduce16 runs the composed multicast Allreduce (ring
-// Reduce-Scatter + multicast Allgather) at 16 ranks / 1 MiB on a warm
-// communicator: the end-to-end event-engine workload the scheduler
-// overhaul targets. Reported events/sec is simulated events per wall
+// BenchmarkAllgather16 runs the multicast Allgather at 16 ranks / 1 MiB
+// on a warm communicator: an end-to-end event-engine workload. Reported events/sec is simulated events per wall
 // second across the whole stack (fabric, verbs, DPA, protocol); allocs/op
 // is the per-operation garbage of the pooled engine.
-func BenchmarkAllreduce16(b *testing.B) {
+func BenchmarkAllgather16(b *testing.B) {
 	sys, err := NewSystem(SystemConfig{Hosts: 16, HostsPerLeaf: 4, Seed: 3})
 	if err != nil {
 		b.Fatal(err)
 	}
-	alg, err := NewAlgorithm(sys, "mcast-allreduce", AlgorithmOptions{})
+	alg, err := NewAlgorithm(sys, "mcast-allgather", AlgorithmOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	op := Op{Kind: Allreduce, Bytes: 1 << 20}
+	op := Op{Kind: Allgather, Bytes: 1 << 20}
 	if _, err := alg.Run(op); err != nil { // warm QPs, buffers, event pool
 		b.Fatal(err)
 	}

@@ -9,8 +9,8 @@
 // is reached through one unified surface: an Op describes the operation, an
 // Algorithm executes it, and every algorithm produces the same Result type.
 // Algorithms() lists the registry ("mcast-allgather", "ring-allgather",
-// "knomial-broadcast", the composed "ring-allreduce"/"mcast-allreduce", …)
-// and NewAlgorithm instantiates one entry over a System:
+// "knomial-broadcast", "inc-reduce-scatter", …) and NewAlgorithm
+// instantiates one entry over a System:
 //
 //	sys, _ := repro.NewSystem(repro.SystemConfig{Hosts: 16})
 //	alg, _ := repro.NewAlgorithm(sys, "mcast-allgather", repro.AlgorithmOptions{})
@@ -135,7 +135,6 @@ const (
 	Allgather     = collective.Allgather
 	Broadcast     = collective.Broadcast
 	ReduceScatter = collective.ReduceScatter
-	Allreduce     = collective.Allreduce
 )
 
 // Result is the unified outcome of one collective across all ranks,
@@ -162,8 +161,8 @@ type AlgorithmOptions = registry.Options
 
 // Algorithms returns the names of every registered collective algorithm,
 // sorted: multicast broadcast/allgather, the P2P allgather and broadcast
-// baselines, ring and in-network reduce-scatter, and the composed
-// allreduces.
+// baselines, and ring and in-network reduce-scatter. An Allreduce is a
+// workload job's Reduce-Scatter phase with an Allgather phase after it.
 func Algorithms() []string { return registry.Names() }
 
 // NewAlgorithm instantiates a registered algorithm on the system's shared
@@ -183,7 +182,8 @@ type SystemConfig struct {
 	// HostsPerLeaf shapes "fattree2" (default 16); it gets enough spines
 	// for 2:1 oversubscription. "fattree3" is built from radix-8 switches.
 	HostsPerLeaf int
-	// Fabric tunes link bandwidth, latency, MTU, drops.
+	// Fabric tunes link bandwidth, fabric drops and delivery jitter; the
+	// 4 KiB MTU and 250 ns per-hop latency are fixed.
 	Fabric fabric.Config
 	// Cluster tunes per-host transport parameters.
 	Cluster cluster.Config

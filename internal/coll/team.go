@@ -75,7 +75,6 @@ func (c Config) withDefaults() Config {
 // Team is a group of ranks executing P2P collectives.
 type Team struct {
 	cfg   Config
-	cl    *cluster.Cluster
 	f     *fabric.Fabric
 	eng   *sim.Engine
 	peers []*peer
@@ -117,7 +116,7 @@ func NewTeam(cl *cluster.Cluster, hosts []topology.NodeID, cfg Config) (*Team, e
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("coll: team needs at least one rank")
 	}
-	t := &Team{cfg: cfg.withDefaults(), cl: cl, f: cl.Fabric(), eng: cl.Fabric().Engine(), reg: cl.Metrics()}
+	t := &Team{cfg: cfg.withDefaults(), f: cl.Fabric(), eng: cl.Fabric().Engine(), reg: cl.Metrics()}
 	for i, h := range hosts {
 		node := cl.Node(h)
 		p := &peer{

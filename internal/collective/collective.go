@@ -25,7 +25,6 @@ const (
 	Allgather     Kind = "allgather"
 	Broadcast     Kind = "broadcast"
 	ReduceScatter Kind = "reduce-scatter"
-	Allreduce     Kind = "allreduce"
 )
 
 // KindOfAlgorithm derives the operation kind from a registry algorithm
@@ -33,7 +32,7 @@ const (
 // convention every registry entry follows. Shared by the harness kernels
 // and the workload engine so op derivation cannot diverge.
 func KindOfAlgorithm(algo string) (Kind, error) {
-	for _, k := range []Kind{Allgather, Broadcast, ReduceScatter, Allreduce} {
+	for _, k := range []Kind{Allgather, Broadcast, ReduceScatter} {
 		if strings.HasSuffix(algo, "-"+string(k)) {
 			return k, nil
 		}
@@ -46,8 +45,8 @@ func KindOfAlgorithm(algo string) (Kind, error) {
 type Op struct {
 	// Kind selects the operation.
 	Kind Kind
-	// Bytes is the per-rank payload: the contribution size for Allgather
-	// and Allreduce, the message size for Broadcast, and the per-rank
+	// Bytes is the per-rank payload: the contribution size for Allgather,
+	// the message size for Broadcast, and the per-rank
 	// reduced-shard size for ReduceScatter.
 	Bytes int
 	// Root is the broadcasting rank (Broadcast only).

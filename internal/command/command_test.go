@@ -136,6 +136,20 @@ func TestExitCodes(t *testing.T) {
 		path := writeManifest(t, dir, "retired-"+f.name+".json", f.doc)
 		refuse("field "+f.name, `unknown field "`+f.field+`"`, path)
 	}
+	// Values the run could never honour are refused before anything runs:
+	// a jitter whose nanoseconds overflow an int64, and a digest pin that
+	// is not the 64 lowercase hex characters the run writes.
+	nonHex, upper := strings.Repeat("Z", 64), strings.Repeat("A", 64)
+	for _, f := range []struct{ name, doc, err string }{
+		{"osu.jitter_us overflows ns", `{"kind":"osu",` + osuGrid + `,"osu":{"jitter_us":9300000000000000}}`, "osu.jitter_us must be <="},
+		{"expect.sha256 not hex", `{"kind":"osu",` + osuGrid + `,"expect":{"sha256":"` + nonHex + `"}}`, "expect.sha256 must be 64 lowercase hex"},
+		{"expect.sha256 uppercase", `{"kind":"osu",` + osuGrid + `,"expect":{"sha256":"` + upper + `"}}`, "expect.sha256 must be 64 lowercase hex"},
+		{"telemetry.expect_sha256 not hex", `{"kind":"osu",` + osuGrid + `,"telemetry":{"metrics":"m.json","expect_sha256":"` + nonHex + `"}}`, "telemetry.expect_sha256 must be 64 lowercase hex"},
+		{"telemetry.expect_sha256 uppercase", `{"kind":"osu",` + osuGrid + `,"telemetry":{"metrics":"m.json","expect_sha256":"` + upper + `"}}`, "telemetry.expect_sha256 must be 64 lowercase hex"},
+	} {
+		path := writeManifest(t, dir, "refused-"+strings.ReplaceAll(f.name, " ", "-")+".json", f.doc)
+		refuse(f.name, f.err, path)
+	}
 	for _, c := range cases {
 		code, _, stderr := run(c.args...)
 		if code != c.want {

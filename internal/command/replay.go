@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/harness"
 	"repro/internal/manifest"
@@ -33,9 +32,8 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 	if *interval <= 0 || *at < 0 || *steps <= 0 {
 		return fail(stderr, 2, "replay: -interval and -steps must be > 0, -at >= 0")
 	}
-	const maxUS = math.MaxInt64 / int64(sim.Microsecond) // the most µs whose ns fit an int64
-	if int64(*interval) > maxUS || int64(*at) > maxUS {
-		return fail(stderr, 2, "replay: -interval and -at must be <= %d µs", maxUS)
+	if int64(*interval) > sim.MaxMicros || int64(*at) > sim.MaxMicros {
+		return fail(stderr, 2, "replay: -interval and -at must be <= %d µs", sim.MaxMicros)
 	}
 	m, err := manifest.ParseFile(fs.Arg(0))
 	if err != nil {

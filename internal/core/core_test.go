@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -136,11 +137,13 @@ func TestAllgatherSubgroups(t *testing.T) {
 	if err := comm.VerifyLast(); err != nil {
 		t.Fatal(err)
 	}
-	// Each subgroup worker must have processed some chunks.
+	// Each subgroup's staging ring must have received some chunks, and its
+	// worker must have drained every completion they raised.
 	for i := 0; i < comm.Size(); i++ {
-		for s, w := range comm.Rank(i).rxWkrs {
-			if w.Processed == 0 {
-				t.Fatalf("rank %d subgroup %d worker idle", i, s)
+		r := comm.Rank(i)
+		for s, st := range r.staging {
+			if !slices.ContainsFunc(st.Data, func(b byte) bool { return b != 0 }) || r.dataCQs[s].Len() != 0 {
+				t.Fatalf("rank %d subgroup %d idle: %d completions left", i, s, r.dataCQs[s].Len())
 			}
 		}
 	}

@@ -142,12 +142,6 @@ type Thread struct {
 	chip     *Chip
 	core     *core
 	nextFree sim.Time
-	// Handled counts completions processed; BusyCycles accumulates latency
-	// cycles charged, for utilization and IPC reporting.
-	Handled    uint64
-	BusyCycles float64
-	// IssueCyclesRetired accumulates instructions executed.
-	IssueCyclesRetired float64
 }
 
 // Chip returns the processing element the thread executes on.
@@ -205,9 +199,6 @@ func (t *Thread) RunCycles(issueCycles, latencyCycles float64, ready sim.Time) s
 	t.core.issueFree = issueStart + t.chip.cyclesToTime(issueCycles)
 	lat := float64(latencyCycles * (1 + float64(t.chip.Contention*float64(t.core.allocated-1))))
 	t.nextFree = issueStart + t.chip.cyclesToTime(lat)
-	t.Handled++
-	t.BusyCycles += lat
-	t.IssueCyclesRetired += issueCycles
 	return t.nextFree
 }
 
@@ -235,8 +226,6 @@ type Worker struct {
 	pending verbs.CQE
 	// armFn re-arms the queues; built once so draining does not allocate.
 	armFn func()
-	// Processed counts entries fully handled across all queues.
-	Processed uint64
 }
 
 type queue struct {
@@ -295,7 +284,6 @@ func (w *Worker) pump() {
 // continues the pump.
 func (w *Worker) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, _ int, _ any) {
 	w.inflight = false
-	w.Processed++
 	if h := w.queues[arg0].handle; h != nil {
 		h(w.pending)
 	}

@@ -100,26 +100,23 @@ func (f *Fabric) landed(pkt *Packet) {
 // HeaderBytes is the per-packet wire overhead (LRH+BTH+GRH+ICRC...).
 const HeaderBytes = 64
 
+const (
+	// maxPayload is the MTU, the maximum payload per packet.
+	maxPayload = 4096
+	// linkLatency is per-hop propagation plus switch pipeline delay
+	// (short copper + cut-through switch).
+	linkLatency = 250 * sim.Nanosecond
+)
+
 // Config parameterizes the fabric.
 type Config struct {
-	// LinkBandwidth is the capacity of every channel in bytes/second.
-	// 200 Gbit/s = 25e9. Zero defaults to 25e9.
+	// LinkBandwidth is the capacity of every channel, host links
+	// included, in bytes/second. 200 Gbit/s = 25e9. Zero defaults to 25e9.
 	LinkBandwidth float64
-	// LinkLatency is per-hop propagation plus switch pipeline delay.
-	// Zero defaults to 250 ns (short copper + cut-through switch).
-	LinkLatency sim.Time
-	// HostLinkBandwidth optionally overrides bandwidth on host-switch
-	// channels (NIC injection/reception rate). Zero means LinkBandwidth.
-	HostLinkBandwidth float64
-	// MTU is the maximum payload per packet. Zero defaults to 4096.
-	MTU int
 	// DropRate is the independent probability that any single channel
 	// traversal corrupts the packet (fabric drop). The paper cites BERs of
 	// 1e-12..1e-15; tests crank this up to exercise the recovery path.
 	DropRate float64
-	// AdaptiveRouting selects a random shortest-path candidate per packet
-	// instead of hashing the flow, introducing reordering.
-	AdaptiveRouting bool
 	// ReorderJitter, when nonzero, adds uniform random [0, ReorderJitter)
 	// latency to each final-hop delivery, emulating out-of-order arrival
 	// within a single path (e.g., spraying inside trunk groups).
@@ -129,15 +126,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.LinkBandwidth == 0 {
 		c.LinkBandwidth = 25e9
-	}
-	if c.HostLinkBandwidth == 0 {
-		c.HostLinkBandwidth = c.LinkBandwidth
-	}
-	if c.LinkLatency == 0 {
-		c.LinkLatency = 250 * sim.Nanosecond
-	}
-	if c.MTU == 0 {
-		c.MTU = 4096
 	}
 	return c
 }
@@ -190,9 +178,6 @@ type NIC struct {
 	// groups[gid] is set while this NIC is attached to the group (receives
 	// multicast for it); grown on attach.
 	groups []bool
-	// Injected/Received count packets through this NIC for diagnostics.
-	Injected uint64
-	Received uint64
 }
 
 // Fabric is a live simulated network bound to an engine and a topology.
@@ -232,10 +217,8 @@ type Fabric struct {
 
 	// TotalDropped counts fabric drops across all channels.
 	TotalDropped uint64
-	// Background-traffic counters (packets injected via InjectBackground).
-	BackgroundInjected  uint64
-	BackgroundDelivered uint64
-	BackgroundBytes     uint64 // payload bytes injected
+	// BackgroundBytes counts the payload bytes InjectBackground injected.
+	BackgroundBytes uint64
 }
 
 // New builds a fabric over graph g, routing on the table g memoizes: the
@@ -254,14 +237,11 @@ func New(eng *sim.Engine, g *topology.Graph, cfg Config) *Fabric {
 	f.alightH = (*alightHandler)(f)
 	f.deliverH = (*deliverHandler)(f)
 	f.chans = make([]channel, 2*len(g.Links))
+	bw := cfg.LinkBandwidth
 	for _, l := range g.Links {
-		bwAB, bwBA := cfg.LinkBandwidth, cfg.LinkBandwidth
-		if g.Nodes[l.A].Kind == topology.Host || g.Nodes[l.B].Kind == topology.Host {
-			bwAB, bwBA = cfg.HostLinkBandwidth, cfg.HostLinkBandwidth
-		}
 		a, b := int32(l.A), int32(l.B)
-		f.chans[2*l.ID] = channel{from: a, to: b, bw: bwAB, baseBw: bwAB, serSize: -1, dropOverride: -1}
-		f.chans[2*l.ID+1] = channel{from: b, to: a, bw: bwBA, baseBw: bwBA, serSize: -1, dropOverride: -1}
+		f.chans[2*l.ID] = channel{from: a, to: b, bw: bw, baseBw: bw, serSize: -1, dropOverride: -1}
+		f.chans[2*l.ID+1] = channel{from: b, to: a, bw: bw, baseBw: bw, serSize: -1, dropOverride: -1}
 	}
 	f.portBase = make([]int32, len(g.Nodes))
 	f.portChan = make([]int32, 0, 2*len(g.Links))
@@ -336,15 +316,15 @@ func (n *NIC) AttachGroup(gid GroupID) error {
 func (n *NIC) attached(gid GroupID) bool { return int(gid) < len(n.groups) && n.groups[gid] }
 
 // MaxPayload returns the fabric MTU (maximum packet payload bytes).
-func (f *Fabric) MaxPayload() int { return f.cfg.MTU }
+func (f *Fabric) MaxPayload() int { return maxPayload }
 
 // Inject sends one packet of at most one MTU from this NIC as a one-segment
 // Train, and returns when it finishes serializing onto the host uplink.
 // The packet the fabric carries is its own, a copy of pkt's addressing and
 // Payload: pkt never enters the fabric.
 func (n *NIC) Inject(pkt *Packet) sim.Time {
-	if pkt.PayloadBytes > n.f.cfg.MTU {
-		panic(fmt.Sprintf("fabric: payload %d exceeds MTU %d", pkt.PayloadBytes, n.f.cfg.MTU))
+	if pkt.PayloadBytes > maxPayload {
+		panic(fmt.Sprintf("fabric: payload %d exceeds MTU %d", pkt.PayloadBytes, maxPayload))
 	}
 	tr := n.NewTrain()
 	tr.Dst, tr.Group, tr.Flow, tr.Bytes = pkt.Dst, pkt.Group, pkt.Flow, pkt.PayloadBytes
@@ -385,7 +365,7 @@ func (f *Fabric) transmit(pkt *Packet, node topology.NodeID, port int) sim.Time 
 	if !f.book(ch, f.wireBytes(pkt)) {
 		return ch.nextFree
 	}
-	arrival := ch.nextFree + f.cfg.LinkLatency + ch.extraLat
+	arrival := ch.nextFree + linkLatency + ch.extraLat
 	pkt.refs++
 	if ch.hops < holdDepth || !f.hold(c, arrival, pkt) {
 		ch.hops++
@@ -465,7 +445,7 @@ func (f *Fabric) arrive(pkt *Packet, node topology.NodeID, link int) {
 		f.forwardMulticast(pkt, node, link)
 		return
 	}
-	f.forwardUnicast(pkt, node, link)
+	f.forwardUnicast(pkt, node)
 }
 
 // ecmpHash is the deterministic multipath hash over (flow, src, dst).
@@ -474,18 +454,13 @@ func ecmpHash(flow uint64, src, dst topology.NodeID) uint64 {
 	return h ^ (h >> 29)
 }
 
-func (f *Fabric) forwardUnicast(pkt *Packet, sw topology.NodeID, ingress int) {
+func (f *Fabric) forwardUnicast(pkt *Packet, sw topology.NodeID) {
 	cands := f.rt.Candidates(sw, pkt.Dst)
 	if len(cands) == 0 {
 		panic(fmt.Sprintf("fabric: switch %d has no route to %d", sw, pkt.Dst))
 	}
-	var port int
-	switch {
-	case len(cands) == 1:
-		port = cands[0]
-	case f.cfg.AdaptiveRouting:
-		port = cands[f.rng.Intn(len(cands))]
-	default:
+	port := cands[0]
+	if len(cands) > 1 {
 		port = cands[ecmpHash(pkt.Flow, pkt.Src, pkt.Dst)%uint64(len(cands))]
 	}
 	f.transmit(pkt, sw, port)
@@ -509,7 +484,6 @@ func (f *Fabric) forwardMulticast(pkt *Packet, sw topology.NodeID, ingress int) 
 
 func (f *Fabric) deliverToHost(pkt *Packet, host topology.NodeID) {
 	if pkt.Background {
-		f.BackgroundDelivered++
 		return
 	}
 	nic := f.nics[host]
@@ -528,7 +502,6 @@ func (f *Fabric) deliverToHost(pkt *Packet, host topology.NodeID) {
 }
 
 func (f *Fabric) deliverNow(nic *NIC, pkt *Packet) {
-	nic.Received++
 	if nic.Deliver != nil {
 		nic.Deliver(pkt)
 	}
@@ -665,12 +638,12 @@ func (f *Fabric) InjectBackground(src, dst topology.NodeID, payloadBytes int, fl
 	if f.g.Nodes[src].Kind != topology.Host || f.g.Nodes[dst].Kind != topology.Host {
 		panic(fmt.Sprintf("fabric: background flow %d->%d endpoints must be hosts", src, dst))
 	}
-	if payloadBytes > f.cfg.MTU {
-		panic(fmt.Sprintf("fabric: background payload %d exceeds MTU %d", payloadBytes, f.cfg.MTU))
+	if payloadBytes > maxPayload {
+		panic(fmt.Sprintf("fabric: background payload %d exceeds MTU %d", payloadBytes, maxPayload))
 	}
 	tr := f.newTrain()
 	tr.Dst, tr.Flow, tr.Bytes, tr.Background = dst, flow, payloadBytes, true
-	wire := f.inject(src, tr, &f.BackgroundInjected)
+	wire := f.inject(src, tr)
 	f.BackgroundBytes += uint64(payloadBytes)
 	return wire
 }
@@ -750,11 +723,5 @@ func (f *Fabric) ResetCounters() {
 	for i := range f.chans {
 		f.chans[i].stats = PortStats{}
 	}
-	f.TotalDropped = 0
-	f.BackgroundInjected, f.BackgroundDelivered, f.BackgroundBytes = 0, 0, 0
-	for _, nic := range f.nics {
-		if nic != nil {
-			nic.Injected, nic.Received = 0, 0
-		}
-	}
+	f.TotalDropped, f.BackgroundBytes = 0, 0
 }

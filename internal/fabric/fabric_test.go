@@ -75,13 +75,13 @@ func TestSerializationThroughput(t *testing.T) {
 }
 
 func TestMTUEnforced(t *testing.T) {
-	_, _, nics := testFabric(t, 2, Config{MTU: 2048})
+	_, _, nics := testFabric(t, 2, Config{})
 	defer func() {
 		if recover() == nil {
 			t.Error("oversized payload did not panic")
 		}
 	}()
-	nics[0].Inject(&Packet{Dst: nics[1].Host, Group: NoGroup, PayloadBytes: 4096})
+	nics[0].Inject(&Packet{Dst: nics[1].Host, Group: NoGroup, PayloadBytes: 4 * 4096})
 }
 
 func TestMulticastReachesAllMembersExceptSender(t *testing.T) {
@@ -234,41 +234,10 @@ func TestDropsCounted(t *testing.T) {
 	}
 }
 
-func TestAdaptiveRoutingUsesAllSpines(t *testing.T) {
-	eng := sim.NewEngine(7)
-	g, err := topology.TwoLevelFatTree(topology.FatTreeSpec{Hosts: 8, HostsPerLeaf: 4, Spines: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := New(eng, g, Config{AdaptiveRouting: true})
-	hosts := g.Hosts()
-	src, dst := hosts[0], hosts[7]
-	f.AttachNIC(dst).Deliver = func(p *Packet) {}
-	srcNIC := f.AttachNIC(src)
-	for i := 0; i < 200; i++ {
-		srcNIC.Inject(&Packet{Dst: dst, Group: NoGroup, PayloadBytes: 64})
-	}
-	eng.Run()
-	// Each spine must have carried some packets.
-	leaf := g.LeafOf(src)
-	spinesUsed := 0
-	for _, sw := range g.Switches() {
-		if g.Nodes[sw].Level != 2 {
-			continue
-		}
-		if f.ChannelStats(leaf, sw).Packets > 0 {
-			spinesUsed++
-		}
-	}
-	if spinesUsed != 4 {
-		t.Fatalf("adaptive routing used %d spines, want 4", spinesUsed)
-	}
-}
-
 func TestDeterministicECMPPinsFlow(t *testing.T) {
 	eng := sim.NewEngine(7)
 	g, _ := topology.TwoLevelFatTree(topology.FatTreeSpec{Hosts: 8, HostsPerLeaf: 4, Spines: 4})
-	f := New(eng, g, Config{AdaptiveRouting: false})
+	f := New(eng, g, Config{})
 	hosts := g.Hosts()
 	src, dst := hosts[0], hosts[7]
 	f.AttachNIC(dst).Deliver = func(p *Packet) {}
@@ -329,7 +298,8 @@ func TestInOrderWithoutJitter(t *testing.T) {
 
 func TestCountersAndReset(t *testing.T) {
 	eng, f, nics := testFabric(t, 2, Config{})
-	nics[1].Deliver = func(p *Packet) {}
+	delivered := 0
+	nics[1].Deliver = func(p *Packet) { delivered++ }
 	nics[0].Inject(&Packet{Dst: nics[1].Host, Group: NoGroup, PayloadBytes: 1000})
 	eng.Run()
 	wire := uint64(1000 + HeaderBytes)
@@ -339,32 +309,15 @@ func TestCountersAndReset(t *testing.T) {
 	if got := f.SwitchEgressBytes(); got != wire {
 		t.Fatalf("SwitchEgressBytes = %d, want %d", got, wire)
 	}
-	if nics[0].Injected != 1 || nics[1].Received != 1 {
-		t.Fatal("NIC counters wrong")
+	if delivered != 1 {
+		t.Fatalf("delivered %d packets, want 1", delivered)
 	}
 	f.ResetCounters()
-	if f.TotalWireBytes() != 0 || nics[0].Injected != 0 {
+	if f.TotalWireBytes() != 0 {
 		t.Fatal("ResetCounters left residue")
 	}
 	if len(f.PerLinkBytes()) == 0 {
 		t.Fatal("PerLinkBytes returned empty map")
-	}
-}
-
-func TestHostLinkBandwidthOverride(t *testing.T) {
-	// Host links at half bandwidth: serialization twice as long.
-	eng := sim.NewEngine(1)
-	g := topology.Star(2)
-	f := New(eng, g, Config{LinkBandwidth: 25e9, HostLinkBandwidth: 12.5e9})
-	nics := []*NIC{f.AttachNIC(g.Hosts()[0]), f.AttachNIC(g.Hosts()[1])}
-	var at sim.Time
-	nics[1].Deliver = func(p *Packet) { at = eng.Now() }
-	nics[0].Inject(&Packet{Dst: nics[1].Host, Group: NoGroup, PayloadBytes: 4096})
-	eng.Run()
-	wire := float64(4096 + HeaderBytes)
-	want := sim.Time(2*wire/12.5e9*1e9) + 2*250
-	if at < want-4 || at > want+4 {
-		t.Fatalf("delivery at %v, want ≈%v", at, want)
 	}
 }
 
@@ -544,8 +497,9 @@ func TestExtraLatencyOverride(t *testing.T) {
 
 func TestBackgroundInjectionOccupiesChannels(t *testing.T) {
 	// Background packets must contend for the same serializers as
-	// collective traffic (delaying it), count on the background gauges, and
-	// never reach a NIC's Deliver callback.
+	// collective traffic (delaying it), count on the background gauge,
+	// cross the destination's downlink and never reach a NIC's Deliver
+	// callback.
 	quietAt := func(bg int) sim.Time {
 		eng, f, nics := testFabric(t, 3, Config{})
 		var at sim.Time
@@ -560,9 +514,9 @@ func TestBackgroundInjectionOccupiesChannels(t *testing.T) {
 		if delivered != 1 {
 			t.Fatalf("measured packet delivered %d times, want 1", delivered)
 		}
-		if f.BackgroundInjected != uint64(bg) || f.BackgroundDelivered != uint64(bg) {
-			t.Fatalf("background counters injected=%d delivered=%d, want %d each",
-				f.BackgroundInjected, f.BackgroundDelivered, bg)
+		sw := f.Graph().Switches()[0]
+		if got := f.ChannelStats(sw, nics[2].Host).Packets; got != uint64(bg) {
+			t.Fatalf("%d background packets reached host 2's downlink, want %d", got, bg)
 		}
 		if f.BackgroundBytes != uint64(bg*4096) {
 			t.Fatalf("BackgroundBytes = %d, want %d", f.BackgroundBytes, bg*4096)

@@ -82,7 +82,7 @@ func TestCongestedPortMatchesPerHopModel(t *testing.T) {
 		}
 	}
 	const probeAt = 29_999 // deep backlog, before the latency cut
-	wire := cfg.MTU + HeaderBytes
+	wire := maxPayload + HeaderBytes
 	serUp := sim.Time(float64(wire) / cfg.LinkBandwidth * 1e9)
 	delivered := make([][]uint64, len(dsts))
 	landed := map[uint64]sim.Time{}
@@ -104,7 +104,7 @@ func TestCongestedPortMatchesPerHopModel(t *testing.T) {
 			var send func()
 			send = func() {
 				tag := uint64(burst*100_000 + s*1000 + k)
-				done := nics[s].Inject(&Packet{Dst: hs[dsts[k%2]], Group: NoGroup, Flow: tag, PayloadBytes: cfg.MTU})
+				done := nics[s].Inject(&Packet{Dst: hs[dsts[k%2]], Group: NoGroup, Flow: tag, PayloadBytes: maxPayload})
 				if k++; k < perSender {
 					eng.AtHandler(done, call(send), 0, 0, nil)
 				}
@@ -114,7 +114,7 @@ func TestCongestedPortMatchesPerHopModel(t *testing.T) {
 				inj := at + sim.Time(k)*serUp
 				pkts = append(pkts, &incastPacket{
 					tag: uint64(burst*100_000 + s*1000 + k), dst: k % 2,
-					atSwitch: inj + serUp + cfg.LinkLatency,
+					atSwitch: inj + serUp + linkLatency,
 				})
 			}
 		}
@@ -176,7 +176,7 @@ func TestCongestedPortMatchesPerHopModel(t *testing.T) {
 				totalDrops++
 				continue
 			}
-			p.lands = m.nextFree + cfg.LinkLatency + m.extraLat
+			p.lands = m.nextFree + linkLatency + m.extraLat
 		}
 		for ; next < len(overrides); next++ {
 			apply(overrides[next])

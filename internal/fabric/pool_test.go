@@ -309,8 +309,8 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 			}
 		}
 	}
-	if delivered == 0 || f.TotalDropped == 0 || f.BackgroundInjected == 0 {
-		t.Fatalf("void run: %d deliveries, %d drops, %d background packets", delivered, f.TotalDropped, f.BackgroundInjected)
+	if delivered == 0 || f.TotalDropped == 0 || f.BackgroundBytes == 0 {
+		t.Fatalf("void run: %d deliveries, %d drops, %d background bytes", delivered, f.TotalDropped, f.BackgroundBytes)
 	}
 	if leg.congest && f.heldChunks == 0 {
 		t.Fatal("void run: no switch port held a hop")

@@ -80,7 +80,7 @@ func (f *Fabric) routeReduce(pkt *Packet, node topology.NodeID) {
 		// final contribution itself travels on (all contributions of a chunk
 		// are equally sized). A copy would share a pooled packet's header.
 		pkt.Reduce = NoReduceGroup
-		f.forwardUnicast(pkt, node, -1)
+		f.forwardUnicast(pkt, node)
 		return
 	}
 	port := rg.tree.ParentPort[node]

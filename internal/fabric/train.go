@@ -95,7 +95,7 @@ func (f *Fabric) putTrain(tr *Train) {
 }
 
 // segBytes returns the payload size of segment s.
-func (tr *Train) segBytes(s, mtu int) int { return min(mtu, tr.Bytes-s*mtu) }
+func (tr *Train) segBytes(s int) int { return min(maxPayload, tr.Bytes-s*maxPayload) }
 
 // arrival returns when segment s lands at the far end of the uplink.
 func (tr *Train) arrival(s int) sim.Time {
@@ -123,29 +123,26 @@ func (tr *Train) survivor(s int) int {
 // the channel's serializer, counters, latency and drop draw. Each surviving
 // segment gets its engine sequence number now, too, so the events it causes
 // fire exactly where sending the segments one by one would put them.
-func (n *NIC) InjectTrain(tr *Train) sim.Time { return n.f.inject(n.Host, tr, &n.Injected) }
+func (n *NIC) InjectTrain(tr *Train) sim.Time { return n.f.inject(n.Host, tr) }
 
-// inject is InjectTrain from host src, which needs no NIC, counting each
-// segment in *injected.
-func (f *Fabric) inject(src topology.NodeID, tr *Train, injected *uint64) sim.Time {
+// inject is InjectTrain from host src, which needs no NIC.
+func (f *Fabric) inject(src topology.NodeID, tr *Train) sim.Time {
 	if tr.Bytes < 0 {
 		panic("fabric: negative train size")
 	}
 	if tr.Group != NoGroup && !f.groups[tr.Group].OnTree(src) {
 		panic(fmt.Sprintf("fabric: host %d multicasting to group %d it is not attached to", src, tr.Group))
 	}
-	mtu := f.cfg.MTU
 	tr.src = src
 	tr.nsegs = 1
-	if tr.Bytes > mtu { // most messages fit one segment: skip the division
-		tr.nsegs = (tr.Bytes + mtu - 1) / mtu
+	if tr.Bytes > maxPayload { // most messages fit one segment: skip the division
+		tr.nsegs = (tr.Bytes + maxPayload - 1) / maxPayload
 	}
 	c := f.egress(src, 0) // the host's single uplink
 	ch := &f.chans[c]
 	tr.start = max(ch.nextFree, f.eng.Now())
 	for s := 0; s < tr.nsegs; s++ {
-		*injected++
-		if !f.book(ch, tr.segBytes(s, mtu)+HeaderBytes) {
+		if !f.book(ch, tr.segBytes(s)+HeaderBytes) {
 			tr.dropped = append(tr.dropped, s)
 		}
 		if s == 0 {
@@ -153,7 +150,7 @@ func (f *Fabric) inject(src topology.NodeID, tr *Train, injected *uint64) sim.Ti
 		}
 	}
 	tr.wire = ch.nextFree
-	tr.lat = f.cfg.LinkLatency + ch.extraLat
+	tr.lat = linkLatency + ch.extraLat
 	tr.peer, tr.link = topology.NodeID(ch.to), c>>1
 	wire := tr.wire
 	switch survivors := tr.nsegs - len(tr.dropped); {
@@ -180,7 +177,7 @@ func (f *Fabric) packet(tr *Train, s int) *Packet {
 	pkt := f.pool.get()
 	pkt.Src, pkt.Dst, pkt.Group, pkt.Flow = tr.src, tr.Dst, tr.Group, tr.Flow
 	pkt.Reduce, pkt.ReduceChunk = tr.Reduce, tr.ReduceChunk
-	pkt.PayloadBytes, pkt.Background = tr.segBytes(s, f.cfg.MTU), tr.Background
+	pkt.PayloadBytes, pkt.Background = tr.segBytes(s), tr.Background
 	pkt.refs = 1
 	if !tr.Background {
 		tr.Header.Segment(pkt, s)

@@ -34,8 +34,8 @@ func runVerbsLifetime(t *testing.T, seed uint64) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine(seed)
-	const mtu, region = 1024, 1 << 16
-	f := fabric.New(eng, g, fabric.Config{MTU: mtu, DropRate: 0.01, ReorderJitter: 300 * sim.Nanosecond})
+	const mtu, region = 4096, 1 << 16
+	f := fabric.New(eng, g, fabric.Config{DropRate: 0.01, ReorderJitter: 300 * sim.Nanosecond})
 	hosts := g.Hosts()
 	n := len(hosts)
 	gid, err := f.CreateGroup(g.TopSwitches()[0], hosts)
@@ -59,7 +59,7 @@ func runVerbsLifetime(t *testing.T, seed uint64) {
 	}
 	hs := make([]*host, n)
 	for i, h := range hosts {
-		ctx := verbs.NewContext(f, h, verbs.Config{RetransmitTimeout: 20 * sim.Microsecond})
+		ctx := verbs.NewContext(f, h, verbs.Config{})
 		cq := &verbs.CQ{}
 		hs[i] = &host{
 			ctx: ctx, cq: cq,

@@ -50,12 +50,10 @@ type RxBenchConfig struct {
 // RxBenchResult reports the sustained datapath performance.
 type RxBenchResult struct {
 	Config    RxBenchConfig
-	Elapsed   sim.Time
 	Bps       float64 // payload bytes/second
 	GiBps     float64
 	Gbps      float64
 	ChunkRate float64 // chunks/second processed
-	Chunks    int
 	Profile   dpa.Profile
 	IPC       float64
 	LinkGbps  float64
@@ -166,8 +164,6 @@ func RunRxBench(cfg RxBenchConfig) RxBenchResult {
 
 	res := RxBenchResult{
 		Config:          cfg,
-		Elapsed:         lastDone,
-		Chunks:          processed,
 		Profile:         profile,
 		IPC:             profile.IPC(),
 		RNRDrops:        server.RNRDrops,

@@ -27,6 +27,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/registry"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -304,12 +305,12 @@ func (m Manifest) Validate() error {
 	if m.Workers < 0 {
 		return fmt.Errorf("manifest: workers must be >= 0, got %d", m.Workers)
 	}
-	if m.Expect != nil && len(m.Expect.SHA256) != 64 {
-		return fmt.Errorf("manifest: expect.sha256 must be 64 hex characters")
+	if m.Expect != nil && !isDigest(m.Expect.SHA256) {
+		return fmt.Errorf("manifest: expect.sha256 must be 64 lowercase hex characters")
 	}
 	if t := m.Telemetry; t != nil {
-		if t.Expect != "" && len(t.Expect) != 64 {
-			return fmt.Errorf("manifest: telemetry.expect_sha256 must be 64 hex characters")
+		if t.Expect != "" && !isDigest(t.Expect) {
+			return fmt.Errorf("manifest: telemetry.expect_sha256 must be 64 lowercase hex characters")
 		}
 		if t.Expect != "" && t.Metrics == "" {
 			return fmt.Errorf("manifest: telemetry.expect_sha256 needs telemetry.metrics")
@@ -412,8 +413,15 @@ func (m Manifest) validateOSU() error {
 	if m.OSU != nil && (m.OSU.Iters < 0 || m.OSU.JitterUS < 0) {
 		return fmt.Errorf("manifest: osu.iters and osu.jitter_us must be >= 0")
 	}
+	if m.OSU != nil && int64(m.OSU.JitterUS) > sim.MaxMicros {
+		return fmt.Errorf("manifest: osu.jitter_us must be <= %d", sim.MaxMicros)
+	}
 	return nil
 }
+
+// isDigest reports whether s is a SHA-256 digest as the run writes it: 64
+// lowercase hex characters.
+func isDigest(s string) bool { return len(s) == 64 && strings.Trim(s, "0123456789abcdef") == "" }
 
 func (m Manifest) validateChaos() error {
 	if len(m.Grid.Algorithms) == 0 {

@@ -15,7 +15,6 @@ import (
 // concrete topology (Figure 2). Bytes are payload only; the simulator adds
 // headers, the analytic model follows the paper in ignoring them.
 type TrafficModel struct {
-	g     *topology.Graph
 	hosts []topology.NodeID
 	// hops[i][j]: link distance between host i and host j.
 	hops [][]int
@@ -30,7 +29,7 @@ func NewTrafficModel(g *topology.Graph) (*TrafficModel, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("model: topology has no hosts")
 	}
-	m := &TrafficModel{g: g, hosts: hosts}
+	m := &TrafficModel{hosts: hosts}
 	m.hops = make([][]int, len(hosts))
 	for i, h := range hosts {
 		all := g.HopsFrom(h)

@@ -5,12 +5,6 @@
 // and the top-level benchmarks — dispatches through New instead of
 // hand-rolling a switch over algorithm names, so adding an algorithm is a
 // single table entry here.
-//
-// The registry also hosts the composed Allreduce (ring Reduce-Scatter
-// followed by an Allgather of the reduced shards): "ring-allreduce" keeps
-// both halves on the P2P ring, "mcast-allreduce" runs the gather half on
-// the paper's multicast Allgather — the AI-training pairing the paper
-// motivates (§II-A).
 package registry
 
 import (
@@ -29,8 +23,8 @@ type Options struct {
 	// Hosts restricts the team to a subset of the fabric's endpoints. Nil
 	// means every host, in topology order.
 	Hosts []topology.NodeID
-	// Core tunes the multicast protocol (mcast-* algorithms and the gather
-	// half of mcast-allreduce). The zero value selects the UD fast path
+	// Core tunes the multicast protocol (the mcast-* algorithms). The zero
+	// value selects the UD fast path
 	// with the paper's defaults. Its RQDepth sizes every subgroup's data QP
 	// receive queue and, over UD, its staging ring. The host CPU model is
 	// a property of the shared cluster the algorithm is built on.
@@ -56,8 +50,6 @@ var algorithms = map[string]builder{
 	"chain-broadcast":     newTreeAlg((*coll.Team).StartChainBroadcast),
 	"ring-reduce-scatter": newTeamAlg(collective.ReduceScatter, anySize, (*coll.Team).StartRingReduceScatter),
 	"inc-reduce-scatter":  newINCReduceScatter,
-	"ring-allreduce":      newAllreduce(false),
-	"mcast-allreduce":     newAllreduce(true),
 }
 
 // Names returns every registered algorithm name, sorted.

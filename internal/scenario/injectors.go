@@ -320,7 +320,7 @@ func (b BackgroundTraffic) Install(ctx *Context) {
 		size = ctx.F.MaxPayload()
 	}
 	wire := float64(size + fabric.HeaderBytes)
-	interval := sim.Time(wire / (ctx.F.Config().HostLinkBandwidth * b.Load) * 1e9)
+	interval := sim.Time(wire / (ctx.F.Config().LinkBandwidth * b.Load) * 1e9)
 	if interval < 1 {
 		interval = 1
 	}

@@ -94,9 +94,9 @@ type Stats struct {
 	// restorations. A completed flap contributes one of each.
 	Perturbs int
 	Restores int
-	// Background traffic injected so far (from the fabric's gauges).
-	BackgroundPackets uint64
-	BackgroundBytes   uint64
+	// BackgroundBytes is the background payload injected so far (from the
+	// fabric's gauge).
+	BackgroundBytes uint64
 }
 
 // Active is the handle to an installed scenario.
@@ -136,10 +136,9 @@ func (a *Active) Stop() {
 }
 
 // Stats returns the perturbation counters and the fabric's background
-// traffic gauges.
+// traffic gauge.
 func (a *Active) Stats() Stats {
 	s := a.stats
-	s.BackgroundPackets = a.f.BackgroundInjected
 	s.BackgroundBytes = a.f.BackgroundBytes
 	return s
 }

@@ -117,8 +117,8 @@ func TestQuietIsIdentity(t *testing.T) {
 	if s := act.Stats(); s != (Stats{}) {
 		t.Fatalf("quiet scenario reported activity: %+v", s)
 	}
-	if f.BackgroundInjected != 0 {
-		t.Fatalf("quiet scenario injected %d background packets", f.BackgroundInjected)
+	if f.BackgroundBytes != 0 {
+		t.Fatalf("quiet scenario injected %d background bytes", f.BackgroundBytes)
 	}
 }
 
@@ -135,12 +135,12 @@ func TestTenantGoldenDeterminism(t *testing.T) {
 		t.Fatalf("tenant load did not slow the collective: %v", res.Duration())
 	}
 	s := act.Stats()
-	if s.BackgroundPackets == 0 || s.BackgroundBytes == 0 {
+	if s.BackgroundBytes == 0 {
 		t.Fatalf("no background traffic recorded: %+v", s)
 	}
-	if f.BackgroundInjected != s.BackgroundPackets {
-		t.Fatalf("stats/fabric disagree on background packets: %d vs %d",
-			s.BackgroundPackets, f.BackgroundInjected)
+	if f.BackgroundBytes != s.BackgroundBytes {
+		t.Fatalf("stats/fabric disagree on background bytes: %d vs %d",
+			s.BackgroundBytes, f.BackgroundBytes)
 	}
 	// Same seed, fresh simulation: byte-identical result.
 	again, _, _ := runAllgather(t, "tenant-50load", 1<<20, 3)

@@ -62,6 +62,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
 )
@@ -78,6 +79,10 @@ const (
 	Millisecond Time = 1000 * Microsecond
 	Second      Time = 1000 * Millisecond
 )
+
+// MaxMicros is the most whole microseconds whose nanoseconds fit a Time:
+// the bound on a microsecond count read from outside the program.
+const MaxMicros = math.MaxInt64 / int64(Microsecond)
 
 // Duration converts a virtual time span to a time.Duration for reporting.
 func (t Time) Duration() time.Duration { return time.Duration(int64(t)) }

@@ -22,7 +22,6 @@ type Summary struct {
 	// degenerates to [Min, Max].
 	CILow  float64
 	CIHigh float64
-	Stddev float64
 }
 
 // Summarize computes the summary of xs. It panics on an empty sample:
@@ -39,23 +38,12 @@ func Summarize(xs []float64) Summary {
 	for _, v := range s {
 		sum += v
 	}
-	mean := sum / float64(n)
-	varsum := 0.0
-	for _, v := range s {
-		varsum += float64((v - mean) * (v - mean))
-	}
-	std := 0.0
-	if n > 1 {
-		std = math.Sqrt(varsum / float64(n-1))
-	}
-
 	out := Summary{
 		N:      n,
 		Min:    s[0],
 		Max:    s[n-1],
-		Mean:   mean,
+		Mean:   sum / float64(n),
 		Median: Percentile(s, 50),
-		Stddev: std,
 	}
 	lo, hi := medianCI(n)
 	out.CILow, out.CIHigh = s[lo], s[hi]

@@ -31,9 +31,9 @@ type Config struct {
 	Enabled bool
 }
 
-// metric is the registry's internal storage for one key.
+// metric is the registry's internal storage for one key; the registry's
+// map holds the key.
 type metric struct {
-	key     string
 	kind    string // "counter", "gauge" or "histogram"
 	counter Counter
 	gauge   Gauge
@@ -78,7 +78,7 @@ func (r *Registry) lookup(subsystem, name, labels, kind string) *metric {
 		}
 		return m
 	}
-	m := &metric{key: k, kind: kind}
+	m := &metric{kind: kind}
 	r.metrics[k] = m
 	return m
 }

@@ -14,10 +14,6 @@ type DMAEngine struct {
 	bw       float64 // bytes/sec
 	latency  sim.Time
 	nextFree sim.Time
-
-	// Copies and BytesCopied count completed transfers.
-	Copies      uint64
-	BytesCopied uint64
 }
 
 func newDMAEngine(eng *sim.Engine, bw float64, latency sim.Time) *DMAEngine {
@@ -41,11 +37,9 @@ func (d *DMAEngine) Enqueue(n int, done func()) sim.Time {
 	return completion
 }
 
-// OnEvent completes one staged copy; arg1 is the byte count, obj the
-// caller's optional done callback.
-func (d *DMAEngine) OnEvent(_ *sim.Engine, _ sim.Handle, _ uint64, arg1 int, obj any) {
-	d.Copies++
-	d.BytesCopied += uint64(arg1)
+// OnEvent completes one staged copy; obj is the caller's optional done
+// callback.
+func (d *DMAEngine) OnEvent(_ *sim.Engine, _ sim.Handle, _ uint64, _ int, obj any) {
 	if done, ok := obj.(func()); ok && done != nil {
 		done()
 	}

@@ -23,7 +23,7 @@ func (qp *QP) PostSendUD(wrID uint64, dst Addr, mr *MR, offset, length int, imm 
 	if length > qp.ctx.MTU() {
 		panic(fmt.Sprintf("verbs: UD datagram %d exceeds MTU %d", length, qp.ctx.MTU()))
 	}
-	ms := &message{hdr: wireMsg{op: wireSendUD, imm: imm, hasImm: true}, mr: mr, offset: offset}
+	ms := &message{hdr: wireMsg{op: wireSendUD, imm: imm}, mr: mr, offset: offset}
 	wire := qp.sendMessage(dst, ms, length)
 	if signaled {
 		// The send completion is reported once the datagram has left the
@@ -56,7 +56,7 @@ func (qp *QP) PostSendReduce(wrID uint64, dst Addr, rg fabric.ReduceGroupID, chu
 	if length > qp.ctx.MTU() {
 		panic(fmt.Sprintf("verbs: reduce datagram %d exceeds MTU %d", length, qp.ctx.MTU()))
 	}
-	ms := &message{hdr: wireMsg{op: wireSendUD, imm: imm, hasImm: true}, reduce: rg, chunk: chunkID}
+	ms := &message{hdr: wireMsg{op: wireSendUD, imm: imm}, reduce: rg, chunk: chunkID}
 	wire := qp.sendMessage(Unicast(dst.Host, dst.QPN), ms, length)
 	if signaled {
 		qp.ctx.eng.AtHandler(wire, qp, wrID, length, nil)
@@ -66,7 +66,7 @@ func (qp *QP) PostSendReduce(wrID uint64, dst Addr, rg fabric.ReduceGroupID, chu
 // receiveUD matches the datagram against the receive queue. No posted
 // receive means an RNR drop — the failure mode the protocol's RNR barrier
 // plus receive-worker scaling exists to avoid (§III-C).
-func (qp *QP) receiveUD(src Addr, m *wireMsg) {
+func (qp *QP) receiveUD(m *wireMsg) {
 	w, ok := qp.popRecv()
 	if !ok {
 		qp.RNRDrops++
@@ -80,8 +80,7 @@ func (qp *QP) receiveUD(src Addr, m *wireMsg) {
 	w.mr.write(w.offset, m.data, n)
 	qp.recvCQ.Push(CQE{
 		Op: OpRecv, QPN: qp.N, WrID: w.wrID,
-		Imm: m.imm, HasImm: m.hasImm, Bytes: n,
-		SrcHost: src.Host, SrcQPN: src.QPN,
+		Imm: m.imm, Bytes: n,
 	})
 }
 
@@ -104,7 +103,7 @@ func (qp *QP) PostWriteUC(wrID uint64, mr *MR, offset, length int, rkey uint32, 
 	if !qp.connected {
 		panic("verbs: UC QP not connected")
 	}
-	hdr := wireMsg{op: wireWrite, msgID: qp.ctx.allocMsgID(), rkey: rkey, roffset: roffset, imm: imm, hasImm: true}
+	hdr := wireMsg{op: wireWrite, msgID: qp.ctx.allocMsgID(), rkey: rkey, roffset: roffset, imm: imm}
 	wire := qp.sendMessage(qp.peer, &message{hdr: hdr, mr: mr, offset: offset}, length)
 	if signaled {
 		qp.ctx.eng.AtHandler(wire, qp, wrID, length, nil)
@@ -127,9 +126,7 @@ type message struct {
 }
 
 // Segment implements fabric.Segmenter: it writes segment s into the wire
-// header pkt carries, attaching one to a packet that has none. The
-// immediate, if the message carries one, is flagged on the last segment
-// only.
+// header pkt carries, attaching one to a packet that has none.
 func (ms *message) Segment(pkt *fabric.Packet, s int) {
 	m, _ := pkt.Payload.(*wireMsg)
 	if m == nil {
@@ -140,7 +137,6 @@ func (ms *message) Segment(pkt *fabric.Packet, s int) {
 	segOff := s * ms.mtu
 	m.seg = s
 	m.roffset += segOff
-	m.hasImm = ms.hdr.hasImm && s == ms.hdr.nsegs-1
 	m.dataLen = pkt.PayloadBytes
 	if ms.mr != nil && m.dataLen > 0 {
 		m.data = ms.mr.Slice(ms.offset+segOff, m.dataLen)
@@ -279,8 +275,7 @@ func (qp *QP) receiveWrite(src Addr, m *wireMsg) {
 	}
 	qp.recvCQ.Push(CQE{
 		Op: OpRecvWriteImm, QPN: qp.N,
-		Imm: m.imm, HasImm: m.hasImm, Bytes: msgBytes(st, m),
-		SrcHost: src.Host, SrcQPN: m.srcQPN,
+		Imm: m.imm, Bytes: msgBytes(st, m),
 	})
 	if qp.Transport == RC {
 		qp.deliverRC(src, m, st)
@@ -431,7 +426,7 @@ func (qp *QP) transmitRC(p *rcPending) sim.Time {
 		hdr := wireMsg{op: wireReadReq, msgID: p.msgID, rkey: p.rkey, roffset: p.roffset, readLen: p.length}
 		return qp.sendMessage(p.dst, &message{hdr: hdr}, 16)
 	}
-	hdr := wireMsg{op: p.op, seq: p.seq, msgID: p.msgID, rkey: p.rkey, roffset: p.roffset, imm: p.imm, hasImm: true}
+	hdr := wireMsg{op: p.op, seq: p.seq, msgID: p.msgID, rkey: p.rkey, roffset: p.roffset, imm: p.imm}
 	return qp.sendMessage(p.dst, &message{hdr: hdr, mr: p.mr, offset: p.offset}, p.length)
 }
 
@@ -443,7 +438,7 @@ func (qp *QP) transmitRC(p *rcPending) sim.Time {
 func (qp *QP) armRetransmit(p *rcPending, wire sim.Time) {
 	ctx := qp.ctx
 	transfer := sim.Time(float64(p.length) / ctx.f.Config().LinkBandwidth * 2e9)
-	rto := ctx.cfg.RetransmitTimeout + transfer
+	rto := retransmitTimeout + transfer
 	rto <<= uint(p.retries) // exponential backoff
 	deadline := wire + rto
 	if now := ctx.eng.Now(); deadline < now {
@@ -457,7 +452,7 @@ func (qp *QP) retransmit(p *rcPending) {
 		return // retired (and maybe recycled) while the timer was in flight
 	}
 	p.retries++
-	if p.retries > qp.ctx.cfg.MaxRetries {
+	if p.retries > maxRetries {
 		delete(qp.ctx.pending, p.msgID)
 		qp.sendCQ.Push(CQE{Op: OpErr, QPN: qp.N, WrID: p.wrID})
 		qp.ctx.putPending(p)
@@ -529,7 +524,7 @@ func (qp *QP) receive(pkt *fabric.Packet, m *wireMsg) {
 	src := Addr{Host: pkt.Src, QPN: m.srcQPN, Group: fabric.NoGroup}
 	switch m.op {
 	case wireSendUD:
-		qp.receiveUD(src, m)
+		qp.receiveUD(m)
 	case wireWrite:
 		qp.receiveWrite(src, m)
 	case wireSendRC:
@@ -584,8 +579,7 @@ func (qp *QP) receiveSendSegment(src Addr, m *wireMsg) {
 	}
 	qp.recvCQ.Push(CQE{
 		Op: OpRecv, QPN: qp.N, WrID: w.wrID,
-		Imm: m.imm, HasImm: m.hasImm, Bytes: n,
-		SrcHost: src.Host, SrcQPN: m.srcQPN,
+		Imm: m.imm, Bytes: n,
 	})
 	qp.deliverRC(src, m, st)
 }

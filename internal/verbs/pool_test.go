@@ -141,8 +141,9 @@ func TestWarmRCWriteAllocsPerPacket(t *testing.T) {
 }
 
 // TestRCRecycledStateUnderLoss drives the RC state free lists and the
-// receive window hard: a 1 µs RTO at 10% drops makes every request
-// retransmit and acks race their timers, 5 µs of reorder jitter lands later
+// receive window hard: 250 µs of extra latency on the target's uplink, past
+// the 200 µs RTO, makes every request retransmit and acks race their
+// timers, 10% drops add more, 5 µs of reorder jitter lands later
 // sequence numbers first, and writes, two-sided sends and reads are posted at
 // random times over each other's retirements. Each work request must
 // complete exactly once with its own op and byte count, on both ends, with
@@ -153,7 +154,8 @@ func TestWarmRCWriteAllocsPerPacket(t *testing.T) {
 // nothing; at quiescence each window is empty, its base past every write
 // and send, and no QP holds a map entry.
 func TestRCRecycledStateUnderLoss(t *testing.T) {
-	eng, _, a, b := pair(t, fabric.Config{DropRate: 0.10, ReorderJitter: 5 * sim.Microsecond}, Config{RetransmitTimeout: sim.Microsecond})
+	eng, f, a, b := pair(t, fabric.Config{DropRate: 0.10, ReorderJitter: 5 * sim.Microsecond}, Config{})
+	f.SetExtraLatency(uplink(f, b.Host), 250*sim.Microsecond)
 	cqA, cqB := &CQ{}, &CQ{}
 	qpA := a.NewQP(RC, cqA, cqA, 0)
 	qpB := b.NewQP(RC, cqB, cqB, 0)
@@ -306,7 +308,7 @@ func TestRCReceiveStateBounded(t *testing.T) {
 // describes and returns the receiver's window size in slots and the
 // sender's peak outstanding messages.
 func rcWindowAfter(t *testing.T, msgs int) (slots, peak int) {
-	eng, _, a, b := pair(t, fabric.Config{DropRate: 0.01, ReorderJitter: 5 * sim.Microsecond}, Config{RetransmitTimeout: 20 * sim.Microsecond})
+	eng, _, a, b := pair(t, fabric.Config{DropRate: 0.01, ReorderJitter: 5 * sim.Microsecond}, Config{})
 	cqA, cqB := &CQ{}, &CQ{}
 	qpA := a.NewQP(RC, cqA, cqA, 0)
 	qpB := b.NewQP(RC, cqB, cqB, 0)
@@ -346,6 +348,9 @@ func rcWindowAfter(t *testing.T, msgs int) (slots, peak int) {
 	if oldest != msgs || cqB.Len() != msgs || qpB.window.base != uint32(msgs) || qpB.window.slots.len() != 0 {
 		t.Fatalf("%d messages: %d acked, %d delivered, window base %d with %d slots held",
 			msgs, oldest, cqB.Len(), qpB.window.base, qpB.window.slots.len())
+	}
+	if qpA.Retransmits == 0 {
+		t.Fatalf("test premise broken: %d messages under loss and no retransmission", msgs)
 	}
 	return len(qpB.window.slots.buf), peak
 }

@@ -152,7 +152,7 @@ func TestRunEncodedRQMatchesSliceModel(t *testing.T) {
 			}
 			k := rng.Intn(10)
 			if k < recvBias && len(model) == 0 {
-				qp.receiveUD(Addr{}, &wireMsg{})
+				qp.receiveUD(&wireMsg{})
 				if drops++; qp.RNRDrops != drops || cq.Len() != 0 {
 					t.Fatalf("seed %d step %d: RNR drops %d CQ %d, want %d and empty", seed, step, qp.RNRDrops, cq.Len(), drops)
 				}

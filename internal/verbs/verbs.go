@@ -107,14 +107,11 @@ func (o Opcode) String() string {
 
 // CQE is a completion queue entry.
 type CQE struct {
-	Op      Opcode
-	QPN     QPN    // local QP the completion belongs to
-	WrID    uint64 // work-request ID supplied at post time (local ops + recv)
-	Imm     uint32 // immediate data (PSN channel for the protocol)
-	HasImm  bool
-	Bytes   int             // payload bytes transferred
-	SrcHost topology.NodeID // peer host (receives)
-	SrcQPN  QPN             // peer QP (receives)
+	Op    Opcode
+	QPN   QPN    // local QP the completion belongs to
+	WrID  uint64 // work-request ID supplied at post time (local ops + recv)
+	Imm   uint32 // immediate data (PSN channel for the protocol)
+	Bytes int    // payload bytes transferred
 }
 
 // CQ is a completion queue: a ring that receives entries in completion
@@ -125,14 +122,11 @@ type CQ struct {
 	// Armed, when set, fires once on the next completion and is then
 	// cleared — the event-driven activation model of DOCA FlexIO (§II-C).
 	Armed func()
-	// Produced counts all CQEs ever pushed, for rate measurements.
-	Produced uint64
 }
 
 // Push appends a completion. Protocol code never calls this directly.
 func (cq *CQ) Push(e CQE) {
 	cq.entries.push(e)
-	cq.Produced++
 	if cq.Armed != nil {
 		fn := cq.Armed
 		cq.Armed = nil
@@ -248,10 +242,6 @@ type rqRun struct {
 type Config struct {
 	// RQDepth is the default receive queue capacity (BlueField-3: 8192).
 	RQDepth int
-	// RetransmitTimeout is the RC retransmission RTO base.
-	RetransmitTimeout sim.Time
-	// MaxRetries bounds RC retransmission attempts before an OpErr CQE.
-	MaxRetries int
 	// Metrics, when set, receives transport telemetry: RC completion
 	// latency histograms live, drop/retransmit counters at collection
 	// time. Set on a cluster's config, it is the run's one recorder, read
@@ -264,16 +254,15 @@ func (c Config) withDefaults() Config {
 	if c.RQDepth == 0 {
 		c.RQDepth = 8192
 	}
-	if c.RetransmitTimeout == 0 {
-		c.RetransmitTimeout = 200 * sim.Microsecond
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 16
-	}
 	return c
 }
 
 const (
+	// retransmitTimeout is the RC retransmission RTO base.
+	retransmitTimeout = 200 * sim.Microsecond
+	// maxRetries bounds RC retransmission attempts before an OpErr CQE.
+	maxRetries = 16
+
 	// dmaBandwidth is the staging-copy engine bandwidth in bytes/s
 	// (PCIe 4.0 x16 ≈ 32e9).
 	dmaBandwidth = 32e9
@@ -539,7 +528,6 @@ type wireMsg struct {
 	rkey    uint32 // target MR for writes / read source
 	roffset int    // target offset for writes / read source offset
 	imm     uint32
-	hasImm  bool
 	data    []byte // nil in metadata-only mode
 	dataLen int
 	readLen int // read request: bytes wanted

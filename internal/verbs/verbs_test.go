@@ -21,6 +21,15 @@ func pair(t *testing.T, cfg fabric.Config, vcfg Config) (*sim.Engine, *fabric.Fa
 	return eng, f, NewContext(f, hosts[0], vcfg), NewContext(f, hosts[1], vcfg)
 }
 
+// uplink returns the channel from host h up to its switch.
+func uplink(f *fabric.Fabric, h topology.NodeID) fabric.ChannelID {
+	for id := fabric.ChannelID(0); ; id++ {
+		if from, _ := f.ChannelEnds(id); from == h {
+			return id
+		}
+	}
+}
+
 func fill(n int, seed byte) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -47,11 +56,8 @@ func TestUDSendRecvData(t *testing.T) {
 	if !ok {
 		t.Fatal("no receive completion")
 	}
-	if e.Op != OpRecv || e.Imm != 0xCAFE || !e.HasImm || e.Bytes != 1000 || e.WrID != 7 {
+	if e.Op != OpRecv || e.Imm != 0xCAFE || e.Bytes != 1000 || e.WrID != 7 {
 		t.Fatalf("bad CQE: %+v", e)
-	}
-	if e.SrcHost != a.Host || e.SrcQPN != qpA.N {
-		t.Fatalf("bad source in CQE: %+v", e)
 	}
 	if !bytes.Equal(dst.Data, src.Data) {
 		t.Fatal("payload corrupted in flight")
@@ -97,16 +103,16 @@ func TestUDRNRDrop(t *testing.T) {
 }
 
 func TestUDOversizePanics(t *testing.T) {
-	_, _, a, b := pair(t, fabric.Config{MTU: 1024}, Config{})
+	_, _, a, b := pair(t, fabric.Config{}, Config{})
 	cq := &CQ{}
 	qp := a.NewQP(UD, cq, cq, 0)
-	mr := a.RegisterMR(4096)
+	mr := a.RegisterMR(4 * 4096)
 	defer func() {
 		if recover() == nil {
 			t.Error("oversized UD send did not panic")
 		}
 	}()
-	qp.PostSendUD(0, Unicast(b.Host, 1), mr, 0, 2048, 0, false)
+	qp.PostSendUD(0, Unicast(b.Host, 1), mr, 0, 2*4096, 0, false)
 }
 
 func TestUDTruncatesToPostedBuffer(t *testing.T) {
@@ -404,7 +410,7 @@ func TestRCSendRecvTwoSided(t *testing.T) {
 }
 
 func TestRCSendRetriesUntilReceivePosted(t *testing.T) {
-	eng, _, a, b := pair(t, fabric.Config{}, Config{RetransmitTimeout: 50 * sim.Microsecond})
+	eng, _, a, b := pair(t, fabric.Config{}, Config{})
 	cqA, cqB := &CQ{}, &CQ{}
 	qpA := a.NewQP(RC, cqA, cqA, 0)
 	qpB := b.NewQP(RC, cqB, cqB, 0)
@@ -414,7 +420,8 @@ func TestRCSendRetriesUntilReceivePosted(t *testing.T) {
 	src := a.RegisterMR(100)
 	dst := b.RegisterMR(100)
 	qpA.PostSendRC(0, src, 0, 100, 0, true)
-	// Post the receive only after 300 µs of virtual time.
+	// Post the receive only after 300 µs of virtual time, past the first
+	// 200 µs retransmission.
 	eng.AfterHandler(300*sim.Microsecond, call(func() { qpB.PostRecv(0, dst, 0, 100) }), 0, 0, nil)
 	eng.Run()
 	if cqB.Len() != 1 {
@@ -429,8 +436,8 @@ func TestRCSendRetriesUntilReceivePosted(t *testing.T) {
 }
 
 func TestRCErrAfterMaxRetries(t *testing.T) {
-	eng, _, a, b := pair(t, fabric.Config{DropRate: 1.0},
-		Config{RetransmitTimeout: 10 * sim.Microsecond, MaxRetries: 3})
+	eng, f, a, b := pair(t, fabric.Config{}, Config{})
+	f.SetDropRate(uplink(f, a.Host), 1)
 	cqA := &CQ{}
 	qpA := a.NewQP(RC, cqA, cqA, 0)
 	qpB := b.NewQP(RC, &CQ{}, &CQ{}, 0)
@@ -443,8 +450,8 @@ func TestRCErrAfterMaxRetries(t *testing.T) {
 	if !ok || e.Op != OpErr {
 		t.Fatalf("expected OpErr after retry exhaustion, got %+v ok=%v", e, ok)
 	}
-	if qpA.Retransmits != 3 {
-		t.Fatalf("retransmits = %d, want 3", qpA.Retransmits)
+	if qpA.Retransmits != maxRetries {
+		t.Fatalf("retransmits = %d, want %d", qpA.Retransmits, maxRetries)
 	}
 }
 
@@ -457,8 +464,8 @@ func TestCQArmedFiresOnce(t *testing.T) {
 	if fires != 1 {
 		t.Fatalf("armed handler fired %d times, want 1", fires)
 	}
-	if cq.Produced != 2 || cq.Len() != 2 {
-		t.Fatalf("counters wrong: produced=%d len=%d", cq.Produced, cq.Len())
+	if cq.Len() != 2 {
+		t.Fatalf("%d completions queued, want 2", cq.Len())
 	}
 }
 
@@ -581,9 +588,6 @@ func TestDMAEngineOrderingAndLatency(t *testing.T) {
 	if done[1] != 3548 {
 		t.Fatalf("second copy at %v, want 3548ns", done[1])
 	}
-	if d.Copies != 2 || d.BytesCopied != 65536 {
-		t.Fatalf("counters: %d copies %d bytes", d.Copies, d.BytesCopied)
-	}
 }
 
 func TestDMAQuiesced(t *testing.T) {
@@ -636,10 +640,11 @@ func TestRCNoDuplicateDeliveryWhenAckRacesRTO(t *testing.T) {
 	// A retransmission of an already-delivered message (its ack still in
 	// flight or lost) must be re-acked, never re-delivered: duplicated
 	// write-imm CQEs would corrupt chunk accounting in the protocols.
-	// 200 µs of propagation per hop: the ack cannot return before the
-	// retransmission timer (1 µs base + 2x transfer time) fires.
-	eng, _, a, b := pair(t, fabric.Config{LinkLatency: 200 * sim.Microsecond},
-		Config{RetransmitTimeout: 1 * sim.Microsecond})
+	// 400 µs of extra latency on the receiver's uplink: the ack cannot
+	// return before the retransmission timer (200 µs base + 2x transfer
+	// time) fires.
+	eng, f, a, b := pair(t, fabric.Config{}, Config{})
+	f.SetExtraLatency(uplink(f, b.Host), 400*sim.Microsecond)
 	cqA, cqB := &CQ{}, &CQ{}
 	qpA := a.NewQP(RC, cqA, cqA, 0)
 	qpB := b.NewQP(RC, cqB, cqB, 0)
@@ -650,7 +655,7 @@ func TestRCNoDuplicateDeliveryWhenAckRacesRTO(t *testing.T) {
 	qpA.PostWriteRC(1, src, 0, 1<<20, dst.Key, 0, 7, true)
 	eng.Run()
 	if qpA.Retransmits == 0 {
-		t.Fatal("test premise broken: no retransmissions with a 1µs RTO")
+		t.Fatal("test premise broken: no retransmissions with the ack held past the RTO")
 	}
 	recvs := 0
 	for {

@@ -41,28 +41,8 @@ func TestManifestFieldsHaveCallers(t *testing.T) {
 	declared := map[string]bool{}
 	jsonFields(reflect.TypeOf(manifest.Manifest{}), "", declared)
 
-	paths, err := filepath.Glob(filepath.Join("manifests", "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bench, err := filepath.Glob(filepath.Join("bench", "workloads", "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths = append(paths, bench...)
-	if len(paths) == 0 {
-		t.Fatal("no manifests found")
-	}
 	set := map[string]bool{}
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc any
-		if err := json.Unmarshal(b, &doc); err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
+	for _, doc := range checkedInManifests(t) {
 		setFields(doc, "", set)
 	}
 
@@ -84,6 +64,35 @@ func TestManifestFieldsHaveCallers(t *testing.T) {
 			t.Errorf("allowlist entry %s is set by a checked-in manifest now; remove the entry", f)
 		}
 	}
+}
+
+// checkedInManifests decodes every manifest under manifests/ and the
+// ledger's bench/workloads/.
+func checkedInManifests(t *testing.T) []any {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("manifests", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench, err := filepath.Glob(filepath.Join("bench", "workloads", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths = append(paths, bench...)
+	if len(paths) == 0 {
+		t.Fatal("no manifests found")
+	}
+	docs := make([]any, len(paths))
+	for i, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(b, &docs[i]); err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+	}
+	return docs
 }
 
 // jsonFields adds the dotted JSON path of every field reachable from t to

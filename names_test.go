@@ -47,35 +47,7 @@ var callerAllowlist = map[string]string{
 // TestInternalNamesHaveCallers fails on every exported name in internal/
 // that no non-test file references and no allowlist entry covers.
 func TestInternalNamesHaveCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	type file struct {
-		f        *ast.File
-		internal bool
-	}
-	var files []file
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") || n == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, file{f, strings.HasPrefix(filepath.ToSlash(path), "internal/")})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fset, files := parseModule(t)
 
 	// Declarations: each exported internal/ name by key, whether it is a
 	// method or field, and every declaring identifier, which is no
@@ -187,6 +159,46 @@ func TestInternalNamesHaveCallers(t *testing.T) {
 			t.Errorf("allowlist entry %s names no exported declaration", key)
 		}
 	}
+}
+
+// moduleFile is one parsed non-test Go file of the module.
+type moduleFile struct {
+	f        *ast.File
+	dir      string // slash-separated directory, the package's identity
+	internal bool   // under internal/
+}
+
+// parseModule parses every non-test Go file of the module, skipping
+// hidden, underscore and testdata directories.
+func parseModule(t *testing.T) (*token.FileSet, []moduleFile) {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []moduleFile
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); path != "." && (strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") || n == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		slash := filepath.ToSlash(path)
+		files = append(files, moduleFile{f, filepath.ToSlash(filepath.Dir(path)), strings.HasPrefix(slash, "internal/")})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, files
 }
 
 // hasPrefix reports whether some key of m starts with prefix.

@@ -41,7 +41,7 @@ func TestScenarioFacade(t *testing.T) {
 		if res == nil {
 			t.Fatalf("allgather under %q did not complete", name)
 		}
-		if name != "quiet" && act.Stats().BackgroundPackets == 0 {
+		if name != "quiet" && act.Stats().BackgroundBytes == 0 {
 			t.Fatalf("%q injected no background traffic", name)
 		}
 		return int64(res.Duration())

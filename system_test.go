@@ -139,13 +139,13 @@ func TestSystemTelemetry(t *testing.T) {
 func TestSystemFabricConfigPropagates(t *testing.T) {
 	sys, err := NewSystem(SystemConfig{
 		Hosts:  4,
-		Fabric: fabric.Config{LinkBandwidth: 12.5e9, MTU: 2048},
+		Fabric: fabric.Config{LinkBandwidth: 12.5e9, ReorderJitter: 300},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := sys.Fabric.Config()
-	if cfg.LinkBandwidth != 12.5e9 || cfg.MTU != 2048 {
+	if cfg.LinkBandwidth != 12.5e9 || cfg.ReorderJitter != 300 {
 		t.Fatalf("fabric config lost: %+v", cfg)
 	}
 }
