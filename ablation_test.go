@@ -1,9 +1,8 @@
 package repro
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
-// doorbell batch size, the degree of packet parallelism (subgroups),
-// multicast parallelism (chains), staging (UD) vs zero-copy (UC) fast
-// paths, slow-path cost under increasing fabric loss, and dedicated vs
+// Ablation benchmarks for the design choices the paper calls out: the
+// degree of packet parallelism (subgroups), multicast parallelism
+// (chains), slow-path cost under increasing fabric loss, and dedicated vs
 // arbitrated receive workers. Each reports the effect through
 // b.ReportMetric so `go test -bench=Ablation` prints the whole study.
 
@@ -16,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/sim"
-	"repro/internal/verbs"
 )
 
 // runAG builds a fresh 16-rank system and times one Allgather.
@@ -37,22 +35,6 @@ func runAG(b *testing.B, fcfg fabric.Config, ccfg core.Config, n int) (*core.Res
 	return res, sys
 }
 
-// BenchmarkAblationSendBatch sweeps the doorbell batch size (§V-A): tiny
-// batches stall the send path on completion round trips.
-func BenchmarkAblationSendBatch(b *testing.B) {
-	for _, batch := range []int{1, 8, 32, 128} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			var bw float64
-			for i := 0; i < b.N; i++ {
-				res, _ := runAG(b, fabric.Config{},
-					core.Config{Transport: verbs.UD, SendBatch: batch}, 1<<20)
-				bw = res.AlgBandwidth() / (1 << 30)
-			}
-			b.ReportMetric(bw, "GiB/s")
-		})
-	}
-}
-
 // BenchmarkAblationSubgroups sweeps packet parallelism (§IV-C): one
 // CPU receive worker cannot drain the link; more trees add workers.
 func BenchmarkAblationSubgroups(b *testing.B) {
@@ -61,7 +43,7 @@ func BenchmarkAblationSubgroups(b *testing.B) {
 			var bw float64
 			for i := 0; i < b.N; i++ {
 				res, _ := runAG(b, fabric.Config{},
-					core.Config{Transport: verbs.UD, Subgroups: s}, 1<<20)
+					core.Config{Subgroups: s}, 1<<20)
 				bw = res.AlgBandwidth() / (1 << 30)
 			}
 			b.ReportMetric(bw, "GiB/s")
@@ -78,34 +60,10 @@ func BenchmarkAblationChains(b *testing.B) {
 			var dur sim.Time
 			for i := 0; i < b.N; i++ {
 				res, _ := runAG(b, fabric.Config{},
-					core.Config{Transport: verbs.UD, Chains: m, Subgroups: 4}, 1<<20)
+					core.Config{Chains: m, Subgroups: 4}, 1<<20)
 				dur = res.Duration()
 			}
 			b.ReportMetric(dur.Micros(), "µs-op")
-		})
-	}
-}
-
-// BenchmarkAblationTransport compares the UD staging fast path against the
-// UC zero-copy extension at equal chunk sizes and with UC multi-packet
-// chunks (§V-B).
-func BenchmarkAblationTransport(b *testing.B) {
-	cases := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"UD-4KiB-staging", core.Config{Transport: verbs.UD, Subgroups: 4}},
-		{"UC-4KiB-zerocopy", core.Config{Transport: verbs.UC, Subgroups: 4}},
-		{"UC-64KiB-multipacket", core.Config{Transport: verbs.UC, Subgroups: 4, ChunkBytes: 64 << 10}},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			var bw float64
-			for i := 0; i < b.N; i++ {
-				res, _ := runAG(b, fabric.Config{}, c.cfg, 1<<20)
-				bw = res.AlgBandwidth() / (1 << 30)
-			}
-			b.ReportMetric(bw, "GiB/s")
 		})
 	}
 }
@@ -119,7 +77,7 @@ func BenchmarkAblationLossRate(b *testing.B) {
 			var recovered int
 			for i := 0; i < b.N; i++ {
 				res, _ := runAG(b, fabric.Config{DropRate: drop},
-					core.Config{Transport: verbs.UD, CutoffAlpha: 100 * sim.Microsecond}, 1<<20)
+					core.Config{CutoffAlpha: 100 * sim.Microsecond}, 1<<20)
 				dur = res.Duration()
 				recovered = res.MaxRecovered()
 			}
@@ -137,7 +95,7 @@ func BenchmarkAblationArbitration(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := core.Config{Transport: verbs.UD, Subgroups: 2, ArbitratedRx: arbitrated}
+		cfg := core.Config{Subgroups: 2, ArbitratedRx: arbitrated}
 		c1, err := sys.NewCommunicator(sys.Hosts(), cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -176,7 +134,7 @@ func BenchmarkAblationBaselines(b *testing.B) {
 	// The multicast protocol gets the paper's 4 parallel trees; the P2P
 	// baselines run with library defaults.
 	opts := map[string]AlgorithmOptions{
-		"mcast-allgather": {Core: core.Config{Transport: verbs.UD, Subgroups: 4}},
+		"mcast-allgather": {Core: core.Config{Subgroups: 4}},
 	}
 	for _, name := range []string{"mcast-allgather", "ring-allgather", "linear-allgather", "rd-allgather", "bruck-allgather"} {
 		b.Run(name, func(b *testing.B) {
@@ -225,7 +183,7 @@ func BenchmarkParallelSimulations(b *testing.B) {
 						b.Error(err)
 						return
 					}
-					comm, err := sys.NewCommunicator(sys.Hosts(), core.Config{Transport: verbs.UD})
+					comm, err := sys.NewCommunicator(sys.Hosts(), core.Config{})
 					if err != nil {
 						b.Error(err)
 						return

@@ -10,7 +10,6 @@ import (
 
 	"repro"
 	"repro/internal/core"
-	"repro/internal/verbs"
 )
 
 const ranks = 16
@@ -51,7 +50,7 @@ func run(msg int) (*outcome, error) {
 	// The paper's protocol from the registry: UD multicast fast path, 4
 	// parallel trees, real data so we can verify the result.
 	mcast, err := repro.NewAlgorithm(sys, "mcast-allgather", repro.AlgorithmOptions{
-		Core: core.Config{Transport: verbs.UD, Subgroups: 4, VerifyData: true},
+		Core: core.Config{Subgroups: 4, VerifyData: true},
 	})
 	if err != nil {
 		return nil, err

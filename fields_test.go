@@ -29,7 +29,7 @@ var readerAllowlist = map[string]string{
 	"collective.Result": "encoded untagged into sweep records and reports, so encoding/json reads every field",
 
 	// Map keys: the map compares the whole struct.
-	"verbs.assemblyKey": "map key of the UC/RC assembly table; the map hashes and compares every field",
+	"verbs.assemblyKey": "map key of the UC assembly table; the map hashes and compares every field",
 
 	// Pool accounting that export_test.go's Outstanding reads.
 	"fabric.packetPool.made":   "pool accounting: export_test.go's Outstanding subtracts the free list from it, and the pool tests check it for leaks",
@@ -43,10 +43,8 @@ var readerAllowlist = map[string]string{
 // outside the type's own methods, each with the reason the knob stays.
 var setterAllowlist = map[string]string{
 	"core.Config.RQDepth":      "the only way tests force the RNR drops that records report",
-	"core.Config.SendBatch":    "ablation_test's §V-A doorbell-batching study",
 	"core.Config.ArbitratedRx": "the §V-C software traffic arbitration of receive queues",
 	"core.Config.RxOnDPA":      "the receive path offloaded to the DPA",
-	"core.Config.ChunkBytes":   "with the UC transport, Figure 15's zero-copy receive path",
 }
 
 // structDecl is one struct type declared in a non-test internal/ file.
@@ -318,4 +316,6 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 			t.Errorf("allowlist entry %s names no Config or Options field", key)
 		}
 	}
+	// CI's Code size step reads this line into the run summary.
+	t.Logf("config fields only tests set: %d", len(setterAllowlist))
 }

@@ -55,7 +55,7 @@ func (c *Communicator) startOp(kind opKind, root, n int, done func(*Result)) err
 	}
 	seq := c.nextSeq()
 	p := c.Size()
-	chunk := c.cfg.ChunkBytes
+	chunk := c.chunk
 	cpr := (n + chunk - 1) / chunk
 	total := cpr
 	roots := 1
@@ -116,10 +116,10 @@ func (c *Communicator) startOp(kind opKind, root, n int, done func(*Result)) err
 		t := r.appThread.Run(dpa.TaskDispatch, c.eng.Now())
 		r.eng.AtHandler(t, r, 0, 0, nil)
 	}
-	// Both the UC fast path and the recovery fetch ring rely on symmetric
-	// rkeys for the receive buffers (registration order is identical on
-	// every rank, as the registration cache of a real deployment would
-	// guarantee via an out-of-band exchange).
+	// The recovery fetch ring relies on symmetric rkeys for the receive
+	// buffers (registration order is identical on every rank, as the
+	// registration cache of a real deployment would guarantee via an
+	// out-of-band exchange).
 	key := c.ranks[0].op.recvMR.Key
 	for _, r := range c.ranks[1:] {
 		if r.op.recvMR.Key != key {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/verbs"
 )
 
 // TestAppendixASchedule verifies the broadcast-sequencer schedule: with M
@@ -18,7 +17,7 @@ import (
 func TestAppendixASchedule(t *testing.T) {
 	const p, m = 8, 2
 	r0 := p / m // ranks per chain
-	_, _, comm := buildComm(t, p, fabric.Config{}, Config{Transport: verbs.UD, Chains: m})
+	_, _, comm := buildComm(t, p, fabric.Config{}, Config{Chains: m})
 	if _, err := runAllgather(comm, 1<<20); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func TestConstantSendBandwidth(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := fabric.New(eng, g, fabric.Config{})
-		comm, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD})
+		comm, err := newComm(f, g.Hosts(), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +92,7 @@ func TestConstantTimeBroadcast(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := fabric.New(eng, g, fabric.Config{})
-		comm, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD})
+		comm, err := newComm(f, g.Hosts(), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +122,7 @@ func TestRingSendBandwidthGrowsLinearly(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := fabric.New(eng, g, fabric.Config{})
-		comm, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD})
+		comm, err := newComm(f, g.Hosts(), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +148,7 @@ func TestFig9ExecutionFlow(t *testing.T) {
 	eng := sim.NewEngine(11)
 	g := topology.Star(4)
 	f := fabric.New(eng, g, fabric.Config{})
-	comm, err := tracedComm(f, g.Hosts(), Config{Transport: verbs.UD}, reg)
+	comm, err := tracedComm(f, g.Hosts(), Config{}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +196,7 @@ func TestTraceRecordsRecovery(t *testing.T) {
 	g := topology.Star(4)
 	f := fabric.New(eng, g, fabric.Config{DropRate: 0.05})
 	comm, err := tracedComm(f, g.Hosts(), Config{
-		Transport: verbs.UD, VerifyData: true,
+		VerifyData:  true,
 		CutoffAlpha: 50 * sim.Microsecond,
 	}, reg)
 	if err != nil {
@@ -231,7 +230,7 @@ func TestBarrierScalesLogarithmically(t *testing.T) {
 		eng := sim.NewEngine(2)
 		g := topology.Star(p)
 		f := fabric.New(eng, g, fabric.Config{})
-		comm, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD})
+		comm, err := newComm(f, g.Hosts(), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +262,7 @@ func TestSequencerLimitsIncast(t *testing.T) {
 		g := topology.Star(16)
 		f := fabric.New(eng, g, fabric.Config{})
 		comm, err := newComm(f, g.Hosts(), Config{
-			Transport: verbs.UD, Chains: chains, Subgroups: 4,
+			Chains: chains, Subgroups: 4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -279,17 +278,6 @@ func TestSequencerLimitsIncast(t *testing.T) {
 	}
 }
 
-func TestBroadcastUCTransport(t *testing.T) {
-	_, _, comm := buildComm(t, 4, fabric.Config{},
-		Config{Transport: verbs.UC, ChunkBytes: 32 << 10, VerifyData: true})
-	if _, err := runBroadcast(comm, 1, 200000); err != nil {
-		t.Fatal(err)
-	}
-	if err := comm.VerifyLast(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSubgroupTreesSpreadAcrossSpines(t *testing.T) {
 	// Packet parallelism maps subgroup trees to distinct spine roots, so
 	// trunk traffic spreads: with 2 spines and 2 subgroups, both spines
@@ -300,7 +288,7 @@ func TestSubgroupTreesSpreadAcrossSpines(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := fabric.New(eng, g, fabric.Config{})
-	comm, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD, Subgroups: 2})
+	comm, err := newComm(f, g.Hosts(), Config{Subgroups: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@
 // The protocol is a faithful state-machine port of the paper's design:
 //
 //   - Fast path: the root fragments its send buffer into chunks and posts
-//     multicast sends; each chunk's packet sequence number (PSN) rides the
-//     32-bit CQE immediate. Leaves reassemble through a staging ring (UD)
-//     or zero-copy placement (UC extension), tracking arrivals in a bitmap.
+//     UD multicast sends, one MTU-sized datagram per chunk; each chunk's
+//     packet sequence number (PSN) rides the 32-bit CQE immediate. Leaves
+//     reassemble through a staging ring, tracking arrivals in a bitmap.
 //   - RNR synchronization: all ranks pre-post their receive queues and run
 //     a dissemination barrier before any root transmits, eliminating
 //     receiver-not-ready drops.
@@ -43,12 +43,9 @@ import (
 	"repro/internal/verbs"
 )
 
-// Config parameterizes a communicator.
+// Config parameterizes a communicator. The fast path is UD multicast, the
+// only transport with hardware multicast: a chunk is one MTU datagram.
 type Config struct {
-	// Transport selects the fast path: verbs.UD (staging + per-datagram
-	// chunks) or verbs.UC (zero-copy multi-packet chunks, the proposed
-	// next-generation extension). RC is not a valid fast path.
-	Transport verbs.Transport
 	// Subgroups is the number of parallel multicast trees (packet
 	// parallelism, §IV-C). Zero defaults to 1.
 	Subgroups int
@@ -56,13 +53,6 @@ type Config struct {
 	// schedule (multicast parallelism, Appendix A). Zero defaults to 1 —
 	// one actively multicasting root, as in the paper's 188-node runs.
 	Chains int
-	// ChunkBytes is the fragmentation unit. For UD it is capped at the
-	// MTU; UC may use multi-packet chunks (Figure 15). Zero defaults to
-	// the fabric MTU.
-	ChunkBytes int
-	// SendBatch is the number of multicast sends posted per doorbell batch;
-	// only the last send of a batch is signaled (§V-A). Zero defaults 32.
-	SendBatch int
 	// RQDepth bounds posted receives per subgroup QP (BlueField-3: 8192).
 	RQDepth int
 	// CutoffAlpha is the slack added to the receive cutoff timer beyond the
@@ -76,25 +66,23 @@ type Config struct {
 	// a host from that host's shared worker s (cluster.Node.RxArbiters),
 	// round-robin, instead of one dedicated worker thread per subgroup per
 	// communicator — the software traffic arbitration of §V-C. Communicators
-	// sharing a host must agree on Subgroups, transport and RxOnDPA.
+	// sharing a host must agree on Subgroups and RxOnDPA.
 	ArbitratedRx bool
 	// VerifyData allocates real backing memory for all buffers so tests
 	// can check payload integrity end to end.
 	VerifyData bool
 }
 
-func (c Config) withDefaults(mtu int) Config {
+// sendBatch is the number of multicast sends posted per doorbell batch;
+// only the last send of a batch is signaled (§V-A).
+const sendBatch = 32
+
+func (c Config) withDefaults() Config {
 	if c.Subgroups == 0 {
 		c.Subgroups = 1
 	}
 	if c.Chains == 0 {
 		c.Chains = 1
-	}
-	if c.ChunkBytes == 0 {
-		c.ChunkBytes = mtu
-	}
-	if c.SendBatch == 0 {
-		c.SendBatch = 32
 	}
 	if c.RQDepth == 0 {
 		c.RQDepth = 8192
@@ -105,20 +93,7 @@ func (c Config) withDefaults(mtu int) Config {
 	return c
 }
 
-func (c Config) validate(mtu int) error {
-	switch c.Transport {
-	case verbs.UD:
-		if c.ChunkBytes > mtu {
-			return fmt.Errorf("core: UD chunk %d exceeds MTU %d", c.ChunkBytes, mtu)
-		}
-	case verbs.UC:
-		// multi-packet chunks allowed
-	default:
-		return fmt.Errorf("core: transport %v is not a valid fast path", c.Transport)
-	}
-	if c.ChunkBytes <= 0 {
-		return fmt.Errorf("core: non-positive chunk size")
-	}
+func (c Config) validate() error {
 	if c.Subgroups < 1 || c.Chains < 1 {
 		return fmt.Errorf("core: subgroups and chains must be >= 1")
 	}
@@ -130,6 +105,7 @@ func (c Config) validate(mtu int) error {
 // bound to the multicast backend.
 type Communicator struct {
 	cfg    Config
+	chunk  int // fragmentation unit: the fabric MTU
 	f      *fabric.Fabric
 	cl     *cluster.Cluster
 	eng    *sim.Engine
@@ -151,14 +127,14 @@ type Communicator struct {
 // replication load.
 func NewCommunicatorOn(cl *cluster.Cluster, hosts []topology.NodeID, cfg Config) (*Communicator, error) {
 	f := cl.Fabric()
-	cfg = cfg.withDefaults(f.MaxPayload())
-	if err := cfg.validate(f.MaxPayload()); err != nil {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if len(hosts) < 1 {
 		return nil, fmt.Errorf("core: communicator needs at least one rank")
 	}
-	c := &Communicator{cfg: cfg, f: f, cl: cl, eng: f.Engine(), reg: cl.Metrics()}
+	c := &Communicator{cfg: cfg, chunk: f.MaxPayload(), f: f, cl: cl, eng: f.Engine(), reg: cl.Metrics()}
 
 	// Pick multicast roots among the highest-level switches, round-robin.
 	g := f.Graph()

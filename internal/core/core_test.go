@@ -59,7 +59,7 @@ func buildComm(t *testing.T, p int, fcfg fabric.Config, ccfg Config) (*sim.Engin
 }
 
 func TestBroadcastUDVerified(t *testing.T) {
-	_, _, comm := buildComm(t, 4, fabric.Config{}, Config{Transport: verbs.UD, VerifyData: true})
+	_, _, comm := buildComm(t, 4, fabric.Config{}, Config{VerifyData: true})
 	res, err := runBroadcast(comm, 0, 50000) // 13 chunks, last short
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestBroadcastUDVerified(t *testing.T) {
 }
 
 func TestBroadcastNonZeroRoot(t *testing.T) {
-	_, _, comm := buildComm(t, 4, fabric.Config{}, Config{Transport: verbs.UD, VerifyData: true})
+	_, _, comm := buildComm(t, 4, fabric.Config{}, Config{VerifyData: true})
 	if _, err := runBroadcast(comm, 2, 12345); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestBroadcastNonZeroRoot(t *testing.T) {
 }
 
 func TestBroadcastRootOutOfRange(t *testing.T) {
-	_, _, comm := buildComm(t, 3, fabric.Config{}, Config{Transport: verbs.UD})
+	_, _, comm := buildComm(t, 3, fabric.Config{}, Config{})
 	if err := comm.StartBroadcast(3, 100, nil); err == nil {
 		t.Fatal("root 3 of 3 accepted")
 	}
@@ -99,7 +99,7 @@ func TestBroadcastRootOutOfRange(t *testing.T) {
 }
 
 func TestAllgatherUDVerified(t *testing.T) {
-	_, _, comm := buildComm(t, 4, fabric.Config{}, Config{Transport: verbs.UD, VerifyData: true})
+	_, _, comm := buildComm(t, 4, fabric.Config{}, Config{VerifyData: true})
 	res, err := runAllgather(comm, 20000)
 	if err != nil {
 		t.Fatal(err)
@@ -117,20 +117,9 @@ func TestAllgatherUDVerified(t *testing.T) {
 	}
 }
 
-func TestAllgatherUCVerified(t *testing.T) {
-	_, _, comm := buildComm(t, 4, fabric.Config{},
-		Config{Transport: verbs.UC, ChunkBytes: 16384, VerifyData: true})
-	if _, err := runAllgather(comm, 100000); err != nil {
-		t.Fatal(err)
-	}
-	if err := comm.VerifyLast(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllgatherSubgroups(t *testing.T) {
 	_, _, comm := buildComm(t, 8, fabric.Config{},
-		Config{Transport: verbs.UD, Subgroups: 4, VerifyData: true})
+		Config{Subgroups: 4, VerifyData: true})
 	if _, err := runAllgather(comm, 65536); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +140,7 @@ func TestAllgatherSubgroups(t *testing.T) {
 
 func TestAllgatherParallelChains(t *testing.T) {
 	_, _, comm := buildComm(t, 8, fabric.Config{},
-		Config{Transport: verbs.UD, Chains: 2, VerifyData: true})
+		Config{Chains: 2, VerifyData: true})
 	if _, err := runAllgather(comm, 16384); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +152,7 @@ func TestAllgatherParallelChains(t *testing.T) {
 func TestChainsReduceScheduleTime(t *testing.T) {
 	run := func(chains int) sim.Time {
 		_, _, comm := buildComm(t, 8, fabric.Config{},
-			Config{Transport: verbs.UD, Chains: chains})
+			Config{Chains: chains})
 		res, err := runAllgather(comm, 1<<20)
 		if err != nil {
 			t.Fatal(err)
@@ -177,7 +166,7 @@ func TestChainsReduceScheduleTime(t *testing.T) {
 }
 
 func TestAllgatherSingleRank(t *testing.T) {
-	_, _, comm := buildComm(t, 1, fabric.Config{}, Config{Transport: verbs.UD, VerifyData: true})
+	_, _, comm := buildComm(t, 1, fabric.Config{}, Config{VerifyData: true})
 	if _, err := runAllgather(comm, 10000); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +176,7 @@ func TestAllgatherSingleRank(t *testing.T) {
 }
 
 func TestAllgatherTwoRanks(t *testing.T) {
-	_, _, comm := buildComm(t, 2, fabric.Config{}, Config{Transport: verbs.UD, VerifyData: true})
+	_, _, comm := buildComm(t, 2, fabric.Config{}, Config{VerifyData: true})
 	if _, err := runAllgather(comm, 8192); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +187,7 @@ func TestAllgatherTwoRanks(t *testing.T) {
 
 func TestAllgatherSubChunkMessage(t *testing.T) {
 	// A 100-byte allgather: single short chunk per rank.
-	_, _, comm := buildComm(t, 4, fabric.Config{}, Config{Transport: verbs.UD, VerifyData: true})
+	_, _, comm := buildComm(t, 4, fabric.Config{}, Config{VerifyData: true})
 	if _, err := runAllgather(comm, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +200,7 @@ func TestRecoveryUnderFabricDrops(t *testing.T) {
 	// 2% per-hop drops: recovery must repair every lost chunk and the
 	// buffers must still verify.
 	_, _, comm := buildComm(t, 4, fabric.Config{DropRate: 0.02},
-		Config{Transport: verbs.UD, VerifyData: true, CutoffAlpha: 100 * sim.Microsecond})
+		Config{VerifyData: true, CutoffAlpha: 100 * sim.Microsecond})
 	res, err := runAllgather(comm, 200000)
 	if err != nil {
 		t.Fatal(err)
@@ -226,20 +215,8 @@ func TestRecoveryUnderFabricDrops(t *testing.T) {
 
 func TestRecoveryUnderHeavyDrops(t *testing.T) {
 	_, _, comm := buildComm(t, 4, fabric.Config{DropRate: 0.15},
-		Config{Transport: verbs.UD, VerifyData: true, CutoffAlpha: 50 * sim.Microsecond})
+		Config{VerifyData: true, CutoffAlpha: 50 * sim.Microsecond})
 	if _, err := runAllgather(comm, 50000); err != nil {
-		t.Fatal(err)
-	}
-	if err := comm.VerifyLast(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecoveryUCDrops(t *testing.T) {
-	_, _, comm := buildComm(t, 4, fabric.Config{DropRate: 0.05},
-		Config{Transport: verbs.UC, ChunkBytes: 8192, VerifyData: true,
-			CutoffAlpha: 50 * sim.Microsecond})
-	if _, err := runAllgather(comm, 100000); err != nil {
 		t.Fatal(err)
 	}
 	if err := comm.VerifyLast(); err != nil {
@@ -249,7 +226,7 @@ func TestRecoveryUCDrops(t *testing.T) {
 
 func TestBroadcastRecovery(t *testing.T) {
 	_, _, comm := buildComm(t, 4, fabric.Config{DropRate: 0.10},
-		Config{Transport: verbs.UD, VerifyData: true, CutoffAlpha: 50 * sim.Microsecond})
+		Config{VerifyData: true, CutoffAlpha: 50 * sim.Microsecond})
 	res, err := runBroadcast(comm, 1, 100000)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +240,7 @@ func TestBroadcastRecovery(t *testing.T) {
 }
 
 func TestSequentialOperations(t *testing.T) {
-	_, _, comm := buildComm(t, 4, fabric.Config{}, Config{Transport: verbs.UD, VerifyData: true})
+	_, _, comm := buildComm(t, 4, fabric.Config{}, Config{VerifyData: true})
 	for i := 0; i < 3; i++ {
 		if _, err := runAllgather(comm, 30000); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
@@ -282,7 +259,7 @@ func TestSequentialOperations(t *testing.T) {
 }
 
 func TestConcurrentOpRejected(t *testing.T) {
-	_, _, comm := buildComm(t, 2, fabric.Config{}, Config{Transport: verbs.UD})
+	_, _, comm := buildComm(t, 2, fabric.Config{}, Config{})
 	if err := comm.StartAllgather(1000, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -295,16 +272,13 @@ func TestInvalidConfigs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	g := topology.Star(2)
 	f := fabric.New(eng, g, fabric.Config{})
-	if _, err := newComm(f, g.Hosts(), Config{Transport: verbs.RC}); err == nil {
-		t.Fatal("RC fast path accepted")
+	if _, err := newComm(f, g.Hosts(), Config{Chains: -1}); err == nil {
+		t.Fatal("negative chain count accepted")
 	}
-	if _, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD, ChunkBytes: 8192}); err == nil {
-		t.Fatal("UD chunk above MTU accepted")
-	}
-	if _, err := newComm(f, nil, Config{Transport: verbs.UD}); err == nil {
+	if _, err := newComm(f, nil, Config{}); err == nil {
 		t.Fatal("empty communicator accepted")
 	}
-	comm, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD})
+	comm, err := newComm(f, g.Hosts(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +288,7 @@ func TestInvalidConfigs(t *testing.T) {
 }
 
 func TestBreakdownTimesConsistent(t *testing.T) {
-	_, _, comm := buildComm(t, 8, fabric.Config{}, Config{Transport: verbs.UD})
+	_, _, comm := buildComm(t, 8, fabric.Config{}, Config{})
 	res, err := runAllgather(comm, 262144)
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +313,7 @@ func TestBreakdownTimesConsistent(t *testing.T) {
 }
 
 func TestAlgBandwidthSaneAndBounded(t *testing.T) {
-	_, f, comm := buildComm(t, 8, fabric.Config{}, Config{Transport: verbs.UD})
+	_, f, comm := buildComm(t, 8, fabric.Config{}, Config{})
 	res, err := runAllgather(comm, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +335,7 @@ func TestTrafficOptimality(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := fabric.New(eng, g, fabric.Config{})
-	comm, err := newComm(f, g.Hosts(), Config{Transport: verbs.UD})
+	comm, err := newComm(f, g.Hosts(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +364,7 @@ func TestTrafficOptimality(t *testing.T) {
 
 func TestRxOnDPA(t *testing.T) {
 	_, _, comm := buildComm(t, 4, fabric.Config{},
-		Config{Transport: verbs.UD, RxOnDPA: true, VerifyData: true})
+		Config{RxOnDPA: true, VerifyData: true})
 	if _, err := runAllgather(comm, 65536); err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +377,7 @@ func TestRxOnDPA(t *testing.T) {
 }
 
 func TestNonBlockingStartCallback(t *testing.T) {
-	eng, _, comm := buildComm(t, 4, fabric.Config{}, Config{Transport: verbs.UD})
+	eng, _, comm := buildComm(t, 4, fabric.Config{}, Config{})
 	called := false
 	if err := comm.StartAllgather(4096, func(res *Result) {
 		called = true
@@ -426,7 +400,7 @@ func TestReorderJitterTolerated(t *testing.T) {
 	// Out-of-order delivery (adaptive-routing emulation) must not corrupt
 	// reassembly thanks to PSN-addressed placement.
 	_, _, comm := buildComm(t, 4, fabric.Config{ReorderJitter: 20 * sim.Microsecond},
-		Config{Transport: verbs.UD, VerifyData: true})
+		Config{VerifyData: true})
 	if _, err := runAllgather(comm, 100000); err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +414,7 @@ func TestLargerScaleAllgather(t *testing.T) {
 		t.Skip("large simulation")
 	}
 	_, _, comm := buildComm(t, 16, fabric.Config{},
-		Config{Transport: verbs.UD, Subgroups: 2, Chains: 2, VerifyData: true})
+		Config{Subgroups: 2, Chains: 2, VerifyData: true})
 	if _, err := runAllgather(comm, 131072); err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +435,6 @@ func TestPropertyProtocolAlwaysCompletes(t *testing.T) {
 		g := topology.Star(p)
 		fb := fabric.New(eng, g, fabric.Config{DropRate: drop})
 		comm, err := newComm(fb, g.Hosts(), Config{
-			Transport:   verbs.UD,
 			Subgroups:   subgroups,
 			VerifyData:  true,
 			CutoffAlpha: 50 * sim.Microsecond,

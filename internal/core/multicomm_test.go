@@ -31,7 +31,7 @@ func buildShared(t *testing.T, p int, cfg Config) (*sim.Engine, *Communicator, *
 }
 
 func TestTwoCommunicatorsConcurrentDedicated(t *testing.T) {
-	eng, c1, c2 := buildShared(t, 4, Config{Transport: verbs.UD, VerifyData: true})
+	eng, c1, c2 := buildShared(t, 4, Config{VerifyData: true})
 	var r1, r2 *Result
 	if err := c1.StartAllgather(40000, func(r *Result) { r1 = r }); err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestTwoCommunicatorsArbitratedRx(t *testing.T) {
 	// The §V-C deployment: both communicators' subgroup CQs are served by
 	// the host's shared arbiters (2 threads per host total, instead of
 	// 2 communicators x 2 subgroups dedicated threads).
-	cfg := Config{Transport: verbs.UD, Subgroups: 2, ArbitratedRx: true, VerifyData: true}
+	cfg := Config{Subgroups: 2, ArbitratedRx: true, VerifyData: true}
 	eng, c1, c2 := buildShared(t, 4, cfg)
 	var r1, r2 *Result
 	if err := c1.StartAllgather(50000, func(r *Result) { r1 = r }); err != nil {
@@ -82,7 +82,7 @@ func TestArbitratedRxUnderDrops(t *testing.T) {
 	f := fabric.New(eng, g, fabric.Config{DropRate: 0.03})
 	cl := cluster.New(f, cluster.Config{})
 	comm, err := NewCommunicatorOn(cl, g.Hosts(), Config{
-		Transport: verbs.UD, Subgroups: 2, ArbitratedRx: true,
+		Subgroups: 2, ArbitratedRx: true,
 		VerifyData: true, CutoffAlpha: 100 * sim.Microsecond,
 	})
 	if err != nil {
@@ -102,12 +102,12 @@ func TestArbitratedGeometryMismatchRejected(t *testing.T) {
 	f := fabric.New(eng, g, fabric.Config{})
 	cl := cluster.New(f, cluster.Config{})
 	if _, err := NewCommunicatorOn(cl, g.Hosts(), Config{
-		Transport: verbs.UD, Subgroups: 2, ArbitratedRx: true,
+		Subgroups: 2, ArbitratedRx: true,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewCommunicatorOn(cl, g.Hosts(), Config{
-		Transport: verbs.UD, Subgroups: 4, ArbitratedRx: true,
+		Subgroups: 4, ArbitratedRx: true,
 	}); err == nil {
 		t.Fatal("mismatched arbiter geometry accepted")
 	}
@@ -119,7 +119,7 @@ func TestArbitratedOnDPA(t *testing.T) {
 	f := fabric.New(eng, g, fabric.Config{})
 	cl := cluster.New(f, cluster.Config{})
 	comm, err := NewCommunicatorOn(cl, g.Hosts(), Config{
-		Transport: verbs.UD, Subgroups: 2, ArbitratedRx: true, RxOnDPA: true,
+		Subgroups: 2, ArbitratedRx: true, RxOnDPA: true,
 		VerifyData: true,
 	})
 	if err != nil {
@@ -143,7 +143,7 @@ func TestArbitratedOnDPA(t *testing.T) {
 func TestArbitratedMatchesDedicatedAlone(t *testing.T) {
 	run := func(rxOnDPA, arbitrated bool, drop float64) ([]*Result, uint64, uint64) {
 		eng, _, comm := buildComm(t, 8, fabric.Config{DropRate: drop}, Config{
-			Transport: verbs.UD, Subgroups: 2, RxOnDPA: rxOnDPA, ArbitratedRx: arbitrated,
+			Subgroups: 2, RxOnDPA: rxOnDPA, ArbitratedRx: arbitrated,
 		})
 		var out []*Result
 		for i := 0; i < 3; i++ {
@@ -174,7 +174,7 @@ func TestArbitratedMatchesDedicatedAlone(t *testing.T) {
 // Sequential collectives on two communicators interleaved: exercises the
 // opSeq isolation across communicators sharing verbs contexts.
 func TestInterleavedSequentialOps(t *testing.T) {
-	eng, c1, c2 := buildShared(t, 3, Config{Transport: verbs.UD, VerifyData: true})
+	eng, c1, c2 := buildShared(t, 3, Config{VerifyData: true})
 	for i := 0; i < 3; i++ {
 		var done1, done2 bool
 		if err := c1.StartBroadcast(i%3, 20000, func(*Result) { done1 = true }); err != nil {
@@ -206,7 +206,7 @@ func TestRNRPressureRecovered(t *testing.T) {
 	f := fabric.New(eng, g, fabric.Config{})
 	cl := cluster.New(f, cluster.Config{Verbs: verbs.Config{RQDepth: 8}})
 	comm, err := NewCommunicatorOn(cl, g.Hosts(), Config{
-		Transport: verbs.UD, RQDepth: 8, VerifyData: true,
+		RQDepth: 8, VerifyData: true,
 		CutoffAlpha: 100 * sim.Microsecond,
 	})
 	if err != nil {
@@ -242,7 +242,7 @@ func TestDropsAndReorderCombined(t *testing.T) {
 	})
 	cl := cluster.New(f, cluster.Config{})
 	comm, err := NewCommunicatorOn(cl, g.Hosts(), Config{
-		Transport: verbs.UD, Subgroups: 2, VerifyData: true,
+		Subgroups: 2, VerifyData: true,
 		CutoffAlpha: 100 * sim.Microsecond,
 	})
 	if err != nil {
@@ -266,7 +266,7 @@ func TestMemoryFootprint(t *testing.T) {
 	g := topology.Star(8)
 	f := fabric.New(eng, g, fabric.Config{})
 	comm, err := newComm(f, g.Hosts(), Config{
-		Transport: verbs.UD, Subgroups: 4, RQDepth: 1024,
+		Subgroups: 4, RQDepth: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -124,31 +124,21 @@ func decPSN(imm uint32) (seqLow, psn int) {
 	return int(imm >> 24), int(imm & 0xFFFFFF)
 }
 
-// chunkSrc returns the root rank that owns global chunk psn.
-func (op *opState) chunkSrc(psn int) int {
-	if op.kind == kindBroadcast {
-		return op.root
-	}
-	return psn / op.cpr
+// chunkRange returns the byte range [off, off+len) of root-local chunk
+// local in its root's send buffer.
+func (op *opState) chunkRange(local int) (off, length int) {
+	off = local * op.chunk
+	return off, min(op.n-off, op.chunk)
 }
 
 // chunkByte returns the byte range [off, off+len) of chunk psn in the
-// receive buffer.
+// receive buffer, where an allgather places root src's buffer at src*n.
 func (op *opState) chunkByte(psn int) (off, length int) {
-	src := op.chunkSrc(psn)
-	local := psn
-	if op.kind == kindAllgather {
-		local = psn % op.cpr
+	if op.kind == kindBroadcast {
+		return op.chunkRange(psn)
 	}
-	off = local * op.chunk
-	length = op.n - off
-	if length > op.chunk {
-		length = op.chunk
-	}
-	if op.kind == kindAllgather {
-		off += src * op.n
-	}
-	return off, length
+	off, length = op.chunkRange(psn % op.cpr)
+	return off + psn/op.cpr*op.n, length
 }
 
 // subgroupOf maps a root-local chunk index to its multicast subgroup.
@@ -187,11 +177,9 @@ func (op *opState) begin() {
 	op.tStart = r.eng.Now()
 	op.rec(telemetry.PhaseDispatch, op.kind.String())
 
-	// Pre-post the receive queues (UD fast path) before synchronizing, so
-	// no multicast datagram can find an empty RQ (§III-C RNR avoidance).
-	if r.comm.cfg.Transport == verbs.UD {
-		op.prepostData()
-	}
+	// Pre-post the receive queues before synchronizing, so no multicast
+	// datagram can find an empty RQ (§III-C RNR avoidance).
+	op.prepostData()
 
 	// Local shard: an allgather rank copies its own send buffer into its
 	// slot of the receive buffer without touching the network; a broadcast
@@ -334,11 +322,7 @@ func (op *opState) startTX() {
 
 func (op *opState) postBatch() {
 	r := op.r
-	cfg := r.comm.cfg
-	b := cfg.SendBatch
-	if rest := op.cpr - op.txNext; b > rest {
-		b = rest
-	}
+	b := min(sendBatch, op.cpr-op.txNext)
 	if b <= 0 {
 		op.txComplete()
 		return
@@ -374,23 +358,12 @@ func (op *opState) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, arg1 int, _
 func (op *opState) postChunk(local int, signaled bool) {
 	r := op.r
 	s := op.subgroupOf(local)
-	off := local * op.chunk
-	length := op.n - off
-	if length > op.chunk {
-		length = op.chunk
-	}
+	off, length := op.chunkRange(local)
 	psn := local
 	if op.kind == kindAllgather {
 		psn = r.id*op.cpr + local
 	}
-	imm := op.encPSN(psn)
-	qp := r.dataQPs[s]
-	if r.comm.cfg.Transport == verbs.UD {
-		qp.PostSendUD(uint64(local), verbs.Multicast(r.comm.groups[s]), op.sendMR, off, length, imm, signaled)
-		return
-	}
-	roff, _ := op.chunkByte(psn)
-	qp.PostWriteUC(uint64(local), op.sendMR, off, length, op.recvMR.Key, roff, imm, signaled)
+	r.dataQPs[s].PostSendUD(uint64(local), verbs.Multicast(r.comm.groups[s]), op.sendMR, off, length, op.encPSN(psn), signaled)
 }
 
 // handleTxComp runs on the TX worker for each signaled send completion:
@@ -425,37 +398,27 @@ func (op *opState) txComplete() {
 
 // --- RX ---------------------------------------------------------------------
 
-// handleData runs on a receive worker for every fast-path completion.
+// handleData runs on a receive worker for every fast-path completion: a
+// UD datagram in the staging ring.
 func (r *Rank) handleData(s int, e verbs.CQE) {
 	op := r.op
-	switch e.Op {
-	case verbs.OpRecv: // UD datagram into the staging ring
-		if op != nil && r.comm.cfg.Transport == verbs.UD {
-			// Re-post the consumed slot first (keeping the RQ primed), then
-			// account the chunk.
-			slot := int(e.WrID)
-			r.dataQPs[s].PostRecv(e.WrID, r.staging[s], slot*op.chunk, op.chunk)
-			seqLow, psn := decPSN(e.Imm)
-			if seqLow != op.seq&0xFF {
-				return // stale datagram from a previous collective
-			}
-			op.chunkArrivedUD(s, slot, psn, e.Bytes)
-		}
-	case verbs.OpRecvWriteImm: // UC zero-copy placement
-		if op == nil {
-			return
-		}
-		seqLow, psn := decPSN(e.Imm)
-		if seqLow != op.seq&0xFF {
-			return
-		}
-		op.chunkArrived(psn)
+	if op == nil {
+		return
 	}
+	// Re-post the consumed slot first (keeping the RQ primed), then account
+	// the chunk.
+	slot := int(e.WrID)
+	r.dataQPs[s].PostRecv(e.WrID, r.staging[s], slot*op.chunk, op.chunk)
+	seqLow, psn := decPSN(e.Imm)
+	if seqLow != op.seq&0xFF {
+		return // stale datagram from a previous collective
+	}
+	op.chunkArrived(s, slot, psn, e.Bytes)
 }
 
-// chunkArrivedUD accounts a UD chunk: bitmap update plus the non-blocking
+// chunkArrived accounts a chunk: bitmap update plus the non-blocking
 // staging-to-user DMA copy (step 4 of Figure 6).
-func (op *opState) chunkArrivedUD(s, slot, psn, bytes int) {
+func (op *opState) chunkArrived(s, slot, psn, bytes int) {
 	if psn >= op.total {
 		panic(fmt.Sprintf("core: PSN %d out of range (%d chunks)", psn, op.total))
 	}
@@ -474,20 +437,6 @@ func (op *opState) chunkArrivedUD(s, slot, psn, bytes int) {
 	}
 	op.dmaOut++
 	op.r.ctx.DMA().Enqueue(length, op.dmaDone)
-	op.serveDeferred()
-	op.maybeRxDone()
-}
-
-// chunkArrived accounts a UC chunk already placed zero-copy in the user
-// buffer by the NIC.
-func (op *opState) chunkArrived(psn int) {
-	if psn >= op.total {
-		panic(fmt.Sprintf("core: PSN %d out of range (%d chunks)", psn, op.total))
-	}
-	if !op.bm.Set(psn) {
-		return
-	}
-	op.remaining--
 	op.serveDeferred()
 	op.maybeRxDone()
 }
@@ -528,11 +477,7 @@ func (op *opState) checkDone() {
 	op.done = true
 	op.tDone = op.r.eng.Now()
 	op.rec(telemetry.PhaseDone, "")
-	r := op.r
-	for _, qp := range r.dataQPs {
-		qp.GCAssembly()
-	}
-	r.comm.rankDone(r)
+	op.r.comm.rankDone(op.r)
 }
 
 // handleCtrl dispatches control-plane messages for this operation.

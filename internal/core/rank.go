@@ -55,15 +55,14 @@ type Rank struct {
 	dataQPs []*verbs.QP
 	dataCQs []*verbs.CQ
 	rxWkrs  []*dpa.Worker // rxWkrs[s] serves dataCQs[s]
-	staging []*verbs.MR   // UD only
+	staging []*verbs.MR
 
 	// Control plane.
 	ctrlCQ   *verbs.CQ
 	ctrl     map[int]*verbs.QP // peer rank -> RC QP
 	qpPeer   map[verbs.QPN]int // local ctrl QPN -> peer rank
 	txCQ     *verbs.CQ
-	sendSlot *verbs.MR // ring of marshaling slots for outgoing ctrl payloads
-	sendIdx  int
+	sendSlot *verbs.MR // one marshaling slot per payload type (see sendCtrl)
 	slotMRs  map[verbs.QPN]*verbs.MR
 
 	// Fetch ring RC QPs are the ctrl QPs to ring neighbors; reads target
@@ -110,7 +109,7 @@ func newRank(c *Communicator, id int, host topology.NodeID) (*Rank, error) {
 	// Receive workers: the host's shared ones, or one per subgroup on its
 	// own thread. Allocating their threads after app and tx keeps each
 	// thread's place on its core, and so its DPA contention.
-	rxProfile := dpa.RecvProfile(cfg.RxOnDPA, cfg.Transport)
+	rxProfile := dpa.RecvProfile(cfg.RxOnDPA, verbs.UD)
 	if cfg.ArbitratedRx {
 		var err error
 		if r.rxWkrs, err = node.RxArbiters(cfg.Subgroups, cfg.RxOnDPA, rxProfile); err != nil {
@@ -130,15 +129,9 @@ func newRank(c *Communicator, id int, host topology.NodeID) (*Rank, error) {
 	// by a dedicated worker or by the host's shared arbiter.
 	for s := 0; s < cfg.Subgroups; s++ {
 		cq := &verbs.CQ{}
-		var qp *verbs.QP
 		// Send completions go to the TX worker's CQ, receive completions to
 		// the subgroup CQ: flow-direction parallelism (§IV-B).
-		if cfg.Transport == verbs.UD {
-			qp = r.ctx.NewQP(verbs.UD, r.txCQ, cq, cfg.RQDepth)
-		} else {
-			qp = r.ctx.NewQP(verbs.UC, r.txCQ, cq, cfg.RQDepth)
-			qp.Connect(verbs.Multicast(c.groups[s]))
-		}
+		qp := r.ctx.NewQP(verbs.UD, r.txCQ, cq, cfg.RQDepth)
 		if err := qp.AttachMcast(c.groups[s]); err != nil {
 			return nil, fmt.Errorf("core: rank %d subgroup %d: %w", id, s, err)
 		}
@@ -146,18 +139,14 @@ func newRank(c *Communicator, id int, host topology.NodeID) (*Rank, error) {
 		r.dataCQs = append(r.dataCQs, cq)
 		s := s
 		r.rxWkrs[s].Serve(cq, func(e verbs.CQE) { r.handleData(s, e) })
-
-		if cfg.Transport == verbs.UD {
-			st := r.registerBuf(cfg.RQDepth * cfg.ChunkBytes)
-			r.staging = append(r.staging, st)
-		}
+		r.staging = append(r.staging, r.registerBuf(cfg.RQDepth*c.chunk))
 	}
 
 	// Control workers.
 	dpa.NewWorker(r.eng, r.appThread, dpa.TaskDispatch).Serve(r.ctrlCQ, r.handleCtrl)
 	dpa.NewWorker(r.eng, r.txThread, dpa.SendPost).Serve(r.txCQ, r.handleTxComp)
 
-	r.sendSlot = r.ctx.RegisterMRLazy(ctrlSlots * ctrlSlotBytes)
+	r.sendSlot = r.ctx.RegisterMRLazy(2 * ctrlSlotBytes)
 	return r, nil
 }
 
@@ -208,10 +197,13 @@ func (r *Rank) sendCtrl(peer, typ, arg int, payload []byte) {
 	if n > ctrlSlotBytes {
 		panic("core: control payload exceeds slot")
 	}
-	// Rotate marshaling slots so concurrent in-flight control payloads do
-	// not overwrite each other before delivery.
-	off := r.sendIdx * ctrlSlotBytes
-	r.sendIdx = (r.sendIdx + 1) % ctrlSlots
+	// Only fetch requests and acks carry a payload, and a rank has at most
+	// one of each in flight (it asks again only once answered), so each
+	// type has one slot, re-read by retransmissions until delivery.
+	off := 0
+	if typ == ctrlFetchAck {
+		off = ctrlSlotBytes
+	}
 	copy(r.sendSlot.Slice(off, n), payload)
 	qp.PostSendRC(0, r.sendSlot, off, n, encodeCtrl(typ, arg, r.opSeqFor()), false)
 }
@@ -243,6 +235,7 @@ func (r *Rank) handleCtrl(e verbs.CQE) {
 	var payload []byte
 	if e.Bytes > 0 {
 		payload = append([]byte(nil), mr.Slice(off, e.Bytes)...)
+		mr.Release(off)
 	}
 	// Re-post the consumed slot immediately.
 	r.ctrl[peer].PostRecv(e.WrID, mr, off, ctrlSlotBytes)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/collective"
-	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/registry"
 	"repro/internal/sim"
@@ -84,7 +83,6 @@ func buildColl(tc telemetry.Config, s sweep.Spec, jitterUS int) (*point, error) 
 	var err error
 	pt.alg, err = registry.New(pt.cl, s.Algorithm, registry.Options{
 		Hosts: hosts[:s.Nodes],
-		Core:  core.Config{Transport: verbs.UD},
 		Coll:  coll.Config{ChunkBytes: s.ChunkSize},
 	})
 	if err != nil {

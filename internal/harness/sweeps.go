@@ -226,7 +226,7 @@ func PairKernel(tc telemetry.Config) sweep.Func {
 			// root's injection over the whole operation (multicast parallelism,
 			// §IV-A) is what lets the Allgather live on the receive path alone.
 			ag = workload.Comm{Name: "ag", Algorithm: "mcast-allgather", Options: registry.Options{
-				Core: core.Config{Transport: verbs.UD, Chains: s.Nodes, Subgroups: 4},
+				Core: core.Config{Chains: s.Nodes, Subgroups: 4},
 			}}
 			rs = workload.Comm{Name: "rs", Algorithm: "inc-reduce-scatter"}
 		default:

@@ -23,11 +23,11 @@ type Options struct {
 	// Hosts restricts the team to a subset of the fabric's endpoints. Nil
 	// means every host, in topology order.
 	Hosts []topology.NodeID
-	// Core tunes the multicast protocol (the mcast-* algorithms). The zero
-	// value selects the UD fast path
-	// with the paper's defaults. Its RQDepth sizes every subgroup's data QP
-	// receive queue and, over UD, its staging ring. The host CPU model is
-	// a property of the shared cluster the algorithm is built on.
+	// Core tunes the multicast protocol (the mcast-* algorithms), which
+	// runs over UD multicast; the zero value takes the paper's defaults.
+	// Its RQDepth sizes every subgroup's data QP receive queue and staging
+	// ring. The host CPU model is a property of the shared cluster the
+	// algorithm is built on.
 	Core core.Config
 	// Coll tunes the P2P baselines (chunk size, data verification).
 	Coll coll.Config

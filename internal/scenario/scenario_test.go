@@ -12,7 +12,6 @@ import (
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/verbs"
 )
 
 // goldenQuiet is the registry golden for mcast-allgather (16 hosts,
@@ -40,7 +39,7 @@ func runAllgather(t *testing.T, name string, bytes int, seed uint64) (*collectiv
 	eng := sim.NewEngine(3)
 	f := fabric.New(eng, g, fabric.Config{})
 	alg, err := registry.New(cluster.New(f, cluster.Config{}), "mcast-allgather", registry.Options{
-		Core: core.Config{Transport: verbs.UD, Subgroups: 4},
+		Core: core.Config{Subgroups: 4},
 	})
 	if err != nil {
 		t.Fatal(err)

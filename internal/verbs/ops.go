@@ -91,11 +91,7 @@ func (qp *QP) receiveUD(m *wireMsg) {
 // directly at rkey[roffset+seg*MTU] (zero-copy) and raises one
 // OpRecvWriteImm CQE per *message* when the last segment lands. If any
 // segment is lost the whole message evaporates (UC semantics) — no CQE,
-// counted in UCMsgDropped on the receiver when detectable.
-//
-// With a multicast peer address this is the paper's proposed UC-multicast
-// extension (§V-B, Appendix C): every attached receiver places the message
-// into its own MR registered under the agreed rkey.
+// counted as verbs/uc_msg_dropped when telemetry is collected.
 func (qp *QP) PostWriteUC(wrID uint64, mr *MR, offset, length int, rkey uint32, roffset int, imm uint32, signaled bool) {
 	if qp.Transport != UC {
 		panic("verbs: PostWriteUC on non-UC QP")
@@ -176,9 +172,8 @@ func (qp *QP) sendMessage(dst Addr, ms *message, length int) sim.Time {
 	return ctx.nic.InjectTrain(tr)
 }
 
-// assemblyKey identifies one in-flight UC message. QPNs are only unique per
-// context, so the source host must be part of the key: multicast delivers
-// messages from many senders to the same receiving QP.
+// assemblyKey identifies one in-flight UC message. QPNs and message ids are
+// only unique per context, so the source host must be part of the key.
 type assemblyKey struct {
 	srcHost topology.NodeID
 	srcQPN  QPN
@@ -291,17 +286,6 @@ func msgBytes(st *assemblyState, m *wireMsg) int {
 		return m.dataLen
 	}
 	return st.bytes
-}
-
-// GCAssembly drops incomplete UC assembly state older than the current
-// collective iteration. The protocol calls this between operations; a real
-// NIC has no such state for UC because it tracks only the in-order PSN —
-// incomplete messages simply never complete. RC QPs keep no such state
-// (see rcWindow), so for them this is a no-op.
-func (qp *QP) GCAssembly() {
-	qp.UCMsgDropped += uint64(len(qp.assembly))
-	clear(qp.assembly)
-	qp.lastAsm = nil
 }
 
 // --- RC ---------------------------------------------------------------------

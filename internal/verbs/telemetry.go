@@ -4,7 +4,9 @@ import "repro/internal/telemetry"
 
 // CollectTelemetry exports the context's transport counters into reg.
 // Per-QP counters are summed context-wide; summing is commutative, so the
-// exported totals do not depend on QP order. A nil registry is a no-op.
+// exported totals do not depend on QP order. A UC message counts as dropped
+// when a lost segment has left it incomplete at collection time. A nil
+// registry is a no-op.
 func (ctx *Context) CollectTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -14,7 +16,7 @@ func (ctx *Context) CollectTelemetry(reg *telemetry.Registry) {
 	for _, qp := range ctx.qps {
 		rnr += qp.RNRDrops
 		retx += qp.Retransmits
-		ucDrop += qp.UCMsgDropped
+		ucDrop += uint64(len(qp.assembly))
 	}
 	reg.Counter("verbs", "rnr_drops", "").Add(rnr)
 	reg.Counter("verbs", "retransmits", "").Add(retx)

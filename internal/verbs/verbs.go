@@ -1,10 +1,10 @@
 // Package verbs models the InfiniBand Verbs transport layer on top of the
 // simulated fabric: queue pairs with the three service types the paper
-// analyzes (§II-B) — Unreliable Datagram (UD, multicast-capable, MTU-sized
-// datagrams), Unreliable Connection (UC, arbitrary-length RDMA Writes with
-// immediate, message dropped if any packet is lost, plus the paper's
-// proposed UC-multicast extension), and Reliable Connection (RC, hardware
-// reliability, one-sided Read/Write used by the slow-path fetch ring) —
+// analyzes (§II-B) — Unreliable Datagram (UD, the only multicast-capable
+// one, MTU-sized datagrams), Unreliable Connection (UC, arbitrary-length
+// RDMA Writes with immediate, message dropped if any packet is lost), and
+// Reliable Connection (RC, hardware reliability, one-sided Read/Write used
+// by the slow-path fetch ring) —
 // along with completion queues whose entries carry 32-bit immediate data
 // (the PSN channel), memory regions, receive queues with RNR-drop
 // semantics, and a non-blocking DMA engine for staging copies.
@@ -193,6 +193,15 @@ func (mr *MR) Slice(off, n int) []byte {
 func (mr *MR) check(off, n int) {
 	if off < 0 || n < 0 || off+n > mr.Size {
 		panic(fmt.Sprintf("verbs: access [%d,%d) outside MR of size %d", off, off+n, mr.Size))
+	}
+}
+
+// Release drops the page of a lazy region that holds off, once the caller
+// has consumed its bytes, so a slot that messages only pass through holds
+// no memory between them. The next access starts from a zeroed page.
+func (mr *MR) Release(off int) {
+	if mr.pages != nil {
+		mr.pages[off/lazyPage] = nil
 	}
 }
 
@@ -389,9 +398,9 @@ type QP struct {
 	connected bool
 
 	// assembly holds a UC QP's receiver-side reassembly, by message: UC is
-	// message-granular, and a UC multicast QP hears many senders. Created
-	// on first write: other QPs never need it, and reading a nil map is
-	// safe.
+	// message-granular. A message a lost segment left incomplete stays here
+	// and never completes. Created on first write: other QPs never need it,
+	// and reading a nil map is safe.
 	assembly map[assemblyKey]*assemblyState
 	// lastAsm is the assembly entry the previous UC segment hit, under
 	// lastKey; nil when that entry has been deleted. The segments of a
@@ -406,9 +415,8 @@ type QP struct {
 	window  rcWindow
 
 	// Stats
-	RNRDrops     uint64 // two-sided arrivals dropped for lack of a recv WQE
-	UCMsgDropped uint64 // UC messages discarded due to a lost packet
-	Retransmits  uint64 // RC segment retransmissions
+	RNRDrops    uint64 // two-sided arrivals dropped for lack of a recv WQE
+	Retransmits uint64 // RC segment retransmissions
 }
 
 // NewQP creates a queue pair. sendCQ and recvCQ may be the same CQ.
@@ -428,24 +436,24 @@ func (ctx *Context) NewQP(t Transport, sendCQ, recvCQ *CQ, rqDepth int) *QP {
 	return qp
 }
 
-// Connect binds a UC/RC QP to its remote peer. UD QPs are connectionless
-// and must not be connected.
+// Connect binds a UC/RC QP to its remote unicast peer. UD QPs are
+// connectionless and must not be connected.
 func (qp *QP) Connect(peer Addr) {
 	if qp.Transport == UD {
 		panic("verbs: Connect on UD QP")
 	}
-	if peer.IsMulticast() && qp.Transport != UC {
-		panic("verbs: multicast connection only supported by the UC extension")
+	if peer.IsMulticast() {
+		panic("verbs: multicast connection on a connected transport")
 	}
 	qp.peer = peer
 	qp.connected = true
 }
 
-// AttachMcast subscribes the QP (UD, or UC under the paper's extension) to
-// a multicast group: incoming datagrams for the group are steered to it.
+// AttachMcast subscribes a UD QP to a multicast group: incoming datagrams
+// for the group are steered to it.
 func (qp *QP) AttachMcast(g fabric.GroupID) error {
-	if qp.Transport == RC {
-		return fmt.Errorf("verbs: RC transport does not support multicast")
+	if qp.Transport != UD {
+		return fmt.Errorf("verbs: %v transport does not support multicast", qp.Transport)
 	}
 	if err := qp.ctx.nic.AttachGroup(g); err != nil {
 		return err

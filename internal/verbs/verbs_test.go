@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
@@ -220,7 +221,8 @@ func TestUCWriteWithImm(t *testing.T) {
 
 func TestUCMessageDropOnPacketLoss(t *testing.T) {
 	// With heavy drops, some multi-packet UC messages must vanish entirely
-	// (no CQE) while complete ones still arrive intact.
+	// (no CQE) while complete ones still arrive intact, and the exported
+	// verbs/uc_msg_dropped counter accounts for every vanished one.
 	eng, _, a, b := pair(t, fabric.Config{DropRate: 0.10}, Config{})
 	cqA, cqB := &CQ{}, &CQ{}
 	qpA := a.NewQP(UC, cqA, cqA, 0)
@@ -233,7 +235,9 @@ func TestUCMessageDropOnPacketLoss(t *testing.T) {
 		qpA.PostWriteUC(uint64(i), src, 0, 64*1024, dst.Key, 0, uint32(i), false)
 	}
 	eng.Run()
-	qpB.GCAssembly()
+	reg := telemetry.New()
+	b.CollectTelemetry(reg)
+	dropped := int(reg.Counter("verbs", "uc_msg_dropped", "").Value())
 	complete := cqB.Len()
 	if complete == msgs {
 		t.Fatal("no UC message was lost despite 10% drop rate")
@@ -241,59 +245,15 @@ func TestUCMessageDropOnPacketLoss(t *testing.T) {
 	if complete == 0 {
 		t.Fatal("every UC message lost; drop model too aggressive")
 	}
-	if int(qpB.UCMsgDropped)+complete != msgs {
-		t.Fatalf("dropped(%d) + complete(%d) != sent(%d)", qpB.UCMsgDropped, complete, msgs)
-	}
-}
-
-func TestUCMulticastWrite(t *testing.T) {
-	// The paper's UC-multicast extension: one write lands in every member's
-	// buffer registered under the same rkey.
-	eng := sim.NewEngine(1)
-	g := topology.Star(3)
-	f := fabric.New(eng, g, fabric.Config{})
-	hosts := g.Hosts()
-	var ctxs []*Context
-	var qps []*QP
-	var cqs []*CQ
-	for _, h := range hosts {
-		ctx := NewContext(f, h, Config{})
-		cq := &CQ{}
-		ctxs = append(ctxs, ctx)
-		cqs = append(cqs, cq)
-		qps = append(qps, ctx.NewQP(UC, cq, cq, 0))
-	}
-	gid, _ := f.CreateGroup(g.Switches()[0], hosts)
-	for _, qp := range qps {
-		if err := qp.AttachMcast(gid); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// All receivers register their buffer; by construction of the test they
-	// share the same rkey value (first registration on each context).
-	src := ctxs[0].RegisterMRData(fill(10000, 11))
-	dsts := []*MR{
-		ctxs[1].RegisterMRData(make([]byte, 10000)),
-		ctxs[2].RegisterMRData(make([]byte, 10000)),
-	}
-	if dsts[0].Key != dsts[1].Key {
-		t.Fatal("test assumption broken: rkeys differ")
-	}
-	qps[0].Connect(Multicast(gid))
-	qps[0].PostWriteUC(0, src, 0, 10000, dsts[0].Key, 0, 77, false)
-	eng.Run()
-	for i := 1; i <= 2; i++ {
-		e, ok := cqs[i].Poll()
-		if !ok || e.Op != OpRecvWriteImm || e.Imm != 77 {
-			t.Fatalf("member %d missing UC mcast write completion", i)
-		}
-	}
-	if !bytes.Equal(dsts[0].Data, src.Data) || !bytes.Equal(dsts[1].Data, src.Data) {
-		t.Fatal("UC multicast write corrupted data")
+	if dropped+complete != msgs {
+		t.Fatalf("dropped(%d) + complete(%d) != sent(%d)", dropped, complete, msgs)
 	}
 }
 
 func TestRCWriteReliableUnderDrops(t *testing.T) {
+	// Several multi-segment writes at 5% loss: the drops must force
+	// retransmissions, and every write must still complete on both sides
+	// with its data intact. Completion order is not checked.
 	eng, _, a, b := pair(t, fabric.Config{DropRate: 0.05}, Config{})
 	cqA, cqB := &CQ{}, &CQ{}
 	qpA := a.NewQP(RC, cqA, cqA, 0)
@@ -301,24 +261,41 @@ func TestRCWriteReliableUnderDrops(t *testing.T) {
 	qpA.Connect(Unicast(b.Host, qpB.N))
 	qpB.Connect(Unicast(a.Host, qpA.N))
 
-	src := a.RegisterMRData(fill(100000, 7))
-	dst := b.RegisterMRData(make([]byte, 100000))
-	qpA.PostWriteRC(1, src, 0, 100000, dst.Key, 0, 5, true)
+	const writes, size = 6, 100000
+	src := a.RegisterMRData(fill(writes*size, 7))
+	dst := b.RegisterMRData(make([]byte, writes*size))
+	for i := 0; i < writes; i++ {
+		qpA.PostWriteRC(uint64(i), src, i*size, size, dst.Key, i*size, uint32(100+i), true)
+	}
 	eng.Run()
 
-	se, ok := cqA.Poll()
-	if !ok || se.Op != OpSend {
-		t.Fatalf("RC write not completed under drops: %+v ok=%v (retransmits=%d)", se, ok, qpA.Retransmits)
+	sent, landed := map[uint64]bool{}, map[uint32]bool{}
+	for e, ok := cqA.Poll(); ok; e, ok = cqA.Poll() {
+		if e.Op != OpSend || e.Bytes != size {
+			t.Fatalf("sender CQE %+v", e)
+		}
+		sent[e.WrID] = true
 	}
-	re, ok := cqB.Poll()
-	if !ok || re.Op != OpRecvWriteImm || re.Imm != 5 {
-		t.Fatalf("receiver CQE %+v ok=%v", re, ok)
+	for e, ok := cqB.Poll(); ok; e, ok = cqB.Poll() {
+		if e.Op != OpRecvWriteImm || e.Bytes != size {
+			t.Fatalf("receiver CQE %+v", e)
+		}
+		landed[e.Imm] = true
+	}
+	for i := 0; i < writes; i++ {
+		if !sent[uint64(i)] || !landed[uint32(100+i)] {
+			t.Fatalf("write %d: send completion %v, receive completion %v (retransmits=%d)",
+				i, sent[uint64(i)], landed[uint32(100+i)], qpA.Retransmits)
+		}
+	}
+	if len(sent) != writes || len(landed) != writes {
+		t.Fatalf("%d send and %d receive completions for %d writes", len(sent), len(landed), writes)
 	}
 	if !bytes.Equal(dst.Data, src.Data) {
-		t.Fatal("RC write delivered corrupt data")
+		t.Fatal("RC writes delivered corrupt data")
 	}
 	if qpA.Retransmits == 0 {
-		t.Log("note: no retransmissions occurred at 5% drop rate (possible but unlikely)")
+		t.Fatal("no retransmission at 5% loss: the reliability path went unexercised")
 	}
 }
 
@@ -531,8 +508,26 @@ func TestOutOfRangeWritePanicsAtPost(t *testing.T) {
 	}
 }
 
+// TestLazyMRRelease: a lazy region materialises a page on first touch and
+// drops it on Release; the next touch starts from zeroed memory.
+func TestLazyMRRelease(t *testing.T) {
+	_, _, a, _ := pair(t, fabric.Config{}, Config{})
+	mr := a.RegisterMRLazy(2 * lazyPage)
+	copy(mr.Slice(lazyPage+10, 3), "abc")
+	if mr.Pages() != 1 || string(mr.Slice(lazyPage+10, 3)) != "abc" {
+		t.Fatalf("after one write: %d pages, bytes %q", mr.Pages(), mr.Slice(lazyPage+10, 3))
+	}
+	mr.Release(lazyPage + 100)
+	if mr.Pages() != 0 {
+		t.Fatalf("Release left %d pages", mr.Pages())
+	}
+	if got := mr.Slice(lazyPage+10, 3); !bytes.Equal(got, make([]byte, 3)) {
+		t.Fatalf("a released page came back holding %q", got)
+	}
+}
+
 func TestConnectValidation(t *testing.T) {
-	_, _, a, b := pair(t, fabric.Config{}, Config{})
+	_, f, a, b := pair(t, fabric.Config{}, Config{})
 	cq := &CQ{}
 	ud := a.NewQP(UD, cq, cq, 0)
 	func() {
@@ -552,8 +547,28 @@ func TestConnectValidation(t *testing.T) {
 		}()
 		rc.Connect(Multicast(0))
 	}()
-	if err := rc.AttachMcast(0); err == nil {
-		t.Error("AttachMcast on RC QP succeeded")
+	uc := a.NewQP(UC, cq, cq, 0)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("multicast Connect on UC QP did not panic")
+			}
+		}()
+		uc.Connect(Multicast(0))
+	}()
+	// Only UD carries multicast: the same group a UD QP joins is refused
+	// to the connected transports.
+	gid, err := f.CreateGroup(f.Graph().Switches()[0], []topology.NodeID{a.Host, b.Host})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ud.AttachMcast(gid); err != nil {
+		t.Fatalf("AttachMcast on UD QP: %v", err)
+	}
+	for _, qp := range []*QP{rc, uc} {
+		if err := qp.AttachMcast(gid); err == nil {
+			t.Errorf("AttachMcast on %v QP succeeded", qp.Transport)
+		}
 	}
 }
 

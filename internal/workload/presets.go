@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/sim"
-	"repro/internal/verbs"
 )
 
 // Config parameterizes a preset workload.
@@ -105,7 +104,7 @@ func FSDPJob(name, pair string, cfg Config, hostOffset int) Job {
 		// (the send path belongs to the Reduce-Scatter stream), in-network
 		// Reduce-Scatter on the send path.
 		ag = Comm{Name: "ag", Algorithm: "mcast-allgather", Options: registry.Options{
-			Core: core.Config{Transport: verbs.UD, Subgroups: 4, Chains: cfg.Nodes},
+			Core: core.Config{Subgroups: 4, Chains: cfg.Nodes},
 		}}
 		rs = Comm{Name: "rs", Algorithm: "inc-reduce-scatter"}
 	default:
@@ -154,7 +153,6 @@ func dfsReplica(c Config) Workload {
 		HostCount: c.Nodes,
 		Comms: []Comm{{Name: "bcast", Algorithm: "mcast-broadcast", Options: registry.Options{
 			Core: core.Config{
-				Transport:   verbs.UD,
 				Subgroups:   2,
 				VerifyData:  c.VerifyData,
 				CutoffAlpha: 200 * sim.Microsecond,

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/coll"
 	"repro/internal/core"
-	"repro/internal/verbs"
 )
 
 // newTestSystem builds the 16-host two-level fat-tree all registry tests
@@ -94,7 +93,7 @@ func TestRegistryDeterminism(t *testing.T) {
 	)
 	sys := newTestSystem(t)
 	mcast, err := NewAlgorithm(sys, "mcast-allgather", AlgorithmOptions{
-		Core: core.Config{Transport: verbs.UD, Subgroups: 4},
+		Core: core.Config{Subgroups: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +129,7 @@ func TestRegistryVerifiedData(t *testing.T) {
 		opts AlgorithmOptions
 	}{
 		{"mcast-allgather", Op{Kind: Allgather, Bytes: 32 << 10},
-			AlgorithmOptions{Core: core.Config{Transport: verbs.UD, VerifyData: true}}},
+			AlgorithmOptions{Core: core.Config{VerifyData: true}}},
 		{"knomial-broadcast", Op{Kind: Broadcast, Bytes: 32 << 10},
 			AlgorithmOptions{Coll: coll.Config{VerifyData: true}}},
 	}

@@ -64,7 +64,7 @@ func TestSystemEndToEndCollectives(t *testing.T) {
 		t.Fatal(err)
 	}
 	comm, err := sys.NewCommunicator(sys.Hosts(), core.Config{
-		Transport: verbs.UD, VerifyData: true,
+		VerifyData: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestSystemDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		comm, err := sys.NewCommunicator(sys.Hosts(), core.Config{Transport: verbs.UD})
+		comm, err := sys.NewCommunicator(sys.Hosts(), core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestSharedGraphConcurrentBuilds(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					comm, err := sys.NewCommunicator(sys.Hosts()[:32], core.Config{Transport: verbs.UD})
+					comm, err := sys.NewCommunicator(sys.Hosts()[:32], core.Config{})
 					if err != nil {
 						t.Error(err)
 						return
