@@ -86,7 +86,8 @@ var bruckAllgather = &schedule{
 				copy(op.mr.Data[b*n:(b+1)*n], rotated[src*n:(src+1)*n])
 			}
 		}
-		op.p.node.Ctx.DMA().Enqueue(size*n, func() { op.d.rankDone(op.p) })
+		at := op.p.node.Ctx.DMA().Book(size * n)
+		op.p.eng.AtHandler(at, op.d, 0, 0, op.p)
 	},
 }
 

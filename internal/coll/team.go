@@ -224,7 +224,8 @@ func (d *opDriver) rankDone(p *peer) {
 }
 
 // OnEvent completes a rank asynchronously (the single-rank degenerate path
-// of every Start*): obj is the *peer to mark done.
+// of every Start*, and Bruck's un-rotating copy): obj is the *peer to mark
+// done.
 func (d *opDriver) OnEvent(_ *sim.Engine, _ sim.Handle, _ uint64, _ int, obj any) {
 	d.rankDone(obj.(*peer))
 }

@@ -86,19 +86,18 @@ func (c *Communicator) startOp(kind opKind, root, n int, done func(*Result)) err
 		// The previous operation is done on every rank, so nothing still
 		// scheduled refers to its state: keep only the storage.
 		*op = opState{
-			r:       r,
-			seq:     seq,
-			kind:    kind,
-			root:    root,
-			n:       n,
-			chunk:   chunk,
-			cpr:     cpr,
-			total:   total,
-			roots:   roots,
-			isRoot:  kind == kindAllgather || (kind == kindBroadcast && r.id == root),
-			bm:      op.bm,
-			dmaDone: op.dmaDone,
-			barGot:  op.barGot[:0],
+			r:      r,
+			seq:    seq,
+			kind:   kind,
+			root:   root,
+			n:      n,
+			chunk:  chunk,
+			cpr:    cpr,
+			total:  total,
+			roots:  roots,
+			isRoot: kind == kindAllgather || (kind == kindBroadcast && r.id == root),
+			bm:     op.bm,
+			barGot: op.barGot[:0],
 		}
 		op.bm.Reset(total)
 		recvBytes := n

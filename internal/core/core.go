@@ -173,9 +173,6 @@ func (c *Communicator) Rank(i int) *Rank { return c.ranks[i] }
 // Engine returns the driving simulation engine.
 func (c *Communicator) Engine() *sim.Engine { return c.eng }
 
-// Config returns the effective configuration.
-func (c *Communicator) Config() Config { return c.cfg }
-
 // ctrlPeers returns the set of ranks rank r must hold reliable connections
 // to: ring neighbors (fetch + final handshake + activation) and
 // dissemination-barrier partners in both directions.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -455,5 +457,111 @@ func TestPropertyProtocolAlwaysCompletes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: count}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFoldedRunsKeepTheirTimes pins 16-rank multicast runs. Under
+// reordering and loss, the cutoff slack is short, so an allgather rank
+// starts its fetch path while multicast chunks still stream in and their
+// staging copies complete. On a quiet fabric a rank's receive-done time is
+// its last staging copy's completion, so a copy completion queued at the
+// wrong time moves it. The engine's event counts and every rank's
+// receive-done and done times are constants recorded with one queued
+// completion event per staging copy: folding the completions no handler
+// can observe must not move any of them, and every run must fold some.
+func TestFoldedRunsKeepTheirTimes(t *testing.T) {
+	want := map[string][3]uint64{ // Executed, Scheduled, times fingerprint
+		"lossy/allgather/1": {20663, 21107, 0xe3e23fc85e8ae63c},
+		"lossy/broadcast/1": {6543, 6826, 0x77d9c0052b1c7e0a},
+		"lossy/allgather/2": {21799, 22331, 0x9963fadfb3a9cee8},
+		"lossy/broadcast/2": {5484, 5632, 0xf820e9eaea071561},
+		"lossy/allgather/3": {21911, 22523, 0x3bd7fe49b58f3bf9},
+		"lossy/broadcast/3": {6306, 6541, 0xcbc143659ce64a6a},
+		"quiet/allgather/1": {13799, 13910, 0x7d9ae0c68a5e2138},
+		"quiet/broadcast/1": {3879, 3971, 0xb23f10b9346134c},
+	}
+	lossy := fabric.Config{DropRate: 0.01, ReorderJitter: 5 * sim.Microsecond}
+	for _, c := range []struct {
+		name  string
+		fcfg  fabric.Config
+		seeds []uint64
+	}{{"lossy", lossy, []uint64{1, 2, 3}}, {"quiet", fabric.Config{}, []uint64{1}}} {
+		for _, seed := range c.seeds {
+			for _, kind := range []string{"allgather", "broadcast"} {
+				key := fmt.Sprintf("%s/%s/%d", c.name, kind, seed)
+				eng := sim.NewEngine(seed)
+				g, err := topology.TwoLevelFatTree(topology.FatTreeSpec{Hosts: 16, HostsPerLeaf: 4, Spines: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				comm, err := newComm(fabric.New(eng, g, c.fcfg), g.Hosts(), Config{VerifyData: true, CutoffAlpha: 2 * sim.Microsecond})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var fired uint64
+				eng.EventHook = func(sim.Time, uint64, sim.Handler) { fired++ }
+				executed0 := eng.Executed
+				var res *Result
+				if kind == "allgather" {
+					res, err = runAllgather(comm, 64<<10)
+				} else {
+					res, err = runBroadcast(comm, 5, 256<<10)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := comm.VerifyLast(); err != nil {
+					t.Fatal(err)
+				}
+				if (res.MaxRecovered() == 0) != (c.fcfg == fabric.Config{}) {
+					t.Fatalf("%s: %d chunks recovered", key, res.MaxRecovered())
+				}
+				if eng.Executed-executed0 == fired {
+					t.Errorf("%s: no staging-copy completion was folded", key)
+				}
+				h := fnv.New64a()
+				for _, r := range comm.ranks {
+					fmt.Fprintf(h, "%d %d\n", r.op.tRxDone, r.op.tDone)
+				}
+				got := [3]uint64{eng.Executed, eng.Scheduled, h.Sum64()}
+				if got != want[key] {
+					t.Errorf("%s: Executed, Scheduled, times = %d, %d, %#x, want %d, %d, %#x",
+						key, got[0], got[1], got[2], want[key][0], want[key][1], want[key][2])
+				}
+			}
+		}
+	}
+}
+
+// dropUplink takes a host's uplink down when it fires.
+type dropUplink struct {
+	f    *fabric.Fabric
+	host topology.NodeID
+}
+
+func (d dropUplink) OnEvent(*sim.Engine, sim.Handle, uint64, int, any) {
+	for id := 0; id < d.f.NumChannels(); id++ {
+		if from, _ := d.f.ChannelEnds(fabric.ChannelID(id)); from == d.host {
+			d.f.SetDropRate(fabric.ChannelID(id), 1)
+		}
+	}
+}
+
+// TestStalledOpDrains cuts one rank's uplink in the middle of a multicast
+// Allgather, after the other ranks have staged copies under the cutoff
+// timer. The operation can never finish, and the engine must still run
+// dry: the held copies are settled when the timer fires, so no reserved
+// number is left for the dry-queue check to find.
+func TestStalledOpDrains(t *testing.T) {
+	eng, f, comm := buildComm(t, 4, fabric.Config{}, Config{})
+	eng.AtHandler(eng.Now()+15*sim.Microsecond, dropUplink{f, comm.Rank(3).Host()}, 0, 0, nil)
+	var fired uint64
+	eng.EventHook = func(sim.Time, uint64, sim.Handler) { fired++ }
+	executed0 := eng.Executed
+	if _, err := runAllgather(comm, 1<<20); err == nil {
+		t.Fatal("the allgather completed with a rank's uplink down")
+	}
+	if eng.Pending() != 0 || eng.Executed-executed0 == fired {
+		t.Fatalf("Pending %d after the run, %d folded; want 0 and some", eng.Pending(), eng.Executed-executed0-fired)
 	}
 }

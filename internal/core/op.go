@@ -43,10 +43,10 @@ type opState struct {
 
 	bm        *bitmap.Bitmap
 	remaining int
-	dmaOut    int
-	// dmaDone retires one staging copy. One closure per rank, handed to
-	// every DMA enqueue, so a received chunk allocates nothing.
-	dmaDone func()
+	dmaOut    int      // staging copies not yet retired (see stage)
+	dmaQueued bool     // one of them has its completion queued
+	dmaAt     sim.Time // the newest copy's completion, when it is not queued
+	dmaSeq    uint64   // and its reserved sequence number
 
 	isRoot    bool
 	begun     bool
@@ -82,14 +82,9 @@ type opState struct {
 }
 
 // newOpState returns a rank's op state with the storage that outlives one
-// operation: the bitmap and the DMA completion closure.
+// operation: the bitmap.
 func newOpState(r *Rank) *opState {
-	op := &opState{r: r, bm: &bitmap.Bitmap{}}
-	op.dmaDone = func() {
-		op.dmaOut--
-		op.maybeRxDone()
-	}
-	return op
+	return &opState{r: r, bm: &bitmap.Bitmap{}}
 }
 
 // rec records a phase transition (no-op when telemetry is off).
@@ -191,11 +186,10 @@ func (op *opState) begin() {
 			op.bm.Set(base + l)
 		}
 		op.remaining = op.total - op.cpr
-		op.dmaOut++
 		if op.sendMR.Data != nil && op.recvMR.Data != nil {
 			copy(op.recvMR.Data[r.id*op.n:r.id*op.n+op.n], op.sendMR.Data[:op.n])
 		}
-		r.ctx.DMA().Enqueue(op.n, op.dmaDone)
+		op.stage(op.n)
 	case op.isRoot:
 		for l := 0; l < op.cpr; l++ {
 			op.bm.Set(l)
@@ -340,18 +334,28 @@ func (op *opState) postBatch() {
 	}
 }
 
-// Event kinds dispatched through opState.OnEvent (arg1 on the cutoff path).
-const opEvCutoff = -1
+// Event kinds dispatched through opState.OnEvent (arg1 off the TX path).
+const (
+	opEvCutoff = -1
+	opEvDMA    = -2
+)
 
 // OnEvent is the op's closure-free timer dispatch: the per-chunk TX posts
-// (arg0 = local chunk index, arg1 = signaled flag) and the receive cutoff
-// (arg1 == opEvCutoff).
+// (arg0 = local chunk index, arg1 = signaled flag), the receive cutoff
+// (arg1 == opEvCutoff) and the queued staging-copy completion
+// (arg1 == opEvDMA).
 func (op *opState) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, arg1 int, _ any) {
-	if arg1 == opEvCutoff {
+	switch arg1 {
+	case opEvCutoff:
+		if op.dmaOut != 0 && !op.dmaQueued {
+			op.settleCopies() // the timer no longer keeps the engine busy
+		}
 		op.startRecovery()
-		return
+	case opEvDMA:
+		op.copyDone()
+	default:
+		op.postChunk(int(arg0), arg1 == 1)
 	}
-	op.postChunk(int(arg0), arg1 == 1)
 }
 
 // postChunk injects one multicast chunk on its subgroup QP.
@@ -435,20 +439,76 @@ func (op *opState) chunkArrived(s, slot, psn, bytes int) {
 	if st := op.r.staging[s]; st.Data != nil && op.recvMR.Data != nil {
 		copy(op.recvMR.Data[off:off+length], st.Data[slot*op.chunk:slot*op.chunk+length])
 	}
-	op.dmaOut++
-	op.r.ctx.DMA().Enqueue(length, op.dmaDone)
+	op.stage(length)
 	op.serveDeferred()
 	op.maybeRxDone()
 }
 
+// stage books the staging-to-user copy of n bytes on the host's DMA engine.
+// A completion only takes its copy off dmaOut, which maybeRxDone alone
+// reads, so it matters only as the op's last outstanding copy once the rest
+// of maybeRxDone's condition holds. An op therefore queues at most one
+// completion; every other copy waits under a reserved number, the newest
+// in dmaAt/dmaSeq, until settleCopies folds it or queues it. While the
+// cutoff timer is pending, no copy is queued before the rest of the
+// condition holds: the timer keeps the engine from running dry under the
+// held numbers, and settles them when it fires. Otherwise the first copy
+// is queued, and the newest takes its place when it fires. Every copy
+// keeps the (at, seq) an event of its own would have had.
+func (op *opState) stage(n int) {
+	at := op.r.ctx.DMA().Book(n)
+	op.dmaOut++
+	if op.dmaOut == 1 && !op.cutoff.Active() {
+		op.dmaQueued = true
+		op.r.eng.AtHandler(at, op, 0, opEvDMA, nil)
+		return
+	}
+	op.dmaAt, op.dmaSeq = at, op.r.eng.Reserve(1)
+}
+
+// copyDone runs when the queued staging-copy completion fires. The DMA
+// engine completes copies in booking order, so the newest is still due.
+func (op *opState) copyDone() {
+	op.dmaOut--
+	op.dmaQueued = false
+	if op.dmaOut != 0 && !op.cutoff.Active() {
+		op.settleCopies() // queues the newest: maybeRxDone cannot pass
+		return
+	}
+	op.maybeRxDone()
+}
+
+// settleCopies resolves the held copies while none is queued: every copy
+// booked before the newest is folded, and so is the newest if an event of
+// its own would already have fired; otherwise it is queued.
+func (op *opState) settleCopies() {
+	eng := op.r.eng
+	if !eng.After(op.dmaAt, op.dmaSeq) {
+		eng.Fold(op.dmaOut)
+		op.dmaOut = 0
+		return
+	}
+	eng.Fold(op.dmaOut - 1)
+	op.dmaOut = 1
+	op.dmaQueued = true
+	eng.AtReserved(op.dmaAt, op.dmaSeq, op, 0, opEvDMA, nil)
+}
+
 // maybeRxDone fires the receive-complete transition: every chunk present
-// and all staging copies drained.
+// and all staging copies drained (held copies are settled first; see
+// stage).
 func (op *opState) maybeRxDone() {
-	if op.rxDone || op.remaining != 0 || op.dmaOut != 0 || op.fetchOut != 0 {
+	if op.rxDone || op.remaining != 0 || op.fetchOut != 0 {
 		return
 	}
 	if op.tBarrier == 0 {
 		return // never complete before RNR synchronization
+	}
+	if op.dmaOut != 0 && !op.dmaQueued {
+		op.settleCopies()
+	}
+	if op.dmaOut != 0 {
+		return
 	}
 	op.rxDone = true
 	op.tRxDone = op.r.eng.Now()

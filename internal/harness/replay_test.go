@@ -19,8 +19,12 @@ type firedEvent struct {
 
 // straightThrough builds and starts the point, then runs it to a drained
 // queue, recording every fired event through the engine's EventHook. It
-// returns the events, the clock and the executed-event count at the start.
-func straightThrough(t *testing.T, s sweep.Spec) ([]firedEvent, sim.Time, uint64) {
+// returns the events, the clock at the start, and the position on the
+// timeline of every executed-event count the run passed between events:
+// the number of events fired when Executed held that count. Executed also
+// counts folded staging copies, credited in their producer's handlers, so
+// it can step by more than one per fired event.
+func straightThrough(t *testing.T, s sweep.Spec) ([]firedEvent, sim.Time, map[uint64]int) {
 	t.Helper()
 	pt, err := buildColl(telemetry.Config{}, s, 0)
 	if err != nil {
@@ -31,29 +35,38 @@ func straightThrough(t *testing.T, s sweep.Spec) ([]firedEvent, sim.Time, uint64
 		t.Fatal(err)
 	}
 	eng := pt.f.Engine()
-	start, executed := eng.Now(), eng.Executed
+	start := eng.Now()
 	var evs []firedEvent
+	pos := map[uint64]int{}
 	eng.EventHook = func(at sim.Time, seq uint64, h sim.Handler) {
+		pos[eng.Executed-1] = len(evs) // the hook runs after the count
 		evs = append(evs, firedEvent{at, eventLine(at, seq, h)})
 	}
 	eng.Run()
 	if res == nil {
 		t.Fatalf("%s did not complete", s.Algorithm)
 	}
-	return evs, start, executed
+	pos[eng.Executed] = len(evs)
+	return evs, start, pos
 }
 
 // TestReplaySeekMatchesForwardPass pins what makes `repro replay` an exact
 // debugger: a seek that re-executes the run lands where the straight-through
 // run was at the target, and the stepped events are the events that run
 // fired next. Targets cover a waypoint exactly, a point between waypoints,
-// and a point past the end of the run. The waypoint table itself must name
-// positions of the straight-through run.
+// the middle of the run and a point past its end. The waypoint table itself
+// must name positions of the straight-through run. The 64 KiB multicast
+// point folds staging-copy completions, so Executed and the count of
+// events fired part ways.
 func TestReplaySeekMatchesForwardPass(t *testing.T) {
 	const steps = 40
-	for _, algo := range []string{"mcast-allgather", "ring-allgather"} {
-		s := sweep.Spec{Algorithm: algo, Scenario: "quiet", Nodes: 16, MsgBytes: 4096, Seed: 7}
-		ref, start, executed0 := straightThrough(t, s)
+	for _, s := range []sweep.Spec{
+		{Algorithm: "mcast-allgather", Scenario: "quiet", Nodes: 16, MsgBytes: 4096, Seed: 7},
+		{Algorithm: "ring-allgather", Scenario: "quiet", Nodes: 16, MsgBytes: 4096, Seed: 7},
+		{Algorithm: "mcast-allgather", Scenario: "quiet", Nodes: 16, MsgBytes: 64 << 10, Seed: 7},
+	} {
+		algo := fmt.Sprintf("%s/%d", s.Algorithm, s.MsgBytes)
+		ref, start, pos := straightThrough(t, s)
 		// The first event at or after a 5 µs mark is where that mark's
 		// waypoint is recorded.
 		onWaypoint := ref[len(ref)-1].at
@@ -66,6 +79,7 @@ func TestReplaySeekMatchesForwardPass(t *testing.T) {
 		for _, cfg := range []ReplayConfig{
 			{Interval: 5 * sim.Microsecond, At: onWaypoint, Steps: steps},
 			{Interval: 10 * sim.Microsecond, At: 13*sim.Microsecond + 7, Steps: steps},
+			{Interval: 5 * sim.Microsecond, At: ref[len(ref)/2].at, Steps: steps},
 			{Interval: 5 * sim.Microsecond, At: sim.Second, Steps: steps},
 		} {
 			label := fmt.Sprintf("%s interval=%d at=%d", algo, cfg.Interval, cfg.At)
@@ -73,7 +87,7 @@ func TestReplaySeekMatchesForwardPass(t *testing.T) {
 			if err := Replay(s, cfg, &out); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			checkReplay(t, label, out.String(), cfg, ref, start, executed0)
+			checkReplay(t, label, out.String(), cfg, ref, start, pos)
 			if onWP := fmt.Sprintf("(t=%d ns) + 0 events", onWaypoint); cfg.At == onWaypoint && !strings.Contains(out.String(), onWP) {
 				t.Errorf("%s: the seek did not land on the waypoint at the target:\n%s", label, out.String())
 			}
@@ -83,11 +97,11 @@ func TestReplaySeekMatchesForwardPass(t *testing.T) {
 
 // checkReplay reads a Replay transcript back against the straight-through
 // events.
-func checkReplay(t *testing.T, label, out string, cfg ReplayConfig, ref []firedEvent, start sim.Time, executed0 uint64) {
+func checkReplay(t *testing.T, label, out string, cfg ReplayConfig, ref []firedEvent, start sim.Time, positions map[uint64]int) {
 	t.Helper()
 	// A position on the timeline is the number of reference events fired
-	// before it: executed-event count minus executed0.
-	var wpExecuted []uint64
+	// before it; positions maps executed-event counts to it.
+	var wpPos []int
 	var seekIdx, skipped int
 	var seekWP, now sim.Time
 	var stepped []string
@@ -101,11 +115,11 @@ func checkReplay(t *testing.T, label, out string, cfg ReplayConfig, ref []firedE
 			if _, err := fmt.Sscanf(line, "# waypoint %d: t=%d ns, %d events executed", &i, &at, &executed); err != nil {
 				t.Fatalf("%s: waypoint line %q: %v", label, line, err)
 			}
-			pos := int(executed - executed0)
-			if pos > len(ref) || (pos > 0 && ref[pos-1].at != at) || (pos == 0 && at != start) {
+			pos, ok := positions[executed]
+			if !ok || (pos > 0 && ref[pos-1].at != at) || (pos == 0 && at != start) {
 				t.Errorf("%s: waypoint %d (t=%d, %d executed) is not a position of the straight-through run", label, i, at, executed)
 			}
-			wpExecuted = append(wpExecuted, executed)
+			wpPos = append(wpPos, pos)
 		case strings.HasPrefix(line, "# seek "):
 			var target sim.Time
 			if _, err := fmt.Sscanf(line, "# seek t=%d ns: waypoint %d (t=%d ns) + %d events -> now=%d ns",
@@ -117,10 +131,10 @@ func checkReplay(t *testing.T, label, out string, cfg ReplayConfig, ref []firedE
 			stepped = append(stepped, line)
 		}
 	}
-	if !seekFound || seekIdx >= len(wpExecuted) {
+	if !seekFound || seekIdx >= len(wpPos) {
 		t.Fatalf("%s: no seek onto a listed waypoint in:\n%s", label, out)
 	}
-	pos := int(wpExecuted[seekIdx]-executed0) + skipped
+	pos := wpPos[seekIdx] + skipped
 	if pos > len(ref) {
 		t.Fatalf("%s: seek position %d past the run's %d events", label, pos, len(ref))
 	}

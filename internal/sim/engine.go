@@ -47,11 +47,18 @@
 // one at a time later takes their sequence numbers up front with Reserve
 // and queues each with AtReserved: the events then fire exactly where
 // scheduling them at once would have put them, while only a few of them
-// are ever queued. There are two producers: a message train (each
-// segment's arrival queues the next) and a congested switch port (each
-// landing of one of its hops queues the next hop waiting at the port).
-// Every reserved number must be queued: a queue that runs dry while
-// Pending counts one is a producer bug, and Run and Step panic on it.
+// are ever queued. There are three producers: a message train (each
+// segment's arrival queues the next), a congested switch port (each
+// landing of one of its hops queues the next hop waiting at the port) and
+// an operation's staging copies (at most one completion queued at a time).
+// A producer may also Fold a reserved number: count it as fired without
+// queueing it, for an event whose handler could change nothing anyone reads
+// (a staging copy that completes while a later copy of the same operation
+// is outstanding, or before the operation could use its completion). A
+// number is queued before the clock passes its time, or
+// folded at any time; After tells a producer which of the two is still
+// open. A queue that runs dry while Pending counts a number neither queued
+// nor folded is a producer bug, and Run and Step panic on it.
 // Events are carved from engine-owned slabs and recycled through a free
 // list once fired or cancelled, so steady-state scheduling does not
 // allocate at all. The value-type Handle is the only reference to
@@ -302,7 +309,8 @@ type Engine struct {
 	// Far-future overflow: everything at or beyond bucket start+numBuckets.
 	far eventHeap
 
-	live int // scheduled, not yet fired, not cancelled
+	live   int    // scheduled, not yet fired, not cancelled
+	firing uint64 // sequence number of the event firing now (see After)
 
 	free []*event // recycled events
 	slab []event  // fresh events not handed out yet (see carve)
@@ -310,9 +318,11 @@ type Engine struct {
 	// Throughput counters, exported so harnesses can surface engine
 	// throughput in their Records (both are deterministic counts).
 	//
-	// Executed counts events that have fired, for diagnostics and for
-	// guarding against runaway simulations in tests. Scheduled counts every
-	// AtHandler/AfterHandler call and every number Reserve hands out.
+	// Executed counts events that have fired plus reserved numbers folded
+	// (Fold), for diagnostics and for guarding against runaway simulations.
+	// A fold is credited when the producer folds, which may be before or
+	// after the folded events' own times. Scheduled counts every AtHandler/AfterHandler
+	// call and every number Reserve hands out.
 	Executed  uint64
 	Scheduled uint64
 
@@ -380,7 +390,7 @@ func (e *Engine) AtHandler(t Time, h Handler, arg0 uint64, arg1 int, obj any) Ha
 // queue later, one by one, with AtReserved, and returns the first. The n
 // events count in Scheduled and Pending from now on, exactly as if they had
 // all been scheduled here: every one of them must be queued eventually, each
-// before the clock passes its firing time.
+// before the clock passes its firing time, or folded (Fold).
 func (e *Engine) Reserve(n int) uint64 {
 	seq := e.seq
 	e.seq += uint64(n)
@@ -408,6 +418,23 @@ func (e *Engine) AtReserved(t Time, seq uint64, h Handler, arg0 uint64, arg1 int
 	ev.h, ev.arg0, ev.arg1, ev.obj = h, arg0, arg1, obj
 	e.schedule(ev)
 	return Handle{ev: ev, gen: ev.gen}
+}
+
+// Fold counts n reserved numbers as fired without queueing them: a producer
+// whose handler could not change anything observable at those events takes
+// them off Pending and adds them to Executed, before or after their firing
+// times. A folded event never reaches EventHook.
+func (e *Engine) Fold(n int) {
+	e.Executed += uint64(n)
+	e.live -= n
+}
+
+// After reports whether an event at (at, seq) comes after the event firing
+// now in the (at, seq) order: whether a reserved number, had it been queued,
+// would still be pending. A producer holding numbers it has not queued asks
+// it to decide between queueing and folding.
+func (e *Engine) After(at Time, seq uint64) bool {
+	return at > e.now || at == e.now && seq > e.firing
 }
 
 // past panics on an event scheduled before now: that is always a
@@ -817,7 +844,7 @@ func (e *Engine) step() bool {
 	if ev.at < e.now {
 		panic("sim: event queue time went backwards")
 	}
-	e.now = ev.at
+	e.now, e.firing = ev.at, ev.seq
 	e.Executed++
 	e.live--
 	if e.EventHook != nil {

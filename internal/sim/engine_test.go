@@ -166,6 +166,50 @@ func TestRunPanicsOnUnqueuedReservation(t *testing.T) {
 	e.Run()
 }
 
+// TestRunPanicsOnReservationNeitherQueuedNorFolded: of three reserved
+// numbers one is folded and one queued, so Run fires one event, counts two
+// executed, and must still name the third, which is neither.
+func TestRunPanicsOnReservationNeitherQueuedNorFolded(t *testing.T) {
+	e := NewEngine(1)
+	seq := e.Reserve(3)
+	e.Fold(1)
+	fired := 0
+	e.AtReserved(10, seq+1, call(func() { fired++ }), 0, 0, nil)
+	defer func() {
+		msg, _ := recover().(string)
+		if want := "sim: queue ran dry with 1 reserved events never queued"; msg != want || fired != 1 || e.Executed != 2 {
+			t.Fatalf("Run panicked with %q after %d fired, %d executed; want %q after 1 fired, 2 executed",
+				msg, fired, e.Executed, want)
+		}
+	}()
+	e.Run()
+}
+
+// TestAfterOrdersAgainstTheFiringEvent: inside a handler, After places a
+// reserved (at, seq) against the event firing now, ties broken by sequence
+// number the way the queue breaks them.
+func TestAfterOrdersAgainstTheFiringEvent(t *testing.T) {
+	e := NewEngine(1)
+	before := e.Reserve(1)
+	e.AtHandler(10, call(func() {
+		after := e.Reserve(1)
+		for _, c := range []struct {
+			at   Time
+			seq  uint64
+			want bool
+		}{{9, after, false}, {10, before, false}, {10, after, true}, {11, before, true}} {
+			if got := e.After(c.at, c.seq); got != c.want {
+				t.Errorf("After(%d, %d) at (10, %d) = %v, want %v", c.at, c.seq, before+1, got, c.want)
+			}
+		}
+		e.Fold(2)
+	}), 0, 0, nil)
+	e.Run()
+	if e.Executed != 3 || e.Pending() != 0 {
+		t.Fatalf("Executed %d Pending %d, want 3 and 0", e.Executed, e.Pending())
+	}
+}
+
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	e := NewEngine(1)
 	var fired []Time

@@ -65,10 +65,13 @@ type propHarness struct {
 	hooks    map[int]func()
 	// reserve adds a fourth randomized move: Reserve a block of sequence
 	// numbers whose events wait in deferred and are queued with AtReserved
-	// later, in random order; late counts the regions they land in.
+	// later, in random order; late counts the regions they land in. It also
+	// adds a fifth: Fold one deferred event, which then counts as executed
+	// and never fires; folded counts them.
 	reserve  bool
 	deferred []*refItem
 	late     map[int8]int
+	folded   int
 }
 
 func newPropHarness(t *testing.T, seed uint64) *propHarness {
@@ -119,6 +122,9 @@ func (p *propHarness) OnEvent(_ *Engine, _ Handle, arg0 uint64, _ int, _ any) {
 			p.t.Fatalf("Pending %d Scheduled %d, want %d and %d as if every event were queued",
 				p.eng.Pending(), p.eng.Scheduled, len(p.refByID), p.refSeq)
 		}
+		if want := uint64(len(p.fired) + p.folded); p.eng.Executed != want {
+			p.t.Fatalf("Executed %d, want %d fired plus %d folded", p.eng.Executed, len(p.fired), p.folded)
+		}
 	}
 }
 
@@ -133,7 +139,7 @@ func (p *propHarness) act() {
 	}
 	moves := 3
 	if p.reserve {
-		moves = 4
+		moves = 5
 	}
 	switch p.rng.Intn(moves) {
 	case 0: // schedule an extra event
@@ -147,6 +153,10 @@ func (p *propHarness) act() {
 		if k := min(p.budget, 1+p.rng.Intn(6)); k > 0 {
 			p.budget -= k
 			p.reserveBlock(k)
+		}
+	case 4: // fold a deferred event (never queue it, never fire it)
+		if len(p.deferred) > 0 {
+			p.foldDeferred(p.rng.Intn(len(p.deferred)))
 		}
 	}
 }
@@ -197,6 +207,18 @@ func (p *propHarness) queueReserved(i int) {
 	h := p.eng.AtReserved(it.at, it.seq, p, uint64(it.id), 0, nil)
 	p.live[it.id] = h
 	p.late[h.ev.where]++
+}
+
+// foldDeferred folds deferred[i]: the engine counts it as fired without
+// queueing it, and the reference drops it unfired.
+func (p *propHarness) foldDeferred(i int) {
+	it := p.deferred[i]
+	p.deferred[i] = p.deferred[len(p.deferred)-1]
+	p.deferred = p.deferred[:len(p.deferred)-1]
+	p.eng.Fold(1)
+	it.canceled = true
+	delete(p.refByID, it.id)
+	p.folded++
 }
 
 // cancelOne cancels the smallest live id: a deterministic pick (map
@@ -350,7 +372,8 @@ func TestHybridMatchesReferenceHeapOrder(t *testing.T) {
 // randomized schedule: their events are queued late, out of order, under
 // numbers taken before the events scheduled in between, and must still pop
 // in the reference heap's (at, seq) order, with Pending and Scheduled
-// counting them from the reservation on.
+// counting them from the reservation on. Some are folded instead of
+// queued: they never fire, and Executed counts them from the fold on.
 func TestReservedMatchesReferenceHeapOrder(t *testing.T) {
 	for _, seed := range []uint64{3, 99, 0xfeedface} {
 		p := newPropHarness(t, seed)
@@ -371,6 +394,10 @@ func TestReservedMatchesReferenceHeapOrder(t *testing.T) {
 		}
 		if p.eng.Scheduled != p.refSeq {
 			t.Fatalf("seed %d: Scheduled %d, want %d", seed, p.eng.Scheduled, p.refSeq)
+		}
+		if p.folded == 0 || p.eng.Executed != uint64(len(p.fired)+p.folded) {
+			t.Fatalf("seed %d: Executed %d after %d fired and %d folded, want the sum and a fold",
+				seed, p.eng.Executed, len(p.fired), p.folded)
 		}
 	}
 }

@@ -2,7 +2,7 @@ package verbs
 
 import "repro/internal/sim"
 
-// Quiesced returns the earliest time at which all currently queued copies
+// Quiesced returns the earliest time at which all currently booked copies
 // will have completed.
 func (d *DMAEngine) Quiesced() sim.Time {
 	now := d.eng.Now()

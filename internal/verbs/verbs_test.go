@@ -588,14 +588,11 @@ func TestUnconnectedOpsPanic(t *testing.T) {
 func TestDMAEngineOrderingAndLatency(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := newDMAEngine(eng, 32e9, 1500*sim.Nanosecond)
-	var done []sim.Time
 	// Two back-to-back 32 KB copies: first completes at 32768/32e9 s + 1.5µs
 	// = 1024ns + 1500ns; second serializes behind the first's bandwidth slot.
-	d.Enqueue(32768, func() { done = append(done, eng.Now()) })
-	d.Enqueue(32768, func() { done = append(done, eng.Now()) })
-	eng.Run()
-	if len(done) != 2 {
-		t.Fatal("copies did not complete")
+	done := []sim.Time{d.Book(32768), d.Book(32768)}
+	if eng.Pending() != 0 {
+		t.Fatalf("booking queued %d events", eng.Pending())
 	}
 	if done[0] != 2524 {
 		t.Fatalf("first copy at %v, want 2524ns", done[0])
@@ -611,7 +608,7 @@ func TestDMAQuiesced(t *testing.T) {
 	if d.Quiesced() != 0 {
 		t.Fatalf("idle Quiesced = %v", d.Quiesced())
 	}
-	d.Enqueue(1000, nil) // 1000ns serialize + 1000ns latency
+	d.Book(1000) // 1000ns serialize + 1000ns latency
 	if q := d.Quiesced(); q != 2000 {
 		t.Fatalf("Quiesced = %v, want 2000", q)
 	}
