@@ -27,12 +27,6 @@ type Bitmap struct {
 	set   int // population count, maintained incrementally
 }
 
-// Len returns the number of tracked chunks.
-func (b *Bitmap) Len() int { return b.n }
-
-// Count returns the number of set bits.
-func (b *Bitmap) Count() int { return b.set }
-
 // Set marks chunk i as received and reports whether the bit was newly set
 // (false means a duplicate delivery). It panics on out-of-range PSNs:
 // a PSN beyond the buffer length indicates memory corruption in a real

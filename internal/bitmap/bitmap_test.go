@@ -17,14 +17,14 @@ func newBitmap(n int) *Bitmap {
 
 func TestNewEmpty(t *testing.T) {
 	b := newBitmap(100)
-	if b.Len() != 100 || b.Count() != 0 {
+	if b.n != 100 || b.set != 0 {
 		t.Fatalf("fresh bitmap state wrong: %v", b)
 	}
 }
 
 func TestNewZeroLength(t *testing.T) {
 	b := newBitmap(0)
-	if b.Count() != b.Len() {
+	if b.set != b.n {
 		t.Fatal("zero-length bitmap should be complete")
 	}
 	if got := b.MissingRanges(nil); len(got) != 0 {
@@ -45,8 +45,8 @@ func TestSetAndGet(t *testing.T) {
 			t.Fatalf("bit %d not readable after Set", i)
 		}
 	}
-	if b.Count() != 8 {
-		t.Fatalf("Count = %d, want 8", b.Count())
+	if b.set != 8 {
+		t.Fatalf("set bits = %d, want 8", b.set)
 	}
 }
 
@@ -56,8 +56,8 @@ func TestDuplicateSet(t *testing.T) {
 	if b.Set(3) {
 		t.Fatal("second Set(3) reported newly-set")
 	}
-	if b.Count() != 1 {
-		t.Fatalf("duplicate Set corrupted count: %d", b.Count())
+	if b.set != 1 {
+		t.Fatalf("duplicate Set corrupted count: %d", b.set)
 	}
 }
 
@@ -77,12 +77,12 @@ func TestOutOfRangePanics(t *testing.T) {
 func TestFull(t *testing.T) {
 	b := newBitmap(65)
 	for i := 0; i < 65; i++ {
-		if b.Count() == b.Len() {
+		if b.set == b.n {
 			t.Fatalf("complete before all bits set (at %d)", i)
 		}
 		b.Set(i)
 	}
-	if b.Count() != b.Len() {
+	if b.set != b.n {
 		t.Fatal("not complete after all bits set")
 	}
 }
@@ -111,7 +111,7 @@ func TestClear(t *testing.T) {
 			}
 			storage := b.words[:cap(b.words)]
 			b.Reset(c.to)
-			if b.Len() != c.to || b.Count() != 0 {
+			if b.n != c.to || b.set != 0 {
 				t.Fatalf("Reset(%d) left state %v", c.to, b)
 			}
 			for i := 0; i < c.to; i++ {
@@ -125,8 +125,8 @@ func TestClear(t *testing.T) {
 			if got := len(storage) > 0 && cap(b.words) > 0 && &b.words[:1][0] == &storage[0]; got != c.reused {
 				t.Fatalf("storage reused = %v, want %v", got, c.reused)
 			}
-			if c.to > 0 && (!b.Set(c.to-1) || b.Count() != 1) {
-				t.Fatalf("Set(%d) after Reset: count %d", c.to-1, b.Count())
+			if c.to > 0 && (!b.Set(c.to-1) || b.set != 1) {
+				t.Fatalf("Set(%d) after Reset: count %d", c.to-1, b.set)
 			}
 		})
 	}
@@ -241,7 +241,7 @@ func TestPropertySetMissingComplement(t *testing.T) {
 			}
 			distinct[i] = true
 		}
-		if b.Count() != len(distinct) {
+		if b.set != len(distinct) {
 			return false
 		}
 		for i := 0; i < n; i++ {
@@ -303,7 +303,7 @@ func TestPropertyMissingRangesConsistent(t *testing.T) {
 func TestMissingRangesMatchesBitByBit(t *testing.T) {
 	reference := func(b *Bitmap) [][2]int {
 		var out [][2]int
-		for i := 0; i < b.Len(); i++ {
+		for i := 0; i < b.n; i++ {
 			if b.Get(i) {
 				continue
 			}
@@ -325,7 +325,7 @@ func TestMissingRangesMatchesBitByBit(t *testing.T) {
 		b := newBitmap(n)
 		if trial%2 == 1 { // storage reused from a longer, full bitmap
 			b = newBitmap(n + 1 + rng.Intn(128))
-			for i := 0; i < b.Len(); i++ {
+			for i := 0; i < b.n; i++ {
 				b.Set(i)
 			}
 			b.Reset(n)
@@ -356,7 +356,7 @@ func BenchmarkSet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bm.Set(i & (1<<20 - 1))
-		if bm.Count() == bm.Len() {
+		if bm.set == bm.n {
 			bm.Reset(1 << 20)
 		}
 	}

@@ -34,22 +34,6 @@ func knomialChildren(id, root, size, radix int) []int {
 	return children
 }
 
-// knomialParent returns the parent of id in the k-nomial tree (or -1 for
-// the root).
-func knomialParent(id, root, size, radix int) int {
-	v := (id - root + size) % size
-	if v == 0 {
-		return -1
-	}
-	pow := 1
-	for v%(pow*radix) == 0 {
-		pow *= radix
-	}
-	digit := (v / pow) % radix
-	parent := v - digit*pow
-	return (parent + root) % size
-}
-
 // binaryChildren returns the children of id in a complete binary tree
 // (heap layout) rooted at root.
 func binaryChildren(id, root, size int) []int {

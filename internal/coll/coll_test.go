@@ -214,6 +214,22 @@ func TestKnomialTreeStructure(t *testing.T) {
 	}
 }
 
+// knomialParent returns the parent of id in the k-nomial tree (or -1 for
+// the root).
+func knomialParent(id, root, size, radix int) int {
+	v := (id - root + size) % size
+	if v == 0 {
+		return -1
+	}
+	pow := 1
+	for v%(pow*radix) == 0 {
+		pow *= radix
+	}
+	digit := (v / pow) % radix
+	parent := v - digit*pow
+	return (parent + root) % size
+}
+
 func TestKnomialTreeCoversAllRanks(t *testing.T) {
 	for _, radix := range []int{2, 3, 4, 8} {
 		for _, size := range []int{1, 2, 5, 16, 188} {

@@ -46,7 +46,7 @@ import (
 
 // p2pProgress is the per-completion cost of the baseline progress engine
 // (poll, match, bookkeeping) on the host CPU.
-var p2pProgress = dpa.Profile{Name: "p2p-progress", IssueCycles: 250, LatencyCycles: 250}
+var p2pProgress = dpa.Profile{IssueCycles: 250, LatencyCycles: 250}
 
 // reduceBandwidth is the sustained single-core vector-reduction rate used
 // by the ring Reduce-Scatter (memory-bound AVX accumulate), bytes/second.

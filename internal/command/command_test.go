@@ -346,10 +346,10 @@ func TestManifestShardMatrix(t *testing.T) {
 }
 
 // smallOSUManifest writes a fast single-point osu manifest to dir and
-// returns its path. json names the declared output file (relative paths
+// returns its path. out names the declared output file (relative paths
 // land in the process working directory unless redirected with -o);
 // digest pins expect.sha256 when non-empty.
-func smallOSUManifest(t *testing.T, dir, name, json, digest string) string {
+func smallOSUManifest(t *testing.T, dir, name, out, digest string) string {
 	t.Helper()
 	m := manifest.Manifest{
 		Kind: "osu",
@@ -359,16 +359,26 @@ func smallOSUManifest(t *testing.T, dir, name, json, digest string) string {
 			Sizes:      []int{4096},
 		},
 		OSU:    &manifest.OSUSpec{Iters: 1},
-		Output: manifest.Output{JSON: json},
+		Output: manifest.Output{JSON: out},
 	}
 	if digest != "" {
 		m.Expect = &manifest.Expect{SHA256: digest}
 	}
 	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, m.Encode(), 0o644); err != nil {
+	saveManifest(t, path, m)
+	return path
+}
+
+// saveManifest writes m to path as JSON.
+func saveManifest(t *testing.T, path string, m manifest.Manifest) {
+	t.Helper()
+	raw, err := json.Marshal(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return path
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRunMultiManifest is the table test over the batch form of `repro
@@ -445,9 +455,7 @@ func TestDigestMismatchExitsOne(t *testing.T) {
 		Expect: &manifest.Expect{SHA256: strings.Repeat("0", 64)},
 	}
 	path := filepath.Join(tmp, "m.json")
-	if err := os.WriteFile(path, m.Encode(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	saveManifest(t, path, m)
 	code, _, stderr := run("run", path)
 	if code != 1 || !strings.Contains(stderr, "does not match expect.sha256") {
 		t.Fatalf("digest mismatch: exit %d, stderr %q", code, stderr)
@@ -576,9 +584,7 @@ func TestShardsRejected(t *testing.T) {
 			Shards: shards,
 		}
 		path := filepath.Join(dir, fmt.Sprintf("shards%d.json", shards))
-		if err := os.WriteFile(path, m.Encode(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		saveManifest(t, path, m)
 		if code, _, stderr := run("run", "-o", out, path); code != 2 || stderr != "run: "+path+": "+hint+"\n" {
 			t.Errorf("run of a manifest with shards %d: exit %d, stderr %q; want 2 and one hint line", shards, code, stderr)
 		}
@@ -597,9 +603,7 @@ func TestWarmStartRejected(t *testing.T) {
 	write := func(name string, m manifest.Manifest) string {
 		t.Helper()
 		path := filepath.Join(dir, name+".json")
-		if err := os.WriteFile(path, m.Encode(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		saveManifest(t, path, m)
 		return path
 	}
 	chaos := func(name string, warm bool) string {
@@ -649,14 +653,10 @@ func TestPerfettoNeedsTraceablePoint(t *testing.T) {
 	}
 	dir := t.TempDir()
 	plain := filepath.Join(dir, "plain.json")
-	if err := os.WriteFile(plain, m.Encode(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	saveManifest(t, plain, m)
 	m.Telemetry = &manifest.TelemetrySpec{Perfetto: "T.json"}
 	traced := filepath.Join(dir, "traced.json")
-	if err := os.WriteFile(traced, m.Encode(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	saveManifest(t, traced, m)
 	const msg = "manifest: telemetry.perfetto set, but kind sweep has no traceable point"
 	if code, stdout, stderr := run("validate", traced); code != 2 || !strings.Contains(stderr, traced+": "+msg+"\n") || stdout != "" {
 		t.Errorf("validate: exit %d, stdout %q, stderr %q; want 2 and %q", code, stdout, stderr, msg)

@@ -92,12 +92,12 @@ func TestLazyCtrlSlotsCarryPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := marshalRanges([][2]int{{3, 9}, {70000, 70001}, {1 << 20, 1<<20 + 17}})
-	comm.Rank(0).sendCtrl(1, ctrlFetchReq, 0, want)
+	comm.ranks[0].sendCtrl(1, ctrlFetchReq, 0, want)
 	// Stop at the deferral: the broadcast's own recovery under loss
 	// materialises further slots later.
-	for len(comm.Rank(1).op.deferredReq) == 0 && eng.Step() {
+	for len(comm.ranks[1].op.deferredReq) == 0 && eng.Step() {
 	}
-	got := comm.Rank(1).op.deferredReq
+	got := comm.ranks[1].op.deferredReq
 	if len(got) != 1 || got[0].from != 0 || !bytes.Equal(got[0].payload, want) {
 		t.Fatalf("deferred fetch request = %+v, want one from rank 0 carrying % x", got, want)
 	}
@@ -105,7 +105,7 @@ func TestLazyCtrlSlotsCarryPayloads(t *testing.T) {
 		t.Fatalf("one payload left %d send / %d receive slot pages, want 1 / 0", s, r)
 	}
 	eng.Run()
-	if !done || len(comm.Rank(1).op.deferredReq) != 1 {
+	if !done || len(comm.ranks[1].op.deferredReq) != 1 {
 		t.Fatal("broadcast did not complete with the request still deferred")
 	}
 	func() {
@@ -114,7 +114,7 @@ func TestLazyCtrlSlotsCarryPayloads(t *testing.T) {
 				t.Errorf("a slot access straddling two pages panicked with %q, want the straddle check", msg)
 			}
 		}()
-		comm.Rank(0).sendSlot.Slice(ctrlSlotBytes-8, 16)
+		comm.ranks[0].sendSlot.Slice(ctrlSlotBytes-8, 16)
 	}()
 
 	_, _, comm = buildComm(t, 8, lossy, ccfg)

@@ -17,17 +17,26 @@ import (
 func TestAppendixASchedule(t *testing.T) {
 	const p, m = 8, 2
 	r0 := p / m // ranks per chain
-	_, _, comm := buildComm(t, p, fabric.Config{}, Config{Chains: m})
+	reg := telemetry.New()
+	g, err := topology.TwoLevelFatTree(topology.FatTreeSpec{Hosts: p, HostsPerLeaf: 4, Spines: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm, err := tracedComm(fabric.New(sim.NewEngine(42), g, fabric.Config{}), g.Hosts(), Config{Chains: m}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := runAllgather(comm, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	start := make([]sim.Time, p)
-	for i := 0; i < p; i++ {
-		op := comm.Rank(i).op
-		if !op.txStarted {
-			t.Fatalf("rank %d never transmitted", i)
+	start := map[int]sim.Time{}
+	for _, e := range reg.Snapshot().Events {
+		if e.Phase == telemetry.PhaseTxStart {
+			start[e.Rank] = e.T
 		}
-		start[i] = op.tTxStart
+	}
+	if len(start) != p {
+		t.Fatalf("%d of %d ranks transmitted", len(start), p)
 	}
 	// Within each chain, transmission starts in rank order.
 	for c := 0; c < m; c++ {

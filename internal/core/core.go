@@ -167,9 +167,6 @@ func NewCommunicatorOn(cl *cluster.Cluster, hosts []topology.NodeID, cfg Config)
 // Size returns the number of ranks.
 func (c *Communicator) Size() int { return len(c.ranks) }
 
-// Rank returns rank i's runtime (for inspection in tests and harnesses).
-func (c *Communicator) Rank(i int) *Rank { return c.ranks[i] }
-
 // Engine returns the driving simulation engine.
 func (c *Communicator) Engine() *sim.Engine { return c.eng }
 

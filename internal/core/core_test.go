@@ -131,10 +131,11 @@ func TestAllgatherSubgroups(t *testing.T) {
 	// Each subgroup's staging ring must have received some chunks, and its
 	// worker must have drained every completion they raised.
 	for i := 0; i < comm.Size(); i++ {
-		r := comm.Rank(i)
+		r := comm.ranks[i]
 		for s, st := range r.staging {
-			if !slices.ContainsFunc(st.Data, func(b byte) bool { return b != 0 }) || r.dataCQs[s].Len() != 0 {
-				t.Fatalf("rank %d subgroup %d idle: %d completions left", i, s, r.dataCQs[s].Len())
+			_, left := r.dataCQs[s].Poll()
+			if !slices.ContainsFunc(st.Data, func(b byte) bool { return b != 0 }) || left {
+				t.Fatalf("rank %d subgroup %d idle, or completions left: %v", i, s, left)
 			}
 		}
 	}
@@ -373,8 +374,8 @@ func TestRxOnDPA(t *testing.T) {
 	if err := comm.VerifyLast(); err != nil {
 		t.Fatal(err)
 	}
-	if chip := comm.Rank(0).rxWkrs[0].Thread.Chip().Name(); chip != "dpa" {
-		t.Fatalf("receive worker runs on %q, want dpa", chip)
+	if r := comm.ranks[0]; r.rxWkrs[0].Thread.Chip() != comm.cl.Node(r.host).DPA() {
+		t.Fatalf("receive worker does not run on the host's DPA")
 	}
 }
 
@@ -554,7 +555,7 @@ func (d dropUplink) OnEvent(*sim.Engine, sim.Handle, uint64, int, any) {
 // number is left for the dry-queue check to find.
 func TestStalledOpDrains(t *testing.T) {
 	eng, f, comm := buildComm(t, 4, fabric.Config{}, Config{})
-	eng.AtHandler(eng.Now()+15*sim.Microsecond, dropUplink{f, comm.Rank(3).Host()}, 0, 0, nil)
+	eng.AtHandler(eng.Now()+15*sim.Microsecond, dropUplink{f, comm.ranks[3].host}, 0, 0, nil)
 	var fired uint64
 	eng.EventHook = func(sim.Time, uint64, sim.Handler) { fired++ }
 	executed0 := eng.Executed

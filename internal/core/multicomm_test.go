@@ -131,8 +131,8 @@ func TestArbitratedOnDPA(t *testing.T) {
 	if err := comm.VerifyLast(); err != nil {
 		t.Fatal(err)
 	}
-	if chip := comm.Rank(0).rxWkrs[0].Thread.Chip().Name(); chip != "dpa" {
-		t.Fatalf("arbitrated receive worker runs on %q, want dpa", chip)
+	if r := comm.ranks[0]; r.rxWkrs[0].Thread.Chip() != comm.cl.Node(r.host).DPA() {
+		t.Fatalf("arbitrated receive worker does not run on the host's DPA")
 	}
 }
 

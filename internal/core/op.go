@@ -75,7 +75,6 @@ type opState struct {
 	// Timestamps for the Figure 10 critical-path breakdown.
 	tStart   sim.Time
 	tBarrier sim.Time
-	tTxStart sim.Time
 	tTxDone  sim.Time
 	tRxDone  sim.Time
 	tDone    sim.Time
@@ -309,7 +308,6 @@ func (op *opState) startTX() {
 		return
 	}
 	op.txStarted = true
-	op.tTxStart = op.r.eng.Now()
 	op.recf(telemetry.PhaseTxStart, "%d chunks", op.cpr)
 	op.postBatch()
 }

@@ -279,18 +279,8 @@ func (r *Rank) drainPendingCtrl() {
 	r.pendingCtrl = rest
 }
 
-// ID returns the rank index within the communicator.
-func (r *Rank) ID() int { return r.id }
-
-// Host returns the topology node this rank runs on.
-func (r *Rank) Host() topology.NodeID { return r.host }
-
-// Context exposes the rank's verbs context (tests, harnesses).
-func (r *Rank) Context() *verbs.Context { return r.ctx }
-
-// left and right ring neighbors.
-func (r *Rank) left() int  { p := r.comm.Size(); return (r.id - 1 + p) % p }
-func (r *Rank) right() int { return (r.id + 1) % r.comm.Size() }
+// left is the rank's left ring neighbor.
+func (r *Rank) left() int { p := r.comm.Size(); return (r.id - 1 + p) % p }
 
 // marshalRanges encodes [start,end) chunk ranges for a fetch request.
 func marshalRanges(ranges [][2]int) []byte {

@@ -32,7 +32,6 @@ import (
 // Profile is the cost model of one progress-engine code path, charged per
 // completion queue entry handled.
 type Profile struct {
-	Name string
 	// IssueCycles is the number of instructions (= issue slots on a
 	// single-issue core) the handler executes.
 	IssueCycles int
@@ -52,22 +51,22 @@ func (p Profile) IPC() float64 { return float64(p.IssueCycles) / float64(p.Laten
 var (
 	// DPAUDRecv is the DPA UD receive kernel: poll CQE, bitmap update,
 	// re-post receive, post staging->user DMA copy.
-	DPAUDRecv = Profile{Name: "dpa-ud-recv", IssueCycles: 113, LatencyCycles: 1084}
+	DPAUDRecv = Profile{IssueCycles: 113, LatencyCycles: 1084}
 	// DPAUCRecv is the DPA UC receive kernel: poll CQE, bitmap update,
 	// re-post; no staging copy (zero-copy placement by the NIC).
-	DPAUCRecv = Profile{Name: "dpa-uc-recv", IssueCycles: 66, LatencyCycles: 598}
+	DPAUCRecv = Profile{IssueCycles: 66, LatencyCycles: 598}
 	// CPUUDRecv is the single-threaded host datapath with software
 	// segmentation/reassembly and reliability (the UCX baseline of Fig. 5).
-	CPUUDRecv = Profile{Name: "cpu-ud-recv", IssueCycles: 800, LatencyCycles: 800}
+	CPUUDRecv = Profile{IssueCycles: 800, LatencyCycles: 800}
 	// CPURCRecv is the host datapath receiving MTU chunks over RC with no
 	// software reliability layer (the custom baseline of Fig. 5).
-	CPURCRecv = Profile{Name: "cpu-rc-recv", IssueCycles: 650, LatencyCycles: 650}
+	CPURCRecv = Profile{IssueCycles: 650, LatencyCycles: 650}
 	// SendPost is the cost of posting one multicast send WQE (batched
 	// doorbells amortized). Charged on the TX worker per chunk.
-	SendPost = Profile{Name: "send-post", IssueCycles: 150, LatencyCycles: 234} // ~130ns @1.8GHz
+	SendPost = Profile{IssueCycles: 150, LatencyCycles: 234} // ~130ns @1.8GHz
 	// TaskDispatch is the cost of dequeuing a task / signaling between the
 	// application thread and a worker (C11 atomics path, §V-A).
-	TaskDispatch = Profile{Name: "task-dispatch", IssueCycles: 120, LatencyCycles: 180}
+	TaskDispatch = Profile{IssueCycles: 120, LatencyCycles: 180}
 )
 
 // RecvProfile is the receive kernel for transport t on the DPA (onDPA) or
@@ -96,7 +95,6 @@ type Chip struct {
 	// between 8 and 16 threads and UC at 4, as in Figures 13/14.
 	Contention float64
 	cores      []core // Thread.core points into it
-	name       string
 }
 
 type core struct {
@@ -108,7 +106,7 @@ type core struct {
 // NewDPA builds the BlueField-3 DPA complex: 16 cores x 16 hardware
 // threads at 1.8 GHz.
 func NewDPA(eng *sim.Engine) *Chip {
-	return NewChip(eng, "dpa", 16, 16, 1.8e9, 0.10)
+	return NewChip(eng, 16, 16, 1.8e9, 0.10)
 }
 
 // NewCPU builds a host CPU with n single-threaded cores at 2.6 GHz (the
@@ -116,23 +114,20 @@ func NewDPA(eng *sim.Engine) *Chip {
 // memory latency, so profiles for CPUs set IssueCycles == LatencyCycles
 // and contention is zero.
 func NewCPU(eng *sim.Engine, n int) *Chip {
-	return NewChip(eng, "cpu", n, 1, 2.6e9, 0)
+	return NewChip(eng, n, 1, 2.6e9, 0)
 }
 
 // NewChip builds a custom processing element.
-func NewChip(eng *sim.Engine, name string, cores, threadsPerCore int, freq, contention float64) *Chip {
+func NewChip(eng *sim.Engine, cores, threadsPerCore int, freq, contention float64) *Chip {
 	if cores <= 0 || threadsPerCore <= 0 || freq <= 0 {
 		panic("dpa: invalid chip geometry")
 	}
-	c := &Chip{eng: eng, Freq: freq, Contention: contention, name: name, cores: make([]core, cores)}
+	c := &Chip{eng: eng, Freq: freq, Contention: contention, cores: make([]core, cores)}
 	for i := range c.cores {
 		c.cores[i].threads = threadsPerCore
 	}
 	return c
 }
-
-// Name returns the chip's name ("dpa", "cpu", ...).
-func (c *Chip) Name() string { return c.name }
 
 // Capacity returns the total number of hardware threads.
 func (c *Chip) Capacity() int { return len(c.cores) * c.cores[0].threads }

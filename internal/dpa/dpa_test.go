@@ -39,7 +39,7 @@ func TestAllocThreadsCompact(t *testing.T) {
 
 func TestAllocThreadsExhaustion(t *testing.T) {
 	eng := sim.NewEngine(1)
-	d := NewChip(eng, "tiny", 1, 2, 1e9, 0)
+	d := NewChip(eng, 1, 2, 1e9, 0)
 	d.AllocThreads(2)
 	defer func() {
 		if recover() == nil {
@@ -321,9 +321,9 @@ func (f call) OnEvent(*sim.Engine, sim.Handle, uint64, int, any) { f() }
 func TestInvalidGeometryPanics(t *testing.T) {
 	eng := sim.NewEngine(1)
 	for _, f := range []func(){
-		func() { NewChip(eng, "x", 0, 1, 1e9, 0) },
-		func() { NewChip(eng, "x", 1, 0, 1e9, 0) },
-		func() { NewChip(eng, "x", 1, 1, 0, 0) },
+		func() { NewChip(eng, 0, 1, 1e9, 0) },
+		func() { NewChip(eng, 1, 0, 1e9, 0) },
+		func() { NewChip(eng, 1, 1, 0, 0) },
 	} {
 		func() {
 			defer func() {

@@ -8,9 +8,8 @@
 //   - hardware multicast: switches replicate a datagram along a spanning
 //     tree, one copy per link — the property that makes the paper's
 //     Allgather bandwidth-optimal;
-//   - unicast multipath routing, either deterministic (flow hash) or
-//     adaptive (per-packet random uplink), the latter reordering packets
-//     exactly as §III-B anticipates for next-generation fabrics;
+//   - unicast multipath routing by deterministic ECMP: a hash of the flow
+//     label and endpoints picks one shortest-path port at every switch;
 //   - Bernoulli fabric drops (link-layer corruption, §III-C) so the
 //     reliability slow path has something to recover from;
 //   - per-port byte/packet counters, mirroring the switch counters the
@@ -597,9 +596,8 @@ func (f *Fabric) ClearOverrides(id ChannelID) {
 
 // UnicastPath returns the directed channels a unicast flow traverses from
 // src host to dst host under deterministic ECMP — the static path the flow
-// label pins. With AdaptiveRouting enabled the actual per-packet path is
-// random; the returned path is then one representative shortest path.
-// Scenario-level congestion control uses it to watch a flow's queues.
+// label pins, which every packet of the flow takes. Scenario-level
+// congestion control uses it to watch a flow's queues.
 func (f *Fabric) UnicastPath(src, dst topology.NodeID, flow uint64) []ChannelID {
 	if f.g.Nodes[src].Kind != topology.Host || f.g.Nodes[dst].Kind != topology.Host {
 		panic(fmt.Sprintf("fabric: UnicastPath(%d, %d): endpoints must be hosts", src, dst))

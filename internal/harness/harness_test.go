@@ -16,9 +16,6 @@ func TestRxBenchUDSingleThreadMatchesModel(t *testing.T) {
 	if math.Abs(r.ChunkRate-want)/want > 0.03 {
 		t.Fatalf("UD single-thread chunk rate %.3g, want %.3g", r.ChunkRate, want)
 	}
-	if r.RNRDrops != 0 {
-		t.Fatalf("bench dropped %d chunks", r.RNRDrops)
-	}
 }
 
 func TestRxBenchUCFasterThanUD(t *testing.T) {

@@ -49,7 +49,6 @@ type RxBenchConfig struct {
 
 // RxBenchResult reports the sustained datapath performance.
 type RxBenchResult struct {
-	Config    RxBenchConfig
 	Bps       float64 // payload bytes/second
 	GiBps     float64
 	Gbps      float64
@@ -58,7 +57,6 @@ type RxBenchResult struct {
 	IPC       float64
 	LinkGbps  float64
 	LinkShare float64 // fraction of the link's payload rate sustained
-	RNRDrops  uint64
 	// Engine throughput counters for the run (deterministic counts).
 	Events          uint64
 	EventsScheduled uint64
@@ -167,10 +165,8 @@ func RunRxBench(cfg RxBenchConfig) RxBenchResult {
 	eng.Run()
 
 	res := RxBenchResult{
-		Config:          cfg,
 		Profile:         profile,
 		IPC:             profile.IPC(),
-		RNRDrops:        server.RNRDrops,
 		Events:          eng.Executed,
 		EventsScheduled: eng.Scheduled,
 	}

@@ -193,23 +193,6 @@ func ParseFile(path string) (Manifest, error) {
 	return m, nil
 }
 
-// Encode renders the manifest in its canonical form: 2-space-indented JSON
-// with struct field order, no HTML escaping (a note may say "> 16") and a
-// trailing newline. Checked-in manifests are kept in this form (enforced
-// by test), so Parse∘Encode is the identity on them byte for byte.
-func (m Manifest) Encode() []byte {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(m); err != nil {
-		// Manifest has no unmarshalable fields; a failure here is a
-		// programming error.
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
 // SeedOr returns the manifest seed, or def when the field is absent.
 func (m Manifest) SeedOr(def uint64) uint64 {
 	if m.Seed != nil {

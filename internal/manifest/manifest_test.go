@@ -1,6 +1,8 @@
 package manifest
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -234,7 +236,7 @@ func TestCheckedInManifestsCanonical(t *testing.T) {
 			t.Fatalf("%s: %v", path, err)
 		}
 		if got := m.Encode(); string(got) != string(raw) {
-			t.Errorf("%s is not in canonical form; run it through manifest.Encode:\n%s", path, got)
+			t.Errorf("%s is not in canonical form (Encode):\n%s", path, got)
 		}
 	}
 	if seen == 0 {
@@ -245,6 +247,23 @@ func TestCheckedInManifestsCanonical(t *testing.T) {
 			t.Errorf("%s is missing from %s", want, dir)
 		}
 	}
+}
+
+// Encode renders the manifest in its canonical form: 2-space-indented JSON
+// with struct field order, no HTML escaping (a note may say "> 16") and a
+// trailing newline. Checked-in manifests are kept in this form (enforced
+// by test), so Parse∘Encode is the identity on them byte for byte.
+func (m Manifest) Encode() []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(m); err != nil {
+		// Manifest has no unmarshalable fields; a failure here is a
+		// programming error.
+		panic(err)
+	}
+	return buf.Bytes()
 }
 
 // TestRoundTripThroughGrid walks a manifest to its compiled points and

@@ -55,9 +55,6 @@ func NewTrafficModel(g *topology.Graph) (*TrafficModel, error) {
 	return m, nil
 }
 
-// Hosts returns the number of endpoints in the model.
-func (m *TrafficModel) Hosts() int { return len(m.hosts) }
-
 // RingAllgatherBytes returns the total bytes crossing all links for a ring
 // Allgather with per-rank buffer n: every rank's buffer travels P-1 hops
 // around the ring, each hop crossing hops(r, r+1) links.
@@ -96,49 +93,6 @@ func (m *TrafficModel) LinearAllgatherBytes(n int) float64 {
 func (m *TrafficModel) McastAllgatherBytes(n int) float64 {
 	p := len(m.hosts)
 	return float64(p) * float64(n) * float64(m.mcastEdges-1)
-}
-
-// mcastBroadcastBytes returns total link bytes for one multicast broadcast.
-func (m *TrafficModel) mcastBroadcastBytes(n int) float64 {
-	return float64(n) * float64(m.mcastEdges-1)
-}
-
-// knomialBroadcastBytes returns total link bytes for a k-nomial tree
-// broadcast from root 0.
-func (m *TrafficModel) knomialBroadcastBytes(n, radix int) float64 {
-	p := len(m.hosts)
-	total := 0.0
-	var walk func(v int)
-	walk = func(v int) {
-		for _, c := range knomialChildren(v, p, radix) {
-			total += float64(m.hops[v][c]) * float64(n)
-			walk(c)
-		}
-	}
-	walk(0)
-	return total
-}
-
-// knomialChildren mirrors the runtime tree construction (root fixed at 0).
-func knomialChildren(v, size, radix int) []int {
-	limit := size
-	if v != 0 {
-		limit = 1
-		for (v/limit)%radix == 0 {
-			limit *= radix
-		}
-	}
-	var children []int
-	for pow := 1; pow < limit && pow < size; pow *= radix {
-		for d := 1; d < radix; d++ {
-			c := v + d*pow
-			if c >= size {
-				break
-			}
-			children = append(children, c)
-		}
-	}
-	return children
 }
 
 // Savings returns the ring-to-multicast Allgather traffic ratio — the
@@ -211,26 +165,6 @@ func SpeedupINC(p int) float64 {
 		return 0
 	}
 	return 2 - 2/float64(p)
-}
-
-// ringPairTime returns the ideal completion time (seconds) of concurrent
-// ring AG and ring RS, each moving N(P-1) bytes with the NIC bandwidth
-// split evenly between them (Appendix B, configuration 1).
-func ringPairTime(p int, n float64, bnic float64) float64 {
-	if p < 2 {
-		return 0
-	}
-	return n * float64(p-1) / (bnic / 2)
-}
-
-// incPairTime returns the ideal completion time of concurrent multicast AG
-// and INC RS: the AG receive path and RS send path each carry N(P-1)
-// bytes on their own NIC direction at (1-1/P)·B (Appendix B, config 2).
-func incPairTime(p int, n float64, bnic float64) float64 {
-	if p < 2 {
-		return 0
-	}
-	return n * float64(p-1) / (bnic * (1 - 1/float64(p)))
 }
 
 // --- §VII: economics of SmartNIC offloading -------------------------------------

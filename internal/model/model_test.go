@@ -19,6 +19,26 @@ func TestSpeedupINCFormula(t *testing.T) {
 	}
 }
 
+// ringPairTime returns the ideal completion time (seconds) of concurrent
+// ring AG and ring RS, each moving N(P-1) bytes with the NIC bandwidth
+// split evenly between them (Appendix B, configuration 1).
+func ringPairTime(p int, n float64, bnic float64) float64 {
+	if p < 2 {
+		return 0
+	}
+	return n * float64(p-1) / (bnic / 2)
+}
+
+// incPairTime returns the ideal completion time of concurrent multicast AG
+// and INC RS: the AG receive path and RS send path each carry N(P-1)
+// bytes on their own NIC direction at (1-1/P)·B (Appendix B, config 2).
+func incPairTime(p int, n float64, bnic float64) float64 {
+	if p < 2 {
+		return 0
+	}
+	return n * float64(p-1) / (bnic * (1 - 1/float64(p)))
+}
+
 func TestPairTimesRatioMatchesSpeedup(t *testing.T) {
 	// T_ring / T_inc must equal S = 2 - 2/P for any P, N, B.
 	for _, p := range []int{2, 4, 16, 188, 1024} {
@@ -40,8 +60,8 @@ func TestTrafficSavingsApproach2x(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Hosts() != 1024 {
-		t.Fatalf("hosts = %d", m.Hosts())
+	if len(m.hosts) != 1024 {
+		t.Fatalf("hosts = %d", len(m.hosts))
 	}
 	s := m.Savings(1 << 20)
 	if s < 1.5 || s > 2.5 {
@@ -69,6 +89,49 @@ func TestTrafficSavingsSmallFatTree(t *testing.T) {
 	if linear < ring {
 		t.Fatalf("linear (%.3g) below ring (%.3g)", linear, ring)
 	}
+}
+
+// mcastBroadcastBytes returns total link bytes for one multicast broadcast.
+func (m *TrafficModel) mcastBroadcastBytes(n int) float64 {
+	return float64(n) * float64(m.mcastEdges-1)
+}
+
+// knomialBroadcastBytes returns total link bytes for a k-nomial tree
+// broadcast from root 0.
+func (m *TrafficModel) knomialBroadcastBytes(n, radix int) float64 {
+	p := len(m.hosts)
+	total := 0.0
+	var walk func(v int)
+	walk = func(v int) {
+		for _, c := range knomialChildren(v, p, radix) {
+			total += float64(m.hops[v][c]) * float64(n)
+			walk(c)
+		}
+	}
+	walk(0)
+	return total
+}
+
+// knomialChildren mirrors the runtime tree construction (root fixed at 0).
+func knomialChildren(v, size, radix int) []int {
+	limit := size
+	if v != 0 {
+		limit = 1
+		for (v/limit)%radix == 0 {
+			limit *= radix
+		}
+	}
+	var children []int
+	for pow := 1; pow < limit && pow < size; pow *= radix {
+		for d := 1; d < radix; d++ {
+			c := v + d*pow
+			if c >= size {
+				break
+			}
+			children = append(children, c)
+		}
+	}
+	return children
 }
 
 func TestMcastBroadcastVsKnomial(t *testing.T) {

@@ -36,9 +36,8 @@ type Injector interface {
 	Install(ctx *Context)
 }
 
-// Scenario is a named bundle of injectors, armed together on one fabric.
+// Scenario is a bundle of injectors, armed together on one fabric.
 type Scenario struct {
-	Name      string
 	Injectors []Injector
 }
 
@@ -177,13 +176,12 @@ type builder func() Scenario
 
 var presets = map[string]builder{
 	Quiet: func() Scenario {
-		return Scenario{Name: Quiet}
+		return Scenario{}
 	},
 	// One spine switch's links flap: 20 µs outages (every traversal
-	// drops) roughly every 150 µs, exercising the reliability slow path
-	// and adaptive rerouting.
+	// drops) roughly every 150 µs, exercising the reliability slow path.
 	"flap-spine": func() Scenario {
-		return Scenario{Name: "flap-spine", Injectors: []Injector{
+		return Scenario{Injectors: []Injector{
 			LinkFlap{Select: RandomSpine, Start: 30 * sim.Microsecond,
 				Period: 150 * sim.Microsecond, Down: 20 * sim.Microsecond,
 				Jitter: 10 * sim.Microsecond},
@@ -192,7 +190,7 @@ var presets = map[string]builder{
 	// One random leaf's uplinks run at half bandwidth with 1 µs extra
 	// latency for the rest of the run (a misbehaving cable/SerDes).
 	"degrade-leaf": func() Scenario {
-		return Scenario{Name: "degrade-leaf", Injectors: []Injector{
+		return Scenario{Injectors: []Injector{
 			LinkDegrade{Select: RandomLeafUplinks, Scale: 0.5,
 				ExtraLatency: sim.Microsecond, Start: 10 * sim.Microsecond},
 		}}
@@ -200,7 +198,7 @@ var presets = map[string]builder{
 	// One spine's links corrupt 0.1% of traversals — a BER hotspot far
 	// above the paper's 1e-12..1e-15, keeping recovery busy.
 	"hotspot-drop": func() Scenario {
-		return Scenario{Name: "hotspot-drop", Injectors: []Injector{
+		return Scenario{Injectors: []Injector{
 			DropHotspot{Select: RandomSpine, Rate: 1e-3},
 		}}
 	},
@@ -208,7 +206,7 @@ var presets = map[string]builder{
 	// half speed with up to 2 µs of injection latency re-rolled every
 	// 50 µs.
 	"straggler-1pct": func() Scenario {
-		return Scenario{Name: "straggler-1pct", Injectors: []Injector{
+		return Scenario{Injectors: []Injector{
 			Straggler{Fraction: 0.01, Scale: 0.5,
 				ExtraLatency: 2 * sim.Microsecond, Rejitter: 50 * sim.Microsecond},
 		}}
@@ -217,19 +215,19 @@ var presets = map[string]builder{
 	// random peer at 20% / 50% of its link bandwidth, on the same channels
 	// as the collective.
 	"tenant-20load": func() Scenario {
-		return Scenario{Name: "tenant-20load", Injectors: []Injector{
+		return Scenario{Injectors: []Injector{
 			BackgroundTraffic{Load: 0.20},
 		}}
 	},
 	"tenant-50load": func() Scenario {
-		return Scenario{Name: "tenant-50load", Injectors: []Injector{
+		return Scenario{Injectors: []Injector{
 			BackgroundTraffic{Load: 0.50},
 		}}
 	},
 	// Periodic 4-to-1 incast bursts (128 KiB per source) onto a rotating
 	// victim — the §IV-A congestion signature.
 	"incast-4to1": func() Scenario {
-		return Scenario{Name: "incast-4to1", Injectors: []Injector{
+		return Scenario{Injectors: []Injector{
 			Incast{Fanin: 4, BurstBytes: 128 << 10,
 				Period: 100 * sim.Microsecond, Start: 20 * sim.Microsecond},
 		}}

@@ -110,11 +110,9 @@ func (t Time) String() string { return t.Duration().String() }
 // insertions go through a heap). RC retransmission timeouts (200 µs past
 // the last segment) and scenario schedules overflow to the far-future heap.
 const (
-	bucketShift = 7 // log2(bucket width in ns)
-	bucketWidth = Time(1) << bucketShift
+	bucketShift = 7    // log2(bucket width in ns)
 	numBuckets  = 2048 // a power of two
 	bucketMask  = numBuckets - 1
-	windowSpan  = Time(numBuckets) << bucketShift
 )
 
 // bucketOf returns the absolute number of the bucket holding time t.
@@ -221,15 +219,6 @@ func (h Handle) Active() bool {
 	return h.ev != nil && h.ev.gen == h.gen && !h.ev.canceled
 }
 
-// Time returns the firing time of the referenced event, or -1 if the handle
-// is stale (fired, cancelled and recycled, or zero).
-func (h Handle) Time() Time {
-	if h.ev == nil || h.ev.gen != h.gen {
-		return -1
-	}
-	return h.ev.at
-}
-
 // eventHeap orders events by (at, seq); used for the far-future overflow
 // and for insertions into the already-open bucket.
 type eventHeap []*event
@@ -272,12 +261,11 @@ func before(a, b *event) bool {
 // Engine is a discrete-event simulator instance. The zero value is not
 // usable; construct with NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	rng     *RNG
-	stopped bool
+	now Time
+	seq uint64
+	rng *RNG
 
-	// Near-future calendar: a ring of buckets of bucketWidth ns covering
+	// Near-future calendar: a ring of buckets 1<<bucketShift ns wide covering
 	// bucket numbers [start, start+numBuckets). start trails at the clock's
 	// bucket and is moved up lazily, when a schedule would overflow (slide).
 	// cursor, start <= cursor < start+numBuckets, is the bucket being (or
@@ -347,13 +335,10 @@ func NewEngine(seed uint64) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// RNG returns the engine's deterministic random number generator.
-func (e *Engine) RNG() *RNG { return e.rng }
-
 // SplitRNG derives a child generator from the engine's root RNG and records
-// it, so Snapshot captures its state. Model layers that seed themselves from
-// the engine at construction (the fabric's drop/jitter stream) must use this
-// instead of RNG().Split() to stay snapshot-coherent.
+// it, so Snapshot captures its state. Model layers take their generators
+// from it at construction (the fabric's drop/jitter stream), so a restore
+// rewinds them with the engine.
 func (e *Engine) SplitRNG() *RNG {
 	r := e.rng.Split()
 	e.splits = append(e.splits, r)
@@ -827,10 +812,6 @@ func (e *Engine) PeekTime() (t Time, ok bool) {
 	return ev.at, true
 }
 
-// Stop makes the current Run/RunUntil call return after the in-flight event
-// completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // step fires the next event. It returns false when the queue is empty, and
 // panics if reserved numbers are then still pending: nothing can queue them.
 func (e *Engine) step() bool {
@@ -863,11 +844,10 @@ func (e *Engine) step() bool {
 // the replay debugger's single-step primitive.
 func (e *Engine) Step() bool { return e.step() }
 
-// Run executes events until the queue is empty or Stop is called. It returns
-// the final virtual time.
+// Run executes events until the queue is empty. It returns the final
+// virtual time.
 func (e *Engine) Run() Time {
-	e.stopped = false
-	for !e.stopped && e.step() {
+	for e.step() {
 	}
 	return e.now
 }
@@ -877,8 +857,7 @@ func (e *Engine) Run() Time {
 // if the simulation ran dry before reaching it, which keeps successive
 // RunUntil calls monotonic.
 func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		next := e.peekEvent()
 		if next == nil || next.at > deadline {
 			break

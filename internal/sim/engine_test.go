@@ -243,21 +243,6 @@ func TestRunUntilAdvancesClockWhenIdle(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	e.AtHandler(10, call(func() { count++; e.Stop() }), 0, 0, nil)
-	e.AtHandler(20, call(func() { count++ }), 0, 0, nil)
-	e.Run()
-	if count != 1 {
-		t.Fatalf("Stop did not halt the run: count = %d", count)
-	}
-	e.Run() // resumes
-	if count != 2 {
-		t.Fatalf("second Run did not resume: count = %d", count)
-	}
-}
-
 func TestExecutedCounter(t *testing.T) {
 	e := NewEngine(1)
 	for i := 0; i < 7; i++ {
@@ -280,7 +265,7 @@ func TestDeterministicReplay(t *testing.T) {
 				return
 			}
 			n++
-			d := Time(e.RNG().Intn(1000) + 1)
+			d := Time(e.rng.Intn(1000) + 1)
 			e.AfterHandler(d, call(func() {
 				fired = append(fired, e.Now())
 				schedule()

@@ -406,6 +406,12 @@ func TestReservedMatchesReferenceHeapOrder(t *testing.T) {
 // serialization on a 200 Gbit/s uplink, the way a segmented RC write books it.
 const trainGap = 166 * Nanosecond
 
+// The calendar's bucket width and the window its ring covers.
+const (
+	bucketWidth = Time(1) << bucketShift
+	windowSpan  = Time(numBuckets) << bucketShift
+)
+
 // TestSlidingWindowShapes scripts the schedules the per-bucket slide
 // introduces — each through both scheduling flavours, every pop checked
 // against the reference heap.

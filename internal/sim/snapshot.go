@@ -22,10 +22,7 @@
 // Snapshot with a state capture of those roots (internal/snap).
 package sim
 
-import (
-	"fmt"
-	"unsafe"
-)
+import "fmt"
 
 // eventRecord is one live event inside a Snapshot. Its payloads (h, obj)
 // are captured by reference: re-filing them under the original key is what
@@ -56,21 +53,6 @@ type Snapshot struct {
 	rootRNG   uint64
 	splitRNG  []uint64
 	events    []eventRecord
-}
-
-// Events returns the number of live events the snapshot carries.
-func (s *Snapshot) Events() int { return len(s.events) }
-
-// Now returns the virtual time the snapshot was taken at.
-func (s *Snapshot) Now() Time { return s.now }
-
-// Bytes estimates the snapshot's in-memory size — the informational
-// "snapshot bytes" perf metric. It is exact for the record itself; payloads
-// referenced by events are shared with the live model and not counted.
-func (s *Snapshot) Bytes() int {
-	return int(unsafe.Sizeof(*s)) +
-		len(s.splitRNG)*8 +
-		len(s.events)*int(unsafe.Sizeof(eventRecord{}))
 }
 
 // Snapshot captures the engine's current state. The engine may keep
@@ -162,7 +144,6 @@ func (e *Engine) Restore(s *Snapshot) {
 	}
 	e.purge()
 	e.now = s.now
-	e.stopped = false
 	e.start = bucketOf(s.now)
 	e.cursor = e.start
 	// Re-file every recorded event into the SAME *event struct it occupied

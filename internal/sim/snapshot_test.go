@@ -24,16 +24,16 @@ func (r *snapRecorder) OnEvent(e *Engine, _ Handle, arg0 uint64, _ int, _ any) {
 	// Mix near (bucket-scale), same-bucket and far-future delays, all
 	// drawn from the engine RNG so restore rewinds the choice stream too.
 	for i := 0; i < 2; i++ {
-		d := Time(e.RNG().Intn(3) * 100000) // 0 or 100/200µs (far heap)
+		d := Time(e.rng.Intn(3) * 100000) // 0 or 100/200µs (far heap)
 		if i == 0 {
-			d = Time(e.RNG().Intn(2000)) // near: inside the calendar window
+			d = Time(e.rng.Intn(2000)) // near: inside the calendar window
 		}
 		e.AfterHandler(d+1, r, arg0*10+uint64(i), 0, nil)
 	}
 	// Periodically schedule-and-cancel, leaving cancelled carcasses in
 	// the buckets for Snapshot/Restore to skip.
-	if e.RNG().Intn(3) == 0 {
-		h := e.AfterHandler(Time(e.RNG().Intn(500)+1), r, 999, 0, nil)
+	if e.rng.Intn(3) == 0 {
+		h := e.AfterHandler(Time(e.rng.Intn(500)+1), r, 999, 0, nil)
 		h.Cancel()
 	}
 }
@@ -96,13 +96,13 @@ func TestSnapshotCountersAndRNGTree(t *testing.T) {
 	e := NewEngine(7)
 	child := e.SplitRNG()
 	snap := e.Snapshot()
-	wantRoot, wantChild := e.RNG().State(), child.State()
+	wantRoot, wantChild := e.rng.State(), child.State()
 	// Burn both streams, then restore.
-	e.RNG().Uint64()
+	e.rng.Uint64()
 	child.Uint64()
 	e.Restore(snap)
-	if e.RNG().State() != wantRoot || child.State() != wantChild {
-		t.Fatalf("RNG tree not rewound: root %x child %x", e.RNG().State(), child.State())
+	if e.rng.State() != wantRoot || child.State() != wantChild {
+		t.Fatalf("RNG tree not rewound: root %x child %x", e.rng.State(), child.State())
 	}
 
 	// Counters and clock rewind.
@@ -159,8 +159,8 @@ func TestSnapshotHandleSurvival(t *testing.T) {
 	if !h10.Active() || !h20.Active() {
 		t.Fatal("pre-snapshot handles must survive Restore")
 	}
-	if h10.Time() != 10 || h20.Time() != 20 {
-		t.Fatalf("restored handle times %v, %v", h10.Time(), h20.Time())
+	if h10.ev.at != 10 || h20.ev.at != 20 {
+		t.Fatalf("restored handle times %v, %v", h10.ev.at, h20.ev.at)
 	}
 	// Cancelling through a restored handle must hit the re-filed event.
 	h20.Cancel()

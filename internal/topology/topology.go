@@ -37,7 +37,6 @@ type Node struct {
 	ID    NodeID
 	Kind  Kind
 	Level int
-	Name  string
 }
 
 // Link is an undirected cable between two nodes. The fabric simulator
@@ -72,9 +71,9 @@ type Graph struct {
 
 func newGraph() *Graph { return &Graph{} }
 
-func (g *Graph) addNode(kind Kind, level int, name string) NodeID {
+func (g *Graph) addNode(kind Kind, level int) NodeID {
 	id := NodeID(len(g.Nodes))
-	g.Nodes = append(g.Nodes, Node{ID: id, Kind: kind, Level: level, Name: name})
+	g.Nodes = append(g.Nodes, Node{ID: id, Kind: kind, Level: level})
 	g.Adj = append(g.Adj, nil)
 	return id
 }
@@ -189,14 +188,14 @@ func TwoLevelFatTree(spec FatTreeSpec) (*Graph, error) {
 
 	leafIDs := make([]NodeID, leaves)
 	for i := range leafIDs {
-		leafIDs[i] = g.addNode(Switch, 1, fmt.Sprintf("leaf%d", i))
+		leafIDs[i] = g.addNode(Switch, 1)
 	}
 	spineIDs := make([]NodeID, spec.Spines)
 	for i := range spineIDs {
-		spineIDs[i] = g.addNode(Switch, 2, fmt.Sprintf("spine%d", i))
+		spineIDs[i] = g.addNode(Switch, 2)
 	}
 	for h := 0; h < spec.Hosts; h++ {
-		id := g.addNode(Host, 0, fmt.Sprintf("host%d", h))
+		id := g.addNode(Host, 0)
 		g.addLink(id, leafIDs[h/spec.HostsPerLeaf])
 	}
 	for _, leaf := range leafIDs {
@@ -253,15 +252,15 @@ func ThreeLevelFatTree(k, hosts int) (*Graph, error) {
 
 	core := make([]NodeID, half*half)
 	for i := range core {
-		core[i] = g.addNode(Switch, 3, fmt.Sprintf("core%d", i))
+		core[i] = g.addNode(Switch, 3)
 	}
 	placed := 0
 	for p := 0; p < pods; p++ {
 		edges := make([]NodeID, half)
 		aggs := make([]NodeID, half)
 		for i := 0; i < half; i++ {
-			edges[i] = g.addNode(Switch, 1, fmt.Sprintf("pod%d-edge%d", p, i))
-			aggs[i] = g.addNode(Switch, 2, fmt.Sprintf("pod%d-agg%d", p, i))
+			edges[i] = g.addNode(Switch, 1)
+			aggs[i] = g.addNode(Switch, 2)
 		}
 		for _, e := range edges {
 			for _, a := range aggs {
@@ -275,7 +274,7 @@ func ThreeLevelFatTree(k, hosts int) (*Graph, error) {
 		}
 		for _, e := range edges {
 			for h := 0; h < half && placed < hosts; h++ {
-				id := g.addNode(Host, 0, fmt.Sprintf("host%d", placed))
+				id := g.addNode(Host, 0)
 				g.addLink(id, e)
 				placed++
 			}
@@ -292,9 +291,9 @@ func ThreeLevelFatTree(k, hosts int) (*Graph, error) {
 // that port counters and multicast groups still work uniformly).
 func BackToBack() *Graph {
 	g := newGraph()
-	sw := g.addNode(Switch, 1, "xbar")
+	sw := g.addNode(Switch, 1)
 	for i := 0; i < 2; i++ {
-		h := g.addNode(Host, 0, fmt.Sprintf("host%d", i))
+		h := g.addNode(Host, 0)
 		g.addLink(h, sw)
 	}
 	if err := g.Validate(); err != nil {
@@ -307,9 +306,9 @@ func BackToBack() *Graph {
 // need multicast without multi-level routing.
 func Star(n int) *Graph {
 	g := newGraph()
-	sw := g.addNode(Switch, 1, "sw")
+	sw := g.addNode(Switch, 1)
 	for i := 0; i < n; i++ {
-		h := g.addNode(Host, 0, fmt.Sprintf("host%d", i))
+		h := g.addNode(Host, 0)
 		g.addLink(h, sw)
 	}
 	if err := g.Validate(); err != nil {
@@ -357,8 +356,8 @@ func (g *Graph) bfs(src NodeID, dist []int, queue []NodeID) {
 }
 
 // RoutingTable holds, for every switch, the set of ports on shortest paths
-// to every destination host. The fabric picks among candidates either
-// deterministically (hash of the flow) or per-packet (adaptive routing).
+// to every destination host. The fabric picks among candidates by a hash
+// of the flow (deterministic ECMP).
 type RoutingTable struct {
 	// ports[switch][host] -> candidate egress port indices; the row of a
 	// node that is not a switch is nil.

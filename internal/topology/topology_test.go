@@ -333,8 +333,8 @@ func TestPropertyMulticastTreeConnects(t *testing.T) {
 
 func TestValidateDetectsDisconnected(t *testing.T) {
 	g := newGraph()
-	g.addNode(Switch, 1, "a")
-	g.addNode(Switch, 1, "b") // never linked
+	g.addNode(Switch, 1)
+	g.addNode(Switch, 1) // never linked
 	if err := g.Validate(); err == nil {
 		t.Error("disconnected graph passed validation")
 	}
@@ -501,12 +501,12 @@ func equivalenceGraphs(t *testing.T) []namedGraph {
 		gs = append(gs, namedGraph{fmt.Sprintf("fattree2-%d-%+v", i, spec), g})
 	}
 	island := newGraph()
-	sw := island.addNode(Switch, 1, "sw")
+	sw := island.addNode(Switch, 1)
 	for i := 0; i < 3; i++ {
-		island.addLink(island.addNode(Host, 0, "h"), sw)
+		island.addLink(island.addNode(Host, 0), sw)
 	}
-	far := island.addNode(Switch, 1, "far")
-	island.addLink(island.addNode(Host, 0, "stranded"), far)
+	far := island.addNode(Switch, 1)
+	island.addLink(island.addNode(Host, 0), far)
 	return append(gs, namedGraph{"disconnected", island})
 }
 

@@ -274,9 +274,9 @@ func TestRCRecycledStateUnderLoss(t *testing.T) {
 		eng.AtHandler(eng.Now()+sim.Time(rng.Uint64()%uint64(50*sim.Microsecond)), call(func() { qpA.transmitRC(&posted[i]) }), 0, 0, nil)
 	}
 	eng.Run()
-	if cqA.Len() != 0 || cqB.Len() != 0 || qpB.rqLen != spare || qpB.RNRDrops != 0 {
+	if cqA.entries.len() != 0 || cqB.entries.len() != 0 || qpB.rqLen != spare || qpB.RNRDrops != 0 {
 		t.Fatalf("late duplicates completed %d requests and %d messages and left %d of %d spare receives (%d RNR drops)",
-			cqA.Len(), cqB.Len(), qpB.rqLen, spare, qpB.RNRDrops)
+			cqA.entries.len(), cqB.entries.len(), qpB.rqLen, spare, qpB.RNRDrops)
 	}
 	quiescent("after the late duplicates")
 	t.Logf("%d requests, %d retransmits: %d pending entries and %d assembly entries served them, window grew to %d slots",
@@ -345,9 +345,9 @@ func rcWindowAfter(t *testing.T, msgs int) (slots, peak int) {
 	}
 	pump()
 	eng.Run()
-	if oldest != msgs || cqB.Len() != msgs || qpB.window.base != uint32(msgs) || qpB.window.slots.len() != 0 {
+	if oldest != msgs || cqB.entries.len() != msgs || qpB.window.base != uint32(msgs) || qpB.window.slots.len() != 0 {
 		t.Fatalf("%d messages: %d acked, %d delivered, window base %d with %d slots held",
-			msgs, oldest, cqB.Len(), qpB.window.base, qpB.window.slots.len())
+			msgs, oldest, cqB.entries.len(), qpB.window.base, qpB.window.slots.len())
 	}
 	if qpA.Retransmits == 0 {
 		t.Fatalf("test premise broken: %d messages under loss and no retransmission", msgs)

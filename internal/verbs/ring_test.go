@@ -99,8 +99,8 @@ func TestRQAndCQSemanticsOverRing(t *testing.T) {
 			qpA.PostSendUD(0, Unicast(b.Host, qpB.N), src, 0, 64, uint32(i), false)
 		}
 		eng.Run()
-		if qpB.rqLen != depth-half || cqB.Len() != half {
-			t.Fatalf("depth %d: rqLen %d CQ %d after %d datagrams", depth, qpB.rqLen, cqB.Len(), half)
+		if qpB.rqLen != depth-half || cqB.entries.len() != half {
+			t.Fatalf("depth %d: rqLen %d CQ %d after %d datagrams", depth, qpB.rqLen, cqB.entries.len(), half)
 		}
 		fillTo("wrapped")
 		// Drain everything plus one: FIFO completions, then an RNR drop.
@@ -116,7 +116,7 @@ func TestRQAndCQSemanticsOverRing(t *testing.T) {
 				t.Fatalf("depth %d: completion %d = %+v ok=%v", depth, i, e, ok)
 			}
 		}
-		if _, ok := cqB.Poll(); ok || cqB.Len() != 0 {
+		if _, ok := cqB.Poll(); ok || cqB.entries.len() != 0 {
 			t.Fatalf("depth %d: CQ not empty after draining", depth)
 		}
 		if fires != 1 || cqB.Armed != nil {
@@ -153,8 +153,8 @@ func TestRunEncodedRQMatchesSliceModel(t *testing.T) {
 			k := rng.Intn(10)
 			if k < recvBias && len(model) == 0 {
 				qp.receiveUD(&wireMsg{})
-				if drops++; qp.RNRDrops != drops || cq.Len() != 0 {
-					t.Fatalf("seed %d step %d: RNR drops %d CQ %d, want %d and empty", seed, step, qp.RNRDrops, cq.Len(), drops)
+				if drops++; qp.RNRDrops != drops || cq.entries.len() != 0 {
+					t.Fatalf("seed %d step %d: RNR drops %d CQ %d, want %d and empty", seed, step, qp.RNRDrops, cq.entries.len(), drops)
 				}
 			} else if k < recvBias {
 				if w, ok := qp.popRecv(); !ok || w != model[0] {

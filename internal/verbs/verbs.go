@@ -142,9 +142,6 @@ func (cq *CQ) Poll() (CQE, bool) {
 	return cq.entries.pop(), true
 }
 
-// Len returns the number of completions waiting.
-func (cq *CQ) Len() int { return cq.entries.len() }
-
 // MR is a registered memory region. If Data is non-nil its length must be
 // Size and transfers copy real bytes; otherwise only sizes/offsets flow,
 // unless the region is lazy.
@@ -335,9 +332,6 @@ func NewContext(f *fabric.Fabric, host topology.NodeID, cfg Config) *Context {
 
 // Engine returns the simulation engine.
 func (ctx *Context) Engine() *sim.Engine { return ctx.eng }
-
-// Fabric returns the underlying fabric.
-func (ctx *Context) Fabric() *fabric.Fabric { return ctx.f }
 
 // DMA returns the host's staging-copy DMA engine.
 func (ctx *Context) DMA() *DMAEngine { return ctx.dma }

@@ -78,10 +78,10 @@ func TestUDUnsignaledSend(t *testing.T) {
 	qpB.PostRecv(0, dst, 0, 512)
 	qpA.PostSendUD(0, Unicast(b.Host, qpB.N), mr, 0, 512, 0, false)
 	eng.Run()
-	if cqA.Len() != 0 {
+	if cqA.entries.len() != 0 {
 		t.Fatal("unsignaled send produced a CQE")
 	}
-	if cqB.Len() != 1 {
+	if cqB.entries.len() != 1 {
 		t.Fatal("receive missing")
 	}
 }
@@ -98,7 +98,7 @@ func TestUDRNRDrop(t *testing.T) {
 	if qpB.RNRDrops != 1 || b.RNRDrops != 1 {
 		t.Fatalf("RNR drops = %d/%d, want 1/1", qpB.RNRDrops, b.RNRDrops)
 	}
-	if cqB.Len() != 0 {
+	if cqB.entries.len() != 0 {
 		t.Fatal("dropped datagram produced a CQE")
 	}
 }
@@ -187,7 +187,7 @@ func TestUDMulticastFanout(t *testing.T) {
 			t.Fatalf("member %d bad CQE %+v", i, e)
 		}
 	}
-	if cqs[0].Len() != 0 {
+	if cqs[0].entries.len() != 0 {
 		t.Fatal("sender received its own multicast")
 	}
 }
@@ -238,7 +238,7 @@ func TestUCMessageDropOnPacketLoss(t *testing.T) {
 	reg := telemetry.New()
 	b.CollectTelemetry(reg)
 	dropped := int(reg.Counter("verbs", "uc_msg_dropped", "").Value())
-	complete := cqB.Len()
+	complete := cqB.entries.len()
 	if complete == msgs {
 		t.Fatal("no UC message was lost despite 10% drop rate")
 	}
@@ -319,7 +319,7 @@ func TestRCReadFetchesRemote(t *testing.T) {
 	if !bytes.Equal(local.Data[1000:1000+8192], remote.Data[2000:2000+8192]) {
 		t.Fatal("RDMA read returned wrong bytes")
 	}
-	if cqB.Len() != 0 {
+	if cqB.entries.len() != 0 {
 		t.Fatal("responder generated CQEs for a one-sided read")
 	}
 }
@@ -401,7 +401,7 @@ func TestRCSendRetriesUntilReceivePosted(t *testing.T) {
 	// 200 µs retransmission.
 	eng.AfterHandler(300*sim.Microsecond, call(func() { qpB.PostRecv(0, dst, 0, 100) }), 0, 0, nil)
 	eng.Run()
-	if cqB.Len() != 1 {
+	if cqB.entries.len() != 1 {
 		t.Fatalf("late-posted receive never matched (RNR on B: %d)", qpB.RNRDrops)
 	}
 	if qpA.Retransmits == 0 {
@@ -441,8 +441,8 @@ func TestCQArmedFiresOnce(t *testing.T) {
 	if fires != 1 {
 		t.Fatalf("armed handler fired %d times, want 1", fires)
 	}
-	if cq.Len() != 2 {
-		t.Fatalf("%d completions queued, want 2", cq.Len())
+	if cq.entries.len() != 2 {
+		t.Fatalf("%d completions queued, want 2", cq.entries.len())
 	}
 }
 
@@ -727,8 +727,8 @@ func TestPostSendReduceAggregates(t *testing.T) {
 		qp.PostSendReduce(0, Unicast(hosts[0], qps[0].N), rg, 42, mr, 0, 4096, 7, false)
 	}
 	eng.Run()
-	if cqs[0].Len() != 1 {
-		t.Fatalf("owner received %d completions, want 1 reduced datagram", cqs[0].Len())
+	if cqs[0].entries.len() != 1 {
+		t.Fatalf("owner received %d completions, want 1 reduced datagram", cqs[0].entries.len())
 	}
 	e, _ := cqs[0].Poll()
 	if e.Op != OpRecv || e.Imm != 7 {

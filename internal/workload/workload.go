@@ -241,7 +241,6 @@ type jobState struct {
 	order  []*commState  // declaration order, for deterministic teardown
 	states []*phaseState // phase states, declaration order
 	thread *dpa.Thread   // lazily allocated compute thread (lead host CPU)
-	left   int           // phases not yet done
 	rep    JobReport
 	// computeIv accumulates compute intervals for the busy-union metric.
 	computeIv []Span
@@ -391,7 +390,6 @@ func (p *Pending) buildPhases(js *jobState) error {
 	if seen != len(js.states) {
 		return fmt.Errorf("workload: job %s: dependency cycle among phases", j.Name)
 	}
-	js.left = len(js.states)
 	return nil
 }
 
@@ -499,7 +497,6 @@ func (p *Pending) phaseDone(ps *phaseState, res *collective.Result) {
 	if p.w.OnSpan != nil {
 		p.w.OnSpan(ps.span, alg)
 	}
-	js.left--
 	p.left--
 	for _, s := range ps.succ {
 		s.waiting--

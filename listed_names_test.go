@@ -50,27 +50,28 @@ func TestListedNamesHaveCallers(t *testing.T) {
 		})
 	}
 
-	_, files := parseModule(t)
-	for _, fl := range files {
-		if !slices.ContainsFunc(listCallerDirs, func(d string) bool { return strings.HasPrefix(fl.dir+"/", d) }) {
+	for _, p := range loadModule(t).pkgs {
+		if !slices.ContainsFunc(listCallerDirs, func(d string) bool { return strings.HasPrefix(p.dir+"/", d) }) {
 			continue
 		}
 		keys := map[*ast.BasicLit]bool{}
-		ast.Inspect(fl.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.KeyValueExpr:
-				if lit, ok := n.Key.(*ast.BasicLit); ok {
-					keys[lit] = true
-				}
-			case *ast.BasicLit:
-				if n.Kind == token.STRING && !keys[n] {
-					if s, err := strconv.Unquote(n.Value); err == nil {
-						reached[s] = true
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if lit, ok := n.Key.(*ast.BasicLit); ok {
+						keys[lit] = true
+					}
+				case *ast.BasicLit:
+					if n.Kind == token.STRING && !keys[n] {
+						if s, err := strconv.Unquote(n.Value); err == nil {
+							reached[s] = true
+						}
 					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 
 	var unreached []string
