@@ -524,18 +524,15 @@ func TestGoldenCostManifest(t *testing.T) {
 }
 
 // structureDigest hashes everything a fabric reads from the process-wide
-// testbed: every adjacency entry, every link and every routing-table row.
+// testbed: every adjacency entry, every link and every entry of the flat
+// routing table, its interned ECMP lists included.
 func structureDigest() string {
 	g := topology.Testbed188()
-	rt := g.Routing()
 	h := sha256.New()
 	for n := range g.Nodes {
 		fmt.Fprintf(h, "node %+v adj %v\n", g.Nodes[n], g.Adj[n])
-		for dst := range g.Nodes {
-			fmt.Fprintf(h, "%v,", rt.Candidates(topology.NodeID(n), topology.NodeID(dst)))
-		}
 	}
-	fmt.Fprintf(h, "links %v", g.Links)
+	fmt.Fprintf(h, "links %v\nrouting %v", g.Links, *g.Routing())
 	return hex.EncodeToString(h.Sum(nil))
 }
 

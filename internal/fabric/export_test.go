@@ -28,7 +28,7 @@ func (n *NIC) injectPacket(pkt *Packet) sim.Time {
 	p := n.f.pool.get()
 	p.Src, p.Dst, p.Group, p.Flow = n.Host, pkt.Dst, pkt.Group, pkt.Flow
 	p.Payload, p.PayloadBytes = pkt.Payload, pkt.PayloadBytes
-	wire := n.f.transmit(p, n.Host, 0)
+	wire := n.f.transmit(p, n.f.egress(n.Host, 0))
 	if p.refs == 0 { // dropped on the uplink: no hop carries it
 		n.f.pool.put(p)
 	}

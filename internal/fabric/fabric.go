@@ -9,7 +9,7 @@
 //     tree, one copy per link — the property that makes the paper's
 //     Allgather bandwidth-optimal;
 //   - unicast multipath routing by deterministic ECMP: a hash of the flow
-//     label and endpoints picks one shortest-path port at every switch;
+//     label and endpoints picks one shortest-path channel at every switch;
 //   - Bernoulli fabric drops (link-layer corruption, §III-C) so the
 //     reliability slow path has something to recover from;
 //   - per-port byte/packet counters, mirroring the switch counters the
@@ -221,7 +221,9 @@ type Fabric struct {
 }
 
 // New builds a fabric over graph g, routing on the table g memoizes: the
-// first fabric on a graph computes it, every later one shares it.
+// first fabric on a graph computes it, every later one shares it. The table
+// names each unicast hop's egress by channel, so a hop indexes chans with
+// it directly; multicast, reduction and host-uplink hops go through egress.
 func New(eng *sim.Engine, g *topology.Graph, cfg Config) *Fabric {
 	cfg = cfg.withDefaults()
 	f := &Fabric{
@@ -246,12 +248,8 @@ func New(eng *sim.Engine, g *topology.Graph, cfg Config) *Fabric {
 	f.portChan = make([]int32, 0, 2*len(g.Links))
 	for node, adj := range g.Adj {
 		f.portBase[node] = int32(len(f.portChan))
-		for _, nb := range adj {
-			c := 2 * nb.Link
-			if g.Links[nb.Link].A != topology.NodeID(node) {
-				c++
-			}
-			f.portChan = append(f.portChan, int32(c))
+		for p := range adj {
+			f.portChan = append(f.portChan, int32(g.Channel(topology.NodeID(node), p)))
 		}
 	}
 	return f
@@ -354,12 +352,11 @@ func (ch *channel) serialization(size int) sim.Time {
 	return t
 }
 
-// transmit serializes pkt onto the channel leaving switch node via port,
-// then schedules arrival processing at the peer or holds it (see hold). It
+// transmit serializes pkt onto channel c, which leaves a switch, then
+// schedules arrival processing at the peer or holds it (see hold). It
 // returns the serialization completion time on that channel. A host's
 // uplink is booked by its trains instead (see Train).
-func (f *Fabric) transmit(pkt *Packet, node topology.NodeID, port int) sim.Time {
-	c := f.egress(node, port)
+func (f *Fabric) transmit(pkt *Packet, c int) sim.Time {
 	ch := &f.chans[c]
 	if !f.book(ch, f.wireBytes(pkt)) {
 		return ch.nextFree
@@ -454,15 +451,19 @@ func ecmpHash(flow uint64, src, dst topology.NodeID) uint64 {
 }
 
 func (f *Fabric) forwardUnicast(pkt *Packet, sw topology.NodeID) {
-	cands := f.rt.Candidates(sw, pkt.Dst)
-	if len(cands) == 0 {
-		panic(fmt.Sprintf("fabric: switch %d has no route to %d", sw, pkt.Dst))
+	f.transmit(pkt, f.route(sw, pkt.Src, pkt.Dst, pkt.Flow))
+}
+
+// route returns the channel a unicast hop at switch sw takes toward host
+// dst: the routing table's one candidate, or the ECMP pick among several.
+func (f *Fabric) route(sw, src, dst topology.NodeID, flow uint64) int {
+	c, ecmp := f.rt.Next(sw, dst)
+	if ecmp != nil {
+		c = ecmp[ecmpHash(flow, src, dst)%uint64(len(ecmp))]
+	} else if c == topology.NoRoute {
+		panic(fmt.Sprintf("fabric: switch %d has no route to %d", sw, dst))
 	}
-	port := cands[0]
-	if len(cands) > 1 {
-		port = cands[ecmpHash(pkt.Flow, pkt.Src, pkt.Dst)%uint64(len(cands))]
-	}
-	f.transmit(pkt, sw, port)
+	return int(c)
 }
 
 func (f *Fabric) forwardMulticast(pkt *Packet, sw topology.NodeID, ingress int) {
@@ -474,10 +475,11 @@ func (f *Fabric) forwardMulticast(pkt *Packet, sw topology.NodeID, ingress int) 
 		panic(fmt.Sprintf("fabric: multicast packet for group %d at off-tree switch %d", pkt.Group, sw))
 	}
 	for _, p := range ports {
-		if f.egress(sw, p)>>1 == ingress {
+		c := f.egress(sw, p)
+		if c>>1 == ingress {
 			continue // never reflect back toward the sender
 		}
-		f.transmit(pkt, sw, p)
+		f.transmit(pkt, c)
 	}
 }
 
@@ -603,22 +605,13 @@ func (f *Fabric) UnicastPath(src, dst topology.NodeID, flow uint64) []ChannelID 
 		panic(fmt.Sprintf("fabric: UnicastPath(%d, %d): endpoints must be hosts", src, dst))
 	}
 	var path []ChannelID
-	node := src
-	for node != dst {
-		var port int
-		if f.g.Nodes[node].Kind == topology.Host {
-			port = 0 // the host's single uplink
+	for node := src; node != dst; {
+		var c int
+		if node == src {
+			c = f.egress(src, 0) // the host's single uplink
 		} else {
-			cands := f.rt.Candidates(node, dst)
-			if len(cands) == 0 {
-				panic(fmt.Sprintf("fabric: switch %d has no route to %d", node, dst))
-			}
-			port = cands[0]
-			if len(cands) > 1 {
-				port = cands[ecmpHash(flow, src, dst)%uint64(len(cands))]
-			}
+			c = f.route(node, src, dst, flow)
 		}
-		c := f.egress(node, port)
 		path = append(path, ChannelID(c))
 		node = topology.NodeID(f.chans[c].to)
 	}

@@ -1,6 +1,9 @@
 package fabric
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -255,6 +258,97 @@ func TestDeterministicECMPPinsFlow(t *testing.T) {
 	}
 	if spinesUsed != 1 {
 		t.Fatalf("deterministic ECMP spread one flow over %d spines", spinesUsed)
+	}
+}
+
+// TestRouteMatchesReferenceECMP pins the ECMP choice every digest depends
+// on: over a sample of flows on the testbed, the channel a unicast hop
+// takes at every switch is the egress of the reference candidate ports
+// (every port one hop closer to the destination, ascending) indexed by the
+// flow's hash.
+func TestRouteMatchesReferenceECMP(t *testing.T) {
+	g := topology.Testbed188()
+	f := New(sim.NewEngine(1), g, Config{})
+	hosts := g.Hosts()
+	rng := rand.New(rand.NewSource(55))
+	multi := 0
+	for i := 0; i < 200; i++ {
+		src, dst := hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))]
+		flow := uint64(rng.Intn(64)) // a QP number
+		if i%2 == 1 {
+			flow = rng.Uint64()
+		}
+		dist := g.HopsFrom(dst)
+		for _, sw := range g.Switches() {
+			var ref []int
+			for p, nb := range g.Adj[sw] {
+				if dist[nb.Peer] == dist[sw]-1 {
+					ref = append(ref, p)
+				}
+			}
+			if len(ref) > 1 {
+				multi++
+			}
+			want := f.egress(sw, ref[ecmpHash(flow, src, dst)%uint64(len(ref))])
+			if got := f.route(sw, src, dst, flow); got != want {
+				t.Fatalf("flow %d %d->%d at switch %d: channel %d, reference %d (ports %v)", flow, src, dst, sw, got, want, ref)
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("the sample reached no switch with several candidates")
+	}
+}
+
+// TestUnicastPathIsTakenPath: the channels a unicast packet crosses are
+// exactly the ones UnicastPath names for its flow, which the scenario
+// injectors watch and perturb.
+func TestUnicastPathIsTakenPath(t *testing.T) {
+	eng := sim.NewEngine(1)
+	g := topology.Testbed188()
+	f := New(eng, g, Config{})
+	hosts := g.Hosts()
+	var pairs [][2]topology.NodeID
+	for _, dst := range hosts[1:] {
+		if g.LeafOf(dst) == g.LeafOf(hosts[0]) {
+			pairs = append(pairs, [2]topology.NodeID{hosts[0], dst})
+			break
+		}
+	}
+	pairs = append(pairs, [2]topology.NodeID{hosts[0], hosts[187]}, [2]topology.NodeID{hosts[100], hosts[3]}, [2]topology.NodeID{hosts[50], hosts[120]})
+	if len(pairs) != 4 || g.LeafOf(pairs[1][0]) == g.LeafOf(pairs[1][1]) {
+		t.Fatal("test setup wrong: want one intra-leaf pair, then inter-leaf ones")
+	}
+	for _, p := range pairs {
+		src, dst := p[0], p[1]
+		paths := map[string]bool{}
+		for flow := uint64(0); flow < 8; flow++ {
+			f.ResetCounters()
+			f.InjectBackground(src, dst, 1024, flow)
+			eng.Run()
+			var moved []ChannelID
+			for c := range f.chans {
+				if f.chans[c].stats.Packets > 0 {
+					moved = append(moved, ChannelID(c))
+				}
+			}
+			path := f.UnicastPath(src, dst, flow)
+			sorted := slices.Clone(path)
+			slices.Sort(sorted)
+			if !slices.Equal(sorted, moved) {
+				t.Fatalf("flow %d %d->%d: UnicastPath %v, the packet crossed %v", flow, src, dst, path, moved)
+			}
+			if from, _ := f.ChannelEnds(path[0]); from != src {
+				t.Fatalf("flow %d %d->%d: path %v starts at %d", flow, src, dst, path, from)
+			}
+			if _, to := f.ChannelEnds(path[len(path)-1]); to != dst {
+				t.Fatalf("flow %d %d->%d: path %v ends at %d", flow, src, dst, path, to)
+			}
+			paths[fmt.Sprint(path)] = true
+		}
+		if g.LeafOf(src) != g.LeafOf(dst) && len(paths) < 2 {
+			t.Fatalf("%d->%d: 8 flow labels took one path: ECMP untested", src, dst)
+		}
 	}
 }
 

@@ -87,5 +87,5 @@ func (f *Fabric) routeReduce(pkt *Packet, node topology.NodeID) {
 	if port < 0 {
 		panic(fmt.Sprintf("fabric: reduce contribution at off-tree node %d", node))
 	}
-	f.transmit(pkt, node, port)
+	f.transmit(pkt, f.egress(node, port))
 }

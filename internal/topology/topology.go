@@ -3,10 +3,16 @@
 // 188-node fat-tree of 18 radix-36 SX6036 switches), a back-to-back pair
 // (the DPA testbed), plus up/down unicast routing tables and the multicast
 // spanning trees that switches use to replicate datagrams.
+//
+// Each link carries two directed channels, numbered as the fabric numbers
+// them (its ChannelID): 2*link for the A->B direction, 2*link+1 for B->A.
+// Graph.Channel maps a node's port to the channel leaving through it, and
+// the routing table names its egress candidates by channel.
 package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -355,22 +361,49 @@ func (g *Graph) bfs(src NodeID, dist []int, queue []NodeID) {
 	}
 }
 
-// RoutingTable holds, for every switch, the set of ports on shortest paths
-// to every destination host. The fabric picks among candidates by a hash
-// of the flow (deterministic ECMP).
+// RoutingTable is a graph's unicast routing: for every switch and every
+// destination host, the egress channels on shortest paths toward the host.
+// A channel is numbered the fabric's way (its ChannelID, see Channel). The
+// fabric picks among several candidates by a hash of the flow
+// (deterministic ECMP).
 type RoutingTable struct {
-	// ports[switch][host] -> candidate egress port indices; the row of a
-	// node that is not a switch is nil.
-	ports [][][]int
+	// index[node] is a switch's row offset in next, or a host's column.
+	index []int32
+	// next[index[sw]+index[host]] is sw's route toward host: the channel
+	// itself when there is one candidate, NoRoute when there is none, and
+	// -2-k when there are several, listed at ecmp[k].
+	next []int32
+	// ecmp holds the ECMP lists back to back, each its length followed by
+	// its channels in ascending port order. A switch's consecutive hosts
+	// with equal lists share one.
+	ecmp []int32
 }
 
-// Candidates returns the egress ports of sw on shortest paths toward host
-// dst. The returned slice must not be modified.
-func (rt *RoutingTable) Candidates(sw, dst NodeID) []int {
-	if row := rt.ports[sw]; row != nil {
-		return row[dst]
+// NoRoute is the route of a switch that has no path toward a host.
+const NoRoute = -1
+
+// Next returns sw's route toward host dst: its channel when it has one
+// candidate, NoRoute when it has none, and otherwise NoRoute with its
+// candidate channels in ascending port order. sw must be a switch and dst a
+// host; the returned slice must not be modified.
+func (rt *RoutingTable) Next(sw, dst NodeID) (int32, []int32) {
+	e := rt.next[rt.index[sw]+rt.index[dst]]
+	if e >= NoRoute {
+		return e, nil
 	}
-	return nil
+	k := NoRoute - 1 - e
+	end := k + 1 + rt.ecmp[k]
+	return NoRoute, rt.ecmp[k+1 : end : end]
+}
+
+// Channel returns the directed channel leaving node n through port: 2*link
+// when n is the link's A end, 2*link+1 when it is the B end.
+func (g *Graph) Channel(n NodeID, port int) int {
+	l := g.Adj[n][port].Link
+	if g.Links[l].A == n {
+		return 2 * l
+	}
+	return 2*l + 1
 }
 
 // Routing returns the graph's routing table, computed by BuildRouting on
@@ -380,39 +413,64 @@ func (g *Graph) Routing() *RoutingTable {
 	return g.routing
 }
 
-// routingChunk is how many candidate ports one backing array of
-// BuildRouting holds: Testbed188's 40 796 fit in ten.
-const routingChunk = 4096
-
-// BuildRouting computes shortest-path multipath routing tables for every
-// switch toward every host using one BFS per host. Candidate lists are
-// carved out of shared backing arrays (ports are visited in ascending
-// order, so each list is born sorted); a fresh table is built per call —
+// BuildRouting computes shortest-path multipath routing for every switch
+// toward every host using one BFS per host. Ports are visited in ascending
+// order, so each candidate list is born sorted; a list equal to the one the
+// switch's previous host got reuses it. A fresh table is built per call —
 // Routing is the memoized accessor.
 func (g *Graph) BuildRouting() *RoutingTable {
-	hosts, switches := g.Hosts(), g.Switches()
 	n := len(g.Nodes)
-	rt := &RoutingTable{ports: make([][][]int, n)}
-	rows := make([][]int, len(switches)*n)
-	for i, sw := range switches {
-		rt.ports[sw] = rows[i*n : (i+1)*n : (i+1)*n]
+	rt := &RoutingTable{index: make([]int32, n)}
+	hosts, switches := 0, 0
+	for _, nd := range g.Nodes {
+		if nd.Kind == Host {
+			rt.index[nd.ID] = int32(hosts)
+			hosts++
+		}
 	}
-	dist, queue := make([]int, n), make([]NodeID, 0, n)
-	var chunk []int
-	for _, h := range hosts {
-		g.bfs(h, dist, queue)
-		for _, sw := range switches {
-			if np := len(g.Adj[sw]); cap(chunk)-len(chunk) < np {
-				chunk = make([]int, 0, max(routingChunk, np))
+	for _, nd := range g.Nodes {
+		if nd.Kind == Switch {
+			rt.index[nd.ID] = int32(switches * hosts)
+			switches++
+		}
+	}
+	rt.next = make([]int32, switches*hosts)
+	// last[sw] is where the ECMP list of switch sw's previous host starts
+	// in rt.ecmp, -1 before it has one.
+	last := make([]int32, n)
+	for i := range last {
+		last[i] = -1
+	}
+	dist, queue, cands := make([]int, n), make([]NodeID, 0, n), make([]int32, 0, n)
+	for _, h := range g.Nodes {
+		if h.Kind != Host {
+			continue
+		}
+		g.bfs(h.ID, dist, queue)
+		for _, sw := range g.Nodes {
+			if sw.Kind != Switch {
+				continue
 			}
-			start := len(chunk)
-			for p, nb := range g.Adj[sw] {
-				if dist[nb.Peer] == dist[sw]-1 {
-					chunk = append(chunk, p)
+			cands = cands[:0]
+			for p, nb := range g.Adj[sw.ID] {
+				if dist[nb.Peer] == dist[sw.ID]-1 {
+					cands = append(cands, int32(g.Channel(sw.ID, p)))
 				}
 			}
-			if len(chunk) > start { // no candidate stays nil
-				rt.ports[sw][h] = chunk[start:len(chunk):len(chunk)]
+			e := &rt.next[rt.index[sw.ID]+rt.index[h.ID]]
+			switch len(cands) {
+			case 0:
+				*e = NoRoute
+			case 1:
+				*e = cands[0]
+			default:
+				k := last[sw.ID]
+				if k < 0 || !slices.Equal(rt.ecmp[k+1:k+1+rt.ecmp[k]], cands) {
+					k = int32(len(rt.ecmp))
+					rt.ecmp = append(append(rt.ecmp, int32(len(cands))), cands...)
+					last[sw.ID] = k
+				}
+				*e = NoRoute - 1 - k
 			}
 		}
 	}
