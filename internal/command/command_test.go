@@ -140,8 +140,10 @@ func TestExitCodes(t *testing.T) {
 	// a jitter whose nanoseconds overflow an int64, and a digest pin that
 	// is not the 64 lowercase hex characters the run writes.
 	nonHex, upper := strings.Repeat("Z", 64), strings.Repeat("A", 64)
+	jittered := `{"kind":"sweep","sections":[{"title":"t","kernel":"osu","jitter_us":9300000000000000,` +
+		`"grids":[{"algorithms":["ring-allgather"],"nodes":[2],"msg_bytes":[4096]}]}]}`
 	for _, f := range []struct{ name, doc, err string }{
-		{"osu.jitter_us overflows ns", `{"kind":"osu",` + osuGrid + `,"osu":{"jitter_us":9300000000000000}}`, "osu.jitter_us must be <="},
+		{"jitter_us overflows ns", jittered, "sections[0]: jitter_us must be in [0,9223372036854775]"},
 		{"expect.sha256 not hex", `{"kind":"osu",` + osuGrid + `,"expect":{"sha256":"` + nonHex + `"}}`, "expect.sha256 must be 64 lowercase hex"},
 		{"expect.sha256 uppercase", `{"kind":"osu",` + osuGrid + `,"expect":{"sha256":"` + upper + `"}}`, "expect.sha256 must be 64 lowercase hex"},
 		{"telemetry.expect_sha256 not hex", `{"kind":"osu",` + osuGrid + `,"telemetry":{"metrics":"m.json","expect_sha256":"` + nonHex + `"}}`, "telemetry.expect_sha256 must be 64 lowercase hex"},
@@ -654,7 +656,7 @@ func TestPerfettoNeedsTraceablePoint(t *testing.T) {
 	m.Telemetry = &manifest.TelemetrySpec{Perfetto: "T.json"}
 	traced := filepath.Join(dir, "traced.json")
 	saveManifest(t, traced, m)
-	const msg = "manifest: telemetry.perfetto set, but kind sweep has no traceable point"
+	const msg = "manifest: telemetry.perfetto set, but no section of the manifest has a traceable point"
 	if code, stdout, stderr := run("validate", traced); code != 2 || !strings.Contains(stderr, traced+": "+msg+"\n") || stdout != "" {
 		t.Errorf("validate: exit %d, stdout %q, stderr %q; want 2 and %q", code, stdout, stderr, msg)
 	}
@@ -665,7 +667,7 @@ func TestPerfettoNeedsTraceablePoint(t *testing.T) {
 	if code, _, stderr := run("run", "-perfetto", filepath.Join(dir, "p.json"), plain); code != 2 || stderr != "run: "+msg+"\n" {
 		t.Errorf("run -perfetto: exit %d, stderr %q; want 2 and %q", code, stderr, msg)
 	}
-	if code, _, stderr := run("run", "-trace", filepath.Join(dir, "t.txt"), "-o", out, plain); code != 2 || stderr != "run: kind sweep has no traceable point\n" {
+	if code, _, stderr := run("run", "-trace", filepath.Join(dir, "t.txt"), "-o", out, plain); code != 2 || stderr != "run: no section of "+plain+" has a traceable point\n" {
 		t.Errorf("run -trace: exit %d, stderr %q; want 2 and the run-time refusal", code, stderr)
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {

@@ -44,7 +44,7 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, 2, "replay: %v", err)
 	}
 	if plan.ReplaySpec == nil {
-		return fail(stderr, 2, "replay: kind %s has no replayable point", m.Kind)
+		return fail(stderr, 2, "replay: no section of %s has a replayable point", fs.Arg(0))
 	}
 	// The replay driver builds the point with telemetry off; the
 	// manifest's telemetry block does not apply to this run.

@@ -44,8 +44,19 @@ func TestReplaySubcommand(t *testing.T) {
 	}
 }
 
+// TestReplayChaosAllScenarios: a chaos manifest's "all" scenarios expand
+// in name order, which puts quiet after other presets, and the replay
+// still steps through the first quiet point, the only scenario it
+// supports.
+func TestReplayChaosAllScenarios(t *testing.T) {
+	code, out, stderr := run("replay", "-at", "1", "-steps", "3", filepath.Join("testdata", "chaos_all.json"))
+	if code != 0 || !strings.Contains(out, "# replay done") {
+		t.Fatalf("replay: exit %d, stdout %q, stderr %q; want 0 and # replay done", code, out, stderr)
+	}
+}
+
 // TestReplayFlagValidation pins the exit-2 rejections: bad flag values,
-// missing or surplus manifests, and kinds with no replayable point.
+// missing or surplus manifests, and a manifest with no replayable point.
 func TestReplayFlagValidation(t *testing.T) {
 	dir := t.TempDir()
 	m := smallOSUManifest(t, dir, "m.json", "", "")
@@ -61,7 +72,7 @@ func TestReplayFlagValidation(t *testing.T) {
 		{"bad interval", []string{"replay", "-interval", "0", m}, "-interval"},
 		{"bad steps", []string{"replay", "-steps", "0", m}, "-steps"},
 		{"negative at", []string{"replay", "-at", "-1", m}, "-at"},
-		{"no replayable point", []string{"replay", tables}, "no replayable point"},
+		{"no replayable point", []string{"replay", tables}, "no section of " + tables + " has a replayable point"},
 	}
 	for _, c := range cases {
 		code, _, stderr := run(c.args...)

@@ -82,8 +82,8 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 		}
 		// Compile refuses a telemetry.perfetto the plan cannot trace; the
 		// -trace flag is a run-time request, checked here.
-		if *tracePath != "" && plans[i].Trace == nil {
-			return fail(stderr, 2, "run: kind %s has no traceable point", m.Kind)
+		if *tracePath != "" && plans[i].TraceSpec == nil {
+			return fail(stderr, 2, "run: no section of %s has a traceable point", path)
 		}
 	}
 	if *outDir != "" {
@@ -271,7 +271,7 @@ func runValidate(args []string, stdout, stderr io.Writer) int {
 
 // runList implements `repro list`: print everything a manifest author can
 // reference — kinds, registry algorithms, scenario and workload presets,
-// and the sweep kind's section kernels.
+// and the section kernels.
 func runList(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro list", flag.ContinueOnError)
 	if code := parseFlags(fs, args, stderr); code >= 0 {

@@ -179,7 +179,6 @@ func TestTelemetryDigestGate(t *testing.T) {
   "kind": "osu",
   "grid": {
     "algorithms": ["mcast-allgather"],
-    "ops": ["allgather"],
     "nodes": [8],
     "sizes": [65536]
   },

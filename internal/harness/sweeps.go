@@ -270,9 +270,9 @@ func PairKernel(tc telemetry.Config) sweep.Func {
 // the measured iterations and excluded from the latency distribution.
 const OSUWarmup = 2
 
-// OSUConfig parameterizes the OSU-style measurement loop behind the osu
-// manifest kind: OSUWarmup iterations excluded, per-size medians with
-// nonparametric confidence intervals (Hoefler–Belli guidelines).
+// OSUConfig parameterizes the OSU-style measurement loop of OSUKernel:
+// OSUWarmup iterations excluded, per-size medians with nonparametric
+// confidence intervals (Hoefler–Belli guidelines).
 type OSUConfig struct {
 	Iters int
 	// JitterUS adds seeded per-delivery network noise in microseconds,

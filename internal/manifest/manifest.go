@@ -1,20 +1,23 @@
 // Package manifest turns experiments into data: a manifest is a small JSON
-// document declaring what to run — a kind naming the experiment family
-// (osu, chaos, train, sweep), the grid axes it sweeps, and the run's
-// bookkeeping (seed, workers, output paths, an expected output digest) —
-// which compiles onto sweep.Grid and the harness kernels. A sweep manifest
-// carries its grids outright: each section names a kernel and lists
-// sweep.Grid values with their own seeds (or, for a gridless analytic
-// kernel, none). A manifest is the only way to describe an experiment to
-// `repro run`; CI is a matrix over the checked-in specs in manifests/.
+// document listing titled sections, each a harness kernel run over
+// sweep.Grid values that carry their own seeds (or, for a gridless
+// analytic kernel, no grids), plus the run's bookkeeping (workers, output
+// paths, an expected output digest). A manifest is the only way to
+// describe an experiment to `repro run`; CI is a matrix over the
+// checked-in specs in manifests/.
+//
+// The kinds osu, chaos and train are a shorthand for a manifest of one
+// section, kept because the host-time ledger's workloads (bench/workloads)
+// are written in it: Validate and Compile lower one onto its section
+// first, so every manifest compiles the same way.
 //
 // The contract mirrors the sweep engine's: the same manifest always
-// produces byte-identical JSON output at any worker count, so a
-// manifest plus its committed BENCH_*.json is a reproducible experiment.
+// produces byte-identical JSON output at any worker count.
 package manifest
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,7 +26,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/collective"
 	"repro/internal/harness"
 	"repro/internal/registry"
 	"repro/internal/scenario"
@@ -33,27 +35,26 @@ import (
 	"repro/internal/workload"
 )
 
-// Kinds enumerates the experiment families a manifest can declare, each
-// compiling onto its own harness kernels.
+// Kinds enumerates the kinds a manifest can declare: the three shorthand
+// kinds and sweep.
 var Kinds = []string{"osu", "chaos", "train", "sweep"}
 
-// Manifest is one declarative experiment spec. Field presence is
-// kind-checked by Validate: axes a kind does not consume are rejected so a
-// drifting manifest fails fast instead of being silently ignored.
+// Manifest is one declarative experiment spec. Validate rejects a field
+// the manifest's kernels do not read, so a drifting manifest fails fast
+// instead of being silently ignored.
 type Manifest struct {
-	// Kind selects the experiment family: "osu", "chaos", "train" or
-	// "sweep".
+	// Kind is "sweep", or one of the shorthand kinds "osu", "chaos" and
+	// "train".
 	Kind string `json:"kind"`
-	// Name overrides the report name embedded in the JSON output. Empty
-	// derives the historical name for the kind (e.g. "osu-mcast-allgather",
-	// "chaosbench").
+	// Name is the report name embedded in the JSON output. Empty selects
+	// "sweep", or the shorthand kind's name rule ("osu-<algorithm>",
+	// "chaosbench", "trainbench").
 	Name string `json:"name,omitempty"`
-	// Grid declares the swept axes. Which axes are meaningful (and which
-	// required) depends on Kind.
+	// Grid is the shorthand's one grid; Sizes is the section grid's
+	// msg_bytes.
 	Grid Grid `json:"grid,omitempty"`
-	// Seed is the base sweep seed for kinds that accept one (osu, chaos,
-	// train). Nil selects the kind's historical default (1, 7, 21); sweep
-	// gives each grid its own, so it rejects the field.
+	// Seed is the shorthand grid's base seed. Nil selects the kind's
+	// default (1, 7, 21).
 	Seed *uint64 `json:"seed,omitempty"`
 	// Workers is the sweep worker pool size; 0 means GOMAXPROCS. Results
 	// are byte-identical at any value.
@@ -63,16 +64,14 @@ type Manifest struct {
 	// every grid point builds its own model stack.
 	Shards    int  `json:"shards,omitempty"`
 	WarmStart bool `json:"warm_start,omitempty"`
-	// OSU carries the measurement-loop knobs of the osu kind.
-	OSU *OSUSpec `json:"osu,omitempty"`
-	// Train carries the workload knobs of the train kind.
+	// OSU and Train carry the shorthand section's knobs.
+	OSU   *OSUSpec   `json:"osu,omitempty"`
 	Train *TrainSpec `json:"train,omitempty"`
-	// Sections lists the experiments of the sweep kind, run in order.
+	// Sections lists the experiments of a sweep manifest, run in order.
 	Sections []SectionSpec `json:"sections,omitempty"`
 	// Telemetry enables the deterministic metrics registry for the run and
-	// names its outputs. Available for every kind; absent means disabled,
-	// and the disabled run's report bytes are identical to a build without
-	// the telemetry layer at all.
+	// names its outputs. Absent means disabled, and the disabled run's
+	// report bytes are identical to a build without the telemetry layer.
 	Telemetry *TelemetrySpec `json:"telemetry,omitempty"`
 	// Output names where to persist the report.
 	Output Output `json:"output,omitempty"`
@@ -81,32 +80,23 @@ type Manifest struct {
 	Expect *Expect `json:"expect,omitempty"`
 }
 
-// Grid declares the manifest's swept axes, mirroring sweep.Grid. Sizes is
-// MsgBytes under its manifest name (message bytes for collectives, shard
-// bytes for train).
+// Grid is the shorthand's grid. "all" as the only scenario or workload
+// expands to every preset.
 type Grid struct {
 	Algorithms []string `json:"algorithms,omitempty"`
 	Workloads  []string `json:"workloads,omitempty"`
-	Ops        []string `json:"ops,omitempty"`
 	Nodes      []int    `json:"nodes,omitempty"`
 	Sizes      []int    `json:"sizes,omitempty"`
 	Scenarios  []string `json:"scenarios,omitempty"`
 }
 
-// OSUSpec parameterizes the OSU-style measurement loop. Every point runs
-// on the testbed's 56 Gbit/s links with 2 excluded warm-up iterations.
+// OSUSpec is the osu shorthand's section knob.
 type OSUSpec struct {
-	// Iters is the measured iteration count per point (default 10).
 	Iters int `json:"iters,omitempty"`
-	// JitterUS adds seeded per-delivery network noise in microseconds.
-	JitterUS int `json:"jitter_us,omitempty"`
 }
 
-// TrainSpec parameterizes the training-workload kernel. The per-layer
-// compute (150 µs) and the tenant count of multi-job presets (2) are the
-// workload presets' own.
+// TrainSpec is the train shorthand's section knob.
 type TrainSpec struct {
-	// Layers is the FSDP model depth (default 6).
 	Layers int `json:"layers,omitempty"`
 }
 
@@ -120,8 +110,15 @@ type SectionSpec struct {
 	Title string `json:"title"`
 	Note  string `json:"note,omitempty"`
 	// Kernel names the harness kernel, one of Kernels (see sweepKernels).
-	Kernel string       `json:"kernel"`
-	Grids  []sweep.Grid `json:"grids,omitempty"`
+	Kernel string `json:"kernel"`
+	// Iters is the osu kernel's measured iteration count per point
+	// (default 10); JitterUS its seeded per-delivery network noise in
+	// microseconds. Layers is the train kernel's FSDP model depth
+	// (default 6).
+	Iters    int          `json:"iters,omitempty"`
+	JitterUS int          `json:"jitter_us,omitempty"`
+	Layers   int          `json:"layers,omitempty"`
+	Grids    []sweep.Grid `json:"grids,omitempty"`
 }
 
 // TelemetrySpec configures the telemetry layer of a run: where the
@@ -157,7 +154,7 @@ const maxSize int64 = 1 << 40
 
 // Parse decodes a manifest from JSON bytes, rejecting unknown fields at
 // every nesting level so a typo'd or drifting axis fails instead of being
-// ignored. The result is validated.
+// ignored. The result is validated, and returned as written.
 func Parse(b []byte) (Manifest, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
@@ -201,116 +198,265 @@ func (m Manifest) SeedOr(def uint64) uint64 {
 	return def
 }
 
+// --- the shorthand ---------------------------------------------------------------
+
+// shorthand maps each shorthand kind onto its section's kernel and note,
+// its default seed and its report name.
+var shorthand = map[string]struct {
+	kernel, note, name string
+	seed               uint64
+}{
+	"osu":   {kernel: "osu", name: "osu", seed: 1},
+	"chaos": {kernel: "resilience", name: "chaosbench", seed: 7, note: "slowdown_vs_quiet is each point's duration over its quiet sibling's."},
+	"train": {kernel: "train", name: "trainbench", seed: 21, note: "overlap_frac is the share of communication hidden behind compute or other communication."},
+}
+
+// lower returns the sweep manifest a shorthand manifest stands for: one
+// section whose grid is the shorthand's with the kind's default seed, "all"
+// expanded and quiet prepended to a scenario list (slowdown_vs_quiet's
+// anchor), titled by the kind's header and named by its rule. A sweep
+// manifest comes back as is, and may not set the shorthand's fields.
+func (m Manifest) lower() (Manifest, error) {
+	g := m.Grid
+	sh, ok := shorthand[m.Kind]
+	if !ok {
+		if m.Seed != nil || m.OSU != nil || m.Train != nil ||
+			len(g.Algorithms)+len(g.Workloads)+len(g.Nodes)+len(g.Sizes)+len(g.Scenarios) > 0 {
+			return m, fmt.Errorf("manifest: kind sweep does not take grid, seed, osu or train; its sections carry them")
+		}
+		return m, nil
+	}
+	if len(m.Sections) > 0 {
+		return m, fmt.Errorf("manifest: kind %s does not take sections", m.Kind)
+	}
+	scenarios := expandAll(g.Scenarios, scenario.Names())
+	if len(scenarios) > 0 && !slices.Contains(scenarios, scenario.Quiet) {
+		scenarios = append([]string{scenario.Quiet}, scenarios...)
+	}
+	ss := SectionSpec{Kernel: sh.kernel, Note: sh.note, Grids: []sweep.Grid{{
+		Algorithms: g.Algorithms, Workloads: expandAll(g.Workloads, workload.Names()),
+		Nodes: g.Nodes, MsgBytes: g.Sizes, Scenarios: scenarios, Seed: m.SeedOr(sh.seed),
+	}}}
+	if m.OSU != nil {
+		ss.Iters = m.OSU.Iters
+	}
+	if m.Train != nil {
+		ss.Layers = m.Train.Layers
+	}
+	// The chaos and train headers name the grid's one shape.
+	if m.Kind != "osu" && (len(g.Nodes) != 1 || len(g.Sizes) != 1) {
+		return m, fmt.Errorf("manifest: %s needs exactly one grid.nodes and grid.sizes entry", m.Kind)
+	}
+	name := sh.name
+	switch m.Kind {
+	case "osu":
+		if len(g.Algorithms) == 1 {
+			name = "osu-" + g.Algorithms[0]
+		}
+		ss.Title = fmt.Sprintf("# OSU-style sweep: %v, nodes %v, %d Gbit/s links, %d iters (+%d warmup)",
+			g.Algorithms, g.Nodes, harness.TestbedLinkGbps, cmp.Or(ss.Iters, defaultIters), harness.OSUWarmup)
+	case "chaos":
+		ss.Title = fmt.Sprintf("== chaosbench: %d algorithms x %d scenarios, %d nodes, %d B messages ==",
+			len(g.Algorithms), len(scenarios), g.Nodes[0], g.Sizes[0])
+	case "train":
+		ss.Title = fmt.Sprintf("== trainbench: %d workloads x %d scenarios, %d nodes, %d KiB shards, %d layers ==",
+			len(ss.Grids[0].Workloads), max(1, len(scenarios)), g.Nodes[0], g.Sizes[0]>>10, cmp.Or(ss.Layers, defaultLayers))
+	}
+	return Manifest{Kind: "sweep", Name: cmp.Or(m.Name, name), Workers: m.Workers, Sections: []SectionSpec{ss},
+		Telemetry: m.Telemetry, Output: m.Output, Expect: m.Expect}, nil
+}
+
+// expandAll resolves an axis whose only entry is "all" to every name.
+func expandAll(axis, all []string) []string {
+	if len(axis) == 1 && axis[0] == "all" {
+		return all
+	}
+	return axis
+}
+
 // --- validation ------------------------------------------------------------------
 
-// field pairs a manifest field's name with whether the manifest sets it,
-// for the kind-consumption cross-check.
-type field struct {
-	name string
-	set  bool
-}
+// Kernels names the harness kernels a section can run: "op" runs one
+// collective operation, "traffic" reads switch-port counters over 10
+// iterations (then savings_vs_p2p), "osu" measures a collective over
+// iters iterations after 2 warm-ups, "resilience" runs one under a
+// scenario (then slowdown_vs_quiet), "train" runs a workload DAG, "rx" is
+// the receive-datapath microbenchmark, "rx-rate" is rx at 256 KiB per
+// thread with link_share against the 1.6 Tbit/s chunk rate,
+// "traffic-model" evaluates the closed-form Allgather traffic model, and
+// "pair" runs an Allgather and a Reduce-Scatter concurrently.
+// "psn-sizing" and "economics" are gridless analytic tables.
+var Kernels = []string{"op", "traffic", "osu", "resilience", "train", "rx", "rx-rate", "traffic-model", "pair", "psn-sizing", "economics"}
 
-// fields lists every kind-specific manifest field and its presence.
-func (m Manifest) fields() []field {
-	return []field{
-		{"grid.algorithms", len(m.Grid.Algorithms) > 0},
-		{"grid.workloads", len(m.Grid.Workloads) > 0},
-		{"grid.ops", len(m.Grid.Ops) > 0},
-		{"grid.nodes", len(m.Grid.Nodes) > 0},
-		{"grid.sizes", len(m.Grid.Sizes) > 0},
-		{"grid.scenarios", len(m.Grid.Scenarios) > 0},
-		{"seed", m.Seed != nil},
-		{"osu", m.OSU != nil},
-		{"train", m.Train != nil},
-		{"sections", len(m.Sections) > 0},
-		{"telemetry", m.Telemetry != nil},
-	}
-}
+const (
+	// testbedHosts is the host count of the collective kernels' testbed.
+	testbedHosts = 188
+	// maxThreads is the DPA's thread capacity: 16 cores of 16 threads.
+	maxThreads = 256
+	// defaultIters and defaultLayers are the osu and train knobs' values
+	// when a section leaves them out.
+	defaultIters, defaultLayers = 10, 6
+	// maxIters and maxLayers bound those knobs far above any run that
+	// finishes.
+	maxIters, maxLayers = 1 << 20, 1 << 10
+)
 
-// consumes names the kind-specific fields each kind reads. Universal
-// fields (name, workers, output, expect) are always legal and not listed.
-var consumes = map[string][]string{
-	"osu":   {"grid.algorithms", "grid.ops", "grid.nodes", "grid.sizes", "seed", "osu", "telemetry"},
-	"chaos": {"grid.algorithms", "grid.scenarios", "grid.nodes", "grid.sizes", "seed", "telemetry"},
-	"train": {"grid.workloads", "grid.scenarios", "grid.nodes", "grid.sizes", "seed", "train", "telemetry"},
-	"sweep": {"sections", "telemetry"},
-}
-
-// Kernels names the harness kernels a sweep section can run: "op" runs
-// one collective operation, "traffic" reads switch-port counters over 10
-// iterations (then savings_vs_p2p), "rx" is the receive-datapath
-// microbenchmark, "rx-rate" is rx at 256 KiB per thread with link_share
-// against the 1.6 Tbit/s chunk rate, "traffic-model" evaluates the
-// closed-form Allgather traffic model, and "pair" runs an Allgather and a
-// Reduce-Scatter concurrently. "psn-sizing" and "economics" are gridless
-// analytic tables.
-var Kernels = []string{"op", "traffic", "rx", "rx-rate", "traffic-model", "pair", "psn-sizing", "economics"}
-
-// sweepKernels maps each of Kernels onto its harness kernel and the
-// sweep.Grid axes it reads: need must be non-empty, may is optional, and
-// any other axis is rejected. A gridless kernel has a table instead: its
-// records carry seed 0, which no grid point gets, so it takes no grids.
-var sweepKernels = map[string]struct {
+// kernelDef is one entry of sweepKernels.
+type kernelDef struct {
+	// need must be non-empty, may is optional, and any other grid axis is
+	// rejected. knobs bounds the section fields the kernel reads; a
+	// section may set no other.
 	need, may []string
-	kernel    func(telemetry.Config) sweep.Func
-	table     func() []sweep.Record
-}{
-	"op":            {need: []string{"algorithms", "nodes", "msg_bytes"}, may: []string{"chunk_sizes"}, kernel: harness.CollKernel},
-	"traffic":       {need: []string{"algorithms", "nodes", "msg_bytes"}, may: []string{"chunk_sizes"}, kernel: harness.TrafficKernel},
-	"rx":            {need: []string{"transports", "threads", "chunk_sizes", "msg_bytes"}, kernel: harness.RxKernel},
-	"rx-rate":       {need: []string{"transports", "threads", "chunk_sizes"}, kernel: harness.ChunkRateKernel},
-	"traffic-model": {need: []string{"msg_bytes"}, kernel: harness.TrafficModelKernel},
-	"pair":          {need: []string{"algorithms", "nodes", "msg_bytes"}, kernel: harness.PairKernel},
+	knobs     map[string]int64
+	build     func(telemetry.Config, SectionSpec) sweep.Func
+	// table replaces the sweep for a gridless kernel: its records carry
+	// seed 0, which no grid point gets, so it takes no grids.
+	table func() []sweep.Record
+	post  func([]sweep.Record)
+	// slowdown kernels need quiet in every scenario list, the anchor of
+	// the slowdown_vs_quiet their records get when they sweep scenarios.
+	slowdown bool
+	// trace picks the section's representative point, which traced (nil:
+	// build) runs again with telemetry on for -trace and
+	// telemetry.perfetto; replay picks the point `repro replay` steps
+	// through. Nil picks none.
+	trace, replay func([]sweep.Spec) sweep.Spec
+	traced        func(telemetry.Config, SectionSpec) sweep.Func
+}
+
+// plain adapts a kernel that reads no section knob.
+func plain(k func(telemetry.Config) sweep.Func) func(telemetry.Config, SectionSpec) sweep.Func {
+	return func(tc telemetry.Config, _ SectionSpec) sweep.Func { return k(tc) }
+}
+
+// first, last and firstQuiet pick a section's representative point.
+func first(specs []sweep.Spec) sweep.Spec { return specs[0] }
+func last(specs []sweep.Spec) sweep.Spec  { return specs[len(specs)-1] }
+func firstQuiet(specs []sweep.Spec) sweep.Spec {
+	return specs[slices.IndexFunc(specs, func(s sweep.Spec) bool { return s.Scenario == scenario.Quiet })]
+}
+
+// sweepKernels maps each of Kernels onto its harness kernel, the grid axes
+// and section knobs it reads, and its representative points. An osu
+// section's last point is its largest message; a resilience section's
+// last point carries a real perturbation whenever it names one, because
+// grids expand scenarios last, and it replays its first quiet point, the
+// only scenario the replay debugger supports.
+var sweepKernels = map[string]kernelDef{
+	"op": {need: []string{"algorithms", "nodes", "msg_bytes"}, may: []string{"chunk_sizes"},
+		build: plain(harness.CollKernel), trace: first, replay: first},
+	"traffic": {need: []string{"algorithms", "nodes", "msg_bytes"}, may: []string{"chunk_sizes"},
+		build: plain(harness.TrafficKernel), post: harness.AnnotateSavings,
+		trace: first, replay: first, traced: plain(harness.CollKernel)},
+	"osu": {need: []string{"algorithms", "nodes", "msg_bytes"},
+		knobs: map[string]int64{"iters": maxIters, "jitter_us": sim.MaxMicros},
+		build: func(tc telemetry.Config, ss SectionSpec) sweep.Func {
+			return harness.OSUKernel(tc, harness.OSUConfig{Iters: cmp.Or(ss.Iters, defaultIters), JitterUS: ss.JitterUS})
+		},
+		trace: last, replay: last, traced: plain(harness.CollKernel)},
+	"resilience": {need: []string{"algorithms", "nodes", "msg_bytes", "scenarios"},
+		build: plain(harness.ResilienceKernel), slowdown: true, trace: last, replay: firstQuiet},
+	"train": {need: []string{"workloads", "nodes", "msg_bytes"}, may: []string{"scenarios"},
+		knobs: map[string]int64{"layers": maxLayers},
+		build: func(tc telemetry.Config, ss SectionSpec) sweep.Func {
+			return harness.TrainKernel(tc, cmp.Or(ss.Layers, defaultLayers))
+		},
+		slowdown: true, trace: first},
+	"rx":            {need: []string{"transports", "threads", "chunk_sizes", "msg_bytes"}, build: plain(harness.RxKernel)},
+	"rx-rate":       {need: []string{"transports", "threads", "chunk_sizes"}, build: plain(harness.ChunkRateKernel)},
+	"traffic-model": {need: []string{"msg_bytes"}, build: plain(harness.TrafficModelKernel)},
+	"pair":          {need: []string{"algorithms", "nodes", "msg_bytes"}, build: plain(harness.PairKernel)},
 	"psn-sizing":    {table: harness.PSNSizingRecords},
 	"economics":     {table: harness.EconomicsRecords},
 }
 
-// Validate checks the manifest without running anything: kind membership,
-// kind/field consumption, axis bounds, and registry cross-checks (algorithm,
-// scenario and workload names must exist; osu op axes must match their
-// algorithms' operation kinds).
+// Validate checks the manifest without running anything: kind
+// membership, the lowering of a shorthand, then each section's kernel
+// name, knobs and grids (the axes the kernel reads and nothing else,
+// bounds, and algorithm, scenario and workload names).
 func (m Manifest) Validate() error {
+	_, err := m.lowered()
+	return err
+}
+
+// lowered validates the manifest and returns the sweep manifest it
+// compiles as.
+func (m Manifest) lowered() (Manifest, error) {
 	if !slices.Contains(Kinds, m.Kind) {
-		return fmt.Errorf("manifest: unknown kind %q (have %s)", m.Kind, strings.Join(Kinds, ", "))
+		return m, fmt.Errorf("manifest: unknown kind %q (have %s)", m.Kind, strings.Join(Kinds, ", "))
 	}
 	if m.Shards != 0 {
-		return fmt.Errorf("manifest: shards is not supported: the engine is serial; remove it and use workers")
+		return m, fmt.Errorf("manifest: shards is not supported: the engine is serial; remove it and use workers")
 	}
 	if m.WarmStart {
-		return fmt.Errorf("manifest: warm_start is not supported: every point builds its own stack; remove it")
-	}
-	allowed := consumes[m.Kind]
-	for _, f := range m.fields() {
-		if f.set && !slices.Contains(allowed, f.name) {
-			return fmt.Errorf("manifest: kind %s does not consume %s", m.Kind, f.name)
-		}
+		return m, fmt.Errorf("manifest: warm_start is not supported: every point builds its own stack; remove it")
 	}
 	if m.Workers < 0 {
-		return fmt.Errorf("manifest: workers must be >= 0, got %d", m.Workers)
+		return m, fmt.Errorf("manifest: workers must be >= 0, got %d", m.Workers)
 	}
 	if m.Expect != nil && !isDigest(m.Expect.SHA256) {
-		return fmt.Errorf("manifest: expect.sha256 must be 64 lowercase hex characters")
+		return m, fmt.Errorf("manifest: expect.sha256 must be 64 lowercase hex characters")
 	}
 	if t := m.Telemetry; t != nil {
 		if t.Expect != "" && !isDigest(t.Expect) {
-			return fmt.Errorf("manifest: telemetry.expect_sha256 must be 64 lowercase hex characters")
+			return m, fmt.Errorf("manifest: telemetry.expect_sha256 must be 64 lowercase hex characters")
 		}
 		if t.Expect != "" && t.Metrics == "" {
-			return fmt.Errorf("manifest: telemetry.expect_sha256 needs telemetry.metrics")
+			return m, fmt.Errorf("manifest: telemetry.expect_sha256 needs telemetry.metrics")
 		}
 	}
-	if err := checkRange("grid.sizes", m.Grid.Sizes, 1, maxSize); err != nil {
-		return fmt.Errorf("manifest: %w", err)
+	m, err := m.lower()
+	if err != nil {
+		return m, err
 	}
-	switch m.Kind {
-	case "osu":
-		return m.validateOSU()
-	case "chaos":
-		return m.validateChaos()
-	case "train":
-		return m.validateTrain()
-	case "sweep":
-		return m.validateSweep()
+	if len(m.Sections) == 0 {
+		return m, fmt.Errorf("manifest: sweep needs sections")
+	}
+	for i, ss := range m.Sections {
+		if err := checkSection(i, ss); err != nil {
+			return m, fmt.Errorf("manifest: %w", err)
+		}
+	}
+	return m, nil
+}
+
+// isDigest reports whether s is a SHA-256 digest as the run writes it: 64
+// lowercase hex characters.
+func isDigest(s string) bool { return len(s) == 64 && strings.Trim(s, "0123456789abcdef") == "" }
+
+// checkSection checks section i against its kernel: the kernel name, the
+// knobs it reads and their bounds, then its grids, or none for a gridless
+// kernel.
+func checkSection(i int, ss SectionSpec) error {
+	if !slices.Contains(Kernels, ss.Kernel) {
+		return fmt.Errorf("sections[%d]: unknown kernel %q (have %s)", i, ss.Kernel, strings.Join(Kernels, ", "))
+	}
+	k := sweepKernels[ss.Kernel]
+	for _, knob := range []struct {
+		name string
+		v    int
+	}{{"iters", ss.Iters}, {"jitter_us", ss.JitterUS}, {"layers", ss.Layers}} {
+		hi, ok := k.knobs[knob.name]
+		if knob.v != 0 && !ok {
+			return fmt.Errorf("sections[%d]: kernel %s does not take %s", i, ss.Kernel, knob.name)
+		}
+		if err := checkRange(knob.name, []int{knob.v}, 0, hi); err != nil {
+			return fmt.Errorf("sections[%d]: %w", i, err)
+		}
+	}
+	if k.table != nil {
+		if len(ss.Grids) > 0 {
+			return fmt.Errorf("sections[%d]: kernel %s takes no grids", i, ss.Kernel)
+		}
+		return nil
+	}
+	if len(ss.Grids) == 0 {
+		return fmt.Errorf("sections[%d] needs grids", i)
+	}
+	for j, g := range ss.Grids {
+		if err := checkGrid(ss.Kernel, g); err != nil {
+			return fmt.Errorf("sections[%d].grids[%d]: %w", i, j, err)
+		}
 	}
 	return nil
 }
@@ -345,154 +491,18 @@ func checkRange(axis string, vals []int, lo, hi int64) error {
 	return nil
 }
 
-// checkScenarios cross-checks a scenario axis against the preset registry.
-// The single entry "all" is allowed and expands at compile time.
-func checkScenarios(scenarios []string) error {
-	if len(scenarios) == 1 && scenarios[0] == "all" {
-		return nil
-	}
-	for _, s := range scenarios {
-		if _, err := scenario.New(s); err != nil {
-			return fmt.Errorf("manifest: %w", err)
-		}
-	}
-	return nil
-}
-
-// checkNodes bounds a node axis to the 188-host testbed.
-func checkNodes(nodes []int, lo int64) error {
-	if err := checkRange("grid.nodes", nodes, lo, testbedHosts); err != nil {
-		return fmt.Errorf("manifest: %w", err)
-	}
-	return nil
-}
-
-func (m Manifest) validateOSU() error {
-	if len(m.Grid.Algorithms) == 0 {
-		return fmt.Errorf("manifest: osu needs grid.algorithms")
-	}
-	if err := checkAlgorithms(m.Grid.Algorithms); err != nil {
-		return fmt.Errorf("manifest: %w", err)
-	}
-	if len(m.Grid.Nodes) == 0 || len(m.Grid.Sizes) == 0 {
-		return fmt.Errorf("manifest: osu needs grid.nodes and grid.sizes")
-	}
-	if err := checkNodes(m.Grid.Nodes, 1); err != nil {
-		return err
-	}
-	// An explicit op axis must agree with every algorithm's operation kind,
-	// or the grid product contains unrunnable points.
-	for _, op := range m.Grid.Ops {
-		for _, a := range m.Grid.Algorithms {
-			kind, err := collective.KindOfAlgorithm(a)
-			if err != nil {
-				return fmt.Errorf("manifest: %w", err)
-			}
-			if string(kind) != op {
-				return fmt.Errorf("manifest: op %q does not match algorithm %q (operation %s)", op, a, kind)
-			}
-		}
-	}
-	if m.OSU != nil && (m.OSU.Iters < 0 || m.OSU.JitterUS < 0) {
-		return fmt.Errorf("manifest: osu.iters and osu.jitter_us must be >= 0")
-	}
-	if m.OSU != nil && int64(m.OSU.JitterUS) > sim.MaxMicros {
-		return fmt.Errorf("manifest: osu.jitter_us must be <= %d", sim.MaxMicros)
-	}
-	return nil
-}
-
-// isDigest reports whether s is a SHA-256 digest as the run writes it: 64
-// lowercase hex characters.
-func isDigest(s string) bool { return len(s) == 64 && strings.Trim(s, "0123456789abcdef") == "" }
-
-func (m Manifest) validateChaos() error {
-	if len(m.Grid.Algorithms) == 0 {
-		return fmt.Errorf("manifest: chaos needs grid.algorithms")
-	}
-	if err := checkAlgorithms(m.Grid.Algorithms); err != nil {
-		return fmt.Errorf("manifest: %w", err)
-	}
-	if len(m.Grid.Scenarios) == 0 {
-		return fmt.Errorf("manifest: chaos needs grid.scenarios")
-	}
-	if err := checkScenarios(m.Grid.Scenarios); err != nil {
-		return err
-	}
-	if len(m.Grid.Nodes) != 1 || len(m.Grid.Sizes) != 1 {
-		return fmt.Errorf("manifest: chaos needs exactly one grid.nodes and grid.sizes entry")
-	}
-	return checkNodes(m.Grid.Nodes, 2)
-}
-
-func (m Manifest) validateTrain() error {
-	if len(m.Grid.Workloads) == 0 {
-		return fmt.Errorf("manifest: train needs grid.workloads")
-	}
-	if !(len(m.Grid.Workloads) == 1 && m.Grid.Workloads[0] == "all") {
-		for _, w := range m.Grid.Workloads {
-			if !slices.Contains(workload.Names(), w) {
-				return fmt.Errorf("manifest: unknown workload %q (have %v)", w, workload.Names())
-			}
-		}
-	}
-	if err := checkScenarios(m.Grid.Scenarios); err != nil {
-		return err
-	}
-	if len(m.Grid.Nodes) != 1 || len(m.Grid.Sizes) != 1 {
-		return fmt.Errorf("manifest: train needs exactly one grid.nodes and grid.sizes entry")
-	}
-	if err := checkNodes(m.Grid.Nodes, 2); err != nil {
-		return err
-	}
-	if m.Train != nil && m.Train.Layers < 0 {
-		return fmt.Errorf("manifest: train.layers must be >= 0")
-	}
-	return nil
-}
-
-func (m Manifest) validateSweep() error {
-	if len(m.Sections) == 0 {
-		return fmt.Errorf("manifest: sweep needs sections")
-	}
-	for i, sec := range m.Sections {
-		if !slices.Contains(Kernels, sec.Kernel) {
-			return fmt.Errorf("manifest: sections[%d]: unknown kernel %q (have %s)", i, sec.Kernel, strings.Join(Kernels, ", "))
-		}
-		if sweepKernels[sec.Kernel].table != nil {
-			if len(sec.Grids) > 0 {
-				return fmt.Errorf("manifest: sections[%d]: kernel %s takes no grids", i, sec.Kernel)
-			}
-			continue
-		}
-		if len(sec.Grids) == 0 {
-			return fmt.Errorf("manifest: sections[%d] needs grids", i)
-		}
-		for j, g := range sec.Grids {
-			if err := checkGrid(sec.Kernel, g); err != nil {
-				return fmt.Errorf("manifest: sections[%d].grids[%d]: %w", i, j, err)
-			}
-		}
-	}
-	return nil
-}
-
-const (
-	// testbedHosts is the host count of the collective kernels' testbed.
-	testbedHosts = 188
-	// maxThreads is the DPA's thread capacity: 16 cores of 16 threads.
-	maxThreads = 256
-)
-
 // checkGrid checks one sweep grid against its kernel: the axes it reads
-// and nothing else, transport names, then algorithm names and value
+// and nothing else, the quiet anchor of a slowdown kernel's scenarios,
+// then transport, algorithm, scenario and workload names and value
 // ranges, reporting every failing one of those.
 func checkGrid(kernel string, g sweep.Grid) error {
-	axes := sweepKernels[kernel]
-	for _, f := range []field{
+	k := sweepKernels[kernel]
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
 		{"algorithms", len(g.Algorithms) > 0},
 		{"workloads", len(g.Workloads) > 0},
-		{"ops", len(g.Ops) > 0},
 		{"nodes", len(g.Nodes) > 0},
 		{"msg_bytes", len(g.MsgBytes) > 0},
 		{"transports", len(g.Transports) > 0},
@@ -500,12 +510,15 @@ func checkGrid(kernel string, g sweep.Grid) error {
 		{"chunk_sizes", len(g.ChunkSizes) > 0},
 		{"scenarios", len(g.Scenarios) > 0},
 	} {
-		switch need := slices.Contains(axes.need, f.name); {
-		case f.set && !need && !slices.Contains(axes.may, f.name):
+		switch need := slices.Contains(k.need, f.name); {
+		case f.set && !need && !slices.Contains(k.may, f.name):
 			return fmt.Errorf("kernel %s does not consume %s", kernel, f.name)
 		case !f.set && need:
 			return fmt.Errorf("kernel %s needs %s", kernel, f.name)
 		}
+	}
+	if k.slowdown && len(g.Scenarios) > 0 && !slices.Contains(g.Scenarios, scenario.Quiet) {
+		return fmt.Errorf("kernel %s needs the %s scenario in scenarios: it anchors slowdown_vs_quiet", kernel, scenario.Quiet)
 	}
 	if err := oneOf("transport", g.Transports, harness.RxTransports); err != nil {
 		return err
@@ -513,7 +526,7 @@ func checkGrid(kernel string, g sweep.Grid) error {
 	algos := checkAlgorithms(g.Algorithms)
 	lo := int64(1)
 	switch kernel {
-	case "traffic":
+	case "traffic", "resilience", "train":
 		lo = 2 // a single host sends nothing through a switch
 	case "pair":
 		// A pair's labels are not registry names, and it needs two ranks
@@ -528,6 +541,8 @@ func checkGrid(kernel string, g sweep.Grid) error {
 	}
 	return errors.Join(
 		algos,
+		oneOf("scenario", g.Scenarios, scenario.Names()),
+		oneOf("workload", g.Workloads, workload.Names()),
 		checkRange("nodes", g.Nodes, lo, testbedHosts),
 		checkRange("msg_bytes", g.MsgBytes, 1, maxSize),
 		checkRange("threads", g.Threads, 1, maxThreads),

@@ -60,10 +60,12 @@ func TestValidateKindConsumption(t *testing.T) {
 	sweepWith := func(top string) string {
 		return `{"kind":"sweep",` + top + `,"sections":[{"title":"t","kernel":"op","grids":[` + opGrid + `]}]}`
 	}
-	parseErr(t, sweepWith(`"grid":{"nodes":[8]}`), "does not consume grid.nodes")
-	parseErr(t, sweepWith(`"seed":3`), "does not consume seed")
-	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]},"train":{"layers":2}}`, "does not consume train")
-	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]},"sections":[{"title":"t","kernel":"op","grids":[`+opGrid+`]}]}`, "does not consume sections")
+	parseErr(t, sweepWith(`"grid":{"nodes":[8]}`), "kind sweep does not take grid, seed, osu or train")
+	parseErr(t, sweepWith(`"seed":3`), "kind sweep does not take grid, seed, osu or train")
+	parseErr(t, sweepWith(`"osu":{"iters":3}`), "kind sweep does not take grid, seed, osu or train")
+	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]},"train":{"layers":2}}`, "sections[0]: kernel osu does not take layers")
+	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]},"sections":[{"title":"t","kernel":"op","grids":[`+opGrid+`]}]}`, "kind osu does not take sections")
+	parseErr(t, `{"kind":"chaos","grid":{"workloads":["fsdp-inc"],"algorithms":["mcast-allgather"],"scenarios":["quiet"],"nodes":[8],"sizes":[4096]}}`, "kernel resilience does not consume workloads")
 	parseErr(t, sweepWith(`"tables":[1]`), `unknown field "tables"`)
 	// The retired experiment selectors are no manifest fields at all.
 	for _, retired := range []string{`"figures":[2]`, `"speedup":true`, `"economics":true`, `"all":true`} {
@@ -80,7 +82,10 @@ func TestValidateKindConsumption(t *testing.T) {
 
 	// Each sweep kernel reads its own grid axes; any other is rejected.
 	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"transports":["ud"]}`), "kernel op does not consume transports")
-	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"ops":["allgather"],"nodes":[8],"msg_bytes":[4096]}`), "kernel op does not consume ops")
+	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"ops":["allgather"],"nodes":[8],"msg_bytes":[4096]}`), `unknown field "ops"`)
+	parseErr(t, sweepDoc("osu", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"scenarios":["quiet"]}`), "kernel osu does not consume scenarios")
+	parseErr(t, sweepDoc("train", `{"algorithms":["mcast-allgather"],"workloads":["fsdp-inc"],"nodes":[8],"msg_bytes":[4096]}`), "kernel train does not consume algorithms")
+	parseErr(t, sweepDoc("resilience", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096]}`), "kernel resilience needs scenarios")
 	parseErr(t, sweepDoc("traffic", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"threads":[1]}`), "kernel traffic does not consume threads")
 	parseErr(t, sweepDoc("traffic", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"scenarios":["quiet"]}`), "kernel traffic does not consume scenarios")
 	parseErr(t, sweepDoc("rx", `{"algorithms":["mcast-allgather"],"transports":["uc"],"threads":[1],"chunk_sizes":[4096],"msg_bytes":[8192]}`), "kernel rx does not consume algorithms")
@@ -100,11 +105,11 @@ func TestValidateKindConsumption(t *testing.T) {
 
 func TestValidateCrossChecks(t *testing.T) {
 	parseErr(t, `{"kind":"osu","grid":{"algorithms":["nope-allgather"],"nodes":[8],"sizes":[4096]}}`, "unknown algorithm")
-	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"ops":["broadcast"],"nodes":[8],"sizes":[4096]}}`, "does not match algorithm")
+	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"ops":["broadcast"],"nodes":[8],"sizes":[4096]}}`, `unknown field "ops"`)
 	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[500],"sizes":[4096]}}`, "[1,188]")
-	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[9223372036854775807]}}`, "grid.sizes must be in")
-	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[0]}}`, "grid.sizes must be in")
-	parseErr(t, `{"kind":"train","grid":{"workloads":["fsdp-inc"],"nodes":[100000],"sizes":[4096]},"train":{"layers":1}}`, "grid.nodes must be in [2,188]")
+	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[9223372036854775807]}}`, "msg_bytes must be in")
+	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[0]}}`, "msg_bytes must be in")
+	parseErr(t, `{"kind":"train","grid":{"workloads":["fsdp-inc"],"nodes":[100000],"sizes":[4096]},"train":{"layers":1}}`, "nodes must be in [2,188]")
 	parseErr(t, `{"kind":"chaos","grid":{"algorithms":["mcast-allgather"],"scenarios":["hurricane"],"nodes":[8],"sizes":[4096]}}`, "hurricane")
 	parseErr(t, `{"kind":"train","grid":{"workloads":["nope"],"nodes":[8],"sizes":[4096]}}`, "unknown workload")
 	for _, retired := range []string{"ag", "traffic", "dpa", "cost"} {
@@ -179,7 +184,7 @@ func TestFig11Sections(t *testing.T) {
 			t.Errorf("specs[%d] = %+v, want chunk %d, seed PointSeed(%d, %d), 188 nodes", i, s, chunk, base, idx)
 		}
 	}
-	if p.ReplaySpec == nil || *p.ReplaySpec != specs[0] || p.Trace == nil {
+	if p.ReplaySpec == nil || *p.ReplaySpec != specs[0] || p.TraceSpec == nil {
 		t.Errorf("replayed point %v, want the first point %v", p.ReplaySpec, specs[0])
 	}
 }
@@ -202,7 +207,7 @@ func TestCostSections(t *testing.T) {
 	if len(m.Sections) != 4 || m.Sections[1].Kernel != "psn-sizing" || m.Sections[1].Note != note {
 		t.Errorf("sections %+v; want four, the second a psn-sizing section noting %q", m.Sections, note)
 	}
-	if p.ReplaySpec != nil || p.Trace != nil {
+	if p.ReplaySpec != nil || p.TraceSpec != nil {
 		t.Error("cost.json has a traced or replayed point")
 	}
 }
@@ -286,7 +291,6 @@ func TestRoundTripThroughGrid(t *testing.T) {
 	}
 	want := sweep.Grid{
 		Algorithms: []string{"mcast-allgather"},
-		Ops:        []string{"allgather"},
 		Nodes:      []int{32},
 		MsgBytes:   []int{4096, 8192, 16384, 32768, 65536, 131072, 262144, 524288, 1048576},
 		Seed:       1,
@@ -313,5 +317,154 @@ func TestSeedDefaults(t *testing.T) {
 	m = parseOK(t, `{"kind":"chaos","grid":{"algorithms":["mcast-allgather"],"scenarios":["quiet"],"nodes":[8],"sizes":[4096]},"seed":99}`)
 	if got := m.SeedOr(7); got != 99 {
 		t.Fatalf("SeedOr(7) with explicit seed = %d", got)
+	}
+}
+
+// TestSectionKnobs pins the section fields a kernel reads: osu takes iters
+// and jitter_us, train takes layers, each bounded, and no other kernel
+// takes any. A slowdown kernel's scenario list must hold its quiet anchor,
+// and a section spells its scenarios out ("all" is shorthand only).
+func TestSectionKnobs(t *testing.T) {
+	const (
+		osuGrid   = `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096]}`
+		chaosGrid = `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"scenarios":["flap-spine"]}`
+		trainGrid = `{"workloads":["fsdp-inc"],"nodes":[8],"msg_bytes":[4096]}`
+	)
+	knob := func(kernel, knobs, grid string) string {
+		return `{"kind":"sweep","sections":[{"title":"t","kernel":"` + kernel + `",` + knobs + `,"grids":[` + grid + `]}]}`
+	}
+	parseOK(t, knob("osu", `"iters":3,"jitter_us":2`, osuGrid))
+	parseOK(t, knob("train", `"layers":2`, trainGrid))
+	parseErr(t, knob("op", `"iters":3`, opGrid), "sections[0]: kernel op does not take iters")
+	parseErr(t, knob("train", `"jitter_us":1`, trainGrid), "sections[0]: kernel train does not take jitter_us")
+	parseErr(t, knob("osu", `"layers":2`, osuGrid), "sections[0]: kernel osu does not take layers")
+	parseErr(t, `{"kind":"sweep","sections":[{"title":"t","kernel":"economics","iters":2}]}`, "kernel economics does not take iters")
+	parseErr(t, knob("osu", `"iters":-1`, osuGrid), "iters must be in [0,1048576], got -1")
+	parseErr(t, knob("osu", `"iters":1048577`, osuGrid), "iters must be in [0,1048576]")
+	parseErr(t, knob("osu", `"jitter_us":-1`, osuGrid), "jitter_us must be in [0,")
+	parseErr(t, knob("train", `"layers":-1`, trainGrid), "layers must be in [0,1024], got -1")
+
+	parseErr(t, sweepDoc("resilience", chaosGrid), "sections[0].grids[0]: kernel resilience needs the quiet scenario")
+	parseErr(t, sweepDoc("train", `{"workloads":["fsdp-inc"],"nodes":[8],"msg_bytes":[4096],"scenarios":["flap-spine"]}`), "kernel train needs the quiet scenario")
+	parseOK(t, sweepDoc("resilience", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"scenarios":["flap-spine","quiet"]}`))
+	parseErr(t, sweepDoc("resilience", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"scenarios":["quiet","all"]}`), `unknown scenario "all"`)
+	parseErr(t, sweepDoc("train", `{"workloads":["all"],"nodes":[8],"msg_bytes":[4096]}`), `unknown workload "all"`)
+	parseErr(t, sweepDoc("resilience", `{"algorithms":["mcast-allgather"],"nodes":[1],"msg_bytes":[4096],"scenarios":["quiet"]}`), "nodes must be in [2,188]")
+	parseErr(t, sweepDoc("train", `{"workloads":["fsdp-inc"],"nodes":[1],"msg_bytes":[4096]}`), "nodes must be in [2,188]")
+	// The shorthand prepends the anchor its kind's header counts.
+	p, err := Compile(parseOK(t, `{"kind":"chaos","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096],"scenarios":["flap-spine"]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := p.Sections[0].Header; !strings.Contains(h, "1 algorithms x 2 scenarios") {
+		t.Errorf("chaos header %q, want 2 scenarios (quiet prepended)", h)
+	}
+}
+
+// TestRepresentativePoints pins each kernel's traced and replayed points
+// and the one rule that picks them: the first section whose kernel has
+// one. The train kernel annotates slowdowns only when it sweeps
+// scenarios.
+func TestRepresentativePoints(t *testing.T) {
+	compile := func(sections string) *Plan {
+		t.Helper()
+		p, err := Compile(parseOK(t, `{"kind":"sweep","sections":[`+sections+`]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	section := func(kernel, grid string) string {
+		return `{"title":"t","kernel":"` + kernel + `","grids":[` + grid + `]}`
+	}
+	const (
+		collGrid  = `{"algorithms":["mcast-allgather","ring-allgather"],"nodes":[8],"msg_bytes":[4096,8192]}`
+		chaosGrid = `{"algorithms":["mcast-allgather","ring-allgather"],"nodes":[8],"msg_bytes":[4096],"scenarios":["flap-spine","quiet"]}`
+		trainGrid = `{"workloads":["fsdp-inc","fsdp-ring"],"nodes":[8],"msg_bytes":[4096]}`
+	)
+	for _, c := range []struct {
+		sections      string
+		trace, replay int // indices into the first section's specs; -1 for none
+		post          bool
+	}{
+		{sections: section("op", collGrid), trace: 0, replay: 0},
+		{sections: section("traffic", collGrid), trace: 0, replay: 0, post: true},
+		{sections: section("osu", collGrid), trace: 3, replay: 3},
+		{sections: section("resilience", chaosGrid), trace: 3, replay: 1, post: true},
+		{sections: section("train", trainGrid), trace: 0, replay: -1},
+		{sections: section("rx", rxGrid), trace: -1, replay: -1},
+	} {
+		p := compile(c.sections)
+		specs := p.Sections[0].Specs
+		if c.trace < 0 && p.TraceSpec != nil || c.trace >= 0 && (p.TraceSpec == nil || *p.TraceSpec != specs[c.trace]) {
+			t.Errorf("%s: traced %v, want point %d", c.sections, p.TraceSpec, c.trace)
+		}
+		if c.replay < 0 && p.ReplaySpec != nil || c.replay >= 0 && (p.ReplaySpec == nil || *p.ReplaySpec != specs[c.replay]) {
+			t.Errorf("%s: replayed %v, want point %d", c.sections, p.ReplaySpec, c.replay)
+		}
+		if got := p.Sections[0].Post != nil; got != c.post {
+			t.Errorf("%s: post %v, want %v", c.sections, got, c.post)
+		}
+	}
+	if p := compile(section("train", `{"workloads":["fsdp-inc"],"nodes":[8],"msg_bytes":[4096],"scenarios":["quiet","flap-spine"]}`)); p.Sections[0].Post == nil {
+		t.Error("a train section sweeping scenarios has no slowdown annotation")
+	}
+	// Trace and replay each come from the first section that has one.
+	p := compile(section("rx", rxGrid) + "," + section("train", trainGrid) + "," + section("op", collGrid))
+	if p.TraceSpec == nil || *p.TraceSpec != p.Sections[1].Specs[0] {
+		t.Errorf("traced %v, want the train section's first point", p.TraceSpec)
+	}
+	if p.ReplaySpec == nil || *p.ReplaySpec != p.Sections[2].Specs[0] {
+		t.Errorf("replayed %v, want the op section's first point", p.ReplaySpec)
+	}
+}
+
+// shorthandManifests holds the osu, chaos and train manifests of
+// manifests/ as they were before they were rewritten as sweep sections,
+// less the two fields the shorthand no longer has: the osu grids' "ops"
+// axis (["allgather"] in example, pr, ring and telemetry), which restated
+// each algorithm's operation kind, and osu.jitter_us (3 in example, 2 in
+// p2p), which the rewritten sections carry.
+var shorthandManifests = map[string]string{
+	"example":   `{"kind":"osu","name":"osu-jitter-demo","grid":{"algorithms":["mcast-allgather"],"nodes":[16],"sizes":[4096,8192,16384,32768,65536]},"seed":3,"osu":{"iters":5},"telemetry":{"metrics":"METRICS_jitter_demo.json","perfetto":"TRACE_jitter_demo.json"},"output":{}}`,
+	"p2p":       `{"kind":"osu","grid":{"algorithms":["ring-allgather","linear-allgather","rd-allgather","bruck-allgather","knomial-broadcast","binary-broadcast","chain-broadcast"],"nodes":[8,16],"sizes":[4096,65536,262144]},"osu":{"iters":3},"output":{"json":"BENCH_p2p.json"},"expect":{"sha256":"7ee4e05984a4738420e7c945e7857ff9ba0bba229c9db105894a13bb8fabc2fa"}}`,
+	"pr":        `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[32],"sizes":[4096,8192,16384,32768,65536,131072,262144,524288,1048576]},"osu":{"iters":5},"output":{"json":"BENCH_pr.json"},"expect":{"sha256":"4fd7c96ca59683ba7b627e731bdbdff04e1e15a683dbc52f1ad1b396d916ba45"}}`,
+	"ring":      `{"kind":"osu","grid":{"algorithms":["ring-allgather"],"nodes":[32],"sizes":[4096,8192,16384,32768,65536,131072,262144,524288,1048576]},"osu":{"iters":5},"output":{"json":"BENCH_ring.json"},"expect":{"sha256":"b6000d60c5d0131cfb04e4ed15dcbb8b5c1d0dc5dd113c2141438f20dbc343aa"}}`,
+	"telemetry": `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[16],"sizes":[65536,262144]},"osu":{"iters":3},"telemetry":{"metrics":"METRICS_telemetry.json","perfetto":"TRACE_telemetry.json","expect_sha256":"51f4173989c3748bd11efa7e827b625a8c5aec1d121a60ae964208c2c781f2c9"},"output":{"json":"BENCH_telemetry.json"},"expect":{"sha256":"90c0d0ca79e60f14ed24e13d769d1ba26819c25411790624f1df49af2d410fe4"}}`,
+	"chaos":     `{"kind":"chaos","grid":{"algorithms":["mcast-allgather","ring-allgather"],"nodes":[32],"sizes":[65536],"scenarios":["quiet","flap-spine","straggler-1pct","tenant-50load"]},"output":{"json":"BENCH_chaos.json"},"expect":{"sha256":"ed0ac20cf31c7e4f0227c2f0e9336145d4471710ee3e96fe8857263fec20cd21"}}`,
+	"train":     `{"kind":"train","grid":{"workloads":["all"],"nodes":[8],"sizes":[131072]},"workers":4,"train":{"layers":3},"output":{"json":"BENCH_train.json"},"expect":{"sha256":"4ecc0cdda19dc4c983f022d6911309e15ca1a067b6011ecf948a7650021264bf"}}`,
+}
+
+// TestShorthandMatchesRewrite pins the lowering against the sweep form CI
+// runs: each shorthand manifest and its rewrite under manifests/ compile
+// to the same report name, section headers and notes, expanded points
+// (seeds and indices included), traced point and replayed point.
+func TestShorthandMatchesRewrite(t *testing.T) {
+	for name, doc := range shorthandManifests {
+		short, err := Compile(parseOK(t, doc))
+		if err != nil {
+			t.Fatalf("%s shorthand: %v", name, err)
+		}
+		m, err := ParseFile(filepath.Join("..", "..", "manifests", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Kind != "sweep" {
+			t.Errorf("manifests/%s.json is kind %s, want sweep", name, m.Kind)
+		}
+		long, err := Compile(m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if short.Name != long.Name || len(short.Sections) != 1 || len(long.Sections) != 1 {
+			t.Fatalf("%s: name %q with %d sections, rewrite %q with %d", name, short.Name, len(short.Sections), long.Name, len(long.Sections))
+		}
+		s, l := short.Sections[0], long.Sections[0]
+		if s.Header != l.Header || s.Note != l.Note || !reflect.DeepEqual(s.Specs, l.Specs) {
+			t.Errorf("%s: section %q/%q/%v, rewrite %q/%q/%v", name, s.Header, s.Note, s.Specs, l.Header, l.Note, l.Specs)
+		}
+		if !reflect.DeepEqual(short.TraceSpec, long.TraceSpec) || !reflect.DeepEqual(short.ReplaySpec, long.ReplaySpec) {
+			t.Errorf("%s: traced %v and replayed %v, rewrite %v and %v", name, short.TraceSpec, short.ReplaySpec, long.TraceSpec, long.ReplaySpec)
+		}
 	}
 }

@@ -11,7 +11,6 @@ type Grid struct {
 	// application-level sweeps. Empty means no workload axis, exactly as
 	// before the axis existed.
 	Workloads  []string `json:"workloads,omitempty"`
-	Ops        []string `json:"ops,omitempty"`
 	Nodes      []int    `json:"nodes,omitempty"`
 	MsgBytes   []int    `json:"msg_bytes,omitempty"`
 	Transports []string `json:"transports,omitempty"`
@@ -44,7 +43,7 @@ func orInt(axis []int) []int {
 func (g Grid) Points() int {
 	n := 1
 	for _, k := range []int{
-		len(orStr(g.Algorithms)), len(orStr(g.Workloads)), len(orStr(g.Ops)),
+		len(orStr(g.Algorithms)), len(orStr(g.Workloads)),
 		len(orInt(g.Nodes)), len(orInt(g.MsgBytes)), len(orStr(g.Transports)),
 		len(orInt(g.Threads)), len(orInt(g.ChunkSizes)), len(orStr(g.Scenarios)),
 	} {
@@ -60,23 +59,21 @@ func (g Grid) Expand() []Spec {
 	idx := 0
 	for _, alg := range orStr(g.Algorithms) {
 		for _, wl := range orStr(g.Workloads) {
-			for _, op := range orStr(g.Ops) {
-				for _, nodes := range orInt(g.Nodes) {
-					for _, msg := range orInt(g.MsgBytes) {
-						for _, tr := range orStr(g.Transports) {
-							for _, th := range orInt(g.Threads) {
-								for _, cs := range orInt(g.ChunkSizes) {
-									for _, sc := range orStr(g.Scenarios) {
-										specs = append(specs, Spec{
-											Algorithm: alg, Workload: wl, Op: op,
-											Nodes: nodes, MsgBytes: msg, Transport: tr,
-											Threads: th, ChunkSize: cs,
-											Scenario: sc,
-											Seed:     PointSeed(g.Seed, idx),
-											Index:    idx,
-										})
-										idx++
-									}
+			for _, nodes := range orInt(g.Nodes) {
+				for _, msg := range orInt(g.MsgBytes) {
+					for _, tr := range orStr(g.Transports) {
+						for _, th := range orInt(g.Threads) {
+							for _, cs := range orInt(g.ChunkSizes) {
+								for _, sc := range orStr(g.Scenarios) {
+									specs = append(specs, Spec{
+										Algorithm: alg, Workload: wl,
+										Nodes: nodes, MsgBytes: msg, Transport: tr,
+										Threads: th, ChunkSize: cs,
+										Scenario: sc,
+										Seed:     PointSeed(g.Seed, idx),
+										Index:    idx,
+									})
+									idx++
 								}
 							}
 						}

@@ -24,13 +24,7 @@ import (
 var fieldAllowlist = map[string]string{
 	"shards":     "parsed only so Validate can refuse it with a hint (exit 2); bench/bench_test.go reads it",
 	"warm_start": "parsed only so Validate can refuse it with a hint (exit 2); bench/bench_test.go reads it",
-
-	// A section grid is a sweep.Grid, whose workload, op and scenario axes
-	// serve the train, osu and chaos kinds through their own grid; every
-	// section kernel refuses them.
-	"sections.grids.workloads": "every section kernel refuses the workload axis",
-	"sections.grids.ops":       "every section kernel refuses the op axis",
-	"sections.grids.scenarios": "every section kernel refuses the scenario axis",
+	"seed":       "the shorthand's seed: bench/workloads.go's generateManifest writes it and bench/bench_test.go reads it",
 }
 
 // TestManifestFieldsHaveCallers fails on every manifest field that no
