@@ -19,10 +19,11 @@
 //
 // Instances persist transport state (queue pairs, registered buffers)
 // across Run calls, so repeated operations measure a warm communicator.
-// Algorithms that implement Starter also run non-blocking for workloads
-// that overlap collectives with compute (the FSDP example). The lower-level
-// System.NewCommunicator / System.NewTeam constructors remain for direct
-// protocol access.
+// Every algorithm also starts non-blocking (Algorithm.Start), for
+// workloads that overlap collectives with compute (the FSDP example), and
+// checks its last operation's payload (Algorithm.VerifyLast). The
+// lower-level System.NewCommunicator / System.NewTeam constructors remain
+// for direct protocol access.
 //
 // The heavy lifting lives in the internal packages: sim (event engine),
 // topology, fabric, verbs, dpa, core (the paper's contribution), coll
@@ -145,15 +146,10 @@ type Result = collective.Result
 // (the Figure-10 breakdown, produced by the mcast-* algorithms).
 type RankStats = collective.RankStats
 
-// Algorithm is one executable collective algorithm bound to a system.
+// Algorithm is one executable collective algorithm bound to a system: it
+// runs blocking or non-blocking, and checks its last operation's payload
+// when it has a verifier (requires VerifyData in the options).
 type Algorithm = collective.Algorithm
-
-// Starter is implemented by algorithms that also run non-blocking.
-type Starter = collective.Starter
-
-// Verifier is implemented by algorithms that can check payload integrity
-// of their most recent operation (requires VerifyData in the options).
-type Verifier = registry.Verifier
 
 // AlgorithmOptions parameterizes NewAlgorithm: the rank subset and the
 // per-stack tuning knobs.

@@ -75,7 +75,7 @@ func replicate(segs int) (sim.Time, int, error) {
 		if verifyErr != nil || alg == nil {
 			return
 		}
-		if err := alg.(repro.Verifier).VerifyLast(op); err != nil {
+		if err := alg.VerifyLast(op); err != nil {
 			verifyErr = fmt.Errorf("segment %s corrupted: %w", s.Phase, err)
 		}
 	}
@@ -115,7 +115,7 @@ func knomialBaseline(segs int) (sim.Time, error) {
 		if err != nil {
 			return 0, err
 		}
-		if err := knomial.(repro.Verifier).VerifyLast(op); err != nil {
+		if err := knomial.VerifyLast(op); err != nil {
 			return 0, err
 		}
 		total += res.Duration()

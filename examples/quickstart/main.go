@@ -59,7 +59,7 @@ func run(msg int) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := mcast.(repro.Verifier).VerifyLast(op); err != nil {
+	if err := mcast.VerifyLast(op); err != nil {
 		return nil, fmt.Errorf("allgather produced wrong bytes: %w", err)
 	}
 

@@ -23,7 +23,7 @@ func startAG(t *testing.T, cl *cluster.Cluster, bytes int) **collective.Result {
 		t.Fatal(err)
 	}
 	var res *collective.Result
-	err = alg.(collective.Starter).Start(
+	err = alg.Start(
 		collective.Op{Kind: collective.Allgather, Bytes: bytes},
 		func(r *collective.Result) { res = r })
 	if err != nil {
@@ -91,7 +91,7 @@ func TestDisjointHostsDoNotContend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := alg.(collective.Starter).Start(
+		if err := alg.Start(
 			collective.Op{Kind: collective.Allgather, Bytes: bytes},
 			func(r *collective.Result) { results = append(results, r) }); err != nil {
 			t.Fatal(err)

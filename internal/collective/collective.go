@@ -1,10 +1,10 @@
 // Package collective defines the shared vocabulary of every collective
 // implementation in this repository: the operation descriptor (Op), the
 // unified cross-rank outcome (Result, with the optional per-rank
-// critical-path extension RankStats), the Algorithm interface that the
-// multicast protocol (internal/core) and the P2P baselines (internal/coll)
-// both satisfy through thin adapters (internal/registry), and the byte
-// pattern both verify received data against.
+// critical-path extension RankStats), the Algorithm interface through
+// which internal/registry exposes the multicast protocol (internal/core)
+// and the P2P baselines (internal/coll), and the byte pattern both verify
+// received data against.
 //
 // The package is a leaf: it depends only on the simulation clock, so both
 // protocol layers can share its types without an import cycle.
@@ -12,7 +12,6 @@ package collective
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/sim"
 )
@@ -26,19 +25,6 @@ const (
 	Broadcast     Kind = "broadcast"
 	ReduceScatter Kind = "reduce-scatter"
 )
-
-// KindOfAlgorithm derives the operation kind from a registry algorithm
-// name by its suffix ("ring-allgather" -> Allgather) — the naming
-// convention every registry entry follows. Shared by the harness kernels
-// and the workload engine so op derivation cannot diverge.
-func KindOfAlgorithm(algo string) (Kind, error) {
-	for _, k := range []Kind{Allgather, Broadcast, ReduceScatter} {
-		if strings.HasSuffix(algo, "-"+string(k)) {
-			return k, nil
-		}
-	}
-	return "", fmt.Errorf("collective: cannot derive operation from algorithm %q", algo)
-}
 
 // Op describes one collective operation, independent of the algorithm that
 // executes it.
@@ -55,29 +41,33 @@ type Op struct {
 
 // Algorithm is one executable collective algorithm bound to a system and a
 // set of ranks. Implementations persist transport state (queue pairs,
-// registered buffers) across Run calls, so repeated operations measure a
-// warm communicator, as OSU-style benchmarks expect.
+// registered buffers) across operations, so repeated operations measure a
+// warm communicator, as OSU-style benchmarks expect. Every algorithm runs
+// both blocking (Run) and non-blocking (Start), for workloads that overlap
+// collectives with compute or with one another (e.g. the FSDP pipeline).
 type Algorithm interface {
 	// Name returns the registry name, e.g. "ring-allgather".
 	Name() string
-	// Supports reports whether Run can execute op on this instance.
+	// Kind returns the one operation the algorithm executes.
+	Kind() Kind
+	// Supports reports whether the algorithm can execute op on this
+	// instance.
 	Supports(op Op) bool
+	// Start begins op without driving the engine; done fires when every
+	// rank has completed, and the caller drives the engine.
+	Start(op Op, done func(*Result)) error
 	// Run executes op, driving the simulation engine until every rank
 	// completes, and returns the unified result.
 	Run(op Op) (*Result, error)
-}
-
-// Starter is implemented by algorithms that can also run non-blocking, for
-// workloads that overlap collectives with compute or with one another
-// (e.g. the FSDP pipeline). done fires when every rank has completed; the
-// caller drives the engine.
-type Starter interface {
-	Start(op Op, done func(*Result)) error
+	// VerifyLast checks the payload of the most recent operation op
+	// (requires data verification in the algorithm's options). It returns
+	// an error for an algorithm that has no verifier.
+	VerifyLast(op Op) error
 }
 
 // RunBlocking is the one blocking driver: it starts an operation through
 // its non-blocking entry point, runs the engine until the queue drains, and
-// enforces completion — the shared tail of every Algorithm.Run, and what
+// enforces completion — the tail of every Algorithm.Run, and what
 // tests of the protocol layers' Start* surfaces block through. name labels
 // the deadlock error.
 func RunBlocking(name string, eng *sim.Engine, start func(done func(*Result)) error) (*Result, error) {

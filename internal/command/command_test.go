@@ -661,10 +661,10 @@ func TestPerfettoNeedsTraceablePoint(t *testing.T) {
 		t.Errorf("validate: exit %d, stdout %q, stderr %q; want 2 and %q", code, stdout, stderr, msg)
 	}
 	out := filepath.Join(dir, "out")
-	if code, _, stderr := run("run", "-o", out, traced); code != 2 || stderr != "run: "+msg+"\n" {
+	if code, _, stderr := run("run", "-o", out, traced); code != 2 || stderr != "run: "+traced+": "+msg+"\n" {
 		t.Errorf("run: exit %d, stderr %q; want 2 and %q", code, stderr, msg)
 	}
-	if code, _, stderr := run("run", "-perfetto", filepath.Join(dir, "p.json"), plain); code != 2 || stderr != "run: "+msg+"\n" {
+	if code, _, stderr := run("run", "-perfetto", filepath.Join(dir, "p.json"), plain); code != 2 || stderr != "run: "+plain+": "+msg+"\n" {
 		t.Errorf("run -perfetto: exit %d, stderr %q; want 2 and %q", code, stderr, msg)
 	}
 	if code, _, stderr := run("run", "-trace", filepath.Join(dir, "t.txt"), "-o", out, plain); code != 2 || stderr != "run: no section of "+plain+" has a traceable point\n" {

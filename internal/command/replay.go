@@ -41,7 +41,7 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 	}
 	plan, err := manifest.Compile(m)
 	if err != nil {
-		return fail(stderr, 2, "replay: %v", err)
+		return fail(stderr, 2, "replay: %s: %v", fs.Arg(0), err)
 	}
 	if plan.ReplaySpec == nil {
 		return fail(stderr, 2, "replay: no section of %s has a replayable point", fs.Arg(0))

@@ -78,7 +78,7 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, 2, "run: %v", dups[0])
 		}
 		if plans[i], err = manifest.Compile(m); err != nil {
-			return fail(stderr, 2, "run: %v", err)
+			return fail(stderr, 2, "run: %s: %v", path, err)
 		}
 		// Compile refuses a telemetry.perfetto the plan cannot trace; the
 		// -trace flag is a run-time request, checked here.
@@ -228,7 +228,7 @@ func runValidate(args []string, stdout, stderr io.Writer) int {
 	for _, path := range paths {
 		m, err := manifest.ParseFile(path)
 		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", path, err)
+			fmt.Fprintln(stderr, err) // ParseFile's errors name the file
 			bad++
 			continue
 		}

@@ -53,8 +53,7 @@ type Rank struct {
 
 	// Fast path, one entry per subgroup.
 	dataQPs []*verbs.QP
-	dataCQs []*verbs.CQ
-	rxWkrs  []*dpa.Worker // rxWkrs[s] serves dataCQs[s]
+	rxWkrs  []*dpa.Worker // rxWkrs[s] serves subgroup s's receive CQ
 	staging []*verbs.MR
 
 	// Control plane.
@@ -136,7 +135,6 @@ func newRank(c *Communicator, id int, host topology.NodeID) (*Rank, error) {
 			return nil, fmt.Errorf("core: rank %d subgroup %d: %w", id, s, err)
 		}
 		r.dataQPs = append(r.dataQPs, qp)
-		r.dataCQs = append(r.dataCQs, cq)
 		s := s
 		r.rxWkrs[s].Serve(cq, func(e verbs.CQE) { r.handleData(s, e) })
 		r.staging = append(r.staging, r.registerBuf(cfg.RQDepth*c.chunk))

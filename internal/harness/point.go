@@ -54,19 +54,15 @@ func newPoint(s sweep.Spec, f *fabric.Fabric, tc telemetry.Config) *point {
 // collective point runs on 56 Gbit/s ConnectX-3 links.
 const TestbedLinkGbps = 56
 
-// buildColl builds one collective point on the 188-node testbed model: the
-// operation kind (derived from the algorithm name), a fresh fabric with
-// TestbedLinkGbps links and jitterUS of seeded per-delivery noise, and the
-// point's algorithm over the first Nodes hosts. The message size and the scenario's injectors are not
-// consumed here — they parameterize the continuation, not the stack.
+// buildColl builds one collective point on the 188-node testbed model: a
+// fresh fabric with TestbedLinkGbps links and jitterUS of seeded
+// per-delivery noise, the point's algorithm over the first Nodes hosts,
+// and the spec's operation kind, taken from the algorithm. The message
+// size and the scenario's injectors are not consumed here — they
+// parameterize the continuation, not the stack.
 // Every collective kernel builds through here, so the quiet anchor of
 // slowdown_vs_quiet cannot drift from the plain collective kernel.
 func buildColl(tc telemetry.Config, s sweep.Spec, jitterUS int) (*point, error) {
-	kind, err := collective.KindOfAlgorithm(s.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	s.Op = string(kind)
 	g := topology.Testbed188()
 	hosts := g.Hosts()
 	if s.Nodes < 1 || s.Nodes > len(hosts) {
@@ -77,13 +73,14 @@ func buildColl(tc telemetry.Config, s sweep.Spec, jitterUS int) (*point, error) 
 		ReorderJitter: sim.Time(jitterUS) * sim.Microsecond,
 	}
 	pt := newPoint(s, fabric.New(sim.NewEngine(s.Seed), g, fcfg), tc)
-	pt.alg, err = registry.New(pt.cl, s.Algorithm, registry.Options{
+	alg, err := registry.New(pt.cl, s.Algorithm, registry.Options{
 		Hosts: hosts[:s.Nodes],
 		Coll:  coll.Config{ChunkBytes: s.ChunkSize},
 	})
 	if err != nil {
 		return nil, err
 	}
+	pt.alg, pt.spec.Op = alg, string(alg.Kind())
 	return pt, nil
 }
 

@@ -135,12 +135,8 @@ func startReplay(s sweep.Spec) (*sim.Engine, func() bool, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	starter, ok := pt.alg.(collective.Starter)
-	if !ok {
-		return nil, nil, fmt.Errorf("harness: %s cannot run non-blocking under the replay driver", s.Algorithm)
-	}
 	var res *collective.Result
-	if err := starter.Start(pt.op(pt.spec), func(r *collective.Result) { res = r }); err != nil {
+	if err := pt.alg.Start(pt.op(pt.spec), func(r *collective.Result) { res = r }); err != nil {
 		return nil, nil, err
 	}
 	return pt.f.Engine(), func() bool { return res != nil }, nil

@@ -31,7 +31,7 @@ func straightThrough(t *testing.T, s sweep.Spec) ([]firedEvent, sim.Time, map[ui
 		t.Fatal(err)
 	}
 	var res *collective.Result
-	if err := pt.alg.(collective.Starter).Start(pt.op(pt.spec), func(r *collective.Result) { res = r }); err != nil {
+	if err := pt.alg.Start(pt.op(pt.spec), func(r *collective.Result) { res = r }); err != nil {
 		t.Fatal(err)
 	}
 	eng := pt.f.Engine()

@@ -69,16 +69,12 @@ func (pt *point) start(s sweep.Spec) (*chaosRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	starter, ok := pt.alg.(collective.Starter)
-	if !ok {
-		return nil, fmt.Errorf("harness: %s cannot run non-blocking under a scenario", s.Algorithm)
-	}
 	pt.sampler.Arm()
 	// Scope the scenario to the participating hosts: on the 188-host
 	// testbed a fabric-wide random straggler or spine flap would usually
 	// land on idle hardware and measure nothing.
 	run := &chaosRun{act: sc.InstallOn(pt.f, pt.f.Graph().Hosts()[:s.Nodes], s.Seed)}
-	err = starter.Start(pt.op(s), func(r *collective.Result) {
+	err = pt.alg.Start(pt.op(s), func(r *collective.Result) {
 		run.res = r
 		run.act.Stop()
 	})

@@ -51,14 +51,14 @@ type Section struct {
 	Run func() []sweep.Record
 }
 
-// Compile validates the manifest, lowers a shorthand onto its section, and
-// compiles each section onto its grids' joined specs and its kernel, or
-// onto its table for a gridless kernel. The kernels' telemetry
-// configuration is derived here from the manifest's own telemetry field,
-// so the Plan is self-contained: executing it needs no setup beyond the
-// manifest. A manifest that asks for a Perfetto trace its plan has no
-// point to produce is an error here, so `repro validate` and `repro run`
-// agree on it.
+// Compile is the one validator: it checks the manifest, lowers a
+// shorthand onto its section, and compiles each section onto its grids'
+// joined specs and its kernel, or onto its table for a gridless kernel.
+// The kernels' telemetry configuration is derived here from the
+// manifest's own telemetry field, so the Plan is self-contained: executing
+// it needs no setup beyond the manifest. A manifest that asks for a
+// Perfetto trace its plan has no point to produce is an error here, so
+// `repro validate` and `repro run` agree on it.
 func Compile(m Manifest) (*Plan, error) {
 	low, err := m.lowered()
 	if err != nil {

@@ -8,8 +8,8 @@
 //
 // The kinds osu, chaos and train are a shorthand for a manifest of one
 // section, kept because the host-time ledger's workloads (bench/workloads)
-// are written in it: Validate and Compile lower one onto its section
-// first, so every manifest compiles the same way.
+// are written in it: Compile lowers one onto its section first, so every
+// manifest compiles the same way.
 //
 // The contract mirrors the sweep engine's: the same manifest always
 // produces byte-identical JSON output at any worker count.
@@ -39,7 +39,7 @@ import (
 // kinds and sweep.
 var Kinds = []string{"osu", "chaos", "train", "sweep"}
 
-// Manifest is one declarative experiment spec. Validate rejects a field
+// Manifest is one declarative experiment spec. Compile rejects a field
 // the manifest's kernels do not read, so a drifting manifest fails fast
 // instead of being silently ignored.
 type Manifest struct {
@@ -59,7 +59,7 @@ type Manifest struct {
 	// Workers is the sweep worker pool size; 0 means GOMAXPROCS. Results
 	// are byte-identical at any value.
 	Workers int `json:"workers,omitempty"`
-	// Shards and WarmStart are parsed only so Validate can reject them
+	// Shards and WarmStart are parsed only so Compile can reject them
 	// with a hint: the engine is serial (Workers is the parallelism), and
 	// every grid point builds its own model stack.
 	Shards    int  `json:"shards,omitempty"`
@@ -154,7 +154,7 @@ const maxSize int64 = 1 << 40
 
 // Parse decodes a manifest from JSON bytes, rejecting unknown fields at
 // every nesting level so a typo'd or drifting axis fails instead of being
-// ignored. The result is validated, and returned as written.
+// ignored. It returns the manifest as written; Compile validates it.
 func Parse(b []byte) (Manifest, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
@@ -165,9 +165,6 @@ func Parse(b []byte) (Manifest, error) {
 	// A second document (or trailing garbage) is a malformed manifest.
 	if dec.More() {
 		return Manifest{}, fmt.Errorf("manifest: trailing data after document")
-	}
-	if err := m.Validate(); err != nil {
-		return Manifest{}, err
 	}
 	return m, nil
 }
@@ -370,17 +367,11 @@ var sweepKernels = map[string]kernelDef{
 	"economics":     {table: harness.EconomicsRecords},
 }
 
-// Validate checks the manifest without running anything: kind
-// membership, the lowering of a shorthand, then each section's kernel
-// name, knobs and grids (the axes the kernel reads and nothing else,
-// bounds, and algorithm, scenario and workload names).
-func (m Manifest) Validate() error {
-	_, err := m.lowered()
-	return err
-}
-
-// lowered validates the manifest and returns the sweep manifest it
-// compiles as.
+// lowered validates the manifest without running anything and returns
+// the sweep manifest it compiles as: kind membership, the lowering of a
+// shorthand, then each section's kernel name, knobs and grids (the axes
+// the kernel reads and nothing else, bounds, and algorithm, scenario and
+// workload names).
 func (m Manifest) lowered() (Manifest, error) {
 	if !slices.Contains(Kinds, m.Kind) {
 		return m, fmt.Errorf("manifest: unknown kind %q (have %s)", m.Kind, strings.Join(Kinds, ", "))

@@ -14,34 +14,43 @@ import (
 	"repro/internal/sweep"
 )
 
-func parseOK(t *testing.T, src string) Manifest {
+// compileOK parses src and checks that it compiles.
+func compileOK(t *testing.T, src string) Manifest {
 	t.Helper()
 	m, err := Parse([]byte(src))
+	if err == nil {
+		_, err = Compile(m)
+	}
 	if err != nil {
-		t.Fatalf("Parse(%s): %v", src, err)
+		t.Fatalf("Compile(%s): %v", src, err)
 	}
 	return m
 }
 
-func parseErr(t *testing.T, src, want string) {
+// compileErr checks that src fails to parse or to compile with an error
+// containing want.
+func compileErr(t *testing.T, src, want string) {
 	t.Helper()
-	_, err := Parse([]byte(src))
+	m, err := Parse([]byte(src))
 	if err == nil {
-		t.Fatalf("Parse(%s): expected error containing %q, got nil", src, want)
+		_, err = Compile(m)
+	}
+	if err == nil {
+		t.Fatalf("Compile(%s): expected error containing %q, got nil", src, want)
 	}
 	if !strings.Contains(err.Error(), want) {
-		t.Fatalf("Parse(%s): error %q does not contain %q", src, err, want)
+		t.Fatalf("Compile(%s): error %q does not contain %q", src, err, want)
 	}
 }
 
 func TestParseRejectsUnknownFields(t *testing.T) {
 	// Top level, nested object, and the grid all reject unknown keys.
-	parseErr(t, `{"kind":"osu","bogus":1}`, "bogus")
-	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096],"sizzes":[1]}}`, "sizzes")
-	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]},"osu":{"itters":5}}`, "itters")
-	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]}} {"kind":"osu"}`, "trailing data")
+	compileErr(t, `{"kind":"osu","bogus":1}`, "bogus")
+	compileErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096],"sizzes":[1]}}`, "sizzes")
+	compileErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]},"osu":{"itters":5}}`, "itters")
+	compileErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]}} {"kind":"osu"}`, "trailing data")
 	// sizes is an array of ints; a string is a type error, not a grammar.
-	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":"4096:65536"}}`, "cannot unmarshal string")
+	compileErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":"4096:65536"}}`, "cannot unmarshal string")
 }
 
 // sweepDoc is a one-section sweep manifest running kernel over grids (a
@@ -60,93 +69,93 @@ func TestValidateKindConsumption(t *testing.T) {
 	sweepWith := func(top string) string {
 		return `{"kind":"sweep",` + top + `,"sections":[{"title":"t","kernel":"op","grids":[` + opGrid + `]}]}`
 	}
-	parseErr(t, sweepWith(`"grid":{"nodes":[8]}`), "kind sweep does not take grid, seed, osu or train")
-	parseErr(t, sweepWith(`"seed":3`), "kind sweep does not take grid, seed, osu or train")
-	parseErr(t, sweepWith(`"osu":{"iters":3}`), "kind sweep does not take grid, seed, osu or train")
-	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]},"train":{"layers":2}}`, "sections[0]: kernel osu does not take layers")
-	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]},"sections":[{"title":"t","kernel":"op","grids":[`+opGrid+`]}]}`, "kind osu does not take sections")
-	parseErr(t, `{"kind":"chaos","grid":{"workloads":["fsdp-inc"],"algorithms":["mcast-allgather"],"scenarios":["quiet"],"nodes":[8],"sizes":[4096]}}`, "kernel resilience does not consume workloads")
-	parseErr(t, sweepWith(`"tables":[1]`), `unknown field "tables"`)
+	compileErr(t, sweepWith(`"grid":{"nodes":[8]}`), "kind sweep does not take grid, seed, osu or train")
+	compileErr(t, sweepWith(`"seed":3`), "kind sweep does not take grid, seed, osu or train")
+	compileErr(t, sweepWith(`"osu":{"iters":3}`), "kind sweep does not take grid, seed, osu or train")
+	compileErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]},"train":{"layers":2}}`, "sections[0]: kernel osu does not take layers")
+	compileErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]},"sections":[{"title":"t","kernel":"op","grids":[`+opGrid+`]}]}`, "kind osu does not take sections")
+	compileErr(t, `{"kind":"chaos","grid":{"workloads":["fsdp-inc"],"algorithms":["mcast-allgather"],"scenarios":["quiet"],"nodes":[8],"sizes":[4096]}}`, "kernel resilience does not consume workloads")
+	compileErr(t, sweepWith(`"tables":[1]`), `unknown field "tables"`)
 	// The retired experiment selectors are no manifest fields at all.
 	for _, retired := range []string{`"figures":[2]`, `"speedup":true`, `"economics":true`, `"all":true`} {
-		parseErr(t, sweepWith(retired), "unknown field")
+		compileErr(t, sweepWith(retired), "unknown field")
 	}
-	parseErr(t, sweepWith(`"traffic":{"iters":2}`), `unknown field "traffic"`)
+	compileErr(t, sweepWith(`"traffic":{"iters":2}`), `unknown field "traffic"`)
 	// shards and warm_start parse only to be refused, on every kind.
 	osuDoc := `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096]}`
-	parseErr(t, osuDoc+`,"shards":2}`, "shards is not supported: the engine is serial; remove it and use workers")
-	parseErr(t, osuDoc+`,"shards":-1}`, "shards is not supported")
-	parseErr(t, osuDoc+`,"warm_start":true}`, "warm_start is not supported: every point builds its own stack; remove it")
-	parseErr(t, sweepWith(`"warm_start":true`), "warm_start is not supported")
-	parseErr(t, sweepWith(`"shards":4`), "shards is not supported")
+	compileErr(t, osuDoc+`,"shards":2}`, "shards is not supported: the engine is serial; remove it and use workers")
+	compileErr(t, osuDoc+`,"shards":-1}`, "shards is not supported")
+	compileErr(t, osuDoc+`,"warm_start":true}`, "warm_start is not supported: every point builds its own stack; remove it")
+	compileErr(t, sweepWith(`"warm_start":true`), "warm_start is not supported")
+	compileErr(t, sweepWith(`"shards":4`), "shards is not supported")
 
 	// Each sweep kernel reads its own grid axes; any other is rejected.
-	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"transports":["ud"]}`), "kernel op does not consume transports")
-	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"ops":["allgather"],"nodes":[8],"msg_bytes":[4096]}`), `unknown field "ops"`)
-	parseErr(t, sweepDoc("osu", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"scenarios":["quiet"]}`), "kernel osu does not consume scenarios")
-	parseErr(t, sweepDoc("train", `{"algorithms":["mcast-allgather"],"workloads":["fsdp-inc"],"nodes":[8],"msg_bytes":[4096]}`), "kernel train does not consume algorithms")
-	parseErr(t, sweepDoc("resilience", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096]}`), "kernel resilience needs scenarios")
-	parseErr(t, sweepDoc("traffic", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"threads":[1]}`), "kernel traffic does not consume threads")
-	parseErr(t, sweepDoc("traffic", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"scenarios":["quiet"]}`), "kernel traffic does not consume scenarios")
-	parseErr(t, sweepDoc("rx", `{"algorithms":["mcast-allgather"],"transports":["uc"],"threads":[1],"chunk_sizes":[4096],"msg_bytes":[8192]}`), "kernel rx does not consume algorithms")
-	parseErr(t, sweepDoc("rx", `{"workloads":["fsdp-inc"],"transports":["uc"],"threads":[1],"chunk_sizes":[4096],"msg_bytes":[8192]}`), "kernel rx does not consume workloads")
-	parseErr(t, sweepDoc("rx-rate", rxGrid), "kernel rx-rate does not consume msg_bytes")
-	parseErr(t, sweepDoc("rx-rate", `{"transports":["uc"],"threads":[1],"chunk_sizes":[64],"nodes":[2]}`), "kernel rx-rate does not consume nodes")
-	parseErr(t, sweepDoc("traffic-model", `{"msg_bytes":[65536],"nodes":[8]}`), "kernel traffic-model does not consume nodes")
-	parseErr(t, sweepDoc("pair", `{"algorithms":["ring-pair"],"nodes":[4],"msg_bytes":[4096],"chunk_sizes":[4096]}`), "kernel pair does not consume chunk_sizes")
+	compileErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"transports":["ud"]}`), "kernel op does not consume transports")
+	compileErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"ops":["allgather"],"nodes":[8],"msg_bytes":[4096]}`), `unknown field "ops"`)
+	compileErr(t, sweepDoc("osu", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"scenarios":["quiet"]}`), "kernel osu does not consume scenarios")
+	compileErr(t, sweepDoc("train", `{"algorithms":["mcast-allgather"],"workloads":["fsdp-inc"],"nodes":[8],"msg_bytes":[4096]}`), "kernel train does not consume algorithms")
+	compileErr(t, sweepDoc("resilience", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096]}`), "kernel resilience needs scenarios")
+	compileErr(t, sweepDoc("traffic", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"threads":[1]}`), "kernel traffic does not consume threads")
+	compileErr(t, sweepDoc("traffic", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"scenarios":["quiet"]}`), "kernel traffic does not consume scenarios")
+	compileErr(t, sweepDoc("rx", `{"algorithms":["mcast-allgather"],"transports":["uc"],"threads":[1],"chunk_sizes":[4096],"msg_bytes":[8192]}`), "kernel rx does not consume algorithms")
+	compileErr(t, sweepDoc("rx", `{"workloads":["fsdp-inc"],"transports":["uc"],"threads":[1],"chunk_sizes":[4096],"msg_bytes":[8192]}`), "kernel rx does not consume workloads")
+	compileErr(t, sweepDoc("rx-rate", rxGrid), "kernel rx-rate does not consume msg_bytes")
+	compileErr(t, sweepDoc("rx-rate", `{"transports":["uc"],"threads":[1],"chunk_sizes":[64],"nodes":[2]}`), "kernel rx-rate does not consume nodes")
+	compileErr(t, sweepDoc("traffic-model", `{"msg_bytes":[65536],"nodes":[8]}`), "kernel traffic-model does not consume nodes")
+	compileErr(t, sweepDoc("pair", `{"algorithms":["ring-pair"],"nodes":[4],"msg_bytes":[4096],"chunk_sizes":[4096]}`), "kernel pair does not consume chunk_sizes")
 	// ...and the axes it needs must be there.
-	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[8]}`), "kernel op needs msg_bytes")
-	parseErr(t, sweepDoc("rx", `{"transports":["uc"],"threads":[1],"msg_bytes":[8192]}`), "kernel rx needs chunk_sizes")
-	parseOK(t, sweepDoc("op", `{"algorithms":["chain-broadcast"],"nodes":[8],"msg_bytes":[4096],"chunk_sizes":[16384]}`))
-	parseOK(t, sweepDoc("rx-rate", `{"transports":["ud"],"threads":[1],"chunk_sizes":[64]}`))
-	parseOK(t, sweepDoc("traffic-model", `{"msg_bytes":[65536]}`))
-	parseOK(t, `{"kind":"sweep","sections":[{"title":"t","kernel":"psn-sizing"},{"title":"u","kernel":"economics"}]}`)
+	compileErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[8]}`), "kernel op needs msg_bytes")
+	compileErr(t, sweepDoc("rx", `{"transports":["uc"],"threads":[1],"msg_bytes":[8192]}`), "kernel rx needs chunk_sizes")
+	compileOK(t, sweepDoc("op", `{"algorithms":["chain-broadcast"],"nodes":[8],"msg_bytes":[4096],"chunk_sizes":[16384]}`))
+	compileOK(t, sweepDoc("rx-rate", `{"transports":["ud"],"threads":[1],"chunk_sizes":[64]}`))
+	compileOK(t, sweepDoc("traffic-model", `{"msg_bytes":[65536]}`))
+	compileOK(t, `{"kind":"sweep","sections":[{"title":"t","kernel":"psn-sizing"},{"title":"u","kernel":"economics"}]}`)
 }
 
 func TestValidateCrossChecks(t *testing.T) {
-	parseErr(t, `{"kind":"osu","grid":{"algorithms":["nope-allgather"],"nodes":[8],"sizes":[4096]}}`, "unknown algorithm")
-	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"ops":["broadcast"],"nodes":[8],"sizes":[4096]}}`, `unknown field "ops"`)
-	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[500],"sizes":[4096]}}`, "[1,188]")
-	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[9223372036854775807]}}`, "msg_bytes must be in")
-	parseErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[0]}}`, "msg_bytes must be in")
-	parseErr(t, `{"kind":"train","grid":{"workloads":["fsdp-inc"],"nodes":[100000],"sizes":[4096]},"train":{"layers":1}}`, "nodes must be in [2,188]")
-	parseErr(t, `{"kind":"chaos","grid":{"algorithms":["mcast-allgather"],"scenarios":["hurricane"],"nodes":[8],"sizes":[4096]}}`, "hurricane")
-	parseErr(t, `{"kind":"train","grid":{"workloads":["nope"],"nodes":[8],"sizes":[4096]}}`, "unknown workload")
+	compileErr(t, `{"kind":"osu","grid":{"algorithms":["nope-allgather"],"nodes":[8],"sizes":[4096]}}`, "unknown algorithm")
+	compileErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"ops":["broadcast"],"nodes":[8],"sizes":[4096]}}`, `unknown field "ops"`)
+	compileErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[500],"sizes":[4096]}}`, "[1,188]")
+	compileErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[9223372036854775807]}}`, "msg_bytes must be in")
+	compileErr(t, `{"kind":"osu","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[0]}}`, "msg_bytes must be in")
+	compileErr(t, `{"kind":"train","grid":{"workloads":["fsdp-inc"],"nodes":[100000],"sizes":[4096]},"train":{"layers":1}}`, "nodes must be in [2,188]")
+	compileErr(t, `{"kind":"chaos","grid":{"algorithms":["mcast-allgather"],"scenarios":["hurricane"],"nodes":[8],"sizes":[4096]}}`, "hurricane")
+	compileErr(t, `{"kind":"train","grid":{"workloads":["nope"],"nodes":[8],"sizes":[4096]}}`, "unknown workload")
 	for _, retired := range []string{"ag", "traffic", "dpa", "cost"} {
-		parseErr(t, `{"kind":"`+retired+`"}`, "unknown kind")
+		compileErr(t, `{"kind":"`+retired+`"}`, "unknown kind")
 	}
-	parseErr(t, `{"kind":"sweep","figures":[3],"sections":[{"title":"t","kernel":"psn-sizing"}]}`, `unknown field "figures"`)
-	parseErr(t, `{"kind":"zebra"}`, "unknown kind")
+	compileErr(t, `{"kind":"sweep","figures":[3],"sections":[{"title":"t","kernel":"psn-sizing"}]}`, `unknown field "figures"`)
+	compileErr(t, `{"kind":"zebra"}`, "unknown kind")
 
 	// The sweep kind: sections, grids, kernel names, registry and
 	// transport names, and axis ranges.
-	parseErr(t, `{"kind":"sweep"}`, "sweep needs sections")
-	parseErr(t, `{"kind":"sweep","sections":[]}`, "sweep needs sections")
-	parseErr(t, `{"kind":"sweep","sections":[{"title":"t","kernel":"op","grids":[]}]}`, "sections[0] needs grids")
-	parseErr(t, `{"kind":"sweep","sections":[{"title":"t","kernel":"op"}]}`, "sections[0] needs grids")
-	parseErr(t, sweepDoc("fig11", opGrid), `unknown kernel "fig11"`)
-	parseErr(t, sweepDoc("op", opGrid+`,{"algorithms":["nope-allgather"],"nodes":[8],"msg_bytes":[4096]}`), "sections[0].grids[1]: unknown algorithm")
-	parseErr(t, sweepDoc("rx", `{"transports":["rc"],"threads":[1],"chunk_sizes":[4096],"msg_bytes":[8192]}`), `unknown transport "rc"`)
-	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[0],"msg_bytes":[4096]}`), "nodes must be in [1,188]")
-	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[189],"msg_bytes":[4096]}`), "nodes must be in [1,188]")
-	parseErr(t, sweepDoc("traffic", `{"algorithms":["mcast-allgather"],"nodes":[1],"msg_bytes":[4096]}`), "nodes must be in [2,188]")
-	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[0]}`), "msg_bytes must be in")
-	parseErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[9223372036854775807]}`), "msg_bytes must be in")
-	parseErr(t, sweepDoc("op", `{"algorithms":["chain-broadcast"],"nodes":[8],"msg_bytes":[4096],"chunk_sizes":[-1]}`), "chunk_sizes must be in")
-	parseErr(t, sweepDoc("rx", `{"transports":["uc"],"threads":[0],"chunk_sizes":[4096],"msg_bytes":[8192]}`), "threads must be in [1,256]")
-	parseErr(t, sweepDoc("rx-rate", `{"transports":["uc"],"threads":[512],"chunk_sizes":[64]}`), "threads must be in [1,256]")
-	parseErr(t, sweepDoc("rx", `{"transports":["uc","ud"],"threads":[1],"chunk_sizes":[8192],"msg_bytes":[8192]}`), "chunk_sizes must be in [1,4096]")
-	parseErr(t, sweepDoc("rx", `{"transports":["cpu-ud"],"threads":[1],"chunk_sizes":[8192],"msg_bytes":[8192]}`), "chunk_sizes must be in [1,4096]")
-	parseOK(t, sweepDoc("rx", `{"transports":["uc","cpu-rc"],"threads":[256],"chunk_sizes":[65536],"msg_bytes":[8388608]}`))
+	compileErr(t, `{"kind":"sweep"}`, "sweep needs sections")
+	compileErr(t, `{"kind":"sweep","sections":[]}`, "sweep needs sections")
+	compileErr(t, `{"kind":"sweep","sections":[{"title":"t","kernel":"op","grids":[]}]}`, "sections[0] needs grids")
+	compileErr(t, `{"kind":"sweep","sections":[{"title":"t","kernel":"op"}]}`, "sections[0] needs grids")
+	compileErr(t, sweepDoc("fig11", opGrid), `unknown kernel "fig11"`)
+	compileErr(t, sweepDoc("op", opGrid+`,{"algorithms":["nope-allgather"],"nodes":[8],"msg_bytes":[4096]}`), "sections[0].grids[1]: unknown algorithm")
+	compileErr(t, sweepDoc("rx", `{"transports":["rc"],"threads":[1],"chunk_sizes":[4096],"msg_bytes":[8192]}`), `unknown transport "rc"`)
+	compileErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[0],"msg_bytes":[4096]}`), "nodes must be in [1,188]")
+	compileErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[189],"msg_bytes":[4096]}`), "nodes must be in [1,188]")
+	compileErr(t, sweepDoc("traffic", `{"algorithms":["mcast-allgather"],"nodes":[1],"msg_bytes":[4096]}`), "nodes must be in [2,188]")
+	compileErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[0]}`), "msg_bytes must be in")
+	compileErr(t, sweepDoc("op", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[9223372036854775807]}`), "msg_bytes must be in")
+	compileErr(t, sweepDoc("op", `{"algorithms":["chain-broadcast"],"nodes":[8],"msg_bytes":[4096],"chunk_sizes":[-1]}`), "chunk_sizes must be in")
+	compileErr(t, sweepDoc("rx", `{"transports":["uc"],"threads":[0],"chunk_sizes":[4096],"msg_bytes":[8192]}`), "threads must be in [1,256]")
+	compileErr(t, sweepDoc("rx-rate", `{"transports":["uc"],"threads":[512],"chunk_sizes":[64]}`), "threads must be in [1,256]")
+	compileErr(t, sweepDoc("rx", `{"transports":["uc","ud"],"threads":[1],"chunk_sizes":[8192],"msg_bytes":[8192]}`), "chunk_sizes must be in [1,4096]")
+	compileErr(t, sweepDoc("rx", `{"transports":["cpu-ud"],"threads":[1],"chunk_sizes":[8192],"msg_bytes":[8192]}`), "chunk_sizes must be in [1,4096]")
+	compileOK(t, sweepDoc("rx", `{"transports":["uc","cpu-rc"],"threads":[256],"chunk_sizes":[65536],"msg_bytes":[8388608]}`))
 
 	// A pair names its configuration, not a registry algorithm, and needs
 	// two ranks; a gridless kernel takes no grids.
-	parseErr(t, sweepDoc("pair", `{"algorithms":["ring-allgather"],"nodes":[4],"msg_bytes":[4096]}`), `unknown pair "ring-allgather"`)
-	parseErr(t, sweepDoc("pair", `{"algorithms":["inc-pair"],"nodes":[1],"msg_bytes":[4096]}`), "nodes must be in [2,188]")
-	parseOK(t, sweepDoc("pair", `{"algorithms":["ring-pair","inc-pair"],"nodes":[2,16],"msg_bytes":[4096]}`))
-	parseErr(t, sweepDoc("psn-sizing", `{"msg_bytes":[4096]}`), "sections[0]: kernel psn-sizing takes no grids")
-	parseErr(t, sweepDoc("economics", `{"algorithms":["superpod-node"]}`), "sections[0]: kernel economics takes no grids")
-	parseErr(t, sweepDoc("traffic-model", `{"msg_bytes":[0]}`), "msg_bytes must be in")
+	compileErr(t, sweepDoc("pair", `{"algorithms":["ring-allgather"],"nodes":[4],"msg_bytes":[4096]}`), `unknown pair "ring-allgather"`)
+	compileErr(t, sweepDoc("pair", `{"algorithms":["inc-pair"],"nodes":[1],"msg_bytes":[4096]}`), "nodes must be in [2,188]")
+	compileOK(t, sweepDoc("pair", `{"algorithms":["ring-pair","inc-pair"],"nodes":[2,16],"msg_bytes":[4096]}`))
+	compileErr(t, sweepDoc("psn-sizing", `{"msg_bytes":[4096]}`), "sections[0]: kernel psn-sizing takes no grids")
+	compileErr(t, sweepDoc("economics", `{"algorithms":["superpod-node"]}`), "sections[0]: kernel economics takes no grids")
+	compileErr(t, sweepDoc("traffic-model", `{"msg_bytes":[0]}`), "msg_bytes must be in")
 }
 
 // TestFig11Sections pins how manifests/fig11.json lowers: one section of
@@ -310,11 +319,11 @@ func TestRoundTripThroughGrid(t *testing.T) {
 }
 
 func TestSeedDefaults(t *testing.T) {
-	m := parseOK(t, `{"kind":"chaos","grid":{"algorithms":["mcast-allgather"],"scenarios":["quiet"],"nodes":[8],"sizes":[4096]}}`)
+	m := compileOK(t, `{"kind":"chaos","grid":{"algorithms":["mcast-allgather"],"scenarios":["quiet"],"nodes":[8],"sizes":[4096]}}`)
 	if got := m.SeedOr(7); got != 7 {
 		t.Fatalf("SeedOr(7) with absent seed = %d", got)
 	}
-	m = parseOK(t, `{"kind":"chaos","grid":{"algorithms":["mcast-allgather"],"scenarios":["quiet"],"nodes":[8],"sizes":[4096]},"seed":99}`)
+	m = compileOK(t, `{"kind":"chaos","grid":{"algorithms":["mcast-allgather"],"scenarios":["quiet"],"nodes":[8],"sizes":[4096]},"seed":99}`)
 	if got := m.SeedOr(7); got != 99 {
 		t.Fatalf("SeedOr(7) with explicit seed = %d", got)
 	}
@@ -333,26 +342,26 @@ func TestSectionKnobs(t *testing.T) {
 	knob := func(kernel, knobs, grid string) string {
 		return `{"kind":"sweep","sections":[{"title":"t","kernel":"` + kernel + `",` + knobs + `,"grids":[` + grid + `]}]}`
 	}
-	parseOK(t, knob("osu", `"iters":3,"jitter_us":2`, osuGrid))
-	parseOK(t, knob("train", `"layers":2`, trainGrid))
-	parseErr(t, knob("op", `"iters":3`, opGrid), "sections[0]: kernel op does not take iters")
-	parseErr(t, knob("train", `"jitter_us":1`, trainGrid), "sections[0]: kernel train does not take jitter_us")
-	parseErr(t, knob("osu", `"layers":2`, osuGrid), "sections[0]: kernel osu does not take layers")
-	parseErr(t, `{"kind":"sweep","sections":[{"title":"t","kernel":"economics","iters":2}]}`, "kernel economics does not take iters")
-	parseErr(t, knob("osu", `"iters":-1`, osuGrid), "iters must be in [0,1048576], got -1")
-	parseErr(t, knob("osu", `"iters":1048577`, osuGrid), "iters must be in [0,1048576]")
-	parseErr(t, knob("osu", `"jitter_us":-1`, osuGrid), "jitter_us must be in [0,")
-	parseErr(t, knob("train", `"layers":-1`, trainGrid), "layers must be in [0,1024], got -1")
+	compileOK(t, knob("osu", `"iters":3,"jitter_us":2`, osuGrid))
+	compileOK(t, knob("train", `"layers":2`, trainGrid))
+	compileErr(t, knob("op", `"iters":3`, opGrid), "sections[0]: kernel op does not take iters")
+	compileErr(t, knob("train", `"jitter_us":1`, trainGrid), "sections[0]: kernel train does not take jitter_us")
+	compileErr(t, knob("osu", `"layers":2`, osuGrid), "sections[0]: kernel osu does not take layers")
+	compileErr(t, `{"kind":"sweep","sections":[{"title":"t","kernel":"economics","iters":2}]}`, "kernel economics does not take iters")
+	compileErr(t, knob("osu", `"iters":-1`, osuGrid), "iters must be in [0,1048576], got -1")
+	compileErr(t, knob("osu", `"iters":1048577`, osuGrid), "iters must be in [0,1048576]")
+	compileErr(t, knob("osu", `"jitter_us":-1`, osuGrid), "jitter_us must be in [0,")
+	compileErr(t, knob("train", `"layers":-1`, trainGrid), "layers must be in [0,1024], got -1")
 
-	parseErr(t, sweepDoc("resilience", chaosGrid), "sections[0].grids[0]: kernel resilience needs the quiet scenario")
-	parseErr(t, sweepDoc("train", `{"workloads":["fsdp-inc"],"nodes":[8],"msg_bytes":[4096],"scenarios":["flap-spine"]}`), "kernel train needs the quiet scenario")
-	parseOK(t, sweepDoc("resilience", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"scenarios":["flap-spine","quiet"]}`))
-	parseErr(t, sweepDoc("resilience", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"scenarios":["quiet","all"]}`), `unknown scenario "all"`)
-	parseErr(t, sweepDoc("train", `{"workloads":["all"],"nodes":[8],"msg_bytes":[4096]}`), `unknown workload "all"`)
-	parseErr(t, sweepDoc("resilience", `{"algorithms":["mcast-allgather"],"nodes":[1],"msg_bytes":[4096],"scenarios":["quiet"]}`), "nodes must be in [2,188]")
-	parseErr(t, sweepDoc("train", `{"workloads":["fsdp-inc"],"nodes":[1],"msg_bytes":[4096]}`), "nodes must be in [2,188]")
+	compileErr(t, sweepDoc("resilience", chaosGrid), "sections[0].grids[0]: kernel resilience needs the quiet scenario")
+	compileErr(t, sweepDoc("train", `{"workloads":["fsdp-inc"],"nodes":[8],"msg_bytes":[4096],"scenarios":["flap-spine"]}`), "kernel train needs the quiet scenario")
+	compileOK(t, sweepDoc("resilience", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"scenarios":["flap-spine","quiet"]}`))
+	compileErr(t, sweepDoc("resilience", `{"algorithms":["mcast-allgather"],"nodes":[8],"msg_bytes":[4096],"scenarios":["quiet","all"]}`), `unknown scenario "all"`)
+	compileErr(t, sweepDoc("train", `{"workloads":["all"],"nodes":[8],"msg_bytes":[4096]}`), `unknown workload "all"`)
+	compileErr(t, sweepDoc("resilience", `{"algorithms":["mcast-allgather"],"nodes":[1],"msg_bytes":[4096],"scenarios":["quiet"]}`), "nodes must be in [2,188]")
+	compileErr(t, sweepDoc("train", `{"workloads":["fsdp-inc"],"nodes":[1],"msg_bytes":[4096]}`), "nodes must be in [2,188]")
 	// The shorthand prepends the anchor its kind's header counts.
-	p, err := Compile(parseOK(t, `{"kind":"chaos","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096],"scenarios":["flap-spine"]}}`))
+	p, err := Compile(compileOK(t, `{"kind":"chaos","grid":{"algorithms":["mcast-allgather"],"nodes":[8],"sizes":[4096],"scenarios":["flap-spine"]}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +377,7 @@ func TestSectionKnobs(t *testing.T) {
 func TestRepresentativePoints(t *testing.T) {
 	compile := func(sections string) *Plan {
 		t.Helper()
-		p, err := Compile(parseOK(t, `{"kind":"sweep","sections":[`+sections+`]}`))
+		p, err := Compile(compileOK(t, `{"kind":"sweep","sections":[`+sections+`]}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,7 +450,7 @@ var shorthandManifests = map[string]string{
 // (seeds and indices included), traced point and replayed point.
 func TestShorthandMatchesRewrite(t *testing.T) {
 	for name, doc := range shorthandManifests {
-		short, err := Compile(parseOK(t, doc))
+		short, err := Compile(compileOK(t, doc))
 		if err != nil {
 			t.Fatalf("%s shorthand: %v", name, err)
 		}

@@ -1,10 +1,10 @@
 // Package registry maps algorithm names to executable collective.Algorithm
-// instances, adapting the multicast protocol (internal/core) and the P2P
-// baselines (internal/coll) to the one unified surface. Every consumer —
-// the OSU-style driver, the per-figure harness experiments, the examples
-// and the top-level benchmarks — dispatches through New instead of
-// hand-rolling a switch over algorithm names, so adding an algorithm is a
-// single table entry here.
+// instances: one algorithm type binds the multicast protocol
+// (internal/core) or a P2P baseline (internal/coll) to the one unified
+// surface. Every consumer — the OSU-style driver, the per-figure harness
+// experiments, the examples and the top-level benchmarks — dispatches
+// through New instead of hand-rolling a switch over algorithm names, so
+// adding an algorithm is a single table entry here.
 package registry
 
 import (
@@ -33,23 +33,28 @@ type Options struct {
 	Coll coll.Config
 }
 
-// builder constructs one named algorithm over the shared cluster runtime.
-type builder func(name string, cl *cluster.Cluster, hosts []topology.NodeID, opts Options) (collective.Algorithm, error)
+// entry is one registry row: the operation, the team-size rule and the
+// protocol layer's binding.
+type entry struct {
+	kind collective.Kind
+	size func(ranks int) bool
+	bind binder
+}
 
 // algorithms is the registry: every collective algorithm the simulation
 // implements, P2P and multicast alike.
-var algorithms = map[string]builder{
-	"mcast-broadcast":     newMcast(collective.Broadcast),
-	"mcast-allgather":     newMcast(collective.Allgather),
-	"ring-allgather":      newTeamAlg(collective.Allgather, anySize, (*coll.Team).StartRingAllgather),
-	"linear-allgather":    newTeamAlg(collective.Allgather, anySize, (*coll.Team).StartLinearAllgather),
-	"rd-allgather":        newTeamAlg(collective.Allgather, powerOfTwo, (*coll.Team).StartRecursiveDoublingAllgather),
-	"bruck-allgather":     newTeamAlg(collective.Allgather, anySize, (*coll.Team).StartBruckAllgather),
-	"knomial-broadcast":   newTreeAlg((*coll.Team).StartKnomialBroadcast),
-	"binary-broadcast":    newTreeAlg((*coll.Team).StartBinaryTreeBroadcast),
-	"chain-broadcast":     newTreeAlg((*coll.Team).StartChainBroadcast),
-	"ring-reduce-scatter": newTeamAlg(collective.ReduceScatter, anySize, (*coll.Team).StartRingReduceScatter),
-	"inc-reduce-scatter":  newINCReduceScatter,
+var algorithms = map[string]entry{
+	"mcast-broadcast":     {collective.Broadcast, anySize, mcast},
+	"mcast-allgather":     {collective.Allgather, anySize, mcast},
+	"ring-allgather":      {collective.Allgather, anySize, team((*coll.Team).StartRingAllgather)},
+	"linear-allgather":    {collective.Allgather, anySize, team((*coll.Team).StartLinearAllgather)},
+	"rd-allgather":        {collective.Allgather, powerOfTwo, team((*coll.Team).StartRecursiveDoublingAllgather)},
+	"bruck-allgather":     {collective.Allgather, anySize, team((*coll.Team).StartBruckAllgather)},
+	"knomial-broadcast":   {collective.Broadcast, anySize, tree((*coll.Team).StartKnomialBroadcast)},
+	"binary-broadcast":    {collective.Broadcast, anySize, tree((*coll.Team).StartBinaryTreeBroadcast)},
+	"chain-broadcast":     {collective.Broadcast, anySize, tree((*coll.Team).StartChainBroadcast)},
+	"ring-reduce-scatter": {collective.ReduceScatter, anySize, team((*coll.Team).StartRingReduceScatter)},
+	"inc-reduce-scatter":  {collective.ReduceScatter, anySize, incReduceScatter},
 }
 
 // Names returns every registered algorithm name, sorted.
@@ -66,7 +71,7 @@ func Names() []string {
 // runtime. Transport state persists across Run calls on the returned
 // instance (warm queue pairs and buffers, as OSU methodology requires).
 func New(cl *cluster.Cluster, name string, opts Options) (collective.Algorithm, error) {
-	b, ok := algorithms[name]
+	e, ok := algorithms[name]
 	if !ok {
 		return nil, fmt.Errorf("registry: unknown algorithm %q (have %v)", name, Names())
 	}
@@ -74,11 +79,9 @@ func New(cl *cluster.Cluster, name string, opts Options) (collective.Algorithm, 
 	if hosts == nil {
 		hosts = cl.Fabric().Graph().Hosts()
 	}
-	return b(name, cl, hosts, opts)
-}
-
-// Verifier is implemented by algorithms that can check payload integrity
-// of the most recent operation (requires VerifyData in the options).
-type Verifier interface {
-	VerifyLast(op collective.Op) error
+	a := &algorithm{name: name, kind: e.kind, ranks: len(hosts), size: e.size}
+	if err := e.bind(a, cl, hosts, opts); err != nil {
+		return nil, err
+	}
+	return a, nil
 }

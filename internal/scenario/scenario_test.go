@@ -53,7 +53,7 @@ func runAllgather(t *testing.T, name string, bytes int, seed uint64) (*collectiv
 		act = sc.Install(f, seed)
 	}
 	var res *collective.Result
-	err = alg.(collective.Starter).Start(collective.Op{Kind: collective.Allgather, Bytes: bytes},
+	err = alg.Start(collective.Op{Kind: collective.Allgather, Bytes: bytes},
 		func(r *collective.Result) {
 			res = r
 			if act != nil {

@@ -61,8 +61,8 @@ type Phase struct {
 	Compute sim.Time
 	// Comm names the communicator a collective phase runs on.
 	Comm string
-	// Op is the collective kind; empty derives it from the Comm's
-	// algorithm name ("ring-allgather" -> allgather).
+	// Op is the collective kind; empty takes the Kind of the Comm's
+	// algorithm.
 	Op collective.Kind
 	// Bytes is the per-rank payload of a collective phase.
 	Bytes int
@@ -188,15 +188,14 @@ func (j *JobReport) OverlapFrac() float64 {
 	return f
 }
 
-// Report is the outcome of one workload run.
+// Report is the outcome of one workload run: its bounds and the per-job
+// results. It holds no algorithm instance; Workload.OnSpan sees each
+// collective phase's algorithm when the phase completes.
 type Report struct {
 	// Start/End bound every span across jobs.
 	Start, End sim.Time
 	// Jobs reports per-job results, in declaration order.
 	Jobs []JobReport
-	// Algorithms exposes the persistent communicator instances, keyed
-	// "job/comm", for post-run verification (Verifier) or reuse.
-	Algorithms map[string]collective.Algorithm
 }
 
 // Job returns the named job's report, or nil.
@@ -238,7 +237,6 @@ type jobState struct {
 	def    Job
 	hosts  []topology.NodeID
 	comms  map[string]*commState
-	order  []*commState  // declaration order, for deterministic teardown
 	states []*phaseState // phase states, declaration order
 	thread *dpa.Thread   // lazily allocated compute thread (lead host CPU)
 	rep    JobReport
@@ -295,9 +293,7 @@ func Start(cl *cluster.Cluster, w Workload) (*Pending, error) {
 			if err != nil {
 				return nil, fmt.Errorf("workload: job %s comm %s: %w", j.Name, c.Name, err)
 			}
-			cs := &commState{name: c.Name, alg: alg}
-			js.comms[c.Name] = cs
-			js.order = append(js.order, cs)
+			js.comms[c.Name] = &commState{name: c.Name, alg: alg}
 		}
 		if err := p.buildPhases(js); err != nil {
 			return nil, err
@@ -345,11 +341,7 @@ func (p *Pending) buildPhases(js *jobState) error {
 				return fmt.Errorf("workload: job %s phase %s: collective needs positive Bytes", j.Name, def.Name)
 			}
 			if def.Op == "" {
-				kind, err := collective.KindOfAlgorithm(cs.alg.Name())
-				if err != nil {
-					return fmt.Errorf("workload: job %s phase %s: %w (set Phase.Op)", j.Name, def.Name, err)
-				}
-				def.Op = kind
+				def.Op = cs.alg.Kind()
 			}
 		}
 		ps := &phaseState{job: js, idx: i, def: def}
@@ -463,12 +455,7 @@ func (p *Pending) kick(cs *commState) {
 	js := ps.job
 	ps.span = Span{Job: js.def.Name, Phase: ps.def.Name, Comm: cs.name, Start: p.eng.Now()}
 	op := collective.Op{Kind: ps.def.Op, Bytes: ps.def.Bytes, Root: ps.def.Root}
-	starter, ok := cs.alg.(collective.Starter)
-	if !ok {
-		p.fail(fmt.Errorf("workload: job %s comm %s: %s cannot run non-blocking", js.def.Name, cs.name, cs.alg.Name()))
-		return
-	}
-	if err := starter.Start(op, func(res *collective.Result) {
+	if err := cs.alg.Start(op, func(res *collective.Result) {
 		cs.busy = false
 		p.phaseDone(ps, res)
 		p.kick(cs)
@@ -529,14 +516,11 @@ func (p *Pending) Report() (*Report, error) {
 	if p.left != 0 {
 		return nil, fmt.Errorf("workload: %q: %d phases never completed", p.w.Name, p.left)
 	}
-	rep := &Report{Algorithms: map[string]collective.Algorithm{}}
+	rep := &Report{}
 	first := true
 	for _, js := range p.jobs {
 		finalizeJob(js)
 		rep.Jobs = append(rep.Jobs, js.rep)
-		for _, cs := range js.order {
-			rep.Algorithms[js.def.Name+"/"+cs.name] = cs.alg
-		}
 		if first || js.rep.Start < rep.Start {
 			rep.Start = js.rep.Start
 		}

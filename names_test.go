@@ -65,7 +65,8 @@ func TestInternalNamesHaveCallers(t *testing.T) {
 // TestGuardPassResolvesByType runs the shared pass on a fixture the
 // spelling match got wrong: two types declare Stop and one is called, a
 // write-only field shares its name with a read one, and a method is reached
-// only through heap.Interface.
+// only through heap.Interface. Two fields are only ever filled, one by
+// element assignment and one by self-append, and neither counts as read.
 func TestGuardPassResolvesByType(t *testing.T) {
 	m, err := checkModule(map[string][]string{
 		"internal/fix": {`package fix
@@ -76,6 +77,10 @@ func (A) Stop() {}
 func (B) Stop() {}
 type W struct{ Name string }
 type R struct{ Name string }
+type F struct {
+	Keys map[string]int
+	Vals []int
+}
 type h []int
 func (x h) Len() int           { return len(x) }
 func (x h) Less(i, j int) bool { return x[i] < x[j] }
@@ -86,6 +91,9 @@ func Run() string {
 	A{}.Stop()
 	heap.Init(&h{})
 	_ = W{Name: "w"}
+	f := &F{Keys: map[string]int{}}
+	f.Keys["k"] = 1
+	f.Vals = append(f.Vals, 1)
 	return R{}.Name
 }`},
 		"cmd/fix": {`package main
@@ -101,7 +109,7 @@ func main() { fix.Run() }`},
 			got = append(got, d.key)
 		}
 	}
-	if want := "fix.B.Stop fix.W.Name"; strings.Join(got, " ") != want {
+	if want := "fix.B.Stop fix.W.Name fix.F.Keys fix.F.Vals"; strings.Join(got, " ") != want {
 		t.Errorf("flagged %v, want %s", got, want)
 	}
 }
@@ -270,8 +278,10 @@ func checkModule(srcs map[string][]string) (*module, error) {
 
 // recordUses records every object a declaration uses, which fields it
 // reads, and which it writes outside the methods of their own type. A
-// field is written by an assignment or a composite-literal key; a
-// selection through an embedded field reads that field.
+// field is written by an assignment (to it or to an element of it, x.F[k]
+// = v), by a composite-literal key, and as the first argument of a
+// self-append (x.F = append(x.F, v)); a selection through an embedded
+// field reads that field.
 func (m *module) recordUses(d ast.Decl) {
 	var own *types.Struct // a method's receiver struct
 	if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
@@ -282,7 +292,27 @@ func (m *module) recordUses(d ast.Decl) {
 		own, _ = recv.Underlying().(*types.Struct)
 	}
 	writes := map[*ast.Ident]bool{}
+	// selfAppended returns the first argument of rhs when rhs is
+	// append(l, ...).
+	selfAppended := func(l, rhs ast.Expr) ast.Expr {
+		call, ok := rhs.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return nil
+		}
+		if id, ok := call.Fun.(*ast.Ident); !ok || m.info.Uses[id] != types.Universe.Lookup("append") ||
+			types.ExprString(call.Args[0]) != types.ExprString(l) {
+			return nil
+		}
+		return call.Args[0]
+	}
 	target := func(e ast.Expr) {
+		for {
+			ix, ok := e.(*ast.IndexExpr)
+			if !ok {
+				break
+			}
+			e = ix.X
+		}
 		if s, ok := e.(*ast.SelectorExpr); ok {
 			writes[s.Sel] = true
 		}
@@ -291,8 +321,13 @@ func (m *module) recordUses(d ast.Decl) {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			if n.Tok != token.DEFINE {
-				for _, l := range n.Lhs {
+				for i, l := range n.Lhs {
 					target(l)
+					if len(n.Rhs) == len(n.Lhs) {
+						if arg := selfAppended(l, n.Rhs[i]); arg != nil {
+							target(arg)
+						}
+					}
 				}
 			}
 		case *ast.IncDecStmt:

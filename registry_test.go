@@ -6,6 +6,8 @@ package repro
 // times the pre-registry code paths produced for a fixed seed.
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/coll"
@@ -23,43 +25,67 @@ func newTestSystem(t *testing.T) *System {
 	return sys
 }
 
-// supportedOp finds the operation kind an algorithm executes.
-func supportedOp(alg Algorithm, n int) (Op, bool) {
+// kindOfName is the registry's naming rule, the oracle for Kind: every
+// name ends in its operation ("ring-allgather" -> Allgather).
+func kindOfName(name string) (Kind, bool) {
 	for _, k := range []Kind{Allgather, Broadcast, ReduceScatter} {
-		op := Op{Kind: k, Bytes: n}
-		if alg.Supports(op) {
-			return op, true
+		if strings.HasSuffix(name, "-"+string(k)) {
+			return k, true
 		}
 	}
-	return Op{}, false
+	return "", false
 }
 
-// TestRegistryAllAlgorithms runs every registered algorithm on a fresh
-// 16-host system: each must support exactly the operations it claims and
-// produce a Result with positive bandwidth.
+// TestRegistryAllAlgorithms runs every registered algorithm on twin
+// 16-host systems of one seed. Each must name its operation by the naming
+// rule and support only that one; started and driven by the engine, it
+// must give the Result that Run gives on the twin, with positive
+// bandwidth; a second run on the warm instance must complete; and
+// VerifyLast must pass, or return an error for the two entries without a
+// verifier.
 func TestRegistryAllAlgorithms(t *testing.T) {
 	names := Algorithms()
 	if len(names) < 8 {
 		t.Fatalf("registry lists %d algorithms, want >= 8: %v", len(names), names)
 	}
+	unverified := map[string]bool{"ring-reduce-scatter": true, "inc-reduce-scatter": true}
+	opts := AlgorithmOptions{Core: core.Config{VerifyData: true}, Coll: coll.Config{VerifyData: true}}
 	for _, name := range names {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			sys := newTestSystem(t)
-			alg, err := NewAlgorithm(sys, name, AlgorithmOptions{})
+			var sys [2]*System
+			var alg [2]Algorithm
+			for i := range alg {
+				sys[i] = newTestSystem(t)
+				var err error
+				if alg[i], err = NewAlgorithm(sys[i], name, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if alg[0].Name() != name {
+				t.Fatalf("Name() = %q, want %q", alg[0].Name(), name)
+			}
+			kind, ok := kindOfName(name)
+			if !ok || alg[0].Kind() != kind {
+				t.Fatalf("Kind() = %q, want %q from the name", alg[0].Kind(), kind)
+			}
+			for _, k := range []Kind{Allgather, Broadcast, ReduceScatter} {
+				if alg[0].Supports(Op{Kind: k, Bytes: 64 << 10}) != (k == kind) {
+					t.Fatalf("Supports(%s) = %v on 16 ranks", k, k != kind)
+				}
+			}
+			op := Op{Kind: kind, Bytes: 64 << 10, Root: 3}
+			var started *Result
+			if err := alg[0].Start(op, func(r *Result) { started = r }); err != nil {
+				t.Fatal(err)
+			}
+			sys[0].Run()
+			res, err := alg[1].Run(op)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if alg.Name() != name {
-				t.Fatalf("Name() = %q, want %q", alg.Name(), name)
-			}
-			op, ok := supportedOp(alg, 64<<10)
-			if !ok {
-				t.Fatalf("%s supports no operation on 16 ranks", name)
-			}
-			res, err := alg.Run(op)
-			if err != nil {
-				t.Fatal(err)
+			if started == nil || !reflect.DeepEqual(started, res) {
+				t.Fatalf("Start then System.Run gave %+v, Run gave %+v", started, res)
 			}
 			if res.Ranks != 16 {
 				t.Fatalf("Ranks = %d, want 16", res.Ranks)
@@ -70,8 +96,13 @@ func TestRegistryAllAlgorithms(t *testing.T) {
 			if bw := res.AlgBandwidth(); bw <= 0 {
 				t.Fatalf("AlgBandwidth = %f, want > 0", bw)
 			}
+			for _, a := range alg {
+				if err := a.VerifyLast(op); (err != nil) != unverified[name] {
+					t.Errorf("VerifyLast = %v, want an error only without a verifier (%v)", err, unverified[name])
+				}
+			}
 			// A second run on the same warm instance must also complete.
-			if _, err := alg.Run(op); err != nil {
+			if _, err := alg[1].Run(op); err != nil {
 				t.Fatalf("second run: %v", err)
 			}
 		})
@@ -143,11 +174,7 @@ func TestRegistryVerifiedData(t *testing.T) {
 			if _, err := alg.Run(c.op); err != nil {
 				t.Fatal(err)
 			}
-			v, ok := alg.(Verifier)
-			if !ok {
-				t.Fatalf("%s does not implement Verifier", c.name)
-			}
-			if err := v.VerifyLast(c.op); err != nil {
+			if err := alg.VerifyLast(c.op); err != nil {
 				t.Fatal(err)
 			}
 		})

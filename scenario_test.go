@@ -33,7 +33,7 @@ func TestScenarioFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 		var res *Result
-		if err := alg.(Starter).Start(Op{Kind: Allgather, Bytes: 256 << 10},
+		if err := alg.Start(Op{Kind: Allgather, Bytes: 256 << 10},
 			func(r *Result) { res = r; act.Stop() }); err != nil {
 			t.Fatal(err)
 		}
