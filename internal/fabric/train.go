@@ -10,7 +10,9 @@ import (
 // A Segmenter writes the transport header of a train's segments. Segment
 // fills pkt, fresh from the pool with the train's addressing and its
 // PayloadBytes set, as segment s of the message, when the fabric makes the
-// segment's packet (see Train).
+// segment's packet (see Train). A unicast segment leaves the first switch on
+// the route of the train's own Flow, whatever Segment writes into the
+// packet's.
 type Segmenter interface {
 	Segment(pkt *Packet, s int)
 }
@@ -26,7 +28,9 @@ type Segmenter interface {
 // the arrival of the segment after it. In flight, a message therefore holds
 // about one packet per hop instead of one per segment, one queued engine
 // event instead of one per segment, and a train only while it has segments
-// on the uplink.
+// on the uplink. A unicast train is routed once, when it is injected:
+// routing is static and ECMP hashes (flow, src, dst), which every segment
+// shares, so the first switch forwards each segment on that one channel.
 //
 // Trains come from NIC.NewTrain and go back to the fabric when their last
 // surviving segment has a packet; nothing may hold one after InjectTrain.
@@ -65,6 +69,10 @@ type Train struct {
 	// peer and link are the far end of the uplink and the link it is.
 	peer topology.NodeID
 	link int
+	// out is the channel the first switch forwards every segment on, or -1
+	// for a multicast or reduce train or one whose first hop is a host,
+	// which arrive handles segment by segment.
+	out int
 }
 
 // NewTrain returns an empty train (Group NoGroup) from the fabric's free
@@ -164,6 +172,10 @@ func (f *Fabric) inject(src topology.NodeID, tr *Train) sim.Time {
 		f.eng.AtHandler(tr.arrival(0), f.arriveH, uint64(tr.peer), c, f.packet(tr, 0))
 		f.putTrain(tr)
 	default:
+		tr.out = -1
+		if tr.Group == NoGroup && tr.Reduce == NoReduceGroup && f.g.Nodes[tr.peer].Kind == topology.Switch {
+			tr.out = f.route(tr.peer, src, tr.Dst, tr.Flow)
+		}
 		tr.seq = f.eng.Reserve(survivors)
 		tr.next = tr.survivor(0)
 		f.eng.AtReserved(tr.arrival(tr.next), tr.seq, f.alightH, uint64(tr.peer), tr.link, tr)
@@ -188,20 +200,26 @@ func (f *Fabric) packet(tr *Train, s int) *Packet {
 // alightHandler lands a longer train's next segment at the far end of the
 // host uplink: the segment becomes a packet carried by that landing hop and
 // arrives as any other, and the train queues the arrival of the segment
-// after it — or, after the last one, goes back. arg0 is the node, arg1 the
-// link, obj the *Train.
+// after it — or, after the last one, goes back. A unicast segment at a
+// switch goes straight out on the train's channel. arg0 is the node, arg1
+// the link, obj the *Train.
 type alightHandler Fabric
 
 func (h *alightHandler) OnEvent(_ *sim.Engine, _ sim.Handle, arg0 uint64, arg1 int, obj any) {
 	f, tr := (*Fabric)(h), obj.(*Train)
 	s := tr.next
 	pkt := f.packet(tr, s)
+	out := tr.out // the last segment hands the train back below
 	if tr.next = tr.survivor(s + 1); tr.next < tr.nsegs {
 		tr.seq++
 		f.eng.AtReserved(tr.arrival(tr.next), tr.seq, f.alightH, uint64(tr.peer), tr.link, tr)
 	} else {
 		f.putTrain(tr)
 	}
-	f.arrive(pkt, topology.NodeID(arg0), arg1)
+	if out >= 0 {
+		f.transmit(pkt, out)
+	} else {
+		f.arrive(pkt, topology.NodeID(arg0), arg1)
+	}
 	f.landed(pkt)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -255,5 +256,109 @@ func TestTrainDroppedOnUplink(t *testing.T) {
 	if eng.Pending() != 0 || eng.Scheduled != 0 || f.TotalDropped != 3 || len(f.trains) != 1 {
 		t.Fatalf("Pending %d Scheduled %d dropped %d free trains %d, want 0 0 3 1",
 			eng.Pending(), eng.Scheduled, f.TotalDropped, len(f.trains))
+	}
+}
+
+// TestTrainRoutedOnce: a unicast train is routed once and the first switch
+// forwards every segment on that channel, which is exact because ECMP
+// hashes (flow, src, dst) and every segment shares them. On Testbed188,
+// whose leaf-spine trunks give every cross-leaf pair several equal-cost
+// paths, trains of one to five segments go one at a time over several
+// flows, with half the uplink's crossings dropped, segment 0's among them.
+// Each train's uplink must book all its segments, every other channel of
+// UnicastPath(src, dst, flow) must carry exactly the segments that survived
+// the uplink, in order to the destination, and no channel off the path may
+// carry any. The single-switch BackToBack testbed and a bare cable between
+// two hosts, where the first hop is the destination itself, take the same
+// check.
+func TestTrainRoutedOnce(t *testing.T) {
+	cable := &topology.Graph{
+		Nodes: []topology.Node{{ID: 0, Kind: topology.Host}, {ID: 1, Kind: topology.Host}},
+		Links: []topology.Link{{ID: 0, A: 0, B: 1}},
+		Adj:   [][]topology.Neighbor{{{Peer: 1}}, {{Peer: 0}}},
+	}
+	if err := cable.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	testbed := topology.Testbed188()
+	hosts := testbed.Hosts()
+	legs := []struct {
+		name  string
+		g     *topology.Graph
+		pairs [][2]topology.NodeID
+	}{
+		{"testbed188", testbed, [][2]topology.NodeID{{hosts[0], hosts[187]}, {hosts[100], hosts[3]}, {hosts[50], hosts[120]}}},
+		{"back-to-back", topology.BackToBack(), nil},
+		{"cable", cable, nil},
+	}
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			eng := sim.NewEngine(3)
+			f := New(eng, leg.g, Config{})
+			hs := leg.g.Hosts()
+			if leg.pairs == nil {
+				leg.pairs = [][2]topology.NodeID{{hs[0], hs[1]}, {hs[1], hs[0]}}
+			}
+			var got []int // segments delivered, in order
+			for _, h := range hs {
+				f.AttachNIC(h).Deliver = func(p *Packet) { got = append(got, p.Payload.(int)) }
+			}
+			lostFirst := 0
+			for _, p := range leg.pairs {
+				src, dst := p[0], p[1]
+				uplink := uplinkOf(t, f, src)
+				f.SetDropRate(uplink, 0.5)
+				paths := map[string]bool{}
+				for flow := uint64(0); flow < 24; flow++ {
+					f.ResetCounters()
+					got = got[:0]
+					tr := f.nics[src].NewTrain()
+					nsegs := 1 + int(flow%5)
+					tr.Dst, tr.Flow, tr.Bytes, tr.Header = dst, flow, nsegs*maxPayload-100, segTag{}
+					f.nics[src].InjectTrain(tr)
+					eng.Run()
+					survived := nsegs - int(f.chans[uplink].stats.Drops)
+					if len(got) != survived || !slices.IsSorted(got) {
+						t.Fatalf("flow %d %d->%d: delivered segments %v, want the %d of %d that survived the uplink, in order", flow, src, dst, got, survived, nsegs)
+					}
+					if survived > 1 && got[0] != 0 {
+						lostFirst++
+					}
+					path := f.UnicastPath(src, dst, flow)
+					paths[fmt.Sprint(path)] = true
+					for c := range f.chans {
+						want := uint64(0)
+						if k := slices.Index(path, ChannelID(c)); k == 0 {
+							want = uint64(nsegs)
+						} else if k > 0 {
+							want = uint64(survived)
+						}
+						if n := f.chans[c].stats.Packets; n != want {
+							t.Fatalf("flow %d %d->%d: channel %d carried %d segments, want %d on path %v", flow, src, dst, c, n, want, path)
+						}
+					}
+				}
+				f.SetDropRate(uplink, -1)
+				if leg.g == testbed && len(paths) < 2 {
+					t.Fatalf("%d->%d: 24 flow labels took one path: ECMP untested", src, dst)
+				}
+			}
+			if lostFirst == 0 {
+				t.Fatal("no train lost segment 0 on the uplink and delivered more than one segment")
+			}
+			if packets, trains := f.Outstanding(); packets != 0 || trains != 0 {
+				t.Fatalf("at quiescence %d packets and %d trains are outstanding", packets, trains)
+			}
+		})
+	}
+}
+
+// TestTrainLayout keeps a Train within the allocator's 192-byte size class.
+func TestTrainLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(Train{}); got > 192 {
+		t.Fatalf("Train is %d bytes, want at most 192", got)
 	}
 }

@@ -252,25 +252,31 @@ func (qp *QP) segment(src Addr, m *wireMsg) *assemblyState {
 
 // receiveWrite handles one UC/RC write segment on the receiver.
 func (qp *QP) receiveWrite(src Addr, m *wireMsg) {
-	mr, ok := qp.ctx.LookupMR(m.rkey)
-	if !ok {
-		panic(fmt.Sprintf("verbs: write to unknown rkey %d on host %d", m.rkey, qp.ctx.Host))
+	mr := qp.lastMR
+	if mr == nil || mr.Key != m.rkey {
+		var ok bool
+		if mr, ok = qp.ctx.LookupMR(m.rkey); !ok {
+			panic(fmt.Sprintf("verbs: write to unknown rkey %d on host %d", m.rkey, qp.ctx.Host))
+		}
+		qp.lastMR = mr
 	}
 	var st *assemblyState
+	var done, ok bool
 	if qp.Transport == RC {
-		if st, ok = qp.rcSegment(src, m); !ok {
-			return
-		}
-	} else if st = qp.segment(src, m); st == nil {
+		st, done, ok = qp.rcSegment(src, m)
+	} else if st = qp.segment(src, m); st != nil {
+		done, ok = st.have == m.nsegs, true
+	}
+	if !ok {
 		return
 	}
 	mr.write(m.roffset, m.data, m.dataLen)
-	if st != nil && st.have < m.nsegs {
+	if !done {
 		return
 	}
 	qp.recvCQ.Push(CQE{
 		Op: OpRecvWriteImm, QPN: qp.N,
-		Imm: m.imm, Bytes: msgBytes(st, m),
+		Imm: m.imm, Bytes: qp.msgBytes(st, m),
 	})
 	if qp.Transport == RC {
 		qp.deliverRC(src, m, st)
@@ -279,11 +285,12 @@ func (qp *QP) receiveWrite(src Addr, m *wireMsg) {
 	}
 }
 
-// msgBytes is the size of a complete message: its assembled bytes, or the
-// one segment's when it took no assembly state.
-func msgBytes(st *assemblyState, m *wireMsg) int {
+// msgBytes is the size of a complete message: its assembled bytes, or,
+// when it took no assembly state, its full segments before the one that
+// completed it, the last.
+func (qp *QP) msgBytes(st *assemblyState, m *wireMsg) int {
 	if st == nil {
-		return m.dataLen
+		return (m.nsegs-1)*qp.ctx.MTU() + m.dataLen
 	}
 	return st.bytes
 }
@@ -529,7 +536,7 @@ func (qp *QP) receive(pkt *fabric.Packet, m *wireMsg) {
 // retransmission timer covers that case, so the message is dropped, unacked
 // and forgotten, and the sender retries until a receive is posted.
 func (qp *QP) receiveSendSegment(src Addr, m *wireMsg) {
-	st, ok := qp.rcSegment(src, m)
+	st, done, ok := qp.rcSegment(src, m)
 	if !ok {
 		return
 	}
@@ -542,7 +549,7 @@ func (qp *QP) receiveSendSegment(src Addr, m *wireMsg) {
 			}
 			copy(st.data[m.seg*mtu:], m.data)
 		}
-		if st.have < m.nsegs {
+		if !done {
 			return
 		}
 		data = st.data
@@ -557,7 +564,7 @@ func (qp *QP) receiveSendSegment(src Addr, m *wireMsg) {
 		}
 		return
 	}
-	n := min(msgBytes(st, m), w.length)
+	n := min(qp.msgBytes(st, m), w.length)
 	if data != nil {
 		w.mr.write(w.offset, data, n)
 	}

@@ -89,11 +89,12 @@ func TestWarmUDMulticastAllocFree(t *testing.T) {
 // TestWarmRCWriteAllocsPerPacket gates the RC path: each round trip is a
 // 64 KiB write of 16 segments and a one-segment two-sided send carrying
 // bytes, the shape of core's control messages, and their two acks. The
-// pending entries and the write's assembly state are recycled per context,
-// the window's slot ring stays at its size, and the send is delivered
-// straight from its packet, so thousands of warm round trips allocate
-// nothing at all. The count is exact: an average rounded down would hide a
-// structure that grows by one object every few hundred messages.
+// pending entries are recycled per context, the write lands in order and
+// takes no assembly state, the window's slot ring stays at its size, and
+// the send is delivered straight from its packet, so thousands of warm
+// round trips allocate nothing at all. The count is exact: an average
+// rounded down would hide a structure that grows by one object every few
+// hundred messages.
 func TestWarmRCWriteAllocsPerPacket(t *testing.T) {
 	eng, _, a, b := pair(t, fabric.Config{}, Config{})
 	cqA, cqB := &CQ{}, &CQ{}

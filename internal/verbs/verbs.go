@@ -407,6 +407,9 @@ type QP struct {
 	// window is what the QP has delivered of its peer's.
 	sendSeq uint32
 	window  rcWindow
+	// lastMR is the region the previous write segment landed in: a
+	// message's segments all name one rkey, and keys are never reused.
+	lastMR *MR
 
 	// Stats
 	RNRDrops    uint64 // two-sided arrivals dropped for lack of a recv WQE

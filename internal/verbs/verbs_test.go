@@ -738,12 +738,16 @@ func TestPostSendReduceAggregates(t *testing.T) {
 
 // TestWireMsgLayout pins the wire header's size on 64-bit hosts: every
 // pooled packet carries one, and the RC sequence number rides in what was
-// padding after the QPNs.
+// padding after the QPNs. It also keeps a QP within the allocator's
+// 240-byte size class: one more word would put every QP in the 256-byte one.
 func TestWireMsgLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit hosts")
 	}
 	if got := unsafe.Sizeof(wireMsg{}); got != 104 {
 		t.Fatalf("wireMsg is %d bytes, want 104", got)
+	}
+	if got := unsafe.Sizeof(QP{}); got > 240 {
+		t.Fatalf("QP is %d bytes, want at most 240", got)
 	}
 }

@@ -6,14 +6,26 @@ package verbs
 // land, so the window may hold delivered messages above a gap; it spans no
 // more than the peer's outstanding messages, from its oldest unacknowledged
 // one to its newest.
+//
+// A write whose segments land in order at base, the common case however
+// long the message, takes no slot: the cursor next counts them, and the
+// last one completes the message. Only a write with a gap, a two-sided
+// send (which stages its bytes) or a message above base takes assembly
+// state.
 type rcWindow struct {
 	// base is the oldest undelivered sequence number: every one below it
 	// is delivered.
 	base uint32
-	// slots[i] is sequence number base+i: nil while unseen, the message's
-	// assembly state while its segments land, rcDelivered once delivered
-	// above base. It is grown on demand, so it stays empty while messages
-	// of one segment arrive in order, and slots[0] is never rcDelivered.
+	// next counts the segments of write base that have landed in order,
+	// from segment 0, while slots[0] is empty: segment next is the one it
+	// waits for, and a lower one is a duplicate. A segment past a gap moves
+	// them into assembly state in slots[0]; delivering base resets it.
+	next uint32
+	// slots[i] is sequence number base+i: nil while unseen or counted by
+	// next, the message's assembly state while its segments land,
+	// rcDelivered once delivered above base. It is grown on demand, so it
+	// stays empty while messages arrive in order, and slots[0] is never
+	// rcDelivered.
 	slots ring[*assemblyState]
 }
 
@@ -37,6 +49,7 @@ func (w *rcWindow) deliver(seq uint32) {
 		return
 	}
 	w.base++
+	w.next = 0
 	if w.slots.len() == 0 {
 		return
 	}
@@ -54,36 +67,51 @@ func (w *rcWindow) forget(seq uint32) {
 }
 
 // rcSegment files one arriving segment of an RC write or send in the QP's
-// window. It reports false for a segment that changes nothing: a duplicate,
-// or part of a message already delivered, whose retransmission raced our
-// ack and is re-acked. Otherwise it returns the message's assembly state,
-// complete when have == m.nsegs, or nil for a message of one segment, which
-// is complete on arrival and takes no state.
-func (qp *QP) rcSegment(src Addr, m *wireMsg) (*assemblyState, bool) {
+// window. It reports ok false for a segment that changes nothing: a
+// duplicate, or part of a message already delivered, whose retransmission
+// raced our ack and is re-acked. Otherwise done reports the message
+// complete, and st is its assembly state, or nil for a message that takes
+// none: one of one segment, complete on arrival, or a write landing in
+// order at base (a send takes state to stage its bytes).
+func (qp *QP) rcSegment(src Addr, m *wireMsg) (st *assemblyState, done, ok bool) {
 	w := &qp.window
 	off := int32(m.seq - w.base) // serial-number arithmetic: wraps safely
-	var st *assemblyState
 	if off >= 0 && int(off) < w.slots.len() {
 		st = *w.slots.at(int(off))
 	}
 	if off < 0 || st == rcDelivered {
 		qp.sendAck(src, m.msgID)
-		return nil, false
+		return nil, false, false
 	}
 	if m.nsegs == 1 {
-		return nil, true
+		return nil, true, true
 	}
 	if st == nil {
+		var prefix uint32 // a write's in-order segments, counted by next
+		if off == 0 && m.op == wireWrite {
+			switch seg := uint32(m.seg); {
+			case seg < w.next:
+				return nil, false, false // retransmission duplicate
+			case seg == w.next:
+				w.next++
+				return nil, int(w.next) == m.nsegs, true
+			}
+			prefix, w.next = w.next, 0 // past a gap: the prefix moves into the slot
+		}
 		st = qp.ctx.newAssembly(m.nsegs)
+		for i := range prefix {
+			st.got[i] = true
+		}
+		st.have, st.bytes = int(prefix), int(prefix)*qp.ctx.MTU()
 		*w.slot(int(off)) = st
 	}
 	if st.got[m.seg] {
-		return nil, false // retransmission duplicate
+		return nil, false, false // retransmission duplicate
 	}
 	st.got[m.seg] = true
 	st.have++
 	st.bytes += m.dataLen
-	return st, true
+	return st, st.have == m.nsegs, true
 }
 
 // deliverRC retires a message just delivered: its slot, its ack and its
