@@ -2,6 +2,7 @@ package command
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -688,5 +689,38 @@ func TestRunEndsWithCollection(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if after.NumGC == before.NumGC {
 		t.Fatal("repro run returned without a collection")
+	}
+}
+
+// TestCPUProfileCoversEveryManifest runs two manifests under one
+// -cpuprofile: the profile must hold the first one's samples too, not only
+// the last one's. Every sample the osu manifest takes runs inside
+// harness.osuRun, which the chaos manifest after it never calls, so the
+// profile's string table names osuRun only if the first run was profiled.
+// The osu point (a 2 MiB ring Allgather over 32 hosts) takes a few tenths
+// of a CPU second, a few dozen samples at the profiler's 100 Hz.
+func TestCPUProfileCoversEveryManifest(t *testing.T) {
+	dir := t.TempDir()
+	first := writeManifest(t, dir, "ring.json",
+		`{"kind":"osu","grid":{"algorithms":["ring-allgather"],"nodes":[32],"sizes":[2097152]},"osu":{"iters":4}}`)
+	prof := filepath.Join(dir, "cpu.prof")
+	if code, _, stderr := run("run", "-cpuprofile", prof, first, "testdata/chaos_all.json"); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	f, err := os.Open(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw bytes.Buffer
+	if _, err := raw.ReadFrom(zr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw.Bytes(), []byte("repro/internal/harness.osuRun")) {
+		t.Fatal("the CPU profile names no function of the first manifest's run: it holds only the last manifest's samples")
 	}
 }

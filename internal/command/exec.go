@@ -98,26 +98,12 @@ func fail(stderr io.Writer, code int, format string, args ...interface{}) int {
 	return code
 }
 
-// diagnostics carries the run-scoped paths that never belong in a
-// manifest document: the protocol-trace destination and the CPU and
-// allocation profiles.
-type diagnostics struct {
-	trace      string
-	cpuprofile string
-	memprofile string
-}
-
-// diag pairs a subcommand's -trace path with the common profile flags.
-func (c *common) diag(trace string) diagnostics {
-	return diagnostics{trace: trace, cpuprofile: c.cpuprofile, memprofile: c.memprofile}
-}
-
 // execute is the run path behind `repro run`, once per compiled manifest
 // (telemetry included — the common flags were folded into it before
 // compiling): run the plan, persist and verify the report, and
-// optionally write a protocol trace. Exit codes follow the repository
-// convention (2 invalid spec, 1 runtime failure).
-func execute(plan *manifest.Plan, diag diagnostics, stdout, stderr io.Writer) int {
+// optionally write a protocol trace to tracePath. Exit codes follow the
+// repository convention (2 invalid spec, 1 runtime failure).
+func execute(plan *manifest.Plan, tracePath string, stdout, stderr io.Writer) int {
 	m := plan.Manifest
 	// The outputs the manifest declares, as -o and the output flags left
 	// them, must land in existing directories before anything is simulated.
@@ -126,16 +112,8 @@ func execute(plan *manifest.Plan, diag diagnostics, stdout, stderr io.Writer) in
 			return fail(stderr, 2, "run: %s: %v", o.field, err)
 		}
 	}
-	stop, err := StartCPUProfile(diag.cpuprofile)
-	if err != nil {
-		return fail(stderr, 2, "run: %v", err)
-	}
-	defer stop()
 	rep, err := plan.Execute(m.Workers, stdout)
 	if err != nil {
-		return fail(stderr, 1, "run: %v", err)
-	}
-	if err := WriteAllocProfile(diag.memprofile); err != nil {
 		return fail(stderr, 1, "run: %v", err)
 	}
 
@@ -153,13 +131,13 @@ func execute(plan *manifest.Plan, diag diagnostics, stdout, stderr io.Writer) in
 
 	// The text timeline and the Perfetto export come from one traced run, so
 	// the two renderings can never describe different executions.
-	if perfetto := m.Telemetry != nil && m.Telemetry.Perfetto != ""; diag.trace != "" || perfetto {
+	if perfetto := m.Telemetry != nil && m.Telemetry.Perfetto != ""; tracePath != "" || perfetto {
 		snap, err := plan.Trace()
 		if err != nil {
 			return fail(stderr, 1, "run: trace: %v", err)
 		}
-		if diag.trace != "" {
-			if err := writeFile(diag.trace, []byte(snap.Timeline())); err != nil {
+		if tracePath != "" {
+			if err := writeFile(tracePath, []byte(snap.Timeline())); err != nil {
 				return fail(stderr, 1, "run: trace: %v", err)
 			}
 		}

@@ -91,13 +91,23 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, 2, "run: -o %s: %v", *outDir, err)
 		}
 	}
+	// One CPU profile covers every manifest of the invocation, and the
+	// allocation profile is written once, after the last.
+	stop, err := StartCPUProfile(c.cpuprofile)
+	if err != nil {
+		return fail(stderr, 2, "run: %v", err)
+	}
+	defer stop()
 	for i, plan := range plans {
 		if len(paths) > 1 {
 			fmt.Fprintf(stdout, "== %s\n", paths[i])
 		}
-		if code := execute(plan, c.diag(*tracePath), stdout, stderr); code != 0 {
+		if code := execute(plan, *tracePath, stdout, stderr); code != 0 {
 			return code
 		}
+	}
+	if err := WriteAllocProfile(c.memprofile); err != nil {
+		return fail(stderr, 1, "run: %v", err)
 	}
 	// End every run with a collection. A caller that runs manifests back
 	// to back in one process, as the host-time ledger (bench/) does, reads

@@ -19,15 +19,23 @@
 // of 128 ns, indexed by absolute bucket number, covering a 262 µs window that
 // slides with the clock one bucket at a time, backed by a binary heap for
 // far-future events (retransmission timers, cutoff timers, scenario
-// schedules). The invariant: near events live in buckets
-// [cursor, start+numBuckets), far events at or beyond start+numBuckets, and
-// start trails at the clock's bucket — so an event less than a window (minus
-// the clock's partial bucket) ahead of now never touches the heap. Insertion
-// into the window is an O(1) append; when the clock reaches a bucket its
-// ascending runs are merged once (a bucket that was appended in order, the
-// common case, costs one scan). The pop order is exactly the (at, seq) order
-// a single binary heap would produce — hybrid_test.go checks this against a
-// reference heap over randomized schedules.
+// schedules). That heap and the open bucket's insertion heap are typed
+// (eventHeap): they compare with before directly and keep each event's
+// index, which cancel removes it by. The invariant: near events live in
+// buckets [cursor, start+numBuckets), far events at or beyond
+// start+numBuckets, and start trails at the clock's bucket — so an event
+// less than a window (minus the clock's partial bucket) ahead of now never
+// touches the heap. Insertion into the window is an O(1) append; when the
+// clock reaches a bucket its ascending runs are found while its chain
+// drains and merged once (a bucket that was appended in order, the common
+// case, costs that one pass). Filing and firing test their common case
+// first: schedule appends to a closed bucket past the cursor inside the
+// window whose last chunk has room, leaving every other case to fileRare,
+// and step fires the open bucket's next slot when it is live and the open
+// bucket took no insertion since it was ordered, leaving the rest to
+// popEvent. The pop order is exactly the (at, seq) order a single binary
+// heap would produce — hybrid_test.go checks this against a reference heap
+// over randomized schedules.
 //
 // Buckets own no memory. A bucket is a chain of 16-slot chunks in one
 // engine-owned store, linked by chunk index; opening a bucket drains its
@@ -67,7 +75,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/bits"
@@ -182,11 +189,11 @@ func (ev *event) cancel() {
 	e.live--
 	switch ev.where {
 	case locFar:
-		heap.Remove(&e.far, ev.index)
+		e.far.remove(ev.index)
 		ev.where = locNone
 		e.release(ev)
 	case locCur:
-		heap.Remove(&e.cur, ev.index)
+		e.cur.remove(ev.index)
 		e.nearCount--
 		ev.where = locNone
 		e.release(ev)
@@ -219,35 +226,76 @@ func (h Handle) Active() bool {
 	return h.ev != nil && h.ev.gen == h.gen && !h.ev.canceled
 }
 
-// eventHeap orders events by (at, seq); used for the far-future overflow
-// and for insertions into the already-open bucket.
+// eventHeap is a binary min-heap of events in (at, seq) order, used for the
+// far-future overflow and for insertions into the already-open bucket. Its
+// methods compare with before directly (no heap.Interface call per
+// comparison) and keep each held event's index current, which cancel uses
+// to remove it.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// push adds ev to the heap.
+func (h *eventHeap) push(ev *event) {
+	*h = append(*h, ev)
+	h.up(len(*h)-1, ev)
+}
+
+// pop removes and returns the earliest event. The heap must not be empty.
+func (h *eventHeap) pop() *event { return h.remove(0) }
+
+// remove takes out and returns the event at index i: the last event fills
+// the hole and sifts to its place.
+func (h *eventHeap) remove(i int) *event {
+	s := *h
+	n := len(s) - 1
+	ev := s[i]
+	last := s[n]
+	s[n] = nil
+	*h = s[:n]
+	if i < n && !h.down(i, last) {
+		h.up(i, last)
 	}
-	return h[i].seq < h[j].seq
+	ev.index = -1
+	return ev
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// up moves ev, to be placed at hole i, toward the root past every parent
+// it fires before.
+func (h eventHeap) up(i int, ev *event) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(ev, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = ev
+	ev.index = i
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// down moves ev, to be placed at hole i, toward the leaves past every
+// child that fires before it, and reports whether it moved.
+func (h eventHeap) down(i int, ev *event) bool {
+	i0 := i
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && before(h[r], h[c]) {
+			c = r
+		}
+		if !before(h[c], ev) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = ev
+	ev.index = i
+	return i > i0
 }
 
 // before reports whether a fires before b under the engine's total order.
@@ -466,12 +514,13 @@ func (e *Engine) carve() *event {
 }
 
 // release returns an event to the free list, bumping its generation so
-// outstanding Handles go stale.
+// outstanding Handles go stale. It drops the handler and payload, which
+// could pin memory; the integer arguments stay, since every reuse
+// overwrites them.
 func (e *Engine) release(ev *event) {
 	ev.gen++
 	ev.h = nil
 	ev.obj = nil
-	ev.arg0, ev.arg1 = 0, 0
 	ev.canceled = false
 	ev.where = locNone
 	ev.index = -1
@@ -481,18 +530,28 @@ func (e *Engine) release(ev *event) {
 // push appends ev to the chain of absolute bucket number n.
 func (e *Engine) push(n int64, ev *event) {
 	l := &e.buckets[n&bucketMask]
-	i := l.n % chunkLen
-	if i == 0 {
-		c := e.newChunk()
-		if l.n == 0 {
-			l.head = c
-			e.occupied[n&bucketMask>>6] |= 1 << (n & 63)
-		} else {
-			e.link[l.tail] = c
-		}
-		l.tail = c
+	if l.n%chunkLen == 0 {
+		e.grow(n, l)
 	}
-	e.store[int(l.tail)*chunkLen+int(i)] = ev
+	e.put(l, ev)
+}
+
+// grow links a fresh chunk to the end of the chain of bucket n (l), whose
+// tail chunk is full or which has none.
+func (e *Engine) grow(n int64, l *bucketList) {
+	c := e.newChunk()
+	if l.n == 0 {
+		l.head = c
+		e.occupied[n&bucketMask>>6] |= 1 << (n & 63)
+	} else {
+		e.link[l.tail] = c
+	}
+	l.tail = c
+}
+
+// put stores ev in the next slot of l's tail chunk, which must have room.
+func (e *Engine) put(l *bucketList, ev *event) {
+	e.store[int(l.tail)*chunkLen+int(l.n%chunkLen)] = ev
 	l.n++
 }
 
@@ -510,16 +569,25 @@ func (e *Engine) newChunk() int32 {
 	return c
 }
 
-// drain appends the events of absolute bucket number n to dst in insertion
-// order, empties the bucket and puts its chunks on the free list, clearing
-// the slots it vacates. (An element loop: most buckets hold a few events,
-// too few to pay for a bulk copy and clear.)
-func (e *Engine) drain(n int64, dst []*event) []*event {
+// drain moves the events of absolute bucket number n into e.open, in
+// insertion order, and records in e.runs where each of its ascending runs
+// starts (see openBucket). It empties the bucket and puts its chunks on the
+// free list, clearing the slots it vacates. One pass reads each event once.
+// (An element loop: most buckets hold a few events, too few to pay for a
+// bulk copy and clear.) The bucket must not be empty.
+func (e *Engine) drain(n int64) {
 	l := &e.buckets[n&bucketMask]
+	dst, runs := e.open[:0], append(e.runs[:0], 0)
+	var at Time // the previous event's key; times are never negative
+	var seq uint64
 	c := l.head
 	for left := int(l.n); left > 0; left -= chunkLen {
 		chunk := e.store[int(c)*chunkLen:][:min(left, chunkLen)]
 		for i, ev := range chunk {
+			if ev.at < at || ev.at == at && ev.seq < seq {
+				runs = append(runs, len(dst))
+			}
+			at, seq = ev.at, ev.seq
 			dst = append(dst, ev)
 			chunk[i] = nil
 		}
@@ -529,7 +597,7 @@ func (e *Engine) drain(n int64, dst []*event) []*event {
 	}
 	*l = bucketList{}
 	e.occupied[n&bucketMask>>6] &^= 1 << (n & 63)
-	return dst
+	e.open, e.runs = dst, runs
 }
 
 // drainAll empties every bucket, handing each event to f, bucket by bucket
@@ -540,7 +608,7 @@ func (e *Engine) drainAll(f func(*event)) {
 		if e.buckets[i].n == 0 {
 			continue
 		}
-		e.open = e.drain(int64(i), e.open[:0])
+		e.drain(int64(i))
 		for _, ev := range e.open {
 			f(ev)
 		}
@@ -550,9 +618,29 @@ func (e *Engine) drainAll(f func(*event)) {
 }
 
 // schedule files the event into the hybrid queue. It counts nothing: the
-// event is already in Scheduled and Pending.
+// event is already in Scheduled and Pending. The common case is tested
+// first: a closed bucket past the cursor inside the window whose tail chunk
+// has room takes the event in one store, with no call. Every other case
+// goes through fileRare.
 func (e *Engine) schedule(ev *event) {
 	b := bucketOf(ev.at)
+	l := &e.buckets[b&bucketMask]
+	if e.cursor < b && b < e.start+numBuckets && l.n%chunkLen != 0 || e.fileRare(ev, b) {
+		ev.where = locBucket
+		e.put(l, ev)
+		e.nearCount++
+	}
+}
+
+// fileRare is schedule's path for an event outside the common case: it
+// moves the window when the event falls below it (rebase) or beyond it
+// while the window trails the clock (slide), files a far-future event in
+// the far heap and an event in the open bucket in its insertion heap,
+// steps the cursor back to a bucket before it, and gives a bucket whose
+// tail chunk is full (or which has none) a fresh chunk. It reports whether
+// the event still goes into the chain of its bucket b, which then has room
+// for it.
+func (e *Engine) fileRare(ev *event, b int64) bool {
 	if b < e.start {
 		// The window was jumped ahead of the clock (RunUntil past a queue
 		// gap, then a schedule before the far-future frontier). Restart the
@@ -563,14 +651,14 @@ func (e *Engine) schedule(ev *event) {
 	}
 	if b >= e.start+numBuckets {
 		ev.where = locFar
-		heap.Push(&e.far, ev)
-		return
+		e.far.push(ev)
+		return false
 	}
 	if b == e.cursor && e.opened {
 		ev.where = locCur
-		heap.Push(&e.cur, ev)
+		e.cur.push(ev)
 		e.nearCount++
-		return
+		return false
 	}
 	if b < e.cursor {
 		// An earlier-in-window insertion (a peek or RunUntil ran the cursor
@@ -578,9 +666,10 @@ func (e *Engine) schedule(ev *event) {
 		e.closeOpen()
 		e.cursor = b
 	}
-	ev.where = locBucket
-	e.push(b, ev)
-	e.nearCount++
+	if l := &e.buckets[b&bucketMask]; l.n%chunkLen == 0 {
+		e.grow(b, l)
+	}
+	return true
 }
 
 // slide moves the window start up to the clock's bucket and pulls in the far
@@ -618,7 +707,7 @@ func (e *Engine) closeOpen() {
 	clear(rest)
 	e.open = e.open[:0]
 	for len(e.cur) > 0 {
-		ev := heap.Pop(&e.cur).(*event)
+		ev := e.cur.pop()
 		ev.where = locBucket
 		e.push(e.cursor, ev)
 	}
@@ -633,7 +722,7 @@ func (e *Engine) rebase() {
 	e.closeOpen()
 	e.drainAll(func(ev *event) {
 		ev.where = locFar
-		heap.Push(&e.far, ev)
+		e.far.push(ev)
 	})
 	e.nearCount = 0
 	e.start = bucketOf(e.now)
@@ -645,7 +734,7 @@ func (e *Engine) rebase() {
 // their buckets, all of them at or beyond the cursor.
 func (e *Engine) refill() {
 	for len(e.far) > 0 && bucketOf(e.far[0].at) < e.start+numBuckets {
-		ev := heap.Pop(&e.far).(*event)
+		ev := e.far.pop()
 		ev.where = locBucket
 		e.push(bucketOf(ev.at), ev)
 		e.nearCount++
@@ -661,17 +750,10 @@ func (e *Engine) refill() {
 // once open, the run list and the scratch have grown to the bucket sizes in
 // use.
 func (e *Engine) openBucket() {
-	b := e.drain(e.cursor, e.open[:0])
-	e.open = b
+	e.drain(e.cursor) // finds the runs as it drains
+	b, runs := e.open, e.runs
 	e.pos = 0
 	e.opened = true
-	runs := e.runs[:0] // start offset of every run
-	for i := range b {
-		if i == 0 || before(b[i], b[i-1]) {
-			runs = append(runs, i)
-		}
-	}
-	e.runs = runs
 	if len(runs) <= 1 {
 		return
 	}
@@ -759,7 +841,7 @@ func (e *Engine) peekEvent() *event {
 			ev.where = locNone
 			e.release(ev)
 		}
-		// No cancelled-entry sweep for e.cur: Cancel heap.Removes open-bucket
+		// No cancelled-entry sweep for e.cur: Cancel removes open-bucket
 		// entries eagerly, so its root is always live.
 		var next *event
 		if e.pos < len(b) {
@@ -786,7 +868,7 @@ func (e *Engine) popEvent() *event {
 		return nil
 	}
 	if ev.where == locCur {
-		heap.Pop(&e.cur)
+		e.cur.pop()
 	} else {
 		e.open[e.pos] = nil
 		e.pos++
@@ -815,8 +897,18 @@ func (e *Engine) PeekTime() (t Time, ok bool) {
 // step fires the next event. It returns false when the queue is empty, and
 // panics if reserved numbers are then still pending: nothing can queue them.
 func (e *Engine) step() bool {
-	ev := e.popEvent()
-	if ev == nil {
+	// The common case: the open bucket's next slot is live and nothing was
+	// inserted into the open bucket since it was ordered, so that slot is
+	// the next event. (A closed bucket has no slots: pos < len(open) only
+	// while it is open.)
+	var ev *event
+	if b := e.open; len(e.cur) == 0 && e.pos < len(b) && !b[e.pos].canceled {
+		ev = b[e.pos]
+		b[e.pos] = nil
+		e.pos++
+		e.nearCount--
+		ev.where = locNone
+	} else if ev = e.popEvent(); ev == nil {
 		if e.live != 0 {
 			panic(fmt.Sprintf("sim: queue ran dry with %d reserved events never queued", e.live))
 		}

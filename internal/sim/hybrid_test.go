@@ -402,6 +402,116 @@ func TestReservedMatchesReferenceHeapOrder(t *testing.T) {
 	}
 }
 
+// removeHarness schedules events into the far-future heap and into the
+// open bucket's insertion heap and cancels random ones while they sit
+// there, so cancel takes them out of the middle of a heap. Drivers, the
+// events that do this, are never cancelled. at[id] is event
+// id's firing time; ids are handed out in scheduling order, so (at, id) is
+// the engine's (at, seq) order.
+type removeHarness struct {
+	t        *testing.T
+	eng      *Engine
+	rng      *RNG
+	at       []Time
+	canceled []bool
+	driver   []bool
+	handles  []Handle
+	fired    []int
+	drivers  int
+	removed  map[int8]int // cancellations by the heap the event sat in
+}
+
+// OnEvent fires event arg0; a driver (arg1 == 1) fills both heaps and
+// cancels from them.
+func (h *removeHarness) OnEvent(e *Engine, _ Handle, arg0 uint64, arg1 int, _ any) {
+	h.fired = append(h.fired, int(arg0))
+	if arg1 == 0 {
+		return
+	}
+	// Events later in the open bucket (its insertion heap), and far ones.
+	for range 1 + h.rng.Intn(12) {
+		h.add(e.Now()+Time(h.rng.Intn(int(bucketWidth-e.Now()%bucketWidth))), 0)
+	}
+	for range h.rng.Intn(6) {
+		h.add(e.Now()+windowSpan+Time(h.rng.Intn(int(3*windowSpan))), 0)
+	}
+	if h.drivers > 0 {
+		h.drivers--
+		h.add(e.Now()+Time(h.rng.Intn(int(2*windowSpan))), 1)
+	}
+	var held []int
+	for id, hd := range h.handles {
+		if hd.Active() && !h.driver[id] && (hd.ev.where == locCur || hd.ev.where == locFar) {
+			held = append(held, id)
+		}
+	}
+	for range len(held) / 3 {
+		id := held[h.rng.Intn(len(held))]
+		if !h.handles[id].Active() {
+			continue
+		}
+		h.removed[h.handles[id].ev.where]++
+		h.handles[id].Cancel()
+		h.canceled[id] = true
+		checkHeap(h.t, e.far)
+		checkHeap(h.t, e.cur)
+	}
+}
+
+// add schedules one event at t; driver marks one that fills and cancels.
+func (h *removeHarness) add(t Time, driver int) {
+	id := len(h.at)
+	h.at = append(h.at, t)
+	h.canceled = append(h.canceled, false)
+	h.driver = append(h.driver, driver == 1)
+	h.handles = append(h.handles, h.eng.AtHandler(t, h, uint64(id), driver, nil))
+}
+
+// checkHeap checks that every event of hp records its own index and fires
+// no earlier than its parent.
+func checkHeap(t *testing.T, hp eventHeap) {
+	t.Helper()
+	for i, ev := range hp {
+		if ev.index != i {
+			t.Fatalf("heap slot %d holds an event with index %d", i, ev.index)
+		}
+		if i > 0 && before(ev, hp[(i-1)/2]) {
+			t.Fatalf("heap slot %d fires before its parent", i)
+		}
+	}
+}
+
+// TestHeapRemoveMatchesSortedReference cancels random events held in the
+// far-future heap and in the open bucket's insertion heap, over 20 seeds,
+// checks both heaps' shape and indices after every removal, and checks that
+// the events left fire in the order a sort of them by (at, seq) gives.
+func TestHeapRemoveMatchesSortedReference(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		h := &removeHarness{t: t, eng: NewEngine(seed), rng: NewRNG(seed), drivers: 60, removed: map[int8]int{}}
+		for range 100 {
+			h.add(windowSpan+Time(h.rng.Intn(int(4*windowSpan))), 0)
+		}
+		for range 4 {
+			h.add(Time(h.rng.Intn(int(windowSpan))), 1)
+		}
+		h.eng.Run()
+		var want []int
+		for id := range h.at {
+			if !h.canceled[id] {
+				want = append(want, id)
+			}
+		}
+		slices.SortStableFunc(want, func(a, b int) int { return cmp.Compare(h.at[a], h.at[b]) })
+		if !slices.Equal(h.fired, want) {
+			t.Fatalf("seed %d: fired %d events out of (at, seq) order or not all of them (want %d)", seed, len(h.fired), len(want))
+		}
+		if h.removed[locCur] == 0 || h.removed[locFar] == 0 {
+			t.Fatalf("seed %d: cancelled %d events from the open bucket's heap and %d from the far heap; want some of each",
+				seed, h.removed[locCur], h.removed[locFar])
+		}
+	}
+}
+
 // trainGap is the spacing of a back-to-back train: one MTU packet's
 // serialization on a 200 Gbit/s uplink, the way a segmented RC write books it.
 const trainGap = 166 * Nanosecond

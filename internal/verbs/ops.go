@@ -111,8 +111,12 @@ func (qp *QP) PostWriteUC(wrID uint64, mr *MR, offset, length int, rkey uint32, 
 // as the train's Header and fills each segment's header when the fabric
 // makes the segment's packet.
 type message struct {
-	hdr    wireMsg // seg, dataLen and data are per segment; roffset is segment 0's
-	mr     *MR     // nil: no bytes, only sizes
+	hdr wireMsg // seg, dataLen and data are per segment; roffset is segment 0's
+	// mr is the region holding the bytes, from offset on. nil means no
+	// bytes, only sizes: sendMessage clears it for a region registered
+	// without bytes (RegisterMR), so Segment does not call Slice per
+	// segment only to get nil back.
+	mr     *MR
 	offset int
 	mtu    int
 	// A reduce contribution's reduction group and chunk, which route its
@@ -161,6 +165,9 @@ func (qp *QP) sendMessage(dst Addr, ms *message, length int) sim.Time {
 		tr.Header = h
 	}
 	*h = *ms
+	if ms.mr != nil && ms.mr.Data == nil && !ms.mr.lazy {
+		h.mr = nil // a region without bytes: Segment skips Slice
+	}
 	h.mtu = ctx.MTU()
 	h.hdr.srcQPN, h.hdr.dstQPN = qp.N, dst.QPN
 	// An empty message is one segment and still carries its immediate. Most

@@ -526,6 +526,76 @@ func TestLazyMRRelease(t *testing.T) {
 	}
 }
 
+// TestSegmentDataFollowsRegion sends a 3-segment RC write from each kind
+// of region. A region registered without bytes sends segments that carry
+// none (sendMessage drops the region from the message, so Segment does not
+// read it), and the target's bytes stay zero; a region with bytes and a
+// lazy one deliver theirs, segment by segment.
+func TestSegmentDataFollowsRegion(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		bytes bool // whether the region holds bytes to deliver
+		reg   func(ctx *Context, src []byte) *MR
+	}{
+		{"RegisterMR", false, func(ctx *Context, src []byte) *MR { return ctx.RegisterMR(len(src)) }},
+		{"RegisterMRData", true, func(ctx *Context, src []byte) *MR { return ctx.RegisterMRData(src) }},
+		{"RegisterMRLazy", true, func(ctx *Context, src []byte) *MR {
+			mr := ctx.RegisterMRLazy(len(src))
+			for off := 0; off < len(src); off += lazyPage {
+				n := min(lazyPage, len(src)-off)
+				copy(mr.Slice(off, n), src[off:off+n])
+			}
+			return mr
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, _, a, b := pair(t, fabric.Config{}, Config{})
+			cqA, cqB := &CQ{}, &CQ{}
+			qpA := a.NewQP(RC, cqA, cqA, 0)
+			qpB := b.NewQP(RC, cqB, cqB, 0)
+			qpA.Connect(Unicast(b.Host, qpB.N))
+			qpB.Connect(Unicast(a.Host, qpA.N))
+			size := 3*a.MTU() - 100
+			src := fill(size, 9)
+			mr := tc.reg(a, src)
+			dst := b.RegisterMRData(make([]byte, size))
+
+			var segs []wireMsg
+			deliver := b.nic.Deliver
+			b.nic.Deliver = func(p *fabric.Packet) {
+				if m := p.Payload.(*wireMsg); m.op == wireWrite {
+					c := *m
+					c.data = bytes.Clone(m.data)
+					segs = append(segs, c)
+				}
+				deliver(p)
+			}
+			qpA.PostWriteRC(1, mr, 0, size, dst.Key, 0, 7, true)
+			eng.Run()
+
+			if len(segs) != 3 {
+				t.Fatalf("%d write segments delivered, want 3", len(segs))
+			}
+			for _, m := range segs {
+				off := m.seg * a.MTU()
+				switch want := src[off : off+m.dataLen]; {
+				case !tc.bytes && m.data != nil:
+					t.Fatalf("segment %d of a region without bytes carries %d bytes", m.seg, len(m.data))
+				case tc.bytes && !bytes.Equal(m.data, want):
+					t.Fatalf("segment %d carries %d bytes, not the region's %d at offset %d", m.seg, len(m.data), len(want), off)
+				}
+			}
+			want := src
+			if !tc.bytes {
+				want = make([]byte, size)
+			}
+			if !bytes.Equal(dst.Data, want) {
+				t.Fatal("the target region does not hold what the write carried")
+			}
+		})
+	}
+}
+
 func TestConnectValidation(t *testing.T) {
 	_, f, a, b := pair(t, fabric.Config{}, Config{})
 	cq := &CQ{}
