@@ -23,11 +23,13 @@ func (f *Fabric) Outstanding() (packets, trains int) {
 // injectPacket is the reference per-packet injector: it sends a pool
 // packet, a copy of pkt, up the host uplink at once, as the fabric did
 // before every message became a Train. TestTrainMatchesPerPacket checks
-// trains against it; it shares only transmit with the code under test.
+// trains against it; it shares only transmit with the code under test. The
+// pool does not zero what it files back, so it writes every field.
 func (n *NIC) injectPacket(pkt *Packet) sim.Time {
-	p := n.f.pool.get()
+	p := n.f.pool.get(nil)
 	p.Src, p.Dst, p.Group, p.Flow = n.Host, pkt.Dst, pkt.Group, pkt.Flow
-	p.Payload, p.PayloadBytes = pkt.Payload, pkt.PayloadBytes
+	p.Reduce, p.ReduceChunk, p.Background = NoReduceGroup, 0, false
+	p.Payload, p.PayloadBytes, p.refs = pkt.Payload, pkt.PayloadBytes, 0
 	wire := n.f.transmit(p, n.f.egress(n.Host, 0))
 	if p.refs == 0 { // dropped on the uplink: no hop carries it
 		n.f.pool.put(p)

@@ -35,7 +35,8 @@ type GroupID int
 const NoGroup GroupID = -1
 
 // Packet is one datagram on the wire. Payload is opaque to the fabric; the
-// verbs layer stores its own header structure there.
+// verbs layer stores its own header structure there, in the same object as
+// the packet when its transport made the packet (Segmenter.NewPacket).
 type Packet struct {
 	Src     topology.NodeID
 	Dst     topology.NodeID // destination host (unicast only)
@@ -62,17 +63,22 @@ type Packet struct {
 // packetPool is the fabric's free list of packets, and the only place a
 // packet comes from: a train makes one per segment (see Train). A packet
 // is the fabric's alone. Every handler that a scheduled hop fires ends in
-// landed, and the hop that drops refs to zero files the packet back,
-// Payload still attached and every other field zeroed: the last tree
-// branch to land, the host delivery (NIC.Deliver has returned), the root
-// absorbing a reduce contribution, or a drop. made counts the packets the
-// pool has allocated.
+// landed, and the hop that drops refs to zero files the packet back as it
+// is, Payload still attached: the last tree branch to land, the host
+// delivery (NIC.Deliver has returned), the root absorbing a reduce
+// contribution, or a drop. Nothing is zeroed there, because packet writes
+// every field but Payload before the packet travels again. A miss asks the
+// train's transport for a fresh packet, so that one object can hold the
+// packet and its header. made counts the packets the pool has allocated.
 type packetPool struct {
 	free []*Packet
 	made int
 }
 
-func (p *packetPool) get() *Packet {
+// get returns a packet off the free list, or a fresh one from h, the
+// transport of the train it is for; nil (a background train) makes a bare
+// packet.
+func (p *packetPool) get(h Segmenter) *Packet {
 	if n := len(p.free); n > 0 {
 		pkt := p.free[n-1]
 		p.free[n-1] = nil
@@ -80,13 +86,13 @@ func (p *packetPool) get() *Packet {
 		return pkt
 	}
 	p.made++
+	if h != nil {
+		return h.NewPacket()
+	}
 	return &Packet{Group: NoGroup}
 }
 
-func (p *packetPool) put(pkt *Packet) {
-	*pkt = Packet{Group: NoGroup, Payload: pkt.Payload}
-	p.free = append(p.free, pkt)
-}
+func (p *packetPool) put(pkt *Packet) { p.free = append(p.free, pkt) }
 
 // landed retires one scheduled hop of pkt, after its handler's work; the
 // last one files the packet back.
@@ -333,6 +339,8 @@ func (n *NIC) Inject(pkt *Packet) sim.Time {
 type packetHeader Packet
 
 func (h *packetHeader) Segment(pkt *Packet, _ int) { pkt.Payload = h.Payload }
+
+func (h *packetHeader) NewPacket() *Packet { return &Packet{Group: NoGroup} }
 
 // wireBytes is the link occupancy of the packet.
 func (f *Fabric) wireBytes(pkt *Packet) int { return pkt.PayloadBytes + HeaderBytes }

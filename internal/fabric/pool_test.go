@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -315,6 +316,134 @@ func runLifetime(t *testing.T, leg lifetimeLeg, seed uint64) {
 	if leg.congest && f.heldChunks == 0 {
 		t.Fatal("void run: no switch port held a hop")
 	}
+}
+
+// poisonDelivery is one delivery of TestPoisonedFreeListCannotLeak: when,
+// where, and the packet as Deliver saw it.
+type poisonDelivery struct {
+	at   sim.Time
+	host topology.NodeID
+	pkt  Packet
+}
+
+// TestPoisonedFreeListCannotLeak: the pool files a packet back as it is, so
+// packet must write every field but Payload before the packet travels
+// again. One run starts from a free list of 64 packets and, before each of
+// its rounds, overwrites every field but Payload of every packet on the
+// list: a wrong host, group, reduce group and flow, Background set, odd
+// sizes and a live refs count. Its twin starts from an empty pool. Both send
+// unicast, multicast, reduce and background traffic, through Inject, as
+// multi-segment trains and through the reference injectPacket. Every
+// delivery must equal the twin's, and at quiescence every packet and train
+// must be back.
+func TestPoisonedFreeListCannotLeak(t *testing.T) {
+	fresh := runPoisoned(t, false)
+	poisoned := runPoisoned(t, true)
+	if len(fresh) == 0 {
+		t.Fatal("void run: nothing delivered")
+	}
+	if !slices.Equal(poisoned, fresh) {
+		for i := range min(len(poisoned), len(fresh)) {
+			if poisoned[i] != fresh[i] {
+				t.Fatalf("delivery %d from a poisoned pool is %+v, from a fresh one %+v", i, poisoned[i], fresh[i])
+			}
+		}
+		t.Fatalf("a poisoned pool made %d deliveries, a fresh one %d", len(poisoned), len(fresh))
+	}
+}
+
+// runPoisoned runs TestPoisonedFreeListCannotLeak's traffic, from the
+// poisoned free list or from an empty pool, and returns its deliveries in
+// order.
+func runPoisoned(t *testing.T, poison bool) []poisonDelivery {
+	g := propTopology(t)
+	eng := sim.NewEngine(5)
+	f := New(eng, g, Config{ReorderJitter: 200 * sim.Nanosecond})
+	hosts := g.Hosts()
+	gid, err := f.CreateGroup(g.TopSwitches()[0], hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reducers, owner := hosts[:4], hosts[6]
+	rg, err := f.CreateReduceGroup(g.TopSwitches()[1], reducers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []poisonDelivery
+	nics := make([]*NIC, len(hosts))
+	for i, h := range hosts {
+		nics[i] = f.AttachNIC(h)
+		if err := nics[i].AttachGroup(gid); err != nil {
+			t.Fatal(err)
+		}
+		nics[i].Deliver = func(p *Packet) { got = append(got, poisonDelivery{eng.Now(), h, *p}) }
+	}
+	if poison {
+		for range 64 {
+			f.pool.free = append(f.pool.free, new(Packet))
+			f.pool.made++
+		}
+	}
+	n := len(hosts)
+	for round := range 2 {
+		if poison {
+			// Hosts and groups are real ones, so a leaked field mostly
+			// misroutes or mislabels a delivery instead of crashing.
+			for _, p := range f.pool.free {
+				p.Src, p.Dst, p.Group, p.Flow = hosts[n-1], hosts[0], gid, 0xBAD
+				p.Reduce, p.ReduceChunk, p.Background = rg, 0xBAD, true
+				p.PayloadBytes, p.refs = 0xBAD, 5
+			}
+		}
+		base := eng.Now()
+		at := func(k int) sim.Time { return base + sim.Time(k)*150*sim.Nanosecond }
+		for i := range hosts {
+			src, dst := nics[i], hosts[(i+1+round)%n]
+			flow := uint64(100*round + i)
+			eng.AtHandler(at(i), call(func() {
+				src.Inject(&Packet{Dst: dst, Group: NoGroup, Flow: flow, PayloadBytes: 64 + 300*i, Payload: "inject"})
+			}), 0, 0, nil)
+			eng.AtHandler(at(i+n), call(func() {
+				src.injectPacket(&Packet{Dst: dst, Group: NoGroup, Flow: flow + 50, PayloadBytes: 4096, Payload: "reference"})
+			}), 0, 0, nil)
+			eng.AtHandler(at(2*i), call(func() {
+				tr := src.NewTrain()
+				tr.Flow, tr.Bytes, tr.Header = flow, 3*4096+100*i, segTag{}
+				if i%2 == 0 {
+					tr.Group = gid
+				} else {
+					tr.Dst = dst
+				}
+				src.InjectTrain(tr)
+			}), 0, 0, nil)
+		}
+		for k, h := range []int{2, 7} {
+			src := nics[h]
+			eng.AtHandler(at(3*k+1), call(func() {
+				src.Inject(&Packet{Group: gid, Flow: uint64(k), PayloadBytes: 1000, Payload: "multicast"})
+			}), 0, 0, nil)
+		}
+		for i := range reducers {
+			src := nics[i]
+			eng.AtHandler(at(i+2), call(func() {
+				src.Inject(&Packet{Dst: owner, Group: NoGroup, Flow: 7, PayloadBytes: 2048, Reduce: rg, ReduceChunk: uint64(round + 1)})
+			}), 0, 0, nil)
+		}
+		for k := range 4 {
+			eng.AtHandler(at(k), call(func() { f.InjectBackground(hosts[4+k], hosts[8-k], 4096, uint64(k)) }), 0, 0, nil)
+		}
+		eng.Run()
+		if p, tr := f.Outstanding(); p != 0 || tr != 0 || f.Held() != 0 {
+			t.Fatalf("round %d: at quiescence %d packets and %d trains are out, %d hops held", round, p, tr, f.Held())
+		}
+	}
+	if poison && f.pool.made != 64 {
+		t.Fatalf("the traffic needed %d packets, more than the 64 poisoned ones", f.pool.made)
+	}
+	if f.ReducedChunks(rg) != 2 || f.BackgroundBytes == 0 {
+		t.Fatalf("void run: %d reduced chunks, %d background bytes", f.ReducedChunks(rg), f.BackgroundBytes)
+	}
+	return got
 }
 
 // call adapts a func() to sim.Handler, for tests that schedule a one-off

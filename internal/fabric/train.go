@@ -12,9 +12,13 @@ import (
 // PayloadBytes set, as segment s of the message, when the fabric makes the
 // segment's packet (see Train). A unicast segment leaves the first switch on
 // the route of the train's own Flow, whatever Segment writes into the
-// packet's.
+// packet's. NewPacket makes a packet when the pool has none to hand out, so
+// a transport can allocate its header in the same object. The pool is
+// shared by every transport and by background traffic, so Segment must
+// still cope with a packet whose Payload is not its own header.
 type Segmenter interface {
 	Segment(pkt *Packet, s int)
+	NewPacket() *Packet
 }
 
 // Train is one message of one or more MTU segments, injected as a whole:
@@ -45,9 +49,10 @@ type Train struct {
 	// Bytes is the message size: segment s carries the MTU's worth at
 	// s*MTU, the last one the rest. An empty message is one empty segment.
 	Bytes int
-	// Header fills each segment's transport header. Like Packet.Payload it
-	// stays with the train across reuse: a transport keeps its per-message
-	// state there and overwrites it for the next message.
+	// Header fills each segment's transport header, and makes the packets
+	// the pool lacks. Like Packet.Payload it stays with the train across
+	// reuse: a transport keeps its per-message state there and overwrites
+	// it for the next message.
 	Header Segmenter
 	// Background marks tenant traffic (see Fabric.InjectBackground): its
 	// segments carry no transport header, and Header is not called.
@@ -184,15 +189,20 @@ func (f *Fabric) inject(src topology.NodeID, tr *Train) sim.Time {
 }
 
 // packet makes segment s's packet, carried by the hop that lands it at the
-// first switch.
+// first switch. It writes every field but Payload, which only Segment
+// writes: a packet off the free list keeps everything it last carried.
 func (f *Fabric) packet(tr *Train, s int) *Packet {
-	pkt := f.pool.get()
+	h := tr.Header
+	if tr.Background {
+		h = nil // a reused train keeps its last Header
+	}
+	pkt := f.pool.get(h)
 	pkt.Src, pkt.Dst, pkt.Group, pkt.Flow = tr.src, tr.Dst, tr.Group, tr.Flow
 	pkt.Reduce, pkt.ReduceChunk = tr.Reduce, tr.ReduceChunk
 	pkt.PayloadBytes, pkt.Background = tr.segBytes(s), tr.Background
 	pkt.refs = 1
-	if !tr.Background {
-		tr.Header.Segment(pkt, s)
+	if h != nil {
+		h.Segment(pkt, s)
 	}
 	return pkt
 }

@@ -16,11 +16,15 @@ type segTag struct{}
 
 func (segTag) Segment(pkt *Packet, s int) { pkt.Payload = s }
 
+func (segTag) NewPacket() *Packet { return &Packet{Group: NoGroup} }
+
 // flowTag is the test transport that tags segment s by adding s to the
 // train's Flow, so that every segment carries its own tag.
 type flowTag struct{}
 
 func (flowTag) Segment(pkt *Packet, s int) { pkt.Flow += uint64(s) }
+
+func (flowTag) NewPacket() *Packet { return &Packet{Group: NoGroup} }
 
 // twinMessage is one message a twin run sends.
 type twinMessage struct {
@@ -361,4 +365,5 @@ func TestTrainLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Train{}); got > 192 {
 		t.Fatalf("Train is %d bytes, want at most 192", got)
 	}
+	t.Logf("layout: Train %d bytes", unsafe.Sizeof(Train{}))
 }

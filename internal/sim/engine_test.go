@@ -296,6 +296,7 @@ func TestEventLayout(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 96 {
 		t.Fatalf("event is %d bytes, want 96", got)
 	}
+	t.Logf("layout: event %d bytes", unsafe.Sizeof(event{}))
 }
 
 func TestTimeConversions(t *testing.T) {

@@ -23,7 +23,7 @@ func (qp *QP) PostSendUD(wrID uint64, dst Addr, mr *MR, offset, length int, imm 
 	if length > qp.ctx.MTU() {
 		panic(fmt.Sprintf("verbs: UD datagram %d exceeds MTU %d", length, qp.ctx.MTU()))
 	}
-	ms := &message{hdr: wireMsg{op: wireSendUD, imm: imm}, mr: mr, offset: offset}
+	ms := &message{hdr: wireHdr{op: wireSendUD, imm: imm}, mr: mr, offset: offset}
 	wire := qp.sendMessage(dst, ms, length)
 	if signaled {
 		// The send completion is reported once the datagram has left the
@@ -56,7 +56,7 @@ func (qp *QP) PostSendReduce(wrID uint64, dst Addr, rg fabric.ReduceGroupID, chu
 	if length > qp.ctx.MTU() {
 		panic(fmt.Sprintf("verbs: reduce datagram %d exceeds MTU %d", length, qp.ctx.MTU()))
 	}
-	ms := &message{hdr: wireMsg{op: wireSendUD, imm: imm}, reduce: rg, chunk: chunkID}
+	ms := &message{hdr: wireHdr{op: wireSendUD, imm: imm}, reduce: rg, chunk: chunkID}
 	wire := qp.sendMessage(Unicast(dst.Host, dst.QPN), ms, length)
 	if signaled {
 		qp.ctx.eng.AtHandler(wire, qp, wrID, length, nil)
@@ -99,7 +99,7 @@ func (qp *QP) PostWriteUC(wrID uint64, mr *MR, offset, length int, rkey uint32, 
 	if !qp.connected {
 		panic("verbs: UC QP not connected")
 	}
-	hdr := wireMsg{op: wireWrite, msgID: qp.ctx.allocMsgID(), rkey: rkey, roffset: roffset, imm: imm}
+	hdr := wireHdr{op: wireWrite, msgID: qp.ctx.allocMsgID(), rkey: rkey, roffset: roffset, imm: imm}
 	wire := qp.sendMessage(qp.peer, &message{hdr: hdr, mr: mr, offset: offset}, length)
 	if signaled {
 		qp.ctx.eng.AtHandler(wire, qp, wrID, length, nil)
@@ -111,7 +111,7 @@ func (qp *QP) PostWriteUC(wrID uint64, mr *MR, offset, length int, rkey uint32, 
 // as the train's Header and fills each segment's header when the fabric
 // makes the segment's packet.
 type message struct {
-	hdr wireMsg // seg, dataLen and data are per segment; roffset is segment 0's
+	hdr wireHdr // seg and dataLen are per segment; roffset is segment 0's
 	// mr is the region holding the bytes, from offset on. nil means no
 	// bytes, only sizes: sendMessage clears it for a region registered
 	// without bytes (RegisterMR), so Segment does not call Slice per
@@ -133,14 +133,23 @@ func (ms *message) Segment(pkt *fabric.Packet, s int) {
 		m = new(wireMsg)
 		pkt.Payload = m
 	}
-	*m = ms.hdr
+	m.wireHdr = ms.hdr
 	segOff := s * ms.mtu
 	m.seg = s
 	m.roffset += segOff
 	m.dataLen = pkt.PayloadBytes
+	m.data = nil
 	if ms.mr != nil && m.dataLen > 0 {
 		m.data = ms.mr.Slice(ms.offset+segOff, m.dataLen)
 	}
+}
+
+// NewPacket implements fabric.Segmenter: a packet with its wire header
+// inside it, one allocation where a bare packet would need two.
+func (ms *message) NewPacket() *fabric.Packet {
+	p := &wirePacket{Packet: fabric.Packet{Group: fabric.NoGroup}}
+	p.Payload = &p.hdr
+	return &p.Packet
 }
 
 // sendMessage sends ms, length bytes at ms.offset of ms.mr, to dst as one
@@ -259,13 +268,12 @@ func (qp *QP) segment(src Addr, m *wireMsg) *assemblyState {
 
 // receiveWrite handles one UC/RC write segment on the receiver.
 func (qp *QP) receiveWrite(src Addr, m *wireMsg) {
-	mr := qp.lastMR
-	if mr == nil || mr.Key != m.rkey {
-		var ok bool
-		if mr, ok = qp.ctx.LookupMR(m.rkey); !ok {
+	if m.rkey != qp.lastRKey {
+		mr, ok := qp.ctx.LookupMR(m.rkey)
+		if !ok {
 			panic(fmt.Sprintf("verbs: write to unknown rkey %d on host %d", m.rkey, qp.ctx.Host))
 		}
-		qp.lastMR = mr
+		qp.lastMR, qp.lastRKey, qp.lastSize = mr, m.rkey, mr.Size
 	}
 	var st *assemblyState
 	var done, ok bool
@@ -277,7 +285,11 @@ func (qp *QP) receiveWrite(src Addr, m *wireMsg) {
 	if !ok {
 		return
 	}
-	mr.write(m.roffset, m.data, m.dataLen)
+	if off, n := m.roffset, m.dataLen; off < 0 || off+n > qp.lastSize {
+		writeOutside(off, n, qp.lastSize)
+	} else if m.data != nil && n > 0 {
+		copy(qp.lastMR.Slice(off, n), m.data[:n])
+	}
 	if !done {
 		return
 	}
@@ -421,10 +433,10 @@ func (qp *QP) transmitRC(p *rcPending) sim.Time {
 	if p.op == wireReadReq {
 		// A 16-byte request; the p.length bytes it asks for ride in its
 		// header, and armRetransmit budgets their wire time.
-		hdr := wireMsg{op: wireReadReq, msgID: p.msgID, rkey: p.rkey, roffset: p.roffset, readLen: p.length}
+		hdr := wireHdr{op: wireReadReq, msgID: p.msgID, rkey: p.rkey, roffset: p.roffset, readLen: p.length}
 		return qp.sendMessage(p.dst, &message{hdr: hdr}, 16)
 	}
-	hdr := wireMsg{op: p.op, seq: p.seq, msgID: p.msgID, rkey: p.rkey, roffset: p.roffset, imm: p.imm}
+	hdr := wireHdr{op: p.op, seq: p.seq, msgID: p.msgID, rkey: p.rkey, roffset: p.roffset, imm: p.imm}
 	return qp.sendMessage(p.dst, &message{hdr: hdr, mr: p.mr, offset: p.offset}, p.length)
 }
 
@@ -462,7 +474,7 @@ func (qp *QP) retransmit(p *rcPending) {
 }
 
 func (qp *QP) sendAck(dst Addr, msgID uint64) {
-	qp.sendMessage(dst, &message{hdr: wireMsg{op: wireAck, msgID: msgID}}, 8)
+	qp.sendMessage(dst, &message{hdr: wireHdr{op: wireAck, msgID: msgID}}, 8)
 }
 
 func (qp *QP) receiveAck(m *wireMsg) {
@@ -488,7 +500,7 @@ func (qp *QP) receiveReadReq(src Addr, m *wireMsg) {
 		panic(fmt.Sprintf("verbs: read of unknown rkey %d on host %d", m.rkey, qp.ctx.Host))
 	}
 	// Segment s answers at roffset s*MTU of the requester's buffer.
-	qp.sendMessage(src, &message{hdr: wireMsg{op: wireReadResp, msgID: m.msgID}, mr: mr, offset: m.roffset}, m.readLen)
+	qp.sendMessage(src, &message{hdr: wireHdr{op: wireReadResp, msgID: m.msgID}, mr: mr, offset: m.roffset}, m.readLen)
 }
 
 // receiveReadResp accumulates read-response segments on the requester.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/fabric"
 	"repro/internal/sim"
@@ -138,6 +139,96 @@ func TestWarmRCWriteAllocsPerPacket(t *testing.T) {
 	}
 	if !bytes.Equal(slot.Data, msg.Data) {
 		t.Fatal("send landed corrupt")
+	}
+}
+
+// headerInside reports whether pkt's wire header lives in the same object
+// as the packet, as in a wirePacket.
+func headerInside(pkt *fabric.Packet) bool {
+	m, _ := pkt.Payload.(*wireMsg)
+	return m != nil && uintptr(unsafe.Pointer(m)) == uintptr(unsafe.Pointer(pkt))+unsafe.Offsetof(wirePacket{}.hdr)
+}
+
+// TestFreshPacketIsOneObject: a send that finds the fabric's packet pool
+// empty has its transport make the packet, one object with the wire header
+// inside it, where a bare packet would take two. The measured sends stay
+// in flight, so each one finds the pool empty. Their events fit the
+// engine's store, grown first on another fabric of the same engine.
+func TestFreshPacketIsOneObject(t *testing.T) {
+	eng := sim.NewEngine(1)
+	g := topology.BackToBack()
+	const perRun, runs = 8, 50
+	{
+		warm := fabric.New(eng, g, fabric.Config{})
+		a, b := NewContext(warm, g.Hosts()[0], Config{}), NewContext(warm, g.Hosts()[1], Config{})
+		qp, mr := a.NewQP(UD, &CQ{}, &CQ{}, 0), a.RegisterMR(64)
+		for range 4 * perRun * runs {
+			qp.PostSendUD(0, Unicast(b.Host, 1), mr, 0, 64, 0, false)
+		}
+		eng.Run()
+	}
+	f := fabric.New(eng, g, fabric.Config{})
+	a, b := NewContext(f, g.Hosts()[0], Config{}), NewContext(f, g.Hosts()[1], Config{})
+	cqB := &CQ{}
+	qpA, qpB := a.NewQP(UD, &CQ{}, &CQ{}, 0), b.NewQP(UD, cqB, cqB, 0)
+	src, dst := a.RegisterMR(64), b.RegisterMR(64)
+	send := func() { qpA.PostSendUD(0, Unicast(b.Host, qpB.N), src, 0, 64, 3, false) }
+	send() // the QP's train and message header
+	eng.Run()
+	deliver, delivered := b.nic.Deliver, 0
+	b.nic.Deliver = func(p *fabric.Packet) {
+		if !headerInside(p) {
+			t.Fatalf("delivery %d: the wire header is not inside its packet", delivered)
+		}
+		delivered++
+		deliver(p)
+	}
+	if avg := testing.AllocsPerRun(runs, func() {
+		for range perRun {
+			send()
+		}
+	}); avg != perRun {
+		t.Fatalf("%d sends into an empty pool allocate %.2f objects, want %d: one per packet", perRun, avg, perRun)
+	}
+	for range (runs + 1) * perRun {
+		qpB.PostRecv(0, dst, 0, 64)
+	}
+	eng.Run()
+	if delivered != (runs+1)*perRun || cqB.entries.len() != delivered {
+		t.Fatalf("%d of %d datagrams delivered, %d completed", delivered, (runs+1)*perRun, cqB.entries.len())
+	}
+}
+
+// TestBarePacketGetsHeader: the pool is shared by every sender, so a verbs
+// send may reuse a bare packet that a background train made and filed
+// back. Segment attaches a header to it, and the datagram arrives whole.
+func TestBarePacketGetsHeader(t *testing.T) {
+	eng, f, a, b := pair(t, fabric.Config{}, Config{})
+	f.InjectBackground(a.Host, b.Host, 4096, 0)
+	eng.Run() // the pool now holds the background packet
+	cqB := &CQ{}
+	qpA, qpB := a.NewQP(UD, &CQ{}, &CQ{}, 0), b.NewQP(UD, cqB, cqB, 0)
+	src, dst := a.RegisterMRData(fill(1000, 3)), b.RegisterMRData(make([]byte, 1000))
+	var bare []bool
+	deliver := b.nic.Deliver
+	b.nic.Deliver = func(p *fabric.Packet) {
+		bare = append(bare, !headerInside(p))
+		deliver(p)
+	}
+	for k := range 2 {
+		qpB.PostRecv(uint64(k), dst, 0, 1000)
+		clear(dst.Data)
+		qpA.PostSendUD(0, Unicast(b.Host, qpB.N), src, 0, 1000, uint32(40+k), false)
+		eng.Run()
+		if e, ok := cqB.Poll(); !ok || e.Op != OpRecv || e.WrID != uint64(k) || e.Imm != uint32(40+k) || e.Bytes != 1000 {
+			t.Fatalf("send %d: completion %+v ok=%v", k, e, ok)
+		}
+		if !bytes.Equal(dst.Data, src.Data) {
+			t.Fatalf("send %d: the datagram's bytes arrived corrupt", k)
+		}
+	}
+	if len(bare) != 2 || !bare[0] || !bare[1] {
+		t.Fatalf("deliveries in a packet without its own header: %v, want the reused background packet twice", bare)
 	}
 }
 

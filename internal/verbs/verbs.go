@@ -217,11 +217,17 @@ func (mr *MR) Pages() int {
 // payload.
 func (mr *MR) write(off int, data []byte, n int) {
 	if off < 0 || off+n > mr.Size {
-		panic(fmt.Sprintf("verbs: write [%d,%d) outside MR of size %d", off, off+n, mr.Size))
+		writeOutside(off, n, mr.Size)
 	}
 	if data != nil && n > 0 {
 		copy(mr.Slice(off, n), data[:n])
 	}
+}
+
+// writeOutside panics for a write of n bytes at off that does not fit a
+// region of size bytes.
+func writeOutside(off, n, size int) {
+	panic(fmt.Sprintf("verbs: write [%d,%d) outside MR of size %d", off, off+n, size))
 }
 
 // recvWQE is one posted receive, as popRecv hands it out; QP.rq stores
@@ -376,6 +382,8 @@ func (ctx *Context) LookupMR(key uint32) (*MR, bool) {
 type QP struct {
 	N         QPN
 	Transport Transport
+	// connected is set once Connect has bound a UC/RC QP to its peer.
+	connected bool
 	ctx       *Context
 	sendCQ    *CQ
 	recvCQ    *CQ
@@ -387,9 +395,8 @@ type QP struct {
 	rqLen   int
 	rqDepth int
 
-	// UC/RC connection state.
-	peer      Addr
-	connected bool
+	// peer is a UC/RC QP's remote end.
+	peer Addr
 
 	// assembly holds a UC QP's receiver-side reassembly, by message: UC is
 	// message-granular. A message a lost segment left incomplete stays here
@@ -405,11 +412,16 @@ type QP struct {
 
 	// RC only: sendSeq numbers the writes and sends this QP posts, and
 	// window is what the QP has delivered of its peer's.
-	sendSeq uint32
-	window  rcWindow
-	// lastMR is the region the previous write segment landed in: a
-	// message's segments all name one rkey, and keys are never reused.
-	lastMR *MR
+	sendSeq  uint32
+	lastRKey uint32 // lastMR's key, in what would be sendSeq's padding
+	window   rcWindow
+	// lastMR is the region the previous write segment landed in, lastRKey
+	// its key and lastSize its size: a message's segments all name one
+	// rkey, and keys are never reused. A write segment checks its key and
+	// bounds against the QP's copies and reads the region only to copy
+	// bytes. lastRKey 0 is no region, since no key is 0.
+	lastMR   *MR
+	lastSize int
 
 	// Stats
 	RNRDrops    uint64 // two-sided arrivals dropped for lack of a recv WQE
@@ -522,7 +534,9 @@ const (
 	wireReadResp        // RC read response segment
 )
 
-type wireMsg struct {
+// wireHdr is the transport header every segment carries. It holds no
+// pointer, so the per-segment copy of a message's header is a plain copy.
+type wireHdr struct {
 	op      wireOp
 	srcQPN  QPN
 	dstQPN  QPN
@@ -533,9 +547,24 @@ type wireMsg struct {
 	rkey    uint32 // target MR for writes / read source
 	roffset int    // target offset for writes / read source offset
 	imm     uint32
-	data    []byte // nil in metadata-only mode
 	dataLen int
 	readLen int // read request: bytes wanted
+}
+
+// wireMsg is what a packet's Payload points at: the header, and the
+// segment's bytes, nil in metadata-only mode. Segment writes both. A packet
+// that verbs made carries one inside itself (wirePacket); one from another
+// sender gets one allocated on its first verbs segment, and keeps it.
+type wireMsg struct {
+	wireHdr
+	data []byte
+}
+
+// wirePacket is a fabric packet and its wire header in one object, the
+// packet a QP's train makes when the fabric's pool has none to reuse.
+type wirePacket struct {
+	fabric.Packet
+	hdr wireMsg
 }
 
 func (ctx *Context) allocMsgID() uint64 {

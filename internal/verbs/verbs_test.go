@@ -2,6 +2,8 @@ package verbs
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -596,6 +598,62 @@ func TestSegmentDataFollowsRegion(t *testing.T) {
 	}
 }
 
+// TestWriteRegionCache: a QP checks a write segment's rkey and bounds
+// against the key and size of the region its previous segment landed in,
+// and reads the region itself only to copy bytes. On one QP of each
+// connected transport, multi-segment writes alternate between a region with
+// bytes and a lazy one four times its size: each must land its own bytes
+// in its own region. Then a write that fits the larger region but runs past
+// the end of the smaller, sent right after one to the larger, must panic
+// with the smaller region's size.
+func TestWriteRegionCache(t *testing.T) {
+	for _, tr := range []Transport{RC, UC} {
+		t.Run(tr.String(), func(t *testing.T) {
+			eng, _, a, b := pair(t, fabric.Config{}, Config{})
+			cqA, cqB := &CQ{}, &CQ{}
+			qpA, qpB := a.NewQP(tr, cqA, cqA, 0), b.NewQP(tr, cqB, cqB, 0)
+			qpA.Connect(Unicast(b.Host, qpB.N))
+			qpB.Connect(Unicast(a.Host, qpA.N))
+			mtu := a.MTU()
+			src := a.RegisterMRData(fill(8*mtu, 5))
+			small, large := b.RegisterMRData(make([]byte, 2*mtu)), b.RegisterMRLazy(8*mtu)
+			write := func(dst *MR, srcOff, n, roff int, imm uint32) {
+				if tr == RC {
+					qpA.PostWriteRC(0, src, srcOff, n, dst.Key, roff, imm, false)
+				} else {
+					qpA.PostWriteUC(0, src, srcOff, n, dst.Key, roff, imm, false)
+				}
+				eng.Run()
+				if e, ok := cqB.Poll(); !ok || e.Op != OpRecvWriteImm || e.Imm != imm || e.Bytes != n {
+					t.Fatalf("write %d: completion %+v ok=%v", imm, e, ok)
+				}
+			}
+			for k := range 4 {
+				n, off := 2*mtu-100*k, 7*k
+				write(small, off, n, 0, uint32(2*k))
+				if !bytes.Equal(small.Data[:n], src.Data[off:off+n]) {
+					t.Fatalf("write %d: the smaller region does not hold its bytes", 2*k)
+				}
+				roff := (k % 2) * 4 * mtu
+				write(large, off, 3*mtu, roff, uint32(2*k+1))
+				for s := range 3 {
+					if got := large.Slice(roff+s*mtu, mtu); !bytes.Equal(got, src.Data[off+s*mtu:off+(s+1)*mtu]) {
+						t.Fatalf("write %d: segment %d did not land in the lazy region", 2*k+1, s)
+					}
+				}
+			}
+			write(large, 0, mtu, 0, 8)
+			want := fmt.Sprintf("verbs: write [%d,%d) outside MR of size %d", 2*mtu, 3*mtu, 2*mtu)
+			defer func() {
+				if got := fmt.Sprint(recover()); got != want {
+					t.Fatalf("a write past the smaller region's end panicked with %q, want %q", got, want)
+				}
+			}()
+			write(small, 0, mtu, 2*mtu, 9)
+		})
+	}
+}
+
 func TestConnectValidation(t *testing.T) {
 	_, f, a, b := pair(t, fabric.Config{}, Config{})
 	cq := &CQ{}
@@ -806,10 +864,13 @@ func TestPostSendReduceAggregates(t *testing.T) {
 	}
 }
 
-// TestWireMsgLayout pins the wire header's size on 64-bit hosts: every
+// TestWireMsgLayout pins the wire header's layout on 64-bit hosts: every
 // pooled packet carries one, and the RC sequence number rides in what was
-// padding after the QPNs. It also keeps a QP within the allocator's
-// 240-byte size class: one more word would put every QP in the 256-byte one.
+// padding after the QPNs. The header a segment copies holds no pointer, so
+// the copy needs no write barrier, and a packet verbs makes is one object
+// of the allocator's 192-byte class with its header inside. It also keeps a
+// QP within the 240-byte size class: one more word would put every QP in
+// the 256-byte one.
 func TestWireMsgLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes pinned for 64-bit hosts")
@@ -817,7 +878,35 @@ func TestWireMsgLayout(t *testing.T) {
 	if got := unsafe.Sizeof(wireMsg{}); got != 104 {
 		t.Fatalf("wireMsg is %d bytes, want 104", got)
 	}
+	if hasPointer(reflect.TypeOf(wireHdr{})) {
+		t.Fatal("wireHdr holds a pointer: copying it per segment needs write barriers")
+	}
+	if got := unsafe.Sizeof(wirePacket{}); got != 192 {
+		t.Fatalf("wirePacket is %d bytes, want 192", got)
+	}
 	if got := unsafe.Sizeof(QP{}); got > 240 {
 		t.Fatalf("QP is %d bytes, want at most 240", got)
 	}
+	t.Logf("layout: wirePacket %d bytes", unsafe.Sizeof(wirePacket{}))
+	t.Logf("layout: QP %d bytes", unsafe.Sizeof(QP{}))
+}
+
+// hasPointer reports whether a value of type t holds a pointer the garbage
+// collector must see.
+func hasPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && hasPointer(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.Slice, reflect.String:
+		return true
+	}
+	return false
 }

@@ -159,11 +159,10 @@ func TestRCReceiveMatchesBitmapReference(t *testing.T) {
 			for _, ar := range arrivals {
 				m := msgs[ar.msg]
 				off, n := ar.msg*region+ar.seg*mtu, segLen(m, ar.seg, mtu)
-				w := wireMsg{
+				w := wireMsg{wireHdr: wireHdr{
 					op: wireWrite, srcQPN: qpA.N, dstQPN: qpB.N, seq: uint32(ar.msg), msgID: uint64(ar.msg + 1),
-					seg: ar.seg, nsegs: m.nsegs, rkey: dst.Key, roffset: off, imm: m.imm,
-					data: src[off : off+n], dataLen: n,
-				}
+					seg: ar.seg, nsegs: m.nsegs, rkey: dst.Key, roffset: off, imm: m.imm, dataLen: n,
+				}, data: src[off : off+n]}
 				if cw := &qpB.window; w.seq == cw.base && m.nsegs > 1 && (cw.slots.len() == 0 || *cw.slots.at(0) == nil) {
 					if uint32(ar.seg) == cw.next && ar.seg == m.nsegs-1 {
 						byCursor++
