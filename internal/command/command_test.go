@@ -2,6 +2,7 @@ package command
 
 import (
 	"bytes"
+	"cmp"
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
@@ -387,12 +388,20 @@ func saveManifest(t *testing.T, path string, m manifest.Manifest) {
 // TestRunMultiManifest is the table test over the batch form of `repro
 // run`: several manifests execute in order, -o redirects their declared
 // outputs into one directory, per-file output flags are rejected as
-// ambiguous, and the batch stops at the first failing manifest.
+// ambiguous, the batch stops at the first failing manifest, and an output
+// directory that does not exist fails the batch before anything runs.
 func TestRunMultiManifest(t *testing.T) {
 	dir := t.TempDir()
 	a := smallOSUManifest(t, dir, "a.json", "A.json", "")
 	b := smallOSUManifest(t, dir, "b.json", "B.json", "")
 	bad := smallOSUManifest(t, dir, "bad.json", "BAD.json", strings.Repeat("0", 64))
+	early := filepath.Join(dir, "early")
+	if err := os.Mkdir(early, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	first := smallOSUManifest(t, dir, "first.json", filepath.Join(early, "FIRST.json"), "")
+	missing := filepath.Join(dir, "nodir")
+	nodir := smallOSUManifest(t, dir, "nodir.json", filepath.Join(missing, "NODIR.json"), "")
 
 	cases := []struct {
 		name    string
@@ -401,17 +410,20 @@ func TestRunMultiManifest(t *testing.T) {
 		err     string   // substring expected on stderr
 		present []string // files expected under out/ afterwards
 		absent  []string
+		out     string // where present and absent are; default the first flag's value
 	}{
 		{"batch with -o", []string{"run", "-o", filepath.Join(dir, "out"), a, b}, 0, "",
-			[]string{"A.json", "B.json"}, nil},
+			[]string{"A.json", "B.json"}, nil, ""},
 		{"single with -o", []string{"run", "-o", filepath.Join(dir, "solo"), a}, 0, "",
-			nil, nil},
+			nil, nil, ""},
 		{"json flag ambiguous", []string{"run", "-json", filepath.Join(dir, "x.json"), a, b}, 2,
-			"-json names one output file", nil, nil},
+			"-json names one output file", nil, nil, ""},
 		{"trace flag ambiguous", []string{"run", "-trace", filepath.Join(dir, "x.txt"), a, b}, 2,
-			"-trace names one output file", nil, nil},
+			"-trace names one output file", nil, nil, ""},
 		{"stops at first failure", []string{"run", "-o", filepath.Join(dir, "stop"), bad, b}, 1,
-			"does not match expect.sha256", []string{}, []string{"B.json"}},
+			"does not match expect.sha256", []string{}, []string{"B.json"}, ""},
+		{"missing output directory fails up front", []string{"run", first, nodir}, 2,
+			"run: output.json: directory " + missing + " does not exist", nil, []string{"FIRST.json"}, early},
 	}
 	for _, c := range cases {
 		code, stdout, stderr := run(c.args...)
@@ -422,7 +434,10 @@ func TestRunMultiManifest(t *testing.T) {
 		if c.err != "" && !strings.Contains(stderr, c.err) {
 			t.Errorf("%s: stderr %q does not contain %q", c.name, stderr, c.err)
 		}
-		outDir := c.args[2] // every case passes a value right after the first flag
+		outDir := cmp.Or(c.out, c.args[2]) // a value right after the first flag
+		if code == 2 && stdout != "" {
+			t.Errorf("%s: a refused batch printed to stdout:\n%s", c.name, stdout)
+		}
 		for _, f := range c.present {
 			if _, err := os.Stat(filepath.Join(outDir, f)); err != nil {
 				t.Errorf("%s: expected output %s: %v", c.name, f, err)

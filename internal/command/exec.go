@@ -14,65 +14,42 @@ import (
 	"repro/internal/telemetry"
 )
 
-// common is the flag surface `repro run` folds into every manifest it
-// executes: output targets, pool sizing, telemetry, and diagnostics.
+// common is the flag surface of `repro run`: the overrides Load folds into
+// every manifest (output targets, pool sizing, telemetry) and the
+// profiles of the whole invocation.
 type common struct {
-	jsonPath     string
-	workers      int
-	cpuprofile   string
-	memprofile   string
-	telemetry    bool
-	metricsPath  string
-	perfettoPath string
+	manifest.Overrides
+	cpuprofile string
+	memprofile string
 }
 
 // register adds the flags to fs. The workers default -1 means "use the
 // manifest's value".
 func (c *common) register(fs *flag.FlagSet) {
-	fs.StringVar(&c.jsonPath, "json", "", "write sweep records as JSON to this path")
-	fs.IntVar(&c.workers, "workers", -1, "sweep worker goroutines (0 = GOMAXPROCS; default: the manifest's workers)")
+	fs.StringVar(&c.Dir, "o", "", "redirect every output file the manifests declare into this directory (created if missing)")
+	fs.StringVar(&c.JSON, "json", "", "write sweep records as JSON to this path")
+	fs.IntVar(&c.Workers, "workers", -1, "sweep worker goroutines (0 = GOMAXPROCS; default: the manifest's workers)")
 	fs.StringVar(&c.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&c.memprofile, "memprofile", "", "write an allocation profile of the run to this file")
-	fs.BoolVar(&c.telemetry, "telemetry", false, "collect the deterministic metrics registry during the sweep")
-	fs.StringVar(&c.metricsPath, "metrics", "", "write canonical telemetry metrics.json to this path (implies -telemetry)")
-	fs.StringVar(&c.perfettoPath, "perfetto", "", "write a Perfetto/Chrome trace of the representative run to this path (implies -telemetry)")
+	fs.BoolVar(&c.Telemetry, "telemetry", false, "collect the deterministic metrics registry during the sweep")
+	fs.StringVar(&c.Metrics, "metrics", "", "write canonical telemetry metrics.json to this path (implies -telemetry)")
+	fs.StringVar(&c.Perfetto, "perfetto", "", "write a Perfetto/Chrome trace of the representative run to this path (implies -telemetry)")
 }
 
 // validate is the exit-code-2 gate for the common flags. A workers value
 // of -1 is the sentinel for "defer to the manifest" and passes.
 func (c *common) validate() []error {
 	checks := []error{
-		Writable("json", c.jsonPath),
+		Writable("json", c.JSON),
 		Writable("cpuprofile", c.cpuprofile),
 		Writable("memprofile", c.memprofile),
-		Writable("metrics", c.metricsPath),
-		Writable("perfetto", c.perfettoPath),
+		Writable("metrics", c.Metrics),
+		Writable("perfetto", c.Perfetto),
 	}
-	if c.workers != -1 {
-		checks = append(checks, NonNegative("workers", c.workers))
+	if c.Workers != -1 {
+		checks = append(checks, NonNegative("workers", c.Workers))
 	}
 	return checks
-}
-
-// apply folds the common flags into the manifest.
-func (c *common) apply(m *manifest.Manifest) {
-	if c.jsonPath != "" {
-		m.Output.JSON = c.jsonPath
-	}
-	if c.workers >= 0 {
-		m.Workers = c.workers
-	}
-	if c.telemetry || c.metricsPath != "" || c.perfettoPath != "" {
-		if m.Telemetry == nil {
-			m.Telemetry = &manifest.TelemetrySpec{}
-		}
-		if c.metricsPath != "" {
-			m.Telemetry.Metrics = c.metricsPath
-		}
-		if c.perfettoPath != "" {
-			m.Telemetry.Perfetto = c.perfettoPath
-		}
-	}
 }
 
 // shardsHint follows the flag package's error when a script still passes
@@ -98,21 +75,13 @@ func fail(stderr io.Writer, code int, format string, args ...interface{}) int {
 	return code
 }
 
-// execute is the run path behind `repro run`, once per compiled manifest
-// (telemetry included — the common flags were folded into it before
-// compiling): run the plan, persist and verify the report, and
-// optionally write a protocol trace to tracePath. Exit codes follow the
-// repository convention (2 invalid spec, 1 runtime failure).
+// execute is the run path behind `repro run`, once per plan (the flags
+// were applied when it was loaded, and its output directories checked
+// before the batch began): run the plan, persist and verify the report,
+// and optionally write a protocol trace to tracePath. Exit codes follow
+// the repository convention (2 invalid spec, 1 runtime failure).
 func execute(plan *manifest.Plan, tracePath string, stdout, stderr io.Writer) int {
-	m := plan.Manifest
-	// The outputs the manifest declares, as -o and the output flags left
-	// them, must land in existing directories before anything is simulated.
-	for _, o := range outputPaths(&m) {
-		if err := writableDir(*o.path); err != nil {
-			return fail(stderr, 2, "run: %s: %v", o.field, err)
-		}
-	}
-	rep, err := plan.Execute(m.Workers, stdout)
+	rep, err := plan.Execute(plan.Workers, stdout)
 	if err != nil {
 		return fail(stderr, 1, "run: %v", err)
 	}
@@ -123,15 +92,15 @@ func execute(plan *manifest.Plan, tracePath string, stdout, stderr io.Writer) in
 	if err := sweep.WriteJSON(&buf, rep); err != nil {
 		return fail(stderr, 1, "run: %v", err)
 	}
-	if m.Output.JSON != "" {
-		if err := writeFile(m.Output.JSON, buf.Bytes()); err != nil {
+	if plan.Output.JSON != "" {
+		if err := writeFile(plan.Output.JSON, buf.Bytes()); err != nil {
 			return fail(stderr, 1, "run: %v", err)
 		}
 	}
 
 	// The text timeline and the Perfetto export come from one traced run, so
 	// the two renderings can never describe different executions.
-	if perfetto := m.Telemetry != nil && m.Telemetry.Perfetto != ""; tracePath != "" || perfetto {
+	if perfetto := plan.Telemetry != nil && plan.Telemetry.Perfetto != ""; tracePath != "" || perfetto {
 		snap, err := plan.Trace()
 		if err != nil {
 			return fail(stderr, 1, "run: trace: %v", err)
@@ -142,13 +111,13 @@ func execute(plan *manifest.Plan, tracePath string, stdout, stderr io.Writer) in
 			}
 		}
 		if perfetto {
-			if err := writeOutput(m.Telemetry.Perfetto, snap.WritePerfetto); err != nil {
+			if err := writeOutput(plan.Telemetry.Perfetto, snap.WritePerfetto); err != nil {
 				return fail(stderr, 1, "run: perfetto: %v", err)
 			}
 		}
 	}
 
-	if m.Telemetry != nil && m.Telemetry.Metrics != "" {
+	if plan.Telemetry != nil && plan.Telemetry.Metrics != "" {
 		doc := telemetry.Document{Name: rep.Name}
 		for i := range rep.Records {
 			rec := &rep.Records[i]
@@ -161,24 +130,24 @@ func execute(plan *manifest.Plan, tracePath string, stdout, stderr io.Writer) in
 			})
 		}
 		enc := doc.Encode()
-		if err := writeFile(m.Telemetry.Metrics, enc); err != nil {
+		if err := writeFile(plan.Telemetry.Metrics, enc); err != nil {
 			return fail(stderr, 1, "run: metrics: %v", err)
 		}
-		if m.Telemetry.Expect != "" {
+		if plan.Telemetry.Expect != "" {
 			sum := sha256.Sum256(enc)
 			got := hex.EncodeToString(sum[:])
-			if got != m.Telemetry.Expect {
-				return fail(stderr, 1, "run: metrics digest %s does not match telemetry.expect_sha256 %s", got, m.Telemetry.Expect)
+			if got != plan.Telemetry.Expect {
+				return fail(stderr, 1, "run: metrics digest %s does not match telemetry.expect_sha256 %s", got, plan.Telemetry.Expect)
 			}
 			fmt.Fprintf(stdout, "# metrics digest matches telemetry.expect_sha256\n")
 		}
 	}
 
-	if m.Expect != nil {
+	if plan.Expect != nil {
 		sum := sha256.Sum256(buf.Bytes())
 		got := hex.EncodeToString(sum[:])
-		if got != m.Expect.SHA256 {
-			return fail(stderr, 1, "run: output digest %s does not match expect.sha256 %s", got, m.Expect.SHA256)
+		if got != plan.Expect.SHA256 {
+			return fail(stderr, 1, "run: output digest %s does not match expect.sha256 %s", got, plan.Expect.SHA256)
 		}
 		fmt.Fprintf(stdout, "# output digest matches expect.sha256\n")
 	}

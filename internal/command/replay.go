@@ -11,7 +11,7 @@ import (
 )
 
 // runReplay implements `repro replay [-interval US] [-at US] [-steps N]
-// <manifest>`: compile the manifest, pick its replayable point (the quiet
+// <manifest>`: load the manifest, pick its replayable point (the quiet
 // collective cell the plan designates), run it once under the replay
 // debugger — recording a waypoint (virtual time, executed-event count) every
 // -interval of virtual time — then seek to -at by re-executing the run to
@@ -35,13 +35,9 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 	if int64(*interval) > sim.MaxMicros || int64(*at) > sim.MaxMicros {
 		return fail(stderr, 2, "replay: -interval and -at must be <= %d µs", sim.MaxMicros)
 	}
-	m, err := manifest.ParseFile(fs.Arg(0))
+	plan, err := manifest.Load(fs.Arg(0), manifest.Overrides{Workers: -1})
 	if err != nil {
 		return fail(stderr, 2, "replay: %v", err)
-	}
-	plan, err := manifest.Compile(m)
-	if err != nil {
-		return fail(stderr, 2, "replay: %s: %v", fs.Arg(0), err)
 	}
 	if plan.ReplaySpec == nil {
 		return fail(stderr, 2, "replay: no section of %s has a replayable point", fs.Arg(0))

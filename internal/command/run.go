@@ -15,20 +15,19 @@ import (
 	"repro/internal/workload"
 )
 
-// runManifest implements `repro run <manifest...>`: parse each document,
-// fold in any command-line overrides, and execute them in order, stopping
-// at the first failure. With several manifests the per-file output flags
-// (-json, -metrics, -perfetto, -trace) would silently overwrite one
-// another, so they are rejected; -o DIR redirects every file a manifest
-// declares into DIR instead, preserving basenames, which is how a batch
-// (e.g. the CI matrix) lands its artifacts side by side. Every manifest is
-// parsed, compiled and its outputs resolved before anything runs or DIR is
-// created, so an invalid manifest or two that would write the same file
-// fail the batch up front and leave nothing behind.
+// runManifest implements `repro run <manifest...>`: load each manifest
+// with the command-line overrides applied, and execute the plans in order,
+// stopping at the first failure. With several manifests the per-file
+// output flags (-json, -metrics, -perfetto, -trace) would silently
+// overwrite one another, so they are rejected; -o DIR redirects every file
+// a manifest declares into DIR instead, preserving basenames, which is how
+// a batch (e.g. the CI matrix) lands its artifacts side by side. An
+// invalid manifest, two that would write one file, or an output directory
+// that does not exist once DIR is created fails the batch before anything
+// runs.
 func runManifest(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("repro run", flag.ContinueOnError)
 	tracePath := fs.String("trace", "", "write the Figure-9 protocol phase timeline of one representative run to this file")
-	outDir := fs.String("o", "", "redirect every output file the manifests declare into this directory (created if missing)")
 	var c common
 	c.register(fs)
 	// Stdlib flag parsing stops at the first positional argument; re-parse
@@ -51,8 +50,8 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 	}
 	if len(paths) > 1 {
 		for _, f := range []struct{ name, val string }{
-			{"json", c.jsonPath}, {"metrics", c.metricsPath},
-			{"perfetto", c.perfettoPath}, {"trace", *tracePath},
+			{"json", c.JSON}, {"metrics", c.Metrics},
+			{"perfetto", c.Perfetto}, {"trace", *tracePath},
 		} {
 			if f.val != "" {
 				return fail(stderr, 2, "run: -%s names one output file but %d manifests were given; use -o DIR to redirect per-manifest outputs", f.name, len(paths))
@@ -66,29 +65,30 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 	plans := make([]*manifest.Plan, len(paths))
 	writers := map[string]string{} // absolute output path -> first manifest
 	for i, path := range paths {
-		m, err := manifest.ParseFile(path)
+		plan, err := manifest.Load(path, c.Overrides)
 		if err != nil {
 			return fail(stderr, 2, "run: %v", err)
 		}
-		c.apply(&m)
-		if *outDir != "" {
-			redirectOutputs(&m, *outDir)
-		}
-		if _, dups := claimOutputs(writers, path, &m, absPath); len(dups) > 0 {
+		if dups := claimOutputs(writers, path, plan.Outputs(), absPath); len(dups) > 0 {
 			return fail(stderr, 2, "run: %v", dups[0])
 		}
-		if plans[i], err = manifest.Compile(m); err != nil {
-			return fail(stderr, 2, "run: %s: %v", path, err)
-		}
-		// Compile refuses a telemetry.perfetto the plan cannot trace; the
+		// Load refuses a telemetry.perfetto the plan cannot trace; the
 		// -trace flag is a run-time request, checked here.
-		if *tracePath != "" && plans[i].TraceSpec == nil {
+		if *tracePath != "" && plan.TraceSpec == nil {
 			return fail(stderr, 2, "run: no section of %s has a traceable point", path)
 		}
+		plans[i] = plan
 	}
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			return fail(stderr, 2, "run: -o %s: %v", *outDir, err)
+	if c.Dir != "" {
+		if err := os.MkdirAll(c.Dir, 0o755); err != nil {
+			return fail(stderr, 2, "run: -o %s: %v", c.Dir, err)
+		}
+	}
+	for _, plan := range plans {
+		for _, o := range plan.Outputs() {
+			if err := writableDir(o.Path); err != nil {
+				return fail(stderr, 2, "run: %s: %v", o.Field, err)
+			}
 		}
 	}
 	// One CPU profile covers every manifest of the invocation, and the
@@ -117,33 +117,6 @@ func runManifest(args []string, stdout, stderr io.Writer) int {
 	// would be NaN.
 	runtime.GC()
 	return 0
-}
-
-// outputPath is one output file a manifest declares: the manifest field
-// and a pointer to its path.
-type outputPath struct {
-	field string
-	path  *string
-}
-
-// outputPaths lists every output file field of the manifest, set or not.
-func outputPaths(m *manifest.Manifest) []outputPath {
-	out := []outputPath{{"output.json", &m.Output.JSON}}
-	if t := m.Telemetry; t != nil {
-		out = append(out, outputPath{"telemetry.metrics", &t.Metrics}, outputPath{"telemetry.perfetto", &t.Perfetto})
-	}
-	return out
-}
-
-// redirectOutputs rebases every output file the manifest declares into
-// dir, keeping the basename. Digest expectations are untouched: the bytes
-// do not depend on where they land.
-func redirectOutputs(m *manifest.Manifest, dir string) {
-	for _, o := range outputPaths(m) {
-		if *o.path != "" {
-			*o.path = filepath.Join(dir, filepath.Base(*o.path))
-		}
-	}
 }
 
 // expandManifestDirs replaces each directory argument with the manifest
@@ -182,26 +155,21 @@ func expandManifestDirs(paths []string) ([]string, error) {
 }
 
 // claimOutputs records manifest path in owners as the writer of every
-// output file m declares, keyed by key(file). It returns how many files m
-// declares and one error per file an earlier manifest already claimed.
-// validate keys by basename: -o DIR rebases outputs by basename, so that
-// is the granularity at which a batch can collide. run keys by absolute
-// path once the flags and -o are applied, so two spellings of one file
-// are one file.
-func claimOutputs(owners map[string]string, path string, m *manifest.Manifest, key func(string) string) (n int, dups []error) {
-	for _, o := range outputPaths(m) {
-		if *o.path == "" {
-			continue
-		}
-		n++
-		k := key(*o.path)
+// file in outs, keyed by key(file), and returns one error per file an
+// earlier manifest already claimed. validate keys by basename: -o DIR
+// rebases outputs by basename, so that is the granularity at which a
+// batch can collide. run keys by absolute path once the flags and -o are
+// applied, so two spellings of one file are one file.
+func claimOutputs(owners map[string]string, path string, outs []manifest.OutputFile, key func(string) string) (dups []error) {
+	for _, o := range outs {
+		k := key(o.Path)
 		if first, ok := owners[k]; ok {
 			dups = append(dups, fmt.Errorf("%s: duplicate output artifact %q (also declared by %s)", path, k, first))
 			continue
 		}
 		owners[k] = path
 	}
-	return n, dups
+	return dups
 }
 
 // absPath is the absolute form of an output path, or its cleaned form
@@ -236,21 +204,16 @@ func runValidate(args []string, stdout, stderr io.Writer) int {
 	bareNames := make(map[string]string, len(paths)) // artifact-less name -> first path
 	artifacts := make(map[string]string, len(paths)) // output basename -> first path
 	for _, path := range paths {
-		m, err := manifest.ParseFile(path)
+		plan, err := manifest.Load(path, manifest.Overrides{Workers: -1})
 		if err != nil {
-			fmt.Fprintln(stderr, err) // ParseFile's errors name the file
+			fmt.Fprintln(stderr, err) // Load's errors name the file
 			bad++
 			continue
 		}
-		plan, err := manifest.Compile(m)
-		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", path, err)
-			bad++
-			continue
-		}
-		outs, dups := claimOutputs(artifacts, path, &m, filepath.Base)
+		outs := plan.Outputs()
+		dups := claimOutputs(artifacts, path, outs, filepath.Base)
 		dup := len(dups) > 0
-		if outs == 0 {
+		if len(outs) == 0 {
 			if first, ok := bareNames[plan.Name]; ok {
 				fmt.Fprintf(stderr, "%s: duplicate manifest name %q (also %s); manifests without outputs must have distinct names\n",
 					path, plan.Name, first)
@@ -271,7 +234,7 @@ func runValidate(args []string, stdout, stderr io.Writer) int {
 			points += len(sec.Specs)
 		}
 		fmt.Fprintf(stdout, "ok %s: kind=%s name=%s sections=%d points=%d\n",
-			path, m.Kind, plan.Name, len(plan.Sections), points)
+			path, plan.Kind, plan.Name, len(plan.Sections), points)
 	}
 	if bad > 0 {
 		return fail(stderr, 2, "validate: %d of %d manifests invalid", bad, len(paths))

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"path/filepath"
 	"slices"
 
 	"repro/internal/harness"
@@ -11,16 +12,19 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Plan is a compiled manifest: the report name plus one executable section
-// per experiment the manifest enables. Compiling performs no simulation —
-// it only lowers a shorthand, resolves defaults and wires the sweep grids
-// onto their harness kernels — so `repro validate` can compile every
-// manifest cheaply as its deepest cross-check.
+// Plan is a compiled manifest and the only value `repro run` executes: one
+// section per experiment and the run's bookkeeping, with Load's overrides
+// applied. Compiling performs no simulation, so `repro validate` can
+// compile every manifest cheaply as its deepest cross-check.
 type Plan struct {
-	// Manifest is the (validated) source spec.
-	Manifest Manifest
-	// Name is the resolved report name.
-	Name string
+	// Kind is the manifest's kind as written and Name the resolved report
+	// name; Workers (0 means GOMAXPROCS), Output, Telemetry and Expect are
+	// the manifest's fields of those names.
+	Kind, Name string
+	Workers    int
+	Output     Output
+	Telemetry  *TelemetrySpec
+	Expect     *Expect
 	// Sections are executed in order; their records concatenate into the
 	// report.
 	Sections []Section
@@ -33,6 +37,74 @@ type Plan struct {
 	// scenario injectors), picked by the first section whose kernel has
 	// one. Nil when none has.
 	ReplaySpec *sweep.Spec
+}
+
+// OutputFile is one file a plan writes: the manifest field that names it
+// and its path.
+type OutputFile struct{ Field, Path string }
+
+// Outputs lists the files the plan writes, in field order: output.json,
+// telemetry.metrics and telemetry.perfetto, each only when set.
+func (p *Plan) Outputs() []OutputFile {
+	out := []OutputFile{{"output.json", p.Output.JSON}}
+	if t := p.Telemetry; t != nil {
+		out = append(out, OutputFile{"telemetry.metrics", t.Metrics}, OutputFile{"telemetry.perfetto", t.Perfetto})
+	}
+	return slices.DeleteFunc(out, func(o OutputFile) bool { return o.Path == "" })
+}
+
+// Overrides are the edits `repro run`'s flags make to a manifest. Load
+// applies them before it validates, so an overridden value is checked
+// exactly like a written one.
+type Overrides struct {
+	// JSON, Metrics and Perfetto replace output.json, telemetry.metrics
+	// and telemetry.perfetto when set; then every output file moves into
+	// Dir, keeping its basename. Telemetry, Metrics and Perfetto turn
+	// telemetry on. A negative Workers keeps the manifest's workers.
+	Dir, JSON, Metrics, Perfetto string
+	Workers                      int
+	Telemetry                    bool
+}
+
+// Load reads the manifest at path, applies o and compiles it. Its errors
+// name the file.
+func Load(path string, o Overrides) (*Plan, error) {
+	m, err := ParseFile(path)
+	if err != nil {
+		return nil, err
+	}
+	o.apply(&m)
+	p, err := Compile(m)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return p, nil
+}
+
+// apply folds the overrides into m.
+func (o Overrides) apply(m *Manifest) {
+	m.Output.JSON = cmp.Or(o.JSON, m.Output.JSON)
+	if o.Workers >= 0 {
+		m.Workers = o.Workers
+	}
+	if o.Telemetry || o.Metrics != "" || o.Perfetto != "" {
+		t := cmp.Or(m.Telemetry, &TelemetrySpec{})
+		t.Metrics, t.Perfetto = cmp.Or(o.Metrics, t.Metrics), cmp.Or(o.Perfetto, t.Perfetto)
+		m.Telemetry = t
+	}
+	if o.Dir == "" {
+		return
+	}
+	// The digests are untouched: the bytes do not depend on where they land.
+	paths := []*string{&m.Output.JSON}
+	if t := m.Telemetry; t != nil {
+		paths = append(paths, &t.Metrics, &t.Perfetto)
+	}
+	for _, p := range paths {
+		if *p != "" {
+			*p = filepath.Join(o.Dir, filepath.Base(*p))
+		}
+	}
 }
 
 // Section is one experiment of a plan: either a sweep (Specs through
@@ -64,7 +136,8 @@ func Compile(m Manifest) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Manifest: m, Name: cmp.Or(low.Name, "sweep")}
+	p := &Plan{Kind: m.Kind, Name: cmp.Or(low.Name, "sweep"), Workers: m.Workers,
+		Output: m.Output, Telemetry: m.Telemetry, Expect: m.Expect}
 	tc := telemetry.Config{Enabled: m.Telemetry != nil}
 	for _, ss := range low.Sections {
 		k := sweepKernels[ss.Kernel]
@@ -115,12 +188,8 @@ func (p *Plan) Trace() (*telemetry.Snapshot, error) {
 
 // Execute runs every section on the worker pool, streaming each section's
 // header, table and note to w, and returns the combined report. workers
-// <= -1 selects the manifest's Workers field; results are byte-identical
-// at any worker count.
+// 0 means GOMAXPROCS; results are byte-identical at any worker count.
 func (p *Plan) Execute(workers int, w io.Writer) (sweep.Report, error) {
-	if workers < 0 {
-		workers = p.Manifest.Workers
-	}
 	var all []sweep.Record
 	for _, sec := range p.Sections {
 		var recs []sweep.Record
